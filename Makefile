@@ -1,7 +1,8 @@
 GO ?= go
 BENCH_SCALE ?= 0.12
+BENCHTIME ?= 1s
 
-.PHONY: check vet build test race chaos chaos-cluster fuzz-smoke bench bench-retrieval bench-ann bench-graph bench-query bench-ingest bench-serve bench-wal bench-cluster clean
+.PHONY: check vet build test race chaos chaos-cluster fuzz-smoke layers bench bench-micro bench-retrieval bench-ann bench-graph bench-query bench-ingest bench-serve bench-wal bench-cluster clean
 
 # check is the CI entry point: static analysis, full build, race-enabled
 # tests, and a short fuzz pass over the crash-surface decoders.
@@ -44,6 +45,22 @@ fuzz-smoke:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzFrameParse -fuzztime 5s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecoder -fuzztime 5s
 	$(GO) test ./internal/jsonld -run '^$$' -fuzz FuzzDocumentUnmarshal -fuzztime 5s
+
+# layers builds and tests the benchmark's per-layer pass, which lives behind
+# the `layers` build tag and calls internal packages directly: an internal
+# signature change that breaks it must fail here, not at the next
+# `go run ./benchmark -trace 1`. Read-only use of benchmark/.
+layers:
+	$(GO) vet -tags layers ./benchmark/...
+	$(GO) test -tags layers ./benchmark/layers
+
+# bench-micro runs the testing.B micro-benchmarks of the write path's two
+# corpus-sized kernels with -benchmem: one commit's clone + 4-row append on a
+# 34,549 x 256 store (flat and 8 shards + postings) and one streamed snapshot
+# digest. B/op is the tracked number. BENCHTIME=1x makes it a smoke run.
+bench-micro:
+	$(GO) test -run '^$$' -bench '^BenchmarkCommitAppend$$' -benchmem -benchtime $(BENCHTIME) ./internal/retrieval
+	$(GO) test -run '^$$' -bench '^BenchmarkSnapshotDigest$$' -benchmem -benchtime $(BENCHTIME) ./internal/core
 
 # bench regenerates the paper tables/figures at a reduced scale and records
 # per-job wall-clock timings for the perf trajectory.

@@ -31,20 +31,19 @@ func (h SnapshotHandle) IsZero() bool { return h.sn == nil }
 // Encode serializes the referenced snapshot in the checkpoint body format.
 // The snapshot is immutable, so Encode is safe at any time and never blocks
 // the commit path.
-func (h SnapshotHandle) Encode() []byte {
-	var e wal.Encoder
-	encodeSnapshot(&e, h.sn)
-	return e.Bytes()
-}
+func (h SnapshotHandle) Encode() []byte { return snapshotBody(h.sn) }
 
 // Digest hashes the serialized snapshot — the anti-entropy fingerprint two
 // engines at the same replication position can compare. Byte-identical
-// snapshots (the replication invariant) digest identically.
-func (h SnapshotHandle) Digest() uint64 { return digestBytes(h.Encode()) }
-
-func digestBytes(b []byte) uint64 {
+// snapshots (the replication invariant) digest identically. The body is
+// streamed into the hash in encoder-buffer-sized pieces and never exists as
+// one slice; FNV over the pieces is FNV over their concatenation, so the
+// value is the hash of exactly what Encode returns.
+func (h SnapshotHandle) Digest() uint64 {
 	f := fnv.New64a()
-	f.Write(b)
+	e := wal.NewStreamEncoder(f)
+	encodeSnapshot(e, h.sn)
+	_ = e.Flush() // a hash.Hash never returns a write error
 	return f.Sum64()
 }
 

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -231,6 +233,61 @@ func TestWALLeasePreservesLaggingFeedTail(t *testing.T) {
 	for _, n := range names {
 		if n == "wal-0000000000000000.log" {
 			t.Fatalf("pre-fallback segment survived after the lease was released: %v", names)
+		}
+	}
+}
+
+// digestBytes is the pre-streaming definition of a snapshot digest: FNV-64a
+// over the whole encoded body.
+func digestBytes(b []byte) uint64 {
+	f := fnv.New64a()
+	f.Write(b)
+	return f.Sum64()
+}
+
+// TestStreamedDigestEqualsDigestOfEncode pins the two whole-snapshot encodes
+// to the one-buffer reference: Digest streams the body through the hash in
+// pieces, Encode sizes its buffer with a counting pass, and both must stand
+// for exactly the bytes a plain buffered encoder produces — on an empty
+// engine, after a single chunk, and on flat, sharded and ANN stores whose
+// bodies span many encoder buffers.
+func TestStreamedDigestEqualsDigestOfEncode(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"flat":     func() Config { c := durTestConfig(); c.Shards = 1; return c }(),
+		"sharded8": func() Config { c := durTestConfig(); c.Shards = 8; return c }(),
+		"ann":      func() Config { c := durTestConfig(); c.ANN = true; return c }(),
+	} {
+		s := NewSystem(cfg)
+		rng := rand.New(rand.NewSource(4))
+		for step := 0; step <= 24; step++ {
+			h := s.ServingHandle()
+			body := h.Encode()
+			if !bytes.Equal(body, snapBytes(s)) {
+				t.Fatalf("%s step %d: Encode differs from the buffered reference encoding", name, step)
+			}
+			// Sized by the counting pass, not grown by doubling: the only slack
+			// is the allocator rounding up to a size class or a page.
+			if slack := cap(body) - len(body); slack > max(len(body)/8, 8<<10) {
+				t.Fatalf("%s step %d: Encode holds a %d-byte body in a %d-byte buffer", name, step, len(body), cap(body))
+			}
+			if got, want := h.Digest(), digestBytes(body); got != want {
+				t.Fatalf("%s step %d: streamed digest %016x, digest of Encode %016x", name, step, got, want)
+			}
+			if step == 0 && s.Index().Len() != 0 {
+				t.Fatalf("%s: first step must see the empty engine", name)
+			}
+			batch := ingestBatch(rng.Intn(1000)) // one chunk per batch
+			if step > 0 {
+				for i := rng.Intn(6); i > 0; i-- {
+					batch = append(batch, ingestBatch(rng.Intn(1000))...)
+				}
+			}
+			if _, err := s.Ingest(batch); err != nil {
+				t.Fatalf("%s step %d: ingest: %v", name, step, err)
+			}
+		}
+		if n := len(s.ServingHandle().Encode()); n < 4*(32<<10) {
+			t.Fatalf("%s: final body is %d bytes; it must span several stream buffers", name, n)
 		}
 	}
 }

@@ -123,8 +123,8 @@ type Config struct {
 
 // snapshot is one immutable serving state: the knowledge graph, its
 // homologous line graph and the chunk index, frozen at an ingest boundary.
-// The write path builds the next snapshot aside (cloned graph, clipped index,
-// delta-maintained SG) and publishes it with a single atomic pointer swap, so
+// The write path builds the next snapshot aside (cloned graph, cloned index
+// appended to behind this snapshot's rows, delta-maintained SG) and publishes it with a single atomic pointer swap, so
 // any number of query goroutines read a consistent view while ingestion
 // proceeds — the read-path/write-path split of production retrieval stores.
 type snapshot struct {

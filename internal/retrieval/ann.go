@@ -87,7 +87,12 @@ type ivfState struct {
 // IsolatedIDs pattern: CloneForAppend hands the clone clipped copies of the
 // inverted lists, and the first search against the published clone assigns
 // just the appended tail to the existing cells (full retraining only once
-// the corpus outgrows its training size by annRetrainFactor).
+// the corpus outgrows its training size by annRetrainFactor). Chunks and
+// vectors follow the embedded Index's lineage token and append in place; the
+// IVF lists and the int8 mirror stay clipped per clone, because they are
+// extended by whichever reader searches a generation first — several
+// generations may do that at once, which is not the single linear writer the
+// token relies on.
 type ANN struct {
 	*Index
 	nprobe   int
@@ -111,13 +116,13 @@ func NewANN(opts Options) *ANN {
 	}
 }
 
-// CloneForAppend clips the underlying flat index and hands the clone
-// copy-on-write views of the IVF state, so the clone's first post-publish
-// search extends rather than rebuilds (appends to a clipped list reallocate
-// privately, never into the receiver's arrays).
+// CloneForAppend clones the underlying flat index (shared tail, see
+// Index.claim) and hands the clone clipped views of the IVF state, so the
+// clone's first post-publish search extends rather than rebuilds (appends to
+// a clipped list reallocate privately, never into the receiver's arrays).
 func (a *ANN) CloneForAppend() Store {
 	clone := &ANN{
-		Index:    a.Index.CloneForAppend().(*Index),
+		Index:    a.Index.clone(),
 		nprobe:   a.nprobe,
 		quantize: a.quantize,
 		workers:  a.workers,

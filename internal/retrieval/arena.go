@@ -1,6 +1,9 @@
 package retrieval
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // arena is the flat vector store backing Index: every embedding lives back to
 // back in one contiguous []float32 with stride = dim, so a scan walks memory
@@ -9,16 +12,14 @@ import "fmt"
 // rejected up front (see appendVec), which is what lets every reader index
 // the arena by ordinal arithmetic alone.
 //
-// Copy-on-write works exactly like the chunk slice in Index.CloneForAppend:
-// cloneForAppend clips the backing slice's capacity, so the first append on a
-// clone reallocates into private memory while published snapshots keep
-// serving the shared prefix.
+// The arena itself knows nothing about snapshots. A clone of an Index copies
+// this header — same backing array, same spare capacity — and the Index's
+// lineage token (Index.claim) decides who may append into that spare room in
+// place and who must clip first; see Index.CloneForAppend.
 type arena struct {
 	dim  int
 	data []float32
 }
-
-func newArena(dim int) *arena { return &arena{dim: dim} }
 
 // len returns the number of stored vectors.
 func (a *arena) len() int { return len(a.data) / a.dim }
@@ -39,11 +40,11 @@ func (a *arena) appendVec(v Vector) {
 
 // grow reserves room for n more vectors, so a batch append reallocates the
 // backing array at most once (the Store.AddEmbeddedBatch contract). The
-// reservation takes geometric headroom: repeated batch appends to one index —
-// the WAL replay path feeds thousands of single-group records into the same
-// store — must amortise to O(total), not recopy the whole arena per batch.
-// Exact-size growth here was quadratic. Snapshot clones clip capacity
-// (cloneForAppend), so published snapshots never expose the spare room.
+// reservation takes geometric headroom: repeated batch appends along one
+// lineage — every commit, every replica apply, every replayed WAL record —
+// must amortise to O(total), not recopy the whole arena per batch. The spare
+// room stays visible to clones on purpose: the next commit's clone appends
+// into it in place.
 func (a *arena) grow(n int) {
 	need := len(a.data) + n*a.dim
 	if need <= cap(a.data) {
@@ -54,8 +55,6 @@ func (a *arena) grow(n int) {
 	a.data = grown
 }
 
-// cloneForAppend returns the O(1) copy-on-write clone: shared backing array,
-// clipped capacity.
-func (a *arena) cloneForAppend() *arena {
-	return &arena{dim: a.dim, data: a.data[:len(a.data):len(a.data)]}
-}
+// clip drops the spare capacity, so the next append reallocates into private
+// memory — the fork step of Index.claim.
+func (a *arena) clip() { a.data = slices.Clip(a.data) }

@@ -10,7 +10,7 @@ import (
 // arena are exactly the vectors appended, in order.
 func TestArenaRoundTrip(t *testing.T) {
 	const dim = 48
-	a := newArena(dim)
+	a := arena{dim: dim}
 	rng := rand.New(rand.NewSource(5))
 	var want []Vector
 	for i := 0; i < 37; i++ {
@@ -34,7 +34,7 @@ func TestArenaRoundTrip(t *testing.T) {
 // TestArenaRejectsDimMismatch: the arena fixes the stride at construction, so
 // a mismatched append must fail before mutating anything.
 func TestArenaRejectsDimMismatch(t *testing.T) {
-	a := newArena(16)
+	a := arena{dim: 16}
 	a.appendVec(make(Vector, 16))
 	func() {
 		defer func() {
@@ -46,36 +46,6 @@ func TestArenaRejectsDimMismatch(t *testing.T) {
 	}()
 	if a.len() != 1 {
 		t.Fatalf("rejected append mutated the arena: len = %d", a.len())
-	}
-}
-
-// TestArenaCloneForAppendIsolation is the copy-on-write contract at the
-// arena level: appends to a clone never change what the parent serves, even
-// across the reallocation boundary.
-func TestArenaCloneForAppendIsolation(t *testing.T) {
-	const dim = 8
-	a := newArena(dim)
-	for i := 0; i < 5; i++ {
-		v := make(Vector, dim)
-		v[0] = float32(i + 1)
-		a.appendVec(v)
-	}
-	clone := a.cloneForAppend()
-	for i := 0; i < 100; i++ {
-		v := make(Vector, dim)
-		v[0] = -1
-		clone.appendVec(v)
-	}
-	if a.len() != 5 {
-		t.Fatalf("parent len changed: %d", a.len())
-	}
-	for i := 0; i < 5; i++ {
-		if a.at(i)[0] != float32(i+1) {
-			t.Fatalf("parent vector %d corrupted by clone append: %v", i, a.at(i)[0])
-		}
-	}
-	if clone.len() != 105 || clone.at(5)[0] != -1 {
-		t.Fatalf("clone lost appends: len=%d", clone.len())
 	}
 }
 

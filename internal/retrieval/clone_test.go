@@ -1,0 +1,338 @@
+package retrieval
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+)
+
+// markedRows returns n chunks whose vectors carry mark in bucket 0, so a test
+// can tell whose append a row came from.
+func markedRows(prefix string, n, dim int, mark float32) ([]Chunk, []Vector) {
+	cs := make([]Chunk, n)
+	vs := make([]Vector, n)
+	for i := range cs {
+		cs[i] = Chunk{ID: fmt.Sprintf("%s-%03d#c0", prefix, i), Source: prefix, Text: prefix}
+		vs[i] = make(Vector, dim)
+		vs[i][0] = mark
+		vs[i][1+i%(dim-1)] = 1
+	}
+	return cs, vs
+}
+
+// assertRows checks that ix holds exactly the given runs of rows, in order.
+func assertRows(t *testing.T, name string, ix *Index, cs [][]Chunk, vs [][]Vector) {
+	t.Helper()
+	row := 0
+	for r := range cs {
+		for i := range cs[r] {
+			if row >= ix.Len() {
+				t.Fatalf("%s: only %d rows", name, ix.Len())
+			}
+			if ix.chunks[row].ID != cs[r][i].ID {
+				t.Fatalf("%s: row %d is %s, want %s", name, row, ix.chunks[row].ID, cs[r][i].ID)
+			}
+			for d, x := range ix.arena.at(row) {
+				if x != vs[r][i][d] {
+					t.Fatalf("%s: row %d bucket %d = %v, want %v", name, row, d, x, vs[r][i][d])
+				}
+			}
+			row++
+		}
+	}
+	if ix.Len() != row || ix.arena.len() != row {
+		t.Fatalf("%s: len = %d (arena %d), want %d", name, ix.Len(), ix.arena.len(), row)
+	}
+}
+
+// TestIndexCloneForAppendIsolation is the copy-on-write contract at the Index
+// level, and the lineage-token contract behind it: the first clone to append
+// continues in place behind the parent's len (same backing array, same
+// token), every other appender — a second clone of the same parent, the
+// parent itself — forks to private memory, and nobody's appends ever change
+// what anybody else serves, including across the reallocation boundary.
+func TestIndexCloneForAppendIsolation(t *testing.T) {
+	const dim = 8
+	parent := New(Options{Dim: dim, Postings: true}).(*Index)
+	baseC, baseV := markedRows("base", 10, dim, 1)
+	parent.AddEmbeddedBatch(baseC[:8], baseV[:8])
+	parent.AddEmbeddedBatch(baseC[8:], baseV[8:]) // second batch leaves geometric headroom
+	if cap(parent.arena.data) == len(parent.arena.data) {
+		t.Fatal("test needs spare arena capacity behind the parent")
+	}
+
+	first := parent.clone()
+	firstC, firstV := markedRows("first", 1, dim, -1)
+	first.AddEmbeddedBatch(firstC, firstV)
+	if &first.arena.data[0] != &parent.arena.data[0] || first.tail != parent.tail {
+		t.Fatal("first clone of the newest snapshot must append in place on the shared lineage")
+	}
+
+	// A second clone of the same parent finds the tail claimed and forks.
+	second := parent.clone()
+	secondC, secondV := markedRows("second", 1, dim, -2)
+	second.AddEmbeddedBatch(secondC, secondV)
+	if &second.arena.data[0] == &parent.arena.data[0] || second.tail == parent.tail {
+		t.Fatal("second clone of one parent must fork to private memory and a fresh token")
+	}
+
+	// The parent appending after it was cloned forks too.
+	old := *parent
+	lateC, lateV := markedRows("late", 1, dim, -3)
+	parent.AddEmbedded(lateC[0], lateV[0])
+	if parent.tail == old.tail {
+		t.Fatal("parent appending behind a claimed tail must fork")
+	}
+
+	// Push the first lineage across the reallocation boundary, one row at a
+	// time and then in one batch.
+	moreC, moreV := markedRows("more", 100, dim, -4)
+	for i := range moreC[:50] {
+		first.AddEmbedded(moreC[i], moreV[i])
+	}
+	grandchild := first.clone()
+	grandchild.AddEmbeddedBatch(moreC[50:], moreV[50:])
+	if grandchild.tail != first.tail {
+		t.Fatal("linear history must stay on one lineage across reallocation")
+	}
+
+	assertRows(t, "parent as cloned", &old, [][]Chunk{baseC}, [][]Vector{baseV})
+	assertRows(t, "parent", parent, [][]Chunk{baseC, lateC}, [][]Vector{baseV, lateV})
+	assertRows(t, "second", second, [][]Chunk{baseC, secondC}, [][]Vector{baseV, secondV})
+	assertRows(t, "first", first, [][]Chunk{baseC, firstC, moreC[:50]}, [][]Vector{baseV, firstV, moreV[:50]})
+	assertRows(t, "grandchild", grandchild, [][]Chunk{baseC, firstC, moreC}, [][]Vector{baseV, firstV, moreV})
+
+	// Postings followed: a query on a bucket only "second" wrote finds it
+	// there and nowhere else.
+	for name, ix := range map[string]*Index{"parent": parent, "first": first, "second": second, "grandchild": grandchild} {
+		want := 0
+		if name == "second" {
+			want = 1
+		}
+		n := 0
+		for _, ord := range ix.post.lists[0] {
+			if ix.arena.at(int(ord))[0] == -2 {
+				n++
+			}
+		}
+		if n != want {
+			t.Fatalf("%s: %d postings for the second clone's row, want %d", name, n, want)
+		}
+	}
+}
+
+// oracleNode pairs a store somewhere in a clone tree with a deep copy of what
+// it must contain, in insertion order.
+type oracleNode struct {
+	st     Store
+	chunks []Chunk
+	vecs   []Vector
+}
+
+func (o *oracleNode) extended(st Store, cs []Chunk, vs []Vector) *oracleNode {
+	n := &oracleNode{st: st}
+	n.chunks = append(append(n.chunks, o.chunks...), cs...)
+	for _, v := range o.vecs {
+		n.vecs = append(n.vecs, append(Vector(nil), v...))
+	}
+	for _, v := range vs {
+		n.vecs = append(n.vecs, append(Vector(nil), v...))
+	}
+	return n
+}
+
+// check compares the node against its oracle: enumeration against a store
+// rebuilt from the deep copy with the same options (which reproduces shard
+// order), searches against the reference full-sort scan.
+func (o *oracleNode) check(t *testing.T, label string, opts Options, queries []Vector) {
+	t.Helper()
+	if o.st.Len() != len(o.chunks) {
+		t.Fatalf("%s: Len = %d, oracle %d", label, o.st.Len(), len(o.chunks))
+	}
+	type row struct {
+		c Chunk
+		v Vector
+	}
+	var want, got []row
+	fresh := New(opts)
+	for i := range o.chunks {
+		fresh.AddEmbedded(o.chunks[i], o.vecs[i])
+	}
+	fresh.ForEachEmbedded(func(c Chunk, v Vector) { want = append(want, row{c, v}) })
+	o.st.ForEachEmbedded(func(c Chunk, v Vector) { got = append(got, row{c, v}) })
+	if len(got) != len(want) {
+		t.Fatalf("%s: enumerated %d rows, oracle %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].c != want[i].c {
+			t.Fatalf("%s: row %d = %+v, oracle %+v", label, i, got[i].c, want[i].c)
+		}
+		for d := range want[i].v {
+			if got[i].v[d] != want[i].v[d] {
+				t.Fatalf("%s: row %d (%s) bucket %d = %v, oracle %v", label, i, want[i].c.ID, d, got[i].v[d], want[i].v[d])
+			}
+		}
+	}
+	keeps := []func(string) bool{nil, func(src string) bool { return src != "src-1" }}
+	for qi, qv := range queries {
+		keep := keeps[qi%len(keeps)]
+		if g, w := o.st.SearchVector(qv, 7, keep), refSearch(o.chunks, o.vecs, qv, 7, keep); !hitsEqual(g, w) {
+			t.Fatalf("%s: query %d:\n got  %s\n want %s", label, qi, fmtHits(g), fmtHits(w))
+		}
+	}
+}
+
+// TestCloneTreeMatchesDeepCopyOracle grows seeded random trees of
+// CloneForAppend / AddEmbedded / AddEmbeddedBatch — linear chains, several
+// clones of one parent all appending, parents appended to after being cloned,
+// leaves abandoned after they claimed the tail, batches that cross the
+// reallocation boundary — and after every step checks every node ever
+// created against a deep-copy oracle. Shared-tail appends are only correct if
+// no node's rows can change once written; this is the test that would see it.
+func TestCloneTreeMatchesDeepCopyOracle(t *testing.T) {
+	const dim = 16
+	variants := map[string]Options{
+		"flat":              {Dim: dim},
+		"sharded8+postings": {Dim: dim, Shards: 8, Postings: true},
+		// Probing every cell makes the ANN tier exact, so the reference scan
+		// is its oracle too; corpora cross annMinCorpus so both paths run.
+		"ann": {Dim: dim, ANN: true, NProbe: 1 << 20},
+	}
+	steps := 24
+	if testing.Short() {
+		steps = 12
+	}
+	for name, opts := range variants {
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			nextID := 0
+			rows := func(n int) ([]Chunk, []Vector) {
+				cs, vs := randCorpus(rng, n, dim)
+				for i := range cs {
+					cs[i].ID = fmt.Sprintf("n%06d#c0", nextID)
+					nextID++
+				}
+				return cs, vs
+			}
+			queries := make([]Vector, 4)
+			for i := range queries {
+				queries[i] = Embed(randText(rng), dim)
+			}
+
+			root := &oracleNode{st: New(opts)}
+			if n := rng.Intn(3) * 120; n > 0 {
+				cs, vs := rows(n)
+				root.st.AddEmbeddedBatch(cs, vs)
+				root = (&oracleNode{}).extended(root.st, cs, vs)
+			}
+			nodes := []*oracleNode{root}
+			for step := 0; step < steps; step++ {
+				at := nodes[rng.Intn(len(nodes))]
+				if rng.Intn(3) == 0 {
+					at = nodes[len(nodes)-1] // bias towards the linear history the engine runs
+				}
+				n := 1 + rng.Intn(12)
+				if rng.Intn(6) == 0 {
+					n = 150 + rng.Intn(100) // past any geometric headroom
+				}
+				cs, vs := rows(n)
+				switch op := rng.Intn(5); {
+				case op == 0:
+					// Append to an existing node directly; it may already have
+					// been cloned from.
+					for i := range cs {
+						at.st.AddEmbedded(cs[i], vs[i])
+					}
+					*at = *at.extended(at.st, cs, vs)
+				case op == 1:
+					clone := at.st.CloneForAppend()
+					for i := range cs {
+						clone.AddEmbedded(cs[i], vs[i])
+					}
+					nodes = append(nodes, at.extended(clone, cs, vs))
+				default:
+					clone := at.st.CloneForAppend()
+					clone.AddEmbeddedBatch(cs, vs)
+					nodes = append(nodes, at.extended(clone, cs, vs))
+				}
+				for i, nd := range nodes {
+					nd.check(t, fmt.Sprintf("%s seed %d step %d node %d", name, seed, step, i), opts, queries)
+				}
+			}
+		}
+	}
+}
+
+// TestScansDuringInPlaceAppends is the race-detector half of the shared-tail
+// argument: readers keep scanning snapshots captured at different generations
+// while the committer clones the newest snapshot and appends behind it in
+// place, a few hundred commits in a row. Every reader's hits must stay
+// bit-identical to what its snapshot returned when it was captured, and
+// `go test -race` must see no conflicting access — readers stop at their own
+// len, the committer writes past it.
+func TestScansDuringInPlaceAppends(t *testing.T) {
+	const (
+		dim     = 16
+		commits = 240
+		readers = 6
+	)
+	for name, opts := range map[string]Options{
+		"flat":              {Dim: dim},
+		"sharded8+postings": {Dim: dim, Shards: 8, Postings: true},
+	} {
+		rng := rand.New(rand.NewSource(9))
+		cur := New(opts)
+		cs, vs := randCorpus(rng, 200, dim)
+		cur.AddEmbeddedBatch(cs, vs)
+		qv := Embed("status delayed typhoon gate", dim)
+
+		var (
+			wg    sync.WaitGroup
+			stop  atomic.Bool
+			scans atomic.Int64
+		)
+		for c := 0; c < commits; c++ {
+			if c%(commits/readers) == 0 {
+				snap, want := cur, cur.SearchVector(qv, 10, nil)
+				wg.Add(1)
+				go func(gen int) {
+					defer wg.Done()
+					for !stop.Load() {
+						if got := snap.SearchVector(qv, 10, nil); !hitsEqual(got, want) {
+							t.Errorf("%s: snapshot of generation %d changed under its reader:\n got  %s\n want %s",
+								name, gen, fmtHits(got), fmtHits(want))
+							return
+						}
+						n := 0
+						snap.ForEachEmbedded(func(Chunk, Vector) { n++ })
+						if n != snap.Len() {
+							t.Errorf("%s: generation %d enumerated %d rows, Len %d", name, gen, n, snap.Len())
+							return
+						}
+						scans.Add(1)
+					}
+				}(c)
+			}
+			next := cur.CloneForAppend()
+			bc, bv := randCorpus(rng, 4, dim)
+			for i := range bc {
+				bc[i].ID = fmt.Sprintf("c%04d-%d#c0", c, i)
+			}
+			next.AddEmbeddedBatch(bc, bv)
+			cur = next
+			// One CPU is common here: wait until some reader finished a scan
+			// since this commit, so scans and appends really interleave.
+			for seen := scans.Load(); scans.Load() == seen && !t.Failed(); {
+				runtime.Gosched()
+			}
+		}
+		stop.Store(true)
+		wg.Wait()
+		if cur.Len() != 200+4*commits {
+			t.Fatalf("%s: committer lost rows: %d", name, cur.Len())
+		}
+	}
+}

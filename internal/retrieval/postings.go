@@ -1,5 +1,7 @@
 package retrieval
 
+import "slices"
+
 // postings is the inverted-postings candidate pre-filter: one posting list
 // per embedding bucket, holding (in insertion order, which is ordinal order)
 // every chunk whose stored vector is non-zero in that bucket. Because the
@@ -34,18 +36,23 @@ func (p *postings) add(ord int, v Vector) {
 	}
 }
 
-// cloneForAppend returns a copy-on-write clone: the outer slice is copied
-// (O(dim)) and every list's capacity is clipped, so posting appends on the
-// clone reallocate instead of writing into the receiver's backing arrays.
-// Like the chunk/vector clip in Index.CloneForAppend, this makes the first
-// append per touched list copy that list — an O(corpus) cost per commit
-// already accepted for snapshot isolation (DESIGN.md "Costs accepted").
-func (p *postings) cloneForAppend() *postings {
-	lists := make([][]int32, len(p.lists))
+// clone returns the postings of a cloned Index: the outer slice is copied
+// (O(dim) headers) because the two indexes' lists diverge in length, but
+// every list keeps its backing array and spare capacity. Whether the
+// clone may append into that capacity is the Index lineage token's call
+// (Index.claim), not this type's.
+func (p *postings) clone() *postings {
+	return &postings{lists: slices.Clone(p.lists)}
+}
+
+// clip drops every list's spare capacity, so a posting append reallocates
+// that list instead of writing into a backing array another index may be
+// appending to — the fork step of Index.claim. O(dim) headers now, one list
+// copy per bucket touched later.
+func (p *postings) clip() {
 	for d, l := range p.lists {
-		lists[d] = l[:len(l):len(l)]
+		p.lists[d] = slices.Clip(l)
 	}
-	return &postings{lists: lists}
 }
 
 // candidates returns the deduplicated union of the posting lists for the

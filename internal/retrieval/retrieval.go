@@ -11,6 +11,7 @@ package retrieval
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -157,10 +158,13 @@ type Hit struct {
 type Index struct {
 	dim    int
 	chunks []Chunk
-	arena  *arena
+	arena  arena
 	// post, when non-nil, prunes scans to lexically plausible candidates
 	// with an exact-scan fallback (see postings.go).
 	post *postings
+	// tail is the lineage token: the number of rows claimed on the backing
+	// arrays this index shares with its clones (see claim).
+	tail *atomic.Int64
 }
 
 // NewIndex returns an empty flat index with the given embedding width
@@ -170,7 +174,35 @@ func NewIndex(dim int) *Index {
 	if dim <= 0 {
 		dim = DefaultDim
 	}
-	return &Index{dim: dim, arena: newArena(dim)}
+	return &Index{dim: dim, arena: arena{dim: dim}, tail: new(atomic.Int64)}
+}
+
+// claim reserves rows [len, len+n) for this index before it appends them.
+// Clones share chunks, the vector arena and the posting lists together with
+// their spare capacity, and history is linear — one committer per engine,
+// every snapshot cloned from the newest — so the common clone is the only one
+// that will ever append behind its parent's len. The shared tail counter
+// makes that safe rather than assumed: whoever moves it from len to len+n
+// owns those rows in all three backing structures and appends in place
+// (readers of older snapshots never index past their own len, so the
+// addresses are disjoint). Anyone who finds the tail already past its len —
+// a second clone of one parent after a rolled-back or discarded commit, or a
+// parent appended to after it was cloned — forks instead: it clips every
+// slice to cap == len, so its appends reallocate into private memory, and
+// starts a fresh lineage. Forking costs what every commit used to cost; the
+// in-place path costs O(n).
+func (ix *Index) claim(n int) {
+	have := int64(len(ix.chunks))
+	if ix.tail.CompareAndSwap(have, have+int64(n)) {
+		return
+	}
+	ix.chunks = slices.Clip(ix.chunks)
+	ix.arena.clip()
+	if ix.post != nil {
+		ix.post.clip()
+	}
+	ix.tail = new(atomic.Int64)
+	ix.tail.Store(have + int64(n))
 }
 
 // Add inserts a chunk, embedding it inline.
@@ -188,6 +220,7 @@ func (ix *Index) AddEmbedded(c Chunk, v Vector) {
 		panic(fmt.Sprintf("retrieval: AddEmbedded vector dim %d does not match index dim %d (chunk %s)",
 			len(v), ix.dim, c.ID))
 	}
+	ix.claim(1)
 	if ix.post != nil {
 		ix.post.add(len(ix.chunks), v)
 	}
@@ -210,6 +243,10 @@ func (ix *Index) AddEmbeddedBatch(cs []Chunk, vs []Vector) {
 				i, len(vs[i]), ix.dim, cs[i].ID))
 		}
 	}
+	if len(cs) == 0 {
+		return
+	}
+	ix.claim(len(cs))
 	if ix.post != nil {
 		for i := range cs {
 			ix.post.add(len(ix.chunks)+i, vs[i])
@@ -222,21 +259,20 @@ func (ix *Index) AddEmbeddedBatch(cs []Chunk, vs []Vector) {
 	}
 }
 
-// CloneForAppend returns an index that shares the receiver's backing arrays
-// but has its slice capacities clipped, so any subsequent append reallocates
-// instead of writing into shared memory. This is the O(1) copy-on-write step
-// behind snapshot isolation: the receiver (a published, read-only snapshot)
-// is never mutated by writes to the clone.
-func (ix *Index) CloneForAppend() Store {
-	clone := &Index{
-		dim:    ix.dim,
-		chunks: ix.chunks[:len(ix.chunks):len(ix.chunks)],
-		arena:  ix.arena.cloneForAppend(),
-	}
+// CloneForAppend returns an index that shares the receiver's backing arrays,
+// spare capacity included, and its lineage token. The clone costs O(dim)
+// slice headers whatever the corpus size; the receiver (a published,
+// read-only snapshot) is never mutated by writes to the clone, because every
+// append goes through claim: the first clone to append continues in place
+// behind the receiver's len, any other forks to private memory first.
+func (ix *Index) CloneForAppend() Store { return ix.clone() }
+
+func (ix *Index) clone() *Index {
+	clone := *ix
 	if ix.post != nil {
-		clone.post = ix.post.cloneForAppend()
+		clone.post = ix.post.clone()
 	}
-	return clone
+	return &clone
 }
 
 // ForEachEmbedded visits every chunk with its arena vector, in insertion

@@ -33,7 +33,8 @@ type Searcher interface {
 }
 
 // Store extends Searcher with the write-side operations the ingest engine
-// uses: appends and the O(1) copy-on-write clone behind snapshot isolation.
+// uses: appends and the corpus-size-independent copy-on-write clone behind
+// snapshot isolation.
 type Store interface {
 	Searcher
 	// Add inserts a chunk, embedding it inline.
@@ -46,8 +47,18 @@ type Store interface {
 	// instead of once per chunk.
 	AddEmbeddedBatch(cs []Chunk, vs []Vector)
 	// CloneForAppend returns a store that shares the receiver's backing
-	// arrays with clipped capacities, so appends to the clone never mutate
-	// the receiver (a published, read-only snapshot).
+	// arrays and their spare capacity; appends to the clone never change
+	// what the receiver (a published, read-only snapshot) serves. The
+	// lineage-token contract: of all stores sharing one backing lineage,
+	// only the one whose Len equals the rows claimed so far may append in
+	// place, and appending claims the new rows atomically. With a linear
+	// history — clone the newest snapshot, append, publish — that is every
+	// commit, and it costs O(rows appended). Any other appender (a second
+	// clone of one parent after the first was discarded, or the parent
+	// itself) forks first: it copies what it appends to and starts a new
+	// lineage, at O(corpus) once. A store, like any snapshot under
+	// construction, has one writer at a time; the token orders successive
+	// writers, it does not make concurrent appends to one store safe.
 	CloneForAppend() Store
 	// ForEachEmbedded visits every chunk with its stored embedding, in a
 	// deterministic order that re-inserting through AddEmbedded reproduces

@@ -18,10 +18,11 @@ import (
 // same per-chunk Cosine calls produce the same float64 scores, and the merge
 // re-ranks with the same (score desc, ID asc) comparator.
 //
-// Copy-on-write works per shard: CloneForAppend clips every shard, so an
-// ingest commit appends into private tails while published snapshots keep
-// serving the old arrays — PR 1's snapshot-isolation contract, preserved
-// shard by shard.
+// Copy-on-write works per shard: every shard carries its own lineage token
+// (Index.claim), so an ingest commit appends in place behind each touched
+// shard's published len — or forks just that shard — while published
+// snapshots keep serving their own prefix: PR 1's snapshot-isolation
+// contract, preserved shard by shard.
 type Sharded struct {
 	dim     int
 	workers int
@@ -99,12 +100,12 @@ func (s *Sharded) AddEmbeddedBatch(cs []Chunk, vs []Vector) {
 	}
 }
 
-// CloneForAppend clips every shard (O(shards) slice headers), preserving the
-// per-shard copy-on-write contract.
+// CloneForAppend clones every shard (O(shards × dim) slice headers),
+// preserving the per-shard copy-on-write contract.
 func (s *Sharded) CloneForAppend() Store {
 	clone := &Sharded{dim: s.dim, workers: s.workers, shards: make([]*Index, len(s.shards))}
 	for i, sh := range s.shards {
-		clone.shards[i] = sh.CloneForAppend().(*Index)
+		clone.shards[i] = sh.clone()
 	}
 	return clone
 }

@@ -3,35 +3,100 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
+	"slices"
 )
 
 // Encoder builds a binary payload (WAL record or checkpoint body) from
 // primitive fields. The format is plain little-endian with uvarint lengths —
 // no reflection, no per-field allocation — and is decoded by Decoder below.
-// The zero value is ready to use.
+// The zero value is ready to use and buffers the whole payload (Bytes).
+//
+// NewStreamEncoder gives the same encoder a sink: whenever the buffer passes
+// streamSpill bytes it is written to the sink and reused, so a payload of any
+// size is produced in constant memory. The bytes are identical either way —
+// the sink sees exactly what Bytes would have returned, in order — which is
+// what lets a digest hash a snapshot without materialising it.
 type Encoder struct {
 	buf []byte
+	// Sink mode only: the sink, the bytes already handed to it, and its first
+	// write error (latched; later output is discarded, Flush reports it).
+	w       io.Writer
+	flushed int
+	err     error
 }
 
-// Bytes returns the encoded payload. The slice aliases the encoder's buffer;
-// callers must finish with it before reusing the encoder.
+// streamSpill is the buffered size at which a stream encoder writes to its
+// sink: the buffer spills after the append that takes it past the mark, so it
+// peaks at streamSpill plus one value.
+const streamSpill = 32 << 10
+
+// NewStreamEncoder returns an encoder that spills to w. Call Flush after the
+// last field.
+func NewStreamEncoder(w io.Writer) *Encoder {
+	// Headroom past the mark for the usual last value (a 256-dim vector is
+	// 1 KiB), so the buffer is allocated once.
+	return &Encoder{w: w, buf: make([]byte, 0, streamSpill+4096)}
+}
+
+// spill hands a full buffer to the sink. Every field method ends with it; on
+// a buffered encoder it is one nil check.
+func (e *Encoder) spill() {
+	if e.w != nil && len(e.buf) >= streamSpill {
+		e.flush()
+	}
+}
+
+func (e *Encoder) flush() {
+	if e.err == nil {
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.flushed += len(e.buf)
+	e.buf = e.buf[:0]
+}
+
+// Flush writes whatever a stream encoder still buffers to its sink and
+// returns the first error the sink reported. On a buffered encoder it does
+// nothing.
+func (e *Encoder) Flush() error {
+	if e.w != nil {
+		e.flush()
+	}
+	return e.err
+}
+
+// Bytes returns the encoded payload of a buffered encoder. The slice aliases
+// the encoder's buffer; callers must finish with it before reusing the
+// encoder. A stream encoder has handed its payload to the sink; Bytes is only
+// its unspilled tail.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
-// Len returns the encoded size so far.
-func (e *Encoder) Len() int { return len(e.buf) }
+// Len returns the encoded size so far, spilled bytes included.
+func (e *Encoder) Len() int { return e.flushed + len(e.buf) }
 
 // Reset discards the encoded payload, keeping the buffer for reuse.
-func (e *Encoder) Reset() { e.buf = e.buf[:0] }
+func (e *Encoder) Reset() { e.buf, e.flushed = e.buf[:0], 0 }
+
+// Grow reserves room for n more bytes, so a payload whose size is known (or
+// well estimated) up front is built in one allocation instead of a doubling
+// series that leaves several times its size in garbage.
+func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
 
 // Uvarint appends an unsigned varint.
-func (e *Encoder) Uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
+func (e *Encoder) Uvarint(v uint64) {
+	e.buf = binary.AppendUvarint(e.buf, v)
+	e.spill()
+}
 
 // Int appends a non-negative int as a uvarint (counts, lengths, handles).
 func (e *Encoder) Int(v int) { e.Uvarint(uint64(v)) }
 
 // Int32 appends a signed int32 as a zigzag varint (entity handles may be -1).
-func (e *Encoder) Int32(v int32) { e.buf = binary.AppendVarint(e.buf, int64(v)) }
+func (e *Encoder) Int32(v int32) {
+	e.buf = binary.AppendVarint(e.buf, int64(v))
+	e.spill()
+}
 
 // Bool appends a single 0/1 byte.
 func (e *Encoder) Bool(v bool) {
@@ -40,17 +105,20 @@ func (e *Encoder) Bool(v bool) {
 	} else {
 		e.buf = append(e.buf, 0)
 	}
+	e.spill()
 }
 
 // F64 appends a float64 as its IEEE-754 bits, little-endian.
 func (e *Encoder) F64(v float64) {
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
+	e.spill()
 }
 
 // String appends a uvarint length followed by the raw bytes.
 func (e *Encoder) String(s string) {
 	e.Uvarint(uint64(len(s)))
 	e.buf = append(e.buf, s...)
+	e.spill()
 }
 
 // F32s appends a uvarint count followed by the raw little-endian bits of each
@@ -61,6 +129,7 @@ func (e *Encoder) F32s(v []float32) {
 	for _, x := range v {
 		e.buf = binary.LittleEndian.AppendUint32(e.buf, math.Float32bits(x))
 	}
+	e.spill()
 }
 
 // Decoder reads back an Encoder payload. Errors latch: the first malformed
