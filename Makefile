@@ -54,13 +54,16 @@ layers:
 	$(GO) vet -tags layers ./benchmark/...
 	$(GO) test -tags layers ./benchmark/layers
 
-# bench-micro runs the testing.B micro-benchmarks of the write path's two
-# corpus-sized kernels with -benchmem: one commit's clone + 4-row append on a
+# bench-micro runs the testing.B micro-benchmarks with -benchmem: the write
+# path's two corpus-sized kernels — one commit's clone + 4-row append on a
 # 34,549 x 256 store (flat and 8 shards + postings) and one streamed snapshot
-# digest. B/op is the tracked number. BENCHTIME=1x makes it a smoke run.
+# digest — and the query path's MCC.Run over one disagreeing group (2-16
+# members, all or a quarter of them distinct). B/op is the tracked number.
+# BENCHTIME=1x makes it a smoke run.
 bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkCommitAppend$$' -benchmem -benchtime $(BENCHTIME) ./internal/retrieval
 	$(GO) test -run '^$$' -bench '^BenchmarkSnapshotDigest$$' -benchmem -benchtime $(BENCHTIME) ./internal/core
+	$(GO) test -run '^$$' -bench '^BenchmarkMCCRunConflict$$' -benchmem -benchtime $(BENCHTIME) ./internal/confidence
 
 # bench regenerates the paper tables/figures at a reduced scale and records
 # per-job wall-clock timings for the perf trajectory.

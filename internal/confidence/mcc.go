@@ -6,6 +6,7 @@ import (
 	"multirag/internal/kg"
 	"multirag/internal/linegraph"
 	"multirag/internal/llm"
+	"multirag/internal/textutil"
 )
 
 // Config carries the hyper-parameters of §IV-A(c).
@@ -59,7 +60,11 @@ type TrustedNode struct {
 
 // Assessment is the outcome of MCC for one candidate homologous subgraph.
 type Assessment struct {
-	Node            *linegraph.HomologousNode
+	Node *linegraph.HomologousNode
+	// Members is the node's member triples as MCC resolved them, in member
+	// order. Shared with Rejected when the whole subgraph was eliminated;
+	// read-only.
+	Members         []*kg.Triple
 	GraphConfidence float64
 	// EliminatedByGraph marks subgraphs removed by the coarse stage.
 	EliminatedByGraph bool
@@ -67,7 +72,8 @@ type Assessment struct {
 	FastPath bool
 	Trusted  []TrustedNode
 	Rejected []*kg.Triple
-	// NodeConfidence records C(v) per scored member triple ID.
+	// NodeConfidence records C(v) per scored member triple ID. It is nil
+	// unless the fine stage ran for this subgraph.
 	NodeConfidence map[string]float64
 }
 
@@ -150,34 +156,34 @@ func (m *MCC) run(sg *linegraph.SG, candidates []*linegraph.HomologousNode, opts
 	if len(candidates) == 0 {
 		return res, delta
 	}
-	// Stage 1: graph-level confidence. Member triples and their value sets
-	// are resolved once per candidate — handle-indexed loads off the interned
-	// graph core — and reused by every later stage.
+	// Stage 1: graph-level confidence. Each candidate's members are resolved
+	// once — handle-indexed loads off the interned graph core — and their
+	// pairwise similarity is evaluated once; C(G) here and every Sₙ(v) of the
+	// fine stage read the same matrix.
 	type cand struct {
 		node    *linegraph.HomologousNode
 		members []*kg.Triple
-		vals    [][]string // vals[i] = {members[i].Object}
+		sim     simMatrix
 		gc      float64
 	}
 	cands := make([]cand, 0, len(candidates))
 	anyAbove := false
 	for _, n := range candidates {
 		members := sg.MemberTriples(n)
-		vals := make([][]string, len(members))
-		for i, t := range members {
-			vals[i] = []string{t.Object}
-		}
+		sim := memberSimilarity(members)
 		// C(G) is reported through the Assessment, never written back to the
 		// node: homologous nodes are shared across serving snapshots and must
 		// stay immutable under concurrent queries.
-		gc := GraphConfidence(vals)
+		gc := sim.graphConfidence()
 		if gc >= m.cfg.GraphThreshold {
 			anyAbove = true
 		}
-		cands = append(cands, cand{n, members, vals, gc})
+		cands = append(cands, cand{n, members, sim, gc})
 	}
+	res.Assessments = make([]Assessment, 0, len(cands))
+	var credits []histCredit // Run's per-candidate credits, reused
 	for _, c := range cands {
-		a := Assessment{Node: c.node, GraphConfidence: c.gc, NodeConfidence: map[string]float64{}}
+		a := Assessment{Node: c.node, Members: c.members, GraphConfidence: c.gc}
 		members := c.members
 		switch {
 		case !opts.DisableGraphLevel && anyAbove && c.gc < m.cfg.GraphThreshold:
@@ -206,13 +212,16 @@ func (m *MCC) run(sg *linegraph.SG, candidates []*linegraph.HomologousNode, opts
 			}
 		default:
 			// Fine stage: score every member.
-			m.scoreMembers(sg, members, c.vals, &a)
+			m.scoreMembers(sg, members, c.sim, &a)
 			res.NodesScored += len(members)
 		}
 		if deferred {
-			delta.record(members, a.Trusted)
+			delta.entries = appendHistoryCredits(delta.entries, members, a.Trusted)
 		} else {
-			m.updateHistory(members, a.Trusted)
+			credits = appendHistoryCredits(credits[:0], members, a.Trusted)
+			for _, hc := range credits {
+				m.hist.Update(hc.source, hc.provided, hc.accepted)
+			}
 		}
 		res.Assessments = append(res.Assessments, a)
 		res.SVs = append(res.SVs, a.Trusted...)
@@ -233,9 +242,10 @@ func (m *MCC) AssessIsolated(sg *linegraph.SG, t *kg.Triple, opts Options) Trust
 }
 
 // scoreMembers runs Algorithm 1's Confidence_Computing over each member:
-// C(v) = Sₙ(v) + A(v), filtered by θ. vals carries each member's value set,
-// resolved once by Run and shared across the peer comparisons below.
-func (m *MCC) scoreMembers(sg *linegraph.SG, members []*kg.Triple, vals [][]string, a *Assessment) {
+// C(v) = Sₙ(v) + A(v), filtered by θ. sim is the members' similarity matrix,
+// built once by run; only the history-dependent authority and the θ cut are
+// evaluated per member here.
+func (m *MCC) scoreMembers(sg *linegraph.SG, members []*kg.Triple, sim simMatrix, a *Assessment) {
 	if len(members) == 0 {
 		// A candidate node can resolve to zero live members when the graph
 		// was mutated destructively after the SG was built (perturbation
@@ -263,13 +273,10 @@ func (m *MCC) scoreMembers(sg *linegraph.SG, members []*kg.Triple, vals [][]stri
 		}
 		mean /= float64(len(members))
 	}
-	peerBuf := make([][]string, 0, len(members)-1)
+	a.NodeConfidence = make(map[string]float64, len(members))
 	for i, t := range members {
-		// Sₙ(v): consistency against peers (Eq. 8). The peer list reuses the
-		// shared value slices instead of materialising O(m²) fresh ones.
-		peers := append(peerBuf[:0], vals[:i]...)
-		peers = append(peers, vals[i+1:]...)
-		sn := NodeConsistency(vals[i], peers)
+		// Sₙ(v): consistency against peers (Eq. 8).
+		sn := sim.nodeConsistency(i)
 		// A(v) = α·Auth_LLM + (1−α)·Auth_hist (Eq. 9), skipping whichever
 		// component has zero weight (this is what makes α sweep query time,
 		// Fig. 7).
@@ -344,37 +351,67 @@ func (m *MCC) authority(sg *linegraph.SG, t *kg.Triple, centre float64, queryDat
 	return m.cfg.Alpha*authLLM + (1-m.cfg.Alpha)*authHist
 }
 
-// updateHistory credits each source with its acceptance outcome for this
-// query (incremental estimation, Eq. 11 preamble).
-func (m *MCC) updateHistory(members []*kg.Triple, trusted []TrustedNode) {
-	for _, c := range historyCredits(members, trusted) {
-		m.hist.Update(c.source, c.provided, c.accepted)
-	}
-}
-
-// historyCredits folds one candidate's members and surviving trusted nodes
-// into per-source acceptance counts, sorted by source for deterministic
-// delta contents.
-func historyCredits(members []*kg.Triple, trusted []TrustedNode) []histCredit {
-	provided := map[string]int{}
-	accepted := map[string]int{}
+// appendHistoryCredits folds one candidate's members and surviving trusted
+// nodes into per-source acceptance counts (the incremental estimation of the
+// Eq. 11 preamble) and appends them to dst, sorted by source for
+// deterministic delta contents. A group has a handful of sources, so the
+// counts live in the appended tail itself, kept sorted by insertion.
+func appendHistoryCredits(dst []histCredit, members []*kg.Triple, trusted []TrustedNode) []histCredit {
+	base := len(dst)
 	for _, t := range members {
-		provided[t.Source]++
+		i, ok := creditIndex(dst[base:], t.Source)
+		i += base
+		if !ok {
+			dst = append(dst, histCredit{})
+			copy(dst[i+1:], dst[i:])
+			dst[i] = histCredit{source: t.Source}
+		}
+		dst[i].provided++
 	}
 	for _, tn := range trusted {
-		accepted[tn.Triple.Source]++
+		if i, ok := creditIndex(dst[base:], tn.Triple.Source); ok {
+			dst[base+i].accepted++
+		}
 	}
-	out := make([]histCredit, 0, len(provided))
-	for src, p := range provided {
-		out = append(out, histCredit{source: src, provided: p, accepted: accepted[src]})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].source < out[j].source })
-	return out
+	return dst
 }
 
-// record appends one candidate's acceptance credits to the delta.
-func (d *HistoryDelta) record(members []*kg.Triple, trusted []TrustedNode) {
-	d.entries = append(d.entries, historyCredits(members, trusted)...)
+// creditIndex locates source in credits sorted by source: its index if
+// present, else the index to insert it at.
+func creditIndex(credits []histCredit, source string) (int, bool) {
+	i := 0
+	for i < len(credits) && credits[i].source < source {
+		i++
+	}
+	return i, i < len(credits) && credits[i].source == source
+}
+
+// memberSimilarity builds the similarity matrix of one candidate's members:
+// one token profile per distinct object value, S once per unordered pair of
+// them.
+func memberSimilarity(members []*kg.Triple) simMatrix {
+	n := len(members)
+	if n < 2 {
+		return simMatrix{}
+	}
+	row := make([]int, n)
+	vals := make([]distinctValue, 0, n)
+	for i, t := range members {
+		r := len(vals)
+		for j := 0; j < i; j++ {
+			if members[j].Object == t.Object {
+				r = row[j]
+				break
+			}
+		}
+		if r == len(vals) {
+			vals = append(vals, distinctValue{dist: textutil.NewDist(textutil.Tokenize(t.Object))})
+		} else {
+			vals[r].shared = true
+		}
+		row[i] = r
+	}
+	return newSimMatrix(row, vals)
 }
 
 func typeWeight(g *kg.Graph, t *kg.Triple) float64 {

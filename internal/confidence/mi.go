@@ -31,23 +31,26 @@ import (
 //
 // Normalisation: the paper states S ∈ [0,1] but writes S = I/(H_i+H_j),
 // which caps at 1/2 for identical distributions. We use the standard NMI
-// S = 2I/(H_i+H_j) so the stated codomain is exact (DESIGN.md §4.3).
+// S = 2I/(H_i+H_j) so the stated codomain is exact (DESIGN.md §6, "MCC
+// similarity structure").
 func Similarity(valuesI, valuesJ []string) float64 {
-	pi := valueDist(valuesI)
-	pj := valueDist(valuesJ)
-	if len(pi) == 0 || len(pj) == 0 {
+	return similarity(valueDist(valuesI), valueDist(valuesJ))
+}
+
+// similarity is S over two token profiles; every exported entry point and
+// the per-candidate matrix of MCC go through it.
+func similarity(pi, pj textutil.Dist) float64 {
+	if len(pi.Tokens) == 0 || len(pj.Tokens) == 0 {
 		return 0
 	}
-	hi, hj := pi.Entropy(), pj.Entropy()
-	if hi+hj == 0 {
+	if pi.H+pj.H == 0 {
 		// Both are point masses: similarity is identity of the single token.
 		if sameSupport(pi, pj) {
 			return 1
 		}
 		return 0
 	}
-	i := MutualInformation(pi, pj)
-	s := 2 * i / (hi + hj)
+	s := 2 * MutualInformation(pi, pj) / (pi.H + pj.H)
 	if s < 0 {
 		return 0
 	}
@@ -58,43 +61,55 @@ func Similarity(valuesI, valuesJ []string) float64 {
 }
 
 // MutualInformation computes I(vi, vj) (Eq. 4) under the maximal-overlap
-// coupling described at Similarity. Both distributions must be normalised.
+// coupling described at Similarity. Terms are summed in token order —
+// diagonal first, then the residual product with pi's tokens outermost — so
+// the result is bit-stable.
 func MutualInformation(pi, pj textutil.Dist) float64 {
-	// Diagonal mass.
-	var overlap float64
-	diag := map[string]float64{}
-	for t, p := range pi {
-		if q, ok := pj[t]; ok {
+	// Residual masses r = p − min(p_i, p_j): ri for pi's tokens, then rj.
+	var stack [32]float64
+	res := stack[:0]
+	if n := len(pi.P) + len(pj.P); n > len(stack) {
+		res = make([]float64, 0, n)
+	}
+	res = append(append(res, pi.P...), pj.P...)
+	ri, rj := res[:len(pi.P)], res[len(pi.P):]
+
+	// Diagonal terms p(t,t) log(p(t,t) / (p_i(t) p_j(t))): a merge join over
+	// the two sorted supports.
+	var overlap, info float64
+	for a, b := 0, 0; a < len(pi.Tokens) && b < len(pj.Tokens); {
+		switch {
+		case pi.Tokens[a] < pj.Tokens[b]:
+			a++
+		case pi.Tokens[a] > pj.Tokens[b]:
+			b++
+		default:
+			p, q := pi.P[a], pj.P[b]
 			m := math.Min(p, q)
-			diag[t] = m
 			overlap += m
+			info += m * math.Log(m/(p*q))
+			ri[a] -= m
+			rj[b] -= m
+			a++
+			b++
 		}
 	}
 	residual := 1 - overlap
-	var info float64
-	// Diagonal terms: p(t,t) log(p(t,t) / (p_i(t) p_j(t))).
-	for t, m := range diag {
-		if m > 0 {
-			info += m * math.Log(m/(pi[t]*pj[t]))
-		}
-	}
 	if residual <= 1e-12 {
 		return info
 	}
 	// Off-diagonal terms: p(x,y) = r_i(x) r_j(y) / R.
-	for x, px := range pi {
-		rx := px - diag[x]
+	for x, rx := range ri {
 		if rx <= 0 {
 			continue
 		}
-		for y, py := range pj {
-			ry := py - diag[y]
+		for y, ry := range rj {
 			if ry <= 0 {
 				continue
 			}
 			pxy := rx * ry / residual
 			if pxy > 0 {
-				info += pxy * math.Log(pxy/(px*py))
+				info += pxy * math.Log(pxy/(pi.P[x]*pj.P[y]))
 			}
 		}
 	}
@@ -103,31 +118,102 @@ func MutualInformation(pi, pj textutil.Dist) float64 {
 
 // Entropy exposes H(V) (Eq. 6) for a value set.
 func Entropy(values []string) float64 {
-	return valueDist(values).Entropy()
+	return valueDist(values).H
 }
 
-// valueDist builds the token distribution of an attribute-value set.
+// valueDist builds the token profile of an attribute-value set: the pooled
+// tokens of every value.
 func valueDist(values []string) textutil.Dist {
-	var slices [][]string
+	var toks []string
 	for _, v := range values {
-		toks := textutil.Tokenize(v)
-		if len(toks) > 0 {
-			slices = append(slices, toks)
-		}
+		toks = append(toks, textutil.Tokenize(v)...)
 	}
-	return textutil.NewDist(slices...)
+	return textutil.NewDist(toks)
 }
 
 func sameSupport(a, b textutil.Dist) bool {
-	if len(a) != len(b) {
+	if len(a.Tokens) != len(b.Tokens) {
 		return false
 	}
-	for t := range a {
-		if _, ok := b[t]; !ok {
+	for i, t := range a.Tokens {
+		if b.Tokens[i] != t {
 			return false
 		}
 	}
 	return true
+}
+
+// simMatrix is the similarity structure of one homologous subgraph: S is
+// evaluated once per unordered pair of distinct member values, and C(G) and
+// every Sₙ(v) are read off the matrix by index. The zero simMatrix stands for
+// a subgraph with fewer than two members, which has nothing to compare.
+type simMatrix struct {
+	row []int     // row[i] is the matrix row of member i's value
+	k   int       // distinct values
+	s   []float64 // k×k, symmetric, row-major
+}
+
+// distinctValue is one distinct member value of a subgraph: its token profile
+// and whether more than one member carries it (only then is S(v,v) needed).
+type distinctValue struct {
+	dist   textutil.Dist
+	shared bool
+}
+
+// newSimMatrix evaluates S over vals; row maps each member to its value.
+func newSimMatrix(row []int, vals []distinctValue) simMatrix {
+	k := len(vals)
+	s := make([]float64, k*k)
+	for a := range vals {
+		if vals[a].shared {
+			s[a*k+a] = similarity(vals[a].dist, vals[a].dist)
+		}
+		for b := a + 1; b < k; b++ {
+			v := similarity(vals[a].dist, vals[b].dist)
+			s[a*k+b], s[b*k+a] = v, v
+		}
+	}
+	return simMatrix{row: row, k: k, s: s}
+}
+
+// at returns S(vᵢ, vⱼ) for members i and j.
+func (m simMatrix) at(i, j int) float64 { return m.s[m.row[i]*m.k+m.row[j]] }
+
+// graphConfidence computes C(G) (Eq. 7): the mean similarity over all ordered
+// pairs of distinct members, accumulated i-major, j-minor. A subgraph with
+// fewer than two members has, by convention, confidence 1 (nothing disagrees
+// with anything).
+func (m simMatrix) graphConfidence() float64 {
+	n := len(m.row)
+	if n < 2 {
+		return 1
+	}
+	var total float64
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j {
+				total += m.at(i, j)
+			}
+		}
+	}
+	return total / float64(n*n-n)
+}
+
+// nodeConsistency computes Sₙ(v) (Eq. 8) for member i: its mean similarity
+// to the other members, accumulated in member order. With no peers the score
+// is 0 (no corroboration).
+func (m simMatrix) nodeConsistency(i int) float64 {
+	n := len(m.row)
+	if n < 2 {
+		return 0
+	}
+	var total float64
+	for j := 0; j < n; j++ {
+		if j != i {
+			total += m.at(i, j)
+		}
+	}
+	return total / float64(n-1)
 }
 
 // GraphConfidence computes C(G) (Eq. 7): the mean pairwise similarity over
@@ -135,20 +221,16 @@ func sameSupport(a, b textutil.Dist) bool {
 // node's attribute-value set. A graph with fewer than two nodes has, by
 // convention, confidence 1 (nothing disagrees with anything).
 func GraphConfidence(nodeValues [][]string) float64 {
-	n := len(nodeValues)
-	if n < 2 {
+	if len(nodeValues) < 2 {
 		return 1
 	}
-	var total float64
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			total += Similarity(nodeValues[i], nodeValues[j])
-		}
+	row := make([]int, len(nodeValues))
+	vals := make([]distinctValue, len(nodeValues))
+	for i, v := range nodeValues {
+		row[i] = i
+		vals[i].dist = valueDist(v)
 	}
-	return total / float64(n*n-n)
+	return newSimMatrix(row, vals).graphConfidence()
 }
 
 // NodeConsistency computes Sₙ(v) (Eq. 8): the mean similarity of v's value
@@ -158,9 +240,10 @@ func NodeConsistency(values []string, peers [][]string) float64 {
 	if len(peers) == 0 {
 		return 0
 	}
+	v := valueDist(values)
 	var total float64
 	for _, p := range peers {
-		total += Similarity(values, p)
+		total += similarity(v, valueDist(p))
 	}
 	return total / float64(len(peers))
 }

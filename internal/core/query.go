@@ -350,27 +350,24 @@ func (s *System) gatherEvidence(ctx context.Context, sn *snapshot, query, entity
 	sc.candidates = candidates
 	sort.Slice(candidates, func(i, j int) bool { return candidates[i].Key < candidates[j].Key })
 
-	// Stage 1 snapshot: everything the candidate subgraphs contain.
-	stage1 := sc.stage1[:0]
-	for _, n := range candidates {
-		for _, t := range sn.sg.MemberTriples(n) {
-			stage1 = append(stage1, t.Object)
-		}
-	}
-	sc.stage1 = stage1
 	if len(candidates) > 0 {
 		res, d := s.mcc.RunDeferred(sn.sg, candidates, s.cfg.Ablation)
 		var e evidence
-		stage2 := sc.stage2[:0]
+		// Stage snapshots come off the members MCC resolved: stage 1 is
+		// everything the candidate subgraphs contain, stage 2 what the coarse
+		// filter kept.
+		stage1, stage2 := sc.stage1[:0], sc.stage2[:0]
+		e.gcs = make([]float64, 0, len(res.Assessments))
 		for _, a := range res.Assessments {
 			e.gcs = append(e.gcs, a.GraphConfidence)
-			if !a.EliminatedByGraph {
-				for _, t := range sn.sg.MemberTriples(a.Node) {
+			for _, t := range a.Members {
+				stage1 = append(stage1, t.Object)
+				if !a.EliminatedByGraph {
 					stage2 = append(stage2, t.Object)
 				}
 			}
 		}
-		sc.stage2 = stage2
+		sc.stage1, sc.stage2 = stage1, stage2
 		e.trusted = res.SVs
 		e.rejected = len(res.LVs)
 		stage3 := make([]string, 0, len(res.SVs))

@@ -388,7 +388,7 @@ func (s *Sim) ResetUsage() { s.usage.reset() }
 
 // --- helpers ---
 
-func tokens(s string) int { return len(textutil.Tokenize(s)) }
+func tokens(s string) int { return textutil.CountTokens(s) }
 
 func clamp01(x float64) float64 {
 	if x < 0 {

@@ -5,69 +5,43 @@ import (
 	"sort"
 )
 
-// Dist is an empirical probability distribution over tokens. Values need not
-// be normalised while a Dist is being accumulated; call Normalize before
-// computing information-theoretic quantities.
-type Dist map[string]float64
+// Dist is an empirical probability distribution over tokens, stored as the
+// sorted support with its probabilities alongside. Every sum over a Dist runs
+// in token order, so information-theoretic quantities derived from one are
+// bit-stable from call to call.
+type Dist struct {
+	// Tokens is the support: distinct tokens in ascending order.
+	Tokens []string
+	// P[i] is the probability of Tokens[i]; the masses sum to 1.
+	P []float64
+	// H is the Shannon entropy −Σ p log p in nats (Eq. 6 of the paper).
+	H float64
+}
 
-// NewDist builds a term-frequency distribution (already normalised) from the
-// given token slices. All slices are pooled.
-func NewDist(tokenSlices ...[]string) Dist {
-	d := Dist{}
-	for _, toks := range tokenSlices {
-		for _, t := range toks {
-			d[t]++
-		}
+// NewDist builds the term-frequency distribution of toks. It takes ownership
+// of toks: the slice is sorted and compacted in place and becomes the
+// distribution's support. No tokens give the zero Dist.
+func NewDist(toks []string) Dist {
+	if len(toks) == 0 {
+		return Dist{}
 	}
-	d.Normalize()
+	sort.Strings(toks)
+	total := float64(len(toks))
+	p := make([]float64, 0, len(toks))
+	k := 0
+	for i := 0; i < len(toks); {
+		j := i + 1
+		for j < len(toks) && toks[j] == toks[i] {
+			j++
+		}
+		toks[k] = toks[i]
+		p = append(p, float64(j-i)/total)
+		k++
+		i = j
+	}
+	d := Dist{Tokens: toks[:k], P: p}
+	for _, q := range p {
+		d.H -= q * math.Log(q)
+	}
 	return d
-}
-
-// Add increments the mass of token t by w.
-func (d Dist) Add(t string, w float64) { d[t] += w }
-
-// Total returns the sum of all masses.
-func (d Dist) Total() float64 {
-	var s float64
-	for _, v := range d {
-		s += v
-	}
-	return s
-}
-
-// Normalize scales the distribution to sum to 1. A zero-mass distribution is
-// left unchanged.
-func (d Dist) Normalize() {
-	tot := d.Total()
-	if tot == 0 {
-		return
-	}
-	for k, v := range d {
-		d[k] = v / tot
-	}
-}
-
-// Entropy returns the Shannon entropy H(d) = −Σ p log p in nats, implementing
-// Eq. (6) of the paper. The distribution must be normalised.
-func (d Dist) Entropy() float64 {
-	var h float64
-	for _, p := range d {
-		if p > 0 {
-			h -= p * math.Log(p)
-		}
-	}
-	return h
-}
-
-// Support returns the tokens with positive mass, sorted, for deterministic
-// iteration.
-func (d Dist) Support() []string {
-	keys := make([]string, 0, len(d))
-	for k, v := range d {
-		if v > 0 {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys
 }

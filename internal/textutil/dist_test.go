@@ -2,32 +2,43 @@ package textutil
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
 
 func TestNewDistNormalised(t *testing.T) {
-	d := NewDist([]string{"a", "a", "b"}, []string{"c"})
-	if math.Abs(d.Total()-1) > 1e-12 {
-		t.Fatalf("total = %v, want 1", d.Total())
+	d := NewDist([]string{"a", "b", "a", "c"})
+	if !reflect.DeepEqual(d.Tokens, []string{"a", "b", "c"}) {
+		t.Fatalf("support = %v, want [a b c]", d.Tokens)
 	}
-	if math.Abs(d["a"]-0.5) > 1e-12 {
-		t.Fatalf("p(a) = %v, want 0.5", d["a"])
+	var total float64
+	for _, p := range d.P {
+		total += p
+	}
+	if math.Abs(total-1) > 1e-12 {
+		t.Fatalf("total = %v, want 1", total)
+	}
+	if math.Abs(d.P[0]-0.5) > 1e-12 {
+		t.Fatalf("p(a) = %v, want 0.5", d.P[0])
+	}
+	if e := NewDist(nil); len(e.Tokens) != 0 || len(e.P) != 0 || e.H != 0 {
+		t.Fatalf("no tokens must give the zero Dist, got %+v", e)
 	}
 }
 
 func TestEntropyUniform(t *testing.T) {
 	d := NewDist([]string{"a", "b", "c", "d"})
 	want := math.Log(4)
-	if got := d.Entropy(); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("H(uniform4) = %v, want %v", got, want)
+	if math.Abs(d.H-want) > 1e-12 {
+		t.Fatalf("H(uniform4) = %v, want %v", d.H, want)
 	}
 }
 
 func TestEntropyDegenerate(t *testing.T) {
 	d := NewDist([]string{"only", "only"})
-	if got := d.Entropy(); got != 0 {
-		t.Fatalf("H(point mass) = %v, want 0", got)
+	if d.H != 0 {
+		t.Fatalf("H(point mass) = %v, want 0", d.H)
 	}
 }
 
@@ -37,22 +48,34 @@ func TestEntropyNonNegativeProperty(t *testing.T) {
 			return true
 		}
 		d := NewDist(words)
-		h := d.Entropy()
 		// 0 <= H <= log(|support|)
-		return h >= -1e-12 && h <= math.Log(float64(len(d)))+1e-9
+		return d.H >= -1e-12 && d.H <= math.Log(float64(len(d.Tokens)))+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestSupportSorted: the support is strictly ascending with one positive
+// mass per token, whatever order and multiplicity the tokens arrive in.
 func TestSupportSorted(t *testing.T) {
-	d := NewDist([]string{"zebra", "apple", "mango"})
-	sup := d.Support()
-	for i := 1; i < len(sup); i++ {
-		if sup[i-1] >= sup[i] {
-			t.Fatalf("support not sorted: %v", sup)
+	f := func(words []string) bool {
+		d := NewDist(words)
+		if len(d.P) != len(d.Tokens) {
+			return false
 		}
+		for i := range d.Tokens {
+			if d.P[i] <= 0 || (i > 0 && d.Tokens[i-1] >= d.Tokens[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	if d := NewDist([]string{"zebra", "apple", "mango", "apple"}); !reflect.DeepEqual(d.Tokens, []string{"apple", "mango", "zebra"}) {
+		t.Fatalf("support = %v", d.Tokens)
 	}
 }
 

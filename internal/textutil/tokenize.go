@@ -34,7 +34,7 @@ func Tokenize(s string) []string {
 	start := -1
 	lower := strings.ToLower(s)
 	for i, r := range lower {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+		if isTokenRune(r) {
 			if start < 0 {
 				start = i
 			}
@@ -49,6 +49,26 @@ func Tokenize(s string) []string {
 		toks = append(toks, lower[start:])
 	}
 	return toks
+}
+
+// isTokenRune is the segmentation rule: letters and digits form tokens,
+// every other rune separates them.
+func isTokenRune(r rune) bool { return unicode.IsLetter(r) || unicode.IsDigit(r) }
+
+// CountTokens returns len(Tokenize(s)) without building the lower-cased copy
+// or the token slice. It lower-cases rune by rune exactly as strings.ToLower
+// does, so the two can never segment differently.
+func CountTokens(s string) int {
+	n := 0
+	inToken := false
+	for _, r := range s {
+		tok := isTokenRune(unicode.ToLower(r))
+		if tok && !inToken {
+			n++
+		}
+		inToken = tok
+	}
+	return n
 }
 
 // TokenizeContent is Tokenize followed by stopword removal. If removal would
