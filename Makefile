@@ -56,12 +56,13 @@ layers:
 
 # bench-micro runs the testing.B micro-benchmarks with -benchmem: the write
 # path's two corpus-sized kernels — one commit's clone + 4-row append on a
-# 34,549 x 256 store (flat and 8 shards + postings) and one streamed snapshot
-# digest — and the query path's MCC.Run over one disagreeing group (2-16
-# members, all or a quarter of them distinct). B/op is the tracked number.
-# BENCHTIME=1x makes it a smoke run.
+# 34,549 x 256 store (flat and 8 shards) and one streamed snapshot digest —
+# and the query path's two: one exact top-5 search at up to 34,549 rows (dense
+# full-sort reference vs the term-at-a-time scan, flat and 8 shards) and
+# MCC.Run over one disagreeing group (2-16 members, all or a quarter of them
+# distinct). B/op is the tracked number. BENCHTIME=1x makes it a smoke run.
 bench-micro:
-	$(GO) test -run '^$$' -bench '^BenchmarkCommitAppend$$' -benchmem -benchtime $(BENCHTIME) ./internal/retrieval
+	$(GO) test -run '^$$' -bench '^Benchmark(CommitAppend|Search)$$' -benchmem -benchtime $(BENCHTIME) ./internal/retrieval
 	$(GO) test -run '^$$' -bench '^BenchmarkSnapshotDigest$$' -benchmem -benchtime $(BENCHTIME) ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkMCCRunConflict$$' -benchmem -benchtime $(BENCHTIME) ./internal/confidence
 
@@ -70,9 +71,10 @@ bench-micro:
 bench:
 	$(GO) run ./cmd/benchtables -scale $(BENCH_SCALE) -json BENCH_core.json
 
-# bench-retrieval runs the retrieval-layer microbenchmarks (full-sort vs heap
-# top-k vs postings pruning vs sharded scan) at the configured scale and
-# records the timing report.
+# bench-retrieval runs the retrieval-layer microbenchmarks (dense full-sort
+# and dense top-k references vs the term-at-a-time scan, flat and 8
+# shards, on a 20-word vocabulary and on datasets-generated chunks) at the
+# configured scale and records the timing report.
 bench-retrieval:
 	$(GO) run ./cmd/benchtables -retrieval -scale $(BENCH_SCALE) -json BENCH_retrieval.json
 

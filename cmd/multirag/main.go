@@ -60,7 +60,6 @@ func main() {
 		seed    = flag.Uint64("seed", 1, "simulated model seed")
 		workers = flag.Int("workers", 0, "worker pool size: ingestion, query fan-out and -load concurrency (0 = GOMAXPROCS)")
 		shards  = flag.Int("shards", 0, "retrieval index shard count (0 = default, 1 = flat scan)")
-		noPost  = flag.Bool("no-postings", false, "disable the retrieval postings pre-filter")
 		ann     = flag.Bool("ann", false, "approximate retrieval: IVF coarse quantizer with exact re-rank (recall < 1, see make bench-ann)")
 		nprobe  = flag.Int("nprobe", 0, "coarse-quantizer cells probed per ANN query (0 = default; more = higher recall)")
 		annInt8 = flag.Bool("ann-int8", false, "run the ANN coarse pass over int8-quantized vectors (scores stay exact)")
@@ -83,7 +82,6 @@ func main() {
 		Seed:            *seed,
 		Workers:         *workers,
 		Shards:          *shards,
-		DisablePostings: *noPost,
 		ANN:             *ann,
 		NProbe:          *nprobe,
 		ANNInt8:         *annInt8,

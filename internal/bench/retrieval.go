@@ -7,6 +7,9 @@ import (
 	"strings"
 	"time"
 
+	"multirag/internal/adapter"
+	"multirag/internal/core"
+	"multirag/internal/datasets"
 	"multirag/internal/par"
 	"multirag/internal/retrieval"
 )
@@ -14,6 +17,7 @@ import (
 // RetrievalCell is one exact-strategy timing cell of the retrieval
 // microbenchmark (per-query mean over the query batch).
 type RetrievalCell struct {
+	Corpus         string  `json:"corpus"`
 	Variant        string  `json:"variant"`
 	N              int     `json:"n"`
 	PerQueryMicros float64 `json:"per_query_micros"`
@@ -35,10 +39,24 @@ func Retrieval(o Options) error {
 	return err
 }
 
-// RetrievalBenchReport contrasts the seed full-sort scan against the layered
-// exact subsystem (bounded heap top-k, postings pruning, sharded parallel
-// scan) on synthetic corpora, verifying on the way that every exact variant
-// returns identical hits. Options.Scale shrinks the corpus for CI smoke runs.
+// retrievalCorpora are the corpora every retrieval cell is measured on. A
+// cell's meaning depends on how sparse the stored vectors are, so the
+// 20-word vocabulary (every chunk shares tokens with every query: long
+// posting lists, dense score ties) sits next to chunks rendered from the
+// datasets generators, whose vectors are as sparse as a served corpus's.
+var retrievalCorpora = []struct {
+	name  string
+	build func(rng *rand.Rand, n, queries int) ([]retrieval.Chunk, []retrieval.Vector, []retrieval.Vector, error)
+}{
+	{"vocab20", vocabCorpus},
+	{"datasets", datasetsCorpus},
+}
+
+// RetrievalBenchReport contrasts the seed full-sort scan and a dense
+// top-k-selected scan of Cosine against the store's term-at-a-time scorer
+// (flat and 8 shards) on synthetic corpora, verifying on the way that every
+// variant returns identical hits. Options.Scale shrinks the corpus for CI
+// smoke runs.
 func RetrievalBenchReport(o Options) (*RetrievalReport, error) {
 	seed := o.Seed
 	if seed == 0 {
@@ -56,79 +74,76 @@ func RetrievalBenchReport(o Options) (*RetrievalReport, error) {
 	const k = 5
 	const queries = 32
 
-	fmt.Fprintf(o.Out, "Retrieval microbenchmarks (k=%d, %d queries per cell; per-query mean)\n", k, queries)
-	fmt.Fprintf(o.Out, "%-22s", "variant")
-	for _, n := range sizes {
-		fmt.Fprintf(o.Out, "  %14s", fmt.Sprintf("n=%d", n))
-	}
-	fmt.Fprintln(o.Out)
-
-	rng := rand.New(rand.NewSource(int64(seed)))
-	type cell struct{ perQuery time.Duration }
-	rows := []string{"full-sort scan", "heap top-k", "heap+postings", "sharded", "sharded+postings"}
-	results := map[string][]cell{}
-
-	for _, n := range sizes {
-		chunks, vecs := retrievalCorpus(rng, n)
-		qvs := make([]retrieval.Vector, queries)
-		for i := range qvs {
-			qvs[i] = retrieval.Embed(retrievalText(rng), retrieval.DefaultDim)
-		}
-		stores := map[string]retrieval.Store{
-			"heap top-k":       retrieval.New(retrieval.Options{}),
-			"heap+postings":    retrieval.New(retrieval.Options{Postings: true}),
-			"sharded":          retrieval.New(retrieval.Options{Shards: 8}),
-			"sharded+postings": retrieval.New(retrieval.Options{Shards: 8, Postings: true}),
-		}
-		for _, st := range stores {
-			st.AddEmbeddedBatch(chunks, vecs)
-		}
-
-		// Reference timing and reference results for the equality check.
-		want := make([][]retrieval.Hit, queries)
-		start := time.Now()
-		for i, qv := range qvs {
-			want[i] = fullSortScan(chunks, vecs, qv, k)
-		}
-		results["full-sort scan"] = append(results["full-sort scan"], cell{time.Since(start) / queries})
-
-		for _, name := range rows[1:] {
-			st := stores[name]
-			start := time.Now()
-			for _, qv := range qvs {
-				st.SearchVector(qv, k, nil)
-			}
-			results[name] = append(results[name], cell{time.Since(start) / queries})
-			for i, qv := range qvs {
-				if !sameHits(st.SearchVector(qv, k, nil), want[i]) {
-					return nil, fmt.Errorf("retrieval bench: %s diverges from full sort at n=%d query %d", name, n, i)
-				}
-			}
-		}
-	}
-
 	rep := &RetrievalReport{K: k, Queries: queries}
-	for _, name := range rows {
-		fmt.Fprintf(o.Out, "%-22s", name)
-		for i, c := range results[name] {
-			speedup := 0.0
-			suffix := ""
-			if name != rows[0] {
-				ref := results[rows[0]][i].perQuery
-				if c.perQuery > 0 {
-					speedup = float64(ref) / float64(c.perQuery)
-					suffix = fmt.Sprintf(" (%4.1fx)", speedup)
-				}
-			}
-			fmt.Fprintf(o.Out, "  %14s", fmt.Sprintf("%s%s", fmtMicros(c.perQuery), suffix))
-			rep.Cells = append(rep.Cells, RetrievalCell{
-				Variant:        name,
-				N:              sizes[i],
-				PerQueryMicros: micros(c.perQuery),
-				Speedup:        speedup,
-			})
+	fmt.Fprintf(o.Out, "Retrieval microbenchmarks (k=%d, %d queries per cell; per-query mean)\n", k, queries)
+	for _, corpus := range retrievalCorpora {
+		fmt.Fprintf(o.Out, "\ncorpus %s\n%-22s", corpus.name, "variant")
+		for _, n := range sizes {
+			fmt.Fprintf(o.Out, "  %14s", fmt.Sprintf("n=%d", n))
 		}
 		fmt.Fprintln(o.Out)
+
+		rng := rand.New(rand.NewSource(int64(seed)))
+		var names []string
+		results := map[string][]time.Duration{}
+		for _, n := range sizes {
+			chunks, vecs, qvs, err := corpus.build(rng, n, queries)
+			if err != nil {
+				return nil, err
+			}
+			flat, sharded := retrieval.New(retrieval.Options{}), retrieval.New(retrieval.Options{Shards: 8})
+			flat.AddEmbeddedBatch(chunks, vecs)
+			sharded.AddEmbeddedBatch(chunks, vecs)
+			// The first variant is the reference the others must reproduce.
+			variants := []struct {
+				name   string
+				search func(qv retrieval.Vector) []retrieval.Hit
+			}{
+				{"full-sort scan", func(qv retrieval.Vector) []retrieval.Hit { return fullSortScan(chunks, vecs, qv, k) }},
+				{"dense top-k scan", func(qv retrieval.Vector) []retrieval.Hit { return denseTopKScan(chunks, vecs, qv, k) }},
+				{"term-at-a-time", func(qv retrieval.Vector) []retrieval.Hit { return flat.SearchVector(qv, k, nil) }},
+				{"term-at-a-time x8", func(qv retrieval.Vector) []retrieval.Hit { return sharded.SearchVector(qv, k, nil) }},
+			}
+			names = names[:0]
+			var want [][]retrieval.Hit
+			for _, v := range variants {
+				names = append(names, v.name)
+				got := make([][]retrieval.Hit, len(qvs))
+				start := time.Now()
+				for i, qv := range qvs {
+					got[i] = v.search(qv)
+				}
+				results[v.name] = append(results[v.name], time.Since(start)/queries)
+				if want == nil {
+					want = got
+				}
+				for i := range got {
+					if !sameHits(got[i], want[i]) {
+						return nil, fmt.Errorf("retrieval bench: %s diverges from full sort on %s at n=%d query %d", v.name, corpus.name, n, i)
+					}
+				}
+			}
+		}
+		for _, name := range names {
+			fmt.Fprintf(o.Out, "%-22s", name)
+			for i, perQuery := range results[name] {
+				speedup := 0.0
+				suffix := ""
+				if name != names[0] && perQuery > 0 {
+					speedup = float64(results[names[0]][i]) / float64(perQuery)
+					suffix = fmt.Sprintf(" (%4.1fx)", speedup)
+				}
+				fmt.Fprintf(o.Out, "  %14s", fmt.Sprintf("%s%s", fmtMicros(perQuery), suffix))
+				rep.Cells = append(rep.Cells, RetrievalCell{
+					Corpus:         corpus.name,
+					Variant:        name,
+					N:              sizes[i],
+					PerQueryMicros: micros(perQuery),
+					Speedup:        speedup,
+				})
+			}
+			fmt.Fprintln(o.Out)
+		}
 	}
 	return rep, nil
 }
@@ -215,7 +230,7 @@ func ANNBenchReport(o Options) (*ANNReport, error) {
 			qvs[i] = retrieval.Embed(annText(rng, rng.Intn(topics)), retrieval.DefaultDim)
 		}
 
-		exact := retrieval.New(retrieval.Options{Shards: 8, Postings: true})
+		exact := retrieval.New(retrieval.Options{Shards: 8})
 		exact.AddEmbeddedBatch(chunks, vecs)
 		want := make([][]retrieval.Hit, queries)
 		start := time.Now()
@@ -300,7 +315,8 @@ func retrievalText(rng *rand.Rand) string {
 	return strings.Join(words, " ")
 }
 
-func retrievalCorpus(rng *rand.Rand, n int) ([]retrieval.Chunk, []retrieval.Vector) {
+// vocabCorpus draws n chunks and the query batch from retrievalVocab.
+func vocabCorpus(rng *rand.Rand, n, queries int) ([]retrieval.Chunk, []retrieval.Vector, []retrieval.Vector, error) {
 	chunks := make([]retrieval.Chunk, n)
 	vecs := make([]retrieval.Vector, n)
 	for i := range chunks {
@@ -312,7 +328,61 @@ func retrievalCorpus(rng *rand.Rand, n int) ([]retrieval.Chunk, []retrieval.Vect
 		}
 		vecs[i] = retrieval.Embed(chunks[i].Text, retrieval.DefaultDim)
 	}
-	return chunks, vecs
+	qvs := make([]retrieval.Vector, queries)
+	for i := range qvs {
+		qvs[i] = retrieval.Embed(retrievalText(rng), retrieval.DefaultDim)
+	}
+	return chunks, vecs, qvs, nil
+}
+
+// datasetsCorpus renders the four fusion presets the way the engine ingests
+// them (adapter fusion, then core.RenderChunks), with entity counts scaled
+// until they yield n chunks, and embeds the presets' own questions as the
+// query batch.
+func datasetsCorpus(rng *rand.Rand, n, queries int) ([]retrieval.Chunk, []retrieval.Vector, []retrieval.Vector, error) {
+	seed := rng.Uint64()
+	render := func(mult int) ([]retrieval.Chunk, []string, error) {
+		var chunks []retrieval.Chunk
+		var questions []string
+		for _, spec := range datasets.AllPresets(seed) {
+			spec.Entities *= mult
+			d, err := datasets.Generate(spec)
+			if err != nil {
+				return nil, nil, err
+			}
+			fused, err := adapter.NewRegistry().Fuse(d.Files)
+			if err != nil {
+				return nil, nil, err
+			}
+			for _, f := range fused {
+				chunks = append(chunks, core.RenderChunks(f, 0)...)
+			}
+			for _, q := range d.Queries {
+				questions = append(questions, q.Text)
+			}
+		}
+		return chunks, questions, nil
+	}
+	chunks, questions, err := render(1)
+	if err == nil && len(chunks) < n {
+		chunks, questions, err = render(n/len(chunks) + 1)
+	}
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	// The presets come out one after another; shuffle before cutting to n so
+	// every size holds all four.
+	rng.Shuffle(len(chunks), func(i, j int) { chunks[i], chunks[j] = chunks[j], chunks[i] })
+	chunks = chunks[:n]
+	vecs := make([]retrieval.Vector, n)
+	par.ForEach(0, n, func(i int) {
+		vecs[i] = retrieval.Embed(chunks[i].Text, retrieval.DefaultDim)
+	})
+	qvs := make([]retrieval.Vector, queries)
+	for i := range qvs {
+		qvs[i] = retrieval.Embed(questions[rng.Intn(len(questions))], retrieval.DefaultDim)
+	}
+	return chunks, vecs, qvs, nil
 }
 
 // The ANN corpus is topical: each document draws most of its words from one
@@ -383,6 +453,32 @@ func fullSortScan(chunks []retrieval.Chunk, vecs []retrieval.Vector, qv retrieva
 		k = len(hits)
 	}
 	return hits[:k]
+}
+
+// denseTopKScan is what the store's exact scan was before it scored from
+// posting lists: Cosine against every stored vector, the k best kept as it
+// goes (in output order; k is small here, so insertion stands in for the
+// heap). It is the dense reference the term-at-a-time cells are read against.
+func denseTopKScan(chunks []retrieval.Chunk, vecs []retrieval.Vector, qv retrieval.Vector, k int) []retrieval.Hit {
+	before := func(a, b *retrieval.Hit) bool {
+		if a.Score != b.Score {
+			return a.Score > b.Score
+		}
+		return a.Chunk.ID < b.Chunk.ID
+	}
+	best := make([]retrieval.Hit, 0, k+1)
+	for i := range chunks {
+		hit := retrieval.Hit{Chunk: chunks[i], Score: retrieval.Cosine(qv, vecs[i])}
+		if len(best) == k && !before(&hit, &best[k-1]) {
+			continue
+		}
+		pos := sort.Search(len(best), func(j int) bool { return before(&hit, &best[j]) })
+		best = append(best, retrieval.Hit{})
+		copy(best[pos+1:], best[pos:])
+		best[pos] = hit
+		best = best[:min(len(best), k)]
+	}
+	return best
 }
 
 func sameHits(a, b []retrieval.Hit) bool {

@@ -299,8 +299,8 @@ func snapshotBody(sn *snapshot) []byte {
 }
 
 // decodeSnapshot rebuilds a snapshot from a checkpoint body, constructing the
-// retrieval store with this system's own layout options (shard count and
-// pre-filters are rebuild-time knobs, not persisted state).
+// retrieval store with this system's own layout options (the layout is a
+// rebuild-time choice, not persisted state).
 func (s *System) decodeSnapshot(body []byte) (*snapshot, error) {
 	d := wal.NewDecoder(body)
 	if v := d.Uvarint(); d.Err() == nil && v != snapshotVersion {

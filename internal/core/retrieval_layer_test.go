@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"multirag/internal/adapter"
 	"multirag/internal/datasets"
 	"multirag/internal/llm"
+	"multirag/internal/retrieval"
 )
 
 // TestDocOfChunk pins the chunk-ID → document-ID recovery, including the
@@ -33,48 +35,106 @@ func TestDocOfChunk(t *testing.T) {
 }
 
 // TestShardedSystemMatchesFlat is the engine-level determinism contract for
-// the layered retrieval subsystem: shard count and postings pruning are pure
-// performance knobs, so two systems differing only in those knobs must give
-// identical answers and identical document rankings on every query.
+// the layered retrieval subsystem: the shard count is a pure performance
+// knob, so two systems differing only in it must give identical answers and
+// identical document rankings on every query.
 func TestShardedSystemMatchesFlat(t *testing.T) {
 	spec := datasets.Movies(7)
 	spec.Entities = 25
 	spec.Queries = 12
 	d := datasets.MustGenerate(spec)
 
-	build := func(shards int, noPostings bool) *System {
-		s := NewSystem(Config{
-			Shards:          shards,
-			DisablePostings: noPostings,
-			LLM:             llm.Config{Seed: 1},
-		})
+	build := func(shards int) *System {
+		s := NewSystem(Config{Shards: shards, LLM: llm.Config{Seed: 1}})
 		if _, err := s.Ingest(d.Files); err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
-	for _, variant := range []struct {
-		name   string
-		shards int
-		noPost bool
-	}{
-		{"sharded8+postings", 8, false},
-		{"sharded3", 3, true},
-		{"flat+postings", 1, false},
-	} {
+	for _, shards := range []int{8, 3} {
 		// Fresh systems per comparison: source-history authority is
 		// online-learned, so both sides must see the same query sequence.
-		flat := build(1, true)
-		sys := build(variant.shards, variant.noPost)
+		flat := build(1)
+		sys := build(shards)
 		for _, q := range d.Queries {
 			fa, fdocs := flat.QueryWithDocs(q.Text, 5)
 			va, vdocs := sys.QueryWithDocs(q.Text, 5)
 			if !reflect.DeepEqual(fa.Values, va.Values) {
-				t.Fatalf("%s: answers diverge for %q: %v vs %v", variant.name, q.Text, fa.Values, va.Values)
+				t.Fatalf("%d shards: answers diverge for %q: %v vs %v", shards, q.Text, fa.Values, va.Values)
 			}
 			if !reflect.DeepEqual(fdocs, vdocs) {
-				t.Fatalf("%s: doc rankings diverge for %q: %v vs %v", variant.name, q.Text, fdocs, vdocs)
+				t.Fatalf("%d shards: doc rankings diverge for %q: %v vs %v", shards, q.Text, fdocs, vdocs)
 			}
+		}
+	}
+}
+
+// denseOracle serves a store's searches the way the exact scan was first
+// written: Cosine against every stored vector, stable full sort by (score
+// desc, chunk ID asc). SearchVectorCtx finds no scan of its own on it and
+// calls SearchVector.
+type denseOracle struct{ retrieval.Store }
+
+func (o denseOracle) SearchVector(qv retrieval.Vector, k int, keep func(string) bool) []retrieval.Hit {
+	var hits []retrieval.Hit
+	o.ForEachEmbedded(func(c retrieval.Chunk, v retrieval.Vector) {
+		if keep == nil || keep(c.Source) {
+			hits = append(hits, retrieval.Hit{Chunk: c, Score: retrieval.Cosine(qv, v)})
+		}
+	})
+	sort.SliceStable(hits, func(i, j int) bool {
+		if hits[i].Score != hits[j].Score {
+			return hits[i].Score > hits[j].Score
+		}
+		return hits[i].Chunk.ID < hits[j].Chunk.ID
+	})
+	return hits[:min(max(k, 0), len(hits))]
+}
+
+// TestFallbackAnswersMatchDenseOracle: free text the grammar cannot parse is
+// answered from chunk retrieval alone, so a system scoring from posting lists
+// and one whose store is swapped for the dense oracle must give the same
+// answers — values, evidence weights and all — on a datasets corpus.
+func TestFallbackAnswersMatchDenseOracle(t *testing.T) {
+	var files []adapter.RawFile
+	var entities []string
+	for _, spec := range []datasets.Spec{datasets.Movies(5), datasets.Flights(5)} {
+		spec.Entities = 30
+		d := datasets.MustGenerate(spec)
+		files = append(files, d.Files...)
+		for _, q := range d.Queries {
+			entities = append(entities, q.Entity)
+		}
+	}
+	build := func() *System {
+		s := NewSystem(Config{LLM: llm.Config{Seed: 1}})
+		if _, err := s.Ingest(files); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	sys, oracle := build(), build()
+	sn := *oracle.snap.Load()
+	sn.index = denseOracle{sn.index}
+	oracle.snap.Store(&sn)
+
+	for i, e := range entities {
+		q := fmt.Sprintf([]string{
+			"Anything interesting regarding %s lately",
+			"Tell me something about %s please",
+			"Any recent news concerning %s",
+		}[i%3], e)
+		got, want := sys.Query(q), oracle.Query(q)
+		if !got.Found {
+			t.Fatalf("%q: fallback found nothing in a %d-chunk index", q, sys.Index().Len())
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: answers diverge:\n got  %+v\n want %+v", q, got, want)
+		}
+		_, gdocs := sys.QueryWithDocs(q, 5)
+		_, wdocs := oracle.QueryWithDocs(q, 5)
+		if !reflect.DeepEqual(gdocs, wdocs) {
+			t.Fatalf("%q: doc rankings diverge: %v vs %v", q, gdocs, wdocs)
 		}
 	}
 }

@@ -50,18 +50,13 @@ type Config struct {
 	// index. The shard count is a pure performance knob: results are
 	// identical whatever its value.
 	Shards int
-	// DisablePostings turns off the inverted-postings candidate pre-filter
-	// on the chunk index. Like Shards it cannot change results, only the
-	// amount of work a query scan does; it exists for A/B benchmarking.
-	DisablePostings bool
 	// ANN swaps the exact chunk index for the approximate IVF tier with
-	// exact re-rank (internal/retrieval/ann.go). Unlike Shards and
-	// DisablePostings this is NOT a pure performance knob: retrieval can
-	// miss candidates outside the probed coarse-quantizer cells, trading a
-	// measured recall loss (see `make bench-ann`) for sub-linear scans at
-	// large corpus sizes. Off by default; when set, Shards and the postings
-	// pre-filter are ignored. The IVF structure is rebuilt lazily per
-	// snapshot generation, so ingest commits stay O(delta).
+	// exact re-rank (internal/retrieval/ann.go). Unlike Shards this is NOT
+	// a pure performance knob: retrieval can miss candidates outside the
+	// probed coarse-quantizer cells, trading a measured recall loss (see
+	// `make bench-ann`) for sub-linear scans at large corpus sizes. Off by
+	// default; when set, Shards is ignored. The IVF structure is rebuilt
+	// lazily per snapshot generation, so ingest commits stay O(delta).
 	ANN bool
 	// NProbe is how many coarse-quantizer cells an ANN query probes (<=0
 	// selects retrieval.DefaultNProbe). More probes raise recall and cost.
@@ -256,13 +251,12 @@ func NewSystem(cfg Config) *System {
 }
 
 // storeOptions derives the retrieval-store layout from the config. Recovery
-// rebuilds stores with the same options, so shard count and pre-filters stay
-// pure runtime knobs rather than persisted state.
+// rebuilds stores with the same options, so the layout stays a runtime choice
+// rather than persisted state.
 func (cfg *Config) storeOptions() retrieval.Options {
 	return retrieval.Options{
 		Dim:         retrieval.DefaultDim,
 		Shards:      cfg.Shards,
-		Postings:    !cfg.DisablePostings,
 		Workers:     cfg.Workers,
 		ANN:         cfg.ANN,
 		NProbe:      cfg.NProbe,

@@ -1,6 +1,7 @@
 package retrieval
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -101,8 +102,8 @@ type ANN struct {
 	ivf      ivfState
 }
 
-// NewANN builds an empty ANN store from opts. Shards and Postings are
-// ignored: the IVF tier replaces both scan layouts (DESIGN.md §3).
+// NewANN builds an empty ANN store from opts. Shards is ignored: the IVF tier
+// replaces the sharded layout (DESIGN.md §3).
 func NewANN(opts Options) *ANN {
 	nprobe := opts.NProbe
 	if nprobe <= 0 {
@@ -161,12 +162,18 @@ func (a *ANN) SearchFiltered(query string, k int, keep func(source string) bool)
 // SearchVector probes the nprobe nearest cells and exact-re-ranks the
 // survivors. Corpora below annMinCorpus are served by the exact flat scan.
 func (a *ANN) SearchVector(qv Vector, k int, keep func(source string) bool) []Hit {
+	hits, _ := a.search(context.Background(), qv, k, keep)
+	return hits
+}
+
+// search stops claiming cells once ctx is done.
+func (a *ANN) search(ctx context.Context, qv Vector, k int, keep func(string) bool) ([]Hit, error) {
 	n := a.Len()
 	if k <= 0 || n == 0 {
-		return nil
+		return nil, ctx.Err()
 	}
 	if n < annMinCorpus {
-		return a.Index.SearchVector(qv, k, keep)
+		return a.Index.search(ctx, qv, k, keep)
 	}
 	a.ensureBuilt(n)
 
@@ -178,16 +185,12 @@ func (a *ANN) SearchVector(qv Vector, k int, keep func(source string) bool) []Hi
 		qscale = quantize8(qv, q8)
 	}
 	perList := make([][]Hit, len(probes))
-	par.ForEach(a.workers, len(probes), func(i int) {
+	if err := par.ForEachCtx(ctx, a.workers, len(probes), func(i int) {
 		perList[i] = a.scanList(probes[i], qv, q8, qscale, k, keep)
-	})
-	merged := newTopK(k)
-	for _, hits := range perList {
-		for i := range hits {
-			merged.consider(hits[i].Chunk, hits[i].Score)
-		}
+	}); err != nil {
+		return nil, err
 	}
-	return merged.sorted()
+	return mergeTopK(k, perList), nil
 }
 
 // probe returns the nprobe cells nearest the query (by dot product against
@@ -230,7 +233,7 @@ func (a *ANN) scanList(cell int32, qv Vector, q8 []int8, qscale float32, k int, 
 			if keep != nil && !keep(a.chunks[ord].Source) {
 				continue
 			}
-			t.consider(a.chunks[ord], Cosine(qv, a.arena.at(int(ord))))
+			t.consider(&a.chunks[ord], Cosine(qv, a.arena.at(int(ord))))
 		}
 		return t.sorted()
 	}
@@ -248,7 +251,7 @@ func (a *ANN) scanList(cell int32, qv Vector, q8 []int8, qscale float32, k int, 
 		sel.push(coarse, ord)
 	}
 	for _, ord := range sel.ords[:sel.n] {
-		t.consider(a.chunks[ord], Cosine(qv, a.arena.at(int(ord))))
+		t.consider(&a.chunks[ord], Cosine(qv, a.arena.at(int(ord))))
 	}
 	return t.sorted()
 }

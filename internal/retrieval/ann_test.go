@@ -111,7 +111,7 @@ func TestANNRecallAndExactScores(t *testing.T) {
 			want := refSearch(chunks, vecs, qv, k, nil)
 			assertScoresExact(t, got, chunks, vecs, qv)
 			for i := 1; i < len(got); i++ {
-				if beats(&got[i], &got[i-1]) {
+				if outranks(got[i].Score, got[i].Chunk.ID, &got[i-1]) {
 					t.Fatalf("ANN hits out of order at %d: %s", i, fmtHits(got))
 				}
 			}

@@ -65,7 +65,7 @@ func TestAddEmbeddedBatchValidation(t *testing.T) {
 	cs := []Chunk{{ID: "a#c0", Text: "x"}, {ID: "b#c0", Text: "y"}}
 	good := []Vector{make(Vector, 32), make(Vector, 32)}
 	for _, shards := range []int{1, 4} {
-		st := New(Options{Dim: 32, Shards: shards, Postings: true})
+		st := New(Options{Dim: 32, Shards: shards})
 		st.AddEmbeddedBatch(cs, good) // well-formed baseline
 		if st.Len() != 2 {
 			t.Fatalf("shards=%d: baseline batch lost: len=%d", shards, st.Len())

@@ -56,7 +56,7 @@ func assertRows(t *testing.T, name string, ix *Index, cs [][]Chunk, vs [][]Vecto
 // what anybody else serves, including across the reallocation boundary.
 func TestIndexCloneForAppendIsolation(t *testing.T) {
 	const dim = 8
-	parent := New(Options{Dim: dim, Postings: true}).(*Index)
+	parent := NewIndex(dim)
 	baseC, baseV := markedRows("base", 10, dim, 1)
 	parent.AddEmbeddedBatch(baseC[:8], baseV[:8])
 	parent.AddEmbeddedBatch(baseC[8:], baseV[8:]) // second batch leaves geometric headroom
@@ -113,8 +113,8 @@ func TestIndexCloneForAppendIsolation(t *testing.T) {
 			want = 1
 		}
 		n := 0
-		for _, ord := range ix.post.lists[0] {
-			if ix.arena.at(int(ord))[0] == -2 {
+		for _, e := range ix.post.lists[0] {
+			if e.w == -2 {
 				n++
 			}
 		}
@@ -195,8 +195,8 @@ func (o *oracleNode) check(t *testing.T, label string, opts Options, queries []V
 func TestCloneTreeMatchesDeepCopyOracle(t *testing.T) {
 	const dim = 16
 	variants := map[string]Options{
-		"flat":              {Dim: dim},
-		"sharded8+postings": {Dim: dim, Shards: 8, Postings: true},
+		"flat":     {Dim: dim},
+		"sharded8": {Dim: dim, Shards: 8},
 		// Probing every cell makes the ANN tier exact, so the reference scan
 		// is its oracle too; corpora cross annMinCorpus so both paths run.
 		"ann": {Dim: dim, ANN: true, NProbe: 1 << 20},
@@ -270,8 +270,10 @@ func TestCloneTreeMatchesDeepCopyOracle(t *testing.T) {
 // argument: readers keep scanning snapshots captured at different generations
 // while the committer clones the newest snapshot and appends behind it in
 // place, a few hundred commits in a row. Every reader's hits must stay
-// bit-identical to what its snapshot returned when it was captured, and
-// `go test -race` must see no conflicting access — readers stop at their own
+// bit-identical to the dense reference over the rows its snapshot held when
+// it was captured — a posting list's length, like the arena's, is what keeps
+// a descendant's rows out of an older generation's scores — and
+// `go test -race` must see no conflicting access: readers stop at their own
 // len, the committer writes past it.
 func TestScansDuringInPlaceAppends(t *testing.T) {
 	const (
@@ -280,14 +282,15 @@ func TestScansDuringInPlaceAppends(t *testing.T) {
 		readers = 6
 	)
 	for name, opts := range map[string]Options{
-		"flat":              {Dim: dim},
-		"sharded8+postings": {Dim: dim, Shards: 8, Postings: true},
+		"flat":     {Dim: dim},
+		"sharded8": {Dim: dim, Shards: 8},
 	} {
 		rng := rand.New(rand.NewSource(9))
 		cur := New(opts)
 		cs, vs := randCorpus(rng, 200, dim)
 		cur.AddEmbeddedBatch(cs, vs)
 		qv := Embed("status delayed typhoon gate", dim)
+		keep := func(src string) bool { return src != "src-2" }
 
 		var (
 			wg    sync.WaitGroup
@@ -296,12 +299,14 @@ func TestScansDuringInPlaceAppends(t *testing.T) {
 		)
 		for c := 0; c < commits; c++ {
 			if c%(commits/readers) == 0 {
-				snap, want := cur, cur.SearchVector(qv, 10, nil)
+				// cs/vs only ever grow by appending, so these prefixes are the
+				// generation's rows for good.
+				snap, want := cur, refSearch(cs, vs, qv, 10, keep)
 				wg.Add(1)
 				go func(gen int) {
 					defer wg.Done()
 					for !stop.Load() {
-						if got := snap.SearchVector(qv, 10, nil); !hitsEqual(got, want) {
+						if got := snap.SearchVector(qv, 10, keep); !hitsEqual(got, want) {
 							t.Errorf("%s: snapshot of generation %d changed under its reader:\n got  %s\n want %s",
 								name, gen, fmtHits(got), fmtHits(want))
 							return
@@ -323,6 +328,7 @@ func TestScansDuringInPlaceAppends(t *testing.T) {
 			}
 			next.AddEmbeddedBatch(bc, bv)
 			cur = next
+			cs, vs = append(cs, bc...), append(vs, bv...)
 			// One CPU is common here: wait until some reader finished a scan
 			// since this commit, so scans and appends really interleave.
 			for seen := scans.Load(); scans.Load() == seen && !t.Failed(); {

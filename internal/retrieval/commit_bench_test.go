@@ -33,8 +33,8 @@ func BenchmarkCommitAppend(b *testing.B) {
 		}
 	}
 	for name, opts := range map[string]Options{
-		"flat":              {Dim: dim},
-		"sharded8+postings": {Dim: dim, Shards: 8, Postings: true},
+		"flat":     {Dim: dim},
+		"sharded8": {Dim: dim, Shards: 8},
 	} {
 		b.Run(name, func(b *testing.B) {
 			cur := New(opts)

@@ -4,159 +4,42 @@ import (
 	"context"
 
 	"multirag/internal/fault"
-	"multirag/internal/par"
 )
 
-// ctxCheckRows is how many rows an exact scan covers between context checks.
-// A 256-wide dot product is ~100ns, so the cancellation granularity is a few
-// hundred microseconds — far inside the ≤50ms slot-release budget — while the
-// check itself (one atomic load via ctx.Err every 4096 rows) is noise.
+// ctxCheckRows is how many rows a selection pass covers between context
+// checks. A row costs a few nanoseconds there, so the cancellation
+// granularity is tens of microseconds — far inside the ≤50ms slot-release
+// budget — while the check itself (one atomic load via ctx.Err every 4096
+// rows) is noise.
 const ctxCheckRows = 4096
 
+// ctxSearcher is what the stores of this package implement behind
+// SearchVector: the same scan, stopping with the context's error once ctx is
+// done.
+type ctxSearcher interface {
+	search(ctx context.Context, qv Vector, k int, keep func(source string) bool) ([]Hit, error)
+}
+
 // SearchVectorCtx is SearchVector with cooperative cancellation: the scan
-// stops between rows, shards or probes once ctx is done and returns the
-// context error with no hits. A context that can never be canceled takes the
-// exact SearchVector path, so context-free callers keep bit-identical
-// results. It is also the retrieval layer's fault-injection point
-// (fault.PointRetrievalScan).
+// stops between query buckets, rows, shards or probes once ctx is done and
+// returns the context error with no hits. It runs the very loop SearchVector
+// runs, so results are bit-identical. It is also the retrieval layer's
+// fault-injection point (fault.PointRetrievalScan).
 func SearchVectorCtx(ctx context.Context, s Searcher, qv Vector, k int, keep func(source string) bool) ([]Hit, error) {
 	if err := fault.Inject(ctx, fault.PointRetrievalScan); err != nil {
 		return nil, err
 	}
-	if ctx.Done() == nil {
-		return s.SearchVector(qv, k, keep), nil
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	switch ix := s.(type) {
-	case *Index:
-		return ix.searchVectorCtx(ctx, qv, k, keep)
-	case *Sharded:
-		return ix.searchVectorCtx(ctx, qv, k, keep)
-	case *ANN:
-		return ix.searchVectorCtx(ctx, qv, k, keep)
-	default:
-		// Unknown implementation: run it to completion (no cancellation
-		// points inside), then honor the context for the result.
-		hits := s.SearchVector(qv, k, keep)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return hits, nil
+	if cs, ok := s.(ctxSearcher); ok {
+		return cs.search(ctx, qv, k, keep)
 	}
-}
-
-// searchVectorCtx mirrors SearchVector with periodic context checks. The
-// pruned fast path is attempted as usual (its candidate set is already a
-// small fraction of the corpus); the exact scan checks every ctxCheckRows.
-func (ix *Index) searchVectorCtx(ctx context.Context, qv Vector, k int, keep func(string) bool) ([]Hit, error) {
-	if k <= 0 || len(ix.chunks) == 0 {
-		return nil, ctx.Err()
-	}
-	if ix.post != nil {
-		if hits, ok := ix.searchPrunedCtx(ctx, qv, k, keep); ok {
-			return hits, ctx.Err()
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	t := newTopK(k)
-	for i := range ix.chunks {
-		if i%ctxCheckRows == 0 && i > 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if keep != nil && !keep(ix.chunks[i].Source) {
-			continue
-		}
-		t.consider(ix.chunks[i], Cosine(qv, ix.arena.at(i)))
-	}
+	// Unknown implementation: run it to completion (no cancellation points
+	// inside), then honor the context for the result.
+	hits := s.SearchVector(qv, k, keep)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return t.sorted(), nil
-}
-
-// searchPrunedCtx is searchPruned with periodic context checks over the
-// candidate list. On cancellation it reports ok with a nil result; the caller
-// surfaces the context error.
-func (ix *Index) searchPrunedCtx(ctx context.Context, qv Vector, k int, keep func(string) bool) ([]Hit, bool) {
-	cands := ix.post.candidates(qv, len(ix.chunks))
-	if len(cands) < k {
-		return nil, false
-	}
-	t := newTopK(k)
-	for i, ord := range cands {
-		if i%ctxCheckRows == 0 && i > 0 && ctx.Err() != nil {
-			return nil, true
-		}
-		if keep != nil && !keep(ix.chunks[ord].Source) {
-			continue
-		}
-		t.consider(ix.chunks[ord], Cosine(qv, ix.arena.at(int(ord))))
-	}
-	if t.len() == k && t.worst().Score > 0 {
-		return t.sorted(), true
-	}
-	return nil, false
-}
-
-// searchVectorCtx fans out as SearchVector does but stops claiming shards
-// once ctx is done.
-func (s *Sharded) searchVectorCtx(ctx context.Context, qv Vector, k int, keep func(string) bool) ([]Hit, error) {
-	if k <= 0 {
-		return nil, ctx.Err()
-	}
-	perShard := make([][]Hit, len(s.shards))
-	// A per-shard scan errors only when ctx is done, which the fan-out's own
-	// final ctx check reports — no separate error channel needed.
-	if err := par.ForEachCtx(ctx, s.workers, len(s.shards), func(i int) {
-		perShard[i], _ = s.shards[i].searchVectorCtx(ctx, qv, k, keep)
-	}); err != nil {
-		return nil, err
-	}
-	merged := newTopK(k)
-	for _, hits := range perShard {
-		for i := range hits {
-			merged.consider(hits[i].Chunk, hits[i].Score)
-		}
-	}
-	return merged.sorted(), nil
-}
-
-// searchVectorCtx probes as SearchVector does but stops claiming cells once
-// ctx is done; each cell's exact re-rank also checks between candidate rows.
-func (a *ANN) searchVectorCtx(ctx context.Context, qv Vector, k int, keep func(string) bool) ([]Hit, error) {
-	n := a.Len()
-	if k <= 0 || n == 0 {
-		return nil, ctx.Err()
-	}
-	if n < annMinCorpus {
-		return a.Index.searchVectorCtx(ctx, qv, k, keep)
-	}
-	a.ensureBuilt(n)
-
-	probes := a.probe(qv)
-	var q8 []int8
-	var qscale float32
-	if a.quantize {
-		q8 = make([]int8, a.dim)
-		qscale = quantize8(qv, q8)
-	}
-	perList := make([][]Hit, len(probes))
-	if err := par.ForEachCtx(ctx, a.workers, len(probes), func(i int) {
-		perList[i] = a.scanList(probes[i], qv, q8, qscale, k, keep)
-	}); err != nil {
-		return nil, err
-	}
-	merged := newTopK(k)
-	for _, hits := range perList {
-		for i := range hits {
-			merged.consider(hits[i].Chunk, hits[i].Score)
-		}
-	}
-	return merged.sorted(), nil
+	return hits, nil
 }

@@ -1,5 +1,7 @@
 package retrieval
 
+import "math"
+
 // topK is a bounded selector for the k best hits of a scan. It keeps at most
 // k hits in a binary min-heap whose root is the weakest kept hit (lowest
 // score; among equal scores, highest chunk ID — the reverse of the output
@@ -14,6 +16,9 @@ package retrieval
 type topK struct {
 	k    int
 	hits []Hit
+	// floor is the score below which a row cannot enter: -Inf until k hits
+	// are kept, the root's score from then on.
+	floor float64
 }
 
 // newTopK returns a selector for the k best hits. k must be > 0.
@@ -22,37 +27,49 @@ func newTopK(k int) *topK {
 	if cap > 1024 {
 		cap = 1024 // defensive: callers may pass k >> corpus size
 	}
-	return &topK{k: k, hits: make([]Hit, 0, cap)}
+	return &topK{k: k, hits: make([]Hit, 0, cap), floor: math.Inf(-1)}
 }
 
-// beats reports whether hit a outranks hit b in the output order:
-// higher score first, ties broken by ascending chunk ID.
-func beats(a, b *Hit) bool {
-	if a.Score != b.Score {
-		return a.Score > b.Score
+// outranks reports whether a hit with the given score and chunk ID comes
+// before hit b in the output order: higher score first, ties broken by
+// ascending chunk ID.
+func outranks(score float64, id string, b *Hit) bool {
+	if score != b.Score {
+		return score > b.Score
 	}
-	return a.Chunk.ID < b.Chunk.ID
+	return id < b.Chunk.ID
 }
 
-// consider offers one scanned hit to the selector.
-func (t *topK) consider(c Chunk, score float64) {
-	h := Hit{Chunk: c, Score: score}
+// consider offers one scanned row to the selector. A scan rejects nearly
+// every row it offers, so the common case is one comparison, inlined into the
+// scan loop, and nothing is copied before a row is known to enter (a Hit is
+// 72 bytes).
+func (t *topK) consider(c *Chunk, score float64) {
+	if score < t.floor {
+		return
+	}
+	t.insert(c, score)
+}
+
+func (t *topK) insert(c *Chunk, score float64) {
 	if len(t.hits) < t.k {
-		t.hits = append(t.hits, h)
+		t.hits = append(t.hits, Hit{Chunk: *c, Score: score})
 		t.siftUp(len(t.hits) - 1)
-		return
+	} else if outranks(score, c.ID, &t.hits[0]) {
+		// Full: the new hit replaces the current weakest.
+		t.hits[0] = Hit{Chunk: *c, Score: score}
+		t.siftDown(0, len(t.hits))
 	}
-	// Full: the new hit enters only if it outranks the current weakest.
-	if !beats(&h, &t.hits[0]) {
-		return
+	if len(t.hits) == t.k {
+		t.floor = t.hits[0].Score
 	}
-	t.hits[0] = h
-	t.siftDown(0, len(t.hits))
 }
 
 // weaker reports whether hits[i] should sit closer to the heap root than
 // hits[j], i.e. hits[i] is evicted before hits[j].
-func (t *topK) weaker(i, j int) bool { return beats(&t.hits[j], &t.hits[i]) }
+func (t *topK) weaker(i, j int) bool {
+	return outranks(t.hits[j].Score, t.hits[j].Chunk.ID, &t.hits[i])
+}
 
 func (t *topK) siftUp(i int) {
 	for i > 0 {
@@ -82,12 +99,6 @@ func (t *topK) siftDown(i, n int) {
 	}
 }
 
-// len reports how many hits are currently kept.
-func (t *topK) len() int { return len(t.hits) }
-
-// worst returns the weakest kept hit; the selector must be non-empty.
-func (t *topK) worst() *Hit { return &t.hits[0] }
-
 // sorted consumes the heap and returns the kept hits in output order (score
 // desc, ID asc). The selector must not be reused afterwards. An empty
 // selector returns nil, matching the historical Search contract.
@@ -102,4 +113,18 @@ func (t *topK) sorted() []Hit {
 		t.siftDown(0, end)
 	}
 	return t.hits
+}
+
+// mergeTopK returns the k best of several already-selected hit lists — the
+// per-shard or per-cell winners of one fanned-out scan. The order the lists
+// are fed in cannot matter: chunk IDs are unique across them, so the
+// comparator is a strict total order on hits.
+func mergeTopK(k int, lists [][]Hit) []Hit {
+	merged := newTopK(k)
+	for _, hits := range lists {
+		for i := range hits {
+			merged.consider(&hits[i].Chunk, hits[i].Score)
+		}
+	}
+	return merged.sorted()
 }

@@ -1,48 +1,50 @@
 package retrieval
 
-import "slices"
+import (
+	"context"
+	"slices"
+	"sync"
+)
 
-// postings is the inverted-postings candidate pre-filter: one posting list
-// per embedding bucket, holding (in insertion order, which is ordinal order)
-// every chunk whose stored vector is non-zero in that bucket. Because the
-// feature-hashed embedding writes a token's weight into exactly one bucket,
-// a bucket's posting list is the hashed form of "chunks containing one of
-// the tokens that land in this bucket".
-//
-// The pruning is lossless by construction: a chunk outside the union of the
-// query's non-zero buckets has a dot product of exactly zero (every term of
-// the sum is zero), so any chunk that could score non-zero is a candidate.
-// The scan over candidates therefore computes exact scores for every chunk
-// that can outrank the zero-score remainder. When the candidate scan cannot
-// prove the full top-k ranks strictly above zero (small corpora, huge k, or
-// queries with no lexical overlap), search falls back to the exact flat scan
-// — identical results either way, which the property tests pin.
+// posting is one non-zero stored weight: row's vector holds w in the bucket
+// whose list the entry sits on.
+type posting struct {
+	row int32
+	w   float32
+}
+
+// postings is the column view of an Index's arena: one list per embedding
+// bucket holding, in row order, every non-zero weight stored in that bucket.
+// The feature-hashed embedding writes a token into exactly one bucket, so a
+// row appears on about as many lists as it has distinct features — a few per
+// cent of dim — and the lists together are the exact scorer, not a filter in
+// front of one (see Index.search).
 type postings struct {
-	lists [][]int32
+	lists [][]posting
 }
 
-// newPostings returns an empty pre-filter for dim embedding buckets.
-func newPostings(dim int) *postings {
-	return &postings{lists: make([][]int32, dim)}
+func newPostings(dim int) postings {
+	return postings{lists: make([][]posting, dim)}
 }
 
-// add posts chunk ordinal ord under every non-zero bucket of v. Ordinals
-// must be added in increasing order (append order), keeping each list sorted.
-func (p *postings) add(ord int, v Vector) {
+// add posts row's non-zero weights. Rows must be added in increasing order
+// (append order), which keeps every list sorted by row.
+func (p *postings) add(row int, v Vector) {
 	for d, x := range v {
 		if x != 0 {
-			p.lists[d] = append(p.lists[d], int32(ord))
+			p.lists[d] = append(p.lists[d], posting{int32(row), x})
 		}
 	}
 }
 
 // clone returns the postings of a cloned Index: the outer slice is copied
 // (O(dim) headers) because the two indexes' lists diverge in length, but
-// every list keeps its backing array and spare capacity. Whether the
-// clone may append into that capacity is the Index lineage token's call
-// (Index.claim), not this type's.
-func (p *postings) clone() *postings {
-	return &postings{lists: slices.Clone(p.lists)}
+// every list keeps its backing array and spare capacity. Whether the clone
+// may append into that capacity is the Index lineage token's call
+// (Index.claim), not this type's. A list header's length is what keeps a
+// snapshot from seeing rows posted after it was cloned from.
+func (p *postings) clone() postings {
+	return postings{lists: slices.Clone(p.lists)}
 }
 
 // clip drops every list's spare capacity, so a posting append reallocates
@@ -55,34 +57,40 @@ func (p *postings) clip() {
 	}
 }
 
-// candidates returns the deduplicated union of the posting lists for the
-// query vector's non-zero buckets — exactly the set of chunk ordinals with a
-// possibly non-zero cosine against qv. n is the indexed chunk count; a
-// visited bitmap keeps dedup O(union) instead of sorting it, and the result
-// order is irrelevant: the top-k selector's comparator is a strict total
-// order over distinct ordinals.
-func (p *postings) candidates(qv Vector, n int) []int32 {
-	var total int
-	for d, x := range qv {
-		if x != 0 {
-			total += len(p.lists[d])
-		}
+// accPool recycles score accumulators across scans. Every pooled buffer is
+// all zero over its whole capacity: a scan zeroes each slot as its selection
+// pass reads it, and a scan that stops early drops its buffer instead of
+// returning it.
+var accPool sync.Pool
+
+func getAcc(n int) *[]float64 {
+	if p, _ := accPool.Get().(*[]float64); p != nil && cap(*p) >= n {
+		*p = (*p)[:n]
+		return p
 	}
-	if total == 0 {
-		return nil
-	}
-	seen := make([]bool, n)
-	out := make([]int32, 0, total)
-	for d, x := range qv {
-		if x == 0 {
+	// Headroom, so a store growing by a few rows per commit does not
+	// outgrow the pool's buffers on every commit.
+	acc := make([]float64, n, n+n/8)
+	return &acc
+}
+
+// accumulate adds the query's contribution to every row's score, one query
+// bucket at a time in ascending bucket order: acc[row] ends as the sum over
+// the buckets d where both q[d] and the row's weight are non-zero, added in
+// ascending d. Rows on none of the query's lists keep +0. It stops between
+// buckets once ctx is done.
+func (p *postings) accumulate(ctx context.Context, qv Vector, acc []float64) error {
+	for d, q := range qv[:min(len(qv), len(p.lists))] {
+		if q == 0 {
 			continue
 		}
-		for _, ord := range p.lists[d] {
-			if !seen[ord] {
-				seen[ord] = true
-				out = append(out, ord)
-			}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		qd := float64(q)
+		for _, e := range p.lists[d] {
+			acc[e.row] += qd * float64(e.w)
 		}
 	}
-	return out
+	return nil
 }

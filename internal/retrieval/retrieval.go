@@ -1,14 +1,15 @@
 // Package retrieval provides the dense-retrieval substrate used by the
 // multi-hop QA experiments and by MKLGP's multi-document filtering step:
 // token-budgeted chunking, deterministic feature-hashed embeddings, and a
-// layered exact cosine top-k subsystem (flat or sharded scan, optional
-// inverted-postings pruning) behind the Searcher interface. The embedding is
+// layered exact cosine top-k subsystem (flat or sharded, scored term-at-a-time
+// over weighted posting lists) behind the Searcher interface. The embedding is
 // a stand-in for the paper's neural retriever: it preserves the property
 // that lexically related text scores high, which is what the benchmark
 // corpora exercise.
 package retrieval
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -93,28 +94,49 @@ var embedCalls atomic.Uint64
 // It exists for cache-efficiency assertions in tests and benchmarks.
 func EmbedCalls() uint64 { return embedCalls.Load() }
 
+// FNV-1a, 64 bit — the function behind textutil.Hash64, written out so Embed
+// can hash a feature from a saved state instead of building its string.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvAdd(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
+}
+
+// embPrefix is the hash state after the "emb|" salt every feature starts
+// with.
+var embPrefix = fnvAdd(fnvOffset64, "emb|")
+
 // Embed maps text to a deterministic L2-normalised feature-hashed vector:
 // unigrams and bigrams of the content tokens are hashed into dim buckets
 // with a sign hash (the classic hashing trick), giving stable lexical
-// similarity under cosine.
+// similarity under cosine. A feature's hash is textutil.Hash64("emb|"+f),
+// with a bigram's f its two tokens joined by one space.
 func Embed(text string, dim int) Vector {
 	embedCalls.Add(1)
 	if dim <= 0 {
 		dim = DefaultDim
 	}
 	v := make(Vector, dim)
-	toks := textutil.TokenizeContent(text)
-	feats := make([]string, 0, len(toks)*2)
-	feats = append(feats, toks...)
-	feats = append(feats, textutil.NGrams(toks, 2)...)
-	for _, f := range feats {
-		h := textutil.Hash64("emb|" + f)
-		idx := int(h % uint64(dim))
+	add := func(h uint64) {
 		sign := float32(1)
 		if (h>>32)&1 == 1 {
 			sign = -1
 		}
-		v[idx] += sign
+		v[h%uint64(dim)] += sign
+	}
+	toks := textutil.TokenizeContent(text)
+	for i, t := range toks {
+		h := fnvAdd(embPrefix, t)
+		add(h)
+		if i+1 < len(toks) {
+			add(fnvAdd(fnvAdd(h, " "), toks[i+1]))
+		}
 	}
 	norm := float32(0)
 	for _, x := range v {
@@ -149,32 +171,30 @@ type Hit struct {
 	Score float64
 }
 
-// Index is the flat exact cosine top-k index over chunks: one contiguous
-// scan, optionally pruned by an inverted-postings pre-filter. It is both the
+// Index is the flat exact cosine top-k index over chunks. It is both the
 // single-shard Store and the building block of the Sharded and ANN indexes.
-// Vectors live in a flat arena (one contiguous []float32, stride = dim), so
-// a scan walks memory linearly and the embedding width is fixed at
-// construction — dim-mismatched appends are rejected up front.
+// Vectors live twice: row-major in a flat arena (one contiguous []float32,
+// stride = dim — what enumeration, the checkpoint and the ANN re-rank read),
+// and column-major as weighted posting lists, which is what a search scores
+// from. The embedding width is fixed at construction — dim-mismatched
+// appends are rejected up front.
 type Index struct {
 	dim    int
 	chunks []Chunk
 	arena  arena
-	// post, when non-nil, prunes scans to lexically plausible candidates
-	// with an exact-scan fallback (see postings.go).
-	post *postings
+	post   postings
 	// tail is the lineage token: the number of rows claimed on the backing
 	// arrays this index shares with its clones (see claim).
 	tail *atomic.Int64
 }
 
 // NewIndex returns an empty flat index with the given embedding width
-// (<=0 selects DefaultDim) and no postings pre-filter; use New to configure
-// the layered variants.
+// (<=0 selects DefaultDim); use New to configure the layered variants.
 func NewIndex(dim int) *Index {
 	if dim <= 0 {
 		dim = DefaultDim
 	}
-	return &Index{dim: dim, arena: arena{dim: dim}, tail: new(atomic.Int64)}
+	return &Index{dim: dim, arena: arena{dim: dim}, post: newPostings(dim), tail: new(atomic.Int64)}
 }
 
 // claim reserves rows [len, len+n) for this index before it appends them.
@@ -198,9 +218,7 @@ func (ix *Index) claim(n int) {
 	}
 	ix.chunks = slices.Clip(ix.chunks)
 	ix.arena.clip()
-	if ix.post != nil {
-		ix.post.clip()
-	}
+	ix.post.clip()
 	ix.tail = new(atomic.Int64)
 	ix.tail.Store(have + int64(n))
 }
@@ -221,9 +239,7 @@ func (ix *Index) AddEmbedded(c Chunk, v Vector) {
 			len(v), ix.dim, c.ID))
 	}
 	ix.claim(1)
-	if ix.post != nil {
-		ix.post.add(len(ix.chunks), v)
-	}
+	ix.post.add(len(ix.chunks), v)
 	ix.chunks = append(ix.chunks, c)
 	ix.arena.appendVec(v)
 }
@@ -247,16 +263,22 @@ func (ix *Index) AddEmbeddedBatch(cs []Chunk, vs []Vector) {
 		return
 	}
 	ix.claim(len(cs))
-	if ix.post != nil {
-		for i := range cs {
-			ix.post.add(len(ix.chunks)+i, vs[i])
-		}
+	for i := range cs {
+		ix.post.add(len(ix.chunks)+i, vs[i])
 	}
 	ix.chunks = append(ix.chunks, cs...)
 	ix.arena.grow(len(vs))
 	for i := range vs {
 		ix.arena.appendVec(vs[i])
 	}
+}
+
+// reserve makes room for n more rows, so that loading a corpus of known size
+// allocates the chunk slice and the arena once. The posting lists are left to
+// grow by appending: their lengths depend on the vectors.
+func (ix *Index) reserve(n int) {
+	ix.chunks = slices.Grow(ix.chunks, n)
+	ix.arena.grow(n)
 }
 
 // CloneForAppend returns an index that shares the receiver's backing arrays,
@@ -269,9 +291,7 @@ func (ix *Index) CloneForAppend() Store { return ix.clone() }
 
 func (ix *Index) clone() *Index {
 	clone := *ix
-	if ix.post != nil {
-		clone.post = ix.post.clone()
-	}
+	clone.post = ix.post.clone()
 	return &clone
 }
 
@@ -306,51 +326,55 @@ func (ix *Index) SearchFiltered(query string, k int, keep func(source string) bo
 }
 
 // SearchVector runs the scan against a caller-supplied query vector, letting
-// one embedding serve several sub-searches.
+// one embedding serve several sub-searches. Like Cosine it scores over the
+// first min(len(qv), Dim) buckets.
 func (ix *Index) SearchVector(qv Vector, k int, keep func(source string) bool) []Hit {
-	if k <= 0 || len(ix.chunks) == 0 {
-		return nil
-	}
-	if ix.post != nil {
-		if hits, ok := ix.searchPruned(qv, k, keep); ok {
-			return hits
-		}
-	}
-	return ix.scanAll(qv, k, keep)
+	hits, _ := ix.search(context.Background(), qv, k, keep)
+	return hits
 }
 
-// scanAll is the exact reference scan: every kept chunk through the bounded
-// top-k selector.
-func (ix *Index) scanAll(qv Vector, k int, keep func(string) bool) []Hit {
+// search is the one exact scan: term-at-a-time accumulation over the posting
+// lists of the query's non-zero buckets, then one selection pass over every
+// row's score.
+//
+// Scores are bit-identical to Cosine(qv, row). Cosine adds dim products in
+// ascending bucket order to a sum that starts at +0; a product with a zero
+// factor is exactly ±0 (stored weights are finite), and adding ±0 never
+// changes a sum that started at +0 — such a sum is never -0. What is left
+// are the products where both factors are non-zero, which is what the lists
+// hold, and accumulate adds them in the same ascending bucket order. A row on
+// none of the query's lists keeps its exact score of +0, so the selection
+// pass ranks the whole corpus and no case is left to fall back from.
+//
+// The accumulator comes from a pool, so a scan allocates O(k). ctx is checked
+// between buckets and every ctxCheckRows rows of the selection pass.
+func (ix *Index) search(ctx context.Context, qv Vector, k int, keep func(string) bool) ([]Hit, error) {
+	n := len(ix.chunks)
+	if k <= 0 || n == 0 {
+		return nil, ctx.Err()
+	}
+	accp := getAcc(n)
+	acc := *accp
+	if err := ix.post.accumulate(ctx, qv, acc); err != nil {
+		return nil, err
+	}
 	t := newTopK(k)
-	for i := range ix.chunks {
+	for i := range acc {
+		if i%ctxCheckRows == 0 && i > 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		score := acc[i]
+		acc[i] = 0
 		if keep != nil && !keep(ix.chunks[i].Source) {
 			continue
 		}
-		t.consider(ix.chunks[i], Cosine(qv, ix.arena.at(i)))
+		t.consider(&ix.chunks[i], score)
 	}
-	return t.sorted()
-}
-
-// searchPruned scans only the postings candidates. It reports ok only when
-// the pruned result is provably identical to the full scan: the selector is
-// full and its weakest hit scores strictly above zero, so every non-candidate
-// (exact score zero) ranks below everything kept. Otherwise the caller must
-// fall back to scanAll.
-func (ix *Index) searchPruned(qv Vector, k int, keep func(string) bool) ([]Hit, bool) {
-	cands := ix.post.candidates(qv, len(ix.chunks))
-	if len(cands) < k {
-		return nil, false
+	accPool.Put(accp)
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	t := newTopK(k)
-	for _, ord := range cands {
-		if keep != nil && !keep(ix.chunks[ord].Source) {
-			continue
-		}
-		t.consider(ix.chunks[ord], Cosine(qv, ix.arena.at(int(ord))))
-	}
-	if t.len() == k && t.worst().Score > 0 {
-		return t.sorted(), true
-	}
-	return nil, false
+	return t.sorted(), nil
 }

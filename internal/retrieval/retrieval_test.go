@@ -3,9 +3,12 @@ package retrieval
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"multirag/internal/textutil"
 )
 
 func TestChunkTextRespectsBudget(t *testing.T) {
@@ -56,6 +59,57 @@ func TestEmbedNormalised(t *testing.T) {
 	}
 	if math.Abs(norm-1) > 1e-5 {
 		t.Fatalf("|v| = %v, want 1", math.Sqrt(norm))
+	}
+}
+
+// embedReference is Embed as it was written before features were hashed from
+// a saved FNV state: one string per feature, each through textutil.Hash64.
+func embedReference(text string, dim int) Vector {
+	v := make(Vector, dim)
+	toks := textutil.TokenizeContent(text)
+	feats := append(append([]string(nil), toks...), textutil.NGrams(toks, 2)...)
+	for _, f := range feats {
+		h := textutil.Hash64("emb|" + f)
+		sign := float32(1)
+		if (h>>32)&1 == 1 {
+			sign = -1
+		}
+		v[int(h%uint64(dim))] += sign
+	}
+	norm := float32(0)
+	for _, x := range v {
+		norm += x * x
+	}
+	if norm > 0 {
+		inv := float32(1 / math.Sqrt(float64(norm)))
+		for i := range v {
+			v[i] *= inv
+		}
+	}
+	return v
+}
+
+// TestEmbedMatchesStringHashReference pins the in-place feature hashing bit
+// for bit against the string-building reference, on generated corpus text and
+// the shapes that change which features exist: no tokens, one token,
+// stopwords only, repeated tokens, non-ASCII bytes.
+func TestEmbedMatchesStringHashReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	texts := []string{"", "   ", "status", "the of a", "The A", "delayed delayed delayed",
+		"Zürich–Genève naïve café", "The director of Heat is Michael Mann."}
+	for i := 0; i < 300; i++ {
+		texts = append(texts, fmt.Sprintf("The %s of %s e%04d is %s, %d.",
+			randText(rng), randText(rng), rng.Intn(2000), randText(rng), rng.Intn(100)))
+	}
+	for _, text := range texts {
+		for _, dim := range []int{7, 64, DefaultDim} {
+			got, want := Embed(text, dim), embedReference(text, dim)
+			for d := range want {
+				if math.Float32bits(got[d]) != math.Float32bits(want[d]) {
+					t.Fatalf("Embed(%q, %d) bucket %d = %v, reference %v", text, dim, d, got[d], want[d])
+				}
+			}
+		}
 	}
 }
 

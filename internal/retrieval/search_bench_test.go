@@ -27,9 +27,9 @@ func fullSortSearch(chunks []Chunk, vecs []Vector, qv Vector, k int) []Hit {
 	return hits[:k]
 }
 
-// benchSizes are the corpus scales BenchmarkSearch sweeps; the heap selector
-// must beat the full sort at the 10k point and above.
-var benchSizes = []int{1000, 10000, 50000}
+// benchSizes are the corpus scales BenchmarkSearch sweeps, up to the
+// end-to-end benchmark's 34,549 chunks.
+var benchSizes = []int{1000, 10000, 34549}
 
 func benchCorpusSized(b *testing.B, n, dim int) ([]Chunk, []Vector) {
 	b.Helper()
@@ -37,9 +37,11 @@ func benchCorpusSized(b *testing.B, n, dim int) ([]Chunk, []Vector) {
 	return randCorpus(rng, n, dim)
 }
 
-// BenchmarkSearch compares the retrieval strategies at k=5 across corpus
-// sizes: the seed full-sort scan, the bounded heap scan, the postings-pruned
-// scan and the sharded parallel scan.
+// BenchmarkSearch compares, at k=5 across corpus sizes of feature-hashed
+// text, the dense reference (Cosine over every row, full sort) with the
+// store's term-at-a-time scan, flat and sharded. B/op of the store cells is
+// the number to watch: it must not depend on n. Run with -benchmem, or via
+// `make bench-micro`.
 func BenchmarkSearch(b *testing.B) {
 	const dim = DefaultDim
 	const k = 5
@@ -51,21 +53,23 @@ func BenchmarkSearch(b *testing.B) {
 		qv := Embed("status delayed typhoon airport", dim)
 
 		b.Run(fmt.Sprintf("fullsort/n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				fullSortSearch(chunks, vecs, qv, k)
 			}
 		})
 		for name, opts := range map[string]Options{
-			"heap":             {Dim: dim},
-			"heap+postings":    {Dim: dim, Postings: true},
-			"sharded8":         {Dim: dim, Shards: 8},
-			"sharded8+posting": {Dim: dim, Shards: 8, Postings: true},
+			"flat":     {Dim: dim},
+			"sharded8": {Dim: dim, Shards: 8},
 		} {
 			st := New(opts)
-			for i := range chunks {
-				st.AddEmbedded(chunks[i], vecs[i])
-			}
+			st.AddEmbeddedBatch(chunks, vecs)
 			b.Run(fmt.Sprintf("%s/n=%d", name, n), func(b *testing.B) {
+				// One scan first, so -benchtime=1x reads a steady scan too
+				// and not the one that fills the accumulator pool.
+				st.SearchVector(qv, k, nil)
+				b.ReportAllocs()
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					st.SearchVector(qv, k, nil)
 				}

@@ -8,9 +8,9 @@ package retrieval
 //
 // Every exact implementation returns identical results for identical corpora
 // — score for score, hit for hit, in (score desc, chunk ID asc) order —
-// which is what lets the engine treat the shard count and the postings
-// pre-filter as pure performance knobs. The property tests in sharded_test.go
-// pin that contract against a reference full-sort scan. The ANN tier is the
+// which is what lets the engine treat the shard count as a pure performance
+// knob. The property tests in sharded_test.go and postings_test.go pin that
+// contract against a reference full-sort scan of Cosine. The ANN tier is the
 // one deliberate exception: its per-hit scores are still exact (float64
 // re-rank), but hits outside the probed cells can be missed, a loss the
 // recall harness in internal/bench measures instead of pinning away.
@@ -76,9 +76,6 @@ type Options struct {
 	// Shards is the number of hash partitions scanned in parallel; <=1
 	// selects the flat single-shard index.
 	Shards int
-	// Postings enables the inverted-postings candidate pre-filter on every
-	// shard (see postings.go).
-	Postings bool
 	// Workers bounds the per-query shard-scan fan-out (<=0 selects
 	// GOMAXPROCS). Ignored by the flat index.
 	Workers int
@@ -86,7 +83,7 @@ type Options struct {
 	// Unlike every other knob it is NOT exact: results can miss candidates
 	// outside the probed cells, so it is off by default and A/B'd against
 	// the exact scan by the recall harness instead of equivalence-pinned.
-	// When set, Shards and Postings are ignored.
+	// When set, Shards is ignored.
 	ANN bool
 	// NProbe is how many coarse-quantizer cells an ANN query probes (<=0
 	// selects DefaultNProbe). More probes = higher recall, slower queries.
@@ -98,8 +95,7 @@ type Options struct {
 }
 
 // New assembles a Store from opts: the approximate ANN tier when opts.ANN is
-// set, a flat Index for Shards <= 1, a Sharded index otherwise, each exact
-// variant with or without the postings pre-filter.
+// set, a flat Index for Shards <= 1, a Sharded index otherwise.
 func New(opts Options) Store {
 	if opts.ANN {
 		return NewANN(opts)
@@ -107,9 +103,5 @@ func New(opts Options) Store {
 	if opts.Shards > 1 {
 		return NewSharded(opts)
 	}
-	ix := NewIndex(opts.Dim)
-	if opts.Postings {
-		ix.post = newPostings(ix.dim)
-	}
-	return ix
+	return NewIndex(opts.Dim)
 }

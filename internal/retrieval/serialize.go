@@ -10,7 +10,7 @@ import (
 // chunk count, then every chunk with its stored vector in the store's
 // deterministic enumeration order. Decoding re-inserts through the normal
 // append path of a caller-supplied empty store, so the layered variants
-// (sharded routing, postings pre-filter, ANN cells) rebuild their own derived
+// (sharded routing, posting lists, ANN cells) rebuild their own derived
 // structure; only the irreducible chunk+vector data hits the wire. The ANN
 // tier's IVF structure is deliberately not persisted — it is a per-snapshot
 // lazy build anyway, and recomputing it after recovery costs one ensureBuilt.
@@ -48,6 +48,13 @@ func DecodeIntoStore(d *wal.Decoder, s Store) error {
 	}
 	if s.Len() != 0 {
 		return fmt.Errorf("retrieval: decode: target store already holds %d chunks", s.Len())
+	}
+	// The row count is known before the first row: size the row storage once
+	// instead of regrowing every arena geometrically batch after batch. The
+	// count is input, so it is capped by what the remaining bytes could hold
+	// (a row encodes to more than its 4*dim vector bytes).
+	if r, ok := s.(interface{ reserve(rows int) }); ok && n > 0 {
+		r.reserve(min(n, d.Remaining()/(4*dim)))
 	}
 	cs := make([]Chunk, 0, min(n, decodeBatch))
 	vs := make([]Vector, 0, min(n, decodeBatch))

@@ -38,7 +38,8 @@ func TestStoreSerializeRoundTrip(t *testing.T) {
 	}{
 		{"flat-empty", Options{Dim: 32}, 0},
 		{"flat", Options{Dim: 32}, 50},
-		{"postings", Options{Dim: 32, Postings: true}, 50},
+		// More rows than one decode batch: posting lists continue across it.
+		{"postings", Options{Dim: 32}, decodeBatch + 76},
 		{"sharded", Options{Dim: 32, Shards: 4}, 120},
 		{"ann", Options{Dim: 32, ANN: true}, 60},
 	} {
@@ -63,6 +64,10 @@ func TestStoreSerializeRoundTrip(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("Search(%q) diverges:\n got  %v\n want %v", q, got, want)
 				}
+			}
+			// The derived column view is rebuilt entry for entry.
+			if ix, ok := src.(*Index); ok && !reflect.DeepEqual(dst.(*Index).post, ix.post) {
+				t.Fatal("decoded posting lists differ from the source's")
 			}
 			// Deterministic bytes: the decoded store re-encodes identically.
 			if !bytes.Equal(encodeStore(dst), raw) {
@@ -93,5 +98,95 @@ func TestDecodeIntoStoreValidates(t *testing.T) {
 				t.Fatalf("cut %d: decode of truncated stream succeeded", cut)
 			}
 		}
+	}
+}
+
+// arenaWatch counts how often each arena of a store moves to a new backing
+// array while the store is being filled.
+type arenaWatch struct {
+	Store
+	arenas []*arena
+	bases  []*float32
+	moves  []int
+}
+
+func watchArenas(s Store) *arenaWatch {
+	w := &arenaWatch{Store: s}
+	switch st := s.(type) {
+	case *Index:
+		w.arenas = []*arena{&st.arena}
+	case *ANN:
+		w.arenas = []*arena{&st.arena}
+	case *Sharded:
+		for _, sh := range st.shards {
+			w.arenas = append(w.arenas, &sh.arena)
+		}
+	}
+	w.bases, w.moves = make([]*float32, len(w.arenas)), make([]int, len(w.arenas))
+	return w
+}
+
+func (w *arenaWatch) note() {
+	for i, a := range w.arenas {
+		if cap(a.data) == 0 {
+			continue
+		}
+		if base := &a.data[:1][0]; base != w.bases[i] {
+			w.bases[i] = base
+			w.moves[i]++
+		}
+	}
+}
+
+func (w *arenaWatch) reserve(n int) {
+	w.Store.(interface{ reserve(int) }).reserve(n)
+	w.note()
+}
+
+func (w *arenaWatch) AddEmbeddedBatch(cs []Chunk, vs []Vector) {
+	w.Store.AddEmbeddedBatch(cs, vs)
+	w.note()
+}
+
+// TestDecodeReservesArenasOnce: DecodeIntoStore knows the row count before
+// the first row, so a decode allocates the flat arena exactly once at exactly
+// its final size, and each shard's arena once more at most (a shard that
+// outgrew its expected share).
+func TestDecodeReservesArenasOnce(t *testing.T) {
+	const n = 5*decodeBatch + 300
+	for name, opts := range map[string]Options{
+		"flat":     {Dim: 16},
+		"sharded8": {Dim: 16, Shards: 8},
+		"ann":      {Dim: 16, ANN: true},
+	} {
+		src := New(opts)
+		fillStore(src, n)
+		w := watchArenas(New(opts))
+		if err := DecodeIntoStore(wal.NewDecoder(encodeStore(src)), w); err != nil {
+			t.Fatal(err)
+		}
+		if w.Len() != n {
+			t.Fatalf("%s: decoded %d of %d rows", name, w.Len(), n)
+		}
+		for i, moves := range w.moves {
+			limit := 2
+			if len(w.arenas) == 1 {
+				limit = 1
+				if got := cap(w.arenas[0].data); got != n*16 {
+					t.Fatalf("%s: arena holds %d floats for %d rows of 16", name, got, n)
+				}
+			}
+			if moves < 1 || moves > limit {
+				t.Fatalf("%s: arena %d was allocated %d times during one decode, want at most %d", name, i, moves, limit)
+			}
+		}
+	}
+	// A row count the remaining bytes cannot hold reserves nothing it cannot
+	// use: the decode fails on the truncated stream, not in make.
+	var e wal.Encoder
+	e.Int(16)
+	e.Int(1 << 40)
+	if err := DecodeIntoStore(wal.NewDecoder(e.Bytes()), New(Options{Dim: 16})); err == nil {
+		t.Fatal("decode accepted a row count with no rows behind it")
 	}
 }

@@ -1,6 +1,7 @@
 package retrieval
 
 import (
+	"context"
 	"fmt"
 
 	"multirag/internal/par"
@@ -11,12 +12,11 @@ import (
 // flat shards by a stable hash of their chunk ID, and a query scans the
 // shards in parallel via the internal/par fan-out primitive (bounded per
 // query by Options.Workers; concurrent queries each fan out independently),
-// merging per-shard top-k results. Partitioning by content-independent hash
-// keeps every shard
-// an unbiased sample of the corpus, so per-shard top-k plus a merge is
-// exactly global top-k. Results are bit-identical to the flat Index: the
-// same per-chunk Cosine calls produce the same float64 scores, and the merge
-// re-ranks with the same (score desc, ID asc) comparator.
+// merging per-shard top-k results. Every chunk is in exactly one shard, so
+// per-shard top-k plus a merge is exactly global top-k. Results are
+// bit-identical to the flat Index: a row's score does not depend on which
+// rows it is stored with, and the merge re-ranks with the same (score desc,
+// ID asc) comparator.
 //
 // Copy-on-write works per shard: every shard carries its own lineage token
 // (Index.claim), so an ingest commit appends in place behind each touched
@@ -39,9 +39,6 @@ func NewSharded(opts Options) *Sharded {
 	s := &Sharded{dim: dim, workers: opts.Workers, shards: make([]*Index, opts.Shards)}
 	for i := range s.shards {
 		s.shards[i] = NewIndex(dim)
-		if opts.Postings {
-			s.shards[i].post = newPostings(dim)
-		}
 	}
 	return s
 }
@@ -100,6 +97,18 @@ func (s *Sharded) AddEmbeddedBatch(cs []Chunk, vs []Vector) {
 	}
 }
 
+// reserve makes room for n more rows spread over the shards: each shard gets
+// its expected share plus 1/16 and 64 rows — at least four standard
+// deviations (about sqrt(share)) of the routing hash's spread at any corpus
+// size. A shard that still outgrows its reservation grows like any other
+// append.
+func (s *Sharded) reserve(n int) {
+	share := n / len(s.shards)
+	for _, sh := range s.shards {
+		sh.reserve(share + share/16 + 64)
+	}
+}
+
 // CloneForAppend clones every shard (O(shards × dim) slice headers),
 // preserving the per-shard copy-on-write contract.
 func (s *Sharded) CloneForAppend() Store {
@@ -146,22 +155,24 @@ func (s *Sharded) SearchFiltered(query string, k int, keep func(source string) b
 }
 
 // SearchVector fans the scan out across the shards and merges the per-shard
-// winners. The merge feeds shard results in fixed shard order, but order
-// cannot matter: chunk IDs are unique across shards, so the comparator is a
-// strict total order on hits.
+// winners.
 func (s *Sharded) SearchVector(qv Vector, k int, keep func(source string) bool) []Hit {
+	hits, _ := s.search(context.Background(), qv, k, keep)
+	return hits
+}
+
+// search stops claiming shards once ctx is done. A per-shard scan errors only
+// when ctx is done, which the fan-out's own final ctx check reports — no
+// separate error channel needed.
+func (s *Sharded) search(ctx context.Context, qv Vector, k int, keep func(string) bool) ([]Hit, error) {
 	if k <= 0 {
-		return nil
+		return nil, ctx.Err()
 	}
 	perShard := make([][]Hit, len(s.shards))
-	par.ForEach(s.workers, len(s.shards), func(i int) {
-		perShard[i] = s.shards[i].SearchVector(qv, k, keep)
-	})
-	merged := newTopK(k)
-	for _, hits := range perShard {
-		for i := range hits {
-			merged.consider(hits[i].Chunk, hits[i].Score)
-		}
+	if err := par.ForEachCtx(ctx, s.workers, len(s.shards), func(i int) {
+		perShard[i], _ = s.shards[i].search(ctx, qv, k, keep)
+	}); err != nil {
+		return nil, err
 	}
-	return merged.sorted()
+	return mergeTopK(k, perShard), nil
 }

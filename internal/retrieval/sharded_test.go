@@ -2,6 +2,7 @@ package retrieval
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -35,7 +36,7 @@ func refSearch(chunks []Chunk, vecs []Vector, qv Vector, k int, keep func(string
 }
 
 // corpusVocab is small on purpose: heavy token overlap between chunks and
-// queries exercises dense score ties and the postings pruning paths.
+// queries exercises dense score ties and long posting lists.
 var corpusVocab = []string{
 	"status", "delayed", "typhoon", "gate", "boarding", "director",
 	"heat", "mann", "stock", "price", "acme", "airport", "departure",
@@ -71,12 +72,10 @@ func randCorpus(rng *rand.Rand, n, dim int) ([]Chunk, []Vector) {
 // variants builds every layered configuration over the same corpus.
 func variants(dim int, chunks []Chunk, vecs []Vector) map[string]Store {
 	out := map[string]Store{
-		"flat":              New(Options{Dim: dim}),
-		"flat+postings":     New(Options{Dim: dim, Postings: true}),
-		"sharded2":          New(Options{Dim: dim, Shards: 2}),
-		"sharded8":          New(Options{Dim: dim, Shards: 8}),
-		"sharded8+postings": New(Options{Dim: dim, Shards: 8, Postings: true}),
-		"sharded8+serial":   New(Options{Dim: dim, Shards: 8, Workers: 1}),
+		"flat":            New(Options{Dim: dim}),
+		"sharded2":        New(Options{Dim: dim, Shards: 2}),
+		"sharded8":        New(Options{Dim: dim, Shards: 8}),
+		"sharded8+serial": New(Options{Dim: dim, Shards: 8, Workers: 1}),
 	}
 	for _, st := range out {
 		for i := range chunks {
@@ -86,12 +85,14 @@ func variants(dim int, chunks []Chunk, vecs []Vector) map[string]Store {
 	return out
 }
 
+// hitsEqual compares hits chunk for chunk and scores by bit pattern, so +0
+// and -0 differ.
 func hitsEqual(a, b []Hit) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i].Chunk.ID != b[i].Chunk.ID || a[i].Score != b[i].Score {
+		if a[i].Chunk != b[i].Chunk || math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
 			return false
 		}
 	}
@@ -107,9 +108,9 @@ func fmtHits(hits []Hit) string {
 }
 
 // TestLayeredSearchMatchesFlatScanProperty is the acceptance property: for
-// arbitrary corpora, queries and k, every layered configuration (sharded,
-// postings-pruned, both, serial or parallel scan) returns hits identical to
-// the reference full-sort scan — same IDs, bit-identical scores, same order.
+// arbitrary corpora, queries and k, every layered configuration (flat or
+// sharded, serial or parallel scan) returns hits identical to the reference
+// full-sort scan — same IDs, bit-identical scores, same order.
 func TestLayeredSearchMatchesFlatScanProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const dim = 64
@@ -148,10 +149,10 @@ func TestLayeredSearchMatchesFlatScanProperty(t *testing.T) {
 	}
 }
 
-// TestPostingsFallbackExact forces the pruned path to give up: the query
-// shares no vocabulary with most of the corpus and k exceeds the candidate
-// count, so non-candidates (exact score zero) must appear in ID order, just
-// as the flat scan ranks them.
+// TestPostingsFallbackExact asks for more hits than the query's posting lists
+// hold rows: the query shares no vocabulary with most of the corpus, so rows
+// on none of its lists (exact score zero) must fill the result in ID order,
+// just as the dense scan ranks them.
 func TestPostingsFallbackExact(t *testing.T) {
 	const dim = 32
 	chunks := []Chunk{
@@ -183,8 +184,7 @@ func TestPostingsFallbackExact(t *testing.T) {
 func TestShardedCloneForAppendIsolation(t *testing.T) {
 	for _, opts := range []Options{
 		{Dim: 64, Shards: 4},
-		{Dim: 64, Shards: 4, Postings: true},
-		{Dim: 64, Postings: true},
+		{Dim: 64},
 	} {
 		base := New(opts)
 		rng := rand.New(rand.NewSource(3))
@@ -203,12 +203,12 @@ func TestShardedCloneForAppendIsolation(t *testing.T) {
 			clone.AddEmbedded(extra[i], extraVecs[i])
 		}
 		if base.Len() != lenBefore {
-			t.Fatalf("shards=%d postings=%v: clone append changed published Len: %d -> %d",
-				opts.Shards, opts.Postings, lenBefore, base.Len())
+			t.Fatalf("shards=%d: clone append changed published Len: %d -> %d",
+				opts.Shards, lenBefore, base.Len())
 		}
 		if got := base.SearchVector(qv, 10, nil); !hitsEqual(got, before) {
-			t.Fatalf("shards=%d postings=%v: clone append changed published results:\n got  %s\n want %s",
-				opts.Shards, opts.Postings, fmtHits(got), fmtHits(before))
+			t.Fatalf("shards=%d: clone append changed published results:\n got  %s\n want %s",
+				opts.Shards, fmtHits(got), fmtHits(before))
 		}
 		if clone.Len() != lenBefore+len(extra) {
 			t.Fatalf("clone lost appends: %d", clone.Len())
@@ -232,7 +232,7 @@ func TestTopKSelector(t *testing.T) {
 		sel := newTopK(k)
 		var all []Hit
 		for i := range chunks {
-			sel.consider(chunks[i], scores[i])
+			sel.consider(&chunks[i], scores[i])
 			all = append(all, Hit{Chunk: chunks[i], Score: scores[i]})
 		}
 		sort.SliceStable(all, func(i, j int) bool {
@@ -279,8 +279,8 @@ func TestAddEmbeddedBatchMatchesPerChunk(t *testing.T) {
 		vecs = append(vecs, Embed(text, DefaultDim))
 	}
 	for _, shards := range []int{1, 8} {
-		single := New(Options{Shards: shards, Postings: true})
-		batched := New(Options{Shards: shards, Postings: true})
+		single := New(Options{Shards: shards})
+		batched := New(Options{Shards: shards})
 		for i := range chunks {
 			single.AddEmbedded(chunks[i], vecs[i])
 		}

@@ -55,15 +55,12 @@ type Config struct {
 	// parallel per query (0 = a sensible default; 1 = flat single-shard
 	// scan). A pure performance knob: answers are identical for any value.
 	Shards int
-	// DisablePostings turns off the lexical candidate pre-filter on the
-	// retrieval index. Also a pure performance knob, kept for A/B runs.
-	DisablePostings bool
 	// ANN swaps the exact retrieval index for the approximate IVF tier with
 	// exact re-rank. NOT a pure performance knob: chunk retrieval can miss
 	// candidates outside the probed coarse-quantizer cells (recall measured
 	// by `make bench-ann`), in exchange for sub-linear scans at large corpus
-	// sizes. Off by default; when set, Shards and the postings pre-filter
-	// are ignored. Per-hit scores stay exact.
+	// sizes. Off by default; when set, Shards is ignored. Per-hit scores
+	// stay exact.
 	ANN bool
 	// NProbe is how many coarse-quantizer cells an ANN query probes (0 = a
 	// sensible default). More probes raise recall and per-query cost.
@@ -220,7 +217,6 @@ func coreConfig(cfg Config) core.Config {
 		DisableMKA:      cfg.DisableMKA,
 		Workers:         cfg.Workers,
 		Shards:          cfg.Shards,
-		DisablePostings: cfg.DisablePostings,
 		ANN:             cfg.ANN,
 		NProbe:          cfg.NProbe,
 		ANNQuantize:     cfg.ANNInt8,
