@@ -55,14 +55,18 @@ layers:
 	$(GO) test -tags layers ./benchmark/layers
 
 # bench-micro runs the testing.B micro-benchmarks with -benchmem: the write
-# path's two corpus-sized kernels — one commit's clone + 4-row append on a
-# 34,549 x 256 store (flat and 8 shards) and one streamed snapshot digest —
-# and the query path's two: one exact top-5 search at up to 34,549 rows (dense
-# full-sort reference vs the term-at-a-time scan, flat and 8 shards) and
-# MCC.Run over one disagreeing group (2-16 members, all or a quarter of them
-# distinct). B/op is the tracked number. BENCHTIME=1x makes it a smoke run.
+# path's kernels at the end-to-end corpus size — one commit's clone + 4-row
+# append on a 34,549 x 256 store (flat and 8 shards), one commit's clone +
+# 11-triple replay on a 67,100-triple graph (linear history and re-cloned
+# parent), the first write to a shared column page, and one streamed snapshot
+# digest — and the query path's two: one exact top-5 search at up to 34,549
+# rows (dense full-sort reference vs the term-at-a-time scan, flat and 8
+# shards) and MCC.Run over one disagreeing group (2-16 members, all or a
+# quarter of them distinct). B/op is the tracked number. BENCHTIME=1x makes it
+# a smoke run.
 bench-micro:
 	$(GO) test -run '^$$' -bench '^Benchmark(CommitAppend|Search)$$' -benchmem -benchtime $(BENCHTIME) ./internal/retrieval
+	$(GO) test -run '^$$' -bench '^Benchmark(GraphCommitAppend|COWPagePrivatize)$$' -benchmem -benchtime $(BENCHTIME) ./internal/kg
 	$(GO) test -run '^$$' -bench '^BenchmarkSnapshotDigest$$' -benchmem -benchtime $(BENCHTIME) ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkMCCRunConflict$$' -benchmem -benchtime $(BENCHTIME) ./internal/confidence
 

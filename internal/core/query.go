@@ -335,8 +335,8 @@ func (s *System) gatherEvidence(ctx context.Context, sn *snapshot, query, entity
 	}
 	// Nested attributes flatten to underscore-joined paths
 	// (status → status_state); include them as alternative candidates. They
-	// come from the per-snapshot subject→attribute index — O(log n +
-	// matches) — except under the A/B reference knob, which re-enacts the
+	// come from the subject's own triples — a posting of about a dozen
+	// handles — except under the A/B reference knob, which re-enacts the
 	// seed's full node scan.
 	if s.cfg.DisableQueryIndex {
 		sn.sg.ForEachNode(func(_ string, n *linegraph.HomologousNode) {

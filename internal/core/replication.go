@@ -105,6 +105,11 @@ func (s *System) SnapshotDigest() uint64 { return s.ServingHandle().Digest() }
 func (s *System) shipGroup(committed []*prepared) {
 	lsn := s.replPos.Load()
 	s.replPos.Store(lsn + 1)
+	if s.dur != nil {
+		// Shipping is the last reader of the group's record: Reset lets go of
+		// a buffer that a bulk load's record outgrew.
+		defer s.dur.enc.Reset()
+	}
 	sink := s.replSink
 	if sink == nil {
 		return

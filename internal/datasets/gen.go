@@ -202,13 +202,13 @@ func materialise(spec Spec, src SourceSpec, claims []Claim) (adapter.RawFile, er
 		}
 		ed.attrs[c.Attribute] = append(ed.attrs[c.Attribute], c.Value)
 	}
-	attrNames := make([]string, len(spec.Attributes))
+	header := make([]string, len(spec.Attributes))
 	for i, a := range spec.Attributes {
-		attrNames[i] = a.Name
+		header[i] = a.Name
 	}
 	switch src.Format {
 	case "csv":
-		f.Content = renderCSV(byEnt, order, attrNames)
+		f.Content = renderCSV(byEnt, order, header)
 	case "json":
 		f.Content = renderJSON(byEnt, order)
 	case "xml":

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -58,7 +61,7 @@ func mutateHeavily(tb testing.TB, g *Graph, rng *rand.Rand, rounds int) {
 		case 0: // new entity
 			g.AddEntity(fmt.Sprintf("Fresh %d", rng.Intn(64)), "T", "d")
 		case 1: // upgrade an existing entity's empty fields
-			g.AddEntity(fmt.Sprintf("Entity %d", rng.Intn(12)), fmt.Sprintf("T%d", rng.Intn(4)), "d9")
+			g.AddEntity(fmt.Sprintf("Entity %d", rng.Intn(oracleEntities)), fmt.Sprintf("T%d", rng.Intn(4)), "d9")
 		case 2: // removal (forces page copies deep inside shared prefixes)
 			if len(live) > 0 {
 				victim := live[rng.Intn(len(live))]
@@ -66,11 +69,11 @@ func mutateHeavily(tb testing.TB, g *Graph, rng *rand.Rand, rounds int) {
 				live = removeID(live, victim)
 			}
 		default: // append triples, extending shared tails and posting lists
-			subj := g.AddEntity(fmt.Sprintf("Entity %d", rng.Intn(12)), "", "")
+			subj := g.AddEntity(fmt.Sprintf("Entity %d", rng.Intn(oracleEntities)), "", "")
 			id, err := g.AddTriple(Triple{
 				Subject:   subj,
 				Predicate: fmt.Sprintf("p%d", rng.Intn(4)),
-				Object:    fmt.Sprintf("Entity %d", rng.Intn(12)),
+				Object:    fmt.Sprintf("Entity %d", rng.Intn(oracleEntities)),
 				Source:    "mut",
 			})
 			if err != nil {
@@ -93,11 +96,11 @@ func seedGraph(tb testing.TB, rng *rand.Rand, n int) *Graph {
 
 func applyRandomOpNoRef(tb testing.TB, rng *rand.Rand, g *Graph, live *[]string) {
 	tb.Helper()
-	subjName := fmt.Sprintf("Entity %d", rng.Intn(12))
+	subjName := fmt.Sprintf("Entity %d", rng.Intn(oracleEntities))
 	g.AddEntity(subjName, "", "")
 	obj := fmt.Sprintf("value %d", rng.Intn(8))
 	if rng.Intn(3) == 0 {
-		obj = fmt.Sprintf("Entity %d", rng.Intn(12))
+		obj = fmt.Sprintf("Entity %d", rng.Intn(oracleEntities))
 	}
 	id, err := g.AddTriple(Triple{
 		Subject:   CanonicalID(subjName),
@@ -207,4 +210,224 @@ func TestCloneIsolationUnderConcurrentReads(t *testing.T) {
 	wg.Wait()
 
 	requireObservation(t, "parent after concurrent clone mutations", parent, want)
+}
+
+// lineageGraph returns a graph of nEnts entities ("Entity i") carrying
+// perEnt literal triples each, predicate i%preds of "p0".."p<preds-1>".
+func lineageGraph(tb testing.TB, nEnts, perEnt, preds int) *Graph {
+	tb.Helper()
+	g := New()
+	for i := 0; i < nEnts; i++ {
+		g.AddEntity(fmt.Sprintf("Entity %d", i), "T", "d")
+	}
+	for k := 0; k < perEnt; k++ {
+		for i := 0; i < nEnts; i++ {
+			addLiteral(tb, g, i, fmt.Sprintf("p%d", (k*nEnts+i)%preds), fmt.Sprintf("v%d", k))
+		}
+	}
+	return g
+}
+
+func addLiteral(tb testing.TB, g *Graph, ent int, pred, obj string) string {
+	tb.Helper()
+	id, err := g.AddTriple(Triple{Subject: CanonicalID(fmt.Sprintf("Entity %d", ent)), Predicate: pred, Object: obj, Source: "lin"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return id
+}
+
+// TestCloneLineagePaths pins which side of the claim-or-fork rule each case
+// takes, and that none of them leaks: the first clone of the newest graph to
+// add a triple appends to the shared posting lists in place (same backing
+// array, same token); a second clone of one parent — which is also what the
+// next commit is after a clone that appended was discarded — and a parent
+// written to after it was cloned fork; a fork stays in force for pages the
+// forked graph has not rewritten yet, across its own clones; removal needs no
+// claim.
+func TestCloneLineagePaths(t *testing.T) {
+	parent := lineageGraph(t, 80, 3, 1) // two posting pages of subjects, one long byPred list
+	predH, _ := parent.PredicateHandle("p0")
+	byPredBase := func(g *Graph) *int32 { return &g.byPred.get(predH)[0] }
+	if lst := parent.byPred.get(predH); cap(lst) == len(lst) {
+		t.Fatal("test needs spare capacity behind the parent's byPred list")
+	}
+	first := parent.Clone()
+	addLiteral(t, first, 70, "p0", "first")
+	if first.lin != parent.lin || byPredBase(first) != byPredBase(parent) {
+		t.Fatal("first clone of the newest graph must append in place on the shared lineage")
+	}
+	firstObs := observe(first)
+
+	second := parent.Clone()
+	addLiteral(t, second, 1, "p0", "second")
+	if second.lin == parent.lin || byPredBase(second) == byPredBase(parent) {
+		t.Fatal("second clone of one parent must fork: fresh token, reallocated list")
+	}
+	secondObs := observe(second)
+
+	// second rewrote subject page 0 only. Its clone appends in place on the
+	// fork's own token, yet Entity 70's list, in page 1, still has first's
+	// triple sitting in its spare capacity.
+	third := second.Clone()
+	addLiteral(t, third, 70, "p0", "third")
+	if third.lin != second.lin || byPredBase(third) != byPredBase(second) {
+		t.Fatal("a fork's clone must continue in place on the fork's lineage")
+	}
+	requireObservation(t, "first after the fork's clone wrote the same subject", first, firstObs)
+	requireObservation(t, "second after its clone", second, secondObs)
+
+	stale := parent.lin
+	addLiteral(t, parent, 70, "p0", "late")
+	if parent.lin == stale {
+		t.Fatal("parent adding a triple behind a claimed slot must fork")
+	}
+	requireObservation(t, "first after the parent wrote", first, firstObs)
+
+	// Removal replaces a list and claims nothing; the add after it still
+	// finds the slot free and appends (to the replaced list) on the lineage.
+	fourth := first.Clone()
+	victim := fourth.TriplesBySubject(CanonicalID("Entity 70"))[0].ID
+	if !fourth.RemoveTriple(victim) {
+		t.Fatal("RemoveTriple failed")
+	}
+	kept := addLiteral(t, fourth, 70, "p0", "fourth")
+	if fourth.lin != first.lin {
+		t.Fatal("RemoveTriple must not cost the clone its claim")
+	}
+	var got []string
+	for _, tr := range fourth.TriplesBySubject(CanonicalID("Entity 70")) {
+		got = append(got, tr.Object)
+	}
+	if want := []string{"v1", "v2", "first", "fourth"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("remove-then-add on a clone: Entity 70 holds %v (last %s), want %v", got, kept, want)
+	}
+	requireObservation(t, "first after remove+add on its clone", first, firstObs)
+	requireObservation(t, "second", second, secondObs)
+	if _, ok := parent.Triple(victim); !ok {
+		t.Fatal("removal on a descendant removed the parent's triple")
+	}
+}
+
+// TestCloneChainAppendsInPlace is the cost half of the rule: along a linear
+// chain of clone → add → publish steps the byPred list keeps its backing
+// array while capacity lasts, so what a step allocates does not depend on how
+// long the lists it appends to are. Two graphs of equal size, one with every
+// triple on one predicate and one with 64 triples on it, must allocate the
+// same per step.
+func TestCloneChainAppendsInPlace(t *testing.T) {
+	const steps = 64
+	perStep := func(g *Graph) uint64 {
+		predH, _ := g.PredicateHandle("p0")
+		cur, inPlace, hadRoom := g, 0, 0
+		bytes := make([]uint64, 0, steps)
+		var before, after runtime.MemStats
+		for i := 0; i < steps; i++ {
+			lst := cur.byPred.get(predH)
+			runtime.ReadMemStats(&before)
+			next := cur.Clone()
+			addLiteral(t, next, i, "p0", "chain")
+			runtime.ReadMemStats(&after)
+			bytes = append(bytes, after.TotalAlloc-before.TotalAlloc)
+			if cap(lst) > len(lst) {
+				hadRoom++
+				if &next.byPred.get(predH)[0] == &lst[0] {
+					inPlace++
+				}
+			}
+			if next.lin != cur.lin {
+				t.Fatalf("step %d left the lineage", i)
+			}
+			cur = next
+		}
+		if hadRoom < steps-8 || inPlace != hadRoom {
+			t.Fatalf("%d of %d steps had capacity behind the byPred list, %d appended in place", hadRoom, steps, inPlace)
+		}
+		sort.Slice(bytes, func(i, j int) bool { return bytes[i] < bytes[j] })
+		return bytes[steps/2]
+	}
+	long := perStep(lineageGraph(t, 256, 16, 1))
+	short := perStep(lineageGraph(t, 256, 16, 64))
+	if float64(long) > 1.25*float64(short) {
+		t.Fatalf("a step allocates %d B behind a 4096-handle list, %d B behind a 64-handle one", long, short)
+	}
+}
+
+// postingDump is a deep copy of what the handle-level readers of one
+// generation see.
+type postingDump struct {
+	subject [][]int32
+	key     map[[2]int32][]int32
+	byPred  map[string][]string
+}
+
+func dumpPostings(g *Graph) postingDump {
+	d := postingDump{key: map[[2]int32][]int32{}, byPred: map[string][]string{}}
+	for h := int32(0); h < g.EntitySlots(); h++ {
+		d.subject = append(d.subject, append([]int32(nil), g.SubjectPosting(h)...))
+	}
+	g.ForEachKeyPosting(func(s, p int32, lst []int32) {
+		d.key[[2]int32{s, p}] = append([]int32(nil), lst...)
+	})
+	for h := 0; h < g.preds.len(); h++ {
+		p := g.PredicateAt(int32(h))
+		for _, tr := range g.TriplesByPredicate(p) {
+			d.byPred[p] = append(d.byPred[p], tr.ID)
+		}
+	}
+	return d
+}
+
+// TestInPlaceAppendsUnderConcurrentReads is the race-detector half: readers
+// keep walking SubjectPosting, KeyPosting and TriplesByPredicate of
+// generations captured along the way while the committer clones the newest
+// graph and appends behind it in place, a few hundred commits in a row. Every
+// reader must keep seeing exactly what its generation held when it was
+// captured, and `go test -race` must see no conflicting access: readers stop
+// at their own len, the committer writes past it.
+func TestInPlaceAppendsUnderConcurrentReads(t *testing.T) {
+	const (
+		commits = 240
+		readers = 6
+	)
+	cur := lineageGraph(t, 150, 4, 3)
+	var (
+		wg    sync.WaitGroup
+		stop  atomic.Bool
+		walks atomic.Int64
+	)
+	for c := 0; c < commits; c++ {
+		if c%(commits/readers) == 0 {
+			snap, want := cur, dumpPostings(cur)
+			wg.Add(1)
+			go func(gen int) {
+				defer wg.Done()
+				for !stop.Load() {
+					if got := dumpPostings(snap); !reflect.DeepEqual(got, want) {
+						t.Errorf("generation %d changed under its reader", gen)
+						return
+					}
+					walks.Add(1)
+				}
+			}(c)
+		}
+		next := cur.Clone()
+		for i := 0; i < 4; i++ {
+			addLiteral(t, next, (c*7+i*31)%150, fmt.Sprintf("p%d", i%3), fmt.Sprintf("c%d", c))
+		}
+		if next.lin != cur.lin {
+			t.Fatalf("commit %d left the lineage", c)
+		}
+		cur = next
+		// One CPU is common here: wait until some reader finished a walk since
+		// this commit, so walks and appends really interleave.
+		for seen := walks.Load(); walks.Load() == seen && !t.Failed(); {
+			runtime.Gosched()
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if got, want := cur.NumTriples(), 150*4+4*commits; got != want {
+		t.Fatalf("committer lost triples: %d, want %d", got, want)
+	}
 }

@@ -1,5 +1,7 @@
 package kg
 
+import "slices"
+
 // Copy-on-write paged columns: the storage primitive of the interned graph
 // core. A column is a dense array indexed by an int32 handle, split into
 // fixed-size pages. Clone copies only the page-pointer table (O(n/pageSize))
@@ -82,15 +84,33 @@ func (c *col[T]) forEach(fn func(i int32, v T)) {
 	}
 }
 
+// Posting pages are sized to a commit's delta, not to the scalar columns: a
+// commit touches a few dozen scattered entities, and privatizing a page
+// copies its slice headers, 24 bytes a row.
+const (
+	postingPageBits = 6 // 64 rows, 1.5 KB of headers per page
+	postingPageSize = 1 << postingPageBits
+	postingPageMask = postingPageSize - 1
+)
+
 // postingCol is a COW paged column of posting lists ([]int32 per row), used
 // for the bySubject/byObject/byPredicate adjacency indexes. It differs from
 // col[[]int32] in two ways: rows materialise lazily (an entity with no
-// triples costs nothing), and privatizing a page clips every list in it so a
-// later append reallocates instead of writing into a backing array another
-// clone still reads.
+// triples costs nothing), and the lists themselves are shared with their
+// spare capacity. Privatizing a page copies its headers only; a reader of an
+// older snapshot holds its own page of headers and never indexes past its
+// own len, so the graph that holds the lineage claim (Graph.AddTriple)
+// appends behind that len in place. A graph that lost the claim calls fork,
+// after which a page is clipped as it is privatized — every list in it to
+// cap == len, so an append reallocates instead of writing into a backing
+// array another lineage still appends to.
 type postingCol struct {
 	pages [][][]int32
 	owned []bool
+	// alien[p]: lists in page p may have spare capacity that belongs to
+	// another lineage. Set for every page by fork, cleared by the clipping
+	// privatize, inherited by clones; an owned page is never alien.
+	alien []bool
 	n     int
 }
 
@@ -100,28 +120,29 @@ func (pc *postingCol) get(i int32) []int32 {
 	if int(i) >= pc.n {
 		return nil
 	}
-	return pc.pages[i>>pageBits][i&pageMask]
+	return pc.pages[i>>postingPageBits][i&postingPageMask]
 }
 
 // appendTo appends v to the posting list at handle i, extending the column
 // as needed.
 func (pc *postingCol) appendTo(i, v int32) {
 	p := pc.ensure(i)
-	pc.pages[p][i&pageMask] = append(pc.pages[p][i&pageMask], v)
+	pc.pages[p][i&postingPageMask] = append(pc.pages[p][i&postingPageMask], v)
 }
 
 // set replaces the posting list at handle i. The caller passes a list it
 // owns (freshly built); used by triple removal.
 func (pc *postingCol) set(i int32, lst []int32) {
 	p := pc.ensure(i)
-	pc.pages[p][i&pageMask] = lst
+	pc.pages[p][i&postingPageMask] = lst
 }
 
 func (pc *postingCol) ensure(i int32) int {
-	p := int(i) >> pageBits
+	p := int(i) >> postingPageBits
 	for p >= len(pc.pages) {
-		pc.pages = append(pc.pages, make([][]int32, pageSize))
+		pc.pages = append(pc.pages, make([][]int32, postingPageSize))
 		pc.owned = append(pc.owned, true)
+		pc.alien = append(pc.alien, false)
 	}
 	if !pc.owned[p] {
 		pc.privatize(p)
@@ -133,12 +154,27 @@ func (pc *postingCol) ensure(i int32) int {
 }
 
 func (pc *postingCol) privatize(p int) {
-	np := make([][]int32, pageSize)
-	for j, s := range pc.pages[p] {
-		np[j] = s[:len(s):len(s)] // clip: appends must reallocate
+	np := make([][]int32, postingPageSize)
+	if pc.alien[p] {
+		for j, s := range pc.pages[p] {
+			np[j] = s[:len(s):len(s)] // clip: appends must reallocate
+		}
+		pc.alien[p] = false
+	} else {
+		copy(np, pc.pages[p])
 	}
 	pc.pages[p] = np
 	pc.owned[p] = true
+}
+
+// fork is the column's half of a lost lineage claim: no list reachable from
+// here may be appended to in place any more. Nothing is copied now — every
+// page is marked alien and disowned, so the next write to it goes through the
+// clipping privatize, whatever it owned before.
+func (pc *postingCol) fork() {
+	for p := range pc.owned {
+		pc.owned[p], pc.alien[p] = false, true
+	}
 }
 
 func (pc *postingCol) clone() postingCol {
@@ -147,5 +183,5 @@ func (pc *postingCol) clone() postingCol {
 	for i := range pc.owned {
 		pc.owned[i] = false
 	}
-	return postingCol{pages: pages, owned: make([]bool, len(pages)), n: pc.n}
+	return postingCol{pages: pages, owned: make([]bool, len(pages)), alien: slices.Clone(pc.alien), n: pc.n}
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"sort"
 
+	"multirag/internal/lineage"
 	"multirag/internal/textutil"
 )
 
@@ -74,6 +75,10 @@ type Graph struct {
 	byPred    postingCol     // predicate handle → triple handles
 	byKey     cowKeyPostings // packed (subject, predicate) handles → triple handles
 
+	// lin counts the triple slots claimed on the posting-list storage this
+	// graph shares with its clones (see claimSlot).
+	lin lineage.Token
+
 	liveTriples int
 	// degCount[d] counts entities of degree d (d ≥ 1) and maxDeg is the
 	// largest degree with a nonzero count; both are maintained in O(1) per
@@ -83,7 +88,7 @@ type Graph struct {
 }
 
 // New returns an empty graph.
-func New() *Graph { return &Graph{} }
+func New() *Graph { return &Graph{lin: lineage.New(0)} }
 
 // tripleIDString formats the ID of the n-th inserted triple ("t%06d" without
 // the fmt machinery — this runs once per triple on the hottest write path).
@@ -199,6 +204,7 @@ func (g *Graph) AddTriple(t Triple) (string, error) {
 			objH = h
 		}
 	}
+	g.claimSlot()
 	t.ID = tripleIDString(int32(g.trs.len() + 1))
 	tc := t
 	h := g.trs.append(&tc)
@@ -222,6 +228,23 @@ func (g *Graph) AddTriple(t Triple) (string, error) {
 		g.bumpDegree(g.degreeH(subjH)-1, g.degreeH(subjH))
 	}
 	return tc.ID, nil
+}
+
+// claimSlot applies the claim-or-fork rule (package lineage) to the next
+// triple slot, before AddTriple fills it. Clones share the bySubject, byObject
+// and byPred lists with their spare capacity. A successful claim lets this
+// graph append the slot's handle to them in place, behind the len every older
+// snapshot reads to. A fork makes every posting page clip its lists when it
+// is next privatized (postingCol.fork), which is what every commit paid
+// before the rule: one reallocation per list appended to. Removal needs no
+// claim — it replaces a list with a fresh copy and never writes in place.
+func (g *Graph) claimSlot() {
+	if g.lin.Claim(g.trs.len(), 1) {
+		return
+	}
+	g.bySubject.fork()
+	g.byObject.fork()
+	g.byPred.fork()
 }
 
 // bumpDegree moves one entity from degree old to degree new in the degree
@@ -294,16 +317,17 @@ func removeHandle(lst []int32, h int32) []int32 {
 }
 
 // Clone returns a copy-on-write snapshot of the graph: both sides share every
-// column page, posting list and interner base, and whichever side mutates
-// first copies only the pages and lists it touches. Cloning costs
-// O(corpus / pageSize) pointer copies plus the interner tails — effectively
-// O(delta accumulated since the previous clone) — instead of the deep
-// O(corpus) copy it replaces. Triple handles (and therefore IDs) stay unique
-// and monotone across clone generations — the property the incremental
-// line-graph maintenance relies on. The write path of the serving engine
-// clones the current graph before applying a batch, leaving published
-// snapshots immutable; mutating either side never changes any observable of
-// the other.
+// column page, posting list and interner base, and the lineage token.
+// Whichever side mutates first copies only the pages it touches; its posting
+// lists it extends in place if it wins the claim for the next triple slot and
+// reallocates otherwise (claimSlot). Cloning costs O(corpus / pageSize)
+// pointer copies plus the interner tails — effectively O(delta accumulated
+// since the previous clone) — instead of the deep O(corpus) copy it replaces.
+// Triple handles (and therefore IDs) stay unique and monotone across clone
+// generations — the property the incremental line-graph maintenance relies
+// on. The write path of the serving engine clones the current graph before
+// applying a batch, leaving published snapshots immutable; mutating either
+// side never changes any observable of the other.
 func (g *Graph) Clone() *Graph {
 	return &Graph{
 		ents:       g.ents.clone(),
@@ -318,6 +342,7 @@ func (g *Graph) Clone() *Graph {
 		byObject:   g.byObject.clone(),
 		byPred:     g.byPred.clone(),
 		byKey:      g.byKey.clone(),
+		lin:        g.lin,
 
 		liveTriples: g.liveTriples,
 		degCount:    append([]int(nil), g.degCount...),

@@ -318,7 +318,7 @@ func applyRandomOp(t *testing.T, rng *rand.Rand, g *Graph, r *refGraph, live *[]
 	t.Helper()
 	switch op := rng.Intn(10); {
 	case op < 2: // add entity (possibly a re-add with upgrade)
-		name := fmt.Sprintf("Entity %d", rng.Intn(12))
+		name := fmt.Sprintf("Entity %d", rng.Intn(oracleEntities))
 		typ, domain := "", ""
 		if rng.Intn(2) == 0 {
 			typ = fmt.Sprintf("T%d", rng.Intn(3))
@@ -340,10 +340,10 @@ func applyRandomOp(t *testing.T, rng *rand.Rand, g *Graph, r *refGraph, live *[]
 		}
 		*live = removeID(*live, victim)
 	default: // add triple
-		subj := CanonicalID(fmt.Sprintf("Entity %d", rng.Intn(12)))
+		subj := CanonicalID(fmt.Sprintf("Entity %d", rng.Intn(oracleEntities)))
 		obj := fmt.Sprintf("value %d", rng.Intn(8))
 		if rng.Intn(3) == 0 {
-			obj = fmt.Sprintf("Entity %d", rng.Intn(12)) // may link an entity
+			obj = fmt.Sprintf("Entity %d", rng.Intn(oracleEntities)) // may link an entity
 		}
 		tr := Triple{
 			Subject:   subj,
@@ -364,40 +364,53 @@ func applyRandomOp(t *testing.T, rng *rand.Rand, g *Graph, r *refGraph, live *[]
 	}
 }
 
+// oracleEntities is the entity universe of the op scripts: more than one
+// posting page (postingPageSize rows), so page privatization and the fork's
+// per-page clipping both run.
+const oracleEntities = 80
+
 // TestInternedCoreMatchesReference drives random op scripts — entity
 // upserts, triple adds with object linking, removals — through the interned
-// core and the seed reference in lockstep, comparing all observables, with
-// copy-on-write clones taken mid-script: after a clone the script continues
-// on the children while the parents must stay bit-identical to their own
-// reference snapshots (no aliasing through shared pages).
+// core and the seed reference in lockstep, comparing all observables, over a
+// tree of copy-on-write clones. Most ops land on the newest clone of the
+// newest node, the ingest commit pattern, which appends to shared posting
+// lists in place under the lineage claim; the rest land on an older node — a
+// parent written to after it was cloned, a second clone of one parent, a
+// clone taken from a node whose earlier clone has already appended behind it
+// (the discarded-commit pattern) — and must fork. After every clone every
+// node ever created must still match its own reference: nobody's writes show
+// through shared pages or shared list capacity.
 func TestInternedCoreMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			g, r := New(), newRefGraph()
-			var live []string
-			type gen struct {
-				g *Graph
-				r *refGraph
+			type node struct {
+				g    *Graph
+				r    *refGraph
+				live []string
 			}
-			var frozen []gen
-			for step := 0; step < 300; step++ {
-				applyRandomOp(t, rng, g, r, &live)
-				if step%60 == 59 {
-					requireSameObservables(t, fmt.Sprintf("step%d", step), g, r)
-					// Freeze this generation and continue on a COW clone, the
-					// ingest commit pattern.
-					frozen = append(frozen, gen{g, r.clone()})
-					g = g.Clone()
+			nodes := []*node{{g: New(), r: newRefGraph()}}
+			checkAll := func(label string) {
+				for i, nd := range nodes {
+					requireSameObservables(t, fmt.Sprintf("%s node %d", label, i), nd.g, nd.r)
 				}
 			}
-			requireSameObservables(t, "final", g, r)
-			// Every frozen ancestor must still match the reference snapshot
-			// taken when it was frozen, despite descendants mutating shared
-			// pages since.
-			for i, fr := range frozen {
-				requireSameObservables(t, fmt.Sprintf("frozen gen %d", i), fr.g, fr.r)
+			for step := 0; step < 600; step++ {
+				nd := nodes[len(nodes)-1]
+				if rng.Intn(8) == 0 {
+					nd = nodes[rng.Intn(len(nodes))]
+				}
+				applyRandomOp(t, rng, nd.g, nd.r, &nd.live)
+				if step%50 == 49 {
+					from := nodes[len(nodes)-1]
+					if rng.Intn(3) == 0 {
+						from = nodes[rng.Intn(len(nodes))]
+					}
+					nodes = append(nodes, &node{g: from.g.Clone(), r: from.r.clone(), live: append([]string(nil), from.live...)})
+					checkAll(fmt.Sprintf("step%d", step))
+				}
 			}
+			checkAll("final")
 		})
 	}
 }

@@ -3,6 +3,7 @@ package kg
 import (
 	"fmt"
 
+	"multirag/internal/lineage"
 	"multirag/internal/wal"
 )
 
@@ -122,5 +123,6 @@ func DecodeGraph(d *wal.Decoder) (*Graph, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
+	g.lin = lineage.New(g.trs.len()) // the slots were filled without claiming
 	return g, nil
 }

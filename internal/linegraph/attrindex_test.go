@@ -8,11 +8,15 @@ import (
 	"strings"
 	"testing"
 
+	"multirag/internal/adapter"
+	"multirag/internal/datasets"
+	"multirag/internal/extract"
 	"multirag/internal/kg"
+	"multirag/internal/llm"
 )
 
 // scanNested is the reference nested-candidate lookup: the full node scan the
-// per-snapshot index replaces. It mirrors the pre-index query-path condition
+// subject-posting lookup replaces. It mirrors the pre-index query-path condition
 // exactly (same subject, strictly-nested name).
 func scanNested(sg *SG, subjectID, relation string) []*HomologousNode {
 	var out []*HomologousNode
@@ -70,9 +74,9 @@ func keysOf(ns []*HomologousNode) []string {
 }
 
 // TestNestedCandidatesAcrossDeltaGenerations is the COW-friendliness check:
-// every BuildDelta generation rebuilds its own lazy index, so lookups must
-// track the delta (new nested attributes appear, none leak backwards into
-// the previous snapshot's index).
+// lookups must track the delta (new nested attributes appear, none leak
+// backwards into the previous generation's answers, even though this test's
+// generations share one mutable graph).
 func TestNestedCandidatesAcrossDeltaGenerations(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := kg.New()
@@ -98,7 +102,6 @@ func TestNestedCandidatesAcrossDeltaGenerations(t *testing.T) {
 	sg := Build(g)
 	for batch := 0; batch < 6; batch++ {
 		prev := sg
-		// Force-materialise the previous generation's index, then ingest.
 		prevStatus := map[string][]string{}
 		for _, s := range subjects {
 			prevStatus[s] = keysOf(prev.NestedCandidates(kg.CanonicalID(s), "status"))
@@ -115,9 +118,9 @@ func TestNestedCandidatesAcrossDeltaGenerations(t *testing.T) {
 						batch, subj, rel, keysOf(got), keysOf(want))
 				}
 			}
-			// The already-built previous index must not see the new batch.
+			// The previous generation must not see the new batch.
 			if got := keysOf(prev.NestedCandidates(subj, "status")); !reflect.DeepEqual(got, prevStatus[s]) {
-				t.Fatalf("batch %d: previous generation's index changed: %v vs %v", batch, got, prevStatus[s])
+				t.Fatalf("batch %d: previous generation's answer changed: %v vs %v", batch, got, prevStatus[s])
 			}
 		}
 	}
@@ -131,12 +134,80 @@ func TestNodeScansCountsForEachNode(t *testing.T) {
 	sg := Build(g)
 	sg.Lookup("ca981", "status")
 	sg.NestedCandidates("ca981", "status")
-	sg.SubjectAttrNames("heat")
 	if got := sg.NodeScans(); got != 0 {
 		t.Fatalf("index lookups charged %d node scans, want 0", got)
 	}
 	sg.ForEachNode(func(string, *HomologousNode) {})
 	if got := sg.NodeScans(); got != int64(sg.NumNodes()) {
 		t.Fatalf("full walk charged %d scans, want %d", got, sg.NumNodes())
+	}
+}
+
+// indexNested is the lookup NestedCandidates replaced, kept as an oracle: a
+// whole-corpus subject → sorted attribute names index (which every generation
+// rebuilt on its first nested lookup), binary-searched for the prefix.
+func indexNested(sg *SG) func(subjectID, relation string) []*HomologousNode {
+	idx := make(map[string][]string)
+	sg.nodes.forEach(func(_ string, n *HomologousNode) {
+		idx[n.SubjectID] = append(idx[n.SubjectID], n.Name)
+	})
+	for _, names := range idx {
+		sort.Strings(names)
+	}
+	return func(subjectID, relation string) []*HomologousNode {
+		names, prefix := idx[subjectID], relation+"_"
+		var out []*HomologousNode
+		for i := sort.SearchStrings(names, prefix); i < len(names) && strings.HasPrefix(names[i], prefix); i++ {
+			if n, ok := sg.Lookup(subjectID, names[i]); ok {
+				out = append(out, n)
+			}
+		}
+		return out
+	}
+}
+
+// TestNestedCandidatesMatchIndexOracle pins the subject-posting lookup
+// against the index it replaced over generated corpora: for every entity and
+// every relation a nested name could hang under (each "_"-delimited proper
+// prefix of each predicate, and each predicate itself), the same nodes in the
+// same name order, with no node scan.
+func TestNestedCandidatesMatchIndexOracle(t *testing.T) {
+	nested := 0
+	for _, spec := range datasets.AllPresets(3) {
+		spec.Entities = 40
+		fused, err := adapter.NewRegistry().Fuse(datasets.MustGenerate(spec).Files)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := kg.New()
+		if _, err := extract.New(llm.NewSim(llm.Config{Seed: 1})).Build(g, fused); err != nil {
+			t.Fatal(err)
+		}
+		sg := Build(g)
+		oracle := indexNested(sg)
+		relations := map[string]bool{}
+		g.ForEachTriple(func(_ int32, tr *kg.Triple) {
+			relations[tr.Predicate] = true
+			for i, c := range tr.Predicate {
+				if c == '_' {
+					relations[tr.Predicate[:i]] = true
+				}
+			}
+		})
+		for _, subj := range g.EntityIDs() {
+			for rel := range relations {
+				got, want := sg.NestedCandidates(subj, rel), oracle(subj, rel)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: NestedCandidates(%q,%q) = %v, index oracle = %v", spec.Name, subj, rel, keysOf(got), keysOf(want))
+				}
+				nested += len(got)
+			}
+		}
+		if sg.NodeScans() != 0 {
+			t.Fatalf("%s: nested lookups charged %d node scans", spec.Name, sg.NodeScans())
+		}
+	}
+	if nested == 0 {
+		t.Fatal("no corpus has a nested attribute (flights has departure_time), the comparison was vacuous")
 	}
 }

@@ -1,6 +1,7 @@
 package linegraph
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -69,17 +70,6 @@ type SG struct {
 	// concurrent readers of a published snapshot.
 	isoOnce  sync.Once
 	isolated []string
-
-	// attrNames is the per-snapshot evidence index: subject entity ID →
-	// sorted attribute names of its homologous nodes. It serves the
-	// nested-attribute candidate lookup of the query path (status →
-	// status_state), which otherwise needs a full node scan per sub-question.
-	// Like isolated it is materialised lazily and amortised per snapshot
-	// generation: BuildDelta starts every generation with a fresh (empty)
-	// index, so the one-off O(n) fill is paid by the first query against that
-	// generation and shared by all later ones.
-	attrOnce  sync.Once
-	attrNames map[string][]string
 
 	// nodeScans counts homologous nodes visited through ForEachNode — the
 	// instrumentation hook behind the "no full scan on the query hot path"
@@ -208,40 +198,29 @@ func (sg *SG) ForEachNode(fn func(key string, n *HomologousNode)) {
 // this SG's lifetime. Tests use it to assert the query path stays scan-free.
 func (sg *SG) NodeScans() int64 { return sg.nodeScans.Load() }
 
-// SubjectAttrNames returns the sorted attribute names of every homologous
-// node whose subject is subjectID (nil when the subject has none). The
-// backing index is built on first call and cached for the lifetime of this
-// SG; the fill is synchronised, so concurrent readers of a published
-// snapshot are safe. The returned slice is shared — callers must not mutate
-// it.
-func (sg *SG) SubjectAttrNames(subjectID string) []string {
-	sg.attrOnce.Do(func() {
-		idx := make(map[string][]string)
-		sg.nodes.forEach(func(_ string, n *HomologousNode) {
-			idx[n.SubjectID] = append(idx[n.SubjectID], n.Name)
-		})
-		for _, names := range idx {
-			sort.Strings(names)
-		}
-		sg.attrNames = idx
-	})
-	return sg.attrNames[subjectID]
-}
-
 // NestedCandidates returns the homologous nodes holding subjectID's nested
 // attributes under relation — names of the form relation+"_..." (status →
-// status_state) — in name order. The lookup is a binary search over the
-// subject's sorted attribute names plus one key probe per match: O(log n +
-// matches) against the per-snapshot index, never a node scan.
+// status_state) — in name order. The names come from the subject's own
+// triples (a posting of about a dozen handles), so the lookup costs the same
+// on the first query after a publish as on any other and never scans nodes.
 func (sg *SG) NestedCandidates(subjectID, relation string) []*HomologousNode {
-	names := sg.SubjectAttrNames(subjectID)
-	if len(names) == 0 {
+	g := sg.graph
+	subjH, ok := g.EntityHandle(subjectID)
+	if !ok {
 		return nil
 	}
 	prefix := relation + "_"
+	var names []string
+	for _, h := range g.SubjectPosting(subjH) {
+		_, predH := g.TripleKeyHandles(h)
+		if p := g.PredicateAt(predH); strings.HasPrefix(p, prefix) && !slices.Contains(names, p) {
+			names = append(names, p)
+		}
+	}
+	sort.Strings(names)
 	var out []*HomologousNode
-	for i := sort.SearchStrings(names, prefix); i < len(names) && strings.HasPrefix(names[i], prefix); i++ {
-		if n, ok := sg.Lookup(subjectID, names[i]); ok {
+	for _, name := range names {
+		if n, ok := sg.Lookup(subjectID, name); ok {
 			out = append(out, n)
 		}
 	}

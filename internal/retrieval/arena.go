@@ -5,56 +5,61 @@ import (
 	"slices"
 )
 
-// arena is the flat vector store backing Index: every embedding lives back to
-// back in one contiguous []float32 with stride = dim, so a scan walks memory
-// linearly instead of chasing one pointer per chunk (the seed slice-of-slices
-// layout). The width is fixed at construction; appends of any other width are
-// rejected up front (see appendVec), which is what lets every reader index
-// the arena by ordinal arithmetic alone.
+// blockRows is the number of vectors per arena block.
+const blockRows = 256
+
+// arena is the row-major vector store backing Index: embeddings live back to
+// back, stride = dim, in fixed-size blocks of blockRows rows behind one block
+// table. A block is allocated whole and never moves, so an append copies no
+// earlier row whatever the corpus size, and loading n rows allocates
+// ⌈n/blockRows⌉ blocks and nothing else. The width is fixed at construction;
+// appends of any other width are rejected up front (see appendVec), which is
+// what lets every reader address a row by ordinal arithmetic alone.
 //
 // The arena itself knows nothing about snapshots. A clone of an Index copies
-// this header — same backing array, same spare capacity — and the Index's
-// lineage token (Index.claim) decides who may append into that spare room in
-// place and who must clip first; see Index.CloneForAppend.
+// this header — same table, same blocks, the same free rows in the last
+// block — and the Index's lineage token (Index.claim) decides who may write
+// those rows in place and who must fork first. Table entries and block
+// contents below n are never rewritten, so readers of older snapshots, who
+// stop at their own n, never see an append.
 type arena struct {
-	dim  int
-	data []float32
+	dim    int
+	n      int
+	blocks [][]float32 // each blockRows*dim long; rows past n are free
 }
 
 // len returns the number of stored vectors.
-func (a *arena) len() int { return len(a.data) / a.dim }
+func (a *arena) len() int { return a.n }
 
-// at returns the i-th stored vector as a view into the arena. Callers must
+// at returns the i-th stored vector as a view into its block. Callers must
 // treat it as read-only: the backing memory is shared across snapshots.
-func (a *arena) at(i int) Vector { return a.data[i*a.dim : (i+1)*a.dim] }
+func (a *arena) at(i int) Vector {
+	off := i % blockRows * a.dim
+	return a.blocks[i/blockRows][off : off+a.dim : off+a.dim]
+}
 
-// appendVec copies v into the arena. The width is fixed at first use of the
-// index, so a mismatched vector is a programmer error: it is rejected before
-// any mutation rather than silently mis-striding every later read.
+// appendVec copies v into the next free row, starting a block when the last
+// one is full. The width is fixed at first use of the index, so a mismatched
+// vector is a programmer error: it is rejected before any mutation rather
+// than silently mis-striding every later read.
 func (a *arena) appendVec(v Vector) {
 	if len(v) != a.dim {
 		panic(fmt.Sprintf("retrieval: vector dim %d does not match index dim %d", len(v), a.dim))
 	}
-	a.data = append(a.data, v...)
-}
-
-// grow reserves room for n more vectors, so a batch append reallocates the
-// backing array at most once (the Store.AddEmbeddedBatch contract). The
-// reservation takes geometric headroom: repeated batch appends along one
-// lineage — every commit, every replica apply, every replayed WAL record —
-// must amortise to O(total), not recopy the whole arena per batch. The spare
-// room stays visible to clones on purpose: the next commit's clone appends
-// into it in place.
-func (a *arena) grow(n int) {
-	need := len(a.data) + n*a.dim
-	if need <= cap(a.data) {
-		return
+	if a.n == len(a.blocks)*blockRows {
+		a.blocks = append(a.blocks, make([]float32, blockRows*a.dim))
 	}
-	grown := make([]float32, len(a.data), max(need, len(a.data)+len(a.data)/2))
-	copy(grown, a.data)
-	a.data = grown
+	a.n++
+	copy(a.at(a.n-1), v)
 }
 
-// clip drops the spare capacity, so the next append reallocates into private
-// memory — the fork step of Index.claim.
-func (a *arena) clip() { a.data = slices.Clip(a.data) }
+// fork makes the free rows private — the fork step of Index.claim: the block
+// table is copied and the partly filled last block, if any, replaced by a
+// copy. Full blocks stay shared.
+func (a *arena) fork() {
+	a.blocks = slices.Clone(a.blocks)
+	if a.n < len(a.blocks)*blockRows {
+		last := len(a.blocks) - 1
+		a.blocks[last] = slices.Clone(a.blocks[last])
+	}
+}

@@ -50,53 +50,65 @@ func assertRows(t *testing.T, name string, ix *Index, cs [][]Chunk, vs [][]Vecto
 
 // TestIndexCloneForAppendIsolation is the copy-on-write contract at the Index
 // level, and the lineage-token contract behind it: the first clone to append
-// continues in place behind the parent's len (same backing array, same
-// token), every other appender — a second clone of the same parent, the
-// parent itself — forks to private memory, and nobody's appends ever change
-// what anybody else serves, including across the reallocation boundary.
+// continues in place behind the parent's len (same blocks, same token), every
+// other appender — a second clone of the same parent, the parent itself —
+// forks, keeping the full blocks and copying only the block table and the
+// partly filled block, and nobody's appends ever change what anybody else
+// serves, including across a block boundary.
 func TestIndexCloneForAppendIsolation(t *testing.T) {
 	const dim = 8
 	parent := NewIndex(dim)
-	baseC, baseV := markedRows("base", 10, dim, 1)
+	baseC, baseV := markedRows("base", 2*blockRows+10, dim, 1)
 	parent.AddEmbeddedBatch(baseC[:8], baseV[:8])
-	parent.AddEmbeddedBatch(baseC[8:], baseV[8:]) // second batch leaves geometric headroom
-	if cap(parent.arena.data) == len(parent.arena.data) {
-		t.Fatal("test needs spare arena capacity behind the parent")
+	parent.AddEmbeddedBatch(baseC[8:], baseV[8:]) // two full blocks and ten rows of a third
+	sharedBlocks := func(ix *Index) int {
+		n := 0
+		for b := range parent.arena.blocks {
+			if &ix.arena.blocks[b][0] == &parent.arena.blocks[b][0] {
+				n++
+			}
+		}
+		return n
 	}
 
 	first := parent.clone()
 	firstC, firstV := markedRows("first", 1, dim, -1)
 	first.AddEmbeddedBatch(firstC, firstV)
-	if &first.arena.data[0] != &parent.arena.data[0] || first.tail != parent.tail {
+	if sharedBlocks(first) != 3 || first.lin != parent.lin {
 		t.Fatal("first clone of the newest snapshot must append in place on the shared lineage")
 	}
 
-	// A second clone of the same parent finds the tail claimed and forks.
+	// A second clone of the same parent finds the tail claimed and forks: a
+	// private table and a private copy of the partly filled block, nothing
+	// more.
 	second := parent.clone()
 	secondC, secondV := markedRows("second", 1, dim, -2)
 	second.AddEmbeddedBatch(secondC, secondV)
-	if &second.arena.data[0] == &parent.arena.data[0] || second.tail == parent.tail {
-		t.Fatal("second clone of one parent must fork to private memory and a fresh token")
+	if second.lin == parent.lin || &second.arena.blocks[0] == &parent.arena.blocks[0] {
+		t.Fatal("second clone of one parent must fork to a private block table and a fresh token")
+	}
+	if sharedBlocks(second) != 2 || len(second.arena.blocks) != 3 {
+		t.Fatalf("fork shares %d of the parent's blocks, want the 2 full ones and one private copy", sharedBlocks(second))
 	}
 
 	// The parent appending after it was cloned forks too.
 	old := *parent
 	lateC, lateV := markedRows("late", 1, dim, -3)
 	parent.AddEmbedded(lateC[0], lateV[0])
-	if parent.tail == old.tail {
+	if parent.lin == old.lin {
 		t.Fatal("parent appending behind a claimed tail must fork")
 	}
 
-	// Push the first lineage across the reallocation boundary, one row at a
-	// time and then in one batch.
-	moreC, moreV := markedRows("more", 100, dim, -4)
+	// Push the first lineage across a block boundary, one row at a time and
+	// then in one batch.
+	moreC, moreV := markedRows("more", 2*blockRows, dim, -4)
 	for i := range moreC[:50] {
 		first.AddEmbedded(moreC[i], moreV[i])
 	}
 	grandchild := first.clone()
 	grandchild.AddEmbeddedBatch(moreC[50:], moreV[50:])
-	if grandchild.tail != first.tail {
-		t.Fatal("linear history must stay on one lineage across reallocation")
+	if grandchild.lin != first.lin || &grandchild.arena.blocks[2][0] != &old.arena.blocks[2][0] {
+		t.Fatal("linear history must stay on one lineage, in the same blocks, across block boundaries")
 	}
 
 	assertRows(t, "parent as cloned", &old, [][]Chunk{baseC}, [][]Vector{baseV})
@@ -188,8 +200,8 @@ func (o *oracleNode) check(t *testing.T, label string, opts Options, queries []V
 // TestCloneTreeMatchesDeepCopyOracle grows seeded random trees of
 // CloneForAppend / AddEmbedded / AddEmbeddedBatch — linear chains, several
 // clones of one parent all appending, parents appended to after being cloned,
-// leaves abandoned after they claimed the tail, batches that cross the
-// reallocation boundary — and after every step checks every node ever
+// leaves abandoned after they claimed the tail, batches that cross a block
+// boundary — and after every step checks every node ever
 // created against a deep-copy oracle. Shared-tail appends are only correct if
 // no node's rows can change once written; this is the test that would see it.
 func TestCloneTreeMatchesDeepCopyOracle(t *testing.T) {
@@ -236,7 +248,7 @@ func TestCloneTreeMatchesDeepCopyOracle(t *testing.T) {
 				}
 				n := 1 + rng.Intn(12)
 				if rng.Intn(6) == 0 {
-					n = 150 + rng.Intn(100) // past any geometric headroom
+					n = 150 + rng.Intn(100) // most of a block: crosses a boundary more often than not
 				}
 				cs, vs := rows(n)
 				switch op := rng.Intn(5); {

@@ -10,8 +10,9 @@ import (
 // store: clone the newest snapshot, append a 4-row batch, make the clone the
 // newest — at the corpus size of the end-to-end benchmark (34,549 chunks ×
 // 256 dims, a 35 MB arena). History is linear, so every iteration takes the
-// in-place path; B/op is the number to watch (it was the arena's size before
-// the shared tail). Run with -benchmem, or via `make bench-micro`.
+// in-place path; B/op is the number to watch: the posting-list headers each
+// cloned Index copies, plus one 256 KB block per 256 rows a shard receives.
+// Run with -benchmem, or via `make bench-micro`.
 func BenchmarkCommitAppend(b *testing.B) {
 	const (
 		rows = 34549
@@ -44,9 +45,8 @@ func BenchmarkCommitAppend(b *testing.B) {
 				next.AddEmbeddedBatch(pool[i%len(pool)].cs, pool[i%len(pool)].vs)
 				cur = next
 			}
-			// The bulk load sized every array exactly; a few commits take the
-			// first geometric growth step so -benchtime=1x measures a steady
-			// commit too.
+			// A few commits first, so -benchtime=1x measures a steady commit
+			// and not the bulk-loaded chunk slice's first growth step.
 			for i := 0; i < 16; i++ {
 				commit(i)
 			}

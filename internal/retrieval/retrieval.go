@@ -17,6 +17,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"multirag/internal/lineage"
 	"multirag/internal/textutil"
 )
 
@@ -173,19 +174,19 @@ type Hit struct {
 
 // Index is the flat exact cosine top-k index over chunks. It is both the
 // single-shard Store and the building block of the Sharded and ANN indexes.
-// Vectors live twice: row-major in a flat arena (one contiguous []float32,
-// stride = dim — what enumeration, the checkpoint and the ANN re-rank read),
-// and column-major as weighted posting lists, which is what a search scores
-// from. The embedding width is fixed at construction — dim-mismatched
-// appends are rejected up front.
+// Vectors live twice: row-major in a blocked arena (stride = dim — what
+// enumeration, the checkpoint and the ANN re-rank read), and column-major as
+// weighted posting lists, which is what a search scores from. The embedding
+// width is fixed at construction — dim-mismatched appends are rejected up
+// front.
 type Index struct {
 	dim    int
 	chunks []Chunk
 	arena  arena
 	post   postings
-	// tail is the lineage token: the number of rows claimed on the backing
-	// arrays this index shares with its clones (see claim).
-	tail *atomic.Int64
+	// lin counts the rows claimed on the backing storage this index shares
+	// with its clones (see claim).
+	lin lineage.Token
 }
 
 // NewIndex returns an empty flat index with the given embedding width
@@ -194,33 +195,22 @@ func NewIndex(dim int) *Index {
 	if dim <= 0 {
 		dim = DefaultDim
 	}
-	return &Index{dim: dim, arena: arena{dim: dim}, post: newPostings(dim), tail: new(atomic.Int64)}
+	return &Index{dim: dim, arena: arena{dim: dim}, post: newPostings(dim), lin: lineage.New(0)}
 }
 
-// claim reserves rows [len, len+n) for this index before it appends them.
-// Clones share chunks, the vector arena and the posting lists together with
-// their spare capacity, and history is linear — one committer per engine,
-// every snapshot cloned from the newest — so the common clone is the only one
-// that will ever append behind its parent's len. The shared tail counter
-// makes that safe rather than assumed: whoever moves it from len to len+n
-// owns those rows in all three backing structures and appends in place
-// (readers of older snapshots never index past their own len, so the
-// addresses are disjoint). Anyone who finds the tail already past its len —
-// a second clone of one parent after a rolled-back or discarded commit, or a
-// parent appended to after it was cloned — forks instead: it clips every
-// slice to cap == len, so its appends reallocate into private memory, and
-// starts a fresh lineage. Forking costs what every commit used to cost; the
-// in-place path costs O(n).
+// claim applies the claim-or-fork rule (package lineage) to rows [len, len+n)
+// before the index appends them. Clones share chunks, the arena's block table
+// and blocks, and the posting lists, spare capacity included. A successful
+// claim appends in place in all three, in O(n). A fork clips the chunk slice
+// and every posting list to cap == len, so their appends reallocate, and
+// copies the arena's block table and partly filled last block.
 func (ix *Index) claim(n int) {
-	have := int64(len(ix.chunks))
-	if ix.tail.CompareAndSwap(have, have+int64(n)) {
+	if ix.lin.Claim(len(ix.chunks), n) {
 		return
 	}
 	ix.chunks = slices.Clip(ix.chunks)
-	ix.arena.clip()
+	ix.arena.fork()
 	ix.post.clip()
-	ix.tail = new(atomic.Int64)
-	ix.tail.Store(have + int64(n))
 }
 
 // Add inserts a chunk, embedding it inline.
@@ -244,11 +234,11 @@ func (ix *Index) AddEmbedded(c Chunk, v Vector) {
 	ix.arena.appendVec(v)
 }
 
-// AddEmbeddedBatch appends a parallel run of chunks and embeddings in one
-// grow of each backing array — the multi-batch append path the group
-// committer uses under its critical section. The batch is validated up front
-// (vs parallel to cs, every vector at the index width), so a malformed batch
-// panics with the store untouched instead of mis-indexing or dying mid-grow.
+// AddEmbeddedBatch appends a parallel run of chunks and embeddings under one
+// claim — the multi-batch append path the group committer uses under its
+// critical section. The batch is validated up front (vs parallel to cs,
+// every vector at the index width), so a malformed batch panics with the
+// store untouched instead of mis-indexing or dying mid-append.
 func (ix *Index) AddEmbeddedBatch(cs []Chunk, vs []Vector) {
 	if len(cs) != len(vs) {
 		panic(fmt.Sprintf("retrieval: AddEmbeddedBatch got %d chunks but %d vectors", len(cs), len(vs)))
@@ -267,18 +257,9 @@ func (ix *Index) AddEmbeddedBatch(cs []Chunk, vs []Vector) {
 		ix.post.add(len(ix.chunks)+i, vs[i])
 	}
 	ix.chunks = append(ix.chunks, cs...)
-	ix.arena.grow(len(vs))
 	for i := range vs {
 		ix.arena.appendVec(vs[i])
 	}
-}
-
-// reserve makes room for n more rows, so that loading a corpus of known size
-// allocates the chunk slice and the arena once. The posting lists are left to
-// grow by appending: their lengths depend on the vectors.
-func (ix *Index) reserve(n int) {
-	ix.chunks = slices.Grow(ix.chunks, n)
-	ix.arena.grow(n)
 }
 
 // CloneForAppend returns an index that shares the receiver's backing arrays,

@@ -43,22 +43,17 @@ type Store interface {
 	AddEmbedded(c Chunk, v Vector)
 	// AddEmbeddedBatch inserts many pre-embedded chunks at once (vs must be
 	// parallel to cs). The group committer appends a whole commit group's
-	// chunks through this path, growing the backing arrays once per batch
-	// instead of once per chunk.
+	// chunks through this path, under one claim per store touched instead of
+	// one per chunk.
 	AddEmbeddedBatch(cs []Chunk, vs []Vector)
 	// CloneForAppend returns a store that shares the receiver's backing
-	// arrays and their spare capacity; appends to the clone never change
-	// what the receiver (a published, read-only snapshot) serves. The
-	// lineage-token contract: of all stores sharing one backing lineage,
-	// only the one whose Len equals the rows claimed so far may append in
-	// place, and appending claims the new rows atomically. With a linear
-	// history — clone the newest snapshot, append, publish — that is every
-	// commit, and it costs O(rows appended). Any other appender (a second
-	// clone of one parent after the first was discarded, or the parent
-	// itself) forks first: it copies what it appends to and starts a new
-	// lineage, at O(corpus) once. A store, like any snapshot under
-	// construction, has one writer at a time; the token orders successive
-	// writers, it does not make concurrent appends to one store safe.
+	// storage and its spare capacity; appends to the clone never change what
+	// the receiver (a published, read-only snapshot) serves. Who may append
+	// in place is the claim-or-fork rule of package lineage: with a linear
+	// history — clone the newest snapshot, append, publish — every commit
+	// does, at O(rows appended); any other appender forks first, copying the
+	// block table, one partly filled block and each posting list it then
+	// touches, per flat index.
 	CloneForAppend() Store
 	// ForEachEmbedded visits every chunk with its stored embedding, in a
 	// deterministic order that re-inserting through AddEmbedded reproduces

@@ -49,13 +49,6 @@ func DecodeIntoStore(d *wal.Decoder, s Store) error {
 	if s.Len() != 0 {
 		return fmt.Errorf("retrieval: decode: target store already holds %d chunks", s.Len())
 	}
-	// The row count is known before the first row: size the row storage once
-	// instead of regrowing every arena geometrically batch after batch. The
-	// count is input, so it is capped by what the remaining bytes could hold
-	// (a row encodes to more than its 4*dim vector bytes).
-	if r, ok := s.(interface{ reserve(rows int) }); ok && n > 0 {
-		r.reserve(min(n, d.Remaining()/(4*dim)))
-	}
 	cs := make([]Chunk, 0, min(n, decodeBatch))
 	vs := make([]Vector, 0, min(n, decodeBatch))
 	for i := 0; i < n && d.Err() == nil; i++ {

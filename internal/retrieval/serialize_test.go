@@ -101,17 +101,17 @@ func TestDecodeIntoStoreValidates(t *testing.T) {
 	}
 }
 
-// arenaWatch counts how often each arena of a store moves to a new backing
-// array while the store is being filled.
-type arenaWatch struct {
+// blockWatch wraps a store being filled and remembers the address of every
+// arena block it has seen, so a block that moved — was copied — shows.
+type blockWatch struct {
 	Store
 	arenas []*arena
-	bases  []*float32
-	moves  []int
+	bases  [][]*float32 // bases[a][b]: first address seen for block b of arena a
+	moved  int
 }
 
-func watchArenas(s Store) *arenaWatch {
-	w := &arenaWatch{Store: s}
+func watchBlocks(s Store) *blockWatch {
+	w := &blockWatch{Store: s}
 	switch st := s.(type) {
 	case *Index:
 		w.arenas = []*arena{&st.arena}
@@ -122,37 +122,28 @@ func watchArenas(s Store) *arenaWatch {
 			w.arenas = append(w.arenas, &sh.arena)
 		}
 	}
-	w.bases, w.moves = make([]*float32, len(w.arenas)), make([]int, len(w.arenas))
+	w.bases = make([][]*float32, len(w.arenas))
 	return w
 }
 
-func (w *arenaWatch) note() {
+func (w *blockWatch) AddEmbeddedBatch(cs []Chunk, vs []Vector) {
+	w.Store.AddEmbeddedBatch(cs, vs)
 	for i, a := range w.arenas {
-		if cap(a.data) == 0 {
-			continue
-		}
-		if base := &a.data[:1][0]; base != w.bases[i] {
-			w.bases[i] = base
-			w.moves[i]++
+		for b, blk := range a.blocks {
+			if b == len(w.bases[i]) {
+				w.bases[i] = append(w.bases[i], &blk[0])
+			} else if w.bases[i][b] != &blk[0] {
+				w.moved++
+			}
 		}
 	}
 }
 
-func (w *arenaWatch) reserve(n int) {
-	w.Store.(interface{ reserve(int) }).reserve(n)
-	w.note()
-}
-
-func (w *arenaWatch) AddEmbeddedBatch(cs []Chunk, vs []Vector) {
-	w.Store.AddEmbeddedBatch(cs, vs)
-	w.note()
-}
-
-// TestDecodeReservesArenasOnce: DecodeIntoStore knows the row count before
-// the first row, so a decode allocates the flat arena exactly once at exactly
-// its final size, and each shard's arena once more at most (a shard that
-// outgrew its expected share).
-func TestDecodeReservesArenasOnce(t *testing.T) {
+// TestDecodeAllocatesBlocksOnce: a decode of n rows leaves every arena with
+// exactly ⌈rows/blockRows⌉ blocks, none of which moved while the store was
+// filled — loading a corpus copies no stored row, with nothing reserved up
+// front.
+func TestDecodeAllocatesBlocksOnce(t *testing.T) {
 	const n = 5*decodeBatch + 300
 	for name, opts := range map[string]Options{
 		"flat":     {Dim: 16},
@@ -161,28 +152,24 @@ func TestDecodeReservesArenasOnce(t *testing.T) {
 	} {
 		src := New(opts)
 		fillStore(src, n)
-		w := watchArenas(New(opts))
+		w := watchBlocks(New(opts))
 		if err := DecodeIntoStore(wal.NewDecoder(encodeStore(src)), w); err != nil {
 			t.Fatal(err)
 		}
 		if w.Len() != n {
 			t.Fatalf("%s: decoded %d of %d rows", name, w.Len(), n)
 		}
-		for i, moves := range w.moves {
-			limit := 2
-			if len(w.arenas) == 1 {
-				limit = 1
-				if got := cap(w.arenas[0].data); got != n*16 {
-					t.Fatalf("%s: arena holds %d floats for %d rows of 16", name, got, n)
-				}
-			}
-			if moves < 1 || moves > limit {
-				t.Fatalf("%s: arena %d was allocated %d times during one decode, want at most %d", name, i, moves, limit)
+		if w.moved != 0 {
+			t.Fatalf("%s: %d arena blocks were copied during one decode", name, w.moved)
+		}
+		for i, a := range w.arenas {
+			if want := (a.len() + blockRows - 1) / blockRows; len(a.blocks) != want {
+				t.Fatalf("%s: arena %d holds %d rows in %d blocks, want %d", name, i, a.len(), len(a.blocks), want)
 			}
 		}
 	}
-	// A row count the remaining bytes cannot hold reserves nothing it cannot
-	// use: the decode fails on the truncated stream, not in make.
+	// A row count with no rows behind it allocates nothing: the decode fails
+	// on the truncated stream.
 	var e wal.Encoder
 	e.Int(16)
 	e.Int(1 << 40)

@@ -59,9 +59,8 @@ func (s *Sharded) AddEmbedded(c Chunk, v Vector) {
 }
 
 // AddEmbeddedBatch routes a parallel run of pre-embedded chunks to their home
-// shards: one routing hash per chunk, then one batched append per shard that
-// received anything, so every shard's backing arrays grow at most once per
-// batch (the contract the Store interface states). The batch is validated
+// shards: one routing hash per chunk, then one batched append — one claim —
+// per shard that received anything. The batch is validated
 // before any shard is touched, so a malformed batch can never leave some
 // shards mutated and others not.
 func (s *Sharded) AddEmbeddedBatch(cs []Chunk, vs []Vector) {
@@ -94,18 +93,6 @@ func (s *Sharded) AddEmbeddedBatch(cs []Chunk, vs []Vector) {
 			vv[j] = vs[o]
 		}
 		s.shards[sh].AddEmbeddedBatch(cc, vv)
-	}
-}
-
-// reserve makes room for n more rows spread over the shards: each shard gets
-// its expected share plus 1/16 and 64 rows — at least four standard
-// deviations (about sqrt(share)) of the routing hash's spread at any corpus
-// size. A shard that still outgrows its reservation grows like any other
-// append.
-func (s *Sharded) reserve(n int) {
-	share := n / len(s.shards)
-	for _, sh := range s.shards {
-		sh.reserve(share + share/16 + 64)
 	}
 }
 

@@ -75,8 +75,22 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 // Len returns the encoded size so far, spilled bytes included.
 func (e *Encoder) Len() int { return e.flushed + len(e.buf) }
 
-// Reset discards the encoded payload, keeping the buffer for reuse.
-func (e *Encoder) Reset() { e.buf, e.flushed = e.buf[:0], 0 }
+// scratchKeep is the most a reused scratch buffer — an Encoder across Reset,
+// the Log's frame across Append — holds on to between records. A steady
+// commit's record is tens of kilobytes; the one record of a bulk load is the
+// size of the corpus, and a buffer that kept growing to fit it would stay
+// live, and count double in the collector's heap goal, for the life of the
+// process.
+const scratchKeep = 1 << 20
+
+// Reset discards the encoded payload, keeping the buffer for reuse unless it
+// has outgrown scratchKeep.
+func (e *Encoder) Reset() {
+	if cap(e.buf) > scratchKeep {
+		e.buf = nil
+	}
+	e.buf, e.flushed = e.buf[:0], 0
+}
 
 // Grow reserves room for n more bytes, so a payload whose size is known (or
 // well estimated) up front is built in one allocation instead of a doubling

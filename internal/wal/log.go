@@ -144,7 +144,7 @@ type Log struct {
 	active string // active segment name
 	next   uint64 // next LSN to assign
 	size   int    // bytes in the active segment
-	frame  []byte // reusable frame buffer
+	frame  []byte // reusable frame buffer, up to scratchKeep
 	err    error  // latched append failure; the log refuses further work
 }
 
@@ -203,7 +203,12 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 		return 0, l.err
 	}
 	l.frame = appendFrame(l.frame[:0], payload)
-	if _, err := l.f.Write(l.frame); err != nil {
+	n := len(l.frame)
+	_, err := l.f.Write(l.frame)
+	if cap(l.frame) > scratchKeep {
+		l.frame = nil
+	}
+	if err != nil {
 		l.err = fmt.Errorf("wal: append: %w", err)
 		return 0, l.err
 	}
@@ -213,7 +218,7 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	}
 	lsn := l.next
 	l.next++
-	l.size += len(l.frame)
+	l.size += n
 	return lsn, nil
 }
 

@@ -533,3 +533,46 @@ func TestMemFSInjectedSyncFailure(t *testing.T) {
 		t.Fatalf("synced data lost: %q", b)
 	}
 }
+
+// TestScratchBuffersLetGoOfALargeRecord: the Encoder a committer reuses and
+// the Log's frame buffer both serve one 10 MB record — a bulk load's — and
+// are back under scratchKeep afterwards instead of pinning it for good; small
+// records keep reusing one buffer; the big record itself reads back intact.
+func TestScratchBuffersLetGoOfALargeRecord(t *testing.T) {
+	m := NewMemFS()
+	dir := "wal"
+	l, err := OpenLog(m, dir, &ScanResult{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var enc Encoder
+	appendRecord := func(n int) {
+		t.Helper()
+		enc.Reset()
+		enc.String(string(bytes.Repeat([]byte{'x'}, n)))
+		if _, err := l.Append(enc.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendRecord(200)
+	small := &enc.Bytes()[0]
+	appendRecord(100)
+	if &enc.Bytes()[0] != small || cap(l.frame) == 0 {
+		t.Fatal("small records must keep reusing the scratch buffers")
+	}
+	appendRecord(10 << 20)
+	if cap(enc.Bytes()) < 10<<20 {
+		t.Fatal("encoder lost its payload before Reset")
+	}
+	enc.Reset()
+	if cap(enc.Bytes()) > scratchKeep || cap(l.frame) > scratchKeep {
+		t.Fatalf("after a 10 MB record the encoder keeps %d B and the log %d B, want at most %d",
+			cap(enc.Bytes()), cap(l.frame), scratchKeep)
+	}
+	appendRecord(300)
+	l.Close()
+	sr := scanAll(t, m, dir, 0)
+	if sr.Truncated || len(sr.Records) != 4 || len(sr.Records[2]) < 10<<20 || len(sr.Records[3]) > 400 {
+		t.Fatalf("scan after the large record: truncated=%v records=%d", sr.Truncated, len(sr.Records))
+	}
+}
