@@ -2,7 +2,7 @@ GO ?= go
 BENCH_SCALE ?= 0.12
 BENCHTIME ?= 1s
 
-.PHONY: check vet build test race chaos chaos-cluster fuzz-smoke layers bench bench-micro bench-retrieval bench-ann bench-graph bench-query bench-ingest bench-serve bench-wal bench-cluster clean
+.PHONY: check vet build test race chaos chaos-cluster fuzz-smoke layers bench bench-micro bench-retrieval bench-graph bench-query bench-ingest bench-serve bench-wal bench-cluster clean
 
 # check is the CI entry point: static analysis, full build, race-enabled
 # tests, and a short fuzz pass over the crash-surface decoders.
@@ -56,14 +56,13 @@ layers:
 
 # bench-micro runs the testing.B micro-benchmarks with -benchmem: the write
 # path's kernels at the end-to-end corpus size — one commit's clone + 4-row
-# append on a 34,549 x 256 store (flat and 8 shards), one commit's clone +
-# 11-triple replay on a 67,100-triple graph (linear history and re-cloned
-# parent), the first write to a shared column page, and one streamed snapshot
-# digest — and the query path's two: one exact top-5 search at up to 34,549
-# rows (dense full-sort reference vs the term-at-a-time scan, flat and 8
-# shards) and MCC.Run over one disagreeing group (2-16 members, all or a
-# quarter of them distinct). B/op is the tracked number. BENCHTIME=1x makes it
-# a smoke run.
+# append on a 34,549 x 256 store, one commit's clone + 11-triple replay on a
+# 67,100-triple graph (linear history and re-cloned parent), the first write
+# to a shared column page, and one streamed snapshot digest — and the query
+# path's two: one exact top-5 search at up to 34,549 rows (dense full-sort
+# reference vs the term-at-a-time scan) and MCC.Run over one disagreeing group
+# (2-16 members, all or a quarter of them distinct). B/op is the tracked
+# number. BENCHTIME=1x makes it a smoke run.
 bench-micro:
 	$(GO) test -run '^$$' -bench '^Benchmark(CommitAppend|Search)$$' -benchmem -benchtime $(BENCHTIME) ./internal/retrieval
 	$(GO) test -run '^$$' -bench '^Benchmark(GraphCommitAppend|COWPagePrivatize)$$' -benchmem -benchtime $(BENCHTIME) ./internal/kg
@@ -76,18 +75,11 @@ bench:
 	$(GO) run ./cmd/benchtables -scale $(BENCH_SCALE) -json BENCH_core.json
 
 # bench-retrieval runs the retrieval-layer microbenchmarks (dense full-sort
-# and dense top-k references vs the term-at-a-time scan, flat and 8
-# shards, on a 20-word vocabulary and on datasets-generated chunks) at the
-# configured scale and records the timing report.
+# and dense top-k references vs the term-at-a-time scan, on a 20-word
+# vocabulary and on datasets-generated chunks) at the configured scale and
+# records the timing report.
 bench-retrieval:
 	$(GO) run ./cmd/benchtables -retrieval -scale $(BENCH_SCALE) -json BENCH_retrieval.json
-
-# bench-ann runs the exact retrieval microbenchmarks plus the ANN
-# recall-vs-speedup grid: every IVF configuration (nprobe sweep, int8 coarse
-# pass) A/B'd against the sharded exact scan on large corpora, with recall@10
-# and score MAE per cell, and records everything into BENCH_retrieval.json.
-bench-ann:
-	$(GO) run ./cmd/benchtables -retrieval -ann -scale $(BENCH_SCALE) -json BENCH_retrieval.json
 
 # bench-graph runs the graph-core microbenchmarks (seed deep-clone vs
 # copy-on-write columnar clone, nested-map vs sort-merge line-graph build)

@@ -6,8 +6,6 @@
 //	benchtables -table 2        # one table (1..5)
 //	benchtables -figure 5       # one figure (5..7)
 //	benchtables -retrieval      # retrieval-layer microbenchmarks only
-//	benchtables -retrieval -ann # exact microbenchmarks + ANN recall/speedup grid
-//	benchtables -ann            # ANN recall-vs-speedup grid only
 //	benchtables -graph          # graph-core microbenchmarks only
 //	benchtables -query          # query-executor microbenchmarks only
 //	benchtables -ingest         # ingest-throughput microbenchmarks only
@@ -33,7 +31,6 @@ func main() {
 	table := flag.Int("table", 0, "regenerate only this table (1-5)")
 	figure := flag.Int("figure", 0, "regenerate only this figure (5-7)")
 	retr := flag.Bool("retrieval", false, "run only the retrieval-layer microbenchmarks")
-	ann := flag.Bool("ann", false, "run the ANN recall-vs-speedup grid (combinable with -retrieval)")
 	graph := flag.Bool("graph", false, "run only the graph-core microbenchmarks")
 	query := flag.Bool("query", false, "run only the query-executor microbenchmarks")
 	ingest := flag.Bool("ingest", false, "run only the ingest-throughput microbenchmarks")
@@ -57,32 +54,22 @@ func main() {
 	var ingestDetail *bench.IngestReport
 	var serveDetail *bench.ServeReport
 	var retrievalDetail *bench.RetrievalReport
-	var annDetail *bench.ANNReport
 	var walDetail *bench.WALReport
 	var clusterDetail *bench.ClusterReport
 	add := func(name string, run func(bench.Options) error) {
 		jobs = append(jobs, job{name, run})
 	}
 	switch {
-	case *retr || *ann:
+	case *retr:
 		if *table > 0 || *figure > 0 || *graph || *query || *ingest || *srv {
-			fmt.Fprintln(os.Stderr, "benchtables: -retrieval/-ann cannot be combined with -table/-figure/-graph/-query/-ingest/-serve")
+			fmt.Fprintln(os.Stderr, "benchtables: -retrieval cannot be combined with -table/-figure/-graph/-query/-ingest/-serve")
 			os.Exit(2)
 		}
-		if *retr {
-			add("Retrieval", func(o bench.Options) error {
-				rep, err := bench.RetrievalBenchReport(o)
-				retrievalDetail = rep
-				return err
-			})
-		}
-		if *ann {
-			add("ANN", func(o bench.Options) error {
-				rep, err := bench.ANNBenchReport(o)
-				annDetail = rep
-				return err
-			})
-		}
+		add("Retrieval", func(o bench.Options) error {
+			rep, err := bench.RetrievalBenchReport(o)
+			retrievalDetail = rep
+			return err
+		})
 	case *graph:
 		if *table > 0 || *figure > 0 || *query || *ingest || *srv {
 			fmt.Fprintln(os.Stderr, "benchtables: -graph cannot be combined with -table/-figure/-query/-ingest/-serve")
@@ -195,7 +182,6 @@ func main() {
 		Ingest    *bench.IngestReport    `json:"ingest,omitempty"`
 		Serve     *bench.ServeReport     `json:"serve,omitempty"`
 		Retrieval *bench.RetrievalReport `json:"retrieval,omitempty"`
-		ANN       *bench.ANNReport       `json:"ann,omitempty"`
 		WAL       *bench.WALReport       `json:"wal,omitempty"`
 		Cluster   *bench.ClusterReport   `json:"cluster,omitempty"`
 	}{Seed: *seed, Scale: *scale}
@@ -215,7 +201,6 @@ func main() {
 	report.Ingest = ingestDetail
 	report.Serve = serveDetail
 	report.Retrieval = retrievalDetail
-	report.ANN = annDetail
 	report.WAL = walDetail
 	report.Cluster = clusterDetail
 	if *jsonOut != "" {

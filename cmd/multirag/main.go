@@ -18,8 +18,6 @@
 //	multirag -demo -load 2000 -target http://host:8473   # aim at a running server
 //	multirag -ingest-load 500 -producers 4          # pipelined ingest load test over HTTP
 //	multirag -ingest-load 500 -producers 4 -serial-ingest   # serialized baseline
-//	multirag -demo -ann -nprobe 16 -ask "..."       # approximate retrieval tier (IVF + exact re-rank)
-//	multirag -demo -ann -ann-int8 -load 2000        # int8 coarse pass, exact re-rank scores
 //
 // The -load and -ingest-load harnesses drive the real serving path: they
 // start an in-process `multirag serve` front door (or aim at -target) and
@@ -59,10 +57,6 @@ func main() {
 		explain = flag.Bool("explain", false, "show trusted evidence and confidence detail")
 		seed    = flag.Uint64("seed", 1, "simulated model seed")
 		workers = flag.Int("workers", 0, "worker pool size: ingestion, query fan-out and -load concurrency (0 = GOMAXPROCS)")
-		shards  = flag.Int("shards", 0, "retrieval index shard count (0 = default, 1 = flat scan)")
-		ann     = flag.Bool("ann", false, "approximate retrieval: IVF coarse quantizer with exact re-rank (recall < 1, see make bench-ann)")
-		nprobe  = flag.Int("nprobe", 0, "coarse-quantizer cells probed per ANN query (0 = default; more = higher recall)")
-		annInt8 = flag.Bool("ann-int8", false, "run the ANN coarse pass over int8-quantized vectors (scores stay exact)")
 		cache   = flag.Int("cache", 0, "answer cache size in entries (0 = disabled)")
 		k       = flag.Int("k", 5, "documents to retrieve with -retrieve")
 		retr    = flag.String("retrieve", "", "retrieve supporting documents for a query")
@@ -81,10 +75,6 @@ func main() {
 	sys := multirag.Open(multirag.Config{
 		Seed:            *seed,
 		Workers:         *workers,
-		Shards:          *shards,
-		ANN:             *ann,
-		NProbe:          *nprobe,
-		ANNInt8:         *annInt8,
 		AnswerCache:     *cache,
 		SerializeIngest: *serial,
 	})

@@ -83,10 +83,6 @@ Flags:
 		domain       = fs.String("domain", "data", "domain label for ingested files")
 		seed         = fs.Uint64("seed", 1, "simulated model seed")
 		workers      = fs.Int("workers", 0, "engine worker pool size (0 = GOMAXPROCS)")
-		shards       = fs.Int("shards", 0, "retrieval index shard count (0 = default)")
-		ann          = fs.Bool("ann", false, "approximate retrieval: IVF coarse quantizer with exact re-rank (recall < 1)")
-		nprobe       = fs.Int("nprobe", 0, "coarse-quantizer cells probed per ANN query (0 = default)")
-		annInt8      = fs.Bool("ann-int8", false, "run the ANN coarse pass over int8-quantized vectors")
 		cache        = fs.Int("cache", 0, "answer cache size in entries (0 = disabled)")
 		policy       = fs.String("policy", serve.PolicyFCFS, "batch-formation policy: fcfs, sjf or priority")
 		maxBatch     = fs.Int("max-batch", 32, "maximum queries per formed batch")
@@ -110,10 +106,6 @@ Flags:
 	sysCfg := multirag.Config{
 		Seed:            *seed,
 		Workers:         *workers,
-		Shards:          *shards,
-		ANN:             *ann,
-		NProbe:          *nprobe,
-		ANNInt8:         *annInt8,
 		AnswerCache:     *cache,
 		BreakerFailures: *brkFailures,
 		BreakerCooldown: *brkCooldown,

@@ -28,14 +28,6 @@
 // goroutines and IngestFiles never blocks readers. See DESIGN.md for the
 // snapshot/delta architecture.
 //
-// Dense chunk retrieval is exact by default. For large corpora, Config.ANN
-// (CLI -ann, -nprobe, -ann-int8) switches retrieval to an approximate IVF
-// tier: a k-means coarse quantizer over a flat vector arena selects the
-// lists to scan and the exact scorer re-ranks the survivors, so per-hit
-// scores stay exact while candidate coverage becomes a measured trade-off.
-// `make bench-ann` records the recall@10 / score-MAE / speedup grid per
-// configuration into BENCH_retrieval.json. See DESIGN.md §3.
-//
 // For deployment as a service, internal/serve (exposed as the `multirag
 // serve` subcommand) wraps a System in an HTTP/JSON front door with
 // token-bucket admission control per SLO class, pluggable batch-formation

@@ -53,9 +53,9 @@ var retrievalCorpora = []struct {
 }
 
 // RetrievalBenchReport contrasts the seed full-sort scan and a dense
-// top-k-selected scan of Cosine against the store's term-at-a-time scorer
-// (flat and 8 shards) on synthetic corpora, verifying on the way that every
-// variant returns identical hits. Options.Scale shrinks the corpus for CI
+// top-k-selected scan of Cosine against the store's term-at-a-time scorer on
+// synthetic corpora, verifying on the way that every variant returns
+// identical hits. Options.Scale shrinks the corpus for CI
 // smoke runs.
 func RetrievalBenchReport(o Options) (*RetrievalReport, error) {
 	seed := o.Seed
@@ -91,9 +91,8 @@ func RetrievalBenchReport(o Options) (*RetrievalReport, error) {
 			if err != nil {
 				return nil, err
 			}
-			flat, sharded := retrieval.New(retrieval.Options{}), retrieval.New(retrieval.Options{Shards: 8})
-			flat.AddEmbeddedBatch(chunks, vecs)
-			sharded.AddEmbeddedBatch(chunks, vecs)
+			index := retrieval.NewIndex(retrieval.DefaultDim)
+			index.AddEmbeddedBatch(chunks, vecs)
 			// The first variant is the reference the others must reproduce.
 			variants := []struct {
 				name   string
@@ -101,8 +100,7 @@ func RetrievalBenchReport(o Options) (*RetrievalReport, error) {
 			}{
 				{"full-sort scan", func(qv retrieval.Vector) []retrieval.Hit { return fullSortScan(chunks, vecs, qv, k) }},
 				{"dense top-k scan", func(qv retrieval.Vector) []retrieval.Hit { return denseTopKScan(chunks, vecs, qv, k) }},
-				{"term-at-a-time", func(qv retrieval.Vector) []retrieval.Hit { return flat.SearchVector(qv, k, nil) }},
-				{"term-at-a-time x8", func(qv retrieval.Vector) []retrieval.Hit { return sharded.SearchVector(qv, k, nil) }},
+				{"term-at-a-time", func(qv retrieval.Vector) []retrieval.Hit { return index.SearchVector(qv, k, nil) }},
 			}
 			names = names[:0]
 			var want [][]retrieval.Hit
@@ -143,146 +141,6 @@ func RetrievalBenchReport(o Options) (*RetrievalReport, error) {
 				})
 			}
 			fmt.Fprintln(o.Out)
-		}
-	}
-	return rep, nil
-}
-
-// ANNCell is one configuration of the recall-vs-speedup grid: how fast the
-// approximate tier answers relative to the sharded exact scan, and how much
-// recall / rank fidelity it gives up to get there.
-type ANNCell struct {
-	Config         string  `json:"config"`
-	N              int     `json:"n"`
-	NList          int     `json:"nlist,omitempty"`
-	NProbe         int     `json:"nprobe,omitempty"`
-	Int8           bool    `json:"int8,omitempty"`
-	BuildSeconds   float64 `json:"build_seconds,omitempty"`
-	PerQueryMicros float64 `json:"per_query_micros"`
-	Speedup        float64 `json:"speedup_vs_sharded_exact,omitempty"`
-	RecallAtK      float64 `json:"recall_at_k"`
-	ScoreMAE       float64 `json:"score_mae"`
-}
-
-// ANNReport is the structured recall/error harness output behind `make
-// bench-ann`, recorded into BENCH_retrieval.json alongside the exact cells.
-type ANNReport struct {
-	K       int       `json:"k"`
-	Queries int       `json:"queries"`
-	Cells   []ANNCell `json:"cells"`
-}
-
-// annConfigs is the probed grid: the nprobe sweep in float32 and int8
-// coarse-pass flavours.
-var annConfigs = []struct {
-	name     string
-	nprobe   int
-	quantize bool
-}{
-	{"ivf nprobe=1", 1, false},
-	{"ivf nprobe=2", 2, false},
-	{"ivf nprobe=4", 4, false},
-	{"ivf nprobe=8", 8, false},
-	{"ivf nprobe=16", 16, false},
-	{"ivf-int8 nprobe=8", 8, true},
-	{"ivf-int8 nprobe=16", 16, true},
-}
-
-// ANNBench runs the grid without returning the report (Makefile text path).
-func ANNBench(o Options) error {
-	_, err := ANNBenchReport(o)
-	return err
-}
-
-// ANNBenchReport is the ANN recall/error harness: every approximate
-// configuration is A/B'd against the exact sharded scan on the same corpus
-// and query batch — the same pattern the exact strategies were
-// equivalence-pinned by, except ANN is knowingly lossy, so instead of
-// requiring bit-identity it reports recall@k and score MAE next to the
-// speedup. Corpora are larger than the exact microbenchmark's (the regime
-// ANN exists for); Options.Scale shrinks them for CI smoke runs.
-func ANNBenchReport(o Options) (*ANNReport, error) {
-	seed := o.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	scale := o.Scale
-	if scale <= 0 {
-		scale = 1
-	}
-	base := int(120000 * scale)
-	if base < 2000 {
-		base = 2000
-	}
-	sizes := []int{base / 8, base}
-	const k = 10
-	const queries = 32
-
-	rep := &ANNReport{K: k, Queries: queries}
-	rng := rand.New(rand.NewSource(int64(seed)))
-
-	fmt.Fprintf(o.Out, "ANN recall/speedup grid (k=%d, %d queries per cell; per-query mean)\n", k, queries)
-	for _, n := range sizes {
-		chunks, vecs := annCorpus(rng, n)
-		topics := annTopics(n)
-		qvs := make([]retrieval.Vector, queries)
-		for i := range qvs {
-			qvs[i] = retrieval.Embed(annText(rng, rng.Intn(topics)), retrieval.DefaultDim)
-		}
-
-		exact := retrieval.New(retrieval.Options{Shards: 8})
-		exact.AddEmbeddedBatch(chunks, vecs)
-		want := make([][]retrieval.Hit, queries)
-		start := time.Now()
-		for i, qv := range qvs {
-			want[i] = exact.SearchVector(qv, k, nil)
-		}
-		exactPerQuery := time.Since(start) / queries
-		fmt.Fprintf(o.Out, "\nn=%d\n%-22s %12s %9s %10s %11s\n", n,
-			"config", "per-query", "speedup", "recall@10", "score MAE")
-		fmt.Fprintf(o.Out, "%-22s %12s %9s %10s %11s\n",
-			"sharded exact scan", fmtMicros(exactPerQuery), "1.0x", "1.000", "0")
-		rep.Cells = append(rep.Cells, ANNCell{
-			Config: "sharded exact scan", N: n,
-			PerQueryMicros: micros(exactPerQuery), Speedup: 1, RecallAtK: 1, ScoreMAE: 0,
-		})
-
-		for _, cfg := range annConfigs {
-			ann := retrieval.NewANN(retrieval.Options{
-				NProbe:      cfg.nprobe,
-				ANNQuantize: cfg.quantize,
-			})
-			ann.AddEmbeddedBatch(chunks, vecs)
-			buildStart := time.Now()
-			ann.SearchVector(qvs[0], k, nil) // trigger the lazy IVF build
-			buildSecs := time.Since(buildStart).Seconds()
-			nlist, _, _ := ann.IVFStats()
-
-			start := time.Now()
-			for _, qv := range qvs {
-				ann.SearchVector(qv, k, nil)
-			}
-			perQuery := time.Since(start) / queries
-
-			var recall, mae float64
-			for i, qv := range qvs {
-				got := ann.SearchVector(qv, k, nil)
-				recall += retrieval.RecallAtK(got, want[i])
-				mae += retrieval.ScoreMAE(got, want[i])
-			}
-			recall /= queries
-			mae /= queries
-			speedup := 0.0
-			if perQuery > 0 {
-				speedup = float64(exactPerQuery) / float64(perQuery)
-			}
-			fmt.Fprintf(o.Out, "%-22s %12s %8.1fx %10.3f %11.2g\n",
-				cfg.name, fmtMicros(perQuery), speedup, recall, mae)
-			rep.Cells = append(rep.Cells, ANNCell{
-				Config: cfg.name, N: n, NList: nlist, NProbe: cfg.nprobe, Int8: cfg.quantize,
-				BuildSeconds: buildSecs, PerQueryMicros: micros(perQuery),
-				Speedup: speedup, RecallAtK: recall, ScoreMAE: mae,
-			})
 		}
 	}
 	return rep, nil
@@ -383,57 +241,6 @@ func datasetsCorpus(rng *rand.Rand, n, queries int) ([]retrieval.Chunk, []retrie
 		qvs[i] = retrieval.Embed(questions[rng.Intn(len(questions))], retrieval.DefaultDim)
 	}
 	return chunks, vecs, qvs, nil
-}
-
-// The ANN corpus is topical: each document draws most of its words from one
-// topic's private vocabulary plus a sprinkle of shared attribute tokens, and
-// queries are drawn the same way. That gives the embedding space the cluster
-// structure real RAG corpora have (documents about the same entity or event
-// share vocabulary) — the regime IVF is designed for. A corpus of uniformly
-// random token soup embeds to near-orthogonal directions, where no coarse
-// quantizer can do better than probing everything; measuring recall there
-// would say nothing about the deployed behaviour.
-const annTopicVocab = 24
-
-func annTopics(n int) int {
-	t := n / 300
-	if t < 16 {
-		t = 16
-	}
-	return t
-}
-
-func annText(rng *rand.Rand, topic int) string {
-	n := 6 + rng.Intn(6)
-	words := make([]string, n)
-	for i := range words {
-		if rng.Intn(6) == 0 {
-			words[i] = retrievalVocab[rng.Intn(len(retrievalVocab))]
-		} else {
-			words[i] = fmt.Sprintf("t%04d-w%02d", topic, rng.Intn(annTopicVocab))
-		}
-	}
-	return strings.Join(words, " ")
-}
-
-// annCorpus renders and embeds n ANN-bench chunks; embedding fans out on the
-// worker pool (setup cost only — the grid itself times searches).
-func annCorpus(rng *rand.Rand, n int) ([]retrieval.Chunk, []retrieval.Vector) {
-	topics := annTopics(n)
-	chunks := make([]retrieval.Chunk, n)
-	for i := range chunks {
-		chunks[i] = retrieval.Chunk{
-			ID:     fmt.Sprintf("ann/d%06d#c0", i),
-			DocID:  fmt.Sprintf("ann/d%06d", i),
-			Source: fmt.Sprintf("src-%d", i%7),
-			Text:   annText(rng, rng.Intn(topics)),
-		}
-	}
-	vecs := make([]retrieval.Vector, n)
-	par.ForEach(0, n, func(i int) {
-		vecs[i] = retrieval.Embed(chunks[i].Text, retrieval.DefaultDim)
-	})
-	return chunks, vecs
 }
 
 // fullSortScan reproduces the seed Search implementation: materialise and

@@ -298,9 +298,7 @@ func snapshotBody(sn *snapshot) []byte {
 	return e.Bytes()
 }
 
-// decodeSnapshot rebuilds a snapshot from a checkpoint body, constructing the
-// retrieval store with this system's own layout options (the layout is a
-// rebuild-time choice, not persisted state).
+// decodeSnapshot rebuilds a snapshot from a checkpoint body.
 func (s *System) decodeSnapshot(body []byte) (*snapshot, error) {
 	d := wal.NewDecoder(body)
 	if v := d.Uvarint(); d.Err() == nil && v != snapshotVersion {
@@ -316,7 +314,7 @@ func (s *System) decodeSnapshot(body []byte) (*snapshot, error) {
 			return nil, err
 		}
 	}
-	ix := retrieval.New(s.cfg.storeOptions())
+	ix := retrieval.NewIndex(retrieval.DefaultDim)
 	if err := retrieval.DecodeIntoStore(d, ix); err != nil {
 		return nil, err
 	}

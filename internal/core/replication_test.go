@@ -249,45 +249,39 @@ func digestBytes(b []byte) uint64 {
 // to the one-buffer reference: Digest streams the body through the hash in
 // pieces, Encode sizes its buffer with a counting pass, and both must stand
 // for exactly the bytes a plain buffered encoder produces — on an empty
-// engine, after a single chunk, and on flat, sharded and ANN stores whose
-// bodies span many encoder buffers.
+// engine, after a single chunk, and on a store whose body spans many encoder
+// buffers.
 func TestStreamedDigestEqualsDigestOfEncode(t *testing.T) {
-	for name, cfg := range map[string]Config{
-		"flat":     func() Config { c := durTestConfig(); c.Shards = 1; return c }(),
-		"sharded8": func() Config { c := durTestConfig(); c.Shards = 8; return c }(),
-		"ann":      func() Config { c := durTestConfig(); c.ANN = true; return c }(),
-	} {
-		s := NewSystem(cfg)
-		rng := rand.New(rand.NewSource(4))
-		for step := 0; step <= 24; step++ {
-			h := s.ServingHandle()
-			body := h.Encode()
-			if !bytes.Equal(body, snapBytes(s)) {
-				t.Fatalf("%s step %d: Encode differs from the buffered reference encoding", name, step)
-			}
-			// Sized by the counting pass, not grown by doubling: the only slack
-			// is the allocator rounding up to a size class or a page.
-			if slack := cap(body) - len(body); slack > max(len(body)/8, 8<<10) {
-				t.Fatalf("%s step %d: Encode holds a %d-byte body in a %d-byte buffer", name, step, len(body), cap(body))
-			}
-			if got, want := h.Digest(), digestBytes(body); got != want {
-				t.Fatalf("%s step %d: streamed digest %016x, digest of Encode %016x", name, step, got, want)
-			}
-			if step == 0 && s.Index().Len() != 0 {
-				t.Fatalf("%s: first step must see the empty engine", name)
-			}
-			batch := ingestBatch(rng.Intn(1000)) // one chunk per batch
-			if step > 0 {
-				for i := rng.Intn(6); i > 0; i-- {
-					batch = append(batch, ingestBatch(rng.Intn(1000))...)
-				}
-			}
-			if _, err := s.Ingest(batch); err != nil {
-				t.Fatalf("%s step %d: ingest: %v", name, step, err)
+	s := NewSystem(durTestConfig())
+	rng := rand.New(rand.NewSource(4))
+	for step := 0; step <= 24; step++ {
+		h := s.ServingHandle()
+		body := h.Encode()
+		if !bytes.Equal(body, snapBytes(s)) {
+			t.Fatalf("step %d: Encode differs from the buffered reference encoding", step)
+		}
+		// Sized by the counting pass, not grown by doubling: the only slack
+		// is the allocator rounding up to a size class or a page.
+		if slack := cap(body) - len(body); slack > max(len(body)/8, 8<<10) {
+			t.Fatalf("step %d: Encode holds a %d-byte body in a %d-byte buffer", step, len(body), cap(body))
+		}
+		if got, want := h.Digest(), digestBytes(body); got != want {
+			t.Fatalf("step %d: streamed digest %016x, digest of Encode %016x", step, got, want)
+		}
+		if step == 0 && s.Index().Len() != 0 {
+			t.Fatal("first step must see the empty engine")
+		}
+		batch := ingestBatch(rng.Intn(1000)) // one chunk per batch
+		if step > 0 {
+			for i := rng.Intn(6); i > 0; i-- {
+				batch = append(batch, ingestBatch(rng.Intn(1000))...)
 			}
 		}
-		if n := len(s.ServingHandle().Encode()); n < 4*(32<<10) {
-			t.Fatalf("%s: final body is %d bytes; it must span several stream buffers", name, n)
+		if _, err := s.Ingest(batch); err != nil {
+			t.Fatalf("step %d: ingest: %v", step, err)
 		}
+	}
+	if n := len(s.ServingHandle().Encode()); n < 4*(32<<10) {
+		t.Fatalf("final body is %d bytes; it must span several stream buffers", n)
 	}
 }

@@ -34,41 +34,6 @@ func TestDocOfChunk(t *testing.T) {
 	}
 }
 
-// TestShardedSystemMatchesFlat is the engine-level determinism contract for
-// the layered retrieval subsystem: the shard count is a pure performance
-// knob, so two systems differing only in it must give identical answers and
-// identical document rankings on every query.
-func TestShardedSystemMatchesFlat(t *testing.T) {
-	spec := datasets.Movies(7)
-	spec.Entities = 25
-	spec.Queries = 12
-	d := datasets.MustGenerate(spec)
-
-	build := func(shards int) *System {
-		s := NewSystem(Config{Shards: shards, LLM: llm.Config{Seed: 1}})
-		if _, err := s.Ingest(d.Files); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	for _, shards := range []int{8, 3} {
-		// Fresh systems per comparison: source-history authority is
-		// online-learned, so both sides must see the same query sequence.
-		flat := build(1)
-		sys := build(shards)
-		for _, q := range d.Queries {
-			fa, fdocs := flat.QueryWithDocs(q.Text, 5)
-			va, vdocs := sys.QueryWithDocs(q.Text, 5)
-			if !reflect.DeepEqual(fa.Values, va.Values) {
-				t.Fatalf("%d shards: answers diverge for %q: %v vs %v", shards, q.Text, fa.Values, va.Values)
-			}
-			if !reflect.DeepEqual(fdocs, vdocs) {
-				t.Fatalf("%d shards: doc rankings diverge for %q: %v vs %v", shards, q.Text, fdocs, vdocs)
-			}
-		}
-	}
-}
-
 // denseOracle serves a store's searches the way the exact scan was first
 // written: Cosine against every stored vector, stable full sort by (score
 // desc, chunk ID asc). SearchVectorCtx finds no scan of its own on it and
@@ -155,14 +120,14 @@ func TestQueryWithDocsRankingStable(t *testing.T) {
 	}
 }
 
-// TestQueryWithDocsUnderConcurrentIngest is the shard-under-ingest stress
+// TestQueryWithDocsUnderConcurrentIngest is the scan-under-ingest stress
 // for the ranking path: QueryWithDocs must stay internally consistent (one
 // snapshot per call: no duplicate docs, bounded length, stable answer for
-// the untouched flight) while batches commit into the sharded index.
+// the untouched flight) while batches commit into the index.
 func TestQueryWithDocsUnderConcurrentIngest(t *testing.T) {
 	const rankers = 6
 	const batches = 8
-	s := newCaseStudySystem(t, Config{Shards: 4, Workers: 4, AnswerCacheSize: 32})
+	s := newCaseStudySystem(t, Config{Workers: 4, AnswerCacheSize: 32})
 
 	var stop atomic.Bool
 	var ranked atomic.Int64
@@ -211,7 +176,7 @@ func TestQueryWithDocsUnderConcurrentIngest(t *testing.T) {
 	if ranked.Load() == 0 {
 		t.Fatal("no rankings completed during ingestion")
 	}
-	// Every batch must have landed in the sharded index and be retrievable.
+	// Every batch must have landed in the index and be retrievable.
 	for b := 0; b < batches; b++ {
 		if ans := s.Query(fmt.Sprintf("What is the status of XX%d42?", b)); !ans.Found {
 			t.Fatalf("batch %d invisible after concurrent ingest", b)
@@ -219,25 +184,32 @@ func TestQueryWithDocsUnderConcurrentIngest(t *testing.T) {
 	}
 }
 
-// TestShardedIngestDeterministicAcrossWorkerCounts extends PR 1's
-// determinism contract to the sharded index: pool size must not change what
-// any shard serves.
-func TestShardedIngestDeterministicAcrossWorkerCounts(t *testing.T) {
+// TestIndexRowsDeterministicAcrossWorkerCounts extends PR 1's determinism
+// contract to the chunk index: chunks are embedded on the worker pool and
+// appended by the committer, and the pool size must not change which rows the
+// index holds, their order (the checkpoint's order) or their vectors.
+func TestIndexRowsDeterministicAcrossWorkerCounts(t *testing.T) {
 	spec := datasets.Flights(9)
 	spec.Entities = 20
 	spec.Queries = 10
 	d := datasets.MustGenerate(spec)
-	build := func(workers int) *System {
-		s := NewSystem(Config{Workers: workers, Shards: 8, LLM: llm.Config{Seed: 1}})
+	type row struct {
+		c retrieval.Chunk
+		v retrieval.Vector
+	}
+	build := func(workers int) (*System, []row) {
+		s := NewSystem(Config{Workers: workers, LLM: llm.Config{Seed: 1}})
 		if _, err := s.Ingest(d.Files); err != nil {
 			t.Fatal(err)
 		}
-		return s
+		var rows []row
+		s.snap.Load().index.ForEachEmbedded(func(c retrieval.Chunk, v retrieval.Vector) { rows = append(rows, row{c, v}) })
+		return s, rows
 	}
-	serial := build(1)
-	parallel := build(8)
-	if serial.Index().Len() != parallel.Index().Len() {
-		t.Fatalf("sharded index sizes diverge: %d vs %d", serial.Index().Len(), parallel.Index().Len())
+	serial, srows := build(1)
+	parallel, prows := build(8)
+	if len(srows) == 0 || !reflect.DeepEqual(srows, prows) {
+		t.Fatalf("index rows diverge across worker counts: %d vs %d rows", len(srows), len(prows))
 	}
 	for _, q := range d.Queries {
 		sa := serial.Query(q.Text)

@@ -42,29 +42,9 @@ type Config struct {
 	// fetches (default 5, matching Recall@5).
 	RetrievalK int
 	// Workers bounds the ingestion worker pool (adapter parsing, per-file
-	// extraction, chunk embedding) and the per-query shard-scan fan-out.
-	// 0 selects GOMAXPROCS.
+	// extraction, chunk embedding) and the query-DAG fan-out. 0 selects
+	// GOMAXPROCS.
 	Workers int
-	// Shards hash-partitions the chunk index into shards scanned in
-	// parallel. 0 selects DefaultShards; 1 forces the flat single-shard
-	// index. The shard count is a pure performance knob: results are
-	// identical whatever its value.
-	Shards int
-	// ANN swaps the exact chunk index for the approximate IVF tier with
-	// exact re-rank (internal/retrieval/ann.go). Unlike Shards this is NOT
-	// a pure performance knob: retrieval can miss candidates outside the
-	// probed coarse-quantizer cells, trading a measured recall loss (see
-	// `make bench-ann`) for sub-linear scans at large corpus sizes. Off by
-	// default; when set, Shards is ignored. The IVF structure is rebuilt
-	// lazily per snapshot generation, so ingest commits stay O(delta).
-	ANN bool
-	// NProbe is how many coarse-quantizer cells an ANN query probes (<=0
-	// selects retrieval.DefaultNProbe). More probes raise recall and cost.
-	NProbe int
-	// ANNQuantize runs the ANN coarse pass over an int8-quantized mirror of
-	// the vector arena; final scores stay exact float64 re-ranks. Ignored
-	// unless ANN is set.
-	ANNQuantize bool
 	// AnswerCacheSize bounds the per-snapshot answer cache (entries); 0
 	// disables it. The cache is invalidated whenever a snapshot is
 	// published, so cached answers never outlive the corpus state that
@@ -131,9 +111,6 @@ type snapshot struct {
 	// served only while g is still the published generation.
 	gen uint64
 }
-
-// DefaultShards is the chunk-index shard count selected by Config.Shards = 0.
-const DefaultShards = 8
 
 // System is an assembled MultiRAG deployment over one corpus. Queries are
 // safe for unbounded concurrency and may run while ingestion commits.
@@ -223,9 +200,6 @@ func NewSystem(cfg Config) *System {
 	if cfg.RetrievalK <= 0 {
 		cfg.RetrievalK = 5
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = DefaultShards
-	}
 	model := llm.NewSim(cfg.LLM)
 	ingestModel := llm.NewSim(cfg.LLM)
 	s := &System{
@@ -245,23 +219,9 @@ func NewSystem(cfg Config) *System {
 	s.gc.init()
 	s.snap.Store(&snapshot{
 		graph: kg.New(),
-		index: retrieval.New(cfg.storeOptions()),
+		index: retrieval.NewIndex(retrieval.DefaultDim),
 	})
 	return s
-}
-
-// storeOptions derives the retrieval-store layout from the config. Recovery
-// rebuilds stores with the same options, so the layout stays a runtime choice
-// rather than persisted state.
-func (cfg *Config) storeOptions() retrieval.Options {
-	return retrieval.Options{
-		Dim:         retrieval.DefaultDim,
-		Shards:      cfg.Shards,
-		Workers:     cfg.Workers,
-		ANN:         cfg.ANN,
-		NProbe:      cfg.NProbe,
-		ANNQuantize: cfg.ANNQuantize,
-	}
 }
 
 // Workers resolves the configured pool size (Config.Workers, defaulting to

@@ -44,7 +44,7 @@ const (
 	// sub-question evaluation — the unit the query DAG schedules.
 	PointEvidence = "query.evidence"
 	// PointRetrievalScan fires at the head of every context-aware retrieval
-	// scan (exact, sharded or ANN).
+	// scan.
 	PointRetrievalScan = "retrieval.scan"
 	// PointCommit fires inside the group committer's critical section, before
 	// any batch replays. Error faults fail the whole group (no batch is

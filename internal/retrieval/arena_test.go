@@ -50,8 +50,7 @@ func TestArenaRejectsDimMismatch(t *testing.T) {
 }
 
 // TestAddEmbeddedBatchValidation: a malformed batch (length mismatch or a
-// dim-mismatched vector) must panic up front with the store untouched, for
-// both the flat and the sharded store.
+// dim-mismatched vector) must panic up front with the store untouched.
 func TestAddEmbeddedBatchValidation(t *testing.T) {
 	mustPanic := func(t *testing.T, name string, fn func()) {
 		t.Helper()
@@ -64,21 +63,19 @@ func TestAddEmbeddedBatchValidation(t *testing.T) {
 	}
 	cs := []Chunk{{ID: "a#c0", Text: "x"}, {ID: "b#c0", Text: "y"}}
 	good := []Vector{make(Vector, 32), make(Vector, 32)}
-	for _, shards := range []int{1, 4} {
-		st := New(Options{Dim: 32, Shards: shards})
-		st.AddEmbeddedBatch(cs, good) // well-formed baseline
-		if st.Len() != 2 {
-			t.Fatalf("shards=%d: baseline batch lost: len=%d", shards, st.Len())
-		}
-		mustPanic(t, fmt.Sprintf("shards=%d length mismatch", shards), func() {
-			st.AddEmbeddedBatch([]Chunk{{ID: "c#c0"}, {ID: "d#c0"}}, good[:1])
-		})
-		mustPanic(t, fmt.Sprintf("shards=%d dim mismatch", shards), func() {
-			st.AddEmbeddedBatch([]Chunk{{ID: "c#c0"}, {ID: "d#c0"}}, []Vector{make(Vector, 32), make(Vector, 16)})
-		})
-		if st.Len() != 2 {
-			t.Fatalf("shards=%d: rejected batch mutated the store: len=%d", shards, st.Len())
-		}
+	st := NewIndex(32)
+	st.AddEmbeddedBatch(cs, good) // well-formed baseline
+	if st.Len() != 2 {
+		t.Fatalf("baseline batch lost: len=%d", st.Len())
+	}
+	mustPanic(t, "length mismatch", func() {
+		st.AddEmbeddedBatch([]Chunk{{ID: "c#c0"}, {ID: "d#c0"}}, good[:1])
+	})
+	mustPanic(t, "dim mismatch", func() {
+		st.AddEmbeddedBatch([]Chunk{{ID: "c#c0"}, {ID: "d#c0"}}, []Vector{make(Vector, 32), make(Vector, 16)})
+	})
+	if st.Len() != 2 {
+		t.Fatalf("rejected batch mutated the store: len=%d", st.Len())
 	}
 	// AddEmbedded single-vector path rejects too.
 	ix := NewIndex(32)

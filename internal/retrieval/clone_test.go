@@ -156,37 +156,30 @@ func (o *oracleNode) extended(st Store, cs []Chunk, vs []Vector) *oracleNode {
 	return n
 }
 
-// check compares the node against its oracle: enumeration against a store
-// rebuilt from the deep copy with the same options (which reproduces shard
-// order), searches against the reference full-sort scan.
-func (o *oracleNode) check(t *testing.T, label string, opts Options, queries []Vector) {
+// check compares the node against its oracle: enumeration against the deep
+// copy row for row, searches against the reference full-sort scan.
+func (o *oracleNode) check(t *testing.T, label string, queries []Vector) {
 	t.Helper()
 	if o.st.Len() != len(o.chunks) {
 		t.Fatalf("%s: Len = %d, oracle %d", label, o.st.Len(), len(o.chunks))
 	}
-	type row struct {
-		c Chunk
-		v Vector
-	}
-	var want, got []row
-	fresh := New(opts)
-	for i := range o.chunks {
-		fresh.AddEmbedded(o.chunks[i], o.vecs[i])
-	}
-	fresh.ForEachEmbedded(func(c Chunk, v Vector) { want = append(want, row{c, v}) })
-	o.st.ForEachEmbedded(func(c Chunk, v Vector) { got = append(got, row{c, v}) })
-	if len(got) != len(want) {
-		t.Fatalf("%s: enumerated %d rows, oracle %d", label, len(got), len(want))
-	}
-	for i := range want {
-		if got[i].c != want[i].c {
-			t.Fatalf("%s: row %d = %+v, oracle %+v", label, i, got[i].c, want[i].c)
+	i := 0
+	o.st.ForEachEmbedded(func(c Chunk, v Vector) {
+		if i >= len(o.chunks) {
+			t.Fatalf("%s: enumerated more than the oracle's %d rows", label, len(o.chunks))
 		}
-		for d := range want[i].v {
-			if got[i].v[d] != want[i].v[d] {
-				t.Fatalf("%s: row %d (%s) bucket %d = %v, oracle %v", label, i, want[i].c.ID, d, got[i].v[d], want[i].v[d])
+		if c != o.chunks[i] {
+			t.Fatalf("%s: row %d = %+v, oracle %+v", label, i, c, o.chunks[i])
+		}
+		for d := range o.vecs[i] {
+			if v[d] != o.vecs[i][d] {
+				t.Fatalf("%s: row %d (%s) bucket %d = %v, oracle %v", label, i, c.ID, d, v[d], o.vecs[i][d])
 			}
 		}
+		i++
+	})
+	if i != len(o.chunks) {
+		t.Fatalf("%s: enumerated %d rows, oracle %d", label, i, len(o.chunks))
 	}
 	keeps := []func(string) bool{nil, func(src string) bool { return src != "src-1" }}
 	for qi, qv := range queries {
@@ -206,73 +199,64 @@ func (o *oracleNode) check(t *testing.T, label string, opts Options, queries []V
 // no node's rows can change once written; this is the test that would see it.
 func TestCloneTreeMatchesDeepCopyOracle(t *testing.T) {
 	const dim = 16
-	variants := map[string]Options{
-		"flat":     {Dim: dim},
-		"sharded8": {Dim: dim, Shards: 8},
-		// Probing every cell makes the ANN tier exact, so the reference scan
-		// is its oracle too; corpora cross annMinCorpus so both paths run.
-		"ann": {Dim: dim, ANN: true, NProbe: 1 << 20},
-	}
 	steps := 24
 	if testing.Short() {
 		steps = 12
 	}
-	for name, opts := range variants {
-		for seed := int64(1); seed <= 3; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			nextID := 0
-			rows := func(n int) ([]Chunk, []Vector) {
-				cs, vs := randCorpus(rng, n, dim)
-				for i := range cs {
-					cs[i].ID = fmt.Sprintf("n%06d#c0", nextID)
-					nextID++
-				}
-				return cs, vs
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nextID := 0
+		rows := func(n int) ([]Chunk, []Vector) {
+			cs, vs := randCorpus(rng, n, dim)
+			for i := range cs {
+				cs[i].ID = fmt.Sprintf("n%06d#c0", nextID)
+				nextID++
 			}
-			queries := make([]Vector, 4)
-			for i := range queries {
-				queries[i] = Embed(randText(rng), dim)
-			}
+			return cs, vs
+		}
+		queries := make([]Vector, 4)
+		for i := range queries {
+			queries[i] = Embed(randText(rng), dim)
+		}
 
-			root := &oracleNode{st: New(opts)}
-			if n := rng.Intn(3) * 120; n > 0 {
-				cs, vs := rows(n)
-				root.st.AddEmbeddedBatch(cs, vs)
-				root = (&oracleNode{}).extended(root.st, cs, vs)
+		root := &oracleNode{st: NewIndex(dim)}
+		if n := rng.Intn(3) * 120; n > 0 {
+			cs, vs := rows(n)
+			root.st.AddEmbeddedBatch(cs, vs)
+			root = (&oracleNode{}).extended(root.st, cs, vs)
+		}
+		nodes := []*oracleNode{root}
+		for step := 0; step < steps; step++ {
+			at := nodes[rng.Intn(len(nodes))]
+			if rng.Intn(3) == 0 {
+				at = nodes[len(nodes)-1] // bias towards the linear history the engine runs
 			}
-			nodes := []*oracleNode{root}
-			for step := 0; step < steps; step++ {
-				at := nodes[rng.Intn(len(nodes))]
-				if rng.Intn(3) == 0 {
-					at = nodes[len(nodes)-1] // bias towards the linear history the engine runs
+			n := 1 + rng.Intn(12)
+			if rng.Intn(6) == 0 {
+				n = 150 + rng.Intn(100) // most of a block: crosses a boundary more often than not
+			}
+			cs, vs := rows(n)
+			switch op := rng.Intn(5); {
+			case op == 0:
+				// Append to an existing node directly; it may already have
+				// been cloned from.
+				for i := range cs {
+					at.st.AddEmbedded(cs[i], vs[i])
 				}
-				n := 1 + rng.Intn(12)
-				if rng.Intn(6) == 0 {
-					n = 150 + rng.Intn(100) // most of a block: crosses a boundary more often than not
+				*at = *at.extended(at.st, cs, vs)
+			case op == 1:
+				clone := at.st.CloneForAppend()
+				for i := range cs {
+					clone.AddEmbedded(cs[i], vs[i])
 				}
-				cs, vs := rows(n)
-				switch op := rng.Intn(5); {
-				case op == 0:
-					// Append to an existing node directly; it may already have
-					// been cloned from.
-					for i := range cs {
-						at.st.AddEmbedded(cs[i], vs[i])
-					}
-					*at = *at.extended(at.st, cs, vs)
-				case op == 1:
-					clone := at.st.CloneForAppend()
-					for i := range cs {
-						clone.AddEmbedded(cs[i], vs[i])
-					}
-					nodes = append(nodes, at.extended(clone, cs, vs))
-				default:
-					clone := at.st.CloneForAppend()
-					clone.AddEmbeddedBatch(cs, vs)
-					nodes = append(nodes, at.extended(clone, cs, vs))
-				}
-				for i, nd := range nodes {
-					nd.check(t, fmt.Sprintf("%s seed %d step %d node %d", name, seed, step, i), opts, queries)
-				}
+				nodes = append(nodes, at.extended(clone, cs, vs))
+			default:
+				clone := at.st.CloneForAppend()
+				clone.AddEmbeddedBatch(cs, vs)
+				nodes = append(nodes, at.extended(clone, cs, vs))
+			}
+			for i, nd := range nodes {
+				nd.check(t, fmt.Sprintf("seed %d step %d node %d", seed, step, i), queries)
 			}
 		}
 	}
@@ -293,64 +277,59 @@ func TestScansDuringInPlaceAppends(t *testing.T) {
 		commits = 240
 		readers = 6
 	)
-	for name, opts := range map[string]Options{
-		"flat":     {Dim: dim},
-		"sharded8": {Dim: dim, Shards: 8},
-	} {
-		rng := rand.New(rand.NewSource(9))
-		cur := New(opts)
-		cs, vs := randCorpus(rng, 200, dim)
-		cur.AddEmbeddedBatch(cs, vs)
-		qv := Embed("status delayed typhoon gate", dim)
-		keep := func(src string) bool { return src != "src-2" }
+	rng := rand.New(rand.NewSource(9))
+	var cur Store = NewIndex(dim)
+	cs, vs := randCorpus(rng, 200, dim)
+	cur.AddEmbeddedBatch(cs, vs)
+	qv := Embed("status delayed typhoon gate", dim)
+	keep := func(src string) bool { return src != "src-2" }
 
-		var (
-			wg    sync.WaitGroup
-			stop  atomic.Bool
-			scans atomic.Int64
-		)
-		for c := 0; c < commits; c++ {
-			if c%(commits/readers) == 0 {
-				// cs/vs only ever grow by appending, so these prefixes are the
-				// generation's rows for good.
-				snap, want := cur, refSearch(cs, vs, qv, 10, keep)
-				wg.Add(1)
-				go func(gen int) {
-					defer wg.Done()
-					for !stop.Load() {
-						if got := snap.SearchVector(qv, 10, keep); !hitsEqual(got, want) {
-							t.Errorf("%s: snapshot of generation %d changed under its reader:\n got  %s\n want %s",
-								name, gen, fmtHits(got), fmtHits(want))
-							return
-						}
-						n := 0
-						snap.ForEachEmbedded(func(Chunk, Vector) { n++ })
-						if n != snap.Len() {
-							t.Errorf("%s: generation %d enumerated %d rows, Len %d", name, gen, n, snap.Len())
-							return
-						}
-						scans.Add(1)
+	var (
+		wg    sync.WaitGroup
+		stop  atomic.Bool
+		scans atomic.Int64
+	)
+	for c := 0; c < commits; c++ {
+		if c%(commits/readers) == 0 {
+			// cs/vs only ever grow by appending, so these prefixes are the
+			// generation's rows for good.
+			snap, want := cur, refSearch(cs, vs, qv, 10, keep)
+			wg.Add(1)
+			go func(gen int) {
+				defer wg.Done()
+				for !stop.Load() {
+					if got := snap.SearchVector(qv, 10, keep); !hitsEqual(got, want) {
+						t.Errorf("snapshot of generation %d changed under its reader:\n got  %s\n want %s",
+							gen, fmtHits(got), fmtHits(want))
+						return
 					}
-				}(c)
-			}
-			next := cur.CloneForAppend()
-			bc, bv := randCorpus(rng, 4, dim)
-			for i := range bc {
-				bc[i].ID = fmt.Sprintf("c%04d-%d#c0", c, i)
-			}
-			next.AddEmbeddedBatch(bc, bv)
-			cur = next
-			cs, vs = append(cs, bc...), append(vs, bv...)
-			// One CPU is common here: wait until some reader finished a scan
-			// since this commit, so scans and appends really interleave.
-			for seen := scans.Load(); scans.Load() == seen && !t.Failed(); {
-				runtime.Gosched()
-			}
+					n := 0
+					snap.ForEachEmbedded(func(Chunk, Vector) { n++ })
+					if n != snap.Len() {
+						t.Errorf("generation %d enumerated %d rows, Len %d", gen, n, snap.Len())
+						return
+					}
+					scans.Add(1)
+				}
+			}(c)
 		}
-		stop.Store(true)
-		wg.Wait()
-		if cur.Len() != 200+4*commits {
-			t.Fatalf("%s: committer lost rows: %d", name, cur.Len())
+		next := cur.CloneForAppend()
+		bc, bv := randCorpus(rng, 4, dim)
+		for i := range bc {
+			bc[i].ID = fmt.Sprintf("c%04d-%d#c0", c, i)
 		}
+		next.AddEmbeddedBatch(bc, bv)
+		cur = next
+		cs, vs = append(cs, bc...), append(vs, bv...)
+		// One CPU is common here: wait until some reader finished a scan
+		// since this commit, so scans and appends really interleave.
+		for seen := scans.Load(); scans.Load() == seen && !t.Failed(); {
+			runtime.Gosched()
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if cur.Len() != 200+4*commits {
+		t.Fatalf("committer lost rows: %d", cur.Len())
 	}
 }

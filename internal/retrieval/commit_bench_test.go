@@ -11,7 +11,7 @@ import (
 // newest — at the corpus size of the end-to-end benchmark (34,549 chunks ×
 // 256 dims, a 35 MB arena). History is linear, so every iteration takes the
 // in-place path; B/op is the number to watch: the posting-list headers each
-// cloned Index copies, plus one 256 KB block per 256 rows a shard receives.
+// clone copies, plus one 256 KB block per 256 rows appended.
 // Run with -benchmem, or via `make bench-micro`.
 func BenchmarkCommitAppend(b *testing.B) {
 	const (
@@ -33,28 +33,21 @@ func BenchmarkCommitAppend(b *testing.B) {
 			pool[i].cs[j].ID = fmt.Sprintf("b%03d-%d#c0", i, j)
 		}
 	}
-	for name, opts := range map[string]Options{
-		"flat":     {Dim: dim},
-		"sharded8": {Dim: dim, Shards: 8},
-	} {
-		b.Run(name, func(b *testing.B) {
-			cur := New(opts)
-			cur.AddEmbeddedBatch(chunks, vecs)
-			commit := func(i int) {
-				next := cur.CloneForAppend()
-				next.AddEmbeddedBatch(pool[i%len(pool)].cs, pool[i%len(pool)].vs)
-				cur = next
-			}
-			// A few commits first, so -benchtime=1x measures a steady commit
-			// and not the bulk-loaded chunk slice's first growth step.
-			for i := 0; i < 16; i++ {
-				commit(i)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				commit(i)
-			}
-		})
+	var cur Store = NewIndex(dim)
+	cur.AddEmbeddedBatch(chunks, vecs)
+	commit := func(i int) {
+		next := cur.CloneForAppend()
+		next.AddEmbeddedBatch(pool[i%len(pool)].cs, pool[i%len(pool)].vs)
+		cur = next
+	}
+	// A few commits first, so -benchtime=1x measures a steady commit and not
+	// the bulk-loaded chunk slice's first growth step.
+	for i := 0; i < 16; i++ {
+		commit(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		commit(i)
 	}
 }

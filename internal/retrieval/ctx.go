@@ -13,16 +13,15 @@ import (
 // rows) is noise.
 const ctxCheckRows = 4096
 
-// ctxSearcher is what the stores of this package implement behind
-// SearchVector: the same scan, stopping with the context's error once ctx is
-// done.
+// ctxSearcher is what Index implements behind SearchVector: the same scan,
+// stopping with the context's error once ctx is done.
 type ctxSearcher interface {
 	search(ctx context.Context, qv Vector, k int, keep func(source string) bool) ([]Hit, error)
 }
 
 // SearchVectorCtx is SearchVector with cooperative cancellation: the scan
-// stops between query buckets, rows, shards or probes once ctx is done and
-// returns the context error with no hits. It runs the very loop SearchVector
+// stops between query buckets or rows once ctx is done and returns the
+// context error with no hits. It runs the very loop SearchVector
 // runs, so results are bit-identical. It is also the retrieval layer's
 // fault-injection point (fault.PointRetrievalScan).
 func SearchVectorCtx(ctx context.Context, s Searcher, qv Vector, k int, keep func(source string) bool) ([]Hit, error) {
@@ -35,8 +34,8 @@ func SearchVectorCtx(ctx context.Context, s Searcher, qv Vector, k int, keep fun
 	if cs, ok := s.(ctxSearcher); ok {
 		return cs.search(ctx, qv, k, keep)
 	}
-	// Unknown implementation: run it to completion (no cancellation points
-	// inside), then honor the context for the result.
+	// Not an Index (a test's dense oracle): run it to completion (no
+	// cancellation points inside), then honor the context for the result.
 	hits := s.SearchVector(qv, k, keep)
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -114,17 +114,3 @@ func (t *topK) sorted() []Hit {
 	}
 	return t.hits
 }
-
-// mergeTopK returns the k best of several already-selected hit lists — the
-// per-shard or per-cell winners of one fanned-out scan. The order the lists
-// are fed in cannot matter: chunk IDs are unique across them, so the
-// comparator is a strict total order on hits.
-func mergeTopK(k int, lists [][]Hit) []Hit {
-	merged := newTopK(k)
-	for _, hits := range lists {
-		for i := range hits {
-			merged.consider(&hits[i].Chunk, hits[i].Score)
-		}
-	}
-	return merged.sorted()
-}

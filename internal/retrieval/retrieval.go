@@ -1,8 +1,8 @@
 // Package retrieval provides the dense-retrieval substrate used by the
 // multi-hop QA experiments and by MKLGP's multi-document filtering step:
-// token-budgeted chunking, deterministic feature-hashed embeddings, and a
-// layered exact cosine top-k subsystem (flat or sharded, scored term-at-a-time
-// over weighted posting lists) behind the Searcher interface. The embedding is
+// token-budgeted chunking, deterministic feature-hashed embeddings, and one
+// exact cosine top-k store (Index, scored term-at-a-time over weighted posting
+// lists) behind the Searcher and Store interfaces. The embedding is
 // a stand-in for the paper's neural retriever: it preserves the property
 // that lexically related text scores high, which is what the benchmark
 // corpora exercise.
@@ -172,11 +172,10 @@ type Hit struct {
 	Score float64
 }
 
-// Index is the flat exact cosine top-k index over chunks. It is both the
-// single-shard Store and the building block of the Sharded and ANN indexes.
-// Vectors live twice: row-major in a blocked arena (stride = dim — what
-// enumeration, the checkpoint and the ANN re-rank read), and column-major as
-// weighted posting lists, which is what a search scores from. The embedding
+// Index is the exact cosine top-k index over chunks, the one Store in the
+// repository. Vectors live twice: row-major in a blocked arena (stride = dim —
+// what enumeration and the checkpoint read), and column-major as weighted
+// posting lists, which is what a search scores from. The embedding
 // width is fixed at construction — dim-mismatched appends are rejected up
 // front.
 type Index struct {
@@ -189,8 +188,8 @@ type Index struct {
 	lin lineage.Token
 }
 
-// NewIndex returns an empty flat index with the given embedding width
-// (<=0 selects DefaultDim); use New to configure the layered variants.
+// NewIndex returns an empty index with the given embedding width (<=0 selects
+// DefaultDim).
 func NewIndex(dim int) *Index {
 	if dim <= 0 {
 		dim = DefaultDim

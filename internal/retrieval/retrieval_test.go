@@ -207,3 +207,77 @@ func TestSearchDeterministicTieBreak(t *testing.T) {
 		t.Fatalf("ties must break by ID: got %s first", hits[0].Chunk.ID)
 	}
 }
+
+// TestEmbedCallsCounter verifies the instrumentation the core embedding
+// cache asserts against.
+func TestEmbedCallsCounter(t *testing.T) {
+	before := EmbedCalls()
+	Embed("counter probe", 16)
+	Embed("counter probe", 16)
+	if got := EmbedCalls() - before; got < 2 {
+		t.Fatalf("EmbedCalls advanced by %d, want >= 2", got)
+	}
+}
+
+// TestAddEmbeddedBatchMatchesPerChunk pins the batched append path:
+// AddEmbeddedBatch must produce an index identical (length and search
+// results) to per-chunk AddEmbedded.
+func TestAddEmbeddedBatchMatchesPerChunk(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var chunks []Chunk
+	var vecs []Vector
+	for i := 0; i < 60; i++ {
+		text := fmt.Sprintf("%s %s %d", corpusVocab[rng.Intn(len(corpusVocab))],
+			corpusVocab[rng.Intn(len(corpusVocab))], i)
+		c := Chunk{ID: fmt.Sprintf("d%d#c0", i), DocID: fmt.Sprintf("d%d", i),
+			Source: fmt.Sprintf("src-%d", i%3), Text: text}
+		chunks = append(chunks, c)
+		vecs = append(vecs, Embed(text, DefaultDim))
+	}
+	single := indexOf(DefaultDim, chunks, vecs)
+	batched := NewIndex(DefaultDim)
+	batched.AddEmbeddedBatch(chunks, vecs)
+	if single.Len() != batched.Len() {
+		t.Fatalf("lengths diverge %d vs %d", single.Len(), batched.Len())
+	}
+	for q := 0; q < 10; q++ {
+		query := fmt.Sprintf("%s status %d", corpusVocab[q%len(corpusVocab)], q)
+		if a, b := single.Search(query, 7), batched.Search(query, 7); !hitsEqual(a, b) {
+			t.Fatalf("query %q diverges:\n per chunk %s\n batched   %s", query, fmtHits(a), fmtHits(b))
+		}
+	}
+}
+
+// cosineSeed is a copy of the seed's scorer: per-element float64 widening,
+// single accumulator, ascending order. TestCosineBitIdenticalToSeed pins
+// Cosine — the reference every oracle scores with — against it, so no
+// unrolled or reordered kernel can change exact-path scores.
+func cosineSeed(a, b Vector) float64 {
+	n := len(a)
+	if len(b) < n {
+		n = len(b)
+	}
+	var dot float64
+	for i := 0; i < n; i++ {
+		dot += float64(a[i]) * float64(b[i])
+	}
+	return dot
+}
+
+// TestCosineBitIdenticalToSeed is the exact-path property: for arbitrary
+// text pairs (and the embedding widths the system uses), Cosine returns the
+// bit-identical float64 the seed implementation returned.
+func TestCosineBitIdenticalToSeed(t *testing.T) {
+	f := func(a, b string) bool {
+		for _, dim := range []int{32, 64, DefaultDim} {
+			va, vb := Embed(a, dim), Embed(b, dim)
+			if Cosine(va, vb) != cosineSeed(va, vb) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}

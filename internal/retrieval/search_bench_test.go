@@ -39,8 +39,8 @@ func benchCorpusSized(b *testing.B, n, dim int) ([]Chunk, []Vector) {
 
 // BenchmarkSearch compares, at k=5 across corpus sizes of feature-hashed
 // text, the dense reference (Cosine over every row, full sort) with the
-// store's term-at-a-time scan, flat and sharded. B/op of the store cells is
-// the number to watch: it must not depend on n. Run with -benchmem, or via
+// index's term-at-a-time scan. B/op of the index cells is the number to
+// watch: it must not depend on n. Run with -benchmem, or via
 // `make bench-micro`.
 func BenchmarkSearch(b *testing.B) {
 	const dim = DefaultDim
@@ -58,23 +58,18 @@ func BenchmarkSearch(b *testing.B) {
 				fullSortSearch(chunks, vecs, qv, k)
 			}
 		})
-		for name, opts := range map[string]Options{
-			"flat":     {Dim: dim},
-			"sharded8": {Dim: dim, Shards: 8},
-		} {
-			st := New(opts)
-			st.AddEmbeddedBatch(chunks, vecs)
-			b.Run(fmt.Sprintf("%s/n=%d", name, n), func(b *testing.B) {
-				// One scan first, so -benchtime=1x reads a steady scan too
-				// and not the one that fills the accumulator pool.
-				st.SearchVector(qv, k, nil)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					st.SearchVector(qv, k, nil)
-				}
-			})
-		}
+		ix := NewIndex(dim)
+		ix.AddEmbeddedBatch(chunks, vecs)
+		b.Run(fmt.Sprintf("index/n=%d", n), func(b *testing.B) {
+			// One scan first, so -benchtime=1x reads a steady scan too and
+			// not the one that fills the accumulator pool.
+			ix.SearchVector(qv, k, nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ix.SearchVector(qv, k, nil)
+			}
+		})
 	}
 }
 
@@ -85,10 +80,7 @@ func BenchmarkSearchTopKWidth(b *testing.B) {
 	const n = 10000
 	chunks, vecs := benchCorpusSized(b, n, dim)
 	qv := Embed("status delayed typhoon airport", dim)
-	st := New(Options{Dim: dim})
-	for i := range chunks {
-		st.AddEmbedded(chunks[i], vecs[i])
-	}
+	st := indexOf(dim, chunks, vecs)
 	for _, k := range []int{1, 5, 20, 100} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -9,11 +9,8 @@ import (
 // Checkpoint serialization of the retrieval store: the embedding width, the
 // chunk count, then every chunk with its stored vector in the store's
 // deterministic enumeration order. Decoding re-inserts through the normal
-// append path of a caller-supplied empty store, so the layered variants
-// (sharded routing, posting lists, ANN cells) rebuild their own derived
-// structure; only the irreducible chunk+vector data hits the wire. The ANN
-// tier's IVF structure is deliberately not persisted — it is a per-snapshot
-// lazy build anyway, and recomputing it after recovery costs one ensureBuilt.
+// append path of a caller-supplied empty store, which rebuilds the posting
+// lists; only the irreducible chunk+vector data hits the wire.
 
 // decodeBatch bounds how many chunks DecodeIntoStore buffers per
 // AddEmbeddedBatch call, so decoding never holds a second full copy of the

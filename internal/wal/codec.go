@@ -266,7 +266,7 @@ func (d *Decoder) F32s() []float32 {
 	if d.err != nil {
 		return nil
 	}
-	if n*4 > uint64(d.Remaining()) {
+	if n > uint64(d.Remaining())/4 { // not n*4: that wraps for n >= 1<<62
 		d.fail("float32 count %d exceeds %d remaining bytes", n, d.Remaining())
 		return nil
 	}

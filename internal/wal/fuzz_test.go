@@ -68,6 +68,14 @@ func FuzzDecoder(f *testing.F) {
 	f.Add(e.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0x80}) // unterminated varint
+	// The fixed fields, then nine bytes claiming 2^62 floats: 4*count wraps.
+	var wrap Encoder
+	wrap.Uvarint(7)
+	wrap.String("subject")
+	wrap.Int32(-1)
+	wrap.F64(0.5)
+	wrap.Uvarint(1 << 62)
+	f.Add(wrap.Bytes())
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		d := NewDecoder(b)

@@ -2,7 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -89,6 +91,18 @@ func TestDecoderRejectsHugeLengths(t *testing.T) {
 	_ = d.String()
 	if d.Err() == nil {
 		t.Fatal("huge length accepted")
+	}
+	// As a float32 count the same nine bytes claim 2^62 floats, and 4*count
+	// wraps to 0 (count+1 wraps to 4, inside the bytes that follow): the bound
+	// must not be computed by multiplying.
+	for _, n := range []uint64{1 << 62, 1<<62 + 1, 1 << 63, math.MaxUint64} {
+		d := NewDecoder(append(binary.AppendUvarint(nil, n), 0, 0, 0, 0))
+		if v := d.F32s(); v != nil || d.Err() == nil {
+			t.Fatalf("float32 count %d accepted: %d floats, err %v", n, len(v), d.Err())
+		}
+		if d.Uvarint() != 0 || d.F32s() != nil {
+			t.Fatalf("float32 count %d: reads after the error returned data", n)
+		}
 	}
 }
 

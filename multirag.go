@@ -51,24 +51,6 @@ type Config struct {
 	// Workers bounds the ingestion worker pool and the AskConcurrent fan-out
 	// (0 = GOMAXPROCS).
 	Workers int
-	// Shards hash-partitions the retrieval index into shards scanned in
-	// parallel per query (0 = a sensible default; 1 = flat single-shard
-	// scan). A pure performance knob: answers are identical for any value.
-	Shards int
-	// ANN swaps the exact retrieval index for the approximate IVF tier with
-	// exact re-rank. NOT a pure performance knob: chunk retrieval can miss
-	// candidates outside the probed coarse-quantizer cells (recall measured
-	// by `make bench-ann`), in exchange for sub-linear scans at large corpus
-	// sizes. Off by default; when set, Shards is ignored. Per-hit scores
-	// stay exact.
-	ANN bool
-	// NProbe is how many coarse-quantizer cells an ANN query probes (0 = a
-	// sensible default). More probes raise recall and per-query cost.
-	NProbe int
-	// ANNInt8 runs the ANN coarse pass over an int8-quantized copy of the
-	// vectors (4x smaller scan footprint); final scores are still exact.
-	// Ignored unless ANN is set.
-	ANNInt8 bool
 	// AnswerCache bounds the per-corpus-version answer cache (entries);
 	// 0 disables it. The cache is flushed automatically whenever IngestFiles
 	// commits, so cached answers never reflect a stale corpus. Cache hits
@@ -216,10 +198,6 @@ func coreConfig(cfg Config) core.Config {
 		MCC:             mcc,
 		DisableMKA:      cfg.DisableMKA,
 		Workers:         cfg.Workers,
-		Shards:          cfg.Shards,
-		ANN:             cfg.ANN,
-		NProbe:          cfg.NProbe,
-		ANNQuantize:     cfg.ANNInt8,
 		AnswerCacheSize: cfg.AnswerCache,
 		SerializeIngest: cfg.SerializeIngest,
 		BreakerFailures: cfg.BreakerFailures,
