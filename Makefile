@@ -38,12 +38,15 @@ chaos-cluster:
 	$(GO) test -race -count=1 -run '^TestChaosCluster' ./internal/cluster ./internal/serve
 
 # fuzz-smoke runs each committed fuzz target briefly on top of its seed
-# corpus (testdata/fuzz): the WAL frame parser and field decoder — the code
-# recovery walks over whatever a crash left on disk — and the JSON-LD
-# parser every adapter output passes through.
+# corpus: the WAL frame parser and field decoder — the code recovery walks
+# over whatever a crash left on disk — the WAL group record and checkpoint
+# body decoders behind them (both formats, and the replica doors that take
+# the same bytes from a peer), and the JSON-LD parser every adapter output
+# passes through.
 fuzz-smoke:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzFrameParse -fuzztime 5s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecoder -fuzztime 5s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzRecoveredPayload -fuzztime 5s
 	$(GO) test ./internal/jsonld -run '^$$' -fuzz FuzzDocumentUnmarshal -fuzztime 5s
 
 # layers builds and tests the benchmark's per-layer pass, which lives behind
@@ -56,7 +59,8 @@ layers:
 
 # bench-micro runs the testing.B micro-benchmarks with -benchmem: the write
 # path's kernels at the end-to-end corpus size — one commit's clone + 4-row
-# append on a 34,549 x 256 store, one commit's clone + 11-triple replay on a
+# append on a 34,549 x 256 store, one encode and one decode of that store's
+# checkpoint form (datasets text), one commit's clone + 11-triple replay on a
 # 67,100-triple graph (linear history and re-cloned parent), the first write
 # to a shared column page, and one streamed snapshot digest — and the query
 # path's two: one exact top-5 search at up to 34,549 rows (dense full-sort
@@ -64,7 +68,7 @@ layers:
 # (2-16 members, all or a quarter of them distinct). B/op is the tracked
 # number. BENCHTIME=1x makes it a smoke run.
 bench-micro:
-	$(GO) test -run '^$$' -bench '^Benchmark(CommitAppend|Search)$$' -benchmem -benchtime $(BENCHTIME) ./internal/retrieval
+	$(GO) test -run '^$$' -bench '^Benchmark(CommitAppend|Search|EncodeStore|DecodeStore)$$' -benchmem -benchtime $(BENCHTIME) ./internal/retrieval
 	$(GO) test -run '^$$' -bench '^Benchmark(GraphCommitAppend|COWPagePrivatize)$$' -benchmem -benchtime $(BENCHTIME) ./internal/kg
 	$(GO) test -run '^$$' -bench '^BenchmarkSnapshotDigest$$' -benchmem -benchtime $(BENCHTIME) ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkMCCRunConflict$$' -benchmem -benchtime $(BENCHTIME) ./internal/confidence

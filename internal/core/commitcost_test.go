@@ -121,7 +121,7 @@ func TestCommitBytesDoNotDependOnCorpusSize(t *testing.T) {
 // load's multi-megabyte record once the record is logged and shipped.
 func TestDurableEncoderLetsGoOfBulkRecord(t *testing.T) {
 	spec := datasets.Movies(7)
-	spec.Entities = 300
+	spec.Entities = 720 // a 9.7 MB bulk record
 	spec.Queries = 1
 	s, _ := openDurable(t, wal.NewMemFS(), durTestConfig())
 	sink := &recSink{}

@@ -15,8 +15,9 @@ import (
 )
 
 // Durability: systems opened with Open/OpenFS write one WAL record per commit
-// group — the committed batches' recorded operation streams, chunks and
-// embeddings — fsync'd BEFORE the group's snapshot is published, so an
+// group — the committed batches' recorded operation streams, chunks and their
+// embeddings in the sparse stored form (retrieval.EncodeVector) — fsync'd
+// BEFORE the group's snapshot is published, so an
 // acknowledged Ingest can never be lost. A background checkpointer folds the
 // log into a serialized snapshot (graph + line graph + retrieval store) once
 // it crosses a record-count or byte threshold: it rotates the log first, so
@@ -25,6 +26,13 @@ import (
 // segments and stale checkpoints. Recovery loads the newest valid checkpoint,
 // replays the WAL tail through the same recorder-replay + BuildDelta path the
 // committer runs, and truncates whatever torn frame the crash left behind.
+//
+// Format 2 (snapshotVersion, recordVersion) stores vectors sparse. Format 1,
+// which stored every vector as a dense row, stays readable: a checkpoint says
+// which it is in its version field, a record by how it starts — a format-2
+// record opens with a 0 tag and its version, a format-1 record with its batch
+// count, which is never 0. Either way the one decoder branches only at the
+// vector read (retrieval.DecodeVector). Only format 2 is ever written.
 //
 // Not covered: destructive graph mutation outside the logged ingest path (the
 // perturbation harness mutates the served graph in place and calls RebuildSG)
@@ -38,8 +46,12 @@ const (
 	DefaultCheckpointBytes   = 8 << 20
 )
 
-// snapshotVersion versions the checkpoint body layout.
-const snapshotVersion = 1
+// snapshotVersion versions the checkpoint body layout; recordVersion versions
+// the WAL group record's.
+const (
+	snapshotVersion = 2
+	recordVersion   = 2
+)
 
 // durable is the persistence state of a System opened with Open/OpenFS; nil
 // for purely in-memory systems.
@@ -298,10 +310,11 @@ func snapshotBody(sn *snapshot) []byte {
 	return e.Bytes()
 }
 
-// decodeSnapshot rebuilds a snapshot from a checkpoint body.
+// decodeSnapshot rebuilds a snapshot from a checkpoint body of either format.
 func (s *System) decodeSnapshot(body []byte) (*snapshot, error) {
 	d := wal.NewDecoder(body)
-	if v := d.Uvarint(); d.Err() == nil && v != snapshotVersion {
+	v := d.Uvarint()
+	if d.Err() == nil && (v < 1 || v > snapshotVersion) {
 		return nil, fmt.Errorf("core: checkpoint version %d not supported", v)
 	}
 	g, err := kg.DecodeGraph(d)
@@ -315,7 +328,7 @@ func (s *System) decodeSnapshot(body []byte) (*snapshot, error) {
 		}
 	}
 	ix := retrieval.NewIndex(retrieval.DefaultDim)
-	if err := retrieval.DecodeIntoStore(d, ix); err != nil {
+	if err := retrieval.DecodeIntoStore(d, ix, v == 1); err != nil {
 		return nil, err
 	}
 	if err := d.Finish(); err != nil {
@@ -338,9 +351,12 @@ type opStreamer interface {
 }
 
 // encodeGroupRecord serializes the committed batches of one commit group, in
-// ticket order, as one WAL record payload: per batch the per-file recorded
-// operation streams plus the rendered chunks with their embeddings.
+// ticket order, as one WAL record payload: the 0 tag and recordVersion, then
+// per batch the per-file recorded operation streams plus the rendered chunks
+// with their embeddings.
 func encodeGroupRecord(e *wal.Encoder, committed []*prepared) error {
+	e.Int(0)
+	e.Uvarint(recordVersion)
 	e.Int(len(committed))
 	for _, p := range committed {
 		e.Int(len(p.work))
@@ -381,7 +397,7 @@ func encodeGroupRecord(e *wal.Encoder, committed []*prepared) error {
 				e.String(c.DocID)
 				e.String(c.Source)
 				e.String(c.Text)
-				e.F32s(w.vecs[j])
+				retrieval.EncodeVector(e, w.vecs[j])
 			}
 		}
 	}
@@ -395,19 +411,31 @@ type recoveredFile struct {
 	vecs   []retrieval.Vector
 }
 
+// minStoredChunk is the fewest bytes a chunk takes in a record: four string
+// lengths and, sparse, two counts.
+const minStoredChunk = 6
+
 // decodeGroupRecord rebuilds a commit group's batches from a WAL record
-// payload. The op streams are fed back through a fresh Recorder's
-// AddEntity/AddTriple — the same validation the original extraction passed —
-// and every embedding is checked against the store width, so a record that
-// somehow decodes but violates an invariant errors instead of panicking
-// downstream.
+// payload of either format. The op streams are fed back through a fresh
+// Recorder's AddEntity/AddTriple — the same validation the original
+// extraction passed — and every embedding is checked by DecodeVector against
+// the store width, so a record that somehow decodes but violates an invariant
+// errors instead of panicking downstream. Every count is trusted for a
+// preallocation only as far as the bytes left could back it.
 func decodeGroupRecord(payload []byte, dim int) ([][]recoveredFile, error) {
 	d := wal.NewDecoder(payload)
 	nb := d.Int()
-	batches := make([][]recoveredFile, 0, nb)
+	dense := nb != 0 // format 1: the record starts with its batch count
+	if !dense {
+		if v := d.Uvarint(); d.Err() == nil && v != recordVersion {
+			return nil, fmt.Errorf("core: WAL record version %d not supported", v)
+		}
+		nb = d.Int()
+	}
+	batches := make([][]recoveredFile, 0, min(nb, d.Remaining()))
 	for i := 0; i < nb && d.Err() == nil; i++ {
 		nf := d.Int()
-		files := make([]recoveredFile, 0, nf)
+		files := make([]recoveredFile, 0, min(nf, d.Remaining()))
 		for j := 0; j < nf && d.Err() == nil; j++ {
 			f := recoveredFile{rec: extract.NewRecorder()}
 			nOps := d.Int()
@@ -434,18 +462,24 @@ func decodeGroupRecord(payload []byte, dim int) ([][]recoveredFile, error) {
 					return nil, err
 				}
 			}
+			// The file's vectors share one buffer, sized for the chunks the
+			// bytes left can hold.
 			nChunks := d.Int()
+			hint := min(nChunks, d.Remaining()/minStoredChunk)
+			f.chunks = make([]retrieval.Chunk, 0, hint)
+			flat := make([]float32, 0, hint*dim)
 			for k := 0; k < nChunks && d.Err() == nil; k++ {
 				c := retrieval.Chunk{ID: d.String(), DocID: d.String(), Source: d.String(), Text: d.String()}
-				v := d.F32s()
+				flat = append(flat, make([]float32, dim)...)
+				retrieval.DecodeVector(d, flat[len(flat)-dim:], dense)
 				if d.Err() != nil {
 					break
 				}
-				if len(v) != dim {
-					return nil, fmt.Errorf("core: recovered chunk %s vector dim %d does not match store dim %d", c.ID, len(v), dim)
-				}
 				f.chunks = append(f.chunks, c)
-				f.vecs = append(f.vecs, v)
+			}
+			f.vecs = make([]retrieval.Vector, len(f.chunks))
+			for k := range f.vecs {
+				f.vecs[k] = flat[k*dim : (k+1)*dim : (k+1)*dim]
 			}
 			files = append(files, f)
 		}

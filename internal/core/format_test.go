@@ -1,0 +1,279 @@
+package core
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"slices"
+	"testing"
+
+	"multirag/internal/adapter"
+	"multirag/internal/kg"
+	"multirag/internal/linegraph"
+	"multirag/internal/llm"
+	"multirag/internal/retrieval"
+	"multirag/internal/wal"
+)
+
+// format1Config and format1Batches are the configuration and ingest history
+// behind testdata/format1: three commits, a checkpoint, then four commits
+// left in the WAL tail, as a crash would leave them.
+func format1Config() Config {
+	return Config{LLM: llm.Config{Seed: 1, ExtractionNoise: 0, BaseHallucination: 0.02, ConflictSensitivity: 0.6}}
+}
+
+func format1Batches() [][]adapter.RawFile {
+	flights := []adapter.RawFile{
+		{Domain: "flights", Source: "airport-api", Name: "schedule", Format: "csv",
+			Content: []byte("flight,origin,destination,status\nCA981,PEK,JFK,Delayed\nMU588,PVG,LAX,On time\n")},
+		{Domain: "flights", Source: "airline-app", Name: "live", Format: "json",
+			Content: []byte(`[{"flight":"CA981","status":"Delayed","delay_reason":"Typhoon"}]`)},
+		{Domain: "flights", Source: "weather-feed", Name: "alerts", Format: "text",
+			Content: []byte("The status of CA981 is Delayed. The delay reason of CA981 is Typhoon.")},
+		{Domain: "flights", Source: "forum-user", Name: "posts", Format: "text",
+			Content: []byte("The status of CA981 is On time. The gate of MU588 is B12.")},
+	}
+	batches := [][]adapter.RawFile{flights[:2], flights[2:3], flights[3:]}
+	for k := 0; k < 4; k++ {
+		subj := fmt.Sprintf("Unit %d", k)
+		batches = append(batches, []adapter.RawFile{
+			{Domain: "fleet", Source: fmt.Sprintf("feed-%d", k), Name: "facts", Format: "kg",
+				Content: []byte(fmt.Sprintf("%s|status|Ready\n%s|zone|Z%d\n", subj, subj, k%3))},
+			{Domain: "fleet", Source: fmt.Sprintf("notes-%d", k), Name: "notes", Format: "text",
+				Content: []byte(fmt.Sprintf("The zone of %s is Z%d. The status of %s is Ready.", subj, k%3, subj))},
+		})
+	}
+	return batches
+}
+
+// format1Dir is a data directory written by the release before vectors were
+// stored sparse: checkpoint-…3.ckpt (format 1) covering format1Batches()[:3]
+// and wal-…3.log holding the other four commits as format-1 records.
+const format1Dir = "testdata/format1"
+
+// embeddedRows returns every row of s's store with a private copy of its
+// vector.
+func embeddedRows(s *System) ([]retrieval.Chunk, []retrieval.Vector) {
+	var cs []retrieval.Chunk
+	var vs []retrieval.Vector
+	s.snap.Load().index.ForEachEmbedded(func(c retrieval.Chunk, v retrieval.Vector) {
+		cs = append(cs, c)
+		vs = append(vs, slices.Clone(v))
+	})
+	return cs, vs
+}
+
+// requireFormat2 checks that every checkpoint in dir and every WAL record from
+// lsn on is written in the current format.
+func requireFormat2(t *testing.T, dir string, lsn uint64) {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no checkpoints in %s (%v)", dir, err)
+	}
+	const ckptHeader = 20 // magic, CRC, length
+	for _, name := range names {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) <= ckptHeader || b[ckptHeader] != snapshotVersion {
+			t.Fatalf("%s is not a format-%d checkpoint", filepath.Base(name), snapshotVersion)
+		}
+	}
+	sr, err := wal.Scan(wal.OSFS{}, dir, lsn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range sr.Records {
+		if len(rec) < 2 || rec[0] != 0 || rec[1] != recordVersion {
+			t.Fatalf("WAL record %d is not a format-%d record", lsn+uint64(i), recordVersion)
+		}
+	}
+}
+
+// TestOpenFormat1Directory is reopen-equivalence across the format change: a
+// directory the previous release wrote — a format-1 checkpoint plus a tail of
+// format-1 records — opens to exactly the state a fresh in-memory ingest of
+// the same files builds, every row's vector bit for bit, and once checkpointed
+// reopens to a stable digest with nothing of format 1 left on disk. (The
+// digest the previous release computed for the same state differs: it hashed
+// the dense encoding.)
+func TestOpenFormat1Directory(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	if err := os.CopyFS(dir, os.DirFS(format1Dir)); err != nil {
+		t.Fatal(err)
+	}
+	s, info, err := Open(dir, format1Config())
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	if *info != (RecoveryInfo{CheckpointLSN: 3, RecordsReplayed: 4}) {
+		t.Fatalf("recovery info %+v, want the format-1 checkpoint at LSN 3 and 4 replayed records", *info)
+	}
+
+	ref := NewSystem(format1Config())
+	for i, b := range format1Batches() {
+		if _, err := ref.Ingest(b); err != nil {
+			t.Fatalf("reference ingest %d: %v", i, err)
+		}
+	}
+	if got, want := [3]int{s.Index().Len(), s.Graph().NumTriples(), len(s.Graph().EntityIDs())},
+		[3]int{ref.Index().Len(), ref.Graph().NumTriples(), len(ref.Graph().EntityIDs())}; got != want || got[0] == 0 {
+		t.Fatalf("chunks, triples, entities = %v, fresh ingest %v", got, want)
+	}
+	gotC, gotV := embeddedRows(s)
+	wantC, wantV := embeddedRows(ref)
+	for i := range wantC {
+		if gotC[i] != wantC[i] {
+			t.Fatalf("row %d is %+v, fresh ingest %+v", i, gotC[i], wantC[i])
+		}
+		for b := range wantV[i] {
+			if math.Float32bits(gotV[i][b]) != math.Float32bits(wantV[i][b]) {
+				t.Fatalf("row %d (%s) bucket %d = %v, fresh ingest %v", i, gotC[i].ID, b, gotV[i][b], wantV[i][b])
+			}
+		}
+	}
+	if string(snapBytes(s)) != string(snapBytes(ref)) {
+		t.Fatal("recovered snapshot differs from the fresh ingest's")
+	}
+	requireAnswer(t, s, "What is the status of CA981?", "Delayed")
+
+	// Checkpoint in the current format and reopen: same state, same digest.
+	digest := s.SnapshotDigest()
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, info2, err := Open(dir, format1Config())
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s2.Close()
+	if *info2 != (RecoveryInfo{CheckpointLSN: 7}) || s2.SnapshotDigest() != digest {
+		t.Fatalf("reopen after checkpoint: %+v, digest %016x, want LSN 7 and %016x", *info2, s2.SnapshotDigest(), digest)
+	}
+
+	// One more commit and a close move the fallback checkpoint past the last
+	// format-1 file, and pruning removes them.
+	if _, err := s2.Ingest([]adapter.RawFile{{Domain: "flights", Source: "airport-api", Name: "late", Format: "text",
+		Content: []byte("The status of MU551 is Boarding.")}}); err != nil {
+		t.Fatal(err)
+	}
+	digest = s2.SnapshotDigest()
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s3, info3, err := Open(dir, format1Config())
+	if err != nil {
+		t.Fatalf("second reopen: %v", err)
+	}
+	defer s3.Close()
+	if *info3 != (RecoveryInfo{CheckpointLSN: 8}) || s3.SnapshotDigest() != digest {
+		t.Fatalf("second reopen: %+v, digest %016x, want LSN 8 and %016x", *info3, s3.SnapshotDigest(), digest)
+	}
+	requireFormat2(t, dir, 7)
+	requireAnswer(t, s3, "What is the status of MU551?", "Boarding")
+}
+
+// unbackedCounts are payloads whose counts no bytes back: a format-1 record
+// claiming 2³¹-1 batches (5 bytes), format-2 records claiming as many batches
+// or files, and a line-graph body with one node of 2³¹-1 members (7 bytes).
+// Sizing a preallocation by any of these counts asks the runtime for tens of
+// gigabytes and ends the process.
+var (
+	unbackedRecords = [][]byte{
+		binary.AppendUvarint(nil, 1<<31-1),
+		binary.AppendUvarint([]byte{0, recordVersion}, 1<<31-1),
+		binary.AppendUvarint([]byte{0, recordVersion, 1}, 1<<31-1),
+	}
+	unbackedSG = binary.AppendUvarint([]byte{1, 0}, 1<<31-1)
+)
+
+// unbackedCheckpoint is a format-1 checkpoint body around unbackedSG: an
+// empty graph, then the line graph with the unbacked member count.
+func unbackedCheckpoint() []byte {
+	var e wal.Encoder
+	e.Uvarint(1)
+	kg.New().EncodeTo(&e)
+	e.Bool(true)
+	return append(e.Bytes(), unbackedSG...)
+}
+
+// TestDecodeRejectsUnbackedCounts: a count the payload cannot back is an
+// error — from the record decoder and the line-graph decoder directly, and
+// through ReplicaApply and SeedReplica, the two doors a peer's bytes come in
+// by — never an allocation sized by it.
+func TestDecodeRejectsUnbackedCounts(t *testing.T) {
+	for i, rec := range unbackedRecords {
+		if _, err := decodeGroupRecord(rec, retrieval.DefaultDim); err == nil {
+			t.Errorf("record %d: decodeGroupRecord accepted %x", i, rec)
+		}
+		if err := NewSystem(format1Config()).ReplicaApply(rec); err == nil {
+			t.Errorf("record %d: ReplicaApply accepted %x", i, rec)
+		}
+	}
+	if _, err := linegraph.DecodeSG(wal.NewDecoder(unbackedSG), kg.New()); err == nil {
+		t.Errorf("DecodeSG accepted %x", unbackedSG)
+	}
+	if err := NewSystem(format1Config()).SeedReplica(unbackedCheckpoint(), 0); err == nil {
+		t.Error("SeedReplica accepted a body with an unbacked member count")
+	}
+}
+
+// FuzzRecoveredPayload feeds arbitrary bytes to the two decoders recovery and
+// replication run over bytes from disk or a peer — the WAL group record and
+// the checkpoint body, in both formats — and to the replica doors in front of
+// them. Any input may be rejected; none may crash, and a record that decodes
+// must hold vectors of the store's width only.
+func FuzzRecoveredPayload(f *testing.F) {
+	primary := NewSystem(format1Config())
+	sink := &recSink{}
+	if _, _, err := primary.AttachReplication(sink); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := primary.Ingest(format1Batches()[3]); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sink.recs[0])                     // format-2 record
+	f.Add(primary.ServingHandle().Encode()) // format-2 checkpoint body
+	sr, err := wal.Scan(wal.OSFS{}, format1Dir, 3)
+	if err != nil || len(sr.Records) == 0 {
+		f.Fatalf("format-1 records: %v", err)
+	}
+	f.Add(sr.Records[0]) // format-1 record
+	body, _, err := wal.LoadCheckpoint(wal.OSFS{}, format1Dir)
+	if err != nil || body == nil {
+		f.Fatalf("format-1 checkpoint: %v", err)
+	}
+	f.Add(body)
+	for _, rec := range unbackedRecords {
+		f.Add(rec)
+	}
+	f.Add(unbackedCheckpoint())
+
+	cfg := format1Config()
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		if batches, err := decodeGroupRecord(payload, retrieval.DefaultDim); err == nil {
+			for _, files := range batches {
+				for _, rf := range files {
+					if len(rf.vecs) != len(rf.chunks) {
+						t.Fatalf("%d vectors for %d chunks", len(rf.vecs), len(rf.chunks))
+					}
+					for _, v := range rf.vecs {
+						if len(v) != retrieval.DefaultDim {
+							t.Fatalf("decoded a vector of width %d", len(v))
+						}
+					}
+				}
+			}
+		}
+		_ = NewSystem(cfg).ReplicaApply(payload)
+		_ = NewSystem(cfg).SeedReplica(payload, 0)
+	})
+}

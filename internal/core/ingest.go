@@ -72,8 +72,8 @@ func (p *prepared) recordedTriples() int {
 
 // vecsPool recycles the per-file embedding containers of the preparation
 // stage (the same sync.Pool discipline as query.go's evScratch). Only the
-// outer []Vector is pooled — AddEmbeddedBatch copies the Vector headers into
-// the index's own arrays, so the container is dead once its batch commits.
+// outer []Vector is pooled — AddEmbeddedBatch keeps nothing of the vectors
+// it is given, so the container is dead once its batch commits.
 var vecsPool = sync.Pool{New: func() any { return new([]retrieval.Vector) }}
 
 func vecsScratch(n int) []retrieval.Vector {

@@ -193,23 +193,18 @@ func TestIndexRowsDeterministicAcrossWorkerCounts(t *testing.T) {
 	spec.Entities = 20
 	spec.Queries = 10
 	d := datasets.MustGenerate(spec)
-	type row struct {
-		c retrieval.Chunk
-		v retrieval.Vector
-	}
-	build := func(workers int) (*System, []row) {
+	build := func(workers int) *System {
 		s := NewSystem(Config{Workers: workers, LLM: llm.Config{Seed: 1}})
 		if _, err := s.Ingest(d.Files); err != nil {
 			t.Fatal(err)
 		}
-		var rows []row
-		s.snap.Load().index.ForEachEmbedded(func(c retrieval.Chunk, v retrieval.Vector) { rows = append(rows, row{c, v}) })
-		return s, rows
+		return s
 	}
-	serial, srows := build(1)
-	parallel, prows := build(8)
-	if len(srows) == 0 || !reflect.DeepEqual(srows, prows) {
-		t.Fatalf("index rows diverge across worker counts: %d vs %d rows", len(srows), len(prows))
+	serial, parallel := build(1), build(8)
+	sc, sv := embeddedRows(serial)
+	pc, pv := embeddedRows(parallel)
+	if len(sc) == 0 || !reflect.DeepEqual(sc, pc) || !reflect.DeepEqual(sv, pv) {
+		t.Fatalf("index rows diverge across worker counts: %d vs %d rows", len(sc), len(pc))
 	}
 	for _, q := range d.Queries {
 		sa := serial.Query(q.Text)

@@ -67,7 +67,7 @@ func DecodeSG(d *wal.Decoder, g *kg.Graph) (*SG, error) {
 	for i := 0; i < nNodes && d.Err() == nil; i++ {
 		key := d.String()
 		m := d.Int()
-		members := make([]*kg.Triple, 0, m)
+		members := make([]*kg.Triple, 0, min(m, d.Remaining())) // a handle takes at least a byte
 		for j := 0; j < m && d.Err() == nil; j++ {
 			h := int32(d.Int())
 			t := g.TripleAt(h)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -26,69 +27,84 @@ func markedRows(prefix string, n, dim int, mark float32) ([]Chunk, []Vector) {
 // assertRows checks that ix holds exactly the given runs of rows, in order.
 func assertRows(t *testing.T, name string, ix *Index, cs [][]Chunk, vs [][]Vector) {
 	t.Helper()
-	row := 0
+	var wantC []Chunk
+	var wantV []Vector
 	for r := range cs {
-		for i := range cs[r] {
-			if row >= ix.Len() {
-				t.Fatalf("%s: only %d rows", name, ix.Len())
-			}
-			if ix.chunks[row].ID != cs[r][i].ID {
-				t.Fatalf("%s: row %d is %s, want %s", name, row, ix.chunks[row].ID, cs[r][i].ID)
-			}
-			for d, x := range ix.arena.at(row) {
-				if x != vs[r][i][d] {
-					t.Fatalf("%s: row %d bucket %d = %v, want %v", name, row, d, x, vs[r][i][d])
-				}
-			}
-			row++
-		}
+		wantC = append(wantC, cs[r]...)
+		wantV = append(wantV, vs[r]...)
 	}
-	if ix.Len() != row || ix.arena.len() != row {
-		t.Fatalf("%s: len = %d (arena %d), want %d", name, ix.Len(), ix.arena.len(), row)
+	if ix.Len() != len(wantC) {
+		t.Fatalf("%s: len = %d, want %d", name, ix.Len(), len(wantC))
+	}
+	row := 0
+	ix.ForEachEmbedded(func(c Chunk, v Vector) {
+		if c.ID != wantC[row].ID {
+			t.Fatalf("%s: row %d is %s, want %s", name, row, c.ID, wantC[row].ID)
+		}
+		for d, x := range v {
+			if x != wantV[row][d] {
+				t.Fatalf("%s: row %d bucket %d = %v, want %v", name, row, d, x, wantV[row][d])
+			}
+		}
+		row++
+	})
+}
+
+// backing returns the address of s's backing array (nil without one), so a
+// test can tell an append in place from a reallocation.
+func backing[T any](s []T) *T {
+	if cap(s) == 0 {
+		return nil
+	}
+	return &s[:cap(s)][0]
+}
+
+// reserve gives ix's chunk slice and every posting list room for n more rows,
+// so whether an append happened in place shows in the backing addresses.
+func reserve(ix *Index, n int) {
+	ix.chunks = slices.Grow(ix.chunks, n)
+	for b := range ix.post.lists {
+		ix.post.lists[b] = slices.Grow(ix.post.lists[b], n)
 	}
 }
 
 // TestIndexCloneForAppendIsolation is the copy-on-write contract at the Index
 // level, and the lineage-token contract behind it: the first clone to append
-// continues in place behind the parent's len (same blocks, same token), every
-// other appender — a second clone of the same parent, the parent itself —
-// forks, keeping the full blocks and copying only the block table and the
-// partly filled block, and nobody's appends ever change what anybody else
-// serves, including across a block boundary.
+// continues in place behind the parent's len (same chunk and posting-list
+// arrays, same token), every other appender — a second clone of the same
+// parent, the parent itself — forks, clipping the chunk slice and every list
+// so that only what it then appends to is copied, and nobody's appends ever
+// change what anybody else serves, including once a lineage outgrows its
+// arrays' capacity.
 func TestIndexCloneForAppendIsolation(t *testing.T) {
 	const dim = 8
 	parent := NewIndex(dim)
-	baseC, baseV := markedRows("base", 2*blockRows+10, dim, 1)
+	baseC, baseV := markedRows("base", 300, dim, 1)
 	parent.AddEmbeddedBatch(baseC[:8], baseV[:8])
-	parent.AddEmbeddedBatch(baseC[8:], baseV[8:]) // two full blocks and ten rows of a third
-	sharedBlocks := func(ix *Index) int {
-		n := 0
-		for b := range parent.arena.blocks {
-			if &ix.arena.blocks[b][0] == &parent.arena.blocks[b][0] {
-				n++
-			}
-		}
-		return n
-	}
+	parent.AddEmbeddedBatch(baseC[8:], baseV[8:])
+	reserve(parent, 64)
+	// A one-row run from markedRows writes buckets 0 (its mark) and 1 only,
+	// so the single-row appends below leave bucket 2's list alone.
+	shares := func(ix *Index, b int) bool { return backing(ix.post.lists[b]) == backing(parent.post.lists[b]) }
 
 	first := parent.clone()
 	firstC, firstV := markedRows("first", 1, dim, -1)
 	first.AddEmbeddedBatch(firstC, firstV)
-	if sharedBlocks(first) != 3 || first.lin != parent.lin {
+	if first.lin != parent.lin || backing(first.chunks) != backing(parent.chunks) || !shares(first, 0) || !shares(first, 1) {
 		t.Fatal("first clone of the newest snapshot must append in place on the shared lineage")
 	}
 
 	// A second clone of the same parent finds the tail claimed and forks: a
-	// private table and a private copy of the partly filled block, nothing
-	// more.
+	// fresh token, a private chunk array and a private copy of each list it
+	// appends to; the lists it leaves alone keep the parent's arrays.
 	second := parent.clone()
 	secondC, secondV := markedRows("second", 1, dim, -2)
 	second.AddEmbeddedBatch(secondC, secondV)
-	if second.lin == parent.lin || &second.arena.blocks[0] == &parent.arena.blocks[0] {
-		t.Fatal("second clone of one parent must fork to a private block table and a fresh token")
+	if second.lin == parent.lin || backing(second.chunks) == backing(parent.chunks) {
+		t.Fatal("second clone of one parent must fork to a private chunk array and a fresh token")
 	}
-	if sharedBlocks(second) != 2 || len(second.arena.blocks) != 3 {
-		t.Fatalf("fork shares %d of the parent's blocks, want the 2 full ones and one private copy", sharedBlocks(second))
+	if shares(second, 0) || shares(second, 1) || !shares(second, 2) {
+		t.Fatal("a fork must copy exactly the posting lists it appends to")
 	}
 
 	// The parent appending after it was cloned forks too.
@@ -99,16 +115,20 @@ func TestIndexCloneForAppendIsolation(t *testing.T) {
 		t.Fatal("parent appending behind a claimed tail must fork")
 	}
 
-	// Push the first lineage across a block boundary, one row at a time and
-	// then in one batch.
-	moreC, moreV := markedRows("more", 2*blockRows, dim, -4)
+	// Push the first lineage past its reserved capacity, one row at a time
+	// and then in one batch: the arrays it outgrows are reallocated, the
+	// lineage is not.
+	moreC, moreV := markedRows("more", 2*64, dim, -4)
 	for i := range moreC[:50] {
 		first.AddEmbedded(moreC[i], moreV[i])
 	}
+	if backing(first.chunks) != backing(old.chunks) {
+		t.Fatal("linear appends within the reserved capacity must stay in the parent's chunk array")
+	}
 	grandchild := first.clone()
 	grandchild.AddEmbeddedBatch(moreC[50:], moreV[50:])
-	if grandchild.lin != first.lin || &grandchild.arena.blocks[2][0] != &old.arena.blocks[2][0] {
-		t.Fatal("linear history must stay on one lineage, in the same blocks, across block boundaries")
+	if grandchild.lin != first.lin {
+		t.Fatal("linear history must stay on one lineage across a capacity boundary")
 	}
 
 	assertRows(t, "parent as cloned", &old, [][]Chunk{baseC}, [][]Vector{baseV})
@@ -193,8 +213,8 @@ func (o *oracleNode) check(t *testing.T, label string, queries []Vector) {
 // TestCloneTreeMatchesDeepCopyOracle grows seeded random trees of
 // CloneForAppend / AddEmbedded / AddEmbeddedBatch — linear chains, several
 // clones of one parent all appending, parents appended to after being cloned,
-// leaves abandoned after they claimed the tail, batches that cross a block
-// boundary — and after every step checks every node ever
+// leaves abandoned after they claimed the tail, batches that outgrow the
+// arrays' capacity — and after every step checks every node ever
 // created against a deep-copy oracle. Shared-tail appends are only correct if
 // no node's rows can change once written; this is the test that would see it.
 func TestCloneTreeMatchesDeepCopyOracle(t *testing.T) {
@@ -233,7 +253,7 @@ func TestCloneTreeMatchesDeepCopyOracle(t *testing.T) {
 			}
 			n := 1 + rng.Intn(12)
 			if rng.Intn(6) == 0 {
-				n = 150 + rng.Intn(100) // most of a block: crosses a boundary more often than not
+				n = 150 + rng.Intn(100) // large enough to outgrow spare capacity more often than not
 			}
 			cs, vs := rows(n)
 			switch op := rng.Intn(5); {
@@ -267,8 +287,8 @@ func TestCloneTreeMatchesDeepCopyOracle(t *testing.T) {
 // while the committer clones the newest snapshot and appends behind it in
 // place, a few hundred commits in a row. Every reader's hits must stay
 // bit-identical to the dense reference over the rows its snapshot held when
-// it was captured — a posting list's length, like the arena's, is what keeps
-// a descendant's rows out of an older generation's scores — and
+// it was captured — a posting list's length is what keeps a descendant's
+// rows out of an older generation's scores and enumeration — and
 // `go test -race` must see no conflicting access: readers stop at their own
 // len, the committer writes past it.
 func TestScansDuringInPlaceAppends(t *testing.T) {

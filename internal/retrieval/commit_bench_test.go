@@ -9,9 +9,9 @@ import (
 // BenchmarkCommitAppend measures what one ingest commit costs the retrieval
 // store: clone the newest snapshot, append a 4-row batch, make the clone the
 // newest — at the corpus size of the end-to-end benchmark (34,549 chunks ×
-// 256 dims, a 35 MB arena). History is linear, so every iteration takes the
-// in-place path; B/op is the number to watch: the posting-list headers each
-// clone copies, plus one 256 KB block per 256 rows appended.
+// 256 dims). History is linear, so every iteration takes the in-place path;
+// B/op is the number to watch: the posting-list headers each clone copies,
+// plus the occasional growth step of the chunk slice and a posting list.
 // Run with -benchmem, or via `make bench-micro`.
 func BenchmarkCommitAppend(b *testing.B) {
 	const (

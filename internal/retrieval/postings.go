@@ -13,12 +13,13 @@ type posting struct {
 	w   float32
 }
 
-// postings is the column view of an Index's arena: one list per embedding
-// bucket holding, in row order, every non-zero weight stored in that bucket.
-// The feature-hashed embedding writes a token into exactly one bucket, so a
-// row appears on about as many lists as it has distinct features — a few per
-// cent of dim — and the lists together are the exact scorer, not a filter in
-// front of one (see Index.search).
+// postings is where an Index keeps its vectors: one list per embedding bucket
+// holding, in row order, every non-zero weight stored in that bucket. The
+// feature-hashed embedding writes a token into exactly one bucket, so a row
+// appears on about as many lists as it has distinct features — a few per cent
+// of dim — and the lists together are both the exact scorer, not a filter in
+// front of one (see Index.search), and the only copy of the vectors (see
+// Index.ForEachEmbedded).
 type postings struct {
 	lists [][]posting
 }

@@ -173,15 +173,13 @@ type Hit struct {
 }
 
 // Index is the exact cosine top-k index over chunks, the one Store in the
-// repository. Vectors live twice: row-major in a blocked arena (stride = dim —
-// what enumeration and the checkpoint read), and column-major as weighted
-// posting lists, which is what a search scores from. The embedding
-// width is fixed at construction — dim-mismatched appends are rejected up
-// front.
+// repository. A stored vector has one in-memory form: its non-zero weights on
+// the weighted posting lists, column-major, which is what a search scores
+// from and what ForEachEmbedded gathers rows back out of. The embedding width
+// is fixed at construction — dim-mismatched appends are rejected up front.
 type Index struct {
 	dim    int
 	chunks []Chunk
-	arena  arena
 	post   postings
 	// lin counts the rows claimed on the backing storage this index shares
 	// with its clones (see claim).
@@ -194,21 +192,19 @@ func NewIndex(dim int) *Index {
 	if dim <= 0 {
 		dim = DefaultDim
 	}
-	return &Index{dim: dim, arena: arena{dim: dim}, post: newPostings(dim), lin: lineage.New(0)}
+	return &Index{dim: dim, post: newPostings(dim), lin: lineage.New(0)}
 }
 
 // claim applies the claim-or-fork rule (package lineage) to rows [len, len+n)
-// before the index appends them. Clones share chunks, the arena's block table
-// and blocks, and the posting lists, spare capacity included. A successful
-// claim appends in place in all three, in O(n). A fork clips the chunk slice
-// and every posting list to cap == len, so their appends reallocate, and
-// copies the arena's block table and partly filled last block.
+// before the index appends them. Clones share the chunk slice and the posting
+// lists, spare capacity included. A successful claim appends in place in
+// both, in O(n). A fork clips the chunk slice and every posting list to
+// cap == len, so their appends reallocate.
 func (ix *Index) claim(n int) {
 	if ix.lin.Claim(len(ix.chunks), n) {
 		return
 	}
 	ix.chunks = slices.Clip(ix.chunks)
-	ix.arena.fork()
 	ix.post.clip()
 }
 
@@ -220,8 +216,9 @@ func (ix *Index) Add(c Chunk) {
 // AddEmbedded inserts a chunk with a precomputed embedding. The concurrent
 // ingestion engine embeds chunks on worker goroutines and batch-appends them
 // here under the write lock, keeping the expensive hashing off the serial
-// commit path. The vector's width must match the index's (the arena fixes
-// the stride at construction); a mismatch panics before any mutation.
+// commit path. The vector's width must match the index's (one posting list
+// per bucket, fixed at construction); a mismatch panics before any mutation.
+// The index keeps v's non-zero weights, not v.
 func (ix *Index) AddEmbedded(c Chunk, v Vector) {
 	if len(v) != ix.dim {
 		panic(fmt.Sprintf("retrieval: AddEmbedded vector dim %d does not match index dim %d (chunk %s)",
@@ -230,7 +227,6 @@ func (ix *Index) AddEmbedded(c Chunk, v Vector) {
 	ix.claim(1)
 	ix.post.add(len(ix.chunks), v)
 	ix.chunks = append(ix.chunks, c)
-	ix.arena.appendVec(v)
 }
 
 // AddEmbeddedBatch appends a parallel run of chunks and embeddings under one
@@ -256,9 +252,6 @@ func (ix *Index) AddEmbeddedBatch(cs []Chunk, vs []Vector) {
 		ix.post.add(len(ix.chunks)+i, vs[i])
 	}
 	ix.chunks = append(ix.chunks, cs...)
-	for i := range vs {
-		ix.arena.appendVec(vs[i])
-	}
 }
 
 // CloneForAppend returns an index that shares the receiver's backing arrays,
@@ -275,11 +268,38 @@ func (ix *Index) clone() *Index {
 	return &clone
 }
 
-// ForEachEmbedded visits every chunk with its arena vector, in insertion
-// order. Vectors alias the arena; callers must treat them as read-only.
+// gatherRows is how many rows ForEachEmbedded densifies per pass over the
+// posting lists: 256 KB of scratch at DefaultDim.
+const gatherRows = 256
+
+// ForEachEmbedded visits every chunk with its vector, in insertion order. The
+// vectors are gathered back out of the posting lists a block of gatherRows
+// rows at a time: for each block, every bucket's cursor advances while its
+// list's rows are below the block's end, scattering weights into a zeroed
+// block-sized scratch — O(nnz + dim·rows/gatherRows) list steps for the whole
+// enumeration instead of a walk of every list per row. v is a view of that
+// per-call scratch, valid only during fn.
 func (ix *Index) ForEachEmbedded(fn func(c Chunk, v Vector)) {
-	for i := range ix.chunks {
-		fn(ix.chunks[i], ix.arena.at(i))
+	n, dim := len(ix.chunks), ix.dim
+	if n == 0 {
+		return
+	}
+	rows := make([]float32, min(n, gatherRows)*dim)
+	next := make([]int, dim) // per bucket: the first posting not yet gathered
+	for lo := 0; lo < n; lo += gatherRows {
+		hi := min(lo+gatherRows, n)
+		for b, l := range ix.post.lists {
+			i := next[b]
+			for ; i < len(l) && int(l[i].row) < hi; i++ {
+				rows[(int(l[i].row)-lo)*dim+b] = l[i].w
+			}
+			next[b] = i
+		}
+		for r := lo; r < hi; r++ {
+			off := (r - lo) * dim
+			fn(ix.chunks[r], rows[off:off+dim:off+dim])
+		}
+		clear(rows)
 	}
 }
 

@@ -281,3 +281,41 @@ func TestCosineBitIdenticalToSeed(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAddEmbeddedBatchValidation: a malformed batch (length mismatch or a
+// dim-mismatched vector) must panic up front with the store untouched.
+func TestAddEmbeddedBatchValidation(t *testing.T) {
+	mustPanic := func(t *testing.T, name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: expected panic", name)
+			}
+		}()
+		fn()
+	}
+	cs := []Chunk{{ID: "a#c0", Text: "x"}, {ID: "b#c0", Text: "y"}}
+	good := []Vector{make(Vector, 32), make(Vector, 32)}
+	st := NewIndex(32)
+	st.AddEmbeddedBatch(cs, good) // well-formed baseline
+	if st.Len() != 2 {
+		t.Fatalf("baseline batch lost: len=%d", st.Len())
+	}
+	mustPanic(t, "length mismatch", func() {
+		st.AddEmbeddedBatch([]Chunk{{ID: "c#c0"}, {ID: "d#c0"}}, good[:1])
+	})
+	mustPanic(t, "dim mismatch", func() {
+		st.AddEmbeddedBatch([]Chunk{{ID: "c#c0"}, {ID: "d#c0"}}, []Vector{make(Vector, 32), make(Vector, 16)})
+	})
+	if st.Len() != 2 {
+		t.Fatalf("rejected batch mutated the store: len=%d", st.Len())
+	}
+	// AddEmbedded single-vector path rejects too.
+	ix := NewIndex(32)
+	mustPanic(t, "AddEmbedded dim mismatch", func() {
+		ix.AddEmbedded(Chunk{ID: "a#c0"}, make(Vector, 31))
+	})
+	if ix.Len() != 0 {
+		t.Fatalf("rejected AddEmbedded mutated the store: len=%d", ix.Len())
+	}
+}

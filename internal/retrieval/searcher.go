@@ -35,7 +35,9 @@ type Store interface {
 	AddEmbedded(c Chunk, v Vector)
 	// AddEmbeddedBatch inserts many pre-embedded chunks at once (vs must be
 	// parallel to cs). The group committer appends a whole commit group's
-	// chunks through this path, under one claim instead of one per chunk.
+	// chunks through this path, under one claim instead of one per chunk. The
+	// store does not retain vs: callers may reuse the vectors' memory once it
+	// returns.
 	AddEmbeddedBatch(cs []Chunk, vs []Vector)
 	// CloneForAppend returns a store that shares the receiver's backing
 	// storage and its spare capacity; appends to the clone never change what
@@ -43,12 +45,11 @@ type Store interface {
 	// in place is the claim-or-fork rule of package lineage: with a linear
 	// history — clone the newest snapshot, append, publish — every commit
 	// does, at O(rows appended); any other appender forks first, copying the
-	// block table, one partly filled block and each posting list it then
-	// touches.
+	// chunk slice and each posting list it then touches.
 	CloneForAppend() Store
 	// ForEachEmbedded visits every chunk with its stored embedding, in
 	// insertion order, which re-inserting through AddEmbedded reproduces.
-	// The durability checkpoint serializes stores through it. Vectors alias
-	// internal storage and must not be mutated.
+	// The durability checkpoint serializes stores through it. v is valid only
+	// during fn.
 	ForEachEmbedded(fn func(c Chunk, v Vector))
 }

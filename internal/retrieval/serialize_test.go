@@ -3,7 +3,10 @@ package retrieval
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"multirag/internal/wal"
@@ -46,7 +49,7 @@ func TestStoreSerializeRoundTrip(t *testing.T) {
 			raw := encodeStore(src)
 			dst := NewIndex(32)
 			d := wal.NewDecoder(raw)
-			if err := DecodeIntoStore(d, dst); err != nil {
+			if err := DecodeIntoStore(d, dst, false); err != nil {
 				t.Fatal(err)
 			}
 			if err := d.Finish(); err != nil {
@@ -79,18 +82,18 @@ func TestDecodeIntoStoreValidates(t *testing.T) {
 	fillStore(src, 5)
 	raw := encodeStore(src)
 
-	if err := DecodeIntoStore(wal.NewDecoder(raw), NewIndex(32)); err == nil {
+	if err := DecodeIntoStore(wal.NewDecoder(raw), NewIndex(32), false); err == nil {
 		t.Fatal("decode accepted a dim mismatch")
 	}
 	full := NewIndex(16)
 	fillStore(full, 1)
-	if err := DecodeIntoStore(wal.NewDecoder(raw), full); err == nil {
+	if err := DecodeIntoStore(wal.NewDecoder(raw), full, false); err == nil {
 		t.Fatal("decode accepted a non-empty target store")
 	}
 	for cut := 0; cut < len(raw); cut++ {
 		dst := NewIndex(16)
 		d := wal.NewDecoder(raw[:cut])
-		if err := DecodeIntoStore(d, dst); err == nil {
+		if err := DecodeIntoStore(d, dst, false); err == nil {
 			if err := d.Finish(); err == nil {
 				t.Fatalf("cut %d: decode of truncated stream succeeded", cut)
 			}
@@ -98,52 +101,203 @@ func TestDecodeIntoStoreValidates(t *testing.T) {
 	}
 }
 
-// blockWatch wraps an index being filled and remembers the address of every
-// arena block it has seen, so a block that moved — was copied — shows.
-type blockWatch struct {
-	*Index
-	bases []*float32 // bases[b]: first address seen for block b
-	moved int
+// TestDecodeAllocationPerRow: loading a checkpoint allocates what the store
+// keeps — chunk strings, chunk slots, posting entries — plus one reused batch
+// buffer, and never a dense row per row: the bytes allocated per decoded row
+// stay under one dense row's dim×4.
+func TestDecodeAllocationPerRow(t *testing.T) {
+	const n = 16 * decodeBatch
+	src := NewIndex(DefaultDim)
+	fillStore(src, n)
+	raw := encodeStore(src)
+	var before, after runtime.MemStats
+	dst := NewIndex(DefaultDim)
+	runtime.ReadMemStats(&before)
+	err := DecodeIntoStore(wal.NewDecoder(raw), dst, false)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dst.Len() != n {
+		t.Fatalf("decoded %d of %d rows", dst.Len(), n)
+	}
+	perRow := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("%.0f B allocated per decoded row (a dense row is %d B)", perRow, DefaultDim*4)
+	if perRow >= DefaultDim*4 {
+		t.Fatalf("decode allocates %.0f B per row, a dense row's worth or more", perRow)
+	}
+	// A row count with no rows behind it reserves nothing: the decode fails
+	// on the truncated stream having allocated next to nothing.
+	var e wal.Encoder
+	e.Int(DefaultDim)
+	e.Int(1<<31 - 1)
+	empty := NewIndex(DefaultDim)
+	runtime.ReadMemStats(&before)
+	err = DecodeIntoStore(wal.NewDecoder(e.Bytes()), empty, false)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("decode accepted a row count with no rows behind it")
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b > 4<<10 {
+		t.Fatalf("a bare row count cost %d B", b)
+	}
 }
 
-func (w *blockWatch) AddEmbeddedBatch(cs []Chunk, vs []Vector) {
-	w.Index.AddEmbeddedBatch(cs, vs)
-	for b, blk := range w.arena.blocks {
-		if b == len(w.bases) {
-			w.bases = append(w.bases, &blk[0])
-		} else if w.bases[b] != &blk[0] {
-			w.moved++
+// roundTripVector encodes v, decodes it into a scratch full of garbage (the
+// decode must overwrite every bucket) and reports a mismatch by bit pattern.
+func roundTripVector(t *testing.T, label string, v Vector) {
+	t.Helper()
+	var e wal.Encoder
+	EncodeVector(&e, v)
+	got := make(Vector, len(v))
+	for i := range got {
+		got[i] = float32(i) + 0.5
+	}
+	d := wal.NewDecoder(e.Bytes())
+	DecodeVector(d, got, false)
+	if err := d.Finish(); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	for i := range v {
+		if math.Float32bits(got[i]) != math.Float32bits(v[i]) {
+			t.Fatalf("%s: bucket %d decoded as %v, encoded %v", label, i, got[i], v[i])
 		}
 	}
 }
 
-// TestDecodeAllocatesBlocksOnce: a decode of n rows leaves the arena with
-// exactly ⌈n/blockRows⌉ blocks, none of which moved while the store was
-// filled — loading a corpus copies no stored row, with nothing reserved up
-// front.
-func TestDecodeAllocatesBlocksOnce(t *testing.T) {
-	const n = 5*decodeBatch + 300
-	src := NewIndex(16)
-	fillStore(src, n)
-	w := &blockWatch{Index: NewIndex(16)}
-	if err := DecodeIntoStore(wal.NewDecoder(encodeStore(src)), w); err != nil {
+// TestVectorRoundTrip: DecodeVector(EncodeVector(v)) is v bit for bit, for
+// Embed outputs at the widths the repository uses and for random sparse
+// vectors from all-zero to full-width, with weights of both signs and every
+// magnitude a float32 can hold.
+func TestVectorRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 200; i++ {
+		text := randText(rng)
+		for _, dim := range []int{7, 64, DefaultDim} {
+			roundTripVector(t, fmt.Sprintf("Embed(%q, %d)", text, dim), Embed(text, dim))
+		}
+	}
+	roundTripVector(t, "empty text", Embed("", DefaultDim))
+	for _, dim := range []int{1, 2, 31, DefaultDim, 3 * DefaultDim} {
+		for _, density := range []float64{0, 0.01, 0.05, 0.5, 1} {
+			for rep := 0; rep < 20; rep++ {
+				v := make(Vector, dim)
+				for b := range v {
+					if rng.Float64() < density {
+						for v[b] == 0 {
+							bits := rng.Uint32()
+							if bits>>23&0xff == 0xff {
+								bits &^= 1 << 23 // an all-ones exponent is Inf or NaN
+							}
+							v[b] = math.Float32frombits(bits)
+						}
+					}
+				}
+				roundTripVector(t, fmt.Sprintf("dim %d density %v rep %d", dim, density, rep), v)
+			}
+		}
+	}
+	full := make(Vector, DefaultDim)
+	for b := range full {
+		full[b] = -float32(b + 1)
+	}
+	roundTripVector(t, "full width", full)
+}
+
+// TestDecodeVectorRejectsMalformed: every way a sparse vector can be wrong —
+// too many weights, a repeated or out-of-range bucket, weight and bucket
+// counts that disagree, a zero, NaN or infinite weight, a truncation at any
+// byte — latches an error on the decoder instead of panicking, and the dense
+// format-1 form is held to its width.
+func TestDecodeVectorRejectsMalformed(t *testing.T) {
+	const dim = 16
+	sparse := func(n int, gaps []uint64, m int, ws ...float32) []byte {
+		var e wal.Encoder
+		e.Int(n)
+		for _, g := range gaps {
+			e.Uvarint(g)
+		}
+		e.Int(m)
+		for _, w := range ws {
+			e.F32(w)
+		}
+		return append([]byte(nil), e.Bytes()...)
+	}
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	cases := map[string][]byte{
+		"more weights than buckets": sparse(dim+1, nil, 0),
+		"first gap zero":            sparse(1, []uint64{0}, 1, 1),
+		"repeated bucket":           sparse(2, []uint64{3, 0}, 2, 1, 2),
+		"bucket at dim":             sparse(1, []uint64{dim + 1}, 1, 1),
+		"bucket past dim":           sparse(2, []uint64{dim, 1}, 2, 1, 2),
+		"huge gap":                  sparse(1, []uint64{math.MaxUint64}, 1, 1),
+		"fewer weights":             sparse(2, []uint64{1, 1}, 1, 1),
+		"more weights":              sparse(1, []uint64{1}, 2, 1, 2),
+		"zero weight":               sparse(1, []uint64{1}, 1, 0),
+		"negative zero weight":      sparse(1, []uint64{1}, 1, float32(math.Copysign(0, -1))),
+		"NaN weight":                sparse(2, []uint64{1, 4}, 2, 1, nan),
+		"+Inf weight":               sparse(1, []uint64{1}, 1, inf),
+		"-Inf weight":               sparse(1, []uint64{1}, 1, -inf),
+	}
+	var e wal.Encoder
+	EncodeVector(&e, Embed("status delayed typhoon gate boarding", dim))
+	valid := e.Bytes()
+	for cut := 0; cut < len(valid); cut++ {
+		cases[fmt.Sprintf("truncated at %d of %d", cut, len(valid))] = valid[:cut]
+	}
+	for name, b := range cases {
+		d := wal.NewDecoder(b)
+		DecodeVector(d, make(Vector, dim), false)
+		if d.Err() == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+
+	var dense wal.Encoder
+	dense.F32s(make([]float32, dim-1))
+	d := wal.NewDecoder(dense.Bytes())
+	if DecodeVector(d, make(Vector, dim), true); d.Err() == nil {
+		t.Error("a dense row narrower than the store decoded without error")
+	}
+}
+
+// encodeStoreFormat1 writes s the way format-1 checkpoints did: every vector
+// as a dense F32s row.
+func encodeStoreFormat1(s Store) []byte {
+	var e wal.Encoder
+	e.Int(s.Dim())
+	e.Int(s.Len())
+	s.ForEachEmbedded(func(c Chunk, v Vector) {
+		e.String(c.ID)
+		e.String(c.DocID)
+		e.String(c.Source)
+		e.String(c.Text)
+		e.F32s(v)
+	})
+	return append([]byte(nil), e.Bytes()...)
+}
+
+// TestDecodeIntoStoreReadsFormat1: a store written with dense rows decodes to
+// the same chunks and posting lists as the store it was written from, and
+// re-encodes to the sparse form's bytes.
+func TestDecodeIntoStoreReadsFormat1(t *testing.T) {
+	src := NewIndex(32)
+	fillStore(src, decodeBatch+76)
+	dst := NewIndex(32)
+	d := wal.NewDecoder(encodeStoreFormat1(src))
+	if err := DecodeIntoStore(d, dst, true); err != nil {
 		t.Fatal(err)
 	}
-	if w.Len() != n {
-		t.Fatalf("decoded %d of %d rows", w.Len(), n)
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
 	}
-	if w.moved != 0 {
-		t.Fatalf("%d arena blocks were copied during one decode", w.moved)
+	if !reflect.DeepEqual(dst.chunks, src.chunks) || !reflect.DeepEqual(dst.post, src.post) {
+		t.Fatal("format-1 decode differs from the source store")
 	}
-	if want := (n + blockRows - 1) / blockRows; w.arena.len() != n || len(w.arena.blocks) != want {
-		t.Fatalf("arena holds %d rows in %d blocks, want %d in %d", w.arena.len(), len(w.arena.blocks), n, want)
+	if !bytes.Equal(encodeStore(dst), encodeStore(src)) {
+		t.Fatal("format-1 decode re-encodes to different bytes")
 	}
-	// A row count with no rows behind it allocates nothing: the decode fails
-	// on the truncated stream.
-	var e wal.Encoder
-	e.Int(16)
-	e.Int(1 << 40)
-	if err := DecodeIntoStore(wal.NewDecoder(e.Bytes()), NewIndex(16)); err == nil {
-		t.Fatal("decode accepted a row count with no rows behind it")
+	if err := DecodeIntoStore(wal.NewDecoder(encodeStoreFormat1(src)), NewIndex(32), false); err == nil {
+		t.Fatal("dense rows decoded as sparse without error")
 	}
 }

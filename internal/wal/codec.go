@@ -35,8 +35,8 @@ const streamSpill = 32 << 10
 // NewStreamEncoder returns an encoder that spills to w. Call Flush after the
 // last field.
 func NewStreamEncoder(w io.Writer) *Encoder {
-	// Headroom past the mark for the usual last value (a 256-dim vector is
-	// 1 KiB), so the buffer is allocated once.
+	// Headroom past the mark for the usual last value (a chunk's text, a
+	// stored vector of under 1 KiB), so the buffer is allocated once.
 	return &Encoder{w: w, buf: make([]byte, 0, streamSpill+4096)}
 }
 
@@ -135,9 +135,16 @@ func (e *Encoder) String(s string) {
 	e.spill()
 }
 
+// F32 appends a float32 as its IEEE-754 bits, little-endian.
+func (e *Encoder) F32(v float32) {
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, math.Float32bits(v))
+	e.spill()
+}
+
 // F32s appends a uvarint count followed by the raw little-endian bits of each
-// element — the vector-arena wire form (stride stays implicit; the caller
-// validates widths on decode).
+// element: the same bytes as Uvarint(len(v)) and one F32 per element. What
+// the elements mean — a stored vector's non-zero weights, say — is the
+// caller's to validate on decode.
 func (e *Encoder) F32s(v []float32) {
 	e.Uvarint(uint64(len(v)))
 	for _, x := range v {
@@ -169,8 +176,16 @@ func (d *Decoder) Err() error { return d.err }
 func (d *Decoder) Remaining() int { return len(d.b) - d.off }
 
 func (d *Decoder) fail(format string, args ...any) {
+	d.Fail(fmt.Errorf("wal: decode: "+format, args...))
+}
+
+// Fail latches err as the decode error unless one is latched already — the
+// hook through which a caller's own validation of decoded fields (a bucket
+// out of range, a count that disagrees with another) poisons the decoder
+// exactly as a malformed primitive would.
+func (d *Decoder) Fail(err error) {
 	if d.err == nil {
-		d.err = fmt.Errorf("wal: decode: "+format, args...)
+		d.err = err
 	}
 }
 
@@ -242,6 +257,20 @@ func (d *Decoder) F64() float64 {
 	}
 	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
 	d.off += 8
+	return v
+}
+
+// F32 reads a little-endian float32.
+func (d *Decoder) F32() float32 {
+	if d.err != nil {
+		return 0
+	}
+	if d.Remaining() < 4 {
+		d.fail("truncated float32")
+		return 0
+	}
+	v := math.Float32frombits(binary.LittleEndian.Uint32(d.b[d.off:]))
+	d.off += 4
 	return v
 }
 

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -24,6 +25,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	e.String("hello \x00 world")
 	e.F32s([]float32{1, -2.5, 0})
 	e.F32s(nil)
+	e.F32(-0.75)
 
 	d := NewDecoder(e.Bytes())
 	if got := d.Uvarint(); got != 0 {
@@ -62,6 +64,9 @@ func TestCodecRoundTrip(t *testing.T) {
 	if got := d.F32s(); len(got) != 0 {
 		t.Errorf("F32s = %v", got)
 	}
+	if got := d.F32(); got != -0.75 {
+		t.Errorf("F32 = %v", got)
+	}
 	if err := d.Finish(); err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
@@ -80,6 +85,28 @@ func TestDecoderLatchesOnTruncation(t *testing.T) {
 		// Every later read must return zero without panicking.
 		if v := d.Uvarint(); v != 0 {
 			t.Fatalf("cut=%d: post-error Uvarint = %d", cut, v)
+		}
+	}
+}
+
+// TestDecoderFailLatches: a caller's own validation error poisons the decoder
+// exactly like a malformed field — later reads return zero values, Finish
+// reports it — and the first error latched is the one kept.
+func TestDecoderFailLatches(t *testing.T) {
+	var e Encoder
+	e.F32(1.5)
+	e.String("rest")
+	first, second := errors.New("first"), errors.New("second")
+	d := NewDecoder(e.Bytes())
+	d.Fail(first)
+	d.Fail(second)
+	if d.F32() != 0 || d.String() != "" || d.Err() != first || d.Finish() != first {
+		t.Fatalf("after Fail: err %v, Finish %v", d.Err(), d.Finish())
+	}
+	for cut := 0; cut < 4; cut++ {
+		d := NewDecoder(e.Bytes()[:cut])
+		if d.F32() != 0 || d.Err() == nil {
+			t.Fatalf("float32 truncated to %d bytes decoded without error", cut)
 		}
 	}
 }
