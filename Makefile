@@ -42,12 +42,16 @@ chaos-cluster:
 # over whatever a crash left on disk — the WAL group record and checkpoint
 # body decoders behind them (both formats, and the replica doors that take
 # the same bytes from a peer), and the JSON-LD parser every adapter output
-# passes through.
+# passes through — plus the allocation-free text primitives held to the forms
+# they replace: SameNormalized against NormalizeValue equality, and Hash64 /
+# SeededHash01 against hash/fnv and the fmt-built seeded key.
 fuzz-smoke:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzFrameParse -fuzztime 5s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecoder -fuzztime 5s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzRecoveredPayload -fuzztime 5s
 	$(GO) test ./internal/jsonld -run '^$$' -fuzz FuzzDocumentUnmarshal -fuzztime 5s
+	$(GO) test ./internal/textutil -run '^$$' -fuzz FuzzSameNormalized -fuzztime 5s
+	$(GO) test ./internal/textutil -run '^$$' -fuzz FuzzHash64 -fuzztime 5s
 
 # layers builds and tests the benchmark's per-layer pass, which lives behind
 # the `layers` build tag and calls internal packages directly: an internal
@@ -65,8 +69,9 @@ layers:
 # to a shared column page, and one streamed snapshot digest — and the query
 # path's two: one exact top-5 search at up to 34,549 rows (dense full-sort
 # reference vs the term-at-a-time scan) and MCC.Run over one disagreeing group
-# (2-16 members, all or a quarter of them distinct). B/op is the tracked
-# number. BENCHTIME=1x makes it a smoke run.
+# (2-16 members, all or a quarter of them distinct, expert model included),
+# whose B/op and allocs/op grow with the distinct values, not with member
+# pairs. B/op is the tracked number. BENCHTIME=1x makes it a smoke run.
 bench-micro:
 	$(GO) test -run '^$$' -bench '^Benchmark(CommitAppend|Search|EncodeStore|DecodeStore)$$' -benchmem -benchtime $(BENCHTIME) ./internal/retrieval
 	$(GO) test -run '^$$' -bench '^Benchmark(GraphCommitAppend|COWPagePrivatize)$$' -benchmem -benchtime $(BENCHTIME) ./internal/kg

@@ -10,10 +10,10 @@ import (
 // BenchmarkMCCRunConflict measures one MCC.Run over a single disagreeing
 // group — the node-level path the evidence memo never caches — by member
 // count and by how many of the members carry distinct values, at the paper's
-// α = 0.5. B/op and allocs/op are the tracked numbers. MCC's own share grows
-// with the distinct values (TestRunAllocCeiling pins it at α = 0); the rest,
-// and the part still quadratic in members, is the expert model's
-// kg.TwoHopPathSupport re-normalising every sibling's value per member.
+// α = 0.5. B/op and allocs/op are the tracked numbers; they grow with the
+// distinct values (one token profile each), not with member pairs — the
+// expert model's path support and seeded coin allocate nothing per member
+// (TestRunAllocCeiling pins both α = 0 and α = 0.5).
 func BenchmarkMCCRunConflict(b *testing.B) {
 	for _, n := range []int{2, 4, 8, 16} {
 		for _, shape := range []struct {

@@ -539,17 +539,21 @@ func conflictGroup(tb testing.TB, n, distinct int) (*linegraph.SG, []*linegraph.
 // fixed handful of allocations per distinct value (its token profile) plus a
 // constant for the matrix and the result, where the pairwise rebuild cost
 // over 1,500. α = 0 keeps the expert model — and the graph walks that feed
-// it — out of the count.
+// it — out of the count; α = 0.5 adds them, and fails if the expert's path
+// support goes back to normalising every sibling's value per member (554)
+// or its seeded coin to formatting a key per call.
 func TestRunAllocCeiling(t *testing.T) {
-	sg, cands := conflictGroup(t, 8, 8)
-	m := New(Config{Alpha: 0, Beta: 0.5, NodeThreshold: 0.7, GraphThreshold: 0.99},
-		llm.NewSim(llm.DefaultConfig()), NewHistoryStore())
-	if res := m.Run(sg, cands, Options{}); res.NodesScored != 8 {
-		t.Fatalf("group must take the node-level path, scored %d", res.NodesScored)
-	}
-	allocs := testing.AllocsPerRun(50, func() { m.Run(sg, cands, Options{}) })
-	t.Logf("Run over 8 distinct members: %.0f allocs", allocs)
-	if allocs > 100 {
-		t.Fatalf("Run over 8 distinct members: %.0f allocs, ceiling 100", allocs)
+	for _, alpha := range []float64{0, 0.5} {
+		sg, cands := conflictGroup(t, 8, 8)
+		m := New(Config{Alpha: alpha, Beta: 0.5, NodeThreshold: 0.7, GraphThreshold: 0.99},
+			llm.NewSim(llm.DefaultConfig()), NewHistoryStore())
+		if res := m.Run(sg, cands, Options{}); res.NodesScored != 8 {
+			t.Fatalf("α=%v: group must take the node-level path, scored %d", alpha, res.NodesScored)
+		}
+		allocs := testing.AllocsPerRun(50, func() { m.Run(sg, cands, Options{}) })
+		t.Logf("α=%v: Run over 8 distinct members: %.0f allocs", alpha, allocs)
+		if allocs > 100 {
+			t.Fatalf("α=%v: Run over 8 distinct members: %.0f allocs, ceiling 100", alpha, allocs)
+		}
 	}
 }

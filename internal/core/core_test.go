@@ -197,6 +197,32 @@ func TestComparisonQuery(t *testing.T) {
 	}
 }
 
+// TestComparisonVerdictVariantSpellings: the verdict compares the arms' values
+// up to normalisation, so two spellings of one value are the same value and
+// a value that merely shares a token is not.
+func TestComparisonVerdictVariantSpellings(t *testing.T) {
+	files := []adapter.RawFile{
+		{Domain: "flights", Source: "feed", Name: "d1", Format: "text",
+			Content: []byte("The status of Flight AB100 is On Time. The status of Flight CD200 is on-time. The status of Flight EF300 is on hold.")},
+	}
+	s := NewSystem(Config{LLM: llm.Config{Seed: 1, ExtractionNoise: 0}})
+	if _, err := s.Ingest(files); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ q, want string }{
+		{"Do Flight AB100 and Flight CD200 have the same status?", "yes"},
+		{"Do Flight AB100 and Flight EF300 have the same status?", "no"},
+	} {
+		ans := s.Query(c.q)
+		if !ans.Found || len(ans.Values) != 1 || ans.Values[0] != c.want {
+			t.Fatalf("%s = %+v, want [%s]", c.q, ans.Values, c.want)
+		}
+	}
+	if !shareValue([]string{"Delayed", "On Time"}, []string{"on-time"}) || shareValue([]string{"On Time"}, []string{"OnTime", "on hold"}) {
+		t.Fatal("shareValue must match spellings of one value and nothing else")
+	}
+}
+
 func TestEndToEndFusionF1(t *testing.T) {
 	// The full pipeline over a small generated dataset must answer most
 	// queries correctly — the substance behind Table II's MCC column.

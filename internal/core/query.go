@@ -15,6 +15,7 @@ import (
 	"multirag/internal/llm"
 	"multirag/internal/par"
 	"multirag/internal/retrieval"
+	"multirag/internal/textutil"
 )
 
 // StageSnapshot records the candidate values visible at one MKLGP stage —
@@ -607,22 +608,25 @@ func (s *System) answerComparison(ctx context.Context, sn *snapshot, ans *Answer
 		return
 	}
 	ans.Found = true
-	set := map[string]bool{}
-	for _, v := range a0.vals {
-		set[kg.CanonicalID(v)] = true
-	}
-	same := false
-	for _, v := range a1.vals {
-		if set[kg.CanonicalID(v)] {
-			same = true
-			break
-		}
-	}
-	if same {
+	if shareValue(a0.vals, a1.vals) {
 		ans.Values = []string{"yes"}
 	} else {
 		ans.Values = []string{"no"}
 	}
+}
+
+// shareValue reports whether the two arms' answers have a value in common up
+// to kg.CanonicalID. An arm answers one to three values, so the pairwise
+// in-place comparison beats building a set of canonical IDs.
+func shareValue(a, b []string) bool {
+	for _, v := range a {
+		for _, w := range b {
+			if textutil.SameNormalized(v, w) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // answerFallback handles unparsed queries via pure chunk retrieval.

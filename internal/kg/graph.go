@@ -410,16 +410,21 @@ func (g *Graph) TriplesBySubject(entityID string) []*Triple {
 // TriplesByKey returns the triples sharing a (subject, predicate) key — the
 // raw material of a homologous subgraph.
 func (g *Graph) TriplesByKey(subjectID, predicate string) []*Triple {
+	return g.resolve(g.keyPosting(subjectID, predicate))
+}
+
+// keyPosting returns the handles of the live triples sharing a (subject,
+// predicate) key, nil when either is unknown. Read-only.
+func (g *Graph) keyPosting(subjectID, predicate string) []int32 {
 	subjH, ok := g.entLookup.get(subjectID)
 	if !ok {
-		return []*Triple{}
+		return nil
 	}
 	predH, ok := g.predLookup.get(predicate)
 	if !ok {
-		return []*Triple{}
+		return nil
 	}
-	lst, _ := g.byKey.get(packKey(subjH, predH))
-	return g.resolve(lst)
+	return g.KeyPosting(subjH, predH)
 }
 
 // TriplesByRawKey is TriplesByKey for a precomputed Triple.Key() value.

@@ -177,14 +177,49 @@ func TestTwoHopPathSupportLiteralAgreement(t *testing.T) {
 		tr, _ := g.Triple(id)
 		return tr
 	}
-	a := add("delayed")
-	add("delayed")
-	b := add("on time")
-	if got := g.TwoHopPathSupport(a); got != 0.5 {
-		t.Fatalf("agreeing triple support = %v, want 0.5", got)
+	a := add("Delayed")
+	add("delayed!")
+	add("  DELAYED")
+	b := add("On Time")
+	add("on-time")
+	add("OnTime") // one token, "ontime": not a spelling of "on time"
+	lone := add("cancelled")
+	if !g.RemoveTriple(add("delayed").ID) {
+		t.Fatal("RemoveTriple failed")
 	}
-	if got := g.TwoHopPathSupport(b); got != 0 {
-		t.Fatalf("lone dissenter support = %v, want 0", got)
+	// Seven live triples, six siblings each; the removed one is neither a
+	// sibling nor a vote.
+	for _, c := range []struct {
+		tr   *Triple
+		want float64
+	}{{a, 2.0 / 6}, {b, 1.0 / 6}, {lone, 0}} {
+		if got := g.TwoHopPathSupport(c.tr); got != c.want {
+			t.Fatalf("support of %q = %v, want %v", c.tr.Object, got, c.want)
+		}
+	}
+}
+
+// TestTwoHopPathSupportAllocFree pins the literal branch at zero allocations:
+// MCC calls it once per member of a group, so any per-sibling allocation
+// makes a group cost O(members²).
+func TestTwoHopPathSupportAllocFree(t *testing.T) {
+	g := New()
+	g.AddEntity("F1", "Flight", "flights")
+	var first *Triple
+	for i, obj := range []string{"Delayed", "delayed", "On Time", "on-time", "  DELAYED!", "Cancelled", "on time", "Boarding"} {
+		id, err := g.AddTriple(Triple{Subject: "f1", Predicate: "status", Object: obj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first, _ = g.Triple(id)
+		}
+	}
+	if got := g.TwoHopPathSupport(first); got != 2.0/7 {
+		t.Fatalf("support = %v, want 2/7", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { g.TwoHopPathSupport(first) }); allocs != 0 {
+		t.Fatalf("TwoHopPathSupport on an 8-sibling literal key: %.0f allocs per call, want 0", allocs)
 	}
 }
 

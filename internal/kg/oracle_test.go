@@ -341,7 +341,7 @@ func applyRandomOp(t *testing.T, rng *rand.Rand, g *Graph, r *refGraph, live *[]
 		*live = removeID(*live, victim)
 	default: // add triple
 		subj := CanonicalID(fmt.Sprintf("Entity %d", rng.Intn(oracleEntities)))
-		obj := fmt.Sprintf("value %d", rng.Intn(8))
+		obj := fmt.Sprintf(literalSpellings[rng.Intn(len(literalSpellings))], rng.Intn(8))
 		if rng.Intn(3) == 0 {
 			obj = fmt.Sprintf("Entity %d", rng.Intn(oracleEntities)) // may link an entity
 		}
@@ -363,6 +363,12 @@ func applyRandomOp(t *testing.T, rng *rand.Rand, g *Graph, r *refGraph, live *[]
 		}
 	}
 }
+
+// literalSpellings are the op scripts' literal objects: spellings of one value
+// that differ in case, punctuation and spacing, so refTwoHop's CanonicalID
+// comparison sees equal normal forms from unequal strings, plus a near miss
+// that joins the tokens and must not agree.
+var literalSpellings = []string{"value %d", "Value %d", "value-%d", "  VALUE %d!", "value%d"}
 
 // oracleEntities is the entity universe of the op scripts: more than one
 // posting page (postingPageSize rows), so page privatization and the fork's

@@ -1,6 +1,10 @@
 package kg
 
-import "sort"
+import (
+	"sort"
+
+	"multirag/internal/textutil"
+)
 
 // BFS visits entities reachable from start in breadth-first order up to
 // maxDepth hops (maxDepth < 0 means unbounded) and returns the visit order.
@@ -86,7 +90,10 @@ func (g *Graph) SubgraphAround(center string, depth int) Subgraph {
 // literal objects it returns the share of sibling triples that agree with the
 // value. Both cases run on interned handles: neighbour sets are sorted
 // []int32 slices intersected by a merge walk, and siblings come straight off
-// the (subject, predicate) key posting — no string keys are rebuilt.
+// the (subject, predicate) key posting with their values compared in place
+// (textutil.SameNormalized is CanonicalID equality without building either
+// ID), so the literal case allocates nothing: MCC calls this once per member
+// of a group, and a per-sibling allocation makes a group cost O(members²).
 func (g *Graph) TwoHopPathSupport(t *Triple) float64 {
 	if t.ObjectEntity != "" {
 		subjH, ok := g.entLookup.get(t.Subject)
@@ -121,14 +128,13 @@ func (g *Graph) TwoHopPathSupport(t *Triple) float64 {
 		}
 		return float64(hits) / float64(len(neigh)-1)
 	}
-	siblings := g.TriplesByKey(t.Subject, t.Predicate)
+	siblings := g.keyPosting(t.Subject, t.Predicate)
 	if len(siblings) <= 1 {
 		return 0
 	}
 	agree := 0
-	norm := CanonicalID(t.Object)
-	for _, s := range siblings {
-		if s.ID != t.ID && CanonicalID(s.Object) == norm {
+	for _, h := range siblings {
+		if s := g.trs.get(h); s.ID != t.ID && textutil.SameNormalized(s.Object, t.Object) {
 			agree++
 		}
 	}

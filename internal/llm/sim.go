@@ -89,9 +89,10 @@ func (s *Sim) Fork() *Sim { return &Sim{cfg: s.cfg, name: s.name} }
 func (s *Sim) AddUsage(u Usage) { s.usage.add(u) }
 
 // coin returns a deterministic pseudo-uniform draw in [0,1) keyed by the
-// model seed and the given key.
-func (s *Sim) coin(key string) float64 {
-	return textutil.Hash01(fmt.Sprintf("%d|%s", s.cfg.Seed, key))
+// model seed and the concatenation of key's parts, bit for bit
+// textutil.Hash01(fmt.Sprintf("%d|%s", seed, key)) but with no string built.
+func (s *Sim) coin(key ...string) float64 {
+	return textutil.SeededHash01(s.cfg.Seed, key...)
 }
 
 var (
@@ -219,7 +220,7 @@ func (s *Sim) ExtractTriples(text string, entities []Mention) []SPO {
 			conf = 0.85
 		}
 		if s.cfg.ExtractionNoise > 0 {
-			draw := s.coin("extract|" + sent)
+			draw := s.coin("extract|", sent)
 			if draw < s.cfg.ExtractionNoise/2 {
 				continue // dropped triple
 			}
@@ -246,7 +247,7 @@ func (s *Sim) Standardize(name string) string {
 func (s *Sim) ScoreRelevance(query, doc string) float64 {
 	s.usage.record(tokens(query)+tokens(doc)+8, 4)
 	base := textutil.CosineTokens(textutil.TokenizeContent(query), textutil.TokenizeContent(doc))
-	jitter := (s.coin("rel|"+query+"|"+doc) - 0.5) * 0.04
+	jitter := (s.coin("rel|", query, "|", doc) - 0.5) * 0.04
 	return clamp01(base + jitter)
 }
 
@@ -264,7 +265,7 @@ func (s *Sim) JudgeAuthority(ctx AuthorityContext) float64 {
 	}
 	score := 0.30*deg + 0.25*ctx.LocalStrength + 0.10*ctx.TypeWeight +
 		0.15*ctx.PathSupport + 0.20*sourcePrior(ctx.Source)
-	score += (s.coin("auth|"+ctx.NodeID) - 0.5) * 0.1
+	score += (s.coin("auth|", ctx.NodeID) - 0.5) * 0.1
 	return clamp01(score)
 }
 
@@ -358,7 +359,7 @@ func (s *Sim) GenerateAnswer(query string, evidence []Evidence) []string {
 		pick := 1 + int(textutil.Hash64(key+"|pick")%uint64(len(order)-1))
 		out = append(out, byNorm[order[pick]].repr)
 		// Occasionally it also blends in a fabricated variant.
-		if s.coin(key+"|blend") < 0.25 {
+		if s.coin(key, "|blend") < 0.25 {
 			out = append(out, corruptValue(top.repr, s.cfg.Seed))
 		}
 	} else {

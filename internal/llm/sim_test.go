@@ -2,10 +2,13 @@ package llm
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"multirag/internal/textutil"
 )
 
 func newTestSim() *Sim { return NewSim(DefaultConfig()) }
@@ -144,6 +147,40 @@ func TestJudgeAuthorityMonotoneInDegree(t *testing.T) {
 	high := s.JudgeAuthority(AuthorityContext{NodeID: "n", Degree: 100, MaxDegree: 100, LocalStrength: 0.5, TypeWeight: 0.5, PathSupport: 0.5})
 	if high <= low {
 		t.Fatalf("authority must grow with degree: %v vs %v", low, high)
+	}
+}
+
+// TestCoinMatchesFormattedKey pins every seeded draw to the fmt-built key it
+// used to hash, so no seeded decision moves: same float64 bits, key passed
+// whole or in the parts the call sites use.
+func TestCoinMatchesFormattedKey(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 3, 7, 42, 1000, math.MaxUint64} {
+		s := NewSim(Config{Seed: seed})
+		for _, parts := range [][]string{
+			{""},
+			{"auth|", "t000001"},
+			{"extract|", "The director of Heat is Michael Mann"},
+			{"rel|", "director of Heat", "|", "The director of Heat is Michael Mann"},
+			{"gen|What is the status of CA981?|delayed;on time"},
+			{"gen|q|x;y", "|blend"},
+			{"x\xffy|İ"},
+		} {
+			want := math.Float64bits(textutil.Hash01(fmt.Sprintf("%d|%s", seed, strings.Join(parts, ""))))
+			if got := math.Float64bits(s.coin(parts...)); got != want {
+				t.Fatalf("seed %d, key %q: coin bits %#x, fmt form %#x", seed, parts, got, want)
+			}
+		}
+	}
+}
+
+// TestJudgeAuthorityAllocFree: MCC asks the expert once per member of every
+// node-scored group, so the judgement itself must not allocate.
+func TestJudgeAuthorityAllocFree(t *testing.T) {
+	s := newTestSim()
+	ctx := AuthorityContext{NodeID: "t000123", Source: "mov-csv-2", Degree: 7, MaxDegree: 40,
+		LocalStrength: 0.9, TypeWeight: 0.5, PathSupport: 0.25}
+	if allocs := testing.AllocsPerRun(100, func() { s.JudgeAuthority(ctx) }); allocs != 0 {
+		t.Fatalf("JudgeAuthority: %.0f allocs per call, want 0", allocs)
 	}
 }
 

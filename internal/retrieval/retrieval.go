@@ -95,23 +95,10 @@ var embedCalls atomic.Uint64
 // It exists for cache-efficiency assertions in tests and benchmarks.
 func EmbedCalls() uint64 { return embedCalls.Load() }
 
-// FNV-1a, 64 bit — the function behind textutil.Hash64, written out so Embed
-// can hash a feature from a saved state instead of building its string.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnvAdd(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime64
-	}
-	return h
-}
-
 // embPrefix is the hash state after the "emb|" salt every feature starts
-// with.
-var embPrefix = fnvAdd(fnvOffset64, "emb|")
+// with; Embed continues it with textutil.HashAdd instead of building each
+// feature's string.
+var embPrefix = textutil.Hash64("emb|")
 
 // Embed maps text to a deterministic L2-normalised feature-hashed vector:
 // unigrams and bigrams of the content tokens are hashed into dim buckets
@@ -133,10 +120,10 @@ func Embed(text string, dim int) Vector {
 	}
 	toks := textutil.TokenizeContent(text)
 	for i, t := range toks {
-		h := fnvAdd(embPrefix, t)
+		h := textutil.HashAdd(embPrefix, t)
 		add(h)
 		if i+1 < len(toks) {
-			add(fnvAdd(fnvAdd(h, " "), toks[i+1]))
+			add(textutil.HashAdd(textutil.HashAdd(h, " "), toks[i+1]))
 		}
 	}
 	norm := float32(0)

@@ -88,8 +88,7 @@ func TestHashDeterminism(t *testing.T) {
 	}
 	f := func(s string, n uint8) bool {
 		m := int(n%100) + 1
-		v := HashN(s, m)
-		return v >= 0 && v < m
+		return Hash64(s)%uint64(m) < uint64(m)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -1,0 +1,68 @@
+package textutil
+
+import (
+	"fmt"
+	"hash/fnv"
+	"math"
+	"testing"
+)
+
+// FuzzSameNormalized pins SameNormalized(a, b) == (NormalizeValue(a) ==
+// NormalizeValue(b)), and reflexivity, over arbitrary byte strings. The seeds
+// are the case-mapping and segmentation corners: invalid UTF-8, runes whose
+// lower-case form is ASCII or changes byte length (İ, the Kelvin sign), a
+// final sigma, fullwidth digits, and strings with no token at all.
+func FuzzSameNormalized(f *testing.F) {
+	for _, p := range [][2]string{
+		{"On Time", "on-time"},
+		{"  VALUE 3!", "value-3"},
+		{"value 3", "value 30"},
+		{"x\xffy", "x y"},
+		{"\xc3(", "("},
+		{"İstanbul", "istanbul"},
+		{"\u212aelvin", "kelvin"},
+		{"ΟΔΟΣ", "οδος"},
+		{"οδος", "οδοσ"},
+		{"４２", "42"},
+		{"４２", "４２"},
+		{"---", "!?"},
+		{"", " . "},
+		{"a", ""},
+		{"ab", "a b"},
+	} {
+		f.Add(p[0], p[1])
+	}
+	f.Fuzz(func(t *testing.T, a, b string) {
+		if got, want := SameNormalized(a, b), NormalizeValue(a) == NormalizeValue(b); got != want {
+			t.Fatalf("SameNormalized(%q, %q) = %v; normal forms %q, %q", a, b, got, NormalizeValue(a), NormalizeValue(b))
+		}
+		if !SameNormalized(a, a) || !SameNormalized(b, b) {
+			t.Fatalf("SameNormalized is not reflexive on %q / %q", a, b)
+		}
+	})
+}
+
+// FuzzHash64 pins the inline FNV-1a loop to hash/fnv, and SeededHash01 — with
+// its key cut anywhere into two parts — to Hash01 of the fmt-built string it
+// replaces, bit for bit.
+func FuzzHash64(f *testing.F) {
+	f.Add("", uint64(0), uint8(0))
+	f.Add("auth|t000001", uint64(1), uint8(5))
+	f.Add("x\xffy", uint64(math.MaxUint64), uint8(200))
+	f.Add("gen|What is the status of CA981?|delayed", uint64(42), uint8(4))
+	f.Fuzz(func(t *testing.T, s string, seed uint64, cut uint8) {
+		h := fnv.New64a()
+		h.Write([]byte(s))
+		if got, want := Hash64(s), h.Sum64(); got != want {
+			t.Fatalf("Hash64(%q) = %#x, hash/fnv %#x", s, got, want)
+		}
+		k := int(cut) % (len(s) + 1)
+		want := math.Float64bits(Hash01(fmt.Sprintf("%d|%s", seed, s)))
+		if got := math.Float64bits(SeededHash01(seed, s)); got != want {
+			t.Fatalf("SeededHash01(%d, %q) bits %#x, want %#x", seed, s, got, want)
+		}
+		if got := math.Float64bits(SeededHash01(seed, s[:k], s[k:])); got != want {
+			t.Fatalf("SeededHash01(%d, %q, %q) bits %#x, want %#x", seed, s[:k], s[k:], got, want)
+		}
+	})
+}

@@ -1,25 +1,42 @@
 package textutil
 
-import "hash/fnv"
+import "strconv"
+
+// FNV-1a, 64 bit (hash/fnv's New64a), written out so hashing a string copies
+// nothing and a key can be hashed in pieces.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// HashAdd continues the FNV-1a state h over s: Hash64(a+b) is
+// HashAdd(Hash64(a), b), with a+b never built.
+func HashAdd(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
+}
 
 // Hash64 returns the FNV-1a 64-bit hash of s. It is the single stable hash
 // used across the repository (IDs, embeddings, seeded noise) so that results
 // are reproducible run to run.
-func Hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
-}
-
-// HashN returns Hash64(s) folded into [0, n). n must be > 0.
-func HashN(s string, n int) int {
-	if n <= 0 {
-		panic("textutil: HashN with non-positive n")
-	}
-	return int(Hash64(s) % uint64(n))
-}
+func Hash64(s string) uint64 { return HashAdd(fnvOffset64, s) }
 
 // Hash01 maps s to a deterministic pseudo-uniform float in [0,1).
-func Hash01(s string) float64 {
-	return float64(Hash64(s)>>11) / float64(1<<53)
+func Hash01(s string) float64 { return unit(Hash64(s)) }
+
+// SeededHash01 is Hash01(fmt.Sprintf("%d|%s", seed, key)) with key the
+// concatenation of its parts, hashed in one pass without building the string.
+func SeededHash01(seed uint64, key ...string) float64 {
+	var digits [20]byte
+	h := Hash64(string(strconv.AppendUint(digits[:0], seed, 10)))
+	h = HashAdd(h, "|")
+	for _, k := range key {
+		h = HashAdd(h, k)
+	}
+	return unit(h)
 }
+
+// unit maps a 64-bit hash to [0,1) through its top 53 bits.
+func unit(h uint64) float64 { return float64(h>>11) / float64(1<<53) }

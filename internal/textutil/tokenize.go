@@ -8,6 +8,7 @@ package textutil
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // stopwords is the small English closed-class vocabulary dropped by
@@ -107,6 +108,54 @@ func NGrams(toks []string, n int) []string {
 // the same string.
 func NormalizeValue(s string) string {
 	return strings.Join(Tokenize(s), " ")
+}
+
+// SameNormalized reports NormalizeValue(a) == NormalizeValue(b) without
+// building either normal form: it walks both strings token by token,
+// lower-casing rune by rune as CountTokens does, and allocates nothing.
+func SameNormalized(a, b string) bool {
+	i, j := 0, 0
+	for {
+		i, j = skipSeparators(a, i), skipSeparators(b, j)
+		if i == len(a) || j == len(b) {
+			return i == len(a) && j == len(b)
+		}
+		// Both at a token start: the tokens must match rune for rune and end
+		// together.
+		for {
+			ra, wa := lowerRuneAt(a, i)
+			rb, wb := lowerRuneAt(b, j)
+			inA := isTokenRune(ra)
+			if inA != isTokenRune(rb) || (inA && ra != rb) {
+				return false
+			}
+			if !inA {
+				break
+			}
+			i, j = i+wa, j+wb
+		}
+	}
+}
+
+// lowerRuneAt decodes the rune at s[i:] lower-cased, with its width. Invalid
+// bytes and the end of s decode as U+FFFD, a separator, just as
+// strings.ToLower rewrites invalid bytes.
+func lowerRuneAt(s string, i int) (rune, int) {
+	r, w := utf8.DecodeRuneInString(s[i:])
+	return unicode.ToLower(r), w
+}
+
+// skipSeparators returns the offset of the first token rune of s at or after
+// i, or len(s).
+func skipSeparators(s string, i int) int {
+	for i < len(s) {
+		r, w := lowerRuneAt(s, i)
+		if isTokenRune(r) {
+			break
+		}
+		i += w
+	}
+	return i
 }
 
 // entityNoise lists the decorative tokens that vary between sources' surface
