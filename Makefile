@@ -66,8 +66,9 @@ layers:
 # append on a 34,549 x 256 store, one encode and one decode of that store's
 # checkpoint form (datasets text), one commit's clone + 11-triple replay on a
 # 67,100-triple graph (linear history and re-cloned parent), the first write
-# to a shared column page, and one streamed snapshot digest — and the query
-# path's two: one exact top-5 search at up to 34,549 rows (dense full-sort
+# to a shared column page, one streamed snapshot digest and one replica seeded
+# from that snapshot's checkpoint body (its B/op and allocs/op are the size of
+# one engine copy) — and the query path's two: one exact top-5 search at up to 34,549 rows (dense full-sort
 # reference vs the term-at-a-time scan) and MCC.Run over one disagreeing group
 # (2-16 members, all or a quarter of them distinct, expert model included),
 # whose B/op and allocs/op grow with the distinct values, not with member
@@ -75,7 +76,7 @@ layers:
 bench-micro:
 	$(GO) test -run '^$$' -bench '^Benchmark(CommitAppend|Search|EncodeStore|DecodeStore)$$' -benchmem -benchtime $(BENCHTIME) ./internal/retrieval
 	$(GO) test -run '^$$' -bench '^Benchmark(GraphCommitAppend|COWPagePrivatize)$$' -benchmem -benchtime $(BENCHTIME) ./internal/kg
-	$(GO) test -run '^$$' -bench '^BenchmarkSnapshotDigest$$' -benchmem -benchtime $(BENCHTIME) ./internal/core
+	$(GO) test -run '^$$' -bench '^Benchmark(SnapshotDigest|SeedReplica)$$' -benchmem -benchtime $(BENCHTIME) ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkMCCRunConflict$$' -benchmem -benchtime $(BENCHTIME) ./internal/confidence
 
 # bench regenerates the paper tables/figures at a reduced scale and records

@@ -191,7 +191,6 @@ func (s *System) commitGroup(group []*prepared) {
 				p.err = fmt.Errorf("core: commit: %w", err)
 			}
 		}
-		releaseVecs(group)
 		return
 	}
 	cur := s.snap.Load()
@@ -273,7 +272,6 @@ func (s *System) commitGroup(group []*prepared) {
 		s.buildReal += now.Sub(p.start)
 		s.buildLLM += p.llm
 	}
-	releaseVecs(group)
 }
 
 // replayBatch replays one prepared batch onto the shared commit clone,
@@ -283,18 +281,13 @@ func (s *System) commitGroup(group []*prepared) {
 func replayBatch(g *kg.Graph, ix retrieval.Store, p *prepared, ids []string) ([]string, error) {
 	entBefore, triBefore := g.NumEntities(), g.NumTriples()
 	mark := len(ids)
-	for i := range p.work {
-		var err error
-		ids, err = p.work[i].rec.ReplayAppend(g, ids)
-		if err != nil {
-			return ids[:mark], err
-		}
+	ids, err := replayFiles(g, ix, p.work, ids)
+	if err != nil {
+		return ids[:mark], err
 	}
 	p.rep.Chunks = 0
 	for i := range p.work {
-		w := &p.work[i]
-		ix.AddEmbeddedBatch(w.chunks, w.vecs[:len(w.chunks)])
-		p.rep.Chunks += len(w.chunks)
+		p.rep.Chunks += len(p.work[i].chunks)
 	}
 	p.rep.Extraction.Entities = g.NumEntities() - entBefore
 	p.rep.Extraction.Triples = g.NumTriples() - triBefore

@@ -8,12 +8,10 @@ import (
 
 var digestSink uint64
 
-// BenchmarkSnapshotDigest measures one anti-entropy digest of a snapshot of a
-// few thousand entities and chunks. The body is streamed into the hash, so
-// B/op should stay a small fraction of the body's size (reported as
-// body-bytes) however large the snapshot grows. Run with -benchmem, or via
-// `make bench-micro`.
-func BenchmarkSnapshotDigest(b *testing.B) {
+// benchSnapshot is the snapshot the snapshot benchmarks share: a few thousand
+// entities and chunks, ingested as one batch.
+func benchSnapshot(b *testing.B) SnapshotHandle {
+	b.Helper()
 	s := NewSystem(durTestConfig())
 	var files []adapter.RawFile
 	for k := 0; k < 1500; k++ {
@@ -23,11 +21,41 @@ func BenchmarkSnapshotDigest(b *testing.B) {
 	if _, err := s.Ingest(files); err != nil {
 		b.Fatal(err)
 	}
-	h := s.ServingHandle()
-	b.ReportMetric(float64(len(h.Encode())), "body-bytes")
+	return s.ServingHandle()
+}
+
+// BenchmarkSnapshotDigest measures one anti-entropy digest of the shared
+// snapshot. The body is streamed into the hash, so B/op should stay a small
+// fraction of the body's size (reported as body-bytes) however large the
+// snapshot grows. Run with -benchmem, or via `make bench-micro`.
+func BenchmarkSnapshotDigest(b *testing.B) {
+	h := benchSnapshot(b)
+	size := len(h.Encode())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		digestSink = h.Digest()
 	}
+	b.ReportMetric(float64(size), "body-bytes") // after ResetTimer, which drops reported metrics
+}
+
+// BenchmarkSeedReplica measures one replica seeded from the shared
+// snapshot's checkpoint body: decoding the graph, the line graph and the
+// store. Nearly everything it allocates is the replica's state, so B/op and
+// allocs/op are the size of one engine copy. Run with -benchmem, or via
+// `make bench-micro`.
+func BenchmarkSeedReplica(b *testing.B) {
+	body := benchSnapshot(b).Encode()
+	cfg := durTestConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		r := NewSystem(cfg)
+		b.StartTimer()
+		if err := r.SeedReplica(body, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(body)), "body-bytes")
 }

@@ -397,18 +397,11 @@ func encodeGroupRecord(e *wal.Encoder, committed []*prepared) error {
 				e.String(c.DocID)
 				e.String(c.Source)
 				e.String(c.Text)
-				retrieval.EncodeVector(e, w.vecs[j])
+				e.Raw(w.vecs[j])
 			}
 		}
 	}
 	return nil
-}
-
-// recoveredFile is one file's replay data decoded from a WAL record.
-type recoveredFile struct {
-	rec    *extract.Recorder
-	chunks []retrieval.Chunk
-	vecs   []retrieval.Vector
 }
 
 // minStoredChunk is the fewest bytes a chunk takes in a record: four string
@@ -420,9 +413,12 @@ const minStoredChunk = 6
 // Recorder's AddEntity/AddTriple — the same validation the original
 // extraction passed — and every embedding is checked by DecodeVector against
 // the store width, so a record that somehow decodes but violates an invariant
-// errors instead of panicking downstream. Every count is trusted for a
-// preallocation only as far as the bytes left could back it.
-func decodeGroupRecord(payload []byte, dim int) ([][]recoveredFile, error) {
+// errors instead of panicking downstream. A format-2 vector stays in the
+// payload (fileWork.vecs are views of it); a format-1 row is re-encoded in
+// the stored form. The string fields that repeat across rows are interned
+// (wal.Decoder.Interned). Every count is trusted for a preallocation only as
+// far as the bytes left could back it.
+func decodeGroupRecord(payload []byte, dim int) ([][]fileWork, error) {
 	d := wal.NewDecoder(payload)
 	nb := d.Int()
 	dense := nb != 0 // format 1: the record starts with its batch count
@@ -432,54 +428,57 @@ func decodeGroupRecord(payload []byte, dim int) ([][]recoveredFile, error) {
 		}
 		nb = d.Int()
 	}
-	batches := make([][]recoveredFile, 0, min(nb, d.Remaining()))
+	scratch := make(retrieval.Vector, dim)
+	batches := make([][]fileWork, 0, min(nb, d.Remaining()))
 	for i := 0; i < nb && d.Err() == nil; i++ {
 		nf := d.Int()
-		files := make([]recoveredFile, 0, min(nf, d.Remaining()))
+		files := make([]fileWork, 0, min(nf, d.Remaining()))
 		for j := 0; j < nf && d.Err() == nil; j++ {
-			f := recoveredFile{rec: extract.NewRecorder()}
+			rec := extract.NewRecorder()
 			nOps := d.Int()
 			for k := 0; k < nOps && d.Err() == nil; k++ {
 				if d.Bool() {
-					f.rec.AddEntity(d.String(), d.String(), d.String())
+					rec.AddEntity(d.String(), d.Interned(), d.Interned())
 					continue
 				}
 				t := kg.Triple{
-					Subject:      d.String(),
-					Predicate:    d.String(),
-					Object:       d.String(),
-					ObjectEntity: d.String(),
-					Source:       d.String(),
-					Domain:       d.String(),
-					Format:       d.String(),
-					ChunkID:      d.String(),
+					Subject:      d.Interned(),
+					Predicate:    d.Interned(),
+					Object:       d.Interned(),
+					ObjectEntity: d.Interned(),
+					Source:       d.Interned(),
+					Domain:       d.Interned(),
+					Format:       d.Interned(),
+					ChunkID:      d.Interned(),
 					Weight:       d.F64(),
 				}
 				if d.Err() != nil {
 					break
 				}
-				if _, err := f.rec.AddTriple(t); err != nil {
+				if _, err := rec.AddTriple(t); err != nil {
 					return nil, err
 				}
 			}
-			// The file's vectors share one buffer, sized for the chunks the
-			// bytes left can hold.
+			f := fileWork{rec: rec}
 			nChunks := d.Int()
 			hint := min(nChunks, d.Remaining()/minStoredChunk)
 			f.chunks = make([]retrieval.Chunk, 0, hint)
-			flat := make([]float32, 0, hint*dim)
+			f.vecs = make([][]byte, 0, hint)
 			for k := 0; k < nChunks && d.Err() == nil; k++ {
-				c := retrieval.Chunk{ID: d.String(), DocID: d.String(), Source: d.String(), Text: d.String()}
-				flat = append(flat, make([]float32, dim)...)
-				retrieval.DecodeVector(d, flat[len(flat)-dim:], dense)
+				c := retrieval.Chunk{ID: d.String(), DocID: d.Interned(), Source: d.Interned(), Text: d.String()}
+				from := len(payload) - d.Remaining()
+				retrieval.DecodeVector(d, scratch, dense)
 				if d.Err() != nil {
 					break
 				}
+				v := payload[from : len(payload)-d.Remaining()]
+				if dense {
+					var e wal.Encoder
+					retrieval.EncodeVector(&e, scratch)
+					v = e.Bytes()
+				}
 				f.chunks = append(f.chunks, c)
-			}
-			f.vecs = make([]retrieval.Vector, len(f.chunks))
-			for k := range f.vecs {
-				f.vecs[k] = flat[k*dim : (k+1)*dim : (k+1)*dim]
+				f.vecs = append(f.vecs, v)
 			}
 			files = append(files, f)
 		}
@@ -503,15 +502,36 @@ func (s *System) applyRecovered(g *kg.Graph, ix retrieval.Store, payload []byte,
 		return newIDs, err
 	}
 	for _, files := range batches {
-		for i := range files {
-			f := &files[i]
-			if newIDs, err = f.rec.ReplayAppend(g, newIDs); err != nil {
-				return newIDs, err
-			}
-			if len(f.chunks) > 0 {
-				ix.AddEmbeddedBatch(f.chunks, f.vecs)
-			}
+		if newIDs, err = replayFiles(g, ix, files, newIDs); err != nil {
+			return newIDs, err
 		}
 	}
 	return newIDs, nil
+}
+
+// replayFiles replays files in order onto g and ix — each file's recorder,
+// then its chunks — appending the new triple IDs to ids. It is the one replay
+// step the committer, the serialized ingest path, replica apply and recovery
+// share. A file's vectors are densified from their stored form into one
+// buffer for AddEmbeddedBatch, which keeps none of it.
+func replayFiles(g *kg.Graph, ix retrieval.Store, files []fileWork, ids []string) ([]string, error) {
+	dim := ix.Dim()
+	for i := range files {
+		f := &files[i]
+		var err error
+		if ids, err = f.rec.ReplayAppend(g, ids); err != nil {
+			return ids, err
+		}
+		if len(f.chunks) == 0 {
+			continue
+		}
+		flat := make([]float32, len(f.chunks)*dim)
+		vs := make([]retrieval.Vector, len(f.chunks))
+		for j, b := range f.vecs {
+			vs[j] = flat[j*dim : (j+1)*dim : (j+1)*dim]
+			retrieval.DecodeVector(wal.NewDecoder(b), vs[j], false)
+		}
+		ix.AddEmbeddedBatch(f.chunks, vs)
+	}
+	return ids, nil
 }

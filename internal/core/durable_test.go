@@ -376,10 +376,16 @@ func TestBackgroundCheckpointThresholdPrunes(t *testing.T) {
 	cfg := durTestConfig()
 	cfg.CheckpointRecords = 2
 	s, _ := openDurable(t, fs, cfg)
-	states := ingestSeq(t, s)
+	batches := seqBatches()
+	for i, b := range batches[:2] {
+		if _, err := s.Ingest(b); err != nil {
+			t.Fatalf("ingest batch %d: %v", i, err)
+		}
+	}
 
-	// The third commit crossed the record threshold; the background
-	// checkpointer runs asynchronously, so poll for its artifact.
+	// The second commit crossed the record threshold; the background
+	// checkpointer runs asynchronously, so poll for its artifact before the
+	// third commit, which would otherwise race it for the log position.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		names, err := fs.ReadDir(durDir)
@@ -400,6 +406,10 @@ func TestBackgroundCheckpointThresholdPrunes(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	if _, err := s.Ingest(batches[2]); err != nil {
+		t.Fatalf("ingest batch 2: %v", err)
+	}
+	final := snapBytes(s)
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -434,7 +444,7 @@ func TestBackgroundCheckpointThresholdPrunes(t *testing.T) {
 	if info.CheckpointLSN != 3 || info.RecordsReplayed != 0 {
 		t.Fatalf("reopen info = %+v", info)
 	}
-	if !bytes.Equal(snapBytes(s2), states[3]) {
+	if !bytes.Equal(snapBytes(s2), final) {
 		t.Fatal("pruned-log recovery diverged")
 	}
 }

@@ -1,13 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"multirag/internal/adapter"
 	"multirag/internal/kg"
@@ -52,6 +55,62 @@ func format1Batches() [][]adapter.RawFile {
 // stored sparse: checkpoint-…3.ckpt (format 1) covering format1Batches()[:3]
 // and wal-…3.log holding the other four commits as format-1 records.
 const format1Dir = "testdata/format1"
+
+// format2Dir is a data directory written by the first format-2 release:
+// checkpoint-…2.ckpt covering format2Batches()[:2] and wal-…2.log holding
+// the multi-file third batch, as a crash would leave them. The files those
+// batches ingest are in its src directory.
+const format2Dir = "testdata/format2"
+
+// format2Digest is the snapshot digest the writing release computed for
+// format2Dir reopened.
+const format2Digest = 0x7928402af37e5682
+
+// format2Batches reads the ingest history behind format2Dir: two commits
+// before the checkpoint, then one commit of three files.
+func format2Batches(t testing.TB) [][]adapter.RawFile {
+	t.Helper()
+	type file struct{ domain, source, name, format string }
+	batches := [][]file{
+		{{"flights", "airport-api", "schedule.csv", "csv"}, {"flights", "airline-app", "live.json", "json"}},
+		{{"flights", "weather-feed", "alerts.txt", "text"}},
+		{{"flights", "forum-user", "posts.txt", "text"}, {"fleet", "registry", "fleet.kg", "kg"}, {"crews", "crew-roster", "crews.xml", "xml"}},
+	}
+	out := make([][]adapter.RawFile, len(batches))
+	for i, b := range batches {
+		for _, f := range b {
+			content, err := os.ReadFile(filepath.Join(format2Dir, "src", f.name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = append(out[i], adapter.RawFile{Domain: f.domain, Source: f.source,
+				Name: strings.TrimSuffix(f.name, filepath.Ext(f.name)), Format: f.format, Content: content})
+		}
+	}
+	return out
+}
+
+// writeFormat2 ingests format2Batches into a fresh directory the way
+// format2Dir was written and returns the still-open system: the first two
+// batches, a checkpoint, the third batch.
+func writeFormat2(t testing.TB, dir string) *System {
+	t.Helper()
+	s, _, err := Open(dir, format1Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range format2Batches(t) {
+		if i == 2 {
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.Ingest(b); err != nil {
+			t.Fatalf("ingest batch %d: %v", i, err)
+		}
+	}
+	return s
+}
 
 // embeddedRows returns every row of s's store with a private copy of its
 // vector.
@@ -181,6 +240,99 @@ func TestOpenFormat1Directory(t *testing.T) {
 	requireAnswer(t, s3, "What is the status of MU551?", "Boarding")
 }
 
+// TestFormat2Bytes pins format 2 byte for byte: re-ingesting the files behind
+// format2Dir into a fresh directory writes exactly the checkpoint and WAL
+// segment the first format-2 release wrote, and the fixture reopens to the
+// snapshot digest that release computed.
+func TestFormat2Bytes(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	s := writeFormat2(t, dir)
+	defer s.Close()
+	written, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range written {
+		names = append(names, e.Name())
+	}
+	if want := []string{"checkpoint-0000000000000002.ckpt", "wal-0000000000000002.log"}; !slices.Equal(names, want) {
+		t.Fatalf("directory holds %v, want %v", names, want)
+	}
+	for _, name := range names {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join(format2Dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s differs from the fixture (%d bytes, fixture %d)", name, len(got), len(want))
+		}
+	}
+	if d := s.SnapshotDigest(); d != format2Digest {
+		t.Errorf("re-ingested snapshot digest %#016x, want %#016x", d, uint64(format2Digest))
+	}
+
+	fixture := filepath.Join(t.TempDir(), "fixture")
+	if err := os.CopyFS(fixture, os.DirFS(format2Dir)); err != nil {
+		t.Fatal(err)
+	}
+	r, info, err := Open(fixture, format1Config())
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer r.Close()
+	if *info != (RecoveryInfo{CheckpointLSN: 2, RecordsReplayed: 1}) {
+		t.Fatalf("recovery info %+v, want the checkpoint at LSN 2 and 1 replayed record", *info)
+	}
+	if d := r.SnapshotDigest(); d != format2Digest {
+		t.Fatalf("reopened fixture digest %#016x, want %#016x", d, uint64(format2Digest))
+	}
+	requireAnswer(t, r, "What is the status of CA981?", "Delayed")
+}
+
+// TestDecodedSnapshotSharesStrings: a snapshot decoded from a checkpoint body
+// holds one copy of a repeated value, not one per row — the triples of one
+// source share their Source bytes, the chunks of one document their DocID.
+func TestDecodedSnapshotSharesStrings(t *testing.T) {
+	s := NewSystem(format1Config())
+	for i, b := range format2Batches(t) {
+		if _, err := s.Ingest(b); err != nil {
+			t.Fatalf("ingest batch %d: %v", i, err)
+		}
+	}
+	sn, err := s.decodeSnapshot(snapshotBody(s.snap.Load()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := func(what string, first map[string]string, v string) int {
+		f, ok := first[v]
+		if !ok {
+			first[v] = v
+			return 0
+		}
+		if unsafe.StringData(f) != unsafe.StringData(v) {
+			t.Fatalf("two decoded copies of %s %q", what, v)
+		}
+		return 1
+	}
+	sources, docs := map[string]string{}, map[string]string{}
+	repeats := [2]int{}
+	for _, id := range sn.graph.TripleIDs() {
+		tr, _ := sn.graph.Triple(id)
+		repeats[0] += shared("source", sources, tr.Source)
+	}
+	sn.index.ForEachEmbedded(func(c retrieval.Chunk, _ retrieval.Vector) {
+		repeats[1] += shared("document", docs, c.DocID)
+	})
+	if repeats[0] == 0 || repeats[1] == 0 {
+		t.Fatalf("repeated sources, documents = %v: the corpus must repeat both", repeats)
+	}
+}
+
 // unbackedCounts are payloads whose counts no bytes back: a format-1 record
 // claiming 2³¹-1 batches (5 bytes), format-2 records claiming as many batches
 // or files, and a line-graph body with one node of 2³¹-1 members (7 bytes).
@@ -230,7 +382,7 @@ func TestDecodeRejectsUnbackedCounts(t *testing.T) {
 // replication run over bytes from disk or a peer — the WAL group record and
 // the checkpoint body, in both formats — and to the replica doors in front of
 // them. Any input may be rejected; none may crash, and a record that decodes
-// must hold vectors of the store's width only.
+// must hold one stored vector per chunk, each of the store's width.
 func FuzzRecoveredPayload(f *testing.F) {
 	primary := NewSystem(format1Config())
 	sink := &recSink{}
@@ -265,9 +417,11 @@ func FuzzRecoveredPayload(f *testing.F) {
 					if len(rf.vecs) != len(rf.chunks) {
 						t.Fatalf("%d vectors for %d chunks", len(rf.vecs), len(rf.chunks))
 					}
-					for _, v := range rf.vecs {
-						if len(v) != retrieval.DefaultDim {
-							t.Fatalf("decoded a vector of width %d", len(v))
+					for _, b := range rf.vecs {
+						d := wal.NewDecoder(b)
+						retrieval.DecodeVector(d, make(retrieval.Vector, retrieval.DefaultDim), false)
+						if err := d.Finish(); err != nil {
+							t.Fatalf("decoded vector %x does not read back at the store's width: %v", b, err)
 						}
 					}
 				}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"multirag/internal/adapter"
@@ -12,6 +11,7 @@ import (
 	"multirag/internal/kg"
 	"multirag/internal/linegraph"
 	"multirag/internal/retrieval"
+	"multirag/internal/wal"
 )
 
 // IngestReport summarises an Ingest call. Under group commit the
@@ -34,12 +34,16 @@ type replayer interface {
 	NumTriples() int
 }
 
-// fileWork is the per-file output of the parallel preparation stage.
+// fileWork is one file's replay data: the output of the parallel preparation
+// stage, or one file of a decoded WAL record. Each chunk's vector is in stored
+// form — the bytes retrieval.EncodeVector writes, already checked — which is
+// what the record carries, so a prepared batch holds about 73 bytes per chunk
+// instead of a dense row.
 type fileWork struct {
 	rec    replayer
 	report extract.Report
 	chunks []retrieval.Chunk
-	vecs   []retrieval.Vector
+	vecs   [][]byte
 	err    error
 }
 
@@ -68,42 +72,6 @@ func (p *prepared) recordedTriples() int {
 		}
 	}
 	return n
-}
-
-// vecsPool recycles the per-file embedding containers of the preparation
-// stage (the same sync.Pool discipline as query.go's evScratch). Only the
-// outer []Vector is pooled — AddEmbeddedBatch keeps nothing of the vectors
-// it is given, so the container is dead once its batch commits.
-var vecsPool = sync.Pool{New: func() any { return new([]retrieval.Vector) }}
-
-func vecsScratch(n int) []retrieval.Vector {
-	vp := vecsPool.Get().(*[]retrieval.Vector)
-	v := *vp
-	if cap(v) < n {
-		v = make([]retrieval.Vector, n)
-	}
-	*vp = nil
-	vecsPool.Put(vp)
-	return v[:n]
-}
-
-// releaseVecs returns every file's embedding container to the pool, clearing
-// the elements so pooled arrays do not pin vectors alive.
-func releaseVecs(group []*prepared) {
-	for _, p := range group {
-		for i := range p.work {
-			w := &p.work[i]
-			if w.vecs == nil {
-				continue
-			}
-			clear(w.vecs)
-			v := w.vecs[:0]
-			w.vecs = nil
-			vp := vecsPool.Get().(*[]retrieval.Vector)
-			*vp = v
-			vecsPool.Put(vp)
-		}
-	}
 }
 
 // Ingest fuses, extracts and indexes the given files, then (unless MKA is
@@ -153,28 +121,12 @@ func (s *System) prepare(p *prepared, files []adapter.RawFile) {
 		s.ingestModel.AddUsage(model.Usage())
 	}()
 	ext := extract.New(model)
-	workers := s.Workers()
-	fused, err := s.registry.FuseParallel(files, workers)
+	fused, err := s.registry.FuseParallel(files, s.Workers())
 	if err != nil {
 		p.err = err
 		return
 	}
-	dim := s.snap.Load().index.Dim()
-	work := make([]fileWork, len(fused))
-	Parallel(workers, len(fused), func(i int) {
-		w := &work[i]
-		rec := extract.NewRecorder()
-		w.report, w.err = ext.BuildFile(rec, fused[i])
-		if w.err != nil {
-			return
-		}
-		w.rec = rec
-		w.chunks = RenderChunks(fused[i], s.cfg.ChunkTokens)
-		w.vecs = vecsScratch(len(w.chunks))
-		for j, c := range w.chunks {
-			w.vecs[j] = retrieval.Embed(c.Text, dim)
-		}
-	})
+	work := s.prepareFiles(ext, fused)
 	for i := range work {
 		if work[i].err != nil {
 			p.err = work[i].err
@@ -185,6 +137,43 @@ func (s *System) prepare(p *prepared, files []adapter.RawFile) {
 	if p.err == nil {
 		p.rep.Extraction = mergedBatchReport(work)
 	}
+}
+
+// prepareFiles runs the per-file half of stage 1 over the fused files on the
+// worker pool: extraction into a private recorder, chunk rendering, and
+// embedding into the stored form.
+func (s *System) prepareFiles(ext *extract.Extractor, fused []*jsonld.Normalized) []fileWork {
+	dim := s.snap.Load().index.Dim()
+	work := make([]fileWork, len(fused))
+	Parallel(s.Workers(), len(fused), func(i int) {
+		w := &work[i]
+		rec := extract.NewRecorder()
+		if w.report, w.err = ext.BuildFile(rec, fused[i]); w.err != nil {
+			return
+		}
+		w.rec = rec
+		w.chunks = RenderChunks(fused[i], s.cfg.ChunkTokens)
+		w.vecs = embedStored(w.chunks, dim)
+	})
+	return work
+}
+
+// embedStored embeds each chunk and returns its vector in stored form, every
+// one a view of a single buffer.
+func embedStored(chunks []retrieval.Chunk, dim int) [][]byte {
+	var e wal.Encoder
+	ends := make([]int, len(chunks))
+	for j, c := range chunks {
+		retrieval.EncodeVector(&e, retrieval.Embed(c.Text, dim))
+		ends[j] = e.Len()
+	}
+	vecs := make([][]byte, len(chunks))
+	buf, start := e.Bytes(), 0
+	for j, end := range ends {
+		vecs[j] = buf[start:end:end]
+		start = end
+	}
+	return vecs
 }
 
 // mergedBatchReport folds the per-file extraction reports into one batch
@@ -217,28 +206,12 @@ func (s *System) ingestSerialized(files []adapter.RawFile) (IngestReport, error)
 	var rep IngestReport
 	start := time.Now()
 	llmBefore := s.ingestModel.VirtualLatency()
-	workers := s.Workers()
-	fused, err := s.registry.FuseParallel(files, workers)
+	fused, err := s.registry.FuseParallel(files, s.Workers())
 	if err != nil {
 		return rep, err
 	}
 
-	dim := s.snap.Load().index.Dim()
-	work := make([]fileWork, len(fused))
-	Parallel(workers, len(fused), func(i int) {
-		w := &work[i]
-		rec := extract.NewRecorder()
-		w.report, w.err = s.extractor.BuildFile(rec, fused[i])
-		if w.err != nil {
-			return
-		}
-		w.rec = rec
-		w.chunks = RenderChunks(fused[i], s.cfg.ChunkTokens)
-		w.vecs = make([]retrieval.Vector, len(w.chunks))
-		for j, c := range w.chunks {
-			w.vecs[j] = retrieval.Embed(c.Text, dim)
-		}
-	})
+	work := s.prepareFiles(s.extractor, fused)
 	rep.Extraction = extract.Report{ByFormat: map[string]int{}}
 	for i := range work {
 		if work[i].err != nil {
@@ -250,18 +223,13 @@ func (s *System) ingestSerialized(files []adapter.RawFile) (IngestReport, error)
 	g := cur.graph.Clone()
 	entBefore, triBefore := g.NumEntities(), g.NumTriples()
 	ix := cur.index.CloneForAppend()
-	var newIDs []string
+	newIDs, err := replayFiles(g, ix, work, nil)
+	if err != nil {
+		return rep, err
+	}
 	for i := range work {
-		ids, err := work[i].rec.ReplayAppend(g, nil)
-		if err != nil {
-			return rep, err
-		}
-		newIDs = append(newIDs, ids...)
 		rep.Extraction.Merge(work[i].report)
-		for j, c := range work[i].chunks {
-			ix.AddEmbedded(c, work[i].vecs[j])
-			rep.Chunks++
-		}
+		rep.Chunks += len(work[i].chunks)
 	}
 	rep.Extraction.Entities = g.NumEntities() - entBefore
 	rep.Extraction.Triples = g.NumTriples() - triBefore

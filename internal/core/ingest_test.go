@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -13,6 +14,8 @@ import (
 	"multirag/internal/adapter"
 	"multirag/internal/kg"
 	"multirag/internal/llm"
+	"multirag/internal/retrieval"
+	"multirag/internal/wal"
 )
 
 // ingestBatch builds one deterministic batch: a kg-format feed plus a text
@@ -63,6 +66,28 @@ func requireSameGraph(t *testing.T, got, want *System) {
 	}
 	if got.Index().Len() != want.Index().Len() {
 		t.Fatalf("index sizes diverge: %d vs %d", got.Index().Len(), want.Index().Len())
+	}
+}
+
+// TestPreparedVectorsStoredForm: a prepared batch carries each chunk's vector
+// as the bytes the WAL record stores, not as a dense row.
+func TestPreparedVectorsStoredForm(t *testing.T) {
+	s := NewSystem(format1Config())
+	p := &prepared{}
+	s.prepare(p, format2Batches(t)[1]) // alerts.txt: one document, two chunks
+	if p.err != nil {
+		t.Fatal(p.err)
+	}
+	w := p.work[0]
+	if len(w.chunks) < 2 || len(w.vecs) != len(w.chunks) {
+		t.Fatalf("%d chunks, %d vectors; want at least two of each, paired", len(w.chunks), len(w.vecs))
+	}
+	for j, c := range w.chunks {
+		var e wal.Encoder
+		retrieval.EncodeVector(&e, retrieval.Embed(c.Text, s.Index().Dim()))
+		if !bytes.Equal(w.vecs[j], e.Bytes()) {
+			t.Fatalf("chunk %s carries %x, want EncodeVector(Embed(text)) = %x", c.ID, w.vecs[j], e.Bytes())
+		}
 	}
 }
 

@@ -16,6 +16,12 @@ import (
 // same bytes. Removed triples keep their slots (handles are never reused), so
 // triple IDs assigned after recovery continue the original sequence.
 //
+// Decoding reads the fields whose values repeat across rows — an entity's
+// Type and Domain, a triple's Object, ObjectEntity, Source, Domain, Format
+// and ChunkID — through the decoder's intern table (wal.Decoder.Interned), so
+// a decoded graph holds one copy of each distinct value where the encoded
+// bytes hold one per row.
+//
 // Derivable fields are not stored: a triple's ID comes from its handle, its
 // Subject from the subject entity handle and its Predicate from the predicate
 // handle. Posting lists and the degree histogram are rebuilt by replaying the
@@ -58,7 +64,7 @@ func DecodeGraph(d *wal.Decoder) (*Graph, error) {
 	g := New()
 	nEnts := d.Int()
 	for i := 0; i < nEnts && d.Err() == nil; i++ {
-		ent := &Entity{ID: d.String(), Name: d.String(), Type: d.String(), Domain: d.String()}
+		ent := &Entity{ID: d.String(), Name: d.String(), Type: d.Interned(), Domain: d.Interned()}
 		h := g.ents.append(ent)
 		g.entLookup.put(ent.ID, h)
 	}
@@ -92,12 +98,12 @@ func DecodeGraph(d *wal.Decoder) (*Graph, error) {
 			ID:           tripleIDString(int32(i + 1)),
 			Subject:      g.ents.get(subjH).ID,
 			Predicate:    g.preds.get(predH),
-			Object:       d.String(),
-			ObjectEntity: d.String(),
-			Source:       d.String(),
-			Domain:       d.String(),
-			Format:       d.String(),
-			ChunkID:      d.String(),
+			Object:       d.Interned(),
+			ObjectEntity: d.Interned(),
+			Source:       d.Interned(),
+			Domain:       d.Interned(),
+			Format:       d.Interned(),
+			ChunkID:      d.Interned(),
 			Weight:       d.F64(),
 		}
 		h := g.trs.append(t)

@@ -25,7 +25,7 @@ func (sg *SG) WriteDOT(w io.Writer, n *HomologousNode) error {
 		fmt.Fprintf(&b, "  %s [shape=box,label=%q];\n",
 			dotID(t.ID), fmt.Sprintf("%s\\n%s w=%.2f", t.Object, t.Source, t.Weight))
 		fmt.Fprintf(&b, "  snode -- %s [label=%q];\n",
-			dotID(t.ID), fmt.Sprintf("w=%.2f", n.Weights[t.ID]))
+			dotID(t.ID), fmt.Sprintf("w=%.2f", t.Weight))
 	}
 	// Complete line-graph edges between members (pairwise homologous).
 	for i := 0; i < len(members); i++ {

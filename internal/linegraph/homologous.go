@@ -11,9 +11,11 @@ import (
 )
 
 // HomologousNode is the homologous centre node snode = {name, meta, num,
-// C(v)} of Definition 4, plus the member triples U_snode and their associated
-// edge weights E_snode = {wᵢ}. One homologous node aggregates every claim the
-// corpus makes about a single (subject, predicate) key.
+// C(v)} of Definition 4, plus the member triples U_snode. A node keeps only
+// what it cannot derive from its members: the association-edge weights
+// E_snode = {wᵢ} are the member triples' own Weight fields (MemberTriples),
+// not a copy. One homologous node aggregates every claim the corpus makes
+// about a single (subject, predicate) key.
 type HomologousNode struct {
 	// Key is the (subject, predicate) key shared by all member triples.
 	Key string
@@ -21,15 +23,10 @@ type HomologousNode struct {
 	// name, SubjectID the canonical subject entity.
 	SubjectID string
 	Name      string
-	// Meta carries shared metadata (domain set, format set).
-	Meta map[string]string
 	// Num is the number of homologous data instances (num in Def. 4).
 	Num int
 	// Members lists the member triple IDs, sorted.
 	Members []string
-	// Weights maps member triple ID → association-edge weight wᵢ (the
-	// triple's extraction confidence).
-	Weights map[string]float64
 	// Sources lists the distinct sources contributing members, sorted.
 	Sources []string
 
@@ -142,31 +139,29 @@ func (sg *SG) delNode(key string) {
 // newHomologousNode assembles the homologous centre node for one key group
 // (≥2 members). Both the full Build and the incremental BuildDelta construct
 // nodes through here, so delta-maintained and from-scratch SGs are
-// structurally identical.
+// structurally identical. It makes the same four allocations whatever the
+// group's size: the node and its three slices, each sized once.
 func newHomologousNode(key string, members []*kg.Triple) *HomologousNode {
+	n := len(members)
 	node := &HomologousNode{
 		Key:       key,
 		SubjectID: members[0].Subject,
 		Name:      members[0].Predicate,
-		Meta:      map[string]string{},
-		Num:       len(members),
-		Weights:   map[string]float64{},
+		Num:       n,
+		Members:   make([]string, n),
+		Sources:   make([]string, n),
+		members:   make([]int32, n),
 	}
-	srcSet := map[string]bool{}
-	for _, t := range members {
-		node.Members = append(node.Members, t.ID)
-		node.Weights[t.ID] = t.Weight
-		srcSet[t.Source] = true
+	for i, t := range members {
+		node.Members[i] = t.ID
+		node.Sources[i] = t.Source
 	}
 	sort.Strings(node.Members)
-	node.members = make([]int32, len(node.Members))
 	for i, id := range node.Members {
 		node.members[i], _ = kg.ParseTripleID(id)
 	}
-	for s := range srcSet {
-		node.Sources = append(node.Sources, s)
-	}
 	sort.Strings(node.Sources)
+	node.Sources = slices.Compact(node.Sources)
 	return node
 }
 

@@ -85,10 +85,39 @@ func TestBuildHomologousGroups(t *testing.T) {
 	if node.Name != "status" || node.SubjectID != kg.CanonicalID("CA981") {
 		t.Fatalf("key decomposition wrong: %+v", node)
 	}
-	for _, id := range node.Members {
-		if node.Weights[id] <= 0 {
-			t.Fatalf("member %s has no weight", id)
+	for _, m := range sg.MemberTriples(node) {
+		if m.Weight <= 0 {
+			t.Fatalf("member %s has no weight", m.ID)
 		}
+	}
+}
+
+// TestNewHomologousNodeAllocs: a node costs the same number of allocations
+// whatever its group's size — no per-node map whose buckets grow with the
+// members, no set to deduplicate sources, no slice grown by append.
+func TestNewHomologousNodeAllocs(t *testing.T) {
+	g := kg.New()
+	g.AddEntity("e", "T", "d")
+	var members []*kg.Triple
+	for i := 0; i < 32; i++ {
+		id, err := g.AddTriple(kg.Triple{Subject: "e", Predicate: "p", Object: fmt.Sprint(i % 3),
+			Source: fmt.Sprintf("s%d", i%5), Weight: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, _ := g.Triple(id)
+		members = append(members, tr)
+	}
+	key := members[0].Key()
+	allocs := map[int]float64{}
+	for _, n := range []int{2, 8, 32} {
+		allocs[n] = testing.AllocsPerRun(50, func() { newHomologousNode(key, members[:n]) })
+	}
+	if allocs[2] != allocs[8] || allocs[8] != allocs[32] {
+		t.Fatalf("allocations per node by member count %v, want the same for every size", allocs)
+	}
+	if n := newHomologousNode(key, members); len(n.Sources) != 5 || n.Num != 32 {
+		t.Fatalf("node of 32 members from 5 sources: Num %d, Sources %v", n.Num, n.Sources)
 	}
 }
 

@@ -71,14 +71,11 @@ func refBuild(g *kg.Graph) (nodes map[string]*HomologousNode, isolated []string)
 			Key:       key,
 			SubjectID: members[0].Subject,
 			Name:      members[0].Predicate,
-			Meta:      map[string]string{},
 			Num:       len(members),
-			Weights:   map[string]float64{},
 		}
 		srcSet := map[string]bool{}
 		for _, t := range members {
 			n.Members = append(n.Members, t.ID)
-			n.Weights[t.ID] = t.Weight
 			srcSet[t.Source] = true
 		}
 		sort.Strings(n.Members)
@@ -173,7 +170,6 @@ func TestBuildMatchesReference(t *testing.T) {
 				if got.Key != want.Key || got.SubjectID != want.SubjectID ||
 					got.Name != want.Name || got.Num != want.Num ||
 					!reflect.DeepEqual(got.Members, want.Members) ||
-					!reflect.DeepEqual(got.Weights, want.Weights) ||
 					!reflect.DeepEqual(got.Sources, want.Sources) {
 					t.Fatalf("node %q diverges:\n got  %+v\n want %+v", key, got, want)
 				}

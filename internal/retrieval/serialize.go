@@ -48,16 +48,22 @@ func EncodeVector(e *wal.Encoder, v Vector) {
 
 // DecodeVector overwrites dst, which sets the width, with one vector read from
 // d: the EncodeVector form, or with dense set the format-1 form, an F32s row
-// of exactly len(dst) weights. A sparse vector is checked as it is read — at
-// most len(dst) weights, buckets strictly ascending below len(dst), as many
-// weights as buckets, every weight non-zero and finite — and anything else
-// latches an error on d instead of panicking.
+// of exactly len(dst) finite weights. A sparse vector is checked as it is
+// read — at most len(dst) weights, buckets strictly ascending below len(dst),
+// as many weights as buckets, every weight non-zero and finite — and anything
+// else latches an error on d instead of panicking.
 func DecodeVector(d *wal.Decoder, dst Vector, dense bool) {
 	clear(dst)
 	if dense {
 		if v := d.F32s(); d.Err() == nil {
 			if len(v) != len(dst) {
 				d.Fail(fmt.Errorf("retrieval: decode: dense vector of %d weights, want %d", len(v), len(dst)))
+			}
+			for b, w := range v {
+				if math.IsNaN(float64(w)) || math.IsInf(float64(w), 0) {
+					d.Fail(fmt.Errorf("retrieval: decode: bucket %d holds weight %v, want finite", b, w))
+					return
+				}
 			}
 			copy(dst, v)
 		}
@@ -110,7 +116,8 @@ func EncodeStore(e *wal.Encoder, s Store) {
 // DecodeIntoStore fills the empty store s from d (the inverse of
 // EncodeStore; dense reads format-1 rows, see DecodeVector). The store's width
 // must match the encoded one. Each batch of rows is decoded into one reused
-// flat buffer, which the store does not retain.
+// flat buffer, which the store does not retain. A chunk's DocID and Source,
+// shared by every chunk of one document, are read through d's intern table.
 func DecodeIntoStore(d *wal.Decoder, s Store, dense bool) error {
 	dim := d.Int()
 	n := d.Int()
@@ -131,7 +138,7 @@ func DecodeIntoStore(d *wal.Decoder, s Store, dense bool) error {
 		vs[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
 	}
 	for i := 0; i < n; i++ {
-		c := Chunk{ID: d.String(), DocID: d.String(), Source: d.String(), Text: d.String()}
+		c := Chunk{ID: d.String(), DocID: d.Interned(), Source: d.Interned(), Text: d.String()}
 		if d.Err() != nil {
 			break // before indexing vs, which is empty when no bytes were left
 		}

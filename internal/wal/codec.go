@@ -135,6 +135,12 @@ func (e *Encoder) String(s string) {
 	e.spill()
 }
 
+// Raw appends b verbatim: a field the caller already holds in encoded form.
+func (e *Encoder) Raw(b []byte) {
+	e.buf = append(e.buf, b...)
+	e.spill()
+}
+
 // F32 appends a float32 as its IEEE-754 bits, little-endian.
 func (e *Encoder) F32(v float32) {
 	e.buf = binary.LittleEndian.AppendUint32(e.buf, math.Float32bits(v))
@@ -160,9 +166,10 @@ func (e *Encoder) F32s(v []float32) {
 // before any allocation, so a corrupt (or fuzzed) payload can never provoke a
 // huge make() or an out-of-bounds read.
 type Decoder struct {
-	b   []byte
-	off int
-	err error
+	b    []byte
+	off  int
+	err  error
+	strs map[string]string // Interned's table, made on first use
 }
 
 // NewDecoder returns a decoder over b. The decoder aliases b; callers must
@@ -275,18 +282,39 @@ func (d *Decoder) F32() float32 {
 }
 
 // String reads a length-prefixed string.
-func (d *Decoder) String() string {
+func (d *Decoder) String() string { return string(d.stringBytes()) }
+
+// Interned reads a length-prefixed string exactly as String does — same
+// value, same error, same offset — but returns one shared copy of every value
+// this decoder has read through Interned before. Decoders read the fields
+// that repeat across rows (a triple's source, a chunk's document) through it,
+// so decoded state holds each such value once instead of once per row.
+func (d *Decoder) Interned() string {
+	b := d.stringBytes()
+	if s, ok := d.strs[string(b)]; ok || len(b) == 0 {
+		return s
+	}
+	s := string(b)
+	if d.strs == nil {
+		d.strs = map[string]string{}
+	}
+	d.strs[s] = s
+	return s
+}
+
+// stringBytes reads a length-prefixed string as a view of the input.
+func (d *Decoder) stringBytes() []byte {
 	n := d.Uvarint()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(d.Remaining()) {
 		d.fail("string length %d exceeds %d remaining bytes", n, d.Remaining())
-		return ""
+		return nil
 	}
-	s := string(d.b[d.off : d.off+int(n)])
+	b := d.b[d.off : d.off+int(n)]
 	d.off += int(n)
-	return s
+	return b
 }
 
 // F32s reads a count-prefixed float32 slice.

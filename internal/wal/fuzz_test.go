@@ -2,7 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+	"unsafe"
 )
 
 // FuzzFrameParse throws arbitrary bytes at the WAL record decoder — the code
@@ -15,8 +17,8 @@ func FuzzFrameParse(f *testing.F) {
 	seed = appendFrame(seed, nil)
 	seed = appendFrame(seed, bytes.Repeat([]byte{0xAB}, 300))
 	f.Add(seed)
-	f.Add(seed[:len(seed)-3])           // torn tail
-	f.Add([]byte{})                     // empty segment
+	f.Add(seed[:len(seed)-3])                         // torn tail
+	f.Add([]byte{})                                   // empty segment
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0}) // huge length claim
 	mut := append([]byte(nil), seed...)
 	mut[9] ^= 0x40 // corrupt first record's payload
@@ -76,6 +78,13 @@ func FuzzDecoder(f *testing.F) {
 	wrap.F64(0.5)
 	wrap.Uvarint(1 << 62)
 	f.Add(wrap.Bytes())
+	// Repeated values, for Interned to serve from its table.
+	var rep Encoder
+	for _, s := range []string{"feed", "feed", "", "gate", "feed", "", "gate"} {
+		rep.String(s)
+	}
+	f.Add(rep.Bytes())
+	f.Add(rep.Bytes()[:len(rep.Bytes())-2]) // the last value is torn
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		d := NewDecoder(b)
@@ -93,6 +102,24 @@ func FuzzDecoder(f *testing.F) {
 		}
 		if len(v) > len(b) {
 			t.Fatalf("decoded %d floats from %d bytes", len(v), len(b))
+		}
+
+		// Interned reads what String reads — value, error, offset — whether
+		// the value is new or served from the table, and equal values it
+		// returns share their bytes.
+		plain, interned := NewDecoder(b), NewDecoder(b)
+		first := map[string]string{}
+		for i := 0; i < 8; i++ {
+			want, got := plain.String(), interned.Interned()
+			if got != want || interned.off != plain.off || fmt.Sprint(interned.err) != fmt.Sprint(plain.err) {
+				t.Fatalf("read %d: Interned = %q at %d (%v), String = %q at %d (%v)",
+					i, got, interned.off, interned.err, want, plain.off, plain.err)
+			}
+			if f, ok := first[got]; ok && unsafe.StringData(f) != unsafe.StringData(got) {
+				t.Fatalf("read %d: repeated value %q is a second copy", i, got)
+			} else if !ok {
+				first[got] = got
+			}
 		}
 	})
 }
