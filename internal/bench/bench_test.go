@@ -1,97 +1,162 @@
 package bench
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"multirag/internal/datasets"
 )
 
-// tinyOpts runs every experiment end to end at a tiny scale — a smoke test
-// that the full harness stays wired together.
+// tinyOpts runs every experiment end to end at a tiny scale: about a second
+// for all six paper experiments together.
 func tinyOpts(sb *strings.Builder) Options {
 	return Options{Seed: 2, Scale: 0.06, Out: sb}
 }
 
-func TestTableISmoke(t *testing.T) {
+// checkGolden runs one experiment at tinyOpts and diffs its output, with the
+// wall-clock cells blanked (stripTimings), against testdata/<name>.golden —
+// every F1, precision, recall, count and case-study line is pinned. A missing
+// golden file is written from the current output and the test fails; so
+// regenerating one after a deliberate change is: delete it, run the test
+// twice, and review the diff.
+func checkGolden(t *testing.T, name string, run func(Options) error) {
+	t.Helper()
 	var sb strings.Builder
-	if err := TableI(tinyOpts(&sb)); err != nil {
+	if err := run(tinyOpts(&sb)); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	got := stripTimings(sb.String())
+	path := filepath.Join("testdata", name+".golden")
+	want, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Errorf("%s did not exist; wrote it from this run — review and rerun", path)
+		return
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	for _, want := range []string{"movies", "books", "flights", "stocks", "JSON(J)", "KG(K)"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Table I output missing %q:\n%s", want, out)
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Fatalf("%s differs from %s at line %d:\n got  %q\n want %q", name, path, i+1, g, w)
+			}
 		}
 	}
 }
 
-func TestTableIISmoke(t *testing.T) {
-	var sb strings.Builder
-	if err := TableII(tinyOpts(&sb)); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"TF F1/%", "FusionQuery", "MCC F1/%", "movies", "stocks"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Table II output missing %q", want)
+// stripTimings removes what wall-clock time and the scheduler decide from an
+// experiment's rendered output, keeping every other cell. Table cells lose
+// their padding (a timing cell's width would move its neighbours); cells
+// under a header ending in "T/s" (T/s, QT/s, PT/s) are blanked; and a
+// "(cont.) … seconds" figure keeps its title, tick header and series names,
+// with its values and sparkline blanked.
+func stripTimings(out string) string {
+	var b strings.Builder
+	var timed []bool // per column of the current table: blank its cells
+	inTable, inSeconds := false, false
+	for _, line := range strings.Split(out, "\n") {
+		switch {
+		case strings.HasPrefix(line, "| "):
+			cells := strings.Split(strings.TrimSuffix(line[2:], " |"), " | ")
+			for i := range cells {
+				cells[i] = strings.TrimSpace(cells[i])
+			}
+			switch {
+			case !inTable:
+				timed = make([]bool, len(cells))
+				for i, h := range cells {
+					timed[i] = strings.HasSuffix(h, "T/s") || (inSeconds && i > 0)
+				}
+				inTable = true
+			case strings.Trim(cells[0], "-") == "":
+				for i := range cells {
+					cells[i] = "-"
+				}
+			default:
+				for i := range cells {
+					if i < len(timed) && timed[i] {
+						cells[i] = ""
+					}
+				}
+			}
+			line = "| " + strings.Join(cells, " | ") + " |"
+		case inSeconds && strings.HasPrefix(line, "  "):
+			inTable = false
+			line = strings.TrimRight(line[:strings.LastIndexByte(line, ' ')], " ")
+		default:
+			inTable = false
+			inSeconds = strings.Contains(line, "(cont.)") && strings.HasSuffix(line, "seconds")
 		}
+		b.WriteString(line)
+		b.WriteByte('\n')
 	}
-	if lines := strings.Count(out, "\n"); lines < 12 {
-		t.Fatalf("Table II too short: %d lines", lines)
-	}
+	return strings.TrimSuffix(b.String(), "\n")
 }
 
-func TestTableIIISmoke(t *testing.T) {
-	var sb strings.Builder
-	if err := TableIII(tinyOpts(&sb)); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"w/o MKA", "w/o Graph Level", "w/o Node Level", "w/o MCC", "PT/s"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Table III output missing %q", want)
-		}
-	}
-}
-
-func TestTableIVSmoke(t *testing.T) {
-	var sb strings.Builder
-	if err := TableIV(tinyOpts(&sb)); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"Standard RAG", "MetaRAG", "MultiRAG", "HotpotQA P", "R@5"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Table IV output missing %q", want)
-		}
-	}
-}
-
-func TestTableVSmoke(t *testing.T) {
-	var sb strings.Builder
-	if err := TableV(tinyOpts(&sb)); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"CA981", "trusted", "Delayed", "filtered"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Table V output missing %q:\n%s", want, out)
-		}
-	}
-}
+func TestTableISmoke(t *testing.T)   { checkGolden(t, "table1", TableI) }
+func TestTableIISmoke(t *testing.T)  { checkGolden(t, "table2", TableII) }
+func TestTableIIISmoke(t *testing.T) { checkGolden(t, "table3", TableIII) }
+func TestTableIVSmoke(t *testing.T)  { checkGolden(t, "table4", TableIV) }
+func TestTableVSmoke(t *testing.T)   { checkGolden(t, "table5", TableV) }
 
 func TestFiguresSmoke(t *testing.T) {
-	for name, run := range map[string]func(Options) error{
-		"fig5": Figure5, "fig6": Figure6, "fig7": Figure7,
-	} {
-		var sb strings.Builder
-		if err := run(tinyOpts(&sb)); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !strings.Contains(sb.String(), "Figure") {
-			t.Fatalf("%s produced no figure output", name)
-		}
+	checkGolden(t, "figure5", Figure5)
+	checkGolden(t, "figure6", Figure6)
+	checkGolden(t, "figure7", Figure7)
+}
+
+// TestStripTimings pins the normaliser itself: timing columns and seconds
+// figures blank, every other cell survives.
+func TestStripTimings(t *testing.T) {
+	in := strings.Join([]string{
+		"Table X",
+		"| Dataset | TF F1/% | TF T/s | MultiRAG PT/s |",
+		"| ------- | ------- | ------ | ------------- |",
+		"| movies  | 44.4    | 4.64   | 13.5          |",
+		"Figure 6 (cont.): query time on movies, seconds",
+		"| corruption  | 0%   | 10%    |",
+		"| ----------- | ---- | ------ |",
+		"| MultiRAG QT | 7.25 | 0.0801 |",
+		"  MultiRAG QT              _#",
+		"",
+		"Figure 7: F1",
+		"| alpha | 0.0  |",
+		"| ----- | ---- |",
+		"| F1    | 69.4 |",
+		"  F1                       #",
+	}, "\n")
+	want := strings.Join([]string{
+		"Table X",
+		"| Dataset | TF F1/% | TF T/s | MultiRAG PT/s |",
+		"| - | - | - | - |",
+		"| movies | 44.4 |  |  |",
+		"Figure 6 (cont.): query time on movies, seconds",
+		"| corruption | 0% | 10% |",
+		"| - | - | - |",
+		"| MultiRAG QT |  |  |",
+		"  MultiRAG QT",
+		"",
+		"Figure 7: F1",
+		"| alpha | 0.0 |",
+		"| - | - |",
+		"| F1 | 69.4 |",
+		"  F1                       #",
+	}, "\n")
+	if got := stripTimings(in); got != want {
+		t.Fatalf("stripTimings:\n%s\nwant:\n%s", got, want)
 	}
 }
 
