@@ -2,11 +2,15 @@ GO ?= go
 BENCH_SCALE ?= 0.12
 BENCHTIME ?= 1s
 
-.PHONY: check vet build test race chaos chaos-cluster fuzz-smoke layers bench bench-micro bench-retrieval bench-graph bench-query bench-ingest bench-serve bench-wal bench-cluster clean
+.PHONY: check fmt vet build test race chaos chaos-cluster fuzz-smoke layers bench bench-micro bench-retrieval clean
 
-# check is the CI entry point: static analysis, full build, race-enabled
-# tests, and a short fuzz pass over the crash-surface decoders.
-check: vet build race fuzz-smoke
+# check is the CI entry point: formatting, static analysis, full build,
+# race-enabled tests, and a short fuzz pass over the crash-surface decoders.
+check: fmt vet build race fuzz-smoke
+
+# fmt fails when any file is not gofmt-formatted (it lists them).
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -91,48 +95,5 @@ bench:
 bench-retrieval:
 	$(GO) run ./cmd/benchtables -retrieval -scale $(BENCH_SCALE) -json BENCH_retrieval.json
 
-# bench-graph runs the graph-core microbenchmarks (seed deep-clone vs
-# copy-on-write columnar clone, nested-map vs sort-merge line-graph build)
-# and records the timing report.
-bench-graph:
-	$(GO) run ./cmd/benchtables -graph -scale $(BENCH_SCALE) -json BENCH_graph.json
-
-# bench-query runs the query-executor microbenchmarks (sequential
-# scan-per-subquestion reference vs the parallel index-backed executor over
-# lookup / multi-hop / comparison / fallback mixes, equivalence-checked) and
-# records the timing report.
-bench-query:
-	$(GO) run ./cmd/benchtables -query -scale $(BENCH_SCALE) -json BENCH_query.json
-
-# bench-ingest runs the ingest-throughput microbenchmarks (serialized
-# whole-call-locked baseline vs the pipelined group-committing ingest, over a
-# producers x corpus-size grid, equivalence-checked) and records the timing
-# report.
-bench-ingest:
-	$(GO) run ./cmd/benchtables -ingest -scale $(BENCH_SCALE) -json BENCH_ingest.json
-
-# bench-serve runs the HTTP serving-layer benchmark (two-SLO-class closed-loop
-# load through the front door under each batch-formation policy: fcfs / sjf /
-# priority, with admission-rejection accounting on the rate-limited class) and
-# records per-class tail latencies plus Jain fairness.
-bench-serve:
-	$(GO) run ./cmd/benchtables -serve -scale $(BENCH_SCALE) -json BENCH_serve.json
-
-# bench-wal runs the WAL durability benchmarks: ingest throughput with the
-# write-ahead log + fsync on vs off (the durability tax must stay >= 0.6x
-# in-memory at 4 producers), crash-recovery replay time vs log length
-# (including a 10k-record log, which must replay in under 5s), and
-# checkpoint size/write time. Recovery and checkpoint cells run at full
-# scale regardless of BENCH_SCALE — the 10k-record bar is the point.
-bench-wal:
-	$(GO) run ./cmd/benchtables -wal -scale $(BENCH_SCALE) -json BENCH_wal.json
-
-# bench-cluster runs the replicated-read benchmark: a replica-count sweep
-# (0/1/2/4 WAL-fed read replicas behind the HTTP front door) measuring read
-# throughput, hedged vs unhedged p99, and failover time-to-drain when the
-# replica query path hard-fails.
-bench-cluster:
-	$(GO) run ./cmd/benchtables -cluster -scale $(BENCH_SCALE) -json BENCH_cluster.json
-
 clean:
-	rm -f BENCH_core.json BENCH_retrieval.json BENCH_graph.json BENCH_query.json BENCH_ingest.json BENCH_serve.json BENCH_wal.json BENCH_cluster.json
+	rm -f BENCH_core.json BENCH_retrieval.json

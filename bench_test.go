@@ -302,30 +302,19 @@ func repeatedIngestBatches(n int) [][]adapter.RawFile {
 	return batches
 }
 
-// BenchmarkRepeatedIngest contrasts incremental line-graph maintenance
-// (BuildDelta over the batch's new triples) against a full linegraph.Build
-// per batch. One op = ingesting 64 successive batches into a fresh system,
-// so the full-rebuild variant pays the quadratic blow-up the delta path
-// avoids.
+// BenchmarkRepeatedIngest times the write path under incremental line-graph
+// maintenance (BuildDelta over each batch's new triples). One op = ingesting
+// 64 successive batches into a fresh system. BenchmarkLineGraphBuild times
+// the full Build a from-scratch rebuild would pay per batch.
 func BenchmarkRepeatedIngest(b *testing.B) {
 	batches := repeatedIngestBatches(64)
-	for _, variant := range []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"incremental", core.Config{}},
-		{"full-rebuild", core.Config{DisableIncrementalSG: true}},
-	} {
-		b.Run(variant.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s := core.NewSystem(variant.cfg)
-				for _, batch := range batches {
-					if _, err := s.Ingest(batch); err != nil {
-						b.Fatal(err)
-					}
-				}
+	for i := 0; i < b.N; i++ {
+		s := core.NewSystem(core.Config{})
+		for _, batch := range batches {
+			if _, err := s.Ingest(batch); err != nil {
+				b.Fatal(err)
 			}
-		})
+		}
 	}
 }
 

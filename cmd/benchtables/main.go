@@ -6,15 +6,12 @@
 //	benchtables -table 2        # one table (1..5)
 //	benchtables -figure 5       # one figure (5..7)
 //	benchtables -retrieval      # retrieval-layer microbenchmarks only
-//	benchtables -graph          # graph-core microbenchmarks only
-//	benchtables -query          # query-executor microbenchmarks only
-//	benchtables -ingest         # ingest-throughput microbenchmarks only
-//	benchtables -serve          # HTTP serving-layer benchmarks only
-//	benchtables -wal            # WAL durability benchmarks (throughput tax, recovery, checkpoint)
-//	benchtables -cluster        # replicated-read benchmarks (throughput, hedged p99, failover drain)
 //	benchtables -scale 0.2      # quick run at 20% workload
 //	benchtables -seed 7         # different generation seed
 //	benchtables -json BENCH_core.json   # also write per-job wall times as JSON
+//
+// The serving system itself — HTTP front door, ingest pipeline, WAL and
+// replicas — is measured end to end by `go run ./benchmark`.
 package main
 
 import (
@@ -31,12 +28,6 @@ func main() {
 	table := flag.Int("table", 0, "regenerate only this table (1-5)")
 	figure := flag.Int("figure", 0, "regenerate only this figure (5-7)")
 	retr := flag.Bool("retrieval", false, "run only the retrieval-layer microbenchmarks")
-	graph := flag.Bool("graph", false, "run only the graph-core microbenchmarks")
-	query := flag.Bool("query", false, "run only the query-executor microbenchmarks")
-	ingest := flag.Bool("ingest", false, "run only the ingest-throughput microbenchmarks")
-	srv := flag.Bool("serve", false, "run only the HTTP serving-layer benchmarks")
-	walFlag := flag.Bool("wal", false, "run only the WAL durability benchmarks (throughput tax, recovery time, checkpoint size)")
-	cluster := flag.Bool("cluster", false, "run only the replicated-read benchmarks (replica-count sweep: throughput, hedged vs unhedged p99, failover drain)")
 	scale := flag.Float64("scale", 1.0, "workload scale factor (entities and queries)")
 	seed := flag.Uint64("seed", 1, "dataset / model seed")
 	jsonOut := flag.String("json", "", "write per-job wall-clock timings to this JSON file")
@@ -49,85 +40,19 @@ func main() {
 		run  func(bench.Options) error
 	}
 	var jobs []job
-	var graphDetail *bench.GraphReport
-	var queryDetail *bench.QueryReport
-	var ingestDetail *bench.IngestReport
-	var serveDetail *bench.ServeReport
 	var retrievalDetail *bench.RetrievalReport
-	var walDetail *bench.WALReport
-	var clusterDetail *bench.ClusterReport
 	add := func(name string, run func(bench.Options) error) {
 		jobs = append(jobs, job{name, run})
 	}
 	switch {
 	case *retr:
-		if *table > 0 || *figure > 0 || *graph || *query || *ingest || *srv {
-			fmt.Fprintln(os.Stderr, "benchtables: -retrieval cannot be combined with -table/-figure/-graph/-query/-ingest/-serve")
+		if *table > 0 || *figure > 0 {
+			fmt.Fprintln(os.Stderr, "benchtables: -retrieval cannot be combined with -table/-figure")
 			os.Exit(2)
 		}
 		add("Retrieval", func(o bench.Options) error {
 			rep, err := bench.RetrievalBenchReport(o)
 			retrievalDetail = rep
-			return err
-		})
-	case *graph:
-		if *table > 0 || *figure > 0 || *query || *ingest || *srv {
-			fmt.Fprintln(os.Stderr, "benchtables: -graph cannot be combined with -table/-figure/-query/-ingest/-serve")
-			os.Exit(2)
-		}
-		add("Graph", func(o bench.Options) error {
-			rep, err := bench.GraphBenchReport(o)
-			graphDetail = rep
-			return err
-		})
-	case *query:
-		if *table > 0 || *figure > 0 || *ingest || *srv {
-			fmt.Fprintln(os.Stderr, "benchtables: -query cannot be combined with -table/-figure/-ingest/-serve")
-			os.Exit(2)
-		}
-		add("Query", func(o bench.Options) error {
-			rep, err := bench.QueryBenchReport(o)
-			queryDetail = rep
-			return err
-		})
-	case *ingest:
-		if *table > 0 || *figure > 0 || *srv {
-			fmt.Fprintln(os.Stderr, "benchtables: -ingest cannot be combined with -table/-figure/-serve")
-			os.Exit(2)
-		}
-		add("Ingest", func(o bench.Options) error {
-			rep, err := bench.IngestBenchReport(o)
-			ingestDetail = rep
-			return err
-		})
-	case *srv:
-		if *table > 0 || *figure > 0 {
-			fmt.Fprintln(os.Stderr, "benchtables: -serve cannot be combined with -table/-figure")
-			os.Exit(2)
-		}
-		add("Serve", func(o bench.Options) error {
-			rep, err := bench.ServeBenchReport(o)
-			serveDetail = rep
-			return err
-		})
-	case *walFlag:
-		if *table > 0 || *figure > 0 {
-			fmt.Fprintln(os.Stderr, "benchtables: -wal cannot be combined with -table/-figure")
-			os.Exit(2)
-		}
-		add("WAL", func(o bench.Options) error {
-			rep, err := bench.WALBenchReport(o)
-			walDetail = rep
-			return err
-		})
-	case *cluster:
-		if *table > 0 || *figure > 0 {
-			fmt.Fprintln(os.Stderr, "benchtables: -cluster cannot be combined with -table/-figure")
-			os.Exit(2)
-		}
-		add("Cluster", func(o bench.Options) error {
-			rep, err := bench.ClusterBenchReport(o)
-			clusterDetail = rep
 			return err
 		})
 	case *table > 0:
@@ -177,13 +102,7 @@ func main() {
 		Scale     float64                `json:"scale"`
 		Jobs      []timing               `json:"jobs"`
 		Seconds   float64                `json:"total_seconds"`
-		Graph     *bench.GraphReport     `json:"graph,omitempty"`
-		Query     *bench.QueryReport     `json:"query,omitempty"`
-		Ingest    *bench.IngestReport    `json:"ingest,omitempty"`
-		Serve     *bench.ServeReport     `json:"serve,omitempty"`
 		Retrieval *bench.RetrievalReport `json:"retrieval,omitempty"`
-		WAL       *bench.WALReport       `json:"wal,omitempty"`
-		Cluster   *bench.ClusterReport   `json:"cluster,omitempty"`
 	}{Seed: *seed, Scale: *scale}
 	for _, j := range jobs {
 		start := time.Now()
@@ -196,13 +115,7 @@ func main() {
 		report.Seconds += elapsed.Seconds()
 		fmt.Fprintf(os.Stdout, "\n[%s regenerated in %v]\n\n", j.name, elapsed.Round(time.Millisecond))
 	}
-	report.Graph = graphDetail
-	report.Query = queryDetail
-	report.Ingest = ingestDetail
-	report.Serve = serveDetail
 	report.Retrieval = retrievalDetail
-	report.WAL = walDetail
-	report.Cluster = clusterDetail
 	if *jsonOut != "" {
 		data, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {

@@ -107,12 +107,12 @@ func fetchMetrics(client *http.Client, base string) (serve.MetricsSnapshot, erro
 type loadOutcome int32
 
 const (
-	outcomeOK loadOutcome = iota
-	outcomeDegraded // 200 with Answer.Degraded: partial answer delivered
-	outcomeRejected // 429: admission or queue bound
-	outcomeTimedOut // 503: queue timeout / draining / canceled
-	outcomeDeadline // 504: end-to-end deadline exceeded
-	outcomeError    // transport failure or unexpected status
+	outcomeOK       loadOutcome = iota
+	outcomeDegraded             // 200 with Answer.Degraded: partial answer delivered
+	outcomeRejected             // 429: admission or queue bound
+	outcomeTimedOut             // 503: queue timeout / draining / canceled
+	outcomeDeadline             // 504: end-to-end deadline exceeded
+	outcomeError                // transport failure or unexpected status
 )
 
 func classify(status int, body []byte, err error) loadOutcome {

@@ -16,8 +16,7 @@
 //	multirag -demo -load 2000 -qps 500      # open-loop at a target arrival rate
 //	multirag -demo -load 2000 -deadline 50ms     # per-request end-to-end deadline (deadline_ms)
 //	multirag -demo -load 2000 -target http://host:8473   # aim at a running server
-//	multirag -ingest-load 500 -producers 4          # pipelined ingest load test over HTTP
-//	multirag -ingest-load 500 -producers 4 -serial-ingest   # serialized baseline
+//	multirag -ingest-load 500 -producers 4          # group-committed ingest load test over HTTP
 //
 // The -load and -ingest-load harnesses drive the real serving path: they
 // start an in-process `multirag serve` front door (or aim at -target) and
@@ -68,15 +67,13 @@ func main() {
 		class   = flag.String("class", "interactive", "SLO class -load requests are tagged with")
 		ingLoad = flag.Int("ingest-load", 0, "run an HTTP ingest load test of this many synthetic files (0 = off)")
 		prods   = flag.Int("producers", 0, "concurrent producers for -ingest-load (0 = GOMAXPROCS)")
-		serial  = flag.Bool("serial-ingest", false, "use the serialized ingest baseline instead of the pipelined group commit (A/B)")
 	)
 	flag.Parse()
 
 	sys := multirag.Open(multirag.Config{
-		Seed:            *seed,
-		Workers:         *workers,
-		AnswerCache:     *cache,
-		SerializeIngest: *serial,
+		Seed:        *seed,
+		Workers:     *workers,
+		AnswerCache: *cache,
 	})
 
 	if *demo {

@@ -186,7 +186,7 @@ Flags:
 	// where this process stopped.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.ListenAndServe() }()
 	select {
@@ -212,6 +212,12 @@ Flags:
 	}
 	fmt.Println("multirag serve: shutdown complete (state flushed)")
 }
+
+// readHeaderTimeout bounds how long a connection may take to send its request
+// headers, so a client that opens connections and trickles bytes cannot hold
+// server goroutines indefinitely. Bodies are bounded separately, by size, in
+// the serve package.
+const readHeaderTimeout = 10 * time.Second
 
 // serveClasses is the stock SLO layout with the CLI admission, deadline and
 // degradation knobs applied to the query classes. The ingest class stays

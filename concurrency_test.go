@@ -97,9 +97,9 @@ func TestConcurrentAskDuringIngest(t *testing.T) {
 	}
 }
 
-// TestAskConcurrentMatchesSerial checks the fan-out helper returns exactly
-// what sequential Ask calls would, in input order.
-func TestAskConcurrentMatchesSerial(t *testing.T) {
+// TestAskEachMatchesSerial checks the batch fan-out returns exactly what
+// sequential Ask calls would, in input order.
+func TestAskEachMatchesSerial(t *testing.T) {
 	sys := Open(Config{Seed: 3, Workers: 8})
 	if err := sys.IngestFiles(flightFiles()...); err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestAskConcurrentMatchesSerial(t *testing.T) {
 		want[i] = sys.Ask(q).Values
 	}
 	for round := 0; round < 5; round++ {
-		got := sys.AskConcurrent(queries)
+		got := sys.AskEach(nil, queries)
 		if len(got) != len(queries) {
 			t.Fatalf("got %d answers for %d queries", len(got), len(queries))
 		}

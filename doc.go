@@ -57,9 +57,9 @@
 // behind per-replica circuit breakers, and optionally hedges slow reads onto
 // a second replica (-hedge-after), returning whichever answer lands first
 // and canceling the loser. `multirag recover -verify` prints the replication
-// position and snapshot digest for offline cross-node comparison; `make
-// bench-cluster` records the replica-count sweep into BENCH_cluster.json.
-// See DESIGN.md section 11.
+// position and snapshot digest for offline cross-node comparison. `go run
+// ./benchmark` measures a primary and two replicas behind the HTTP front door
+// end to end. See DESIGN.md section 11.
 //
 // The public API wraps the internal modules: adapters (internal/adapter),
 // the DSM columnar store (internal/dsm), JSON-LD normalisation

@@ -160,29 +160,6 @@ func TestStripTimings(t *testing.T) {
 	}
 }
 
-func TestIngestBenchSmoke(t *testing.T) {
-	var sb strings.Builder
-	rep, err := IngestBenchReport(tinyOpts(&sb))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"serialized", "pipelined", "producer(s)"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("ingest bench output missing %q:\n%s", want, out)
-		}
-	}
-	// 2 sizes x 3 producer counts; every cell equivalence-checked inside.
-	if len(rep.Cells) != 6 {
-		t.Fatalf("expected 6 cells, got %d", len(rep.Cells))
-	}
-	for _, c := range rep.Cells {
-		if c.SerialBPS <= 0 || c.PipelinedBPS <= 0 {
-			t.Fatalf("degenerate cell: %+v", c)
-		}
-	}
-}
-
 func TestDatasetCacheReuses(t *testing.T) {
 	c := datasetCache{}
 	o := Options{Seed: 2, Scale: 0.06}

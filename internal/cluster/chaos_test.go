@@ -63,9 +63,9 @@ func chaosAnswersEqual(a, b core.Answer) bool {
 func TestChaosClusterReplicaFaults(t *testing.T) {
 	scenarios := []struct {
 		name string
-		arm  func(c *Cluster)    // injects the fault once the cluster is caught up
+		arm  func(c *Cluster)      // injects the fault once the cluster is caught up
 		hit  func(c *Cluster) bool // reports the fault has landed (polled under load)
-		heal func()              // releases whatever the fault left armed
+		heal func()                // releases whatever the fault left armed
 		// corruptIdx marks a replica deliberately serving wrong state until
 		// anti-entropy fences it; its querier is skipped (the router-level
 		// chaos suite covers shedding). -1 means every replica is compared.
@@ -135,7 +135,7 @@ func TestChaosClusterReplicaFaults(t *testing.T) {
 					t.Fatalf("Ingest reference: %v", err)
 				}
 			}
-			want := reference.QueryBatch(chaosQueries)
+			want := reference.QueryEach(nil, chaosQueries)
 
 			c, err := New(primary, Config{Replicas: 3, VerifyEvery: 1, QueueLen: 64})
 			if err != nil {
@@ -227,7 +227,7 @@ func TestChaosClusterReplicaFaults(t *testing.T) {
 			if sc.name == "corrupt-state" && divergences == 0 {
 				t.Fatal("anti-entropy never caught the corrupted replica")
 			}
-			for i, ans := range primary.QueryBatch(chaosQueries) {
+			for i, ans := range primary.QueryEach(nil, chaosQueries) {
 				if !chaosAnswersEqual(ans, want[i]) {
 					t.Fatalf("primary answer %+v differs from reference %+v after chaos", ans, want[i])
 				}

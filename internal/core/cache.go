@@ -161,20 +161,20 @@ const evidenceMemoLimit = 8192
 
 // evidenceMemo memoises gatherEvidence outcomes per (entity, relation) key,
 // generation-stamped exactly like the answer cache so a snapshot publish
-// flushes every entry. Unlike the answer cache it is on by default, because
-// its hits are exact: only history-INDEPENDENT evaluations are stored (the
-// homologous fast-path/graph-eliminated outcomes, never node-level scoring,
-// isolated authority or the chunk path), and each hit replays the stored
-// HistoryDelta, reproducing precisely the source-history evolution an
+// flushes every entry. Unlike the opt-in answer cache it is always on,
+// because its hits are exact: only history-INDEPENDENT evaluations are stored
+// (the homologous fast-path/graph-eliminated outcomes, never node-level
+// scoring, isolated authority or the chunk path), and each hit replays the
+// stored HistoryDelta, reproducing precisely the source-history evolution an
 // uncached re-evaluation would have caused. Answers are therefore
-// bit-identical with the memo on or off — the query bench asserts this. What
-// a hit saves is the candidate lookup, member resolution, graph-confidence
-// recomputation and one Standardize call per repeated fan-out sub-question.
+// bit-identical with or without it — TestEvidenceMemoTransparent asserts
+// this. What a hit saves is the candidate lookup, member resolution,
+// graph-confidence recomputation and one Standardize call per repeated
+// fan-out sub-question.
 type evidenceMemo struct {
-	disabled bool
-	mu       sync.Mutex
-	gen      uint64
-	m        map[string]evidenceEntry
+	mu  sync.Mutex
+	gen uint64
+	m   map[string]evidenceEntry
 }
 
 // evidenceEntry pairs a memoised evidence set with the deferred history
@@ -188,8 +188,6 @@ type evidenceEntry struct {
 	e evidence
 	d *confidence.HistoryDelta
 }
-
-func newEvidenceMemo(disabled bool) *evidenceMemo { return &evidenceMemo{disabled: disabled} }
 
 func evidenceKey(entity, relation string) string { return entity + "\x00" + relation }
 
@@ -210,9 +208,6 @@ func cloneStages(e evidence) evidence {
 // generation gen, with the history delta the caller must Apply (the hit-side
 // replay that keeps the memo exact).
 func (c *evidenceMemo) get(gen uint64, entity, relation string) (evidence, *confidence.HistoryDelta, bool) {
-	if c.disabled {
-		return evidence{}, nil, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if gen != c.gen {
@@ -232,9 +227,6 @@ func (c *evidenceMemo) get(gen uint64, entity, relation string) (evidence, *conf
 // put records one evaluation. Callers only pass history-independent results
 // (evidence.memoable); the stored copy is private.
 func (c *evidenceMemo) put(gen uint64, entity, relation string, e evidence, d *confidence.HistoryDelta) {
-	if c.disabled {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if gen != c.gen {

@@ -233,7 +233,7 @@ func TestChaosCancelReleasesSlotPromptly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan Answer, 1)
-	go func() { done <- s.QueryCtx(ctx, chaosQueries[0]) }()
+	go func() { done <- s.QueryEach([]context.Context{ctx}, chaosQueries[:1])[0] }()
 
 	// Wait until the evaluation is provably inside the hang.
 	deadline := time.Now().Add(5 * time.Second)

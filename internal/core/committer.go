@@ -251,11 +251,7 @@ func (s *System) commitGroup(group []*prepared) {
 	if len(committed) > 0 {
 		next := &snapshot{graph: g, index: ix, gen: cur.gen + 1}
 		if !s.cfg.DisableMKA {
-			if s.cfg.DisableIncrementalSG {
-				next.sg = linegraph.Build(g)
-			} else {
-				next.sg = linegraph.BuildDelta(cur.sg, g, newIDs)
-			}
+			next.sg = linegraph.BuildDelta(cur.sg, g, newIDs)
 			st := next.sg.ComputeStats()
 			for _, p := range committed {
 				p.rep.Homologous = st

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"sync"
@@ -8,7 +9,9 @@ import (
 
 	"multirag/internal/adapter"
 	"multirag/internal/datasets"
+	"multirag/internal/linegraph"
 	"multirag/internal/llm"
+	"multirag/internal/wal"
 )
 
 // TestIngestDeterministicAcrossWorkerCounts is the parallel-ingestion
@@ -116,33 +119,85 @@ func TestIngestFailurePublishesNothing(t *testing.T) {
 	}
 }
 
-// TestIncrementalSGMatchesFullRebuild ingests several batches and checks the
-// delta-maintained SG agrees with a forced full rebuild at every step — the
-// engine-level counterpart of the linegraph property test.
+// requireSGMatchesBuild checks a delta-maintained SG against linegraph.Build
+// over the same graph: equal statistics (incremental and walked), equal
+// isolated points and, node by node, equal members and sources.
+func requireSGMatchesBuild(t *testing.T, label string, sg *linegraph.SG) {
+	t.Helper()
+	want := linegraph.Build(sg.Graph())
+	if got, w := sg.ComputeStats(), want.ComputeStats(); got != w {
+		t.Fatalf("%s: stats %+v, full Build %+v", label, got, w)
+	}
+	if got, w := sg.RecomputeStats(), want.RecomputeStats(); got != w {
+		t.Fatalf("%s: walked stats %+v, full Build %+v", label, got, w)
+	}
+	if !reflect.DeepEqual(sg.IsolatedIDs(), want.IsolatedIDs()) {
+		t.Fatalf("%s: isolated points diverge from full Build", label)
+	}
+	want.ForEachNode(func(key string, wn *linegraph.HomologousNode) {
+		gn, ok := sg.Node(key)
+		if !ok {
+			t.Fatalf("%s: node %q missing", label, key)
+		}
+		if gn.Num != wn.Num || !reflect.DeepEqual(gn.Members, wn.Members) || !reflect.DeepEqual(gn.Sources, wn.Sources) {
+			t.Fatalf("%s: node %q = %v from %v, full Build %v from %v", label, key, gn.Members, gn.Sources, wn.Members, wn.Sources)
+		}
+	})
+}
+
+// TestIncrementalSGMatchesFullRebuild checks every site that maintains the
+// line graph by BuildDelta against a full linegraph.Build of the same graph:
+// the committer after each of several commits, a replica applying each
+// shipped record, and a crash-reopened durable system, whose recovery folds
+// the WAL tail past its checkpoint into one merged delta. Each batch grows
+// existing groups and turns the previous batch's isolated claim into a
+// homologous group.
 func TestIncrementalSGMatchesFullRebuild(t *testing.T) {
-	incr := NewSystem(Config{LLM: llm.Config{Seed: 1}})
-	full := NewSystem(Config{LLM: llm.Config{Seed: 1}, DisableIncrementalSG: true})
-	for batch := 0; batch < 5; batch++ {
-		files := []adapter.RawFile{{
-			Domain: "flights", Source: fmt.Sprintf("src-%d", batch), Name: "feed", Format: "csv",
-			Content: []byte(fmt.Sprintf("flight,status,gate\nCA981,Delayed,B%d\nMU%d88,On time,C1\n", batch, batch)),
-		}}
-		ri, err := incr.Ingest(files)
+	const batches, checkpointed = 6, 2
+	cfg := Config{LLM: llm.Config{Seed: 1}, CheckpointRecords: 1 << 30, CheckpointBytes: 1 << 40}
+	fs := wal.NewMemFS()
+	primary, _ := openDurable(t, fs, cfg)
+	sink := &recSink{}
+	handle, lsn, err := primary.AttachReplication(sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica := NewSystem(cfg)
+	if err := replica.SeedReplica(handle.Encode(), lsn); err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < batches; k++ {
+		rep, err := primary.Ingest([]adapter.RawFile{{
+			Domain: "flights", Source: fmt.Sprintf("src-%d", k), Name: "feed", Format: "csv",
+			Content: []byte(fmt.Sprintf("flight,status,gate\nCA981,Delayed,B%d\nMU%d88,On time,C1\nMU%d88,Boarding,C2\n", k, k, k-1)),
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rf, err := full.Ingest(files)
-		if err != nil {
+		label := fmt.Sprintf("commit %d", k)
+		requireSGMatchesBuild(t, "primary after "+label, primary.SG())
+		if want := primary.SG().ComputeStats(); rep.Homologous != want {
+			t.Fatalf("%s: reported stats %+v, published SG %+v", label, rep.Homologous, want)
+		}
+		if err := replica.ReplicaApply(sink.recs[k]); err != nil {
 			t.Fatal(err)
 		}
-		if ri.Homologous != rf.Homologous {
-			t.Fatalf("batch %d: incremental stats %+v != full-rebuild stats %+v", batch, ri.Homologous, rf.Homologous)
+		requireSGMatchesBuild(t, "replica after "+label, replica.SG())
+		if k+1 == checkpointed {
+			if err := primary.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	ai := incr.Query("What is the status of CA981?")
-	af := full.Query("What is the status of CA981?")
-	if !reflect.DeepEqual(ai.Values, af.Values) {
-		t.Fatalf("answers diverge: %v vs %v", ai.Values, af.Values)
+
+	reopened, info := openDurable(t, fs.Crash(nil), cfg)
+	if info.CheckpointLSN != checkpointed || info.RecordsReplayed != batches-checkpointed {
+		t.Fatalf("recovery from checkpoint %d replayed %d records, want %d + %d",
+			info.CheckpointLSN, info.RecordsReplayed, checkpointed, batches-checkpointed)
+	}
+	requireSGMatchesBuild(t, "recovered", reopened.SG())
+	if !bytes.Equal(snapBytes(reopened), snapBytes(primary)) {
+		t.Fatal("recovered snapshot differs from the primary's")
 	}
 }
 

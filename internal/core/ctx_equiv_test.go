@@ -35,43 +35,42 @@ func randomChaosQueries(rng *rand.Rand, n int) []string {
 }
 
 // TestQueryCtxBitIdentical is the determinism pin of the cancellation work:
-// on two identically built systems, every query answered through the
-// context-aware path under a live (never-canceled, never-expiring) context
-// must be deeply equal to the context-free answer — the ctx plumbing may only
-// ever change behaviour when the context actually ends.
+// on identically built systems, every query answered through QueryEach under
+// a live (never-canceled, never-expiring) context, or under a nil one, must be
+// deeply equal to Query's answer — the ctx plumbing may only ever change
+// behaviour when the context actually ends.
 func TestQueryCtxBitIdentical(t *testing.T) {
-	s1 := newCaseStudySystem(t, Config{})
-	s2 := newCaseStudySystem(t, Config{})
+	ref := newCaseStudySystem(t, Config{})
+	withLive := newCaseStudySystem(t, Config{})
+	withNil := newCaseStudySystem(t, Config{})
 	rng := rand.New(rand.NewSource(7))
 	queries := randomChaosQueries(rng, 60)
 
 	live, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for i, q := range queries {
-		a := s1.Query(q)
-		b := s2.QueryCtx(live, q)
+		a := ref.Query(q)
+		b := withLive.QueryEach([]context.Context{live}, []string{q})[0]
+		c := withNil.QueryEach(nil, []string{q})[0]
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("query %d %q: QueryCtx diverged from Query\n ctx-free: %+v\n ctx:      %+v", i, q, a, b)
+			t.Fatalf("query %d %q: QueryEach under a live context diverged from Query\n Query:     %+v\n QueryEach: %+v", i, q, a, b)
+		}
+		if !reflect.DeepEqual(a, c) {
+			t.Fatalf("query %d %q: QueryEach with a nil context diverged from Query\n Query:     %+v\n QueryEach: %+v", i, q, a, c)
 		}
 	}
 
-	// Batch entry points: QueryBatchCtx with a background context delegates
-	// to QueryBatch; QueryEach with per-request live contexts must match too.
-	a := s1.QueryBatch(queries)
-	b := s2.QueryBatchCtx(context.Background(), queries)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("QueryBatchCtx(Background) diverged from QueryBatch")
-	}
+	// Whole batches on the worker pool: per-request live contexts and nil
+	// contexts must agree too.
 	ctxs := make([]context.Context, len(queries))
 	for i := range ctxs {
 		ctxs[i] = live
 	}
-	c := s2.QueryEach(ctxs, queries)
-	if !reflect.DeepEqual(a, c) {
-		t.Fatal("QueryEach under live contexts diverged from QueryBatch")
+	a := ref.QueryEach(nil, queries)
+	if !reflect.DeepEqual(a, withLive.QueryEach(ctxs, queries)) {
+		t.Fatal("batch QueryEach under live contexts diverged from nil contexts")
 	}
-	d := s2.QueryEach(make([]context.Context, len(queries)), queries)
-	if !reflect.DeepEqual(a, d) {
-		t.Fatal("QueryEach with nil contexts diverged from QueryBatch")
+	if !reflect.DeepEqual(a, withNil.QueryEach(make([]context.Context, len(queries)), queries)) {
+		t.Fatal("batch QueryEach with nil entries diverged from a nil slice")
 	}
 }

@@ -135,11 +135,7 @@ func OpenFS(fsys wal.FS, dir string, cfg Config) (*System, *RecoveryInfo, error)
 		// record that grows a group touches it with that record's own IDs —
 		// so recomputing each touched group once, against the final graph,
 		// lands on the same SG without the O(records × groups) rescans.
-		if s.cfg.DisableIncrementalSG {
-			sg = linegraph.Build(g)
-		} else {
-			sg = linegraph.BuildDelta(sg, g, newIDs)
-		}
+		sg = linegraph.BuildDelta(sg, g, newIDs)
 	}
 	log, err := wal.OpenLog(fsys, dir, sr)
 	if err != nil {
@@ -511,9 +507,9 @@ func (s *System) applyRecovered(g *kg.Graph, ix retrieval.Store, payload []byte,
 
 // replayFiles replays files in order onto g and ix — each file's recorder,
 // then its chunks — appending the new triple IDs to ids. It is the one replay
-// step the committer, the serialized ingest path, replica apply and recovery
-// share. A file's vectors are densified from their stored form into one
-// buffer for AddEmbeddedBatch, which keeps none of it.
+// step the committer, replica apply and recovery share. A file's vectors are
+// densified from their stored form into one buffer for AddEmbeddedBatch, which
+// keeps none of it.
 func replayFiles(g *kg.Graph, ix retrieval.Store, files []fileWork, ids []string) ([]string, error) {
 	dim := ix.Dim()
 	for i := range files {

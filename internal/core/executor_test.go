@@ -2,12 +2,16 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 
 	"multirag/internal/adapter"
+	"multirag/internal/kg"
+	"multirag/internal/linegraph"
 	"multirag/internal/llm"
 )
 
@@ -103,26 +107,70 @@ func TestQueryDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestQueryPathAvoidsNodeScans is the acceptance check for the per-snapshot
-// evidence index: no query intent may touch ForEachNode. The A/B reference
-// knob must still exercise the scan (so the counter provably works) and must
-// return the same answers.
-func TestQueryPathAvoidsNodeScans(t *testing.T) {
-	indexed := newExecutorSystem(t, Config{})
-	scanning := newExecutorSystem(t, Config{DisableQueryIndex: true})
-	base := indexed.SG().NodeScans()
-	for _, q := range executorQueries() {
-		ia := indexed.Query(q)
-		sa := scanning.Query(q)
-		if !reflect.DeepEqual(ia, sa) {
-			t.Fatalf("index and scan paths diverge for %q", q)
+// scanNestedCandidates is the nested-attribute candidate search as a walk
+// over every homologous node — the oracle for SG.NestedCandidates, which
+// reads the subject's own triples instead.
+func scanNestedCandidates(sg *linegraph.SG, subj, relation string) []*linegraph.HomologousNode {
+	var out []*linegraph.HomologousNode
+	sg.ForEachNode(func(_ string, n *linegraph.HomologousNode) {
+		if n.SubjectID == subj && n.Name != relation && strings.HasPrefix(n.Name, relation+"_") {
+			out = append(out, n)
 		}
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	return out
+}
+
+// TestQueryPathAvoidsNodeScans is the acceptance check for the per-snapshot
+// evidence index: no query intent may touch ForEachNode, and the index must
+// find exactly the candidates a full node scan finds — for every (subject,
+// relation) the queries ask and every underscore prefix of a stored
+// attribute name. Team Alpha's status carries two nested attributes.
+func TestQueryPathAvoidsNodeScans(t *testing.T) {
+	s := newExecutorSystem(t, Config{})
+	if _, err := s.Ingest([]adapter.RawFile{
+		kgFile("registry-nested", "Team Alpha|status_since|2019"),
+		kgFile("ledger-nested", "Team Alpha|status_since|2019"),
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if got := indexed.SG().NodeScans(); got != base {
+	sg := s.SG()
+	base := sg.NodeScans()
+	for _, q := range executorQueries() {
+		s.Query(q)
+	}
+	if got := sg.NodeScans(); got != base {
 		t.Fatalf("query hot path performed %d homologous-node scan visits, want 0", got-base)
 	}
-	if scanning.SG().NodeScans() == 0 {
-		t.Fatal("reference path should have exercised the ForEachNode scan (instrumentation hook dead?)")
+
+	type key struct{ subj, rel string }
+	keys := map[key]bool{}
+	sg.ForEachNode(func(_ string, n *linegraph.HomologousNode) {
+		for i := range n.Name {
+			if n.Name[i] == '_' {
+				keys[key{n.SubjectID, n.Name[:i]}] = true
+			}
+		}
+		keys[key{n.SubjectID, n.Name}] = true
+	})
+	for _, q := range executorQueries() {
+		lf := s.model.ParseQuery(q)
+		for _, e := range lf.Entities {
+			for _, r := range lf.Relations {
+				keys[key{kg.CanonicalID(s.model.Standardize(e)), r}] = true
+			}
+		}
+	}
+	widest := 0
+	for k := range keys {
+		want := scanNestedCandidates(sg, k.subj, k.rel)
+		if got := sg.NestedCandidates(k.subj, k.rel); !reflect.DeepEqual(got, want) {
+			t.Fatalf("NestedCandidates(%q, %q) = %d nodes, full scan finds %d", k.subj, k.rel, len(got), len(want))
+		}
+		widest = max(widest, len(want))
+	}
+	if widest < 2 {
+		t.Fatalf("at most %d nested candidate per key; the oracle comparison is too weak", widest)
 	}
 }
 
@@ -130,10 +178,13 @@ func TestQueryPathAvoidsNodeScans(t *testing.T) {
 // only history-independent evaluations are stored and their history credits
 // replay on every hit, the complete answer sequence — including
 // history-sensitive conflicting queries evaluated AFTER memo hits — is
-// bit-identical with the memo on and off.
+// bit-identical with the memo on and off. The memo is turned off by moving
+// its generation past every snapshot's, which makes get and put treat every
+// query as stale.
 func TestEvidenceMemoTransparent(t *testing.T) {
 	memo := newExecutorSystem(t, Config{})
-	plain := newExecutorSystem(t, Config{DisableEvidenceMemo: true})
+	plain := newExecutorSystem(t, Config{})
+	plain.evidence.gen = math.MaxUint64
 	for round := 0; round < 3; round++ {
 		for _, q := range executorQueries() {
 			ma := memo.Query(q)
@@ -145,6 +196,9 @@ func TestEvidenceMemoTransparent(t *testing.T) {
 	}
 	if memo.evidence.size() == 0 {
 		t.Fatal("memo never stored an entry; the transparency check ran vacuously")
+	}
+	if n := plain.evidence.size(); n != 0 {
+		t.Fatalf("the memo that was turned off stored %d entries", n)
 	}
 }
 
@@ -208,10 +262,10 @@ func TestComparisonShortCircuitSkipsSecondArm(t *testing.T) {
 	}
 }
 
-// TestAskDuringQueryBatch is the batch-serving race stress: QueryBatch,
-// single Ask calls and ingest commits all proceed concurrently. Run with
-// -race; correctness here is "no race, no panic, every batch answer in input
-// order".
+// TestAskDuringQueryBatch is the batch-serving race stress: QueryEach
+// batches, single Query calls and ingest commits all proceed concurrently.
+// Run with -race; correctness here is "no race, no panic, every batch answer
+// in input order".
 func TestAskDuringQueryBatch(t *testing.T) {
 	s := newExecutorSystem(t, Config{Workers: 4})
 	queries := executorQueries()
@@ -220,7 +274,7 @@ func TestAskDuringQueryBatch(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 5; i++ {
-			out := s.QueryBatch(queries)
+			out := s.QueryEach(nil, queries)
 			if len(out) != len(queries) {
 				t.Errorf("batch returned %d answers for %d queries", len(out), len(queries))
 				return

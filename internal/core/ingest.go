@@ -96,15 +96,11 @@ func (p *prepared) recordedTriples() int {
 // LLM cost is metered per caller on a forked ingest model, so interleaved
 // fan-outs cannot pollute each other's BuildCost attribution.
 func (s *System) Ingest(files []adapter.RawFile) (IngestReport, error) {
-	if s.cfg.SerializeIngest {
-		return s.ingestSerialized(files)
-	}
 	p := &prepared{}
 	s.admit(p)
 	// Stamp after admission: buildReal attributes each committed call's wall
 	// time from admission to group publish — queue-blocking time spent
-	// waiting for a pipeline slot is not build work (the serialized path
-	// likewise stamped after acquiring its lock).
+	// waiting for a pipeline slot is not build work.
 	p.start = time.Now()
 	s.prepare(p, files)
 	return s.commitJoin(p)
@@ -194,69 +190,6 @@ func mergedBatchReport(work []fileWork) extract.Report {
 		rep.Merge(work[i].report)
 	}
 	return rep
-}
-
-// ingestSerialized is the pre-pipeline write path, preserved behind
-// Config.SerializeIngest as the A/B baseline for the ingest bench: the whole
-// call — fan-out included — runs under the write lock, commits one snapshot
-// per batch and re-walks every homologous node for its statistics.
-func (s *System) ingestSerialized(files []adapter.RawFile) (IngestReport, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var rep IngestReport
-	start := time.Now()
-	llmBefore := s.ingestModel.VirtualLatency()
-	fused, err := s.registry.FuseParallel(files, s.Workers())
-	if err != nil {
-		return rep, err
-	}
-
-	work := s.prepareFiles(s.extractor, fused)
-	rep.Extraction = extract.Report{ByFormat: map[string]int{}}
-	for i := range work {
-		if work[i].err != nil {
-			return rep, work[i].err
-		}
-	}
-
-	cur := s.snap.Load()
-	g := cur.graph.Clone()
-	entBefore, triBefore := g.NumEntities(), g.NumTriples()
-	ix := cur.index.CloneForAppend()
-	newIDs, err := replayFiles(g, ix, work, nil)
-	if err != nil {
-		return rep, err
-	}
-	for i := range work {
-		rep.Extraction.Merge(work[i].report)
-		rep.Chunks += len(work[i].chunks)
-	}
-	rep.Extraction.Entities = g.NumEntities() - entBefore
-	rep.Extraction.Triples = g.NumTriples() - triBefore
-
-	next := &snapshot{graph: g, index: ix, gen: cur.gen + 1}
-	if !s.cfg.DisableMKA {
-		if s.cfg.DisableIncrementalSG {
-			next.sg = linegraph.Build(g)
-		} else {
-			next.sg = linegraph.BuildDelta(cur.sg, g, newIDs)
-		}
-		rep.Homologous = next.sg.RecomputeStats()
-	}
-	group := []*prepared{{work: work}}
-	if s.dur != nil {
-		// Same durability barrier as the group committer: fsync the batch's
-		// record before acknowledging or publishing it.
-		if err := s.dur.appendGroup(group); err != nil {
-			return rep, fmt.Errorf("core: wal append: %w", err)
-		}
-		defer s.dur.maybeRequestCheckpoint(&s.cfg)
-	}
-	s.snap.Store(next)
-	s.shipGroup(group)
-	s.buildReal += time.Since(start)
-	s.buildLLM += s.ingestModel.VirtualLatency() - llmBefore
-	return rep, nil
 }
 
 // RenderChunks converts a normalised file into retrievable chunks. Text

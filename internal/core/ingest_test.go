@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"multirag/internal/adapter"
+	"multirag/internal/extract"
 	"multirag/internal/kg"
+	"multirag/internal/linegraph"
 	"multirag/internal/llm"
 	"multirag/internal/retrieval"
 	"multirag/internal/wal"
@@ -307,7 +309,7 @@ func TestPipelinedIngestAnyInterleaving(t *testing.T) {
 }
 
 // TestIngestStressNoTornSnapshot races group-committing producers against
-// Ask/QueryBatch readers (run under -race): every observed snapshot must be
+// Query/QueryEach readers (run under -race): every observed snapshot must be
 // internally consistent — the SG belongs to the graph it was built over, its
 // incremental stats agree with the walking oracle — and a producer's own
 // committed batches must be immediately visible to queries.
@@ -373,7 +375,7 @@ func TestIngestStressNoTornSnapshot(t *testing.T) {
 						t.Errorf("committed batch %d invisible to reader", k)
 						return
 					}
-					s.QueryBatch([]string{
+					s.QueryEach(nil, []string{
 						fmt.Sprintf("What is the zone of Unit %d?", k),
 						fmt.Sprintf("What is the status of Unit %d?", k/2),
 					})
@@ -391,18 +393,54 @@ func TestIngestStressNoTornSnapshot(t *testing.T) {
 	}
 }
 
-// TestSerializeIngestMatchesPipelined pins the A/B knob: the serialized
-// baseline and the pipelined path publish identical corpora for the same
-// batch sequence.
+// ingestSequential is the serialized reference write path: one batch at a
+// time on the caller's goroutine, prepared, replayed onto a clone, its line
+// graph rebuilt from scratch with linegraph.Build and its statistics walked
+// (RecomputeStats), then published as its own snapshot.
+func ingestSequential(s *System, files []adapter.RawFile) (IngestReport, error) {
+	var rep IngestReport
+	fused, err := s.registry.FuseParallel(files, 1)
+	if err != nil {
+		return rep, err
+	}
+	work := s.prepareFiles(extract.New(s.ingestModel), fused)
+	for i := range work {
+		if work[i].err != nil {
+			return rep, work[i].err
+		}
+	}
+	cur := s.snap.Load()
+	g := cur.graph.Clone()
+	ix := cur.index.CloneForAppend()
+	entBefore, triBefore := g.NumEntities(), g.NumTriples()
+	if _, err := replayFiles(g, ix, work, nil); err != nil {
+		return rep, err
+	}
+	rep.Extraction = extract.Report{ByFormat: map[string]int{}}
+	for i := range work {
+		rep.Extraction.Merge(work[i].report)
+		rep.Chunks += len(work[i].chunks)
+	}
+	rep.Extraction.Entities = g.NumEntities() - entBefore
+	rep.Extraction.Triples = g.NumTriples() - triBefore
+	sg := linegraph.Build(g)
+	rep.Homologous = sg.RecomputeStats()
+	s.snap.Store(&snapshot{graph: g, sg: sg, index: ix, gen: cur.gen + 1})
+	return rep, nil
+}
+
+// TestSerializeIngestMatchesPipelined: the pipelined group-committing path
+// and the serialized reference publish identical corpora and identical
+// per-batch reports for the same batch sequence.
 func TestSerializeIngestMatchesPipelined(t *testing.T) {
 	pipe := NewSystem(Config{LLM: llm.Config{Seed: 1}})
-	base := NewSystem(Config{LLM: llm.Config{Seed: 1}, SerializeIngest: true})
+	base := NewSystem(Config{LLM: llm.Config{Seed: 1}})
 	for k := 0; k < 6; k++ {
 		rp, err := pipe.Ingest(ingestBatch(k))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := base.Ingest(ingestBatch(k))
+		rb, err := ingestSequential(base, ingestBatch(k))
 		if err != nil {
 			t.Fatal(err)
 		}

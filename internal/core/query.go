@@ -125,45 +125,21 @@ func degradeReason(err error) string {
 // input order over deferred history credits, so the answer — values,
 // trusted-node order, confidences and stage snapshots — is bit-identical
 // whatever the pool size. With Config.AnswerCacheSize > 0, repeated queries
-// against the same snapshot generation are served from the answer cache.
+// against the same snapshot generation are served from the answer cache. To
+// bound a query by a deadline or cancellation, use QueryEach.
 func (s *System) Query(q string) Answer {
-	ans, _ := s.queryCached(s.snap.Load(), q)
-	return ans
+	return s.query(context.Background(), s.snap.Load(), q)
 }
 
-// QueryCtx is Query under a request context: the evaluation honors ctx at
-// every stage boundary (retrieval rows, fan-out arms, LLM calls) and a query
+// query is the one evaluation path behind every entry point. It honors ctx
+// at every stage boundary (retrieval rows, fan-out arms, LLM calls): a query
 // cut short returns whatever completed as a Degraded partial answer instead
-// of an error. A context that can never be canceled takes the exact Query
-// path, bit-identical to pre-context behavior.
-func (s *System) QueryCtx(ctx context.Context, q string) Answer {
-	sn := s.snap.Load()
-	if ctx.Done() == nil {
-		ans, _ := s.queryCached(sn, q)
-		return ans
-	}
-	return s.queryCtx(ctx, sn, q)
-}
-
-// queryCached evaluates q against sn, consulting the generation-keyed answer
-// cache first. It reports whether the answer came from the cache.
-func (s *System) queryCached(sn *snapshot, q string) (Answer, bool) {
-	if ans, ok := s.answers.get(sn.gen, q); ok {
-		return ans, true
-	}
-	ans := s.queryOn(context.Background(), sn, q)
-	if !ans.Degraded {
-		s.answers.put(sn.gen, q, ans)
-	}
-	return ans, false
-}
-
-// queryCtx is the cancelable evaluation path: answer-cache hits still serve
-// instantly, a panic anywhere in the DAG (an injected chaos fault, or a real
-// bug under a real model API) is contained into a degraded answer instead of
-// killing the executor, and degraded or cut-short answers are never cached —
-// a later unconstrained query recomputes the full answer.
-func (s *System) queryCtx(ctx context.Context, sn *snapshot, q string) (ans Answer) {
+// of an error. Answer-cache hits serve instantly; a panic anywhere in the DAG
+// (an injected chaos fault, or a real bug under a real model API) is
+// contained into a degraded answer instead of killing the caller; and
+// degraded or cut-short answers are never cached — a later unconstrained
+// query recomputes the full answer.
+func (s *System) query(ctx context.Context, sn *snapshot, q string) (ans Answer) {
 	if a, ok := s.answers.get(sn.gen, q); ok {
 		return a
 	}
@@ -337,17 +313,8 @@ func (s *System) gatherEvidence(ctx context.Context, sn *snapshot, query, entity
 	// Nested attributes flatten to underscore-joined paths
 	// (status → status_state); include them as alternative candidates. They
 	// come from the subject's own triples — a posting of about a dozen
-	// handles — except under the A/B reference knob, which re-enacts the
-	// seed's full node scan.
-	if s.cfg.DisableQueryIndex {
-		sn.sg.ForEachNode(func(_ string, n *linegraph.HomologousNode) {
-			if n.SubjectID == subj && n.Name != relation && strings.HasPrefix(n.Name, relation+"_") {
-				candidates = append(candidates, n)
-			}
-		})
-	} else {
-		candidates = append(candidates, sn.sg.NestedCandidates(subj, relation)...)
-	}
+	// handles — never from a scan of every homologous node.
+	candidates = append(candidates, sn.sg.NestedCandidates(subj, relation)...)
 	sc.candidates = candidates
 	sort.Slice(candidates, func(i, j int) bool { return candidates[i].Key < candidates[j].Key })
 
@@ -667,7 +634,7 @@ func (s *System) RetrieveDocs(q string, k int) []string {
 // under concurrent ingestion.
 func (s *System) QueryWithDocs(q string, k int) (Answer, []string) {
 	sn := s.snap.Load()
-	ans, _ := s.queryCached(sn, q)
+	ans := s.query(context.Background(), sn, q)
 	var ranked []string
 	seen := map[string]bool{}
 	// Trusted triples first, in confidence order.

@@ -97,11 +97,10 @@ func (s *System) SnapshotDigest() uint64 { return s.ServingHandle().Digest() }
 
 // shipGroup advances the replication position for one published commit group
 // and ships its record to the attached sink, if any. Called under s.mu, after
-// the snapshot swap, from both the group committer and the serialized ingest
-// path. For durable systems the position is re-synced to the log (one record
-// was just appended); in-memory systems count groups themselves. The payload
-// handed to the sink is always a private copy — the durability encoder is
-// reused on the next commit.
+// the snapshot swap, by the group committer. For durable systems the position
+// is re-synced to the log (one record was just appended); in-memory systems
+// count groups themselves. The payload handed to the sink is always a private
+// copy — the durability encoder is reused on the next commit.
 func (s *System) shipGroup(committed []*prepared) {
 	lsn := s.replPos.Load()
 	s.replPos.Store(lsn + 1)
@@ -150,11 +149,7 @@ func (s *System) ReplicaApply(payload []byte) error {
 	}
 	next := &snapshot{graph: g, index: ix, sg: cur.sg, gen: cur.gen + 1}
 	if !s.cfg.DisableMKA {
-		if s.cfg.DisableIncrementalSG {
-			next.sg = linegraph.Build(g)
-		} else {
-			next.sg = linegraph.BuildDelta(cur.sg, g, newIDs)
-		}
+		next.sg = linegraph.BuildDelta(cur.sg, g, newIDs)
 	}
 	s.snap.Store(next)
 	s.replPos.Store(s.replPos.Load() + 1)

@@ -14,7 +14,6 @@ import (
 
 	"multirag/internal/adapter"
 	"multirag/internal/confidence"
-	"multirag/internal/extract"
 	"multirag/internal/fault"
 	"multirag/internal/kg"
 	"multirag/internal/linegraph"
@@ -54,23 +53,6 @@ type Config struct {
 	// update, so later different queries may see slightly shifted
 	// confidence values (see cache.go).
 	AnswerCacheSize int
-	// DisableIncrementalSG forces a full linegraph.Build on every Ingest
-	// instead of applying the batch delta to the previous SG. It exists to
-	// A/B-benchmark the incremental maintenance path; leave it off in
-	// production.
-	DisableIncrementalSG bool
-	// DisableQueryIndex makes nested-attribute candidate lookup fall back to
-	// the full homologous-node scan instead of the per-snapshot
-	// subject→attribute index. Candidates (and therefore answers) are
-	// identical either way; the knob exists so the query bench can measure
-	// the index against the sequential reference. Leave it off in production.
-	DisableQueryIndex bool
-	// DisableEvidenceMemo turns off the generation-keyed (entity, relation)
-	// evidence memo. Unlike the opt-in answer cache the memo is exact: it
-	// only stores history-independent evaluations and replays their deferred
-	// history credits on every hit, so answers are bit-identical with the
-	// memo on or off. The knob exists for A/B benchmarking.
-	DisableEvidenceMemo bool
 	// CheckpointRecords is how many WAL records may accumulate past the last
 	// checkpoint before the background checkpointer folds the log into a new
 	// one (durable systems only; <=0 selects DefaultCheckpointRecords).
@@ -87,13 +69,6 @@ type Config struct {
 	// BreakerCooldown is how long a tripped breaker fast-fails before
 	// admitting a half-open probe (<=0 selects fault.DefaultBreakerCooldown).
 	BreakerCooldown time.Duration
-	// SerializeIngest reverts Ingest to the pre-pipeline write path: the
-	// whole call — extraction fan-out included — runs under the write lock,
-	// every batch commits its own snapshot, and the homologous statistics
-	// are re-derived with a full node walk per commit (RecomputeStats).
-	// This is the serialized baseline the ingest bench measures the
-	// group-committing pipeline against; leave it off in production.
-	SerializeIngest bool
 }
 
 // snapshot is one immutable serving state: the knowledge graph, its
@@ -123,11 +98,11 @@ type System struct {
 	mcc      *confidence.MCC
 	registry *adapter.Registry
 	// ingestModel is a second deterministic Sim (same config, same seed)
-	// backing the extractor, so the preprocessing LLM-cost accounting
-	// (BuildCost) cannot be polluted by query traffic hitting the serving
-	// model concurrently. Same seed means identical extraction output.
+	// that every ingest batch forks its extraction model from, so the
+	// preprocessing LLM-cost accounting (BuildCost) cannot be polluted by
+	// query traffic hitting the serving model concurrently. Same seed means
+	// identical extraction output.
 	ingestModel *llm.Sim
-	extractor   *extract.Extractor
 
 	// snap is the atomically published serving snapshot. Query loads it once
 	// and runs entirely against that immutable view.
@@ -201,17 +176,15 @@ func NewSystem(cfg Config) *System {
 		cfg.RetrievalK = 5
 	}
 	model := llm.NewSim(cfg.LLM)
-	ingestModel := llm.NewSim(cfg.LLM)
 	s := &System{
 		cfg:         cfg,
 		model:       model,
 		mcc:         confidence.New(cfg.MCC, model, confidence.NewHistoryStore()),
 		registry:    adapter.NewRegistry(),
-		ingestModel: ingestModel,
-		extractor:   extract.New(ingestModel),
+		ingestModel: llm.NewSim(cfg.LLM),
 		embeds:      newEmbedCache(retrieval.DefaultDim),
 		answers:     newAnswerCache(cfg.AnswerCacheSize),
-		evidence:    newEvidenceMemo(cfg.DisableEvidenceMemo),
+		evidence:    &evidenceMemo{},
 		subQs:       map[string]string{},
 		genBreaker:  fault.NewBreaker("llm.generate", cfg.BreakerFailures, cfg.BreakerCooldown, nil),
 		extBreaker:  fault.NewBreaker("llm.extract", cfg.BreakerFailures, cfg.BreakerCooldown, nil),
@@ -238,46 +211,18 @@ func (s *System) Workers() int {
 // engine uses for ingestion stages and batched query serving.
 func Parallel(workers, n int, fn func(int)) { par.ForEach(workers, n, fn) }
 
-// QueryBatch evaluates a batch of queries concurrently on the worker pool
-// (Config.Workers) and returns the answers in input order. The whole batch
-// runs against one published snapshot, so every answer reflects the same
-// corpus state even while ingestion commits concurrently — the batch-serving
-// entry point behind AskConcurrent and the query bench. Workers bounds each
-// fan-out level, not a global budget: a batched multi-hop query briefly adds
-// its own hop-2 arms on top of the batch goroutines, the usual transient
-// oversubscription the Go scheduler absorbs.
-func (s *System) QueryBatch(queries []string) []Answer {
-	sn := s.snap.Load()
-	out := make([]Answer, len(queries))
-	par.ForEach(s.Workers(), len(queries), func(i int) {
-		out[i], _ = s.queryCached(sn, queries[i])
-	})
-	return out
-}
-
-// QueryBatchCtx is QueryBatch under one shared context: the whole batch runs
-// against one snapshot and stops claiming work once ctx is done. Queries cut
-// short return degraded answers (see queryCtx). A context that can never be
-// canceled delegates to QueryBatch, keeping the context-free path
-// bit-identical.
-func (s *System) QueryBatchCtx(ctx context.Context, queries []string) []Answer {
-	if ctx.Done() == nil {
-		return s.QueryBatch(queries)
-	}
-	sn := s.snap.Load()
-	out := make([]Answer, len(queries))
-	par.ForEach(s.Workers(), len(queries), func(i int) {
-		out[i] = s.queryCtx(ctx, sn, queries[i])
-	})
-	return out
-}
-
-// QueryEach evaluates queries[i] under ctxs[i] (nil entries mean no
-// deadline), all against one published snapshot — the serving executor's
-// entry point, where every request in a formed batch carries its own
-// SLO-class deadline and disconnect signal. Answers return in input order; a
-// request whose context ends mid-evaluation yields a degraded partial answer
-// while the rest of the batch proceeds unaffected.
+// QueryEach evaluates queries[i] under ctxs[i] concurrently on the worker
+// pool (Config.Workers) and returns the answers in input order; a nil ctxs,
+// or a nil entry, means no deadline. The whole batch runs against one
+// published snapshot, so every answer reflects the same corpus state even
+// while ingestion commits concurrently. It is the serving executor's entry
+// point, where every request in a formed batch carries its own SLO-class
+// deadline and disconnect signal: a request whose context ends
+// mid-evaluation yields a degraded partial answer while the rest of the
+// batch proceeds unaffected. Workers bounds each fan-out level, not a global
+// budget: a batched multi-hop query briefly adds its own hop-2 arms on top of
+// the batch goroutines, the usual transient oversubscription the Go
+// scheduler absorbs.
 func (s *System) QueryEach(ctxs []context.Context, queries []string) []Answer {
 	sn := s.snap.Load()
 	out := make([]Answer, len(queries))
@@ -286,11 +231,7 @@ func (s *System) QueryEach(ctxs []context.Context, queries []string) []Answer {
 		if i < len(ctxs) && ctxs[i] != nil {
 			ctx = ctxs[i]
 		}
-		if ctx.Done() == nil {
-			out[i], _ = s.queryCached(sn, queries[i])
-		} else {
-			out[i] = s.queryCtx(ctx, sn, queries[i])
-		}
+		out[i] = s.query(ctx, sn, queries[i])
 	})
 	return out
 }

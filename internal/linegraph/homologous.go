@@ -310,9 +310,8 @@ func (sg *SG) ComputeStats() Stats {
 }
 
 // RecomputeStats derives the statistics by walking every homologous node —
-// the pre-incremental implementation, kept as the property-test oracle for
-// ComputeStats and as part of the serialized-ingest A/B baseline
-// (core.Config.SerializeIngest), which reproduces the per-commit full walk.
+// the pre-incremental implementation, kept as the test oracle for
+// ComputeStats.
 func (sg *SG) RecomputeStats() Stats {
 	st := Stats{HomologousNodes: sg.nodes.n, Isolated: sg.isoIndex.n}
 	total := 0

@@ -12,12 +12,12 @@ import (
 // from admission to answer delivery), percentiles by the shared nearest-rank
 // helper.
 type ClassMetrics struct {
-	Name              string  `json:"name"`
-	Completed         int64   `json:"completed"`
-	RejectedAdmission int64   `json:"rejected_admission"`
-	RejectedQueue     int64   `json:"rejected_queue"`
-	TimedOut          int64   `json:"timed_out"`
-	Failed            int64   `json:"failed"`
+	Name              string `json:"name"`
+	Completed         int64  `json:"completed"`
+	RejectedAdmission int64  `json:"rejected_admission"`
+	RejectedQueue     int64  `json:"rejected_queue"`
+	TimedOut          int64  `json:"timed_out"`
+	Failed            int64  `json:"failed"`
 	// DeadlineExceeded counts requests that exhausted their end-to-end budget
 	// and were not delivered — while still queued, or mid-evaluation with
 	// degradation disabled for the class. Canceled counts requests whose
@@ -28,11 +28,11 @@ type ClassMetrics struct {
 	Canceled         int64   `json:"canceled"`
 	Degraded         int64   `json:"degraded"`
 	P50Micros        float64 `json:"p50_us"`
-	P95Micros         float64 `json:"p95_us"`
-	P99Micros         float64 `json:"p99_us"`
-	MaxMicros         float64 `json:"max_us"`
-	MeanMicros        float64 `json:"mean_us"`
-	ThroughputRPS     float64 `json:"throughput_rps"`
+	P95Micros        float64 `json:"p95_us"`
+	P99Micros        float64 `json:"p99_us"`
+	MaxMicros        float64 `json:"max_us"`
+	MeanMicros       float64 `json:"mean_us"`
+	ThroughputRPS    float64 `json:"throughput_rps"`
 }
 
 // MetricsSnapshot is the /v1/metrics payload.

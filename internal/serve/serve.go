@@ -1,5 +1,5 @@
 // Package serve is the production front door of a MultiRAG deployment: an
-// HTTP/JSON API over System.AskConcurrent / System.IngestFiles with
+// HTTP/JSON API over System.AskEach / System.IngestFiles with
 // token-bucket admission control per SLO class, pluggable batch-formation
 // policies (FCFS, shortest-job-first by estimated query cost, priority),
 // bounded per-class request queues, and per-class latency / fairness
@@ -24,10 +24,11 @@
 // reason, and /v1/metrics carries deadline/cancel/degraded counters, circuit
 // breaker states and durability health.
 //
-// Excess load is shed, never buffered without bound: a request that finds
-// its class token bucket empty or its bounded queue full is rejected with
-// 429, one that waits in queue past the configured timeout gets 503, and
-// ingest requests are additionally rejected with 429 while the group
+// Excess load is shed, never buffered without bound: a request body larger
+// than maxBodyBytes is rejected with 413, a request that finds its class
+// token bucket empty or its bounded queue full is rejected with 429, one
+// that waits in queue past the configured timeout gets 503, and ingest
+// requests are additionally rejected with 429 while the group
 // committer's admission window (core.IngestPressure) is saturated — the
 // serving layer's backpressure is wired into the ingest pipeline's rather
 // than layered blindly on top of it. Every shed response carries a
@@ -117,7 +118,7 @@ type Config struct {
 	// before failing with 503 (default 5s; < 0 disables).
 	QueueTimeout time.Duration
 	// Executors is the number of concurrent batch executors (default 2:
-	// one batch forming while another runs its AskConcurrent fan-out).
+	// one batch forming while another runs its AskEach fan-out).
 	Executors int
 	// Recovery, when set, is the startup crash-recovery report of the durable
 	// System being served; it is surfaced on /v1/metrics so operators can see
@@ -763,13 +764,25 @@ func (s *Server) resolveClass(w http.ResponseWriter, name string) (*classState, 
 	return cs, true
 }
 
-// readPost enforces POST + JSON body, writing the error response itself.
+// maxBodyBytes bounds one request body. It sits far above any legitimate
+// request — the benchmark's whole 2.2 MB corpus fits many times over as one
+// /v1/ingest batch — and only stops a client from streaming an unbounded body
+// into the JSON decoder.
+const maxBodyBytes = 64 << 20
+
+// readPost enforces POST + a JSON body of at most maxBodyBytes, writing the
+// error response itself.
 func (s *Server) readPost(w http.ResponseWriter, r *http.Request, into any) bool {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(into); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(into); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+			return false
+		}
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad JSON: %v", err))
 		return false
 	}

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -349,5 +351,46 @@ func TestServeQueueTimeout503(t *testing.T) {
 	}
 	if timedOut == 0 {
 		t.Fatal("503 served but no timeout accounted")
+	}
+}
+
+// fillReader yields an endless run of 'a' bytes.
+type fillReader struct{}
+
+func (fillReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'a'
+	}
+	return len(p), nil
+}
+
+// TestOversizeBodyRejected: a body past maxBodyBytes is answered 413 with the
+// typed ErrorResponse on every POST endpoint — the decoder stops at the limit
+// instead of buffering whatever the client sends — and the server keeps
+// serving normal requests afterwards. The oversize body is one JSON string
+// streamed without being materialised; the limit trips while the decoder is
+// still scanning it, before any field is interpreted.
+func TestOversizeBodyRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, path := range []string{"/v1/query", "/v1/query/batch", "/v1/ingest"} {
+		body := io.MultiReader(strings.NewReader(`{"query":"`), io.LimitReader(fillReader{}, maxBodyBytes))
+		resp, err := http.Post(ts.URL+path, "application/json", body)
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		var er ErrorResponse
+		derr := json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413", path, resp.StatusCode)
+		}
+		if derr != nil || !strings.Contains(er.Error, "exceeds") {
+			t.Fatalf("%s: 413 body not an ErrorResponse: %v %+v", path, derr, er)
+		}
+
+		resp, out := postJSON(t, ts.URL+"/v1/query", QueryRequest{Query: "What is the status of CA981?"})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("query after oversize %s: status %d: %s", path, resp.StatusCode, out)
+		}
 	}
 }

@@ -48,7 +48,7 @@ type Config struct {
 	// stages (ablations).
 	DisableGraphLevel bool
 	DisableNodeLevel  bool
-	// Workers bounds the ingestion worker pool and the AskConcurrent fan-out
+	// Workers bounds the ingestion worker pool and the AskEach fan-out
 	// (0 = GOMAXPROCS).
 	Workers int
 	// AnswerCache bounds the per-corpus-version answer cache (entries);
@@ -58,12 +58,6 @@ type Config struct {
 	// learning, so confidence scores on later queries may differ slightly
 	// from an uncached run; answer values for a given corpus do not.
 	AnswerCache int
-	// SerializeIngest reverts IngestFiles to the fully serialized write path
-	// (one lock held for the whole call, one snapshot per batch) instead of
-	// the pipelined group-committing ingest. Results are identical for any
-	// fixed batch order; the knob exists as the A/B baseline for ingest
-	// throughput measurements.
-	SerializeIngest bool
 	// BreakerFailures is how many consecutive model-call failures trip the
 	// answer-generation/extraction circuit breakers open (0 = default 5).
 	// While open, affected queries return Degraded answers immediately
@@ -95,7 +89,8 @@ type Answer struct {
 	// Degraded marks a partial answer: the evaluation was cut short by its
 	// deadline, a cancellation, a tripped circuit breaker or a contained
 	// stage failure, and Values reflects only the work that completed.
-	// Context-free Ask/AskConcurrent never set it outside fault injection.
+	// Ask, and AskEach with nil contexts, never set it outside fault
+	// injection.
 	Degraded bool
 	// DegradedReason names why ("deadline", "canceled", "breaker-open", or a
 	// stage error); empty when Degraded is false.
@@ -199,7 +194,6 @@ func coreConfig(cfg Config) core.Config {
 		DisableMKA:      cfg.DisableMKA,
 		Workers:         cfg.Workers,
 		AnswerCacheSize: cfg.AnswerCache,
-		SerializeIngest: cfg.SerializeIngest,
 		BreakerFailures: cfg.BreakerFailures,
 		BreakerCooldown: cfg.BreakerCooldown,
 		Ablation: confidence.Options{
@@ -243,35 +237,17 @@ func (s *System) Ask(query string) Answer {
 	return convertAnswer(s.inner.Query(query))
 }
 
-// AskCtx is Ask under a request context: the evaluation stops claiming work
-// once ctx is done (deadline or cancellation) and returns whatever completed
-// as a Degraded partial answer. With a context that can never be canceled it
-// takes the exact Ask path, bit-identical to Ask.
-func (s *System) AskCtx(ctx context.Context, query string) Answer {
-	return convertAnswer(s.inner.QueryCtx(ctx, query))
-}
-
-// AskEach answers queries[i] under ctxs[i] (nil entries mean no deadline),
-// all against one published snapshot — the serving layer's batch entry point,
-// where each admitted request carries its own SLO deadline and client
-// disconnect signal. A request whose context ends mid-evaluation yields a
-// Degraded answer; the rest of the batch is unaffected.
+// AskEach answers queries[i] under ctxs[i], fanning the batch out across the
+// worker pool (Config.Workers, default GOMAXPROCS) and returning the answers
+// in input order. A nil ctxs, or a nil entry, means no deadline. The whole
+// batch evaluates against one published snapshot, so every answer reflects
+// the same corpus state; AskEach may still be interleaved with IngestFiles
+// (later batches observe later snapshots). It is the serving layer's batch
+// entry point, where each admitted request carries its own SLO deadline and
+// client disconnect signal: a request whose context ends mid-evaluation
+// yields a Degraded answer, and the rest of the batch is unaffected.
 func (s *System) AskEach(ctxs []context.Context, queries []string) []Answer {
 	answers := s.inner.QueryEach(ctxs, queries)
-	out := make([]Answer, len(answers))
-	for i := range answers {
-		out[i] = convertAnswer(answers[i])
-	}
-	return out
-}
-
-// AskConcurrent answers a batch of queries, fanning them out across the
-// worker pool (Config.Workers, default GOMAXPROCS). Results are returned in
-// input order. The whole batch evaluates against one published snapshot, so
-// every answer reflects the same corpus state; AskConcurrent may still be
-// interleaved with IngestFiles (later batches observe later snapshots).
-func (s *System) AskConcurrent(queries []string) []Answer {
-	answers := s.inner.QueryBatch(queries)
 	out := make([]Answer, len(answers))
 	for i := range answers {
 		out[i] = convertAnswer(answers[i])
