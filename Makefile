@@ -47,14 +47,16 @@ chaos-cluster:
 # body decoders behind them (both formats, and the replica doors that take
 # the same bytes from a peer), and the JSON-LD parser every adapter output
 # passes through — plus the allocation-free text primitives held to the forms
-# they replace: SameNormalized against NormalizeValue equality, and Hash64 /
-# SeededHash01 against hash/fnv and the fmt-built seeded key.
+# they replace: SameNormalized against NormalizeValue equality, Tokenize /
+# NormalizeValue / StandardizeName against the tokenise-filter-join oracles,
+# and Hash64 / SeededHash01 against hash/fnv and the fmt-built seeded key.
 fuzz-smoke:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzFrameParse -fuzztime 5s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecoder -fuzztime 5s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzRecoveredPayload -fuzztime 5s
 	$(GO) test ./internal/jsonld -run '^$$' -fuzz FuzzDocumentUnmarshal -fuzztime 5s
 	$(GO) test ./internal/textutil -run '^$$' -fuzz FuzzSameNormalized -fuzztime 5s
+	$(GO) test ./internal/textutil -run '^$$' -fuzz FuzzNormalForms -fuzztime 5s
 	$(GO) test ./internal/textutil -run '^$$' -fuzz FuzzHash64 -fuzztime 5s
 
 # layers builds and tests the benchmark's per-layer pass, which lives behind
@@ -76,12 +78,19 @@ layers:
 # reference vs the term-at-a-time scan) and MCC.Run over one disagreeing group
 # (2-16 members, all or a quarter of them distinct, expert model included),
 # whose B/op and allocs/op grow with the distinct values, not with member
-# pairs. B/op is the tracked number. BENCHTIME=1x makes it a smoke run.
+# pairs — and the text normal forms every answer passes through:
+# NormalizeValue / StandardizeName on an already-normal value (0 allocs), a
+# short surface form and a ~1 KB chunk (1 alloc each), and GenerateAnswer over
+# three short graph values and over five chunk texts (the result plus one
+# normal form per group). B/op is the tracked number. BENCHTIME=1x makes it a
+# smoke run.
 bench-micro:
 	$(GO) test -run '^$$' -bench '^Benchmark(CommitAppend|Search|EncodeStore|DecodeStore)$$' -benchmem -benchtime $(BENCHTIME) ./internal/retrieval
 	$(GO) test -run '^$$' -bench '^Benchmark(GraphCommitAppend|COWPagePrivatize)$$' -benchmem -benchtime $(BENCHTIME) ./internal/kg
 	$(GO) test -run '^$$' -bench '^Benchmark(SnapshotDigest|SeedReplica)$$' -benchmem -benchtime $(BENCHTIME) ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkMCCRunConflict$$' -benchmem -benchtime $(BENCHTIME) ./internal/confidence
+	$(GO) test -run '^$$' -bench '^BenchmarkNormalForms$$' -benchmem -benchtime $(BENCHTIME) ./internal/textutil
+	$(GO) test -run '^$$' -bench '^BenchmarkGenerateAnswer$$' -benchmem -benchtime $(BENCHTIME) ./internal/llm
 
 # bench regenerates the paper tables/figures at a reduced scale and records
 # per-job wall-clock timings for the perf trajectory.

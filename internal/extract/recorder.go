@@ -2,6 +2,7 @@ package extract
 
 import (
 	"fmt"
+	"strings"
 
 	"multirag/internal/kg"
 )
@@ -17,7 +18,7 @@ import (
 // expensive work (LLM calls, parsing, flattening) happens in parallel.
 type Recorder struct {
 	ops      []op
-	entities map[string]bool // canonical IDs recorded so far (subject check)
+	entities map[string]string // canonical IDs recorded so far (subject check), to their stored copy
 	triples  int
 }
 
@@ -30,18 +31,27 @@ type op struct {
 
 // NewRecorder returns an empty operation recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{entities: map[string]bool{}}
+	return &Recorder{entities: map[string]string{}}
 }
 
 // AddEntity records an entity insertion and returns its canonical ID, exactly
-// as *kg.Graph.AddEntity would.
+// as *kg.Graph.AddEntity would. The ID becomes the Subject of the triples the
+// graph stores, so a new one is kept as an exact-size copy rather than as a
+// view of name (CanonicalID returns a name already in canonical form as is),
+// and a repeated one returns that copy.
 func (r *Recorder) AddEntity(name, typ, domain string) string {
 	id := kg.CanonicalID(name)
 	if id == "" {
 		return ""
 	}
 	r.ops = append(r.ops, op{name: name, typ: typ, domain: domain})
-	r.entities[id] = true
+	if stored, ok := r.entities[id]; ok {
+		return stored
+	}
+	if id == name {
+		id = strings.Clone(id)
+	}
+	r.entities[id] = id
 	return id
 }
 
@@ -50,7 +60,7 @@ func (r *Recorder) AddEntity(name, typ, domain string) string {
 // (ID assignment, object-entity linking against the full corpus) happens at
 // Replay time. The returned ID is a placeholder — extraction never reads it.
 func (r *Recorder) AddTriple(t kg.Triple) (string, error) {
-	if !r.entities[t.Subject] {
+	if _, ok := r.entities[t.Subject]; !ok {
 		return "", fmt.Errorf("kg: unknown subject entity %q", t.Subject)
 	}
 	if t.Predicate == "" {

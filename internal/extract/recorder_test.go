@@ -2,7 +2,9 @@ package extract
 
 import (
 	"reflect"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"multirag/internal/adapter"
 	"multirag/internal/kg"
@@ -112,5 +114,38 @@ func TestRecorderValidatesLikeGraph(t *testing.T) {
 	}
 	if len(ids) != 1 || g.NumTriples() != 1 {
 		t.Fatalf("replay produced %v (%d triples)", ids, g.NumTriples())
+	}
+}
+
+// TestRecorderStoresExactCopies: the ID a Recorder returns becomes the
+// Subject of the triples the graph stores, so a new one must not be a view of
+// the caller's name (CanonicalID returns an already-canonical name as is); a
+// repeated entity returns the same copy, and replay stores copies too.
+func TestRecorderStoresExactCopies(t *testing.T) {
+	file := strings.Repeat("x", 4096) + " ca981 | status | delayed"
+	within := func(s string) bool {
+		p, base := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.StringData(file)))
+		return s != "" && p >= base && p < base+uintptr(len(file))
+	}
+	r := NewRecorder()
+	id := r.AddEntity(file[4097:4102], "Flight", "flights")
+	if id != "ca981" || within(id) {
+		t.Fatalf("Recorder.AddEntity = %q, aliases the input buffer: %v", id, within(id))
+	}
+	if again := r.AddEntity(file[4097:4102], "", ""); unsafe.StringData(again) != unsafe.StringData(id) {
+		t.Fatal("a repeated entity must return the recorded copy")
+	}
+	if _, err := r.AddTriple(kg.Triple{Subject: id, Predicate: "status", Object: "delayed"}); err != nil {
+		t.Fatal(err)
+	}
+	g := kg.New()
+	if _, err := r.Replay(g); err != nil {
+		t.Fatal(err)
+	}
+	e, _ := g.Entity("ca981")
+	for _, s := range []string{e.ID, e.Name, g.TriplesByKey("ca981", "status")[0].Subject} {
+		if within(s) {
+			t.Fatalf("replayed graph stores %q as a view of the input buffer", s)
+		}
 	}
 }

@@ -17,6 +17,7 @@ package kg
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"multirag/internal/lineage"
 	"multirag/internal/textutil"
@@ -51,7 +52,8 @@ type Triple struct {
 // entity and are candidates for the same homologous subgraph.
 func (t *Triple) Key() string { return t.Subject + "\x00" + t.Predicate }
 
-// CanonicalID derives the stable entity ID for a surface form.
+// CanonicalID derives the stable entity ID for a surface form. A name already
+// in canonical form is its own ID: the result then aliases name.
 func CanonicalID(name string) string { return textutil.NormalizeValue(name) }
 
 // Graph is the mutable in-memory knowledge graph. It is not safe for
@@ -141,10 +143,11 @@ func packKey(subjH, predH int32) uint64 {
 	return uint64(uint32(subjH))<<32 | uint64(uint32(predH))
 }
 
-// AddEntity inserts (or upgrades) an entity and returns its canonical ID.
-// Re-adding an entity keeps the first non-empty Type/Domain seen. An upgrade
-// installs a fresh *Entity rather than mutating the stored one, so entities
-// reachable from published snapshots never change under a reader.
+// AddEntity inserts (or upgrades) an entity and returns its canonical ID, the
+// stored string. Re-adding an entity keeps the first non-empty Type/Domain
+// seen. An upgrade installs a fresh *Entity rather than mutating the stored
+// one, so entities reachable from published snapshots never change under a
+// reader.
 func (g *Graph) AddEntity(name, typ, domain string) string {
 	id := CanonicalID(name)
 	if id == "" {
@@ -162,7 +165,15 @@ func (g *Graph) AddEntity(name, typ, domain string) string {
 			}
 			g.ents.set(h, &ne)
 		}
-		return id
+		return e.ID
+	}
+	// A new entity stores exact-size strings. When name was already
+	// canonical, id aliases it, and name may be a view into a whole file's
+	// text that storing would pin; otherwise id is a fresh exact-size string
+	// and name is stored as the caller passed it.
+	if id == name {
+		id = strings.Clone(id)
+		name = id
 	}
 	h := g.ents.append(&Entity{ID: id, Name: name, Type: typ, Domain: domain})
 	g.entLookup.put(id, h)

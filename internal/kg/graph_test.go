@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func buildMovieGraph(t *testing.T) *Graph {
@@ -289,5 +291,37 @@ func TestIndexConsistencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// within reports whether s's bytes lie inside buf's.
+func within(s, buf string) bool {
+	if s == "" {
+		return false
+	}
+	p, base := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.StringData(buf)))
+	return p >= base && p < base+uintptr(len(buf))
+}
+
+// TestAddEntityStoresExactCopies: CanonicalID returns a name already in
+// canonical form as is, so a new entity's stored ID and name must be copied
+// out of the caller's string — a view into a whole file's text would pin the
+// file. A repeated add returns the stored ID.
+func TestAddEntityStoresExactCopies(t *testing.T) {
+	file := strings.Repeat("x", 4096) + " ca981 | status | delayed"
+	name := file[4097:4102]
+	g := New()
+	id := g.AddEntity(name, "Flight", "flights")
+	e, ok := g.Entity("ca981")
+	if id != "ca981" || !ok {
+		t.Fatalf("AddEntity(%q) = %q, entity found %v", name, id, ok)
+	}
+	for _, s := range []string{id, e.ID, e.Name} {
+		if within(s, file) {
+			t.Fatalf("stored string %q aliases the input buffer", s)
+		}
+	}
+	if again := g.AddEntity(file[4097:4102], "", ""); unsafe.StringData(again) != unsafe.StringData(e.ID) {
+		t.Fatal("re-adding an entity must return its stored ID")
 	}
 }

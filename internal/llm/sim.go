@@ -3,7 +3,7 @@ package llm
 import (
 	"fmt"
 	"regexp"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -103,15 +103,23 @@ var (
 	reFact        = regexp.MustCompile(`(?i)^\s*(?:according to ([\w &'-]+?)\s*,\s*)?the\s+([\w -]+?)\s+of\s+(.+?)\s+(?:is|was|are|were)\s+(.+?)\s*$`)
 )
 
+// qualifiers are the temporal qualifiers ParseQuery strips, each in lower and
+// title case, in the order they are removed.
+var qualifiers = []string{
+	"real-time ", "Real-Time ",
+	"real time ", "Real Time ",
+	"current ", "Current ",
+	"latest ", "Latest ",
+}
+
 // ParseQuery implements logic-form generation (MKLGP line 2). It recognises
 // the query grammars the benchmark datasets emit and falls back to NER for
 // anything else. Temporal qualifiers ("real-time", "current") are dropped
 // from the requested attribute.
 func (s *Sim) ParseQuery(query string) LogicForm {
 	s.usage.record(tokens(query)+12, 24)
-	for _, qualifier := range []string{"real-time ", "real time ", "current ", "latest "} {
+	for _, qualifier := range qualifiers {
 		query = strings.ReplaceAll(query, qualifier, "")
-		query = strings.ReplaceAll(query, strings.Title(qualifier), "")
 	}
 	if m := reMultiHopQ.FindStringSubmatch(query); m != nil {
 		return LogicForm{
@@ -273,14 +281,13 @@ func (s *Sim) JudgeAuthority(ctx AuthorityContext) float64 {
 // classes: community content scores low, institutional feeds high, unknown
 // sources neutral.
 func sourcePrior(source string) float64 {
-	l := strings.ToLower(source)
 	for _, bad := range []string{"forum", "user", "blog", "post", "social", "scraper"} {
-		if strings.Contains(l, bad) {
+		if textutil.ContainsLower(source, bad) {
 			return 0.2
 		}
 	}
 	for _, good := range []string{"wiki", "official", "api", "feed", "airline", "airport", "gov"} {
-		if strings.Contains(l, good) {
+		if textutil.ContainsLower(source, good) {
 			return 0.8
 		}
 	}
@@ -305,13 +312,11 @@ func (s *Sim) GenerateAnswer(query string, evidence []Evidence) []string {
 		s.usage.record(promptTok+16, 4)
 		return nil
 	}
-	type group struct {
-		repr       string
-		weight     float64
-		unverified float64
-	}
-	byNorm := map[string]*group{}
-	var order []string
+	// Group by normal form in first-seen order: a linear scan over the groups
+	// so far, comparing in place, so only a value that opens a group pays for
+	// its normal form. Evidence sets are a handful of values.
+	var buf [8]answerGroup
+	groups := buf[:0]
 	var total float64
 	for _, ev := range evidence {
 		w := ev.Weight
@@ -319,54 +324,66 @@ func (s *Sim) GenerateAnswer(query string, evidence []Evidence) []string {
 			w = 1
 		}
 		total += w
-		key := textutil.NormalizeValue(ev.Value)
-		g, ok := byNorm[key]
-		if !ok {
-			g = &group{repr: ev.Value}
-			byNorm[key] = g
-			order = append(order, key)
+		gi := slices.IndexFunc(groups, func(g answerGroup) bool { return textutil.SameNormalized(ev.Value, g.key) })
+		if gi < 0 {
+			gi = len(groups)
+			groups = append(groups, answerGroup{key: textutil.NormalizeValue(ev.Value), repr: ev.Value})
 		}
+		g := &groups[gi]
 		g.weight += w
 		if !ev.Verified {
 			g.unverified += w
 		}
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		gi, gj := byNorm[order[i]], byNorm[order[j]]
-		if gi.weight != gj.weight {
-			return gi.weight > gj.weight
+	slices.SortStableFunc(groups, func(a, b answerGroup) int {
+		if a.weight != b.weight {
+			if a.weight > b.weight {
+				return -1
+			}
+			return 1
 		}
-		return order[i] < order[j]
+		return strings.Compare(a.key, b.key)
 	})
-	top := byNorm[order[0]]
+	top := groups[0]
 	// Conflict is the share of *unverified* mass disagreeing with the leading
 	// value: raw contradictory snippets mislead the model (§I), whereas
 	// confidence-annotated verified statements — including legitimate
 	// multi-truth answers — do not.
 	var conflict float64
-	for _, key := range order[1:] {
-		conflict += byNorm[key].unverified
+	for _, g := range groups[1:] {
+		conflict += g.unverified
 	}
 	conflict /= total
 	p := clamp01(s.cfg.BaseHallucination + s.cfg.ConflictSensitivity*conflict)
 	if p > 0.95 {
 		p = 0.95
 	}
-	key := "gen|" + query + "|" + strings.Join(order, ";")
+	// The draws are keyed by "gen|<query>|<k1>;<k2>;…" over the sorted group
+	// keys, hashed piecewise and never built: seeded for the coins, plain
+	// FNV-1a for the pick.
 	var out []string
-	if s.coin(key) < p && len(order) > 1 {
+	if seeded := genKeyHash(textutil.SeededHash64(s.cfg.Seed), query, groups); textutil.Unit(seeded) < p && len(groups) > 1 {
 		// Hallucinate: the model latches onto conflicting minority context.
-		pick := 1 + int(textutil.Hash64(key+"|pick")%uint64(len(order)-1))
-		out = append(out, byNorm[order[pick]].repr)
+		pick := 1 + int(textutil.HashAdd(genKeyHash(textutil.Hash64(""), query, groups), "|pick")%uint64(len(groups)-1))
+		out = append(out, groups[pick].repr)
 		// Occasionally it also blends in a fabricated variant.
-		if s.coin(key, "|blend") < 0.25 {
+		if textutil.Unit(textutil.HashAdd(seeded, "|blend")) < 0.25 {
 			out = append(out, corruptValue(top.repr, s.cfg.Seed))
 		}
 	} else {
 		threshold := s.cfg.AcceptFraction * top.weight
-		for _, k := range order {
-			if byNorm[k].weight >= threshold {
-				out = append(out, byNorm[k].repr)
+		n := 0
+		for _, g := range groups {
+			if g.weight >= threshold {
+				n++
+			}
+		}
+		if n > 0 {
+			out = make([]string, 0, n)
+		}
+		for _, g := range groups {
+			if g.weight >= threshold {
+				out = append(out, g.repr)
 			}
 		}
 	}
@@ -376,6 +393,27 @@ func (s *Sim) GenerateAnswer(query string, evidence []Evidence) []string {
 	}
 	s.usage.record(promptTok+16, compTok+4)
 	return out
+}
+
+// answerGroup is one normal-form group of GenerateAnswer's evidence.
+type answerGroup struct {
+	key, repr          string // the normal form; the first surface form seen
+	weight, unverified float64
+}
+
+// genKeyHash continues the FNV-1a state h over "gen|<query>|" and the group
+// keys joined by ";".
+func genKeyHash(h uint64, query string, groups []answerGroup) uint64 {
+	h = textutil.HashAdd(h, "gen|")
+	h = textutil.HashAdd(h, query)
+	h = textutil.HashAdd(h, "|")
+	for i, g := range groups {
+		if i > 0 {
+			h = textutil.HashAdd(h, ";")
+		}
+		h = textutil.HashAdd(h, g.key)
+	}
+	return h
 }
 
 // Usage implements Model.

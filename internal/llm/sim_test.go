@@ -3,7 +3,9 @@ package llm
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -174,13 +176,253 @@ func TestCoinMatchesFormattedKey(t *testing.T) {
 }
 
 // TestJudgeAuthorityAllocFree: MCC asks the expert once per member of every
-// node-scored group, so the judgement itself must not allocate.
+// node-scored group, so the judgement itself must not allocate — whatever
+// the source name's case.
 func TestJudgeAuthorityAllocFree(t *testing.T) {
 	s := newTestSim()
-	ctx := AuthorityContext{NodeID: "t000123", Source: "mov-csv-2", Degree: 7, MaxDegree: 40,
-		LocalStrength: 0.9, TypeWeight: 0.5, PathSupport: 0.25}
-	if allocs := testing.AllocsPerRun(100, func() { s.JudgeAuthority(ctx) }); allocs != 0 {
-		t.Fatalf("JudgeAuthority: %.0f allocs per call, want 0", allocs)
+	for _, source := range []string{"mov-csv-2", "ForumUser123", "AirChina Official API"} {
+		ctx := AuthorityContext{NodeID: "t000123", Source: source, Degree: 7, MaxDegree: 40,
+			LocalStrength: 0.9, TypeWeight: 0.5, PathSupport: 0.25}
+		if allocs := testing.AllocsPerRun(100, func() { s.JudgeAuthority(ctx) }); allocs != 0 {
+			t.Fatalf("JudgeAuthority(source %q): %.0f allocs per call, want 0", source, allocs)
+		}
+	}
+}
+
+// TestSourcePriorIgnoresCase: the source prior matches its keywords in the
+// lower-cased source name, as if strings.ToLower had built it.
+func TestSourcePriorIgnoresCase(t *testing.T) {
+	for _, c := range []struct {
+		source string
+		prior  float64
+	}{
+		{"mov-csv-2", 0.5},
+		{"ForumUser123", 0.2},
+		{"AirChina Official API", 0.8},
+		{"GOV-FEED", 0.8},
+		{"Wi\u212ai", 0.8}, // the Kelvin sign lower-cases to k
+	} {
+		if got := sourcePrior(c.source); got != c.prior {
+			t.Errorf("sourcePrior(%q) = %v, want %v", c.source, got, c.prior)
+		}
+	}
+}
+
+// TestParseQueryStripsQualifiers: temporal qualifiers go in lower and title
+// case, and the precomputed list is exactly the strings.Title forms the
+// parser used to build per query.
+func TestParseQueryStripsQualifiers(t *testing.T) {
+	var want []string
+	for _, q := range []string{"real-time ", "real time ", "current ", "latest "} {
+		want = append(want, q, strings.Title(q))
+	}
+	if !reflect.DeepEqual(qualifiers, want) {
+		t.Fatalf("qualifiers = %q, want %q", qualifiers, want)
+	}
+	s := newTestSim()
+	for _, q := range []string{
+		"What is the Real-Time status of Flight CA981?",
+		"What is the real time status of Flight CA981?",
+		"What is the Current status of Flight CA981?",
+		"What is the Latest status of Flight CA981?",
+		"What is the latest status of Flight CA981?",
+	} {
+		lf := s.ParseQuery(q)
+		if lf.Intent != "attribute_lookup" || !reflect.DeepEqual(lf.Relations, []string{"status"}) ||
+			!reflect.DeepEqual(lf.Entities, []string{"Flight CA981"}) {
+			t.Errorf("ParseQuery(%q) = %+v", q, lf)
+		}
+	}
+}
+
+// oracleGenerateAnswer is GenerateAnswer as it was before the group slice:
+// a map from normal form to *group, sort.SliceStable over the keys, and the
+// "gen|…" key built as a string for every draw. It charges s's usage exactly
+// as GenerateAnswer does.
+func oracleGenerateAnswer(s *Sim, query string, evidence []Evidence) []string {
+	promptTok := tokens(query)
+	for _, ev := range evidence {
+		promptTok += tokens(ev.Value) + 2
+	}
+	if len(evidence) == 0 {
+		s.usage.record(promptTok+16, 4)
+		return nil
+	}
+	type group struct {
+		repr       string
+		weight     float64
+		unverified float64
+	}
+	byNorm := map[string]*group{}
+	var order []string
+	var total float64
+	for _, ev := range evidence {
+		w := ev.Weight
+		if w <= 0 {
+			w = 1
+		}
+		total += w
+		key := strings.Join(textutil.Tokenize(ev.Value), " ")
+		g, ok := byNorm[key]
+		if !ok {
+			g = &group{repr: ev.Value}
+			byNorm[key] = g
+			order = append(order, key)
+		}
+		g.weight += w
+		if !ev.Verified {
+			g.unverified += w
+		}
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		gi, gj := byNorm[order[i]], byNorm[order[j]]
+		if gi.weight != gj.weight {
+			return gi.weight > gj.weight
+		}
+		return order[i] < order[j]
+	})
+	top := byNorm[order[0]]
+	var conflict float64
+	for _, key := range order[1:] {
+		conflict += byNorm[key].unverified
+	}
+	conflict /= total
+	p := clamp01(s.cfg.BaseHallucination + s.cfg.ConflictSensitivity*conflict)
+	if p > 0.95 {
+		p = 0.95
+	}
+	key := "gen|" + query + "|" + strings.Join(order, ";")
+	coin := func(k string) float64 { return textutil.Hash01(fmt.Sprintf("%d|%s", s.cfg.Seed, k)) }
+	var out []string
+	if coin(key) < p && len(order) > 1 {
+		pick := 1 + int(textutil.Hash64(key+"|pick")%uint64(len(order)-1))
+		out = append(out, byNorm[order[pick]].repr)
+		if coin(key+"|blend") < 0.25 {
+			out = append(out, corruptValue(top.repr, s.cfg.Seed))
+		}
+	} else {
+		threshold := s.cfg.AcceptFraction * top.weight
+		for _, k := range order {
+			if byNorm[k].weight >= threshold {
+				out = append(out, byNorm[k].repr)
+			}
+		}
+	}
+	compTok := 0
+	for _, v := range out {
+		compTok += tokens(v) + 1
+	}
+	s.usage.record(promptTok+16, compTok+4)
+	return out
+}
+
+// TestGenerateAnswerMatchesMapOracle draws seeded evidence sets of 1–12 items
+// — spelling variants of a few values (case, punctuation, spacing), weight
+// ties, zero and negative weights, mixed Verified — and requires the answer
+// and the usage charged to equal the map-based oracle's, across seeds and
+// hallucination settings that exercise both the faithful and the
+// hallucinating branch.
+func TestGenerateAnswerMatchesMapOracle(t *testing.T) {
+	spellings := [][]string{
+		{"Delayed", "delayed", "DELAYED!", " delayed "},
+		{"On Time", "on-time", "on time", "ON  TIME"},
+		{"Michael Mann", "michael mann", "Mann, Michael"},
+		{"Lana Wachowski", "lana wachowski"},
+		{"1999", "1999."},
+		{"---", ""},
+		{"İstanbul", "istanbul"},
+	}
+	weights := []float64{0, -1, 0.25, 0.5, 0.5, 1, 1, 2, 3.75}
+	rng := rand.New(rand.NewSource(21))
+	const cases = 4000
+	hallucinated := 0
+	for i := 0; i < cases; i++ {
+		cfg := Config{Seed: uint64(rng.Intn(5)), BaseHallucination: []float64{0, 0.03, 0.5}[rng.Intn(3)],
+			ConflictSensitivity: []float64{0.0001, 0.9, 1}[rng.Intn(3)], AcceptFraction: []float64{0.5, 1, 1.5}[rng.Intn(3)]}
+		got, want := NewSim(cfg), NewSim(cfg)
+		ev := make([]Evidence, 1+rng.Intn(12))
+		for j := range ev {
+			sp := spellings[rng.Intn(len(spellings))]
+			ev[j] = Evidence{Value: sp[rng.Intn(len(sp))], Weight: weights[rng.Intn(len(weights))],
+				Source: fmt.Sprint("s", j), Verified: rng.Intn(2) == 0}
+		}
+		q := fmt.Sprintf("What is the status of CA%d?", rng.Intn(50))
+		a, b := got.GenerateAnswer(q, ev), oracleGenerateAnswer(want, q, ev)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("case %d (%+v, %q, %+v): GenerateAnswer = %q, oracle %q", i, cfg, q, ev, a, b)
+		}
+		if got.Usage() != want.Usage() {
+			t.Fatalf("case %d: usage %+v, oracle %+v", i, got.Usage(), want.Usage())
+		}
+		faithful := cfg
+		faithful.BaseHallucination, faithful.ConflictSensitivity = 0, 1e-300
+		if !reflect.DeepEqual(a, oracleGenerateAnswer(NewSim(faithful), q, ev)) {
+			hallucinated++
+		}
+	}
+	if hallucinated == 0 || hallucinated == cases {
+		t.Fatalf("%d of %d cases hallucinated: only one branch exercised", hallucinated, cases)
+	}
+}
+
+var answerSink []string
+
+// answerEvidence returns the micro-benchmark's evidence sets: three short
+// graph values with a spelling variant, and five ~1 KB chunk texts like the
+// fallback path's.
+func answerEvidence() (short, chunks []Evidence) {
+	short = []Evidence{
+		{Value: "Delayed", Weight: 0.9, Source: "airline-api", Verified: true},
+		{Value: "delayed", Weight: 0.7, Source: "airport-feed", Verified: true},
+		{Value: "On Time", Weight: 0.4, Source: "ForumUser123"},
+	}
+	for i := 0; i < 5; i++ {
+		chunks = append(chunks, Evidence{
+			Value:  strings.Repeat(fmt.Sprintf("The status of Flight CA98%d is Delayed, according to AirChina Official API. ", i), 14),
+			Weight: 0.8 - 0.1*float64(i), Source: "kb-text",
+		})
+	}
+	return short, chunks
+}
+
+// TestGenerateAnswerAllocCeiling pins GenerateAnswer's allocations: the
+// returned slice plus one normal form per group that is not already in
+// normal form — no map, no per-group pointer, no key string, no sort swapper.
+func TestGenerateAnswerAllocCeiling(t *testing.T) {
+	s := NewSim(Config{Seed: 1, BaseHallucination: 0, ConflictSensitivity: 0.0001})
+	short, chunks := answerEvidence()
+	normal := []Evidence{{Value: "delayed", Weight: 2}, {Value: "Delayed", Weight: 1}, {Value: "on time", Weight: 0.5}}
+	for _, c := range []struct {
+		name string
+		ev   []Evidence
+		max  float64
+	}{
+		{"normal", normal, 1},     // the result
+		{"short", short, 3},       // the result + "delayed" + "on time"
+		{"chunks", chunks, 1 + 5}, // the result + five chunk normal forms
+	} {
+		if got := testing.AllocsPerRun(50, func() { answerSink = s.GenerateAnswer("What is the status of CA981?", c.ev) }); got > c.max {
+			t.Errorf("%s: %.0f allocs per GenerateAnswer, ceiling %.0f", c.name, got, c.max)
+		}
+	}
+}
+
+// BenchmarkGenerateAnswer times answer generation over three short graph
+// values and over five ~1 KB chunk texts, with hallucination off so every
+// iteration takes the faithful branch the alloc ceiling pins.
+func BenchmarkGenerateAnswer(b *testing.B) {
+	s := NewSim(Config{Seed: 1, BaseHallucination: 0, ConflictSensitivity: 0.0001})
+	short, chunks := answerEvidence()
+	for _, c := range []struct {
+		name string
+		ev   []Evidence
+	}{{"short", short}, {"chunks", chunks}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				answerSink = s.GenerateAnswer("What is the status of CA981?", c.ev)
+			}
+		})
 	}
 }
 

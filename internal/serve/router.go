@@ -231,7 +231,10 @@ func (rt *router) pickExcept(skip *target) *target {
 		return nil
 	}
 	committed := rt.set.CommittedLSN()
-	var elig []*target
+	// Replica sets are a handful of targets, so the eligible ones collect in
+	// a stack buffer and a pick allocates nothing.
+	var buf [8]*target
+	elig := buf[:0]
 	for _, t := range rt.targets {
 		if t == skip {
 			continue

@@ -249,6 +249,23 @@ func TestRouterLeastLoadedPicksIdleReplica(t *testing.T) {
 	}
 }
 
+// TestRouterPickAllocFree: every batch picks a target, so the pick builds no
+// slice of eligible targets; round-robin still alternates over them.
+func TestRouterPickAllocFree(t *testing.T) {
+	sys, set := newReplicatedSystem(t, 2)
+	rt := newTestRouter(t, sys, set, RouteRoundRobin, 0, 0)
+	a, b := rt.pickExcept(nil), rt.pickExcept(nil)
+	if a == nil || b == nil || a == b {
+		t.Fatalf("round-robin picks %p, %p: want both replicas in turn", a, b)
+	}
+	if got := rt.pickExcept(a); got != b {
+		t.Fatal("pickExcept(skip) must choose the other replica")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { rt.pickExcept(nil) }); allocs != 0 {
+		t.Fatalf("pickExcept: %.0f allocs per pick, want 0", allocs)
+	}
+}
+
 // TestServeMetricsExposeRouter pins the /v1/metrics wiring end to end.
 func TestServeMetricsExposeRouter(t *testing.T) {
 	sys, set := newReplicatedSystem(t, 2)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -145,6 +146,24 @@ func TestEstimateCost(t *testing.T) {
 	for _, c := range cases {
 		if got := EstimateCost(c.q); got != c.want {
 			t.Fatalf("EstimateCost(%q) = %d, want %d", c.q, got, c.want)
+		}
+	}
+}
+
+// TestNewRequestCostsOnlyUnderSJF: admitted requests carry their estimated
+// cost when SJF batch formation will read it, and skip the estimate under
+// every other policy.
+func TestNewRequestCostsOnlyUnderSJF(t *testing.T) {
+	const q = "Do CA981 and MU588 have the same status?"
+	for _, policy := range []string{PolicyFCFS, PolicySJF, PolicyPriority} {
+		s, _ := newTestServer(t, Config{Policy: policy})
+		rq := s.newRequest(context.Background(), q, s.sched.classes[0], 0)
+		want := 0
+		if policy == PolicySJF {
+			want = EstimateCost(q)
+		}
+		if rq.cost != want {
+			t.Errorf("policy %s: request cost %d, want %d", policy, rq.cost, want)
 		}
 	}
 }

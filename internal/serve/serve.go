@@ -502,7 +502,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // same budget as evaluation. With no deadline and no disconnect signal the
 // context stays nil and the engine takes its context-free path.
 func (s *Server) newRequest(base context.Context, query string, cs *classState, deadlineMillis int64) *request {
-	rq := &request{query: query, class: cs, cost: EstimateCost(query), done: make(chan answerResult, 1)}
+	rq := &request{query: query, class: cs, done: make(chan answerResult, 1)}
+	if s.sched.policy == PolicySJF {
+		rq.cost = EstimateCost(query) // only SJF batch formation reads it
+	}
 	d := cs.cfg.Deadline
 	if deadlineMillis > 0 {
 		rd := time.Duration(deadlineMillis) * time.Millisecond

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -40,6 +41,22 @@ func FuzzSameNormalized(f *testing.F) {
 			t.Fatalf("SameNormalized is not reflexive on %q / %q", a, b)
 		}
 	})
+}
+
+// FuzzNormalForms holds Tokenize, NormalizeValue and StandardizeName to the
+// tokenise-filter-join oracles they replaced, and pins that a normal form is
+// its own fixed point and is returned without a copy (checkNormalForms). The
+// seeds are the case-mapping corners FuzzSameNormalized uses, names made only
+// of entity noise, and a ~1 KB chunk text.
+func FuzzNormalForms(f *testing.F) {
+	for _, s := range []string{
+		"", "x\xffy", "\xc3(", "İstanbul", "\u212aelvin", "STOC\u212a", "ΟΔΟΣ", "οδος", "４２",
+		"The Inc", "the", "Flight CA981", "flight ca981", "michael mann", "  The  MATRIX! ",
+		strings.Repeat("The status of Flight CA981 is Delayed, according to AirChina Official API. ", 14),
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) { checkNormalForms(t, s) })
 }
 
 // FuzzHash64 pins the inline FNV-1a loop to hash/fnv, and SeededHash01 — with

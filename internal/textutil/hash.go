@@ -24,19 +24,25 @@ func HashAdd(h uint64, s string) uint64 {
 func Hash64(s string) uint64 { return HashAdd(fnvOffset64, s) }
 
 // Hash01 maps s to a deterministic pseudo-uniform float in [0,1).
-func Hash01(s string) float64 { return unit(Hash64(s)) }
+func Hash01(s string) float64 { return Unit(Hash64(s)) }
 
 // SeededHash01 is Hash01(fmt.Sprintf("%d|%s", seed, key)) with key the
 // concatenation of its parts, hashed in one pass without building the string.
 func SeededHash01(seed uint64, key ...string) float64 {
-	var digits [20]byte
-	h := Hash64(string(strconv.AppendUint(digits[:0], seed, 10)))
-	h = HashAdd(h, "|")
+	h := SeededHash64(seed)
 	for _, k := range key {
 		h = HashAdd(h, k)
 	}
-	return unit(h)
+	return Unit(h)
 }
 
-// unit maps a 64-bit hash to [0,1) through its top 53 bits.
-func unit(h uint64) float64 { return float64(h>>11) / float64(1<<53) }
+// SeededHash64 is the FNV-1a state after "<seed>|": continued over a key with
+// HashAdd and mapped through Unit, it gives SeededHash01 for a key hashed in
+// as many pieces as the caller holds.
+func SeededHash64(seed uint64) uint64 {
+	var digits [20]byte
+	return HashAdd(Hash64(string(strconv.AppendUint(digits[:0], seed, 10))), "|")
+}
+
+// Unit maps a 64-bit hash to [0,1) through its top 53 bits.
+func Unit(h uint64) float64 { return float64(h>>11) / float64(1<<53) }

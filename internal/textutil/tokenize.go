@@ -31,7 +31,11 @@ func IsStopword(tok string) bool { return stopwords[tok] }
 // digits form tokens; everything else is a separator. Tokenize keeps
 // stopwords; use TokenizeContent when they should be dropped.
 func Tokenize(s string) []string {
-	var toks []string
+	n := CountTokens(s)
+	if n == 0 {
+		return nil
+	}
+	toks := make([]string, 0, n)
 	start := -1
 	lower := strings.ToLower(s)
 	for i, r := range lower {
@@ -54,22 +58,29 @@ func Tokenize(s string) []string {
 
 // isTokenRune is the segmentation rule: letters and digits form tokens,
 // every other rune separates them.
-func isTokenRune(r rune) bool { return unicode.IsLetter(r) || unicode.IsDigit(r) }
+func isTokenRune(r rune) bool {
+	if r < utf8.RuneSelf {
+		return isTokenByte(byte(r))
+	}
+	return unicode.IsLetter(r) || unicode.IsDigit(r)
+}
+
+// isTokenByte is isTokenRune for an ASCII byte.
+func isTokenByte(c byte) bool {
+	return 'a' <= c && c <= 'z' || '0' <= c && c <= '9' || 'A' <= c && c <= 'Z'
+}
 
 // CountTokens returns len(Tokenize(s)) without building the lower-cased copy
 // or the token slice. It lower-cases rune by rune exactly as strings.ToLower
 // does, so the two can never segment differently.
 func CountTokens(s string) int {
-	n := 0
-	inToken := false
-	for _, r := range s {
-		tok := isTokenRune(unicode.ToLower(r))
-		if tok && !inToken {
-			n++
+	for n, i := 0, 0; ; n++ {
+		start, end, _, _ := nextToken(s, i)
+		if start == len(s) {
+			return n
 		}
-		inToken = tok
+		i = end
 	}
-	return n
 }
 
 // TokenizeContent is Tokenize followed by stopword removal. If removal would
@@ -105,10 +116,9 @@ func NGrams(toks []string, n int) []string {
 // NormalizeValue canonicalises an attribute value for comparison: tokens are
 // lower-cased, surrounding punctuation is stripped, and the tokens are
 // re-joined with single spaces. "  The Matrix " and "the matrix" normalise to
-// the same string.
-func NormalizeValue(s string) string {
-	return strings.Join(Tokenize(s), " ")
-}
+// the same string. A value already in that form is returned as is (the
+// result may alias s); any other costs one allocation of exactly its size.
+func NormalizeValue(s string) string { return normalForm(s, false) }
 
 // SameNormalized reports NormalizeValue(a) == NormalizeValue(b) without
 // building either normal form: it walks both strings token by token,
@@ -137,11 +147,56 @@ func SameNormalized(a, b string) bool {
 	}
 }
 
+// ContainsLower reports strings.Contains(strings.ToLower(s), word) for an
+// ASCII word without building the lower-cased copy: it matches word against
+// s's runes lower-cased one at a time, so runes that lower-case onto ASCII
+// (the Kelvin sign onto k) match as they do in the copy.
+func ContainsLower(s, word string) bool {
+	for i := 0; i < len(s); {
+		if hasLowerPrefix(s[i:], word) {
+			return true
+		}
+		_, w := utf8.DecodeRuneInString(s[i:])
+		i += w
+	}
+	return word == ""
+}
+
+// hasLowerPrefix reports whether s, lower-cased, starts with the ASCII word.
+func hasLowerPrefix(s, word string) bool {
+	i := 0
+	for j := 0; j < len(word); j++ {
+		if i == len(s) {
+			return false
+		}
+		r, w := lowerRuneAt(s, i)
+		if r != rune(word[j]) {
+			return false
+		}
+		i += w
+	}
+	return true
+}
+
 // lowerRuneAt decodes the rune at s[i:] lower-cased, with its width. Invalid
 // bytes and the end of s decode as U+FFFD, a separator, just as
-// strings.ToLower rewrites invalid bytes.
+// strings.ToLower rewrites invalid bytes. ASCII skips the decoder and the
+// case tables.
 func lowerRuneAt(s string, i int) (rune, int) {
-	r, w := utf8.DecodeRuneInString(s[i:])
+	if i < len(s) && s[i] < utf8.RuneSelf {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		return rune(c), 1
+	}
+	return decodeLower(s[i:])
+}
+
+// decodeLower is lowerRuneAt's general path: the first rune of s lower-cased,
+// with its width.
+func decodeLower(s string) (rune, int) {
+	r, w := utf8.DecodeRuneInString(s)
 	return unicode.ToLower(r), w
 }
 
@@ -149,7 +204,14 @@ func lowerRuneAt(s string, i int) (rune, int) {
 // i, or len(s).
 func skipSeparators(s string, i int) int {
 	for i < len(s) {
-		r, w := lowerRuneAt(s, i)
+		if c := s[i]; c < utf8.RuneSelf {
+			if isTokenByte(c) {
+				break
+			}
+			i++
+			continue
+		}
+		r, w := decodeLower(s[i:])
 		if isTokenRune(r) {
 			break
 		}
@@ -167,22 +229,140 @@ var entityNoise = map[string]bool{
 	"inc": true, "co": true, "corp": true, "ltd": true,
 }
 
+// maxNoiseLen is the byte length of the longest entityNoise word.
+const maxNoiseLen = 6
+
 // StandardizeName performs entity standardisation (the std.py phase of the
 // knowledge-construction module): it canonicalises a surface form by
 // lower-casing, stripping punctuation and dropping decorative tokens, so
 // cross-source variants of one entity share a single identifier. When
 // stripping would consume every token the normalised form is returned
-// unchanged.
-func StandardizeName(s string) string {
-	toks := Tokenize(s)
-	kept := toks[:0:0]
-	for _, t := range toks {
-		if !entityNoise[t] {
-			kept = append(kept, t)
+// unchanged. Like NormalizeValue, a name already in standard form is returned
+// as is and any other costs one exact-size allocation.
+func StandardizeName(s string) string { return normalForm(s, true) }
+
+// normalForm builds NormalizeValue(s), or StandardizeName(s) when dropNoise
+// is set, in two passes over s: the first sizes the result and notices when
+// s already is it, the second writes it into one buffer of exactly that size.
+func normalForm(s string, dropNoise bool) string {
+	// Sizes of the normal form over every token and over the non-noise ones,
+	// in bytes and in tokens; same stays true while s reads as its own normal
+	// form: lower-case tokens, one ASCII space between them, nothing around.
+	var allLen, allToks, keptLen, keptToks int
+	same := true
+	for i := 0; ; {
+		start, end, n, lower := nextToken(s, i)
+		if start == len(s) {
+			same = same && i == len(s)
+			break
+		}
+		if allToks == 0 {
+			same = same && start == 0
+		} else {
+			same = same && start == i+1 && s[i] == ' '
+		}
+		same = same && lower
+		allLen += n
+		allToks++
+		if !dropNoise || !isNoise(s[start:end]) {
+			keptLen += n
+			keptToks++
+		}
+		i = end
+	}
+	keepAll := keptToks == 0 || keptToks == allToks
+	if keepAll && same {
+		return s
+	}
+	size := keptLen + keptToks - 1
+	if keepAll {
+		size = allLen + allToks - 1
+	}
+	if size <= 0 {
+		return ""
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for i := 0; ; {
+		start, end, _, lower := nextToken(s, i)
+		if start == len(s) {
+			break
+		}
+		i = end
+		tok := s[start:end]
+		if !keepAll && isNoise(tok) {
+			continue
+		}
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		if lower {
+			b.WriteString(tok)
+			continue
+		}
+		for j := 0; j < len(tok); {
+			if c := tok[j]; c < utf8.RuneSelf {
+				if 'A' <= c && c <= 'Z' {
+					c += 'a' - 'A'
+				}
+				b.WriteByte(c)
+				j++
+				continue
+			}
+			r, w := decodeLower(tok[j:])
+			b.WriteRune(r)
+			j += w
 		}
 	}
-	if len(kept) == 0 {
-		kept = toks
+	return b.String()
+}
+
+// nextToken finds the first token of s at or after byte i. It returns the
+// token's span [start, end) in s, the byte length of its lower-cased form,
+// and whether lower-casing leaves it unchanged; start is len(s) when no token
+// is left. Runes are decoded and lower-cased one at a time exactly as
+// CountTokens does, so the tokens are Tokenize's.
+func nextToken(s string, i int) (start, end, n int, lower bool) {
+	start = skipSeparators(s, i)
+	lower = true
+	for end = start; end < len(s); {
+		if c := s[end]; c < utf8.RuneSelf {
+			switch {
+			case 'A' <= c && c <= 'Z':
+				lower = false
+			case 'a' <= c && c <= 'z', '0' <= c && c <= '9':
+			default:
+				return start, end, n, lower
+			}
+			n++
+			end++
+			continue
+		}
+		r, w := utf8.DecodeRuneInString(s[end:])
+		l := unicode.ToLower(r)
+		if !isTokenRune(l) {
+			break
+		}
+		lower = lower && l == r
+		n += utf8.RuneLen(l)
+		end += w
 	}
-	return strings.Join(kept, " ")
+	return start, end, n, lower
+}
+
+// isNoise reports whether token tok lower-cases to an entityNoise word,
+// without building the lower-cased string.
+func isNoise(tok string) bool {
+	var buf [maxNoiseLen]byte
+	n := 0
+	for j := 0; j < len(tok); {
+		r, w := lowerRuneAt(tok, j)
+		if r >= utf8.RuneSelf || n == len(buf) {
+			return false
+		}
+		buf[n] = byte(r)
+		n++
+		j += w
+	}
+	return entityNoise[string(buf[:n])]
 }

@@ -267,6 +267,9 @@ func convertAnswer(a core.Answer) Answer {
 		Degraded:         a.Degraded,
 		DegradedReason:   a.DegradedReason,
 	}
+	if len(a.Trusted) > 0 {
+		out.Trusted = make([]EvidenceItem, 0, len(a.Trusted))
+	}
 	for _, tn := range a.Trusted {
 		out.Trusted = append(out.Trusted, EvidenceItem{
 			Value:      tn.Triple.Object,
