@@ -2,7 +2,7 @@ GO ?= go
 BENCH_SCALE ?= 0.12
 BENCHTIME ?= 1s
 
-.PHONY: check fmt vet build test race chaos chaos-cluster fuzz-smoke layers bench bench-micro bench-retrieval clean
+.PHONY: check fmt vet build test race chaos chaos-cluster fuzz-smoke layers bench bench-micro clean
 
 # check is the CI entry point: formatting, static analysis, full build,
 # race-enabled tests, and a short fuzz pass over the crash-surface decoders.
@@ -44,8 +44,8 @@ chaos-cluster:
 # fuzz-smoke runs each committed fuzz target briefly on top of its seed
 # corpus: the WAL frame parser and field decoder — the code recovery walks
 # over whatever a crash left on disk — the WAL group record and checkpoint
-# body decoders behind them (both formats, and the replica doors that take
-# the same bytes from a peer), and the JSON-LD parser every adapter output
+# body decoders behind them (and the replica doors that take the same bytes
+# from a peer; format-1 seeds must be rejected), and the JSON-LD parser every adapter output
 # passes through — plus the allocation-free text primitives held to the forms
 # they replace: SameNormalized against NormalizeValue equality, Tokenize /
 # NormalizeValue / StandardizeName against the tokenise-filter-join oracles,
@@ -97,12 +97,5 @@ bench-micro:
 bench:
 	$(GO) run ./cmd/benchtables -scale $(BENCH_SCALE) -json BENCH_core.json
 
-# bench-retrieval runs the retrieval-layer microbenchmarks (dense full-sort
-# and dense top-k references vs the term-at-a-time scan, on a 20-word
-# vocabulary and on datasets-generated chunks) at the configured scale and
-# records the timing report.
-bench-retrieval:
-	$(GO) run ./cmd/benchtables -retrieval -scale $(BENCH_SCALE) -json BENCH_retrieval.json
-
 clean:
-	rm -f BENCH_core.json BENCH_retrieval.json
+	rm -f BENCH_core.json

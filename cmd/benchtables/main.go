@@ -5,7 +5,6 @@
 //	benchtables                  # everything, paper scale
 //	benchtables -table 2        # one table (1..5)
 //	benchtables -figure 5       # one figure (5..7)
-//	benchtables -retrieval      # retrieval-layer microbenchmarks only
 //	benchtables -scale 0.2      # quick run at 20% workload
 //	benchtables -seed 7         # different generation seed
 //	benchtables -json BENCH_core.json   # also write per-job wall times as JSON
@@ -27,7 +26,6 @@ import (
 func main() {
 	table := flag.Int("table", 0, "regenerate only this table (1-5)")
 	figure := flag.Int("figure", 0, "regenerate only this figure (5-7)")
-	retr := flag.Bool("retrieval", false, "run only the retrieval-layer microbenchmarks")
 	scale := flag.Float64("scale", 1.0, "workload scale factor (entities and queries)")
 	seed := flag.Uint64("seed", 1, "dataset / model seed")
 	jsonOut := flag.String("json", "", "write per-job wall-clock timings to this JSON file")
@@ -40,21 +38,10 @@ func main() {
 		run  func(bench.Options) error
 	}
 	var jobs []job
-	var retrievalDetail *bench.RetrievalReport
 	add := func(name string, run func(bench.Options) error) {
 		jobs = append(jobs, job{name, run})
 	}
 	switch {
-	case *retr:
-		if *table > 0 || *figure > 0 {
-			fmt.Fprintln(os.Stderr, "benchtables: -retrieval cannot be combined with -table/-figure")
-			os.Exit(2)
-		}
-		add("Retrieval", func(o bench.Options) error {
-			rep, err := bench.RetrievalBenchReport(o)
-			retrievalDetail = rep
-			return err
-		})
 	case *table > 0:
 		switch *table {
 		case 1:
@@ -98,11 +85,10 @@ func main() {
 		Seconds float64 `json:"seconds"`
 	}
 	report := struct {
-		Seed      uint64                 `json:"seed"`
-		Scale     float64                `json:"scale"`
-		Jobs      []timing               `json:"jobs"`
-		Seconds   float64                `json:"total_seconds"`
-		Retrieval *bench.RetrievalReport `json:"retrieval,omitempty"`
+		Seed    uint64   `json:"seed"`
+		Scale   float64  `json:"scale"`
+		Jobs    []timing `json:"jobs"`
+		Seconds float64  `json:"total_seconds"`
 	}{Seed: *seed, Scale: *scale}
 	for _, j := range jobs {
 		start := time.Now()
@@ -115,7 +101,6 @@ func main() {
 		report.Seconds += elapsed.Seconds()
 		fmt.Fprintf(os.Stdout, "\n[%s regenerated in %v]\n\n", j.name, elapsed.Round(time.Millisecond))
 	}
-	report.Retrieval = retrievalDetail
 	if *jsonOut != "" {
 		data, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {

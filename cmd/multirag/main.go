@@ -12,16 +12,9 @@
 //	multirag serve -demo -addr :8473        # HTTP front door (see multirag serve -h)
 //	multirag serve -data-dir /var/lib/multirag   # durable: WAL + checkpoints, resumes on restart
 //	multirag recover -data-dir /var/lib/multirag # inspect/compact a durable directory offline
-//	multirag -demo -load 2000               # closed-loop HTTP latency test (p50/p95/p99)
-//	multirag -demo -load 2000 -qps 500      # open-loop at a target arrival rate
-//	multirag -demo -load 2000 -deadline 50ms     # per-request end-to-end deadline (deadline_ms)
-//	multirag -demo -load 2000 -target http://host:8473   # aim at a running server
-//	multirag -ingest-load 500 -producers 4          # group-committed ingest load test over HTTP
 //
-// The -load and -ingest-load harnesses drive the real serving path: they
-// start an in-process `multirag serve` front door (or aim at -target) and
-// measure HTTP request latency, so the numbers include admission, batch
-// formation and queueing — not just engine time.
+// The serving path under load — HTTP front door, ingest pipeline, WAL and
+// replicas — is measured end to end by `go run ./benchmark`.
 //
 // File formats are inferred from extensions: .csv, .json, .xml, .kg, .txt.
 package main
@@ -43,7 +36,9 @@ func main() {
 			runServeCmd(os.Args[2:])
 			return
 		case "recover":
-			runRecoverCmd(os.Args[2:])
+			if err := runRecoverCmd(os.Args[2:]); err != nil {
+				fatal("recover: %v", err)
+			}
 			return
 		}
 	}
@@ -55,26 +50,13 @@ func main() {
 		stats   = flag.Bool("stats", false, "print corpus statistics")
 		explain = flag.Bool("explain", false, "show trusted evidence and confidence detail")
 		seed    = flag.Uint64("seed", 1, "simulated model seed")
-		workers = flag.Int("workers", 0, "worker pool size: ingestion, query fan-out and -load concurrency (0 = GOMAXPROCS)")
-		cache   = flag.Int("cache", 0, "answer cache size in entries (0 = disabled)")
+		workers = flag.Int("workers", 0, "worker pool size: ingestion and query fan-out (0 = GOMAXPROCS)")
 		k       = flag.Int("k", 5, "documents to retrieve with -retrieve")
 		retr    = flag.String("retrieve", "", "retrieve supporting documents for a query")
-		load    = flag.Int("load", 0, "run an HTTP query load test of this many requests (0 = off)")
-		qps     = flag.Float64("qps", 0, "offered arrival rate for -load (0 = closed loop at pool concurrency)")
-		dline   = flag.Duration("deadline", 0, "per-request end-to-end deadline for -load, sent as deadline_ms (0 = none)")
-		target  = flag.String("target", "", "base URL of a running `multirag serve` for -load/-ingest-load (default: in-process server)")
-		policy  = flag.String("policy", "fcfs", "batch-formation policy of the in-process load server (fcfs|sjf|priority)")
-		class   = flag.String("class", "interactive", "SLO class -load requests are tagged with")
-		ingLoad = flag.Int("ingest-load", 0, "run an HTTP ingest load test of this many synthetic files (0 = off)")
-		prods   = flag.Int("producers", 0, "concurrent producers for -ingest-load (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 
-	sys := multirag.Open(multirag.Config{
-		Seed:        *seed,
-		Workers:     *workers,
-		AnswerCache: *cache,
-	})
+	sys := multirag.Open(multirag.Config{Seed: *seed, Workers: *workers})
 
 	if *demo {
 		if err := sys.IngestFiles(demoFiles()...); err != nil {
@@ -90,11 +72,8 @@ func main() {
 			fatal("ingest: %v", err)
 		}
 	}
-	if *ingLoad > 0 {
-		runIngestLoad(sys, *ingLoad, *prods, *target)
-	}
-	if !*demo && *ingest == "" && *ingLoad == 0 && *target == "" {
-		fmt.Fprintln(os.Stderr, "multirag: nothing ingested; use -demo, -ingest or -ingest-load (see -h)")
+	if !*demo && *ingest == "" {
+		fmt.Fprintln(os.Stderr, "multirag: nothing ingested; use -demo or -ingest (see -h)")
 		os.Exit(2)
 	}
 
@@ -112,11 +91,6 @@ func main() {
 		for i, doc := range sys.Retrieve(*retr, *k) {
 			fmt.Printf("%d. %s\n", i+1, doc)
 		}
-	}
-
-	if *load > 0 {
-		queries := loadQueries(*load, *ask)
-		runLoad(sys, queries, *qps, *workers, *target, *policy, *class, *dline)
 	}
 
 	if *ask != "" {
@@ -180,27 +154,6 @@ func formatOf(path string) (string, error) {
 		return "text", nil
 	}
 	return "", fmt.Errorf("multirag: cannot infer format of %q (use .csv/.json/.xml/.kg/.txt)", path)
-}
-
-// loadQueries builds the load-test workload: the -ask question when given,
-// otherwise a mixed-intent sweep over the demo corpus (lookup, nested
-// lookup, multi-hop-shaped, comparison, fallback).
-func loadQueries(n int, ask string) []string {
-	base := []string{ask}
-	if ask == "" {
-		base = []string{
-			"What is the status of CA981?",
-			"What is the delay reason of CA981?",
-			"What is the departure time of CA981?",
-			"Do CA981 and MU588 have the same status?",
-			"Anything new about CA981 today",
-		}
-	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = base[i%len(base)]
-	}
-	return out
 }
 
 func demoFiles() []multirag.File {

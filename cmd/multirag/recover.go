@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 
@@ -13,8 +14,11 @@ import (
 // replayed log into a fresh checkpoint so the next open starts clean. It is
 // the offline half of crash recovery: `multirag serve -data-dir` performs the
 // same recovery on startup; this command exposes it for inspection and for
-// compacting a directory without starting the server.
-func runRecoverCmd(args []string) {
+// compacting a directory without starting the server. A directory it cannot
+// read — one in an on-disk format this release does not support — is
+// reported as an error wrapping multirag.ErrUnsupportedFormat and left as it
+// was found.
+func runRecoverCmd(args []string) error {
 	fs := flag.NewFlagSet("multirag recover", flag.ExitOnError)
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), `Usage: multirag recover -data-dir DIR [flags]
@@ -38,16 +42,16 @@ Flags:
 		verify  = fs.Bool("verify", false, "print the replication position and anti-entropy snapshot digest of the recovered state")
 	)
 	if err := fs.Parse(args); err != nil {
-		fatal("recover: %v", err)
+		return err
 	}
 	if *dataDir == "" {
 		fs.Usage()
-		fatal("recover: -data-dir is required")
+		return errors.New("-data-dir is required")
 	}
 
 	sys, info, err := multirag.OpenDurable(*dataDir, multirag.Config{Seed: *seed})
 	if err != nil {
-		fatal("recover: %v", err)
+		return err
 	}
 	fmt.Printf("checkpoint LSN:      %d\n", info.CheckpointLSN)
 	fmt.Printf("WAL records replayed: %d\n", info.RecordsReplayed)
@@ -62,10 +66,11 @@ Flags:
 		fmt.Printf("snapshot digest:     %016x\n", sys.SnapshotDigest())
 	}
 	if *dryRun {
-		return
+		return nil
 	}
 	if err := sys.Close(); err != nil {
-		fatal("recover: checkpoint: %v", err)
+		return fmt.Errorf("checkpoint: %w", err)
 	}
 	fmt.Println("recovered state checkpointed; log compacted")
+	return nil
 }

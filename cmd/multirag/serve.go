@@ -17,7 +17,7 @@ import (
 
 // runServeCmd is the `multirag serve` subcommand: the production front door.
 // It ingests a corpus, then serves HTTP/JSON with token-bucket admission per
-// SLO class, pluggable batch formation (fcfs / sjf / priority), bounded
+// SLO class, batch formation in arrival or priority order, bounded
 // request queues, and per-class latency + fairness metrics. Ingest traffic
 // is additionally shed with 429 while the group committer's admission window
 // is saturated, so overload backs up to clients instead of queueing without
@@ -63,8 +63,8 @@ the process exits. Inspect or repair a directory with "multirag recover".
 
 With -replicas N, reads are served from N in-process replicas fed by the
 primary's committed WAL records and kept byte-identical by periodic
-anti-entropy digest checks. -route picks the policy (round-robin,
-least-loaded, primary-only); -max-lag bounds replica staleness (laggards
+anti-entropy digest checks. -route picks the policy (round-robin or
+primary-only); -max-lag bounds replica staleness (laggards
 fail over to the primary); -hedge-after dispatches a second copy of a slow
 read to another replica and returns whichever answers first. Replica
 health, lag, resync and hedging counters appear under "router" in
@@ -83,8 +83,7 @@ Flags:
 		domain       = fs.String("domain", "data", "domain label for ingested files")
 		seed         = fs.Uint64("seed", 1, "simulated model seed")
 		workers      = fs.Int("workers", 0, "engine worker pool size (0 = GOMAXPROCS)")
-		cache        = fs.Int("cache", 0, "answer cache size in entries (0 = disabled)")
-		policy       = fs.String("policy", serve.PolicyFCFS, "batch-formation policy: fcfs, sjf or priority")
+		policy       = fs.String("policy", serve.PolicyFCFS, "batch-formation policy: fcfs or priority")
 		maxBatch     = fs.Int("max-batch", 32, "maximum queries per formed batch")
 		queueCap     = fs.Int("queue-cap", 256, "pending-request queue bound per SLO class")
 		queueTimeout = fs.Duration("queue-timeout", 5*time.Second, "maximum queue wait before a request fails with 503")
@@ -95,7 +94,7 @@ Flags:
 		brkFailures  = fs.Int("breaker-failures", 0, "consecutive model-call failures that trip a circuit breaker (0 = default)")
 		brkCooldown  = fs.Duration("breaker-cooldown", 0, "open-breaker cooldown before a half-open probe (0 = default)")
 		replicas     = fs.Int("replicas", 0, "read replicas fed from the primary's committed WAL records (0 = serve reads from the primary)")
-		route        = fs.String("route", serve.RouteRoundRobin, "replica read-routing policy: round-robin, least-loaded or primary-only")
+		route        = fs.String("route", serve.RouteRoundRobin, "replica read-routing policy: round-robin or primary-only")
 		hedgeAfter   = fs.Duration("hedge-after", 0, "dispatch a hedged copy of a read to a second replica after this delay; first answer wins (0 = no hedging)")
 		maxLag       = fs.Uint64("max-lag", 0, "staleness bound in commit groups; reads fail over to the primary when a replica lags further (0 = default)")
 	)
@@ -106,7 +105,6 @@ Flags:
 	sysCfg := multirag.Config{
 		Seed:            *seed,
 		Workers:         *workers,
-		AnswerCache:     *cache,
 		BreakerFailures: *brkFailures,
 		BreakerCooldown: *brkCooldown,
 	}

@@ -30,9 +30,9 @@
 //
 // For deployment as a service, internal/serve (exposed as the `multirag
 // serve` subcommand) wraps a System in an HTTP/JSON front door with
-// token-bucket admission control per SLO class, pluggable batch-formation
-// policies (fcfs / sjf / priority), bounded request queues whose ingest
-// backpressure couples to the group committer via IngestPressure, and a
+// token-bucket admission control per SLO class, batch formation in arrival
+// or class-priority order (fcfs / priority), bounded request queues whose
+// ingest backpressure couples to the group committer via IngestPressure, and a
 // metrics endpoint reporting per-class latency percentiles and Jain
 // fairness. See DESIGN.md §8.
 //
@@ -43,7 +43,9 @@
 // snapshots, and reopening the same directory replays the tail — RecoveryInfo
 // reports what was found. Durable systems must be Close'd to take the final
 // checkpoint; `multirag recover` inspects and repairs a directory offline.
-// See DESIGN.md §9.
+// A directory in an on-disk format this release does not read fails
+// OpenDurable with ErrUnsupportedFormat and is left untouched. See DESIGN.md
+// §9.
 //
 // Read capacity scales out with NewReplicaSet: the primary ships every
 // committed WAL record over a per-replica feed and each replica replays it
@@ -52,7 +54,7 @@
 // periodic anti-entropy digest markers. A replica that drops frames, fails a
 // replay or diverges fences itself and resyncs from a primary snapshot. The
 // serving layer routes reads across the set (CLI: `multirag serve -replicas
-// N -route round-robin|least-loaded|primary-only`), bounds staleness
+// N -route round-robin|primary-only`), bounds staleness
 // (-max-lag, laggards fail over to the primary), health-checks replicas
 // behind per-replica circuit breakers, and optionally hedges slow reads onto
 // a second replica (-hedge-after), returning whichever answer lands first

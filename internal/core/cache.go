@@ -7,19 +7,13 @@ import (
 	"multirag/internal/retrieval"
 )
 
-// This file holds the per-query evaluation caches. All are deterministic
+// This file holds the per-query evaluation caches. Both are deterministic
 // (no dependence on timing or map iteration order; eviction is
-// flush-on-overflow rather than LRU), but they differ in strength: the
-// embedding cache and the evidence memo are fully transparent — embeddings
-// are pure functions of the text, and the memo stores only
+// flush-on-overflow rather than LRU) and fully transparent: embeddings are
+// pure functions of the text, and the evidence memo stores only
 // history-independent evaluations whose deferred history credits are
-// replayed on every hit — while an answer-cache hit skips the whole
-// evaluation, including MCC's online source-history update, so later
-// *different* queries can see slightly different confidence values than an
-// uncached run would produce (the same mild order-dependence concurrent
-// queries already have; see DESIGN.md "Costs accepted"). That, plus the
-// skipped LLM usage accounting, is why the answer cache is opt-in while the
-// other two are always on.
+// replayed on every hit, so answers and confidences are the same with or
+// without them.
 
 // embedCacheLimit bounds the query-embedding cache. Embeddings are pure
 // functions of (text, dim), so entries never invalidate; the bound only caps
@@ -63,108 +57,17 @@ func (c *embedCache) get(q string) retrieval.Vector {
 	return v
 }
 
-// answerCache memoises whole query evaluations, keyed by query string and
-// stamped with the snapshot generation that produced them. A snapshot swap
-// (ingest commit or SG rebuild) bumps the generation, so the first lookup
-// against the new snapshot flushes every stale entry — cached answers can
-// never outlive the corpus state they were computed from. max <= 0 disables
-// the cache entirely (the default: cached hits bypass the simulated-LLM
-// usage accounting and the source-history updates described in the file
-// header, which the benchmark tables meter).
-type answerCache struct {
-	max int
-	mu  sync.Mutex
-	gen uint64
-	m   map[string]Answer
-}
-
-func newAnswerCache(max int) *answerCache { return &answerCache{max: max} }
-
-// cloneAnswer deep-copies an Answer's slices, so the cache never shares
-// backing arrays with callers: Ask hands answers to arbitrary user code,
-// and a caller sorting or overwriting ans.Values must not poison the cached
-// copy (or race with other readers of it).
-func cloneAnswer(a Answer) Answer {
-	a.LogicForm.Entities = append([]string(nil), a.LogicForm.Entities...)
-	a.LogicForm.Relations = append([]string(nil), a.LogicForm.Relations...)
-	a.Values = append([]string(nil), a.Values...)
-	a.Trusted = append([]confidence.TrustedNode(nil), a.Trusted...)
-	a.GraphConfidences = append([]float64(nil), a.GraphConfidences...)
-	stages := append([]StageSnapshot(nil), a.Stages...)
-	for i := range stages {
-		stages[i].Values = append([]string(nil), stages[i].Values...)
-	}
-	a.Stages = stages
-	return a
-}
-
-// get returns the cached answer for q computed against snapshot generation
-// gen, if one exists. The result is a private copy (see cloneAnswer).
-func (c *answerCache) get(gen uint64, q string) (Answer, bool) {
-	if c.max <= 0 {
-		return Answer{}, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if gen != c.gen {
-		if gen < c.gen {
-			// A query still running against an already-replaced snapshot:
-			// serve it uncached rather than resurrect flushed state.
-			return Answer{}, false
-		}
-		c.m, c.gen = nil, gen
-		return Answer{}, false
-	}
-	a, ok := c.m[q]
-	if !ok {
-		return Answer{}, false
-	}
-	return cloneAnswer(a), true
-}
-
-// put records the answer for q computed against snapshot generation gen,
-// storing a private copy so later caller mutations cannot reach it.
-func (c *answerCache) put(gen uint64, q string, a Answer) {
-	if c.max <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if gen != c.gen {
-		if gen < c.gen {
-			return // stale snapshot; never poison the newer generation
-		}
-		c.m, c.gen = nil, gen
-	}
-	if c.m == nil {
-		c.m = make(map[string]Answer, c.max)
-	}
-	if len(c.m) >= c.max {
-		// Flush-on-overflow keeps eviction deterministic (no dependence on
-		// map iteration order) at the cost of refilling after a burst of
-		// distinct queries.
-		c.m = make(map[string]Answer, c.max)
-	}
-	c.m[q] = cloneAnswer(a)
-}
-
-// size reports the current entry count (test hook).
-func (c *answerCache) size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
-// evidenceMemoLimit bounds the evidence memo; like the other caches it
+// evidenceMemoLimit bounds the evidence memo; like the embedding cache it
 // flushes wholesale on overflow so eviction stays deterministic.
 const evidenceMemoLimit = 8192
 
 // evidenceMemo memoises gatherEvidence outcomes per (entity, relation) key,
-// generation-stamped exactly like the answer cache so a snapshot publish
-// flushes every entry. Unlike the opt-in answer cache it is always on,
-// because its hits are exact: only history-INDEPENDENT evaluations are stored
-// (the homologous fast-path/graph-eliminated outcomes, never node-level
-// scoring, isolated authority or the chunk path), and each hit replays the
+// stamped with the snapshot generation that produced them, so the first
+// lookup after a publish (ingest commit or SG rebuild) flushes every entry.
+// It is always on, because its hits are exact: only history-INDEPENDENT
+// evaluations are stored (the homologous fast-path/graph-eliminated
+// outcomes, never node-level scoring, isolated authority or the chunk path),
+// and each hit replays the
 // stored HistoryDelta, reproducing precisely the source-history evolution an
 // uncached re-evaluation would have caused. Answers are therefore
 // bit-identical with or without it — TestEvidenceMemoTransparent asserts
@@ -192,9 +95,11 @@ type evidenceEntry struct {
 func evidenceKey(entity, relation string) string { return entity + "\x00" + relation }
 
 // cloneStages deep-copies the stage snapshots, the one evidence field that
-// escapes by reference into caller-owned Answers (mirror of cloneAnswer's
-// stage handling). Hop and comparison arms discard stages, so their memo
-// hits — the hot case — pay nothing here beyond the header copy.
+// escapes by reference into caller-owned Answers: Query hands answers to
+// arbitrary user code, and a caller overwriting ans.Stages must not poison
+// the memoised copy (or race with other readers of it). Hop and comparison
+// arms discard stages, so their memo hits — the hot case — pay nothing here
+// beyond the header copy.
 func cloneStages(e evidence) evidence {
 	stages := append([]StageSnapshot(nil), e.stages...)
 	for i := range stages {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -56,115 +55,5 @@ func TestEmbedCacheComparisonQuery(t *testing.T) {
 	s.Query(q)
 	if delta := retrieval.EmbedCalls() - before; delta != 0 {
 		t.Fatalf("re-running the comparison query made %d Embed calls, want 0", delta)
-	}
-}
-
-// TestAnswerCacheHitSkipsEvaluation verifies a cache hit serves the recorded
-// answer without touching the serving model.
-func TestAnswerCacheHitSkipsEvaluation(t *testing.T) {
-	s := newCaseStudySystem(t, Config{AnswerCacheSize: 16})
-	q := "What is the status of CA981?"
-	first := s.Query(q)
-	calls := s.Model().Usage().Calls
-	second := s.Query(q)
-	if got := s.Model().Usage().Calls; got != calls {
-		t.Fatalf("cache hit still made %d model calls", got-calls)
-	}
-	if !reflect.DeepEqual(first.Values, second.Values) || !reflect.DeepEqual(first.Trusted, second.Trusted) {
-		t.Fatalf("cached answer diverges: %+v vs %+v", first, second)
-	}
-}
-
-// TestAnswerCacheInvalidatedOnIngest pins the invalidation rule: a snapshot
-// swap must flush the cache, so queries observe the new corpus immediately.
-func TestAnswerCacheInvalidatedOnIngest(t *testing.T) {
-	s := NewSystem(Config{AnswerCacheSize: 16, LLM: llm.Config{Seed: 1, ExtractionNoise: 0}})
-	if _, err := s.Ingest(caseStudyFiles()); err != nil {
-		t.Fatal(err)
-	}
-	q := "What is the status of KL602?"
-	if ans := s.Query(q); ans.Found {
-		t.Fatalf("unknown flight answered before ingest: %+v", ans.Values)
-	}
-	if _, err := s.Ingest([]adapter.RawFile{{
-		Domain: "flights", Source: "radar", Name: "feed", Format: "csv",
-		Content: []byte("flight,status\nKL602,Boarding\n"),
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	ans := s.Query(q)
-	if !ans.Found || len(ans.Values) != 1 || ans.Values[0] != "Boarding" {
-		t.Fatalf("stale cached answer after ingest: %+v", ans)
-	}
-}
-
-// TestAnswerCacheInvalidatedOnRebuildSG covers the other publication path:
-// RebuildSG publishes a new snapshot generation, which must flush cached
-// answers just like an ingest commit does.
-func TestAnswerCacheInvalidatedOnRebuildSG(t *testing.T) {
-	s := newCaseStudySystem(t, Config{AnswerCacheSize: 16})
-	q := "What is the status of CA981?"
-	s.Query(q) // populate the cache
-	calls := s.Model().Usage().Calls
-	s.Query(q)
-	if got := s.Model().Usage().Calls; got != calls {
-		t.Fatalf("expected a cache hit before RebuildSG, saw %d model calls", got-calls)
-	}
-	s.RebuildSG()
-	s.Query(q)
-	if got := s.Model().Usage().Calls; got == calls {
-		t.Fatal("RebuildSG did not invalidate the answer cache")
-	}
-}
-
-// TestAnswerCacheIsolatedFromCallerMutation: Ask hands answers to arbitrary
-// user code, so a caller overwriting the returned slices must not poison the
-// cached copy served to later callers.
-func TestAnswerCacheIsolatedFromCallerMutation(t *testing.T) {
-	s := newCaseStudySystem(t, Config{AnswerCacheSize: 16})
-	q := "What is the status of CA981?"
-	first := s.Query(q)
-	if len(first.Values) == 0 || len(first.Stages) == 0 {
-		t.Fatalf("unexpected baseline answer: %+v", first)
-	}
-	first.Values[0] = "MUTATED"
-	first.Stages[0].Values[0] = "MUTATED"
-	if len(first.Trusted) > 0 {
-		first.Trusted[0].Confidence = -1
-	}
-	second := s.Query(q)
-	if second.Values[0] == "MUTATED" || second.Stages[0].Values[0] == "MUTATED" {
-		t.Fatalf("caller mutation leaked into the answer cache: %+v", second)
-	}
-	for _, tn := range second.Trusted {
-		if tn.Confidence < 0 {
-			t.Fatal("caller mutation of Trusted leaked into the cache")
-		}
-	}
-}
-
-// TestAnswerCacheBounded checks flush-on-overflow keeps the entry count at
-// or below the configured size.
-func TestAnswerCacheBounded(t *testing.T) {
-	const size = 4
-	s := newCaseStudySystem(t, Config{AnswerCacheSize: size})
-	for i := 0; i < 5*size; i++ {
-		s.Query(fmt.Sprintf("What is the status of ZZ%03d?", i))
-		if got := s.answers.size(); got > size {
-			t.Fatalf("answer cache grew to %d entries, bound is %d", got, size)
-		}
-	}
-}
-
-// TestAnswerCacheDisabledByDefault: with the zero config, repeated queries
-// must re-evaluate (the benchmark tables meter per-query model usage).
-func TestAnswerCacheDisabledByDefault(t *testing.T) {
-	s := newCaseStudySystem(t, Config{})
-	q := "What is the status of CA981?"
-	s.Query(q)
-	calls := s.Model().Usage().Calls
-	s.Query(q)
-	if got := s.Model().Usage().Calls; got == calls {
-		t.Fatal("default config must not cache answers (usage accounting would go dark)")
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -27,12 +28,12 @@ import (
 // replays the WAL tail through the same recorder-replay + BuildDelta path the
 // committer runs, and truncates whatever torn frame the crash left behind.
 //
-// Format 2 (snapshotVersion, recordVersion) stores vectors sparse. Format 1,
-// which stored every vector as a dense row, stays readable: a checkpoint says
-// which it is in its version field, a record by how it starts — a format-2
-// record opens with a 0 tag and its version, a format-1 record with its batch
-// count, which is never 0. Either way the one decoder branches only at the
-// vector read (retrieval.DecodeVector). Only format 2 is ever written.
+// Format 2 (snapshotVersion, recordVersion) stores vectors sparse and is the
+// only format read or written. Format 1 stored every vector as a dense row; a
+// checkpoint says which it is in its version field, a record by how it starts
+// — a format-2 record opens with a 0 tag and its version, a format-1 record
+// with its batch count, which is never 0. Anything else is rejected with
+// ErrUnsupportedFormat before recovery writes to the directory.
 //
 // Not covered: destructive graph mutation outside the logged ingest path (the
 // perturbation harness mutates the served graph in place and calls RebuildSG)
@@ -52,6 +53,23 @@ const (
 	snapshotVersion = 2
 	recordVersion   = 2
 )
+
+// ErrUnsupportedFormat reports a checkpoint body or WAL record in an on-disk
+// format this release does not read. Open, ReplicaApply and SeedReplica wrap
+// it; a directory that fails Open with it is left as it was found.
+var ErrUnsupportedFormat = errors.New("core: unsupported on-disk format")
+
+// unsupportedFormat is the error for a checkpoint body or WAL record (what)
+// written in format v. A format-1 directory migrates by being opened once
+// with a release that still reads format 1: its final checkpoint rewrites the
+// state in format 2 and prunes the format-1 files.
+func unsupportedFormat(what string, v uint64) error {
+	if v == 1 {
+		return fmt.Errorf("%w: %s is format 1 (dense vectors); open the directory once with a release that still reads format 1, whose final checkpoint rewrites it in format %d",
+			ErrUnsupportedFormat, what, snapshotVersion)
+	}
+	return fmt.Errorf("%w: %s version %d", ErrUnsupportedFormat, what, v)
+}
 
 // durable is the persistence state of a System opened with Open/OpenFS; nil
 // for purely in-memory systems.
@@ -306,12 +324,11 @@ func snapshotBody(sn *snapshot) []byte {
 	return e.Bytes()
 }
 
-// decodeSnapshot rebuilds a snapshot from a checkpoint body of either format.
+// decodeSnapshot rebuilds a snapshot from a checkpoint body.
 func (s *System) decodeSnapshot(body []byte) (*snapshot, error) {
 	d := wal.NewDecoder(body)
-	v := d.Uvarint()
-	if d.Err() == nil && (v < 1 || v > snapshotVersion) {
-		return nil, fmt.Errorf("core: checkpoint version %d not supported", v)
+	if v := d.Uvarint(); d.Err() == nil && v != snapshotVersion {
+		return nil, unsupportedFormat("checkpoint", v)
 	}
 	g, err := kg.DecodeGraph(d)
 	if err != nil {
@@ -324,7 +341,7 @@ func (s *System) decodeSnapshot(body []byte) (*snapshot, error) {
 		}
 	}
 	ix := retrieval.NewIndex(retrieval.DefaultDim)
-	if err := retrieval.DecodeIntoStore(d, ix, v == 1); err != nil {
+	if err := retrieval.DecodeIntoStore(d, ix); err != nil {
 		return nil, err
 	}
 	if err := d.Finish(); err != nil {
@@ -401,29 +418,27 @@ func encodeGroupRecord(e *wal.Encoder, committed []*prepared) error {
 }
 
 // minStoredChunk is the fewest bytes a chunk takes in a record: four string
-// lengths and, sparse, two counts.
+// lengths and the vector's two counts.
 const minStoredChunk = 6
 
 // decodeGroupRecord rebuilds a commit group's batches from a WAL record
-// payload of either format. The op streams are fed back through a fresh
-// Recorder's AddEntity/AddTriple — the same validation the original
-// extraction passed — and every embedding is checked by DecodeVector against
-// the store width, so a record that somehow decodes but violates an invariant
-// errors instead of panicking downstream. A format-2 vector stays in the
-// payload (fileWork.vecs are views of it); a format-1 row is re-encoded in
-// the stored form. The string fields that repeat across rows are interned
+// payload. The op streams are fed back through a fresh Recorder's
+// AddEntity/AddTriple — the same validation the original extraction passed —
+// and every embedding is checked by DecodeVector against the store width, so
+// a record that somehow decodes but violates an invariant errors instead of
+// panicking downstream. Each vector stays in the payload (fileWork.vecs are
+// views of it). The string fields that repeat across rows are interned
 // (wal.Decoder.Interned). Every count is trusted for a preallocation only as
 // far as the bytes left could back it.
 func decodeGroupRecord(payload []byte, dim int) ([][]fileWork, error) {
 	d := wal.NewDecoder(payload)
-	nb := d.Int()
-	dense := nb != 0 // format 1: the record starts with its batch count
-	if !dense {
-		if v := d.Uvarint(); d.Err() == nil && v != recordVersion {
-			return nil, fmt.Errorf("core: WAL record version %d not supported", v)
-		}
-		nb = d.Int()
+	if tag := d.Int(); d.Err() == nil && tag != 0 {
+		return nil, unsupportedFormat("WAL record", 1) // format 1 opens with its batch count
 	}
+	if v := d.Uvarint(); d.Err() == nil && v != recordVersion {
+		return nil, unsupportedFormat("WAL record", v)
+	}
+	nb := d.Int()
 	scratch := make(retrieval.Vector, dim)
 	batches := make([][]fileWork, 0, min(nb, d.Remaining()))
 	for i := 0; i < nb && d.Err() == nil; i++ {
@@ -463,18 +478,12 @@ func decodeGroupRecord(payload []byte, dim int) ([][]fileWork, error) {
 			for k := 0; k < nChunks && d.Err() == nil; k++ {
 				c := retrieval.Chunk{ID: d.String(), DocID: d.Interned(), Source: d.Interned(), Text: d.String()}
 				from := len(payload) - d.Remaining()
-				retrieval.DecodeVector(d, scratch, dense)
+				retrieval.DecodeVector(d, scratch)
 				if d.Err() != nil {
 					break
 				}
-				v := payload[from : len(payload)-d.Remaining()]
-				if dense {
-					var e wal.Encoder
-					retrieval.EncodeVector(&e, scratch)
-					v = e.Bytes()
-				}
 				f.chunks = append(f.chunks, c)
-				f.vecs = append(f.vecs, v)
+				f.vecs = append(f.vecs, payload[from:len(payload)-d.Remaining()])
 			}
 			files = append(files, f)
 		}
@@ -525,7 +534,7 @@ func replayFiles(g *kg.Graph, ix retrieval.Store, files []fileWork, ids []string
 		vs := make([]retrieval.Vector, len(f.chunks))
 		for j, b := range f.vecs {
 			vs[j] = flat[j*dim : (j+1)*dim : (j+1)*dim]
-			retrieval.DecodeVector(wal.NewDecoder(b), vs[j], false)
+			retrieval.DecodeVector(wal.NewDecoder(b), vs[j])
 		}
 		ix.AddEmbeddedBatch(f.chunks, vs)
 	}

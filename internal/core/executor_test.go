@@ -202,10 +202,37 @@ func TestEvidenceMemoTransparent(t *testing.T) {
 	}
 }
 
-// TestEvidenceMemoInvalidatedOnIngest mirrors the answer-cache invalidation
-// tests: an ingest between queries publishes a new generation, which must
-// flush the memo so the next query sees the new corpus. (Team Beta, manager)
-// is a consistent fast-path key, so it is memoable.
+// TestEvidenceMemoIsolatedFromCallerMutation pins cloneStages' contract: Query
+// hands answers to arbitrary user code, and a lookup's memo hit hands back the
+// memoised stages, so a caller overwriting the returned slices must not reach
+// the memoised copy served to later callers. (Team Beta, manager) is a
+// consistent fast-path key, so the second query is a memo hit.
+func TestEvidenceMemoIsolatedFromCallerMutation(t *testing.T) {
+	const q = "What is the manager of Team Beta?"
+	want := newExecutorSystem(t, Config{}).Query(q) // an unmutated first answer
+	s := newExecutorSystem(t, Config{})
+	first := s.Query(q)
+	if !reflect.DeepEqual(first, want) {
+		t.Fatalf("first answers diverge on identical systems:\n got  %+v\n want %+v", first, want)
+	}
+	if _, _, ok := s.evidence.get(s.snap.Load().gen, "Team Beta", "manager"); !ok {
+		t.Fatal("expected a memo entry; the isolation check would run vacuously")
+	}
+	if len(first.Values) == 0 || len(first.Stages) == 0 || len(first.Stages[0].Values) == 0 || len(first.Trusted) == 0 {
+		t.Fatalf("unexpected baseline answer: %+v", first)
+	}
+	first.Values[0] = "MUTATED"
+	first.Stages[0].Values[0] = "MUTATED"
+	first.Trusted[0].Confidence = -1
+	if got := s.Query(q); !reflect.DeepEqual(got, want) {
+		t.Fatalf("caller mutation leaked into the evidence memo:\n got  %+v\n want %+v", got, want)
+	}
+}
+
+// TestEvidenceMemoInvalidatedOnIngest: an ingest between queries publishes a
+// new generation, which must flush the memo so the next query sees the new
+// corpus. (Team Beta, manager) is a consistent fast-path key, so it is
+// memoable.
 func TestEvidenceMemoInvalidatedOnIngest(t *testing.T) {
 	s := newExecutorSystem(t, Config{})
 	s.Query("What is the manager of Team Beta?")

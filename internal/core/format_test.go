@@ -3,8 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"math"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -124,120 +125,80 @@ func embeddedRows(s *System) ([]retrieval.Chunk, []retrieval.Vector) {
 	return cs, vs
 }
 
-// requireFormat2 checks that every checkpoint in dir and every WAL record from
-// lsn on is written in the current format.
-func requireFormat2(t *testing.T, dir string, lsn uint64) {
+// dirFiles returns every file in dir by name with its bytes.
+func dirFiles(t *testing.T, dir string) map[string]string {
 	t.Helper()
-	names, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
-	if err != nil || len(names) == 0 {
-		t.Fatalf("no checkpoints in %s (%v)", dir, err)
-	}
-	const ckptHeader = 20 // magic, CRC, length
-	for _, name := range names {
-		b, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(b) <= ckptHeader || b[ckptHeader] != snapshotVersion {
-			t.Fatalf("%s is not a format-%d checkpoint", filepath.Base(name), snapshotVersion)
-		}
-	}
-	sr, err := wal.Scan(wal.OSFS{}, dir, lsn)
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, rec := range sr.Records {
-		if len(rec) < 2 || rec[0] != 0 || rec[1] != recordVersion {
-			t.Fatalf("WAL record %d is not a format-%d record", lsn+uint64(i), recordVersion)
+	files := map[string]string{}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
 		}
+		files[e.Name()] = string(b)
 	}
+	return files
 }
 
-// TestOpenFormat1Directory is reopen-equivalence across the format change: a
-// directory the previous release wrote — a format-1 checkpoint plus a tail of
-// format-1 records — opens to exactly the state a fresh in-memory ingest of
-// the same files builds, every row's vector bit for bit, and once checkpointed
-// reopens to a stable digest with nothing of format 1 left on disk. (The
-// digest the previous release computed for the same state differs: it hashed
-// the dense encoding.)
+// TestOpenFormat1Directory: format 1 is no longer read. The directory a
+// format-1 release wrote — a format-1 checkpoint plus a tail of format-1
+// records — fails Open with ErrUnsupportedFormat and is left byte for byte as
+// it was, and so does its record tail alone, with no checkpoint in front of
+// it. The replica doors reject the same checkpoint body and records the same
+// way and publish nothing.
 func TestOpenFormat1Directory(t *testing.T) {
+	openRejected := func(dir string) {
+		t.Helper()
+		before := dirFiles(t, dir)
+		if _, _, err := Open(dir, format1Config()); !errors.Is(err, ErrUnsupportedFormat) {
+			t.Fatalf("Open: %v, want ErrUnsupportedFormat", err)
+		}
+		if !maps.Equal(dirFiles(t, dir), before) {
+			t.Fatal("a rejected Open changed the directory")
+		}
+	}
 	dir := filepath.Join(t.TempDir(), "data")
 	if err := os.CopyFS(dir, os.DirFS(format1Dir)); err != nil {
 		t.Fatal(err)
 	}
-	s, info, err := Open(dir, format1Config())
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer s.Close()
-	if *info != (RecoveryInfo{CheckpointLSN: 3, RecordsReplayed: 4}) {
-		t.Fatalf("recovery info %+v, want the format-1 checkpoint at LSN 3 and 4 replayed records", *info)
-	}
+	openRejected(dir)
 
-	ref := NewSystem(format1Config())
-	for i, b := range format1Batches() {
-		if _, err := ref.Ingest(b); err != nil {
-			t.Fatalf("reference ingest %d: %v", i, err)
+	tail := filepath.Join(t.TempDir(), "tail")
+	if err := os.Mkdir(tail, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := os.ReadFile(filepath.Join(format1Dir, "wal-0000000000000003.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(tail, "wal-0000000000000000.log"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	openRejected(tail)
+
+	body, _, err := wal.LoadCheckpoint(wal.OSFS{}, format1Dir)
+	if err != nil || body == nil {
+		t.Fatalf("format-1 checkpoint: %v", err)
+	}
+	r := NewSystem(format1Config())
+	if err := r.SeedReplica(body, 3); !errors.Is(err, ErrUnsupportedFormat) {
+		t.Fatalf("SeedReplica: %v, want ErrUnsupportedFormat", err)
+	}
+	sr, err := wal.Scan(wal.OSFS{}, format1Dir, 3)
+	if err != nil || len(sr.Records) != 4 {
+		t.Fatalf("format-1 records: %v", err)
+	}
+	for i, rec := range sr.Records {
+		if err := r.ReplicaApply(rec); !errors.Is(err, ErrUnsupportedFormat) {
+			t.Fatalf("ReplicaApply(record %d): %v, want ErrUnsupportedFormat", i, err)
 		}
 	}
-	if got, want := [3]int{s.Index().Len(), s.Graph().NumTriples(), len(s.Graph().EntityIDs())},
-		[3]int{ref.Index().Len(), ref.Graph().NumTriples(), len(ref.Graph().EntityIDs())}; got != want || got[0] == 0 {
-		t.Fatalf("chunks, triples, entities = %v, fresh ingest %v", got, want)
+	if r.ReplicationLSN() != 0 || r.snap.Load().gen != 0 {
+		t.Fatal("a rejected replica door published a snapshot")
 	}
-	gotC, gotV := embeddedRows(s)
-	wantC, wantV := embeddedRows(ref)
-	for i := range wantC {
-		if gotC[i] != wantC[i] {
-			t.Fatalf("row %d is %+v, fresh ingest %+v", i, gotC[i], wantC[i])
-		}
-		for b := range wantV[i] {
-			if math.Float32bits(gotV[i][b]) != math.Float32bits(wantV[i][b]) {
-				t.Fatalf("row %d (%s) bucket %d = %v, fresh ingest %v", i, gotC[i].ID, b, gotV[i][b], wantV[i][b])
-			}
-		}
-	}
-	if string(snapBytes(s)) != string(snapBytes(ref)) {
-		t.Fatal("recovered snapshot differs from the fresh ingest's")
-	}
-	requireAnswer(t, s, "What is the status of CA981?", "Delayed")
-
-	// Checkpoint in the current format and reopen: same state, same digest.
-	digest := s.SnapshotDigest()
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, info2, err := Open(dir, format1Config())
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer s2.Close()
-	if *info2 != (RecoveryInfo{CheckpointLSN: 7}) || s2.SnapshotDigest() != digest {
-		t.Fatalf("reopen after checkpoint: %+v, digest %016x, want LSN 7 and %016x", *info2, s2.SnapshotDigest(), digest)
-	}
-
-	// One more commit and a close move the fallback checkpoint past the last
-	// format-1 file, and pruning removes them.
-	if _, err := s2.Ingest([]adapter.RawFile{{Domain: "flights", Source: "airport-api", Name: "late", Format: "text",
-		Content: []byte("The status of MU551 is Boarding.")}}); err != nil {
-		t.Fatal(err)
-	}
-	digest = s2.SnapshotDigest()
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s3, info3, err := Open(dir, format1Config())
-	if err != nil {
-		t.Fatalf("second reopen: %v", err)
-	}
-	defer s3.Close()
-	if *info3 != (RecoveryInfo{CheckpointLSN: 8}) || s3.SnapshotDigest() != digest {
-		t.Fatalf("second reopen: %+v, digest %016x, want LSN 8 and %016x", *info3, s3.SnapshotDigest(), digest)
-	}
-	requireFormat2(t, dir, 7)
-	requireAnswer(t, s3, "What is the status of MU551?", "Boarding")
 }
 
 // TestFormat2Bytes pins format 2 byte for byte: re-ingesting the files behind
@@ -333,9 +294,10 @@ func TestDecodedSnapshotSharesStrings(t *testing.T) {
 	}
 }
 
-// unbackedCounts are payloads whose counts no bytes back: a format-1 record
-// claiming 2³¹-1 batches (5 bytes), format-2 records claiming as many batches
-// or files, and a line-graph body with one node of 2³¹-1 members (7 bytes).
+// unbackedCounts are payloads whose counts no bytes back: a record opening
+// with 2³¹-1 batches the way format 1 did (5 bytes), format-2 records claiming
+// as many batches or files, and a line-graph body with one node of 2³¹-1
+// members (7 bytes).
 // Sizing a preallocation by any of these counts asks the runtime for tens of
 // gigabytes and ends the process.
 var (
@@ -347,11 +309,11 @@ var (
 	unbackedSG = binary.AppendUvarint([]byte{1, 0}, 1<<31-1)
 )
 
-// unbackedCheckpoint is a format-1 checkpoint body around unbackedSG: an
-// empty graph, then the line graph with the unbacked member count.
+// unbackedCheckpoint is a checkpoint body around unbackedSG: an empty graph,
+// then the line graph with the unbacked member count.
 func unbackedCheckpoint() []byte {
 	var e wal.Encoder
-	e.Uvarint(1)
+	e.Uvarint(snapshotVersion)
 	kg.New().EncodeTo(&e)
 	e.Bool(true)
 	return append(e.Bytes(), unbackedSG...)
@@ -373,16 +335,20 @@ func TestDecodeRejectsUnbackedCounts(t *testing.T) {
 	if _, err := linegraph.DecodeSG(wal.NewDecoder(unbackedSG), kg.New()); err == nil {
 		t.Errorf("DecodeSG accepted %x", unbackedSG)
 	}
-	if err := NewSystem(format1Config()).SeedReplica(unbackedCheckpoint(), 0); err == nil {
-		t.Error("SeedReplica accepted a body with an unbacked member count")
+	// The body is in the current format, so the error comes from DecodeSG, not
+	// from the version check in front of it.
+	if err := NewSystem(format1Config()).SeedReplica(unbackedCheckpoint(), 0); err == nil || errors.Is(err, ErrUnsupportedFormat) {
+		t.Errorf("SeedReplica on a body with an unbacked member count: %v", err)
 	}
 }
 
 // FuzzRecoveredPayload feeds arbitrary bytes to the two decoders recovery and
 // replication run over bytes from disk or a peer — the WAL group record and
-// the checkpoint body, in both formats — and to the replica doors in front of
-// them. Any input may be rejected; none may crash, and a record that decodes
-// must hold one stored vector per chunk, each of the store's width.
+// the checkpoint body — and to the replica doors in front of them. The seeds
+// include a format-1 record and checkpoint body (and the format1-nan-weight
+// corpus entry), which must be rejected. Any input may be rejected; none may
+// crash, and a record that decodes must hold one stored vector per chunk, each
+// of the store's width.
 func FuzzRecoveredPayload(f *testing.F) {
 	primary := NewSystem(format1Config())
 	sink := &recSink{}
@@ -398,12 +364,12 @@ func FuzzRecoveredPayload(f *testing.F) {
 	if err != nil || len(sr.Records) == 0 {
 		f.Fatalf("format-1 records: %v", err)
 	}
-	f.Add(sr.Records[0]) // format-1 record
+	f.Add(sr.Records[0]) // format-1 record: rejected
 	body, _, err := wal.LoadCheckpoint(wal.OSFS{}, format1Dir)
 	if err != nil || body == nil {
 		f.Fatalf("format-1 checkpoint: %v", err)
 	}
-	f.Add(body)
+	f.Add(body) // format-1 checkpoint body: rejected
 	for _, rec := range unbackedRecords {
 		f.Add(rec)
 	}
@@ -419,7 +385,7 @@ func FuzzRecoveredPayload(f *testing.F) {
 					}
 					for _, b := range rf.vecs {
 						d := wal.NewDecoder(b)
-						retrieval.DecodeVector(d, make(retrieval.Vector, retrieval.DefaultDim), false)
+						retrieval.DecodeVector(d, make(retrieval.Vector, retrieval.DefaultDim))
 						if err := d.Finish(); err != nil {
 							t.Fatalf("decoded vector %x does not read back at the store's width: %v", b, err)
 						}

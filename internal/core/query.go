@@ -124,9 +124,8 @@ func degradeReason(err error) string {
 // out across the worker pool (Config.Workers); sub-question results merge in
 // input order over deferred history credits, so the answer — values,
 // trusted-node order, confidences and stage snapshots — is bit-identical
-// whatever the pool size. With Config.AnswerCacheSize > 0, repeated queries
-// against the same snapshot generation are served from the answer cache. To
-// bound a query by a deadline or cancellation, use QueryEach.
+// whatever the pool size. To bound a query by a deadline or cancellation, use
+// QueryEach.
 func (s *System) Query(q string) Answer {
 	return s.query(context.Background(), s.snap.Load(), q)
 }
@@ -134,15 +133,10 @@ func (s *System) Query(q string) Answer {
 // query is the one evaluation path behind every entry point. It honors ctx
 // at every stage boundary (retrieval rows, fan-out arms, LLM calls): a query
 // cut short returns whatever completed as a Degraded partial answer instead
-// of an error. Answer-cache hits serve instantly; a panic anywhere in the DAG
-// (an injected chaos fault, or a real bug under a real model API) is
-// contained into a degraded answer instead of killing the caller; and
-// degraded or cut-short answers are never cached — a later unconstrained
-// query recomputes the full answer.
+// of an error. A panic anywhere in the DAG (an injected chaos fault, or a
+// real bug under a real model API) is contained into a degraded answer
+// instead of killing the caller.
 func (s *System) query(ctx context.Context, sn *snapshot, q string) (ans Answer) {
-	if a, ok := s.answers.get(sn.gen, q); ok {
-		return a
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			ans = Answer{Query: q}
@@ -154,11 +148,7 @@ func (s *System) query(ctx context.Context, sn *snapshot, q string) (ans Answer)
 		ans.degrade(err)
 		return ans
 	}
-	ans = s.queryOn(ctx, sn, q)
-	if !ans.Degraded && ctx.Err() == nil {
-		s.answers.put(sn.gen, q, ans)
-	}
-	return ans
+	return s.queryOn(ctx, sn, q)
 }
 
 func (s *System) queryOn(ctx context.Context, sn *snapshot, q string) Answer {

@@ -127,7 +127,7 @@ func TestQueryWithDocsRankingStable(t *testing.T) {
 func TestQueryWithDocsUnderConcurrentIngest(t *testing.T) {
 	const rankers = 6
 	const batches = 8
-	s := newCaseStudySystem(t, Config{Workers: 4, AnswerCacheSize: 32})
+	s := newCaseStudySystem(t, Config{Workers: 4})
 
 	var stop atomic.Bool
 	var ranked atomic.Int64

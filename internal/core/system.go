@@ -44,15 +44,6 @@ type Config struct {
 	// extraction, chunk embedding) and the query-DAG fan-out. 0 selects
 	// GOMAXPROCS.
 	Workers int
-	// AnswerCacheSize bounds the per-snapshot answer cache (entries); 0
-	// disables it. The cache is invalidated whenever a snapshot is
-	// published, so cached answers never outlive the corpus state that
-	// produced them. Leave it off when metering per-query LLM cost or when
-	// exact confidence reproducibility across a query sequence matters:
-	// a hit skips the simulated model and MCC's online source-history
-	// update, so later different queries may see slightly shifted
-	// confidence values (see cache.go).
-	AnswerCacheSize int
 	// CheckpointRecords is how many WAL records may accumulate past the last
 	// checkpoint before the background checkpointer folds the log into a new
 	// one (durable systems only; <=0 selects DefaultCheckpointRecords).
@@ -82,7 +73,7 @@ type snapshot struct {
 	sg    *linegraph.SG
 	index retrieval.Store
 	// gen is the publication generation, bumped on every snapshot swap. It
-	// keys the answer cache: answers computed against generation g are
+	// keys the evidence memo: evaluations computed against generation g are
 	// served only while g is still the published generation.
 	gen uint64
 }
@@ -109,13 +100,11 @@ type System struct {
 	snap atomic.Pointer[snapshot]
 
 	// embeds memoises query embeddings (pure function of the text, never
-	// invalidated); answers memoises whole evaluations per snapshot
-	// generation (flushed on every publish); evidence memoises
-	// history-independent (entity, relation) sub-question evaluations per
-	// generation so fan-out sub-questions that repeat never re-run MCC. See
+	// invalidated); evidence memoises history-independent (entity, relation)
+	// sub-question evaluations per snapshot generation (flushed on every
+	// publish) so fan-out sub-questions that repeat never re-run MCC. See
 	// cache.go.
 	embeds   *embedCache
-	answers  *answerCache
 	evidence *evidenceMemo
 
 	// subQs interns the "What is the <relation> of " sub-question prefix per
@@ -183,7 +172,6 @@ func NewSystem(cfg Config) *System {
 		registry:    adapter.NewRegistry(),
 		ingestModel: llm.NewSim(cfg.LLM),
 		embeds:      newEmbedCache(retrieval.DefaultDim),
-		answers:     newAnswerCache(cfg.AnswerCacheSize),
 		evidence:    &evidenceMemo{},
 		subQs:       map[string]string{},
 		genBreaker:  fault.NewBreaker("llm.generate", cfg.BreakerFailures, cfg.BreakerCooldown, nil),

@@ -296,7 +296,7 @@ func TestTermAtATimeMatchesDenseReference(t *testing.T) {
 			gc, gv = gc[step:], gv[step:]
 		}
 		decoded := NewIndex(dim)
-		if err := DecodeIntoStore(wal.NewDecoder(encodeStore(shuffled)), decoded, false); err != nil {
+		if err := DecodeIntoStore(wal.NewDecoder(encodeStore(shuffled)), decoded); err != nil {
 			t.Fatal(err)
 		}
 		stores := map[string]Store{

@@ -15,7 +15,7 @@ import (
 //
 // A vector is stored sparse (EncodeVector): a feature-hashed embedding is
 // non-zero in ~14 of its 256 buckets, so a row is ~73 bytes instead of the
-// 1,026 of the dense form format 1 wrote, which DecodeVector still reads.
+// 1,026 of a dense row.
 
 // decodeBatch bounds how many chunks DecodeIntoStore buffers per
 // AddEmbeddedBatch call, so decoding never holds a second full copy of the
@@ -47,28 +47,12 @@ func EncodeVector(e *wal.Encoder, v Vector) {
 }
 
 // DecodeVector overwrites dst, which sets the width, with one vector read from
-// d: the EncodeVector form, or with dense set the format-1 form, an F32s row
-// of exactly len(dst) finite weights. A sparse vector is checked as it is
-// read — at most len(dst) weights, buckets strictly ascending below len(dst),
-// as many weights as buckets, every weight non-zero and finite — and anything
-// else latches an error on d instead of panicking.
-func DecodeVector(d *wal.Decoder, dst Vector, dense bool) {
+// d in the EncodeVector form. The vector is checked as it is read — at most
+// len(dst) weights, buckets strictly ascending below len(dst), as many weights
+// as buckets, every weight non-zero and finite — and anything else latches an
+// error on d instead of panicking.
+func DecodeVector(d *wal.Decoder, dst Vector) {
 	clear(dst)
-	if dense {
-		if v := d.F32s(); d.Err() == nil {
-			if len(v) != len(dst) {
-				d.Fail(fmt.Errorf("retrieval: decode: dense vector of %d weights, want %d", len(v), len(dst)))
-			}
-			for b, w := range v {
-				if math.IsNaN(float64(w)) || math.IsInf(float64(w), 0) {
-					d.Fail(fmt.Errorf("retrieval: decode: bucket %d holds weight %v, want finite", b, w))
-					return
-				}
-			}
-			copy(dst, v)
-		}
-		return
-	}
 	n := d.Int()
 	if d.Err() == nil && n > len(dst) {
 		d.Fail(fmt.Errorf("retrieval: decode: %d weights in a vector of width %d", n, len(dst)))
@@ -114,11 +98,11 @@ func EncodeStore(e *wal.Encoder, s Store) {
 }
 
 // DecodeIntoStore fills the empty store s from d (the inverse of
-// EncodeStore; dense reads format-1 rows, see DecodeVector). The store's width
+// EncodeStore). The store's width
 // must match the encoded one. Each batch of rows is decoded into one reused
 // flat buffer, which the store does not retain. A chunk's DocID and Source,
 // shared by every chunk of one document, are read through d's intern table.
-func DecodeIntoStore(d *wal.Decoder, s Store, dense bool) error {
+func DecodeIntoStore(d *wal.Decoder, s Store) error {
 	dim := d.Int()
 	n := d.Int()
 	if err := d.Err(); err != nil {
@@ -142,7 +126,7 @@ func DecodeIntoStore(d *wal.Decoder, s Store, dense bool) error {
 		if d.Err() != nil {
 			break // before indexing vs, which is empty when no bytes were left
 		}
-		DecodeVector(d, vs[len(cs)], dense)
+		DecodeVector(d, vs[len(cs)])
 		if d.Err() != nil {
 			break
 		}

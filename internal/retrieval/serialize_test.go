@@ -49,7 +49,7 @@ func TestStoreSerializeRoundTrip(t *testing.T) {
 			raw := encodeStore(src)
 			dst := NewIndex(32)
 			d := wal.NewDecoder(raw)
-			if err := DecodeIntoStore(d, dst, false); err != nil {
+			if err := DecodeIntoStore(d, dst); err != nil {
 				t.Fatal(err)
 			}
 			if err := d.Finish(); err != nil {
@@ -82,18 +82,18 @@ func TestDecodeIntoStoreValidates(t *testing.T) {
 	fillStore(src, 5)
 	raw := encodeStore(src)
 
-	if err := DecodeIntoStore(wal.NewDecoder(raw), NewIndex(32), false); err == nil {
+	if err := DecodeIntoStore(wal.NewDecoder(raw), NewIndex(32)); err == nil {
 		t.Fatal("decode accepted a dim mismatch")
 	}
 	full := NewIndex(16)
 	fillStore(full, 1)
-	if err := DecodeIntoStore(wal.NewDecoder(raw), full, false); err == nil {
+	if err := DecodeIntoStore(wal.NewDecoder(raw), full); err == nil {
 		t.Fatal("decode accepted a non-empty target store")
 	}
 	for cut := 0; cut < len(raw); cut++ {
 		dst := NewIndex(16)
 		d := wal.NewDecoder(raw[:cut])
-		if err := DecodeIntoStore(d, dst, false); err == nil {
+		if err := DecodeIntoStore(d, dst); err == nil {
 			if err := d.Finish(); err == nil {
 				t.Fatalf("cut %d: decode of truncated stream succeeded", cut)
 			}
@@ -113,7 +113,7 @@ func TestDecodeAllocationPerRow(t *testing.T) {
 	var before, after runtime.MemStats
 	dst := NewIndex(DefaultDim)
 	runtime.ReadMemStats(&before)
-	err := DecodeIntoStore(wal.NewDecoder(raw), dst, false)
+	err := DecodeIntoStore(wal.NewDecoder(raw), dst)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestDecodeAllocationPerRow(t *testing.T) {
 	e.Int(1<<31 - 1)
 	empty := NewIndex(DefaultDim)
 	runtime.ReadMemStats(&before)
-	err = DecodeIntoStore(wal.NewDecoder(e.Bytes()), empty, false)
+	err = DecodeIntoStore(wal.NewDecoder(e.Bytes()), empty)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("decode accepted a row count with no rows behind it")
@@ -154,7 +154,7 @@ func roundTripVector(t *testing.T, label string, v Vector) {
 		got[i] = float32(i) + 0.5
 	}
 	d := wal.NewDecoder(e.Bytes())
-	DecodeVector(d, got, false)
+	DecodeVector(d, got)
 	if err := d.Finish(); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -207,8 +207,7 @@ func TestVectorRoundTrip(t *testing.T) {
 // TestDecodeVectorRejectsMalformed: every way a sparse vector can be wrong —
 // too many weights, a repeated or out-of-range bucket, weight and bucket
 // counts that disagree, a zero, NaN or infinite weight, a truncation at any
-// byte — latches an error on the decoder instead of panicking, and the dense
-// format-1 form is held to its width.
+// byte — latches an error on the decoder instead of panicking.
 func TestDecodeVectorRejectsMalformed(t *testing.T) {
 	const dim = 16
 	sparse := func(n int, gaps []uint64, m int, ws ...float32) []byte {
@@ -247,57 +246,10 @@ func TestDecodeVectorRejectsMalformed(t *testing.T) {
 	}
 	for name, b := range cases {
 		d := wal.NewDecoder(b)
-		DecodeVector(d, make(Vector, dim), false)
+		DecodeVector(d, make(Vector, dim))
 		if d.Err() == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
 
-	var dense wal.Encoder
-	dense.F32s(make([]float32, dim-1))
-	d := wal.NewDecoder(dense.Bytes())
-	if DecodeVector(d, make(Vector, dim), true); d.Err() == nil {
-		t.Error("a dense row narrower than the store decoded without error")
-	}
-}
-
-// encodeStoreFormat1 writes s the way format-1 checkpoints did: every vector
-// as a dense F32s row.
-func encodeStoreFormat1(s Store) []byte {
-	var e wal.Encoder
-	e.Int(s.Dim())
-	e.Int(s.Len())
-	s.ForEachEmbedded(func(c Chunk, v Vector) {
-		e.String(c.ID)
-		e.String(c.DocID)
-		e.String(c.Source)
-		e.String(c.Text)
-		e.F32s(v)
-	})
-	return append([]byte(nil), e.Bytes()...)
-}
-
-// TestDecodeIntoStoreReadsFormat1: a store written with dense rows decodes to
-// the same chunks and posting lists as the store it was written from, and
-// re-encodes to the sparse form's bytes.
-func TestDecodeIntoStoreReadsFormat1(t *testing.T) {
-	src := NewIndex(32)
-	fillStore(src, decodeBatch+76)
-	dst := NewIndex(32)
-	d := wal.NewDecoder(encodeStoreFormat1(src))
-	if err := DecodeIntoStore(d, dst, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(dst.chunks, src.chunks) || !reflect.DeepEqual(dst.post, src.post) {
-		t.Fatal("format-1 decode differs from the source store")
-	}
-	if !bytes.Equal(encodeStore(dst), encodeStore(src)) {
-		t.Fatal("format-1 decode re-encodes to different bytes")
-	}
-	if err := DecodeIntoStore(wal.NewDecoder(encodeStoreFormat1(src)), NewIndex(32), false); err == nil {
-		t.Fatal("dense rows decoded as sparse without error")
-	}
 }

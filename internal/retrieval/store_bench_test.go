@@ -76,7 +76,7 @@ func BenchmarkDecodeStore(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := retrieval.DecodeIntoStore(wal.NewDecoder(body), retrieval.NewIndex(retrieval.DefaultDim), false); err != nil {
+		if err := retrieval.DecodeIntoStore(wal.NewDecoder(body), retrieval.NewIndex(retrieval.DefaultDim)); err != nil {
 			b.Fatal(err)
 		}
 	}

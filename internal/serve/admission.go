@@ -29,6 +29,13 @@ func newTokenBucket(rate, burst float64, now time.Time) *tokenBucket {
 	return &tokenBucket{rate: rate, burst: burst, tokens: burst, last: now}
 }
 
+// admits reports whether a request costing cost tokens can ever pass: a
+// limited bucket never holds more than burst, so a larger request would be
+// shed on every attempt however long its client waited.
+func (b *tokenBucket) admits(cost float64) bool {
+	return b.rate <= 0 || cost <= b.burst
+}
+
 // take admits cost tokens at time now, reporting whether admission passed.
 // The caller supplies the clock so tests drive refill deterministically; the
 // bucket never moves its clock backwards under out-of-order now values.

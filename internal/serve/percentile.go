@@ -6,20 +6,14 @@ import (
 	"time"
 )
 
-// Percentile returns the p-quantile (0 <= p <= 1) of sample by the
-// nearest-rank method: the smallest observation v such that at least
+// Quantiles returns the p-quantile (0 <= p <= 1) of sample at each of ps by
+// the nearest-rank method: the smallest observation v such that at least
 // ceil(p*n) observations are <= v. p = 1 is the maximum; an empty sample
-// yields 0. This is THE percentile implementation for every latency report
-// in the repository (the CLI load harnesses, the serving metrics endpoint
-// and the serve bench) — the previous per-call closures truncated the index
+// yields 0. It sorts one private copy of the sample; the input is not
+// modified. This is the percentile implementation behind the serving metrics
+// endpoint — the per-call closures it replaced truncated the index
 // (int(p*(n-1))), biasing p95/p99 low for small n and panicking on empty
 // samples.
-func Percentile(sample []time.Duration, p float64) time.Duration {
-	return Quantiles(sample, p)[0]
-}
-
-// Quantiles returns the nearest-rank quantiles of sample at each of ps,
-// sorting one private copy of the sample. The input is not modified.
 func Quantiles(sample []time.Duration, ps ...float64) []time.Duration {
 	out := make([]time.Duration, len(ps))
 	if len(sample) == 0 {
@@ -28,14 +22,14 @@ func Quantiles(sample []time.Duration, ps ...float64) []time.Duration {
 	sorted := append([]time.Duration(nil), sample...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	for i, p := range ps {
-		out[i] = PercentileSorted(sorted, p)
+		out[i] = percentileSorted(sorted, p)
 	}
 	return out
 }
 
-// PercentileSorted is Percentile over an already-ascending sample, for
-// callers that batch several quantile reads over one sort.
-func PercentileSorted(sorted []time.Duration, p float64) time.Duration {
+// percentileSorted is the nearest-rank p-quantile of an already-ascending
+// sample.
+func percentileSorted(sorted []time.Duration, p float64) time.Duration {
 	n := len(sorted)
 	if n == 0 {
 		return 0

@@ -51,41 +51,34 @@ func TestPercentileMatchesCountingOracleProperty(t *testing.T) {
 			// arithmetic and rank semantics disagree most often.
 			sample[i] = time.Duration(rng.Intn(20)) * time.Millisecond
 		}
-		for _, p := range ps {
-			got := Percentile(sample, p)
-			want := refPercentile(sample, p)
-			if got != want {
-				t.Fatalf("trial %d n=%d p=%g: Percentile=%v oracle=%v sample=%v",
-					trial, n, p, got, want, sample)
-			}
-		}
 		qs := Quantiles(sample, ps...)
 		for i, p := range ps {
 			if want := refPercentile(sample, p); qs[i] != want {
-				t.Fatalf("trial %d n=%d Quantiles[%g]=%v oracle=%v", trial, n, p, qs[i], want)
+				t.Fatalf("trial %d n=%d p=%g: Quantiles=%v oracle=%v sample=%v",
+					trial, n, p, qs[i], want, sample)
 			}
 		}
 	}
 }
 
 func TestPercentileEdgeCases(t *testing.T) {
-	if got := Percentile(nil, 0.99); got != 0 {
+	if got := Quantiles(nil, 0.99)[0]; got != 0 {
 		t.Fatalf("empty sample: got %v, want 0", got)
 	}
 	one := []time.Duration{42 * time.Millisecond}
 	for _, p := range []float64{0, 0.5, 0.99, 1} {
-		if got := Percentile(one, p); got != one[0] {
+		if got := Quantiles(one, p)[0]; got != one[0] {
 			t.Fatalf("n=1 p=%g: got %v, want %v", p, got, one[0])
 		}
 	}
 	two := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}
-	if got := Percentile(two, 0.5); got != two[0] {
+	if got := Quantiles(two, 0.5)[0]; got != two[0] {
 		t.Fatalf("n=2 p50: got %v, want %v", got, two[0])
 	}
-	if got := Percentile(two, 0.51); got != two[1] {
+	if got := Quantiles(two, 0.51)[0]; got != two[1] {
 		t.Fatalf("n=2 p51: got %v, want %v", got, two[1])
 	}
-	if got := Percentile(two, 1); got != two[1] {
+	if got := Quantiles(two, 1)[0]; got != two[1] {
 		t.Fatalf("n=2 max: got %v, want %v", got, two[1])
 	}
 }
@@ -98,13 +91,13 @@ func TestPercentileSmallNUnbiased(t *testing.T) {
 	for i := range sample {
 		sample[i] = time.Duration(i+1) * time.Millisecond
 	}
-	if got := Percentile(sample, 0.95); got != 48*time.Millisecond {
+	if got := Quantiles(sample, 0.95)[0]; got != 48*time.Millisecond {
 		t.Fatalf("n=50 p95: got %v, want 48ms", got)
 	}
-	if got := Percentile(sample, 0.99); got != 50*time.Millisecond {
+	if got := Quantiles(sample, 0.99)[0]; got != 50*time.Millisecond {
 		t.Fatalf("n=50 p99: got %v, want 50ms", got)
 	}
-	if got := Percentile(sample, 0.50); got != 25*time.Millisecond {
+	if got := Quantiles(sample, 0.50)[0]; got != 25*time.Millisecond {
 		t.Fatalf("n=50 p50: got %v, want 25ms", got)
 	}
 }

@@ -15,9 +15,6 @@ import (
 const (
 	// RouteRoundRobin spreads batches across eligible replicas in turn.
 	RouteRoundRobin = "round-robin"
-	// RouteLeastLoaded picks the eligible replica with the fewest batches in
-	// flight.
-	RouteLeastLoaded = "least-loaded"
 	// RoutePrimaryOnly sends every batch to the primary; replicas only apply
 	// the feed (a warm-standby layout).
 	RoutePrimaryOnly = "primary-only"
@@ -74,10 +71,9 @@ type router struct {
 
 // target is one routable replica with its health gate.
 type target struct {
-	rep      *multirag.Replica
-	breaker  *fault.Breaker
-	inflight atomic.Int64
-	probing  atomic.Bool
+	rep     *multirag.Replica
+	breaker *fault.Breaker
+	probing atomic.Bool
 }
 
 // newRouter validates the routing config and builds the router. A nil
@@ -89,10 +85,10 @@ func newRouter(sys *multirag.System, set *multirag.ReplicaSet, route string, hed
 	switch route {
 	case "":
 		route = RouteRoundRobin
-	case RouteRoundRobin, RouteLeastLoaded, RoutePrimaryOnly:
+	case RouteRoundRobin, RoutePrimaryOnly:
 	default:
-		return nil, fmt.Errorf("serve: unknown route %q (want %s, %s or %s)",
-			route, RouteRoundRobin, RouteLeastLoaded, RoutePrimaryOnly)
+		return nil, fmt.Errorf("serve: unknown route %q (want %s or %s)",
+			route, RouteRoundRobin, RoutePrimaryOnly)
 	}
 	if maxLag == 0 {
 		maxLag = DefaultMaxLag
@@ -134,8 +130,6 @@ func (rt *router) run(ctxs []context.Context, queries []string) []multirag.Answe
 // counts as a failure, the request's own deadline or disconnect is neutral.
 // A nil answer slice means the breaker fast-failed and nothing ran.
 func (rt *router) askTarget(t *target, ctxs []context.Context, queries []string) ([]multirag.Answer, error) {
-	t.inflight.Add(1)
-	defer t.inflight.Add(-1)
 	var ans []multirag.Answer
 	err := t.breaker.Do(func() error {
 		ans = t.rep.AskEach(ctxs, queries)
@@ -254,19 +248,7 @@ func (rt *router) pickExcept(skip *target) *target {
 	if len(elig) == 0 {
 		return nil
 	}
-	switch rt.route {
-	case RouteLeastLoaded:
-		best := elig[0]
-		load := best.inflight.Load()
-		for _, t := range elig[1:] {
-			if l := t.inflight.Load(); l < load {
-				best, load = t, l
-			}
-		}
-		return best
-	default: // round-robin
-		return elig[int((rt.rr.Add(1)-1)%uint64(len(elig)))]
-	}
+	return elig[int((rt.rr.Add(1)-1)%uint64(len(elig)))]
 }
 
 // kickProbe starts one background health probe for a breaker-drained target

@@ -234,21 +234,6 @@ func TestRouterHedgedEqualsUnhedged(t *testing.T) {
 	}
 }
 
-// TestRouterLeastLoadedPicksIdleReplica pins the least-loaded policy with a
-// deterministic inflight skew.
-func TestRouterLeastLoadedPicksIdleReplica(t *testing.T) {
-	sys, set := newReplicatedSystem(t, 2)
-	rt := newTestRouter(t, sys, set, RouteLeastLoaded, 0, 0)
-	rt.targets[0].inflight.Store(5)
-	if got := rt.pickExcept(nil); got != rt.targets[1] {
-		t.Fatal("least-loaded did not pick the idle replica")
-	}
-	rt.targets[1].inflight.Store(9)
-	if got := rt.pickExcept(nil); got != rt.targets[0] {
-		t.Fatal("least-loaded did not follow the load skew")
-	}
-}
-
 // TestRouterPickAllocFree: every batch picks a target, so the pick builds no
 // slice of eligible targets; round-robin still alternates over them.
 func TestRouterPickAllocFree(t *testing.T) {

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,41 +14,10 @@ import (
 const (
 	// PolicyFCFS serves requests strictly in arrival order across classes.
 	PolicyFCFS = "fcfs"
-	// PolicySJF serves the cheapest estimated query first (shortest job
-	// first), arrival order among equals — trades worst-case wait of
-	// expensive queries for lower mean latency under mixed load.
-	PolicySJF = "sjf"
 	// PolicyPriority serves the highest-priority class first (Class.Priority,
 	// higher wins), arrival order within a class.
 	PolicyPriority = "priority"
 )
-
-// Estimated query costs for SJF ordering, mirroring the executor's fan-out
-// shapes: a lookup touches one homologous group; a fallback adds chunk
-// retrieval plus per-query LLM extraction; a comparison evaluates two arms; a
-// multi-hop query fans out one bridge sub-question per hop-1 value.
-const (
-	costLookup     = 1
-	costFallback   = 3
-	costComparison = 4
-	costMultiHop   = 5
-)
-
-// EstimateCost scores a query's expected execution cost for SJF batch
-// formation, classifying it by the same grammar the executor parses.
-func EstimateCost(query string) int {
-	q := strings.ToLower(strings.TrimSpace(query))
-	switch {
-	case strings.HasPrefix(q, "do ") && strings.Contains(q, " have the same "):
-		return costComparison
-	case strings.HasPrefix(q, "what is the ") && strings.Contains(q, " of the "):
-		return costMultiHop
-	case strings.HasPrefix(q, "what is the "):
-		return costLookup
-	default:
-		return costFallback
-	}
-}
 
 // Request lifecycle states. A request is pending while queued; the executor
 // claims it with a pending→running CAS before including it in a batch, and
@@ -73,7 +41,6 @@ const (
 type request struct {
 	query string
 	class *classState
-	cost  int
 	seq   uint64
 	enq   time.Time
 	state atomic.Int32
@@ -223,14 +190,10 @@ func (s *scheduler) formBatchLocked() []*request {
 // popLocked removes and returns the next request per policy, or nil when
 // every queue is empty.
 func (s *scheduler) popLocked() *request {
-	switch s.policy {
-	case PolicySJF:
-		return s.popSJFLocked()
-	case PolicyPriority:
+	if s.policy == PolicyPriority {
 		return s.popPriorityLocked()
-	default:
-		return s.popFCFSLocked()
 	}
+	return s.popFCFSLocked()
 }
 
 // popFCFSLocked takes the globally oldest request. Per-class FIFOs are
@@ -263,32 +226,6 @@ func (s *scheduler) popPriorityLocked() *request {
 		}
 	}
 	return popHead(best)
-}
-
-// popSJFLocked takes the cheapest estimated request anywhere in the queues
-// (not just the heads — a cheap lookup may sit behind an expensive multi-hop
-// in its own class), breaking cost ties by arrival order. Queues are bounded
-// by QueueCap, so the scan is O(queued).
-func (s *scheduler) popSJFLocked() *request {
-	var (
-		bestCS  *classState
-		bestIdx = -1
-	)
-	for _, cs := range s.classes {
-		for i, r := range cs.fifo {
-			if bestIdx < 0 ||
-				r.cost < bestCS.fifo[bestIdx].cost ||
-				(r.cost == bestCS.fifo[bestIdx].cost && r.seq < bestCS.fifo[bestIdx].seq) {
-				bestCS, bestIdx = cs, i
-			}
-		}
-	}
-	if bestIdx < 0 {
-		return nil
-	}
-	r := bestCS.fifo[bestIdx]
-	bestCS.fifo = append(bestCS.fifo[:bestIdx], bestCS.fifo[bestIdx+1:]...)
-	return r
 }
 
 func popHead(cs *classState) *request {

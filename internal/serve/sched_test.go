@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"testing"
 	"time"
 )
@@ -26,7 +25,7 @@ func mustEnqueue(t *testing.T, s *scheduler, r *request) {
 }
 
 func newReq(q string, cs *classState) *request {
-	return &request{query: q, class: cs, cost: EstimateCost(q), done: make(chan answerResult, 1)}
+	return &request{query: q, class: cs, done: make(chan answerResult, 1)}
 }
 
 func batchQueries(batch []*request) []string {
@@ -72,28 +71,6 @@ func TestPriorityOrdersByClassThenArrival(t *testing.T) {
 	}
 }
 
-func TestSJFOrdersByEstimatedCostAnywhereInQueue(t *testing.T) {
-	classes := testClasses(Class{Name: "only"})
-	s := newScheduler(PolicySJF, classes, 16)
-	multiHop := "What is the city of the manager of Item 1?"
-	lookup := "What is the status of Item 2?"
-	fallback := "Anything new about Item 3 today"
-	// The cheap lookup arrives behind the expensive multi-hop; SJF must dig
-	// it out of the middle of the FIFO.
-	mustEnqueue(t, s, newReq(multiHop, classes[0]))
-	mustEnqueue(t, s, newReq(fallback, classes[0]))
-	mustEnqueue(t, s, newReq(lookup, classes[0]))
-	s.mu.Lock()
-	got := batchQueries(s.formBatchLocked())
-	s.mu.Unlock()
-	want := []string{lookup, fallback, multiHop}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sjf order: got %v, want %v", got, want)
-		}
-	}
-}
-
 func TestBoundedQueueRejectsWhenFull(t *testing.T) {
 	classes := testClasses(Class{Name: "tiny", QueueCap: 2})
 	s := newScheduler(PolicyFCFS, classes, 16)
@@ -130,40 +107,5 @@ func TestTimedOutRequestsAreDroppedFromBatches(t *testing.T) {
 	}
 	if kept.state.CompareAndSwap(reqPending, reqTimedOut) {
 		t.Fatal("timeout CAS succeeded on a claimed request")
-	}
-}
-
-func TestEstimateCost(t *testing.T) {
-	cases := []struct {
-		q    string
-		want int
-	}{
-		{"What is the status of CA981?", costLookup},
-		{"What is the city of the manager of Item 3?", costMultiHop},
-		{"Do CA981 and MU588 have the same status?", costComparison},
-		{"Anything new about CA981 today", costFallback},
-	}
-	for _, c := range cases {
-		if got := EstimateCost(c.q); got != c.want {
-			t.Fatalf("EstimateCost(%q) = %d, want %d", c.q, got, c.want)
-		}
-	}
-}
-
-// TestNewRequestCostsOnlyUnderSJF: admitted requests carry their estimated
-// cost when SJF batch formation will read it, and skip the estimate under
-// every other policy.
-func TestNewRequestCostsOnlyUnderSJF(t *testing.T) {
-	const q = "Do CA981 and MU588 have the same status?"
-	for _, policy := range []string{PolicyFCFS, PolicySJF, PolicyPriority} {
-		s, _ := newTestServer(t, Config{Policy: policy})
-		rq := s.newRequest(context.Background(), q, s.sched.classes[0], 0)
-		want := 0
-		if policy == PolicySJF {
-			want = EstimateCost(q)
-		}
-		if rq.cost != want {
-			t.Errorf("policy %s: request cost %d, want %d", policy, rq.cost, want)
-		}
 	}
 }

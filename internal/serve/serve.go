@@ -1,9 +1,8 @@
 // Package serve is the production front door of a MultiRAG deployment: an
 // HTTP/JSON API over System.AskEach / System.IngestFiles with
-// token-bucket admission control per SLO class, pluggable batch-formation
-// policies (FCFS, shortest-job-first by estimated query cost, priority),
-// bounded per-class request queues, and per-class latency / fairness
-// reporting on a metrics endpoint.
+// token-bucket admission control per SLO class, batch formation in arrival
+// (FCFS) or class-priority order, bounded per-class request queues, and
+// per-class latency / fairness reporting on a metrics endpoint.
 //
 // Endpoints:
 //
@@ -105,8 +104,7 @@ const IngestClass = "ingest"
 type Config struct {
 	// System is the deployment to serve. Required.
 	System *multirag.System
-	// Policy selects batch formation: PolicyFCFS (default), PolicySJF or
-	// PolicyPriority.
+	// Policy selects batch formation: PolicyFCFS (default) or PolicyPriority.
 	Policy string
 	// Classes declares the SLO classes (default DefaultClasses). The first
 	// entry is the default class; the entry named IngestClass (added
@@ -130,8 +128,8 @@ type Config struct {
 	// read scale-out and failover. The server does not own the set — the
 	// caller closes it (after Close, before System.Close).
 	Replicas *multirag.ReplicaSet
-	// Route picks the replica-selection policy: RouteRoundRobin (default),
-	// RouteLeastLoaded or RoutePrimaryOnly. Ignored without Replicas.
+	// Route picks the replica-selection policy: RouteRoundRobin (default) or
+	// RoutePrimaryOnly. Ignored without Replicas.
 	Route string
 	// HedgeAfter enables hedged reads: a batch still unanswered after this
 	// delay is dispatched to a second target and the first answer wins
@@ -179,10 +177,10 @@ func New(cfg Config) (*Server, error) {
 	switch cfg.Policy {
 	case "":
 		cfg.Policy = PolicyFCFS
-	case PolicyFCFS, PolicySJF, PolicyPriority:
+	case PolicyFCFS, PolicyPriority:
 	default:
-		return nil, fmt.Errorf("serve: unknown policy %q (want %s, %s or %s)",
-			cfg.Policy, PolicyFCFS, PolicySJF, PolicyPriority)
+		return nil, fmt.Errorf("serve: unknown policy %q (want %s or %s)",
+			cfg.Policy, PolicyFCFS, PolicyPriority)
 	}
 	classes := cfg.Classes
 	if len(classes) == 0 {
@@ -463,6 +461,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	if n := len(req.Queries); n > cs.cfg.QueueCap {
+		writeError(w, http.StatusBadRequest,
+			fmt.Sprintf("batch of %d queries exceeds class %q queue cap of %d", n, cs.cfg.Name, cs.cfg.QueueCap))
+		return
+	}
+	if !admissible(w, cs, len(req.Queries), "queries") {
+		return
+	}
 	if !cs.bucket.take(float64(len(req.Queries)), time.Now()) {
 		s.metrics.rejectAdmission(cs.cfg.Name)
 		writeShed(w, http.StatusTooManyRequests,
@@ -503,9 +509,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // context stays nil and the engine takes its context-free path.
 func (s *Server) newRequest(base context.Context, query string, cs *classState, deadlineMillis int64) *request {
 	rq := &request{query: query, class: cs, done: make(chan answerResult, 1)}
-	if s.sched.policy == PolicySJF {
-		rq.cost = EstimateCost(query) // only SJF batch formation reads it
-	}
 	d := cs.cfg.Deadline
 	if deadlineMillis > 0 {
 		rd := time.Duration(deadlineMillis) * time.Millisecond
@@ -663,6 +666,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cs := s.ingestClass
+	if !admissible(w, cs, len(req.Files), "files") {
+		return
+	}
 	if !cs.bucket.take(float64(len(req.Files)), time.Now()) {
 		s.metrics.rejectAdmission(cs.cfg.Name)
 		writeShed(w, http.StatusTooManyRequests, `admission: class "ingest" over rate`)
@@ -765,6 +771,19 @@ func (s *Server) resolveClass(w http.ResponseWriter, name string) (*classState, 
 		return nil, false
 	}
 	return cs, true
+}
+
+// admissible writes a 400 naming the limit, and returns false, when a
+// request of n units is larger than class cs's admission burst. Such a request
+// can never be admitted, so the 429 + Retry-After an over-rate request gets
+// would have a client that honours it retry forever.
+func admissible(w http.ResponseWriter, cs *classState, n int, unit string) bool {
+	if cs.bucket.admits(float64(n)) {
+		return true
+	}
+	writeError(w, http.StatusBadRequest,
+		fmt.Sprintf("request of %d %s exceeds class %q admission burst of %g", n, unit, cs.cfg.Name, cs.bucket.burst))
+	return false
 }
 
 // maxBodyBytes bounds one request body. It sits far above any legitimate

@@ -180,7 +180,7 @@ func TestServeSmoke(t *testing.T) {
 // identically on both sides).
 func TestServeQueryEquivalence(t *testing.T) {
 	ref := newCorpusSystem(t)
-	_, ts := newTestServer(t, Config{Policy: PolicySJF})
+	_, ts := newTestServer(t, Config{Policy: PolicyPriority})
 
 	queries := []string{
 		"What is the status of CA981?",
@@ -271,7 +271,7 @@ func TestServeIngestBackpressure429(t *testing.T) {
 // across classes and policies — the -race exercise for the scheduler,
 // metrics and admission paths.
 func TestServeConcurrentMixedLoad(t *testing.T) {
-	for _, policy := range []string{PolicyFCFS, PolicySJF, PolicyPriority} {
+	for _, policy := range []string{PolicyFCFS, PolicyPriority} {
 		t.Run(policy, func(t *testing.T) {
 			s, ts := newTestServer(t, Config{Policy: policy, MaxBatch: 8})
 			const clients, perClient = 8, 10
@@ -391,6 +391,68 @@ func TestOversizeBodyRejected(t *testing.T) {
 		resp, out := postJSON(t, ts.URL+"/v1/query", QueryRequest{Query: "What is the status of CA981?"})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("query after oversize %s: status %d: %s", path, resp.StatusCode, out)
+		}
+	}
+}
+
+// TestUnadmittableBatchRejected400: a batch that can never be admitted — more
+// queries than its class's queue cap, more than a rate-limited class's burst,
+// or more ingest files than the ingest bucket's burst — is answered 400 naming
+// the limit, with no Retry-After: a 429 would have a client that honours the
+// header retry it forever. The rejections take no tokens, so requests within
+// the limits are served afterwards.
+func TestUnadmittableBatchRejected400(t *testing.T) {
+	_, ts := newTestServer(t, Config{Classes: []Class{
+		{Name: "interactive", Priority: 2},
+		{Name: "limited", Rate: 1e-9, Burst: 2, Priority: 1},
+		{Name: IngestClass, Rate: 1e-9, Burst: 2},
+	}})
+	queries := func(n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = "What is the status of CA981?"
+		}
+		return out
+	}
+	files := func(n int) []IngestFile {
+		out := make([]IngestFile, n)
+		for i := range out {
+			out[i] = IngestFile{Domain: "flights", Source: "gate-feed", Name: fmt.Sprintf("g%d", i), Format: "kg", Content: "CA981|gate|G12\n"}
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name, path, limit string
+		body              any
+	}{
+		{"over queue cap", "/v1/query/batch", "queue cap of 256", BatchRequest{Queries: queries(257)}},
+		{"over class burst", "/v1/query/batch", "admission burst of 2", BatchRequest{Queries: queries(3), Class: "limited"}},
+		{"over ingest burst", "/v1/ingest", "admission burst of 2", IngestRequest{Files: files(3)}},
+	} {
+		resp, body := postJSON(t, ts.URL+c.path, c.body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d (%s), want 400", c.name, resp.StatusCode, body)
+		}
+		if ra := resp.Header.Get("Retry-After"); ra != "" {
+			t.Fatalf("%s: 400 carries Retry-After %q", c.name, ra)
+		}
+		var er ErrorResponse
+		if err := json.Unmarshal(body, &er); err != nil || !strings.Contains(er.Error, c.limit) {
+			t.Fatalf("%s: error %q does not name the limit %q (%v)", c.name, body, c.limit, err)
+		}
+	}
+
+	for _, c := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/query", QueryRequest{Query: "What is the status of CA981?"}},
+		{"/v1/query/batch", BatchRequest{Queries: queries(256)}},
+		{"/v1/query/batch", BatchRequest{Queries: queries(2), Class: "limited"}},
+		{"/v1/ingest", IngestRequest{Files: files(2)}},
+	} {
+		if resp, body := postJSON(t, ts.URL+c.path, c.body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s after the 400s: status %d (%s), want 200", c.path, resp.StatusCode, body)
 		}
 	}
 }

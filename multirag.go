@@ -51,13 +51,6 @@ type Config struct {
 	// Workers bounds the ingestion worker pool and the AskEach fan-out
 	// (0 = GOMAXPROCS).
 	Workers int
-	// AnswerCache bounds the per-corpus-version answer cache (entries);
-	// 0 disables it. The cache is flushed automatically whenever IngestFiles
-	// commits, so cached answers never reflect a stale corpus. Cache hits
-	// skip the evaluation pipeline, including its online source-authority
-	// learning, so confidence scores on later queries may differ slightly
-	// from an uncached run; answer values for a given corpus do not.
-	AnswerCache int
 	// BreakerFailures is how many consecutive model-call failures trip the
 	// answer-generation/extraction circuit breakers open (0 = default 5).
 	// While open, affected queries return Degraded answers immediately
@@ -144,6 +137,13 @@ type RecoveryInfo struct {
 	Truncated bool `json:"truncated"`
 }
 
+// ErrUnsupportedFormat is wrapped by the error OpenDurable returns for a
+// directory holding a checkpoint or WAL record in an on-disk format this
+// release does not read (format 1, which stored vectors dense). The directory
+// is left untouched; opening it once with a release that still reads format 1
+// rewrites it in the current format.
+var ErrUnsupportedFormat = core.ErrUnsupportedFormat
+
 // OpenDurable opens (or initialises) a durable System backed by dir: every
 // acknowledged IngestFiles batch is written to a write-ahead log and fsync'd
 // before the call returns, and a background checkpointer periodically folds
@@ -193,7 +193,6 @@ func coreConfig(cfg Config) core.Config {
 		MCC:             mcc,
 		DisableMKA:      cfg.DisableMKA,
 		Workers:         cfg.Workers,
-		AnswerCacheSize: cfg.AnswerCache,
 		BreakerFailures: cfg.BreakerFailures,
 		BreakerCooldown: cfg.BreakerCooldown,
 		Ablation: confidence.Options{
