@@ -34,16 +34,18 @@ chaos:
 	$(GO) test -race -count=1 -run '^TestChaos' ./internal/core ./internal/serve ./internal/fault
 
 # chaos-cluster runs the replication chaos suite under the race detector:
-# kill/hang/corrupt one of three WAL-fed read replicas under concurrent query
-# + ingest load, asserting the router sheds to survivors, every served answer
-# stays bit-identical to a single-engine reference, and the fenced replica
-# resyncs back to byte-identical state.
+# kill/stall/corrupt one of three read replicas of a durable primary under
+# concurrent query + ingest load, asserting the router sheds to survivors,
+# every served answer stays bit-identical to a single-engine reference, the
+# stalled replica catches up from the primary's log across two checkpoints,
+# and the fenced replica resyncs back to byte-identical state.
 chaos-cluster:
 	$(GO) test -race -count=1 -run '^TestChaosCluster' ./internal/cluster ./internal/serve
 
 # fuzz-smoke runs each committed fuzz target briefly on top of its seed
 # corpus: the WAL frame parser and field decoder — the code recovery walks
-# over whatever a crash left on disk — the WAL group record and checkpoint
+# over whatever a crash left on disk, and replicas' log cursor over the
+# primary's segments — the WAL group record and checkpoint
 # body decoders behind them (and the replica doors that take the same bytes
 # from a peer; format-1 seeds must be rejected), and the JSON-LD parser every adapter output
 # passes through — plus the allocation-free text primitives held to the forms

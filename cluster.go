@@ -2,49 +2,48 @@ package multirag
 
 import (
 	"context"
+	"errors"
 
 	"multirag/internal/cluster"
+	"multirag/internal/core"
 )
 
 // ReplicaSetConfig sizes a ReplicaSet.
 type ReplicaSetConfig struct {
 	// Replicas is the number of read replicas (default 2).
 	Replicas int
-	// VerifyEvery inserts an anti-entropy digest marker into every replica
-	// feed after this many shipped records (default 16; < 0 disables).
-	VerifyEvery int
-	// QueueLen bounds each replica's feed queue (default 256). An overflowing
-	// replica loses frames, detects the gap and resyncs from the primary.
-	QueueLen int
 }
 
-// ReplicaSet replicates a System onto N in-process read replicas by shipping
-// its committed write-ahead-log records over a feed and replaying them
-// through the same path crash recovery uses. Every replica snapshot is
-// byte-identical to the primary's at the same replication position, so reads
-// routed to replicas return exactly the answers the primary would. Replicas
-// that fall behind, fail a replay, or diverge (caught by periodic digest
-// verification) fence themselves and resync automatically.
+// ReplicaSet serves reads from N in-process replicas of a durable System.
+// Each replica is seeded from the primary's published snapshot and then reads
+// the primary's committed write-ahead-log records and replays them through
+// the same path crash recovery uses, so every replica snapshot is
+// byte-identical to the primary's at the same replication position and reads
+// routed to replicas return exactly the answers the primary would. A replica
+// whose read or replay fails, or whose snapshot digest differs from the
+// primary's at one of the verification points every 16 records, fences
+// itself and resyncs automatically.
 type ReplicaSet struct {
 	c *cluster.Cluster
 }
 
-// NewReplicaSet attaches a replica set to s and starts its feed pumps. Only
-// one ReplicaSet may be attached to a System at a time; Close detaches it.
+// NewReplicaSet seeds a replica set from s and starts its replicas reading
+// s's log. Replicas read the write-ahead log, so s must come from
+// OpenDurable; an in-memory System is refused. Several sets may replicate one
+// System; Close stops one.
 func NewReplicaSet(s *System, cfg ReplicaSetConfig) (*ReplicaSet, error) {
-	c, err := cluster.New(s.inner, cluster.Config{
-		Replicas:    cfg.Replicas,
-		VerifyEvery: cfg.VerifyEvery,
-		QueueLen:    cfg.QueueLen,
-	})
+	c, err := cluster.New(s.inner, cfg.Replicas)
+	if errors.Is(err, core.ErrNotDurable) {
+		return nil, errors.New("multirag: replicas read the primary's write-ahead log, so they need a System opened with OpenDurable (multirag serve -data-dir)")
+	}
 	if err != nil {
 		return nil, err
 	}
 	return &ReplicaSet{c: c}, nil
 }
 
-// Close detaches from the primary and stops every replica. Safe to call more
-// than once; call it before closing the System underneath.
+// Close stops every replica and releases the log segments they kept. Safe to
+// call more than once; call it before closing the System underneath.
 func (rs *ReplicaSet) Close() { rs.c.Close() }
 
 // CommittedLSN is the primary's replication position — the coordinate
@@ -71,13 +70,14 @@ type ReplicaStatus struct {
 	AppliedLSN uint64 `json:"applied_lsn"`
 	// Lag is committed minus applied at snapshot time.
 	Lag uint64 `json:"lag"`
-	// Verified counts anti-entropy digest markers that matched.
+	// Verified counts verification points at which the replica's snapshot
+	// digest matched the primary's.
 	Verified uint64 `json:"verified"`
-	// Divergences counts digest markers that did not (each forced a resync).
+	// Divergences counts points at which it did not (each forced a resync).
 	Divergences uint64 `json:"divergences"`
 	// Resyncs counts fence→reseed cycles for any reason.
 	Resyncs uint64 `json:"resyncs"`
-	// DroppedFrames counts feed frames dropped on queue overflow.
+	// DroppedFrames is always 0: replicas read the log, which drops nothing.
 	DroppedFrames uint64 `json:"dropped_frames"`
 	// FenceReason is why the replica is currently fenced, if it is.
 	FenceReason string `json:"fence_reason,omitempty"`
@@ -89,15 +89,14 @@ func (rs *ReplicaSet) Status() []ReplicaStatus {
 	out := make([]ReplicaStatus, len(inner))
 	for i, st := range inner {
 		out[i] = ReplicaStatus{
-			Name:          st.Name,
-			State:         st.State,
-			AppliedLSN:    st.Applied,
-			Lag:           st.Lag,
-			Verified:      st.Verified,
-			Divergences:   st.Divergences,
-			Resyncs:       st.Resyncs,
-			DroppedFrames: st.Dropped,
-			FenceReason:   st.FenceReason,
+			Name:        st.Name,
+			State:       st.State,
+			AppliedLSN:  st.Applied,
+			Lag:         st.Lag,
+			Verified:    st.Verified,
+			Divergences: st.Divergences,
+			Resyncs:     st.Resyncs,
+			FenceReason: st.FenceReason,
 		}
 	}
 	return out
@@ -111,8 +110,8 @@ type Replica struct {
 // Name identifies the replica ("replica-0", ...).
 func (r *Replica) Name() string { return r.r.Name() }
 
-// Live reports whether the replica is applying its feed and fit to serve
-// (not fenced or mid-resync).
+// Live reports whether the replica is reading the primary's log and fit to
+// serve (not fenced or mid-resync).
 func (r *Replica) Live() bool { return r.r.State() == cluster.StateLive }
 
 // Position is the replication position the replica has applied through.

@@ -61,14 +61,14 @@ so a restart resumes the exact corpus. SIGINT/SIGTERM drain gracefully:
 in-flight requests finish, the WAL is flushed into a final checkpoint, then
 the process exits. Inspect or repair a directory with "multirag recover".
 
-With -replicas N, reads are served from N in-process replicas fed by the
-primary's committed WAL records and kept byte-identical by periodic
-anti-entropy digest checks. -route picks the policy (round-robin or
-primary-only); -max-lag bounds replica staleness (laggards
-fail over to the primary); -hedge-after dispatches a second copy of a slow
-read to another replica and returns whichever answers first. Replica
-health, lag, resync and hedging counters appear under "router" in
-/v1/metrics.
+With -replicas N (needs -data-dir), reads are served from N in-process
+replicas that read and replay the primary's write-ahead log, byte-identical
+to it at every position and checked by snapshot digest every 16 records.
+-route picks the policy (round-robin or primary-only); -max-lag
+bounds replica staleness (laggards fail over to the primary); -hedge-after
+dispatches a second copy of a slow read to another replica and returns
+whichever answers first. Replica health, lag, resync and hedging counters
+appear under "router" in /v1/metrics.
 
 Flags:
 `)
@@ -93,7 +93,7 @@ Flags:
 		degrade      = fs.Bool("degrade", true, "deliver partial answers as 200 + degraded when a request's deadline expires mid-evaluation (false = fail with 504)")
 		brkFailures  = fs.Int("breaker-failures", 0, "consecutive model-call failures that trip a circuit breaker (0 = default)")
 		brkCooldown  = fs.Duration("breaker-cooldown", 0, "open-breaker cooldown before a half-open probe (0 = default)")
-		replicas     = fs.Int("replicas", 0, "read replicas fed from the primary's committed WAL records (0 = serve reads from the primary)")
+		replicas     = fs.Int("replicas", 0, "read replicas that replay the primary's write-ahead log; needs -data-dir (0 = serve reads from the primary)")
 		route        = fs.String("route", serve.RouteRoundRobin, "replica read-routing policy: round-robin or primary-only")
 		hedgeAfter   = fs.Duration("hedge-after", 0, "dispatch a hedged copy of a read to a second replica after this delay; first answer wins (0 = no hedging)")
 		maxLag       = fs.Uint64("max-lag", 0, "staleness bound in commit groups; reads fail over to the primary when a replica lags further (0 = default)")

@@ -47,14 +47,16 @@
 // OpenDurable with ErrUnsupportedFormat and is left untouched. See DESIGN.md
 // §9.
 //
-// Read capacity scales out with NewReplicaSet: the primary ships every
-// committed WAL record over a per-replica feed and each replica replays it
-// through the same path crash recovery uses, so replica state is
-// byte-identical to the primary's at the same position — verified online by
-// periodic anti-entropy digest markers. A replica that drops frames, fails a
-// replay or diverges fences itself and resyncs from a primary snapshot. The
-// serving layer routes reads across the set (CLI: `multirag serve -replicas
-// N -route round-robin|primary-only`), bounds staleness
+// Read capacity scales out with NewReplicaSet over a durable System: each
+// replica is seeded from the primary's published snapshot, then reads the
+// primary's committed WAL records and replays them through the same path
+// crash recovery uses, so replica state is byte-identical to the primary's at
+// the same position — verified online by comparing snapshot digests every 16
+// records. A slow replica just reads further behind, its retention lease
+// keeping the log it still needs; one whose read or replay fails, or whose
+// digest differs, fences itself and reseeds from the primary. The serving
+// layer routes reads across the set (CLI: `multirag serve -data-dir D
+// -replicas N -route round-robin|primary-only`), bounds staleness
 // (-max-lag, laggards fail over to the primary), health-checks replicas
 // behind per-replica circuit breakers, and optionally hedges slow reads onto
 // a second replica (-hedge-after), returning whichever answer lands first

@@ -10,12 +10,13 @@ import (
 
 	"multirag/internal/core"
 	"multirag/internal/fault"
+	"multirag/internal/wal"
 )
 
 // chaosQueries are the base-corpus questions whose answers are pinned against
 // a single-engine reference. Concurrent filler ingest touches only unrelated
-// entities, so these answers are independent of how far any replica has
-// applied the feed.
+// entities, so these answers are independent of how far any replica has read
+// the log.
 var chaosQueries = []string{
 	"What is the status of CA981?",
 	"What is the delay reason of CA981?",
@@ -55,11 +56,13 @@ func chaosAnswersEqual(a, b core.Answer) bool {
 
 // TestChaosClusterReplicaFaults is the tentpole chaos scenario: a 3-replica
 // cluster under concurrent query + ingest load while one replica is killed
-// (replay fault), hung (feed stall with queue overflow), or silently
-// corrupted (state swap caught by anti-entropy). Throughout, every answer any
-// replica returns is value-identical to a single-engine reference; afterwards
-// the faulted replica has fenced, resynced, and converged byte-identical to
-// the primary.
+// (replay fault), hung (stalled before its next read while the primary
+// commits on and checkpoints), or silently corrupted (state swap caught by
+// anti-entropy at the next verification point). Throughout, every answer any
+// replica returns is value-identical to a single-engine reference;
+// afterwards every replica has converged byte-identical to the primary — the
+// killed and the corrupted one by fencing and resyncing, the hung one by
+// reading the log it missed.
 func TestChaosClusterReplicaFaults(t *testing.T) {
 	scenarios := []struct {
 		name string
@@ -70,6 +73,7 @@ func TestChaosClusterReplicaFaults(t *testing.T) {
 		// anti-entropy fences it; its querier is skipped (the router-level
 		// chaos suite covers shedding). -1 means every replica is compared.
 		corruptIdx int
+		resyncs    bool // the fault must end in a fence and resync
 	}{
 		{
 			name: "kill-replay",
@@ -79,30 +83,23 @@ func TestChaosClusterReplicaFaults(t *testing.T) {
 			hit:        func(*Cluster) bool { return fault.Hits(fault.PointClusterReplay) >= 1 },
 			heal:       func() {},
 			corruptIdx: -1,
+			resyncs:    true,
 		},
 		{
-			name: "hang-feed",
+			name: "hang-replay",
 			arm: func(*Cluster) {
-				fault.Enable(fault.PointClusterFeed, fault.Fault{Kind: fault.KindHang, MaxHits: 1})
+				fault.Enable(fault.PointClusterReplay, fault.Fault{Kind: fault.KindHang, MaxHits: 1})
 			},
-			// The hung pump must back its queue up until frames actually drop,
-			// or healing could catch up without ever fencing.
-			hit: func(c *Cluster) bool {
-				for _, r := range c.Replicas() {
-					if r.Status(c.CommittedLSN()).Dropped > 0 {
-						return true
-					}
-				}
-				return false
-			},
-			heal:       func() { fault.Disable(fault.PointClusterFeed) },
+			hit:        func(*Cluster) bool { return fault.Hits(fault.PointClusterReplay) >= 1 },
+			heal:       func() { fault.Disable(fault.PointClusterReplay) },
 			corruptIdx: -1,
 		},
 		{
 			name: "corrupt-state",
 			arm: func(c *Cluster) {
 				// Swap one replica's state for a snapshot that never came from
-				// this primary — only the digest markers can catch this.
+				// this primary — only the digest check at the next
+				// verification point can catch this.
 				other := core.NewSystem(testConfig())
 				if _, err := other.Ingest(fillerBatch(999)); err != nil {
 					t.Fatalf("Ingest other: %v", err)
@@ -117,6 +114,7 @@ func TestChaosClusterReplicaFaults(t *testing.T) {
 			},
 			heal:       func() {},
 			corruptIdx: 0,
+			resyncs:    true,
 		},
 	}
 
@@ -125,19 +123,13 @@ func TestChaosClusterReplicaFaults(t *testing.T) {
 			defer fault.Reset()
 			baseGoroutines := runtime.NumGoroutine()
 
-			primary := core.NewSystem(testConfig())
+			primary := openPrimary(t, wal.NewMemFS())
 			reference := core.NewSystem(testConfig())
-			for _, b := range corpusBatches() {
-				if _, err := primary.Ingest(b); err != nil {
-					t.Fatalf("Ingest primary: %v", err)
-				}
-				if _, err := reference.Ingest(b); err != nil {
-					t.Fatalf("Ingest reference: %v", err)
-				}
-			}
+			ingest(t, primary, corpusBatches()...)
+			ingest(t, reference, corpusBatches()...)
 			want := reference.QueryEach(nil, chaosQueries)
 
-			c, err := New(primary, Config{Replicas: 3, VerifyEvery: 1, QueueLen: 64})
+			c, err := New(primary, 3)
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
@@ -188,28 +180,19 @@ func TestChaosClusterReplicaFaults(t *testing.T) {
 				}(r)
 			}
 			waitFor(t, "fault to land under load", func() bool { return sc.hit(c) })
-			time.Sleep(50 * time.Millisecond)
+			// Checkpoints while the fault is live: a stalled replica's lease
+			// must keep the log it has yet to read.
+			for i := 0; i < 2; i++ {
+				lsn := primary.ReplicationLSN()
+				waitFor(t, "commits under load", func() bool { return primary.ReplicationLSN() > lsn+4 })
+				if err := primary.Checkpoint(); err != nil {
+					t.Fatalf("Checkpoint under load: %v", err)
+				}
+			}
 			close(stop)
 			wg.Wait()
 			sc.heal()
-
-			// Heal: keep committing until every replica is live at the
-			// primary's position (a dropped frame only surfaces as a gap when
-			// a later frame arrives).
-			poke := 10_000
-			waitFor(t, "all replicas live and caught up", func() bool {
-				committed := c.CommittedLSN()
-				for _, r := range c.Replicas() {
-					if r.State() != StateLive || r.Position() != committed {
-						if _, err := primary.Ingest(fillerBatch(poke)); err != nil {
-							t.Fatalf("Ingest poke: %v", err)
-						}
-						poke++
-						return false
-					}
-				}
-				return true
-			})
+			waitCaughtUp(t, c)
 
 			wantBytes := stateBytes(primary)
 			var resyncs, divergences uint64
@@ -221,8 +204,11 @@ func TestChaosClusterReplicaFaults(t *testing.T) {
 				resyncs += st.Resyncs
 				divergences += st.Divergences
 			}
-			if resyncs == 0 {
+			if sc.resyncs && resyncs == 0 {
 				t.Fatal("no replica fenced and resynced under the injected fault")
+			}
+			if !sc.resyncs && resyncs != 0 {
+				t.Fatalf("%d resyncs; a stalled replica must catch up from the log", resyncs)
 			}
 			if sc.name == "corrupt-state" && divergences == 0 {
 				t.Fatal("anti-entropy never caught the corrupted replica")
@@ -234,6 +220,7 @@ func TestChaosClusterReplicaFaults(t *testing.T) {
 			}
 
 			c.Close()
+			primary.Close()
 			waitClusterGoroutines(t, baseGoroutines)
 		})
 	}

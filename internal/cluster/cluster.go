@@ -1,246 +1,69 @@
-// Package cluster replicates a primary engine onto N read replicas by
-// shipping its committed WAL records over an in-process feed and replaying
-// them through the same decode/replay path crash recovery uses. The
-// replication invariant — every replica snapshot is byte-identical to the
-// primary's at the same position — is what lets the serving router spread
-// reads across replicas without changing a single answer bit.
+// Package cluster serves reads from N in-process replicas of a durable
+// primary. A replica is recovery that does not stop: it is seeded once from
+// the primary's published snapshot at a captured WAL position, then reads the
+// primary's committed records out of its WAL segments and replays each
+// through the decode/replay path crash recovery uses. The replication
+// invariant — every replica snapshot is byte-identical to the primary's at
+// the same position — is what lets the serving router spread reads across
+// replicas without changing a single answer bit.
 //
-// The feed is interface-shaped (Feed) so a socket transport can slot in
-// later, but the only implementation today is a bounded in-process channel.
-// Delivery is at-most-once by design: a sink must never stall the primary's
-// commit path, so an overflowing queue drops frames and the replica detects
-// the resulting LSN gap, fences itself, and resyncs from the primary's
-// current snapshot. Anti-entropy markers (a lazy digest of the primary's
-// snapshot every VerifyEvery records) catch the failures gap detection
-// cannot: a replica that applied every record but diverged anyway fences and
-// resyncs the same way.
+// The log is the only delivery path, so nothing is ever dropped: a slow
+// replica reads further behind, and its WAL retention lease keeps the
+// segments it still needs through checkpoint pruning. A replica fences itself
+// for one of two reasons — a read or replay error, or a digest that differs
+// from the primary's at one of its verification points (every 16 records) —
+// and resyncs the way it was seeded.
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"multirag/internal/core"
 )
 
-// Frame is one feed message. Record frames carry a WAL record payload at a
-// position; marker frames (nil Payload) carry a lazily computed anti-entropy
-// digest of the primary snapshot at that position. The digest is a func so
-// the commit path never serializes a snapshot — the first replica to verify
-// the marker pays the encode, memoized for its siblings.
-type Frame struct {
-	// LSN is the record's replication position, or for a marker the position
-	// a verifying replica must have reached (one past the last record the
-	// digest covers).
-	LSN uint64
-	// Payload is the encoded WAL record; nil marks a digest marker.
-	Payload []byte
-	// Digest returns the primary's snapshot digest at LSN (markers only).
-	Digest func() uint64
-}
-
-// Feed is one replica's inbound frame queue. Offer must never block — it is
-// called under the primary's commit lock — and reports false when the frame
-// was dropped instead of queued. Drain discards everything queued (resync
-// preparation; the cluster serializes Drain against Offer).
-type Feed interface {
-	Offer(f Frame) bool
-	Frames() <-chan Frame
-	Drain()
-	Dropped() uint64
-}
-
-// chanFeed is the in-process Feed: a bounded channel with drop-on-overflow.
-type chanFeed struct {
-	ch      chan Frame
-	dropped atomic.Uint64
-}
-
-func newChanFeed(n int) *chanFeed { return &chanFeed{ch: make(chan Frame, n)} }
-
-func (f *chanFeed) Offer(fr Frame) bool {
-	select {
-	case f.ch <- fr:
-		return true
-	default:
-		f.dropped.Add(1)
-		return false
-	}
-}
-
-func (f *chanFeed) Frames() <-chan Frame { return f.ch }
-
-func (f *chanFeed) Drain() {
-	for {
-		select {
-		case <-f.ch:
-		default:
-			return
-		}
-	}
-}
-
-func (f *chanFeed) Dropped() uint64 { return f.dropped.Load() }
-
-// Config sizes a Cluster.
-type Config struct {
-	// Replicas is the number of read replicas (default 2).
-	Replicas int
-	// VerifyEvery inserts an anti-entropy digest marker into every feed after
-	// this many shipped records (default 16; < 0 disables markers).
-	VerifyEvery int
-	// QueueLen bounds each replica's feed queue (default 256). A replica
-	// whose queue overflows loses frames, detects the gap, and resyncs.
-	QueueLen int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Replicas <= 0 {
-		c.Replicas = 2
-	}
-	if c.VerifyEvery == 0 {
-		c.VerifyEvery = 16
-	}
-	if c.QueueLen <= 0 {
-		c.QueueLen = 256
-	}
-	return c
-}
-
-// Cluster owns the primary's replication sink and the replica set. It is the
-// fan-out point: one ShipRecord call from the primary becomes one Offer per
-// replica feed.
-//
-// Lock order: the primary's commit lock is held around ShipRecord, which
-// takes c.mu — so nothing may call into the primary (lease methods included)
-// while holding c.mu.
+// Cluster is a primary and its replica set.
 type Cluster struct {
-	primary *core.System
-	cfg     Config
-	lease   *core.WALLease
-
-	mu sync.Mutex
-	// lastLSN is the position after the newest shipped record; lastState the
-	// snapshot at that position. Together they are the resync source: a
-	// fencing replica reseeds from (lastState, lastLSN) and resumes the feed.
-	lastLSN   uint64
-	lastState core.SnapshotHandle
-	sinceMark int
+	primary   *core.System
 	replicas  []*Replica
-	closed    bool
+	closeOnce sync.Once
 }
 
-// New attaches to primary as its replication sink, builds cfg.Replicas
-// read replicas seeded from the attach-time snapshot, and starts their feed
-// pumps. The attach capture is atomic with the subscription, so no commit
-// falls between the seed and the first shipped record. A WAL retention lease
-// pins the primary's segments at the slowest replica's position (inert on
-// in-memory primaries).
-func New(primary *core.System, cfg Config) (*Cluster, error) {
-	cfg = cfg.withDefaults()
-	c := &Cluster{primary: primary, cfg: cfg}
-	handle, lsn, err := primary.AttachReplication(c)
+// New seeds n read replicas (2 when n <= 0) from one capture of primary's
+// published snapshot and starts them reading its log. The primary must be
+// durable: an in-memory one has no log, and New returns core.ErrNotDurable.
+func New(primary *core.System, n int) (*Cluster, error) {
+	if n <= 0 {
+		n = 2
+	}
+	handle, lsn, lease, err := primary.ReplicationSeed()
 	if err != nil {
 		return nil, err
 	}
-	c.lastLSN = lsn
-	c.lastState = handle
-	c.lease = primary.AcquireWALLease(lsn)
-
-	rcfg := primary.Config()
 	seed := handle.Encode()
-	for i := 0; i < cfg.Replicas; i++ {
-		r := newReplica(c, fmt.Sprintf("replica-%d", i), core.NewSystem(rcfg), cfg.QueueLen)
+	c := &Cluster{primary: primary}
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			lease = primary.AcquireWALLease(lsn) // the first lease holds lsn already
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		r := &Replica{primary: primary, name: fmt.Sprintf("replica-%d", i), sys: core.NewSystem(primary.Config()),
+			lease: lease, ctx: ctx, cancel: cancel, done: make(chan struct{})}
 		if err := r.sys.SeedReplica(seed, lsn); err != nil {
+			lease.Release()
 			c.Close()
 			return nil, fmt.Errorf("cluster: seed %s: %w", r.name, err)
 		}
-		r.next = lsn
 		r.applied.Store(lsn)
-		c.mu.Lock()
 		c.replicas = append(c.replicas, r)
-		c.mu.Unlock()
-		go r.pump()
+		go r.run()
 	}
 	return c, nil
 }
 
-// ShipRecord implements core.ReplicationSink: fan the record out to every
-// replica feed, plus a digest marker every VerifyEvery records. Runs under
-// the primary's commit lock — everything here is non-blocking (bounded
-// queues, drop on overflow), and the marker digest is deferred to the first
-// replica that verifies it.
-func (c *Cluster) ShipRecord(lsn uint64, payload []byte, after core.SnapshotHandle) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.lastLSN = lsn + 1
-	c.lastState = after
-	frames := make([]Frame, 1, 2)
-	frames[0] = Frame{LSN: lsn, Payload: payload}
-	if c.cfg.VerifyEvery > 0 {
-		c.sinceMark++
-		if c.sinceMark >= c.cfg.VerifyEvery {
-			c.sinceMark = 0
-			frames = append(frames, Frame{LSN: lsn + 1, Digest: sync.OnceValue(after.Digest)})
-		}
-	}
-	for _, r := range c.replicas {
-		for _, f := range frames {
-			if !r.feed.Offer(f) {
-				break // queue full: drop; the replica fences on the gap
-			}
-		}
-	}
-	c.mu.Unlock()
-}
-
-// captureAndDrain prepares one replica's resync: under c.mu (serializing
-// against ShipRecord's enqueues) its queue is emptied and its expected
-// position jumped to the newest shipped position, then the matching snapshot
-// handle is returned for the caller to encode and seed off-lock. Any frame
-// shipped after the capture has LSN >= the returned position, so the resynced
-// replica resumes with no gap.
-func (c *Cluster) captureAndDrain(r *Replica) (core.SnapshotHandle, uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r.feed.Drain()
-	r.mu.Lock()
-	r.next = c.lastLSN
-	r.mu.Unlock()
-	return c.lastState, c.lastLSN
-}
-
-// advanceLease raises the WAL retention lease to the slowest replica's
-// position. Called by replicas after applying; the lease call happens after
-// c.mu is released (lease methods take the primary's lock — see lock order).
-func (c *Cluster) advanceLease() {
-	c.mu.Lock()
-	floor := c.lastLSN
-	for _, r := range c.replicas {
-		if p := r.Position(); p < floor {
-			floor = p
-		}
-	}
-	lease := c.lease
-	c.mu.Unlock()
-	if lease != nil {
-		lease.Advance(floor)
-	}
-}
-
-// Primary returns the engine the cluster replicates.
-func (c *Cluster) Primary() *core.System { return c.primary }
-
-// Replicas returns the replica set (fixed after New).
-func (c *Cluster) Replicas() []*Replica {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]*Replica(nil), c.replicas...)
-}
+// Replicas returns the replica set, fixed after New.
+func (c *Cluster) Replicas() []*Replica { return c.replicas }
 
 // CommittedLSN is the primary's replication position — what the router's
 // bounded-staleness guard compares replica positions against.
@@ -249,35 +72,24 @@ func (c *Cluster) CommittedLSN() uint64 { return c.primary.ReplicationLSN() }
 // Status snapshots every replica for metrics and the CLI.
 func (c *Cluster) Status() []ReplicaStatus {
 	committed := c.CommittedLSN()
-	replicas := c.Replicas()
-	out := make([]ReplicaStatus, len(replicas))
-	for i, r := range replicas {
+	out := make([]ReplicaStatus, len(c.replicas))
+	for i, r := range c.replicas {
 		out[i] = r.Status(committed)
 	}
 	return out
 }
 
-// Close detaches from the primary, stops every replica pump, and releases
-// the retention lease. Safe to call more than once.
+// Close stops every replica and releases its retention lease. Safe to call
+// more than once.
 func (c *Cluster) Close() {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.closed = true
-	replicas := append([]*Replica(nil), c.replicas...)
-	c.mu.Unlock()
-
-	c.primary.DetachReplication()
-	for _, r := range replicas {
-		r.cancel()
-	}
-	for _, r := range replicas {
-		<-r.done
-		r.sys.Close()
-	}
-	if c.lease != nil {
-		c.lease.Release()
-	}
+	c.closeOnce.Do(func() {
+		for _, r := range c.replicas {
+			r.cancel()
+		}
+		for _, r := range c.replicas {
+			<-r.done
+			r.sys.Close()
+			r.lease.Release()
+		}
+	})
 }

@@ -3,8 +3,12 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -22,8 +26,21 @@ func testConfig() core.Config {
 	return core.Config{LLM: llm.Config{Seed: 1, ExtractionNoise: 0, BaseHallucination: 0.02, ConflictSensitivity: 0.6}}
 }
 
+const dataDir = "data"
+
+// openPrimary opens a durable primary on fs and closes it when the test ends.
+func openPrimary(t *testing.T, fs *wal.MemFS) *core.System {
+	t.Helper()
+	primary, _, err := core.OpenFS(fs, dataDir, testConfig())
+	if err != nil {
+		t.Fatalf("OpenFS: %v", err)
+	}
+	t.Cleanup(func() { primary.Close() })
+	return primary
+}
+
 // corpusBatches is the case-study corpus split into three ingest batches, so
-// tests exercise multiple shipped records.
+// tests exercise multiple logged records.
 func corpusBatches() [][]adapter.RawFile {
 	files := []adapter.RawFile{
 		{Domain: "flights", Source: "airport-api", Name: "schedule", Format: "csv",
@@ -45,6 +62,15 @@ func fillerBatch(i int) []adapter.RawFile {
 		Content: []byte(fmt.Sprintf("The status of XX%03d is Scheduled.", i))}}
 }
 
+func ingest(t *testing.T, s *core.System, batches ...[]adapter.RawFile) {
+	t.Helper()
+	for _, b := range batches {
+		if _, err := s.Ingest(b); err != nil {
+			t.Fatalf("Ingest: %v", err)
+		}
+	}
+}
+
 // waitFor polls until cond holds or the deadline passes.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -57,8 +83,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// waitCaughtUp waits until every live replica has applied the primary's
-// committed position.
+// waitCaughtUp waits until every replica is live at the primary's committed
+// position.
 func waitCaughtUp(t *testing.T, c *Cluster) {
 	t.Helper()
 	waitFor(t, "replicas to catch up", func() bool {
@@ -74,110 +100,84 @@ func waitCaughtUp(t *testing.T, c *Cluster) {
 
 func stateBytes(s *core.System) []byte { return s.ServingHandle().Encode() }
 
+// requireIdentical fails unless every replica holds the primary's state.
+func requireIdentical(t *testing.T, c *Cluster) {
+	t.Helper()
+	want := stateBytes(c.primary)
+	for _, r := range c.Replicas() {
+		if !bytes.Equal(stateBytes(r.System()), want) {
+			t.Fatalf("%s snapshot differs from primary", r.Name())
+		}
+	}
+}
+
+// ingestPast commits filler batches until the primary's position is past lsn.
+func ingestPast(t *testing.T, s *core.System, lsn uint64) {
+	t.Helper()
+	for i := 0; s.ReplicationLSN() <= lsn; i++ {
+		ingest(t, s, fillerBatch(i))
+	}
+}
+
 // TestClusterReplicasByteIdentical pins the tentpole invariant end to end:
-// replicas fed through the in-process channel hold snapshots byte-identical
-// to the primary's after every batch, verify anti-entropy markers, and
-// answer queries identically.
+// replicas reading the primary's log — across a checkpoint's rotation and
+// pruning — hold snapshots byte-identical to the primary's after every
+// batch, verify its digest at the first verification point, and answer
+// queries identically.
 func TestClusterReplicasByteIdentical(t *testing.T) {
-	primary := core.NewSystem(testConfig())
-	c, err := New(primary, Config{Replicas: 3, VerifyEvery: 1})
+	primary := openPrimary(t, wal.NewMemFS())
+	c, err := New(primary, 3)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	defer c.Close()
 
-	for _, b := range corpusBatches() {
-		if _, err := primary.Ingest(b); err != nil {
-			t.Fatalf("Ingest: %v", err)
+	for i, b := range corpusBatches() {
+		ingest(t, primary, b)
+		if i == 0 {
+			if err := primary.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
 		}
+		waitCaughtUp(t, c)
+		requireIdentical(t, c)
 	}
+	ingestPast(t, primary, 16)
 	waitCaughtUp(t, c)
+	requireIdentical(t, c)
 
-	want := stateBytes(primary)
 	wantAns := primary.Query("What is the status of CA981?")
 	for _, r := range c.Replicas() {
-		if !bytes.Equal(stateBytes(r.System()), want) {
-			t.Fatalf("%s snapshot differs from primary", r.Name())
-		}
 		got := r.AskEach([]context.Context{nil}, []string{"What is the status of CA981?"})[0]
 		if got.Found != wantAns.Found || len(got.Values) != len(wantAns.Values) || got.Values[0] != wantAns.Values[0] {
 			t.Fatalf("%s answer %+v differs from primary %+v", r.Name(), got, wantAns)
 		}
 		st := r.Status(c.CommittedLSN())
-		if st.Verified == 0 {
-			t.Fatalf("%s verified no anti-entropy markers: %+v", r.Name(), st)
+		if st.Verified != 1 {
+			t.Fatalf("%s verified %d points, want 1: %+v", r.Name(), st.Verified, st)
 		}
 		if st.Divergences != 0 || st.Resyncs != 0 {
-			t.Fatalf("%s fenced on a healthy feed: %+v", r.Name(), st)
+			t.Fatalf("%s fenced on a healthy log: %+v", r.Name(), st)
 		}
 	}
 }
 
-// TestClusterOverflowFencesAndResyncs pins at-most-once delivery: a pump
-// hung at the feed fault point backs its one-slot queue up until frames
-// drop; on release the replica sees the LSN gap, fences, resyncs from the
-// primary's snapshot, and converges byte-identical.
-func TestClusterOverflowFencesAndResyncs(t *testing.T) {
-	defer fault.Reset()
-	primary := core.NewSystem(testConfig())
-	c, err := New(primary, Config{Replicas: 1, VerifyEvery: -1, QueueLen: 1})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer c.Close()
-	r := c.Replicas()[0]
-
-	batches := corpusBatches()
-	if _, err := primary.Ingest(batches[0]); err != nil {
-		t.Fatalf("Ingest: %v", err)
-	}
-	waitCaughtUp(t, c)
-
-	fault.Enable(fault.PointClusterFeed, fault.Fault{Kind: fault.KindHang})
-	if _, err := primary.Ingest(batches[1]); err != nil {
-		t.Fatalf("Ingest: %v", err)
-	}
-	waitFor(t, "pump to hang on the fault", func() bool { return fault.Hits(fault.PointClusterFeed) >= 1 })
-	// The pump holds one frame; the queue holds one more; the rest drop.
-	for i := 0; i < 3; i++ {
-		if _, err := primary.Ingest(fillerBatch(i)); err != nil {
-			t.Fatalf("Ingest filler: %v", err)
-		}
-	}
-	waitFor(t, "queue overflow", func() bool { return r.Status(c.CommittedLSN()).Dropped > 0 })
-	fault.Disable(fault.PointClusterFeed)
-
-	// A dropped frame only surfaces when a later frame exposes the LSN gap —
-	// and that later frame can itself be dropped while the pump drains the
-	// backlog. Keep committing until the replica fences and resyncs.
-	poke := 100
-	waitFor(t, "fence and resync after dropped frames", func() bool {
-		if r.Status(c.CommittedLSN()).Resyncs >= 1 {
-			return true
-		}
-		if _, err := primary.Ingest(fillerBatch(poke)); err != nil {
-			t.Fatalf("Ingest poke: %v", err)
-		}
-		poke++
-		return false
-	})
-	waitCaughtUp(t, c)
-	st := r.Status(c.CommittedLSN())
-	if st.Resyncs == 0 {
-		t.Fatalf("replica never resynced after dropped frames: %+v", st)
-	}
-	if !bytes.Equal(stateBytes(r.System()), stateBytes(primary)) {
-		t.Fatal("resynced replica differs from primary")
+// TestClusterNeedsDurablePrimary: replicas read the log, so an in-memory
+// primary, which has none, cannot be replicated.
+func TestClusterNeedsDurablePrimary(t *testing.T) {
+	if _, err := New(core.NewSystem(testConfig()), 1); !errors.Is(err, core.ErrNotDurable) {
+		t.Fatalf("New on an in-memory primary: %v, want ErrNotDurable", err)
 	}
 }
 
-// TestClusterAntiEntropyCatchesDivergence pins the verification tier:
-// a replica whose state is silently corrupted (reseeded with a snapshot
-// that never came from this primary) passes LSN checks but fails the next
-// digest marker, self-fences, and rejoins byte-identical.
+// TestClusterAntiEntropyCatchesDivergence pins the verification tier: a
+// replica whose state is silently corrupted (reseeded with a snapshot that
+// never came from this primary) reads and replays every record fine, but
+// fails the digest check at the next verification point, self-fences, and
+// rejoins byte-identical.
 func TestClusterAntiEntropyCatchesDivergence(t *testing.T) {
-	primary := core.NewSystem(testConfig())
-	c, err := New(primary, Config{Replicas: 1, VerifyEvery: 1})
+	primary := openPrimary(t, wal.NewMemFS())
+	c, err := New(primary, 1)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -185,36 +185,32 @@ func TestClusterAntiEntropyCatchesDivergence(t *testing.T) {
 	r := c.Replicas()[0]
 
 	batches := corpusBatches()
-	if _, err := primary.Ingest(batches[0]); err != nil {
-		t.Fatalf("Ingest: %v", err)
-	}
+	ingest(t, primary, batches[0])
 	waitCaughtUp(t, c)
 
 	// Corrupt the replica in place: seed it with a different engine's state
-	// at the same position. Position checks cannot see this.
+	// at the same position. Reading the log cannot see this.
 	other := core.NewSystem(testConfig())
-	if _, err := other.Ingest(fillerBatch(999)); err != nil {
-		t.Fatalf("Ingest other: %v", err)
-	}
+	ingest(t, other, fillerBatch(999))
 	if err := r.System().SeedReplica(stateBytes(other), r.Position()); err != nil {
 		t.Fatalf("corrupting seed: %v", err)
 	}
 
-	if _, err := primary.Ingest(batches[1]); err != nil {
-		t.Fatalf("Ingest: %v", err)
-	}
+	ingest(t, primary, batches[1])
+	ingestPast(t, primary, 16)
 	waitFor(t, "anti-entropy divergence", func() bool { return r.Status(c.CommittedLSN()).Divergences >= 1 })
 	waitCaughtUp(t, c)
-	if !bytes.Equal(stateBytes(r.System()), stateBytes(primary)) {
-		t.Fatal("replica differs from primary after divergence resync")
+	requireIdentical(t, c)
+	if st := r.Status(c.CommittedLSN()); st.Resyncs != 1 {
+		t.Fatalf("replica resynced %d times, want 1: %+v", st.Resyncs, st)
 	}
 }
 
 // TestClusterProbeReflectsState pins the router's re-admission contract.
 func TestClusterProbeReflectsState(t *testing.T) {
 	defer fault.Reset()
-	primary := core.NewSystem(testConfig())
-	c, err := New(primary, Config{Replicas: 1})
+	primary := openPrimary(t, wal.NewMemFS())
+	c, err := New(primary, 1)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -240,62 +236,55 @@ func TestClusterProbeReflectsState(t *testing.T) {
 }
 
 // TestClusterDurablePrimaryLeasesWAL pins the retention contract end to end:
-// with a hung replica the feed lease holds every WAL segment it still needs
-// across a checkpoint; once the replica resyncs, the next checkpoint prunes.
+// a replica hung mid-stream holds its lease, so checkpoints — two, so not even
+// the fallback checkpoint's tail keeps the log — prune nothing it still needs;
+// released, it catches up from the log without a resync, and the next
+// checkpoint prunes what it has read.
 func TestClusterDurablePrimaryLeasesWAL(t *testing.T) {
 	defer fault.Reset()
 	fs := wal.NewMemFS()
-	const dir = "data"
-	primary, _, err := core.OpenFS(fs, dir, testConfig())
-	if err != nil {
-		t.Fatalf("OpenFS: %v", err)
-	}
-	defer primary.Close()
-	c, err := New(primary, Config{Replicas: 1, VerifyEvery: -1, QueueLen: 1})
+	primary := openPrimary(t, fs)
+	c, err := New(primary, 1)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	defer c.Close()
 	r := c.Replicas()[0]
+	batches := corpusBatches()
+	ingest(t, primary, batches[0])
+	waitCaughtUp(t, c)
 
-	// Hang the pump so the replica's position pins the lease at 0.
-	fault.Enable(fault.PointClusterFeed, fault.Fault{Kind: fault.KindHang})
-	for _, b := range corpusBatches() {
-		if _, err := primary.Ingest(b); err != nil {
-			t.Fatalf("Ingest: %v", err)
-		}
-	}
+	fault.Enable(fault.PointClusterReplay, fault.Fault{Kind: fault.KindHang})
+	ingest(t, primary, batches[1])
+	waitFor(t, "replica to hang on the fault", func() bool { return fault.Hits(fault.PointClusterReplay) >= 1 })
 	if err := primary.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	// The lease (still at 0) must have kept the whole log replayable.
-	sr, err := wal.Scan(fs, dir, 0)
+	ingest(t, primary, batches[2])
+	if err := primary.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	// The lease (still at 1) must have kept the log replayable from there.
+	sr, err := wal.Scan(fs, dataDir, 1)
 	if err != nil {
 		t.Fatalf("Scan under lease: %v", err)
 	}
-	if len(sr.Records) != 3 {
-		t.Fatalf("leased scan found %d records, want 3", len(sr.Records))
+	if len(sr.Records) != 2 {
+		t.Fatalf("leased scan found %d records, want 2", len(sr.Records))
 	}
 
-	fault.Disable(fault.PointClusterFeed)
-	// Frames dropped while hung only surface as a gap when a later frame
-	// arrives; keep committing until the replica resyncs and catches up.
-	poke := 100
-	waitFor(t, "replica to resync and catch up", func() bool {
-		committed := c.CommittedLSN()
-		if r.State() == StateLive && r.Position() == committed {
-			return true
-		}
-		if _, err := primary.Ingest(fillerBatch(poke)); err != nil {
-			t.Fatalf("Ingest poke: %v", err)
-		}
-		poke++
-		return false
-	})
+	fault.Disable(fault.PointClusterReplay)
+	waitCaughtUp(t, c)
+	requireIdentical(t, c)
+	if st := r.Status(c.CommittedLSN()); st.Resyncs != 0 {
+		t.Fatalf("hung replica resynced instead of reading the log: %+v", st)
+	}
+	ingest(t, primary, fillerBatch(1))
+	waitCaughtUp(t, c)
 	if err := primary.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	names, err := fs.ReadDir(dir)
+	names, err := fs.ReadDir(dataDir)
 	if err != nil {
 		t.Fatalf("ReadDir: %v", err)
 	}
@@ -304,25 +293,96 @@ func TestClusterDurablePrimaryLeasesWAL(t *testing.T) {
 			t.Fatalf("genesis segment survived after the lease advanced: %v", names)
 		}
 	}
-	if !bytes.Equal(stateBytes(r.System()), stateBytes(primary)) {
-		t.Fatal("replica of durable primary differs")
-	}
 }
 
-// TestClusterAttachExclusive pins that a second cluster cannot double-attach.
-func TestClusterAttachExclusive(t *testing.T) {
-	primary := core.NewSystem(testConfig())
-	c, err := New(primary, Config{Replicas: 1})
+// TestClusterCheckpointDuringAttach pins the atomic seed capture: a replica
+// is seeded mid-segment, and before it has read a record — or opened its
+// cursor — checkpoints land and prune. The MemFS hook sees every
+// removal; none may take the segment holding the seed position, and the
+// replica catches up from the log without a resync.
+func TestClusterCheckpointDuringAttach(t *testing.T) {
+	defer fault.Reset()
+	fs := wal.NewMemFS()
+	var mu sync.Mutex
+	var removed []string
+	fs.OnOp = func(op wal.Op, name string) error {
+		if op == wal.OpRemove {
+			mu.Lock()
+			removed = append(removed, filepath.Base(name))
+			mu.Unlock()
+		}
+		return nil
+	}
+	primary := openPrimary(t, fs)
+	batches := corpusBatches()
+	ingest(t, primary, batches[0])
+	if err := primary.Checkpoint(); err != nil { // segment wal-1 starts at LSN 1
+		t.Fatal(err)
+	}
+	ingest(t, primary, batches[1], fillerBatch(0)) // the seed position, 3, is two records into it
+
+	fault.Enable(fault.PointClusterReplay, fault.Fault{Kind: fault.KindHang})
+	c, err := New(primary, 1) // one replica: only the seed's own lease holds the log
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if _, err := New(primary, Config{Replicas: 1}); err == nil {
-		t.Fatal("second New attached to an occupied primary")
+	defer c.Close()
+	for _, b := range [][]adapter.RawFile{batches[2], fillerBatch(1)} {
+		ingest(t, primary, b)
+		if err := primary.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	c.Close()
-	c2, err := New(primary, Config{Replicas: 1})
+	mu.Lock()
+	if !slices.Contains(removed, "wal-0000000000000000.log") {
+		t.Fatalf("the checkpoints pruned %v, not the segment below the seed; the test shows nothing", removed)
+	}
+	if slices.Contains(removed, "wal-0000000000000001.log") {
+		t.Fatalf("pruning removed the segment holding the seed position: %v", removed)
+	}
+	mu.Unlock()
+
+	fault.Disable(fault.PointClusterReplay)
+	waitCaughtUp(t, c)
+	requireIdentical(t, c)
+	for _, st := range c.Status() {
+		if st.Resyncs != 0 {
+			t.Fatalf("replica resynced instead of reading the log: %+v", st)
+		}
+	}
+}
+
+// TestClusterCorruptFrameFences: a flipped bit in a committed record the
+// replica has yet to read is a read error, never a quiet stop — the replica
+// fences, resyncs past the bad frame and rejoins byte-identical.
+func TestClusterCorruptFrameFences(t *testing.T) {
+	defer fault.Reset()
+	fs := wal.NewMemFS()
+	primary := openPrimary(t, fs)
+	c, err := New(primary, 1)
 	if err != nil {
-		t.Fatalf("New after Close: %v", err)
+		t.Fatalf("New: %v", err)
 	}
-	c2.Close()
+	defer c.Close()
+	r := c.Replicas()[0]
+	batches := corpusBatches()
+	ingest(t, primary, batches[0])
+	waitCaughtUp(t, c)
+
+	fault.Enable(fault.PointClusterReplay, fault.Fault{Kind: fault.KindHang})
+	seg := filepath.Join(dataDir, "wal-0000000000000000.log")
+	frame := fs.FileSize(seg)
+	ingest(t, primary, batches[1])
+	waitFor(t, "replica to hang on the fault", func() bool { return fault.Hits(fault.PointClusterReplay) >= 1 })
+	if err := fs.FlipBit(seg, frame+8+4); err != nil { // inside the payload
+		t.Fatal(err)
+	}
+	fault.Disable(fault.PointClusterReplay)
+	waitFor(t, "fence on the corrupt frame", func() bool { return r.Status(c.CommittedLSN()).Resyncs >= 1 })
+	ingest(t, primary, batches[2])
+	waitCaughtUp(t, c)
+	requireIdentical(t, c)
+	if st := r.Status(c.CommittedLSN()); st.Resyncs != 1 || st.Divergences != 0 {
+		t.Fatalf("want one resync for the read error and no divergence: %+v", st)
+	}
 }

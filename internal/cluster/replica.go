@@ -8,18 +8,19 @@ import (
 
 	"multirag/internal/core"
 	"multirag/internal/fault"
+	"multirag/internal/wal"
 )
 
-// State is a replica's health as its own pump sees it.
+// State is a replica's health as its own apply loop sees it.
 type State int32
 
 const (
-	// StateLive: the replica is applying the feed and serving reads.
+	// StateLive: the replica is reading the primary's log and serving reads.
 	StateLive State = iota
 	// StateSyncing: the replica is reseeding from the primary's snapshot.
 	StateSyncing
-	// StateFenced: the replica detected a gap, a replay failure, or an
-	// anti-entropy divergence and has taken itself out of service.
+	// StateFenced: a read or replay failed, or anti-entropy found a
+	// divergence, and the replica has taken itself out of service.
 	StateFenced
 )
 
@@ -46,45 +47,35 @@ type ReplicaStatus struct {
 	Verified    uint64 `json:"verified"`
 	Divergences uint64 `json:"divergences"`
 	Resyncs     uint64 `json:"resyncs"`
-	Dropped     uint64 `json:"dropped_frames"`
 	FenceReason string `json:"fence_reason,omitempty"`
 }
 
 // Replica is one read replica: an in-memory engine built from the primary's
-// config, fed by its own queue, advanced by a single pump goroutine. Queries
-// run concurrently with replays (the engine's snapshots are immutable); only
-// the pump mutates replication state.
+// config and advanced by a single goroutine that reads the primary's log.
+// Queries run concurrently with replays (the engine's snapshots are
+// immutable); only that goroutine mutates replication state.
 type Replica struct {
-	c      *Cluster
-	name   string
-	sys    *core.System
-	feed   Feed
-	ctx    context.Context // canceled by Cluster.Close; releases hung faults
-	cancel context.CancelFunc
-	done   chan struct{}
+	primary *core.System
+	name    string
+	sys     *core.System
+	ctx     context.Context // canceled by Cluster.Close; releases hung faults
+	cancel  context.CancelFunc
+	done    chan struct{}
+
+	// Owned by the run goroutine (and by Close once it has exited): the log
+	// cursor, opened at the position on the first read after a seed, and the
+	// retention lease that keeps the cursor's segments through pruning.
+	tail  *wal.Tail
+	lease *core.WALLease
 
 	mu          sync.Mutex
-	next        uint64 // LSN the pump expects to apply next
 	fenceReason string
 
 	state       atomic.Int32
-	applied     atomic.Uint64
+	applied     atomic.Uint64 // LSN of the next record to read and replay
 	verified    atomic.Uint64
 	divergences atomic.Uint64
 	resyncs     atomic.Uint64
-}
-
-func newReplica(c *Cluster, name string, sys *core.System, queueLen int) *Replica {
-	ctx, cancel := context.WithCancel(context.Background())
-	return &Replica{
-		c:      c,
-		name:   name,
-		sys:    sys,
-		feed:   newChanFeed(queueLen),
-		ctx:    ctx,
-		cancel: cancel,
-		done:   make(chan struct{}),
-	}
 }
 
 // Name returns the replica's stable identifier ("replica-0", ...).
@@ -154,103 +145,110 @@ func (r *Replica) Status(committed uint64) ReplicaStatus {
 		Verified:    r.verified.Load(),
 		Divergences: r.divergences.Load(),
 		Resyncs:     r.resyncs.Load(),
-		Dropped:     r.feed.Dropped(),
 		FenceReason: reason,
 	}
 }
 
-// pump is the replica's single apply loop: frames in feed order, one at a
-// time, until the cluster closes.
-func (r *Replica) pump() {
-	defer close(r.done)
-	for {
-		select {
-		case <-r.ctx.Done():
-			return
-		case f, ok := <-r.feed.Frames():
-			if !ok {
-				return
-			}
-			r.handle(f)
-		}
-	}
-}
-
-// handle applies one frame. Every failure mode funnels into fenceAndResync:
-// a feed fault (frame effectively lost), an LSN gap (frames actually lost),
-// a replay fault or error (replica state no longer trusted), or a digest
-// marker that does not match (silent divergence caught by anti-entropy).
-func (r *Replica) handle(f Frame) {
-	if err := fault.Inject(r.ctx, fault.PointClusterFeed); err != nil {
-		r.fenceAndResync(fmt.Sprintf("feed: %v", err))
-		return
-	}
-	r.mu.Lock()
-	next := r.next
-	r.mu.Unlock()
-	if f.Payload == nil { // anti-entropy digest marker
-		if f.LSN != next {
-			r.fenceAndResync(fmt.Sprintf("marker at %d but replica at %d: frames lost", f.LSN, next))
-			return
-		}
-		if got, want := r.sys.SnapshotDigest(), f.Digest(); got != want {
-			r.divergences.Add(1)
-			r.fenceAndResync(fmt.Sprintf("anti-entropy: digest %016x != primary %016x at %d", got, want, f.LSN))
-			return
-		}
-		r.verified.Add(1)
-		return
-	}
-	if f.LSN != next {
-		r.fenceAndResync(fmt.Sprintf("feed gap: record %d but replica at %d", f.LSN, next))
-		return
-	}
-	if err := fault.Inject(r.ctx, fault.PointClusterReplay); err != nil {
-		r.fenceAndResync(fmt.Sprintf("replay: %v", err))
-		return
-	}
-	if err := r.sys.ReplicaApply(f.Payload); err != nil {
-		r.fenceAndResync(fmt.Sprintf("replay: %v", err))
-		return
-	}
-	r.mu.Lock()
-	r.next = f.LSN + 1
-	r.mu.Unlock()
-	r.applied.Store(f.LSN + 1)
-	r.c.advanceLease()
-}
-
-// fenceAndResync takes the replica out of service, discards its queue, and
-// reseeds it from the primary's newest shipped snapshot. The capture is
-// serialized against the feed (captureAndDrain holds the cluster lock), so
-// the reseeded replica resumes at exactly the position the next frame will
-// carry. The expensive parts — encoding and decoding the snapshot — run
-// off-lock; a shutdown in progress skips the resync entirely.
-func (r *Replica) fenceAndResync(reason string) {
-	if r.ctx.Err() != nil {
-		return // closing: hung faults release with ctx errors; don't resync
-	}
-	r.state.Store(int32(StateFenced))
+func (r *Replica) setFenceReason(reason string) {
 	r.mu.Lock()
 	r.fenceReason = reason
 	r.mu.Unlock()
+}
+
+// run is the replica's apply loop: replay every record the primary has
+// committed, then sleep until it publishes again. It ends when the cluster
+// closes, or when a resync fails and the replica stays fenced.
+func (r *Replica) run() {
+	defer close(r.done)
+	for {
+		committed, wake := r.primary.Published()
+		if err := r.catchUp(committed); err != nil && !r.fenceAndResync(err) {
+			return
+		}
+		select {
+		case <-r.ctx.Done():
+			return
+		case <-wake:
+		}
+	}
+}
+
+// catchUp reads and replays records up to committed, then raises the lease
+// to the new position.
+func (r *Replica) catchUp(committed uint64) error {
+	for r.applied.Load() < committed {
+		if err := r.step(committed); err != nil {
+			return err
+		}
+	}
+	r.lease.Advance(r.applied.Load())
+	return nil
+}
+
+// step reads and replays the record at the replica's position. When that
+// position is one of the primary's verification points, it first compares
+// its own digest with the primary's digest there: anti-entropy for a replica
+// that replayed every record and diverged anyway.
+func (r *Replica) step(committed uint64) error {
+	if err := fault.Inject(r.ctx, fault.PointClusterReplay); err != nil {
+		return fmt.Errorf("replay: %w", err)
+	}
+	lsn := r.applied.Load()
+	if digest, ok := r.primary.DigestAt(lsn); ok {
+		if got, want := r.sys.SnapshotDigest(), digest(); got != want {
+			r.divergences.Add(1)
+			return fmt.Errorf("anti-entropy: digest %016x != primary %016x at %d", got, want, lsn)
+		}
+		r.verified.Add(1)
+	}
+	if r.tail == nil {
+		t, err := r.primary.TailWAL(lsn)
+		if err != nil {
+			return fmt.Errorf("read: %w", err)
+		}
+		r.tail = t
+	}
+	payload, _, err := r.tail.Next(committed)
+	if err != nil {
+		return fmt.Errorf("read: %w", err)
+	}
+	if err := r.sys.ReplicaApply(payload); err != nil {
+		return fmt.Errorf("replay: %w", err)
+	}
+	r.applied.Store(lsn + 1)
+	return nil
+}
+
+// fenceAndResync takes the replica out of service and reseeds it the way New
+// seeded it: a fresh capture of the primary's snapshot, position and lease.
+// The cursor reopens at the new position on the next read. It reports whether
+// the replica is live again; a shutdown in progress skips the resync.
+func (r *Replica) fenceAndResync(cause error) bool {
+	if r.ctx.Err() != nil {
+		return false // closing: hung faults release with ctx errors
+	}
+	r.state.Store(int32(StateFenced))
+	r.setFenceReason(cause.Error())
 	r.resyncs.Add(1)
 
-	handle, lsn := r.c.captureAndDrain(r)
 	r.state.Store(int32(StateSyncing))
-	if err := r.sys.SeedReplica(handle.Encode(), lsn); err != nil {
-		// A just-encoded snapshot failing to decode means memory corruption;
-		// stay fenced rather than serve from an unknown state.
-		r.state.Store(int32(StateFenced))
-		r.mu.Lock()
-		r.fenceReason = "resync: " + err.Error()
-		r.mu.Unlock()
-		return
+	handle, lsn, lease, err := r.primary.ReplicationSeed()
+	if err == nil {
+		if err = r.sys.SeedReplica(handle.Encode(), lsn); err != nil {
+			lease.Release()
+		}
 	}
+	r.lease.Release()
+	if err != nil {
+		// A just-encoded snapshot failing to decode means memory corruption:
+		// stay fenced for good rather than serve from an unknown state.
+		r.state.Store(int32(StateFenced))
+		r.setFenceReason("resync: " + err.Error())
+		return false
+	}
+	r.lease, r.tail = lease, nil
 	r.applied.Store(lsn)
-	r.mu.Lock()
-	r.fenceReason = ""
-	r.mu.Unlock()
+	r.setFenceReason("")
 	r.state.Store(int32(StateLive))
-	r.c.advanceLease()
+	return true
 }

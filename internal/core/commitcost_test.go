@@ -16,7 +16,7 @@ import (
 // DESIGN.md §4 says a commit costs O(delta), not O(corpus). These tests hold
 // it to that from the outside, in bytes: the same small ingest into a system
 // holding one corpus and into one holding four times as much must allocate
-// about the same, on the primary and on a replica applying the shipped
+// about the same, on the primary and on a replica applying the logged
 // record.
 
 // anchorFiles states, from two sources, the movie attributes of 36 entities
@@ -48,13 +48,19 @@ func deltaFiles(k int) []adapter.RawFile {
 	return files
 }
 
+// systemHolding is a durable system on a MemFS holding the corpus, checkpointed
+// so the bulk load's segment is behind it. Background checkpoints are off:
+// nothing allocates between the measured steps but the steps.
 func systemHolding(t *testing.T, entities int) *System {
 	t.Helper()
 	spec := datasets.Movies(7)
 	spec.Entities = entities
 	spec.Queries = 1
-	s := NewSystem(Config{Workers: 1, LLM: llm.Config{Seed: 1}})
+	s, _ := openDurable(t, wal.NewMemFS(), Config{Workers: 1, LLM: llm.Config{Seed: 1}, CheckpointRecords: 1 << 30, CheckpointBytes: 1 << 40})
 	if _, err := s.Ingest(append(datasets.MustGenerate(spec).Files, anchorFiles()...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -89,14 +95,15 @@ func TestCommitBytesDoNotDependOnCorpusSize(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		sink, replica := attachedReplica(t, primary)
+		replica, tail := seededReplica(t, primary)
 		for k := commits; k < 2*commits; k++ {
 			if _, err := primary.Ingest(deltaFiles(k)); err != nil {
 				t.Fatal(err)
 			}
 		}
+		recs := logRecords(t, primary, tail.LSN(), primary.ReplicationLSN())
 		c.apply = medianAlloc(commits, func(k int) {
-			if err := replica.ReplicaApply(sink.recs[k]); err != nil {
+			if err := replica.ReplicaApply(recs[k]); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -118,22 +125,20 @@ func TestCommitBytesDoNotDependOnCorpusSize(t *testing.T) {
 
 // TestDurableEncoderLetsGoOfBulkRecord: the group-record encoder a durable
 // system reuses across commits does not keep the buffer that held a bulk
-// load's multi-megabyte record once the record is logged and shipped.
+// load's multi-megabyte record once the record is logged.
 func TestDurableEncoderLetsGoOfBulkRecord(t *testing.T) {
 	spec := datasets.Movies(7)
 	spec.Entities = 720 // a 9.7 MB bulk record
 	spec.Queries = 1
 	s, _ := openDurable(t, wal.NewMemFS(), durTestConfig())
-	sink := &recSink{}
-	if _, _, err := s.AttachReplication(sink); err != nil {
-		t.Fatal(err)
-	}
+	lease := s.AcquireWALLease(0) // the record outgrows the background checkpoint's threshold
+	defer lease.Release()
 	if _, err := s.Ingest(datasets.MustGenerate(spec).Files); err != nil {
 		t.Fatal(err)
 	}
 	// wal keeps no scratch buffer past a constant it holds at or under
 	// DefaultCheckpointBytes; the record must be over that to show anything.
-	if size := len(sink.recs[0]); size <= DefaultCheckpointBytes {
+	if size := len(logRecords(t, s, 0, 1)[0]); size <= DefaultCheckpointBytes {
 		t.Fatalf("bulk record is only %d B, the test needs one over %d", size, DefaultCheckpointBytes)
 	}
 	s.mu.Lock() // the background checkpointer shares the guard

@@ -258,8 +258,9 @@ func (s *System) commitGroup(group []*prepared) {
 			}
 		}
 		s.snap.Store(next)
-		s.shipGroup(committed)
+		s.setReplicationLSN(s.replPos.Load() + 1)
 		if s.dur != nil {
+			s.keepDigestPoint(next)
 			s.dur.maybeRequestCheckpoint(&s.cfg)
 		}
 	}

@@ -148,7 +148,7 @@ func requireSGMatchesBuild(t *testing.T, label string, sg *linegraph.SG) {
 // TestIncrementalSGMatchesFullRebuild checks every site that maintains the
 // line graph by BuildDelta against a full linegraph.Build of the same graph:
 // the committer after each of several commits, a replica applying each
-// shipped record, and a crash-reopened durable system, whose recovery folds
+// logged record, and a crash-reopened durable system, whose recovery folds
 // the WAL tail past its checkpoint into one merged delta. Each batch grows
 // existing groups and turns the previous batch's isolated claim into a
 // homologous group.
@@ -157,15 +157,7 @@ func TestIncrementalSGMatchesFullRebuild(t *testing.T) {
 	cfg := Config{LLM: llm.Config{Seed: 1}, CheckpointRecords: 1 << 30, CheckpointBytes: 1 << 40}
 	fs := wal.NewMemFS()
 	primary, _ := openDurable(t, fs, cfg)
-	sink := &recSink{}
-	handle, lsn, err := primary.AttachReplication(sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replica := NewSystem(cfg)
-	if err := replica.SeedReplica(handle.Encode(), lsn); err != nil {
-		t.Fatal(err)
-	}
+	replica, tail := seededReplica(t, primary)
 	for k := 0; k < batches; k++ {
 		rep, err := primary.Ingest([]adapter.RawFile{{
 			Domain: "flights", Source: fmt.Sprintf("src-%d", k), Name: "feed", Format: "csv",
@@ -179,9 +171,7 @@ func TestIncrementalSGMatchesFullRebuild(t *testing.T) {
 		if want := primary.SG().ComputeStats(); rep.Homologous != want {
 			t.Fatalf("%s: reported stats %+v, published SG %+v", label, rep.Homologous, want)
 		}
-		if err := replica.ReplicaApply(sink.recs[k]); err != nil {
-			t.Fatal(err)
-		}
+		catchUp(t, primary, replica, tail)
 		requireSGMatchesBuild(t, "replica after "+label, replica.SG())
 		if k+1 == checkpointed {
 			if err := primary.Checkpoint(); err != nil {

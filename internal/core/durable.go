@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"multirag/internal/extract"
 	"multirag/internal/fault"
@@ -84,6 +85,9 @@ type durable struct {
 	enc      wal.Encoder
 	lastCkpt uint64 // LSN covered by the newest durable checkpoint
 	hasCkpt  bool
+	// points are the kept verification points (DigestAt); stored under
+	// System.mu, read lock-free by replicas.
+	points [digestKeep]atomic.Pointer[digestPoint]
 
 	// ckptMu serializes whole checkpoint cycles (rotate → serialize → write →
 	// prune) across the background loop, explicit Checkpoint calls and the
@@ -232,8 +236,8 @@ func (s *System) Checkpoint() error {
 	}
 	s.mu.Lock()
 	d.lastCkpt, d.hasCkpt = lsn, true
-	// Pruning honours the lowest replication-feed lease: segments holding
-	// records a lagging replica has not shipped yet survive the checkpoint.
+	// Pruning honours the lowest replica lease: segments holding records a
+	// lagging replica has not read yet survive the checkpoint.
 	floor := s.walLeaseFloorLocked(lsn)
 	s.mu.Unlock()
 	return wal.RemoveBelow(d.fs, d.dir, lsn, floor)
@@ -291,7 +295,9 @@ func (d *durable) appendGroup(committed []*prepared) error {
 	if err := fault.Inject(context.Background(), fault.PointWALAppend); err != nil {
 		return err
 	}
-	d.enc.Reset()
+	// Once appended the record lives in the log; Reset lets go of a buffer a
+	// bulk load's record outgrew.
+	defer d.enc.Reset()
 	if err := encodeGroupRecord(&d.enc, committed); err != nil {
 		return err
 	}

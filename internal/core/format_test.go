@@ -350,15 +350,15 @@ func TestDecodeRejectsUnbackedCounts(t *testing.T) {
 // crash, and a record that decodes must hold one stored vector per chunk, each
 // of the store's width.
 func FuzzRecoveredPayload(f *testing.F) {
-	primary := NewSystem(format1Config())
-	sink := &recSink{}
-	if _, _, err := primary.AttachReplication(sink); err != nil {
+	primary, _, err := OpenFS(wal.NewMemFS(), durDir, format1Config())
+	if err != nil {
 		f.Fatal(err)
 	}
+	f.Cleanup(func() { primary.Close() })
 	if _, err := primary.Ingest(format1Batches()[3]); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(sink.recs[0])                     // format-2 record
+	f.Add(logRecords(f, primary, 0, 1)[0])  // format-2 record
 	f.Add(primary.ServingHandle().Encode()) // format-2 checkpoint body
 	sr, err := wal.Scan(wal.OSFS{}, format1Dir, 3)
 	if err != nil || len(sr.Records) == 0 {

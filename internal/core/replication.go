@@ -1,21 +1,27 @@
 package core
 
 import (
-	"fmt"
+	"errors"
 	"hash/fnv"
+	"sync"
 
 	"multirag/internal/linegraph"
 	"multirag/internal/wal"
 )
 
-// Replication: a System can ship every committed group's WAL record, in
-// commit order, to an attached ReplicationSink. The record payload is exactly
-// what the durability layer appends to the log (encodeGroupRecord), so a
-// replica that replays the stream through ReplicaApply — the same
-// decode/replay sequence crash recovery runs — reconstructs a snapshot that
-// is byte-identical to the primary's at every shipped position. In-memory
-// primaries ship too: the record is encoded for the wire even when no log
-// exists, and positions count published commit groups exactly as WAL LSNs do.
+// Replication: a replica is recovery that does not stop. It is seeded once
+// from the primary's published snapshot at a captured replication position
+// (ReplicationSeed, SeedReplica), then reads the primary's committed WAL
+// records through a wal.Tail (TailWAL) and replays each with ReplicaApply —
+// the decode/replay sequence crash recovery runs — so its snapshot is
+// byte-identical to the primary's at every position it reaches. Each publish
+// advances the position and wakes readers (Published); a retention lease
+// keeps the segments a reader still needs through checkpoint pruning. Only a
+// durable system has a log to read.
+
+// ErrNotDurable is what the replication calls of a system without a
+// write-ahead log return.
+var ErrNotDurable = errors.New("core: replicas read the write-ahead log, and this system has none")
 
 // SnapshotHandle is an opaque reference to one immutable published snapshot,
 // captured at a known replication position. The cluster layer uses it to seed
@@ -24,9 +30,6 @@ import (
 type SnapshotHandle struct {
 	sn *snapshot
 }
-
-// IsZero reports whether the handle references no snapshot.
-func (h SnapshotHandle) IsZero() bool { return h.sn == nil }
 
 // Encode serializes the referenced snapshot in the checkpoint body format.
 // The snapshot is immutable, so Encode is safe at any time and never blocks
@@ -47,96 +50,111 @@ func (h SnapshotHandle) Digest() uint64 {
 	return f.Sum64()
 }
 
-// ReplicationSink receives every committed group's record. ShipRecord is
-// called under the engine's commit lock, after the group's snapshot has
-// published, in commit order: lsn is the record's position (records ever
-// committed before it), payload is the caller-owned encoded record, and after
-// references the snapshot the record produced. Implementations must be fast
-// and non-blocking — enqueue and return; a sink that cannot keep up must drop
-// and let the receiver detect the gap, never stall the primary.
-type ReplicationSink interface {
-	ShipRecord(lsn uint64, payload []byte, after SnapshotHandle)
-}
-
-// AttachReplication registers sink and atomically captures the current state:
-// the published snapshot and the replication position the next shipped record
-// will carry. No commit can fall between the capture and the subscription, so
-// a replica seeded from the returned handle and fed every subsequent record
-// misses nothing. Only one sink may be attached at a time.
-func (s *System) AttachReplication(sink ReplicationSink) (SnapshotHandle, uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.replSink != nil {
-		return SnapshotHandle{}, 0, fmt.Errorf("core: a replication sink is already attached")
-	}
-	s.replSink = sink
-	return SnapshotHandle{sn: s.snap.Load()}, s.replPos.Load(), nil
-}
-
-// DetachReplication removes the attached sink. Records committed after the
-// call are no longer shipped.
-func (s *System) DetachReplication() {
-	s.mu.Lock()
-	s.replSink = nil
-	s.mu.Unlock()
-}
-
 // ReplicationLSN returns the engine's replication position: the number of
 // commit groups ever published (for durable systems, exactly the WAL's next
 // LSN; for replicas, the next record they expect to apply). The router's
 // staleness guard compares primary and replica positions lock-free.
 func (s *System) ReplicationLSN() uint64 { return s.replPos.Load() }
 
+// Published returns the replication position with a channel the next
+// publish closes. The channel is read first: a publish that lands between the
+// two reads has already closed it, so a reader that finds nothing new below
+// the position and then waits on the channel never sleeps through a commit.
+func (s *System) Published() (uint64, <-chan struct{}) {
+	wake := s.wake.Load().(chan struct{})
+	return s.replPos.Load(), wake
+}
+
+// setReplicationLSN publishes a replication position and wakes every reader
+// waiting on Published. Called under s.mu by each publish.
+func (s *System) setReplicationLSN(lsn uint64) {
+	s.replPos.Store(lsn)
+	close(s.wake.Swap(make(chan struct{})).(chan struct{}))
+}
+
 // ServingHandle captures the currently published snapshot.
 func (s *System) ServingHandle() SnapshotHandle { return SnapshotHandle{sn: s.snap.Load()} }
 
 // SnapshotDigest is the anti-entropy fingerprint of the currently published
-// snapshot — what `multirag recover -verify` prints and what replicas compare
-// against the primary's digest markers.
+// snapshot — what `multirag recover -verify` prints and what a replica
+// compares with the primary's DigestAt.
 func (s *System) SnapshotDigest() uint64 { return s.ServingHandle().Digest() }
 
-// shipGroup advances the replication position for one published commit group
-// and ships its record to the attached sink, if any. Called under s.mu, after
-// the snapshot swap, by the group committer. For durable systems the position
-// is re-synced to the log (one record was just appended); in-memory systems
-// count groups themselves. The payload handed to the sink is always a private
-// copy — the durability encoder is reused on the next commit.
-func (s *System) shipGroup(committed []*prepared) {
+// ReplicationSeed captures what a new or resyncing replica starts from: the
+// published snapshot, its replication position and a WAL retention lease at
+// that position, in one critical section, so no checkpoint can prune the
+// segment holding the position between the capture and the lease. An
+// in-memory system has no log to read and returns ErrNotDurable.
+func (s *System) ReplicationSeed() (SnapshotHandle, uint64, *WALLease, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.dur == nil {
+		return SnapshotHandle{}, 0, nil, ErrNotDurable
+	}
 	lsn := s.replPos.Load()
-	s.replPos.Store(lsn + 1)
-	if s.dur != nil {
-		// Shipping is the last reader of the group's record: Reset lets go of
-		// a buffer that a bulk load's record outgrew.
-		defer s.dur.enc.Reset()
-	}
-	sink := s.replSink
-	if sink == nil {
-		return
-	}
-	var payload []byte
-	if s.dur != nil {
-		payload = append([]byte(nil), s.dur.enc.Bytes()...)
-	} else {
-		var e wal.Encoder
-		if err := encodeGroupRecord(&e, committed); err != nil {
-			// Unserializable batches exist only in tests that substitute fake
-			// replayers. Skipping the ship leaves a gap the replica detects by
-			// LSN and resolves with a resync — the same path a dropped frame
-			// takes.
-			return
-		}
-		payload = e.Bytes()
-	}
-	sink.ShipRecord(lsn, payload, SnapshotHandle{sn: s.snap.Load()})
+	return SnapshotHandle{sn: s.snap.Load()}, lsn, s.acquireLeaseLocked(lsn), nil
 }
 
-// ReplicaApply replays one shipped record onto the serving snapshot and
-// publishes the result — the replica half of the feed. It mirrors the
-// committer's replay exactly (clone, recorder replay in ticket order,
-// embedded-chunk append, one line-graph delta, snapshot swap), so a replica
-// that applies the primary's records in order stays byte-identical to it at
-// every position. Safe to call concurrently with queries; replays serialize
-// on the replica's own commit lock.
+// TailWAL opens a cursor over the log at from, a position the caller holds a
+// lease at: a replica's read side.
+func (s *System) TailWAL(from uint64) (*wal.Tail, error) {
+	if s.dur == nil {
+		return nil, ErrNotDurable
+	}
+	return wal.OpenTail(s.dur.fs, s.dur.dir, from)
+}
+
+// Anti-entropy: at every digestEvery-th replication position the primary
+// keeps the snapshot it published there, with its digest memoised, and a
+// replica about to read the record at such a position first compares its
+// own SnapshotDigest with it. The last digestKeep points are kept, so a
+// replica up to digestEvery*digestKeep records behind still checks each one.
+// Nothing is computed on the commit path: the first replica to ask computes
+// the primary's digest, its siblings reuse it, and a primary no replica
+// holds a lease on keeps no points.
+const (
+	digestEvery = 16
+	digestKeep  = 16
+)
+
+// digestPoint is one kept position and its memoised digest.
+type digestPoint struct {
+	lsn    uint64
+	digest func() uint64
+}
+
+// keepDigestPoint records sn, just published, when its position is a
+// verification point and a replica reads the log. Called under s.mu.
+func (s *System) keepDigestPoint(sn *snapshot) {
+	lsn := s.replPos.Load()
+	if lsn%digestEvery != 0 || len(s.walLeases) == 0 {
+		return
+	}
+	p := &digestPoint{lsn: lsn, digest: sync.OnceValue(SnapshotHandle{sn: sn}.Digest)}
+	s.dur.points[lsn/digestEvery%digestKeep].Store(p)
+}
+
+// DigestAt returns the primary's digest at replication position lsn, if lsn
+// is a verification point it still keeps (see digestEvery).
+func (s *System) DigestAt(lsn uint64) (digest func() uint64, ok bool) {
+	if s.dur == nil || lsn%digestEvery != 0 {
+		return nil, false
+	}
+	p := s.dur.points[lsn/digestEvery%digestKeep].Load()
+	if p == nil || p.lsn != lsn {
+		return nil, false
+	}
+	return p.digest, true
+}
+
+// ReplicaApply replays one committed record onto the serving snapshot and
+// publishes the result. It mirrors the committer's replay exactly (clone,
+// recorder replay in ticket order, embedded-chunk append, one line-graph
+// delta, snapshot swap), so a replica that applies the primary's records in
+// order stays byte-identical to it at every position. Nothing of payload is
+// kept: a caller may reuse its buffer once ReplicaApply returns. Safe to call
+// concurrently with queries; replays serialize on the replica's own commit
+// lock.
 func (s *System) ReplicaApply(payload []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -152,7 +170,7 @@ func (s *System) ReplicaApply(payload []byte) error {
 		next.sg = linegraph.BuildDelta(cur.sg, g, newIDs)
 	}
 	s.snap.Store(next)
-	s.replPos.Store(s.replPos.Load() + 1)
+	s.setReplicationLSN(s.replPos.Load() + 1)
 	return nil
 }
 
@@ -169,7 +187,7 @@ func (s *System) SeedReplica(body []byte, lsn uint64) error {
 	defer s.mu.Unlock()
 	sn.gen = s.snap.Load().gen + 1
 	s.snap.Store(sn)
-	s.replPos.Store(lsn)
+	s.setReplicationLSN(lsn)
 	return nil
 }
 
@@ -179,9 +197,9 @@ func (s *System) SeedReplica(body []byte, lsn uint64) error {
 func (s *System) Config() Config { return s.cfg }
 
 // WALLease pins a WAL retention floor: while held at position L, checkpoint
-// pruning keeps every segment containing records >= L, so a reader still
-// below L (a lagging replication feed) can always replay forward. Leases on
-// in-memory systems are inert but valid.
+// pruning keeps every segment containing records >= L, so a replica reading
+// the log from L can always go on. Leases on in-memory systems are inert but
+// valid.
 type WALLease struct {
 	s   *System
 	lsn uint64
@@ -189,13 +207,17 @@ type WALLease struct {
 
 // AcquireWALLease registers a retention floor at lsn.
 func (s *System) AcquireWALLease(lsn uint64) *WALLease {
-	l := &WALLease{s: s, lsn: lsn}
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.acquireLeaseLocked(lsn)
+}
+
+func (s *System) acquireLeaseLocked(lsn uint64) *WALLease {
+	l := &WALLease{s: s, lsn: lsn}
 	if s.walLeases == nil {
 		s.walLeases = map[*WALLease]struct{}{}
 	}
 	s.walLeases[l] = struct{}{}
-	s.mu.Unlock()
 	return l
 }
 

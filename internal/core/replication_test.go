@@ -2,156 +2,256 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"path/filepath"
-	"sync"
+	"slices"
 	"testing"
 
 	"multirag/internal/adapter"
 	"multirag/internal/wal"
 )
 
-// recSink collects shipped records — the test double for the cluster feed.
-type recSink struct {
-	mu   sync.Mutex
-	lsns []uint64
-	recs [][]byte
-	last SnapshotHandle
-}
-
-func (r *recSink) ShipRecord(lsn uint64, payload []byte, after SnapshotHandle) {
-	r.mu.Lock()
-	r.lsns = append(r.lsns, lsn)
-	r.recs = append(r.recs, payload)
-	r.last = after
-	r.mu.Unlock()
-}
-
-// TestReplicationShipByteIdentical pins the replication invariant: a replica
-// seeded from the attach-time handle and fed every shipped record through
-// ReplicaApply holds a snapshot byte-identical to the primary's after each
-// position, with matching positions and digests.
-func TestReplicationShipByteIdentical(t *testing.T) {
-	primary := NewSystem(durTestConfig())
-	sink := &recSink{}
-	handle, lsn, err := primary.AttachReplication(sink)
+// seededReplica builds what cluster.New builds for one replica: a replica
+// seeded from primary's ReplicationSeed and a cursor over primary's log at
+// the seed position, with the seed's lease held for the rest of the test.
+func seededReplica(t *testing.T, primary *System) (*System, *wal.Tail) {
+	t.Helper()
+	handle, lsn, lease, err := primary.ReplicationSeed()
 	if err != nil {
-		t.Fatalf("AttachReplication: %v", err)
+		t.Fatalf("ReplicationSeed: %v", err)
 	}
-	if lsn != 0 {
-		t.Fatalf("attach position = %d, want 0", lsn)
-	}
-
+	t.Cleanup(lease.Release)
 	replica := NewSystem(primary.Config())
 	if err := replica.SeedReplica(handle.Encode(), lsn); err != nil {
 		t.Fatalf("SeedReplica: %v", err)
 	}
+	tail, err := primary.TailWAL(lsn)
+	if err != nil {
+		t.Fatalf("TailWAL: %v", err)
+	}
+	return replica, tail
+}
 
-	var wantStates [][]byte
+// catchUp applies every record primary has committed past the replica's
+// position, read through tail.
+func catchUp(t *testing.T, primary, replica *System, tail *wal.Tail) {
+	t.Helper()
+	for {
+		lsn := tail.LSN()
+		payload, ok, err := tail.Next(primary.ReplicationLSN())
+		if err != nil {
+			t.Fatalf("read LSN %d: %v", lsn, err)
+		}
+		if !ok {
+			return
+		}
+		if err := replica.ReplicaApply(payload); err != nil {
+			t.Fatalf("ReplicaApply LSN %d: %v", lsn, err)
+		}
+	}
+}
+
+// logRecords returns copies of the records primary logged at LSNs [from, to),
+// read through the cursor a replica uses.
+func logRecords(t testing.TB, primary *System, from, to uint64) [][]byte {
+	t.Helper()
+	tail, err := primary.TailWAL(from)
+	if err != nil {
+		t.Fatalf("TailWAL: %v", err)
+	}
+	var out [][]byte
+	for {
+		payload, ok, err := tail.Next(to)
+		if err != nil {
+			t.Fatalf("read LSN %d: %v", tail.LSN(), err)
+		}
+		if !ok {
+			return out
+		}
+		out = append(out, bytes.Clone(payload))
+	}
+}
+
+// TestReplicationShipByteIdentical pins the replication invariant: a replica
+// seeded from ReplicationSeed that reads every committed record out of the
+// primary's log and replays it through ReplicaApply holds a snapshot
+// byte-identical to the primary's after each position, with matching
+// positions and digests — and the digest the primary keeps at a verification
+// point is its digest there.
+func TestReplicationShipByteIdentical(t *testing.T) {
+	primary, _ := openDurable(t, wal.NewMemFS(), durTestConfig())
+	replica, tail := seededReplica(t, primary)
+	if tail.LSN() != 0 {
+		t.Fatalf("seed position = %d, want 0", tail.LSN())
+	}
 	for i, b := range seqBatches() {
 		if _, err := primary.Ingest(b); err != nil {
 			t.Fatalf("ingest batch %d: %v", i, err)
 		}
-		wantStates = append(wantStates, snapBytes(primary))
-	}
-	if len(sink.recs) != 3 {
-		t.Fatalf("shipped %d records, want 3", len(sink.recs))
-	}
-	for i, rec := range sink.recs {
-		if sink.lsns[i] != uint64(i) {
-			t.Fatalf("record %d shipped with LSN %d", i, sink.lsns[i])
-		}
-		if err := replica.ReplicaApply(rec); err != nil {
-			t.Fatalf("ReplicaApply record %d: %v", i, err)
-		}
-		if !bytes.Equal(snapBytes(replica), wantStates[i]) {
+		catchUp(t, primary, replica, tail)
+		if !bytes.Equal(snapBytes(replica), snapBytes(primary)) {
 			t.Fatalf("replica state diverged after record %d", i)
 		}
 	}
-	if got, want := replica.ReplicationLSN(), primary.ReplicationLSN(); got != want {
-		t.Fatalf("replica position %d, primary %d", got, want)
+	if got, want := replica.ReplicationLSN(), primary.ReplicationLSN(); got != want || want != 3 {
+		t.Fatalf("replica position %d, primary %d, want 3", got, want)
 	}
 	if replica.SnapshotDigest() != primary.SnapshotDigest() {
 		t.Fatal("anti-entropy digests differ on byte-identical snapshots")
 	}
-	if sink.last.Digest() != primary.SnapshotDigest() {
-		t.Fatal("shipped handle digest differs from the primary's serving digest")
+	if _, ok := primary.DigestAt(digestEvery); ok {
+		t.Fatal("DigestAt a verification point not reached yet")
+	}
+	for k := 0; primary.ReplicationLSN() < digestEvery; k++ {
+		if _, err := primary.Ingest(ingestBatch(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	catchUp(t, primary, replica, tail)
+	digest, ok := primary.DigestAt(digestEvery)
+	if !ok || digest() != replica.SnapshotDigest() {
+		t.Fatalf("DigestAt(%d) ok=%v; want the replica's digest there", digestEvery, ok)
+	}
+	if _, ok := primary.DigestAt(digestEvery - 1); ok {
+		t.Fatal("DigestAt a position between verification points")
 	}
 }
 
-// TestReplicationAttachMidStreamMissesNothing pins the atomic capture: a sink
-// attached after commits have already happened sees a (handle, position) pair
-// with no gap before the first shipped record.
+// TestDigestPointsNeedAReader: a primary keeps verification points only
+// while a replica holds a lease on its log, and keeps the last digestKeep.
+func TestDigestPointsNeedAReader(t *testing.T) {
+	primary, _ := openDurable(t, wal.NewMemFS(), durTestConfig())
+	ingestTo := func(lsn uint64) {
+		t.Helper()
+		for k := 0; primary.ReplicationLSN() < lsn; k++ {
+			if _, err := primary.Ingest(ingestBatch(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ingestTo(digestEvery)
+	if _, ok := primary.DigestAt(digestEvery); ok {
+		t.Fatal("a primary no replica reads kept a verification point")
+	}
+	lease := primary.AcquireWALLease(primary.ReplicationLSN())
+	defer lease.Release()
+	ingestTo((digestKeep + 2) * digestEvery)
+	if _, ok := primary.DigestAt(2 * digestEvery); ok {
+		t.Fatal("a verification point older than the last digestKeep was kept")
+	}
+	for p := uint64(3); p <= digestKeep+2; p++ {
+		if _, ok := primary.DigestAt(p * digestEvery); !ok {
+			t.Fatalf("verification point %d was not kept", p*digestEvery)
+		}
+	}
+}
+
+// TestReplicationAttachMidStreamMissesNothing pins the seed capture: a
+// replica seeded after commits have already happened opens its cursor at the
+// captured position — mid-segment, stepping over the records before it — and
+// misses nothing after it. A second seed is just a second lease.
 func TestReplicationAttachMidStreamMissesNothing(t *testing.T) {
-	primary := NewSystem(durTestConfig())
+	primary, _ := openDurable(t, wal.NewMemFS(), durTestConfig())
 	batches := seqBatches()
 	if _, err := primary.Ingest(batches[0]); err != nil {
 		t.Fatalf("ingest: %v", err)
 	}
-
-	sink := &recSink{}
-	handle, lsn, err := primary.AttachReplication(sink)
-	if err != nil {
-		t.Fatalf("AttachReplication: %v", err)
+	replica, tail := seededReplica(t, primary)
+	if tail.LSN() != 1 {
+		t.Fatalf("seed position = %d, want 1", tail.LSN())
 	}
-	if lsn != 1 {
-		t.Fatalf("attach position = %d, want 1", lsn)
-	}
-	replica := NewSystem(primary.Config())
-	if err := replica.SeedReplica(handle.Encode(), lsn); err != nil {
-		t.Fatalf("SeedReplica: %v", err)
-	}
-
+	second, secondTail := seededReplica(t, primary)
 	for _, b := range batches[1:] {
 		if _, err := primary.Ingest(b); err != nil {
 			t.Fatalf("ingest: %v", err)
 		}
 	}
-	if len(sink.recs) != 2 || sink.lsns[0] != 1 {
-		t.Fatalf("shipped %d records from LSN %v, want 2 from 1", len(sink.recs), sink.lsns)
-	}
-	for _, rec := range sink.recs {
-		if err := replica.ReplicaApply(rec); err != nil {
-			t.Fatalf("ReplicaApply: %v", err)
-		}
-	}
-	if !bytes.Equal(snapBytes(replica), snapBytes(primary)) {
-		t.Fatal("mid-stream-attached replica diverged from primary")
-	}
-	primary.DetachReplication()
-	if _, _, err := primary.AttachReplication(sink); err != nil {
-		t.Fatalf("re-attach after detach: %v", err)
+	catchUp(t, primary, replica, tail)
+	catchUp(t, primary, second, secondTail)
+	if !bytes.Equal(snapBytes(replica), snapBytes(primary)) || !bytes.Equal(snapBytes(second), snapBytes(primary)) {
+		t.Fatal("mid-stream-seeded replica diverged from primary")
 	}
 }
 
-// TestReplicationDurablePrimaryShipsWALPositions pins that on a durable
-// primary the shipped positions are exactly the WAL LSNs, so feed leases and
-// segment pruning speak the same coordinate system.
+// TestReplicationDurablePrimaryShipsWALPositions pins that replication
+// positions are exactly the WAL LSNs, so leases and segment pruning speak the
+// coordinate replicas read at, and that an in-memory system, having no log,
+// seeds no replica.
 func TestReplicationDurablePrimaryShipsWALPositions(t *testing.T) {
-	fs := wal.NewMemFS()
-	s, _ := openDurable(t, fs, durTestConfig())
-	sink := &recSink{}
-	if _, _, err := s.AttachReplication(sink); err != nil {
-		t.Fatalf("AttachReplication: %v", err)
-	}
+	s, _ := openDurable(t, wal.NewMemFS(), durTestConfig())
 	ingestSeq(t, s)
-	st := s.DurabilityStatus()
-	if len(sink.lsns) != 3 || sink.lsns[2] != st.NextLSN-1 {
-		t.Fatalf("shipped LSNs %v, WAL next LSN %d", sink.lsns, st.NextLSN)
+	if st := s.DurabilityStatus(); s.ReplicationLSN() != st.NextLSN || st.NextLSN != 3 {
+		t.Fatalf("replication position %d, WAL next LSN %d", s.ReplicationLSN(), st.NextLSN)
+	}
+	// A fresh in-memory replica replaying the log from LSN 0 matches the
+	// durable primary byte for byte.
+	replica := NewSystem(s.Config())
+	tail, err := s.TailWAL(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	catchUp(t, s, replica, tail)
+	if tail.LSN() != 3 || !bytes.Equal(snapBytes(replica), snapBytes(s)) {
+		t.Fatalf("replica of durable primary at LSN %d diverged", tail.LSN())
 	}
 
-	// The shipped payloads are the WAL records themselves: a fresh in-memory
-	// replica replaying them matches the durable primary byte for byte.
-	replica := NewSystem(s.Config())
-	for _, rec := range sink.recs {
-		if err := replica.ReplicaApply(rec); err != nil {
-			t.Fatalf("ReplicaApply: %v", err)
+	mem := NewSystem(durTestConfig())
+	if _, _, _, err := mem.ReplicationSeed(); !errors.Is(err, ErrNotDurable) {
+		t.Fatalf("ReplicationSeed on an in-memory system: %v", err)
+	}
+	if _, err := mem.TailWAL(0); !errors.Is(err, ErrNotDurable) {
+		t.Fatalf("TailWAL on an in-memory system: %v", err)
+	}
+}
+
+// TestReplicationSeedHoldsItsSegment: the lease ReplicationSeed returns is
+// taken with the capture, so checkpoints that land before the replica has
+// read anything — two of them, so not even the fallback checkpoint's tail
+// keeps the segment — prune around the seed position, never through it.
+func TestReplicationSeedHoldsItsSegment(t *testing.T) {
+	fs := wal.NewMemFS()
+	primary, _ := openDurable(t, fs, durTestConfig())
+	batches := seqBatches()
+	if _, err := primary.Ingest(batches[0]); err != nil {
+		t.Fatal(err)
+	}
+	replica, tail := seededReplica(t, primary)
+	for _, b := range batches[1:] {
+		if _, err := primary.Ingest(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := primary.Checkpoint(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if !bytes.Equal(snapBytes(replica), snapBytes(s)) {
-		t.Fatal("replica of durable primary diverged")
+	if names, _ := fs.ReadDir(durDir); !slices.Contains(names, "wal-0000000000000000.log") {
+		t.Fatalf("pruning removed the segment holding the seed position: %v", names)
+	}
+	catchUp(t, primary, replica, tail)
+	if !bytes.Equal(snapBytes(replica), snapBytes(primary)) {
+		t.Fatal("replica seeded before two checkpoints diverged")
+	}
+}
+
+// TestPublishedWakesReaders: every publish advances the position and closes
+// the channel readers wait on.
+func TestPublishedWakesReaders(t *testing.T) {
+	s, _ := openDurable(t, wal.NewMemFS(), durTestConfig())
+	lsn, wake := s.Published()
+	select {
+	case <-wake:
+		t.Fatal("wake channel closed before any publish")
+	default:
+	}
+	if _, err := s.Ingest(seqBatches()[0]); err != nil {
+		t.Fatal(err)
+	}
+	<-wake
+	if next, _ := s.Published(); next != lsn+1 {
+		t.Fatalf("position %d after one publish from %d", next, lsn)
 	}
 }
 
@@ -192,11 +292,11 @@ func TestCheckpointFallbackOnCorruptNewest(t *testing.T) {
 	requireAnswer(t, s2, "What is the status of MU551?", "Boarding")
 }
 
-// TestWALLeasePreservesLaggingFeedTail is the satellite retention-lease case:
-// while a replication feed still holds a lease at an old position, checkpoint
-// pruning keeps every segment from that position on, so the lagging replica
-// can always replay forward; once the lease advances and releases, the next
-// checkpoint prunes normally.
+// TestWALLeasePreservesLaggingFeedTail is the retention-lease case: while a
+// replica still holds a lease at an old position, checkpoint pruning keeps
+// every segment from that position on, so the lagging replica can always
+// read forward; once the lease advances and releases, the next checkpoint
+// prunes normally.
 func TestWALLeasePreservesLaggingFeedTail(t *testing.T) {
 	fs := wal.NewMemFS()
 	s, _ := openDurable(t, fs, durTestConfig())
@@ -215,7 +315,7 @@ func TestWALLeasePreservesLaggingFeedTail(t *testing.T) {
 		t.Fatalf("leased scan found %d records, want 3", len(sr.Records))
 	}
 
-	// Catch the feed up and release; the next checkpoint cycle prunes the
+	// Catch the replica up and release; the next checkpoint cycle prunes the
 	// now-unleased history (down to the fallback checkpoint's tail).
 	lease.Advance(s.ReplicationLSN())
 	lease.Release()

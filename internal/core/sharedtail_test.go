@@ -15,7 +15,7 @@ import (
 // the next clone of the same snapshot must not be affected by them. These
 // tests pin that from the outside: after a failed group, the next
 // successful commit digests exactly like a reference engine that never saw
-// the failure, on the primary and on a replica fed the shipped records, and
+// the failure, on the primary and on a replica reading the primary's log, and
 // the snapshot that was serving during the failure still digests as it did.
 
 // referenceDigest ingests the given batches, one commit each, into a fresh
@@ -31,53 +31,22 @@ func referenceDigest(t *testing.T, cfg Config, ks ...int) uint64 {
 	return ref.SnapshotDigest()
 }
 
-// attachedReplica attaches a recording sink to primary and returns it with a
-// replica seeded at the attach position.
-func attachedReplica(t *testing.T, primary *System) (*recSink, *System) {
-	t.Helper()
-	sink := &recSink{}
-	handle, lsn, err := primary.AttachReplication(sink)
-	if err != nil {
-		t.Fatalf("AttachReplication: %v", err)
-	}
-	replica := NewSystem(primary.Config())
-	if err := replica.SeedReplica(handle.Encode(), lsn); err != nil {
-		t.Fatalf("SeedReplica: %v", err)
-	}
-	return sink, replica
-}
-
-// catchUp applies every record the sink holds beyond the replica's position.
-func catchUp(t *testing.T, sink *recSink, replica *System) {
-	t.Helper()
-	sink.mu.Lock()
-	defer sink.mu.Unlock()
-	for i, lsn := range sink.lsns {
-		if lsn < replica.ReplicationLSN() {
-			continue
-		}
-		if err := replica.ReplicaApply(sink.recs[i]); err != nil {
-			t.Fatalf("ReplicaApply LSN %d: %v", lsn, err)
-		}
-	}
-}
-
 func TestCommitAfterFailedWALAppendMatchesReference(t *testing.T) {
 	defer fault.Reset()
 	cfg := durTestConfig()
 	primary, _ := openDurable(t, wal.NewMemFS(), cfg)
-	sink, replica := attachedReplica(t, primary)
+	replica, tail := seededReplica(t, primary)
 	for k := 0; k < 4; k++ {
 		if _, err := primary.Ingest(ingestBatch(k)); err != nil {
 			t.Fatalf("ingest %d: %v", k, err)
 		}
 	}
-	catchUp(t, sink, replica)
+	catchUp(t, primary, replica, tail)
 	serving := primary.ServingHandle()
 	servingDigest := serving.Digest()
 
 	// The group replays onto the commit clone (claiming the shared tail) and
-	// only then fails its WAL append: nothing publishes, nothing ships.
+	// only then fails its WAL append: nothing publishes, nothing is logged.
 	fault.Enable(fault.PointWALAppend, fault.Fault{Kind: fault.KindError, MaxHits: 1})
 	if _, err := primary.Ingest(ingestBatch(4)); err == nil {
 		t.Fatal("ingest under a WAL append fault succeeded")
@@ -95,7 +64,7 @@ func TestCommitAfterFailedWALAppendMatchesReference(t *testing.T) {
 		if _, err := primary.Ingest(ingestBatch(k)); err != nil {
 			t.Fatalf("ingest %d after the failed group: %v", k, err)
 		}
-		catchUp(t, sink, replica)
+		catchUp(t, primary, replica, tail)
 		survivors = append(survivors, k)
 		want := referenceDigest(t, cfg, survivors...)
 		if got := primary.SnapshotDigest(); got != want {
@@ -112,8 +81,8 @@ func TestCommitAfterFailedWALAppendMatchesReference(t *testing.T) {
 
 func TestCommitAfterMidGroupReplayFailureMatchesReference(t *testing.T) {
 	cfg := durTestConfig()
-	primary := NewSystem(cfg)
-	sink, replica := attachedReplica(t, primary)
+	primary, _ := openDurable(t, wal.NewMemFS(), cfg)
+	replica, tail := seededReplica(t, primary)
 	for k := 0; k < 2; k++ {
 		if _, err := primary.Ingest(ingestBatch(k)); err != nil {
 			t.Fatalf("ingest %d: %v", k, err)
@@ -142,7 +111,7 @@ func TestCommitAfterMidGroupReplayFailureMatchesReference(t *testing.T) {
 	if group[0].err != nil || group[1].err == nil || group[2].err != nil {
 		t.Fatalf("group outcome: %v / %v / %v", group[0].err, group[1].err, group[2].err)
 	}
-	catchUp(t, sink, replica)
+	catchUp(t, primary, replica, tail)
 	if got, want := primary.SnapshotDigest(), referenceDigest(t, cfg, 0, 1, 2, 4); got != want {
 		t.Fatalf("rolled-back group: primary digest %016x, reference %016x", got, want)
 	}
@@ -150,7 +119,7 @@ func TestCommitAfterMidGroupReplayFailureMatchesReference(t *testing.T) {
 	if _, err := primary.Ingest(ingestBatch(5)); err != nil {
 		t.Fatalf("ingest after the rolled-back group: %v", err)
 	}
-	catchUp(t, sink, replica)
+	catchUp(t, primary, replica, tail)
 	want := referenceDigest(t, cfg, 0, 1, 2, 4, 5)
 	if got := primary.SnapshotDigest(); got != want {
 		t.Fatalf("next commit: primary digest %016x, reference %016x", got, want)

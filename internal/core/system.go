@@ -139,14 +139,14 @@ type System struct {
 	// Open/OpenFS; nil for purely in-memory systems. See durable.go.
 	dur *durable
 
-	// replSink, when attached, receives every committed group's WAL record in
-	// commit order (see replication.go). walLeases holds the WAL retention
-	// floors lagging feeds pin. Both are guarded by mu; replPos (the
-	// replication position — commit groups ever published, equal to the WAL
-	// LSN on durable systems) is written under mu but read lock-free by the
-	// router's staleness guard.
-	replSink  ReplicationSink
+	// replPos is the replication position — commit groups ever published,
+	// equal to the WAL LSN on durable systems — and wake the channel the next
+	// publish closes (chan struct{}); both are written under mu and read
+	// lock-free by replicas and the router's staleness guard. walLeases holds
+	// the WAL retention floors replicas pin, guarded by mu. See
+	// replication.go.
 	replPos   atomic.Uint64
+	wake      atomic.Value
 	walLeases map[*WALLease]struct{}
 }
 
@@ -178,6 +178,7 @@ func NewSystem(cfg Config) *System {
 		extBreaker:  fault.NewBreaker("llm.extract", cfg.BreakerFailures, cfg.BreakerCooldown, nil),
 	}
 	s.gc.init()
+	s.wake.Store(make(chan struct{}))
 	s.snap.Store(&snapshot{
 		graph: kg.New(),
 		index: retrieval.NewIndex(retrieval.DefaultDim),

@@ -57,14 +57,11 @@ const (
 	// PointServeExecute fires in the serving executor loop, once per formed
 	// batch, before the engine runs it.
 	PointServeExecute = "serve.execute"
-	// PointClusterFeed fires in a replica's feed pump before each delivered
-	// frame. Error faults drop the frame (the replica detects the gap and
-	// fences); hang faults stall the pump until released, backing the feed
-	// queue up behind it.
-	PointClusterFeed = "cluster.feed"
-	// PointClusterReplay fires before a replica replays a shipped record.
-	// Error faults fence the replica (its state can no longer be trusted to
-	// match the feed position), forcing a resync from the primary.
+	// PointClusterReplay fires before a replica reads and replays each
+	// committed record of the primary's log. Error faults fence the replica
+	// (its state can no longer be trusted to match its position), forcing a
+	// resync from the primary; hang faults stall it until released, while the
+	// primary commits on and its lease keeps the log it has yet to read.
 	PointClusterReplay = "cluster.replay"
 	// PointClusterProbe fires inside a replica health probe — the call the
 	// router uses to re-admit a drained replica.

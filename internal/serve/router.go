@@ -15,8 +15,8 @@ import (
 const (
 	// RouteRoundRobin spreads batches across eligible replicas in turn.
 	RouteRoundRobin = "round-robin"
-	// RoutePrimaryOnly sends every batch to the primary; replicas only apply
-	// the feed (a warm-standby layout).
+	// RoutePrimaryOnly sends every batch to the primary; replicas only follow
+	// its log (a warm-standby layout).
 	RoutePrimaryOnly = "primary-only"
 )
 
@@ -42,7 +42,7 @@ var errReplicaDegraded = errors.New("serve: replica returned degraded answers")
 // primary, so routing is invisible in answer values; the router's job is
 // purely availability and tail latency:
 //
-//   - Eligibility: a replica serves only while live (applying its feed), its
+//   - Eligibility: a replica serves only while live (following the log), its
 //     breaker is closed, and it is within MaxLag commits of the primary.
 //   - Failover: batches fall back to the primary when no replica is eligible
 //     or the picked replica fails mid-flight; an erroring replica's breaker

@@ -14,16 +14,15 @@ import (
 	"multirag/internal/fault"
 )
 
-// newChaosClusterServer stands up a corpus-loaded primary, an n-replica set
-// and a full HTTP server routing reads across it. Lifecycle is manual (no
-// t.Cleanup) so tests can close everything before the goroutine-watermark
-// check. Close order: httptest server, Server, ReplicaSet.
+// newChaosClusterServer stands up a corpus-loaded durable primary, an
+// n-replica set and a full HTTP server routing reads across it. Tests close
+// everything before the goroutine-watermark check. Close order: httptest
+// server, Server, ReplicaSet, System.
 func newChaosClusterServer(t *testing.T, n int, cfg Config) (
 	*multirag.System, *multirag.ReplicaSet, *Server, *httptest.Server, func()) {
 	t.Helper()
-	sys := newCorpusSystem(t)
-	set, err := multirag.NewReplicaSet(sys, multirag.ReplicaSetConfig{
-		Replicas: n, VerifyEvery: 1, QueueLen: 8})
+	sys := newDurableCorpusSystem(t)
+	set, err := multirag.NewReplicaSet(sys, multirag.ReplicaSetConfig{Replicas: n})
 	if err != nil {
 		t.Fatalf("NewReplicaSet: %v", err)
 	}
@@ -43,6 +42,7 @@ func newChaosClusterServer(t *testing.T, n int, cfg Config) (
 		ts.Close()
 		s.Close()
 		set.Close()
+		sys.Close()
 	}
 	return sys, set, s, ts, closeAll
 }
@@ -97,11 +97,11 @@ func ingestFiller(t *testing.T, sys *multirag.System, i int) {
 }
 
 // TestChaosClusterRouterShedsLaggingReplica is the serve-level chaos case: one
-// of three replicas' feed pump hangs mid-stream while writes keep committing.
-// The stalled replica falls past the staleness bound and is shed; every HTTP
-// read during the outage still returns exactly the primary's answer. When the
-// hang releases, the replica detects its dropped frames, fences, resyncs from
-// the primary and rejoins — visible through /v1/metrics.
+// of three replicas stalls before its next read while writes keep
+// committing. The stalled replica falls past the staleness bound and is shed;
+// every HTTP read during the outage still returns exactly the primary's
+// answer. When the stall releases, the replica reads the log it missed and
+// rejoins without a resync — visible through /v1/metrics.
 func TestChaosClusterRouterShedsLaggingReplica(t *testing.T) {
 	defer fault.Reset()
 	base := runtime.NumGoroutine()
@@ -112,16 +112,12 @@ func TestChaosClusterRouterShedsLaggingReplica(t *testing.T) {
 	want := sys.AskEach(make([]context.Context, 1),
 		[]string{"What is the status of CA981?"})[0]
 
-	// Hang exactly one pump (MaxHits 1): its queue overflows under the write
-	// load below while the other two replicas keep applying.
-	fault.Enable(fault.PointClusterFeed, fault.Fault{Kind: fault.KindHang, MaxHits: 1})
-
-	// A single dropped frame can be a trailing digest marker, which never
-	// forces a resync (its LSN equals the next record's). Two drops with the
-	// pump still hung guarantee a dropped record and therefore a real gap.
+	// Stall exactly one replica (MaxHits 1): it falls behind under the write
+	// load below while the other two keep applying.
+	fault.Enable(fault.PointClusterReplay, fault.Fault{Kind: fault.KindHang, MaxHits: 1})
 	stalled := func() bool {
 		for _, st := range set.Status() {
-			if st.Lag > maxLag && st.DroppedFrames >= 2 {
+			if st.Lag > maxLag {
 				return true
 			}
 		}
@@ -141,32 +137,13 @@ func TestChaosClusterRouterShedsLaggingReplica(t *testing.T) {
 		askServer(t, ts.URL, want)
 	}
 
-	// Release the hang; the stalled replica sees the gap, fences and resyncs.
-	// Keep writing: a dropped tail frame only surfaces when a later one lands.
-	fault.Disable(fault.PointClusterFeed)
-	deadline = time.Now().Add(10 * time.Second)
-	for i := 10000; ; i++ {
-		caught := true
-		for _, r := range set.Replicas() {
-			if !r.Live() || r.Position() != set.CommittedLSN() {
-				caught = false
-			}
-		}
-		if caught {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("stalled replica never rejoined: %+v", set.Status())
-		}
-		ingestFiller(t, sys, i)
-		time.Sleep(2 * time.Millisecond)
-	}
-	var resyncs uint64
+	// Release the stall; the replica reads what it missed from the log.
+	fault.Disable(fault.PointClusterReplay)
+	waitReplicasCaughtUp(t, set)
 	for _, st := range set.Status() {
-		resyncs += st.Resyncs
-	}
-	if resyncs == 0 {
-		t.Fatalf("expected at least one fence+resync cycle: %+v", set.Status())
+		if st.Resyncs != 0 {
+			t.Fatalf("a stalled replica must catch up from the log, not resync: %+v", set.Status())
+		}
 	}
 	askServer(t, ts.URL, want)
 

@@ -16,12 +16,28 @@ var routerQueries = []string{
 	"What is the status of MU588?",
 }
 
-// newReplicatedSystem builds a corpus-loaded primary plus a caught-up
+// newDurableCorpusSystem is newCorpusSystem opened durably in a temporary
+// directory — replicas read the primary's write-ahead log — and closed when
+// the test ends.
+func newDurableCorpusSystem(t *testing.T) *multirag.System {
+	t.Helper()
+	sys, _, err := multirag.OpenDurable(t.TempDir(), multirag.Config{Seed: 1})
+	if err != nil {
+		t.Fatalf("OpenDurable: %v", err)
+	}
+	t.Cleanup(func() { sys.Close() })
+	if err := sys.IngestFiles(corpusFiles()...); err != nil {
+		t.Fatalf("ingest corpus: %v", err)
+	}
+	return sys
+}
+
+// newReplicatedSystem builds a corpus-loaded durable primary plus a caught-up
 // replica set of n replicas. The corpus is ingested before the set attaches,
-// so every replica is seeded with the full state and no feed wait is needed.
+// so every replica is seeded with the full state and has no log to read yet.
 func newReplicatedSystem(t *testing.T, n int) (*multirag.System, *multirag.ReplicaSet) {
 	t.Helper()
-	sys := newCorpusSystem(t)
+	sys := newDurableCorpusSystem(t)
 	set, err := multirag.NewReplicaSet(sys, multirag.ReplicaSetConfig{Replicas: n})
 	if err != nil {
 		t.Fatalf("NewReplicaSet: %v", err)
@@ -89,16 +105,11 @@ func TestRouterPrimaryOnlyNeverTouchesReplicas(t *testing.T) {
 // and reads fail over to the primary until it catches up.
 func TestRouterStalenessGuardFailsOverToPrimary(t *testing.T) {
 	defer fault.Reset()
-	sys := newCorpusSystem(t)
-	set, err := multirag.NewReplicaSet(sys, multirag.ReplicaSetConfig{Replicas: 1, QueueLen: 64})
-	if err != nil {
-		t.Fatalf("NewReplicaSet: %v", err)
-	}
-	defer set.Close()
+	sys, set := newReplicatedSystem(t, 1)
 	rt := newTestRouter(t, sys, set, RouteRoundRobin, 0, 1)
 
-	// Stall the feed pump, then commit past the lag bound.
-	fault.Enable(fault.PointClusterFeed, fault.Fault{Kind: fault.KindHang})
+	// Stall the replica before its next read, then commit past the lag bound.
+	fault.Enable(fault.PointClusterReplay, fault.Fault{Kind: fault.KindHang})
 	for i := 0; i < 3; i++ {
 		if err := sys.IngestFiles(multirag.File{Domain: "flights", Source: "airport-api",
 			Name: "filler", Format: "text", Content: []byte("The status of XX001 is Scheduled.")}); err != nil {
@@ -107,16 +118,16 @@ func TestRouterStalenessGuardFailsOverToPrimary(t *testing.T) {
 	}
 	rep := set.Replicas()[0]
 	if lag := set.CommittedLSN() - rep.Position(); lag <= 1 {
-		t.Fatalf("replica lag %d, want > 1 under a hung feed", lag)
+		t.Fatalf("replica lag %d, want > 1 while it is stalled", lag)
 	}
 	rt.run(make([]context.Context, 1), routerQueries[:1])
 	if rt.primaryBatches.Load() != 1 {
 		t.Fatalf("lagging replica was routed to (primary batches = %d)", rt.primaryBatches.Load())
 	}
 
-	// Release the feed and wait for catch-up; the replica becomes eligible
-	// again without any probe (its breaker never tripped).
-	fault.Disable(fault.PointClusterFeed)
+	// Release the replica and wait for it to read the log; it becomes
+	// eligible again without any probe (its breaker never tripped).
+	fault.Disable(fault.PointClusterReplay)
 	deadline := time.Now().Add(10 * time.Second)
 	for rep.Position() != set.CommittedLSN() || !rep.Live() {
 		if time.Now().After(deadline) {

@@ -32,6 +32,11 @@ type FS interface {
 	Create(name string) (File, error)
 	// ReadFile returns the full content of name.
 	ReadFile(name string) ([]byte, error)
+	// ReadAt reads len(p) bytes of name from offset off, with io.ReaderAt's
+	// contract: fewer bytes come back only with an error, io.EOF at the end
+	// of the file. It is how a Tail follows a segment another writer is
+	// still appending to.
+	ReadAt(name string, p []byte, off int64) (int, error)
 	// Rename atomically replaces newname with oldname. Durable only after a
 	// SyncDir on the parent directory.
 	Rename(oldname, newname string) error
@@ -67,6 +72,15 @@ func (OSFS) OpenAppend(name string) (File, error) {
 func (OSFS) Create(name string) (File, error) { return os.Create(name) }
 
 func (OSFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
+
+func (OSFS) ReadAt(name string, p []byte, off int64) (int, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	return f.ReadAt(p, off)
+}
 
 func (OSFS) Rename(oldname, newname string) error { return os.Rename(oldname, newname) }
 

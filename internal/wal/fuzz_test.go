@@ -7,10 +7,12 @@ import (
 	"unsafe"
 )
 
-// FuzzFrameParse throws arbitrary bytes at the WAL record decoder — the code
-// path every recovery walks over whatever a crash left on disk. Invariants:
-// no panic, the clean prefix is always re-parseable to the same records, and
-// records round-trip bit-exactly through appendFrame.
+// FuzzFrameParse throws arbitrary bytes at the WAL frame parser — the code
+// path every recovery walks over whatever a crash left on disk, and every
+// replica's Tail over the primary's segments. Invariants: no panic, the clean
+// prefix is always re-parseable to the same records, records round-trip
+// bit-exactly through appendFrame, and a Tail over the bytes as a segment
+// reads exactly those records and then, told one more is committed, fails.
 func FuzzFrameParse(f *testing.F) {
 	var seed []byte
 	seed = appendFrame(seed, []byte("alpha"))
@@ -48,6 +50,28 @@ func FuzzFrameParse(f *testing.F) {
 		}
 		if !bytes.Equal(re, b[:clean]) {
 			t.Fatal("re-encoded records differ from clean prefix")
+		}
+
+		m := NewMemFS()
+		seg, err := m.Create(join("wal", segName(0)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg.Write(b)
+		m.MkdirAll("wal")
+		tail, err := OpenTail(m, "wal", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		committed := uint64(len(payloads)) + 1
+		for i, p := range payloads {
+			got, ok, err := tail.Next(committed)
+			if err != nil || !ok || !bytes.Equal(got, p) {
+				t.Fatalf("tail record %d = %x, %v, %v; parser read %x", i, got, ok, err, p)
+			}
+		}
+		if _, _, err := tail.Next(committed); err == nil {
+			t.Fatal("tail read past the clean prefix without an error")
 		}
 
 		// The checkpoint parser must be equally panic-free.

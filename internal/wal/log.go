@@ -290,9 +290,9 @@ func (l *Log) Close() error {
 //     checkpoint is later destroyed by media corruption, recovery falls back
 //     to the older one and replays the longer tail instead of failing.
 //   - Lease floor: no segment containing records at or above floor is
-//     deleted, whatever the checkpoint covers. Replication feeds hold floor
-//     at the slowest replica's position (core.WALLease), so pruning under a
-//     lagging replica never deletes records it has yet to ship.
+//     deleted, whatever the checkpoint covers. Replicas hold floor at the
+//     slowest one's position (core.WALLease), so pruning under a lagging
+//     replica never deletes records its Tail has yet to read.
 //
 // Effectively segments survive down to min(floor, fallback-checkpoint LSN);
 // checkpoints below the fallback, and stray .tmp files, are removed.

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"fmt"
+	"io"
 	"io/fs"
 	"path/filepath"
 	"sort"
@@ -175,6 +176,24 @@ func (m *MemFS) ReadFile(name string) ([]byte, error) {
 		return nil, notExist(name)
 	}
 	return append([]byte(nil), ino.data...), nil
+}
+
+// ReadAt copies name's current (volatile) content at off into p.
+func (m *MemFS) ReadAt(name string, p []byte, off int64) (int, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ino := m.files[name]
+	if ino == nil {
+		return 0, notExist(name)
+	}
+	if off > int64(len(ino.data)) {
+		return 0, io.EOF
+	}
+	n := copy(p, ino.data[off:])
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
 }
 
 // Rename atomically moves oldname onto newname in the volatile namespace.

@@ -26,28 +26,36 @@ func appendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
+// parseFrame parses the frame at the start of b: its payload, which aliases
+// b, and its size. ok is false when b does not open with a whole valid frame
+// — too short for the header or for the length it claims, an absurd length,
+// or a CRC mismatch. Scan and Tail both read frames through it.
+func parseFrame(b []byte) (payload []byte, size int, ok bool) {
+	if len(b) < frameHeader {
+		return nil, 0, false
+	}
+	n := binary.LittleEndian.Uint32(b)
+	if n > maxRecordSize || int(n) > len(b)-frameHeader {
+		return nil, 0, false
+	}
+	payload = b[frameHeader : frameHeader+int(n)]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(b[4:]) {
+		return nil, 0, false
+	}
+	return payload, frameHeader + int(n), true
+}
+
 // parseFrames splits b into valid record payloads. It returns the payloads,
 // the byte length of the valid prefix, and whether anything after that prefix
 // was discarded (a torn tail or a corrupt frame). Payloads alias b.
 func parseFrames(b []byte) (payloads [][]byte, cleanLen int, clean bool) {
-	off := 0
-	for {
-		rest := b[off:]
-		if len(rest) == 0 {
-			return payloads, off, true
+	for cleanLen < len(b) {
+		p, n, ok := parseFrame(b[cleanLen:])
+		if !ok {
+			return payloads, cleanLen, false
 		}
-		if len(rest) < frameHeader {
-			return payloads, off, false
-		}
-		n := binary.LittleEndian.Uint32(rest)
-		if n > maxRecordSize || int(n) > len(rest)-frameHeader {
-			return payloads, off, false
-		}
-		payload := rest[frameHeader : frameHeader+int(n)]
-		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(rest[4:]) {
-			return payloads, off, false
-		}
-		payloads = append(payloads, payload)
-		off += frameHeader + int(n)
+		payloads = append(payloads, p)
+		cleanLen += n
 	}
+	return payloads, cleanLen, true
 }

@@ -481,7 +481,7 @@ func TestRemoveBelowHonoursLeaseFloor(t *testing.T) {
 	if err := WriteCheckpoint(m, dir, 6, []byte("ck")); err != nil {
 		t.Fatal(err)
 	}
-	// A feed lease at 1 pins every segment from record 1 on, whatever the
+	// A replica lease at 1 pins every segment from record 1 on, whatever the
 	// checkpoint covers: a replica still at position 1 must be able to replay
 	// the full tail.
 	if err := RemoveBelow(m, dir, 6, 1); err != nil {

@@ -56,6 +56,35 @@ func TestIngestValidation(t *testing.T) {
 	}
 }
 
+// TestReplicaSetNeedsOpenDurable: replicas read the primary's write-ahead
+// log, so a replica set over an in-memory System is refused by name, and one
+// over a durable System serves the primary's answer.
+func TestReplicaSetNeedsOpenDurable(t *testing.T) {
+	if _, err := NewReplicaSet(Open(Config{}), ReplicaSetConfig{}); err == nil || !strings.Contains(err.Error(), "OpenDurable") {
+		t.Fatalf("NewReplicaSet on an in-memory System: %v, want an error naming OpenDurable", err)
+	}
+	sys, _, err := OpenDurable(t.TempDir(), Config{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if err := sys.IngestFiles(flightFiles()...); err != nil {
+		t.Fatal(err)
+	}
+	set, err := NewReplicaSet(sys, ReplicaSetConfig{Replicas: 1})
+	if err != nil {
+		t.Fatalf("NewReplicaSet: %v", err)
+	}
+	defer set.Close()
+	got := set.Replicas()[0].AskEach(nil, []string{"What is the status of CA981?"})[0]
+	if want := sys.Ask("What is the status of CA981?"); len(got.Values) != 1 || got.Values[0] != want.Values[0] {
+		t.Fatalf("replica answered %v, primary %v", got.Values, want.Values)
+	}
+	if st := set.Status()[0]; st.State != "live" || st.AppliedLSN != set.CommittedLSN() || st.DroppedFrames != 0 {
+		t.Fatalf("replica status %+v", st)
+	}
+}
+
 func TestStats(t *testing.T) {
 	sys := Open(Config{})
 	if err := sys.IngestFiles(flightFiles()...); err != nil {
