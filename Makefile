@@ -2,7 +2,7 @@ GO ?= go
 BENCH_SCALE ?= 0.12
 BENCHTIME ?= 1s
 
-.PHONY: check fmt vet build test race chaos chaos-cluster fuzz-smoke layers bench bench-micro clean
+.PHONY: check fmt vet build test race chaos chaos-cluster fuzz-smoke layers bench bench-micro size clean
 
 # check is the CI entry point: formatting, static analysis, full build,
 # race-enabled tests, and a short fuzz pass over the crash-surface decoders.
@@ -98,6 +98,12 @@ bench-micro:
 # per-job wall-clock timings for the perf trajectory.
 bench:
 	$(GO) run ./cmd/benchtables -scale $(BENCH_SCALE) -json BENCH_core.json
+
+# size prints the two code-size counts the shrink passes track: non-test Go
+# lines and flag definitions under cmd/. It reports and gates nothing.
+size:
+	@printf 'non-test Go lines:     '; find . -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@printf 'cmd/ flag definitions: '; grep -rhoE '\b(flag|fs)\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64|Func|BoolFunc|TextVar|Var)(Var)?\(' cmd --include=*.go | wc -l
 
 clean:
 	rm -f BENCH_core.json

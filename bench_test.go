@@ -198,14 +198,6 @@ func BenchmarkLineGraphBuild(b *testing.B) {
 	}
 }
 
-func BenchmarkLineGraphTransform(b *testing.B) {
-	g := benchGraph(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		linegraph.Transform(g)
-	}
-}
-
 func BenchmarkMCCRun(b *testing.B) {
 	g := benchGraph(b)
 	sg := linegraph.Build(g)

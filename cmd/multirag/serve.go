@@ -64,10 +64,9 @@ the process exits. Inspect or repair a directory with "multirag recover".
 With -replicas N (needs -data-dir), reads are served from N in-process
 replicas that read and replay the primary's write-ahead log, byte-identical
 to it at every position and checked by snapshot digest every 16 records.
--route picks the policy (round-robin or primary-only); -max-lag
-bounds replica staleness (laggards fail over to the primary); -hedge-after
-dispatches a second copy of a slow read to another replica and returns
-whichever answers first. Replica health, lag, resync and hedging counters
+-route picks the policy (round-robin or primary-only). A replica more than
+256 commit groups behind the primary is skipped until it catches up, and
+reads fail over to the primary. Replica health, lag and resync counters
 appear under "router" in /v1/metrics.
 
 Flags:
@@ -95,8 +94,6 @@ Flags:
 		brkCooldown  = fs.Duration("breaker-cooldown", 0, "open-breaker cooldown before a half-open probe (0 = default)")
 		replicas     = fs.Int("replicas", 0, "read replicas that replay the primary's write-ahead log; needs -data-dir (0 = serve reads from the primary)")
 		route        = fs.String("route", serve.RouteRoundRobin, "replica read-routing policy: round-robin or primary-only")
-		hedgeAfter   = fs.Duration("hedge-after", 0, "dispatch a hedged copy of a read to a second replica after this delay; first answer wins (0 = no hedging)")
-		maxLag       = fs.Uint64("max-lag", 0, "staleness bound in commit groups; reads fail over to the primary when a replica lags further (0 = default)")
 	)
 	if err := fs.Parse(args); err != nil {
 		fatal("serve: %v", err)
@@ -166,8 +163,6 @@ Flags:
 		Recovery:     recovery,
 		Replicas:     set,
 		Route:        *route,
-		HedgeAfter:   *hedgeAfter,
-		MaxLag:       *maxLag,
 	})
 	if err != nil {
 		closeSet()

@@ -57,19 +57,16 @@
 // digest differs, fences itself and reseeds from the primary. The serving
 // layer routes reads across the set (CLI: `multirag serve -data-dir D
 // -replicas N -route round-robin|primary-only`), bounds staleness
-// (-max-lag, laggards fail over to the primary), health-checks replicas
-// behind per-replica circuit breakers, and optionally hedges slow reads onto
-// a second replica (-hedge-after), returning whichever answer lands first
-// and canceling the loser. `multirag recover -verify` prints the replication
-// position and snapshot digest for offline cross-node comparison. `go run
-// ./benchmark` measures a primary and two replicas behind the HTTP front door
-// end to end. See DESIGN.md section 11.
+// (laggards fail over to the primary) and health-checks replicas behind
+// per-replica circuit breakers. `multirag recover -verify` prints the
+// replication position and snapshot digest for offline cross-node
+// comparison. `go run ./benchmark` measures a primary and two replicas behind
+// the HTTP front door end to end. See DESIGN.md section 11.
 //
 // The public API wraps the internal modules: adapters (internal/adapter),
-// the DSM columnar store (internal/dsm), JSON-LD normalisation
-// (internal/jsonld), knowledge-graph storage (internal/kg), the line-graph
-// machinery (internal/linegraph), confidence computing (internal/confidence)
-// and the MKLGP pipeline (internal/core). The language model is a
+// JSON-LD normalisation (internal/jsonld), knowledge-graph storage
+// (internal/kg), the line-graph machinery (internal/linegraph), confidence
+// computing (internal/confidence) and the MKLGP pipeline (internal/core). The language model is a
 // deterministic simulation (internal/llm); see DESIGN.md for the
 // substitution rationale.
 package multirag

@@ -43,6 +43,12 @@ func TestStructuredCSVErrors(t *testing.T) {
 	if _, err := (Structured{}).Parse(RawFile{Format: "csv", Content: []byte("onlykey\nv\n")}); err == nil {
 		t.Fatal("csv without attribute columns must error")
 	}
+	// A header that repeats a column name is rejected by name, and the
+	// rejection reaches callers of Fuse.
+	dup := RawFile{Domain: "d", Source: "s", Name: "n", Format: "csv", Content: []byte("title,year,director,year\nHeat,1995,Mann,1996\n")}
+	if _, err := NewRegistry().Fuse([]RawFile{dup}); err == nil || !strings.Contains(err.Error(), `"year"`) {
+		t.Fatalf("duplicate header column must fail Fuse naming it, got %v", err)
+	}
 }
 
 func TestSemiJSONNested(t *testing.T) {

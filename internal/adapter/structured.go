@@ -5,14 +5,12 @@ import (
 	"encoding/csv"
 	"fmt"
 
-	"multirag/internal/dsm"
 	"multirag/internal/jsonld"
 )
 
 // Structured adapts tabular CSV data. Per §III-B, tabular information is
-// stored in JSON(-LD) with attribute variables managed through a
-// Decomposition Storage Model so that all attribute information can be
-// extracted for consistency checks via column indexes.
+// stored in JSON(-LD) with a column index (cols_index, Definition 1) so that
+// all attribute information can be extracted for consistency checks.
 //
 // Convention: the first CSV column names the entity each row describes;
 // remaining columns are its attributes.
@@ -36,23 +34,17 @@ func (Structured) Parse(f RawFile) (*jsonld.Normalized, error) {
 	if len(header) < 2 {
 		return nil, fmt.Errorf("csv parse: need a key column plus at least one attribute, got %d columns", len(header))
 	}
-	table, err := dsm.NewTable(f.Name, header...)
-	if err != nil {
-		return nil, err
+	for i, c := range header {
+		for _, prev := range header[:i] {
+			if c == prev {
+				return nil, fmt.Errorf("csv parse: duplicate column %q in table %q", c, f.Name)
+			}
+		}
 	}
 	n := newNormalized(f)
 	for rowNum, rec := range records[1:] {
 		if len(rec) > len(header) {
 			return nil, fmt.Errorf("csv parse: row %d has %d fields, header has %d", rowNum+1, len(rec), len(header))
-		}
-		row := map[string]string{}
-		for i, v := range rec {
-			if v != "" {
-				row[header[i]] = v
-			}
-		}
-		if _, err := table.Insert(row); err != nil {
-			return nil, err
 		}
 		key := ""
 		if len(rec) > 0 {

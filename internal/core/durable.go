@@ -291,7 +291,7 @@ func (d *durable) appendGroup(committed []*prepared) error {
 	// (group fails, nothing publishes) without latching the log — the
 	// distinction between a request-scoped append failure and a poisoned
 	// directory. Latch behaviour itself is driven through the MemFS OnOp hook
-	// (wal.FaultOps) so the real latch logic runs.
+	// so the real latch logic runs.
 	if err := fault.Inject(context.Background(), fault.PointWALAppend); err != nil {
 		return err
 	}

@@ -10,6 +10,7 @@ import (
 	"multirag/internal/jsonld"
 	"multirag/internal/kg"
 	"multirag/internal/linegraph"
+	"multirag/internal/par"
 	"multirag/internal/retrieval"
 	"multirag/internal/wal"
 )
@@ -141,7 +142,7 @@ func (s *System) prepare(p *prepared, files []adapter.RawFile) {
 func (s *System) prepareFiles(ext *extract.Extractor, fused []*jsonld.Normalized) []fileWork {
 	dim := s.snap.Load().index.Dim()
 	work := make([]fileWork, len(fused))
-	Parallel(s.Workers(), len(fused), func(i int) {
+	par.ForEach(s.Workers(), len(fused), func(i int) {
 		w := &work[i]
 		rec := extract.NewRecorder()
 		if w.report, w.err = ext.BuildFile(rec, fused[i]); w.err != nil {

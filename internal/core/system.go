@@ -195,11 +195,6 @@ func (s *System) Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Parallel runs fn(i) for i in [0, n) across at most workers goroutines
-// (workers <= 0 selects GOMAXPROCS) — the bounded fan-out primitive the
-// engine uses for ingestion stages and batched query serving.
-func Parallel(workers, n int, fn func(int)) { par.ForEach(workers, n, fn) }
-
 // QueryEach evaluates queries[i] under ctxs[i] concurrently on the worker
 // pool (Config.Workers) and returns the answers in input order; a nil ctxs,
 // or a nil entry, means no deadline. The whole batch runs against one

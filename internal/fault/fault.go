@@ -32,8 +32,7 @@ import (
 )
 
 // Canonical injection-point names. Points are plain strings so packages can
-// add their own (wal.FaultOps derives "<prefix>.<op>" names per filesystem
-// operation); these constants name the ones wired into the engine.
+// add their own; these constants name the ones wired into the engine.
 const (
 	// PointLLMGenerate guards answer generation (llm.Sim.GenerateAnswerCtx).
 	PointLLMGenerate = "llm.generate"

@@ -123,51 +123,6 @@ func TestRemoveTriple(t *testing.T) {
 	}
 }
 
-func TestBFSDepthLimit(t *testing.T) {
-	g := New()
-	// chain a -> b -> c -> d
-	for _, n := range []string{"a", "b", "c", "d"} {
-		g.AddEntity(n, "", "")
-	}
-	link := func(s, o string) {
-		if _, err := g.AddTriple(Triple{Subject: s, Predicate: "next", Object: o}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	link("a", "b")
-	link("b", "c")
-	link("c", "d")
-	if got := g.BFS("a", 1); !reflect.DeepEqual(got, []string{"a", "b"}) {
-		t.Fatalf("BFS depth 1 = %v", got)
-	}
-	if got := g.BFS("a", -1); len(got) != 4 {
-		t.Fatalf("BFS unbounded = %v", got)
-	}
-	if g.BFS("ghost", 1) != nil {
-		t.Fatal("BFS from unknown start must be nil")
-	}
-}
-
-func TestDFSVisitsAllReachable(t *testing.T) {
-	g := buildMovieGraph(t)
-	order := g.DFS(CanonicalID("Heat"))
-	want := []string{CanonicalID("Heat"), CanonicalID("Michael Mann")}
-	if !reflect.DeepEqual(order, want) {
-		t.Fatalf("DFS = %v, want %v", order, want)
-	}
-}
-
-func TestSubgraphAround(t *testing.T) {
-	g := buildMovieGraph(t)
-	sg := g.SubgraphAround(CanonicalID("Heat"), 1)
-	if sg.Center != CanonicalID("Heat") {
-		t.Fatalf("center = %q", sg.Center)
-	}
-	if len(sg.Triples) != 3 {
-		t.Fatalf("subgraph triples = %d, want 3", len(sg.Triples))
-	}
-}
-
 func TestTwoHopPathSupportLiteralAgreement(t *testing.T) {
 	g := New()
 	g.AddEntity("F1", "Flight", "flights")

@@ -19,13 +19,6 @@ func (g *Graph) TripleAt(h int32) *Triple {
 	return g.trs.get(h)
 }
 
-// TripleSubject returns the subject entity handle of the triple at h.
-func (g *Graph) TripleSubject(h int32) int32 { return g.tSubj.get(h) }
-
-// TripleObjectEnt returns the linked object entity handle of the triple at h,
-// or -1 when the object is a literal.
-func (g *Graph) TripleObjectEnt(h int32) int32 { return g.tObj.get(h) }
-
 // TripleKeyHandles returns the (subject, predicate) handle pair of the triple
 // at h — its homologous-data key in interned form.
 func (g *Graph) TripleKeyHandles(h int32) (subjH, predH int32) {
@@ -35,9 +28,6 @@ func (g *Graph) TripleKeyHandles(h int32) (subjH, predH int32) {
 // EntitySlots returns the number of entity handles. Valid entity handles are
 // [0, EntitySlots()).
 func (g *Graph) EntitySlots() int32 { return int32(g.ents.len()) }
-
-// EntityAt returns the entity at handle h.
-func (g *Graph) EntityAt(h int32) *Entity { return g.ents.get(h) }
 
 // EntityHandle returns the handle of the entity with the given canonical ID.
 func (g *Graph) EntityHandle(id string) (int32, bool) { return g.entLookup.get(id) }
@@ -51,10 +41,6 @@ func (g *Graph) PredicateAt(h int32) string { return g.preds.get(h) }
 // SubjectPosting returns the handles of live triples whose subject is the
 // entity at h, in insertion order. Read-only.
 func (g *Graph) SubjectPosting(h int32) []int32 { return g.bySubject.get(h) }
-
-// ObjectPosting returns the handles of live triples linking the entity at h
-// as their object, in insertion order. Read-only.
-func (g *Graph) ObjectPosting(h int32) []int32 { return g.byObject.get(h) }
 
 // KeyPosting returns the handles of live triples sharing the (subject,
 // predicate) key, in insertion order. Read-only.

@@ -1,88 +1,6 @@
 package kg
 
-import (
-	"sort"
-
-	"multirag/internal/textutil"
-)
-
-// BFS visits entities reachable from start in breadth-first order up to
-// maxDepth hops (maxDepth < 0 means unbounded) and returns the visit order.
-// The start entity is included at depth 0.
-func (g *Graph) BFS(start string, maxDepth int) []string {
-	if _, ok := g.entLookup.get(start); !ok {
-		return nil
-	}
-	type item struct {
-		id    string
-		depth int
-	}
-	visited := map[string]bool{start: true}
-	order := []string{start}
-	queue := []item{{start, 0}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if maxDepth >= 0 && cur.depth >= maxDepth {
-			continue
-		}
-		for _, n := range g.Neighbors(cur.id) {
-			if !visited[n] {
-				visited[n] = true
-				order = append(order, n)
-				queue = append(queue, item{n, cur.depth + 1})
-			}
-		}
-	}
-	return order
-}
-
-// DFS visits entities reachable from start in depth-first order (used for
-// semi-structured tree retrieval per §III-B) and returns the visit order.
-func (g *Graph) DFS(start string) []string {
-	if _, ok := g.entLookup.get(start); !ok {
-		return nil
-	}
-	visited := map[string]bool{}
-	var order []string
-	var walk func(id string)
-	walk = func(id string) {
-		if visited[id] {
-			return
-		}
-		visited[id] = true
-		order = append(order, id)
-		for _, n := range g.Neighbors(id) {
-			walk(n)
-		}
-	}
-	walk(start)
-	return order
-}
-
-// Subgraph is an extracted fragment of the graph: the entities and triples
-// within a radius of a centre entity.
-type Subgraph struct {
-	Center   string
-	Entities []string
-	Triples  []*Triple
-}
-
-// SubgraphAround extracts the subgraph within depth hops of centre, including
-// all triples whose subject lies inside the ball.
-func (g *Graph) SubgraphAround(center string, depth int) Subgraph {
-	ents := g.BFS(center, depth)
-	inside := map[string]bool{}
-	for _, e := range ents {
-		inside[e] = true
-	}
-	var triples []*Triple
-	for _, e := range ents {
-		triples = append(triples, g.TriplesBySubject(e)...)
-	}
-	sort.Slice(triples, func(i, j int) bool { return triples[i].ID < triples[j].ID })
-	return Subgraph{Center: center, Entities: ents, Triples: triples}
-}
+import "multirag/internal/textutil"
 
 // TwoHopPathSupport estimates, for a triple t, the fraction of the subject's
 // other neighbours that are also connected to the triple's object entity —

@@ -1,3 +1,11 @@
+// Package linegraph implements the multi-source line graph machinery of
+// §II–§III-C: homologous data detection (Definition 3), homologous nodes and
+// subgraphs (Definition 4) and the homologous triple line graph SG′
+// (Definition 5) with its O(n log n) matching algorithm. SG′ is built
+// straight from the graph's (subject, predicate) key postings; the full
+// triple line graph G′ of Definition 2 is never materialised. SG′ is the
+// structure that makes multi-source consistency checks a hash lookup instead
+// of a corpus scan.
 package linegraph
 
 import (
@@ -222,9 +230,6 @@ func (sg *SG) NestedCandidates(subjectID, relation string) []*HomologousNode {
 	return out
 }
 
-// NumIsolated returns the number of isolated points (single-member keys).
-func (sg *SG) NumIsolated() int { return sg.isoIndex.n }
-
 // LookupIsolated returns the isolated triple for (subject, predicate), if the
 // key exists but has a single member.
 func (sg *SG) LookupIsolated(subjectID, predicate string) (*kg.Triple, bool) {
@@ -269,22 +274,6 @@ func (sg *SG) MemberTriples(n *HomologousNode) []*kg.Triple {
 		}
 	}
 	return out
-}
-
-// SubgraphLineGraph returns the line-graph form of one homologous subgraph:
-// the complete graph over its members (every pair shares the subject entity,
-// so every pair is adjacent — Fig. 4's K₄ example).
-func (sg *SG) SubgraphLineGraph(n *HomologousNode) *LineGraph {
-	lg := &LineGraph{Adj: map[string][]string{}}
-	lg.Nodes = append(lg.Nodes, n.Members...)
-	for _, a := range n.Members {
-		for _, b := range n.Members {
-			if a != b {
-				lg.Adj[a] = append(lg.Adj[a], b)
-			}
-		}
-	}
-	return lg
 }
 
 // Stats summarises SG′ for reporting and debugging.

@@ -35,37 +35,6 @@ func graphWithConflicts(t *testing.T) *kg.Graph {
 	return g
 }
 
-func TestTransformSharedSubject(t *testing.T) {
-	g := graphWithConflicts(t)
-	lg := Transform(g)
-	if len(lg.Nodes) != g.NumTriples() {
-		t.Fatalf("line graph nodes = %d, want %d", len(lg.Nodes), g.NumTriples())
-	}
-	// The 4 CA981 triples share a subject: complete K4 = 6 edges. The 3 Heat
-	// triples give K3 = 3 edges. Total 9.
-	if got := lg.NumEdges(); got != 9 {
-		t.Fatalf("edges = %d, want 9", got)
-	}
-}
-
-func TestTransformSharedObjectEntity(t *testing.T) {
-	g := kg.New()
-	g.AddEntity("A", "", "")
-	g.AddEntity("B", "", "")
-	g.AddEntity("C", "", "")
-	// A -> C and B -> C share the object entity C.
-	if _, err := g.AddTriple(kg.Triple{Subject: "a", Predicate: "links", Object: "C"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.AddTriple(kg.Triple{Subject: "b", Predicate: "links", Object: "C"}); err != nil {
-		t.Fatal(err)
-	}
-	lg := Transform(g)
-	if lg.NumEdges() != 1 {
-		t.Fatalf("object-shared triples must be adjacent, edges = %d", lg.NumEdges())
-	}
-}
-
 func TestBuildHomologousGroups(t *testing.T) {
 	g := graphWithConflicts(t)
 	sg := Build(g)
@@ -136,22 +105,6 @@ func TestBuildIsolated(t *testing.T) {
 	}
 }
 
-func TestSubgraphLineGraphComplete(t *testing.T) {
-	g := graphWithConflicts(t)
-	sg := Build(g)
-	node, _ := sg.Lookup(kg.CanonicalID("CA981"), "status")
-	lg := sg.SubgraphLineGraph(node)
-	// K4: every node has degree 3 (Fig. 4).
-	for _, id := range lg.Nodes {
-		if lg.Degree(id) != 3 {
-			t.Fatalf("degree(%s) = %d, want 3", id, lg.Degree(id))
-		}
-	}
-	if lg.NumEdges() != 6 {
-		t.Fatalf("K4 edges = %d, want 6", lg.NumEdges())
-	}
-}
-
 func TestMemberTriples(t *testing.T) {
 	g := graphWithConflicts(t)
 	sg := Build(g)
@@ -216,46 +169,6 @@ func TestPartitionProperty(t *testing.T) {
 		return okNodes && total == g.NumTriples()
 	}
 	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: line-graph adjacency is symmetric and irreflexive.
-func TestLineGraphSymmetryProperty(t *testing.T) {
-	f := func(assign []uint8) bool {
-		g := kg.New()
-		for i := 0; i < 4; i++ {
-			g.AddEntity(fmt.Sprintf("e%d", i), "", "")
-		}
-		for i, a := range assign {
-			g.AddTriple(kg.Triple{
-				Subject:   fmt.Sprintf("e%d", a%4),
-				Predicate: "p",
-				Object:    fmt.Sprintf("e%d", (a/4)%4), // may link entities
-			})
-			_ = i
-		}
-		lg := Transform(g)
-		for a, neigh := range lg.Adj {
-			for _, b := range neigh {
-				if a == b {
-					return false
-				}
-				found := false
-				for _, back := range lg.Adj[b] {
-					if back == a {
-						found = true
-						break
-					}
-				}
-				if !found {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
 }

@@ -10,48 +10,6 @@ import (
 	"multirag/internal/kg"
 )
 
-// refTransform is the seed line-graph transform: string-keyed incidence with
-// the O(E²)-memory nested seen maps. It runs on the public kg API only, so it
-// serves as the observation-equivalence oracle for the handle-based
-// Transform.
-func refTransform(g *kg.Graph) *LineGraph {
-	lg := &LineGraph{Adj: map[string][]string{}}
-	lg.Nodes = g.TripleIDs()
-	incidence := map[string][]string{}
-	for _, id := range lg.Nodes {
-		t, _ := g.Triple(id)
-		incidence[t.Subject] = append(incidence[t.Subject], id)
-		if t.ObjectEntity != "" && t.ObjectEntity != t.Subject {
-			incidence[t.ObjectEntity] = append(incidence[t.ObjectEntity], id)
-		}
-	}
-	seen := map[string]map[string]bool{}
-	for _, ids := range incidence {
-		for i := 0; i < len(ids); i++ {
-			for j := i + 1; j < len(ids); j++ {
-				a, b := ids[i], ids[j]
-				if seen[a] == nil {
-					seen[a] = map[string]bool{}
-				}
-				if seen[a][b] {
-					continue
-				}
-				seen[a][b] = true
-				if seen[b] == nil {
-					seen[b] = map[string]bool{}
-				}
-				seen[b][a] = true
-				lg.Adj[a] = append(lg.Adj[a], b)
-				lg.Adj[b] = append(lg.Adj[b], a)
-			}
-		}
-	}
-	for _, neigh := range lg.Adj {
-		sort.Strings(neigh)
-	}
-	return lg
-}
-
 // refBuild is the seed homologous matching: group live triples by key with a
 // fresh hash map. It returns the expected node/isolated partition as plain
 // data for field-by-field comparison.
@@ -124,25 +82,6 @@ func randomLinkedGraph(tb testing.TB, rng *rand.Rand, n int, withRemovals bool) 
 		}
 	}
 	return g
-}
-
-// TestTransformMatchesReference: the handle-based sort-merge Transform is
-// observation-equivalent to the seed nested-map implementation over random
-// graphs with entity links, self-loops and removals.
-func TestTransformMatchesReference(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			g := randomLinkedGraph(t, rng, 40+rng.Intn(80), seed%2 == 0)
-			got, want := Transform(g), refTransform(g)
-			if !reflect.DeepEqual(got.Nodes, want.Nodes) {
-				t.Fatalf("nodes diverge:\n got  %v\n want %v", got.Nodes, want.Nodes)
-			}
-			if !reflect.DeepEqual(got.Adj, want.Adj) {
-				t.Fatalf("adjacency diverges:\n got  %v\n want %v", got.Adj, want.Adj)
-			}
-		})
-	}
 }
 
 // TestBuildMatchesReference: Build over the graph's interned key postings is

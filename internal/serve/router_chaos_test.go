@@ -107,8 +107,8 @@ func TestChaosClusterRouterShedsLaggingReplica(t *testing.T) {
 	base := runtime.NumGoroutine()
 	const maxLag = 4
 
-	sys, set, _, ts, closeAll := newChaosClusterServer(t, 3,
-		Config{Route: RouteRoundRobin, MaxLag: maxLag})
+	sys, set, s, ts, closeAll := newChaosClusterServer(t, 3, Config{Route: RouteRoundRobin})
+	s.router.maxLag = maxLag
 	want := sys.AskEach(make([]context.Context, 1),
 		[]string{"What is the status of CA981?"})[0]
 

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"runtime"
 	"testing"
 	"time"
 
@@ -46,10 +45,9 @@ func newReplicatedSystem(t *testing.T, n int) (*multirag.System, *multirag.Repli
 	return sys, set
 }
 
-func newTestRouter(t *testing.T, sys *multirag.System, set *multirag.ReplicaSet,
-	route string, hedgeAfter time.Duration, maxLag uint64) *router {
+func newTestRouter(t *testing.T, sys *multirag.System, set *multirag.ReplicaSet, route string) *router {
 	t.Helper()
-	rt, err := newRouter(sys, set, route, hedgeAfter, maxLag)
+	rt, err := newRouter(sys, set, route)
 	if err != nil {
 		t.Fatalf("newRouter: %v", err)
 	}
@@ -72,7 +70,7 @@ func valuesEqual(a, b multirag.Answer) bool {
 // replicas (not the primary) and answers match primary serving exactly.
 func TestRouterRoundRobinServesFromReplicas(t *testing.T) {
 	sys, set := newReplicatedSystem(t, 2)
-	rt := newTestRouter(t, sys, set, RouteRoundRobin, 0, 0)
+	rt := newTestRouter(t, sys, set, RouteRoundRobin)
 
 	want := sys.AskEach(make([]context.Context, len(routerQueries)), routerQueries)
 	for i := 0; i < 4; i++ {
@@ -92,7 +90,7 @@ func TestRouterRoundRobinServesFromReplicas(t *testing.T) {
 // TestRouterPrimaryOnlyNeverTouchesReplicas pins the warm-standby policy.
 func TestRouterPrimaryOnlyNeverTouchesReplicas(t *testing.T) {
 	sys, set := newReplicatedSystem(t, 2)
-	rt := newTestRouter(t, sys, set, RoutePrimaryOnly, 0, 0)
+	rt := newTestRouter(t, sys, set, RoutePrimaryOnly)
 	rt.run(make([]context.Context, 1), routerQueries[:1])
 	if rt.primaryBatches.Load() != 1 || rt.replicaBatches.Load() != 0 {
 		t.Fatalf("primary/replica batches = %d/%d, want 1/0",
@@ -101,12 +99,13 @@ func TestRouterPrimaryOnlyNeverTouchesReplicas(t *testing.T) {
 }
 
 // TestRouterStalenessGuardFailsOverToPrimary pins bounded staleness: a live
-// replica that has fallen more than MaxLag commits behind is not routed to,
+// replica that has fallen more than maxLag commits behind is not routed to,
 // and reads fail over to the primary until it catches up.
 func TestRouterStalenessGuardFailsOverToPrimary(t *testing.T) {
 	defer fault.Reset()
 	sys, set := newReplicatedSystem(t, 1)
-	rt := newTestRouter(t, sys, set, RouteRoundRobin, 0, 1)
+	rt := newTestRouter(t, sys, set, RouteRoundRobin)
+	rt.maxLag = 1
 
 	// Stall the replica before its next read, then commit past the lag bound.
 	fault.Enable(fault.PointClusterReplay, fault.Fault{Kind: fault.KindHang})
@@ -149,7 +148,7 @@ func TestRouterStalenessGuardFailsOverToPrimary(t *testing.T) {
 func TestRouterFailoverDrainsErroringReplicaAndReadmits(t *testing.T) {
 	defer fault.Reset()
 	sys, set := newReplicatedSystem(t, 1)
-	rt := newTestRouter(t, sys, set, RouteRoundRobin, 0, 0)
+	rt := newTestRouter(t, sys, set, RouteRoundRobin)
 	// Shrink the breaker cooldown so re-admission is testable.
 	rt.targets[0].breaker = fault.NewBreaker("router.replica-0", 3, 50*time.Millisecond, nil)
 
@@ -191,74 +190,20 @@ func TestRouterFailoverDrainsErroringReplicaAndReadmits(t *testing.T) {
 	}
 }
 
-// TestRouterHedgedCancelsLoser is the satellite goroutine-watermark test: a
-// hedged dispatch whose first target hangs is answered by the second, the
-// loser's evaluation is canceled through the merged contexts (the hang
-// releases on cancellation), its breaker records the loss, and no goroutine
-// survives the exchange.
-func TestRouterHedgedCancelsLoser(t *testing.T) {
-	defer fault.Reset()
-	base := runtime.NumGoroutine()
-	func() {
-		sys, set := newReplicatedSystem(t, 1)
-		rt := newTestRouter(t, sys, set, RouteRoundRobin, 10*time.Millisecond, 0)
-
-		want := sys.AskEach(make([]context.Context, len(routerQueries)), routerQueries)
-		// Hang the replica's query path; the hedge (the primary, as the only
-		// other target) answers, and cancellation releases the hang.
-		fault.Enable(fault.PointClusterQuery, fault.Fault{Kind: fault.KindHang})
-		start := time.Now()
-		got := rt.run(make([]context.Context, len(routerQueries)), routerQueries)
-		if elapsed := time.Since(start); elapsed > 5*time.Second {
-			t.Fatalf("hedged batch took %v — loser was waited on, not canceled", elapsed)
-		}
-		for j := range got {
-			if !valuesEqual(got[j], want[j]) {
-				t.Fatalf("hedged answer %d: %+v != primary %+v", j, got[j], want[j])
-			}
-		}
-		if rt.hedges.Load() != 1 || rt.hedgeWins.Load() != 1 {
-			t.Fatalf("hedges/wins = %d/%d, want 1/1", rt.hedges.Load(), rt.hedgeWins.Load())
-		}
-		fault.Reset()
-		set.Close()
-	}()
-	waitServeGoroutines(t, base)
-}
-
-// TestRouterHedgedEqualsUnhedged is the satellite property test: over the
-// seeded corpus, hedged and unhedged routing return identical answer values
-// for every query — hedging changes tail latency, never results.
-func TestRouterHedgedEqualsUnhedged(t *testing.T) {
-	sys, set := newReplicatedSystem(t, 2)
-	unhedged := newTestRouter(t, sys, set, RouteRoundRobin, 0, 0)
-	hedged := newTestRouter(t, sys, set, RouteRoundRobin, time.Nanosecond, 0)
-
-	for round := 0; round < 3; round++ {
-		a := unhedged.run(make([]context.Context, len(routerQueries)), routerQueries)
-		b := hedged.run(make([]context.Context, len(routerQueries)), routerQueries)
-		for j := range a {
-			if !valuesEqual(a[j], b[j]) {
-				t.Fatalf("round %d query %d: unhedged %+v != hedged %+v", round, j, a[j], b[j])
-			}
-		}
-	}
-}
-
 // TestRouterPickAllocFree: every batch picks a target, so the pick builds no
 // slice of eligible targets; round-robin still alternates over them.
 func TestRouterPickAllocFree(t *testing.T) {
 	sys, set := newReplicatedSystem(t, 2)
-	rt := newTestRouter(t, sys, set, RouteRoundRobin, 0, 0)
-	a, b := rt.pickExcept(nil), rt.pickExcept(nil)
+	rt := newTestRouter(t, sys, set, RouteRoundRobin)
+	a, b := rt.pick(), rt.pick()
 	if a == nil || b == nil || a == b {
 		t.Fatalf("round-robin picks %p, %p: want both replicas in turn", a, b)
 	}
-	if got := rt.pickExcept(a); got != b {
-		t.Fatal("pickExcept(skip) must choose the other replica")
+	if got := rt.pick(); got != a {
+		t.Fatal("round-robin must return to the first replica")
 	}
-	if allocs := testing.AllocsPerRun(100, func() { rt.pickExcept(nil) }); allocs != 0 {
-		t.Fatalf("pickExcept: %.0f allocs per pick, want 0", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { rt.pick() }); allocs != 0 {
+		t.Fatalf("pick: %.0f allocs per pick, want 0", allocs)
 	}
 }
 

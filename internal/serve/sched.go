@@ -48,8 +48,8 @@ type request struct {
 
 	// ctx carries the request's end-to-end budget — the smaller of the class
 	// deadline and the request's own deadline_ms, counted from admission — and
-	// the client's disconnect signal. nil when the request has neither (the
-	// evaluation then takes the context-free, bit-identical engine path).
+	// the client's disconnect signal. nil when the request has neither; the
+	// engine's one query path then runs it under context.Background().
 	ctx    context.Context
 	cancel context.CancelFunc
 }
@@ -122,29 +122,23 @@ func (s *scheduler) enqueue(r *request) error {
 	return nil
 }
 
-// enqueueAll admits a whole batch atomically: either every request fits its
-// class queue or none is enqueued.
-func (s *scheduler) enqueueAll(rs []*request) error {
+// enqueueAll admits a whole batch of class cs requests atomically: either
+// every request fits the class queue or none is enqueued.
+func (s *scheduler) enqueueAll(cs *classState, rs []*request) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return errClosed
 	}
-	need := map[*classState]int{}
-	for _, r := range rs {
-		need[r.class]++
-	}
-	for cs, n := range need {
-		if len(cs.fifo)+n > cs.cfg.QueueCap {
-			return errQueueFull
-		}
+	if len(cs.fifo)+len(rs) > cs.cfg.QueueCap {
+		return errQueueFull
 	}
 	now := time.Now()
 	for _, r := range rs {
 		r.seq = s.seq
 		s.seq++
 		r.enq = now
-		r.class.fifo = append(r.class.fifo, r)
+		cs.fifo = append(cs.fifo, r)
 		s.pending++
 	}
 	s.cond.Broadcast()

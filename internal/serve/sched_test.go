@@ -80,7 +80,7 @@ func TestBoundedQueueRejectsWhenFull(t *testing.T) {
 		t.Fatalf("over-cap enqueue: got %v, want errQueueFull", err)
 	}
 	// Batch admission is all-or-nothing against the remaining capacity.
-	if err := s.enqueueAll([]*request{newReq("q4", classes[0])}); err != errQueueFull {
+	if err := s.enqueueAll(classes[0], []*request{newReq("q4", classes[0])}); err != errQueueFull {
 		t.Fatalf("over-cap enqueueAll: got %v, want errQueueFull", err)
 	}
 }

@@ -131,14 +131,6 @@ type Config struct {
 	// Route picks the replica-selection policy: RouteRoundRobin (default) or
 	// RoutePrimaryOnly. Ignored without Replicas.
 	Route string
-	// HedgeAfter enables hedged reads: a batch still unanswered after this
-	// delay is dispatched to a second target and the first answer wins
-	// (<= 0 disables). Ignored without Replicas.
-	HedgeAfter time.Duration
-	// MaxLag bounds staleness: replicas more than this many commits behind
-	// the primary are not routed to (0 = DefaultMaxLag). Ignored without
-	// Replicas.
-	MaxLag uint64
 }
 
 // Server is a running front door. Create with New, mount Handler on an
@@ -157,7 +149,7 @@ type Server struct {
 	pressure func() (inflight, capacity int)
 	recovery *multirag.RecoveryInfo
 	// router, when non-nil, spreads batches across the configured replica
-	// set with health gating, bounded staleness and optional hedging.
+	// set with health gating and bounded staleness (DefaultMaxLag).
 	router *router
 	mux    *http.ServeMux
 
@@ -205,7 +197,7 @@ func New(cfg Config) (*Server, error) {
 		pressure:     cfg.System.IngestPressure,
 		recovery:     cfg.Recovery,
 	}
-	rt, err := newRouter(cfg.System, cfg.Replicas, cfg.Route, cfg.HedgeAfter, cfg.MaxLag)
+	rt, err := newRouter(cfg.System, cfg.Replicas, cfg.Route)
 	if err != nil {
 		return nil, err
 	}
@@ -480,7 +472,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		rqs[i] = s.newRequest(r.Context(), q, cs, req.DeadlineMillis)
 		defer rqs[i].abort()
 	}
-	if err := s.sched.enqueueAll(rqs); err != nil {
+	if err := s.sched.enqueueAll(cs, rqs); err != nil {
 		s.metrics.rejectQueue(cs.cfg.Name)
 		writeShed(w, http.StatusTooManyRequests, err.Error())
 		return
@@ -506,7 +498,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // the smaller of the class deadline and the request's own deadline_ms —
 // counted from this moment, so time spent waiting in queue draws down the
 // same budget as evaluation. With no deadline and no disconnect signal the
-// context stays nil and the engine takes its context-free path.
+// context stays nil, which QueryEach runs as context.Background(). base is
+// never nil: net/http gives every handler a cancelable r.Context().
 func (s *Server) newRequest(base context.Context, query string, cs *classState, deadlineMillis int64) *request {
 	rq := &request{query: query, class: cs, done: make(chan answerResult, 1)}
 	d := cs.cfg.Deadline
@@ -515,9 +508,6 @@ func (s *Server) newRequest(base context.Context, query string, cs *classState, 
 		if d <= 0 || rd < d {
 			d = rd
 		}
-	}
-	if base == nil {
-		base = context.Background()
 	}
 	switch {
 	case d > 0:

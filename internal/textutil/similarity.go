@@ -1,59 +1,5 @@
 package textutil
 
-// Jaccard returns |A∩B| / |A∪B| over the token sets of a and b.
-// Two empty slices are defined to have similarity 1; one empty and one
-// non-empty have similarity 0.
-func Jaccard(a, b []string) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	setA := make(map[string]bool, len(a))
-	for _, t := range a {
-		setA[t] = true
-	}
-	setB := make(map[string]bool, len(b))
-	for _, t := range b {
-		setB[t] = true
-	}
-	inter := 0
-	for t := range setA {
-		if setB[t] {
-			inter++
-		}
-	}
-	union := len(setA) + len(setB) - inter
-	return float64(inter) / float64(union)
-}
-
-// Dice returns the Sørensen–Dice coefficient 2|A∩B| / (|A|+|B|) over token
-// sets, with the same empty-input conventions as Jaccard.
-func Dice(a, b []string) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	setA := make(map[string]bool, len(a))
-	for _, t := range a {
-		setA[t] = true
-	}
-	setB := make(map[string]bool, len(b))
-	for _, t := range b {
-		setB[t] = true
-	}
-	inter := 0
-	for t := range setA {
-		if setB[t] {
-			inter++
-		}
-	}
-	return 2 * float64(inter) / float64(len(setA)+len(setB))
-}
-
 // CosineTokens returns the cosine similarity between the term-frequency
 // vectors of the two token slices.
 func CosineTokens(a, b []string) float64 {
@@ -170,23 +116,6 @@ func levRow(la, lb int, eq func(i, j int) bool) int {
 		}
 	}
 	return row[lb]
-}
-
-// StringSimilarity returns 1 − Levenshtein(a,b)/max(len(a),len(b)),
-// a similarity in [0,1]. Equal strings (including two empties) score 1.
-func StringSimilarity(a, b string) float64 {
-	if a == b {
-		return 1
-	}
-	la, lb := len([]rune(a)), len([]rune(b))
-	m := la
-	if lb > m {
-		m = lb
-	}
-	if m == 0 {
-		return 1
-	}
-	return 1 - float64(Levenshtein(a, b))/float64(m)
 }
 
 func min3(a, b, c int) int {

@@ -23,10 +23,6 @@ var stopwords = map[string]bool{
 	"that": true, "this": true, "it": true, "its": true,
 }
 
-// IsStopword reports whether tok is in the built-in stopword list.
-// The token must already be lower-cased.
-func IsStopword(tok string) bool { return stopwords[tok] }
-
 // Tokenize splits s into lower-cased alphanumeric tokens. Runs of letters and
 // digits form tokens; everything else is a separator. Tokenize keeps
 // stopwords; use TokenizeContent when they should be dropped.
