@@ -84,7 +84,10 @@ layers:
 # NormalizeValue / StandardizeName on an already-normal value (0 allocs), a
 # short surface form and a ~1 KB chunk (1 alloc each), and GenerateAnswer over
 # three short graph values and over five chunk texts (the result plus one
-# normal form per group). B/op is the tracked number. BENCHTIME=1x makes it a
+# normal form per group) — and the front door: one /v1/query through
+# Handler().ServeHTTP on the case-study corpus, run on the handler goroutine
+# of an idle server, whose allocs/op are the serve layer's objects per request
+# plus the engine's. B/op is the tracked number. BENCHTIME=1x makes it a
 # smoke run.
 bench-micro:
 	$(GO) test -run '^$$' -bench '^Benchmark(CommitAppend|Search|EncodeStore|DecodeStore)$$' -benchmem -benchtime $(BENCHTIME) ./internal/retrieval
@@ -93,6 +96,7 @@ bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkMCCRunConflict$$' -benchmem -benchtime $(BENCHTIME) ./internal/confidence
 	$(GO) test -run '^$$' -bench '^BenchmarkNormalForms$$' -benchmem -benchtime $(BENCHTIME) ./internal/textutil
 	$(GO) test -run '^$$' -bench '^BenchmarkGenerateAnswer$$' -benchmem -benchtime $(BENCHTIME) ./internal/llm
+	$(GO) test -run '^$$' -bench '^BenchmarkServeQuery$$' -benchmem -benchtime $(BENCHTIME) ./internal/serve
 
 # bench regenerates the paper tables/figures at a reduced scale and records
 # per-job wall-clock timings for the perf trajectory.

@@ -44,9 +44,11 @@ Serve the ingested corpus over HTTP:
                         deadline/cancel/degraded counters, breaker + durability state
   GET  /healthz         {"status": "ok"|"degraded"|"draining", "reason": ...}
 
-SLO classes: interactive (priority 2), batch (priority 1), ingest. Excess
-load is rejected with 429 (admission or full queue) or 503 (queue timeout);
-every shed response carries a Retry-After hint.
+SLO classes: interactive (priority 2), batch (priority 1), ingest. A query
+that finds a free execution slot runs at once; queues and batches form only
+when every slot is busy. Excess load is rejected with 429 (admission or full
+queue) or 503 (queue timeout); every shed response carries a Retry-After
+hint.
 
 Requests run under end-to-end deadlines (-deadline, tightened per request
 with "deadline_ms"): the budget starts at admission, so queue wait spends it
@@ -83,7 +85,7 @@ Flags:
 		seed         = fs.Uint64("seed", 1, "simulated model seed")
 		workers      = fs.Int("workers", 0, "engine worker pool size (0 = GOMAXPROCS)")
 		policy       = fs.String("policy", serve.PolicyFCFS, "batch-formation policy: fcfs or priority")
-		maxBatch     = fs.Int("max-batch", 32, "maximum queries per formed batch")
+		maxBatch     = fs.Int("max-batch", 32, "maximum queries per batch formed from the queues once every execution slot is busy (an idle server runs each request alone)")
 		queueCap     = fs.Int("queue-cap", 256, "pending-request queue bound per SLO class")
 		queueTimeout = fs.Duration("queue-timeout", 5*time.Second, "maximum queue wait before a request fails with 503")
 		admitQPS     = fs.Float64("admit-qps", 0, "token-bucket refill rate for the query classes, requests/s (0 = unlimited)")

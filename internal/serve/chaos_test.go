@@ -207,8 +207,8 @@ func TestChaosServeExecutorHangShedsQueue(t *testing.T) {
 		s, ts := newTestServer(t, Config{QueueTimeout: 30 * time.Millisecond, Executors: 1})
 		fault.Enable(fault.PointServeExecute, fault.Fault{Kind: fault.KindHang})
 
-		// First request occupies the hung executor; its handler waits out the
-		// answer (claimed requests are never abandoned). Run it async.
+		// First request takes the only slot and hangs in it; its handler waits
+		// out the answer (claimed requests are never abandoned). Run it async.
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
@@ -222,8 +222,8 @@ func TestChaosServeExecutorHangShedsQueue(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 
-		// With the only executor hung, this request can never be claimed: it
-		// must shed via queue timeout, carrying the Retry-After hint.
+		// With the only slot hung, this request queues and can never be
+		// claimed: it must shed via queue timeout, carrying the Retry-After hint.
 		resp, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Query: "What is the delay reason of CA981?"})
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Fatalf("queued request status %d, want 503: %s", resp.StatusCode, body)
@@ -308,7 +308,7 @@ func TestChaosServeBreakerHealth(t *testing.T) {
 // or deliver an answer to a request that already 503'd.
 func TestQueueTimeoutLeavesNoBlockedSender(t *testing.T) {
 	cs := &classState{cfg: Class{Name: "c", QueueCap: 10}}
-	sched := newScheduler(PolicyFCFS, []*classState{cs}, 4)
+	sched := newScheduler(PolicyFCFS, []*classState{cs}, 4, 1)
 
 	timedOut := &request{query: "a", class: cs, done: make(chan answerResult, 1)}
 	if err := sched.enqueue(timedOut); err != nil {
@@ -330,6 +330,8 @@ func TestQueueTimeoutLeavesNoBlockedSender(t *testing.T) {
 	if len(batch) != 1 || batch[0] != live {
 		t.Fatalf("batch = %v, want only the live request", batch)
 	}
+	// The batch ran; give its slot back so close does not wait for it.
+	sched.release()
 	select {
 	case <-timedOut.done:
 		t.Fatal("something sent to a timed-out request's channel")

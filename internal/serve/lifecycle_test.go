@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"multirag"
+	"multirag/internal/fault"
 )
 
 // lifecycleQueries exercises every intent against the case-study corpus; the
@@ -78,34 +79,42 @@ func TestShedResponsesCarryRetryAfter(t *testing.T) {
 }
 
 // TestCloseWaitsForExecutors pins the goroutine-leak fix: Close must not
-// return while an executor still runs a batch, so a durable System can be
-// closed immediately afterwards without racing in-flight query work.
+// return while a request still holds an execution slot — here one running on
+// its own handler goroutine — so a durable System can be closed immediately
+// afterwards without racing in-flight query work.
 func TestCloseWaitsForExecutors(t *testing.T) {
+	defer fault.Reset()
 	s, ts := newTestServer(t, Config{Executors: 3})
-	done := make(chan struct{})
-	go func() {
-		resp, _ := postJSON(t, ts.URL+"/v1/query", QueryRequest{Query: "What is the status of CA981?"})
-		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
-			t.Errorf("in-flight query status = %d", resp.StatusCode)
-		}
-		close(done)
-	}()
-	time.Sleep(10 * time.Millisecond) // let the request reach the queue
+	fault.Enable(fault.PointServeExecute, fault.Fault{Kind: fault.KindHang})
+	answered := postAsync(t, ts.URL+"/v1/query", QueryRequest{Query: "What is the status of CA981?"})
+	waitUntil(t, "the request reaches the hang", func() bool { return fault.Hits(fault.PointServeExecute) == 1 })
+
 	closed := make(chan struct{})
 	go func() {
 		s.Close()
 		s.Close() // idempotent
 		close(closed)
 	}()
+	// Once the scheduler is closed, Close can only be waiting for the slot.
+	waitUntil(t, "Close closes the scheduler", func() bool {
+		s.sched.mu.Lock()
+		defer s.sched.mu.Unlock()
+		return s.sched.closed
+	})
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a request held its slot")
+	default:
+	}
+
+	fault.Reset()
 	select {
 	case <-closed:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Close did not return; executors not draining")
+		t.Fatal("Close did not return once the request finished")
 	}
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("in-flight request never completed")
+	if r := <-answered; r.code != http.StatusOK {
+		t.Fatalf("in-flight request: status %d (%s), want 200", r.code, r.body)
 	}
 }
 

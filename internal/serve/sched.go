@@ -19,11 +19,13 @@ const (
 	PolicyPriority = "priority"
 )
 
-// Request lifecycle states. A request is pending while queued; the executor
-// claims it with a pending→running CAS before including it in a batch, and
-// the waiting handler claims it with a pending→timedOut CAS when its queue
-// timeout fires — whoever wins the CAS owns the outcome, so a request is
-// never both answered and timed out.
+// Request lifecycle states. Only a request that found no free execution slot
+// has them (one that claimed a slot runs on its handler goroutine and is never
+// queued). It is pending while queued; the executor claims it with a
+// pending→running CAS before including it in a batch, and the waiting handler
+// claims it with a pending→timedOut CAS when its queue timeout fires —
+// whoever wins the CAS owns the outcome, so a request is never both answered
+// and timed out.
 const (
 	reqPending int32 = iota
 	reqRunning
@@ -81,24 +83,60 @@ var (
 	errClosed    = errors.New("serve: server closed")
 )
 
-// scheduler owns the pending-request queues and batch formation. Executors
-// block on the condvar, form one batch per wakeup under the mutex and run it
-// outside.
+// scheduler owns the execution slots, the pending-request queues and batch
+// formation. A slot is held either by a handler running its own request
+// (claim) or by an executor running a formed batch (next); both give it back
+// with release. Executors block on the condvar, form one batch per wakeup
+// under the mutex and run it outside.
 type scheduler struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	classes  []*classState
-	pending  int
+	mu      sync.Mutex
+	cond    *sync.Cond
+	classes []*classState
+	pending int
+	// running counts held slots; limit (Config.Executors) bounds it.
+	running  int
+	limit    int
 	seq      uint64
 	closed   bool
 	policy   string
 	maxBatch int
 }
 
-func newScheduler(policy string, classes []*classState, maxBatch int) *scheduler {
-	s := &scheduler{classes: classes, policy: policy, maxBatch: maxBatch}
+func newScheduler(policy string, classes []*classState, maxBatch, limit int) *scheduler {
+	s := &scheduler{classes: classes, policy: policy, maxBatch: maxBatch, limit: limit}
 	s.cond = sync.NewCond(&s.mu)
 	return s
+}
+
+// claim takes a slot for a request to run on its own handler goroutine. It
+// succeeds only while every class queue is empty and a slot is free, so a
+// claimed request never overtakes a queued one under either policy; false
+// means the request must queue. A closed scheduler answers errClosed.
+func (s *scheduler) claim() (bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false, errClosed
+	}
+	if s.pending > 0 || s.running >= s.limit {
+		return false, nil
+	}
+	s.running++
+	return true, nil
+}
+
+// release gives back a slot taken by claim or next, waking an executor when
+// requests are waiting for it, or close once the last slot is free.
+func (s *scheduler) release() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.running--
+	switch {
+	case s.closed && s.running == 0:
+		s.cond.Broadcast()
+	case s.pending > 0:
+		s.cond.Signal()
+	}
 }
 
 // enqueue admits one request into its class queue, rejecting when the
@@ -145,8 +183,9 @@ func (s *scheduler) enqueueAll(cs *classState, rs []*request) error {
 	return nil
 }
 
-// next blocks until a batch can be formed or the scheduler closes, returning
-// (nil, false) on close.
+// next blocks until a slot is free and a batch can be formed, or the
+// scheduler closes, returning (nil, false) on close. The caller holds the
+// slot until it calls release.
 func (s *scheduler) next() ([]*request, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -154,11 +193,14 @@ func (s *scheduler) next() ([]*request, bool) {
 		if s.closed {
 			return nil, false
 		}
-		if batch := s.formBatchLocked(); len(batch) > 0 {
-			return batch, true
+		if s.running < s.limit {
+			if batch := s.formBatchLocked(); len(batch) > 0 {
+				s.running++
+				return batch, true
+			}
 		}
-		// Empty batch means the queues drained (anything popped had already
-		// timed out); block until the next enqueue.
+		// Every slot is held, or the queues drained (anything popped had
+		// already timed out); block until the next enqueue or release.
 		s.cond.Wait()
 	}
 }
@@ -242,8 +284,9 @@ func (s *scheduler) depths() map[string]int {
 	return out
 }
 
-// close rejects everything still queued and wakes the executors so they
-// exit. In-flight batches complete and deliver normally.
+// close rejects everything still queued, fails later claims, wakes the
+// executors so they exit, and returns once no slot is held: in-flight batches
+// and handler-run requests complete and deliver normally first.
 func (s *scheduler) close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -261,4 +304,7 @@ func (s *scheduler) close() {
 	}
 	s.pending = 0
 	s.cond.Broadcast()
+	for s.running > 0 {
+		s.cond.Wait()
+	}
 }

@@ -38,7 +38,7 @@ func batchQueries(batch []*request) []string {
 
 func TestFCFSOrdersByArrivalAcrossClasses(t *testing.T) {
 	classes := testClasses(Class{Name: "a", Priority: 2}, Class{Name: "b", Priority: 1})
-	s := newScheduler(PolicyFCFS, classes, 16)
+	s := newScheduler(PolicyFCFS, classes, 16, 1)
 	mustEnqueue(t, s, newReq("q1", classes[1]))
 	mustEnqueue(t, s, newReq("q2", classes[0]))
 	mustEnqueue(t, s, newReq("q3", classes[1]))
@@ -55,7 +55,7 @@ func TestFCFSOrdersByArrivalAcrossClasses(t *testing.T) {
 
 func TestPriorityOrdersByClassThenArrival(t *testing.T) {
 	classes := testClasses(Class{Name: "low", Priority: 1}, Class{Name: "high", Priority: 9})
-	s := newScheduler(PolicyPriority, classes, 16)
+	s := newScheduler(PolicyPriority, classes, 16, 1)
 	mustEnqueue(t, s, newReq("low1", classes[0]))
 	mustEnqueue(t, s, newReq("high1", classes[1]))
 	mustEnqueue(t, s, newReq("low2", classes[0]))
@@ -73,7 +73,7 @@ func TestPriorityOrdersByClassThenArrival(t *testing.T) {
 
 func TestBoundedQueueRejectsWhenFull(t *testing.T) {
 	classes := testClasses(Class{Name: "tiny", QueueCap: 2})
-	s := newScheduler(PolicyFCFS, classes, 16)
+	s := newScheduler(PolicyFCFS, classes, 16, 1)
 	mustEnqueue(t, s, newReq("q1", classes[0]))
 	mustEnqueue(t, s, newReq("q2", classes[0]))
 	if err := s.enqueue(newReq("q3", classes[0])); err != errQueueFull {
@@ -87,7 +87,7 @@ func TestBoundedQueueRejectsWhenFull(t *testing.T) {
 
 func TestTimedOutRequestsAreDroppedFromBatches(t *testing.T) {
 	classes := testClasses(Class{Name: "c"})
-	s := newScheduler(PolicyFCFS, classes, 16)
+	s := newScheduler(PolicyFCFS, classes, 16, 1)
 	doomed := newReq("late", classes[0])
 	kept := newReq("ontime", classes[0])
 	mustEnqueue(t, s, doomed)

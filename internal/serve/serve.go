@@ -1,8 +1,11 @@
 // Package serve is the production front door of a MultiRAG deployment: an
 // HTTP/JSON API over System.AskEach / System.IngestFiles with
-// token-bucket admission control per SLO class, batch formation in arrival
-// (FCFS) or class-priority order, bounded per-class request queues, and
-// per-class latency / fairness reporting on a metrics endpoint.
+// token-bucket admission control per SLO class, a fixed count of execution
+// slots (Config.Executors), bounded per-class request queues with batch
+// formation in arrival (FCFS) or class-priority order, and per-class
+// latency / fairness reporting on a metrics endpoint. A query that finds
+// every queue empty and a slot free runs on its own handler goroutine;
+// queues and batches only form once every slot is busy.
 //
 // Endpoints:
 //
@@ -37,12 +40,13 @@
 // rejected with 503 + Retry-After and the health endpoint fails so load
 // balancers stop routing here — while queued and in-flight requests finish
 // normally; Close then rejects whatever is still queued, stops the batch
-// executors and waits for them to exit, so by the time Close returns no
-// executor goroutine can touch the engine again and the caller may safely
-// flush and close a durable System underneath.
+// executors and waits until they have exited and no handler-run request holds
+// a slot, so by the time Close returns no request can touch the engine again
+// and the caller may safely flush and close a durable System underneath.
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -110,13 +114,17 @@ type Config struct {
 	// entry is the default class; the entry named IngestClass (added
 	// automatically if absent) admission-controls /v1/ingest.
 	Classes []Class
-	// MaxBatch bounds one formed query batch (default 32).
+	// MaxBatch bounds one batch formed from the queues (default 32). Batches
+	// form only under saturation: a request that finds a slot free runs
+	// alone, and a /v1/query/batch request that does runs whole.
 	MaxBatch int
 	// QueueTimeout bounds how long a query may wait for batch formation
 	// before failing with 503 (default 5s; < 0 disables).
 	QueueTimeout time.Duration
-	// Executors is the number of concurrent batch executors (default 2:
-	// one batch forming while another runs its AskEach fan-out).
+	// Executors is the number of execution slots (default 2), shared by
+	// requests running on their own handler goroutine and batches the
+	// executor goroutines (one per slot) form from the queues: never more
+	// than this many evaluations run at once.
 	Executors int
 	// Recovery, when set, is the startup crash-recovery report of the durable
 	// System being served; it is surfaced on /v1/metrics so operators can see
@@ -233,7 +241,7 @@ func New(cfg Config) (*Server, error) {
 		order[i] = cs.cfg.Name
 	}
 	s.metrics = newMetrics(order)
-	s.sched = newScheduler(cfg.Policy, states, cfg.MaxBatch)
+	s.sched = newScheduler(cfg.Policy, states, cfg.MaxBatch, cfg.Executors)
 	s.executors.Add(cfg.Executors)
 	for i := 0; i < cfg.Executors; i++ {
 		go s.executorLoop()
@@ -264,9 +272,10 @@ func (s *Server) Drain() { s.draining.Store(true) }
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Close drains the server, rejects all queued requests, stops the executors
-// and waits for them to exit. In-flight batches complete and deliver their
-// answers before Close returns, so afterwards nothing touches the engine —
-// the caller may close a durable System underneath. Idempotent.
+// and waits for them to exit and for every slot to be free. In-flight batches
+// and handler-run requests complete and deliver their answers before Close
+// returns, so afterwards nothing touches the engine — the caller may close a
+// durable System underneath. Idempotent.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.draining.Store(true)
@@ -293,7 +302,8 @@ func (s *Server) Metrics() MetricsSnapshot {
 // engine's batch entry point; every answer in the batch evaluates against
 // one published snapshot. Each request carries its own context, so one
 // request's deadline or disconnect degrades that answer without touching its
-// batchmates.
+// batchmates. The slot is given back before the answers go out, so a client
+// that has its answer finds the slot free.
 func (s *Server) executorLoop() {
 	defer s.executors.Done()
 	for {
@@ -308,6 +318,7 @@ func (s *Server) executorLoop() {
 			ctxs[i] = r.ctx
 		}
 		answers := s.runBatch(ctxs, queries)
+		s.sched.release()
 		for i, r := range batch {
 			// done is buffered (cap 1) and the executor owns the only send for
 			// a claimed request, so this never blocks — even when the handler
@@ -334,9 +345,10 @@ func (s *Server) runBatch(ctxs []context.Context, queries []string) (answers []m
 			answers = degradeAll(fmt.Sprintf("panic: %v", r))
 		}
 	}()
-	// Chaos seam for the executor itself. Deliberately not bound to any one
+	// Chaos seam for the evaluation itself. Deliberately not bound to any one
 	// request's context (the batch is shared), so hang faults here release
-	// only on fault.Disable/Reset; waiting handlers shed via queue timeout.
+	// only on fault.Disable/Reset; a hang keeps its slot, and requests that
+	// find every slot hung queue and shed via queue timeout.
 	if err := fault.Inject(context.Background(), fault.PointServeExecute); err != nil {
 		return degradeAll(err.Error())
 	}
@@ -421,15 +433,27 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("admission: class %q over rate", cs.cfg.Name))
 		return
 	}
-	rq := s.newRequest(r.Context(), req.Query, cs, req.DeadlineMillis)
-	defer rq.abort()
-	if err := s.sched.enqueue(rq); err != nil {
-		s.metrics.rejectQueue(cs.cfg.Name)
-		writeShed(w, http.StatusTooManyRequests, err.Error())
+	var out reqOutcome
+	claimed, err := s.sched.claim()
+	switch {
+	case err != nil:
+		writeDraining(w)
 		return
+	case claimed:
+		enq := time.Now()
+		ans := s.runClaimed(r.Context(), cs, req.DeadlineMillis, []string{req.Query})
+		out = s.conclude(cs, enq, answerResult{answer: ans[0]}, awaitAnswered)
+	default:
+		rq := s.newRequest(r.Context(), req.Query, cs, req.DeadlineMillis)
+		defer rq.abort()
+		if err := s.sched.enqueue(rq); err != nil {
+			s.metrics.rejectQueue(cs.cfg.Name)
+			writeShed(w, http.StatusTooManyRequests, err.Error())
+			return
+		}
+		res, oc := s.await(rq)
+		out = s.conclude(cs, rq.enq, res, oc)
 	}
-	res, oc := s.await(rq)
-	out := s.conclude(rq, res, oc)
 	if out.status != http.StatusOK {
 		out.write(w)
 		return
@@ -467,6 +491,25 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("admission: class %q over rate", cs.cfg.Name))
 		return
 	}
+	claimed, err := s.sched.claim()
+	if err != nil {
+		writeDraining(w)
+		return
+	}
+	if claimed {
+		// The whole batch runs as one engine call under one slot.
+		enq := time.Now()
+		answers := s.runClaimed(r.Context(), cs, req.DeadlineMillis, req.Queries)
+		for i := range answers {
+			out := s.conclude(cs, enq, answerResult{answer: answers[i]}, awaitAnswered)
+			if out.status != http.StatusOK {
+				out.write(w)
+				return
+			}
+		}
+		writeJSON(w, http.StatusOK, BatchResponse{Answers: answers})
+		return
+	}
 	rqs := make([]*request, len(req.Queries))
 	for i, q := range req.Queries {
 		rqs[i] = s.newRequest(r.Context(), q, cs, req.DeadlineMillis)
@@ -480,7 +523,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	resp := BatchResponse{Answers: make([]multirag.Answer, len(rqs))}
 	for i, rq := range rqs {
 		res, oc := s.await(rq)
-		out := s.conclude(rq, res, oc)
+		out := s.conclude(cs, rq.enq, res, oc)
 		if out.status != http.StatusOK {
 			// The deferred aborts cancel this request's still-running siblings,
 			// so their executor slots free promptly; their answers land in the
@@ -493,15 +536,29 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// newRequest builds one admitted query request. Its context derives from the
-// client connection (disconnect cancels) bounded by the effective deadline —
-// the smaller of the class deadline and the request's own deadline_ms —
-// counted from this moment, so time spent waiting in queue draws down the
-// same budget as evaluation. With no deadline and no disconnect signal the
-// context stays nil, which QueryEach runs as context.Background(). base is
-// never nil: net/http gives every handler a cancelable r.Context().
-func (s *Server) newRequest(base context.Context, query string, cs *classState, deadlineMillis int64) *request {
-	rq := &request{query: query, class: cs, done: make(chan answerResult, 1)}
+// runClaimed evaluates queries on the calling handler goroutine under a slot
+// it took with claim, and gives the slot back. There is no queue wait, so the
+// client connection's context is used as it is and a timeout is derived only
+// when a deadline applies; the answers are those an executor would deliver.
+func (s *Server) runClaimed(base context.Context, cs *classState, deadlineMillis int64, queries []string) []multirag.Answer {
+	defer s.sched.release()
+	ctx := base
+	if d := effectiveDeadline(cs, deadlineMillis); d > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(base, d)
+		defer cancel()
+	}
+	ctxs := make([]context.Context, len(queries))
+	for i := range ctxs {
+		ctxs[i] = ctx
+	}
+	return s.runBatch(ctxs, queries)
+}
+
+// effectiveDeadline is a request's end-to-end budget: the smaller of the
+// class deadline and the request's own deadline_ms, whichever are set, or 0
+// for none.
+func effectiveDeadline(cs *classState, deadlineMillis int64) time.Duration {
 	d := cs.cfg.Deadline
 	if deadlineMillis > 0 {
 		rd := time.Duration(deadlineMillis) * time.Millisecond
@@ -509,6 +566,19 @@ func (s *Server) newRequest(base context.Context, query string, cs *classState, 
 			d = rd
 		}
 	}
+	return d
+}
+
+// newRequest builds one admitted query request that must queue. Its context
+// derives from the client connection (disconnect cancels) bounded by the
+// effective deadline counted from this moment, so time spent waiting in queue
+// draws down the same budget as evaluation. With no deadline and no
+// disconnect signal the context stays nil, which QueryEach runs as
+// context.Background(). base is never nil: net/http gives every handler a
+// cancelable r.Context().
+func (s *Server) newRequest(base context.Context, query string, cs *classState, deadlineMillis int64) *request {
+	rq := &request{query: query, class: cs, done: make(chan answerResult, 1)}
+	d := effectiveDeadline(cs, deadlineMillis)
 	switch {
 	case d > 0:
 		rq.ctx, rq.cancel = context.WithTimeout(base, d)
@@ -601,8 +671,8 @@ func (o reqOutcome) write(w http.ResponseWriter) {
 // deadline exceeded, canceled, or a degraded partial answer — delivered as
 // 200 + Degraded when the class opted in, converted to the matching error
 // otherwise.
-func (s *Server) conclude(rq *request, res answerResult, oc awaitOutcome) reqOutcome {
-	name := rq.class.cfg.Name
+func (s *Server) conclude(cs *classState, enq time.Time, res answerResult, oc awaitOutcome) reqOutcome {
+	name := cs.cfg.Name
 	switch oc {
 	case awaitQueueTimeout:
 		s.metrics.timeout(name)
@@ -621,12 +691,12 @@ func (s *Server) conclude(rq *request, res answerResult, oc awaitOutcome) reqOut
 	}
 	ans := res.answer
 	if !ans.Degraded {
-		s.metrics.record(name, time.Since(rq.enq))
+		s.metrics.record(name, time.Since(enq))
 		return reqOutcome{status: http.StatusOK, answer: ans}
 	}
-	if rq.class.cfg.Degrade {
+	if cs.cfg.Degrade {
 		s.metrics.degraded(name)
-		s.metrics.record(name, time.Since(rq.enq))
+		s.metrics.record(name, time.Since(enq))
 		return reqOutcome{status: http.StatusOK, answer: ans}
 	}
 	switch ans.DegradedReason {
@@ -779,34 +849,88 @@ func admissible(w http.ResponseWriter, cs *classState, n int, unit string) bool 
 // maxBodyBytes bounds one request body. It sits far above any legitimate
 // request — the benchmark's whole 2.2 MB corpus fits many times over as one
 // /v1/ingest batch — and only stops a client from streaming an unbounded body
-// into the JSON decoder.
+// into memory.
 const maxBodyBytes = 64 << 20
 
-// readPost enforces POST + a JSON body of at most maxBodyBytes, writing the
-// error response itself.
+// jsonBuf is a pooled body buffer with an encoder writing into it: readPost
+// reads request bodies into it and writeJSON encodes responses into it, so
+// neither allocates fresh codec state per request.
+type jsonBuf struct {
+	bytes.Buffer
+	enc *json.Encoder
+}
+
+// maxPooledBuf caps the buffers kept for reuse: one that grew past it (an
+// ingest body, a metrics payload) is dropped, so a rare large body does not
+// stay pinned in the pool.
+const maxPooledBuf = 64 << 10
+
+var jsonBufs = sync.Pool{New: func() any {
+	b := new(jsonBuf)
+	b.enc = json.NewEncoder(&b.Buffer)
+	b.enc.SetEscapeHTML(false)
+	return b
+}}
+
+func getJSONBuf() *jsonBuf {
+	b := jsonBufs.Get().(*jsonBuf)
+	b.Reset()
+	return b
+}
+
+func putJSONBuf(b *jsonBuf) {
+	if b.Cap() <= maxPooledBuf {
+		jsonBufs.Put(b)
+	}
+}
+
+// readPost enforces POST + a body of at most maxBodyBytes holding exactly one
+// JSON value, writing the error response itself.
 func (s *Server) readPost(w http.ResponseWriter, r *http.Request, into any) bool {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
 		return false
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(into); err != nil {
+	b := getJSONBuf()
+	defer putJSONBuf(b)
+	if _, err := b.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
 			return false
 		}
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("read body: %v", err))
+		return false
+	}
+	// Unmarshal copies every string it decodes, so nothing in into aliases
+	// the buffer once it returns to the pool.
+	if err := json.Unmarshal(b.Bytes(), into); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad JSON: %v", err))
 		return false
 	}
 	return true
 }
 
+// jsonContentType is the Content-Type of every response, shared so that
+// setting it allocates nothing. net/http only reads it.
+var jsonContentType = []string{"application/json"}
+
+// writeJSON encodes v before sending anything, so a value that cannot be
+// encoded is answered 500 with an ErrorResponse naming the failure instead
+// of its status with an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	b := getJSONBuf()
+	defer putJSONBuf(b)
+	if err := b.enc.Encode(v); err != nil {
+		b.Reset()
+		code = http.StatusInternalServerError
+		// An ErrorResponse always encodes.
+		_ = b.enc.Encode(ErrorResponse{Error: "encode response: " + err.Error()})
+	}
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	// A failed write means the client went away; there is no one to tell.
+	_, _ = w.Write(b.Bytes())
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {
@@ -833,6 +957,11 @@ func (s *Server) shedDraining(w http.ResponseWriter) bool {
 	if !s.draining.Load() {
 		return false
 	}
-	writeShed(w, http.StatusServiceUnavailable, "server draining for shutdown")
+	writeDraining(w)
 	return true
+}
+
+// writeDraining sheds a request that arrived while the server shuts down.
+func writeDraining(w http.ResponseWriter) {
+	writeShed(w, http.StatusServiceUnavailable, "server draining for shutdown")
 }

@@ -30,7 +30,7 @@ func corpusFiles() []multirag.File {
 	}
 }
 
-func newCorpusSystem(t *testing.T) *multirag.System {
+func newCorpusSystem(t testing.TB) *multirag.System {
 	t.Helper()
 	sys := multirag.Open(multirag.Config{Seed: 1})
 	if err := sys.IngestFiles(corpusFiles()...); err != nil {
@@ -177,10 +177,22 @@ func TestServeSmoke(t *testing.T) {
 // TestServeQueryEquivalence pins the acceptance bar: answers through the
 // HTTP path are bit-identical to in-process System.Ask over the same query
 // sequence (same seed, same corpus, same order — source history evolves
-// identically on both sides).
+// identically on both sides). It runs once with idle slots, where each
+// request runs on its handler goroutine, and once with every request forced
+// through the queue to an executor.
 func TestServeQueryEquivalence(t *testing.T) {
+	for _, queued := range []bool{false, true} {
+		name := "idle"
+		if queued {
+			name = "queued"
+		}
+		t.Run(name, func(t *testing.T) { testQueryEquivalence(t, queued) })
+	}
+}
+
+func testQueryEquivalence(t *testing.T, queued bool) {
 	ref := newCorpusSystem(t)
-	_, ts := newTestServer(t, Config{Policy: PolicyPriority})
+	s, ts := newTestServer(t, Config{Policy: PolicyPriority})
 
 	queries := []string{
 		"What is the status of CA981?",
@@ -193,12 +205,24 @@ func TestServeQueryEquivalence(t *testing.T) {
 	// history, exactly where a non-transparent serving layer would drift.
 	for pass := 0; pass < 2; pass++ {
 		for _, q := range queries {
-			resp, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Query: q})
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("pass %d %q: status %d: %s", pass, q, resp.StatusCode, body)
+			var r reply
+			if queued {
+				// Hold every slot while the request arrives, so it can only
+				// queue; once it has, hand the slots to the executors.
+				release := holdSlots(t, s)
+				pending := postAsync(t, ts.URL+"/v1/query", QueryRequest{Query: q})
+				waitUntil(t, "the request is queued", func() bool { return queuedRequests(s) == 1 })
+				release()
+				r = <-pending
+			} else {
+				resp, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Query: q})
+				r = reply{code: resp.StatusCode, body: body}
+			}
+			if r.code != http.StatusOK {
+				t.Fatalf("pass %d %q: status %d: %s", pass, q, r.code, r.body)
 			}
 			var got multirag.Answer
-			if err := json.Unmarshal(body, &got); err != nil {
+			if err := json.Unmarshal(r.body, &got); err != nil {
 				t.Fatalf("pass %d %q: %v", pass, q, err)
 			}
 			want := ref.Ask(q)
@@ -208,7 +232,7 @@ func TestServeQueryEquivalence(t *testing.T) {
 			var wantRT multirag.Answer
 			_ = json.Unmarshal(wantJSON, &wantRT)
 			if !reflect.DeepEqual(got, wantRT) {
-				t.Fatalf("pass %d %q: HTTP answer diverges\n got: %s\nwant: %s", pass, q, body, wantJSON)
+				t.Fatalf("pass %d %q: HTTP answer diverges\n got: %s\nwant: %s", pass, q, r.body, wantJSON)
 			}
 		}
 	}
@@ -316,41 +340,27 @@ func TestServeConcurrentMixedLoad(t *testing.T) {
 	}
 }
 
-// TestServeQueueTimeout503 forces a queue wait past the configured timeout
-// (zero executors would be ideal; instead the batch is parked behind a
-// stalled pressure-free path by closing the scheduler's executors via a
-// full-queue server with a microscopic timeout and no drain chance).
+// TestServeQueueTimeout503: a request that finds every slot held queues, and
+// one that waits in queue past the configured timeout is shed with 503 +
+// Retry-After and counted; once the slots are free the server serves again.
 func TestServeQueueTimeout503(t *testing.T) {
-	sys := newCorpusSystem(t)
-	s, err := New(Config{System: sys, QueueTimeout: time.Nanosecond})
-	if err != nil {
-		t.Fatalf("serve.New: %v", err)
+	s, ts := newTestServer(t, Config{QueueTimeout: 20 * time.Millisecond})
+	release := holdSlots(t, s)
+	resp, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Query: "What is the status of CA981?"})
+	release()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("queued past the timeout: status %d Retry-After %q (%s), want 503 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"), body)
 	}
-	defer s.Close()
-	// Race the nanosecond timeout against batch formation: with a timeout
-	// this small, either outcome is legal per request, but over many tries
-	// at least one must take the timeout path, and none may hang or panic.
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	sawTimeout := false
-	for i := 0; i < 50 && !sawTimeout; i++ {
-		resp, _ := postJSON(t, ts.URL+"/v1/query", QueryRequest{Query: "What is the status of CA981?"})
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			sawTimeout = true
-		} else if resp.StatusCode != http.StatusOK {
-			t.Fatalf("unexpected status %d", resp.StatusCode)
-		}
-	}
-	if !sawTimeout {
-		t.Skip("scheduler always won the nanosecond race; timeout path covered elsewhere")
-	}
-	snap := s.Metrics()
 	var timedOut int64
-	for _, c := range snap.Classes {
+	for _, c := range s.Metrics().Classes {
 		timedOut += c.TimedOut
 	}
-	if timedOut == 0 {
-		t.Fatal("503 served but no timeout accounted")
+	if timedOut != 1 {
+		t.Fatalf("timed_out = %d, want 1", timedOut)
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Query: "What is the status of CA981?"}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("after the timeout: status %d (%s), want 200", resp.StatusCode, body)
 	}
 }
 
