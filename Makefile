@@ -51,11 +51,14 @@ chaos-cluster:
 # passes through — plus the allocation-free text primitives held to the forms
 # they replace: SameNormalized against NormalizeValue equality, Tokenize /
 # NormalizeValue / StandardizeName against the tokenise-filter-join oracles,
-# and Hash64 / SeededHash01 against hash/fnv and the fmt-built seeded key.
+# and Hash64 / SeededHash01 against hash/fnv and the fmt-built seeded key —
+# and the front door's JSON request decoders, whose arbitrary bodies must get
+# a 200 or a typed rejection, never a panic or a 500.
 fuzz-smoke:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzFrameParse -fuzztime 5s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecoder -fuzztime 5s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzRecoveredPayload -fuzztime 5s
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzServeRequest -fuzztime 5s
 	$(GO) test ./internal/jsonld -run '^$$' -fuzz FuzzDocumentUnmarshal -fuzztime 5s
 	$(GO) test ./internal/textutil -run '^$$' -fuzz FuzzSameNormalized -fuzztime 5s
 	$(GO) test ./internal/textutil -run '^$$' -fuzz FuzzNormalForms -fuzztime 5s
@@ -85,10 +88,11 @@ layers:
 # short surface form and a ~1 KB chunk (1 alloc each), and GenerateAnswer over
 # three short graph values and over five chunk texts (the result plus one
 # normal form per group) — and the front door: one /v1/query through
-# Handler().ServeHTTP on the case-study corpus, run on the handler goroutine
-# of an idle server, whose allocs/op are the serve layer's objects per request
-# plus the engine's. B/op is the tracked number. BENCHTIME=1x makes it a
-# smoke run.
+# Handler().ServeHTTP on the case-study corpus on an idle server, whose
+# allocs/op are the serve layer's objects per request plus the engine's, and
+# the same from four goroutines per GOMAXPROCS on a saturated one, where
+# requests wait for a slot. B/op is the tracked number. BENCHTIME=1x makes it
+# a smoke run.
 bench-micro:
 	$(GO) test -run '^$$' -bench '^Benchmark(CommitAppend|Search|EncodeStore|DecodeStore)$$' -benchmem -benchtime $(BENCHTIME) ./internal/retrieval
 	$(GO) test -run '^$$' -bench '^Benchmark(GraphCommitAppend|COWPagePrivatize)$$' -benchmem -benchtime $(BENCHTIME) ./internal/kg
@@ -96,7 +100,7 @@ bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkMCCRunConflict$$' -benchmem -benchtime $(BENCHTIME) ./internal/confidence
 	$(GO) test -run '^$$' -bench '^BenchmarkNormalForms$$' -benchmem -benchtime $(BENCHTIME) ./internal/textutil
 	$(GO) test -run '^$$' -bench '^BenchmarkGenerateAnswer$$' -benchmem -benchtime $(BENCHTIME) ./internal/llm
-	$(GO) test -run '^$$' -bench '^BenchmarkServeQuery$$' -benchmem -benchtime $(BENCHTIME) ./internal/serve
+	$(GO) test -run '^$$' -bench '^BenchmarkServe(Query|Saturated)$$' -benchmem -benchtime $(BENCHTIME) ./internal/serve
 
 # bench regenerates the paper tables/figures at a reduced scale and records
 # per-job wall-clock timings for the perf trajectory.

@@ -17,8 +17,9 @@ import (
 
 // runServeCmd is the `multirag serve` subcommand: the production front door.
 // It ingests a corpus, then serves HTTP/JSON with token-bucket admission per
-// SLO class, batch formation in arrival or priority order, bounded
-// request queues, and per-class latency + fairness metrics. Ingest traffic
+// SLO class, bounded per-class queues of requests waiting for an execution
+// slot in arrival or priority order, and per-class latency + fairness
+// metrics. Ingest traffic
 // is additionally shed with 429 while the group committer's admission window
 // is saturated, so overload backs up to clients instead of queueing without
 // bound inside the server.
@@ -45,8 +46,10 @@ Serve the ingested corpus over HTTP:
   GET  /healthz         {"status": "ok"|"degraded"|"draining", "reason": ...}
 
 SLO classes: interactive (priority 2), batch (priority 1), ingest. A query
-that finds a free execution slot runs at once; queues and batches form only
-when every slot is busy. Excess load is rejected with 429 (admission or full
+that finds a free execution slot runs at once; one that does not waits in
+its class queue until a finishing request hands it a slot (-policy picks
+the order), and a /v1/query/batch runs whole under one slot. There are
+GOMAXPROCS slots. Excess load is rejected with 429 (admission or full
 queue) or 503 (queue timeout); every shed response carries a Retry-After
 hint.
 
@@ -84,8 +87,7 @@ Flags:
 		domain       = fs.String("domain", "data", "domain label for ingested files")
 		seed         = fs.Uint64("seed", 1, "simulated model seed")
 		workers      = fs.Int("workers", 0, "engine worker pool size (0 = GOMAXPROCS)")
-		policy       = fs.String("policy", serve.PolicyFCFS, "batch-formation policy: fcfs or priority")
-		maxBatch     = fs.Int("max-batch", 32, "maximum queries per batch formed from the queues once every execution slot is busy (an idle server runs each request alone)")
+		policy       = fs.String("policy", serve.PolicyFCFS, "order in which queued requests get a free slot: fcfs or priority")
 		queueCap     = fs.Int("queue-cap", 256, "pending-request queue bound per SLO class")
 		queueTimeout = fs.Duration("queue-timeout", 5*time.Second, "maximum queue wait before a request fails with 503")
 		admitQPS     = fs.Float64("admit-qps", 0, "token-bucket refill rate for the query classes, requests/s (0 = unlimited)")
@@ -160,7 +162,6 @@ Flags:
 		System:       sys,
 		Policy:       *policy,
 		Classes:      serveClasses(*admitQPS, *admitBurst, *queueCap, *deadline, *degrade),
-		MaxBatch:     *maxBatch,
 		QueueTimeout: *queueTimeout,
 		Recovery:     recovery,
 		Replicas:     set,
@@ -176,7 +177,7 @@ Flags:
 		*addr, *policy, st.Triples, st.Chunks)
 
 	// Graceful shutdown: SIGINT/SIGTERM → reject new work (503 + Retry-After),
-	// let in-flight handlers finish within the deadline, stop the executors,
+	// let in-flight handlers finish within the deadline, wait for the slots,
 	// then flush the WAL into a final checkpoint. A restart resumes exactly
 	// where this process stopped.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -30,11 +30,11 @@
 //
 // For deployment as a service, internal/serve (exposed as the `multirag
 // serve` subcommand) wraps a System in an HTTP/JSON front door with
-// token-bucket admission control per SLO class, batch formation in arrival
-// or class-priority order (fcfs / priority), bounded request queues whose
-// ingest backpressure couples to the group committer via IngestPressure, and a
-// metrics endpoint reporting per-class latency percentiles and Jain
-// fairness. See DESIGN.md §8.
+// token-bucket admission control per SLO class, a fixed count of execution
+// slots that queued requests get in arrival or class-priority order (fcfs /
+// priority), bounded request queues, ingest backpressure coupled to the group
+// committer via IngestPressure, and a metrics endpoint reporting per-class
+// latency percentiles and Jain fairness. See DESIGN.md §8.
 //
 // Systems opened with multirag.Open are in-memory; OpenDurable(dir, cfg)
 // adds write-ahead logging and checkpointing under dir (CLI: `multirag serve

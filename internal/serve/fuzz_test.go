@@ -1,0 +1,52 @@
+package serve
+
+import (
+	"bytes"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+)
+
+// FuzzServeRequest drives arbitrary bodies at the three POST endpoints
+// through Handler().ServeHTTP on an in-memory case-study system. Whatever
+// the body, the answer is a success or a typed rejection — 200, 400, 413,
+// 429 or 503 — never a panic or a 500. The classes degrade, so a tiny
+// deadline_ms yields a 200 with a degraded answer rather than a 504.
+func FuzzServeRequest(f *testing.F) {
+	paths := []string{"/v1/query", "/v1/query/batch", "/v1/ingest"}
+	for _, seed := range []struct {
+		path uint8
+		body string
+	}{
+		{0, `{"query":"What is the status of CA981?"}`},
+		{0, `{"query":"What is the status of CA981?","class":"batch","deadline_ms":1}`},
+		{0, `{"query":"What is the status of CA981?"} {"query":"x"} garbage`},
+		{1, `{"queries":["What is the status of CA981?","Do CA981 and MU588 have the same status?"],"class":"batch"}`},
+		{1, `{"queries":["What is the status of CA981?"]} garbage`},
+		{2, `{"files":[{"domain":"flights","source":"gate-feed","name":"gates","format":"kg","content":"CA981|gate|G12\n"}]}`},
+		{2, `{"files":[{"domain":"flights","source":"gate-feed","name":"gates","format":"kg","content":"CA981|gate|G12\n"}]} {}`},
+	} {
+		f.Add(seed.path, []byte(seed.body))
+	}
+	classes := DefaultClasses()
+	for i := range classes {
+		classes[i].Degrade = true
+	}
+	s, err := New(Config{System: newCorpusSystem(f), Classes: classes})
+	if err != nil {
+		f.Fatalf("serve.New: %v", err)
+	}
+	f.Cleanup(s.Close)
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, path uint8, body []byte) {
+		p := paths[int(path)%len(paths)]
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, p, bytes.NewReader(body)))
+		switch w.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge,
+			http.StatusTooManyRequests, http.StatusServiceUnavailable:
+		default:
+			t.Fatalf("POST %s %q: status %d (%s)", p, body, w.Code, w.Body)
+		}
+	})
+}

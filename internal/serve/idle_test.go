@@ -49,12 +49,13 @@ func postAsync(t *testing.T, url string, body any) <-chan reply {
 }
 
 // holdSlots takes every execution slot of an idle server, so requests that
-// arrive meanwhile queue for an executor; the returned func gives them back.
+// arrive meanwhile queue for a slot; the returned func gives them back, each
+// to the next waiter if one is queued.
 func holdSlots(t *testing.T, s *Server) (release func()) {
 	t.Helper()
 	for i := 0; i < s.sched.limit; i++ {
-		if ok, err := s.sched.claim(); !ok || err != nil {
-			t.Fatalf("claim slot %d of %d: ok=%v err=%v", i+1, s.sched.limit, ok, err)
+		if w, err := s.sched.claim(s.defaultClass, 1); w != nil || err != nil {
+			t.Fatalf("claim slot %d of %d: waiter=%v err=%v", i+1, s.sched.limit, w, err)
 		}
 	}
 	return func() {
@@ -76,7 +77,7 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// queuedRequests is the number of requests waiting in the class queues.
+// queuedRequests is the number of queries waiting in the class queues.
 func queuedRequests(s *Server) int {
 	n := 0
 	for _, d := range s.sched.depths() {
@@ -151,24 +152,61 @@ func BenchmarkServeQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkServeSaturated is /v1/query through Handler().ServeHTTP on the
+// case-study corpus from four goroutines per GOMAXPROCS, so requests find
+// every slot busy and wait for one: ns/op and allocs/op are the saturated
+// server's, as BenchmarkServeQuery's are the idle one's.
+func BenchmarkServeSaturated(b *testing.B) {
+	s, err := New(Config{System: newCorpusSystem(b)})
+	if err != nil {
+		b.Fatalf("serve.New: %v", err)
+	}
+	b.Cleanup(s.Close)
+	h := s.Handler()
+	body := []byte(`{"query":"What is the status of CA981?"}`)
+	b.SetParallelism(4)
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		rd := bytes.NewReader(body)
+		req := httptest.NewRequest(http.MethodPost, "/v1/query", rd)
+		w := &discardWriter{h: http.Header{}}
+		for pb.Next() {
+			rd.Reset(body)
+			clear(w.h)
+			h.ServeHTTP(w, req)
+			if w.code != http.StatusOK {
+				b.Errorf("status %d, want 200", w.code)
+				return
+			}
+		}
+	})
+}
+
 // TestClaimNeverJumpsQueue: under PolicyPriority a low-priority request that
 // arrives while a high-priority one is queued goes through the queue, even
 // with a slot free, and the queued request runs first.
 func TestClaimNeverJumpsQueue(t *testing.T) {
 	defer fault.Reset()
-	s, ts := newTestServer(t, Config{Policy: PolicyPriority, Executors: 1, MaxBatch: 1})
+	s, ts := newTestServer(t, Config{Policy: PolicyPriority, Executors: 1})
 	holdSlots(t, s) // the only slot; freed by hand below
 	high := postAsync(t, ts.URL+"/v1/query", QueryRequest{Query: "What is the status of CA981?", Class: "interactive"})
 	waitUntil(t, "the high-priority request is queued", func() bool { return queuedRequests(s) == 1 })
 
 	// Hold the next evaluation where it starts, then free the slot without
-	// waking the executor: a slot is free and a request is queued, the state
-	// in which a claim must refuse.
+	// handing it to the waiter: a slot is free and a request is queued, the
+	// state in which a claim must refuse.
 	fault.Enable(fault.PointServeExecute, fault.Fault{Kind: fault.KindHang})
 	s.sched.mu.Lock()
 	s.sched.running--
 	s.sched.mu.Unlock()
 	low := postAsync(t, ts.URL+"/v1/query", QueryRequest{Query: "What is the delay reason of CA981?", Class: "batch"})
+	waitUntil(t, "the low-priority request queues behind the high one", func() bool { return queuedRequests(s) == 2 })
+	// Take the free slot back and release it the normal way: it goes to the
+	// queued high-priority request.
+	s.sched.mu.Lock()
+	s.sched.running++
+	s.sched.mu.Unlock()
+	s.sched.release()
 	waitUntil(t, "one request runs and one is queued", func() bool {
 		return fault.Hits(fault.PointServeExecute) == 1 && queuedRequests(s) == 1
 	})
@@ -183,13 +221,13 @@ func TestClaimNeverJumpsQueue(t *testing.T) {
 	}
 }
 
-// TestEvaluationsNeverExceedExecutors: handler-run requests and executor
-// batches share Config.Executors slots, so with every evaluation held inside
-// a long latency fault exactly that many run and the rest queue.
+// TestEvaluationsNeverExceedExecutors: queries and whole batches share
+// Config.Executors slots, so with every evaluation held inside a long latency
+// fault exactly that many run and the rest queue.
 func TestEvaluationsNeverExceedExecutors(t *testing.T) {
 	defer fault.Reset()
 	const executors, n = 2, 6
-	s, ts := newTestServer(t, Config{Executors: executors, MaxBatch: 1})
+	s, ts := newTestServer(t, Config{Executors: executors})
 	fault.Enable(fault.PointServeExecute, fault.Fault{Kind: fault.KindLatency, Latency: time.Hour})
 	replies := make([]<-chan reply, n)
 	for i := range replies {

@@ -13,10 +13,10 @@ import (
 
 // Read routing policies (Config.Route).
 const (
-	// RouteRoundRobin spreads batches across eligible replicas in turn.
+	// RouteRoundRobin spreads engine calls across eligible replicas in turn.
 	RouteRoundRobin = "round-robin"
-	// RoutePrimaryOnly sends every batch to the primary; replicas only follow
-	// its log (a warm-standby layout).
+	// RoutePrimaryOnly sends every engine call to the primary; replicas only
+	// follow its log (a warm-standby layout).
 	RoutePrimaryOnly = "primary-only"
 )
 
@@ -31,14 +31,14 @@ const probeTimeout = time.Second
 // engine-side reason (not the request's own deadline or disconnect).
 var errReplicaDegraded = errors.New("serve: replica returned degraded answers")
 
-// router spreads query batches across a replica set, gated per replica by
+// router spreads engine calls across a replica set, gated per replica by
 // health (live state + a circuit breaker) and bounded staleness.
 // Replication keeps replicas byte-identical to the primary, so routing is
 // invisible in answer values; the router's job is purely availability:
 //
 //   - Eligibility: a replica serves only while live (following the log), its
 //     breaker is closed, and it is within maxLag commits of the primary.
-//   - Failover: batches fall back to the primary when no replica is eligible
+//   - Failover: calls fall back to the primary when no replica is eligible
 //     or the picked replica fails mid-flight; an erroring replica's breaker
 //     trips after consecutive failures and a background probe (single-flight,
 //     via fault.PointClusterProbe) re-admits it once healthy.
@@ -86,9 +86,9 @@ func newRouter(sys *multirag.System, set *multirag.ReplicaSet, route string) (*r
 	return rt, nil
 }
 
-// run serves one formed batch: on a picked replica when one is eligible,
-// failing over to the primary when none is or the replica fails mid-flight.
-// Both see the requests' own contexts.
+// run serves one engine call (a /v1/query or a whole /v1/query/batch): on a
+// picked replica when one is eligible, failing over to the primary when none
+// is or the replica fails mid-flight. Both see the request's own context.
 func (rt *router) run(ctxs []context.Context, queries []string) []multirag.Answer {
 	t := rt.pick()
 	if t == nil {
@@ -198,9 +198,11 @@ func isRealError(err error) bool {
 
 // RouterMetrics is the /v1/metrics routing section.
 type RouterMetrics struct {
-	Route          string                   `json:"route"`
-	MaxLag         uint64                   `json:"max_lag"`
-	CommittedLSN   uint64                   `json:"committed_lsn"`
+	Route        string `json:"route"`
+	MaxLag       uint64 `json:"max_lag"`
+	CommittedLSN uint64 `json:"committed_lsn"`
+	// PrimaryBatches and ReplicaBatches count engine calls: one per
+	// /v1/query or whole /v1/query/batch, by where it was routed.
 	PrimaryBatches uint64                   `json:"primary_batches"`
 	ReplicaBatches uint64                   `json:"replica_batches"`
 	Failovers      uint64                   `json:"failovers"`

@@ -49,22 +49,14 @@ func newChaosClusterServer(t *testing.T, n int, cfg Config) (
 
 func waitReplicasCaughtUp(t *testing.T, set *multirag.ReplicaSet) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		ok := true
+	waitUntil(t, "the replicas catch up", func() bool {
 		for _, r := range set.Replicas() {
 			if !r.Live() || r.Position() != set.CommittedLSN() {
-				ok = false
+				return false
 			}
 		}
-		if ok {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replicas never caught up: %+v", set.Status())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+		return true
+	})
 }
 
 // askServer posts one query and asserts 200 + answer values equal to want.

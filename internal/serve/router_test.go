@@ -127,13 +127,9 @@ func TestRouterStalenessGuardFailsOverToPrimary(t *testing.T) {
 	// Release the replica and wait for it to read the log; it becomes
 	// eligible again without any probe (its breaker never tripped).
 	fault.Disable(fault.PointClusterReplay)
-	deadline := time.Now().Add(10 * time.Second)
-	for rep.Position() != set.CommittedLSN() || !rep.Live() {
-		if time.Now().After(deadline) {
-			t.Fatalf("replica never caught up: pos %d vs %d", rep.Position(), set.CommittedLSN())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitUntil(t, "the replica catches up", func() bool {
+		return rep.Position() == set.CommittedLSN() && rep.Live()
+	})
 	rt.run(make([]context.Context, 1), routerQueries[:1])
 	if rt.replicaBatches.Load() != 1 {
 		t.Fatalf("caught-up replica not re-admitted (replica batches = %d)", rt.replicaBatches.Load())

@@ -3,14 +3,12 @@ package serve
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"multirag"
 )
 
-// Batch-formation policies.
+// Policies for the order in which queued requests get a free slot.
 const (
 	// PolicyFCFS serves requests strictly in arrival order across classes.
 	PolicyFCFS = "fcfs"
@@ -19,292 +17,217 @@ const (
 	PolicyPriority = "priority"
 )
 
-// Request lifecycle states. Only a request that found no free execution slot
-// has them (one that claimed a slot runs on its handler goroutine and is never
-// queued). It is pending while queued; the executor claims it with a
-// pending→running CAS before including it in a batch, and the waiting handler
-// claims it with a pending→timedOut CAS when its queue timeout fires —
-// whoever wins the CAS owns the outcome, so a request is never both answered
-// and timed out.
-const (
-	reqPending int32 = iota
-	reqRunning
-	reqTimedOut
-)
-
-// request is one admitted query waiting for batch formation.
-//
-// Channel discipline: done is buffered (capacity 1) and receives exactly one
-// send, from whichever side wins the request's CAS — the executor that claims
-// it (pending→running, sends the answer) or the scheduler's close
-// (pending→timedOut, sends errClosed). A handler that times the request out
-// itself (pending→timedOut in await) receives nothing, and nothing is sent:
-// no path can leave a sender blocked on the channel.
-type request struct {
-	query string
-	class *classState
+// waiter is one request waiting for an execution slot: a /v1/query or a whole
+// /v1/query/batch of n queries. ready is buffered (capacity 1) and receives at
+// most one send, under the scheduler mutex: nil when release hands the waiter
+// its slot, errClosed when close fails it. Whoever takes a waiter out of its
+// class queue owns that send, so no sender ever blocks.
+type waiter struct {
 	seq   uint64
-	enq   time.Time
-	state atomic.Int32
-	done  chan answerResult
-
-	// ctx carries the request's end-to-end budget — the smaller of the class
-	// deadline and the request's own deadline_ms, counted from admission — and
-	// the client's disconnect signal. nil when the request has neither; the
-	// engine's one query path then runs it under context.Background().
-	ctx    context.Context
-	cancel context.CancelFunc
+	n     int
+	ready chan error
+	timer *time.Timer
 }
 
-// abort cancels the request's context, if it has one. Idempotent; safe from
-// any goroutine.
-func (r *request) abort() {
-	if r.cancel != nil {
-		r.cancel()
-	}
-}
-
-type answerResult struct {
-	answer multirag.Answer
-	err    error
-}
+// waiters recycles waiters with their channel and queue timer: under
+// saturation every request waits, and each would otherwise allocate five
+// objects. wait returns a waiter with ready drained and the timer stopped, so
+// a recycled one carries nothing over.
+var waiters = sync.Pool{New: func() any {
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	return &waiter{ready: make(chan error, 1), timer: timer}
+}}
 
 // classState is one configured SLO class at runtime: its admission bucket
-// and its bounded FIFO of pending requests (guarded by the scheduler mutex).
+// and its bounded FIFO of waiters (guarded by the scheduler mutex).
 type classState struct {
 	cfg    Class
 	bucket *tokenBucket
-	fifo   []*request
+	fifo   []*waiter
+	// queued is the number of queries in fifo, bounded by cfg.QueueCap.
+	queued int
 }
 
-// errQueueFull / errClosed are the scheduler's rejection reasons.
+// The reasons a request gets no slot.
 var (
-	errQueueFull = errors.New("serve: class queue full")
-	errClosed    = errors.New("serve: server closed")
+	errQueueFull    = errors.New("serve: class queue full")
+	errQueueTimeout = errors.New("serve: queue timeout")
+	errClosed       = errors.New("serve: server closed")
 )
 
-// scheduler owns the execution slots, the pending-request queues and batch
-// formation. A slot is held either by a handler running its own request
-// (claim) or by an executor running a formed batch (next); both give it back
-// with release. Executors block on the condvar, form one batch per wakeup
-// under the mutex and run it outside.
+// scheduler owns the execution slots and the per-class queues of requests
+// waiting for one. A request takes a free slot with claim, or queues and
+// waits on its own handler goroutine; release hands a freed slot straight to
+// the next waiter in policy order, so a slot never sits free while anyone
+// waits.
 type scheduler struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
+	idle    sync.Cond // broadcast when the last slot is freed after close
 	classes []*classState
-	pending int
+	policy  string
 	// running counts held slots; limit (Config.Executors) bounds it.
-	running  int
-	limit    int
-	seq      uint64
-	closed   bool
-	policy   string
-	maxBatch int
+	running int
+	limit   int
+	// waiting counts queued waiters across classes.
+	waiting int
+	seq     uint64
+	closed  bool
 }
 
-func newScheduler(policy string, classes []*classState, maxBatch, limit int) *scheduler {
-	s := &scheduler{classes: classes, policy: policy, maxBatch: maxBatch, limit: limit}
-	s.cond = sync.NewCond(&s.mu)
+func newScheduler(policy string, classes []*classState, limit int) *scheduler {
+	s := &scheduler{classes: classes, policy: policy, limit: limit}
+	s.idle.L = &s.mu
 	return s
 }
 
-// claim takes a slot for a request to run on its own handler goroutine. It
-// succeeds only while every class queue is empty and a slot is free, so a
-// claimed request never overtakes a queued one under either policy; false
-// means the request must queue. A closed scheduler answers errClosed.
-func (s *scheduler) claim() (bool, error) {
+// claim takes a slot for n queries of class cs. It takes a free slot only
+// while no waiter is queued, so a request never overtakes a queued one under
+// either policy, and returns a nil waiter: the caller holds the slot until it
+// calls release. Otherwise it queues a waiter for wait, unless the class
+// queue has no room for n more queries (errQueueFull). A closed scheduler
+// answers errClosed.
+func (s *scheduler) claim(cs *classState, n int) (*waiter, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return false, errClosed
+	switch {
+	case s.closed:
+		return nil, errClosed
+	case s.waiting == 0 && s.running < s.limit:
+		s.running++
+		return nil, nil
+	case cs.queued+n > cs.cfg.QueueCap:
+		return nil, errQueueFull
 	}
-	if s.pending > 0 || s.running >= s.limit {
-		return false, nil
-	}
-	s.running++
-	return true, nil
+	w := waiters.Get().(*waiter)
+	w.seq, w.n = s.seq, n
+	s.seq++
+	cs.fifo = append(cs.fifo, w)
+	cs.queued += n
+	s.waiting++
+	return w, nil
 }
 
-// release gives back a slot taken by claim or next, waking an executor when
-// requests are waiting for it, or close once the last slot is free.
+// wait blocks until release grants w a slot (nil: the caller now holds it),
+// ctx ends (its error), timeout passes (errQueueTimeout; < 0 waits without
+// one) or close fails w (errClosed). The timer bounds only the wait: once
+// the slot is granted the request runs under ctx alone. w goes back to the
+// pool: the caller must not use it again.
+func (s *scheduler) wait(ctx context.Context, w *waiter, timeout time.Duration) error {
+	defer waiters.Put(w)
+	var timerC <-chan time.Time
+	if timeout >= 0 {
+		w.timer.Reset(timeout)
+		defer w.timer.Stop()
+		timerC = w.timer.C
+	}
+	var why error
+	select {
+	case err := <-w.ready:
+		return err
+	case <-ctx.Done():
+		why = ctx.Err()
+	case <-timerC:
+		why = errQueueTimeout
+	}
+	if err := s.abandon(w); err != nil {
+		return err
+	}
+	return why
+}
+
+// abandon takes a waiter that gave up out of its class queue. One that is no
+// longer queued already has its send: a granted slot, which it passes on
+// with release, or errClosed, which it returns.
+func (s *scheduler) abandon(w *waiter) error {
+	s.mu.Lock()
+	for _, cs := range s.classes {
+		for i, x := range cs.fifo {
+			if x == w {
+				cs.fifo = slices.Delete(cs.fifo, i, i+1)
+				cs.queued -= w.n
+				s.waiting--
+				s.mu.Unlock()
+				return nil
+			}
+		}
+	}
+	s.mu.Unlock()
+	if err := <-w.ready; err != nil {
+		return err
+	}
+	s.release()
+	return nil
+}
+
+// release gives back a held slot. With a waiter queued the slot passes
+// straight to the next one in policy order and running does not change;
+// otherwise it frees, waking close once the last one is free.
 func (s *scheduler) release() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if cs := s.nextLocked(); cs != nil {
+		w := cs.fifo[0]
+		// Shift rather than reslice, so the queue reuses its array.
+		cs.fifo = slices.Delete(cs.fifo, 0, 1)
+		cs.queued -= w.n
+		s.waiting--
+		w.ready <- nil
+		return
+	}
 	s.running--
-	switch {
-	case s.closed && s.running == 0:
-		s.cond.Broadcast()
-	case s.pending > 0:
-		s.cond.Signal()
+	if s.closed && s.running == 0 {
+		s.idle.Broadcast()
 	}
 }
 
-// enqueue admits one request into its class queue, rejecting when the
-// bounded queue is full — the "bounded queues, not unbounded buffering"
-// half of admission control.
-func (s *scheduler) enqueue(r *request) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return errClosed
-	}
-	if len(r.class.fifo) >= r.class.cfg.QueueCap {
-		return errQueueFull
-	}
-	r.seq = s.seq
-	s.seq++
-	r.enq = time.Now()
-	r.class.fifo = append(r.class.fifo, r)
-	s.pending++
-	s.cond.Signal()
-	return nil
-}
-
-// enqueueAll admits a whole batch of class cs requests atomically: either
-// every request fits the class queue or none is enqueued.
-func (s *scheduler) enqueueAll(cs *classState, rs []*request) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return errClosed
-	}
-	if len(cs.fifo)+len(rs) > cs.cfg.QueueCap {
-		return errQueueFull
-	}
-	now := time.Now()
-	for _, r := range rs {
-		r.seq = s.seq
-		s.seq++
-		r.enq = now
-		cs.fifo = append(cs.fifo, r)
-		s.pending++
-	}
-	s.cond.Broadcast()
-	return nil
-}
-
-// next blocks until a slot is free and a batch can be formed, or the
-// scheduler closes, returning (nil, false) on close. The caller holds the
-// slot until it calls release.
-func (s *scheduler) next() ([]*request, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.closed {
-			return nil, false
-		}
-		if s.running < s.limit {
-			if batch := s.formBatchLocked(); len(batch) > 0 {
-				s.running++
-				return batch, true
-			}
-		}
-		// Every slot is held, or the queues drained (anything popped had
-		// already timed out); block until the next enqueue or release.
-		s.cond.Wait()
-	}
-}
-
-// formBatchLocked pops up to maxBatch requests in policy order, dropping any
-// whose handler already timed out (their pending→running CAS fails).
-func (s *scheduler) formBatchLocked() []*request {
-	var batch []*request
-	for len(batch) < s.maxBatch {
-		r := s.popLocked()
-		if r == nil {
-			break
-		}
-		s.pending--
-		if !r.state.CompareAndSwap(reqPending, reqRunning) {
-			continue // handler timed it out while queued; drop
-		}
-		batch = append(batch, r)
-	}
-	return batch
-}
-
-// popLocked removes and returns the next request per policy, or nil when
-// every queue is empty.
-func (s *scheduler) popLocked() *request {
-	if s.policy == PolicyPriority {
-		return s.popPriorityLocked()
-	}
-	return s.popFCFSLocked()
-}
-
-// popFCFSLocked takes the globally oldest request. Per-class FIFOs are
-// seq-ordered, so the global minimum is at one of the heads.
-func (s *scheduler) popFCFSLocked() *request {
+// nextLocked picks the class whose head waiter gets the next slot, or nil
+// when nobody waits. Per-class FIFOs are seq-ordered, so under fcfs the
+// globally oldest waiter is at one of the heads; under priority the
+// highest-priority class wins, priority ties by arrival order.
+func (s *scheduler) nextLocked() *classState {
 	var best *classState
 	for _, cs := range s.classes {
 		if len(cs.fifo) == 0 {
 			continue
 		}
-		if best == nil || cs.fifo[0].seq < best.fifo[0].seq {
+		wins := best == nil || cs.fifo[0].seq < best.fifo[0].seq
+		if s.policy == PolicyPriority && best != nil && cs.cfg.Priority != best.cfg.Priority {
+			wins = cs.cfg.Priority > best.cfg.Priority
+		}
+		if wins {
 			best = cs
 		}
 	}
-	return popHead(best)
+	return best
 }
 
-// popPriorityLocked takes the head of the highest-priority non-empty class,
-// breaking priority ties by arrival order.
-func (s *scheduler) popPriorityLocked() *request {
-	var best *classState
-	for _, cs := range s.classes {
-		if len(cs.fifo) == 0 {
-			continue
-		}
-		if best == nil ||
-			cs.cfg.Priority > best.cfg.Priority ||
-			(cs.cfg.Priority == best.cfg.Priority && cs.fifo[0].seq < best.fifo[0].seq) {
-			best = cs
-		}
-	}
-	return popHead(best)
-}
-
-func popHead(cs *classState) *request {
-	if cs == nil {
-		return nil
-	}
-	r := cs.fifo[0]
-	cs.fifo = cs.fifo[1:]
-	return r
-}
-
-// depths reports per-class queue lengths (metrics endpoint).
+// depths reports per-class queued queries (metrics endpoint).
 func (s *scheduler) depths() map[string]int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make(map[string]int, len(s.classes))
 	for _, cs := range s.classes {
-		out[cs.cfg.Name] = len(cs.fifo)
+		out[cs.cfg.Name] = cs.queued
 	}
 	return out
 }
 
-// close rejects everything still queued, fails later claims, wakes the
-// executors so they exit, and returns once no slot is held: in-flight batches
-// and handler-run requests complete and deliver normally first.
+// close fails every waiter with errClosed, fails later claims, and returns
+// once no slot is held: requests already running complete and deliver
+// normally first. Every call waits, so a second close returns no earlier.
 func (s *scheduler) close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
 	s.closed = true
 	for _, cs := range s.classes {
-		for _, r := range cs.fifo {
-			if r.state.CompareAndSwap(reqPending, reqTimedOut) {
-				r.done <- answerResult{err: errClosed}
-			}
+		for _, w := range cs.fifo {
+			w.ready <- errClosed
 		}
-		cs.fifo = nil
+		cs.fifo, cs.queued = nil, 0
 	}
-	s.pending = 0
-	s.cond.Broadcast()
+	s.waiting = 0
 	for s.running > 0 {
-		s.cond.Wait()
+		s.idle.Wait()
 	}
 }

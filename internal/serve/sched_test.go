@@ -1,6 +1,10 @@
 package serve
 
 import (
+	"context"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -17,95 +21,202 @@ func testClasses(caps ...Class) []*classState {
 	return out
 }
 
-func mustEnqueue(t *testing.T, s *scheduler, r *request) {
+// mustHoldSlot takes a free slot of s.
+func mustHoldSlot(t *testing.T, s *scheduler, cs *classState) {
 	t.Helper()
-	if err := s.enqueue(r); err != nil {
-		t.Fatalf("enqueue: %v", err)
+	if w, err := s.claim(cs, 1); w != nil || err != nil {
+		t.Fatalf("claim a free slot: waiter %v, err %v", w, err)
 	}
 }
 
-func newReq(q string, cs *classState) *request {
-	return &request{query: q, class: cs, done: make(chan answerResult, 1)}
+// mustQueue queues a waiter for n queries of class cs.
+func mustQueue(t *testing.T, s *scheduler, cs *classState, n int) *waiter {
+	t.Helper()
+	w, err := s.claim(cs, n)
+	if w == nil || err != nil {
+		t.Fatalf("queue %d queries: waiter %v, err %v", n, w, err)
+	}
+	return w
 }
 
-func batchQueries(batch []*request) []string {
-	out := make([]string, len(batch))
-	for i, r := range batch {
-		out[i] = r.query
+// granted reports whether w has been handed a slot, without blocking.
+func granted(w *waiter) bool {
+	select {
+	case err := <-w.ready:
+		return err == nil
+	default:
+		return false
 	}
-	return out
+}
+
+// grantOrder releases the one held slot once per waiter and returns the
+// names of the waiters in the order release handed them the slot.
+func grantOrder(t *testing.T, s *scheduler, names map[*waiter]string) []string {
+	t.Helper()
+	var got []string
+	for range names {
+		s.release()
+		for w, name := range names {
+			if granted(w) {
+				got = append(got, name)
+			}
+		}
+	}
+	s.release()
+	if s.running != 0 {
+		t.Fatalf("running = %d after the last waiter's release, want 0", s.running)
+	}
+	return got
+}
+
+func assertOrder(t *testing.T, policy string, got, want []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s order: got %v, want %v", policy, got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s order: got %v, want %v", policy, got, want)
+		}
+	}
 }
 
 func TestFCFSOrdersByArrivalAcrossClasses(t *testing.T) {
 	classes := testClasses(Class{Name: "a", Priority: 2}, Class{Name: "b", Priority: 1})
-	s := newScheduler(PolicyFCFS, classes, 16, 1)
-	mustEnqueue(t, s, newReq("q1", classes[1]))
-	mustEnqueue(t, s, newReq("q2", classes[0]))
-	mustEnqueue(t, s, newReq("q3", classes[1]))
-	s.mu.Lock()
-	got := batchQueries(s.formBatchLocked())
-	s.mu.Unlock()
-	want := []string{"q1", "q2", "q3"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fcfs order: got %v, want %v", got, want)
-		}
+	s := newScheduler(PolicyFCFS, classes, 1)
+	mustHoldSlot(t, s, classes[0])
+	names := map[*waiter]string{
+		mustQueue(t, s, classes[1], 1): "q1",
+		mustQueue(t, s, classes[0], 1): "q2",
+		mustQueue(t, s, classes[1], 1): "q3",
 	}
+	assertOrder(t, "fcfs", grantOrder(t, s, names), []string{"q1", "q2", "q3"})
 }
 
 func TestPriorityOrdersByClassThenArrival(t *testing.T) {
 	classes := testClasses(Class{Name: "low", Priority: 1}, Class{Name: "high", Priority: 9})
-	s := newScheduler(PolicyPriority, classes, 16, 1)
-	mustEnqueue(t, s, newReq("low1", classes[0]))
-	mustEnqueue(t, s, newReq("high1", classes[1]))
-	mustEnqueue(t, s, newReq("low2", classes[0]))
-	mustEnqueue(t, s, newReq("high2", classes[1]))
-	s.mu.Lock()
-	got := batchQueries(s.formBatchLocked())
-	s.mu.Unlock()
-	want := []string{"high1", "high2", "low1", "low2"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("priority order: got %v, want %v", got, want)
-		}
+	s := newScheduler(PolicyPriority, classes, 1)
+	mustHoldSlot(t, s, classes[0])
+	names := map[*waiter]string{
+		mustQueue(t, s, classes[0], 1): "low1",
+		mustQueue(t, s, classes[1], 1): "high1",
+		mustQueue(t, s, classes[0], 1): "low2",
+		mustQueue(t, s, classes[1], 1): "high2",
 	}
+	assertOrder(t, "priority", grantOrder(t, s, names), []string{"high1", "high2", "low1", "low2"})
 }
 
 func TestBoundedQueueRejectsWhenFull(t *testing.T) {
 	classes := testClasses(Class{Name: "tiny", QueueCap: 2})
-	s := newScheduler(PolicyFCFS, classes, 16, 1)
-	mustEnqueue(t, s, newReq("q1", classes[0]))
-	mustEnqueue(t, s, newReq("q2", classes[0]))
-	if err := s.enqueue(newReq("q3", classes[0])); err != errQueueFull {
-		t.Fatalf("over-cap enqueue: got %v, want errQueueFull", err)
+	s := newScheduler(PolicyFCFS, classes, 1)
+	mustHoldSlot(t, s, classes[0])
+	mustQueue(t, s, classes[0], 1)
+	// A batch waiter counts each of its queries: two do not fit in one.
+	if w, err := s.claim(classes[0], 2); w != nil || err != errQueueFull {
+		t.Fatalf("over-cap batch: waiter %v, err %v, want errQueueFull", w, err)
 	}
-	// Batch admission is all-or-nothing against the remaining capacity.
-	if err := s.enqueueAll(classes[0], []*request{newReq("q4", classes[0])}); err != errQueueFull {
-		t.Fatalf("over-cap enqueueAll: got %v, want errQueueFull", err)
+	mustQueue(t, s, classes[0], 1)
+	if w, err := s.claim(classes[0], 1); w != nil || err != errQueueFull {
+		t.Fatalf("over-cap query: waiter %v, err %v, want errQueueFull", w, err)
+	}
+	if d := s.depths()["tiny"]; d != 2 {
+		t.Fatalf("queue depth %d, want 2", d)
 	}
 }
 
+// TestTimedOutRequestsAreDroppedFromBatches: a waiter that gives up while
+// queued leaves the queue and is never granted a slot; release hands the
+// slot to the waiter behind it.
 func TestTimedOutRequestsAreDroppedFromBatches(t *testing.T) {
-	classes := testClasses(Class{Name: "c"})
-	s := newScheduler(PolicyFCFS, classes, 16, 1)
-	doomed := newReq("late", classes[0])
-	kept := newReq("ontime", classes[0])
-	mustEnqueue(t, s, doomed)
-	mustEnqueue(t, s, kept)
-	if !doomed.state.CompareAndSwap(reqPending, reqTimedOut) {
-		t.Fatal("timeout CAS failed on pending request")
+	classes := testClasses(Class{Name: "c", QueueCap: 10})
+	s := newScheduler(PolicyFCFS, classes, 1)
+	mustHoldSlot(t, s, classes[0])
+	doomed := mustQueue(t, s, classes[0], 1)
+	kept := mustQueue(t, s, classes[0], 1)
+	if err := s.wait(t.Context(), doomed, time.Millisecond); err != errQueueTimeout {
+		t.Fatalf("wait on a held slot: %v, want errQueueTimeout", err)
 	}
-	s.mu.Lock()
-	got := batchQueries(s.formBatchLocked())
-	s.mu.Unlock()
-	if len(got) != 1 || got[0] != "ontime" {
-		t.Fatalf("batch after timeout: got %v, want [ontime]", got)
+	if d := s.depths()["c"]; d != 1 {
+		t.Fatalf("queue depth %d after the timeout, want 1", d)
 	}
-	// And a running request can no longer be timed out.
-	if kept.state.Load() != reqRunning {
-		t.Fatalf("claimed request state: got %d, want running", kept.state.Load())
+	s.release() // hands the slot to kept: doomed is no longer queued
+	if len(doomed.ready) != 0 || !granted(kept) {
+		t.Fatal("the slot went to the timed-out waiter, not the one behind it")
 	}
-	if kept.state.CompareAndSwap(reqPending, reqTimedOut) {
-		t.Fatal("timeout CAS succeeded on a claimed request")
+	s.release()
+	if s.running != 0 {
+		t.Fatalf("running = %d after the last release, want 0", s.running)
+	}
+}
+
+// TestQueueTimeoutLeavesNoBlockedSender: a waiter whose timeout loses the
+// race to its grant takes the slot and passes it on, so running returns to 0
+// and close does not hang.
+func TestQueueTimeoutLeavesNoBlockedSender(t *testing.T) {
+	classes := testClasses(Class{Name: "c", QueueCap: 10})
+	s := newScheduler(PolicyFCFS, classes, 1)
+	mustHoldSlot(t, s, classes[0])
+	raced := mustQueue(t, s, classes[0], 1)
+	s.release() // hands the slot to raced
+	// raced's timer fired as release granted it: it finds itself dequeued,
+	// takes the grant and releases the slot onward.
+	if err := s.abandon(raced); err != nil {
+		t.Fatalf("abandon a granted waiter: %v", err)
+	}
+	if s.running != 0 {
+		t.Fatalf("running = %d after the raced waiter passed its slot on, want 0", s.running)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		s.close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("close hangs on a slot nobody holds")
+	}
+}
+
+// TestWaitersUnderContention: goroutines claim, wait with queue timeouts
+// short enough to race their grants, hold and release, under both policies.
+// Never more than limit hold a slot at once, and once all are done no slot is
+// held and nobody is queued.
+func TestWaitersUnderContention(t *testing.T) {
+	for _, policy := range []string{PolicyFCFS, PolicyPriority} {
+		classes := testClasses(Class{Name: "a", Priority: 1}, Class{Name: "b", Priority: 2})
+		s := newScheduler(policy, classes, 2)
+		var holding atomic.Int32
+		var wg sync.WaitGroup
+		for g := 0; g < 16; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 200; i++ {
+					w, err := s.claim(classes[g%2], 1)
+					if w != nil {
+						err = s.wait(context.Background(), w, time.Duration(i%3)*50*time.Microsecond)
+					}
+					if err != nil {
+						continue // timed out (or the queue was full)
+					}
+					if n := holding.Add(1); n > int32(s.limit) {
+						t.Errorf("%s: %d slots held, limit %d", policy, n, s.limit)
+					}
+					runtime.Gosched()
+					holding.Add(-1)
+					s.release()
+				}
+			}()
+		}
+		wg.Wait()
+		s.mu.Lock()
+		running, waiting := s.running, s.waiting
+		s.mu.Unlock()
+		if running != 0 || waiting != 0 {
+			t.Fatalf("%s: running=%d waiting=%d after every goroutine finished, want 0/0", policy, running, waiting)
+		}
+		s.close()
 	}
 }

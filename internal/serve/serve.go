@@ -1,11 +1,12 @@
 // Package serve is the production front door of a MultiRAG deployment: an
 // HTTP/JSON API over System.AskEach / System.IngestFiles with
 // token-bucket admission control per SLO class, a fixed count of execution
-// slots (Config.Executors), bounded per-class request queues with batch
-// formation in arrival (FCFS) or class-priority order, and per-class
-// latency / fairness reporting on a metrics endpoint. A query that finds
-// every queue empty and a slot free runs on its own handler goroutine;
-// queues and batches only form once every slot is busy.
+// slots (Config.Executors), bounded per-class queues of requests waiting for
+// a slot, served in arrival (FCFS) or class-priority order, and per-class
+// latency / fairness reporting on a metrics endpoint. Every request runs on
+// its own handler goroutine: one that finds every queue empty and a slot
+// free runs at once, and one that does not waits there until a finishing
+// request hands it a slot.
 //
 // Endpoints:
 //
@@ -39,10 +40,10 @@
 // Shutdown is two-phase: Drain flips the server into draining — new work is
 // rejected with 503 + Retry-After and the health endpoint fails so load
 // balancers stop routing here — while queued and in-flight requests finish
-// normally; Close then rejects whatever is still queued, stops the batch
-// executors and waits until they have exited and no handler-run request holds
-// a slot, so by the time Close returns no request can touch the engine again
-// and the caller may safely flush and close a durable System underneath.
+// normally; Close then rejects whatever is still queued and waits until no
+// request holds a slot, so by the time Close returns no request can touch the
+// engine again and the caller may safely flush and close a durable System
+// underneath.
 package serve
 
 import (
@@ -52,6 +53,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -73,8 +75,9 @@ type Class struct {
 	Burst float64 `json:"burst"`
 	// Priority orders classes under PolicyPriority (higher serves first).
 	Priority int `json:"priority"`
-	// QueueCap bounds the class's pending-request queue; arrivals that find
-	// it full are rejected with 429 (default 256).
+	// QueueCap bounds the queries waiting for a slot in the class's queue (a
+	// /v1/query/batch counts each of its queries); arrivals that find it full
+	// are rejected with 429 (default 256).
 	QueueCap int `json:"queue_cap"`
 	// Deadline is the class's end-to-end budget per request, counted from
 	// admission — queue wait spends the same budget as evaluation. A request
@@ -108,29 +111,27 @@ const IngestClass = "ingest"
 type Config struct {
 	// System is the deployment to serve. Required.
 	System *multirag.System
-	// Policy selects batch formation: PolicyFCFS (default) or PolicyPriority.
+	// Policy selects the order in which queued requests get a free slot:
+	// PolicyFCFS (default) or PolicyPriority.
 	Policy string
 	// Classes declares the SLO classes (default DefaultClasses). The first
 	// entry is the default class; the entry named IngestClass (added
 	// automatically if absent) admission-controls /v1/ingest.
 	Classes []Class
-	// MaxBatch bounds one batch formed from the queues (default 32). Batches
-	// form only under saturation: a request that finds a slot free runs
-	// alone, and a /v1/query/batch request that does runs whole.
-	MaxBatch int
-	// QueueTimeout bounds how long a query may wait for batch formation
-	// before failing with 503 (default 5s; < 0 disables).
+	// QueueTimeout bounds how long a request may wait for a slot before
+	// failing with 503 (default 5s; < 0 disables). It bounds only the wait:
+	// a request that gets its slot runs under its deadline alone.
 	QueueTimeout time.Duration
-	// Executors is the number of execution slots (default 2), shared by
-	// requests running on their own handler goroutine and batches the
-	// executor goroutines (one per slot) form from the queues: never more
-	// than this many evaluations run at once.
+	// Executors is the number of execution slots (default
+	// runtime.GOMAXPROCS(0), the engine's own Workers default): never more
+	// than this many engine calls run at once. A /v1/query or a whole
+	// /v1/query/batch is one engine call.
 	Executors int
 	// Recovery, when set, is the startup crash-recovery report of the durable
 	// System being served; it is surfaced on /v1/metrics so operators can see
 	// what the process found on disk without grepping logs.
 	Recovery *multirag.RecoveryInfo
-	// Replicas, when set, routes query batches across the replica set instead
+	// Replicas, when set, routes engine calls across the replica set instead
 	// of always serving from the primary. Replication keeps replicas
 	// byte-identical to the primary, so answers are unchanged; routing buys
 	// read scale-out and failover. The server does not own the set — the
@@ -142,7 +143,7 @@ type Config struct {
 }
 
 // Server is a running front door. Create with New, mount Handler on an
-// http.Server, Close to reject queued work and stop the executors.
+// http.Server, Close to reject queued work and wait for running requests.
 type Server struct {
 	sys          *multirag.System
 	policy       string
@@ -156,20 +157,17 @@ type Server struct {
 	// System.IngestPressure (overridable by tests to force saturation).
 	pressure func() (inflight, capacity int)
 	recovery *multirag.RecoveryInfo
-	// router, when non-nil, spreads batches across the configured replica
-	// set with health gating and bounded staleness (DefaultMaxLag).
+	// router, when non-nil, spreads engine calls across the configured
+	// replica set with health gating and bounded staleness (DefaultMaxLag).
 	router *router
 	mux    *http.ServeMux
 
 	// draining rejects new work with 503 + Retry-After once set (Drain /
-	// Close); executors keeps Close honest — it waits until every executor
-	// goroutine has exited before returning.
-	draining  atomic.Bool
-	executors sync.WaitGroup
-	closeOnce sync.Once
+	// Close).
+	draining atomic.Bool
 }
 
-// New validates cfg, starts the batch executors and returns the server.
+// New validates cfg and returns the server.
 func New(cfg Config) (*Server, error) {
 	if cfg.System == nil {
 		return nil, fmt.Errorf("serve: Config.System is required")
@@ -186,14 +184,11 @@ func New(cfg Config) (*Server, error) {
 	if len(classes) == 0 {
 		classes = DefaultClasses()
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 32
-	}
 	if cfg.QueueTimeout == 0 {
 		cfg.QueueTimeout = 5 * time.Second
 	}
 	if cfg.Executors <= 0 {
-		cfg.Executors = 2
+		cfg.Executors = runtime.GOMAXPROCS(0)
 	}
 
 	now := time.Now()
@@ -241,11 +236,7 @@ func New(cfg Config) (*Server, error) {
 		order[i] = cs.cfg.Name
 	}
 	s.metrics = newMetrics(order)
-	s.sched = newScheduler(cfg.Policy, states, cfg.MaxBatch, cfg.Executors)
-	s.executors.Add(cfg.Executors)
-	for i := 0; i < cfg.Executors; i++ {
-		go s.executorLoop()
-	}
+	s.sched = newScheduler(cfg.Policy, states, cfg.Executors)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/query", s.handleQuery)
@@ -271,17 +262,13 @@ func (s *Server) Drain() { s.draining.Store(true) }
 // Draining reports whether Drain or Close has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Close drains the server, rejects all queued requests, stops the executors
-// and waits for them to exit and for every slot to be free. In-flight batches
-// and handler-run requests complete and deliver their answers before Close
-// returns, so afterwards nothing touches the engine — the caller may close a
-// durable System underneath. Idempotent.
+// Close drains the server, rejects all queued requests with 503 and waits
+// for every slot to be free. Running requests complete and deliver their
+// answers before Close returns, so afterwards nothing touches the engine —
+// the caller may close a durable System underneath. Idempotent.
 func (s *Server) Close() {
-	s.closeOnce.Do(func() {
-		s.draining.Store(true)
-		s.sched.close()
-		s.executors.Wait()
-	})
+	s.draining.Store(true)
+	s.sched.close()
 }
 
 // Metrics returns the current metrics snapshot (the /v1/metrics payload).
@@ -298,40 +285,9 @@ func (s *Server) Metrics() MetricsSnapshot {
 	return snap
 }
 
-// executorLoop drains batches off the scheduler and runs each through the
-// engine's batch entry point; every answer in the batch evaluates against
-// one published snapshot. Each request carries its own context, so one
-// request's deadline or disconnect degrades that answer without touching its
-// batchmates. The slot is given back before the answers go out, so a client
-// that has its answer finds the slot free.
-func (s *Server) executorLoop() {
-	defer s.executors.Done()
-	for {
-		batch, ok := s.sched.next()
-		if !ok {
-			return
-		}
-		queries := make([]string, len(batch))
-		ctxs := make([]context.Context, len(batch))
-		for i, r := range batch {
-			queries[i] = r.query
-			ctxs[i] = r.ctx
-		}
-		answers := s.runBatch(ctxs, queries)
-		s.sched.release()
-		for i, r := range batch {
-			// done is buffered (cap 1) and the executor owns the only send for
-			// a claimed request, so this never blocks — even when the handler
-			// has already returned (batch sibling failed first).
-			r.done <- answerResult{answer: answers[i]}
-		}
-	}
-}
-
-// runBatch evaluates one formed batch, containing faults at the serve
-// boundary and panics escaping the engine: either becomes a set of degraded
-// answers rather than a dead executor goroutine (which would strand every
-// waiting handler and shrink serving capacity forever).
+// runBatch evaluates one request's queries as one engine call, containing
+// faults at the serve boundary and panics escaping the engine: either
+// becomes a set of degraded answers rather than a dead handler goroutine.
 func (s *Server) runBatch(ctxs []context.Context, queries []string) (answers []multirag.Answer) {
 	degradeAll := func(reason string) []multirag.Answer {
 		out := make([]multirag.Answer, len(queries))
@@ -345,10 +301,10 @@ func (s *Server) runBatch(ctxs []context.Context, queries []string) (answers []m
 			answers = degradeAll(fmt.Sprintf("panic: %v", r))
 		}
 	}()
-	// Chaos seam for the evaluation itself. Deliberately not bound to any one
-	// request's context (the batch is shared), so hang faults here release
-	// only on fault.Disable/Reset; a hang keeps its slot, and requests that
-	// find every slot hung queue and shed via queue timeout.
+	// Chaos seam for the evaluation itself. Deliberately bound to no
+	// request's context, so a hang here holds its slot until
+	// fault.Disable/Reset, and requests that find every slot hung queue and
+	// shed via queue timeout.
 	if err := fault.Inject(context.Background(), fault.PointServeExecute); err != nil {
 		return degradeAll(err.Error())
 	}
@@ -433,32 +389,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("admission: class %q over rate", cs.cfg.Name))
 		return
 	}
-	var out reqOutcome
-	claimed, err := s.sched.claim()
-	switch {
-	case err != nil:
-		writeDraining(w)
-		return
-	case claimed:
-		enq := time.Now()
-		ans := s.runClaimed(r.Context(), cs, req.DeadlineMillis, []string{req.Query})
-		out = s.conclude(cs, enq, answerResult{answer: ans[0]}, awaitAnswered)
-	default:
-		rq := s.newRequest(r.Context(), req.Query, cs, req.DeadlineMillis)
-		defer rq.abort()
-		if err := s.sched.enqueue(rq); err != nil {
-			s.metrics.rejectQueue(cs.cfg.Name)
-			writeShed(w, http.StatusTooManyRequests, err.Error())
-			return
-		}
-		res, oc := s.await(rq)
-		out = s.conclude(cs, rq.enq, res, oc)
-	}
+	answers, out := s.evaluate(r.Context(), cs, req.DeadlineMillis, []string{req.Query})
 	if out.status != http.StatusOK {
 		out.write(w)
 		return
 	}
-	writeJSON(w, http.StatusOK, out.answer)
+	writeJSON(w, http.StatusOK, answers[0])
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -491,68 +427,51 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("admission: class %q over rate", cs.cfg.Name))
 		return
 	}
-	claimed, err := s.sched.claim()
-	if err != nil {
-		writeDraining(w)
+	answers, out := s.evaluate(r.Context(), cs, req.DeadlineMillis, req.Queries)
+	if out.status != http.StatusOK {
+		out.write(w)
 		return
 	}
-	if claimed {
-		// The whole batch runs as one engine call under one slot.
-		enq := time.Now()
-		answers := s.runClaimed(r.Context(), cs, req.DeadlineMillis, req.Queries)
-		for i := range answers {
-			out := s.conclude(cs, enq, answerResult{answer: answers[i]}, awaitAnswered)
-			if out.status != http.StatusOK {
-				out.write(w)
-				return
-			}
-		}
-		writeJSON(w, http.StatusOK, BatchResponse{Answers: answers})
-		return
-	}
-	rqs := make([]*request, len(req.Queries))
-	for i, q := range req.Queries {
-		rqs[i] = s.newRequest(r.Context(), q, cs, req.DeadlineMillis)
-		defer rqs[i].abort()
-	}
-	if err := s.sched.enqueueAll(cs, rqs); err != nil {
-		s.metrics.rejectQueue(cs.cfg.Name)
-		writeShed(w, http.StatusTooManyRequests, err.Error())
-		return
-	}
-	resp := BatchResponse{Answers: make([]multirag.Answer, len(rqs))}
-	for i, rq := range rqs {
-		res, oc := s.await(rq)
-		out := s.conclude(cs, rq.enq, res, oc)
-		if out.status != http.StatusOK {
-			// The deferred aborts cancel this request's still-running siblings,
-			// so their executor slots free promptly; their answers land in the
-			// buffered done channels and are dropped.
-			out.write(w)
-			return
-		}
-		resp.Answers[i] = out.answer
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, BatchResponse{Answers: answers})
 }
 
-// runClaimed evaluates queries on the calling handler goroutine under a slot
-// it took with claim, and gives the slot back. There is no queue wait, so the
-// client connection's context is used as it is and a timeout is derived only
-// when a deadline applies; the answers are those an executor would deliver.
-func (s *Server) runClaimed(base context.Context, cs *classState, deadlineMillis int64, queries []string) []multirag.Answer {
-	defer s.sched.release()
+// evaluate runs one admitted request's queries as one engine call under one
+// execution slot, on the calling handler goroutine. The request's context
+// derives from the client connection (disconnect cancels), bounded by the
+// effective deadline counted from admission, so time spent waiting for a
+// slot draws down the same budget as evaluation; with no deadline the
+// connection's context is used as it is. A request that finds no free slot
+// waits for one (scheduler.wait). The outcome is 200 when every answer is
+// delivered, else the first answer's (or the wait's) failure.
+func (s *Server) evaluate(base context.Context, cs *classState, deadlineMillis int64, queries []string) ([]multirag.Answer, reqOutcome) {
+	enq := time.Now()
 	ctx := base
 	if d := effectiveDeadline(cs, deadlineMillis); d > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(base, d)
 		defer cancel()
 	}
+	wt, err := s.sched.claim(cs, len(queries))
+	if err == nil && wt != nil {
+		err = s.sched.wait(ctx, wt, s.queueTimeout)
+	}
+	if err != nil {
+		return nil, s.unserved(cs, err)
+	}
 	ctxs := make([]context.Context, len(queries))
 	for i := range ctxs {
 		ctxs[i] = ctx
 	}
-	return s.runBatch(ctxs, queries)
+	// runBatch contains panics, so the slot always comes back; it goes to the
+	// next waiter, if any, before the answers go out.
+	answers := s.runBatch(ctxs, queries)
+	s.sched.release()
+	for i := range answers {
+		if out := s.conclude(cs, enq, answers[i]); out.status != http.StatusOK {
+			return nil, out
+		}
+	}
+	return answers, reqOutcome{status: http.StatusOK}
 }
 
 // effectiveDeadline is a request's end-to-end budget: the smaller of the
@@ -569,93 +488,11 @@ func effectiveDeadline(cs *classState, deadlineMillis int64) time.Duration {
 	return d
 }
 
-// newRequest builds one admitted query request that must queue. Its context
-// derives from the client connection (disconnect cancels) bounded by the
-// effective deadline counted from this moment, so time spent waiting in queue
-// draws down the same budget as evaluation. With no deadline and no
-// disconnect signal the context stays nil, which QueryEach runs as
-// context.Background(). base is never nil: net/http gives every handler a
-// cancelable r.Context().
-func (s *Server) newRequest(base context.Context, query string, cs *classState, deadlineMillis int64) *request {
-	rq := &request{query: query, class: cs, done: make(chan answerResult, 1)}
-	d := effectiveDeadline(cs, deadlineMillis)
-	switch {
-	case d > 0:
-		rq.ctx, rq.cancel = context.WithTimeout(base, d)
-	case base.Done() != nil:
-		rq.ctx, rq.cancel = context.WithCancel(base)
-	}
-	return rq
-}
-
-// awaitOutcome says how await resolved a request.
-type awaitOutcome int
-
-const (
-	// awaitAnswered: the answerResult is valid (possibly degraded or errClosed).
-	awaitAnswered awaitOutcome = iota
-	// awaitQueueTimeout: the handler's queue timer won the pending→timedOut
-	// CAS; no executor will ever run the request.
-	awaitQueueTimeout
-	// awaitDeadline / awaitCanceled: the request's context ended while it was
-	// still queued — deadline budget exhausted or client disconnected — and
-	// the handler claimed it before any executor could.
-	awaitDeadline
-	awaitCanceled
-)
-
-// await blocks for rq's answer, enforcing the queue timeout and the request
-// context. Timer and context only claim requests still waiting for batch
-// formation (pending→timedOut CAS): once an executor holds the request, the
-// answer is on the way and await waits it out — but it cancels the context
-// when the timer fires anyway, so a claimed request whose handler has given
-// up wraps its evaluation up promptly and releases the executor slot instead
-// of running to completion for nobody.
-func (s *Server) await(rq *request) (answerResult, awaitOutcome) {
-	var timerC <-chan time.Time
-	if s.queueTimeout >= 0 {
-		timer := time.NewTimer(s.queueTimeout)
-		defer timer.Stop()
-		timerC = timer.C
-	}
-	var ctxDone <-chan struct{}
-	if rq.ctx != nil {
-		ctxDone = rq.ctx.Done()
-	}
-	for {
-		select {
-		case res := <-rq.done:
-			return res, awaitAnswered
-		case <-timerC:
-			timerC = nil
-			won := rq.state.CompareAndSwap(reqPending, reqTimedOut)
-			rq.abort()
-			if won {
-				return answerResult{}, awaitQueueTimeout
-			}
-			// Lost the CAS race: an executor owns the request. The abort above
-			// makes its evaluation degrade promptly; wait for that answer.
-		case <-ctxDone:
-			ctxDone = nil
-			if rq.state.CompareAndSwap(reqPending, reqTimedOut) {
-				if errors.Is(rq.ctx.Err(), context.DeadlineExceeded) {
-					return answerResult{}, awaitDeadline
-				}
-				return answerResult{}, awaitCanceled
-			}
-			// Claimed: the executor evaluates under this same (now done)
-			// context and will deliver a degraded answer shortly.
-		}
-	}
-}
-
-// reqOutcome is a concluded request: the HTTP disposition of one awaited
-// answer after degradation policy.
+// reqOutcome is the HTTP disposition of a concluded request.
 type reqOutcome struct {
 	status int
 	shed   bool // carries Retry-After (load-shed, retryable)
 	msg    string
-	answer multirag.Answer
 }
 
 func (o reqOutcome) write(w http.ResponseWriter) {
@@ -666,38 +503,45 @@ func (o reqOutcome) write(w http.ResponseWriter) {
 	writeError(w, o.status, o.msg)
 }
 
-// conclude classifies one awaited result into its HTTP disposition and
-// records the outcome counters: completed (latency recorded), queue timeout,
-// deadline exceeded, canceled, or a degraded partial answer — delivered as
-// 200 + Degraded when the class opted in, converted to the matching error
-// otherwise.
-func (s *Server) conclude(cs *classState, enq time.Time, res answerResult, oc awaitOutcome) reqOutcome {
+// unserved classifies why a request got no slot into its HTTP disposition
+// and counter: a full class queue (429), a queue timeout (503), its deadline
+// or disconnect while it waited (504 / 503), or the server closing (503).
+func (s *Server) unserved(cs *classState, err error) reqOutcome {
 	name := cs.cfg.Name
-	switch oc {
-	case awaitQueueTimeout:
+	switch err {
+	case errQueueFull:
+		s.metrics.rejectQueue(name)
+		return reqOutcome{status: http.StatusTooManyRequests, shed: true, msg: err.Error()}
+	case errQueueTimeout:
 		s.metrics.timeout(name)
 		return reqOutcome{status: http.StatusServiceUnavailable, shed: true,
 			msg: fmt.Sprintf("queue timeout: class %q waited over %v", name, s.queueTimeout)}
-	case awaitDeadline:
+	case context.DeadlineExceeded:
 		s.metrics.deadline(name)
 		return reqOutcome{status: http.StatusGatewayTimeout,
 			msg: fmt.Sprintf("deadline exceeded: class %q budget spent while queued", name)}
-	case awaitCanceled:
+	case context.Canceled:
 		s.metrics.canceled(name)
 		return reqOutcome{status: http.StatusServiceUnavailable, msg: "request canceled"}
+	default: // errClosed
+		return reqOutcome{status: http.StatusServiceUnavailable, shed: true, msg: drainingMsg}
 	}
-	if res.err != nil {
-		return reqOutcome{status: http.StatusServiceUnavailable, shed: true, msg: res.err.Error()}
-	}
-	ans := res.answer
+}
+
+// conclude classifies one answer into its HTTP disposition and records the
+// outcome counters: completed (latency recorded) or a degraded partial
+// answer — delivered as 200 + Degraded when the class opted in, converted to
+// the matching error otherwise.
+func (s *Server) conclude(cs *classState, enq time.Time, ans multirag.Answer) reqOutcome {
+	name := cs.cfg.Name
 	if !ans.Degraded {
 		s.metrics.record(name, time.Since(enq))
-		return reqOutcome{status: http.StatusOK, answer: ans}
+		return reqOutcome{status: http.StatusOK}
 	}
 	if cs.cfg.Degrade {
 		s.metrics.degraded(name)
 		s.metrics.record(name, time.Since(enq))
-		return reqOutcome{status: http.StatusOK, answer: ans}
+		return reqOutcome{status: http.StatusOK}
 	}
 	switch ans.DegradedReason {
 	case "deadline":
@@ -957,11 +801,10 @@ func (s *Server) shedDraining(w http.ResponseWriter) bool {
 	if !s.draining.Load() {
 		return false
 	}
-	writeDraining(w)
+	writeShed(w, http.StatusServiceUnavailable, drainingMsg)
 	return true
 }
 
-// writeDraining sheds a request that arrived while the server shuts down.
-func writeDraining(w http.ResponseWriter) {
-	writeShed(w, http.StatusServiceUnavailable, "server draining for shutdown")
-}
+// drainingMsg answers a request that arrived, or still waited for a slot,
+// while the server shuts down.
+const drainingMsg = "server draining for shutdown"

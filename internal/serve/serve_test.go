@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"multirag"
+	"multirag/internal/fault"
 )
 
 // corpusFiles is the CA981 case-study corpus (the CLI demo), small enough
@@ -178,8 +179,8 @@ func TestServeSmoke(t *testing.T) {
 // HTTP path are bit-identical to in-process System.Ask over the same query
 // sequence (same seed, same corpus, same order — source history evolves
 // identically on both sides). It runs once with idle slots, where each
-// request runs on its handler goroutine, and once with every request forced
-// through the queue to an executor.
+// request runs at once, and once with every request forced to wait in the
+// queue for a slot.
 func TestServeQueryEquivalence(t *testing.T) {
 	for _, queued := range []bool{false, true} {
 		name := "idle"
@@ -208,7 +209,7 @@ func testQueryEquivalence(t *testing.T, queued bool) {
 			var r reply
 			if queued {
 				// Hold every slot while the request arrives, so it can only
-				// queue; once it has, hand the slots to the executors.
+				// queue; once it has, hand it a slot.
 				release := holdSlots(t, s)
 				pending := postAsync(t, ts.URL+"/v1/query", QueryRequest{Query: q})
 				waitUntil(t, "the request is queued", func() bool { return queuedRequests(s) == 1 })
@@ -297,7 +298,7 @@ func TestServeIngestBackpressure429(t *testing.T) {
 func TestServeConcurrentMixedLoad(t *testing.T) {
 	for _, policy := range []string{PolicyFCFS, PolicyPriority} {
 		t.Run(policy, func(t *testing.T) {
-			s, ts := newTestServer(t, Config{Policy: policy, MaxBatch: 8})
+			s, ts := newTestServer(t, Config{Policy: policy})
 			const clients, perClient = 8, 10
 			errs := make(chan error, clients)
 			for c := 0; c < clients; c++ {
@@ -361,6 +362,29 @@ func TestServeQueueTimeout503(t *testing.T) {
 	}
 	if resp, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Query: "What is the status of CA981?"}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("after the timeout: status %d (%s), want 200", resp.StatusCode, body)
+	}
+}
+
+// TestQueueTimeoutBoundsOnlyTheWait: Config.QueueTimeout bounds the wait for
+// a slot, not the evaluation. A queued request granted its slot well inside
+// the timeout runs to completion though its evaluation outlasts what is left
+// of the timeout, as the same query does on an idle server.
+func TestQueueTimeoutBoundsOnlyTheWait(t *testing.T) {
+	defer fault.Reset()
+	const timeout = 200 * time.Millisecond
+	s, ts := newTestServer(t, Config{Executors: 1, QueueTimeout: timeout})
+	release := holdSlots(t, s)
+	pending := postAsync(t, ts.URL+"/v1/query", QueryRequest{Query: "What is the status of CA981?"})
+	waitUntil(t, "the request is queued", func() bool { return queuedRequests(s) == 1 })
+	fault.Enable(fault.PointServeExecute, fault.Fault{Kind: fault.KindLatency, Latency: 3 * timeout})
+	release()
+	if r := <-pending; r.code != http.StatusOK {
+		t.Fatalf("request granted inside its queue timeout: status %d (%s), want 200", r.code, r.body)
+	}
+	for _, c := range s.Metrics().Classes {
+		if c.Canceled != 0 || c.TimedOut != 0 {
+			t.Fatalf("class %s: canceled=%d timed_out=%d, want 0/0", c.Name, c.Canceled, c.TimedOut)
+		}
 	}
 }
 
