@@ -80,10 +80,12 @@ layers:
 # to a shared column page, one streamed snapshot digest and one replica seeded
 # from that snapshot's checkpoint body (its B/op and allocs/op are the size of
 # one engine copy) — and the query path's two: one exact top-5 search at up to 34,549 rows (dense full-sort
-# reference vs the term-at-a-time scan) and MCC.Run over one disagreeing group
+# reference vs the term-at-a-time scan), MCC.Run over one disagreeing group
 # (2-16 members, all or a quarter of them distinct, expert model included),
 # whose B/op and allocs/op grow with the distinct values, not with member
-# pairs — and the text normal forms every answer passes through:
+# pairs, and its history-dependent finish alone (/finish: six objects at any
+# size), and one gatherEvidence sub-question as a complete memo hit, a partial
+# hit on a conflicting key and a miss on it — and the text normal forms every answer passes through:
 # NormalizeValue / StandardizeName on an already-normal value (0 allocs), a
 # short surface form and a ~1 KB chunk (1 alloc each), and GenerateAnswer over
 # three short graph values and over five chunk texts (the result plus one
@@ -96,7 +98,7 @@ layers:
 bench-micro:
 	$(GO) test -run '^$$' -bench '^Benchmark(CommitAppend|Search|EncodeStore|DecodeStore)$$' -benchmem -benchtime $(BENCHTIME) ./internal/retrieval
 	$(GO) test -run '^$$' -bench '^Benchmark(GraphCommitAppend|COWPagePrivatize)$$' -benchmem -benchtime $(BENCHTIME) ./internal/kg
-	$(GO) test -run '^$$' -bench '^Benchmark(SnapshotDigest|SeedReplica)$$' -benchmem -benchtime $(BENCHTIME) ./internal/core
+	$(GO) test -run '^$$' -bench '^Benchmark(SnapshotDigest|SeedReplica|GatherEvidence)$$' -benchmem -benchtime $(BENCHTIME) ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkMCCRunConflict$$' -benchmem -benchtime $(BENCHTIME) ./internal/confidence
 	$(GO) test -run '^$$' -bench '^BenchmarkNormalForms$$' -benchmem -benchtime $(BENCHTIME) ./internal/textutil
 	$(GO) test -run '^$$' -bench '^BenchmarkGenerateAnswer$$' -benchmem -benchtime $(BENCHTIME) ./internal/llm

@@ -120,7 +120,7 @@ type comparableAssessment struct {
 	FastPath          bool
 	Trusted           []comparableTrusted
 	Rejected          []kg.Triple
-	NodeConfidence    map[string]float64
+	NodeConfidence    []float64
 }
 
 type comparableTrusted struct {

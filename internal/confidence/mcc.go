@@ -62,19 +62,21 @@ type TrustedNode struct {
 type Assessment struct {
 	Node *linegraph.HomologousNode
 	// Members is the node's member triples as MCC resolved them, in member
-	// order. Shared with Rejected when the whole subgraph was eliminated;
-	// read-only.
+	// order, shared with every evaluation finished from the same prepared
+	// half; read-only.
 	Members         []*kg.Triple
 	GraphConfidence float64
 	// EliminatedByGraph marks subgraphs removed by the coarse stage.
 	EliminatedByGraph bool
 	// FastPath marks subgraphs that skipped node-level scoring.
 	FastPath bool
+	// Trusted and Rejected are this candidate's spans of Result.SVs and
+	// Result.LVs; read-only.
 	Trusted  []TrustedNode
 	Rejected []*kg.Triple
-	// NodeConfidence records C(v) per scored member triple ID. It is nil
+	// NodeConfidence records C(v) per member, aligned with Members. It is nil
 	// unless the fine stage ran for this subgraph.
-	NodeConfidence map[string]float64
+	NodeConfidence []float64
 }
 
 // Result aggregates MCC over all candidate subgraphs of one query: SVs is
@@ -142,158 +144,309 @@ func (m *MCC) Run(sg *linegraph.SG, candidates []*linegraph.HomologousNode, opts
 // has joined. Because every concurrent RunDeferred sees the same frozen
 // history, evaluation order (and therefore worker count) cannot change any
 // confidence score; applying the deltas afterwards in input order makes the
-// whole phase bit-identical to a sequential deferred run.
+// whole phase bit-identical to a sequential deferred run. It is Prepare
+// followed by Finish.
 func (m *MCC) RunDeferred(sg *linegraph.SG, candidates []*linegraph.HomologousNode, opts Options) (Result, *HistoryDelta) {
 	return m.run(sg, candidates, opts, true)
 }
 
 func (m *MCC) run(sg *linegraph.SG, candidates []*linegraph.HomologousNode, opts Options, deferred bool) (Result, *HistoryDelta) {
-	var res Result
-	var delta *HistoryDelta
-	if deferred {
-		delta = &HistoryDelta{}
-	}
+	return m.finish(m.Prepare(sg, candidates, opts), deferred)
+}
+
+// route is the way a candidate takes through stage 2. It depends only on the
+// candidate's C(G), whether any candidate clears the graph threshold, and the
+// ablation switches — never on source history.
+type route uint8
+
+const (
+	eliminated  route = iota // coarse elimination: a more consistent alternative exists
+	fastPath                 // consistent subgraph: top members by weight, unscored
+	passThrough              // "w/o Node Level": members pass unscored and unverified
+	nodeScored               // fine stage: C(v) = Sₙ(v) + A(v), filtered by θ
+)
+
+// Prepared is the history-independent half of one MCC evaluation, a pure
+// function of the snapshot's graph, the candidates, the ablation switches and
+// the engine's Config. Per candidate it holds the resolved members, C(G)
+// (Eq. 7) and the stage-2 route; the whole outcome and history credits of a
+// candidate that is not node-scored; and for each node-scored member Sₙ(v)
+// (Eq. 8) and the graph inputs the expert model judges its authority from.
+// Only A(v) (Eqs. 9–11) reads source history, and Finish computes it. A
+// Prepared is immutable once built: it may be finished any number of times,
+// from any number of goroutines.
+type Prepared struct {
+	cands []preparedCand
+	// Finish's output sizes summed over candidates: trusted and rejected
+	// bound SVs and LVs, scored is NodesScored, credits the delta's length.
+	trusted, rejected, scored, credits int
+}
+
+// preparedCand is one candidate's prepared half.
+type preparedCand struct {
+	node    *linegraph.HomologousNode
+	members []*kg.Triple
+	gc      float64
+	route   route
+	// trusted and rejected are a fast-path or pass-through candidate's
+	// outcome; an eliminated candidate rejects its members.
+	trusted  []TrustedNode
+	rejected []*kg.Triple
+	// credits are the candidate's per-source history credits, sorted by
+	// source. A node-scored candidate's accepted counts are zero here; Finish
+	// adds the members that survive.
+	credits []histCredit
+	// sn[i] is Sₙ of member i and auth[i] the expert's inputs for it (nil
+	// when α = 0); node-scored candidates only.
+	sn   []float64
+	auth []llm.AuthorityContext
+}
+
+// Prepare computes the history-independent half of RunDeferred (see
+// Prepared).
+func (m *MCC) Prepare(sg *linegraph.SG, candidates []*linegraph.HomologousNode, opts Options) *Prepared {
+	p := &Prepared{}
 	if len(candidates) == 0 {
-		return res, delta
+		return p
 	}
 	// Stage 1: graph-level confidence. Each candidate's members are resolved
 	// once — handle-indexed loads off the interned graph core — and their
 	// pairwise similarity is evaluated once; C(G) here and every Sₙ(v) of the
 	// fine stage read the same matrix.
-	type cand struct {
-		node    *linegraph.HomologousNode
-		members []*kg.Triple
-		sim     simMatrix
-		gc      float64
-	}
-	cands := make([]cand, 0, len(candidates))
+	p.cands = make([]preparedCand, len(candidates))
+	sims := make([]simMatrix, len(candidates))
 	anyAbove := false
-	for _, n := range candidates {
+	for i, n := range candidates {
 		members := sg.MemberTriples(n)
-		sim := memberSimilarity(members)
+		sims[i] = memberSimilarity(members)
 		// C(G) is reported through the Assessment, never written back to the
 		// node: homologous nodes are shared across serving snapshots and must
 		// stay immutable under concurrent queries.
-		gc := sim.graphConfidence()
+		gc := sims[i].graphConfidence()
 		if gc >= m.cfg.GraphThreshold {
 			anyAbove = true
 		}
-		cands = append(cands, cand{n, members, sim, gc})
+		p.cands[i] = preparedCand{node: n, members: members, gc: gc}
 	}
-	res.Assessments = make([]Assessment, 0, len(cands))
-	var credits []histCredit // Run's per-candidate credits, reused
-	for _, c := range cands {
-		a := Assessment{Node: c.node, Members: c.members, GraphConfidence: c.gc}
-		members := c.members
+	g := sg.Graph()
+	for i := range p.cands {
+		c := &p.cands[i]
 		switch {
 		case !opts.DisableGraphLevel && anyAbove && c.gc < m.cfg.GraphThreshold:
-			// Coarse elimination: a more consistent alternative exists.
-			a.EliminatedByGraph = true
-			a.Rejected = members
+			c.route = eliminated
+			p.rejected += len(c.members)
 		case !opts.DisableGraphLevel && c.gc >= m.cfg.GraphThreshold:
 			// Fast path: consistent subgraph, 1–2 nodes from the dominant
 			// value cluster suffice. This is pure graph-level work, so it
 			// remains active under "w/o Node Level".
-			a.FastPath = true
-			top := topByWeight(majorityCluster(members), m.cfg.FastPathNodes)
-			for _, t := range top {
-				a.Trusted = append(a.Trusted, TrustedNode{Triple: t, Confidence: c.gc * t.Weight, Verified: true})
+			c.route = fastPath
+			top := topByWeight(majorityCluster(c.members), m.cfg.FastPathNodes)
+			c.trusted = make([]TrustedNode, len(top))
+			for j, t := range top {
+				c.trusted[j] = TrustedNode{Triple: t, Confidence: c.gc * t.Weight, Verified: true}
 			}
-			for _, t := range members {
+			for _, t := range c.members {
 				if !containsTriple(top, t) {
-					a.Rejected = append(a.Rejected, t)
+					c.rejected = append(c.rejected, t)
 				}
 			}
+			p.trusted += len(c.trusted)
+			p.rejected += len(c.rejected)
 		case opts.DisableNodeLevel:
 			// "w/o Node Level": surviving members pass through unscored and
 			// unverified.
-			for _, t := range members {
-				a.Trusted = append(a.Trusted, TrustedNode{Triple: t, Confidence: t.Weight})
+			c.route = passThrough
+			c.trusted = make([]TrustedNode, len(c.members))
+			for j, t := range c.members {
+				c.trusted[j] = TrustedNode{Triple: t, Confidence: t.Weight}
+			}
+			p.trusted += len(c.trusted)
+		default:
+			// Fine stage: every member is scored; Sₙ(v) and the expert's
+			// graph inputs are read off the snapshot here.
+			c.route = nodeScored
+			n := len(c.members)
+			c.sn = make([]float64, n)
+			for j := range c.sn {
+				c.sn[j] = sims[i].nodeConsistency(j)
+			}
+			if m.cfg.Alpha > 0 && n > 0 {
+				maxDeg := g.MaxDegree()
+				c.auth = make([]llm.AuthorityContext, n)
+				for j, t := range c.members {
+					c.auth[j] = authorityContext(g, maxDeg, t)
+				}
+			}
+			p.trusted += n
+			p.rejected += n
+			p.scored += n
+		}
+		c.credits = appendHistoryCredits(nil, c.members, c.trusted)
+		p.credits += len(c.credits)
+	}
+	return p
+}
+
+// Finish evaluates the history-dependent half of RunDeferred on a prepared
+// half: for each node-scored member, the expert's authority judgement (one
+// JudgeAuthority call per member, metered as before), its centring and the
+// Eq. 10 sigmoid, Auth_hist (Eq. 11) against the history as it stands now, θ
+// and the promotion rule. Every other candidate's outcome is copied from p.
+// History is only read; the acceptance credits come back as a HistoryDelta,
+// as from RunDeferred. The result's slices are sized once from p.
+func (m *MCC) Finish(p *Prepared) (Result, *HistoryDelta) {
+	return m.finish(p, true)
+}
+
+func (m *MCC) finish(p *Prepared, deferred bool) (Result, *HistoryDelta) {
+	var res Result
+	var delta *HistoryDelta
+	if deferred {
+		delta = &HistoryDelta{}
+	}
+	if len(p.cands) == 0 {
+		return res, delta
+	}
+	res.Assessments = make([]Assessment, len(p.cands))
+	res.SVs = presized[TrustedNode](p.trusted)
+	res.LVs = presized[*kg.Triple](p.rejected)
+	credits := presized[histCredit](p.credits)
+	nc := make([]float64, p.scored) // every scored member's C(v), carved per candidate
+	for i := range p.cands {
+		c := &p.cands[i]
+		a := &res.Assessments[i]
+		*a = Assessment{Node: c.node, Members: c.members, GraphConfidence: c.gc}
+		sv, lv, cr := len(res.SVs), len(res.LVs), len(credits)
+		credits = append(credits, c.credits...)
+		switch c.route {
+		case eliminated:
+			a.EliminatedByGraph = true
+			res.LVs = append(res.LVs, c.members...)
+		case nodeScored:
+			// A candidate node can resolve to zero live members when the
+			// graph was mutated destructively after the SG was built
+			// (perturbation harness before RebuildSG); there is nothing to
+			// score.
+			if n := len(c.members); n > 0 {
+				a.NodeConfidence, nc = nc[:n:n], nc[n:]
+				res.SVs, res.LVs = m.scoreMembers(c, a.NodeConfidence, res.SVs, res.LVs)
+				acceptCredits(credits[cr:], res.SVs[sv:])
+				res.NodesScored += n
 			}
 		default:
-			// Fine stage: score every member.
-			m.scoreMembers(sg, members, c.sim, &a)
-			res.NodesScored += len(members)
+			a.FastPath = c.route == fastPath
+			res.SVs = append(res.SVs, c.trusted...)
+			res.LVs = append(res.LVs, c.rejected...)
 		}
-		if deferred {
-			delta.entries = appendHistoryCredits(delta.entries, members, a.Trusted)
-		} else {
-			credits = appendHistoryCredits(credits[:0], members, a.Trusted)
-			for _, hc := range credits {
+		a.Trusted, a.Rejected = span(res.SVs, sv), span(res.LVs, lv)
+		if !deferred {
+			for _, hc := range credits[cr:] {
 				m.hist.Update(hc.source, hc.provided, hc.accepted)
 			}
 		}
-		res.Assessments = append(res.Assessments, a)
-		res.SVs = append(res.SVs, a.Trusted...)
-		res.LVs = append(res.LVs, a.Rejected...)
+	}
+	if deferred {
+		delta.entries = credits
 	}
 	return res, delta
 }
 
+// presized returns an empty slice with capacity n, or nil when n is 0, so a
+// result with nothing in it reads the same as one grown by append.
+func presized[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, n)
+}
+
+// span returns s[from:] capacity-limited, so appending to it never writes
+// into s; nil when it is empty.
+func span[T any](s []T, from int) []T {
+	if from == len(s) {
+		return nil
+	}
+	return s[from:len(s):len(s)]
+}
+
+// PreparedPoint is the history-independent half of AssessIsolated: the
+// triple, whether it is scored at all, and the graph inputs the expert model
+// judges its authority from. Like Prepared it is immutable once built.
+type PreparedPoint struct {
+	Triple *kg.Triple
+	scored bool
+	auth   llm.AuthorityContext
+}
+
 // AssessIsolated handles isolated points (single-claim keys): they cannot be
 // cross-checked, so their confidence is authority-only, damped by the lack
-// of corroboration.
+// of corroboration. It is PreparePoint followed by FinishPoint.
 func (m *MCC) AssessIsolated(sg *linegraph.SG, t *kg.Triple, opts Options) TrustedNode {
-	if opts.Disabled() || opts.DisableNodeLevel {
+	return m.FinishPoint(m.PreparePoint(sg, t, opts))
+}
+
+// PreparePoint computes the history-independent half of AssessIsolated.
+func (m *MCC) PreparePoint(sg *linegraph.SG, t *kg.Triple, opts Options) PreparedPoint {
+	p := PreparedPoint{Triple: t, scored: !opts.Disabled() && !opts.DisableNodeLevel}
+	if p.scored && m.cfg.Alpha > 0 {
+		g := sg.Graph()
+		p.auth = authorityContext(g, g.MaxDegree(), t)
+	}
+	return p
+}
+
+// FinishPoint evaluates AssessIsolated's history-dependent half: A(v) for a
+// lone triple, with no peers to centre the expert's score against.
+func (m *MCC) FinishPoint(p PreparedPoint) TrustedNode {
+	t := p.Triple
+	if !p.scored {
 		return TrustedNode{Triple: t, Confidence: t.Weight}
 	}
-	auth := m.authority(sg, t, 0, 1)
+	var authLLM, authHist float64
+	if m.cfg.Alpha > 0 {
+		authLLM = Sigmoid(m.cfg.Beta, m.model.JudgeAuthority(p.auth))
+	}
+	if m.cfg.Alpha < 1 {
+		authHist = m.hist.Historical(t.Source, []float64{t.Weight}, 1, 1-m.cfg.Alpha)
+	}
+	auth := m.cfg.Alpha*authLLM + (1-m.cfg.Alpha)*authHist
 	return TrustedNode{Triple: t, Confidence: auth * t.Weight, Verified: true}
 }
 
-// scoreMembers runs Algorithm 1's Confidence_Computing over each member:
-// C(v) = Sₙ(v) + A(v), filtered by θ. sim is the members' similarity matrix,
-// built once by run; only the history-dependent authority and the θ cut are
-// evaluated per member here.
-func (m *MCC) scoreMembers(sg *linegraph.SG, members []*kg.Triple, sim simMatrix, a *Assessment) {
-	if len(members) == 0 {
-		// A candidate node can resolve to zero live members when the graph
-		// was mutated destructively after the SG was built (perturbation
-		// harness before RebuildSG); there is nothing to score.
-		return
-	}
-	g := sg.Graph()
-	maxDeg := g.MaxDegree()
+// scoreMembers runs Algorithm 1's Confidence_Computing over a node-scored
+// candidate's members: C(v) = Sₙ(v) + A(v), filtered by θ, appending the
+// survivors to svs and the rest to lvs. nc has one slot per member and
+// receives C(v); until the centring it holds the expert's raw scores.
+func (m *MCC) scoreMembers(c *preparedCand, nc []float64, svs []TrustedNode, lvs []*kg.Triple) ([]TrustedNode, []*kg.Triple) {
 	// Raw expert scores, centred before the sigmoid (Eq. 10). Skipped
 	// entirely when α = 0 (pure historical authority, Fig. 7's left end).
-	raw := make([]float64, len(members))
 	var mean float64
 	if m.cfg.Alpha > 0 {
-		for i, t := range members {
-			raw[i] = m.model.JudgeAuthority(llm.AuthorityContext{
-				NodeID:        t.ID,
-				Source:        t.Source,
-				Degree:        g.Degree(t.Subject),
-				MaxDegree:     maxDeg,
-				LocalStrength: t.Weight,
-				TypeWeight:    typeWeight(g, t),
-				PathSupport:   g.TwoHopPathSupport(t),
-			})
-			mean += raw[i]
+		for i := range c.auth {
+			nc[i] = m.model.JudgeAuthority(c.auth[i])
+			mean += nc[i]
 		}
-		mean /= float64(len(members))
+		mean /= float64(len(nc))
 	}
-	a.NodeConfidence = make(map[string]float64, len(members))
-	for i, t := range members {
-		// Sₙ(v): consistency against peers (Eq. 8).
-		sn := sim.nodeConsistency(i)
+	sv, lv := len(svs), len(lvs)
+	for i, t := range c.members {
 		// A(v) = α·Auth_LLM + (1−α)·Auth_hist (Eq. 9), skipping whichever
 		// component has zero weight (this is what makes α sweep query time,
 		// Fig. 7).
 		var authLLM, authHist float64
 		if m.cfg.Alpha > 0 {
-			authLLM = Sigmoid(m.cfg.Beta, raw[i]-mean)
+			authLLM = Sigmoid(m.cfg.Beta, nc[i]-mean)
 		}
 		if m.cfg.Alpha < 1 {
-			authHist = m.hist.Historical(t.Source, []float64{t.Weight}, len(members), 1-m.cfg.Alpha)
+			authHist = m.hist.Historical(t.Source, []float64{t.Weight}, len(c.members), 1-m.cfg.Alpha)
 		}
 		av := m.cfg.Alpha*authLLM + (1-m.cfg.Alpha)*authHist
-		cv := sn + av
-		a.NodeConfidence[t.ID] = cv
+		cv := c.sn[i] + av
+		nc[i] = cv
 		if cv > m.cfg.NodeThreshold {
-			a.Trusted = append(a.Trusted, TrustedNode{Triple: t, Confidence: cv, Verified: true})
+			svs = append(svs, TrustedNode{Triple: t, Confidence: cv, Verified: true})
 		} else {
-			a.Rejected = append(a.Rejected, t)
+			lvs = append(lvs, t)
 		}
 	}
 	// Robustness rule (§IV-C): a low-confidence subgraph must still yield an
@@ -303,52 +456,39 @@ func (m *MCC) scoreMembers(sg *linegraph.SG, members []*kg.Triple, sim simMatrix
 	// ties that consistency alone cannot, while genuine multi-truth pairs
 	// (near-equal scores) are all retained.
 	const promoteGap = 0.02
-	if len(a.Trusted) == 0 && len(members) > 0 {
-		score := func(t *kg.Triple) float64 { return a.NodeConfidence[t.ID] * t.Weight }
+	if len(svs) == sv {
 		best := 0.0
-		for _, t := range members {
-			if sc := score(t); sc > best {
+		for i, t := range c.members {
+			if sc := nc[i] * t.Weight; sc > best {
 				best = sc
 			}
 		}
-		for _, t := range members {
-			if score(t) >= best-promoteGap {
-				a.Trusted = append(a.Trusted, TrustedNode{Triple: t, Confidence: a.NodeConfidence[t.ID], Verified: true})
-				a.Rejected = removeTriple(a.Rejected, t)
+		// Every member was rejected, in member order: rebuild that span
+		// without the promoted ones.
+		lvs = lvs[:lv]
+		for i, t := range c.members {
+			if nc[i]*t.Weight >= best-promoteGap {
+				svs = append(svs, TrustedNode{Triple: t, Confidence: nc[i], Verified: true})
+			} else {
+				lvs = append(lvs, t)
 			}
 		}
 	}
+	return svs, lvs
 }
 
-func removeTriple(ts []*kg.Triple, t *kg.Triple) []*kg.Triple {
-	for i, x := range ts {
-		if x.ID == t.ID {
-			return append(ts[:i], ts[i+1:]...)
-		}
+// authorityContext gathers the graph features the expert model judges t's
+// authority from (§III-D.2b); every one is a function of the snapshot.
+func authorityContext(g *kg.Graph, maxDeg int, t *kg.Triple) llm.AuthorityContext {
+	return llm.AuthorityContext{
+		NodeID:        t.ID,
+		Source:        t.Source,
+		Degree:        g.Degree(t.Subject),
+		MaxDegree:     maxDeg,
+		LocalStrength: t.Weight,
+		TypeWeight:    typeWeight(g, t),
+		PathSupport:   g.TwoHopPathSupport(t),
 	}
-	return ts
-}
-
-// authority computes A(v) for a lone triple (no peers to centre against).
-func (m *MCC) authority(sg *linegraph.SG, t *kg.Triple, centre float64, queryData int) float64 {
-	g := sg.Graph()
-	var authLLM, authHist float64
-	if m.cfg.Alpha > 0 {
-		raw := m.model.JudgeAuthority(llm.AuthorityContext{
-			NodeID:        t.ID,
-			Source:        t.Source,
-			Degree:        g.Degree(t.Subject),
-			MaxDegree:     g.MaxDegree(),
-			LocalStrength: t.Weight,
-			TypeWeight:    typeWeight(g, t),
-			PathSupport:   g.TwoHopPathSupport(t),
-		})
-		authLLM = Sigmoid(m.cfg.Beta, raw-centre)
-	}
-	if m.cfg.Alpha < 1 {
-		authHist = m.hist.Historical(t.Source, []float64{t.Weight}, queryData, 1-m.cfg.Alpha)
-	}
-	return m.cfg.Alpha*authLLM + (1-m.cfg.Alpha)*authHist
 }
 
 // appendHistoryCredits folds one candidate's members and surviving trusted
@@ -368,12 +508,17 @@ func appendHistoryCredits(dst []histCredit, members []*kg.Triple, trusted []Trus
 		}
 		dst[i].provided++
 	}
+	acceptCredits(dst[base:], trusted)
+	return dst
+}
+
+// acceptCredits counts each trusted node against its source's credit.
+func acceptCredits(credits []histCredit, trusted []TrustedNode) {
 	for _, tn := range trusted {
-		if i, ok := creditIndex(dst[base:], tn.Triple.Source); ok {
-			dst[base+i].accepted++
+		if i, ok := creditIndex(credits, tn.Triple.Source); ok {
+			credits[i].accepted++
 		}
 	}
-	return dst
 }
 
 // creditIndex locates source in credits sorted by source: its index if

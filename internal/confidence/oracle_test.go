@@ -176,11 +176,35 @@ func oracleHistoryCredits(members []*kg.Triple, trusted []TrustedNode) []histCre
 	return out
 }
 
+// oracleAssessment is the seed's Assessment, which recorded C(v) per member
+// triple ID.
+type oracleAssessment struct {
+	Assessment
+	NodeConfidence map[string]float64
+}
+
+// oracleResult is the seed's Result.
+type oracleResult struct {
+	Assessments []oracleAssessment
+	SVs         []TrustedNode
+	LVs         []*kg.Triple
+	NodesScored int
+}
+
+func removeTriple(ts []*kg.Triple, t *kg.Triple) []*kg.Triple {
+	for i, x := range ts {
+		if x.ID == t.ID {
+			return append(ts[:i], ts[i+1:]...)
+		}
+	}
+	return ts
+}
+
 // oracleRun is the seed's MCC.run. It shares with production only what the
 // restructuring did not touch: the history store, the expert model, the
 // fast-path selection helpers and the sigmoid.
-func oracleRun(m *MCC, sg *linegraph.SG, candidates []*linegraph.HomologousNode, opts Options, deferred bool) (Result, *HistoryDelta) {
-	var res Result
+func oracleRun(m *MCC, sg *linegraph.SG, candidates []*linegraph.HomologousNode, opts Options, deferred bool) (oracleResult, *HistoryDelta) {
+	var res oracleResult
 	var delta *HistoryDelta
 	if deferred {
 		delta = &HistoryDelta{}
@@ -209,7 +233,7 @@ func oracleRun(m *MCC, sg *linegraph.SG, candidates []*linegraph.HomologousNode,
 		cands = append(cands, cand{n, members, vals, gc})
 	}
 	for _, c := range cands {
-		a := Assessment{Node: c.node, GraphConfidence: c.gc, NodeConfidence: map[string]float64{}}
+		a := oracleAssessment{Assessment: Assessment{Node: c.node, GraphConfidence: c.gc}, NodeConfidence: map[string]float64{}}
 		members := c.members
 		switch {
 		case !opts.DisableGraphLevel && anyAbove && c.gc < m.cfg.GraphThreshold:
@@ -248,7 +272,7 @@ func oracleRun(m *MCC, sg *linegraph.SG, candidates []*linegraph.HomologousNode,
 	return res, delta
 }
 
-func oracleScoreMembers(m *MCC, sg *linegraph.SG, members []*kg.Triple, vals [][]string, a *Assessment) {
+func oracleScoreMembers(m *MCC, sg *linegraph.SG, members []*kg.Triple, vals [][]string, a *oracleAssessment) {
 	if len(members) == 0 {
 		return
 	}
@@ -446,7 +470,8 @@ func TestRunMatchesPairwiseOracle(t *testing.T) {
 						if (ga.NodeConfidence != nil) != (!ga.EliminatedByGraph && !ga.FastPath && !opts.DisableNodeLevel && len(ga.Members) > 0) {
 							t.Fatalf("%s round %d cand %d: NodeConfidence allocated outside the fine stage", name, round, i)
 						}
-						for id, cv := range ga.NodeConfidence {
+						for j, cv := range ga.NodeConfidence {
+							id := ga.Members[j].ID
 							if w, ok := wa.NodeConfidence[id]; !ok || math.Abs(cv-w) > tol {
 								t.Fatalf("%s round %d cand %d: C(%s) = %v, oracle %v", name, round, i, id, cv, w)
 							}
@@ -554,6 +579,29 @@ func TestRunAllocCeiling(t *testing.T) {
 		t.Logf("α=%v: Run over 8 distinct members: %.0f allocs", alpha, allocs)
 		if allocs > 100 {
 			t.Fatalf("α=%v: Run over 8 distinct members: %.0f allocs, ceiling 100", alpha, allocs)
+		}
+	}
+}
+
+// TestFinishAllocCeiling holds the history-dependent half to buffers sized
+// once from the prepared half: finishing a node-scored group allocates the
+// assessments, SVs, LVs, the C(v) slots, the delta and its credits — six
+// objects whatever the member count — where growing them by append cost
+// about one more per doubling of each, and the per-member C(v) map several.
+func TestFinishAllocCeiling(t *testing.T) {
+	for _, alpha := range []float64{0, 0.5} {
+		for _, n := range []int{2, 8, 16} {
+			sg, cands := conflictGroup(t, n, n)
+			m := New(Config{Alpha: alpha, Beta: 0.5, NodeThreshold: 0.7, GraphThreshold: 0.99},
+				llm.NewSim(llm.DefaultConfig()), NewHistoryStore())
+			p := m.Prepare(sg, cands, Options{})
+			if res, _ := m.Finish(p); res.NodesScored != n {
+				t.Fatalf("α=%v n=%d: group must take the node-level path, scored %d", alpha, n, res.NodesScored)
+			}
+			allocs := testing.AllocsPerRun(50, func() { m.Finish(p) })
+			if allocs > 6 {
+				t.Fatalf("α=%v: Finish over %d distinct members: %.0f allocs, ceiling 6", alpha, n, allocs)
+			}
 		}
 	}
 }

@@ -11,9 +11,10 @@ import (
 // (no dependence on timing or map iteration order; eviction is
 // flush-on-overflow rather than LRU) and fully transparent: embeddings are
 // pure functions of the text, and the evidence memo stores only
-// history-independent evaluations whose deferred history credits are
-// replayed on every hit, so answers and confidences are the same with or
-// without them.
+// history-independent evaluations — whole outcomes whose deferred history
+// credits are replayed on every hit, or the history-independent half of one
+// whose history-dependent half is recomputed on every hit — so answers and
+// confidences are the same with or without them.
 
 // embedCacheLimit bounds the query-embedding cache. Embeddings are pure
 // functions of (text, dim), so entries never invalidate; the bound only caps
@@ -61,35 +62,49 @@ func (c *embedCache) get(q string) retrieval.Vector {
 // flushes wholesale on overflow so eviction stays deterministic.
 const evidenceMemoLimit = 8192
 
-// evidenceMemo memoises gatherEvidence outcomes per (entity, relation) key,
-// stamped with the snapshot generation that produced them, so the first
+// evidenceMemo memoises gatherEvidence evaluations per (entity, relation)
+// key, stamped with the snapshot generation that produced them, so the first
 // lookup after a publish (ingest commit or SG rebuild) flushes every entry.
-// It is always on, because its hits are exact: only history-INDEPENDENT
-// evaluations are stored (the homologous fast-path/graph-eliminated
-// outcomes, never node-level scoring, isolated authority or the chunk path),
-// and each hit replays the
-// stored HistoryDelta, reproducing precisely the source-history evolution an
-// uncached re-evaluation would have caused. Answers are therefore
-// bit-identical with or without it — TestEvidenceMemoTransparent asserts
-// this. What a hit saves is the candidate lookup, member resolution,
-// graph-confidence recomputation and one Standardize call per repeated
-// fan-out sub-question.
+// It is always on, because its hits are exact. An entry is one of two kinds:
+//
+//   - complete: a history-independent outcome (fast-path, graph-eliminated
+//     or ablated pass-through groups only) with its deferred HistoryDelta. A
+//     hit replays the stored delta, reproducing precisely the source-history
+//     evolution an uncached re-evaluation would have caused.
+//   - partial: a key whose outcome reads source history — a group with a
+//     node-scored candidate, or an isolated point. It stores only the
+//     history-independent half MCC prepared (members, C(G), routes, Sₙ and
+//     the expert's graph inputs). A hit runs MCC's finish half against the
+//     history as it stands — the expert's JudgeAuthority per scored member,
+//     Auth_hist, θ, the promotion rule and the HistoryDelta — and builds
+//     the evidence and all three stages from its result, as a miss does.
+//
+// Answers are therefore bit-identical with or without the memo —
+// TestEvidenceMemoTransparent asserts this. Either kind of hit saves the
+// subject's Standardize call, the candidate lookup and sort, member
+// resolution, the similarity matrix and C(G); a partial hit also saves the
+// expert's graph inputs (degree, type weight, TwoHopPathSupport) per member.
+// The chunk path is never memoised.
 type evidenceMemo struct {
 	mu  sync.Mutex
 	gen uint64
 	m   map[string]evidenceEntry
 }
 
-// evidenceEntry pairs a memoised evidence set with the deferred history
-// credits its evaluation produced. The delta is immutable once stored and is
-// shared by reference. The ev/trusted/gcs slices are shared too: consumers
-// only read them or append their *elements* into answer slices, never write
-// through them (the evidence immutability contract), so hits cost no copy.
-// Only stages need cloning — answerLookup hands them wholesale to the
+// evidenceEntry is one memoised evaluation. A complete entry pairs the
+// evidence set with the deferred history credits its evaluation produced; a
+// partial entry holds only group or point, the prepared half of MCC. The
+// delta and the prepared halves are immutable once stored and are shared by
+// reference. The ev/trusted/gcs slices are shared too: consumers only read
+// them or append their *elements* into answer slices, never write through
+// them (the evidence immutability contract), so hits cost no copy. Only
+// stages need cloning — answerLookup hands them wholesale to the
 // caller-mutable Answer (see cloneStages).
 type evidenceEntry struct {
-	e evidence
-	d *confidence.HistoryDelta
+	e     evidence
+	d     *confidence.HistoryDelta
+	group *confidence.Prepared
+	point *confidence.PreparedPoint
 }
 
 func evidenceKey(entity, relation string) string { return entity + "\x00" + relation }
@@ -109,29 +124,32 @@ func cloneStages(e evidence) evidence {
 	return e
 }
 
-// get returns the memoised evidence for (entity, relation) against snapshot
-// generation gen, with the history delta the caller must Apply (the hit-side
-// replay that keeps the memo exact).
-func (c *evidenceMemo) get(gen uint64, entity, relation string) (evidence, *confidence.HistoryDelta, bool) {
+// get returns the memoised entry for (entity, relation) against snapshot
+// generation gen, a complete entry's stages already cloned. A complete
+// entry's delta is the caller's to Apply (the hit-side replay that keeps the
+// memo exact); a partial entry is the caller's to finish.
+func (c *evidenceMemo) get(gen uint64, entity, relation string) (evidenceEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if gen != c.gen {
 		if gen < c.gen {
-			return evidence{}, nil, false // query against an already-replaced snapshot
+			return evidenceEntry{}, false // query against an already-replaced snapshot
 		}
 		c.m, c.gen = nil, gen
-		return evidence{}, nil, false
+		return evidenceEntry{}, false
 	}
 	ent, ok := c.m[evidenceKey(entity, relation)]
 	if !ok {
-		return evidence{}, nil, false
+		return evidenceEntry{}, false
 	}
-	return cloneStages(ent.e), ent.d, true
+	ent.e = cloneStages(ent.e)
+	return ent, true
 }
 
-// put records one evaluation. Callers only pass history-independent results
-// (evidence.memoable); the stored copy is private.
-func (c *evidenceMemo) put(gen uint64, entity, relation string, e evidence, d *confidence.HistoryDelta) {
+// put records one evaluation: a complete entry only for a history-independent
+// outcome (evidence.memoable), else a partial one. A complete entry's stored
+// stages are a private copy.
+func (c *evidenceMemo) put(gen uint64, entity, relation string, ent evidenceEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if gen != c.gen {
@@ -146,7 +164,8 @@ func (c *evidenceMemo) put(gen uint64, entity, relation string, e evidence, d *c
 	if len(c.m) >= evidenceMemoLimit {
 		c.m = make(map[string]evidenceEntry)
 	}
-	c.m[evidenceKey(entity, relation)] = evidenceEntry{e: cloneStages(e), d: d}
+	ent.e = cloneStages(ent.e)
+	c.m[evidenceKey(entity, relation)] = ent
 }
 
 // size reports the current entry count (test hook).

@@ -1,15 +1,19 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"multirag/internal/adapter"
+	"multirag/internal/confidence"
 	"multirag/internal/kg"
 	"multirag/internal/linegraph"
 	"multirag/internal/llm"
@@ -174,17 +178,60 @@ func TestQueryPathAvoidsNodeScans(t *testing.T) {
 	}
 }
 
-// TestEvidenceMemoTransparent pins the memo's exactness contract: because
-// only history-independent evaluations are stored and their history credits
-// replay on every hit, the complete answer sequence — including
-// history-sensitive conflicting queries evaluated AFTER memo hits — is
-// bit-identical with the memo on and off. The memo is turned off by moving
-// its generation past every snapshot's, which makes get and put treat every
-// query as stale.
+// memoKinds counts the evidence memo's entries by kind: complete outcomes,
+// partial homologous groups and partial isolated points.
+func memoKinds(s *System) (complete, groups, points int) {
+	s.evidence.mu.Lock()
+	defer s.evidence.mu.Unlock()
+	for _, ent := range s.evidence.m {
+		switch {
+		case ent.group != nil:
+			groups++
+		case ent.point != nil:
+			points++
+		default:
+			complete++
+		}
+	}
+	return complete, groups, points
+}
+
+// judgeCounter wraps the serving model and counts the expert's authority
+// judgements.
+type judgeCounter struct {
+	llm.Model
+	n atomic.Int64
+}
+
+func (j *judgeCounter) JudgeAuthority(ctx llm.AuthorityContext) float64 {
+	j.n.Add(1)
+	return j.Model.JudgeAuthority(ctx)
+}
+
+// countJudgements points s's MCC at a counting wrapper of its model, keeping
+// its configuration and source history.
+func countJudgements(s *System) *judgeCounter {
+	j := &judgeCounter{Model: s.model}
+	s.mcc = confidence.New(s.mcc.Config(), j, s.mcc.History())
+	return j
+}
+
+// executorSources are the sources executorFiles ingests.
+var executorSources = []string{"registry", "ledger", "forum-posts"}
+
+// TestEvidenceMemoTransparent pins the memo's exactness contract: complete
+// entries replay their history credits on every hit, and partial entries
+// (node-scored groups, isolated points) recompute the history-dependent half
+// against the history as it stands, so the complete answer sequence — and
+// the source history it leaves behind, the validation scans and the expert's
+// authority judgements per query — is bit-identical with the memo on and
+// off. The memo is turned off by moving its generation past every snapshot's,
+// which makes get and put treat every query as stale.
 func TestEvidenceMemoTransparent(t *testing.T) {
 	memo := newExecutorSystem(t, Config{})
 	plain := newExecutorSystem(t, Config{})
 	plain.evidence.gen = math.MaxUint64
+	memoJudge, plainJudge := countJudgements(memo), countJudgements(plain)
 	for round := 0; round < 3; round++ {
 		for _, q := range executorQueries() {
 			ma := memo.Query(q)
@@ -192,10 +239,25 @@ func TestEvidenceMemoTransparent(t *testing.T) {
 			if !reflect.DeepEqual(ma, pa) {
 				t.Fatalf("round %d: memo changed the answer for %q:\n with    %+v\n without %+v", round, q, ma, pa)
 			}
+			for _, src := range executorSources {
+				if a, b := memo.mcc.History().Prh(src), plain.mcc.History().Prh(src); a != b {
+					t.Fatalf("round %d, %q: history of %s diverges: %v with the memo, %v without", round, q, src, a, b)
+				}
+			}
+			if a, b := memo.mcc.History().Scans(), plain.mcc.History().Scans(); a != b {
+				t.Fatalf("round %d, %q: %d history scans with the memo, %d without", round, q, a, b)
+			}
+			if a, b := memoJudge.n.Load(), plainJudge.n.Load(); a != b {
+				t.Fatalf("round %d, %q: %d authority judgements with the memo, %d without", round, q, a, b)
+			}
 		}
 	}
-	if memo.evidence.size() == 0 {
-		t.Fatal("memo never stored an entry; the transparency check ran vacuously")
+	complete, groups, points := memoKinds(memo)
+	if complete == 0 || groups == 0 || points == 0 {
+		t.Fatalf("memo holds %d complete, %d node-scored and %d isolated-point entries; the transparency check ran vacuously for a kind", complete, groups, points)
+	}
+	if memoJudge.n.Load() == 0 {
+		t.Fatal("no authority judgement was made; the node-level stage never ran")
 	}
 	if n := plain.evidence.size(); n != 0 {
 		t.Fatalf("the memo that was turned off stored %d entries", n)
@@ -215,7 +277,7 @@ func TestEvidenceMemoIsolatedFromCallerMutation(t *testing.T) {
 	if !reflect.DeepEqual(first, want) {
 		t.Fatalf("first answers diverge on identical systems:\n got  %+v\n want %+v", first, want)
 	}
-	if _, _, ok := s.evidence.get(s.snap.Load().gen, "Team Beta", "manager"); !ok {
+	if _, ok := s.evidence.get(s.snap.Load().gen, "Team Beta", "manager"); !ok {
 		t.Fatal("expected a memo entry; the isolation check would run vacuously")
 	}
 	if len(first.Values) == 0 || len(first.Stages) == 0 || len(first.Stages[0].Values) == 0 || len(first.Trusted) == 0 {
@@ -229,6 +291,48 @@ func TestEvidenceMemoIsolatedFromCallerMutation(t *testing.T) {
 	}
 }
 
+// TestEvidenceMemoPartialIsolatedFromCallerMutation is the same contract for
+// partial entries: a node-scored group and an isolated point. The second
+// query is a partial hit; its answer depends on the history the first one
+// evolved, so the reference is the second answer of an unmutated system.
+func TestEvidenceMemoPartialIsolatedFromCallerMutation(t *testing.T) {
+	for _, c := range []struct {
+		q, entity, relation string
+		point               bool
+	}{
+		{"What is the city of Dana Fox?", "Dana Fox", "city", false},
+		{"What is the founded of Team Beta?", "Team Beta", "founded", true},
+	} {
+		ref := newExecutorSystem(t, Config{})
+		ref.Query(c.q)
+		want := ref.Query(c.q)
+		s := newExecutorSystem(t, Config{})
+		first := s.Query(c.q)
+		ent, ok := s.evidence.get(s.snap.Load().gen, c.entity, c.relation)
+		if !ok || (ent.point != nil) != c.point || (ent.group != nil) == c.point {
+			t.Fatalf("%q: want a partial %s entry, got ok=%v %+v", c.q, map[bool]string{false: "group", true: "point"}[c.point], ok, ent)
+		}
+		if len(first.Values) == 0 || len(first.Stages) != 3 || len(first.Trusted) == 0 {
+			t.Fatalf("%q: unexpected baseline answer: %+v", c.q, first)
+		}
+		first.Values[0] = "MUTATED"
+		for i := range first.Stages {
+			for j := range first.Stages[i].Values {
+				first.Stages[i].Values[j] = "MUTATED"
+			}
+		}
+		for i := range first.Trusted {
+			first.Trusted[i].Confidence = -1
+		}
+		for i := range first.GraphConfidences {
+			first.GraphConfidences[i] = -1
+		}
+		if got := s.Query(c.q); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: caller mutation leaked into a partial memo entry:\n got  %+v\n want %+v", c.q, got, want)
+		}
+	}
+}
+
 // TestEvidenceMemoInvalidatedOnIngest: an ingest between queries publishes a
 // new generation, which must flush the memo so the next query sees the new
 // corpus. (Team Beta, manager) is a consistent fast-path key, so it is
@@ -236,7 +340,7 @@ func TestEvidenceMemoIsolatedFromCallerMutation(t *testing.T) {
 func TestEvidenceMemoInvalidatedOnIngest(t *testing.T) {
 	s := newExecutorSystem(t, Config{})
 	s.Query("What is the manager of Team Beta?")
-	if _, _, ok := s.evidence.get(s.snap.Load().gen, "Team Beta", "manager"); !ok {
+	if _, ok := s.evidence.get(s.snap.Load().gen, "Team Beta", "manager"); !ok {
 		t.Fatal("expected a memo entry before ingest")
 	}
 	if _, err := s.Ingest([]adapter.RawFile{
@@ -245,7 +349,7 @@ func TestEvidenceMemoInvalidatedOnIngest(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := s.evidence.get(s.snap.Load().gen, "Team Beta", "manager"); ok {
+	if _, ok := s.evidence.get(s.snap.Load().gen, "Team Beta", "manager"); ok {
 		t.Fatal("memo served an entry from the previous snapshot generation")
 	}
 	ans := s.Query("What is the manager of Team Epsilon?")
@@ -259,13 +363,137 @@ func TestEvidenceMemoInvalidatedOnRebuildSG(t *testing.T) {
 	s := newExecutorSystem(t, Config{})
 	s.Query("What is the manager of Team Beta?")
 	gen := s.snap.Load().gen
-	if _, _, ok := s.evidence.get(gen, "Team Beta", "manager"); !ok {
+	if _, ok := s.evidence.get(gen, "Team Beta", "manager"); !ok {
 		t.Fatal("expected a memo entry before RebuildSG")
 	}
 	s.RebuildSG()
-	if _, _, ok := s.evidence.get(s.snap.Load().gen, "Team Beta", "manager"); ok {
+	if _, ok := s.evidence.get(s.snap.Load().gen, "Team Beta", "manager"); ok {
 		t.Fatal("RebuildSG did not invalidate the evidence memo")
 	}
+}
+
+// TestEvidenceMemoNodeScoredInvalidated: a partial entry is as
+// generation-bound as a complete one. After an ingest that adds a claim to
+// the node-scored group, and after RebuildSG, the memo must not serve the old
+// prepared half, and the next answer must match a system with the memo off.
+func TestEvidenceMemoNodeScoredInvalidated(t *testing.T) {
+	const q = "What is the city of Dana Fox?"
+	for _, c := range []struct {
+		name    string
+		publish func(*System) error
+	}{
+		{"ingest", func(s *System) error {
+			_, err := s.Ingest([]adapter.RawFile{kgFile("atlas", "Dana Fox|city|Bergen")})
+			return err
+		}},
+		{"RebuildSG", func(s *System) error { s.RebuildSG(); return nil }},
+	} {
+		s := newExecutorSystem(t, Config{})
+		plain := newExecutorSystem(t, Config{})
+		plain.evidence.gen = math.MaxUint64
+		s.Query(q)
+		plain.Query(q)
+		if ent, ok := s.evidence.get(s.snap.Load().gen, "Dana Fox", "city"); !ok || ent.group == nil {
+			t.Fatalf("%s: expected a partial group entry before the publish, got ok=%v %+v", c.name, ok, ent)
+		}
+		if err := c.publish(s); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.publish(plain); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.evidence.get(s.snap.Load().gen, "Dana Fox", "city"); ok {
+			t.Fatalf("%s: memo served a partial entry from the previous snapshot generation", c.name)
+		}
+		got, want := s.Query(q), plain.Query(q)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: post-publish answer diverges from the memo-off system:\n got  %+v\n want %+v", c.name, got, want)
+		}
+		if c.name == "ingest" && !slices.Contains(got.Stages[0].Values, "Bergen") {
+			t.Fatalf("post-ingest query never saw the new claim: %+v", got.Stages)
+		}
+	}
+}
+
+// TestEvidenceMemoPartialEntriesConcurrent shares partial entries between
+// concurrent evaluations (run with -race). Queries at Workers 1 and 8 from
+// several goroutines must match a sequential run bit for bit; α = 1 keeps
+// source history out of every confidence, so interleaving cannot change
+// them. At the default α, concurrent sub-questions finished from the same
+// partial entries against one frozen history must each return the evidence
+// and history delta of a sequential evaluation.
+func TestEvidenceMemoPartialEntriesConcurrent(t *testing.T) {
+	llmOnly := confidence.Config{Alpha: 1, Beta: 0.5, NodeThreshold: 0.7, GraphThreshold: 0.5, FastPathNodes: 2}
+	queries := executorQueries()
+	ref := newExecutorSystem(t, Config{Workers: 1, MCC: llmOnly})
+	want := make(map[string]Answer, len(queries))
+	for _, q := range queries {
+		want[q] = ref.Query(q)
+	}
+	for _, workers := range []int{1, 8} {
+		s := newExecutorSystem(t, Config{Workers: workers, MCC: llmOnly})
+		var wg sync.WaitGroup
+		for g := 0; g < 6; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for r := 0; r < 3; r++ {
+					for i := range queries {
+						q := queries[(i+g)%len(queries)]
+						if got := s.Query(q); !reflect.DeepEqual(got, want[q]) {
+							t.Errorf("workers=%d: concurrent answer to %q diverges:\n got  %+v\n want %+v", workers, q, got, want[q])
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, got := range s.QueryEach(nil, queries) {
+				if !reflect.DeepEqual(got, want[queries[i]]) {
+					t.Errorf("workers=%d: batch answer to %q diverges", workers, queries[i])
+				}
+			}
+		}()
+		wg.Wait()
+		if _, groups, points := memoKinds(s); groups == 0 || points == 0 {
+			t.Fatalf("workers=%d: %d partial groups and %d partial points; nothing was shared", workers, groups, points)
+		}
+	}
+
+	s := newExecutorSystem(t, Config{})
+	sn := s.snap.Load()
+	keys := [][2]string{{"Dana Fox", "city"}, {"Eli Ray", "city"}, {"Team Beta", "founded"}, {"Team Alpha", "status"}}
+	type outcome struct {
+		e evidence
+		d *confidence.HistoryDelta
+	}
+	seq := make([]outcome, len(keys))
+	for i, k := range keys {
+		e, d := s.gatherEvidence(context.Background(), sn, "", k[0], k[1])
+		seq[i] = outcome{e, d}
+		if e, d := s.gatherEvidence(context.Background(), sn, "", k[0], k[1]); !reflect.DeepEqual(outcome{e, d}, seq[i]) {
+			t.Fatalf("%v: a memo hit diverges from the miss that filled it", k)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 20; r++ {
+				i := (g + r) % len(keys)
+				e, d := s.gatherEvidence(context.Background(), sn, "", keys[i][0], keys[i][1])
+				if !reflect.DeepEqual(outcome{e, d}, seq[i]) {
+					t.Errorf("%v: a concurrent evaluation diverges from the sequential one", keys[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestComparisonShortCircuitSkipsSecondArm: with a single worker, an
@@ -278,13 +506,13 @@ func TestComparisonShortCircuitSkipsSecondArm(t *testing.T) {
 	if ans.Found {
 		t.Fatalf("comparison with an unknown entity must not resolve: %+v", ans.Values)
 	}
-	if _, _, ok := s.evidence.get(s.snap.Load().gen, "Team Beta", "manager"); ok {
+	if _, ok := s.evidence.get(s.snap.Load().gen, "Team Beta", "manager"); ok {
 		t.Fatal("second comparison arm was evaluated despite the first resolving to nil")
 	}
 	// Sanity: the arm ordering matters — a resolvable first entity evaluates
 	// the second arm as usual.
 	s.Query("Do Team Beta and Team Gamma have the same manager?")
-	if _, _, ok := s.evidence.get(s.snap.Load().gen, "Team Beta", "manager"); !ok {
+	if _, ok := s.evidence.get(s.snap.Load().gen, "Team Beta", "manager"); !ok {
 		t.Fatal("first comparison arm should have filled the memo")
 	}
 }

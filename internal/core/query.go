@@ -66,9 +66,11 @@ type evidence struct {
 	rejected int
 	gcs      []float64
 	stages   []StageSnapshot
-	// memoable marks history-independent evaluations (no node-level scoring,
-	// no isolated authority, no chunk fallback) — the only ones the evidence
-	// memo may store without perturbing later confidence values.
+	// memoable marks a history-independent outcome (no node-level scoring,
+	// no isolated authority, no chunk fallback) — the only kind the evidence
+	// memo stores whole. A homologous group with a node-scored candidate or
+	// an isolated point is memoised as a partial entry (its prepared half; see
+	// evidenceMemo) and leaves memoable false.
 	memoable bool
 	// err records a sub-question cut short (context, breaker, injected
 	// fault). Erroring evidence carries whatever was gathered before the cut
@@ -251,27 +253,14 @@ func (s *System) answerLookup(ctx context.Context, sn *snapshot, ans *Answer, en
 	ans.Values = vals
 }
 
-// evScratch pools the hot-loop buffers of gatherEvidence — the MCC candidate
-// list and the stage-snapshot accumulators — so steady-state queries stop
-// paying append-growth reallocations. Answers receive private exact-size
-// copies; pooled arrays never outlive one gatherEvidence call.
+// evScratch pools the hot-loop buffer of gatherEvidence — the MCC candidate
+// list — so steady-state queries stop paying append-growth reallocations.
+// The pooled array never outlives one gatherEvidence call.
 type evScratch struct {
 	candidates []*linegraph.HomologousNode
-	stage1     []string
-	stage2     []string
 }
 
 var evScratchPool = sync.Pool{New: func() any { return new(evScratch) }}
-
-// copyStrings snapshots a scratch accumulator into an exact-size slice.
-func copyStrings(src []string) []string {
-	if len(src) == 0 {
-		return nil
-	}
-	out := make([]string, len(src))
-	copy(out, src)
-	return out
-}
 
 // gatherEvidence is the retrieval heart shared by all intents: it returns
 // weighted evidence for (entity, relation) along with the filtering
@@ -287,8 +276,15 @@ func (s *System) gatherEvidence(ctx context.Context, sn *snapshot, query, entity
 	if s.cfg.DisableMKA || sn.sg == nil {
 		return s.gatherByChunks(ctx, sn, query, entity, relation)
 	}
-	if e, d, ok := s.evidence.get(sn.gen, entity, relation); ok {
-		return e, d
+	if ent, ok := s.evidence.get(sn.gen, entity, relation); ok {
+		switch {
+		case ent.group != nil:
+			res, d := s.mcc.Finish(ent.group)
+			return groupEvidence(res), d
+		case ent.point != nil:
+			return pointEvidence(s.mcc.FinishPoint(*ent.point)), nil
+		}
+		return ent.e, ent.d
 	}
 	if err := ctx.Err(); err != nil {
 		return evidence{err: err}, nil
@@ -309,62 +305,89 @@ func (s *System) gatherEvidence(ctx context.Context, sn *snapshot, query, entity
 	sort.Slice(candidates, func(i, j int) bool { return candidates[i].Key < candidates[j].Key })
 
 	if len(candidates) > 0 {
-		res, d := s.mcc.RunDeferred(sn.sg, candidates, s.cfg.Ablation)
-		var e evidence
-		// Stage snapshots come off the members MCC resolved: stage 1 is
-		// everything the candidate subgraphs contain, stage 2 what the coarse
-		// filter kept.
-		stage1, stage2 := sc.stage1[:0], sc.stage2[:0]
-		e.gcs = make([]float64, 0, len(res.Assessments))
-		for _, a := range res.Assessments {
-			e.gcs = append(e.gcs, a.GraphConfidence)
-			for _, t := range a.Members {
-				stage1 = append(stage1, t.Object)
-				if !a.EliminatedByGraph {
-					stage2 = append(stage2, t.Object)
-				}
-			}
-		}
-		sc.stage1, sc.stage2 = stage1, stage2
-		e.trusted = res.SVs
-		e.rejected = len(res.LVs)
-		stage3 := make([]string, 0, len(res.SVs))
-		e.ev = make([]llm.Evidence, 0, len(res.SVs))
-		for _, tn := range res.SVs {
-			stage3 = append(stage3, tn.Triple.Object)
-			e.ev = append(e.ev, llm.Evidence{Value: tn.Triple.Object, Weight: tn.Confidence, Source: tn.Triple.Source, Verified: tn.Verified})
-		}
-		e.stages = []StageSnapshot{
-			{Stage: "before-subgraph-filter", Values: copyStrings(stage1)},
-			{Stage: "before-node-filter", Values: copyStrings(stage2)},
-			{Stage: "after-node-filter", Values: stage3},
-		}
-		// Node-level scoring reads the evolving source history; everything
-		// else (fast path, graph elimination, ablated pass-through) is a pure
-		// function of the snapshot and may be memoised exactly.
+		prep := s.mcc.Prepare(sn.sg, candidates, s.cfg.Ablation)
+		res, d := s.mcc.Finish(prep)
+		e := groupEvidence(res)
+		// Node-level scoring reads the evolving source history, so such a
+		// group memoises only MCC's prepared half; everything else (fast
+		// path, graph elimination, ablated pass-through) is a pure function
+		// of the snapshot and is memoised whole.
 		e.memoable = res.NodesScored == 0
 		if e.memoable {
-			s.evidence.put(sn.gen, entity, relation, e, d)
+			s.evidence.put(sn.gen, entity, relation, evidenceEntry{e: e, d: d})
+		} else {
+			s.evidence.put(sn.gen, entity, relation, evidenceEntry{group: prep})
 		}
 		return e, d
 	}
 	// No homologous group: try the isolated points. Isolated authority reads
-	// the history store, so the outcome is never memoised.
+	// the history store, so only the prepared half is memoised.
 	if t, ok := sn.sg.LookupIsolated(subj, relation); ok {
-		tn := s.mcc.AssessIsolated(sn.sg, t, s.cfg.Ablation)
-		vals := []string{t.Object}
-		return evidence{
-			ev:      []llm.Evidence{{Value: t.Object, Weight: tn.Confidence, Source: t.Source, Verified: tn.Verified}},
-			trusted: []confidence.TrustedNode{tn},
-			stages: []StageSnapshot{
-				{Stage: "before-subgraph-filter", Values: vals},
-				{Stage: "before-node-filter", Values: vals},
-				{Stage: "after-node-filter", Values: vals},
-			},
-		}, nil
+		pt := s.mcc.PreparePoint(sn.sg, t, s.cfg.Ablation)
+		s.evidence.put(sn.gen, entity, relation, evidenceEntry{point: &pt})
+		return pointEvidence(s.mcc.FinishPoint(pt)), nil
 	}
 	// Entity or attribute absent from the graph: degrade to chunk retrieval.
 	return s.gatherByChunks(ctx, sn, query, entity, relation)
+}
+
+// groupEvidence builds the evidence of a homologous lookup from its MCC
+// result. Stage snapshots come off the members MCC resolved: stage 1 is
+// everything the candidate subgraphs contain, stage 2 what the coarse filter
+// kept, stage 3 the trusted nodes.
+func groupEvidence(res confidence.Result) evidence {
+	n1, n2 := 0, 0
+	for _, a := range res.Assessments {
+		n1 += len(a.Members)
+		if !a.EliminatedByGraph {
+			n2 += len(a.Members)
+		}
+	}
+	var stage1, stage2 []string
+	if n1 > 0 {
+		stage1 = make([]string, 0, n1)
+	}
+	if n2 > 0 {
+		stage2 = make([]string, 0, n2)
+	}
+	e := evidence{gcs: make([]float64, 0, len(res.Assessments)), trusted: res.SVs, rejected: len(res.LVs)}
+	for _, a := range res.Assessments {
+		e.gcs = append(e.gcs, a.GraphConfidence)
+		for _, t := range a.Members {
+			stage1 = append(stage1, t.Object)
+			if !a.EliminatedByGraph {
+				stage2 = append(stage2, t.Object)
+			}
+		}
+	}
+	stage3 := make([]string, 0, len(res.SVs))
+	e.ev = make([]llm.Evidence, 0, len(res.SVs))
+	for _, tn := range res.SVs {
+		stage3 = append(stage3, tn.Triple.Object)
+		e.ev = append(e.ev, llm.Evidence{Value: tn.Triple.Object, Weight: tn.Confidence, Source: tn.Triple.Source, Verified: tn.Verified})
+	}
+	e.stages = []StageSnapshot{
+		{Stage: "before-subgraph-filter", Values: stage1},
+		{Stage: "before-node-filter", Values: stage2},
+		{Stage: "after-node-filter", Values: stage3},
+	}
+	return e
+}
+
+// pointEvidence is the evidence of an isolated point: its one claim at every
+// stage.
+func pointEvidence(tn confidence.TrustedNode) evidence {
+	t := tn.Triple
+	vals := []string{t.Object}
+	return evidence{
+		ev:      []llm.Evidence{{Value: t.Object, Weight: tn.Confidence, Source: t.Source, Verified: tn.Verified}},
+		trusted: []confidence.TrustedNode{tn},
+		stages: []StageSnapshot{
+			{Stage: "before-subgraph-filter", Values: vals},
+			{Stage: "before-node-filter", Values: vals},
+			{Stage: "after-node-filter", Values: vals},
+		},
+	}
 }
 
 // gatherByChunks is the non-aggregated retrieval path: top-k chunk search,

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"math"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -9,8 +11,9 @@ import (
 
 // ClassMetrics is one SLO class's serving report: outcome counters plus the
 // completed-request latency distribution (queue wait + execution, measured
-// from admission to answer delivery), percentiles by the shared nearest-rank
-// helper.
+// from admission to answer delivery). Max and mean are exact; the
+// percentiles are nearest-rank to within one bucket of the class's latency
+// histogram (see latencyHist).
 type ClassMetrics struct {
 	Name              string `json:"name"`
 	Completed         int64  `json:"completed"`
@@ -75,12 +78,83 @@ type classCounters struct {
 	deadlineExceeded  int64
 	canceled          int64
 	degraded          int64
-	lat               []time.Duration
+	lat               latencyHist
 }
 
-// metrics collects per-class serving outcomes under one mutex. Latencies are
-// appended raw and digested only at snapshot time, keeping the record path a
-// few instructions.
+// The latency histogram is log-linear: durations below 2^histMinExp ns
+// (~1 µs) fall into histSub linear buckets, and each power of two above is
+// split into histSub linear sub-buckets, so a bucket is at most 1/histSub
+// (6.25 %) as wide as its lower bound. The buckets cover every
+// time.Duration.
+const (
+	histSubBits = 4
+	histSub     = 1 << histSubBits
+	histMinExp  = 10
+	histBuckets = histSub + (63-histMinExp)*histSub
+)
+
+// latencyHist is one class's completed-request latencies in a fixed-size
+// log-linear histogram: recording is a few instructions and no allocation,
+// and a snapshot walks the buckets instead of sorting every latency the
+// server ever recorded. Count, sum and max are exact.
+type latencyHist struct {
+	counts [histBuckets]uint64
+	n      uint64
+	sum    time.Duration
+	max    time.Duration
+}
+
+// histBucket returns the bucket holding d; negative durations count as 0.
+func histBucket(d time.Duration) int {
+	v := uint64(max(d, 0))
+	if v < 1<<histMinExp {
+		return int(v >> (histMinExp - histSubBits))
+	}
+	e := bits.Len64(v) - 1 // v is in [2^e, 2^(e+1))
+	return histSub + (e-histMinExp)*histSub + int(v>>(e-histSubBits))&(histSub-1)
+}
+
+// histBounds returns bucket i's half-open range [lo, hi) in nanoseconds.
+func histBounds(i int) (lo, hi uint64) {
+	if i < histSub {
+		const w = 1 << (histMinExp - histSubBits)
+		return uint64(i) * w, uint64(i+1) * w
+	}
+	e := histMinExp + (i-histSub)/histSub
+	w := uint64(1) << (e - histSubBits)
+	lo = 1<<e + uint64((i-histSub)%histSub)*w
+	return lo, lo + w
+}
+
+func (h *latencyHist) record(d time.Duration) {
+	d = max(d, 0)
+	h.counts[histBucket(d)]++
+	h.n++
+	h.sum += d
+	h.max = max(h.max, d)
+}
+
+// quantile is the nearest-rank p-quantile (0 <= p <= 1) to within one
+// bucket: the upper bound of the bucket holding the ceil(p·n)-th smallest
+// latency, capped at the exact maximum. An empty histogram yields 0.
+func (h *latencyHist) quantile(p float64) time.Duration {
+	if h.n == 0 {
+		return 0
+	}
+	rank := min(max(uint64(math.Ceil(p*float64(h.n))), 1), h.n)
+	var seen uint64
+	for i, c := range h.counts {
+		if seen += c; seen >= rank {
+			_, hi := histBounds(i)
+			return time.Duration(min(hi, uint64(h.max)))
+		}
+	}
+	return h.max
+}
+
+// metrics collects per-class serving outcomes under one mutex. Latencies go
+// into a fixed-size histogram per class, so neither recording nor a snapshot
+// grows with the number of requests served.
 type metrics struct {
 	mu      sync.Mutex
 	classes map[string]*classCounters
@@ -110,7 +184,7 @@ func (m *metrics) record(name string, d time.Duration) {
 	m.mu.Lock()
 	c := m.class(name)
 	c.completed++
-	c.lat = append(c.lat, d)
+	c.lat.record(d)
 	m.mu.Unlock()
 }
 
@@ -180,17 +254,12 @@ func (m *metrics) snapshot(policy string) MetricsSnapshot {
 			Canceled:          c.canceled,
 			Degraded:          c.degraded,
 		}
-		if len(c.lat) > 0 {
-			qs := Quantiles(c.lat, 0.50, 0.95, 0.99, 1)
-			cm.P50Micros = micros(qs[0])
-			cm.P95Micros = micros(qs[1])
-			cm.P99Micros = micros(qs[2])
-			cm.MaxMicros = micros(qs[3])
-			var sum time.Duration
-			for _, d := range c.lat {
-				sum += d
-			}
-			cm.MeanMicros = micros(sum) / float64(len(c.lat))
+		if c.lat.n > 0 {
+			cm.P50Micros = micros(c.lat.quantile(0.50))
+			cm.P95Micros = micros(c.lat.quantile(0.95))
+			cm.P99Micros = micros(c.lat.quantile(0.99))
+			cm.MaxMicros = micros(c.lat.max)
+			cm.MeanMicros = micros(c.lat.sum) / float64(c.lat.n)
 		}
 		if uptime > 0 {
 			cm.ThroughputRPS = float64(c.completed) / uptime.Seconds()

@@ -33,8 +33,14 @@ var errReplicaDegraded = errors.New("serve: replica returned degraded answers")
 
 // router spreads engine calls across a replica set, gated per replica by
 // health (live state + a circuit breaker) and bounded staleness.
-// Replication keeps replicas byte-identical to the primary, so routing is
-// invisible in answer values; the router's job is purely availability:
+// Replication keeps every engine's snapshot byte-identical to the primary's,
+// but routing is not invisible in answers: MCC's confidences read the serving
+// engine's own source history (confidence.HistoryStore), which learns only
+// from the queries routed to that engine and is neither logged nor
+// replicated. The same query at the same log position can therefore get
+// different confidences, and so different values, on different engines
+// (ROADMAP item 3 makes history replicated state). The router's job is
+// availability:
 //
 //   - Eligibility: a replica serves only while live (following the log), its
 //     breaker is closed, and it is within maxLag commits of the primary.
