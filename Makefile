@@ -49,11 +49,15 @@ chaos-cluster:
 # body decoders behind them (and the replica doors that take the same bytes
 # from a peer; format-1 seeds must be rejected), and the JSON-LD parser every adapter output
 # passes through — plus the allocation-free text primitives held to the forms
-# they replace: SameNormalized against NormalizeValue equality, Tokenize /
-# NormalizeValue / StandardizeName against the tokenise-filter-join oracles,
-# and Hash64 / SeededHash01 against hash/fnv and the fmt-built seeded key —
-# and the front door's JSON request decoders, whose arbitrary bodies must get
-# a 200 or a typed rejection, never a panic or a 500.
+# they replace: SameNormalized / CompareNormalized / SameLower against
+# comparisons of the built strings, Tokenize / NormalizeValue /
+# StandardizeName / NormalizeRelation / HashAddNormalized against the
+# tokenise-filter-join oracles, and Hash64 / SeededHash01 against hash/fnv and
+# the fmt-built seeded key — the simulated LLM's hand-written grammars against
+# the regexps they replace (ParseQuery's logic forms, ExtractEntities'
+# mentions and ExtractTriples' triples on arbitrary text), and the front
+# door's JSON request decoders, whose arbitrary bodies must get a 200 or a
+# typed rejection, never a panic or a 500.
 fuzz-smoke:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzFrameParse -fuzztime 5s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecoder -fuzztime 5s
@@ -63,6 +67,8 @@ fuzz-smoke:
 	$(GO) test ./internal/textutil -run '^$$' -fuzz FuzzSameNormalized -fuzztime 5s
 	$(GO) test ./internal/textutil -run '^$$' -fuzz FuzzNormalForms -fuzztime 5s
 	$(GO) test ./internal/textutil -run '^$$' -fuzz FuzzHash64 -fuzztime 5s
+	$(GO) test ./internal/llm -run '^$$' -fuzz FuzzParseQuery -fuzztime 5s
+	$(GO) test ./internal/llm -run '^$$' -fuzz FuzzExtract -fuzztime 5s
 
 # layers builds and tests the benchmark's per-layer pass, which lives behind
 # the `layers` build tag and calls internal packages directly: an internal
@@ -79,29 +85,34 @@ layers:
 # 67,100-triple graph (linear history and re-cloned parent), the first write
 # to a shared column page, one streamed snapshot digest and one replica seeded
 # from that snapshot's checkpoint body (its B/op and allocs/op are the size of
-# one engine copy) — and the query path's two: one exact top-5 search at up to 34,549 rows (dense full-sort
+# one engine copy) — and the query path's: one exact top-5 search at up to 34,549 rows (dense full-sort
 # reference vs the term-at-a-time scan), MCC.Run over one disagreeing group
 # (2-16 members, all or a quarter of them distinct, expert model included),
 # whose B/op and allocs/op grow with the distinct values, not with member
 # pairs, and its history-dependent finish alone (/finish: six objects at any
 # size), and one gatherEvidence sub-question as a complete memo hit, a partial
-# hit on a conflicting key and a miss on it — and the text normal forms every answer passes through:
+# hit on a conflicting key and a miss on it, and one chunk-fallback query
+# (AnswerFallback: 4 allocs) — and the read side's text and vector kernels:
 # NormalizeValue / StandardizeName on an already-normal value (0 allocs), a
-# short surface form and a ~1 KB chunk (1 alloc each), and GenerateAnswer over
-# three short graph values and over five chunk texts (the result plus one
-# normal form per group) — and the front door: one /v1/query through
+# short surface form and a ~1 KB chunk (1 alloc each), Levenshtein on short,
+# long and non-ASCII values, NewDist over a value's and a chunk's tokens, and
+# Embed of a query and of a chunk — and the simulated LLM's text layer, which
+# allocates only its results: ParseQuery per grammar and on free text (1
+# object, 2 with a two-word relation), NER plus SPO extraction over one chunk
+# (3), and GenerateAnswer over three short graph values and over five chunk
+# texts (the result alone) — and the front door: one /v1/query through
 # Handler().ServeHTTP on the case-study corpus on an idle server, whose
 # allocs/op are the serve layer's objects per request plus the engine's, and
 # the same from four goroutines per GOMAXPROCS on a saturated one, where
 # requests wait for a slot. B/op is the tracked number. BENCHTIME=1x makes it
 # a smoke run.
 bench-micro:
-	$(GO) test -run '^$$' -bench '^Benchmark(CommitAppend|Search|EncodeStore|DecodeStore)$$' -benchmem -benchtime $(BENCHTIME) ./internal/retrieval
+	$(GO) test -run '^$$' -bench '^Benchmark(CommitAppend|Search|EncodeStore|DecodeStore|Embed)$$' -benchmem -benchtime $(BENCHTIME) ./internal/retrieval
 	$(GO) test -run '^$$' -bench '^Benchmark(GraphCommitAppend|COWPagePrivatize)$$' -benchmem -benchtime $(BENCHTIME) ./internal/kg
-	$(GO) test -run '^$$' -bench '^Benchmark(SnapshotDigest|SeedReplica|GatherEvidence)$$' -benchmem -benchtime $(BENCHTIME) ./internal/core
+	$(GO) test -run '^$$' -bench '^Benchmark(SnapshotDigest|SeedReplica|GatherEvidence|AnswerFallback)$$' -benchmem -benchtime $(BENCHTIME) ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkMCCRunConflict$$' -benchmem -benchtime $(BENCHTIME) ./internal/confidence
-	$(GO) test -run '^$$' -bench '^BenchmarkNormalForms$$' -benchmem -benchtime $(BENCHTIME) ./internal/textutil
-	$(GO) test -run '^$$' -bench '^BenchmarkGenerateAnswer$$' -benchmem -benchtime $(BENCHTIME) ./internal/llm
+	$(GO) test -run '^$$' -bench '^Benchmark(NormalForms|Levenshtein|NewDist)$$' -benchmem -benchtime $(BENCHTIME) ./internal/textutil
+	$(GO) test -run '^$$' -bench '^Benchmark(ParseQuery|ExtractChunk|GenerateAnswer)$$' -benchmem -benchtime $(BENCHTIME) ./internal/llm
 	$(GO) test -run '^$$' -bench '^BenchmarkServe(Query|Saturated)$$' -benchmem -benchtime $(BENCHTIME) ./internal/serve
 
 # bench regenerates the paper tables/figures at a reduced scale and records

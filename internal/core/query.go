@@ -616,12 +616,12 @@ func (s *System) answerFallback(ctx context.Context, sn *snapshot, ans *Answer, 
 		ans.degrade(err)
 		return
 	}
-	var ev []llm.Evidence
-	for _, h := range hits {
-		ev = append(ev, llm.Evidence{Value: h.Chunk.Text, Weight: h.Score, Source: h.Chunk.Source})
-	}
-	if len(ev) == 0 {
+	if len(hits) == 0 {
 		return
+	}
+	ev := make([]llm.Evidence, len(hits))
+	for i, h := range hits {
+		ev[i] = llm.Evidence{Value: h.Chunk.Text, Weight: h.Score, Source: h.Chunk.Source}
 	}
 	vals, err := s.generate(ctx, q, ev)
 	if err != nil {

@@ -2,10 +2,11 @@ package llm
 
 import (
 	"fmt"
-	"regexp"
 	"slices"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"multirag/internal/textutil"
 )
@@ -95,14 +96,6 @@ func (s *Sim) coin(key ...string) float64 {
 	return textutil.SeededHash01(s.cfg.Seed, key...)
 }
 
-var (
-	reMultiHopQ   = regexp.MustCompile(`(?i)^\s*what\s+is\s+the\s+(.+?)\s+of\s+the\s+(.+?)\s+of\s+(.+?)\s*\??\s*$`)
-	reAttrQ       = regexp.MustCompile(`(?i)^\s*what\s+is\s+the\s+(.+?)\s+of\s+(.+?)\s*\??\s*$`)
-	reComparisonQ = regexp.MustCompile(`(?i)^\s*do\s+(.+?)\s+and\s+(.+?)\s+have\s+the\s+same\s+(.+?)\s*\??\s*$`)
-	reStatusQ     = regexp.MustCompile(`(?i)^\s*what\s+is\s+the\s+(?:real-?time\s+)?(.+?)\s+of\s+(.+?)\s*\??\s*$`)
-	reFact        = regexp.MustCompile(`(?i)^\s*(?:according to ([\w &'-]+?)\s*,\s*)?the\s+([\w -]+?)\s+of\s+(.+?)\s+(?:is|was|are|were)\s+(.+?)\s*$`)
-)
-
 // qualifiers are the temporal qualifiers ParseQuery strips, each in lower and
 // title case, in the order they are removed.
 var qualifiers = []string{
@@ -113,88 +106,123 @@ var qualifiers = []string{
 }
 
 // ParseQuery implements logic-form generation (MKLGP line 2). It recognises
-// the query grammars the benchmark datasets emit and falls back to NER for
-// anything else. Temporal qualifiers ("real-time", "current") are dropped
-// from the requested attribute.
+// the query grammars the benchmark datasets emit (grammar.go) and falls back
+// to NER for anything else. Temporal qualifiers ("real-time", "current") are
+// dropped from the requested attribute. A logic form's Entities and
+// Relations share one backing array; a relation that is already a relation
+// name and every entity are substrings of query.
 func (s *Sim) ParseQuery(query string) LogicForm {
 	s.usage.record(tokens(query)+12, 24)
 	for _, qualifier := range qualifiers {
 		query = strings.ReplaceAll(query, qualifier, "")
 	}
-	if m := reMultiHopQ.FindStringSubmatch(query); m != nil {
-		return LogicForm{
-			Intent:    "multi_hop",
-			Entities:  []string{strings.TrimSpace(m[3])},
-			Relations: []string{normRel(m[2]), normRel(m[1])},
-		}
+	m := newMatcher(query, true)
+	switch {
+	case m.match(&multiHopQ):
+		v := []string{m.entity(2), m.relation(1), m.relation(0)}
+		return LogicForm{Intent: "multi_hop", Entities: v[:1:1], Relations: v[1:]}
+	case m.match(&comparisonQ):
+		v := []string{m.entity(0), m.entity(1), m.relation(2)}
+		return LogicForm{Intent: "comparison", Entities: v[:2:2], Relations: v[2:]}
+	case m.match(&attrQ), m.match(&statusQ):
+		v := []string{m.entity(1), m.relation(0)}
+		return LogicForm{Intent: "attribute_lookup", Entities: v[:1:1], Relations: v[1:]}
 	}
-	if m := reComparisonQ.FindStringSubmatch(query); m != nil {
-		return LogicForm{
-			Intent:    "comparison",
-			Entities:  []string{strings.TrimSpace(m[1]), strings.TrimSpace(m[2])},
-			Relations: []string{normRel(m[3])},
+	lf := LogicForm{Intent: "unknown"}
+	var buf [mentionBuf]Mention
+	if ms := s.mentions(buf[:0], query); len(ms) > 0 {
+		lf.Entities = make([]string, len(ms))
+		for i, men := range ms {
+			lf.Entities[i] = men.Name
 		}
-	}
-	if m := reAttrQ.FindStringSubmatch(query); m != nil {
-		return LogicForm{
-			Intent:    "attribute_lookup",
-			Entities:  []string{strings.TrimSpace(m[2])},
-			Relations: []string{normRel(m[1])},
-		}
-	}
-	if m := reStatusQ.FindStringSubmatch(query); m != nil {
-		return LogicForm{
-			Intent:    "attribute_lookup",
-			Entities:  []string{strings.TrimSpace(m[2])},
-			Relations: []string{normRel(m[1])},
-		}
-	}
-	var lf LogicForm
-	lf.Intent = "unknown"
-	for _, men := range s.ExtractEntities(query) {
-		lf.Entities = append(lf.Entities, men.Name)
 	}
 	return lf
 }
 
-func normRel(rel string) string {
-	return strings.Join(textutil.Tokenize(rel), "_")
-}
+// entity is capture n of the last match as an entity surface form.
+func (m *matcher) entity(n int) string { return strings.TrimSpace(m.text(n)) }
+
+// relation is capture n of the last match as a relation name.
+func (m *matcher) relation(n int) string { return textutil.NormalizeRelation(m.text(n)) }
+
+// mentionBuf is how many mentions or triples a call collects on the stack
+// before its result is copied out at its exact size.
+const mentionBuf = 16
+
+// scanLimit is how many names a lower-cased comparison scans before it
+// becomes a map of lower-cased names: a text or entity list from outside
+// may hold thousands, and a scan over all of them per name is quadratic.
+const scanLimit = 32
 
 // ExtractEntities implements NER (ner.py equivalent): entities are the
 // subjects and objects of the benchmark sentence grammar, with a
 // capitalised-run fallback for free text.
 func (s *Sim) ExtractEntities(text string) []Mention {
+	var buf [mentionBuf]Mention
+	ms := s.mentions(buf[:0], text)
+	if len(ms) == 0 {
+		return nil
+	}
+	return append(make([]Mention, 0, len(ms)), ms...)
+}
+
+// mentions charges one NER call and appends text's mentions to dst, each
+// once: a mention whose lower-cased name equals an earlier one's is dropped.
+// It walks sentences and capitalised runs in place, so a mention costs
+// nothing unless its run's words are not separated by single spaces or the
+// text holds more than scanLimit of them.
+func (s *Sim) mentions(dst []Mention, text string) []Mention {
 	s.usage.record(tokens(text)+20, 16)
-	seen := map[string]bool{}
-	var out []Mention
+	var seen map[string]bool // lower-cased names, past scanLimit mentions
 	add := func(name, typ string) {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			return
 		}
-		key := strings.ToLower(name)
-		if seen[key] {
-			return
+		if seen == nil && len(dst) >= scanLimit {
+			seen = make(map[string]bool, 2*len(dst))
+			for _, m := range dst {
+				seen[strings.ToLower(m.Name)] = true
+			}
 		}
-		seen[key] = true
-		out = append(out, Mention{Name: name, Type: typ})
+		if seen != nil {
+			key := strings.ToLower(name)
+			if seen[key] {
+				return
+			}
+			seen[key] = true
+		} else {
+			for _, m := range dst {
+				if textutil.SameLower(m.Name, name) {
+					return
+				}
+			}
+		}
+		dst = append(dst, Mention{Name: name, Type: typ})
 	}
-	for _, sent := range splitSentences(text) {
-		if m := reFact.FindStringSubmatch(sent); m != nil {
-			add(m[3], "Entity")
-			add(m[4], "Value")
-			if m[1] != "" {
-				add(m[1], "Source")
+	for i := 0; ; {
+		var sent string
+		if sent, i = nextSentence(text, i); sent == "" {
+			return dst
+		}
+		m := newMatcher(sent, false)
+		if source, _, subject, object, ok := m.matchFact(); ok {
+			add(subject, "Entity")
+			add(object, "Value")
+			if source != "" {
+				add(source, "Source")
 			}
 			continue
 		}
 		// Fallback: runs of capitalised words.
-		for _, run := range capitalRuns(sent) {
+		for j := 0; ; {
+			var run string
+			if run, j = nextCapitalRun(sent, j); run == "" {
+				break
+			}
 			add(run, "Entity")
 		}
 	}
-	return out
 }
 
 // ExtractTriples implements SPO extraction (triple.py equivalent) with
@@ -203,26 +231,34 @@ func (s *Sim) ExtractEntities(text string) []Mention {
 // extraction.
 func (s *Sim) ExtractTriples(text string, entities []Mention) []SPO {
 	s.usage.record(tokens(text)+len(entities)*3+24, 32)
-	known := map[string]bool{}
-	for _, e := range entities {
-		known[strings.ToLower(strings.TrimSpace(e.Name))] = true
+	var buf [mentionBuf]SPO
+	out := buf[:0]
+	var known map[string]bool // lower-cased entity names, past scanLimit
+	if len(entities) > scanLimit {
+		known = make(map[string]bool, len(entities))
+		for _, e := range entities {
+			known[strings.ToLower(strings.TrimSpace(e.Name))] = true
+		}
 	}
-	var out []SPO
-	for _, sent := range splitSentences(text) {
-		m := reFact.FindStringSubmatch(sent)
-		if m == nil {
+	for i := 0; ; {
+		var sent string
+		if sent, i = nextSentence(text, i); sent == "" {
+			break
+		}
+		m := newMatcher(sent, false)
+		source, attr, subject, object, ok := m.matchFact()
+		if !ok {
 			continue
 		}
-		subj := strings.TrimSpace(m[3])
-		pred := normRel(m[2])
-		obj := strings.TrimSpace(m[4])
+		subj := strings.TrimSpace(subject)
 		// triple.py's instruction: extracted SPO must relate to the entity
 		// list. Unknown subjects are skipped when an entity list is given.
-		if len(known) > 0 && !known[strings.ToLower(subj)] {
+		if len(entities) > 0 && !knownEntity(entities, known, subj) {
 			continue
 		}
+		obj := strings.TrimSpace(object)
 		conf := 0.92
-		if m[1] != "" {
+		if source != "" {
 			// Attributed / reported speech ("According to X, ...") is a
 			// hedged claim and extracts with slightly lower confidence.
 			conf = 0.85
@@ -237,9 +273,26 @@ func (s *Sim) ExtractTriples(text string, entities []Mention) []SPO {
 				conf = 0.41
 			}
 		}
-		out = append(out, SPO{Subject: subj, Predicate: pred, Object: obj, Confidence: conf})
+		out = append(out, SPO{Subject: subj, Predicate: textutil.NormalizeRelation(attr), Object: obj, Confidence: conf})
 	}
-	return out
+	if len(out) == 0 {
+		return nil
+	}
+	return append(make([]SPO, 0, len(out)), out...)
+}
+
+// knownEntity reports whether subj, lower-cased, is the trimmed and
+// lower-cased name of one of entities, looked up in known when that is set.
+func knownEntity(entities []Mention, known map[string]bool, subj string) bool {
+	if known != nil {
+		return known[strings.ToLower(subj)]
+	}
+	for _, e := range entities {
+		if textutil.SameLower(strings.TrimSpace(e.Name), subj) {
+			return true
+		}
+	}
+	return false
 }
 
 // Standardize implements entity standardisation (std.py equivalent): the
@@ -313,8 +366,9 @@ func (s *Sim) GenerateAnswer(query string, evidence []Evidence) []string {
 		return nil
 	}
 	// Group by normal form in first-seen order: a linear scan over the groups
-	// so far, comparing in place, so only a value that opens a group pays for
-	// its normal form. Evidence sets are a handful of values.
+	// so far, comparing in place. A group keeps only its first surface form;
+	// its normal form is read from that, streamed, and never built. Evidence
+	// sets are a handful of values.
 	var buf [8]answerGroup
 	groups := buf[:0]
 	var total float64
@@ -324,10 +378,10 @@ func (s *Sim) GenerateAnswer(query string, evidence []Evidence) []string {
 			w = 1
 		}
 		total += w
-		gi := slices.IndexFunc(groups, func(g answerGroup) bool { return textutil.SameNormalized(ev.Value, g.key) })
+		gi := slices.IndexFunc(groups, func(g answerGroup) bool { return textutil.SameNormalized(ev.Value, g.repr) })
 		if gi < 0 {
 			gi = len(groups)
-			groups = append(groups, answerGroup{key: textutil.NormalizeValue(ev.Value), repr: ev.Value})
+			groups = append(groups, answerGroup{repr: ev.Value})
 		}
 		g := &groups[gi]
 		g.weight += w
@@ -342,7 +396,7 @@ func (s *Sim) GenerateAnswer(query string, evidence []Evidence) []string {
 			}
 			return 1
 		}
-		return strings.Compare(a.key, b.key)
+		return textutil.CompareNormalized(a.repr, b.repr)
 	})
 	top := groups[0]
 	// Conflict is the share of *unverified* mass disagreeing with the leading
@@ -397,12 +451,12 @@ func (s *Sim) GenerateAnswer(query string, evidence []Evidence) []string {
 
 // answerGroup is one normal-form group of GenerateAnswer's evidence.
 type answerGroup struct {
-	key, repr          string // the normal form; the first surface form seen
+	repr               string // the first surface form seen
 	weight, unverified float64
 }
 
 // genKeyHash continues the FNV-1a state h over "gen|<query>|" and the group
-// keys joined by ";".
+// keys — their normal forms — joined by ";".
 func genKeyHash(h uint64, query string, groups []answerGroup) uint64 {
 	h = textutil.HashAdd(h, "gen|")
 	h = textutil.HashAdd(h, query)
@@ -411,7 +465,7 @@ func genKeyHash(h uint64, query string, groups []answerGroup) uint64 {
 		if i > 0 {
 			h = textutil.HashAdd(h, ";")
 		}
-		h = textutil.HashAdd(h, g.key)
+		h = textutil.HashAddNormalized(h, g.repr)
 	}
 	return h
 }
@@ -439,44 +493,105 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-func splitSentences(text string) []string {
-	var out []string
-	for _, part := range strings.FieldsFunc(text, func(r rune) bool { return r == '.' || r == '\n' || r == ';' }) {
-		part = strings.TrimSpace(part)
-		if part != "" {
-			out = append(out, part)
+// nextSentence returns the first non-empty sentence of text at or after i —
+// a run between '.', '\n' and ';' with its surrounding space trimmed — and
+// the offset to continue from; sent is "" when none is left.
+func nextSentence(text string, i int) (sent string, next int) {
+	for i < len(text) {
+		j := i
+		for j < len(text) && text[j] != '.' && text[j] != '\n' && text[j] != ';' {
+			j++
+		}
+		if sent, i = strings.TrimSpace(text[i:j]), j+1; sent != "" {
+			return sent, i
 		}
 	}
-	return out
+	return "", i
 }
 
-// capitalRuns extracts maximal runs of capitalised words ("Air China",
-// "Beijing Capital International Airport") from a sentence.
-func capitalRuns(sent string) []string {
-	words := strings.Fields(sent)
-	var runs []string
-	var cur []string
-	flush := func() {
-		if len(cur) > 0 {
-			runs = append(runs, strings.Join(cur, " "))
-			cur = nil
+// runCutset is the punctuation trimmed off each word of a capitalised run.
+const runCutset = ",:;!?()\"'"
+
+// nextCapitalRun returns the first maximal run of capitalised words
+// ("Air China", "Beijing Capital International Airport") in sent at or after
+// i, and the offset to continue from; run is "" when none is left. Words are
+// strings.Fields' fields with runCutset trimmed off; a word that is empty
+// after trimming or does not start with an ASCII capital ends a run. The run
+// is its words joined by single spaces: a substring of sent when that is
+// what separates them there, else built.
+func nextCapitalRun(sent string, i int) (run string, next int) {
+	start, end := -1, -1 // the run's first and last word's bounds in sent
+	exact := true        // sent[start:end] is the run
+	for {
+		fs, fe := nextField(sent, i)
+		if fs == len(sent) {
+			break
 		}
-	}
-	for _, w := range words {
-		trimmed := strings.Trim(w, ",:;!?()\"'")
-		if trimmed == "" {
-			flush()
+		field := strings.TrimLeft(sent[fs:fe], runCutset)
+		ws := fe - len(field)
+		word := strings.TrimRight(field, runCutset)
+		if word == "" || word[0] < 'A' || word[0] > 'Z' {
+			if start >= 0 {
+				break
+			}
+			i = fe
 			continue
 		}
-		first := rune(trimmed[0])
-		if first >= 'A' && first <= 'Z' {
-			cur = append(cur, trimmed)
+		i = fe
+		if start < 0 {
+			start = ws
 		} else {
-			flush()
+			exact = exact && ws == end+1 && sent[end] == ' '
 		}
+		end = ws + len(word)
 	}
-	flush()
-	return runs
+	if start < 0 {
+		return "", len(sent)
+	}
+	if exact {
+		return sent[start:end], i
+	}
+	var b strings.Builder
+	b.Grow(end - start)
+	for j := start; ; {
+		fs, fe := nextField(sent[:end], j)
+		if fs == end {
+			break
+		}
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(strings.Trim(sent[fs:fe], runCutset))
+		j = fe
+	}
+	return b.String(), i
+}
+
+// nextField returns the bounds of the first field strings.Fields would split
+// from s at or after i; start is len(s) when none is left.
+func nextField(s string, i int) (start, end int) {
+	for i < len(s) {
+		r, w := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, w = utf8.DecodeRuneInString(s[i:])
+		}
+		if !unicode.IsSpace(r) {
+			break
+		}
+		i += w
+	}
+	start = i
+	for i < len(s) {
+		r, w := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, w = utf8.DecodeRuneInString(s[i:])
+		}
+		if unicode.IsSpace(r) {
+			break
+		}
+		i += w
+	}
+	return start, i
 }
 
 // corruptValue deterministically perturbs a value to fabricate a plausible

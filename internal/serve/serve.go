@@ -28,7 +28,8 @@
 // breaker states and durability health.
 //
 // Excess load is shed, never buffered without bound: a request body larger
-// than maxBodyBytes is rejected with 413, a request that finds its class
+// than maxBodyBytes is rejected with 413, a query longer than maxQueryBytes
+// with 400, a request that finds its class
 // token bucket empty or its bounded queue full is rejected with 429, one
 // that waits in queue past the configured timeout gets 503, and ingest
 // requests are additionally rejected with 429 while the group
@@ -379,6 +380,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing query")
 		return
 	}
+	if !queryLenOK(w, req.Query) {
+		return
+	}
 	cs, ok := s.resolveClass(w, req.Class)
 	if !ok {
 		return
@@ -408,6 +412,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if len(req.Queries) == 0 {
 		writeError(w, http.StatusBadRequest, "missing queries")
 		return
+	}
+	for _, q := range req.Queries {
+		if !queryLenOK(w, q) {
+			return
+		}
 	}
 	cs, ok := s.resolveClass(w, req.Class)
 	if !ok {
@@ -695,6 +704,24 @@ func admissible(w http.ResponseWriter, cs *classState, n int, unit string) bool 
 // /v1/ingest batch — and only stops a client from streaming an unbounded body
 // into memory.
 const maxBodyBytes = 64 << 20
+
+// maxQueryBytes bounds one query's text. The engine's per-query tables —
+// the embedding cache, the sub-question prefixes, the evidence memo — are
+// bounded by entry count, not bytes, and keep query text or pieces of it, so
+// without this one client could pin gigabytes of it through bodies of up to
+// maxBodyBytes. Real questions are far shorter: the benchmark's longest is
+// under 100 bytes.
+const maxQueryBytes = 4 << 10
+
+// queryLenOK answers 400 and reports false when q is longer than
+// maxQueryBytes.
+func queryLenOK(w http.ResponseWriter, q string) bool {
+	if len(q) <= maxQueryBytes {
+		return true
+	}
+	writeError(w, http.StatusBadRequest, fmt.Sprintf("query of %d bytes exceeds the limit of %d", len(q), maxQueryBytes))
+	return false
+}
 
 // jsonBuf is a pooled body buffer with an encoder writing into it: readPost
 // reads request bodies into it and writeJSON encodes responses into it, so

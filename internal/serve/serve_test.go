@@ -429,6 +429,37 @@ func TestOversizeBodyRejected(t *testing.T) {
 	}
 }
 
+// TestOverlongQueryRejected400: a query longer than 4 KiB is answered 400
+// with the typed ErrorResponse, alone at /v1/query and anywhere in a
+// /v1/query/batch, before it is admitted or reaches the engine, whose
+// per-query tables are bounded by entry count and would otherwise keep it.
+// A query of exactly 4 KiB is served.
+func TestOverlongQueryRejected400(t *testing.T) {
+	const limit = 4 << 10
+	_, ts := newTestServer(t, Config{})
+	long := "What is the status of " + strings.Repeat("C", limit) + "?"
+	for _, c := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/query", QueryRequest{Query: long}},
+		{"/v1/query/batch", BatchRequest{Queries: []string{"What is the status of CA981?", long}}},
+	} {
+		resp, out := postJSON(t, ts.URL+c.path, c.body)
+		var er ErrorResponse
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %.200s", c.path, resp.StatusCode, out)
+		}
+		if err := json.Unmarshal(out, &er); err != nil || !strings.Contains(er.Error, "exceeds") {
+			t.Fatalf("%s: 400 body not an ErrorResponse naming the limit: %v %.200s", c.path, err, out)
+		}
+	}
+	atLimit := "What is the status of CA981?" + strings.Repeat(" ", limit-len("What is the status of CA981?"))
+	if resp, out := postJSON(t, ts.URL+"/v1/query", QueryRequest{Query: atLimit}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("query of exactly %d bytes: status %d: %.200s", limit, resp.StatusCode, out)
+	}
+}
+
 // TestUnadmittableBatchRejected400: a batch that can never be admitted — more
 // queries than its class's queue cap, more than a rate-limited class's burst,
 // or more ingest files than the ingest bucket's burst — is answered 400 naming

@@ -94,3 +94,28 @@ func TestHashDeterminism(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+var distSink Dist
+
+// BenchmarkNewDist times one token distribution over a short value's tokens
+// and over a ~64-token chunk's, the inputs of the mutual-information terms
+// MCC computes. Each iteration copies the tokens back first, since NewDist
+// sorts its input in place.
+func BenchmarkNewDist(b *testing.B) {
+	for _, c := range []struct{ name, text string }{
+		{"value", "Beijing Capital International Airport"},
+		{"chunk", "The status of Flight CA981 is Delayed. The departure gate of Flight CA981 is B12. " +
+			"The operator of Flight CA981 is Air China. The origin of Flight CA981 is Beijing. " +
+			"According to AirChina Official API, the status of Flight CA981 is Delayed."},
+	} {
+		toks := Tokenize(c.text)
+		buf := make([]string, len(toks))
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				copy(buf, toks)
+				distSink = NewDist(buf)
+			}
+		})
+	}
+}

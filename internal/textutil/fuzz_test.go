@@ -9,7 +9,8 @@ import (
 )
 
 // FuzzSameNormalized pins SameNormalized(a, b) == (NormalizeValue(a) ==
-// NormalizeValue(b)), and reflexivity, over arbitrary byte strings. The seeds
+// NormalizeValue(b)), and reflexivity, over arbitrary byte strings, with
+// CompareNormalized and SameLower beside it (checkStreamedPair). The seeds
 // are the case-mapping and segmentation corners: invalid UTF-8, runes whose
 // lower-case form is ASCII or changes byte length (İ, the Kelvin sign), a
 // final sigma, fullwidth digits, and strings with no token at all.
@@ -40,12 +41,16 @@ func FuzzSameNormalized(f *testing.F) {
 		if !SameNormalized(a, a) || !SameNormalized(b, b) {
 			t.Fatalf("SameNormalized is not reflexive on %q / %q", a, b)
 		}
+		checkStreamedPair(t, a, b)
 	})
 }
 
-// FuzzNormalForms holds Tokenize, NormalizeValue and StandardizeName to the
-// tokenise-filter-join oracles they replaced, and pins that a normal form is
-// its own fixed point and is returned without a copy (checkNormalForms). The
+// FuzzNormalForms holds Tokenize, NormalizeValue, StandardizeName and
+// NormalizeRelation to the tokenise-filter-join oracles they replaced, pins
+// that a normal form is its own fixed point and is returned without a copy,
+// and holds the streamed forms — HashAddNormalized to HashAdd of the normal
+// form, CompareNormalized to strings.Compare of two — to the strings they
+// stand for (checkNormalForms). The
 // seeds are the case-mapping corners FuzzSameNormalized uses, names made only
 // of entity noise, and a ~1 KB chunk text.
 func FuzzNormalForms(f *testing.F) {

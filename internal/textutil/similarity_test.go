@@ -121,3 +121,25 @@ func TestSqrtAgainstMath(t *testing.T) {
 		}
 	}
 }
+
+var levSink int
+
+// BenchmarkLevenshtein times the value-similarity kernel MCC compares group
+// members with: two short ASCII values one edit apart, two ~90-byte ones
+// that differ at both ends (so trimming leaves a row past the stack buffer),
+// and a pair that takes the rune path.
+func BenchmarkLevenshtein(b *testing.B) {
+	long := "The departure gate of Flight CA981 is B12 according to the airport feed of Beijing Capital"
+	for _, c := range []struct{ name, a, b string }{
+		{"short", "Michael Mann", "Michael Man"},
+		{"long", long, "t" + long[1:40] + "C" + long[41:] + "x"},
+		{"runes", "İstanbul Havalimanı", "Istanbul Havalimani"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				levSink = Levenshtein(c.a, c.b)
+			}
+		})
+	}
+}

@@ -6,6 +6,7 @@
 package textutil
 
 import (
+	"cmp"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -114,7 +115,13 @@ func NGrams(toks []string, n int) []string {
 // re-joined with single spaces. "  The Matrix " and "the matrix" normalise to
 // the same string. A value already in that form is returned as is (the
 // result may alias s); any other costs one allocation of exactly its size.
-func NormalizeValue(s string) string { return normalForm(s, false) }
+func NormalizeValue(s string) string { return normalForm(s, false, ' ') }
+
+// NormalizeRelation is NormalizeValue with the tokens joined by '_' instead
+// of a space — strings.Join(Tokenize(s), "_"), the relation names the logic
+// form carries ("Departure Time" → "departure_time"). Like NormalizeValue it
+// returns s itself when s already is that form.
+func NormalizeRelation(s string) string { return normalForm(s, false, '_') }
 
 // SameNormalized reports NormalizeValue(a) == NormalizeValue(b) without
 // building either normal form: it walks both strings token by token,
@@ -141,6 +148,79 @@ func SameNormalized(a, b string) bool {
 			i, j = i+wa, j+wb
 		}
 	}
+}
+
+// CompareNormalized returns strings.Compare(NormalizeValue(a),
+// NormalizeValue(b)) without building either normal form: it compares the
+// two rune by rune as normalRune streams them. Runes compare in code-point
+// order, which is the byte order of their UTF-8 forms.
+func CompareNormalized(a, b string) int {
+	i, j := skipSeparators(a, 0), skipSeparators(b, 0)
+	for {
+		var ra, rb rune
+		ra, i = normalRune(a, i)
+		rb, j = normalRune(b, j)
+		if ra != rb || ra < 0 {
+			return cmp.Compare(ra, rb)
+		}
+	}
+}
+
+// normalRune reads the next rune of NormalizeValue(s) at byte i of s, where
+// i is skipSeparators(s, 0) or an offset normalRune returned: a token rune
+// lower-cased, the space between two tokens, or -1 past the last token, so
+// that the end sorts below the space and the space below every token rune.
+func normalRune(s string, i int) (rune, int) {
+	if r, w := lowerRuneAt(s, i); i < len(s) && isTokenRune(r) {
+		return r, i + w
+	}
+	if i = skipSeparators(s, i); i == len(s) {
+		return -1, i
+	}
+	return ' ', i
+}
+
+// HashAddNormalized continues the FNV-1a state h over NormalizeValue(s):
+// HashAdd(h, NormalizeValue(s)) with the normal form never built.
+func HashAddNormalized(h uint64, s string) uint64 {
+	var enc [utf8.UTFMax]byte
+	for i, first := 0, true; ; first = false {
+		start, end, _, lower := nextToken(s, i)
+		if start == len(s) {
+			return h
+		}
+		i = end
+		if !first {
+			h = (h ^ ' ') * fnvPrime64
+		}
+		if lower {
+			h = HashAdd(h, s[start:end])
+			continue
+		}
+		for j := start; j < end; {
+			r, w := lowerRuneAt(s, j)
+			for _, c := range utf8.AppendRune(enc[:0], r) {
+				h = (h ^ uint64(c)) * fnvPrime64
+			}
+			j += w
+		}
+	}
+}
+
+// SameLower reports strings.ToLower(a) == strings.ToLower(b) without building
+// either: it compares the two rune by rune, lower-cased as strings.ToLower
+// maps them, invalid bytes reading as U+FFFD.
+func SameLower(a, b string) bool {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		ra, wa := lowerRuneAt(a, i)
+		rb, wb := lowerRuneAt(b, j)
+		if ra != rb {
+			return false
+		}
+		i, j = i+wa, j+wb
+	}
+	return i == len(a) && j == len(b)
 }
 
 // ContainsLower reports strings.Contains(strings.ToLower(s), word) for an
@@ -235,15 +315,16 @@ const maxNoiseLen = 6
 // stripping would consume every token the normalised form is returned
 // unchanged. Like NormalizeValue, a name already in standard form is returned
 // as is and any other costs one exact-size allocation.
-func StandardizeName(s string) string { return normalForm(s, true) }
+func StandardizeName(s string) string { return normalForm(s, true, ' ') }
 
 // normalForm builds NormalizeValue(s), or StandardizeName(s) when dropNoise
-// is set, in two passes over s: the first sizes the result and notices when
-// s already is it, the second writes it into one buffer of exactly that size.
-func normalForm(s string, dropNoise bool) string {
+// is set, with the tokens joined by sep, in two passes over s: the first
+// sizes the result and notices when s already is it, the second writes it
+// into one buffer of exactly that size.
+func normalForm(s string, dropNoise bool, sep byte) string {
 	// Sizes of the normal form over every token and over the non-noise ones,
 	// in bytes and in tokens; same stays true while s reads as its own normal
-	// form: lower-case tokens, one ASCII space between them, nothing around.
+	// form: lower-case tokens, one sep between them, nothing around.
 	var allLen, allToks, keptLen, keptToks int
 	same := true
 	for i := 0; ; {
@@ -255,7 +336,7 @@ func normalForm(s string, dropNoise bool) string {
 		if allToks == 0 {
 			same = same && start == 0
 		} else {
-			same = same && start == i+1 && s[i] == ' '
+			same = same && start == i+1 && s[i] == sep
 		}
 		same = same && lower
 		allLen += n
@@ -290,7 +371,7 @@ func normalForm(s string, dropNoise bool) string {
 			continue
 		}
 		if b.Len() > 0 {
-			b.WriteByte(' ')
+			b.WriteByte(sep)
 		}
 		if lower {
 			b.WriteString(tok)

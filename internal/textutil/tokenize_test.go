@@ -175,6 +175,7 @@ func checkNormalForms(t *testing.T, s string) {
 	}{
 		{"NormalizeValue", NormalizeValue, oracleNormalizeValue},
 		{"StandardizeName", StandardizeName, oracleStandardizeName},
+		{"NormalizeRelation", NormalizeRelation, func(s string) string { return strings.Join(oracleTokenize(s), "_") }},
 	} {
 		got := f.build(s)
 		if want := f.build0(s); got != want {
@@ -186,6 +187,30 @@ func checkNormalForms(t *testing.T, s string) {
 		if again := f.build(got); again != got || (got != "" && unsafe.StringData(again) != unsafe.StringData(got)) {
 			t.Fatalf("%s(%q) = %q is not a fixed point (%q)", f.name, s, got, again)
 		}
+	}
+	norm := oracleNormalizeValue(s)
+	if got, want := HashAddNormalized(fnvOffset64, s), Hash64(norm); got != want {
+		t.Fatalf("HashAddNormalized(%q) = %#x, Hash64 of %q %#x", s, got, norm, want)
+	}
+	for _, o := range []string{s, s[:len(s)/2], norm, strings.ToUpper(s), s + " x", "", "a", "delayed", "\u212a"} {
+		checkStreamedPair(t, s, o)
+	}
+}
+
+// checkStreamedPair holds the streamed comparisons of a and b to the strings
+// they stand for: CompareNormalized to strings.Compare of the normal forms,
+// SameNormalized to their equality, SameLower to strings.ToLower equality.
+func checkStreamedPair(t *testing.T, a, b string) {
+	t.Helper()
+	na, nb := oracleNormalizeValue(a), oracleNormalizeValue(b)
+	if got, want := CompareNormalized(a, b), strings.Compare(na, nb); got != want {
+		t.Fatalf("CompareNormalized(%q, %q) = %d; normal forms %q, %q compare %d", a, b, got, na, nb, want)
+	}
+	if got, want := SameNormalized(a, b), na == nb; got != want {
+		t.Fatalf("SameNormalized(%q, %q) = %v; normal forms %q, %q", a, b, got, na, nb)
+	}
+	if got, want := SameLower(a, b), strings.ToLower(a) == strings.ToLower(b); got != want {
+		t.Fatalf("SameLower(%q, %q) = %v, want %v", a, b, got, want)
 	}
 }
 
@@ -290,6 +315,14 @@ func TestNormalFormsAllocs(t *testing.T) {
 		}
 		if got := testing.AllocsPerRun(50, func() { StandardizeName(c.in) }); got != c.stand {
 			t.Errorf("StandardizeName(%q): %.0f allocs, want %.0f", c.in, got, c.stand)
+		}
+		// The streamed forms never allocate.
+		if got := testing.AllocsPerRun(50, func() {
+			CompareNormalized(c.in, "michael  MANN")
+			HashAddNormalized(fnvOffset64, c.in)
+			SameLower(c.in, "Flight CA981")
+		}); got != 0 {
+			t.Errorf("CompareNormalized / HashAddNormalized / SameLower(%q): %.0f allocs, want 0", c.in, got)
 		}
 	}
 }
