@@ -85,8 +85,14 @@ layers:
 # 67,100-triple graph (linear history and re-cloned parent), the first write
 # to a shared column page, one streamed snapshot digest and one replica seeded
 # from that snapshot's checkpoint body (its B/op and allocs/op are the size of
-# one engine copy) — and the query path's: one exact top-5 search at up to 34,549 rows (dense full-sort
-# reference vs the term-at-a-time scan), MCC.Run over one disagreeing group
+# one engine copy), and the bulk load a deployment pays at set-up (the
+# datasets presets as one Ingest into a durable system: stage 1 and the commit,
+# split as prepare-ms/op and commit-ms/op) — and the query path's: one exact
+# top-5 search at up to 34,549 rows (dense full-sort reference vs the
+# term-at-a-time scan) and its two passes alone on the datasets store (one
+# query's accumulation over the posting lists, 0 allocs, and the top-k
+# selection over its 34,549 scores at k=5 and k=100, one object: the hits),
+# MCC.Run over one disagreeing group
 # (2-16 members, all or a quarter of them distinct, expert model included),
 # whose B/op and allocs/op grow with the distinct values, not with member
 # pairs, and its history-dependent finish alone (/finish: six objects at any
@@ -107,9 +113,9 @@ layers:
 # requests wait for a slot. B/op is the tracked number. BENCHTIME=1x makes it
 # a smoke run.
 bench-micro:
-	$(GO) test -run '^$$' -bench '^Benchmark(CommitAppend|Search|EncodeStore|DecodeStore|Embed)$$' -benchmem -benchtime $(BENCHTIME) ./internal/retrieval
+	$(GO) test -run '^$$' -bench '^Benchmark(CommitAppend|Search|EncodeStore|DecodeStore|Embed|Accumulate|TopK)$$' -benchmem -benchtime $(BENCHTIME) ./internal/retrieval
 	$(GO) test -run '^$$' -bench '^Benchmark(GraphCommitAppend|COWPagePrivatize)$$' -benchmem -benchtime $(BENCHTIME) ./internal/kg
-	$(GO) test -run '^$$' -bench '^Benchmark(SnapshotDigest|SeedReplica|GatherEvidence|AnswerFallback)$$' -benchmem -benchtime $(BENCHTIME) ./internal/core
+	$(GO) test -run '^$$' -bench '^Benchmark(SnapshotDigest|SeedReplica|BulkIngest|GatherEvidence|AnswerFallback)$$' -benchmem -benchtime $(BENCHTIME) ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkMCCRunConflict$$' -benchmem -benchtime $(BENCHTIME) ./internal/confidence
 	$(GO) test -run '^$$' -bench '^Benchmark(NormalForms|Levenshtein|NewDist)$$' -benchmem -benchtime $(BENCHTIME) ./internal/textutil
 	$(GO) test -run '^$$' -bench '^Benchmark(ParseQuery|ExtractChunk|GenerateAnswer)$$' -benchmem -benchtime $(BENCHTIME) ./internal/llm

@@ -21,6 +21,7 @@ import (
 	"sync"
 
 	"multirag/internal/core"
+	"multirag/internal/par"
 )
 
 // Cluster is a primary and its replica set.
@@ -31,8 +32,11 @@ type Cluster struct {
 }
 
 // New seeds n read replicas (2 when n <= 0) from one capture of primary's
-// published snapshot and starts them reading its log. The primary must be
-// durable: an in-memory one has no log, and New returns core.ErrNotDurable.
+// published snapshot and starts them reading its log. The snapshot is encoded
+// once and the replicas decode it concurrently. If any seed fails, New
+// releases every lease it took and returns the error with no replica
+// started. The primary must be durable: an in-memory one has no log, and New
+// returns core.ErrNotDurable.
 func New(primary *core.System, n int) (*Cluster, error) {
 	if n <= 0 {
 		n = 2
@@ -42,21 +46,28 @@ func New(primary *core.System, n int) (*Cluster, error) {
 		return nil, err
 	}
 	seed := handle.Encode()
-	c := &Cluster{primary: primary}
-	for i := 0; i < n; i++ {
+	c := &Cluster{primary: primary, replicas: make([]*Replica, n)}
+	for i := range c.replicas {
 		if i > 0 {
 			lease = primary.AcquireWALLease(lsn) // the first lease holds lsn already
 		}
 		ctx, cancel := context.WithCancel(context.Background())
-		r := &Replica{primary: primary, name: fmt.Sprintf("replica-%d", i), sys: core.NewSystem(primary.Config()),
+		c.replicas[i] = &Replica{primary: primary, name: fmt.Sprintf("replica-%d", i), sys: core.NewSystem(primary.Config()),
 			lease: lease, ctx: ctx, cancel: cancel, done: make(chan struct{})}
-		if err := r.sys.SeedReplica(seed, lsn); err != nil {
-			lease.Release()
-			c.Close()
-			return nil, fmt.Errorf("cluster: seed %s: %w", r.name, err)
+	}
+	errs := make([]error, n)
+	par.ForEach(n, n, func(i int) { errs[i] = c.replicas[i].seed(seed, lsn) })
+	for i, err := range errs {
+		if err != nil {
+			for _, r := range c.replicas {
+				r.cancel()
+				r.lease.Release()
+			}
+			return nil, fmt.Errorf("cluster: seed %s: %w", c.replicas[i].name, err)
 		}
+	}
+	for _, r := range c.replicas {
 		r.applied.Store(lsn)
-		c.replicas = append(c.replicas, r)
 		go r.run()
 	}
 	return c, nil

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -349,6 +350,71 @@ func TestClusterCheckpointDuringAttach(t *testing.T) {
 		if st.Resyncs != 0 {
 			t.Fatalf("replica resynced instead of reading the log: %+v", st)
 		}
+	}
+}
+
+// TestClusterSeedsReplicasConcurrently: New decodes every replica's seed at
+// once from the one encoded body; each replica starts at the primary's
+// position with the primary's digest, and goes on reading the log from there.
+func TestClusterSeedsReplicasConcurrently(t *testing.T) {
+	primary := openPrimary(t, wal.NewMemFS())
+	batches := corpusBatches()
+	ingest(t, primary, batches[0], batches[1])
+	if err := primary.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ingest(t, primary, batches[2])
+	c, err := New(primary, 4)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer c.Close()
+	want := primary.SnapshotDigest()
+	for _, r := range c.Replicas() {
+		if got := r.System().SnapshotDigest(); got != want || r.Position() != primary.ReplicationLSN() {
+			t.Fatalf("%s seeded at %d with digest %016x, primary at %d with %016x",
+				r.Name(), r.Position(), got, primary.ReplicationLSN(), want)
+		}
+	}
+	ingest(t, primary, fillerBatch(0))
+	waitCaughtUp(t, c)
+	requireIdentical(t, c)
+}
+
+// TestClusterFailedSeedReleasesLeases: when one of the concurrent seeds fails,
+// New returns its error having started no replica and released every lease
+// it took — the next checkpoint prunes the segment holding the seed position
+// — and leaves no goroutine behind.
+func TestClusterFailedSeedReleasesLeases(t *testing.T) {
+	defer fault.Reset()
+	fs := wal.NewMemFS()
+	primary := openPrimary(t, fs)
+	batches := corpusBatches()
+	ingest(t, primary, batches[0], batches[1]) // the seed position, 2, is in segment wal-0
+	goroutines := runtime.NumGoroutine()
+
+	fault.Enable(fault.PointClusterSeed, fault.Fault{Kind: fault.KindError, MaxHits: 1})
+	if c, err := New(primary, 3); !errors.Is(err, fault.ErrInjected) {
+		if err == nil {
+			c.Close()
+		}
+		t.Fatalf("New with one failing seed: %v, want the injected error", err)
+	}
+	if hits := fault.Hits(fault.PointClusterSeed); hits != 1 {
+		t.Fatalf("%d seeds failed, want 1", hits)
+	}
+	waitFor(t, "seeding goroutines to exit", func() bool { return runtime.NumGoroutine() <= goroutines })
+
+	ingest(t, primary, batches[2])
+	if err := primary.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	names, err := fs.ReadDir(dataDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Contains(names, "wal-0000000000000000.log") {
+		t.Fatalf("a lease of the failed New still holds the seed position's segment: %v", names)
 	}
 }
 

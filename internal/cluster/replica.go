@@ -219,6 +219,14 @@ func (r *Replica) step(committed uint64) error {
 	return nil
 }
 
+// seed replaces the replica's state with the snapshot body captured at lsn.
+func (r *Replica) seed(body []byte, lsn uint64) error {
+	if err := fault.Inject(r.ctx, fault.PointClusterSeed); err != nil {
+		return err
+	}
+	return r.sys.SeedReplica(body, lsn)
+}
+
 // fenceAndResync takes the replica out of service and reseeds it the way New
 // seeded it: a fresh capture of the primary's snapshot, position and lease.
 // The cursor reopens at the new position on the next read. It reports whether
@@ -234,7 +242,7 @@ func (r *Replica) fenceAndResync(cause error) bool {
 	r.state.Store(int32(StateSyncing))
 	handle, lsn, lease, err := r.primary.ReplicationSeed()
 	if err == nil {
-		if err = r.sys.SeedReplica(handle.Encode(), lsn); err != nil {
+		if err = r.seed(handle.Encode(), lsn); err != nil {
 			lease.Release()
 		}
 	}

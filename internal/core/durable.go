@@ -298,9 +298,7 @@ func (d *durable) appendGroup(committed []*prepared) error {
 	// Once appended the record lives in the log; Reset lets go of a buffer a
 	// bulk load's record outgrew.
 	defer d.enc.Reset()
-	if err := encodeGroupRecord(&d.enc, committed); err != nil {
-		return err
-	}
+	encodeGroupRecord(&d.enc, committed)
 	_, err := d.log.Append(d.enc.Bytes())
 	return err
 }
@@ -361,66 +359,110 @@ func (s *System) decodeSnapshot(body []byte) (*snapshot, error) {
 	return &snapshot{graph: g, sg: sg, index: ix}, nil
 }
 
-// opStreamer is the serialization half of the extraction-recorder contract:
-// production recorders (extract.Recorder) expose their recorded op stream so
-// the WAL can replay it. Batches whose replayer cannot be serialized fail
-// their WAL append instead of being silently dropped from the log.
-type opStreamer interface {
-	ForEachOp(entity func(name, typ, domain string), triple func(t kg.Triple))
-}
+// The group record: the 0 tag and recordVersion, the count of committed
+// batches, then per batch, in ticket order, its file count and each file's
+// part — its recorded operation stream, then its rendered chunks, each with
+// its vector in stored form. A file's part does not depend on the rest of its
+// group, so stage 1 encodes it (encodeFile) on the worker that prepared the
+// file, and the commit path only concatenates.
 
 // encodeGroupRecord serializes the committed batches of one commit group, in
-// ticket order, as one WAL record payload: the 0 tag and recordVersion, then
-// per batch the per-file recorded operation streams plus the rendered chunks
-// with their embeddings.
-func encodeGroupRecord(e *wal.Encoder, committed []*prepared) error {
+// ticket order, as one WAL record payload: the header, then every batch's
+// file count and its files' parts, into a buffer sized for the record first.
+func encodeGroupRecord(e *wal.Encoder, committed []*prepared) {
+	size := wal.UvarintSize(0) + wal.UvarintSize(recordVersion) + wal.UvarintSize(uint64(len(committed)))
+	for _, p := range committed {
+		size += wal.UvarintSize(uint64(len(p.work)))
+		for i := range p.work {
+			size += len(p.work[i].part)
+		}
+	}
+	e.Grow(size)
 	e.Int(0)
 	e.Uvarint(recordVersion)
 	e.Int(len(committed))
 	for _, p := range committed {
 		e.Int(len(p.work))
 		for i := range p.work {
-			w := &p.work[i]
-			str, ok := w.rec.(opStreamer)
-			if !ok {
-				return fmt.Errorf("core: recorder %T cannot be serialized to the WAL", w.rec)
-			}
-			n := 0
-			str.ForEachOp(
-				func(string, string, string) { n++ },
-				func(kg.Triple) { n++ })
-			e.Int(n)
-			str.ForEachOp(
-				func(name, typ, domain string) {
-					e.Bool(true)
-					e.String(name)
-					e.String(typ)
-					e.String(domain)
-				},
-				func(t kg.Triple) {
-					e.Bool(false)
-					e.String(t.Subject)
-					e.String(t.Predicate)
-					e.String(t.Object)
-					e.String(t.ObjectEntity)
-					e.String(t.Source)
-					e.String(t.Domain)
-					e.String(t.Format)
-					e.String(t.ChunkID)
-					e.F64(t.Weight)
-				})
-			e.Int(len(w.chunks))
-			for j := range w.chunks {
-				c := &w.chunks[j]
-				e.String(c.ID)
-				e.String(c.DocID)
-				e.String(c.Source)
-				e.String(c.Text)
-				e.Raw(w.vecs[j])
-			}
+			e.Raw(p.work[i].part)
 		}
 	}
-	return nil
+}
+
+// embedScratch is what encodeFile reuses from one file to the next: the dense
+// row a chunk is embedded into, and the op stream and stored vectors of the
+// file being encoded. embedScratches holds one per worker between files.
+type embedScratch struct {
+	row    retrieval.Vector
+	ops    wal.Encoder
+	stored []byte
+	ends   []int // where each chunk's vector ends in stored
+}
+
+var embedScratches sync.Pool
+
+// encodeFile embeds a prepared file's chunks and encodes its part of the
+// group record — rec's operation stream, then the chunks, each with its
+// vector in stored form — into one buffer of exactly its size. vecs are the
+// vectors, as views into part. The op stream and the vectors are built in a
+// pooled scratch first, so a chunk costs no dense row and part is sized
+// before it is written.
+func encodeFile(rec *extract.Recorder, chunks []retrieval.Chunk, dim int) (part []byte, vecs [][]byte) {
+	sc, _ := embedScratches.Get().(*embedScratch)
+	if sc == nil || len(sc.row) != dim {
+		sc = &embedScratch{row: make(retrieval.Vector, dim)}
+	}
+	defer embedScratches.Put(sc)
+	sc.ops.Reset()
+	rec.ForEachOp(
+		func(name, typ, domain string) {
+			sc.ops.Bool(true)
+			sc.ops.String(name)
+			sc.ops.String(typ)
+			sc.ops.String(domain)
+		},
+		func(t kg.Triple) {
+			sc.ops.Bool(false)
+			sc.ops.String(t.Subject)
+			sc.ops.String(t.Predicate)
+			sc.ops.String(t.Object)
+			sc.ops.String(t.ObjectEntity)
+			sc.ops.String(t.Source)
+			sc.ops.String(t.Domain)
+			sc.ops.String(t.Format)
+			sc.ops.String(t.ChunkID)
+			sc.ops.F64(t.Weight)
+		})
+	sc.stored, sc.ends = sc.stored[:0], sc.ends[:0]
+	size := wal.UvarintSize(uint64(rec.NumOps())) + len(sc.ops.Bytes()) + wal.UvarintSize(uint64(len(chunks)))
+	for j := range chunks {
+		c := &chunks[j]
+		retrieval.EmbedInto(sc.row, c.Text)
+		sc.stored = retrieval.AppendVector(sc.stored, sc.row)
+		sc.ends = append(sc.ends, len(sc.stored))
+		size += wal.StringSize(c.ID) + wal.StringSize(c.DocID) + wal.StringSize(c.Source) + wal.StringSize(c.Text)
+	}
+	size += len(sc.stored)
+
+	var e wal.Encoder
+	e.Grow(size)
+	e.Int(rec.NumOps())
+	e.Raw(sc.ops.Bytes())
+	e.Int(len(chunks))
+	vecs = make([][]byte, len(chunks))
+	start := 0
+	for j := range chunks {
+		c := &chunks[j]
+		e.String(c.ID)
+		e.String(c.DocID)
+		e.String(c.Source)
+		e.String(c.Text)
+		from := e.Len()
+		e.Raw(sc.stored[start:sc.ends[j]])
+		start = sc.ends[j]
+		vecs[j] = e.Bytes()[from:e.Len():e.Len()]
+	}
+	return e.Bytes(), vecs
 }
 
 // minStoredChunk is the fewest bytes a chunk takes in a record: four string
@@ -430,7 +472,7 @@ const minStoredChunk = 6
 // decodeGroupRecord rebuilds a commit group's batches from a WAL record
 // payload. The op streams are fed back through a fresh Recorder's
 // AddEntity/AddTriple — the same validation the original extraction passed —
-// and every embedding is checked by DecodeVector against the store width, so
+// and every embedding is checked by CheckVector against the store width, so
 // a record that somehow decodes but violates an invariant errors instead of
 // panicking downstream. Each vector stays in the payload (fileWork.vecs are
 // views of it). The string fields that repeat across rows are interned
@@ -445,7 +487,6 @@ func decodeGroupRecord(payload []byte, dim int) ([][]fileWork, error) {
 		return nil, unsupportedFormat("WAL record", v)
 	}
 	nb := d.Int()
-	scratch := make(retrieval.Vector, dim)
 	batches := make([][]fileWork, 0, min(nb, d.Remaining()))
 	for i := 0; i < nb && d.Err() == nil; i++ {
 		nf := d.Int()
@@ -484,7 +525,7 @@ func decodeGroupRecord(payload []byte, dim int) ([][]fileWork, error) {
 			for k := 0; k < nChunks && d.Err() == nil; k++ {
 				c := retrieval.Chunk{ID: d.String(), DocID: d.Interned(), Source: d.Interned(), Text: d.String()}
 				from := len(payload) - d.Remaining()
-				retrieval.DecodeVector(d, scratch)
+				retrieval.CheckVector(d, dim)
 				if d.Err() != nil {
 					break
 				}
@@ -522,27 +563,19 @@ func (s *System) applyRecovered(g *kg.Graph, ix retrieval.Store, payload []byte,
 
 // replayFiles replays files in order onto g and ix — each file's recorder,
 // then its chunks — appending the new triple IDs to ids. It is the one replay
-// step the committer, replica apply and recovery share. A file's vectors are
-// densified from their stored form into one buffer for AddEmbeddedBatch, which
-// keeps none of it.
+// step the committer, replica apply and recovery share. A file's chunks are
+// appended with their vectors in stored form, whose weights the store posts
+// straight from the bytes.
 func replayFiles(g *kg.Graph, ix retrieval.Store, files []fileWork, ids []string) ([]string, error) {
-	dim := ix.Dim()
 	for i := range files {
 		f := &files[i]
 		var err error
 		if ids, err = f.rec.ReplayAppend(g, ids); err != nil {
 			return ids, err
 		}
-		if len(f.chunks) == 0 {
-			continue
+		if err := ix.AppendStored(f.chunks, f.vecs); err != nil {
+			return ids, err
 		}
-		flat := make([]float32, len(f.chunks)*dim)
-		vs := make([]retrieval.Vector, len(f.chunks))
-		for j, b := range f.vecs {
-			vs[j] = flat[j*dim : (j+1)*dim : (j+1)*dim]
-			retrieval.DecodeVector(wal.NewDecoder(b), vs[j])
-		}
-		ix.AddEmbeddedBatch(f.chunks, vs)
 	}
 	return ids, nil
 }

@@ -12,7 +12,6 @@ import (
 	"multirag/internal/linegraph"
 	"multirag/internal/par"
 	"multirag/internal/retrieval"
-	"multirag/internal/wal"
 )
 
 // IngestReport summarises an Ingest call. Under group commit the
@@ -39,12 +38,14 @@ type replayer interface {
 // stage, or one file of a decoded WAL record. Each chunk's vector is in stored
 // form — the bytes retrieval.EncodeVector writes, already checked — which is
 // what the record carries, so a prepared batch holds about 73 bytes per chunk
-// instead of a dense row.
+// instead of a dense row. A prepared file also carries part, its part of the
+// group record, encoded in stage 1 (encodeFile); its vecs are views into it.
 type fileWork struct {
 	rec    replayer
 	report extract.Report
 	chunks []retrieval.Chunk
 	vecs   [][]byte
+	part   []byte
 	err    error
 }
 
@@ -137,8 +138,8 @@ func (s *System) prepare(p *prepared, files []adapter.RawFile) {
 }
 
 // prepareFiles runs the per-file half of stage 1 over the fused files on the
-// worker pool: extraction into a private recorder, chunk rendering, and
-// embedding into the stored form.
+// worker pool: extraction into a private recorder, chunk rendering, embedding
+// into the stored form, and the file's part of the WAL group record.
 func (s *System) prepareFiles(ext *extract.Extractor, fused []*jsonld.Normalized) []fileWork {
 	dim := s.snap.Load().index.Dim()
 	work := make([]fileWork, len(fused))
@@ -150,27 +151,9 @@ func (s *System) prepareFiles(ext *extract.Extractor, fused []*jsonld.Normalized
 		}
 		w.rec = rec
 		w.chunks = RenderChunks(fused[i], s.cfg.ChunkTokens)
-		w.vecs = embedStored(w.chunks, dim)
+		w.part, w.vecs = encodeFile(rec, w.chunks, dim)
 	})
 	return work
-}
-
-// embedStored embeds each chunk and returns its vector in stored form, every
-// one a view of a single buffer.
-func embedStored(chunks []retrieval.Chunk, dim int) [][]byte {
-	var e wal.Encoder
-	ends := make([]int, len(chunks))
-	for j, c := range chunks {
-		retrieval.EncodeVector(&e, retrieval.Embed(c.Text, dim))
-		ends[j] = e.Len()
-	}
-	vecs := make([][]byte, len(chunks))
-	buf, start := e.Bytes(), 0
-	for j, end := range ends {
-		vecs[j] = buf[start:end:end]
-		start = end
-	}
-	return vecs
 }
 
 // mergedBatchReport folds the per-file extraction reports into one batch

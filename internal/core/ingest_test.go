@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"multirag/internal/adapter"
 	"multirag/internal/extract"
@@ -72,7 +73,8 @@ func requireSameGraph(t *testing.T, got, want *System) {
 }
 
 // TestPreparedVectorsStoredForm: a prepared batch carries each chunk's vector
-// as the bytes the WAL record stores, not as a dense row.
+// as the bytes the WAL record stores, not as a dense row — views into the
+// file's part of the record, built in stage 1.
 func TestPreparedVectorsStoredForm(t *testing.T) {
 	s := NewSystem(format1Config())
 	p := &prepared{}
@@ -90,7 +92,16 @@ func TestPreparedVectorsStoredForm(t *testing.T) {
 		if !bytes.Equal(w.vecs[j], e.Bytes()) {
 			t.Fatalf("chunk %s carries %x, want EncodeVector(Embed(text)) = %x", c.ID, w.vecs[j], e.Bytes())
 		}
+		if !inside(w.part, w.vecs[j]) {
+			t.Fatalf("chunk %s's vector is not a view into its file's record part", c.ID)
+		}
 	}
+}
+
+// inside reports whether the non-empty view lies within outer's bytes.
+func inside(outer, view []byte) bool {
+	lo, hi := uintptr(unsafe.Pointer(unsafe.SliceData(outer))), uintptr(unsafe.Pointer(unsafe.SliceData(view)))
+	return len(view) > 0 && hi >= lo && hi+uintptr(len(view)) <= lo+uintptr(len(outer))
 }
 
 // poisonedReplayer replays its inner stream fully — mutating the shared

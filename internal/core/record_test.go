@@ -1,0 +1,244 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"multirag/internal/adapter"
+	"multirag/internal/extract"
+	"multirag/internal/kg"
+	"multirag/internal/retrieval"
+	"multirag/internal/wal"
+)
+
+// opStreamer is the serialization half of the extraction-recorder contract
+// the oracle encoder reads a recorder through.
+type opStreamer interface {
+	ForEachOp(entity func(name, typ, domain string), triple func(t kg.Triple))
+}
+
+// oracleEncodeGroupRecord is encodeGroupRecord as it was written before the
+// record's file parts moved into stage 1: the whole record encoded field by
+// field under the commit lock, every recorder walked twice through its op
+// stream.
+func oracleEncodeGroupRecord(e *wal.Encoder, committed []*prepared) error {
+	e.Int(0)
+	e.Uvarint(recordVersion)
+	e.Int(len(committed))
+	for _, p := range committed {
+		e.Int(len(p.work))
+		for i := range p.work {
+			w := &p.work[i]
+			str, ok := w.rec.(opStreamer)
+			if !ok {
+				return fmt.Errorf("core: recorder %T cannot be serialized to the WAL", w.rec)
+			}
+			n := 0
+			str.ForEachOp(
+				func(string, string, string) { n++ },
+				func(kg.Triple) { n++ })
+			e.Int(n)
+			str.ForEachOp(
+				func(name, typ, domain string) {
+					e.Bool(true)
+					e.String(name)
+					e.String(typ)
+					e.String(domain)
+				},
+				func(t kg.Triple) {
+					e.Bool(false)
+					e.String(t.Subject)
+					e.String(t.Predicate)
+					e.String(t.Object)
+					e.String(t.ObjectEntity)
+					e.String(t.Source)
+					e.String(t.Domain)
+					e.String(t.Format)
+					e.String(t.ChunkID)
+					e.F64(t.Weight)
+				})
+			e.Int(len(w.chunks))
+			for j := range w.chunks {
+				c := &w.chunks[j]
+				e.String(c.ID)
+				e.String(c.DocID)
+				e.String(c.Source)
+				e.String(c.Text)
+				e.Raw(w.vecs[j])
+			}
+		}
+	}
+	return nil
+}
+
+// randomRecordFile draws one input file for the record oracle: kg facts,
+// multi-sentence text, CSV rows, JSON records, files that yield nothing (a
+// header-only CSV, an empty JSON array, text with no sentence, an empty XML
+// root), JSON records that yield entities but no chunk, and — when bad is
+// set — a kg file with no triples, which fails its batch's preparation.
+func randomRecordFile(rng *rand.Rand, k int, bad bool) adapter.RawFile {
+	subj := func() string { return fmt.Sprintf("Item %d", rng.Intn(12)) }
+	f := adapter.RawFile{Domain: "fleet", Source: fmt.Sprintf("src-%d", rng.Intn(5)), Name: fmt.Sprintf("f%d", k)}
+	if bad {
+		f.Format, f.Content = "kg", nil
+		return f
+	}
+	var b strings.Builder
+	switch rng.Intn(9) {
+	case 0, 1:
+		f.Format = "kg"
+		for n := 1 + rng.Intn(6); n > 0; n-- {
+			fmt.Fprintf(&b, "%s|%s|V%d\n", subj(), []string{"status", "zone", "owner"}[rng.Intn(3)], rng.Intn(4))
+		}
+	case 2, 3:
+		f.Format = "text"
+		for n := 1 + rng.Intn(30); n > 0; n-- {
+			fmt.Fprintf(&b, "The gate of %s is G%d. Ünïcode Wörds and the OF. ", subj(), rng.Intn(9))
+		}
+	case 4:
+		f.Format = "csv"
+		b.WriteString("name,status,zone\n")
+		for n := rng.Intn(5); n > 0; n-- {
+			fmt.Fprintf(&b, "%s,S%d,Z%d\n", subj(), rng.Intn(3), rng.Intn(3))
+		}
+	case 5:
+		f.Format = "json"
+		b.WriteString("[")
+		for n := rng.Intn(4); n > 0; n-- {
+			fmt.Fprintf(&b, `{"name":%q,"status":"S%d"},`, subj(), rng.Intn(3))
+		}
+		b.WriteString(`{"name":"Tail","status":"S0"}]`)
+	case 6:
+		f.Format = "json" // an entity, no attribute, so no chunk
+		fmt.Fprintf(&b, `[{"flight":%q}]`, subj())
+	default:
+		f.Format, f.Content = []string{"csv", "json", "text", "xml"}[rng.Intn(4)], nil
+		b.WriteString(map[string]string{"csv": "flight,status\n", "json": "[]", "text": "...", "xml": "<root></root>"}[f.Format])
+	}
+	f.Content = []byte(b.String())
+	return f
+}
+
+// TestGroupRecordMatchesOracle holds the WAL group record to the encoder it
+// replaced, byte for byte, over random commit groups driven through the real
+// committer and read back from the log: one to four batches of zero to five
+// files, empty files, files with entities but no chunks, batches that fail to
+// prepare and batches that fail mid-replay. The record holds the committed
+// batches only.
+func TestGroupRecordMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	s, _ := openDurable(t, wal.NewMemFS(), durTestConfig())
+	var seen struct{ empty, chunkless, failed, poisoned, multi int }
+	for round := 0; round < 60; round++ {
+		var group []*prepared
+		for nb := 1 + rng.Intn(4); nb > 0; nb-- {
+			bad := rng.Intn(6) == 0
+			var files []adapter.RawFile
+			for nf := rng.Intn(6); nf > 0; nf-- {
+				files = append(files, randomRecordFile(rng, len(files), bad && nf == 1))
+			}
+			p := &prepared{start: time.Now()}
+			s.admit(p)
+			s.prepare(p, files)
+			group = append(group, p)
+			if p.err != nil {
+				seen.failed++
+				continue
+			}
+			for i := range p.work {
+				if w := &p.work[i]; len(w.chunks) == 0 {
+					ops := 0
+					w.rec.(opStreamer).ForEachOp(func(string, string, string) { ops++ }, func(kg.Triple) { ops++ })
+					if ops == 0 {
+						seen.empty++
+					} else {
+						seen.chunkless++
+					}
+				}
+			}
+			if len(p.work) > 0 && rng.Intn(6) == 0 {
+				p.work[0].rec = poisonedReplayer{p.work[0].rec}
+				seen.poisoned++
+			}
+		}
+		lsn := s.ReplicationLSN()
+		s.commitGroup(group)
+		s.gc.nextCommit += uint64(len(group)) // direct commitGroup bypassed commitJoin's bookkeeping
+		s.gc.inflight -= len(group)
+
+		var committed []*prepared
+		for _, p := range group {
+			if p.err == nil {
+				committed = append(committed, p)
+			}
+		}
+		if len(committed) == 0 {
+			if s.ReplicationLSN() != lsn {
+				t.Fatalf("round %d: a group with nothing committed wrote a record", round)
+			}
+			continue
+		}
+		if len(committed) > 1 {
+			seen.multi++
+		}
+		var want wal.Encoder
+		if err := oracleEncodeGroupRecord(&want, committed); err != nil {
+			t.Fatal(err)
+		}
+		got := logRecords(t, s, lsn, lsn+1)
+		if len(got) != 1 || !bytes.Equal(got[0], want.Bytes()) {
+			t.Fatalf("round %d: record of %d committed batches differs from the oracle's (%d records read)",
+				round, len(committed), len(got))
+		}
+	}
+	if seen.empty == 0 || seen.chunkless == 0 || seen.failed == 0 || seen.poisoned == 0 || seen.multi == 0 {
+		t.Fatalf("the rounds missed a case: %+v", seen)
+	}
+}
+
+// TestReplayPostsStoredVectors: replaying prepared files appends their
+// vectors from the stored bytes. It allocates no vector per chunk — no dense
+// row, no decoder — only the store's own growth: under a dense row's bytes
+// per chunk, which the dense row alone used to cost on top of that growth,
+// and far under one object per chunk.
+func TestReplayPostsStoredVectors(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race instrumentation changes allocation counts")
+	}
+	const n = 20000
+	dim := retrieval.DefaultDim
+	chunks := make([]retrieval.Chunk, n)
+	for i := range chunks {
+		chunks[i] = retrieval.Chunk{ID: fmt.Sprintf("d%d#c0", i), DocID: fmt.Sprintf("d%d", i), Source: "s",
+			Text: fmt.Sprintf("The gate of Item %d is G%d, and its zone is Z%d.", i%977, i%13, i%7)}
+	}
+	var files []fileWork
+	for lo := 0; lo < n; lo += 500 {
+		rec := extract.NewRecorder()
+		f := fileWork{rec: rec, chunks: chunks[lo : lo+500]}
+		f.part, f.vecs = encodeFile(rec, f.chunks, dim)
+		files = append(files, f)
+	}
+	g, ix := kg.New(), retrieval.NewIndex(dim)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := replayFiles(g, ix, files, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.Len() != n {
+		t.Fatalf("replayed %d of %d chunks", ix.Len(), n)
+	}
+	bytesPer := float64(after.TotalAlloc-before.TotalAlloc) / n
+	objsPer := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("replay allocates %.0f B in %.3f objects per chunk (a dense row is %d B)", bytesPer, objsPer, dim*4)
+	if bytesPer >= float64(dim*4) || objsPer >= 0.5 {
+		t.Fatalf("replay allocates %.0f B in %.3f objects per chunk: a vector per chunk", bytesPer, objsPer)
+	}
+}

@@ -75,6 +75,10 @@ func (r *Recorder) AddTriple(t kg.Triple) (string, error) {
 // reports recompute real deltas against the master graph).
 func (r *Recorder) NumEntities() int { return len(r.entities) }
 
+// NumOps reports the length of the recorded operation stream: the entity and
+// triple ops ForEachOp visits.
+func (r *Recorder) NumOps() int { return len(r.ops) }
+
 // NumTriples reports the recorded triple count.
 func (r *Recorder) NumTriples() int { return r.triples }
 

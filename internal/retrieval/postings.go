@@ -38,6 +38,14 @@ func (p *postings) add(row int, v Vector) {
 	}
 }
 
+// addSparse posts row's weights, given as (bucket, weight) pairs in
+// ascending bucket order; like add, rows must come in increasing order.
+func (p *postings) addSparse(row int, nz []weight) {
+	for _, x := range nz {
+		p.lists[x.b] = append(p.lists[x.b], posting{int32(row), x.w})
+	}
+}
+
 // clone returns the postings of a cloned Index: the outer slice is copied
 // (O(dim) headers) because the two indexes' lists diverge in length, but
 // every list keeps its backing array and spare capacity. Whether the clone

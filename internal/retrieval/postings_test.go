@@ -243,6 +243,19 @@ func permuted(rng *rand.Rand, chunks []Chunk, vecs []Vector) ([]Chunk, []Vector)
 	return cs, vs
 }
 
+// referenceCorpora are the row sets the store is held to its dense oracles
+// on: feature-hashed text, texts repeated under other IDs, dense vectors with
+// negative weights, and zero rows with -0 weights.
+var referenceCorpora = []struct {
+	name  string
+	build func(*rand.Rand, int, int) ([]Chunk, []Vector)
+}{
+	{"text", randCorpus},
+	{"ties", tiedCorpus},
+	{"dense", denseCorpus},
+	{"zeros", zeroCorpus},
+}
+
 // TestTermAtATimeMatchesDenseReference pins the store's scorer against the
 // dense oracle — Cosine over every stored vector, stable full sort — with
 // scores compared bit for bit: on feature-hashed text, on texts repeated under
@@ -262,21 +275,12 @@ func TestTermAtATimeMatchesDenseReference(t *testing.T) {
 		n   = 600
 	)
 	negZero := float32(math.Copysign(0, -1))
-	corpora := []struct {
-		name  string
-		build func(*rand.Rand, int, int) ([]Chunk, []Vector)
-	}{
-		{"text", randCorpus},
-		{"ties", tiedCorpus},
-		{"dense", denseCorpus},
-		{"zeros", zeroCorpus},
-	}
 	keeps := map[string]func(string) bool{
 		"nil":  nil,
 		"src0": func(src string) bool { return src == "src-0" },
 		"none": func(string) bool { return false },
 	}
-	for _, corpus := range corpora {
+	for _, corpus := range referenceCorpora {
 		rng := rand.New(rand.NewSource(21))
 		chunks, vecs := corpus.build(rng, n, dim)
 

@@ -19,6 +19,7 @@ import (
 
 	"multirag/internal/lineage"
 	"multirag/internal/textutil"
+	"multirag/internal/wal"
 )
 
 // Chunk is one retrievable text unit with provenance.
@@ -54,7 +55,7 @@ func ChunkText(docID, source, text string, maxTokens int) []Chunk {
 		used = 0
 	}
 	for _, s := range sentences {
-		n := len(textutil.Tokenize(s))
+		n := textutil.CountTokens(s)
 		if used+n > maxTokens && used > 0 {
 			flush()
 		}
@@ -106,26 +107,41 @@ var embPrefix = textutil.Hash64("emb|")
 // similarity under cosine. A feature's hash is textutil.Hash64("emb|"+f),
 // with a bigram's f its two tokens joined by one space.
 func Embed(text string, dim int) Vector {
-	embedCalls.Add(1)
 	if dim <= 0 {
 		dim = DefaultDim
 	}
 	v := make(Vector, dim)
+	EmbedInto(v, text)
+	return v
+}
+
+// EmbedInto is Embed(text, len(v)) written over v, and allocates nothing: the
+// content tokens are hashed where they sit in text (textutil.EachContentToken)
+// instead of being collected into a slice.
+func EmbedInto(v Vector, text string) {
+	embedCalls.Add(1)
+	clear(v)
+	dim := uint64(len(v))
 	add := func(h uint64) {
 		sign := float32(1)
 		if (h>>32)&1 == 1 {
 			sign = -1
 		}
-		v[h%uint64(dim)] += sign
+		v[h%dim] += sign
 	}
-	toks := textutil.TokenizeContent(text)
-	for i, t := range toks {
-		h := textutil.HashAdd(embPrefix, t)
-		add(h)
-		if i+1 < len(toks) {
-			add(textutil.HashAdd(textutil.HashAdd(h, " "), toks[i+1]))
+	// Each token adds its bigram with the previous token, then its unigram:
+	// the order Embed always added them in, which keeps the float sums bit
+	// for bit.
+	var prev uint64
+	first := true
+	textutil.EachContentToken(text, func(tok string) {
+		if !first {
+			add(textutil.HashAddLower(textutil.HashAdd(prev, " "), tok))
 		}
-	}
+		prev = textutil.HashAddLower(embPrefix, tok)
+		add(prev)
+		first = false
+	})
 	norm := float32(0)
 	for _, x := range v {
 		norm += x * x
@@ -136,7 +152,6 @@ func Embed(text string, dim int) Vector {
 			v[i] *= inv
 		}
 	}
-	return v
 }
 
 // Cosine returns the cosine similarity of two equally sized vectors
@@ -197,48 +212,72 @@ func (ix *Index) claim(n int) {
 
 // Add inserts a chunk, embedding it inline.
 func (ix *Index) Add(c Chunk) {
-	ix.AddEmbedded(c, Embed(c.Text, ix.dim))
-}
-
-// AddEmbedded inserts a chunk with a precomputed embedding. The concurrent
-// ingestion engine embeds chunks on worker goroutines and batch-appends them
-// here under the write lock, keeping the expensive hashing off the serial
-// commit path. The vector's width must match the index's (one posting list
-// per bucket, fixed at construction); a mismatch panics before any mutation.
-// The index keeps v's non-zero weights, not v.
-func (ix *Index) AddEmbedded(c Chunk, v Vector) {
-	if len(v) != ix.dim {
-		panic(fmt.Sprintf("retrieval: AddEmbedded vector dim %d does not match index dim %d (chunk %s)",
-			len(v), ix.dim, c.ID))
-	}
 	ix.claim(1)
-	ix.post.add(len(ix.chunks), v)
+	ix.post.add(len(ix.chunks), Embed(c.Text, ix.dim))
 	ix.chunks = append(ix.chunks, c)
 }
 
+// AddEmbedded inserts a chunk with a precomputed embedding. The vector's
+// width must match the index's (one posting list per bucket, fixed at
+// construction); a mismatch is an error and leaves the store untouched. The
+// index keeps v's non-zero weights, not v.
+func (ix *Index) AddEmbedded(c Chunk, v Vector) error {
+	return ix.AddEmbeddedBatch([]Chunk{c}, []Vector{v})
+}
+
 // AddEmbeddedBatch appends a parallel run of chunks and embeddings under one
-// claim — the multi-batch append path the group committer uses under its
-// critical section. The batch is validated up front (vs parallel to cs,
-// every vector at the index width), so a malformed batch panics with the
-// store untouched instead of mis-indexing or dying mid-append.
-func (ix *Index) AddEmbeddedBatch(cs []Chunk, vs []Vector) {
+// claim. The batch is validated up front (vs parallel to cs, every vector at
+// the index width), so a malformed batch is an error with the store
+// untouched instead of mis-indexing or failing mid-append.
+func (ix *Index) AddEmbeddedBatch(cs []Chunk, vs []Vector) error {
 	if len(cs) != len(vs) {
-		panic(fmt.Sprintf("retrieval: AddEmbeddedBatch got %d chunks but %d vectors", len(cs), len(vs)))
+		return fmt.Errorf("retrieval: %d chunks but %d vectors", len(cs), len(vs))
 	}
 	for i := range vs {
 		if len(vs[i]) != ix.dim {
-			panic(fmt.Sprintf("retrieval: AddEmbeddedBatch vector %d dim %d does not match index dim %d (chunk %s)",
-				i, len(vs[i]), ix.dim, cs[i].ID))
+			return fmt.Errorf("retrieval: vector %d has width %d, the index %d (chunk %s)",
+				i, len(vs[i]), ix.dim, cs[i].ID)
 		}
 	}
 	if len(cs) == 0 {
-		return
+		return nil
 	}
 	ix.claim(len(cs))
 	for i := range cs {
 		ix.post.add(len(ix.chunks)+i, vs[i])
 	}
 	ix.chunks = append(ix.chunks, cs...)
+	return nil
+}
+
+// AppendStored appends a parallel run of chunks and vectors in stored form
+// (the bytes EncodeVector writes, one vector per slice) under one claim — the
+// append the group committer, replica apply and recovery share. Weights are
+// posted straight from the bytes; no dense row is built. Every vector is
+// checked as DecodeVector checks it, and must fill its slice exactly, before
+// anything is appended, so a malformed batch is an error with the store
+// untouched.
+func (ix *Index) AppendStored(cs []Chunk, vecs [][]byte) error {
+	if len(cs) != len(vecs) {
+		return fmt.Errorf("retrieval: %d chunks but %d stored vectors", len(cs), len(vecs))
+	}
+	var stack [DefaultDim]weight // spills only past DefaultDim
+	for i, b := range vecs {
+		d := wal.NewDecoder(b)
+		readVector(d, ix.dim, stack[:0])
+		if err := d.Finish(); err != nil {
+			return fmt.Errorf("retrieval: stored vector of chunk %s: %w", cs[i].ID, err)
+		}
+	}
+	if len(cs) == 0 {
+		return nil
+	}
+	ix.claim(len(cs))
+	for i, b := range vecs {
+		ix.post.addSparse(len(ix.chunks)+i, readVector(wal.NewDecoder(b), ix.dim, stack[:0]))
+	}
+	ix.chunks = append(ix.chunks, cs...)
+	return nil
 }
 
 // CloneForAppend returns an index that shares the receiver's backing arrays,

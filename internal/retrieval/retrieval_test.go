@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -282,40 +284,48 @@ func TestCosineBitIdenticalToSeed(t *testing.T) {
 	}
 }
 
-// TestAddEmbeddedBatchValidation: a malformed batch (length mismatch or a
-// dim-mismatched vector) must panic up front with the store untouched.
+// TestAddEmbeddedBatchValidation: a malformed batch — a length mismatch, a
+// vector of the wrong width, or a stored vector that does not decode, or
+// decodes with bytes left over — is an error up front with the store
+// untouched, on every append path. None of them panics: these are the paths
+// decoded file input reaches.
 func TestAddEmbeddedBatchValidation(t *testing.T) {
-	mustPanic := func(t *testing.T, name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: expected panic", name)
-			}
-		}()
-		fn()
-	}
 	cs := []Chunk{{ID: "a#c0", Text: "x"}, {ID: "b#c0", Text: "y"}}
-	good := []Vector{make(Vector, 32), make(Vector, 32)}
+	good := []Vector{Embed("x", 32), Embed("y", 32)}
 	st := NewIndex(32)
-	st.AddEmbeddedBatch(cs, good) // well-formed baseline
-	if st.Len() != 2 {
-		t.Fatalf("baseline batch lost: len=%d", st.Len())
+	if err := st.AddEmbeddedBatch(cs, good); err != nil || st.Len() != 2 { // well-formed baseline
+		t.Fatalf("baseline batch: err=%v len=%d", err, st.Len())
 	}
-	mustPanic(t, "length mismatch", func() {
-		st.AddEmbeddedBatch([]Chunk{{ID: "c#c0"}, {ID: "d#c0"}}, good[:1])
-	})
-	mustPanic(t, "dim mismatch", func() {
-		st.AddEmbeddedBatch([]Chunk{{ID: "c#c0"}, {ID: "d#c0"}}, []Vector{make(Vector, 32), make(Vector, 16)})
-	})
-	if st.Len() != 2 {
-		t.Fatalf("rejected batch mutated the store: len=%d", st.Len())
+	stored := func(v Vector) []byte { return AppendVector(nil, v) }
+	wide := make(Vector, 33)
+	wide[32] = 1
+	two := []Chunk{{ID: "c#c0"}, {ID: "d#c0"}}
+	before := slices.Clone(st.post.lists)
+	for name, add := range map[string]func() error{
+		"length mismatch": func() error { return st.AddEmbeddedBatch(two, good[:1]) },
+		"dim mismatch":    func() error { return st.AddEmbeddedBatch(two, []Vector{make(Vector, 32), make(Vector, 16)}) },
+		"AddEmbedded dim mismatch": func() error {
+			return st.AddEmbedded(Chunk{ID: "a#c0"}, make(Vector, 31))
+		},
+		"stored length mismatch": func() error { return st.AppendStored(two, [][]byte{stored(good[0])}) },
+		"stored past the width": func() error {
+			return st.AppendStored(two, [][]byte{stored(good[0]), stored(wide)})
+		},
+		"stored truncated": func() error {
+			return st.AppendStored(two, [][]byte{stored(good[0]), stored(good[1])[:5]})
+		},
+		"stored trailing bytes": func() error {
+			return st.AppendStored(two, [][]byte{stored(good[0]), append(stored(good[1]), 0)})
+		},
+	} {
+		if err := add(); err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
+		if st.Len() != 2 || !reflect.DeepEqual(st.post.lists, before) {
+			t.Fatalf("%s: rejected batch mutated the store: len=%d", name, st.Len())
+		}
 	}
-	// AddEmbedded single-vector path rejects too.
-	ix := NewIndex(32)
-	mustPanic(t, "AddEmbedded dim mismatch", func() {
-		ix.AddEmbedded(Chunk{ID: "a#c0"}, make(Vector, 31))
-	})
-	if ix.Len() != 0 {
-		t.Fatalf("rejected AddEmbedded mutated the store: len=%d", ix.Len())
+	if err := st.AppendStored(two, [][]byte{stored(good[0]), stored(good[1])}); err != nil || st.Len() != 4 {
+		t.Fatalf("well-formed stored batch: err=%v len=%d", err, st.Len())
 	}
 }

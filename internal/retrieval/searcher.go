@@ -31,14 +31,20 @@ type Store interface {
 	Searcher
 	// Add inserts a chunk, embedding it inline.
 	Add(c Chunk)
-	// AddEmbedded inserts a chunk with a precomputed embedding.
-	AddEmbedded(c Chunk, v Vector)
+	// AddEmbedded inserts a chunk with a precomputed embedding; a vector of
+	// the wrong width is an error.
+	AddEmbedded(c Chunk, v Vector) error
 	// AddEmbeddedBatch inserts many pre-embedded chunks at once (vs must be
-	// parallel to cs). The group committer appends a whole commit group's
-	// chunks through this path, under one claim instead of one per chunk. The
-	// store does not retain vs: callers may reuse the vectors' memory once it
-	// returns.
-	AddEmbeddedBatch(cs []Chunk, vs []Vector)
+	// parallel to cs), under one claim instead of one per chunk; a malformed
+	// batch is an error with the store untouched. The store does not retain
+	// vs: callers may reuse the vectors' memory once it returns.
+	AddEmbeddedBatch(cs []Chunk, vs []Vector) error
+	// AppendStored is AddEmbeddedBatch for vectors in stored form (the bytes
+	// EncodeVector writes), checked before anything is appended. The group
+	// committer, replica apply and recovery append a file's chunks through it
+	// straight from the bytes a WAL record carries. The store does not
+	// retain vecs.
+	AppendStored(cs []Chunk, vecs [][]byte) error
 	// CloneForAppend returns a store that shares the receiver's backing
 	// storage and its spare capacity; appends to the clone never change what
 	// the receiver (a published, read-only snapshot) serves. Who may append

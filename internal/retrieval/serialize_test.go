@@ -40,8 +40,8 @@ func TestStoreSerializeRoundTrip(t *testing.T) {
 	}{
 		{"flat-empty", 0},
 		{"flat", 50},
-		// More rows than one decode batch: posting lists continue across it.
-		{"postings", decodeBatch + 76},
+		// Enough rows that every posting list grows many times over.
+		{"postings", 1100},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			src := NewIndex(32)
@@ -102,11 +102,11 @@ func TestDecodeIntoStoreValidates(t *testing.T) {
 }
 
 // TestDecodeAllocationPerRow: loading a checkpoint allocates what the store
-// keeps — chunk strings, chunk slots, posting entries — plus one reused batch
-// buffer, and never a dense row per row: the bytes allocated per decoded row
-// stay under one dense row's dim×4.
+// keeps — chunk strings, chunk slots, posting entries — and never a dense row
+// per row: the bytes allocated per decoded row stay under one dense row's
+// dim×4.
 func TestDecodeAllocationPerRow(t *testing.T) {
-	const n = 16 * decodeBatch
+	const n = 16384
 	src := NewIndex(DefaultDim)
 	fillStore(src, n)
 	raw := encodeStore(src)

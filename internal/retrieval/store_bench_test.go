@@ -1,6 +1,7 @@
 package retrieval_test
 
 import (
+	"fmt"
 	"testing"
 
 	"multirag/internal/adapter"
@@ -79,5 +80,42 @@ func BenchmarkDecodeStore(b *testing.B) {
 		if err := retrieval.DecodeIntoStore(wal.NewDecoder(body), retrieval.NewIndex(retrieval.DefaultDim)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// benchQuery is a free-text query of the kind the end-to-end benchmark's
+// fallback lane sends.
+const benchQuery = "Tell me something about The Silent Horizon and its director please"
+
+// BenchmarkAccumulate measures the exact scan's first pass on its own: one
+// query's term-at-a-time accumulation over the posting lists of the
+// 34,549-row datasets store (BenchmarkSearch times it together with the
+// selection). It allocates nothing.
+func BenchmarkAccumulate(b *testing.B) {
+	ix := datasetsStore(b, storeBenchRows)
+	qv := retrieval.Embed(benchQuery, retrieval.DefaultDim)
+	acc := make([]float64, ix.Len())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix.Accumulate(qv, acc)
+	}
+}
+
+var hitsSink []retrieval.Hit
+
+// BenchmarkTopK measures the exact scan's second pass on its own: selecting
+// the k best of that query's 34,549 scores. B/op is the k hits it returns.
+func BenchmarkTopK(b *testing.B) {
+	ix := datasetsStore(b, storeBenchRows)
+	acc := make([]float64, ix.Len())
+	ix.Accumulate(retrieval.Embed(benchQuery, retrieval.DefaultDim), acc)
+	for _, k := range []int{5, 100} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				hitsSink = ix.SelectTopK(acc, k)
+			}
+		})
 	}
 }

@@ -49,8 +49,9 @@ func FuzzSameNormalized(f *testing.F) {
 // NormalizeRelation to the tokenise-filter-join oracles they replaced, pins
 // that a normal form is its own fixed point and is returned without a copy,
 // and holds the streamed forms — HashAddNormalized to HashAdd of the normal
-// form, CompareNormalized to strings.Compare of two — to the strings they
-// stand for (checkNormalForms). The
+// form, HashAddLower to HashAdd of strings.ToLower, EachContentToken to
+// TokenizeContent, CompareNormalized to strings.Compare of two — to the
+// strings they stand for (checkNormalForms). The
 // seeds are the case-mapping corners FuzzSameNormalized uses, names made only
 // of entity noise, and a ~1 KB chunk text.
 func FuzzNormalForms(f *testing.F) {

@@ -1,6 +1,9 @@
 package textutil
 
-import "strconv"
+import (
+	"strconv"
+	"unicode/utf8"
+)
 
 // FNV-1a, 64 bit (hash/fnv's New64a), written out so hashing a string copies
 // nothing and a key can be hashed in pieces.
@@ -14,6 +17,29 @@ const (
 func HashAdd(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
 		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
+}
+
+// HashAddLower continues the FNV-1a state h over strings.ToLower(s), with the
+// lower-cased copy never built: runes are lower-cased one at a time, invalid
+// bytes reading as U+FFFD, as strings.ToLower rewrites them.
+func HashAddLower(h uint64, s string) uint64 {
+	var enc [utf8.UTFMax]byte
+	for j := 0; j < len(s); {
+		if c := s[j]; c < utf8.RuneSelf {
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			h = (h ^ uint64(c)) * fnvPrime64
+			j++
+			continue
+		}
+		r, w := decodeLower(s[j:])
+		for _, c := range utf8.AppendRune(enc[:0], r) {
+			h = (h ^ uint64(c)) * fnvPrime64
+		}
+		j += w
 	}
 	return h
 }

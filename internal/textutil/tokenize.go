@@ -80,6 +80,40 @@ func CountTokens(s string) int {
 	}
 }
 
+// maxStopwordLen is the byte length of the longest stopword.
+const maxStopwordLen = 4
+
+// EachContentToken calls fn with every token of TokenizeContent(s), in order,
+// and allocates nothing: each token is passed as its span of s, which
+// lower-cases (rune by rune, as strings.ToLower maps it) to the token. A
+// caller hashes a span with HashAddLower. When every token is a stopword,
+// every token is passed, as TokenizeContent returns them all.
+func EachContentToken(s string, fn func(tok string)) {
+	content := false
+	for i := 0; ; {
+		start, end, _, _ := nextToken(s, i)
+		if start == len(s) {
+			break
+		}
+		i = end
+		if tok := s[start:end]; !inLower(stopwords, maxStopwordLen, tok) {
+			content = true
+			fn(tok)
+		}
+	}
+	if content {
+		return
+	}
+	for i := 0; ; {
+		start, end, _, _ := nextToken(s, i)
+		if start == len(s) {
+			return
+		}
+		i = end
+		fn(s[start:end])
+	}
+}
+
 // TokenizeContent is Tokenize followed by stopword removal. If removal would
 // leave nothing (e.g. the value is "The A"), the unfiltered tokens are
 // returned so that callers never receive an empty slice for non-empty input.
@@ -183,9 +217,8 @@ func normalRune(s string, i int) (rune, int) {
 // HashAddNormalized continues the FNV-1a state h over NormalizeValue(s):
 // HashAdd(h, NormalizeValue(s)) with the normal form never built.
 func HashAddNormalized(h uint64, s string) uint64 {
-	var enc [utf8.UTFMax]byte
 	for i, first := 0, true; ; first = false {
-		start, end, _, lower := nextToken(s, i)
+		start, end, _, _ := nextToken(s, i)
 		if start == len(s) {
 			return h
 		}
@@ -193,17 +226,7 @@ func HashAddNormalized(h uint64, s string) uint64 {
 		if !first {
 			h = (h ^ ' ') * fnvPrime64
 		}
-		if lower {
-			h = HashAdd(h, s[start:end])
-			continue
-		}
-		for j := start; j < end; {
-			r, w := lowerRuneAt(s, j)
-			for _, c := range utf8.AppendRune(enc[:0], r) {
-				h = (h ^ uint64(c)) * fnvPrime64
-			}
-			j += w
-		}
+		h = HashAddLower(h, s[start:end])
 	}
 }
 
@@ -429,17 +452,22 @@ func nextToken(s string, i int) (start, end, n int, lower bool) {
 
 // isNoise reports whether token tok lower-cases to an entityNoise word,
 // without building the lower-cased string.
-func isNoise(tok string) bool {
-	var buf [maxNoiseLen]byte
+func isNoise(tok string) bool { return inLower(entityNoise, maxNoiseLen, tok) }
+
+// inLower reports whether tok lower-cases to a word of set, every one of
+// which is ASCII and at most maxLen bytes long, without building the
+// lower-cased string.
+func inLower(set map[string]bool, maxLen int, tok string) bool {
+	var buf [8]byte
 	n := 0
 	for j := 0; j < len(tok); {
 		r, w := lowerRuneAt(tok, j)
-		if r >= utf8.RuneSelf || n == len(buf) {
+		if r >= utf8.RuneSelf || n == maxLen {
 			return false
 		}
 		buf[n] = byte(r)
 		n++
 		j += w
 	}
-	return entityNoise[string(buf[:n])]
+	return set[string(buf[:n])]
 }

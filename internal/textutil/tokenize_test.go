@@ -3,6 +3,7 @@ package textutil
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -195,6 +196,14 @@ func checkNormalForms(t *testing.T, s string) {
 	for _, o := range []string{s, s[:len(s)/2], norm, strings.ToUpper(s), s + " x", "", "a", "delayed", "\u212a"} {
 		checkStreamedPair(t, s, o)
 	}
+	if got, want := HashAddLower(fnvOffset64, s), Hash64(strings.ToLower(s)); got != want {
+		t.Fatalf("HashAddLower(%q) = %#x, Hash64 of %q %#x", s, got, strings.ToLower(s), want)
+	}
+	var content []string
+	EachContentToken(s, func(tok string) { content = append(content, strings.ToLower(tok)) })
+	if want := TokenizeContent(s); !slices.Equal(content, want) {
+		t.Fatalf("EachContentToken(%q) passed %q, TokenizeContent %q", s, content, want)
+	}
 }
 
 // checkStreamedPair holds the streamed comparisons of a and b to the strings
@@ -225,6 +234,7 @@ func TestNormalFormsMatchOracles(t *testing.T) {
 		"The Inc", "the", "flight ca981", "Flight CA981", "STOC\u212a acme", "İnc x", "ca981 ltd",
 		"ca981", "michael mann", "michael  mann", " michael mann", "michael mann ", "michael\tmann",
 		"café", "Ⱥ", "Ⱥ b", "tickers", "ticker", "flights inc",
+		"the of and", "The Lord of the Rings", "THE", "tHe İt", "ıt is", "\u212a of", "as is\xffby",
 	} {
 		checkNormalForms(t, s)
 	}
@@ -286,6 +296,14 @@ func TestNoiseWordsFitScratch(t *testing.T) {
 		if len(w) > maxNoiseLen {
 			t.Fatalf("noise word %q is longer than maxNoiseLen %d", w, maxNoiseLen)
 		}
+	}
+	for w := range stopwords {
+		if len(w) > maxStopwordLen {
+			t.Fatalf("stopword %q is longer than maxStopwordLen %d", w, maxStopwordLen)
+		}
+	}
+	if max(maxNoiseLen, maxStopwordLen) > 8 {
+		t.Fatal("inLower's buffer is 8 bytes")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -76,7 +77,7 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 func (e *Encoder) Len() int { return e.flushed + len(e.buf) }
 
 // scratchKeep is the most a reused scratch buffer — an Encoder across Reset,
-// the Log's frame across Append — holds on to between records. A steady
+// a Tail's read buffer across records — holds on to between records. A steady
 // commit's record is tens of kilobytes; the one record of a bulk load is the
 // size of the corpus, and a buffer that kept growing to fit it would stay
 // live, and count double in the collector's heap goal, for the life of the
@@ -96,6 +97,12 @@ func (e *Encoder) Reset() {
 // well estimated) up front is built in one allocation instead of a doubling
 // series that leaves several times its size in garbage.
 func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
+
+// UvarintSize is how many bytes Uvarint(v) appends.
+func UvarintSize(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// StringSize is how many bytes String(s) appends.
+func StringSize(s string) int { return UvarintSize(uint64(len(s))) + len(s) }
 
 // Uvarint appends an unsigned varint.
 func (e *Encoder) Uvarint(v uint64) {
@@ -138,6 +145,13 @@ func (e *Encoder) String(s string) {
 // Raw appends b verbatim: a field the caller already holds in encoded form.
 func (e *Encoder) Raw(b []byte) {
 	e.buf = append(e.buf, b...)
+	e.spill()
+}
+
+// Append appends what fn appends to the bytes it is given: a field encoded
+// by the caller's own append-style encoder, written in place.
+func (e *Encoder) Append(fn func(b []byte) []byte) {
+	e.buf = fn(e.buf)
 	e.spill()
 }
 

@@ -141,11 +141,11 @@ type Log struct {
 	fs     FS
 	dir    string
 	f      File
-	active string // active segment name
-	next   uint64 // next LSN to assign
-	size   int    // bytes in the active segment
-	frame  []byte // reusable frame buffer, up to scratchKeep
-	err    error  // latched append failure; the log refuses further work
+	active string            // active segment name
+	next   uint64            // next LSN to assign
+	size   int               // bytes in the active segment
+	err    error             // latched append failure; the log refuses further work
+	hdr    [frameHeader]byte // the frame header Append writes before a payload
 }
 
 // OpenLog repairs the log per sr (truncating the torn segment, dropping
@@ -191,7 +191,10 @@ func OpenLog(fsys FS, dir string, sr *ScanResult) (*Log, error) {
 }
 
 // Append durably writes one record and returns its LSN: the frame is written
-// and fsync'd before Append returns nil. On error the record must be treated
+// and fsync'd before Append returns nil. The frame's header and the payload
+// go to the segment as two writes, as a checkpoint's do, so the payload is
+// never copied; a crash between them leaves a torn frame, which recovery
+// truncates like any other. On error the record must be treated
 // as not written — and the log latches failed: after a failed write or fsync
 // the segment's on-disk state is unknowable (the kernel may have dropped the
 // dirty pages and cleared the error, or a complete frame may have landed
@@ -202,13 +205,8 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	if l.err != nil {
 		return 0, l.err
 	}
-	l.frame = appendFrame(l.frame[:0], payload)
-	n := len(l.frame)
-	_, err := l.f.Write(l.frame)
-	if cap(l.frame) > scratchKeep {
-		l.frame = nil
-	}
-	if err != nil {
+	putFrameHeader(&l.hdr, payload)
+	if err := writeAll(l.f, l.hdr[:], payload); err != nil {
 		l.err = fmt.Errorf("wal: append: %w", err)
 		return 0, l.err
 	}
@@ -218,7 +216,7 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	}
 	lsn := l.next
 	l.next++
-	l.size += n
+	l.size += frameHeader + len(payload)
 	return lsn, nil
 }
 

@@ -19,11 +19,11 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// appendFrame appends one framed record to dst.
-func appendFrame(dst, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
-	return append(dst, payload...)
+// putFrameHeader writes the frame header of payload into hdr: its length and
+// its CRC, little-endian.
+func putFrameHeader(hdr *[frameHeader]byte, payload []byte) {
+	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
 }
 
 // parseFrame parses the frame at the start of b: its payload, which aliases
