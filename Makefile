@@ -45,9 +45,12 @@ chaos-cluster:
 # fuzz-smoke runs each committed fuzz target briefly on top of its seed
 # corpus: the WAL frame parser and field decoder — the code recovery walks
 # over whatever a crash left on disk, and replicas' log cursor over the
-# primary's segments — the WAL group record and checkpoint
-# body decoders behind them (and the replica doors that take the same bytes
-# from a peer; format-1 seeds must be rejected), and the JSON-LD parser every adapter output
+# primary's segments; the decoder's front-coded string read is held to an
+# oracle that rebuilds the previous value's prefix plus the suffix — the WAL
+# group record and checkpoint body decoders behind them (and the replica
+# doors that take the same bytes from a peer; seeded with records and bodies
+# in formats 3 and 2, which decode, and format 1, which must be rejected),
+# and the JSON-LD parser every adapter output
 # passes through — plus the allocation-free text primitives held to the forms
 # they replace: SameNormalized / CompareNormalized / SameLower against
 # comparisons of the built strings, Tokenize / NormalizeValue /
@@ -85,9 +88,10 @@ layers:
 # 67,100-triple graph (linear history and re-cloned parent), the first write
 # to a shared column page, one streamed snapshot digest and one replica seeded
 # from that snapshot's checkpoint body (its B/op and allocs/op are the size of
-# one engine copy), and the bulk load a deployment pays at set-up (the
-# datasets presets as one Ingest into a durable system: stage 1 and the commit,
-# split as prepare-ms/op and commit-ms/op) — and the query path's: one exact
+# one engine copy plus the decoder's transient intern table), and the bulk
+# load a deployment pays at set-up (the datasets presets as one Ingest into a
+# durable system: stage 1 and the commit, split as prepare-ms/op and
+# commit-ms/op, and the size of its WAL record as record-bytes) — and the query path's: one exact
 # top-5 search at up to 34,549 rows (dense full-sort reference vs the
 # term-at-a-time scan) and its two passes alone on the datasets store (one
 # query's accumulation over the posting lists, 0 allocs, and the top-k

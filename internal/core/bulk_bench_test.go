@@ -31,15 +31,16 @@ func bulkFiles(b *testing.B) []adapter.RawFile {
 // MemFS — stage 1 (fusion, extraction, chunking, embedding, each file's part
 // of the WAL record) on the worker pool, then the commit (replay, the line
 // graph's delta, the group record and its append). prepare-ms/op and
-// commit-ms/op split ns/op between the two. The background checkpoint is
-// held off, and the final one in Close runs outside the timer. Run with
-// -benchmem, or via `make bench-micro`.
+// commit-ms/op split ns/op between the two; record-bytes is the size of the
+// one WAL record the load writes. The background checkpoint is held off, and
+// the final one in Close runs outside the timer. Run with -benchmem, or via
+// `make bench-micro`.
 func BenchmarkBulkIngest(b *testing.B) {
 	files := bulkFiles(b)
 	cfg := durTestConfig()
 	cfg.CheckpointBytes = 1 << 40
 	var prepare, commit time.Duration
-	chunks := 0
+	chunks, record := 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -62,6 +63,7 @@ func BenchmarkBulkIngest(b *testing.B) {
 		commit += time.Since(mid)
 		chunks = rep.Chunks
 		b.StopTimer()
+		record = len(logRecords(b, s, 0, 1)[0])
 		if err := s.Close(); err != nil {
 			b.Fatal(err)
 		}
@@ -71,4 +73,5 @@ func BenchmarkBulkIngest(b *testing.B) {
 	b.ReportMetric(perOp(prepare), "prepare-ms/op")
 	b.ReportMetric(perOp(commit), "commit-ms/op")
 	b.ReportMetric(float64(chunks), "chunks")
+	b.ReportMetric(float64(record), "record-bytes")
 }

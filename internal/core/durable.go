@@ -29,12 +29,19 @@ import (
 // replays the WAL tail through the same recorder-replay + BuildDelta path the
 // committer runs, and truncates whatever torn frame the crash left behind.
 //
-// Format 2 (snapshotVersion, recordVersion) stores vectors sparse and is the
-// only format read or written. Format 1 stored every vector as a dense row; a
-// checkpoint says which it is in its version field, a record by how it starts
-// — a format-2 record opens with a 0 tag and its version, a format-1 record
-// with its batch count, which is never 0. Anything else is rejected with
-// ErrUnsupportedFormat before recovery writes to the directory.
+// Format 3 (snapshotVersion, recordVersion) is the format written: vectors
+// sparse, the string columns that repeat from row to row front-coded against
+// the previous row (wal.Encoder.Front), and the line graph stored as triple
+// handles only. Format 2 is still read, through the same decoders: its
+// front-coded fields are plain strings (wal.Decoder.SetPlainFront) and its
+// line graph stores keys (linegraph.DecodeSG). A format-2 directory migrates
+// by being opened once: new records are appended in format 3 behind the
+// format-2 ones, and the next checkpoint rewrites the state in format 3.
+// Format 1 stored every vector as a dense row and is no longer read; a
+// checkpoint says which format it is in its version field, a record by how it
+// starts — a record of format 2 or later opens with a 0 tag and its version,
+// a format-1 record with its batch count, which is never 0. Anything else is
+// rejected with ErrUnsupportedFormat before recovery writes to the directory.
 //
 // Not covered: destructive graph mutation outside the logged ingest path (the
 // perturbation harness mutates the served graph in place and calls RebuildSG)
@@ -49,10 +56,12 @@ const (
 )
 
 // snapshotVersion versions the checkpoint body layout; recordVersion versions
-// the WAL group record's.
+// the WAL group record's. plainVersion is the one earlier version of both
+// that is still read: the last before front coding.
 const (
-	snapshotVersion = 2
-	recordVersion   = 2
+	snapshotVersion = 3
+	recordVersion   = 3
+	plainVersion    = 2
 )
 
 // ErrUnsupportedFormat reports a checkpoint body or WAL record in an on-disk
@@ -62,14 +71,32 @@ var ErrUnsupportedFormat = errors.New("core: unsupported on-disk format")
 
 // unsupportedFormat is the error for a checkpoint body or WAL record (what)
 // written in format v. A format-1 directory migrates by being opened once
-// with a release that still reads format 1: its final checkpoint rewrites the
-// state in format 2 and prunes the format-1 files.
+// with a release that reads format 1: its final checkpoint rewrites the state
+// in format 2, which this release reads, and prunes the format-1 files.
 func unsupportedFormat(what string, v uint64) error {
 	if v == 1 {
 		return fmt.Errorf("%w: %s is format 1 (dense vectors); open the directory once with a release that still reads format 1, whose final checkpoint rewrites it in format %d",
-			ErrUnsupportedFormat, what, snapshotVersion)
+			ErrUnsupportedFormat, what, plainVersion)
 	}
 	return fmt.Errorf("%w: %s version %d", ErrUnsupportedFormat, what, v)
+}
+
+// readVersion reads the version a checkpoint body or WAL record (what)
+// opens with, current being the one this release writes, and sets d up to
+// read it: a format-2 payload's front-coded fields are plain strings. It
+// returns the version, or an error wrapping ErrUnsupportedFormat for one this
+// release does not read.
+func readVersion(d *wal.Decoder, what string, current uint64) (uint64, error) {
+	v := d.Uvarint()
+	switch {
+	case d.Err() != nil:
+		return 0, d.Err()
+	case v == plainVersion:
+		d.SetPlainFront()
+	case v != current:
+		return 0, unsupportedFormat(what, v)
+	}
+	return v, nil
 }
 
 // durable is the persistence state of a System opened with Open/OpenFS; nil
@@ -331,8 +358,9 @@ func snapshotBody(sn *snapshot) []byte {
 // decodeSnapshot rebuilds a snapshot from a checkpoint body.
 func (s *System) decodeSnapshot(body []byte) (*snapshot, error) {
 	d := wal.NewDecoder(body)
-	if v := d.Uvarint(); d.Err() == nil && v != snapshotVersion {
-		return nil, unsupportedFormat("checkpoint", v)
+	v, err := readVersion(d, "checkpoint", snapshotVersion)
+	if err != nil {
+		return nil, err
 	}
 	g, err := kg.DecodeGraph(d)
 	if err != nil {
@@ -340,7 +368,7 @@ func (s *System) decodeSnapshot(body []byte) (*snapshot, error) {
 	}
 	var sg *linegraph.SG
 	if d.Bool() {
-		if sg, err = linegraph.DecodeSG(d, g); err != nil {
+		if sg, err = linegraph.DecodeSG(d, g, v == plainVersion); err != nil {
 			return nil, err
 		}
 	}
@@ -362,9 +390,13 @@ func (s *System) decodeSnapshot(body []byte) (*snapshot, error) {
 // The group record: the 0 tag and recordVersion, the count of committed
 // batches, then per batch, in ticket order, its file count and each file's
 // part — its recorded operation stream, then its rendered chunks, each with
-// its vector in stored form. A file's part does not depend on the rest of its
-// group, so stage 1 encodes it (encodeFile) on the worker that prepared the
-// file, and the commit path only concatenates.
+// its vector in stored form. The string fields that repeat from row to row
+// are front-coded (wal.Encoder.Front) against the previous entity, triple or
+// chunk of the same part: an entity's type and domain, a triple's subject,
+// object entity, source, domain, format and chunk, a chunk's ID, document and
+// source. Every part starts from empty values, so a file's part does not
+// depend on the rest of its group: stage 1 encodes it (encodeFile) on the
+// worker that prepared the file, and the commit path only concatenates.
 
 // encodeGroupRecord serializes the committed batches of one commit group, in
 // ticket order, as one WAL record payload: the header, then every batch's
@@ -414,33 +446,39 @@ func encodeFile(rec *extract.Recorder, chunks []retrieval.Chunk, dim int) (part 
 	}
 	defer embedScratches.Put(sc)
 	sc.ops.Reset()
+	var prevTyp, prevDomain string
+	var prev kg.Triple
 	rec.ForEachOp(
 		func(name, typ, domain string) {
 			sc.ops.Bool(true)
 			sc.ops.String(name)
-			sc.ops.String(typ)
-			sc.ops.String(domain)
+			sc.ops.Front(prevTyp, typ)
+			sc.ops.Front(prevDomain, domain)
+			prevTyp, prevDomain = typ, domain
 		},
 		func(t kg.Triple) {
 			sc.ops.Bool(false)
-			sc.ops.String(t.Subject)
+			sc.ops.Front(prev.Subject, t.Subject)
 			sc.ops.String(t.Predicate)
 			sc.ops.String(t.Object)
-			sc.ops.String(t.ObjectEntity)
-			sc.ops.String(t.Source)
-			sc.ops.String(t.Domain)
-			sc.ops.String(t.Format)
-			sc.ops.String(t.ChunkID)
+			sc.ops.Front(prev.ObjectEntity, t.ObjectEntity)
+			sc.ops.Front(prev.Source, t.Source)
+			sc.ops.Front(prev.Domain, t.Domain)
+			sc.ops.Front(prev.Format, t.Format)
+			sc.ops.Front(prev.ChunkID, t.ChunkID)
 			sc.ops.F64(t.Weight)
+			prev = t
 		})
 	sc.stored, sc.ends = sc.stored[:0], sc.ends[:0]
 	size := wal.UvarintSize(uint64(rec.NumOps())) + len(sc.ops.Bytes()) + wal.UvarintSize(uint64(len(chunks)))
+	var pc retrieval.Chunk
 	for j := range chunks {
 		c := &chunks[j]
 		retrieval.EmbedInto(sc.row, c.Text)
 		sc.stored = retrieval.AppendVector(sc.stored, sc.row)
 		sc.ends = append(sc.ends, len(sc.stored))
-		size += wal.StringSize(c.ID) + wal.StringSize(c.DocID) + wal.StringSize(c.Source) + wal.StringSize(c.Text)
+		size += wal.FrontSize(pc.ID, c.ID) + wal.FrontSize(pc.DocID, c.DocID) + wal.FrontSize(pc.Source, c.Source) + wal.StringSize(c.Text)
+		pc = *c
 	}
 	size += len(sc.stored)
 
@@ -451,12 +489,14 @@ func encodeFile(rec *extract.Recorder, chunks []retrieval.Chunk, dim int) (part 
 	e.Int(len(chunks))
 	vecs = make([][]byte, len(chunks))
 	start := 0
+	pc = retrieval.Chunk{}
 	for j := range chunks {
 		c := &chunks[j]
-		e.String(c.ID)
-		e.String(c.DocID)
-		e.String(c.Source)
+		e.Front(pc.ID, c.ID)
+		e.Front(pc.DocID, c.DocID)
+		e.Front(pc.Source, c.Source)
 		e.String(c.Text)
+		pc = *c
 		from := e.Len()
 		e.Raw(sc.stored[start:sc.ends[j]])
 		start = sc.ends[j]
@@ -465,26 +505,28 @@ func encodeFile(rec *extract.Recorder, chunks []retrieval.Chunk, dim int) (part 
 	return e.Bytes(), vecs
 }
 
-// minStoredChunk is the fewest bytes a chunk takes in a record: four string
-// lengths and the vector's two counts.
-const minStoredChunk = 6
+// minStoredChunk is the fewest bytes a chunk takes in a record: three
+// front-coded fields (a prefix length and a suffix length each), the text's
+// length and the vector's two counts.
+const minStoredChunk = 9
 
 // decodeGroupRecord rebuilds a commit group's batches from a WAL record
-// payload. The op streams are fed back through a fresh Recorder's
-// AddEntity/AddTriple — the same validation the original extraction passed —
-// and every embedding is checked by CheckVector against the store width, so
-// a record that somehow decodes but violates an invariant errors instead of
-// panicking downstream. Each vector stays in the payload (fileWork.vecs are
-// views of it). The string fields that repeat across rows are interned
-// (wal.Decoder.Interned). Every count is trusted for a preallocation only as
-// far as the bytes left could back it.
+// payload, of this release's format or format 2. The op streams are fed back
+// through a fresh Recorder's AddEntity/AddTriple — the same validation the
+// original extraction passed — and every embedding is checked by CheckVector
+// against the store width, so a record that somehow decodes but violates an
+// invariant errors instead of panicking downstream. Each vector stays in the
+// payload (fileWork.vecs are views of it). The string fields that repeat
+// across rows — the front-coded ones, a triple's predicate and object — are
+// interned (wal.Decoder.Front, Interned). Every count is trusted for a
+// preallocation only as far as the bytes left could back it.
 func decodeGroupRecord(payload []byte, dim int) ([][]fileWork, error) {
 	d := wal.NewDecoder(payload)
 	if tag := d.Int(); d.Err() == nil && tag != 0 {
 		return nil, unsupportedFormat("WAL record", 1) // format 1 opens with its batch count
 	}
-	if v := d.Uvarint(); d.Err() == nil && v != recordVersion {
-		return nil, unsupportedFormat("WAL record", v)
+	if _, err := readVersion(d, "WAL record", recordVersion); err != nil {
+		return nil, err
 	}
 	nb := d.Int()
 	batches := make([][]fileWork, 0, min(nb, d.Remaining()))
@@ -493,21 +535,26 @@ func decodeGroupRecord(payload []byte, dim int) ([][]fileWork, error) {
 		files := make([]fileWork, 0, min(nf, d.Remaining()))
 		for j := 0; j < nf && d.Err() == nil; j++ {
 			rec := extract.NewRecorder()
+			var prevTyp, prevDomain string
+			var prev kg.Triple
 			nOps := d.Int()
 			for k := 0; k < nOps && d.Err() == nil; k++ {
 				if d.Bool() {
-					rec.AddEntity(d.String(), d.Interned(), d.Interned())
+					name := d.String()
+					prevTyp = d.Front(prevTyp)
+					prevDomain = d.Front(prevDomain)
+					rec.AddEntity(name, prevTyp, prevDomain)
 					continue
 				}
 				t := kg.Triple{
-					Subject:      d.Interned(),
+					Subject:      d.Front(prev.Subject),
 					Predicate:    d.Interned(),
 					Object:       d.Interned(),
-					ObjectEntity: d.Interned(),
-					Source:       d.Interned(),
-					Domain:       d.Interned(),
-					Format:       d.Interned(),
-					ChunkID:      d.Interned(),
+					ObjectEntity: d.Front(prev.ObjectEntity),
+					Source:       d.Front(prev.Source),
+					Domain:       d.Front(prev.Domain),
+					Format:       d.Front(prev.Format),
+					ChunkID:      d.Front(prev.ChunkID),
 					Weight:       d.F64(),
 				}
 				if d.Err() != nil {
@@ -516,14 +563,17 @@ func decodeGroupRecord(payload []byte, dim int) ([][]fileWork, error) {
 				if _, err := rec.AddTriple(t); err != nil {
 					return nil, err
 				}
+				prev = t
 			}
 			f := fileWork{rec: rec}
 			nChunks := d.Int()
 			hint := min(nChunks, d.Remaining()/minStoredChunk)
 			f.chunks = make([]retrieval.Chunk, 0, hint)
 			f.vecs = make([][]byte, 0, hint)
+			var pc retrieval.Chunk
 			for k := 0; k < nChunks && d.Err() == nil; k++ {
-				c := retrieval.Chunk{ID: d.String(), DocID: d.Interned(), Source: d.Interned(), Text: d.String()}
+				c := retrieval.Chunk{ID: d.Front(pc.ID), DocID: d.Front(pc.DocID), Source: d.Front(pc.Source), Text: d.String()}
+				pc = c
 				from := len(payload) - d.Remaining()
 				retrieval.CheckVector(d, dim)
 				if d.Err() != nil {

@@ -58,18 +58,22 @@ func format1Batches() [][]adapter.RawFile {
 const format1Dir = "testdata/format1"
 
 // format2Dir is a data directory written by the first format-2 release:
-// checkpoint-…2.ckpt covering format2Batches()[:2] and wal-…2.log holding
+// checkpoint-…2.ckpt covering formatBatches()[:2] and wal-…2.log holding
 // the multi-file third batch, as a crash would leave them. The files those
 // batches ingest are in its src directory.
 const format2Dir = "testdata/format2"
 
-// format2Digest is the snapshot digest the writing release computed for
-// format2Dir reopened.
-const format2Digest = 0x7928402af37e5682
+// format3Dir is the same directory written by the first format-3 release,
+// from the same files by the same procedure (writeFormat).
+const format3Dir = "testdata/format3"
 
-// format2Batches reads the ingest history behind format2Dir: two commits
-// before the checkpoint, then one commit of three files.
-func format2Batches(t testing.TB) [][]adapter.RawFile {
+// format3Digest is the snapshot digest the first format-3 release computed
+// for format3Dir reopened.
+const format3Digest = 0x718344dcba09db09
+
+// formatBatches reads the ingest history behind format2Dir and format3Dir:
+// two commits before the checkpoint, then one commit of three files.
+func formatBatches(t testing.TB) [][]adapter.RawFile {
 	t.Helper()
 	type file struct{ domain, source, name, format string }
 	batches := [][]file{
@@ -91,16 +95,17 @@ func format2Batches(t testing.TB) [][]adapter.RawFile {
 	return out
 }
 
-// writeFormat2 ingests format2Batches into a fresh directory the way
-// format2Dir was written and returns the still-open system: the first two
-// batches, a checkpoint, the third batch.
-func writeFormat2(t testing.TB, dir string) *System {
+// writeFormat ingests formatBatches into a fresh directory the way
+// format2Dir and format3Dir were written and returns the still-open system:
+// the first two batches, a checkpoint, the third batch. The fixture is the
+// directory's files copied before Close.
+func writeFormat(t testing.TB, dir string) *System {
 	t.Helper()
 	s, _, err := Open(dir, format1Config())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, b := range format2Batches(t) {
+	for i, b := range formatBatches(t) {
 		if i == 2 {
 			if err := s.Checkpoint(); err != nil {
 				t.Fatal(err)
@@ -201,13 +206,13 @@ func TestOpenFormat1Directory(t *testing.T) {
 	}
 }
 
-// TestFormat2Bytes pins format 2 byte for byte: re-ingesting the files behind
-// format2Dir into a fresh directory writes exactly the checkpoint and WAL
-// segment the first format-2 release wrote, and the fixture reopens to the
+// TestFormat3Bytes pins format 3 byte for byte: re-ingesting the files behind
+// format3Dir into a fresh directory writes exactly the checkpoint and WAL
+// segment the first format-3 release wrote, and the fixture reopens to the
 // snapshot digest that release computed.
-func TestFormat2Bytes(t *testing.T) {
+func TestFormat3Bytes(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "data")
-	s := writeFormat2(t, dir)
+	s := writeFormat(t, dir)
 	defer s.Close()
 	written, err := os.ReadDir(dir)
 	if err != nil {
@@ -225,7 +230,7 @@ func TestFormat2Bytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := os.ReadFile(filepath.Join(format2Dir, name))
+		want, err := os.ReadFile(filepath.Join(format3Dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,26 +238,99 @@ func TestFormat2Bytes(t *testing.T) {
 			t.Errorf("%s differs from the fixture (%d bytes, fixture %d)", name, len(got), len(want))
 		}
 	}
-	if d := s.SnapshotDigest(); d != format2Digest {
-		t.Errorf("re-ingested snapshot digest %#016x, want %#016x", d, uint64(format2Digest))
+	if d := s.SnapshotDigest(); d != format3Digest {
+		t.Errorf("re-ingested snapshot digest %#016x, want %#016x", d, uint64(format3Digest))
 	}
 
-	fixture := filepath.Join(t.TempDir(), "fixture")
-	if err := os.CopyFS(fixture, os.DirFS(format2Dir)); err != nil {
-		t.Fatal(err)
-	}
-	r, info, err := Open(fixture, format1Config())
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
+	r, info := openCopy(t, format3Dir)
 	defer r.Close()
 	if *info != (RecoveryInfo{CheckpointLSN: 2, RecordsReplayed: 1}) {
 		t.Fatalf("recovery info %+v, want the checkpoint at LSN 2 and 1 replayed record", *info)
 	}
-	if d := r.SnapshotDigest(); d != format2Digest {
-		t.Fatalf("reopened fixture digest %#016x, want %#016x", d, uint64(format2Digest))
+	if d := r.SnapshotDigest(); d != format3Digest {
+		t.Fatalf("reopened fixture digest %#016x, want %#016x", d, uint64(format3Digest))
 	}
 	requireAnswer(t, r, "What is the status of CA981?", "Delayed")
+}
+
+// openCopy opens a private copy of the data directory src.
+func openCopy(t *testing.T, src string) (*System, *RecoveryInfo) {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "data")
+	if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
+		t.Fatal(err)
+	}
+	s, info, err := Open(dir, format1Config())
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	return s, info
+}
+
+// TestOpenFormat2Directory is the migration path from format 2. The format-2
+// fixture, left byte for byte as the format-2 release wrote it, opens with its
+// one record replayed to the digest of the same files ingested fresh. A
+// commit on top appends a format-3 record behind the format-2 one in the same
+// segment; a copy of that mixed directory taken before Close reopens to the
+// same digest; and Close rewrites the state as a format-3 checkpoint.
+func TestOpenFormat2Directory(t *testing.T) {
+	fresh := writeFormat(t, filepath.Join(t.TempDir(), "fresh"))
+	freshDigest := fresh.SnapshotDigest()
+	if err := fresh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, info := openCopy(t, format2Dir)
+	defer s.Close()
+	if *info != (RecoveryInfo{CheckpointLSN: 2, RecordsReplayed: 1}) {
+		t.Fatalf("recovery info %+v, want the checkpoint at LSN 2 and 1 replayed record", *info)
+	}
+	if d := s.SnapshotDigest(); d != freshDigest {
+		t.Fatalf("format-2 fixture reopened to digest %#016x, the files ingested fresh %#016x", d, freshDigest)
+	}
+	requireAnswer(t, s, "What is the status of CA981?", "Delayed")
+
+	if _, err := s.Ingest(format1Batches()[3]); err != nil {
+		t.Fatal(err)
+	}
+	dir := s.dur.dir
+	sr, err := wal.Scan(wal.OSFS{}, dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var versions []byte
+	for _, rec := range sr.Records {
+		versions = append(versions, rec[1]) // after the 0 tag
+	}
+	if !bytes.Equal(versions, []byte{plainVersion, recordVersion}) {
+		t.Fatalf("segment holds records of versions %v, want a format-2 record then a format-3 one", versions)
+	}
+	want := s.SnapshotDigest()
+	mixed, info := openCopy(t, dir)
+	if info.RecordsReplayed != 2 {
+		t.Fatalf("the mixed copy replayed %d records, want 2", info.RecordsReplayed)
+	}
+	if d := mixed.SnapshotDigest(); d != want {
+		t.Fatalf("mixed copy reopened to digest %#016x, the directory it was copied from %#016x", d, want)
+	}
+	if err := mixed.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	body, lsn, err := wal.LoadCheckpoint(wal.OSFS{}, dir)
+	if err != nil || body == nil || lsn != 4 {
+		t.Fatalf("checkpoint after Close: LSN %d, %v", lsn, err)
+	}
+	if body[0] != snapshotVersion {
+		t.Fatalf("Close wrote a version-%d checkpoint, want %d", body[0], snapshotVersion)
+	}
+	r, info := openCopy(t, dir)
+	defer r.Close()
+	if info.RecordsReplayed != 0 || r.SnapshotDigest() != want {
+		t.Fatalf("reopened after Close: %+v, digest %#016x, want %#016x", *info, r.SnapshotDigest(), want)
+	}
 }
 
 // TestDecodedSnapshotSharesStrings: a snapshot decoded from a checkpoint body
@@ -260,7 +338,7 @@ func TestFormat2Bytes(t *testing.T) {
 // source share their Source bytes, the chunks of one document their DocID.
 func TestDecodedSnapshotSharesStrings(t *testing.T) {
 	s := NewSystem(format1Config())
-	for i, b := range format2Batches(t) {
+	for i, b := range formatBatches(t) {
 		if _, err := s.Ingest(b); err != nil {
 			t.Fatalf("ingest batch %d: %v", i, err)
 		}
@@ -295,28 +373,36 @@ func TestDecodedSnapshotSharesStrings(t *testing.T) {
 }
 
 // unbackedCounts are payloads whose counts no bytes back: a record opening
-// with 2³¹-1 batches the way format 1 did (5 bytes), format-2 records claiming
-// as many batches or files, and a line-graph body with one node of 2³¹-1
-// members (7 bytes).
+// with 2³¹-1 batches the way format 1 did (5 bytes), records of formats 2 and
+// 3 claiming as many batches or files, and line-graph bodies with one node of
+// 2³¹-1 members in either layout (6 and 7 bytes).
 // Sizing a preallocation by any of these counts asks the runtime for tens of
 // gigabytes and ends the process.
 var (
 	unbackedRecords = [][]byte{
 		binary.AppendUvarint(nil, 1<<31-1),
+		binary.AppendUvarint([]byte{0, plainVersion}, 1<<31-1),
+		binary.AppendUvarint([]byte{0, plainVersion, 1}, 1<<31-1),
 		binary.AppendUvarint([]byte{0, recordVersion}, 1<<31-1),
 		binary.AppendUvarint([]byte{0, recordVersion, 1}, 1<<31-1),
 	}
-	unbackedSG = binary.AppendUvarint([]byte{1, 0}, 1<<31-1)
+	unbackedSG      = binary.AppendUvarint([]byte{1}, 1<<31-1)
+	unbackedKeyedSG = binary.AppendUvarint([]byte{1, 0}, 1<<31-1) // format 2: an empty key first
 )
 
-// unbackedCheckpoint is a checkpoint body around unbackedSG: an empty graph,
-// then the line graph with the unbacked member count.
-func unbackedCheckpoint() []byte {
+// unbackedCheckpoint is a checkpoint body of version v around sg: an empty
+// graph, then the line graph with the unbacked member count.
+func unbackedCheckpoint(v uint64, sg []byte) []byte {
 	var e wal.Encoder
-	e.Uvarint(snapshotVersion)
-	kg.New().EncodeTo(&e)
+	e.Uvarint(v)
+	kg.New().EncodeTo(&e) // an empty graph encodes the same in formats 2 and 3
 	e.Bool(true)
-	return append(e.Bytes(), unbackedSG...)
+	return append(e.Bytes(), sg...)
+}
+
+// unbackedCheckpoints are unbackedCheckpoint in formats 2 and 3.
+func unbackedCheckpoints() [][]byte {
+	return [][]byte{unbackedCheckpoint(plainVersion, unbackedKeyedSG), unbackedCheckpoint(snapshotVersion, unbackedSG)}
 }
 
 // TestDecodeRejectsUnbackedCounts: a count the payload cannot back is an
@@ -332,21 +418,27 @@ func TestDecodeRejectsUnbackedCounts(t *testing.T) {
 			t.Errorf("record %d: ReplicaApply accepted %x", i, rec)
 		}
 	}
-	if _, err := linegraph.DecodeSG(wal.NewDecoder(unbackedSG), kg.New()); err == nil {
+	if _, err := linegraph.DecodeSG(wal.NewDecoder(unbackedSG), kg.New(), false); err == nil {
 		t.Errorf("DecodeSG accepted %x", unbackedSG)
 	}
-	// The body is in the current format, so the error comes from DecodeSG, not
-	// from the version check in front of it.
-	if err := NewSystem(format1Config()).SeedReplica(unbackedCheckpoint(), 0); err == nil || errors.Is(err, ErrUnsupportedFormat) {
-		t.Errorf("SeedReplica on a body with an unbacked member count: %v", err)
+	if _, err := linegraph.DecodeSG(wal.NewDecoder(unbackedKeyedSG), kg.New(), true); err == nil {
+		t.Errorf("DecodeSG accepted keyed %x", unbackedKeyedSG)
+	}
+	// The bodies are in formats this release reads, so the error comes from
+	// DecodeSG, not from the version check in front of it.
+	for _, body := range unbackedCheckpoints() {
+		if err := NewSystem(format1Config()).SeedReplica(body, 0); err == nil || errors.Is(err, ErrUnsupportedFormat) {
+			t.Errorf("SeedReplica on a version-%d body with an unbacked member count: %v", body[0], err)
+		}
 	}
 }
 
 // FuzzRecoveredPayload feeds arbitrary bytes to the two decoders recovery and
 // replication run over bytes from disk or a peer — the WAL group record and
 // the checkpoint body — and to the replica doors in front of them. The seeds
-// include a format-1 record and checkpoint body (and the format1-nan-weight
-// corpus entry), which must be rejected. Any input may be rejected; none may
+// are a record and a checkpoint body in each of formats 3 and 2, which
+// decode, and in format 1 (with the format1-nan-weight corpus entry), which
+// must be rejected. Any input may be rejected; none may
 // crash, and a record that decodes must hold one stored vector per chunk, each
 // of the store's width.
 func FuzzRecoveredPayload(f *testing.F) {
@@ -358,8 +450,18 @@ func FuzzRecoveredPayload(f *testing.F) {
 	if _, err := primary.Ingest(format1Batches()[3]); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(logRecords(f, primary, 0, 1)[0])  // format-2 record
-	f.Add(primary.ServingHandle().Encode()) // format-2 checkpoint body
+	f.Add(logRecords(f, primary, 0, 1)[0])  // format-3 record
+	f.Add(primary.ServingHandle().Encode()) // format-3 checkpoint body
+	sr2, err := wal.Scan(wal.OSFS{}, format2Dir, 2)
+	if err != nil || len(sr2.Records) == 0 {
+		f.Fatalf("format-2 records: %v", err)
+	}
+	f.Add(sr2.Records[0]) // format-2 record
+	body2, _, err := wal.LoadCheckpoint(wal.OSFS{}, format2Dir)
+	if err != nil || body2 == nil {
+		f.Fatalf("format-2 checkpoint: %v", err)
+	}
+	f.Add(body2) // format-2 checkpoint body
 	sr, err := wal.Scan(wal.OSFS{}, format1Dir, 3)
 	if err != nil || len(sr.Records) == 0 {
 		f.Fatalf("format-1 records: %v", err)
@@ -373,7 +475,9 @@ func FuzzRecoveredPayload(f *testing.F) {
 	for _, rec := range unbackedRecords {
 		f.Add(rec)
 	}
-	f.Add(unbackedCheckpoint())
+	for _, body := range unbackedCheckpoints() {
+		f.Add(body)
+	}
 
 	cfg := format1Config()
 	f.Fuzz(func(t *testing.T, payload []byte) {

@@ -78,7 +78,7 @@ func requireSameGraph(t *testing.T, got, want *System) {
 func TestPreparedVectorsStoredForm(t *testing.T) {
 	s := NewSystem(format1Config())
 	p := &prepared{}
-	s.prepare(p, format2Batches(t)[1]) // alerts.txt: one document, two chunks
+	s.prepare(p, formatBatches(t)[1]) // alerts.txt: one document, two chunks
 	if p.err != nil {
 		t.Fatal(p.err)
 	}

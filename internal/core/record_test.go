@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -25,7 +26,8 @@ type opStreamer interface {
 // oracleEncodeGroupRecord is encodeGroupRecord as it was written before the
 // record's file parts moved into stage 1: the whole record encoded field by
 // field under the commit lock, every recorder walked twice through its op
-// stream.
+// stream. It writes format 3: the repeating columns front-coded against the
+// previous row of the same file.
 func oracleEncodeGroupRecord(e *wal.Encoder, committed []*prepared) error {
 	e.Int(0)
 	e.Uvarint(recordVersion)
@@ -43,33 +45,39 @@ func oracleEncodeGroupRecord(e *wal.Encoder, committed []*prepared) error {
 				func(string, string, string) { n++ },
 				func(kg.Triple) { n++ })
 			e.Int(n)
+			var prevEnt [2]string
+			var prev kg.Triple
 			str.ForEachOp(
 				func(name, typ, domain string) {
 					e.Bool(true)
 					e.String(name)
-					e.String(typ)
-					e.String(domain)
+					e.Front(prevEnt[0], typ)
+					e.Front(prevEnt[1], domain)
+					prevEnt = [2]string{typ, domain}
 				},
 				func(t kg.Triple) {
 					e.Bool(false)
-					e.String(t.Subject)
+					e.Front(prev.Subject, t.Subject)
 					e.String(t.Predicate)
 					e.String(t.Object)
-					e.String(t.ObjectEntity)
-					e.String(t.Source)
-					e.String(t.Domain)
-					e.String(t.Format)
-					e.String(t.ChunkID)
+					e.Front(prev.ObjectEntity, t.ObjectEntity)
+					e.Front(prev.Source, t.Source)
+					e.Front(prev.Domain, t.Domain)
+					e.Front(prev.Format, t.Format)
+					e.Front(prev.ChunkID, t.ChunkID)
 					e.F64(t.Weight)
+					prev = t
 				})
 			e.Int(len(w.chunks))
+			var pc retrieval.Chunk
 			for j := range w.chunks {
 				c := &w.chunks[j]
-				e.String(c.ID)
-				e.String(c.DocID)
-				e.String(c.Source)
+				e.Front(pc.ID, c.ID)
+				e.Front(pc.DocID, c.DocID)
+				e.Front(pc.Source, c.Source)
 				e.String(c.Text)
 				e.Raw(w.vecs[j])
+				pc = *c
 			}
 		}
 	}
@@ -151,7 +159,13 @@ func TestGroupRecordMatchesOracle(t *testing.T) {
 				continue
 			}
 			for i := range p.work {
-				if w := &p.work[i]; len(w.chunks) == 0 {
+				w := &p.work[i]
+				// Sized exactly up front: a buffer of len(part) bytes, not one
+				// regrown by appends or sized by an estimate.
+				if want := cap(slices.Grow([]byte(nil), len(w.part))); cap(w.part) != want {
+					t.Fatalf("round %d: a %d-byte part in a %d-byte buffer, want %d", round, len(w.part), cap(w.part), want)
+				}
+				if len(w.chunks) == 0 {
 					ops := 0
 					w.rec.(opStreamer).ForEachOp(func(string, string, string) { ops++ }, func(kg.Triple) { ops++ })
 					if ops == 0 {

@@ -354,7 +354,7 @@ func digestBytes(b []byte) uint64 {
 func TestStreamedDigestEqualsDigestOfEncode(t *testing.T) {
 	s := NewSystem(durTestConfig())
 	rng := rand.New(rand.NewSource(4))
-	for step := 0; step <= 48; step++ {
+	for step := 0; step <= 64; step++ {
 		h := s.ServingHandle()
 		body := h.Encode()
 		if !bytes.Equal(body, snapBytes(s)) {

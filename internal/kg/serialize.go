@@ -16,11 +16,16 @@ import (
 // same bytes. Removed triples keep their slots (handles are never reused), so
 // triple IDs assigned after recovery continue the original sequence.
 //
-// Decoding reads the fields whose values repeat across rows — an entity's
-// Type and Domain, a triple's Object, ObjectEntity, Source, Domain, Format
-// and ChunkID — through the decoder's intern table (wal.Decoder.Interned), so
-// a decoded graph holds one copy of each distinct value where the encoded
-// bytes hold one per row.
+// The columns whose values repeat or share a stem from one row to the next —
+// an entity's Type and Domain, a triple's ObjectEntity, Source, Domain,
+// Format and ChunkID — are front-coded against the same column's value in the
+// previous entity or live triple (wal.Encoder.Front), so a run of one source's
+// triples costs a byte or two per field instead of the whole value. Decoding
+// reads them, and a triple's Object, through the decoder's intern table, so a
+// decoded graph holds one copy of each distinct value where the encoded
+// bytes hold one per row. A payload written before front coding holds the
+// same fields as plain strings; the caller reads it with the same decoder
+// set to wal.Decoder.SetPlainFront.
 //
 // Derivable fields are not stored: a triple's ID comes from its handle, its
 // Subject from the subject entity handle and its Predicate from the predicate
@@ -31,15 +36,18 @@ import (
 // EncodeTo serializes the graph into e.
 func (g *Graph) EncodeTo(e *wal.Encoder) {
 	e.Int(g.ents.len())
+	prevEnt := &Entity{}
 	g.ents.forEach(func(_ int32, ent *Entity) {
 		e.String(ent.ID)
 		e.String(ent.Name)
-		e.String(ent.Type)
-		e.String(ent.Domain)
+		e.Front(prevEnt.Type, ent.Type)
+		e.Front(prevEnt.Domain, ent.Domain)
+		prevEnt = ent
 	})
 	e.Int(g.preds.len())
 	g.preds.forEach(func(_ int32, p string) { e.String(p) })
 	e.Int(g.trs.len())
+	prev := &Triple{}
 	g.trs.forEach(func(h int32, t *Triple) {
 		e.Bool(t != nil)
 		e.Int(int(g.tSubj.get(h)))
@@ -47,12 +55,13 @@ func (g *Graph) EncodeTo(e *wal.Encoder) {
 		e.Int(int(g.tPred.get(h)))
 		if t != nil {
 			e.String(t.Object)
-			e.String(t.ObjectEntity)
-			e.String(t.Source)
-			e.String(t.Domain)
-			e.String(t.Format)
-			e.String(t.ChunkID)
+			e.Front(prev.ObjectEntity, t.ObjectEntity)
+			e.Front(prev.Source, t.Source)
+			e.Front(prev.Domain, t.Domain)
+			e.Front(prev.Format, t.Format)
+			e.Front(prev.ChunkID, t.ChunkID)
 			e.F64(t.Weight)
+			prev = t
 		}
 	})
 }
@@ -63,8 +72,12 @@ func (g *Graph) EncodeTo(e *wal.Encoder) {
 func DecodeGraph(d *wal.Decoder) (*Graph, error) {
 	g := New()
 	nEnts := d.Int()
+	prevEnt := &Entity{}
 	for i := 0; i < nEnts && d.Err() == nil; i++ {
-		ent := &Entity{ID: d.String(), Name: d.String(), Type: d.Interned(), Domain: d.Interned()}
+		ent := &Entity{ID: d.String(), Name: d.String()}
+		ent.Type = d.Front(prevEnt.Type)
+		ent.Domain = d.Front(prevEnt.Domain)
+		prevEnt = ent
 		h := g.ents.append(ent)
 		g.entLookup.put(ent.ID, h)
 	}
@@ -75,6 +88,7 @@ func DecodeGraph(d *wal.Decoder) (*Graph, error) {
 		g.predLookup.put(p, h)
 	}
 	slots := d.Int()
+	prev := &Triple{}
 	for i := 0; i < slots && d.Err() == nil; i++ {
 		live := d.Bool()
 		subjH := int32(d.Int())
@@ -99,13 +113,14 @@ func DecodeGraph(d *wal.Decoder) (*Graph, error) {
 			Subject:      g.ents.get(subjH).ID,
 			Predicate:    g.preds.get(predH),
 			Object:       d.Interned(),
-			ObjectEntity: d.Interned(),
-			Source:       d.Interned(),
-			Domain:       d.Interned(),
-			Format:       d.Interned(),
-			ChunkID:      d.Interned(),
+			ObjectEntity: d.Front(prev.ObjectEntity),
+			Source:       d.Front(prev.Source),
+			Domain:       d.Front(prev.Domain),
+			Format:       d.Front(prev.Format),
+			ChunkID:      d.Front(prev.ChunkID),
 			Weight:       d.F64(),
 		}
+		prev = t
 		h := g.trs.append(t)
 		g.tSubj.append(subjH)
 		g.tObj.append(objH)

@@ -11,7 +11,10 @@ import (
 
 // Checkpoint serialization of the retrieval store: the embedding width, the
 // chunk count, then every chunk with its stored vector in the store's
-// deterministic enumeration order. Decoding posts each row's weights from
+// deterministic enumeration order. A chunk's ID, DocID and Source are
+// front-coded against the previous chunk's (wal.Encoder.Front): consecutive
+// chunks of one document share all but the tail of their ID and all of the
+// other two. Decoding posts each row's weights from
 // its stored bytes into a caller-supplied empty index, which rebuilds the
 // posting lists; only the irreducible chunk+vector data hits the wire.
 //
@@ -20,8 +23,9 @@ import (
 // 1,026 of a dense row.
 
 // minStoredChunk is the fewest bytes a chunk takes in a store's encoding:
-// four string lengths and its vector's two counts.
-const minStoredChunk = 6
+// three front-coded fields (a prefix length and a suffix length each), its
+// text's length and its vector's two counts.
+const minStoredChunk = 9
 
 // EncodeVector appends v's stored form (AppendVector) to e.
 func EncodeVector(e *wal.Encoder, v Vector) {
@@ -119,12 +123,14 @@ func CheckVector(d *wal.Decoder, dim int) {
 func EncodeStore(e *wal.Encoder, s Store) {
 	e.Int(s.Dim())
 	e.Int(s.Len())
+	var prev Chunk
 	s.ForEachEmbedded(func(c Chunk, v Vector) {
-		e.String(c.ID)
-		e.String(c.DocID)
-		e.String(c.Source)
+		e.Front(prev.ID, c.ID)
+		e.Front(prev.DocID, c.DocID)
+		e.Front(prev.Source, c.Source)
 		e.String(c.Text)
 		EncodeVector(e, v)
+		prev = c
 	})
 }
 
@@ -133,8 +139,10 @@ func EncodeStore(e *wal.Encoder, s Store) {
 // is sized once from the encoded row count, trusted only as far as the bytes
 // left could back it, and each row's weights are posted straight from the
 // stored bytes, with DecodeVector's checks: no dense row is built. A chunk's
-// DocID and Source, shared by every chunk of one document, are read through
-// d's intern table. On error ix is left empty.
+// front-coded fields are read through d's intern table (wal.Decoder.Front),
+// so the chunks of one document share their DocID and Source, and a DocID
+// shares the copy of the same document a triple's ChunkID decoded earlier in
+// the same body. On error ix is left empty.
 func DecodeIntoStore(d *wal.Decoder, ix *Index) error {
 	dim := d.Int()
 	n := d.Int()
@@ -149,8 +157,10 @@ func DecodeIntoStore(d *wal.Decoder, ix *Index) error {
 	}
 	ix.chunks = make([]Chunk, 0, min(n, d.Remaining()/minStoredChunk))
 	var stack [DefaultDim]weight // spills only past DefaultDim
+	var prev Chunk
 	for i := 0; i < n; i++ {
-		c := Chunk{ID: d.String(), DocID: d.Interned(), Source: d.Interned(), Text: d.String()}
+		c := Chunk{ID: d.Front(prev.ID), DocID: d.Front(prev.DocID), Source: d.Front(prev.Source), Text: d.String()}
+		prev = c
 		nz := readVector(d, dim, stack[:0])
 		if d.Err() != nil {
 			break

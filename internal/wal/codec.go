@@ -104,6 +104,23 @@ func UvarintSize(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 // StringSize is how many bytes String(s) appends.
 func StringSize(s string) int { return UvarintSize(uint64(len(s))) + len(s) }
 
+// FrontSize is how many bytes Front(prev, s) appends.
+func FrontSize(prev, s string) int {
+	l := commonPrefix(prev, s)
+	return UvarintSize(uint64(l)) + StringSize(s[l:])
+}
+
+// commonPrefix is the length of the longest common prefix of a and b.
+func commonPrefix(a, b string) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
+}
+
 // Uvarint appends an unsigned varint.
 func (e *Encoder) Uvarint(v uint64) {
 	e.buf = binary.AppendUvarint(e.buf, v)
@@ -140,6 +157,18 @@ func (e *Encoder) String(s string) {
 	e.Uvarint(uint64(len(s)))
 	e.buf = append(e.buf, s...)
 	e.spill()
+}
+
+// Front appends s front-coded against prev, the value the same column held
+// in the previous row: the length of their common prefix as a uvarint, then
+// the rest of s as String does. A column whose rows repeat or share a stem
+// (a source, a document ID, a chunk ID) then costs a byte or two per row
+// instead of its whole value. Decoder.Front reads it back given the same
+// prev.
+func (e *Encoder) Front(prev, s string) {
+	l := commonPrefix(prev, s)
+	e.Uvarint(uint64(l))
+	e.String(s[l:])
 }
 
 // Raw appends b verbatim: a field the caller already holds in encoded form.
@@ -183,7 +212,9 @@ type Decoder struct {
 	b    []byte
 	off  int
 	err  error
-	strs map[string]string // Interned's table, made on first use
+	strs map[string]string // Interned's and Front's table, made on first use
+	// plain makes Front read a field with no prefix length (SetPlainFront).
+	plain bool
 }
 
 // NewDecoder returns a decoder over b. The decoder aliases b; callers must
@@ -303,8 +334,10 @@ func (d *Decoder) String() string { return string(d.stringBytes()) }
 // this decoder has read through Interned before. Decoders read the fields
 // that repeat across rows (a triple's source, a chunk's document) through it,
 // so decoded state holds each such value once instead of once per row.
-func (d *Decoder) Interned() string {
-	b := d.stringBytes()
+func (d *Decoder) Interned() string { return d.intern(d.stringBytes()) }
+
+// intern returns the table's copy of b, adding one if b is new.
+func (d *Decoder) intern(b []byte) string {
 	if s, ok := d.strs[string(b)]; ok || len(b) == 0 {
 		return s
 	}
@@ -314,6 +347,43 @@ func (d *Decoder) Interned() string {
 	}
 	d.strs[s] = s
 	return s
+}
+
+// SetPlainFront makes every later Front read a field as a plain String: a
+// front-coded one whose prefix length is an implied 0. It is how the one
+// decoder of a section reads a payload written before its columns were
+// front-coded, where the same fields were written by String.
+func (d *Decoder) SetPlainFront() { d.plain = true }
+
+// Front reads a field written by Encoder.Front against prev, which must be
+// the value the same column decoded in the previous row. A prefix length
+// longer than prev is a latched error. An exact repeat returns prev itself;
+// any other value is interned through the table Interned uses, so decoded
+// state holds one copy of each distinct value however it was coded.
+func (d *Decoder) Front(prev string) string {
+	if d.plain {
+		return d.Interned()
+	}
+	l := d.Uvarint()
+	if d.err != nil {
+		return ""
+	}
+	if l > uint64(len(prev)) {
+		d.fail("prefix length %d exceeds the %d-byte previous value", l, len(prev))
+		return ""
+	}
+	suffix := d.stringBytes()
+	if d.err != nil {
+		return ""
+	}
+	switch {
+	case len(suffix) == 0 && int(l) == len(prev):
+		return prev
+	case l == 0:
+		return d.intern(suffix)
+	}
+	var buf [128]byte // the value, to look it up; a longer one spills
+	return d.intern(append(append(buf[:0], prev[:l]...), suffix...))
 }
 
 // stringBytes reads a length-prefixed string as a view of the input.

@@ -109,6 +109,16 @@ func FuzzDecoder(f *testing.F) {
 	}
 	f.Add(rep.Bytes())
 	f.Add(rep.Bytes()[:len(rep.Bytes())-2]) // the last value is torn
+	// A front-coded column: stems, repeats, a value read again later.
+	var front Encoder
+	prev := ""
+	for _, s := range []string{"doc-1#c0", "doc-1#c1", "doc-1#c1", "doc-12#c0", "", "doc-1#c0", "doc-1#c0"} {
+		front.Front(prev, s)
+		prev = s
+	}
+	f.Add(front.Bytes())
+	f.Add(front.Bytes()[:len(front.Bytes())-3])
+	f.Add([]byte{0, 1, 'a', 3, 0}) // a 3-byte prefix of a 1-byte value
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		d := NewDecoder(b)
@@ -145,5 +155,57 @@ func FuzzDecoder(f *testing.F) {
 				first[got] = got
 			}
 		}
+
+		// Front reads what the oracle rebuilds from a prefix length and a
+		// suffix — value, error, offset — row after row; an exact repeat is
+		// the previous value itself, and equal values share their bytes. Set
+		// plain, it reads what Interned reads.
+		oracle, fronted := NewDecoder(b), NewDecoder(b)
+		prevWant, prevGot := "", ""
+		first = map[string]string{}
+		for i := 0; i < 8; i++ {
+			want, got := oracleFront(oracle, prevWant), fronted.Front(prevGot)
+			if got != want || fronted.off != oracle.off || fmt.Sprint(fronted.err) != fmt.Sprint(oracle.err) {
+				t.Fatalf("row %d: Front = %q at %d (%v), oracle = %q at %d (%v)",
+					i, got, fronted.off, fronted.err, want, oracle.off, oracle.err)
+			}
+			if got == prevGot && got != "" && unsafe.StringData(got) != unsafe.StringData(prevGot) {
+				t.Fatalf("row %d: exact repeat %q is not the previous value", i, got)
+			}
+			if f, ok := first[got]; ok && got != "" && unsafe.StringData(f) != unsafe.StringData(got) {
+				t.Fatalf("row %d: repeated value %q is a second copy", i, got)
+			} else if !ok {
+				first[got] = got
+			}
+			prevWant, prevGot = want, got
+		}
+		plain, interned = NewDecoder(b), NewDecoder(b)
+		plain.SetPlainFront()
+		for i := 0; i < 8; i++ {
+			want, got := interned.Interned(), plain.Front("unused")
+			if got != want || plain.off != interned.off || fmt.Sprint(plain.err) != fmt.Sprint(interned.err) {
+				t.Fatalf("plain read %d: Front = %q at %d (%v), Interned = %q at %d (%v)",
+					i, got, plain.off, plain.err, want, interned.off, interned.err)
+			}
+		}
 	})
+}
+
+// oracleFront reads a front-coded field the plain way: the prefix length, a
+// check that prev has that many bytes, then the suffix as a String, and the
+// value rebuilt as prev[:l] + suffix.
+func oracleFront(d *Decoder, prev string) string {
+	l := d.Uvarint()
+	if d.err != nil {
+		return ""
+	}
+	if l > uint64(len(prev)) {
+		d.fail("prefix length %d exceeds the %d-byte previous value", l, len(prev))
+		return ""
+	}
+	suffix := d.String()
+	if d.err != nil {
+		return ""
+	}
+	return prev[:l] + suffix
 }

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestCodecRoundTrip(t *testing.T) {
@@ -73,8 +74,9 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEncodedSizes: UvarintSize and StringSize are what Uvarint and String
-// append, at every varint width.
+// TestEncodedSizes: UvarintSize, StringSize and FrontSize are what Uvarint,
+// String and Front append, at every varint width and for every shape of
+// shared prefix.
 func TestEncodedSizes(t *testing.T) {
 	for _, v := range []uint64{0, 1, 127, 128, 16383, 16384, 1<<35 - 1, 1 << 35, math.MaxUint64} {
 		var e Encoder
@@ -90,6 +92,73 @@ func TestEncodedSizes(t *testing.T) {
 		if got := StringSize(s); got != e.Len() {
 			t.Fatalf("StringSize of %d bytes = %d, String appends %d", n, got, e.Len())
 		}
+	}
+	long := strings.Repeat("y", 200)
+	for _, c := range [][2]string{
+		{"", ""}, {"", "doc-1"}, {"doc-1", ""}, {"doc-1", "doc-1"}, {"doc-1", "doc-12"},
+		{"doc-12", "doc-1"}, {"doc-1", "doc-2"}, {"abc", "xyz"}, {long, long + "z"}, {"x", long},
+		{long + "a", long + "b"}, {"é", "è"}, // é and è share their first byte
+	} {
+		var e Encoder
+		e.Front(c[0], c[1])
+		if got := FrontSize(c[0], c[1]); got != e.Len() {
+			t.Fatalf("FrontSize(%q, %q) = %d, Front appends %d", c[0], c[1], got, e.Len())
+		}
+	}
+}
+
+// TestFront: a front-coded column reads back row by row; an exact repeat
+// returns the previous value itself and an equal value read again later
+// shares its bytes; a prefix longer than the previous value is a latched
+// error. SetPlainFront reads the same fields written by String.
+func TestFront(t *testing.T) {
+	rows := []string{"", "doc-1#c0", "doc-1#c1", "doc-1#c1", "doc-10#c0", "doc-1#c0", "feed", "", "feed"}
+	var e, plain Encoder
+	prev := ""
+	for _, r := range rows {
+		e.Front(prev, r)
+		plain.String(r)
+		prev = r
+	}
+	if e.Len() >= plain.Len() {
+		t.Fatalf("front-coded column is %d bytes, plain %d", e.Len(), plain.Len())
+	}
+	for _, c := range []struct {
+		name string
+		d    *Decoder
+	}{{"front", NewDecoder(e.Bytes())}, {"plain", NewDecoder(plain.Bytes())}} {
+		if c.name == "plain" {
+			c.d.SetPlainFront()
+		}
+		prev, first := "", map[string]string{}
+		for i, want := range rows {
+			got := c.d.Front(prev)
+			if got != want {
+				t.Fatalf("%s row %d = %q, want %q", c.name, i, got, want)
+			}
+			if c.name == "front" && got == prev && unsafe.StringData(got) != unsafe.StringData(prev) {
+				t.Fatalf("%s row %d: an exact repeat is a second copy", c.name, i)
+			}
+			if f, ok := first[got]; ok && unsafe.StringData(f) != unsafe.StringData(got) {
+				t.Fatalf("%s row %d: %q read again is a second copy", c.name, i, got)
+			}
+			first[got] = got
+			prev = got
+		}
+		if err := c.d.Finish(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+	}
+
+	var bad Encoder
+	bad.Uvarint(4) // a 4-byte prefix of a 3-byte value
+	bad.String("x")
+	d := NewDecoder(bad.Bytes())
+	if got := d.Front("abc"); got != "" || d.Err() == nil {
+		t.Fatalf("prefix past the previous value: %q, %v", got, d.Err())
+	}
+	if d.Front("") != "" || d.String() != "" {
+		t.Fatal("reads after the error returned data")
 	}
 }
 
