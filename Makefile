@@ -49,7 +49,8 @@ chaos-cluster:
 # oracle that rebuilds the previous value's prefix plus the suffix — the WAL
 # group record and checkpoint body decoders behind them (and the replica
 # doors that take the same bytes from a peer; seeded with records and bodies
-# in formats 3 and 2, which decode, and format 1, which must be rejected),
+# in formats 4 and 3, which decode, and formats 2 and 1, which must be
+# rejected),
 # and the JSON-LD parser every adapter output
 # passes through — plus the allocation-free text primitives held to the forms
 # they replace: SameNormalized / CompareNormalized / SameLower against
@@ -84,11 +85,14 @@ layers:
 # bench-micro runs the testing.B micro-benchmarks with -benchmem: the write
 # path's kernels at the end-to-end corpus size — one commit's clone + 4-row
 # append on a 34,549 x 256 store, one encode and one decode of that store's
-# checkpoint form (datasets text), one commit's clone + 11-triple replay on a
-# 67,100-triple graph (linear history and re-cloned parent), the first write
-# to a shared column page, one streamed snapshot digest and one replica seeded
-# from that snapshot's checkpoint body (its B/op and allocs/op are the size of
-# one engine copy plus the decoder's transient intern table), and the bulk
+# checkpoint form (datasets text; chunk strings only, so the decode includes
+# re-embedding every chunk on GOMAXPROCS workers), one commit's clone +
+# 11-triple replay on a 67,100-triple graph (linear history and re-cloned
+# parent), the first write to a shared column page, one streamed snapshot
+# digest and one replica seeded from that snapshot's checkpoint body (the
+# decode, the re-embedding and the line-graph build; its B/op and allocs/op
+# are the size of one engine copy plus the decoder's transient intern table
+# and embedding slabs), and the bulk
 # load a deployment pays at set-up (the datasets presets as one Ingest into a
 # durable system: stage 1 and the commit, split as prepare-ms/op and
 # commit-ms/op, and the size of its WAL record as record-bytes) — and the query path's: one exact

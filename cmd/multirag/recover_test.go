@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"io/fs"
 	"maps"
 	"os"
 	"path/filepath"
@@ -16,33 +17,38 @@ import (
 const format1Dir = "../../internal/core/testdata/format1"
 
 // format2Dir is a data directory in on-disk format 2 (plain string columns):
-// a checkpoint plus one WAL record.
+// a checkpoint plus one WAL record, with the files it ingested in src.
 const format2Dir = "../../internal/core/testdata/format2"
 
+// format3Dir is the same directory in on-disk format 3 (stored vectors and
+// line graph).
+const format3Dir = "../../internal/core/testdata/format3"
+
+// dirFiles returns every file under dir by its path with its bytes.
 func dirFiles(t *testing.T, dir string) map[string]string {
 	t.Helper()
-	entries, err := os.ReadDir(dir)
+	files := map[string]string{}
+	err := fs.WalkDir(os.DirFS(dir), ".", func(name string, e fs.DirEntry, err error) error {
+		if err != nil || e.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		files[name] = string(b)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	files := map[string]string{}
-	for _, e := range entries {
-		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		files[e.Name()] = string(b)
 	}
 	return files
 }
 
-// TestRecoverRejectsFormat1: `multirag recover -data-dir` on a format-1
-// directory fails with multirag.ErrUnsupportedFormat, without writing the
-// fresh checkpoint it would otherwise write, and leaves every file byte for
-// byte as it was.
-func TestRecoverRejectsFormat1(t *testing.T) {
+// requireRecoverRejects: `multirag recover -data-dir` on a copy of src fails
+// with multirag.ErrUnsupportedFormat, without writing the fresh checkpoint it
+// would otherwise write, and leaves every file byte for byte as it was.
+func requireRecoverRejects(t *testing.T, src string) {
+	t.Helper()
 	dir := filepath.Join(t.TempDir(), "data")
-	if err := os.CopyFS(dir, os.DirFS(format1Dir)); err != nil {
+	if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
 		t.Fatal(err)
 	}
 	before := dirFiles(t, dir)
@@ -54,13 +60,22 @@ func TestRecoverRejectsFormat1(t *testing.T) {
 	}
 }
 
-// TestRecoverMigratesFormat2: `multirag recover -data-dir` on a format-2
-// directory replays it and writes a format-3 checkpoint as the newest one.
-// The format-2 checkpoint and its segment stay as the fallback the next
+// TestRecoverRejectsFormat1: a format-1 directory is rejected and left as it
+// was (requireRecoverRejects).
+func TestRecoverRejectsFormat1(t *testing.T) { requireRecoverRejects(t, format1Dir) }
+
+// TestRecoverMigratesFormat2: format 2 no longer migrates in place. A format-2
+// directory is rejected and left as it was (requireRecoverRejects); a release
+// that still reads format 2 migrates it to format 3, which this one reads.
+func TestRecoverMigratesFormat2(t *testing.T) { requireRecoverRejects(t, format2Dir) }
+
+// TestRecoverMigratesFormat3: `multirag recover -data-dir` on a format-3
+// directory replays it and writes a format-4 checkpoint as the newest one.
+// The format-3 checkpoint and its segment stay as the fallback the next
 // checkpoint prunes; this release still reads them.
-func TestRecoverMigratesFormat2(t *testing.T) {
+func TestRecoverMigratesFormat3(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "data")
-	if err := os.CopyFS(dir, os.DirFS(format2Dir)); err != nil {
+	if err := os.CopyFS(dir, os.DirFS(format3Dir)); err != nil {
 		t.Fatal(err)
 	}
 	if err := runRecoverCmd([]string{"-data-dir", dir}); err != nil {
@@ -70,8 +85,8 @@ func TestRecoverMigratesFormat2(t *testing.T) {
 	if err != nil || body == nil {
 		t.Fatalf("no checkpoint after recover: %v", err)
 	}
-	if lsn != 3 || body[0] != 3 {
-		t.Fatalf("recover left a version-%d checkpoint at LSN %d, want version 3 at LSN 3", body[0], lsn)
+	if lsn != 3 || body[0] != 4 {
+		t.Fatalf("recover left a version-%d checkpoint at LSN %d, want version 4 at LSN 3", body[0], lsn)
 	}
 	if err := runRecoverCmd([]string{"-data-dir", dir, "-dry-run"}); err != nil {
 		t.Fatalf("recover of the migrated directory: %v", err)

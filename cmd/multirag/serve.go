@@ -182,7 +182,7 @@ Flags:
 	// where this process stopped.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.ListenAndServe() }()
 	select {
@@ -210,10 +210,20 @@ Flags:
 }
 
 // readHeaderTimeout bounds how long a connection may take to send its request
-// headers, so a client that opens connections and trickles bytes cannot hold
-// server goroutines indefinitely. Bodies are bounded separately, by size, in
-// the serve package.
-const readHeaderTimeout = 10 * time.Second
+// headers, and readTimeout how long it may take to send the whole request,
+// body included, so a client that opens connections and trickles bytes cannot
+// hold server goroutines indefinitely. Bodies are bounded by size too, in the
+// serve package: readTimeout leaves a 64 MiB ingest body about 1 MB/s.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 60 * time.Second
+)
+
+// newHTTPServer is the front door's HTTP server: h on addr, with both read
+// bounds set.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
+}
 
 // serveClasses is the stock SLO layout with the CLI admission, deadline and
 // degradation knobs applied to the query classes. The ingest class stays

@@ -105,7 +105,7 @@ func TestChaosClusterReplicaFaults(t *testing.T) {
 					t.Fatalf("Ingest other: %v", err)
 				}
 				r := c.Replicas()[0]
-				if err := r.System().SeedReplica(stateBytes(other), r.Position()); err != nil {
+				if err := r.System().SeedReplica(other.ServingHandle().Encode(), r.Position()); err != nil {
 					t.Fatalf("corrupting seed: %v", err)
 				}
 			},

@@ -16,7 +16,9 @@ import (
 	"multirag/internal/adapter"
 	"multirag/internal/core"
 	"multirag/internal/fault"
+	"multirag/internal/linegraph"
 	"multirag/internal/llm"
+	"multirag/internal/retrieval"
 	"multirag/internal/wal"
 )
 
@@ -99,7 +101,49 @@ func waitCaughtUp(t *testing.T, c *Cluster) {
 	})
 }
 
-func stateBytes(s *core.System) []byte { return s.ServingHandle().Encode() }
+// stateBytes is what byte-identity compares: the serving snapshot's
+// checkpoint body, then the state every load derives instead of storing —
+// each row's vector bit for bit and the line graph (statistics, every
+// homologous node in key order with its members and sources, the isolated
+// points) — so replicas are held to the primary's vectors and line graph too.
+func stateBytes(s *core.System) []byte {
+	var e wal.Encoder
+	e.Raw(s.ServingHandle().Encode())
+	_, sg, searcher := s.Serving()
+	searcher.(retrieval.Store).ForEachEmbedded(func(c retrieval.Chunk, v retrieval.Vector) {
+		e.String(c.ID)
+		for _, x := range v {
+			e.F32(x)
+		}
+	})
+	e.Bool(sg != nil)
+	if sg == nil {
+		return e.Bytes()
+	}
+	st := sg.ComputeStats()
+	e.Int(st.HomologousNodes)
+	e.Int(st.Isolated)
+	e.F64(st.MeanGroupSize)
+	e.Int(st.MaxGroupSize)
+	var keys []string
+	sg.ForEachNode(func(key string, _ *linegraph.HomologousNode) { keys = append(keys, key) })
+	slices.Sort(keys)
+	for _, key := range keys {
+		n, _ := sg.Node(key)
+		e.String(n.Key)
+		e.Int(n.Num)
+		for _, list := range [][]string{n.Members, n.Sources} {
+			e.Int(len(list))
+			for _, v := range list {
+				e.String(v)
+			}
+		}
+	}
+	for _, id := range sg.IsolatedIDs() {
+		e.String(id)
+	}
+	return e.Bytes()
+}
 
 // requireIdentical fails unless every replica holds the primary's state.
 func requireIdentical(t *testing.T, c *Cluster) {
@@ -193,7 +237,7 @@ func TestClusterAntiEntropyCatchesDivergence(t *testing.T) {
 	// at the same position. Reading the log cannot see this.
 	other := core.NewSystem(testConfig())
 	ingest(t, other, fillerBatch(999))
-	if err := r.System().SeedReplica(stateBytes(other), r.Position()); err != nil {
+	if err := r.System().SeedReplica(other.ServingHandle().Encode(), r.Position()); err != nil {
 		t.Fatalf("corrupting seed: %v", err)
 	}
 

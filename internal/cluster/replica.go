@@ -185,10 +185,11 @@ func (r *Replica) catchUp(committed uint64) error {
 	return nil
 }
 
-// step reads and replays the record at the replica's position. When that
-// position is one of the primary's verification points, it first compares
-// its own digest with the primary's digest there: anti-entropy for a replica
-// that replayed every record and diverged anyway.
+// step reads and replays the records from the replica's position up to
+// committed or the next verification point, as one run (ReplicaApplyTail).
+// When the position is one of the primary's verification points, it first
+// compares its own digest with the primary's digest there: anti-entropy for a
+// replica that replayed every record and diverged anyway.
 func (r *Replica) step(committed uint64) error {
 	if err := fault.Inject(r.ctx, fault.PointClusterReplay); err != nil {
 		return fmt.Errorf("replay: %w", err)
@@ -208,14 +209,11 @@ func (r *Replica) step(committed uint64) error {
 		}
 		r.tail = t
 	}
-	payload, _, err := r.tail.Next(committed)
+	n, err := r.sys.ReplicaApplyTail(r.tail, committed)
 	if err != nil {
-		return fmt.Errorf("read: %w", err)
-	}
-	if err := r.sys.ReplicaApply(payload); err != nil {
 		return fmt.Errorf("replay: %w", err)
 	}
-	r.applied.Store(lsn + 1)
+	r.applied.Store(lsn + uint64(n))
 	return nil
 }
 

@@ -128,7 +128,7 @@ func TestCommitBytesDoNotDependOnCorpusSize(t *testing.T) {
 // load's multi-megabyte record once the record is logged.
 func TestDurableEncoderLetsGoOfBulkRecord(t *testing.T) {
 	spec := datasets.Movies(7)
-	spec.Entities = 1500 // a 10.0 MB bulk record
+	spec.Entities = 1800 // an 8.9 MB bulk record
 	spec.Queries = 1
 	s, _ := openDurable(t, wal.NewMemFS(), durTestConfig())
 	lease := s.AcquireWALLease(0) // the record outgrows the background checkpoint's threshold

@@ -40,9 +40,10 @@ func BenchmarkSnapshotDigest(b *testing.B) {
 }
 
 // BenchmarkSeedReplica measures one replica seeded from the shared
-// snapshot's checkpoint body: decoding the graph, the line graph and the
-// store. Nearly everything it allocates is the replica's state, so B/op and
-// allocs/op are the size of one engine copy. Run with -benchmem, or via
+// snapshot's checkpoint body: decoding the graph and the store's chunks, then
+// re-embedding every chunk beside the line-graph build. Nearly everything it
+// allocates is the replica's state, so B/op and allocs/op are the size of one
+// engine copy. Run with -benchmem, or via
 // `make bench-micro`.
 func BenchmarkSeedReplica(b *testing.B) {
 	body := benchSnapshot(b).Encode()

@@ -17,30 +17,33 @@ import (
 )
 
 // Durability: systems opened with Open/OpenFS write one WAL record per commit
-// group — the committed batches' recorded operation streams, chunks and their
-// embeddings in the sparse stored form (retrieval.EncodeVector) — fsync'd
-// BEFORE the group's snapshot is published, so an
+// group — the committed batches' recorded operation streams and their
+// rendered chunks — fsync'd BEFORE the group's snapshot is published, so an
 // acknowledged Ingest can never be lost. A background checkpointer folds the
-// log into a serialized snapshot (graph + line graph + retrieval store) once
-// it crosses a record-count or byte threshold: it rotates the log first, so
-// every segment below the rotation point is fully covered by the checkpoint
-// written against the state at that same LSN, and only then prunes covered
-// segments and stale checkpoints. Recovery loads the newest valid checkpoint,
-// replays the WAL tail through the same recorder-replay + BuildDelta path the
-// committer runs, and truncates whatever torn frame the crash left behind.
+// log into a serialized snapshot (graph + retrieval store) once it crosses a
+// record-count or byte threshold: it rotates the log first, so every segment
+// below the rotation point is fully covered by the checkpoint written against
+// the state at that same LSN, and only then prunes covered segments and stale
+// checkpoints. Recovery loads the newest valid checkpoint, replays the WAL
+// tail through the same recorder-replay + BuildDelta path the committer runs,
+// and truncates whatever torn frame the crash left behind.
 //
-// Format 3 (snapshotVersion, recordVersion) is the format written: vectors
-// sparse, the string columns that repeat from row to row front-coded against
-// the previous row (wal.Encoder.Front), and the line graph stored as triple
-// handles only. Format 2 is still read, through the same decoders: its
-// front-coded fields are plain strings (wal.Decoder.SetPlainFront) and its
-// line graph stores keys (linegraph.DecodeSG). A format-2 directory migrates
-// by being opened once: new records are appended in format 3 behind the
-// format-2 ones, and the next checkpoint rewrites the state in format 3.
-// Format 1 stored every vector as a dense row and is no longer read; a
+// Format 4 (snapshotVersion, recordVersion) is the format written: it stores
+// facts only — entities, triples and chunk strings, the string columns that
+// repeat from row to row front-coded against the previous row
+// (wal.Encoder.Front). What is a pure function of them is derived on load:
+// every chunk's vector is re-embedded from its text (retrieval.DecodeIntoStore,
+// and decodeGroupRecord for a record), and the line graph is rebuilt from the
+// graph (linegraph.Build, BuildDelta on replay). Format 3 is still read,
+// through the same decoders: it also stored every vector and the line graph,
+// and those sections are read past by their framing alone (retrieval.SkipVector,
+// skipLineGraph) and derived like format 4's. A format-3 directory migrates by
+// being opened once: new records are appended in format 4 behind the format-3
+// ones, and the next checkpoint rewrites the state in format 4. Formats 1
+// (dense vectors) and 2 (strings not front-coded) are no longer read; a
 // checkpoint says which format it is in its version field, a record by how it
-// starts — a record of format 2 or later opens with a 0 tag and its version,
-// a format-1 record with its batch count, which is never 0. Anything else is
+// starts — a record of format 2 or later opens with a 0 tag and its version, a
+// format-1 record with its batch count, which is never 0. Anything else is
 // rejected with ErrUnsupportedFormat before recovery writes to the directory.
 //
 // Not covered: destructive graph mutation outside the logged ingest path (the
@@ -56,12 +59,12 @@ const (
 )
 
 // snapshotVersion versions the checkpoint body layout; recordVersion versions
-// the WAL group record's. plainVersion is the one earlier version of both
-// that is still read: the last before front coding.
+// the WAL group record's. vectorVersion is the one earlier version of both
+// that is still read: the last that stored vectors and the line graph.
 const (
-	snapshotVersion = 3
-	recordVersion   = 3
-	plainVersion    = 2
+	snapshotVersion = 4
+	recordVersion   = 4
+	vectorVersion   = 3
 )
 
 // ErrUnsupportedFormat reports a checkpoint body or WAL record in an on-disk
@@ -70,30 +73,27 @@ const (
 var ErrUnsupportedFormat = errors.New("core: unsupported on-disk format")
 
 // unsupportedFormat is the error for a checkpoint body or WAL record (what)
-// written in format v. A format-1 directory migrates by being opened once
-// with a release that reads format 1: its final checkpoint rewrites the state
-// in format 2, which this release reads, and prunes the format-1 files.
+// written in format v. A directory of an older format migrates one format at
+// a time, each by being opened once with a release that reads it: that
+// release's final checkpoint rewrites the state in the format it writes.
 func unsupportedFormat(what string, v uint64) error {
-	if v == 1 {
-		return fmt.Errorf("%w: %s is format 1 (dense vectors); open the directory once with a release that still reads format 1, whose final checkpoint rewrites it in format %d",
-			ErrUnsupportedFormat, what, plainVersion)
+	if v < vectorVersion {
+		return fmt.Errorf("%w: %s is format %d; open the directory once with a release that still reads format %d (then with later ones, a format at a time) to rewrite it in format %d",
+			ErrUnsupportedFormat, what, v, v, vectorVersion)
 	}
 	return fmt.Errorf("%w: %s version %d", ErrUnsupportedFormat, what, v)
 }
 
 // readVersion reads the version a checkpoint body or WAL record (what)
-// opens with, current being the one this release writes, and sets d up to
-// read it: a format-2 payload's front-coded fields are plain strings. It
-// returns the version, or an error wrapping ErrUnsupportedFormat for one this
-// release does not read.
+// opens with, current being the one this release writes. It returns the
+// version, or an error wrapping ErrUnsupportedFormat for one this release
+// does not read.
 func readVersion(d *wal.Decoder, what string, current uint64) (uint64, error) {
 	v := d.Uvarint()
 	switch {
 	case d.Err() != nil:
 		return 0, d.Err()
-	case v == plainVersion:
-		d.SetPlainFront()
-	case v != current:
+	case v != current && v != vectorVersion:
 		return 0, unsupportedFormat(what, v)
 	}
 	return v, nil
@@ -172,11 +172,18 @@ func OpenFS(fsys wal.FS, dir string, cfg Config) (*System, *RecoveryInfo, error)
 	}
 	g, sg, ix := sn.graph, sn.sg, sn.index
 	var newIDs []string
+	sc := getEmbedScratch(ix.Dim())
 	for i, payload := range sr.Records {
-		if newIDs, err = s.applyRecovered(g, ix, payload, newIDs); err != nil {
+		sc.rows.Reset()
+		batches, err := decodeGroupRecord(payload, sc)
+		if err == nil {
+			newIDs, err = replayRecord(g, ix, batches, newIDs)
+		}
+		if err != nil {
 			return nil, nil, fmt.Errorf("core: replay WAL record %d: %w", sr.From+uint64(i), err)
 		}
 	}
+	putEmbedScratch(sc)
 	if len(newIDs) > 0 && !s.cfg.DisableMKA {
 		// One merged delta over the whole replayed tail. Equivalent to the
 		// per-record deltas the committer ran: a homologous group is always
@@ -330,15 +337,13 @@ func (d *durable) appendGroup(committed []*prepared) error {
 	return err
 }
 
-// encodeSnapshot serializes one immutable snapshot as a checkpoint body.
+// encodeSnapshot serializes one immutable snapshot as a checkpoint body: the
+// graph and the store's chunks. The line graph and the vectors are derived on
+// decode.
 func encodeSnapshot(e *wal.Encoder, sn *snapshot) {
 	e.Uvarint(snapshotVersion)
 	sn.graph.EncodeTo(e)
-	e.Bool(sn.sg != nil)
-	if sn.sg != nil {
-		sn.sg.EncodeTo(e)
-	}
-	retrieval.EncodeStore(e, sn.index)
+	retrieval.EncodeStore(e, sn.index.(*retrieval.Index)) // the one Store
 }
 
 // snapshotBody returns the whole checkpoint body of sn as one slice, for the
@@ -355,7 +360,10 @@ func snapshotBody(sn *snapshot) []byte {
 	return e.Bytes()
 }
 
-// decodeSnapshot rebuilds a snapshot from a checkpoint body.
+// decodeSnapshot rebuilds a snapshot from a checkpoint body. The store's
+// texts are re-embedded on the worker pool while the line graph is built from
+// the decoded graph beside them; a format-3 body's stored line graph and
+// vectors are read past.
 func (s *System) decodeSnapshot(body []byte) (*snapshot, error) {
 	d := wal.NewDecoder(body)
 	v, err := readVersion(d, "checkpoint", snapshotVersion)
@@ -367,36 +375,55 @@ func (s *System) decodeSnapshot(body []byte) (*snapshot, error) {
 		return nil, err
 	}
 	var sg *linegraph.SG
-	if d.Bool() {
-		if sg, err = linegraph.DecodeSG(d, g, v == plainVersion); err != nil {
-			return nil, err
-		}
+	built := make(chan struct{})
+	if !s.cfg.DisableMKA && g.NumTriples() > 0 {
+		go func() {
+			defer close(built)
+			sg = linegraph.Build(g)
+		}()
+	} else {
+		close(built)
+	}
+	if v == vectorVersion && d.Bool() {
+		skipLineGraph(d)
 	}
 	ix := retrieval.NewIndex(retrieval.DefaultDim)
-	if err := retrieval.DecodeIntoStore(d, ix); err != nil {
+	err = retrieval.DecodeIntoStore(d, ix, s.Workers(), v == vectorVersion)
+	<-built
+	if err != nil {
 		return nil, err
 	}
 	if err := d.Finish(); err != nil {
 		return nil, err
 	}
-	if sg == nil && !s.cfg.DisableMKA && g.NumTriples() > 0 {
-		// The checkpoint was written with MKA disabled; build the line graph
-		// this configuration expects.
-		sg = linegraph.Build(g)
-	}
 	return &snapshot{graph: g, sg: sg, index: ix}, nil
+}
+
+// skipLineGraph reads past a format-3 checkpoint's line graph — each
+// homologous node as its member count and triple handles, the isolated points
+// as a count and triple handles, then the largest group's size — by its
+// framing alone; a count the bytes left cannot back fails once they run out.
+// The line graph is built from the graph instead.
+func skipLineGraph(d *wal.Decoder) {
+	nodes := d.Int()
+	for i := 0; i < nodes && d.Err() == nil; i++ {
+		d.SkipUvarints(d.Int())
+	}
+	d.SkipUvarints(d.Int())
+	d.Int()
 }
 
 // The group record: the 0 tag and recordVersion, the count of committed
 // batches, then per batch, in ticket order, its file count and each file's
-// part — its recorded operation stream, then its rendered chunks, each with
-// its vector in stored form. The string fields that repeat from row to row
-// are front-coded (wal.Encoder.Front) against the previous entity, triple or
-// chunk of the same part: an entity's type and domain, a triple's subject,
-// object entity, source, domain, format and chunk, a chunk's ID, document and
-// source. Every part starts from empty values, so a file's part does not
-// depend on the rest of its group: stage 1 encodes it (encodeFile) on the
-// worker that prepared the file, and the commit path only concatenates.
+// part — its recorded operation stream, then its rendered chunks. The string
+// fields that repeat from row to row are front-coded (wal.Encoder.Front)
+// against the previous entity, triple or chunk of the same part: an entity's
+// type and domain, a triple's subject, object entity, source, domain, format
+// and chunk, a chunk's ID, document and source. Every part starts from empty
+// values, so a file's part does not depend on the rest of its group: stage 1
+// encodes it (encodeFile) on the worker that prepared the file, and the
+// commit path only concatenates. A format-3 record also carries each chunk's
+// vector behind its text, which decoding reads past.
 
 // encodeGroupRecord serializes the committed batches of one commit group, in
 // ticket order, as one WAL record payload: the header, then every batch's
@@ -421,30 +448,49 @@ func encodeGroupRecord(e *wal.Encoder, committed []*prepared) {
 	}
 }
 
-// embedScratch is what encodeFile reuses from one file to the next: the dense
-// row a chunk is embedded into, and the op stream and stored vectors of the
-// file being encoded. embedScratches holds one per worker between files.
+// embedScratch is what embedding reuses from one file or record to the next:
+// the dense row a chunk is embedded into, the op stream of the file
+// encodeFile is encoding, and the slab decodeGroupRecord re-embeds a record's
+// chunks into. embedScratches holds one per worker or replica between uses.
 type embedScratch struct {
-	row    retrieval.Vector
-	ops    wal.Encoder
-	stored []byte
-	ends   []int // where each chunk's vector ends in stored
+	row  retrieval.Vector
+	ops  wal.Encoder
+	rows retrieval.Sparse
 }
 
 var embedScratches sync.Pool
 
-// encodeFile embeds a prepared file's chunks and encodes its part of the
-// group record — rec's operation stream, then the chunks, each with its
-// vector in stored form — into one buffer of exactly its size. vecs are the
-// vectors, as views into part. The op stream and the vectors are built in a
-// pooled scratch first, so a chunk costs no dense row and part is sized
-// before it is written.
-func encodeFile(rec *extract.Recorder, chunks []retrieval.Chunk, dim int) (part []byte, vecs [][]byte) {
+// scratchRows is the most rows a pooled scratch's slab keeps between
+// records: a steady commit's record holds tens of chunks, a bulk load's the
+// whole corpus.
+const scratchRows = 4096
+
+// getEmbedScratch returns a pooled scratch for embeddings of width dim.
+func getEmbedScratch(dim int) *embedScratch {
 	sc, _ := embedScratches.Get().(*embedScratch)
 	if sc == nil || len(sc.row) != dim {
 		sc = &embedScratch{row: make(retrieval.Vector, dim)}
 	}
-	defer embedScratches.Put(sc)
+	return sc
+}
+
+// putEmbedScratch returns sc to the pool, without a slab that outgrew
+// scratchRows. Nothing may still use its slab's rows.
+func putEmbedScratch(sc *embedScratch) {
+	if sc.rows.Len() > scratchRows {
+		sc.rows = retrieval.Sparse{}
+	}
+	embedScratches.Put(sc)
+}
+
+// encodeFile embeds a prepared file's chunks and encodes its part of the
+// group record — rec's operation stream, then the chunks — into one buffer of
+// exactly its size. rows are the chunks' embeddings in sparse form, which the
+// commit posts; they are not part of the record. The op stream is built in a
+// pooled scratch first, so part is sized before it is written.
+func encodeFile(rec *extract.Recorder, chunks []retrieval.Chunk, dim int) (part []byte, rows retrieval.Sparse) {
+	sc := getEmbedScratch(dim)
+	defer putEmbedScratch(sc)
 	sc.ops.Reset()
 	var prevTyp, prevDomain string
 	var prev kg.Triple
@@ -469,26 +515,21 @@ func encodeFile(rec *extract.Recorder, chunks []retrieval.Chunk, dim int) (part 
 			sc.ops.F64(t.Weight)
 			prev = t
 		})
-	sc.stored, sc.ends = sc.stored[:0], sc.ends[:0]
 	size := wal.UvarintSize(uint64(rec.NumOps())) + len(sc.ops.Bytes()) + wal.UvarintSize(uint64(len(chunks)))
+	rows.Grow(len(chunks))
 	var pc retrieval.Chunk
 	for j := range chunks {
 		c := &chunks[j]
-		retrieval.EmbedInto(sc.row, c.Text)
-		sc.stored = retrieval.AppendVector(sc.stored, sc.row)
-		sc.ends = append(sc.ends, len(sc.stored))
+		rows.Embed(sc.row, c.Text)
 		size += wal.FrontSize(pc.ID, c.ID) + wal.FrontSize(pc.DocID, c.DocID) + wal.FrontSize(pc.Source, c.Source) + wal.StringSize(c.Text)
 		pc = *c
 	}
-	size += len(sc.stored)
 
 	var e wal.Encoder
 	e.Grow(size)
 	e.Int(rec.NumOps())
 	e.Raw(sc.ops.Bytes())
 	e.Int(len(chunks))
-	vecs = make([][]byte, len(chunks))
-	start := 0
 	pc = retrieval.Chunk{}
 	for j := range chunks {
 		c := &chunks[j]
@@ -497,35 +538,34 @@ func encodeFile(rec *extract.Recorder, chunks []retrieval.Chunk, dim int) (part 
 		e.Front(pc.Source, c.Source)
 		e.String(c.Text)
 		pc = *c
-		from := e.Len()
-		e.Raw(sc.stored[start:sc.ends[j]])
-		start = sc.ends[j]
-		vecs[j] = e.Bytes()[from:e.Len():e.Len()]
 	}
-	return e.Bytes(), vecs
+	return e.Bytes(), rows
 }
 
 // minStoredChunk is the fewest bytes a chunk takes in a record: three
-// front-coded fields (a prefix length and a suffix length each), the text's
-// length and the vector's two counts.
-const minStoredChunk = 9
+// front-coded fields (a prefix length and a suffix length each) and the
+// text's length.
+const minStoredChunk = 7
 
 // decodeGroupRecord rebuilds a commit group's batches from a WAL record
-// payload, of this release's format or format 2. The op streams are fed back
-// through a fresh Recorder's AddEntity/AddTriple — the same validation the
-// original extraction passed — and every embedding is checked by CheckVector
-// against the store width, so a record that somehow decodes but violates an
-// invariant errors instead of panicking downstream. Each vector stays in the
-// payload (fileWork.vecs are views of it). The string fields that repeat
-// across rows — the front-coded ones, a triple's predicate and object — are
-// interned (wal.Decoder.Front, Interned). Every count is trusted for a
-// preallocation only as far as the bytes left could back it.
-func decodeGroupRecord(payload []byte, dim int) ([][]fileWork, error) {
+// payload, of this release's format or format 3, and re-embeds every chunk
+// onto the end of sc's slab: each file's rows are a view of it
+// (retrieval.Sparse.Rows), valid until the slab is reset, so the records of
+// one run can be decoded into it one after another. The op streams are fed back through a fresh
+// Recorder's AddEntity/AddTriple — the same validation the original
+// extraction passed — so a record that somehow decodes but violates an
+// invariant errors instead of panicking downstream. Nothing of payload is
+// kept. The string fields that repeat across rows — the front-coded ones, a
+// triple's predicate and object — are interned (wal.Decoder.Front,
+// Interned). Every count is trusted for a preallocation only as far as the
+// bytes left could back it.
+func decodeGroupRecord(payload []byte, sc *embedScratch) ([][]fileWork, error) {
 	d := wal.NewDecoder(payload)
 	if tag := d.Int(); d.Err() == nil && tag != 0 {
 		return nil, unsupportedFormat("WAL record", 1) // format 1 opens with its batch count
 	}
-	if _, err := readVersion(d, "WAL record", recordVersion); err != nil {
+	v, err := readVersion(d, "WAL record", recordVersion)
+	if err != nil {
 		return nil, err
 	}
 	nb := d.Int()
@@ -567,20 +607,15 @@ func decodeGroupRecord(payload []byte, dim int) ([][]fileWork, error) {
 			}
 			f := fileWork{rec: rec}
 			nChunks := d.Int()
-			hint := min(nChunks, d.Remaining()/minStoredChunk)
-			f.chunks = make([]retrieval.Chunk, 0, hint)
-			f.vecs = make([][]byte, 0, hint)
+			f.chunks = make([]retrieval.Chunk, 0, min(nChunks, d.Remaining()/minStoredChunk))
 			var pc retrieval.Chunk
 			for k := 0; k < nChunks && d.Err() == nil; k++ {
 				c := retrieval.Chunk{ID: d.Front(pc.ID), DocID: d.Front(pc.DocID), Source: d.Front(pc.Source), Text: d.String()}
-				pc = c
-				from := len(payload) - d.Remaining()
-				retrieval.CheckVector(d, dim)
-				if d.Err() != nil {
-					break
+				if v == vectorVersion {
+					retrieval.SkipVector(d)
 				}
+				pc = c
 				f.chunks = append(f.chunks, c)
-				f.vecs = append(f.vecs, payload[from:len(payload)-d.Remaining()])
 			}
 			files = append(files, f)
 		}
@@ -589,20 +624,33 @@ func decodeGroupRecord(payload []byte, dim int) ([][]fileWork, error) {
 	if err := d.Finish(); err != nil {
 		return nil, err
 	}
+	n := 0
+	for _, files := range batches {
+		for j := range files {
+			n += len(files[j].chunks)
+		}
+	}
+	sc.rows.Grow(n)
+	for _, files := range batches {
+		for j := range files {
+			lo := sc.rows.Len()
+			for _, c := range files[j].chunks {
+				sc.rows.Embed(sc.row, c.Text)
+			}
+			files[j].rows = sc.rows.Rows(lo, sc.rows.Len())
+		}
+	}
 	return batches, nil
 }
 
-// applyRecovered replays one WAL record onto the recovery state — every
+// replayRecord replays one decoded WAL record onto the recovery state — every
 // batch's recorders in ticket order, the chunks into the store — and appends
-// the record's new triple IDs to newIDs. The line-graph delta is deferred to
-// the caller, which folds the whole replayed tail in one BuildDelta: per-tail
+// the record's new triple IDs to newIDs. The line-graph delta is left to the
+// caller: recovery folds the whole replayed tail in one BuildDelta, per-tail
 // instead of per-record, because groups only ever need their state as of the
 // last record that touched them.
-func (s *System) applyRecovered(g *kg.Graph, ix retrieval.Store, payload []byte, newIDs []string) ([]string, error) {
-	batches, err := decodeGroupRecord(payload, ix.Dim())
-	if err != nil {
-		return newIDs, err
-	}
+func replayRecord(g *kg.Graph, ix retrieval.Store, batches [][]fileWork, newIDs []string) ([]string, error) {
+	var err error
 	for _, files := range batches {
 		if newIDs, err = replayFiles(g, ix, files, newIDs); err != nil {
 			return newIDs, err
@@ -612,10 +660,9 @@ func (s *System) applyRecovered(g *kg.Graph, ix retrieval.Store, payload []byte,
 }
 
 // replayFiles replays files in order onto g and ix — each file's recorder,
-// then its chunks — appending the new triple IDs to ids. It is the one replay
-// step the committer, replica apply and recovery share. A file's chunks are
-// appended with their vectors in stored form, whose weights the store posts
-// straight from the bytes.
+// then its chunks with their sparse rows — appending the new triple IDs to
+// ids. It is the one replay step the committer, replica apply and recovery
+// share.
 func replayFiles(g *kg.Graph, ix retrieval.Store, files []fileWork, ids []string) ([]string, error) {
 	for i := range files {
 		f := &files[i]
@@ -623,7 +670,7 @@ func replayFiles(g *kg.Graph, ix retrieval.Store, files []fileWork, ids []string
 		if ids, err = f.rec.ReplayAppend(g, ids); err != nil {
 			return ids, err
 		}
-		if err := ix.AppendStored(f.chunks, f.vecs); err != nil {
+		if err := ix.AppendSparse(f.chunks, &f.rows); err != nil {
 			return ids, err
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,7 +13,9 @@ import (
 	"time"
 
 	"multirag/internal/adapter"
+	"multirag/internal/linegraph"
 	"multirag/internal/llm"
+	"multirag/internal/retrieval"
 	"multirag/internal/wal"
 )
 
@@ -22,14 +25,73 @@ func durTestConfig() Config {
 	return Config{LLM: llm.Config{Seed: 1, ExtractionNoise: 0, BaseHallucination: 0.02, ConflictSensitivity: 0.6}}
 }
 
-// snapBytes is the recovery-equivalence oracle: every layer of the snapshot
-// serializes deterministically (handle order, sorted node keys, insertion
-// order), so two systems whose encoded snapshots are byte-identical hold
-// identical published state.
+// snapBytes is the recovery-equivalence oracle: the snapshot's checkpoint
+// body, which serializes deterministically (handle order, insertion order),
+// followed by a dump of the state every load derives instead of storing
+// (derivedState), so two systems whose snapBytes are byte-identical hold
+// identical published state — vectors and line graph included.
 func snapBytes(s *System) []byte {
 	var e wal.Encoder
-	encodeSnapshot(&e, s.snap.Load())
-	return append([]byte(nil), e.Bytes()...)
+	sn := s.snap.Load()
+	encodeSnapshot(&e, sn)
+	return append(append([]byte(nil), e.Bytes()...), derivedState(sn)...)
+}
+
+// derivedState dumps what a checkpoint body does not hold: every row's vector
+// bit for bit, as ForEachEmbedded gathers it back out of the posting lists,
+// and the line graph — whether there is one, its statistics, every
+// homologous node in key order with its header, members, sources and member
+// triples, and the isolated points.
+func derivedState(sn *snapshot) []byte {
+	var e wal.Encoder
+	sn.index.ForEachEmbedded(func(c retrieval.Chunk, v retrieval.Vector) {
+		e.String(c.ID)
+		for _, x := range v {
+			e.F32(x)
+		}
+	})
+	sg := sn.sg
+	e.Bool(sg != nil)
+	if sg == nil {
+		return e.Bytes()
+	}
+	st := sg.ComputeStats()
+	e.Int(st.HomologousNodes)
+	e.Int(st.Isolated)
+	e.F64(st.MeanGroupSize)
+	e.Int(st.MaxGroupSize)
+	var keys []string
+	sg.ForEachNode(func(key string, _ *linegraph.HomologousNode) { keys = append(keys, key) })
+	sort.Strings(keys)
+	for _, key := range keys {
+		n, _ := sg.Node(key)
+		e.String(n.Key)
+		e.String(n.SubjectID)
+		e.String(n.Name)
+		e.Int(n.Num)
+		for _, list := range [][]string{n.Members, n.Sources} {
+			e.Int(len(list))
+			for _, v := range list {
+				e.String(v)
+			}
+		}
+		for _, t := range sg.MemberTriples(n) {
+			e.String(t.ID)
+		}
+	}
+	for _, id := range sg.IsolatedIDs() {
+		e.String(id)
+	}
+	return e.Bytes()
+}
+
+// requireDerivedEqual fails unless got derives the same vectors and line
+// graph as want holds.
+func requireDerivedEqual(t *testing.T, got, want *System) {
+	t.Helper()
+	if !bytes.Equal(derivedState(got.snap.Load()), derivedState(want.snap.Load())) {
+		t.Fatal("derived state (vectors, line graph) differs")
+	}
 }
 
 // seqBatches is the scripted ingest sequence the recovery tests replay: the

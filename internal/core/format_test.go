@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io/fs"
 	"maps"
 	"os"
 	"path/filepath"
@@ -15,7 +16,6 @@ import (
 
 	"multirag/internal/adapter"
 	"multirag/internal/kg"
-	"multirag/internal/linegraph"
 	"multirag/internal/llm"
 	"multirag/internal/retrieval"
 	"multirag/internal/wal"
@@ -64,15 +64,20 @@ const format1Dir = "testdata/format1"
 const format2Dir = "testdata/format2"
 
 // format3Dir is the same directory written by the first format-3 release,
-// from the same files by the same procedure (writeFormat).
-const format3Dir = "testdata/format3"
+// from the same files by the same procedure (writeFormat), and format4Dir
+// the same written by the first format-4 release.
+const (
+	format3Dir = "testdata/format3"
+	format4Dir = "testdata/format4"
+)
 
-// format3Digest is the snapshot digest the first format-3 release computed
-// for format3Dir reopened.
-const format3Digest = 0x718344dcba09db09
+// format4Digest is the snapshot digest the first format-4 release computed
+// for format4Dir reopened.
+const format4Digest = 0xf4d1a346a6cebbbb
 
-// formatBatches reads the ingest history behind format2Dir and format3Dir:
-// two commits before the checkpoint, then one commit of three files.
+// formatBatches reads the ingest history behind format2Dir, format3Dir and
+// format4Dir: two commits before the checkpoint, then one commit of three
+// files.
 func formatBatches(t testing.TB) [][]adapter.RawFile {
 	t.Helper()
 	type file struct{ domain, source, name, format string }
@@ -96,7 +101,8 @@ func formatBatches(t testing.TB) [][]adapter.RawFile {
 }
 
 // writeFormat ingests formatBatches into a fresh directory the way
-// format2Dir and format3Dir were written and returns the still-open system:
+// format2Dir, format3Dir and format4Dir were written and returns the
+// still-open system:
 // the first two batches, a checkpoint, the third batch. The fixture is the
 // directory's files copied before Close.
 func writeFormat(t testing.TB, dir string) *System {
@@ -130,31 +136,32 @@ func embeddedRows(s *System) ([]retrieval.Chunk, []retrieval.Vector) {
 	return cs, vs
 }
 
-// dirFiles returns every file in dir by name with its bytes.
+// dirFiles returns every file under dir by its path with its bytes.
 func dirFiles(t *testing.T, dir string) map[string]string {
 	t.Helper()
-	entries, err := os.ReadDir(dir)
+	files := map[string]string{}
+	err := fs.WalkDir(os.DirFS(dir), ".", func(name string, e fs.DirEntry, err error) error {
+		if err != nil || e.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		files[name] = string(b)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	files := map[string]string{}
-	for _, e := range entries {
-		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		files[e.Name()] = string(b)
 	}
 	return files
 }
 
-// TestOpenFormat1Directory: format 1 is no longer read. The directory a
-// format-1 release wrote — a format-1 checkpoint plus a tail of format-1
-// records — fails Open with ErrUnsupportedFormat and is left byte for byte as
-// it was, and so does its record tail alone, with no checkpoint in front of
-// it. The replica doors reject the same checkpoint body and records the same
-// way and publish nothing.
-func TestOpenFormat1Directory(t *testing.T) {
+// requireUnsupportedDirectory: the data directory src, a checkpoint at LSN
+// lsn plus a tail of records in a format this release no longer reads, fails
+// Open with ErrUnsupportedFormat and is left byte for byte as it was, and so
+// does its record tail alone, with no checkpoint in front of it. The replica
+// doors reject the same checkpoint body and records the same way and publish
+// nothing.
+func requireUnsupportedDirectory(t *testing.T, src string, lsn uint64, records int) {
+	t.Helper()
 	openRejected := func(dir string) {
 		t.Helper()
 		before := dirFiles(t, dir)
@@ -166,7 +173,7 @@ func TestOpenFormat1Directory(t *testing.T) {
 		}
 	}
 	dir := filepath.Join(t.TempDir(), "data")
-	if err := os.CopyFS(dir, os.DirFS(format1Dir)); err != nil {
+	if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
 		t.Fatal(err)
 	}
 	openRejected(dir)
@@ -175,7 +182,7 @@ func TestOpenFormat1Directory(t *testing.T) {
 	if err := os.Mkdir(tail, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	seg, err := os.ReadFile(filepath.Join(format1Dir, "wal-0000000000000003.log"))
+	seg, err := os.ReadFile(filepath.Join(src, fmt.Sprintf("wal-%016x.log", lsn)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,17 +191,17 @@ func TestOpenFormat1Directory(t *testing.T) {
 	}
 	openRejected(tail)
 
-	body, _, err := wal.LoadCheckpoint(wal.OSFS{}, format1Dir)
+	body, _, err := wal.LoadCheckpoint(wal.OSFS{}, src)
 	if err != nil || body == nil {
-		t.Fatalf("format-1 checkpoint: %v", err)
+		t.Fatalf("checkpoint: %v", err)
 	}
 	r := NewSystem(format1Config())
-	if err := r.SeedReplica(body, 3); !errors.Is(err, ErrUnsupportedFormat) {
+	if err := r.SeedReplica(body, lsn); !errors.Is(err, ErrUnsupportedFormat) {
 		t.Fatalf("SeedReplica: %v, want ErrUnsupportedFormat", err)
 	}
-	sr, err := wal.Scan(wal.OSFS{}, format1Dir, 3)
-	if err != nil || len(sr.Records) != 4 {
-		t.Fatalf("format-1 records: %v", err)
+	sr, err := wal.Scan(wal.OSFS{}, src, lsn)
+	if err != nil || len(sr.Records) != records {
+		t.Fatalf("records: %d, %v; want %d", len(sr.Records), err, records)
 	}
 	for i, rec := range sr.Records {
 		if err := r.ReplicaApply(rec); !errors.Is(err, ErrUnsupportedFormat) {
@@ -206,11 +213,25 @@ func TestOpenFormat1Directory(t *testing.T) {
 	}
 }
 
-// TestFormat3Bytes pins format 3 byte for byte: re-ingesting the files behind
-// format3Dir into a fresh directory writes exactly the checkpoint and WAL
-// segment the first format-3 release wrote, and the fixture reopens to the
+// TestOpenFormat1Directory: format 1 is no longer read. The directory a
+// format-1 release wrote — a format-1 checkpoint plus a tail of format-1
+// records — is rejected whole and left as it was (requireUnsupportedDirectory).
+func TestOpenFormat1Directory(t *testing.T) {
+	requireUnsupportedDirectory(t, format1Dir, 3, 4)
+}
+
+// TestOpenFormat2Directory: format 2 is no longer read either. The format-2
+// fixture — a format-2 checkpoint plus one format-2 record — is rejected
+// whole and left as it was (requireUnsupportedDirectory).
+func TestOpenFormat2Directory(t *testing.T) {
+	requireUnsupportedDirectory(t, format2Dir, 2, 1)
+}
+
+// TestFormat4Bytes pins format 4 byte for byte: re-ingesting the files behind
+// format4Dir into a fresh directory writes exactly the checkpoint and WAL
+// segment the first format-4 release wrote, and the fixture reopens to the
 // snapshot digest that release computed.
-func TestFormat3Bytes(t *testing.T) {
+func TestFormat4Bytes(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "data")
 	s := writeFormat(t, dir)
 	defer s.Close()
@@ -230,7 +251,7 @@ func TestFormat3Bytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := os.ReadFile(filepath.Join(format3Dir, name))
+		want, err := os.ReadFile(filepath.Join(format4Dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,18 +259,19 @@ func TestFormat3Bytes(t *testing.T) {
 			t.Errorf("%s differs from the fixture (%d bytes, fixture %d)", name, len(got), len(want))
 		}
 	}
-	if d := s.SnapshotDigest(); d != format3Digest {
-		t.Errorf("re-ingested snapshot digest %#016x, want %#016x", d, uint64(format3Digest))
+	if d := s.SnapshotDigest(); d != format4Digest {
+		t.Errorf("re-ingested snapshot digest %#016x, want %#016x", d, uint64(format4Digest))
 	}
 
-	r, info := openCopy(t, format3Dir)
+	r, info := openCopy(t, format4Dir)
 	defer r.Close()
 	if *info != (RecoveryInfo{CheckpointLSN: 2, RecordsReplayed: 1}) {
 		t.Fatalf("recovery info %+v, want the checkpoint at LSN 2 and 1 replayed record", *info)
 	}
-	if d := r.SnapshotDigest(); d != format3Digest {
-		t.Fatalf("reopened fixture digest %#016x, want %#016x", d, uint64(format3Digest))
+	if d := r.SnapshotDigest(); d != format4Digest {
+		t.Fatalf("reopened fixture digest %#016x, want %#016x", d, uint64(format4Digest))
 	}
+	requireDerivedEqual(t, r, s)
 	requireAnswer(t, r, "What is the status of CA981?", "Delayed")
 }
 
@@ -267,26 +289,26 @@ func openCopy(t *testing.T, src string) (*System, *RecoveryInfo) {
 	return s, info
 }
 
-// TestOpenFormat2Directory is the migration path from format 2. The format-2
-// fixture, left byte for byte as the format-2 release wrote it, opens with its
-// one record replayed to the digest of the same files ingested fresh. A
-// commit on top appends a format-3 record behind the format-2 one in the same
-// segment; a copy of that mixed directory taken before Close reopens to the
-// same digest; and Close rewrites the state as a format-3 checkpoint.
-func TestOpenFormat2Directory(t *testing.T) {
+// TestOpenFormat3Directory is the migration path from format 3. The format-3
+// fixture, left byte for byte as the format-3 release wrote it, opens with its
+// one record replayed — its stored vectors and line graph read past, both
+// derived instead — to the digest and derived state of the same files
+// ingested fresh. A commit on top appends a format-4 record behind the
+// format-3 one in the same segment; a copy of that mixed directory taken
+// before Close reopens to the same digest; and Close rewrites the state as a
+// format-4 checkpoint.
+func TestOpenFormat3Directory(t *testing.T) {
 	fresh := writeFormat(t, filepath.Join(t.TempDir(), "fresh"))
-	freshDigest := fresh.SnapshotDigest()
-	if err := fresh.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s, info := openCopy(t, format2Dir)
+	defer fresh.Close()
+	s, info := openCopy(t, format3Dir)
 	defer s.Close()
 	if *info != (RecoveryInfo{CheckpointLSN: 2, RecordsReplayed: 1}) {
 		t.Fatalf("recovery info %+v, want the checkpoint at LSN 2 and 1 replayed record", *info)
 	}
-	if d := s.SnapshotDigest(); d != freshDigest {
-		t.Fatalf("format-2 fixture reopened to digest %#016x, the files ingested fresh %#016x", d, freshDigest)
+	if d, want := s.SnapshotDigest(), fresh.SnapshotDigest(); d != want {
+		t.Fatalf("format-3 fixture reopened to digest %#016x, the files ingested fresh %#016x", d, want)
 	}
+	requireDerivedEqual(t, s, fresh)
 	requireAnswer(t, s, "What is the status of CA981?", "Delayed")
 
 	if _, err := s.Ingest(format1Batches()[3]); err != nil {
@@ -301,8 +323,8 @@ func TestOpenFormat2Directory(t *testing.T) {
 	for _, rec := range sr.Records {
 		versions = append(versions, rec[1]) // after the 0 tag
 	}
-	if !bytes.Equal(versions, []byte{plainVersion, recordVersion}) {
-		t.Fatalf("segment holds records of versions %v, want a format-2 record then a format-3 one", versions)
+	if !bytes.Equal(versions, []byte{vectorVersion, recordVersion}) {
+		t.Fatalf("segment holds records of versions %v, want a format-3 record then a format-4 one", versions)
 	}
 	want := s.SnapshotDigest()
 	mixed, info := openCopy(t, dir)
@@ -312,6 +334,7 @@ func TestOpenFormat2Directory(t *testing.T) {
 	if d := mixed.SnapshotDigest(); d != want {
 		t.Fatalf("mixed copy reopened to digest %#016x, the directory it was copied from %#016x", d, want)
 	}
+	requireDerivedEqual(t, mixed, s)
 	if err := mixed.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -373,62 +396,60 @@ func TestDecodedSnapshotSharesStrings(t *testing.T) {
 }
 
 // unbackedCounts are payloads whose counts no bytes back: a record opening
-// with 2³¹-1 batches the way format 1 did (5 bytes), records of formats 2 and
-// 3 claiming as many batches or files, and line-graph bodies with one node of
-// 2³¹-1 members in either layout (6 and 7 bytes).
+// with 2³¹-1 batches the way format 1 did (5 bytes), records of formats 2, 3
+// and 4 claiming as many batches or files, and format-3 checkpoint bodies
+// whose skipped line graph claims 2³¹-1 nodes, or one node of 2³¹-1 members.
 // Sizing a preallocation by any of these counts asks the runtime for tens of
-// gigabytes and ends the process.
+// gigabytes and ends the process; looping over one spins for seconds.
 var (
 	unbackedRecords = [][]byte{
 		binary.AppendUvarint(nil, 1<<31-1),
-		binary.AppendUvarint([]byte{0, plainVersion}, 1<<31-1),
-		binary.AppendUvarint([]byte{0, plainVersion, 1}, 1<<31-1),
+		binary.AppendUvarint([]byte{0, 2}, 1<<31-1),
+		binary.AppendUvarint([]byte{0, 2, 1}, 1<<31-1),
+		binary.AppendUvarint([]byte{0, vectorVersion}, 1<<31-1),
+		binary.AppendUvarint([]byte{0, vectorVersion, 1}, 1<<31-1),
 		binary.AppendUvarint([]byte{0, recordVersion}, 1<<31-1),
 		binary.AppendUvarint([]byte{0, recordVersion, 1}, 1<<31-1),
 	}
-	unbackedSG      = binary.AppendUvarint([]byte{1}, 1<<31-1)
-	unbackedKeyedSG = binary.AppendUvarint([]byte{1, 0}, 1<<31-1) // format 2: an empty key first
+	unbackedSGs = [][]byte{
+		binary.AppendUvarint(nil, 1<<31-1),
+		binary.AppendUvarint([]byte{1}, 1<<31-1),
+	}
 )
 
-// unbackedCheckpoint is a checkpoint body of version v around sg: an empty
-// graph, then the line graph with the unbacked member count.
-func unbackedCheckpoint(v uint64, sg []byte) []byte {
-	var e wal.Encoder
-	e.Uvarint(v)
-	kg.New().EncodeTo(&e) // an empty graph encodes the same in formats 2 and 3
-	e.Bool(true)
-	return append(e.Bytes(), sg...)
-}
-
-// unbackedCheckpoints are unbackedCheckpoint in formats 2 and 3.
+// unbackedCheckpoints are format-3 checkpoint bodies around unbackedSGs: an
+// empty graph, then the line graph with the unbacked count.
 func unbackedCheckpoints() [][]byte {
-	return [][]byte{unbackedCheckpoint(plainVersion, unbackedKeyedSG), unbackedCheckpoint(snapshotVersion, unbackedSG)}
+	var out [][]byte
+	for _, sg := range unbackedSGs {
+		var e wal.Encoder
+		e.Uvarint(vectorVersion)
+		kg.New().EncodeTo(&e) // an empty graph encodes the same in formats 3 and 4
+		e.Bool(true)
+		out = append(out, append(e.Bytes(), sg...))
+	}
+	return out
 }
 
 // TestDecodeRejectsUnbackedCounts: a count the payload cannot back is an
-// error — from the record decoder and the line-graph decoder directly, and
-// through ReplicaApply and SeedReplica, the two doors a peer's bytes come in
-// by — never an allocation sized by it.
+// error — from the record decoder directly, and through ReplicaApply and
+// SeedReplica, the two doors a peer's bytes come in by — never an allocation
+// sized by it, nor a loop that runs to it.
 func TestDecodeRejectsUnbackedCounts(t *testing.T) {
 	for i, rec := range unbackedRecords {
-		if _, err := decodeGroupRecord(rec, retrieval.DefaultDim); err == nil {
+		if _, err := decodeGroupRecord(rec, getEmbedScratch(retrieval.DefaultDim)); err == nil {
 			t.Errorf("record %d: decodeGroupRecord accepted %x", i, rec)
 		}
 		if err := NewSystem(format1Config()).ReplicaApply(rec); err == nil {
 			t.Errorf("record %d: ReplicaApply accepted %x", i, rec)
 		}
 	}
-	if _, err := linegraph.DecodeSG(wal.NewDecoder(unbackedSG), kg.New(), false); err == nil {
-		t.Errorf("DecodeSG accepted %x", unbackedSG)
-	}
-	if _, err := linegraph.DecodeSG(wal.NewDecoder(unbackedKeyedSG), kg.New(), true); err == nil {
-		t.Errorf("DecodeSG accepted keyed %x", unbackedKeyedSG)
-	}
-	// The bodies are in formats this release reads, so the error comes from
-	// DecodeSG, not from the version check in front of it.
-	for _, body := range unbackedCheckpoints() {
+	// The bodies are in a format this release reads, so the error comes from
+	// the skipped line graph's framing, not from the version check in front
+	// of it.
+	for i, body := range unbackedCheckpoints() {
 		if err := NewSystem(format1Config()).SeedReplica(body, 0); err == nil || errors.Is(err, ErrUnsupportedFormat) {
-			t.Errorf("SeedReplica on a version-%d body with an unbacked member count: %v", body[0], err)
+			t.Errorf("SeedReplica on format-3 body %d with an unbacked line-graph count: %v", i, err)
 		}
 	}
 }
@@ -436,11 +457,10 @@ func TestDecodeRejectsUnbackedCounts(t *testing.T) {
 // FuzzRecoveredPayload feeds arbitrary bytes to the two decoders recovery and
 // replication run over bytes from disk or a peer — the WAL group record and
 // the checkpoint body — and to the replica doors in front of them. The seeds
-// are a record and a checkpoint body in each of formats 3 and 2, which
-// decode, and in format 1 (with the format1-nan-weight corpus entry), which
-// must be rejected. Any input may be rejected; none may
-// crash, and a record that decodes must hold one stored vector per chunk, each
-// of the store's width.
+// are a record and a checkpoint body in each of formats 4 and 3, which
+// decode, and in formats 2 and 1 (with the format1-nan-weight corpus entry),
+// which must be rejected. Any input may be rejected; none may crash, and a
+// record that decodes must hold one sparse row per chunk.
 func FuzzRecoveredPayload(f *testing.F) {
 	primary, _, err := OpenFS(wal.NewMemFS(), durDir, format1Config())
 	if err != nil {
@@ -450,28 +470,30 @@ func FuzzRecoveredPayload(f *testing.F) {
 	if _, err := primary.Ingest(format1Batches()[3]); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(logRecords(f, primary, 0, 1)[0])  // format-3 record
-	f.Add(primary.ServingHandle().Encode()) // format-3 checkpoint body
-	sr2, err := wal.Scan(wal.OSFS{}, format2Dir, 2)
-	if err != nil || len(sr2.Records) == 0 {
-		f.Fatalf("format-2 records: %v", err)
+	f.Add(logRecords(f, primary, 0, 1)[0])  // format-4 record
+	f.Add(primary.ServingHandle().Encode()) // format-4 checkpoint body
+	for _, fx := range []struct {
+		dir      string
+		lsn      uint64
+		rejected bool
+	}{{format3Dir, 2, false}, {format2Dir, 2, true}, {format1Dir, 3, true}} {
+		sr, err := wal.Scan(wal.OSFS{}, fx.dir, fx.lsn)
+		if err != nil || len(sr.Records) == 0 {
+			f.Fatalf("%s records: %v", fx.dir, err)
+		}
+		body, _, err := wal.LoadCheckpoint(wal.OSFS{}, fx.dir)
+		if err != nil || body == nil {
+			f.Fatalf("%s checkpoint: %v", fx.dir, err)
+		}
+		_, recErr := decodeGroupRecord(sr.Records[0], getEmbedScratch(retrieval.DefaultDim))
+		bodyErr := NewSystem(format1Config()).SeedReplica(body, fx.lsn)
+		if fx.rejected != errors.Is(recErr, ErrUnsupportedFormat) || fx.rejected != errors.Is(bodyErr, ErrUnsupportedFormat) ||
+			!fx.rejected && (recErr != nil || bodyErr != nil) {
+			f.Fatalf("%s: record %v, checkpoint %v; want rejected = %v", fx.dir, recErr, bodyErr, fx.rejected)
+		}
+		f.Add(sr.Records[0])
+		f.Add(body)
 	}
-	f.Add(sr2.Records[0]) // format-2 record
-	body2, _, err := wal.LoadCheckpoint(wal.OSFS{}, format2Dir)
-	if err != nil || body2 == nil {
-		f.Fatalf("format-2 checkpoint: %v", err)
-	}
-	f.Add(body2) // format-2 checkpoint body
-	sr, err := wal.Scan(wal.OSFS{}, format1Dir, 3)
-	if err != nil || len(sr.Records) == 0 {
-		f.Fatalf("format-1 records: %v", err)
-	}
-	f.Add(sr.Records[0]) // format-1 record: rejected
-	body, _, err := wal.LoadCheckpoint(wal.OSFS{}, format1Dir)
-	if err != nil || body == nil {
-		f.Fatalf("format-1 checkpoint: %v", err)
-	}
-	f.Add(body) // format-1 checkpoint body: rejected
 	for _, rec := range unbackedRecords {
 		f.Add(rec)
 	}
@@ -481,18 +503,11 @@ func FuzzRecoveredPayload(f *testing.F) {
 
 	cfg := format1Config()
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		if batches, err := decodeGroupRecord(payload, retrieval.DefaultDim); err == nil {
+		if batches, err := decodeGroupRecord(payload, getEmbedScratch(retrieval.DefaultDim)); err == nil {
 			for _, files := range batches {
 				for _, rf := range files {
-					if len(rf.vecs) != len(rf.chunks) {
-						t.Fatalf("%d vectors for %d chunks", len(rf.vecs), len(rf.chunks))
-					}
-					for _, b := range rf.vecs {
-						d := wal.NewDecoder(b)
-						retrieval.DecodeVector(d, make(retrieval.Vector, retrieval.DefaultDim))
-						if err := d.Finish(); err != nil {
-							t.Fatalf("decoded vector %x does not read back at the store's width: %v", b, err)
-						}
+					if rf.rows.Len() != len(rf.chunks) {
+						t.Fatalf("%d sparse rows for %d chunks", rf.rows.Len(), len(rf.chunks))
 					}
 				}
 			}

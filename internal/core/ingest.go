@@ -35,16 +35,16 @@ type replayer interface {
 }
 
 // fileWork is one file's replay data: the output of the parallel preparation
-// stage, or one file of a decoded WAL record. Each chunk's vector is in stored
-// form — the bytes retrieval.EncodeVector writes, already checked — which is
-// what the record carries, so a prepared batch holds about 73 bytes per chunk
-// instead of a dense row. A prepared file also carries part, its part of the
-// group record, encoded in stage 1 (encodeFile); its vecs are views into it.
+// stage, or one file of a decoded WAL record. rows are the chunks'
+// embeddings in sparse form (retrieval.Sparse), beside the chunks and not in
+// the record: stage 1 embeds them off the commit lock, and decoding a record
+// re-embeds them from the chunk texts. A prepared file also carries part, its
+// part of the group record, encoded in stage 1 (encodeFile).
 type fileWork struct {
 	rec    replayer
 	report extract.Report
 	chunks []retrieval.Chunk
-	vecs   [][]byte
+	rows   retrieval.Sparse
 	part   []byte
 	err    error
 }
@@ -139,7 +139,7 @@ func (s *System) prepare(p *prepared, files []adapter.RawFile) {
 
 // prepareFiles runs the per-file half of stage 1 over the fused files on the
 // worker pool: extraction into a private recorder, chunk rendering, embedding
-// into the stored form, and the file's part of the WAL group record.
+// into sparse rows, and the file's part of the WAL group record.
 func (s *System) prepareFiles(ext *extract.Extractor, fused []*jsonld.Normalized) []fileWork {
 	dim := s.snap.Load().index.Dim()
 	work := make([]fileWork, len(fused))
@@ -151,7 +151,7 @@ func (s *System) prepareFiles(ext *extract.Extractor, fused []*jsonld.Normalized
 		}
 		w.rec = rec
 		w.chunks = RenderChunks(fused[i], s.cfg.ChunkTokens)
-		w.part, w.vecs = encodeFile(rec, w.chunks, dim)
+		w.part, w.rows = encodeFile(rec, w.chunks, dim)
 	})
 	return work
 }

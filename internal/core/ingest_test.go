@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-	"unsafe"
 
 	"multirag/internal/adapter"
 	"multirag/internal/extract"
@@ -73,8 +73,10 @@ func requireSameGraph(t *testing.T, got, want *System) {
 }
 
 // TestPreparedVectorsStoredForm: a prepared batch carries each chunk's vector
-// as the bytes the WAL record stores, not as a dense row — views into the
-// file's part of the record, built in stage 1.
+// as a sparse row beside its file's part of the WAL record, not as a dense row
+// and not in the part. The part decodes to the file's chunks and nothing else,
+// and the rows the commit posts — prepared in stage 1, or re-embedded when the
+// record is decoded — are Embed of the chunk texts, bit for bit.
 func TestPreparedVectorsStoredForm(t *testing.T) {
 	s := NewSystem(format1Config())
 	p := &prepared{}
@@ -83,25 +85,35 @@ func TestPreparedVectorsStoredForm(t *testing.T) {
 		t.Fatal(p.err)
 	}
 	w := p.work[0]
-	if len(w.chunks) < 2 || len(w.vecs) != len(w.chunks) {
-		t.Fatalf("%d chunks, %d vectors; want at least two of each, paired", len(w.chunks), len(w.vecs))
+	if len(w.chunks) < 2 || w.rows.Len() != len(w.chunks) {
+		t.Fatalf("%d chunks, %d sparse rows; want at least two of each, paired", len(w.chunks), w.rows.Len())
 	}
+	var e wal.Encoder
+	encodeGroupRecord(&e, []*prepared{p})
+	batches, err := decodeGroupRecord(e.Bytes(), getEmbedScratch(retrieval.DefaultDim))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batches) != 1 || len(batches[0]) != 1 || !slices.Equal(batches[0][0].chunks, w.chunks) {
+		t.Fatalf("the record decodes to %v, want the file's chunks", batches)
+	}
+	vecs := make([]retrieval.Vector, len(w.chunks))
 	for j, c := range w.chunks {
-		var e wal.Encoder
-		retrieval.EncodeVector(&e, retrieval.Embed(c.Text, s.Index().Dim()))
-		if !bytes.Equal(w.vecs[j], e.Bytes()) {
-			t.Fatalf("chunk %s carries %x, want EncodeVector(Embed(text)) = %x", c.ID, w.vecs[j], e.Bytes())
+		vecs[j] = retrieval.Embed(c.Text, retrieval.DefaultDim)
+	}
+	want := retrieval.NewIndex(retrieval.DefaultDim)
+	if err := want.AddEmbeddedBatch(w.chunks, vecs); err != nil {
+		t.Fatal(err)
+	}
+	for name, rows := range map[string]*retrieval.Sparse{"prepared": &w.rows, "decoded": &batches[0][0].rows} {
+		got := retrieval.NewIndex(retrieval.DefaultDim)
+		if err := got.AppendSparse(w.chunks, rows); err != nil {
+			t.Fatal(err)
 		}
-		if !inside(w.part, w.vecs[j]) {
-			t.Fatalf("chunk %s's vector is not a view into its file's record part", c.ID)
+		if !bytes.Equal(derivedState(&snapshot{index: got}), derivedState(&snapshot{index: want})) {
+			t.Fatalf("%s rows post other vectors than Embed of the chunk texts", name)
 		}
 	}
-}
-
-// inside reports whether the non-empty view lies within outer's bytes.
-func inside(outer, view []byte) bool {
-	lo, hi := uintptr(unsafe.Pointer(unsafe.SliceData(outer))), uintptr(unsafe.Pointer(unsafe.SliceData(view)))
-	return len(view) > 0 && hi >= lo && hi+uintptr(len(view)) <= lo+uintptr(len(outer))
 }
 
 // poisonedReplayer replays its inner stream fully — mutating the shared

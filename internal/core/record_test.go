@@ -26,8 +26,8 @@ type opStreamer interface {
 // oracleEncodeGroupRecord is encodeGroupRecord as it was written before the
 // record's file parts moved into stage 1: the whole record encoded field by
 // field under the commit lock, every recorder walked twice through its op
-// stream. It writes format 3: the repeating columns front-coded against the
-// previous row of the same file.
+// stream. It writes format 4: the repeating columns front-coded against the
+// previous row of the same file, and no vectors.
 func oracleEncodeGroupRecord(e *wal.Encoder, committed []*prepared) error {
 	e.Int(0)
 	e.Uvarint(recordVersion)
@@ -76,7 +76,6 @@ func oracleEncodeGroupRecord(e *wal.Encoder, committed []*prepared) error {
 				e.Front(pc.DocID, c.DocID)
 				e.Front(pc.Source, c.Source)
 				e.String(c.Text)
-				e.Raw(w.vecs[j])
 				pc = *c
 			}
 		}
@@ -215,11 +214,11 @@ func TestGroupRecordMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestReplayPostsStoredVectors: replaying prepared files appends their
-// vectors from the stored bytes. It allocates no vector per chunk — no dense
-// row, no decoder — only the store's own growth: under a dense row's bytes
-// per chunk, which the dense row alone used to cost on top of that growth,
-// and far under one object per chunk.
+// TestReplayPostsStoredVectors: replaying prepared files posts their
+// vectors from the sparse rows stage 1 kept. It allocates no vector per chunk
+// — no dense row, no re-embedding — only the store's own growth: under a
+// dense row's bytes per chunk, which the dense row alone used to cost on top
+// of that growth, and far under one object per chunk.
 func TestReplayPostsStoredVectors(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race instrumentation changes allocation counts")
@@ -235,7 +234,7 @@ func TestReplayPostsStoredVectors(t *testing.T) {
 	for lo := 0; lo < n; lo += 500 {
 		rec := extract.NewRecorder()
 		f := fileWork{rec: rec, chunks: chunks[lo : lo+500]}
-		f.part, f.vecs = encodeFile(rec, f.chunks, dim)
+		f.part, f.rows = encodeFile(rec, f.chunks, dim)
 		files = append(files, f)
 	}
 	g, ix := kg.New(), retrieval.NewIndex(dim)

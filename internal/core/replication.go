@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"sync"
 
 	"multirag/internal/linegraph"
+	"multirag/internal/retrieval"
 	"multirag/internal/wal"
 )
 
@@ -149,28 +151,78 @@ func (s *System) DigestAt(lsn uint64) (digest func() uint64, ok bool) {
 
 // ReplicaApply replays one committed record onto the serving snapshot and
 // publishes the result. It mirrors the committer's replay exactly (clone,
-// recorder replay in ticket order, embedded-chunk append, one line-graph
-// delta, snapshot swap), so a replica that applies the primary's records in
-// order stays byte-identical to it at every position. Nothing of payload is
-// kept: a caller may reuse its buffer once ReplicaApply returns. Safe to call
-// concurrently with queries; replays serialize on the replica's own commit
-// lock.
+// recorder replay in ticket order, chunk append, one line-graph delta,
+// snapshot swap), so a replica that applies the primary's records in order
+// stays byte-identical to it at every position. The record is decoded, and
+// its chunks re-embedded, before the replica's commit lock is taken. Nothing
+// of payload is kept: a caller may reuse its buffer once ReplicaApply
+// returns. Safe to call concurrently with queries; replays serialize on the
+// replica's own commit lock.
 func (s *System) ReplicaApply(payload []byte) error {
+	sc := getEmbedScratch(retrieval.DefaultDim)
+	defer putEmbedScratch(sc)
+	sc.rows.Reset()
+	batches, err := decodeGroupRecord(payload, sc)
+	if err != nil {
+		return err
+	}
+	return s.replicaPublish([][][]fileWork{batches})
+}
+
+// ReplicaApplyTail reads the committed records from t's position up to to, or
+// up to the next verification point (digestEvery) if that comes first, and
+// replays them as one run: every record decoded off the commit lock, then one
+// clone, the records replayed in order, one line-graph delta over all of them
+// and one publish at the position past the last — recovery's merge of a
+// replayed tail, which lands on the state record-by-record replay publishes at
+// that position. A replica that has fallen behind catches up without paying a
+// clone, a delta and a publish per record. It returns how many records it
+// applied; on error it applied none, and t may have read past some.
+func (s *System) ReplicaApplyTail(t *wal.Tail, to uint64) (int, error) {
+	to = min(to, (t.LSN()/digestEvery+1)*digestEvery)
+	sc := getEmbedScratch(retrieval.DefaultDim)
+	defer putEmbedScratch(sc)
+	sc.rows.Reset()
+	var records [][][]fileWork
+	for t.LSN() < to {
+		lsn := t.LSN()
+		payload, _, err := t.Next(to)
+		if err != nil {
+			return 0, fmt.Errorf("core: read WAL record %d: %w", lsn, err)
+		}
+		batches, err := decodeGroupRecord(payload, sc)
+		if err != nil {
+			return 0, fmt.Errorf("core: WAL record %d: %w", lsn, err)
+		}
+		records = append(records, batches)
+	}
+	return len(records), s.replicaPublish(records)
+}
+
+// replicaPublish replays decoded records, in order, onto one clone of the
+// serving snapshot and publishes it at the position past the last of them.
+func (s *System) replicaPublish(records [][][]fileWork) error {
+	if len(records) == 0 {
+		return nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.snap.Load()
 	g := cur.graph.Clone()
 	ix := cur.index.CloneForAppend()
-	newIDs, err := s.applyRecovered(g, ix, payload, nil)
-	if err != nil {
-		return err
+	var newIDs []string
+	for _, batches := range records {
+		var err error
+		if newIDs, err = replayRecord(g, ix, batches, newIDs); err != nil {
+			return err
+		}
 	}
 	next := &snapshot{graph: g, index: ix, sg: cur.sg, gen: cur.gen + 1}
 	if !s.cfg.DisableMKA {
 		next.sg = linegraph.BuildDelta(cur.sg, g, newIDs)
 	}
 	s.snap.Store(next)
-	s.setReplicationLSN(s.replPos.Load() + 1)
+	s.setReplicationLSN(s.replPos.Load() + uint64(len(records)))
 	return nil
 }
 

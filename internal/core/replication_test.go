@@ -354,10 +354,12 @@ func digestBytes(b []byte) uint64 {
 func TestStreamedDigestEqualsDigestOfEncode(t *testing.T) {
 	s := NewSystem(durTestConfig())
 	rng := rand.New(rand.NewSource(4))
-	for step := 0; step <= 64; step++ {
+	for step := 0; step <= 96; step++ {
 		h := s.ServingHandle()
 		body := h.Encode()
-		if !bytes.Equal(body, snapBytes(s)) {
+		var ref wal.Encoder
+		encodeSnapshot(&ref, s.snap.Load())
+		if !bytes.Equal(body, ref.Bytes()) {
 			t.Fatalf("step %d: Encode differs from the buffered reference encoding", step)
 		}
 		// Sized by the counting pass, not grown by doubling: the only slack
@@ -384,4 +386,108 @@ func TestStreamedDigestEqualsDigestOfEncode(t *testing.T) {
 	if n := len(s.ServingHandle().Encode()); n < 4*(32<<10) {
 		t.Fatalf("final body is %d bytes; it must span several stream buffers", n)
 	}
+}
+
+// TestDerivedStateMatchesLive: what a load derives instead of reading — each
+// vector re-embedded from its chunk's text, the line graph built from the
+// decoded graph — is the state the primary serves after a history of
+// BuildDelta commits that grow the same homologous groups commit after
+// commit. A replica seeded from the primary's snapshot, a replica that
+// applied every record from the start, and a crash-recovered system (a
+// checkpoint mid-history, the rest of the log replayed) each hold the
+// primary's posting lists and line graph, and its checkpoint body.
+func TestDerivedStateMatchesLive(t *testing.T) {
+	fsys := wal.NewMemFS()
+	primary, _ := openDurable(t, fsys, durTestConfig())
+	lease := primary.AcquireWALLease(0)
+	defer lease.Release()
+	follower := NewSystem(primary.Config())
+	tail, err := primary.TailWAL(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range seqBatches() {
+		if _, err := primary.Ingest(b); err != nil {
+			t.Fatalf("ingest batch %d: %v", i, err)
+		}
+	}
+	if err := primary.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 10; k++ { // Item k%5: every group grows twice
+		if _, err := primary.Ingest(ingestBatch(k)); err != nil {
+			t.Fatalf("ingest delta %d: %v", k, err)
+		}
+	}
+	if st := primary.SG().ComputeStats(); st.HomologousNodes == 0 || st.MaxGroupSize < 3 {
+		t.Fatalf("line graph %+v: the history must grow homologous groups past two members", st)
+	}
+	catchUp(t, primary, follower, tail)
+	seeded, _ := seededReplica(t, primary)
+	recovered, info := openDurable(t, fsys.Crash(nil), durTestConfig())
+	if info.CheckpointLSN != 3 || info.RecordsReplayed != 10 {
+		t.Fatalf("recovery %+v, want the checkpoint at LSN 3 and 10 replayed records", *info)
+	}
+	want := snapBytes(primary)
+	for name, s := range map[string]*System{"seeded replica": seeded, "log-applying replica": follower, "crash-recovered": recovered} {
+		t.Run(name, func(t *testing.T) {
+			requireDerivedEqual(t, s, primary)
+			if !bytes.Equal(snapBytes(s), want) {
+				t.Fatal("checkpoint body differs from the primary's")
+			}
+		})
+	}
+}
+
+// TestReplicaApplyTailMatchesOneByOne: a replica that catches up in runs
+// (ReplicaApplyTail: one clone, one line-graph delta and one publish per run)
+// stops at every verification point and holds, at each position it publishes,
+// exactly the state — body, vectors and line graph — of a replica that
+// applied the same records one at a time.
+func TestReplicaApplyTailMatchesOneByOne(t *testing.T) {
+	primary, _ := openDurable(t, wal.NewMemFS(), durTestConfig())
+	lease := primary.AcquireWALLease(0)
+	defer lease.Release()
+	for k := 0; k < 2*digestEvery+5; k++ {
+		if _, err := primary.Ingest(ingestBatch(k)); err != nil {
+			t.Fatalf("ingest %d: %v", k, err)
+		}
+	}
+	committed := primary.ReplicationLSN()
+	single, run := NewSystem(primary.Config()), NewSystem(primary.Config())
+	singleTail, err := primary.TailWAL(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runTail, err := primary.TailWAL(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pos := uint64(0); pos < committed; {
+		n, err := run.ReplicaApplyTail(runTail, committed)
+		if err != nil {
+			t.Fatalf("ReplicaApplyTail at %d: %v", pos, err)
+		}
+		want := min(committed, (pos/digestEvery+1)*digestEvery)
+		if pos+uint64(n) != want || run.ReplicationLSN() != want {
+			t.Fatalf("run from %d applied %d records to position %d, want position %d", pos, n, run.ReplicationLSN(), want)
+		}
+		for single.ReplicationLSN() < want {
+			payload, _, err := singleTail.Next(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := single.ReplicaApply(payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(snapBytes(run), snapBytes(single)) {
+			t.Fatalf("position %d: the run-applying replica differs from the one-at-a-time one", want)
+		}
+		pos = want
+	}
+	if n, err := run.ReplicaApplyTail(runTail, committed); n != 0 || err != nil {
+		t.Fatalf("a caught-up replica applied %d records (%v)", n, err)
+	}
+	requireDerivedEqual(t, run, primary)
 }

@@ -23,9 +23,7 @@ import (
 // triples costs a byte or two per field instead of the whole value. Decoding
 // reads them, and a triple's Object, through the decoder's intern table, so a
 // decoded graph holds one copy of each distinct value where the encoded
-// bytes hold one per row. A payload written before front coding holds the
-// same fields as plain strings; the caller reads it with the same decoder
-// set to wal.Decoder.SetPlainFront.
+// bytes hold one per row.
 //
 // Derivable fields are not stored: a triple's ID comes from its handle, its
 // Subject from the subject entity handle and its Predicate from the predicate

@@ -19,7 +19,6 @@ import (
 
 	"multirag/internal/lineage"
 	"multirag/internal/textutil"
-	"multirag/internal/wal"
 )
 
 // Chunk is one retrievable text unit with provenance.
@@ -119,6 +118,22 @@ func Embed(text string, dim int) Vector {
 // content tokens are hashed where they sit in text (textutil.EachContentToken)
 // instead of being collected into a slice.
 func EmbedInto(v Vector, text string) {
+	addFeatures(v, text)
+	norm := float32(0)
+	for _, x := range v {
+		norm += x * x
+	}
+	if norm > 0 {
+		inv := float32(1 / math.Sqrt(float64(norm)))
+		for i := range v {
+			v[i] *= inv
+		}
+	}
+}
+
+// addFeatures is EmbedInto before normalisation: v cleared, then each
+// feature's sign added into its bucket.
+func addFeatures(v Vector, text string) {
 	embedCalls.Add(1)
 	clear(v)
 	dim := uint64(len(v))
@@ -142,15 +157,87 @@ func EmbedInto(v Vector, text string) {
 		add(prev)
 		first = false
 	})
+}
+
+// weight is one non-zero weight of an embedding: its bucket and its value.
+type weight struct {
+	b int32
+	w float32
+}
+
+// Sparse is a run of embeddings in sparse form, row after row, each row's
+// non-zero weights in ascending bucket order: what ingest keeps of a file's
+// embeddings until its commit posts them (AppendSparse), at about a tenth of
+// the size of the dense rows. The zero value is empty.
+type Sparse struct {
+	dim   int // the width the rows were embedded at
+	w     []weight
+	ends  []int // where each row's weights end in w
+	start int   // where the first row's weights start in w (Rows)
+}
+
+// rowWeights is the room Grow reserves per row: about what a chunk's
+// embedding holds.
+const rowWeights = 16
+
+// Grow reserves room for n more rows of a chunk's usual size, so a slab whose
+// row count is known grows in one step instead of by doubling.
+func (s *Sparse) Grow(n int) {
+	s.w = slices.Grow(s.w, rowWeights*n)
+	s.ends = slices.Grow(s.ends, n)
+}
+
+// Reset empties s, keeping its memory for the next rows.
+func (s *Sparse) Reset() { s.w, s.ends, s.start = s.w[:0], s.ends[:0], 0 }
+
+// Rows returns rows [lo, hi) of s as a slab that shares s's memory, valid
+// until s is next changed. Nothing may be embedded into it.
+func (s *Sparse) Rows(lo, hi int) Sparse {
+	if lo == hi {
+		return Sparse{dim: s.dim}
+	}
+	v := Sparse{dim: s.dim, w: s.w[:s.ends[hi-1]:s.ends[hi-1]], ends: s.ends[lo:hi:hi]}
+	if lo > 0 {
+		v.start = s.ends[lo-1]
+	}
+	return v
+}
+
+// Embed appends Embed(text, len(scratch)) as the next row, with scratch as
+// the dense row it adds the features into (its contents are overwritten).
+// Only the non-zero buckets are normalised and kept, which is EmbedInto bit
+// for bit: a zero bucket adds +0 to the norm's ascending sum and never changes
+// it, and a bucket's count is a whole number, which scaling never takes to
+// zero. With capacity in hand it allocates nothing.
+func (s *Sparse) Embed(scratch Vector, text string) {
+	addFeatures(scratch, text)
+	s.dim = len(scratch)
+	from := len(s.w)
 	norm := float32(0)
-	for _, x := range v {
-		norm += x * x
+	for b, x := range scratch {
+		if x != 0 {
+			s.w = append(s.w, weight{int32(b), x})
+			norm += x * x
+		}
 	}
 	if norm > 0 {
 		inv := float32(1 / math.Sqrt(float64(norm)))
-		for i := range v {
-			v[i] *= inv
+		for i := from; i < len(s.w); i++ {
+			s.w[i].w *= inv
 		}
+	}
+	s.ends = append(s.ends, len(s.w))
+}
+
+// Len returns the number of rows.
+func (s *Sparse) Len() int { return len(s.ends) }
+
+// each calls fn with every row's index and weights, in order.
+func (s *Sparse) each(fn func(i int, nz []weight)) {
+	start := s.start
+	for i, end := range s.ends {
+		fn(i, s.w[start:end])
+		start = end
 	}
 }
 
@@ -246,38 +333,42 @@ func (ix *Index) AddEmbeddedBatch(cs []Chunk, vs []Vector) error {
 	for i := range cs {
 		ix.post.add(len(ix.chunks)+i, vs[i])
 	}
-	ix.chunks = append(ix.chunks, cs...)
+	ix.chunks = appendChunks(ix.chunks, cs)
 	return nil
 }
 
-// AppendStored appends a parallel run of chunks and vectors in stored form
-// (the bytes EncodeVector writes, one vector per slice) under one claim — the
-// append the group committer, replica apply and recovery share. Weights are
-// posted straight from the bytes; no dense row is built. Every vector is
-// checked as DecodeVector checks it, and must fill its slice exactly, before
-// anything is appended, so a malformed batch is an error with the store
-// untouched.
-func (ix *Index) AppendStored(cs []Chunk, vecs [][]byte) error {
-	if len(cs) != len(vecs) {
-		return fmt.Errorf("retrieval: %d chunks but %d stored vectors", len(cs), len(vecs))
-	}
-	var stack [DefaultDim]weight // spills only past DefaultDim
-	for i, b := range vecs {
-		d := wal.NewDecoder(b)
-		readVector(d, ix.dim, stack[:0])
-		if err := d.Finish(); err != nil {
-			return fmt.Errorf("retrieval: stored vector of chunk %s: %w", cs[i].ID, err)
-		}
+// AppendSparse appends a parallel run of chunks and their embeddings in
+// sparse form under one claim — the append the group committer, replica apply
+// and recovery share. The weights are posted as the slab holds them; no dense
+// row is built. rows must hold one row per chunk, embedded at the index
+// width, or the append is an error with the store untouched. The store does
+// not retain rows.
+func (ix *Index) AppendSparse(cs []Chunk, rows *Sparse) error {
+	if len(cs) != rows.Len() {
+		return fmt.Errorf("retrieval: %d chunks but %d sparse rows", len(cs), rows.Len())
 	}
 	if len(cs) == 0 {
 		return nil
 	}
-	ix.claim(len(cs))
-	for i, b := range vecs {
-		ix.post.addSparse(len(ix.chunks)+i, readVector(wal.NewDecoder(b), ix.dim, stack[:0]))
+	if rows.dim != ix.dim {
+		return fmt.Errorf("retrieval: sparse rows of width %d, the index %d", rows.dim, ix.dim)
 	}
-	ix.chunks = append(ix.chunks, cs...)
+	ix.claim(len(cs))
+	base := len(ix.chunks)
+	rows.each(func(i int, nz []weight) { ix.post.addSparse(base+i, nz) })
+	ix.chunks = appendChunks(ix.chunks, cs)
 	return nil
+}
+
+// appendChunks appends cs to chunks. When it has to grow the slice it leaves
+// a quarter of the result spare, as append's own growth would for a few rows,
+// so the next commits after a bulk append — a bulk load's — do not copy every
+// row.
+func appendChunks(chunks, cs []Chunk) []Chunk {
+	if n := len(chunks) + len(cs); n > cap(chunks) {
+		chunks = slices.Grow(chunks, len(cs)+n/4)
+	}
+	return append(chunks, cs...)
 }
 
 // CloneForAppend returns an index that shares the receiver's backing arrays,

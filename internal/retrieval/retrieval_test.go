@@ -285,10 +285,9 @@ func TestCosineBitIdenticalToSeed(t *testing.T) {
 }
 
 // TestAddEmbeddedBatchValidation: a malformed batch — a length mismatch, a
-// vector of the wrong width, or a stored vector that does not decode, or
-// decodes with bytes left over — is an error up front with the store
-// untouched, on every append path. None of them panics: these are the paths
-// decoded file input reaches.
+// vector of the wrong width, a sparse slab with a row too few or too many, or
+// rows embedded at another width — is an error up front with
+// the store untouched, on every append path. None of them panics.
 func TestAddEmbeddedBatchValidation(t *testing.T) {
 	cs := []Chunk{{ID: "a#c0", Text: "x"}, {ID: "b#c0", Text: "y"}}
 	good := []Vector{Embed("x", 32), Embed("y", 32)}
@@ -296,10 +295,14 @@ func TestAddEmbeddedBatchValidation(t *testing.T) {
 	if err := st.AddEmbeddedBatch(cs, good); err != nil || st.Len() != 2 { // well-formed baseline
 		t.Fatalf("baseline batch: err=%v len=%d", err, st.Len())
 	}
-	stored := func(v Vector) []byte { return AppendVector(nil, v) }
-	wide := make(Vector, 33)
-	wide[32] = 1
-	two := []Chunk{{ID: "c#c0"}, {ID: "d#c0"}}
+	slab := func(dims ...int) *Sparse {
+		var s Sparse
+		for i, dim := range dims {
+			s.Embed(make(Vector, dim), cs[i%2].Text)
+		}
+		return &s
+	}
+	two := []Chunk{{ID: "c#c0", Text: "x"}, {ID: "d#c0", Text: "y"}}
 	before := slices.Clone(st.post.lists)
 	for name, add := range map[string]func() error{
 		"length mismatch": func() error { return st.AddEmbeddedBatch(two, good[:1]) },
@@ -307,16 +310,9 @@ func TestAddEmbeddedBatchValidation(t *testing.T) {
 		"AddEmbedded dim mismatch": func() error {
 			return st.AddEmbedded(Chunk{ID: "a#c0"}, make(Vector, 31))
 		},
-		"stored length mismatch": func() error { return st.AppendStored(two, [][]byte{stored(good[0])}) },
-		"stored past the width": func() error {
-			return st.AppendStored(two, [][]byte{stored(good[0]), stored(wide)})
-		},
-		"stored truncated": func() error {
-			return st.AppendStored(two, [][]byte{stored(good[0]), stored(good[1])[:5]})
-		},
-		"stored trailing bytes": func() error {
-			return st.AppendStored(two, [][]byte{stored(good[0]), append(stored(good[1]), 0)})
-		},
+		"sparse row missing":    func() error { return st.AppendSparse(two, slab(32)) },
+		"sparse row extra":      func() error { return st.AppendSparse(two, slab(32, 32, 32)) },
+		"sparse at another dim": func() error { return st.AppendSparse(two, slab(33, 33)) },
 	} {
 		if err := add(); err == nil {
 			t.Fatalf("%s: accepted", name)
@@ -325,7 +321,7 @@ func TestAddEmbeddedBatchValidation(t *testing.T) {
 			t.Fatalf("%s: rejected batch mutated the store: len=%d", name, st.Len())
 		}
 	}
-	if err := st.AppendStored(two, [][]byte{stored(good[0]), stored(good[1])}); err != nil || st.Len() != 4 {
-		t.Fatalf("well-formed stored batch: err=%v len=%d", err, st.Len())
+	if err := st.AppendSparse(two, slab(32, 32)); err != nil || st.Len() != 4 {
+		t.Fatalf("well-formed sparse batch: err=%v len=%d", err, st.Len())
 	}
 }

@@ -39,12 +39,11 @@ type Store interface {
 	// batch is an error with the store untouched. The store does not retain
 	// vs: callers may reuse the vectors' memory once it returns.
 	AddEmbeddedBatch(cs []Chunk, vs []Vector) error
-	// AppendStored is AddEmbeddedBatch for vectors in stored form (the bytes
-	// EncodeVector writes), checked before anything is appended. The group
-	// committer, replica apply and recovery append a file's chunks through it
-	// straight from the bytes a WAL record carries. The store does not
-	// retain vecs.
-	AppendStored(cs []Chunk, vecs [][]byte) error
+	// AppendSparse is AddEmbeddedBatch for embeddings in sparse form (see
+	// Sparse), checked before anything is appended. The group committer,
+	// replica apply and recovery append a file's chunks through it. The
+	// store does not retain rows.
+	AppendSparse(cs []Chunk, rows *Sparse) error
 	// CloneForAppend returns a store that shares the receiver's backing
 	// storage and its spare capacity; appends to the clone never change what
 	// the receiver (a published, read-only snapshot) serves. Who may append
@@ -55,7 +54,6 @@ type Store interface {
 	CloneForAppend() Store
 	// ForEachEmbedded visits every chunk with its stored embedding, in
 	// insertion order, which re-inserting through AddEmbedded reproduces.
-	// The durability checkpoint serializes stores through it. v is valid only
-	// during fn.
+	// v is valid only during fn.
 	ForEachEmbedded(fn func(c Chunk, v Vector))
 }

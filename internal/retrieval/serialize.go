@@ -1,149 +1,70 @@
 package retrieval
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"multirag/internal/lineage"
+	"multirag/internal/par"
 	"multirag/internal/wal"
 )
 
 // Checkpoint serialization of the retrieval store: the embedding width, the
-// chunk count, then every chunk with its stored vector in the store's
-// deterministic enumeration order. A chunk's ID, DocID and Source are
-// front-coded against the previous chunk's (wal.Encoder.Front): consecutive
-// chunks of one document share all but the tail of their ID and all of the
-// other two. Decoding posts each row's weights from
-// its stored bytes into a caller-supplied empty index, which rebuilds the
-// posting lists; only the irreducible chunk+vector data hits the wire.
+// chunk count, then every chunk — ID, DocID, Source, Text — in insertion
+// order. A chunk's ID, DocID and Source are front-coded against the previous
+// chunk's (wal.Encoder.Front): consecutive chunks of one document share all
+// but the tail of their ID and all of the other two.
 //
-// A vector is stored sparse (EncodeVector): a feature-hashed embedding is
-// non-zero in ~14 of its 256 buckets, so a row is ~73 bytes instead of the
-// 1,026 of a dense row.
+// Vectors are not stored. Every row of a store a system serves is
+// Embed(Text, dim), a pure function of bytes the body already holds, so
+// decoding re-embeds each text (EmbedInto, bit for bit what ingest embedded)
+// and posts its weights, rebuilding the posting lists. A body written before
+// vectors were derived (format 3) carries each row's vector behind its text in
+// a sparse stored form — the count of its non-zero weights, their buckets as
+// uvarint gaps, the count again, the weights as little-endian float32s — which
+// DecodeIntoStore reads past (SkipVector) and re-embeds like any other row.
 
 // minStoredChunk is the fewest bytes a chunk takes in a store's encoding:
-// three front-coded fields (a prefix length and a suffix length each), its
-// text's length and its vector's two counts.
-const minStoredChunk = 9
+// three front-coded fields (a prefix length and a suffix length each) and its
+// text's length.
+const minStoredChunk = 7
 
-// EncodeVector appends v's stored form (AppendVector) to e.
-func EncodeVector(e *wal.Encoder, v Vector) {
-	e.Append(func(b []byte) []byte { return AppendVector(b, v) })
-}
-
-// AppendVector appends v's stored form to b: the count of its non-zero
-// weights, their buckets as uvarint gaps (each bucket minus the previous
-// one, the first from -1, so every gap is at least 1), then the weights
-// themselves as little-endian F32s. Zeros of either sign are not stored.
-func AppendVector(b []byte, v Vector) []byte {
-	var stack [DefaultDim]int32 // the non-zero buckets; spills only past DefaultDim
-	nz := stack[:0]
-	for i, x := range v {
-		if x != 0 {
-			nz = append(nz, int32(i))
-		}
-	}
-	b = binary.AppendUvarint(b, uint64(len(nz)))
-	prev := -1
-	for _, i := range nz {
-		b = binary.AppendUvarint(b, uint64(int(i)-prev))
-		prev = int(i)
-	}
-	b = binary.AppendUvarint(b, uint64(len(nz)))
-	for _, i := range nz {
-		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v[i]))
-	}
-	return b
-}
-
-// weight is one stored weight of a vector: its bucket and its value.
-type weight struct {
-	b int32
-	w float32
-}
-
-// readVector reads one vector in the stored form from d, appends its weights
-// to nz in ascending bucket order and returns the result. The vector is
-// checked as it is read — at most dim weights, buckets strictly ascending
-// below dim, as many weights as buckets, every weight non-zero and finite —
-// and anything else latches an error on d, with nz returned as it came.
-func readVector(d *wal.Decoder, dim int, nz []weight) []weight {
-	base := len(nz)
-	n := d.Int()
-	if d.Err() == nil && n > dim {
-		d.Fail(fmt.Errorf("retrieval: decode: %d weights in a vector of width %d", n, dim))
-	}
-	b := -1
-	for i := 0; i < n && d.Err() == nil; i++ {
-		gap := d.Uvarint()
-		if d.Err() == nil && (gap == 0 || gap > uint64(dim-1-b)) {
-			d.Fail(fmt.Errorf("retrieval: decode: bucket gap %d after bucket %d in a vector of width %d", gap, b, dim))
-		}
-		b += int(gap)
-		nz = append(nz, weight{b: int32(b)})
-	}
-	if m := d.Int(); d.Err() == nil && m != n {
-		d.Fail(fmt.Errorf("retrieval: decode: %d weights for %d buckets", m, n))
-	}
-	for i := base; i < len(nz) && d.Err() == nil; i++ {
-		w := d.F32()
-		if d.Err() == nil && (w == 0 || math.IsNaN(float64(w)) || math.IsInf(float64(w), 0)) {
-			d.Fail(fmt.Errorf("retrieval: decode: bucket %d holds weight %v, want non-zero and finite", nz[i].b, w))
-		}
-		nz[i].w = w
-	}
-	if d.Err() != nil {
-		return nz[:base]
-	}
-	return nz
-}
-
-// DecodeVector overwrites dst, which sets the width, with one vector read from
-// d in the stored form (AppendVector). The vector is checked as it is read —
-// at most len(dst) weights, buckets strictly ascending below len(dst), as many
-// weights as buckets, every weight non-zero and finite — and anything else
-// latches an error on d, leaving dst zero, instead of panicking.
-func DecodeVector(d *wal.Decoder, dst Vector) {
-	clear(dst)
-	var stack [DefaultDim]weight // spills only past DefaultDim
-	for _, x := range readVector(d, len(dst), stack[:0]) {
-		dst[x.b] = x.w
-	}
-}
-
-// CheckVector reads one vector in the stored form from d and checks it as
-// DecodeVector does, for a store of width dim, without densifying it.
-func CheckVector(d *wal.Decoder, dim int) {
-	var stack [DefaultDim]weight // spills only past DefaultDim
-	readVector(d, dim, stack[:0])
-}
-
-// EncodeStore serializes s into e.
-func EncodeStore(e *wal.Encoder, s Store) {
-	e.Int(s.Dim())
-	e.Int(s.Len())
+// EncodeStore serializes ix into e: its chunks, straight from the chunk
+// slice, with no vector gathered back out of the posting lists.
+func EncodeStore(e *wal.Encoder, ix *Index) {
+	e.Int(ix.dim)
+	e.Int(len(ix.chunks))
 	var prev Chunk
-	s.ForEachEmbedded(func(c Chunk, v Vector) {
+	for i := range ix.chunks {
+		c := &ix.chunks[i]
 		e.Front(prev.ID, c.ID)
 		e.Front(prev.DocID, c.DocID)
 		e.Front(prev.Source, c.Source)
 		e.String(c.Text)
-		EncodeVector(e, v)
-		prev = c
-	})
+		prev = *c
+	}
+}
+
+// SkipVector reads past one vector in format 3's sparse stored form by its
+// framing alone: the bucket count and that many gap varints, then the weight
+// count and four bytes a weight. A truncated vector, or a count the bytes left
+// cannot back, latches an error on d. What the buckets and weights hold is
+// not looked at; the row is re-embedded from its text.
+func SkipVector(d *wal.Decoder) {
+	d.SkipUvarints(d.Int())
+	d.Skip(4 * d.Int())
 }
 
 // DecodeIntoStore fills the empty index ix from d (the inverse of
-// EncodeStore). The index's width must match the encoded one. The chunk slice
-// is sized once from the encoded row count, trusted only as far as the bytes
-// left could back it, and each row's weights are posted straight from the
-// stored bytes, with DecodeVector's checks: no dense row is built. A chunk's
-// front-coded fields are read through d's intern table (wal.Decoder.Front),
-// so the chunks of one document share their DocID and Source, and a DocID
-// shares the copy of the same document a triple's ChunkID decoded earlier in
-// the same body. On error ix is left empty.
-func DecodeIntoStore(d *wal.Decoder, ix *Index) error {
+// EncodeStore), re-embedding every row on up to workers goroutines (<= 0
+// selects GOMAXPROCS). The index's width must match the encoded one.
+// withVectors reads a format-3 body, whose rows carry stored vectors (see
+// above). The chunk slice is sized once from the encoded row count, trusted
+// only as far as the bytes left could back it. A chunk's DocID and Source are
+// read through d's intern table (wal.Decoder.Front), so the chunks of one
+// document share them, and a DocID shares the copy of the same document a
+// triple's ChunkID decoded earlier in the same body; its ID, which never
+// repeats, is read without the table (FrontFresh). On error ix is left empty.
+func DecodeIntoStore(d *wal.Decoder, ix *Index, workers int, withVectors bool) error {
 	dim := d.Int()
 	n := d.Int()
 	if err := d.Err(); err != nil {
@@ -155,26 +76,72 @@ func DecodeIntoStore(d *wal.Decoder, ix *Index) error {
 	if ix.Len() != 0 {
 		return fmt.Errorf("retrieval: decode: target store already holds %d chunks", ix.Len())
 	}
-	ix.chunks = make([]Chunk, 0, min(n, d.Remaining()/minStoredChunk))
-	var stack [DefaultDim]weight // spills only past DefaultDim
+	// A quarter more room than the rows (as appendChunks leaves), so the
+	// appends a decoded store is about to take — a replica's applies, a
+	// reopened primary's commits — do not first copy every row.
+	chunks := make([]Chunk, 0, min(n+n/4, d.Remaining()/minStoredChunk))
 	var prev Chunk
-	for i := 0; i < n; i++ {
-		c := Chunk{ID: d.Front(prev.ID), DocID: d.Front(prev.DocID), Source: d.Front(prev.Source), Text: d.String()}
-		prev = c
-		nz := readVector(d, dim, stack[:0])
-		if d.Err() != nil {
-			break
+	for i := 0; i < n && d.Err() == nil; i++ {
+		c := Chunk{ID: d.FrontFresh(prev.ID), DocID: d.Front(prev.DocID), Source: d.Front(prev.Source), Text: d.String()}
+		if withVectors {
+			SkipVector(d)
 		}
-		ix.post.addSparse(len(ix.chunks), nz)
-		ix.chunks = append(ix.chunks, c)
+		chunks = append(chunks, c)
+		prev = c
 	}
 	if err := d.Err(); err != nil {
-		ix.chunks = nil
-		clear(ix.post.lists)
 		return err
 	}
+	ix.postEmbedded(chunks, workers)
+	ix.chunks = chunks
 	// The rows were appended without claiming them (nothing else shares a
 	// store being decoded); the token starts at the count.
 	ix.lin = lineage.New(len(ix.chunks))
 	return nil
+}
+
+// embedBlock is how many rows one worker re-embeds per task when a decoded
+// store is rebuilt.
+const embedBlock = 512
+
+// postEmbedded posts the embeddings of cs as the first rows of the empty
+// index ix. Blocks of embedBlock rows are embedded into sparse slabs on up to workers
+// goroutines, while the calling goroutine posts the finished blocks in row
+// order, which keeps every posting list sorted by row. A posted block's slab
+// goes back to a free list the workers take from, so a decode holds about as
+// many slabs as it runs workers.
+func (ix *Index) postEmbedded(cs []Chunk, workers int) {
+	blocks := (len(cs) + embedBlock - 1) / embedBlock
+	slabs := make([]*Sparse, blocks)
+	done := make([]chan struct{}, blocks)
+	for i := range done {
+		done[i] = make(chan struct{})
+	}
+	free := make(chan *Sparse, 4)
+	go par.ForEach(workers, blocks, func(i int) {
+		var slab *Sparse
+		select {
+		case slab = <-free:
+			slab.Reset()
+		default:
+			slab = &Sparse{}
+			slab.Grow(embedBlock)
+		}
+		scratch := make(Vector, ix.dim)
+		for _, c := range cs[i*embedBlock : min((i+1)*embedBlock, len(cs))] {
+			slab.Embed(scratch, c.Text)
+		}
+		slabs[i] = slab
+		close(done[i])
+	})
+	for i := range slabs {
+		<-done[i]
+		row := i * embedBlock
+		slabs[i].each(func(j int, nz []weight) { ix.post.addSparse(row+j, nz) })
+		select {
+		case free <- slabs[i]:
+		default:
+		}
+		slabs[i] = nil
+	}
 }

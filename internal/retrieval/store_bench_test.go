@@ -50,9 +50,8 @@ func datasetsStore(b *testing.B, n int) *retrieval.Index {
 
 // BenchmarkEncodeStore measures one checkpoint-sized serialisation of a
 // 34,549 × 256 store of datasets text into a buffer sized for the body, as
-// the checkpoint sizes it: the gather of every row from the posting lists
-// plus the sparse vector encoding. Run with -benchmem, or via
-// `make bench-micro`.
+// the checkpoint sizes it: the chunk strings, front-coded, and no vectors.
+// Run with -benchmem, or via `make bench-micro`.
 func BenchmarkEncodeStore(b *testing.B) {
 	ix := datasetsStore(b, storeBenchRows)
 	var sized wal.Encoder
@@ -68,7 +67,8 @@ func BenchmarkEncodeStore(b *testing.B) {
 }
 
 // BenchmarkDecodeStore measures loading that store's encoding into an empty
-// index: the chunk strings, the vector decode and the rebuilt posting lists.
+// index: the chunk strings, every text re-embedded on GOMAXPROCS workers and
+// the rebuilt posting lists.
 func BenchmarkDecodeStore(b *testing.B) {
 	var e wal.Encoder
 	retrieval.EncodeStore(&e, datasetsStore(b, storeBenchRows))
@@ -77,7 +77,7 @@ func BenchmarkDecodeStore(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := retrieval.DecodeIntoStore(wal.NewDecoder(body), retrieval.NewIndex(retrieval.DefaultDim)); err != nil {
+		if err := retrieval.DecodeIntoStore(wal.NewDecoder(body), retrieval.NewIndex(retrieval.DefaultDim), 0, false); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,8 +1,6 @@
 package retrieval
 
 import (
-	"bytes"
-	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -47,8 +45,10 @@ func oracleEmbed(text string, dim int) Vector {
 	return v
 }
 
-// oracleEncodeVector is EncodeVector as it was written before AppendVector:
-// field by field through a wal.Encoder.
+// oracleEncodeVector is a vector in format 3's sparse stored form, written
+// field by field through a wal.Encoder: the count of its non-zero weights,
+// their buckets as gaps from the previous one (the first from -1), the count
+// again and the weights.
 func oracleEncodeVector(v Vector) []byte {
 	var e wal.Encoder
 	var nz []int
@@ -68,40 +68,6 @@ func oracleEncodeVector(v Vector) []byte {
 		e.F32(v[b])
 	}
 	return e.Bytes()
-}
-
-// oracleDecodeVector is DecodeVector as it was written before readVector: it
-// densifies the stored form into dst as it checks it.
-func oracleDecodeVector(d *wal.Decoder, dst Vector) {
-	clear(dst)
-	n := d.Int()
-	if d.Err() == nil && n > len(dst) {
-		d.Fail(fmt.Errorf("%d weights in a vector of width %d", n, len(dst)))
-	}
-	var buckets []int
-	b := -1
-	for i := 0; i < n && d.Err() == nil; i++ {
-		gap := d.Uvarint()
-		if d.Err() == nil && (gap == 0 || gap > uint64(len(dst)-1-b)) {
-			d.Fail(fmt.Errorf("bucket gap %d after bucket %d", gap, b))
-		}
-		b += int(gap)
-		buckets = append(buckets, b)
-	}
-	if m := d.Int(); d.Err() == nil && m != n {
-		d.Fail(fmt.Errorf("%d weights for %d buckets", m, n))
-	}
-	for _, b := range buckets {
-		w := d.F32()
-		if d.Err() != nil {
-			return
-		}
-		if w == 0 || math.IsNaN(float64(w)) || math.IsInf(float64(w), 0) {
-			d.Fail(fmt.Errorf("bucket %d holds weight %v", b, w))
-			return
-		}
-		dst[b] = w
-	}
 }
 
 // embedTexts are chunk-like texts for the embedding oracles: the benchmark
@@ -127,12 +93,27 @@ func embedTexts(rng *rand.Rand) []string {
 	return texts
 }
 
-// TestStoredEmbeddingMatchesEmbed holds the stored-form embedding to the
+// sparseOf returns vecs as a sparse slab: each row's non-zero weights, of
+// either sign, in ascending bucket order.
+func sparseOf(vecs []Vector, dim int) *Sparse {
+	s := &Sparse{dim: dim}
+	for _, v := range vecs {
+		for b, x := range v {
+			if x != 0 {
+				s.w = append(s.w, weight{int32(b), x})
+			}
+		}
+		s.ends = append(s.ends, len(s.w))
+	}
+	return s
+}
+
+// TestStoredEmbeddingMatchesEmbed holds the embedding a store keeps to the
 // forms it replaces bit for bit: EmbedInto over a dirty scratch to the
-// token-slice Embed, AppendVector and EncodeVector to the field-by-field
-// encoder, and the two composed the way ingest embeds a file — one scratch
-// reused for every text, each output appended behind earlier vectors — to
-// both oracles composed.
+// token-slice Embed, and Sparse.Embed composed the way ingest embeds a file —
+// one scratch reused for every text, each row appended behind earlier ones —
+// to the oracle's non-zero weights. Decoded stores re-embed their texts, so
+// this is what makes a derived vector the vector ingest posted.
 func TestStoredEmbeddingMatchesEmbed(t *testing.T) {
 	texts := embedTexts(rand.New(rand.NewSource(5)))
 	for _, dim := range []int{1, 7, 32, DefaultDim, 300} {
@@ -140,42 +121,33 @@ func TestStoredEmbeddingMatchesEmbed(t *testing.T) {
 		for i := range scratch {
 			scratch[i] = float32(i) + 0.5
 		}
-		var buf []byte
+		var rows Sparse
+		var want []Vector
 		for _, text := range texts {
-			want := oracleEmbed(text, dim)
+			w := oracleEmbed(text, dim)
 			got := make(Vector, dim)
 			copy(got, scratch)
 			EmbedInto(got, text)
-			for b := range want {
-				if math.Float32bits(got[b]) != math.Float32bits(want[b]) {
-					t.Fatalf("dim %d: EmbedInto(%q) bucket %d = %v, oracle %v", dim, text, b, got[b], want[b])
+			for b := range w {
+				if math.Float32bits(got[b]) != math.Float32bits(w[b]) {
+					t.Fatalf("dim %d: EmbedInto(%q) bucket %d = %v, oracle %v", dim, text, b, got[b], w[b])
 				}
 			}
-			wantBytes := oracleEncodeVector(want)
-			if got := AppendVector(nil, want); !bytes.Equal(got, wantBytes) {
-				t.Fatalf("dim %d: AppendVector(%q) = %x, oracle %x", dim, text, got, wantBytes)
-			}
-			var e wal.Encoder
-			EncodeVector(&e, want)
-			if !bytes.Equal(e.Bytes(), wantBytes) {
-				t.Fatalf("dim %d: EncodeVector(%q) = %x, oracle %x", dim, text, e.Bytes(), wantBytes)
-			}
-			from := len(buf)
-			EmbedInto(scratch, text)
-			buf = AppendVector(buf, scratch)
-			if !bytes.Equal(buf[from:], wantBytes) {
-				t.Fatalf("dim %d: stored embedding of %q = %x, oracle %x", dim, text, buf[from:], wantBytes)
-			}
+			rows.Embed(scratch, text)
+			want = append(want, w)
+		}
+		if oracle := sparseOf(want, dim); !reflect.DeepEqual(rows, *oracle) {
+			t.Fatalf("dim %d: sparse rows differ from the oracle's non-zero weights", dim)
 		}
 	}
 }
 
-// TestAppendStoredMatchesDenseAppend holds the stored-form append to the path
-// it replaces — each stored vector densified by the oracle DecodeVector, then
-// AddEmbeddedBatch — on the dense-reference corpora: the posting lists and
-// chunks must come out identical, appended in one batch, in batches over
-// CloneForAppend generations, and decoded from a checkpoint encoding.
-func TestAppendStoredMatchesDenseAppend(t *testing.T) {
+// TestAppendSparseMatchesDenseAppend holds the sparse append to the dense
+// AddEmbeddedBatch on the dense-reference corpora: the posting lists and
+// chunks must come out identical, appended in one batch and in batches over
+// CloneForAppend generations — and, for a corpus embedded from its texts,
+// decoded from a checkpoint encoding, which re-embeds.
+func TestAppendSparseMatchesDenseAppend(t *testing.T) {
 	const (
 		dim = 32
 		n   = 600
@@ -183,39 +155,32 @@ func TestAppendStoredMatchesDenseAppend(t *testing.T) {
 	for _, corpus := range referenceCorpora {
 		rng := rand.New(rand.NewSource(21))
 		chunks, vecs := corpus.build(rng, n, dim)
-		stored := make([][]byte, n)
-		dense := make([]Vector, n)
-		for i, v := range vecs {
-			stored[i] = oracleEncodeVector(v)
-			dense[i] = make(Vector, dim)
-			d := wal.NewDecoder(stored[i])
-			oracleDecodeVector(d, dense[i])
-			if err := d.Finish(); err != nil {
-				t.Fatal(err)
-			}
-		}
 		want := NewIndex(dim)
-		if err := want.AddEmbeddedBatch(chunks, dense); err != nil {
+		if err := want.AddEmbeddedBatch(chunks, vecs); err != nil {
 			t.Fatal(err)
 		}
 		whole := NewIndex(dim)
-		if err := whole.AppendStored(chunks, stored); err != nil {
+		if err := whole.AppendSparse(chunks, sparseOf(vecs, dim)); err != nil {
 			t.Fatal(err)
 		}
 		var generations Store = NewIndex(dim)
 		for lo := 0; lo < n; {
 			hi := min(n, lo+1+rng.Intn(n/3))
 			generations = generations.CloneForAppend()
-			if err := generations.AppendStored(chunks[lo:hi], stored[lo:hi]); err != nil {
+			if err := generations.AppendSparse(chunks[lo:hi], sparseOf(vecs[lo:hi], dim)); err != nil {
 				t.Fatal(err)
 			}
 			lo = hi
 		}
-		decoded := NewIndex(dim)
-		if err := DecodeIntoStore(wal.NewDecoder(encodeStore(want)), decoded); err != nil {
-			t.Fatal(err)
+		stores := map[string]*Index{"one batch": whole, "over clones": generations.(*Index)}
+		if corpus.embedded {
+			decoded := NewIndex(dim)
+			if err := DecodeIntoStore(wal.NewDecoder(encodeStore(want)), decoded, 2, false); err != nil {
+				t.Fatal(err)
+			}
+			stores["decoded"] = decoded
 		}
-		for name, got := range map[string]*Index{"one batch": whole, "over clones": generations.(*Index), "decoded": decoded} {
+		for name, got := range stores {
 			if !slices.Equal(got.chunks, want.chunks) {
 				t.Fatalf("%s, %s: chunks differ", corpus.name, name)
 			}
@@ -229,22 +194,23 @@ func TestAppendStoredMatchesDenseAppend(t *testing.T) {
 	}
 }
 
-// TestStoredEmbeddingAllocCeiling: embedding a chunk into its stored form
-// (EmbedInto, then AppendVector) allocates nothing once the scratch row and
-// the output buffer are in hand — no dense Vector, no token slice, no
-// lower-cased copy.
+// TestStoredEmbeddingAllocCeiling: embedding a chunk into its sparse form
+// (Sparse.Embed: EmbedInto, then the non-zero weights kept) allocates
+// nothing once the scratch row and the slab's capacity are in hand — no
+// dense Vector, no token slice, no lower-cased copy.
 func TestStoredEmbeddingAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race instrumentation changes allocation counts")
 	}
 	text := strings.Repeat("The status of Flight CA981 is Delayed, according to the AirChina API. ", 8)
 	scratch := make(Vector, DefaultDim)
-	buf := make([]byte, 0, 4096)
+	var rows Sparse
 	embed := func() {
-		EmbedInto(scratch, text)
-		buf = AppendVector(buf[:0], scratch)
+		rows.Reset()
+		rows.Embed(scratch, text)
 	}
+	embed()
 	if got := testing.AllocsPerRun(100, embed); got != 0 {
-		t.Fatalf("embedding a chunk into its stored form allocates %.1f objects, want 0", got)
+		t.Fatalf("embedding a chunk into its sparse form allocates %.1f objects, want 0", got)
 	}
 }

@@ -190,18 +190,6 @@ func (e *Encoder) F32(v float32) {
 	e.spill()
 }
 
-// F32s appends a uvarint count followed by the raw little-endian bits of each
-// element: the same bytes as Uvarint(len(v)) and one F32 per element. What
-// the elements mean — a stored vector's non-zero weights, say — is the
-// caller's to validate on decode.
-func (e *Encoder) F32s(v []float32) {
-	e.Uvarint(uint64(len(v)))
-	for _, x := range v {
-		e.buf = binary.LittleEndian.AppendUint32(e.buf, math.Float32bits(x))
-	}
-	e.spill()
-}
-
 // Decoder reads back an Encoder payload. Errors latch: the first malformed
 // field poisons the decoder, every later read returns the zero value, and the
 // caller checks Err once at the end — the discipline that keeps the decode
@@ -213,8 +201,6 @@ type Decoder struct {
 	off  int
 	err  error
 	strs map[string]string // Interned's and Front's table, made on first use
-	// plain makes Front read a field with no prefix length (SetPlainFront).
-	plain bool
 }
 
 // NewDecoder returns a decoder over b. The decoder aliases b; callers must
@@ -349,21 +335,21 @@ func (d *Decoder) intern(b []byte) string {
 	return s
 }
 
-// SetPlainFront makes every later Front read a field as a plain String: a
-// front-coded one whose prefix length is an implied 0. It is how the one
-// decoder of a section reads a payload written before its columns were
-// front-coded, where the same fields were written by String.
-func (d *Decoder) SetPlainFront() { d.plain = true }
-
 // Front reads a field written by Encoder.Front against prev, which must be
 // the value the same column decoded in the previous row. A prefix length
 // longer than prev is a latched error. An exact repeat returns prev itself;
 // any other value is interned through the table Interned uses, so decoded
 // state holds one copy of each distinct value however it was coded.
-func (d *Decoder) Front(prev string) string {
-	if d.plain {
-		return d.Interned()
-	}
+func (d *Decoder) Front(prev string) string { return d.front(prev, true) }
+
+// FrontFresh reads a field written by Encoder.Front exactly as Front does —
+// same value, same error, same offset — but returns a value that is not an
+// exact repeat of prev as a copy of its own instead of the table's. It is for
+// a column whose values never repeat, such as a chunk's ID, where the table
+// would pay a map insertion per row and share nothing.
+func (d *Decoder) FrontFresh(prev string) string { return d.front(prev, false) }
+
+func (d *Decoder) front(prev string, intern bool) string {
 	l := d.Uvarint()
 	if d.err != nil {
 		return ""
@@ -379,11 +365,35 @@ func (d *Decoder) Front(prev string) string {
 	switch {
 	case len(suffix) == 0 && int(l) == len(prev):
 		return prev
+	case !intern:
+		return prev[:l] + string(suffix)
 	case l == 0:
 		return d.intern(suffix)
 	}
 	var buf [128]byte // the value, to look it up; a longer one spills
 	return d.intern(append(append(buf[:0], prev[:l]...), suffix...))
+}
+
+// Skip reads past n bytes without looking at them. More bytes than are left
+// is a latched error.
+func (d *Decoder) Skip(n int) {
+	if d.err != nil {
+		return
+	}
+	if n > d.Remaining() {
+		d.fail("skip of %d bytes exceeds %d remaining bytes", n, d.Remaining())
+		return
+	}
+	d.off += n
+}
+
+// SkipUvarints reads past n values written by Uvarint or Int, checking only
+// that each is a well-formed varint. Each takes at least a byte, so a count
+// the bytes left cannot back fails once they run out.
+func (d *Decoder) SkipUvarints(n int) {
+	for i := 0; i < n && d.err == nil; i++ {
+		d.Uvarint()
+	}
 }
 
 // stringBytes reads a length-prefixed string as a view of the input.
@@ -399,24 +409,6 @@ func (d *Decoder) stringBytes() []byte {
 	b := d.b[d.off : d.off+int(n)]
 	d.off += int(n)
 	return b
-}
-
-// F32s reads a count-prefixed float32 slice.
-func (d *Decoder) F32s() []float32 {
-	n := d.Uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(d.Remaining())/4 { // not n*4: that wraps for n >= 1<<62
-		d.fail("float32 count %d exceeds %d remaining bytes", n, d.Remaining())
-		return nil
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(d.b[d.off:]))
-		d.off += 4
-	}
-	return out
 }
 
 // Finish reports decode success: no latched error and no trailing garbage.

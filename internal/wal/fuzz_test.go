@@ -89,19 +89,11 @@ func FuzzDecoder(f *testing.F) {
 	e.String("subject")
 	e.Int32(-1)
 	e.F64(0.5)
-	e.F32s([]float32{1, 2, 3})
+	e.F32(1)
 	e.Bool(true)
 	f.Add(e.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0x80}) // unterminated varint
-	// The fixed fields, then nine bytes claiming 2^62 floats: 4*count wraps.
-	var wrap Encoder
-	wrap.Uvarint(7)
-	wrap.String("subject")
-	wrap.Int32(-1)
-	wrap.F64(0.5)
-	wrap.Uvarint(1 << 62)
-	f.Add(wrap.Bytes())
 	// Repeated values, for Interned to serve from its table.
 	var rep Encoder
 	for _, s := range []string{"feed", "feed", "", "gate", "feed", "", "gate"} {
@@ -126,16 +118,13 @@ func FuzzDecoder(f *testing.F) {
 		_ = d.String()
 		_ = d.Int32()
 		_ = d.F64()
-		v := d.F32s()
+		_ = d.F32()
 		_ = d.Bool()
 		if d.Err() != nil {
 			// Errors must latch: one more read of each kind stays zero.
-			if d.Uvarint() != 0 || d.String() != "" || d.F32s() != nil {
+			if d.Uvarint() != 0 || d.String() != "" || d.F32() != 0 {
 				t.Fatal("reads after error returned data")
 			}
-		}
-		if len(v) > len(b) {
-			t.Fatalf("decoded %d floats from %d bytes", len(v), len(b))
 		}
 
 		// Interned reads what String reads — value, error, offset — whether
@@ -158,8 +147,7 @@ func FuzzDecoder(f *testing.F) {
 
 		// Front reads what the oracle rebuilds from a prefix length and a
 		// suffix — value, error, offset — row after row; an exact repeat is
-		// the previous value itself, and equal values share their bytes. Set
-		// plain, it reads what Interned reads.
+		// the previous value itself, and equal values share their bytes.
 		oracle, fronted := NewDecoder(b), NewDecoder(b)
 		prevWant, prevGot := "", ""
 		first = map[string]string{}
@@ -179,13 +167,28 @@ func FuzzDecoder(f *testing.F) {
 			}
 			prevWant, prevGot = want, got
 		}
-		plain, interned = NewDecoder(b), NewDecoder(b)
-		plain.SetPlainFront()
+		// FrontFresh reads what Front reads, value, error and offset.
+		fresh, fronted := NewDecoder(b), NewDecoder(b)
+		prevGot = ""
 		for i := 0; i < 8; i++ {
-			want, got := interned.Interned(), plain.Front("unused")
-			if got != want || plain.off != interned.off || fmt.Sprint(plain.err) != fmt.Sprint(interned.err) {
-				t.Fatalf("plain read %d: Front = %q at %d (%v), Interned = %q at %d (%v)",
-					i, got, plain.off, plain.err, want, interned.off, interned.err)
+			want, got := fronted.Front(prevGot), fresh.FrontFresh(prevGot)
+			if got != want || fresh.off != fronted.off || fmt.Sprint(fresh.err) != fmt.Sprint(fronted.err) {
+				t.Fatalf("row %d: FrontFresh = %q at %d (%v), Front = %q at %d (%v)",
+					i, got, fresh.off, fresh.err, want, fronted.off, fronted.err)
+			}
+			prevGot = got
+		}
+
+		// SkipUvarints ends where reading the varints one by one ends, and
+		// fails where it fails.
+		for _, n := range []int{0, 1, 3, len(b), len(b) + 1} {
+			skipped, read := NewDecoder(b), NewDecoder(b)
+			skipped.SkipUvarints(n)
+			for i := 0; i < n && read.err == nil; i++ {
+				read.Uvarint()
+			}
+			if skipped.off != read.off || fmt.Sprint(skipped.err) != fmt.Sprint(read.err) {
+				t.Fatalf("SkipUvarints(%d) at %d (%v), read one by one at %d (%v)", n, skipped.off, skipped.err, read.off, read.err)
 			}
 		}
 	})

@@ -2,12 +2,10 @@ package wal
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
@@ -25,8 +23,6 @@ func TestCodecRoundTrip(t *testing.T) {
 	e.F64(3.5)
 	e.String("")
 	e.String("hello \x00 world")
-	e.F32s([]float32{1, -2.5, 0})
-	e.F32s(nil)
 	e.F32(-0.75)
 
 	d := NewDecoder(e.Bytes())
@@ -59,12 +55,6 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	if got := d.String(); got != "hello \x00 world" {
 		t.Errorf("String = %q", got)
-	}
-	if got := d.F32s(); !reflect.DeepEqual(got, []float32{1, -2.5, 0}) {
-		t.Errorf("F32s = %v", got)
-	}
-	if got := d.F32s(); len(got) != 0 {
-		t.Errorf("F32s = %v", got)
 	}
 	if got := d.F32(); got != -0.75 {
 		t.Errorf("F32 = %v", got)
@@ -110,7 +100,8 @@ func TestEncodedSizes(t *testing.T) {
 // TestFront: a front-coded column reads back row by row; an exact repeat
 // returns the previous value itself and an equal value read again later
 // shares its bytes; a prefix longer than the previous value is a latched
-// error. SetPlainFront reads the same fields written by String.
+// error. FrontFresh reads the same values, each not repeated from the row
+// before in a copy of its own.
 func TestFront(t *testing.T) {
 	rows := []string{"", "doc-1#c0", "doc-1#c1", "doc-1#c1", "doc-10#c0", "doc-1#c0", "feed", "", "feed"}
 	var e, plain Encoder
@@ -123,30 +114,30 @@ func TestFront(t *testing.T) {
 	if e.Len() >= plain.Len() {
 		t.Fatalf("front-coded column is %d bytes, plain %d", e.Len(), plain.Len())
 	}
-	for _, c := range []struct {
-		name string
-		d    *Decoder
-	}{{"front", NewDecoder(e.Bytes())}, {"plain", NewDecoder(plain.Bytes())}} {
-		if c.name == "plain" {
-			c.d.SetPlainFront()
-		}
+	for _, fresh := range []bool{false, true} {
+		d := NewDecoder(e.Bytes())
 		prev, first := "", map[string]string{}
 		for i, want := range rows {
-			got := c.d.Front(prev)
+			read := d.Front
+			if fresh {
+				read = d.FrontFresh
+			}
+			got := read(prev)
 			if got != want {
-				t.Fatalf("%s row %d = %q, want %q", c.name, i, got, want)
+				t.Fatalf("fresh=%v row %d = %q, want %q", fresh, i, got, want)
 			}
-			if c.name == "front" && got == prev && unsafe.StringData(got) != unsafe.StringData(prev) {
-				t.Fatalf("%s row %d: an exact repeat is a second copy", c.name, i)
+			if got == prev && unsafe.StringData(got) != unsafe.StringData(prev) {
+				t.Fatalf("fresh=%v row %d: an exact repeat is a second copy", fresh, i)
 			}
-			if f, ok := first[got]; ok && unsafe.StringData(f) != unsafe.StringData(got) {
-				t.Fatalf("%s row %d: %q read again is a second copy", c.name, i, got)
+			f, ok := first[got]
+			if shared := ok && unsafe.StringData(f) == unsafe.StringData(got); ok && got != prev && got != "" && shared == fresh {
+				t.Fatalf("fresh=%v row %d: %q read again shares its bytes: %v", fresh, i, got, shared)
 			}
 			first[got] = got
 			prev = got
 		}
-		if err := c.d.Finish(); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+		if err := d.Finish(); err != nil {
+			t.Fatalf("fresh=%v: %v", fresh, err)
 		}
 	}
 
@@ -208,18 +199,6 @@ func TestDecoderRejectsHugeLengths(t *testing.T) {
 	_ = d.String()
 	if d.Err() == nil {
 		t.Fatal("huge length accepted")
-	}
-	// As a float32 count the same nine bytes claim 2^62 floats, and 4*count
-	// wraps to 0 (count+1 wraps to 4, inside the bytes that follow): the bound
-	// must not be computed by multiplying.
-	for _, n := range []uint64{1 << 62, 1<<62 + 1, 1 << 63, math.MaxUint64} {
-		d := NewDecoder(append(binary.AppendUvarint(nil, n), 0, 0, 0, 0))
-		if v := d.F32s(); v != nil || d.Err() == nil {
-			t.Fatalf("float32 count %d accepted: %d floats, err %v", n, len(v), d.Err())
-		}
-		if d.Uvarint() != 0 || d.F32s() != nil {
-			t.Fatalf("float32 count %d: reads after the error returned data", n)
-		}
 	}
 }
 

@@ -139,9 +139,9 @@ type RecoveryInfo struct {
 
 // ErrUnsupportedFormat is wrapped by the error OpenDurable returns for a
 // directory holding a checkpoint or WAL record in an on-disk format this
-// release does not read (format 1, which stored vectors dense). The directory
-// is left untouched; opening it once with a release that still reads format 1
-// rewrites it in the current format.
+// release does not read (format 1, which stored vectors dense, or format 2,
+// whose strings were not front-coded). The directory is left untouched; the
+// error says which earlier release migrates it to a format this one reads.
 var ErrUnsupportedFormat = core.ErrUnsupportedFormat
 
 // OpenDurable opens (or initialises) a durable System backed by dir: every
