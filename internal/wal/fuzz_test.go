@@ -94,6 +94,17 @@ func FuzzDecoder(f *testing.F) {
 	f.Add(e.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0x80}) // unterminated varint
+	// The fixed fields, then nine bytes claiming 2^62 four-byte weights: a
+	// count Int must refuse, or 4*count could wrap.
+	var wrap Encoder
+	wrap.Uvarint(7)
+	wrap.String("subject")
+	wrap.Int32(-1)
+	wrap.F64(0.5)
+	wrap.F32(1)
+	wrap.Bool(true)
+	wrap.Uvarint(1 << 62)
+	f.Add(wrap.Bytes())
 	// Repeated values, for Interned to serve from its table.
 	var rep Encoder
 	for _, s := range []string{"feed", "feed", "", "gate", "feed", "", "gate"} {
@@ -120,6 +131,17 @@ func FuzzDecoder(f *testing.F) {
 		_ = d.F64()
 		_ = d.F32()
 		_ = d.Bool()
+		// A counted run of four-byte weights, framed as format 3 stores
+		// them: the skip stays inside the input whatever the count claims.
+		count := d.Int()
+		left := d.Remaining()
+		d.Skip(4 * count)
+		if d.Remaining() < 0 || d.Remaining() > len(b) {
+			t.Fatalf("offset %d outside %d input bytes", d.off, len(b))
+		}
+		if d.Err() == nil && count > left/4 {
+			t.Fatalf("skipped %d weights with %d bytes left", count, left)
+		}
 		if d.Err() != nil {
 			// Errors must latch: one more read of each kind stays zero.
 			if d.Uvarint() != 0 || d.String() != "" || d.F32() != 0 {
