@@ -100,7 +100,7 @@ layers:
 # term-at-a-time scan) and its two passes alone on the datasets store (one
 # query's accumulation over the posting lists, 0 allocs, and the top-k
 # selection over its 34,549 scores at k=5 and k=100, one object: the hits),
-# MCC.Run over one disagreeing group
+# MCC.RunDeferred over one disagreeing group with its history delta applied
 # (2-16 members, all or a quarter of them distinct, expert model included),
 # whose B/op and allocs/op grow with the distinct values, not with member
 # pairs, and its history-dependent finish alone (/finish: six objects at any
@@ -108,9 +108,8 @@ layers:
 # hit on a conflicting key and a miss on it, and one chunk-fallback query
 # (AnswerFallback: 4 allocs) — and the read side's text and vector kernels:
 # NormalizeValue / StandardizeName on an already-normal value (0 allocs), a
-# short surface form and a ~1 KB chunk (1 alloc each), Levenshtein on short,
-# long and non-ASCII values, NewDist over a value's and a chunk's tokens, and
-# Embed of a query and of a chunk — and the simulated LLM's text layer, which
+# short surface form and a ~1 KB chunk (1 alloc each), NewDist over a value's
+# and a chunk's tokens, and Embed of a query and of a chunk — and the simulated LLM's text layer, which
 # allocates only its results: ParseQuery per grammar and on free text (1
 # object, 2 with a two-word relation), NER plus SPO extraction over one chunk
 # (3), and GenerateAnswer over three short graph values and over five chunk
@@ -125,7 +124,7 @@ bench-micro:
 	$(GO) test -run '^$$' -bench '^Benchmark(GraphCommitAppend|COWPagePrivatize)$$' -benchmem -benchtime $(BENCHTIME) ./internal/kg
 	$(GO) test -run '^$$' -bench '^Benchmark(SnapshotDigest|SeedReplica|BulkIngest|GatherEvidence|AnswerFallback)$$' -benchmem -benchtime $(BENCHTIME) ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkMCCRunConflict$$' -benchmem -benchtime $(BENCHTIME) ./internal/confidence
-	$(GO) test -run '^$$' -bench '^Benchmark(NormalForms|Levenshtein|NewDist)$$' -benchmem -benchtime $(BENCHTIME) ./internal/textutil
+	$(GO) test -run '^$$' -bench '^Benchmark(NormalForms|NewDist)$$' -benchmem -benchtime $(BENCHTIME) ./internal/textutil
 	$(GO) test -run '^$$' -bench '^Benchmark(ParseQuery|ExtractChunk|GenerateAnswer)$$' -benchmem -benchtime $(BENCHTIME) ./internal/llm
 	$(GO) test -run '^$$' -bench '^BenchmarkServe(Query|Saturated)$$' -benchmem -benchtime $(BENCHTIME) ./internal/serve
 

@@ -210,7 +210,8 @@ func BenchmarkMCCRun(b *testing.B) {
 	m := confidence.New(confidence.DefaultConfig(), llm.NewSim(llm.DefaultConfig()), confidence.NewHistoryStore())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Run(sg, nodes, confidence.Options{})
+		_, delta := m.RunDeferred(sg, nodes, confidence.Options{})
+		m.History().Apply(delta)
 	}
 }
 

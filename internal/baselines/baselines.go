@@ -30,7 +30,7 @@ import (
 type Env struct {
 	Graph   *kg.Graph
 	Index   *retrieval.Index
-	Model   llm.Model
+	Model   *llm.Sim
 	Fetches int
 }
 

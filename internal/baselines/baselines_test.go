@@ -214,7 +214,7 @@ func TestChatKBQAUsesGraphNotChunks(t *testing.T) {
 	c := NewChatKBQA()
 	c.Setup(env)
 	q := d.Queries[0]
-	model := env.Model.(*llm.Sim)
+	model := env.Model
 	model.ResetUsage()
 	got := c.AnswerFusion(q.Text, q.Entity, q.Attribute)
 	if len(got) == 0 {

@@ -8,31 +8,6 @@ import (
 	"multirag/internal/linegraph"
 )
 
-// TestRunDeferredMatchesRunThenApply: with a single candidate there is no
-// intra-call ordering, so RunDeferred + Apply must leave the result and the
-// history store bit-identical to a plain Run.
-func TestRunDeferredMatchesRunThenApply(t *testing.T) {
-	_, sg := caseStudyGraph(t)
-	node, _ := sg.Lookup(kg.CanonicalID("CA981"), "status")
-	cfg := Config{Alpha: 0.5, Beta: 0.5, NodeThreshold: 0.7, GraphThreshold: 0.99} // force node-level
-
-	immediate := newMCC(cfg)
-	deferred := newMCC(cfg)
-	for round := 0; round < 4; round++ {
-		want := immediate.Run(sg, []*linegraph.HomologousNode{node}, Options{})
-		got, delta := deferred.RunDeferred(sg, []*linegraph.HomologousNode{node}, Options{})
-		deferred.History().Apply(delta)
-		if !reflect.DeepEqual(got.SVs, want.SVs) || !reflect.DeepEqual(got.LVs, want.LVs) {
-			t.Fatalf("round %d: deferred result diverges from immediate run", round)
-		}
-		for _, src := range []string{"airline-app", "airport-api", "weather-feed", "forum-user"} {
-			if a, b := immediate.History().Prh(src), deferred.History().Prh(src); a != b {
-				t.Fatalf("round %d: history diverges for %s: %v vs %v", round, src, a, b)
-			}
-		}
-	}
-}
-
 // TestRunDeferredFreezesHistoryAcrossCandidates pins the deferred contract:
 // every candidate in one RunDeferred call is scored against the call-time
 // history, so splitting the candidates across separate deferred calls (the
@@ -51,9 +26,9 @@ func TestRunDeferredFreezesHistoryAcrossCandidates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Both nodes share sources, so immediate-update ordering would couple
-	// their scores; both conflict, so the node-level (history-reading) stage
-	// runs for each.
+	// Both nodes share sources, so crediting one before scoring the other
+	// would couple their scores; both conflict, so the node-level
+	// (history-reading) stage runs for each.
 	add("CA981", "status", "Delayed", "airline-app", 0.9)
 	add("CA981", "status", "On time", "forum-user", 0.4)
 	add("MU588", "status", "Boarding", "airline-app", 0.85)

@@ -65,8 +65,9 @@ func TestMCCEquivalentAcrossGraphRepresentations(t *testing.T) {
 			scratchSG := linegraph.Build(flat)
 
 			run := func(sg *linegraph.SG) Result {
-				// Fresh deterministic model + history per run: Run mutates
-				// source history, so shared state would leak across runs.
+				// Fresh deterministic model + history per run: runApply
+				// mutates source history, so shared state would leak
+				// across runs.
 				m := New(DefaultConfig(), llm.NewSim(llm.DefaultConfig()), NewHistoryStore())
 				keys := make([]string, 0, sg.NumNodes())
 				sg.ForEachNode(func(k string, _ *linegraph.HomologousNode) {
@@ -77,7 +78,7 @@ func TestMCCEquivalentAcrossGraphRepresentations(t *testing.T) {
 				for i, k := range keys {
 					cands[i], _ = sg.Node(k)
 				}
-				res := m.Run(sg, cands, Options{})
+				res := runApply(m, sg, cands, Options{})
 				// Isolated points go through the authority-only path.
 				for _, id := range sg.IsolatedIDs() {
 					tr, ok := sg.Graph().Triple(id)

@@ -95,12 +95,12 @@ func (hs *HistoryStore) Prh0(sh *sourceHistory) float64 {
 }
 
 // HistoryDelta is a deferred batch of incremental-estimation updates: the
-// per-source acceptance credits one MCC evaluation would have applied
-// immediately. Parallel query arms each accumulate their own delta against a
-// frozen history view and the executor applies them in input order after the
-// join, so the final history state — and every confidence score computed
-// along the way — is independent of scheduling. Updates are commutative
-// (pure counter increments), which is what makes the in-order replay exact.
+// per-source acceptance credits of one MCC evaluation. Parallel query arms
+// each accumulate their own delta against a frozen history view and the
+// executor applies them in input order after the join, so the final history
+// state — and every confidence score computed along the way — is independent
+// of scheduling. Updates are commutative (pure counter increments), which is
+// what makes the in-order replay exact.
 type HistoryDelta struct {
 	entries []histCredit
 }

@@ -94,12 +94,12 @@ type Result struct {
 // the per-deployment state: the expert model and the source history.
 type MCC struct {
 	cfg   Config
-	model llm.Model
+	model *llm.Sim
 	hist  *HistoryStore
 }
 
 // New builds an MCC engine.
-func New(cfg Config, model llm.Model, hist *HistoryStore) *MCC {
+func New(cfg Config, model *llm.Sim, hist *HistoryStore) *MCC {
 	if cfg.FastPathNodes <= 0 {
 		cfg.FastPathNodes = 2
 	}
@@ -116,8 +116,9 @@ func (m *MCC) History() *HistoryStore { return m.hist }
 // Config returns the engine's configuration.
 func (m *MCC) Config() Config { return m.cfg }
 
-// Run implements Algorithm 1's MCC procedure over the candidate homologous
-// subgraphs retrieved for one query.
+// RunDeferred implements Algorithm 1's MCC procedure over the candidate
+// homologous subgraphs retrieved for one query. It is Prepare followed by
+// Finish.
 //
 // Stage 1 (coarse, graph level): C(G) is computed per candidate (Eq. 7).
 // When at least one candidate clears the graph threshold, candidates below
@@ -129,29 +130,18 @@ func (m *MCC) Config() Config { return m.cfg }
 // Stage 2 (fine, node level): members of surviving high-confidence subgraphs
 // take the fast path (top-FastPathNodes by weight, no scoring); members of
 // low-confidence subgraphs are scored with C(v) = Sₙ(v) + A(v) and filtered
-// by θ. After the query, per-source history is updated with the acceptance
-// outcome (the incremental estimation of Eq. 11): Run applies each
-// candidate's update as soon as the candidate is assessed, so within one
-// call later candidates see earlier candidates' credits.
-func (m *MCC) Run(sg *linegraph.SG, candidates []*linegraph.HomologousNode, opts Options) Result {
-	res, _ := m.run(sg, candidates, opts, false)
-	return res
-}
-
-// RunDeferred is Run for parallel executors: history reads all observe the
-// state at call time and no update is applied — the acceptance credits are
-// returned as a HistoryDelta for the caller to Apply once the parallel phase
-// has joined. Because every concurrent RunDeferred sees the same frozen
+// by θ.
+//
+// After the query, per-source history is updated with the acceptance outcome
+// (the incremental estimation of Eq. 11). RunDeferred only reads history —
+// every read observes the state at call time — and returns the acceptance
+// credits as a HistoryDelta for the caller to Apply once the query's parallel
+// phase has joined. Because every concurrent evaluation sees the same frozen
 // history, evaluation order (and therefore worker count) cannot change any
 // confidence score; applying the deltas afterwards in input order makes the
-// whole phase bit-identical to a sequential deferred run. It is Prepare
-// followed by Finish.
+// whole phase bit-identical to a sequential run.
 func (m *MCC) RunDeferred(sg *linegraph.SG, candidates []*linegraph.HomologousNode, opts Options) (Result, *HistoryDelta) {
-	return m.run(sg, candidates, opts, true)
-}
-
-func (m *MCC) run(sg *linegraph.SG, candidates []*linegraph.HomologousNode, opts Options, deferred bool) (Result, *HistoryDelta) {
-	return m.finish(m.Prepare(sg, candidates, opts), deferred)
+	return m.Finish(m.Prepare(sg, candidates, opts))
 }
 
 // route is the way a candidate takes through stage 2. It depends only on the
@@ -292,18 +282,11 @@ func (m *MCC) Prepare(sg *linegraph.SG, candidates []*linegraph.HomologousNode, 
 // JudgeAuthority call per member, metered as before), its centring and the
 // Eq. 10 sigmoid, Auth_hist (Eq. 11) against the history as it stands now, θ
 // and the promotion rule. Every other candidate's outcome is copied from p.
-// History is only read; the acceptance credits come back as a HistoryDelta,
-// as from RunDeferred. The result's slices are sized once from p.
+// History is only read; the acceptance credits come back as a HistoryDelta.
+// The result's slices are sized once from p.
 func (m *MCC) Finish(p *Prepared) (Result, *HistoryDelta) {
-	return m.finish(p, true)
-}
-
-func (m *MCC) finish(p *Prepared, deferred bool) (Result, *HistoryDelta) {
 	var res Result
-	var delta *HistoryDelta
-	if deferred {
-		delta = &HistoryDelta{}
-	}
+	delta := &HistoryDelta{}
 	if len(p.cands) == 0 {
 		return res, delta
 	}
@@ -339,15 +322,8 @@ func (m *MCC) finish(p *Prepared, deferred bool) (Result, *HistoryDelta) {
 			res.LVs = append(res.LVs, c.rejected...)
 		}
 		a.Trusted, a.Rejected = span(res.SVs, sv), span(res.LVs, lv)
-		if !deferred {
-			for _, hc := range credits[cr:] {
-				m.hist.Update(hc.source, hc.provided, hc.accepted)
-			}
-		}
 	}
-	if deferred {
-		delta.entries = credits
-	}
+	delta.entries = credits
 	return res, delta
 }
 

@@ -38,11 +38,19 @@ func newMCC(cfg Config) *MCC {
 	return New(cfg, llm.NewSim(llm.DefaultConfig()), NewHistoryStore())
 }
 
+// runApply runs MCC over the candidates and applies the history credits, as
+// the engine does once a query's parallel phase has joined.
+func runApply(m *MCC, sg *linegraph.SG, candidates []*linegraph.HomologousNode, opts Options) Result {
+	res, delta := m.RunDeferred(sg, candidates, opts)
+	m.History().Apply(delta)
+	return res
+}
+
 func TestRunFiltersConflictingMinority(t *testing.T) {
 	_, sg := caseStudyGraph(t)
 	m := newMCC(DefaultConfig())
 	node, _ := sg.Lookup(kg.CanonicalID("CA981"), "status")
-	res := m.Run(sg, []*linegraph.HomologousNode{node}, Options{})
+	res := runApply(m, sg, []*linegraph.HomologousNode{node}, Options{})
 	if len(res.SVs) == 0 {
 		t.Fatal("trusted set must not be empty")
 	}
@@ -73,7 +81,7 @@ func TestRunFastPathOnConsensus(t *testing.T) {
 	sg := linegraph.Build(g)
 	m := newMCC(DefaultConfig())
 	node, _ := sg.Lookup("heat", "year")
-	res := m.Run(sg, []*linegraph.HomologousNode{node}, Options{})
+	res := runApply(m, sg, []*linegraph.HomologousNode{node}, Options{})
 	if len(res.Assessments) != 1 || !res.Assessments[0].FastPath {
 		t.Fatalf("consensus subgraph must take the fast path: %+v", res.Assessments)
 	}
@@ -103,7 +111,7 @@ func TestRunGraphLevelEliminatesWeakSubgraph(t *testing.T) {
 	m := newMCC(DefaultConfig())
 	n1, _ := sg.Lookup("x", "status")
 	n2, _ := sg.Lookup("x", "user_claim")
-	res := m.Run(sg, []*linegraph.HomologousNode{n1, n2}, Options{})
+	res := runApply(m, sg, []*linegraph.HomologousNode{n1, n2}, Options{})
 	var elim *Assessment
 	for i := range res.Assessments {
 		if res.Assessments[i].Node == n2 {
@@ -123,7 +131,7 @@ func TestAblationMonotonicity(t *testing.T) {
 
 	count := func(opts Options) (trusted, wrong int) {
 		m := newMCC(DefaultConfig())
-		res := m.Run(sg, []*linegraph.HomologousNode{node}, opts)
+		res := runApply(m, sg, []*linegraph.HomologousNode{node}, opts)
 		for _, tn := range res.SVs {
 			trusted++
 			if tn.Triple.Object != "Delayed" {
@@ -164,7 +172,7 @@ func TestRunWithoutNodeLevelKeepsLocalConflicts(t *testing.T) {
 	sg := linegraph.Build(g)
 	node, _ := sg.Lookup(kg.CanonicalID("CA982"), "status")
 	m := newMCC(DefaultConfig())
-	res := m.Run(sg, []*linegraph.HomologousNode{node}, Options{DisableNodeLevel: true})
+	res := runApply(m, sg, []*linegraph.HomologousNode{node}, Options{DisableNodeLevel: true})
 	leak := false
 	for _, tn := range res.SVs {
 		if tn.Triple.Source == "forum-user" {
@@ -178,7 +186,7 @@ func TestRunWithoutNodeLevelKeepsLocalConflicts(t *testing.T) {
 		t.Fatal("w/o node level the local conflict must remain")
 	}
 	// The same subgraph under the full framework filters the minority.
-	full := newMCC(DefaultConfig()).Run(sg, []*linegraph.HomologousNode{node}, Options{})
+	full := runApply(newMCC(DefaultConfig()), sg, []*linegraph.HomologousNode{node}, Options{})
 	for _, tn := range full.SVs {
 		if tn.Triple.Source == "forum-user" && tn.Confidence >= full.SVs[0].Confidence {
 			t.Fatal("full MCC must down-rank the conflicting claim")
@@ -212,7 +220,7 @@ func TestHistoryLearnsSourceQuality(t *testing.T) {
 	m := newMCC(Config{Alpha: 0.5, Beta: 0.5, NodeThreshold: 0.7, GraphThreshold: 0.99}) // force node-level
 	before := m.History().Prh("forum-user")
 	for i := 0; i < 5; i++ {
-		m.Run(sg, []*linegraph.HomologousNode{node}, Options{})
+		runApply(m, sg, []*linegraph.HomologousNode{node}, Options{})
 	}
 	after := m.History().Prh("forum-user")
 	if after >= before {
@@ -231,7 +239,7 @@ func TestAlphaExtremesSkipComponents(t *testing.T) {
 
 	// α = 1: pure LLM authority, no history scans.
 	m1 := New(Config{Alpha: 1, Beta: 0.5, NodeThreshold: 0.7, GraphThreshold: 0.99}, llm.NewSim(llm.DefaultConfig()), NewHistoryStore())
-	m1.Run(sg, []*linegraph.HomologousNode{node}, Options{})
+	runApply(m1, sg, []*linegraph.HomologousNode{node}, Options{})
 	if m1.History().Scans() != 0 {
 		t.Fatalf("α=1 must not scan history, scanned %d", m1.History().Scans())
 	}
@@ -240,7 +248,7 @@ func TestAlphaExtremesSkipComponents(t *testing.T) {
 	model := llm.NewSim(llm.DefaultConfig())
 	m0 := New(Config{Alpha: 0, Beta: 0.5, NodeThreshold: 0.7, GraphThreshold: 0.99}, model, NewHistoryStore())
 	model.ResetUsage()
-	m0.Run(sg, []*linegraph.HomologousNode{node}, Options{})
+	runApply(m0, sg, []*linegraph.HomologousNode{node}, Options{})
 	if model.Usage().Calls != 0 {
 		t.Fatalf("α=0 must not call the LLM judge, made %d calls", model.Usage().Calls)
 	}
@@ -320,7 +328,7 @@ func TestRunStaleNodeNoMembers(t *testing.T) {
 		{DisableGraphLevel: true, DisableNodeLevel: true},
 	} {
 		m := newMCC(DefaultConfig())
-		res := m.Run(sg, []*linegraph.HomologousNode{node}, opts)
+		res := runApply(m, sg, []*linegraph.HomologousNode{node}, opts)
 		if len(res.SVs) != 0 || len(res.LVs) != 0 {
 			t.Fatalf("opts %+v: stale node produced evidence: %+v", opts, res)
 		}

@@ -200,15 +200,12 @@ func removeTriple(ts []*kg.Triple, t *kg.Triple) []*kg.Triple {
 	return ts
 }
 
-// oracleRun is the seed's MCC.run. It shares with production only what the
-// restructuring did not touch: the history store, the expert model, the
-// fast-path selection helpers and the sigmoid.
-func oracleRun(m *MCC, sg *linegraph.SG, candidates []*linegraph.HomologousNode, opts Options, deferred bool) (oracleResult, *HistoryDelta) {
+// oracleRun is the seed's deferred MCC run. It shares with production only
+// what the restructuring did not touch: the history store, the expert model,
+// the fast-path selection helpers and the sigmoid.
+func oracleRun(m *MCC, sg *linegraph.SG, candidates []*linegraph.HomologousNode, opts Options) (oracleResult, *HistoryDelta) {
 	var res oracleResult
-	var delta *HistoryDelta
-	if deferred {
-		delta = &HistoryDelta{}
-	}
+	delta := &HistoryDelta{}
 	if len(candidates) == 0 {
 		return res, delta
 	}
@@ -258,13 +255,7 @@ func oracleRun(m *MCC, sg *linegraph.SG, candidates []*linegraph.HomologousNode,
 			oracleScoreMembers(m, sg, members, c.vals, &a)
 			res.NodesScored += len(members)
 		}
-		if deferred {
-			delta.entries = append(delta.entries, oracleHistoryCredits(members, a.Trusted)...)
-		} else {
-			for _, hc := range oracleHistoryCredits(members, a.Trusted) {
-				m.hist.Update(hc.source, hc.provided, hc.accepted)
-			}
-		}
+		delta.entries = append(delta.entries, oracleHistoryCredits(members, a.Trusted)...)
 		res.Assessments = append(res.Assessments, a)
 		res.SVs = append(res.SVs, a.Trusted...)
 		res.LVs = append(res.LVs, a.Rejected...)
@@ -390,8 +381,9 @@ func randomGroups(t *testing.T, rng *rand.Rand) (*linegraph.SG, []*linegraph.Hom
 }
 
 // TestRunMatchesPairwiseOracle holds the shared-matrix MCC to the pairwise
-// oracle over seeded random groups, all ablations, Run and RunDeferred, and
-// several rounds per engine so the evolving history is compared too: the same
+// oracle over seeded random groups, all ablations, and several rounds per
+// engine with each round's delta applied, so the evolving history is compared
+// too: the same
 // trusted and rejected triples in the same order, the same stage flags and
 // history credits, and confidences within 1e-12 (the oracle sums in map
 // order, so its own low bits vary run to run).
@@ -429,70 +421,66 @@ func TestRunMatchesPairwiseOracle(t *testing.T) {
 		sg, cands := randomGroups(t, rng)
 		cfg := configs[rng.Intn(len(configs))]
 		for _, opts := range ablations {
-			for _, deferred := range []bool{false, true} {
-				name := fmt.Sprintf("seed %d cfg %+v opts %+v deferred %v", seed, cfg, opts, deferred)
-				got := New(cfg, llm.NewSim(llm.DefaultConfig()), NewHistoryStore())
-				want := New(cfg, llm.NewSim(llm.DefaultConfig()), NewHistoryStore())
-				for round := 0; round < 3; round++ {
-					gr, gd := got.run(sg, cands, opts, deferred)
-					wr, wd := oracleRun(want, sg, cands, opts, deferred)
-					if !reflect.DeepEqual(trustedIDs(gr.SVs), trustedIDs(wr.SVs)) || !reflect.DeepEqual(ids(gr.LVs), ids(wr.LVs)) {
-						t.Fatalf("%s round %d: SVs/LVs diverge:\n got  %v / %v\n want %v / %v", name, round,
-							trustedIDs(gr.SVs), ids(gr.LVs), trustedIDs(wr.SVs), ids(wr.LVs))
+			name := fmt.Sprintf("seed %d cfg %+v opts %+v", seed, cfg, opts)
+			got := New(cfg, llm.NewSim(llm.DefaultConfig()), NewHistoryStore())
+			want := New(cfg, llm.NewSim(llm.DefaultConfig()), NewHistoryStore())
+			for round := 0; round < 3; round++ {
+				gr, gd := got.RunDeferred(sg, cands, opts)
+				wr, wd := oracleRun(want, sg, cands, opts)
+				if !reflect.DeepEqual(trustedIDs(gr.SVs), trustedIDs(wr.SVs)) || !reflect.DeepEqual(ids(gr.LVs), ids(wr.LVs)) {
+					t.Fatalf("%s round %d: SVs/LVs diverge:\n got  %v / %v\n want %v / %v", name, round,
+						trustedIDs(gr.SVs), ids(gr.LVs), trustedIDs(wr.SVs), ids(wr.LVs))
+				}
+				if gr.NodesScored != wr.NodesScored || len(gr.Assessments) != len(wr.Assessments) {
+					t.Fatalf("%s round %d: NodesScored %d vs %d, assessments %d vs %d", name, round,
+						gr.NodesScored, wr.NodesScored, len(gr.Assessments), len(wr.Assessments))
+				}
+				scored += gr.NodesScored
+				for i, ga := range gr.Assessments {
+					wa := wr.Assessments[i]
+					if ga.Node != wa.Node || ga.EliminatedByGraph != wa.EliminatedByGraph || ga.FastPath != wa.FastPath {
+						t.Fatalf("%s round %d cand %d: flags diverge: %+v vs %+v", name, round, i, ga, wa)
 					}
-					if gr.NodesScored != wr.NodesScored || len(gr.Assessments) != len(wr.Assessments) {
-						t.Fatalf("%s round %d: NodesScored %d vs %d, assessments %d vs %d", name, round,
-							gr.NodesScored, wr.NodesScored, len(gr.Assessments), len(wr.Assessments))
+					if !reflect.DeepEqual(ids(ga.Members), ids(sg.MemberTriples(ga.Node))) {
+						t.Fatalf("%s round %d cand %d: Members are not the node's member triples", name, round, i)
 					}
-					scored += gr.NodesScored
-					for i, ga := range gr.Assessments {
-						wa := wr.Assessments[i]
-						if ga.Node != wa.Node || ga.EliminatedByGraph != wa.EliminatedByGraph || ga.FastPath != wa.FastPath {
-							t.Fatalf("%s round %d cand %d: flags diverge: %+v vs %+v", name, round, i, ga, wa)
-						}
-						if !reflect.DeepEqual(ids(ga.Members), ids(sg.MemberTriples(ga.Node))) {
-							t.Fatalf("%s round %d cand %d: Members are not the node's member triples", name, round, i)
-						}
-						if !reflect.DeepEqual(trustedIDs(ga.Trusted), trustedIDs(wa.Trusted)) || !reflect.DeepEqual(ids(ga.Rejected), ids(wa.Rejected)) {
-							t.Fatalf("%s round %d cand %d: trusted/rejected diverge", name, round, i)
-						}
-						if math.Abs(ga.GraphConfidence-wa.GraphConfidence) > tol {
-							t.Fatalf("%s round %d cand %d: C(G) %v vs oracle %v", name, round, i, ga.GraphConfidence, wa.GraphConfidence)
-						}
-						for j, tn := range ga.Trusted {
-							if tn.Verified != wa.Trusted[j].Verified || math.Abs(tn.Confidence-wa.Trusted[j].Confidence) > tol {
-								t.Fatalf("%s round %d cand %d: trusted[%d] %+v vs oracle %+v", name, round, i, j, tn, wa.Trusted[j])
-							}
-						}
-						if len(ga.NodeConfidence) != len(wa.NodeConfidence) {
-							t.Fatalf("%s round %d cand %d: %d node confidences, oracle %d", name, round, i, len(ga.NodeConfidence), len(wa.NodeConfidence))
-						}
-						if (ga.NodeConfidence != nil) != (!ga.EliminatedByGraph && !ga.FastPath && !opts.DisableNodeLevel && len(ga.Members) > 0) {
-							t.Fatalf("%s round %d cand %d: NodeConfidence allocated outside the fine stage", name, round, i)
-						}
-						for j, cv := range ga.NodeConfidence {
-							id := ga.Members[j].ID
-							if w, ok := wa.NodeConfidence[id]; !ok || math.Abs(cv-w) > tol {
-								t.Fatalf("%s round %d cand %d: C(%s) = %v, oracle %v", name, round, i, id, cv, w)
-							}
+					if !reflect.DeepEqual(trustedIDs(ga.Trusted), trustedIDs(wa.Trusted)) || !reflect.DeepEqual(ids(ga.Rejected), ids(wa.Rejected)) {
+						t.Fatalf("%s round %d cand %d: trusted/rejected diverge", name, round, i)
+					}
+					if math.Abs(ga.GraphConfidence-wa.GraphConfidence) > tol {
+						t.Fatalf("%s round %d cand %d: C(G) %v vs oracle %v", name, round, i, ga.GraphConfidence, wa.GraphConfidence)
+					}
+					for j, tn := range ga.Trusted {
+						if tn.Verified != wa.Trusted[j].Verified || math.Abs(tn.Confidence-wa.Trusted[j].Confidence) > tol {
+							t.Fatalf("%s round %d cand %d: trusted[%d] %+v vs oracle %+v", name, round, i, j, tn, wa.Trusted[j])
 						}
 					}
-					if deferred {
-						if !reflect.DeepEqual(gd.entries, wd.entries) {
-							t.Fatalf("%s round %d: history delta diverges:\n got  %+v\n want %+v", name, round, gd.entries, wd.entries)
+					if len(ga.NodeConfidence) != len(wa.NodeConfidence) {
+						t.Fatalf("%s round %d cand %d: %d node confidences, oracle %d", name, round, i, len(ga.NodeConfidence), len(wa.NodeConfidence))
+					}
+					if (ga.NodeConfidence != nil) != (!ga.EliminatedByGraph && !ga.FastPath && !opts.DisableNodeLevel && len(ga.Members) > 0) {
+						t.Fatalf("%s round %d cand %d: NodeConfidence allocated outside the fine stage", name, round, i)
+					}
+					for j, cv := range ga.NodeConfidence {
+						id := ga.Members[j].ID
+						if w, ok := wa.NodeConfidence[id]; !ok || math.Abs(cv-w) > tol {
+							t.Fatalf("%s round %d cand %d: C(%s) = %v, oracle %v", name, round, i, id, cv, w)
 						}
-						got.hist.Apply(gd)
-						want.hist.Apply(wd)
 					}
-					for s := 0; s < 5; s++ {
-						src := fmt.Sprintf("s%d", s)
-						if a, b := got.hist.Prh(src), want.hist.Prh(src); a != b {
-							t.Fatalf("%s round %d: history of %s diverges: %v vs %v", name, round, src, a, b)
-						}
+				}
+				if !reflect.DeepEqual(gd.entries, wd.entries) {
+					t.Fatalf("%s round %d: history delta diverges:\n got  %+v\n want %+v", name, round, gd.entries, wd.entries)
+				}
+				got.hist.Apply(gd)
+				want.hist.Apply(wd)
+				for s := 0; s < 5; s++ {
+					src := fmt.Sprintf("s%d", s)
+					if a, b := got.hist.Prh(src), want.hist.Prh(src); a != b {
+						t.Fatalf("%s round %d: history of %s diverges: %v vs %v", name, round, src, a, b)
 					}
-					if a, b := got.hist.Scans(), want.hist.Scans(); a != b {
-						t.Fatalf("%s round %d: history scans %d vs %d", name, round, a, b)
-					}
+				}
+				if a, b := got.hist.Scans(), want.hist.Scans(); a != b {
+					t.Fatalf("%s round %d: history scans %d vs %d", name, round, a, b)
 				}
 			}
 		}
@@ -572,13 +560,13 @@ func TestRunAllocCeiling(t *testing.T) {
 		sg, cands := conflictGroup(t, 8, 8)
 		m := New(Config{Alpha: alpha, Beta: 0.5, NodeThreshold: 0.7, GraphThreshold: 0.99},
 			llm.NewSim(llm.DefaultConfig()), NewHistoryStore())
-		if res := m.Run(sg, cands, Options{}); res.NodesScored != 8 {
+		if res, _ := m.RunDeferred(sg, cands, Options{}); res.NodesScored != 8 {
 			t.Fatalf("α=%v: group must take the node-level path, scored %d", alpha, res.NodesScored)
 		}
-		allocs := testing.AllocsPerRun(50, func() { m.Run(sg, cands, Options{}) })
-		t.Logf("α=%v: Run over 8 distinct members: %.0f allocs", alpha, allocs)
+		allocs := testing.AllocsPerRun(50, func() { m.RunDeferred(sg, cands, Options{}) })
+		t.Logf("α=%v: RunDeferred over 8 distinct members: %.0f allocs", alpha, allocs)
 		if allocs > 100 {
-			t.Fatalf("α=%v: Run over 8 distinct members: %.0f allocs, ceiling 100", alpha, allocs)
+			t.Fatalf("α=%v: RunDeferred over 8 distinct members: %.0f allocs, ceiling 100", alpha, allocs)
 		}
 	}
 }

@@ -21,7 +21,7 @@ import (
 
 // anchorFiles states, from two sources, the movie attributes of 36 entities
 // that exist whatever the corpus size, so a delta about them grows existing
-// homologous groups and appends to the corpus-long byPred lists.
+// homologous groups and appends to existing posting lists.
 func anchorFiles() []adapter.RawFile {
 	var b strings.Builder
 	for i := 0; i < 36; i++ {

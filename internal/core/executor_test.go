@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"multirag/internal/adapter"
@@ -196,24 +195,13 @@ func memoKinds(s *System) (complete, groups, points int) {
 	return complete, groups, points
 }
 
-// judgeCounter wraps the serving model and counts the expert's authority
-// judgements.
-type judgeCounter struct {
-	llm.Model
-	n atomic.Int64
-}
-
-func (j *judgeCounter) JudgeAuthority(ctx llm.AuthorityContext) float64 {
-	j.n.Add(1)
-	return j.Model.JudgeAuthority(ctx)
-}
-
-// countJudgements points s's MCC at a counting wrapper of its model, keeping
-// its configuration and source history.
-func countJudgements(s *System) *judgeCounter {
-	j := &judgeCounter{Model: s.model}
-	s.mcc = confidence.New(s.mcc.Config(), j, s.mcc.History())
-	return j
+// countJudgements points s's MCC at a fork of its model, keeping its
+// configuration and source history. MCC calls its model only to judge
+// authority, so the fork's call count is the expert's judgements.
+func countJudgements(s *System) *llm.Sim {
+	judge := s.model.Fork()
+	s.mcc = confidence.New(s.mcc.Config(), judge, s.mcc.History())
+	return judge
 }
 
 // executorSources are the sources executorFiles ingests.
@@ -247,7 +235,7 @@ func TestEvidenceMemoTransparent(t *testing.T) {
 			if a, b := memo.mcc.History().Scans(), plain.mcc.History().Scans(); a != b {
 				t.Fatalf("round %d, %q: %d history scans with the memo, %d without", round, q, a, b)
 			}
-			if a, b := memoJudge.n.Load(), plainJudge.n.Load(); a != b {
+			if a, b := memoJudge.Usage().Calls, plainJudge.Usage().Calls; a != b {
 				t.Fatalf("round %d, %q: %d authority judgements with the memo, %d without", round, q, a, b)
 			}
 		}
@@ -256,7 +244,7 @@ func TestEvidenceMemoTransparent(t *testing.T) {
 	if complete == 0 || groups == 0 || points == 0 {
 		t.Fatalf("memo holds %d complete, %d node-scored and %d isolated-point entries; the transparency check ran vacuously for a kind", complete, groups, points)
 	}
-	if memoJudge.n.Load() == 0 {
+	if memoJudge.Usage().Calls == 0 {
 		t.Fatal("no authority judgement was made; the node-level stage never ran")
 	}
 	if n := plain.evidence.size(); n != 0 {

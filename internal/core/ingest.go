@@ -8,7 +8,6 @@ import (
 	"multirag/internal/adapter"
 	"multirag/internal/extract"
 	"multirag/internal/jsonld"
-	"multirag/internal/kg"
 	"multirag/internal/linegraph"
 	"multirag/internal/par"
 	"multirag/internal/retrieval"
@@ -24,16 +23,6 @@ type IngestReport struct {
 	Chunks     int
 }
 
-// replayer is the deferred-mutation half of the extraction contract the
-// committer consumes: a recorded operation stream that can be replayed onto
-// the shared commit clone. *extract.Recorder is the production
-// implementation; tests substitute failing replayers to exercise the
-// group-commit rollback path.
-type replayer interface {
-	ReplayAppend(g *kg.Graph, ids []string) ([]string, error)
-	NumTriples() int
-}
-
 // fileWork is one file's replay data: the output of the parallel preparation
 // stage, or one file of a decoded WAL record. rows are the chunks'
 // embeddings in sparse form (retrieval.Sparse), beside the chunks and not in
@@ -41,7 +30,7 @@ type replayer interface {
 // re-embeds them from the chunk texts. A prepared file also carries part, its
 // part of the group record, encoded in stage 1 (encodeFile).
 type fileWork struct {
-	rec    replayer
+	rec    *extract.Recorder
 	report extract.Report
 	chunks []retrieval.Chunk
 	rows   retrieval.Sparse

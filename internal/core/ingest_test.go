@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -116,20 +115,13 @@ func TestPreparedVectorsStoredForm(t *testing.T) {
 	}
 }
 
-// poisonedReplayer replays its inner stream fully — mutating the shared
-// commit clone — and then reports failure, exercising the committer's
-// rollback-by-re-replay path.
-type poisonedReplayer struct{ inner replayer }
-
-func (r poisonedReplayer) ReplayAppend(g *kg.Graph, ids []string) ([]string, error) {
-	ids, err := r.inner.ReplayAppend(g, ids)
-	if err != nil {
-		return ids, err
-	}
-	return ids, errors.New("injected replay failure")
+// poison gives a prepared file one more chunk than it has embedded rows: its
+// recorder replays fully — mutating the shared commit clone — and then
+// AppendSparse fails, exercising the committer's rollback-by-re-replay path.
+func poison(w *fileWork) {
+	extra := retrieval.Chunk{ID: "poison#c0", DocID: "poison", Source: "poison", Text: "poison"}
+	w.chunks = append(w.chunks[:len(w.chunks):len(w.chunks)], extra)
 }
-
-func (r poisonedReplayer) NumTriples() int { return r.inner.NumTriples() }
 
 // TestGroupCommitMidGroupFailure is the group-atomicity contract: when one
 // batch of a commit group fails mid-replay (after mutating the shared
@@ -149,8 +141,8 @@ func TestGroupCommitMidGroupFailure(t *testing.T) {
 		}
 		group = append(group, p)
 	}
-	// Poison the middle batch's first file after it has replayed.
-	group[1].work[0].rec = poisonedReplayer{group[1].work[0].rec}
+	// Poison the middle batch's first file: it fails after its recorder replayed.
+	poison(&group[1].work[0])
 	s.commitGroup(group)
 	s.gc.nextCommit += 3 // direct commitGroup bypassed commitJoin's bookkeeping
 	s.gc.inflight -= 3

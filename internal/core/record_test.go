@@ -17,12 +17,6 @@ import (
 	"multirag/internal/wal"
 )
 
-// opStreamer is the serialization half of the extraction-recorder contract
-// the oracle encoder reads a recorder through.
-type opStreamer interface {
-	ForEachOp(entity func(name, typ, domain string), triple func(t kg.Triple))
-}
-
 // oracleEncodeGroupRecord is encodeGroupRecord as it was written before the
 // record's file parts moved into stage 1: the whole record encoded field by
 // field under the commit lock, every recorder walked twice through its op
@@ -36,18 +30,14 @@ func oracleEncodeGroupRecord(e *wal.Encoder, committed []*prepared) error {
 		e.Int(len(p.work))
 		for i := range p.work {
 			w := &p.work[i]
-			str, ok := w.rec.(opStreamer)
-			if !ok {
-				return fmt.Errorf("core: recorder %T cannot be serialized to the WAL", w.rec)
-			}
 			n := 0
-			str.ForEachOp(
+			w.rec.ForEachOp(
 				func(string, string, string) { n++ },
 				func(kg.Triple) { n++ })
 			e.Int(n)
 			var prevEnt [2]string
 			var prev kg.Triple
-			str.ForEachOp(
+			w.rec.ForEachOp(
 				func(name, typ, domain string) {
 					e.Bool(true)
 					e.String(name)
@@ -166,7 +156,7 @@ func TestGroupRecordMatchesOracle(t *testing.T) {
 				}
 				if len(w.chunks) == 0 {
 					ops := 0
-					w.rec.(opStreamer).ForEachOp(func(string, string, string) { ops++ }, func(kg.Triple) { ops++ })
+					w.rec.ForEachOp(func(string, string, string) { ops++ }, func(kg.Triple) { ops++ })
 					if ops == 0 {
 						seen.empty++
 					} else {
@@ -175,7 +165,7 @@ func TestGroupRecordMatchesOracle(t *testing.T) {
 				}
 			}
 			if len(p.work) > 0 && rng.Intn(6) == 0 {
-				p.work[0].rec = poisonedReplayer{p.work[0].rec}
+				poison(&p.work[0])
 				seen.poisoned++
 			}
 		}

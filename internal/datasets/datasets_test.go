@@ -288,6 +288,10 @@ func TestGenerateQABridge(t *testing.T) {
 	if len(d.Questions) != 20 {
 		t.Fatalf("questions = %d", len(d.Questions))
 	}
+	docs := map[string]bool{}
+	for _, doc := range d.Docs {
+		docs[doc.ID] = true
+	}
 	for _, q := range d.Questions {
 		if q.Type != "bridge" {
 			t.Fatalf("hotpot preset must be all bridge questions, got %s", q.Type)
@@ -296,7 +300,7 @@ func TestGenerateQABridge(t *testing.T) {
 			t.Fatalf("bridge question must have 2 supporting docs: %v", q.Support)
 		}
 		for _, id := range q.Support {
-			if _, ok := d.DocByID(id); !ok {
+			if !docs[id] {
 				t.Fatalf("supporting doc %s missing from corpus", id)
 			}
 		}

@@ -219,16 +219,6 @@ func (d *QADataset) genComparison(rng *rand.Rand, spec QASpec, q int, attr strin
 	})
 }
 
-// DocByID returns a document by ID.
-func (d *QADataset) DocByID(id string) (Doc, bool) {
-	for _, doc := range d.Docs {
-		if doc.ID == id {
-			return doc, true
-		}
-	}
-	return Doc{}, false
-}
-
 // Corpus renders all documents as (id, text) pairs for indexing.
 func (d *QADataset) Corpus() []Doc { return d.Docs }
 

@@ -127,18 +127,18 @@ func AddShuffledTriples(g *kg.Graph, frac float64, seed uint64) int {
 		t, _ := g.Triple(ids[rng.Intn(len(ids))])
 		picks = append(picks, t)
 	}
-	byPred := map[string][]int{}
+	families := map[string][]int{}
 	for i, t := range picks {
-		byPred[t.Predicate] = append(byPred[t.Predicate], i)
+		families[t.Predicate] = append(families[t.Predicate], i)
 	}
 	objects := make([]string, len(picks))
-	preds := make([]string, 0, len(byPred))
-	for p := range byPred {
+	preds := make([]string, 0, len(families))
+	for p := range families {
 		preds = append(preds, p)
 	}
 	sort.Strings(preds)
 	for _, p := range preds {
-		group := byPred[p]
+		group := families[p]
 		vals := make([]string, len(group))
 		for j, i := range group {
 			vals[j] = picks[i].Object

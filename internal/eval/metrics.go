@@ -71,19 +71,16 @@ func RecallAtK(ranked, gold []string, k int) float64 {
 	return float64(hits) / float64(len(gold))
 }
 
-// Mean accumulates a running mean and variance (Welford).
+// Mean accumulates a running mean.
 type Mean struct {
 	n    int
 	mean float64
-	m2   float64
 }
 
 // Add folds a sample in.
 func (m *Mean) Add(x float64) {
 	m.n++
-	d := x - m.mean
-	m.mean += d / float64(m.n)
-	m.m2 += d * (x - m.mean)
+	m.mean += (x - m.mean) / float64(m.n)
 }
 
 // N returns the sample count.
@@ -91,22 +88,3 @@ func (m *Mean) N() int { return m.n }
 
 // Value returns the mean (0 with no samples).
 func (m *Mean) Value() float64 { return m.mean }
-
-// Std returns the sample standard deviation (0 with <2 samples).
-func (m *Mean) Std() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	return sqrt(m.m2 / float64(m.n-1))
-}
-
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	z := x
-	for i := 0; i < 40; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
-}

@@ -27,14 +27,14 @@ var keyProps = []string{"@key", "name", "title", "id", "flight", "symbol", "isbn
 
 // Extractor builds knowledge graphs from normalised multi-source data.
 type Extractor struct {
-	model llm.Model
+	model *llm.Sim
 	raw   bool
 }
 
 // New returns an extractor backed by the given model, with the entity
 // standardisation phase (std.py) enabled — the MultiRAG knowledge
 // construction configuration.
-func New(model llm.Model) *Extractor {
+func New(model *llm.Sim) *Extractor {
 	return &Extractor{model: model}
 }
 
@@ -42,7 +42,7 @@ func New(model llm.Model) *Extractor {
 // surface forms are only case/punctuation-normalised. Baseline environments
 // use this configuration — entity standardisation is part of MultiRAG's
 // knowledge-construction contribution, not of the comparison methods.
-func NewRaw(model llm.Model) *Extractor {
+func NewRaw(model *llm.Sim) *Extractor {
 	return &Extractor{model: model, raw: true}
 }
 

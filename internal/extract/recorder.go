@@ -58,7 +58,7 @@ func (r *Recorder) AddEntity(name, typ, domain string) string {
 // AddTriple records a triple insertion. It mirrors *kg.Graph.AddTriple's
 // validation against the entities recorded so far; the definitive insertion
 // (ID assignment, object-entity linking against the full corpus) happens at
-// Replay time. The returned ID is a placeholder — extraction never reads it.
+// replay time. The returned ID is a placeholder — extraction never reads it.
 func (r *Recorder) AddTriple(t kg.Triple) (string, error) {
 	if _, ok := r.entities[t.Subject]; !ok {
 		return "", fmt.Errorf("kg: unknown subject entity %q", t.Subject)
@@ -86,7 +86,7 @@ func (r *Recorder) NumTriples() int { return r.triples }
 // ops through entity, triple ops through triple. The durability layer
 // serializes a recorder through it and rebuilds one by feeding the visited
 // ops back into AddEntity/AddTriple on a fresh Recorder, which reproduces the
-// stream (and therefore Replay's effect) exactly.
+// stream (and therefore ReplayAppend's effect) exactly.
 func (r *Recorder) ForEachOp(entity func(name, typ, domain string), triple func(t kg.Triple)) {
 	for _, o := range r.ops {
 		if o.name != "" {
@@ -97,19 +97,13 @@ func (r *Recorder) ForEachOp(entity func(name, typ, domain string), triple func(
 	}
 }
 
-// Replay applies the recorded operation stream to g in recording order and
-// returns the IDs of the triples inserted. Replay is cheap (map inserts); all
-// model-driven work already happened while recording.
-func (r *Recorder) Replay(g *kg.Graph) ([]string, error) {
-	return r.ReplayAppend(g, make([]string, 0, r.triples))
-}
-
-// ReplayAppend is Replay appending the inserted triple IDs onto ids instead
-// of allocating a fresh slice. The group committer replays every recorder of
-// a commit group into one buffer preallocated for the whole group's recorded
-// triple count; on a mid-batch error the caller truncates ids back to its
-// pre-batch length (the returned slice always carries whatever was inserted
-// before the failure).
+// ReplayAppend applies the recorded operation stream to g in recording order
+// and appends the IDs of the triples inserted onto ids. Replay is cheap (map
+// inserts); all model-driven work already happened while recording. The
+// group committer replays every recorder of a commit group into one buffer
+// preallocated for the whole group's recorded triple count; on a mid-batch
+// error the caller truncates ids back to its pre-batch length (the returned
+// slice always carries whatever was inserted before the failure).
 func (r *Recorder) ReplayAppend(g *kg.Graph, ids []string) ([]string, error) {
 	for _, o := range r.ops {
 		if o.name != "" {

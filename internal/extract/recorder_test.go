@@ -53,7 +53,7 @@ func TestRecorderReplayMatchesDirectBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		agg.Merge(fileRep)
-		ids, err := rec.Replay(replayed)
+		ids, err := rec.ReplayAppend(replayed, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestRecorderReplayMatchesDirectBuild(t *testing.T) {
 			replayed.NumEntities(), replayed.NumTriples(), direct.NumEntities(), direct.NumTriples())
 	}
 	if len(allIDs) != direct.NumTriples() {
-		t.Fatalf("Replay returned %d IDs, want %d", len(allIDs), direct.NumTriples())
+		t.Fatalf("ReplayAppend returned %d IDs, want %d", len(allIDs), direct.NumTriples())
 	}
 	if !reflect.DeepEqual(replayed.TripleIDs(), direct.TripleIDs()) {
 		t.Fatalf("triple ID sequences diverge")
@@ -108,7 +108,7 @@ func TestRecorderValidatesLikeGraph(t *testing.T) {
 		t.Fatalf("valid triple rejected: %v", err)
 	}
 	g := kg.New()
-	ids, err := rec.Replay(g)
+	ids, err := rec.ReplayAppend(g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestRecorderStoresExactCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := kg.New()
-	if _, err := r.Replay(g); err != nil {
+	if _, err := r.ReplayAppend(g, nil); err != nil {
 		t.Fatal(err)
 	}
 	e, _ := g.Entity("ca981")

@@ -53,8 +53,9 @@ const (
 	// PointWALAppend fires before a commit group's WAL append. An error here
 	// exercises the not-acknowledged path without latching the log itself.
 	PointWALAppend = "wal.append"
-	// PointServeExecute fires in the serving executor loop, once per formed
-	// batch, before the engine runs it.
+	// PointServeExecute fires once per engine call the front door makes —
+	// one per request, on its own handler (Server.runBatch) — before the
+	// engine evaluates the request's queries.
 	PointServeExecute = "serve.execute"
 	// PointClusterReplay fires before a replica reads and replays each
 	// committed record of the primary's log. Error faults fence the replica

@@ -213,8 +213,10 @@ func TestCloneIsolationUnderConcurrentReads(t *testing.T) {
 }
 
 // lineageGraph returns a graph of nEnts entities ("Entity i") carrying
-// perEnt literal triples each, predicate i%preds of "p0".."p<preds-1>".
-func lineageGraph(tb testing.TB, nEnts, perEnt, preds int) *Graph {
+// perEnt literal triples each, predicate i%preds of "p0".."p<preds-1>", and
+// then hub more on Entity 0, the hub subject, whose bySubject list is the
+// long one.
+func lineageGraph(tb testing.TB, nEnts, perEnt, preds, hub int) *Graph {
 	tb.Helper()
 	g := New()
 	for i := 0; i < nEnts; i++ {
@@ -224,6 +226,9 @@ func lineageGraph(tb testing.TB, nEnts, perEnt, preds int) *Graph {
 		for i := 0; i < nEnts; i++ {
 			addLiteral(tb, g, i, fmt.Sprintf("p%d", (k*nEnts+i)%preds), fmt.Sprintf("v%d", k))
 		}
+	}
+	for k := 0; k < hub; k++ {
+		addLiteral(tb, g, 0, "hub", fmt.Sprintf("h%d", k))
 	}
 	return g
 }
@@ -246,22 +251,22 @@ func addLiteral(tb testing.TB, g *Graph, ent int, pred, obj string) string {
 // forked graph has not rewritten yet, across its own clones; removal needs no
 // claim.
 func TestCloneLineagePaths(t *testing.T) {
-	parent := lineageGraph(t, 80, 3, 1) // two posting pages of subjects, one long byPred list
-	predH, _ := parent.PredicateHandle("p0")
-	byPredBase := func(g *Graph) *int32 { return &g.byPred.get(predH)[0] }
-	if lst := parent.byPred.get(predH); cap(lst) == len(lst) {
-		t.Fatal("test needs spare capacity behind the parent's byPred list")
+	parent := lineageGraph(t, 80, 3, 1, 64) // two posting pages of subjects, one long hub list in page 0
+	hubBase := func(g *Graph) *int32 { return &g.bySubject.get(0)[0] }
+	if lst := parent.bySubject.get(0); cap(lst) == len(lst) {
+		t.Fatal("test needs spare capacity behind the parent's hub list")
 	}
 	first := parent.Clone()
+	addLiteral(t, first, 0, "hub", "first")
 	addLiteral(t, first, 70, "p0", "first")
-	if first.lin != parent.lin || byPredBase(first) != byPredBase(parent) {
+	if first.lin != parent.lin || hubBase(first) != hubBase(parent) {
 		t.Fatal("first clone of the newest graph must append in place on the shared lineage")
 	}
 	firstObs := observe(first)
 
 	second := parent.Clone()
-	addLiteral(t, second, 1, "p0", "second")
-	if second.lin == parent.lin || byPredBase(second) == byPredBase(parent) {
+	addLiteral(t, second, 0, "hub", "second")
+	if second.lin == parent.lin || hubBase(second) == hubBase(parent) {
 		t.Fatal("second clone of one parent must fork: fresh token, reallocated list")
 	}
 	secondObs := observe(second)
@@ -270,8 +275,9 @@ func TestCloneLineagePaths(t *testing.T) {
 	// fork's own token, yet Entity 70's list, in page 1, still has first's
 	// triple sitting in its spare capacity.
 	third := second.Clone()
+	addLiteral(t, third, 0, "hub", "third")
 	addLiteral(t, third, 70, "p0", "third")
-	if third.lin != second.lin || byPredBase(third) != byPredBase(second) {
+	if third.lin != second.lin || hubBase(third) != hubBase(second) {
 		t.Fatal("a fork's clone must continue in place on the fork's lineage")
 	}
 	requireObservation(t, "first after the fork's clone wrote the same subject", first, firstObs)
@@ -310,28 +316,27 @@ func TestCloneLineagePaths(t *testing.T) {
 }
 
 // TestCloneChainAppendsInPlace is the cost half of the rule: along a linear
-// chain of clone → add → publish steps the byPred list keeps its backing
-// array while capacity lasts, so what a step allocates does not depend on how
-// long the lists it appends to are. Two graphs of equal size, one with every
-// triple on one predicate and one with 64 triples on it, must allocate the
-// same per step.
+// chain of clone → add → publish steps the hub subject's list keeps its
+// backing array while capacity lasts, so what a step allocates does not
+// depend on how long the lists it appends to are. Two graphs of equal size,
+// one with every triple on the hub subject and one with 16 triples on it,
+// must allocate the same per step.
 func TestCloneChainAppendsInPlace(t *testing.T) {
 	const steps = 64
 	perStep := func(g *Graph) uint64 {
-		predH, _ := g.PredicateHandle("p0")
 		cur, inPlace, hadRoom := g, 0, 0
 		bytes := make([]uint64, 0, steps)
 		var before, after runtime.MemStats
 		for i := 0; i < steps; i++ {
-			lst := cur.byPred.get(predH)
+			lst := cur.bySubject.get(0)
 			runtime.ReadMemStats(&before)
 			next := cur.Clone()
-			addLiteral(t, next, i, "p0", "chain")
+			addLiteral(t, next, 0, "chain", "chain")
 			runtime.ReadMemStats(&after)
 			bytes = append(bytes, after.TotalAlloc-before.TotalAlloc)
 			if cap(lst) > len(lst) {
 				hadRoom++
-				if &next.byPred.get(predH)[0] == &lst[0] {
+				if &next.bySubject.get(0)[0] == &lst[0] {
 					inPlace++
 				}
 			}
@@ -341,15 +346,24 @@ func TestCloneChainAppendsInPlace(t *testing.T) {
 			cur = next
 		}
 		if hadRoom < steps-8 || inPlace != hadRoom {
-			t.Fatalf("%d of %d steps had capacity behind the byPred list, %d appended in place", hadRoom, steps, inPlace)
+			t.Fatalf("%d of %d steps had capacity behind the hub list, %d appended in place", hadRoom, steps, inPlace)
 		}
 		sort.Slice(bytes, func(i, j int) bool { return bytes[i] < bytes[j] })
 		return bytes[steps/2]
 	}
-	long := perStep(lineageGraph(t, 256, 16, 1))
-	short := perStep(lineageGraph(t, 256, 16, 64))
+	// Entity 1 carries 4,200 more triples in both graphs, so the degree
+	// histogram every clone copies is as long in both and the hub never
+	// reaches its top.
+	heavy := func(g *Graph) *Graph {
+		for k := 0; k < 4200; k++ {
+			addLiteral(t, g, 1, "heavy", fmt.Sprintf("x%d", k))
+		}
+		return g
+	}
+	long := perStep(heavy(lineageGraph(t, 256, 0, 1, 4096)))
+	short := perStep(heavy(lineageGraph(t, 256, 16, 64, 0)))
 	if float64(long) > 1.25*float64(short) {
-		t.Fatalf("a step allocates %d B behind a 4096-handle list, %d B behind a 64-handle one", long, short)
+		t.Fatalf("a step allocates %d B behind a 4096-handle list, %d B behind a 16-handle one", long, short)
 	}
 }
 
@@ -358,30 +372,24 @@ func TestCloneChainAppendsInPlace(t *testing.T) {
 type postingDump struct {
 	subject [][]int32
 	key     map[[2]int32][]int32
-	byPred  map[string][]string
 }
 
 func dumpPostings(g *Graph) postingDump {
-	d := postingDump{key: map[[2]int32][]int32{}, byPred: map[string][]string{}}
+	d := postingDump{key: map[[2]int32][]int32{}}
 	for h := int32(0); h < g.EntitySlots(); h++ {
 		d.subject = append(d.subject, append([]int32(nil), g.SubjectPosting(h)...))
 	}
 	g.ForEachKeyPosting(func(s, p int32, lst []int32) {
 		d.key[[2]int32{s, p}] = append([]int32(nil), lst...)
 	})
-	for h := 0; h < g.preds.len(); h++ {
-		p := g.PredicateAt(int32(h))
-		for _, tr := range g.TriplesByPredicate(p) {
-			d.byPred[p] = append(d.byPred[p], tr.ID)
-		}
-	}
 	return d
 }
 
 // TestInPlaceAppendsUnderConcurrentReads is the race-detector half: readers
-// keep walking SubjectPosting, KeyPosting and TriplesByPredicate of
-// generations captured along the way while the committer clones the newest
-// graph and appends behind it in place, a few hundred commits in a row. Every
+// keep walking SubjectPosting and KeyPosting of generations captured along
+// the way, the hub subject's long list among them, while the committer
+// clones the newest graph and appends behind it in place, a few hundred
+// commits in a row, each one to the hub. Every
 // reader must keep seeing exactly what its generation held when it was
 // captured, and `go test -race` must see no conflicting access: readers stop
 // at their own len, the committer writes past it.
@@ -390,7 +398,7 @@ func TestInPlaceAppendsUnderConcurrentReads(t *testing.T) {
 		commits = 240
 		readers = 6
 	)
-	cur := lineageGraph(t, 150, 4, 3)
+	cur := lineageGraph(t, 150, 4, 3, 100)
 	var (
 		wg    sync.WaitGroup
 		stop  atomic.Bool
@@ -413,7 +421,11 @@ func TestInPlaceAppendsUnderConcurrentReads(t *testing.T) {
 		}
 		next := cur.Clone()
 		for i := 0; i < 4; i++ {
-			addLiteral(t, next, (c*7+i*31)%150, fmt.Sprintf("p%d", i%3), fmt.Sprintf("c%d", c))
+			ent := (c*7 + i*31) % 150
+			if i == 0 {
+				ent = 0 // the hub
+			}
+			addLiteral(t, next, ent, fmt.Sprintf("p%d", i%3), fmt.Sprintf("c%d", c))
 		}
 		if next.lin != cur.lin {
 			t.Fatalf("commit %d left the lineage", c)
@@ -427,7 +439,7 @@ func TestInPlaceAppendsUnderConcurrentReads(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
-	if got, want := cur.NumTriples(), 150*4+4*commits; got != want {
+	if got, want := cur.NumTriples(), 150*4+100+4*commits; got != want {
 		t.Fatalf("committer lost triples: %d, want %d", got, want)
 	}
 }

@@ -94,7 +94,7 @@ const (
 )
 
 // postingCol is a COW paged column of posting lists ([]int32 per row), used
-// for the bySubject/byObject/byPredicate adjacency indexes. It differs from
+// for the bySubject/byObject adjacency indexes. It differs from
 // col[[]int32] in two ways: rows materialise lazily (an entity with no
 // triples costs nothing), and the lists themselves are shared with their
 // spare capacity. Privatizing a page copies its headers only; a reader of an

@@ -6,12 +6,12 @@ import (
 )
 
 // benchCorpus builds a graph the shape of the end-to-end benchmark's: 6,100
-// entities, 11 triples each over 12 predicates — 67,100 triples, byPred lists
-// of ~5,600 handles. It returns a clone of the bulk load, which like every
-// snapshot the engine serves has its interner tails flattened; re-cloning the
-// bulk load itself would re-flatten them each time.
+// entities, 11 triples each over 12 predicates — 67,100 triples. It returns
+// a clone of the bulk load, which like every snapshot the engine serves has
+// its interner tails flattened; re-cloning the bulk load itself would
+// re-flatten them each time.
 func benchCorpus(tb testing.TB) *Graph {
-	return lineageGraph(tb, 6100, 11, 12).Clone()
+	return lineageGraph(tb, 6100, 11, 12, 0).Clone()
 }
 
 // BenchmarkGraphCommitAppend measures what one ingest commit costs the graph:

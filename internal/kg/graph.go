@@ -74,7 +74,6 @@ type Graph struct {
 
 	bySubject postingCol     // entity handle → handles of triples with that subject
 	byObject  postingCol     // entity handle → handles of triples linking it as object
-	byPred    postingCol     // predicate handle → triple handles
 	byKey     cowKeyPostings // packed (subject, predicate) handles → triple handles
 
 	// lin counts the triple slots claimed on the posting-list storage this
@@ -225,7 +224,6 @@ func (g *Graph) AddTriple(t Triple) (string, error) {
 	g.tPred.append(predH)
 	g.bySubject.appendTo(subjH, h)
 	g.byKey.appendTo(packKey(subjH, predH), h)
-	g.byPred.appendTo(predH, h)
 	if objH >= 0 {
 		g.byObject.appendTo(objH, h)
 	}
@@ -242,8 +240,8 @@ func (g *Graph) AddTriple(t Triple) (string, error) {
 }
 
 // claimSlot applies the claim-or-fork rule (package lineage) to the next
-// triple slot, before AddTriple fills it. Clones share the bySubject, byObject
-// and byPred lists with their spare capacity. A successful claim lets this
+// triple slot, before AddTriple fills it. Clones share the bySubject and
+// byObject lists with their spare capacity. A successful claim lets this
 // graph append the slot's handle to them in place, behind the len every older
 // snapshot reads to. A fork makes every posting page clip its lists when it
 // is next privatized (postingCol.fork), which is what every commit paid
@@ -255,7 +253,6 @@ func (g *Graph) claimSlot() {
 	}
 	g.bySubject.fork()
 	g.byObject.fork()
-	g.byPred.fork()
 }
 
 // bumpDegree moves one entity from degree old to degree new in the degree
@@ -295,7 +292,6 @@ func (g *Graph) RemoveTriple(id string) bool {
 	g.trs.set(h, nil)
 	g.liveTriples--
 	g.bySubject.set(subjH, removeHandle(g.bySubject.get(subjH), h))
-	g.byPred.set(predH, removeHandle(g.byPred.get(predH), h))
 	if objH >= 0 {
 		g.byObject.set(objH, removeHandle(g.byObject.get(objH), h))
 	}
@@ -351,7 +347,6 @@ func (g *Graph) Clone() *Graph {
 		tPred:      g.tPred.clone(),
 		bySubject:  g.bySubject.clone(),
 		byObject:   g.byObject.clone(),
-		byPred:     g.byPred.clone(),
 		byKey:      g.byKey.clone(),
 		lin:        g.lin,
 
@@ -446,15 +441,6 @@ func (g *Graph) TriplesByRawKey(key string) []*Triple {
 		}
 	}
 	return []*Triple{}
-}
-
-// TriplesByPredicate returns all triples carrying the given predicate.
-func (g *Graph) TriplesByPredicate(pred string) []*Triple {
-	h, ok := g.predLookup.get(pred)
-	if !ok {
-		return []*Triple{}
-	}
-	return g.resolve(g.byPred.get(h))
 }
 
 // TriplesByObjectEntity returns the triples whose object resolves to the

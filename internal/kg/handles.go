@@ -32,9 +32,6 @@ func (g *Graph) EntitySlots() int32 { return int32(g.ents.len()) }
 // EntityHandle returns the handle of the entity with the given canonical ID.
 func (g *Graph) EntityHandle(id string) (int32, bool) { return g.entLookup.get(id) }
 
-// PredicateHandle returns the handle of the given predicate.
-func (g *Graph) PredicateHandle(p string) (int32, bool) { return g.predLookup.get(p) }
-
 // PredicateAt returns the predicate at handle h.
 func (g *Graph) PredicateAt(h int32) string { return g.preds.get(h) }
 

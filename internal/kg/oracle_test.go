@@ -21,18 +21,16 @@ type refGraph struct {
 	bySubject     map[string][]string
 	byObject      map[string][]string
 	byKey         map[string][]string
-	byPredicate   map[string][]string
 	tripleCounter int
 }
 
 func newRefGraph() *refGraph {
 	return &refGraph{
-		entities:    map[string]*Entity{},
-		triples:     map[string]*Triple{},
-		bySubject:   map[string][]string{},
-		byObject:    map[string][]string{},
-		byKey:       map[string][]string{},
-		byPredicate: map[string][]string{},
+		entities:  map[string]*Entity{},
+		triples:   map[string]*Triple{},
+		bySubject: map[string][]string{},
+		byObject:  map[string][]string{},
+		byKey:     map[string][]string{},
 	}
 }
 
@@ -77,7 +75,6 @@ func (g *refGraph) addTriple(t Triple) (string, error) {
 	g.triples[tc.ID] = &tc
 	g.bySubject[tc.Subject] = append(g.bySubject[tc.Subject], tc.ID)
 	g.byKey[tc.Key()] = append(g.byKey[tc.Key()], tc.ID)
-	g.byPredicate[tc.Predicate] = append(g.byPredicate[tc.Predicate], tc.ID)
 	if tc.ObjectEntity != "" {
 		g.byObject[tc.ObjectEntity] = append(g.byObject[tc.ObjectEntity], tc.ID)
 	}
@@ -92,7 +89,6 @@ func (g *refGraph) removeTriple(id string) bool {
 	delete(g.triples, id)
 	g.bySubject[t.Subject] = removeID(g.bySubject[t.Subject], id)
 	g.byKey[t.Key()] = removeID(g.byKey[t.Key()], id)
-	g.byPredicate[t.Predicate] = removeID(g.byPredicate[t.Predicate], id)
 	if t.ObjectEntity != "" {
 		g.byObject[t.ObjectEntity] = removeID(g.byObject[t.ObjectEntity], id)
 	}
@@ -112,7 +108,7 @@ func (g *refGraph) clone() *refGraph {
 	}
 	for _, pair := range []struct{ dst, src map[string][]string }{
 		{ng.bySubject, g.bySubject}, {ng.byObject, g.byObject},
-		{ng.byKey, g.byKey}, {ng.byPredicate, g.byPredicate},
+		{ng.byKey, g.byKey},
 	} {
 		for k, ids := range pair.src {
 			cp := make([]string, len(ids))
@@ -239,10 +235,8 @@ func requireSameObservables(t *testing.T, label string, g *Graph, r *refGraph) {
 			fail("TriplesByObjectEntity("+id+")", got, want)
 		}
 	}
-	preds := map[string]bool{}
 	for _, id := range r.tripleIDs() {
 		rt := r.triples[id]
-		preds[rt.Predicate] = true
 		gt, ok := g.Triple(id)
 		if !ok || *gt != *rt {
 			fail("Triple("+id+")", gt, rt)
@@ -255,11 +249,6 @@ func requireSameObservables(t *testing.T, label string, g *Graph, r *refGraph) {
 		}
 		if got, want := g.TwoHopPathSupport(gt), refTwoHop(r, rt); got != want {
 			fail("TwoHopPathSupport("+id+")", got, want)
-		}
-	}
-	for p := range preds {
-		if got, want := tripleValues(g.TriplesByPredicate(p)), tripleValues(r.resolve(r.byPredicate[p])); !reflect.DeepEqual(got, want) {
-			fail("TriplesByPredicate("+p+")", got, want)
 		}
 	}
 }

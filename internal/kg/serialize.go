@@ -125,7 +125,6 @@ func DecodeGraph(d *wal.Decoder) (*Graph, error) {
 		g.tPred.append(predH)
 		g.bySubject.appendTo(subjH, h)
 		g.byKey.appendTo(packKey(subjH, predH), h)
-		g.byPred.appendTo(predH, h)
 		if objH >= 0 {
 			g.byObject.appendTo(objH, h)
 		}

@@ -1,5 +1,5 @@
-// Package llm defines the language-model interface the MultiRAG pipeline is
-// built against, plus Sim, a deterministic simulated LLM.
+// Package llm is the language model the MultiRAG pipeline is built against:
+// Sim, a deterministic simulated LLM.
 //
 // The paper runs Llama3-8B-Instruct (and GPT-3.5-Turbo for the CoT baseline)
 // for five narrow sub-tasks: query logic-form generation, entity recognition,
@@ -78,38 +78,6 @@ func (u *Usage) Add(o Usage) {
 	u.Calls += o.Calls
 	u.PromptTokens += o.PromptTokens
 	u.CompletionTokens += o.CompletionTokens
-}
-
-// Model is the language-model contract used throughout the repository. All
-// implementations must be safe for concurrent use.
-type Model interface {
-	// Name identifies the model ("sim-llama3-8b", ...).
-	Name() string
-	// ParseQuery performs logic-form generation on a natural-language query.
-	ParseQuery(query string) LogicForm
-	// ExtractEntities performs NER over free text (ner.py equivalent).
-	ExtractEntities(text string) []Mention
-	// ExtractTriples extracts SPO triples related to the given entity list
-	// (triple.py equivalent).
-	ExtractTriples(text string, entities []Mention) []SPO
-	// Standardize canonicalises an entity surface form (std.py equivalent).
-	Standardize(name string) string
-	// ScoreRelevance scores query↔document relevance in [0,1].
-	ScoreRelevance(query, doc string) float64
-	// JudgeAuthority returns the raw expert authority score C_LLM(v) in
-	// [0,1]; Eq. (10)'s sigmoid is applied by internal/confidence.
-	JudgeAuthority(ctx AuthorityContext) float64
-	// GenerateAnswer synthesises answer values from evidence. The returned
-	// slice may contain multiple values (multi-truth answers) and, for
-	// conflicted unfiltered contexts, hallucinated ones.
-	GenerateAnswer(query string, evidence []Evidence) []string
-	// Usage returns a snapshot of accumulated token accounting.
-	Usage() Usage
-	// VirtualLatency converts the accumulated usage into simulated
-	// wall-clock latency (see DESIGN.md: virtual-time model).
-	VirtualLatency() time.Duration
-	// ResetUsage clears the accounting (used between benchmark cells).
-	ResetUsage()
 }
 
 // CostModel prices simulated LLM traffic. The defaults approximate a locally

@@ -51,11 +51,8 @@ func DefaultConfig() Config {
 // Sim is the deterministic simulated LLM. It is safe for concurrent use.
 type Sim struct {
 	cfg   Config
-	name  string
 	usage usageBox
 }
-
-var _ Model = (*Sim)(nil)
 
 // NewSim builds a simulated model from cfg, filling zeroed fields with the
 // defaults.
@@ -70,11 +67,8 @@ func NewSim(cfg Config) *Sim {
 	if cfg.Cost == (CostModel{}) {
 		cfg.Cost = def.Cost
 	}
-	return &Sim{cfg: cfg, name: "sim-llama3-8b"}
+	return &Sim{cfg: cfg}
 }
-
-// Name implements Model.
-func (s *Sim) Name() string { return s.name }
 
 // Fork returns a Sim with the same configuration (and therefore bit-identical
 // outputs — every decision is keyed only by the seed and the input text) but a
@@ -82,7 +76,7 @@ func (s *Sim) Name() string { return s.name }
 // per Ingest call, so concurrent extraction fan-outs meter their virtual LLM
 // latency per caller instead of reading interleaved before/after diffs off one
 // shared counter.
-func (s *Sim) Fork() *Sim { return &Sim{cfg: s.cfg, name: s.name} }
+func (s *Sim) Fork() *Sim { return &Sim{cfg: s.cfg} }
 
 // AddUsage folds an externally accumulated tally (typically a Fork's) into
 // this model's accounting, keeping aggregate Usage views exact when work is
@@ -303,15 +297,6 @@ func (s *Sim) Standardize(name string) string {
 	return textutil.StandardizeName(name)
 }
 
-// ScoreRelevance scores query↔document relevance as content-token cosine with
-// a small seeded jitter (LLM scoring is never perfectly calibrated).
-func (s *Sim) ScoreRelevance(query, doc string) float64 {
-	s.usage.record(tokens(query)+tokens(doc)+8, 4)
-	base := textutil.CosineTokens(textutil.TokenizeContent(query), textutil.TokenizeContent(doc))
-	jitter := (s.coin("rel|", query, "|", doc) - 0.5) * 0.04
-	return clamp01(base + jitter)
-}
-
 // JudgeAuthority returns C_LLM(v): the expert model's raw authority estimate
 // combining global influence (degree), local connection strength, entity-type
 // information, multi-step path support and the model's world knowledge about
@@ -470,13 +455,14 @@ func genKeyHash(h uint64, query string, groups []answerGroup) uint64 {
 	return h
 }
 
-// Usage implements Model.
+// Usage returns a snapshot of accumulated token accounting.
 func (s *Sim) Usage() Usage { return s.usage.snapshot() }
 
-// VirtualLatency implements Model.
+// VirtualLatency converts the accumulated usage into simulated wall-clock
+// latency (see DESIGN.md: virtual-time model).
 func (s *Sim) VirtualLatency() time.Duration { return s.cfg.Cost.Latency(s.usage.snapshot()) }
 
-// ResetUsage implements Model.
+// ResetUsage clears the accounting (used between benchmark cells).
 func (s *Sim) ResetUsage() { s.usage.reset() }
 
 // --- helpers ---
