@@ -5,8 +5,10 @@ BENCHTIME ?= 1s
 .PHONY: check fmt vet build test race chaos chaos-cluster fuzz-smoke layers bench bench-micro size clean
 
 # check is the CI entry point: formatting, static analysis, full build,
-# race-enabled tests, and a short fuzz pass over the crash-surface decoders.
-check: fmt vet build race fuzz-smoke
+# race-enabled tests, a short fuzz pass over the crash-surface decoders, and
+# the benchmark's per-layer pass, which breaks when an internal API it calls
+# changes.
+check: fmt vet build race fuzz-smoke layers
 
 # fmt fails when any file is not gofmt-formatted (it lists them).
 fmt:

@@ -109,13 +109,13 @@ func waitCaughtUp(t *testing.T, c *Cluster) {
 func stateBytes(s *core.System) []byte {
 	var e wal.Encoder
 	e.Raw(s.ServingHandle().Encode())
-	_, sg, searcher := s.Serving()
-	searcher.(retrieval.Store).ForEachEmbedded(func(c retrieval.Chunk, v retrieval.Vector) {
+	s.Index().ForEachEmbedded(func(c retrieval.Chunk, v retrieval.Vector) {
 		e.String(c.ID)
 		for _, x := range v {
 			e.F32(x)
 		}
 	})
+	sg := s.SG()
 	e.Bool(sg != nil)
 	if sg == nil {
 		return e.Bytes()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -314,4 +315,33 @@ func TestChaosCancelStress(t *testing.T) {
 		t.Fatalf("post-stress answer diverged: %+v vs %+v", after, baseline)
 	}
 	waitGoroutines(t, baseGoroutines)
+}
+
+// TestChaosModelRetryAbsorbsTransientFault: one failed model call — answer
+// generation on a graph lookup, extraction on a "w/o MKA" chunk-path lookup —
+// is retried inside the engine, so the answer is exactly an unfaulted twin's
+// and not degraded.
+func TestChaosModelRetryAbsorbsTransientFault(t *testing.T) {
+	const q = "What is the status of CA981?"
+	for _, tc := range []struct {
+		point string
+		cfg   Config
+	}{
+		{fault.PointLLMGenerate, Config{}},
+		{fault.PointLLMExtract, Config{DisableMKA: true}},
+	} {
+		t.Run(tc.point, func(t *testing.T) {
+			defer fault.Reset()
+			want := newCaseStudySystem(t, tc.cfg).Query(q)
+			s := newCaseStudySystem(t, tc.cfg)
+			fault.Enable(tc.point, fault.Fault{Kind: fault.KindError, MaxHits: 1})
+			got := s.Query(q)
+			if fault.Hits(tc.point) != 1 {
+				t.Fatalf("%s fired %d times, want 1", tc.point, fault.Hits(tc.point))
+			}
+			if got.Degraded || !want.Found || !reflect.DeepEqual(got, want) {
+				t.Fatalf("answer after one transient %s fault:\n got  %+v\n want %+v", tc.point, got, want)
+			}
+		})
+	}
 }

@@ -275,7 +275,7 @@ func (s *System) commitGroup(group []*prepared) {
 // appending its new triple IDs onto ids and its pre-embedded chunks into ix,
 // and records the batch's exact deltas in its report. On error the clone is
 // left partially mutated — the caller rolls back by rebuilding it.
-func replayBatch(g *kg.Graph, ix retrieval.Store, p *prepared, ids []string) ([]string, error) {
+func replayBatch(g *kg.Graph, ix *retrieval.Index, p *prepared, ids []string) ([]string, error) {
 	entBefore, triBefore := g.NumEntities(), g.NumTriples()
 	mark := len(ids)
 	ids, err := replayFiles(g, ix, p.work, ids)

@@ -343,7 +343,7 @@ func (d *durable) appendGroup(committed []*prepared) error {
 func encodeSnapshot(e *wal.Encoder, sn *snapshot) {
 	e.Uvarint(snapshotVersion)
 	sn.graph.EncodeTo(e)
-	retrieval.EncodeStore(e, sn.index.(*retrieval.Index)) // the one Store
+	retrieval.EncodeStore(e, sn.index)
 }
 
 // snapshotBody returns the whole checkpoint body of sn as one slice, for the
@@ -649,7 +649,7 @@ func decodeGroupRecord(payload []byte, sc *embedScratch) ([][]fileWork, error) {
 // caller: recovery folds the whole replayed tail in one BuildDelta, per-tail
 // instead of per-record, because groups only ever need their state as of the
 // last record that touched them.
-func replayRecord(g *kg.Graph, ix retrieval.Store, batches [][]fileWork, newIDs []string) ([]string, error) {
+func replayRecord(g *kg.Graph, ix *retrieval.Index, batches [][]fileWork, newIDs []string) ([]string, error) {
 	var err error
 	for _, files := range batches {
 		if newIDs, err = replayFiles(g, ix, files, newIDs); err != nil {
@@ -663,7 +663,7 @@ func replayRecord(g *kg.Graph, ix retrieval.Store, batches [][]fileWork, newIDs 
 // then its chunks with their sparse rows — appending the new triple IDs to
 // ids. It is the one replay step the committer, replica apply and recovery
 // share.
-func replayFiles(g *kg.Graph, ix retrieval.Store, files []fileWork, ids []string) ([]string, error) {
+func replayFiles(g *kg.Graph, ix *retrieval.Index, files []fileWork, ids []string) ([]string, error) {
 	for i := range files {
 		f := &files[i]
 		var err error

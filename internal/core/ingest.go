@@ -139,7 +139,7 @@ func (s *System) prepareFiles(ext *extract.Extractor, fused []*jsonld.Normalized
 			return
 		}
 		w.rec = rec
-		w.chunks = RenderChunks(fused[i], s.cfg.ChunkTokens)
+		w.chunks = RenderChunks(fused[i], chunkBudget)
 		w.part, w.rows = encodeFile(rec, w.chunks, dim)
 	})
 	return work
@@ -164,6 +164,9 @@ func mergedBatchReport(work []fileWork) extract.Report {
 	}
 	return rep
 }
+
+// chunkBudget is the token budget of one chunk in the retrieval index.
+const chunkBudget = 64
 
 // RenderChunks converts a normalised file into retrievable chunks. Text
 // records chunk their raw paragraphs; structured records are verbalised as

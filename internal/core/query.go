@@ -14,7 +14,6 @@ import (
 	"multirag/internal/linegraph"
 	"multirag/internal/llm"
 	"multirag/internal/par"
-	"multirag/internal/retrieval"
 	"multirag/internal/textutil"
 )
 
@@ -175,34 +174,51 @@ func (s *System) queryOn(ctx context.Context, sn *snapshot, q string) Answer {
 // intent funnels through. The breaker fast-fails while open; inside it,
 // transient stage errors (injected faults standing in for a flaky model API)
 // retry with deterministic capped backoff. Context errors never retry — a
-// canceled request's first duty is releasing its executor slot.
+// canceled request's first duty is releasing its slot. Each attempt refuses
+// to start for a caller whose context has ended and carries the
+// fault.PointLLMGenerate injection point; the simulator itself never fails.
 func (s *System) generate(ctx context.Context, query string, ev []llm.Evidence) ([]string, error) {
 	var out []string
 	err := s.genBreaker.Do(func() error {
 		return fault.Retry(ctx, fault.DefaultRetry, func() error {
-			var err error
-			out, err = s.model.GenerateAnswerCtx(ctx, query, ev)
-			return err
+			if err := modelCall(ctx, fault.PointLLMGenerate); err != nil {
+				return err
+			}
+			out = s.model.GenerateAnswer(query, ev)
+			return nil
 		})
 	})
 	return out, err
 }
 
 // extractChunk is the breaker-guarded per-chunk extraction pair (entity
-// mentions, then triples over them) of the chunk-fallback path.
+// mentions, then triples over them) of the chunk-fallback path. Each of the
+// two model calls is guarded like generate's, at fault.PointLLMExtract.
 func (s *System) extractChunk(ctx context.Context, text string) ([]llm.SPO, error) {
 	var spos []llm.SPO
 	err := s.extBreaker.Do(func() error {
 		return fault.Retry(ctx, fault.DefaultRetry, func() error {
-			ms, err := s.model.ExtractEntitiesCtx(ctx, text)
-			if err != nil {
+			if err := modelCall(ctx, fault.PointLLMExtract); err != nil {
 				return err
 			}
-			spos, err = s.model.ExtractTriplesCtx(ctx, text, ms)
-			return err
+			ms := s.model.ExtractEntities(text)
+			if err := modelCall(ctx, fault.PointLLMExtract); err != nil {
+				return err
+			}
+			spos = s.model.ExtractTriples(text, ms)
+			return nil
 		})
 	})
 	return spos, err
+}
+
+// modelCall is the guard in front of one simulated model call: the caller's
+// context must still be live, then the injection point fires.
+func modelCall(ctx context.Context, point string) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return fault.Inject(ctx, point)
 }
 
 // subQLimit bounds the interned sub-question prefixes: relations are parsed
@@ -390,6 +406,10 @@ func pointEvidence(tn confidence.TrustedNode) evidence {
 	}
 }
 
+// retrievalK is how many chunks a fallback answer is generated from
+// (matching Recall@5); the chunk path retrieves 4x as many to extract from.
+const retrievalK = 5
+
 // gatherByChunks is the non-aggregated retrieval path: top-k chunk search,
 // per-query LLM extraction, then confidence filtering over an ad-hoc graph
 // built from the extracted claims (the MCC stages still apply unless
@@ -397,8 +417,7 @@ func pointEvidence(tn confidence.TrustedNode) evidence {
 // (top-k misses sparse evidence) than the line-graph path — the Table III
 // "w/o MKA" behaviour.
 func (s *System) gatherByChunks(ctx context.Context, sn *snapshot, query, entity, relation string) (evidence, *confidence.HistoryDelta) {
-	k := s.cfg.RetrievalK * 4
-	hits, err := retrieval.SearchVectorCtx(ctx, sn.index, s.embeds.get(query), k, nil)
+	hits, err := sn.index.SearchVectorCtx(ctx, s.embeds.get(query), 4*retrievalK, nil)
 	if err != nil {
 		return evidence{err: err}, nil
 	}
@@ -611,7 +630,7 @@ func shareValue(a, b []string) bool {
 
 // answerFallback handles unparsed queries via pure chunk retrieval.
 func (s *System) answerFallback(ctx context.Context, sn *snapshot, ans *Answer, q string) {
-	hits, err := retrieval.SearchVectorCtx(ctx, sn.index, s.embeds.get(q), s.cfg.RetrievalK, nil)
+	hits, err := sn.index.SearchVectorCtx(ctx, s.embeds.get(q), retrievalK, nil)
 	if err != nil {
 		ans.degrade(err)
 		return

@@ -35,11 +35,6 @@ type Config struct {
 	// "w/o MKA"): no line graph is built and every query falls back to
 	// chunk retrieval plus per-query LLM extraction.
 	DisableMKA bool
-	// ChunkTokens is the chunk budget for the retrieval index (default 64).
-	ChunkTokens int
-	// RetrievalK is how many chunks the fallback / multi-hop retriever
-	// fetches (default 5, matching Recall@5).
-	RetrievalK int
 	// Workers bounds the ingestion worker pool (adapter parsing, per-file
 	// extraction, chunk embedding) and the query-DAG fan-out. 0 selects
 	// GOMAXPROCS.
@@ -71,7 +66,7 @@ type Config struct {
 type snapshot struct {
 	graph *kg.Graph
 	sg    *linegraph.SG
-	index retrieval.Store
+	index *retrieval.Index
 	// gen is the publication generation, bumped on every snapshot swap. It
 	// keys the evidence memo: evaluations computed against generation g are
 	// served only while g is still the published generation.
@@ -158,12 +153,6 @@ func NewSystem(cfg Config) *System {
 	if cfg.MCC == (confidence.Config{}) {
 		cfg.MCC = confidence.DefaultConfig()
 	}
-	if cfg.ChunkTokens <= 0 {
-		cfg.ChunkTokens = 64
-	}
-	if cfg.RetrievalK <= 0 {
-		cfg.RetrievalK = 5
-	}
 	model := llm.NewSim(cfg.LLM)
 	s := &System{
 		cfg:         cfg,
@@ -197,16 +186,15 @@ func (s *System) Workers() int {
 
 // QueryEach evaluates queries[i] under ctxs[i] concurrently on the worker
 // pool (Config.Workers) and returns the answers in input order; a nil ctxs,
-// or a nil entry, means no deadline. The whole batch runs against one
+// or a nil entry, means no deadline. All the queries run against one
 // published snapshot, so every answer reflects the same corpus state even
-// while ingestion commits concurrently. It is the serving executor's entry
-// point, where every request in a formed batch carries its own SLO-class
-// deadline and disconnect signal: a request whose context ends
-// mid-evaluation yields a degraded partial answer while the rest of the
-// batch proceeds unaffected. Workers bounds each fan-out level, not a global
-// budget: a batched multi-hop query briefly adds its own hop-2 arms on top of
-// the batch goroutines, the usual transient oversubscription the Go
-// scheduler absorbs.
+// while ingestion commits concurrently. The front door calls it once per
+// request, on that request's handler, with the request's queries under its
+// deadline and disconnect signal: a query whose context ends mid-evaluation
+// yields a degraded partial answer while the others proceed unaffected.
+// Workers bounds each fan-out level, not a global budget: a multi-hop query
+// briefly adds its own hop-2 arms on top of the per-query goroutines, the
+// usual transient oversubscription the Go scheduler absorbs.
 func (s *System) QueryEach(ctxs []context.Context, queries []string) []Answer {
 	sn := s.snap.Load()
 	out := make([]Answer, len(queries))
@@ -270,7 +258,7 @@ func (s *System) SG() *linegraph.SG { return s.snap.Load().sg }
 func (s *System) MCC() *confidence.MCC { return s.mcc }
 
 // Index exposes the current retrieval index.
-func (s *System) Index() retrieval.Searcher { return s.snap.Load().index }
+func (s *System) Index() *retrieval.Index { return s.snap.Load().index }
 
 // Serving returns the components of one published snapshot, so callers can
 // derive mutually consistent statistics under concurrent ingestion (separate

@@ -34,10 +34,12 @@ import (
 // Canonical injection-point names. Points are plain strings so packages can
 // add their own; these constants name the ones wired into the engine.
 const (
-	// PointLLMGenerate guards answer generation (llm.Sim.GenerateAnswerCtx).
+	// PointLLMGenerate guards each answer-generation attempt (core's
+	// generate, inside its retry).
 	PointLLMGenerate = "llm.generate"
 	// PointLLMExtract guards per-query LLM extraction on the chunk-fallback
-	// path (llm.Sim.ExtractEntitiesCtx / ExtractTriplesCtx).
+	// path: it fires before each of the two model calls (entities, then
+	// triples) of every attempt in core's extractChunk.
 	PointLLMExtract = "llm.extract"
 	// PointEvidence fires at the head of every (entity, relation)
 	// sub-question evaluation — the unit the query DAG schedules.

@@ -21,56 +21,12 @@ type panicValue struct{ v any }
 // A panic in fn is re-raised on the caller's goroutine after the remaining
 // workers drain — the same surface as the inline workers<=1 path — so a
 // recover boundary above the fan-out contains it regardless of parallelism.
-func ForEach(workers, n int, fn func(int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var panicked atomic.Pointer[panicValue]
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicked.CompareAndSwap(nil, &panicValue{r})
-				}
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || panicked.Load() != nil {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	if p := panicked.Load(); p != nil {
-		panic(p.v)
-	}
-}
+func ForEach(workers, n int, fn func(int)) { ForEachCtx(context.Background(), workers, n, fn) }
 
 // ForEachCtx is ForEach with cooperative cancellation: once ctx is done, no
 // further index is claimed (indices already running finish) and the context
-// error is returned. A context that can never be canceled delegates to
-// ForEach and returns nil, keeping the context-free path byte-identical to
-// the original loop.
+// error is returned.
 func ForEachCtx(ctx context.Context, workers, n int, fn func(int)) error {
-	if ctx.Done() == nil {
-		ForEach(workers, n, fn)
-		return nil
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

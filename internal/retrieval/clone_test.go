@@ -87,7 +87,7 @@ func TestIndexCloneForAppendIsolation(t *testing.T) {
 	// so the single-row appends below leave bucket 2's list alone.
 	shares := func(ix *Index, b int) bool { return backing(ix.post.lists[b]) == backing(parent.post.lists[b]) }
 
-	first := parent.clone()
+	first := parent.CloneForAppend()
 	firstC, firstV := markedRows("first", 1, dim, -1)
 	first.AddEmbeddedBatch(firstC, firstV)
 	if first.lin != parent.lin || backing(first.chunks) != backing(parent.chunks) || !shares(first, 0) || !shares(first, 1) {
@@ -97,7 +97,7 @@ func TestIndexCloneForAppendIsolation(t *testing.T) {
 	// A second clone of the same parent finds the tail claimed and forks: a
 	// fresh token, a private chunk array and a private copy of each list it
 	// appends to; the lists it leaves alone keep the parent's arrays.
-	second := parent.clone()
+	second := parent.CloneForAppend()
 	secondC, secondV := markedRows("second", 1, dim, -2)
 	second.AddEmbeddedBatch(secondC, secondV)
 	if second.lin == parent.lin || backing(second.chunks) == backing(parent.chunks) {
@@ -110,7 +110,7 @@ func TestIndexCloneForAppendIsolation(t *testing.T) {
 	// The parent appending after it was cloned forks too.
 	old := *parent
 	lateC, lateV := markedRows("late", 1, dim, -3)
-	parent.AddEmbedded(lateC[0], lateV[0])
+	parent.addEmbedded(lateC[0], lateV[0])
 	if parent.lin == old.lin {
 		t.Fatal("parent appending behind a claimed tail must fork")
 	}
@@ -120,12 +120,12 @@ func TestIndexCloneForAppendIsolation(t *testing.T) {
 	// lineage is not.
 	moreC, moreV := markedRows("more", 2*64, dim, -4)
 	for i := range moreC[:50] {
-		first.AddEmbedded(moreC[i], moreV[i])
+		first.addEmbedded(moreC[i], moreV[i])
 	}
 	if backing(first.chunks) != backing(old.chunks) {
 		t.Fatal("linear appends within the reserved capacity must stay in the parent's chunk array")
 	}
-	grandchild := first.clone()
+	grandchild := first.CloneForAppend()
 	grandchild.AddEmbeddedBatch(moreC[50:], moreV[50:])
 	if grandchild.lin != first.lin {
 		t.Fatal("linear history must stay on one lineage across a capacity boundary")
@@ -159,12 +159,12 @@ func TestIndexCloneForAppendIsolation(t *testing.T) {
 // oracleNode pairs a store somewhere in a clone tree with a deep copy of what
 // it must contain, in insertion order.
 type oracleNode struct {
-	st     Store
+	st     *Index
 	chunks []Chunk
 	vecs   []Vector
 }
 
-func (o *oracleNode) extended(st Store, cs []Chunk, vs []Vector) *oracleNode {
+func (o *oracleNode) extended(st *Index, cs []Chunk, vs []Vector) *oracleNode {
 	n := &oracleNode{st: st}
 	n.chunks = append(append(n.chunks, o.chunks...), cs...)
 	for _, v := range o.vecs {
@@ -211,7 +211,7 @@ func (o *oracleNode) check(t *testing.T, label string, queries []Vector) {
 }
 
 // TestCloneTreeMatchesDeepCopyOracle grows seeded random trees of
-// CloneForAppend / AddEmbedded / AddEmbeddedBatch — linear chains, several
+// CloneForAppend / single-chunk and batch appends — linear chains, several
 // clones of one parent all appending, parents appended to after being cloned,
 // leaves abandoned after they claimed the tail, batches that outgrow the
 // arrays' capacity — and after every step checks every node ever
@@ -261,13 +261,13 @@ func TestCloneTreeMatchesDeepCopyOracle(t *testing.T) {
 				// Append to an existing node directly; it may already have
 				// been cloned from.
 				for i := range cs {
-					at.st.AddEmbedded(cs[i], vs[i])
+					at.st.addEmbedded(cs[i], vs[i])
 				}
 				*at = *at.extended(at.st, cs, vs)
 			case op == 1:
 				clone := at.st.CloneForAppend()
 				for i := range cs {
-					clone.AddEmbedded(cs[i], vs[i])
+					clone.addEmbedded(cs[i], vs[i])
 				}
 				nodes = append(nodes, at.extended(clone, cs, vs))
 			default:
@@ -298,7 +298,7 @@ func TestScansDuringInPlaceAppends(t *testing.T) {
 		readers = 6
 	)
 	rng := rand.New(rand.NewSource(9))
-	var cur Store = NewIndex(dim)
+	cur := NewIndex(dim)
 	cs, vs := randCorpus(rng, 200, dim)
 	cur.AddEmbeddedBatch(cs, vs)
 	qv := Embed("status delayed typhoon gate", dim)

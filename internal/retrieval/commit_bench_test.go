@@ -33,7 +33,7 @@ func BenchmarkCommitAppend(b *testing.B) {
 			pool[i].cs[j].ID = fmt.Sprintf("b%03d-%d#c0", i, j)
 		}
 	}
-	var cur Store = NewIndex(dim)
+	cur := NewIndex(dim)
 	cur.AddEmbeddedBatch(chunks, vecs)
 	commit := func(i int) {
 		next := cur.CloneForAppend()

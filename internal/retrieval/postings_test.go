@@ -72,11 +72,11 @@ func randCorpus(rng *rand.Rand, n, dim int) ([]Chunk, []Vector) {
 	return chunks, vecs
 }
 
-// indexOf builds an index over the corpus one AddEmbedded at a time.
+// indexOf builds an index over the corpus one chunk at a time.
 func indexOf(dim int, chunks []Chunk, vecs []Vector) *Index {
 	ix := NewIndex(dim)
 	for i := range chunks {
-		ix.AddEmbedded(chunks[i], vecs[i])
+		ix.addEmbedded(chunks[i], vecs[i])
 	}
 	return ix
 }
@@ -178,7 +178,7 @@ func TestPostingsProvablyExactAccept(t *testing.T) {
 		chunks[i] = Chunk{ID: fmt.Sprintf("p%03d#c0", i), DocID: fmt.Sprintf("p%03d", i),
 			Source: "s", Text: fmt.Sprintf("status delayed flight f%03d", i)}
 		vecs[i] = Embed(chunks[i].Text, dim)
-		ix.AddEmbedded(chunks[i], vecs[i])
+		ix.addEmbedded(chunks[i], vecs[i])
 	}
 	qv := Embed("status delayed", dim)
 	got, want := ix.SearchVector(qv, 5, nil), refSearch(chunks, vecs, qv, 5, nil)
@@ -290,19 +290,19 @@ func TestTermAtATimeMatchesDenseReference(t *testing.T) {
 		inOrder := NewIndex(dim)
 		inOrder.AddEmbeddedBatch(chunks[:n/2], vecs[:n/2])
 		for i := n / 2; i < n; i++ {
-			inOrder.AddEmbedded(chunks[i], vecs[i])
+			inOrder.addEmbedded(chunks[i], vecs[i])
 		}
 		pc, pv := permuted(rng, chunks, vecs)
 		shuffled := NewIndex(dim)
 		shuffled.AddEmbeddedBatch(pc, pv)
-		var generations Store = NewIndex(dim)
+		generations := NewIndex(dim)
 		for gc, gv := permuted(rng, chunks, vecs); len(gc) > 0; {
 			step := min(len(gc), 1+rng.Intn(n/3))
 			generations = generations.CloneForAppend()
 			generations.AddEmbeddedBatch(gc[:step], gv[:step])
 			gc, gv = gc[step:], gv[step:]
 		}
-		stores := map[string]Store{
+		stores := map[string]*Index{
 			"in order": inOrder, "permuted": shuffled, "permuted over clones": generations,
 		}
 		if corpus.embedded {

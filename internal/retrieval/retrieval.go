@@ -2,10 +2,10 @@
 // multi-hop QA experiments and by MKLGP's multi-document filtering step:
 // token-budgeted chunking, deterministic feature-hashed embeddings, and one
 // exact cosine top-k store (Index, scored term-at-a-time over weighted posting
-// lists) behind the Searcher and Store interfaces. The embedding is
-// a stand-in for the paper's neural retriever: it preserves the property
-// that lexically related text scores high, which is what the benchmark
-// corpora exercise.
+// lists; the Searcher and Store interfaces are the benchmark's view of it).
+// The embedding is a stand-in for the paper's neural retriever: it preserves
+// the property that lexically related text scores high, which is what the
+// benchmark corpora exercise.
 package retrieval
 
 import (
@@ -17,6 +17,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"multirag/internal/fault"
 	"multirag/internal/lineage"
 	"multirag/internal/textutil"
 )
@@ -261,7 +262,7 @@ type Hit struct {
 	Score float64
 }
 
-// Index is the exact cosine top-k index over chunks, the one Store in the
+// Index is the exact cosine top-k index over chunks, the one store in the
 // repository. A stored vector has one in-memory form: its non-zero weights on
 // the weighted posting lists, column-major, which is what a search scores
 // from and what ForEachEmbedded gathers rows back out of. The embedding width
@@ -304,18 +305,12 @@ func (ix *Index) Add(c Chunk) {
 	ix.chunks = append(ix.chunks, c)
 }
 
-// AddEmbedded inserts a chunk with a precomputed embedding. The vector's
-// width must match the index's (one posting list per bucket, fixed at
-// construction); a mismatch is an error and leaves the store untouched. The
-// index keeps v's non-zero weights, not v.
-func (ix *Index) AddEmbedded(c Chunk, v Vector) error {
-	return ix.AddEmbeddedBatch([]Chunk{c}, []Vector{v})
-}
-
 // AddEmbeddedBatch appends a parallel run of chunks and embeddings under one
 // claim. The batch is validated up front (vs parallel to cs, every vector at
-// the index width), so a malformed batch is an error with the store
-// untouched instead of mis-indexing or failing mid-append.
+// the index width: one posting list per bucket, fixed at construction), so a
+// malformed batch is an error with the store untouched instead of
+// mis-indexing or failing mid-append. The index keeps the vectors' non-zero
+// weights, not vs.
 func (ix *Index) AddEmbeddedBatch(cs []Chunk, vs []Vector) error {
 	if len(cs) != len(vs) {
 		return fmt.Errorf("retrieval: %d chunks but %d vectors", len(cs), len(vs))
@@ -377,9 +372,7 @@ func appendChunks(chunks, cs []Chunk) []Chunk {
 // read-only snapshot) is never mutated by writes to the clone, because every
 // append goes through claim: the first clone to append continues in place
 // behind the receiver's len, any other forks to private memory first.
-func (ix *Index) CloneForAppend() Store { return ix.clone() }
-
-func (ix *Index) clone() *Index {
+func (ix *Index) CloneForAppend() *Index {
 	clone := *ix
 	clone.post = ix.post.clone()
 	return &clone
@@ -424,22 +417,16 @@ func (ix *Index) ForEachEmbedded(fn func(c Chunk, v Vector)) {
 func (ix *Index) Len() int { return len(ix.chunks) }
 
 // Dim returns the embedding width, so callers can precompute vectors for
-// AddEmbedded off-thread.
+// AddEmbeddedBatch off-thread.
 func (ix *Index) Dim() int { return ix.dim }
 
 // Search returns the top-k chunks by cosine similarity to the query, ties
 // broken by chunk ID for determinism.
 func (ix *Index) Search(query string, k int) []Hit {
-	return ix.SearchFiltered(query, k, nil)
-}
-
-// SearchFiltered is Search restricted to chunks whose source passes keep
-// (nil keeps everything).
-func (ix *Index) SearchFiltered(query string, k int, keep func(source string) bool) []Hit {
 	if k <= 0 || len(ix.chunks) == 0 {
 		return nil
 	}
-	return ix.SearchVector(Embed(query, ix.dim), k, keep)
+	return ix.SearchVector(Embed(query, ix.dim), k, nil)
 }
 
 // SearchVector runs the scan against a caller-supplied query vector, letting
@@ -449,6 +436,28 @@ func (ix *Index) SearchVector(qv Vector, k int, keep func(source string) bool) [
 	hits, _ := ix.search(context.Background(), qv, k, keep)
 	return hits
 }
+
+// SearchVectorCtx is SearchVector with cooperative cancellation: the scan
+// stops between query buckets or rows once ctx is done and returns the
+// context error with no hits. It runs the very loop SearchVector runs, so
+// results are bit-identical. It is also the retrieval layer's
+// fault-injection point (fault.PointRetrievalScan).
+func (ix *Index) SearchVectorCtx(ctx context.Context, qv Vector, k int, keep func(source string) bool) ([]Hit, error) {
+	if err := fault.Inject(ctx, fault.PointRetrievalScan); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return ix.search(ctx, qv, k, keep)
+}
+
+// ctxCheckRows is how many rows a selection pass covers between context
+// checks. A row costs a few nanoseconds there, so the cancellation
+// granularity is tens of microseconds — far inside the ≤50ms slot-release
+// budget — while the check itself (one atomic load via ctx.Err every 4096
+// rows) is noise.
+const ctxCheckRows = 4096
 
 // search is the one exact scan: term-at-a-time accumulation over the posting
 // lists of the query's non-zero buckets, then one selection pass over every

@@ -192,7 +192,10 @@ func TestIndexSearchEdgeCases(t *testing.T) {
 
 func TestSearchFiltered(t *testing.T) {
 	ix := buildIndex(t)
-	hits := ix.SearchFiltered("director of Heat", 4, func(src string) bool { return src != "imdb" })
+	hits := ix.SearchVector(Embed("director of Heat", ix.Dim()), 4, func(src string) bool { return src != "imdb" })
+	if len(hits) == 0 {
+		t.Fatal("filter dropped every hit")
+	}
 	for _, h := range hits {
 		if h.Chunk.Source == "imdb" {
 			t.Fatal("filtered source leaked")
@@ -221,9 +224,14 @@ func TestEmbedCallsCounter(t *testing.T) {
 	}
 }
 
+// addEmbedded appends one pre-embedded chunk: a batch of one.
+func (ix *Index) addEmbedded(c Chunk, v Vector) error {
+	return ix.AddEmbeddedBatch([]Chunk{c}, []Vector{v})
+}
+
 // TestAddEmbeddedBatchMatchesPerChunk pins the batched append path:
 // AddEmbeddedBatch must produce an index identical (length and search
-// results) to per-chunk AddEmbedded.
+// results) to appending the chunks one batch of one at a time.
 func TestAddEmbeddedBatchMatchesPerChunk(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var chunks []Chunk
@@ -305,11 +313,8 @@ func TestAddEmbeddedBatchValidation(t *testing.T) {
 	two := []Chunk{{ID: "c#c0", Text: "x"}, {ID: "d#c0", Text: "y"}}
 	before := slices.Clone(st.post.lists)
 	for name, add := range map[string]func() error{
-		"length mismatch": func() error { return st.AddEmbeddedBatch(two, good[:1]) },
-		"dim mismatch":    func() error { return st.AddEmbeddedBatch(two, []Vector{make(Vector, 32), make(Vector, 16)}) },
-		"AddEmbedded dim mismatch": func() error {
-			return st.AddEmbedded(Chunk{ID: "a#c0"}, make(Vector, 31))
-		},
+		"length mismatch":       func() error { return st.AddEmbeddedBatch(two, good[:1]) },
+		"dim mismatch":          func() error { return st.AddEmbeddedBatch(two, []Vector{make(Vector, 32), make(Vector, 16)}) },
 		"sparse row missing":    func() error { return st.AppendSparse(two, slab(32)) },
 		"sparse row extra":      func() error { return st.AppendSparse(two, slab(32, 32, 32)) },
 		"sparse at another dim": func() error { return st.AppendSparse(two, slab(33, 33)) },

@@ -11,7 +11,7 @@ import (
 	"multirag/internal/wal"
 )
 
-func fillStore(s Store, n int) {
+func fillStore(s *Index, n int) {
 	cs := make([]Chunk, n)
 	vs := make([]Vector, n)
 	for i := 0; i < n; i++ {

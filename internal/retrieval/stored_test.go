@@ -163,7 +163,7 @@ func TestAppendSparseMatchesDenseAppend(t *testing.T) {
 		if err := whole.AppendSparse(chunks, sparseOf(vecs, dim)); err != nil {
 			t.Fatal(err)
 		}
-		var generations Store = NewIndex(dim)
+		generations := NewIndex(dim)
 		for lo := 0; lo < n; {
 			hi := min(n, lo+1+rng.Intn(n/3))
 			generations = generations.CloneForAppend()
@@ -172,7 +172,7 @@ func TestAppendSparseMatchesDenseAppend(t *testing.T) {
 			}
 			lo = hi
 		}
-		stores := map[string]*Index{"one batch": whole, "over clones": generations.(*Index)}
+		stores := map[string]*Index{"one batch": whole, "over clones": generations}
 		if corpus.embedded {
 			decoded := NewIndex(dim)
 			if err := DecodeIntoStore(wal.NewDecoder(encodeStore(want)), decoded, 2, false); err != nil {

@@ -236,15 +236,15 @@ func (s *System) Ask(query string) Answer {
 	return convertAnswer(s.inner.Query(query))
 }
 
-// AskEach answers queries[i] under ctxs[i], fanning the batch out across the
+// AskEach answers queries[i] under ctxs[i], fanning them out across the
 // worker pool (Config.Workers, default GOMAXPROCS) and returning the answers
-// in input order. A nil ctxs, or a nil entry, means no deadline. The whole
-// batch evaluates against one published snapshot, so every answer reflects
+// in input order. A nil ctxs, or a nil entry, means no deadline. All the
+// queries evaluate against one published snapshot, so every answer reflects
 // the same corpus state; AskEach may still be interleaved with IngestFiles
-// (later batches observe later snapshots). It is the serving layer's batch
-// entry point, where each admitted request carries its own SLO deadline and
-// client disconnect signal: a request whose context ends mid-evaluation
-// yields a Degraded answer, and the rest of the batch is unaffected.
+// (later calls observe later snapshots). The serving layer calls it once per
+// admitted request, with the request's queries under its SLO deadline and
+// client disconnect signal: a query whose context ends mid-evaluation yields
+// a Degraded answer, and the others are unaffected.
 func (s *System) AskEach(ctxs []context.Context, queries []string) []Answer {
 	answers := s.inner.QueryEach(ctxs, queries)
 	out := make([]Answer, len(answers))
