@@ -2,13 +2,13 @@ GO ?= go
 BENCH_SCALE ?= 0.12
 BENCHTIME ?= 1s
 
-.PHONY: check fmt vet build test race chaos chaos-cluster fuzz-smoke layers bench bench-micro size clean
+.PHONY: check fmt vet build test race ceilings chaos chaos-cluster fuzz-smoke layers bench bench-micro size clean
 
 # check is the CI entry point: formatting, static analysis, full build,
-# race-enabled tests, a short fuzz pass over the crash-surface decoders, and
-# the benchmark's per-layer pass, which breaks when an internal API it calls
-# changes.
-check: fmt vet build race fuzz-smoke layers
+# race-enabled tests, the allocation and heap ceilings the race build skips, a
+# short fuzz pass over the crash-surface decoders, and the benchmark's
+# per-layer pass, which breaks when an internal API it calls changes.
+check: fmt vet build race ceilings fuzz-smoke layers
 
 # fmt fails when any file is not gofmt-formatted (it lists them).
 fmt:
@@ -25,6 +25,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# ceilings runs, without the race detector, the tests that skip under -race
+# because its instrumentation changes what they count: the allocation
+# ceilings (objects per served query, per parsed query, per extracted chunk,
+# per stored-embedding read, per fallback answer, per replayed vector) and
+# the heap one seeded engine copy retains per triple.
+ceilings:
+	$(GO) test -count=1 -run 'AllocCeiling|ReplayPostsStoredVectors|EngineCopyBytes' ./internal/...
 
 # chaos runs the fault-injection grid under the race detector: named
 # injection points (LLM calls, evidence gathering, retrieval scans, commit,
@@ -94,7 +102,9 @@ layers:
 # digest and one replica seeded from that snapshot's checkpoint body (the
 # decode, the re-embedding and the line-graph build; its B/op and allocs/op
 # are the size of one engine copy plus the decoder's transient intern table
-# and embedding slabs), and the bulk
+# and embedding slabs, and its live-MB the heap the seeded copy retains after
+# a collection — what TestEngineCopyBytesCeiling bounds per triple on the
+# datasets corpus), and the bulk
 # load a deployment pays at set-up (the datasets presets as one Ingest into a
 # durable system: stage 1 and the commit, split as prepare-ms/op and
 # commit-ms/op, and the size of its WAL record as record-bytes) — and the query path's: one exact

@@ -317,7 +317,7 @@ func BenchmarkLineGraphBuildDelta(b *testing.B) {
 	g := benchGraph(b)
 	sg := linegraph.Build(g)
 	g.AddEntity("CA981", "Flight", "flights")
-	id, err := g.AddTriple(kg.Triple{
+	id, err := g.AddTriple(kg.Fact{
 		Subject: kg.CanonicalID("CA981"), Predicate: "status", Object: "Delayed",
 		Source: "bench", Weight: 1,
 	})

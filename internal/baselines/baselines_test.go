@@ -141,7 +141,7 @@ func TestLTMSupportsMultiTruth(t *testing.T) {
 		if i%2 == 1 {
 			obj = "Lilly Wachowski"
 		}
-		if _, err := g.AddTriple(kg.Triple{Subject: "the matrix", Predicate: "director", Object: obj, Source: src, Weight: 1}); err != nil {
+		if _, err := g.AddTriple(kg.Fact{Subject: "the matrix", Predicate: "director", Object: obj, Source: src, Weight: 1}); err != nil {
 			t.Fatal(err)
 		}
 		// Each source also asserts both values via a second claim set.
@@ -149,7 +149,7 @@ func TestLTMSupportsMultiTruth(t *testing.T) {
 		if i%2 == 1 {
 			other = "Lana Wachowski"
 		}
-		if _, err := g.AddTriple(kg.Triple{Subject: "the matrix", Predicate: "director", Object: other, Source: src, Weight: 1}); err != nil {
+		if _, err := g.AddTriple(kg.Fact{Subject: "the matrix", Predicate: "director", Object: other, Source: src, Weight: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -23,7 +23,7 @@ func claimsOf(env *Env) []claim {
 	for _, id := range ids {
 		t, _ := g.Triple(id)
 		out = append(out, claim{
-			key:    t.Key(),
+			key:    g.Key(t),
 			value:  kg.CanonicalID(t.Object),
 			repr:   t.Object,
 			source: t.Source,

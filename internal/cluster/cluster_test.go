@@ -132,11 +132,11 @@ func stateBytes(s *core.System) []byte {
 		n, _ := sg.Node(key)
 		e.String(n.Key)
 		e.Int(n.Num)
-		for _, list := range [][]string{n.Members, n.Sources} {
-			e.Int(len(list))
-			for _, v := range list {
-				e.String(v)
-			}
+		members := sg.MemberTriples(n)
+		e.Int(len(members))
+		for _, t := range members {
+			e.String(t.ID())
+			e.String(t.Source)
 		}
 	}
 	for _, id := range sg.IsolatedIDs() {

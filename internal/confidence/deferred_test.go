@@ -19,7 +19,7 @@ func TestRunDeferredFreezesHistoryAcrossCandidates(t *testing.T) {
 	g.AddEntity("MU588", "Flight", "flights")
 	add := func(subj, pred, obj, src string, w float64) {
 		t.Helper()
-		if _, err := g.AddTriple(kg.Triple{
+		if _, err := g.AddTriple(kg.Fact{
 			Subject: kg.CanonicalID(subj), Predicate: pred, Object: obj,
 			Source: src, Domain: "flights", Weight: w,
 		}); err != nil {

@@ -46,12 +46,12 @@ func TestMCCEquivalentAcrossGraphRepresentations(t *testing.T) {
 					w := 0.25 * float64(1+rng.Intn(4))
 					flat.AddEntity(subj, "T", "d")
 					next.AddEntity(subj, "T", "d")
-					if _, err := flat.AddTriple(kg.Triple{
+					if _, err := flat.AddTriple(kg.Fact{
 						Subject: subj, Predicate: pred, Object: obj, Source: src, Weight: w,
 					}); err != nil {
 						t.Fatal(err)
 					}
-					id, err := next.AddTriple(kg.Triple{
+					id, err := next.AddTriple(kg.Fact{
 						Subject: subj, Predicate: pred, Object: obj, Source: src, Weight: w,
 					})
 					if err != nil {

@@ -457,9 +457,9 @@ func (m *MCC) scoreMembers(c *preparedCand, nc []float64, svs []TrustedNode, lvs
 // authority from (§III-D.2b); every one is a function of the snapshot.
 func authorityContext(g *kg.Graph, maxDeg int, t *kg.Triple) llm.AuthorityContext {
 	return llm.AuthorityContext{
-		NodeID:        t.ID,
+		Node:          t.Handle(),
 		Source:        t.Source,
-		Degree:        g.Degree(t.Subject),
+		Degree:        g.Degree(g.Subject(t)),
 		MaxDegree:     maxDeg,
 		LocalStrength: t.Weight,
 		TypeWeight:    typeWeight(g, t),
@@ -536,7 +536,7 @@ func memberSimilarity(members []*kg.Triple) simMatrix {
 }
 
 func typeWeight(g *kg.Graph, t *kg.Triple) float64 {
-	if e, ok := g.Entity(t.Subject); ok && e.Type != "" && e.Type != "Entity" {
+	if e, ok := g.Entity(g.Subject(t)); ok && e.Type != "" && e.Type != "Entity" {
 		return 0.8 // typed entities carry more schema evidence
 	}
 	return 0.5
@@ -568,7 +568,7 @@ func topByWeight(members []*kg.Triple, k int) []*kg.Triple {
 		if sorted[i].Weight != sorted[j].Weight {
 			return sorted[i].Weight > sorted[j].Weight
 		}
-		return sorted[i].ID < sorted[j].ID
+		return kg.CompareTripleIDs(sorted[i].Handle(), sorted[j].Handle()) < 0
 	})
 	if k > len(sorted) {
 		k = len(sorted)
@@ -578,7 +578,7 @@ func topByWeight(members []*kg.Triple, k int) []*kg.Triple {
 
 func containsTriple(ts []*kg.Triple, t *kg.Triple) bool {
 	for _, x := range ts {
-		if x.ID == t.ID {
+		if x.Handle() == t.Handle() {
 			return true
 		}
 	}

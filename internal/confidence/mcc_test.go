@@ -18,7 +18,7 @@ func caseStudyGraph(t *testing.T) (*kg.Graph, *linegraph.SG) {
 	g.AddEntity("CA981", "Flight", "flights")
 	add := func(pred, obj, src string, w float64) {
 		t.Helper()
-		if _, err := g.AddTriple(kg.Triple{
+		if _, err := g.AddTriple(kg.Fact{
 			Subject: kg.CanonicalID("CA981"), Predicate: pred, Object: obj,
 			Source: src, Domain: "flights", Weight: w,
 		}); err != nil {
@@ -74,7 +74,7 @@ func TestRunFastPathOnConsensus(t *testing.T) {
 	g := kg.New()
 	g.AddEntity("Heat", "Movie", "movies")
 	for _, src := range []string{"a", "b", "c", "d"} {
-		if _, err := g.AddTriple(kg.Triple{Subject: "heat", Predicate: "year", Object: "1995", Source: src, Weight: 0.9}); err != nil {
+		if _, err := g.AddTriple(kg.Fact{Subject: "heat", Predicate: "year", Object: "1995", Source: src, Weight: 0.9}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -97,7 +97,7 @@ func TestRunGraphLevelEliminatesWeakSubgraph(t *testing.T) {
 	g := kg.New()
 	g.AddEntity("X", "", "d")
 	add := func(pred, obj, src string) {
-		if _, err := g.AddTriple(kg.Triple{Subject: "x", Predicate: pred, Object: obj, Source: src, Weight: 0.8}); err != nil {
+		if _, err := g.AddTriple(kg.Fact{Subject: "x", Predicate: pred, Object: obj, Source: src, Weight: 0.8}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -158,7 +158,7 @@ func TestRunWithoutNodeLevelKeepsLocalConflicts(t *testing.T) {
 	g.AddEntity("CA982", "Flight", "flights")
 	add := func(obj, src string) {
 		t.Helper()
-		if _, err := g.AddTriple(kg.Triple{
+		if _, err := g.AddTriple(kg.Fact{
 			Subject: kg.CanonicalID("CA982"), Predicate: "status", Object: obj,
 			Source: src, Weight: 0.8,
 		}); err != nil {
@@ -197,7 +197,7 @@ func TestRunWithoutNodeLevelKeepsLocalConflicts(t *testing.T) {
 func TestAssessIsolated(t *testing.T) {
 	g := kg.New()
 	g.AddEntity("Heat", "Movie", "movies")
-	id, err := g.AddTriple(kg.Triple{Subject: "heat", Predicate: "runtime", Object: "170", Source: "imdb", Weight: 0.9})
+	id, err := g.AddTriple(kg.Fact{Subject: "heat", Predicate: "runtime", Object: "170", Source: "imdb", Weight: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,9 +299,9 @@ func TestHistoryUpdate(t *testing.T) {
 
 func TestMajorityCluster(t *testing.T) {
 	ts := []*kg.Triple{
-		{ID: "1", Object: "Delayed"},
-		{ID: "2", Object: "delayed"},
-		{ID: "3", Object: "On time"},
+		{Object: "Delayed"},
+		{Object: "delayed"},
+		{Object: "On time"},
 	}
 	got := majorityCluster(ts)
 	if len(got) != 2 {
@@ -316,9 +316,9 @@ func TestMajorityCluster(t *testing.T) {
 func TestRunStaleNodeNoMembers(t *testing.T) {
 	g, sg := caseStudyGraph(t)
 	node, _ := sg.Lookup(kg.CanonicalID("CA981"), "status")
-	for _, id := range append([]string{}, node.Members...) {
-		if !g.RemoveTriple(id) {
-			t.Fatalf("could not remove member %s", id)
+	for _, tr := range sg.MemberTriples(node) {
+		if !g.RemoveTriple(tr.ID()) {
+			t.Fatalf("could not remove member %s", tr.ID())
 		}
 	}
 	for _, opts := range []Options{

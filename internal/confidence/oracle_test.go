@@ -193,7 +193,7 @@ type oracleResult struct {
 
 func removeTriple(ts []*kg.Triple, t *kg.Triple) []*kg.Triple {
 	for i, x := range ts {
-		if x.ID == t.ID {
+		if x.ID() == t.ID() {
 			return append(ts[:i], ts[i+1:]...)
 		}
 	}
@@ -274,9 +274,9 @@ func oracleScoreMembers(m *MCC, sg *linegraph.SG, members []*kg.Triple, vals [][
 	if m.cfg.Alpha > 0 {
 		for i, t := range members {
 			raw[i] = m.model.JudgeAuthority(llm.AuthorityContext{
-				NodeID:        t.ID,
+				Node:          t.Handle(),
 				Source:        t.Source,
-				Degree:        g.Degree(t.Subject),
+				Degree:        g.Degree(g.Subject(t)),
 				MaxDegree:     maxDeg,
 				LocalStrength: t.Weight,
 				TypeWeight:    typeWeight(g, t),
@@ -300,7 +300,7 @@ func oracleScoreMembers(m *MCC, sg *linegraph.SG, members []*kg.Triple, vals [][
 		}
 		av := m.cfg.Alpha*authLLM + (1-m.cfg.Alpha)*authHist
 		cv := sn + av
-		a.NodeConfidence[t.ID] = cv
+		a.NodeConfidence[t.ID()] = cv
 		if cv > m.cfg.NodeThreshold {
 			a.Trusted = append(a.Trusted, TrustedNode{Triple: t, Confidence: cv, Verified: true})
 		} else {
@@ -309,7 +309,7 @@ func oracleScoreMembers(m *MCC, sg *linegraph.SG, members []*kg.Triple, vals [][
 	}
 	const promoteGap = 0.02
 	if len(a.Trusted) == 0 && len(members) > 0 {
-		score := func(t *kg.Triple) float64 { return a.NodeConfidence[t.ID] * t.Weight }
+		score := func(t *kg.Triple) float64 { return a.NodeConfidence[t.ID()] * t.Weight }
 		best := 0.0
 		for _, t := range members {
 			if sc := score(t); sc > best {
@@ -318,7 +318,7 @@ func oracleScoreMembers(m *MCC, sg *linegraph.SG, members []*kg.Triple, vals [][
 		}
 		for _, t := range members {
 			if score(t) >= best-promoteGap {
-				a.Trusted = append(a.Trusted, TrustedNode{Triple: t, Confidence: a.NodeConfidence[t.ID], Verified: true})
+				a.Trusted = append(a.Trusted, TrustedNode{Triple: t, Confidence: a.NodeConfidence[t.ID()], Verified: true})
 				a.Rejected = removeTriple(a.Rejected, t)
 			}
 		}
@@ -343,6 +343,7 @@ func randomGroups(t *testing.T, rng *rand.Rand) (*linegraph.SG, []*linegraph.Hom
 	g := kg.New()
 	g.AddEntity("subj", "Thing", "d")
 	nGroups := 1 + rng.Intn(3)
+	var stale []string
 	for gi := 0; gi < nGroups; gi++ {
 		members := 1 + rng.Intn(12)
 		// A narrow draw makes duplicates and consensus common; a wide one
@@ -357,24 +358,32 @@ func randomGroups(t *testing.T, rng *rand.Rand) (*linegraph.SG, []*linegraph.Hom
 				// the same empty profile.
 				obj = strings.Repeat(" ", 1+rng.Intn(2))
 			}
-			if _, err := g.AddTriple(kg.Triple{
+			if _, err := g.AddTriple(kg.Fact{
 				Subject: "subj", Predicate: fmt.Sprintf("p%d", gi), Object: obj,
 				Source: fmt.Sprintf("s%d", rng.Intn(sources)), Weight: 0.05 + 0.95*rng.Float64(),
 			}); err != nil {
 				t.Fatalf("AddTriple(%q): %v", obj, err)
 			}
 		}
+		if members == 1 {
+			// A one-member key is an isolated point, not a homologous node.
+			// Give it a second member, removed once SG′ is built, so MCC gets
+			// the single-member node a stale SG′ holds.
+			id, err := g.AddTriple(kg.Fact{Subject: "subj", Predicate: fmt.Sprintf("p%d", gi), Object: "stale", Source: "stale"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stale = append(stale, id)
+		}
 	}
 	sg := linegraph.Build(g)
+	for _, id := range stale {
+		g.RemoveTriple(id)
+	}
 	var cands []*linegraph.HomologousNode
 	for gi := 0; gi < nGroups; gi++ {
-		// A one-member key is an isolated point, not a homologous node; feed
-		// MCC a hand-built single-member node for it, as the stale-SG and
-		// ad-hoc paths can.
 		if n, ok := sg.Lookup("subj", fmt.Sprintf("p%d", gi)); ok {
 			cands = append(cands, n)
-		} else if tr, ok := sg.LookupIsolated("subj", fmt.Sprintf("p%d", gi)); ok {
-			cands = append(cands, &linegraph.HomologousNode{Key: tr.Subject + "|" + tr.Predicate, Members: []string{tr.ID}})
 		}
 	}
 	return sg, cands
@@ -392,14 +401,14 @@ func TestRunMatchesPairwiseOracle(t *testing.T) {
 	ids := func(ts []*kg.Triple) []string {
 		out := make([]string, len(ts))
 		for i, tr := range ts {
-			out[i] = tr.ID
+			out[i] = tr.ID()
 		}
 		return out
 	}
 	trustedIDs := func(tns []TrustedNode) []string {
 		out := make([]string, len(tns))
 		for i, tn := range tns {
-			out[i] = tn.Triple.ID
+			out[i] = tn.Triple.ID()
 		}
 		return out
 	}
@@ -462,7 +471,7 @@ func TestRunMatchesPairwiseOracle(t *testing.T) {
 						t.Fatalf("%s round %d cand %d: NodeConfidence allocated outside the fine stage", name, round, i)
 					}
 					for j, cv := range ga.NodeConfidence {
-						id := ga.Members[j].ID
+						id := ga.Members[j].ID()
 						if w, ok := wa.NodeConfidence[id]; !ok || math.Abs(cv-w) > tol {
 							t.Fatalf("%s round %d cand %d: C(%s) = %v, oracle %v", name, round, i, id, cv, w)
 						}
@@ -531,7 +540,7 @@ func conflictGroup(tb testing.TB, n, distinct int) (*linegraph.SG, []*linegraph.
 	g.AddEntity("CA981", "Flight", "flights")
 	for i := 0; i < n; i++ {
 		v := i % distinct
-		if _, err := g.AddTriple(kg.Triple{
+		if _, err := g.AddTriple(kg.Fact{
 			Subject: "ca981", Predicate: "status",
 			Object: fmt.Sprintf("Status %d: delayed until %02d:%02d at gate G%d", v, 10+v, 3*v, v),
 			Source: fmt.Sprintf("source-%d", i%5), Weight: 0.5 + 0.03*float64(i%10),

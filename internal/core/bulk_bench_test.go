@@ -12,14 +12,14 @@ import (
 // bulkFiles is the datasets corpus the end-to-end benchmark bulk-loads at
 // set-up: the four fusion presets at twice their entity count (its scale 1),
 // without its multi-hop documents.
-func bulkFiles(b *testing.B) []adapter.RawFile {
-	b.Helper()
+func bulkFiles(tb testing.TB) []adapter.RawFile {
+	tb.Helper()
 	var files []adapter.RawFile
 	for _, spec := range datasets.AllPresets(1) {
 		spec.Entities *= 2
 		d, err := datasets.Generate(spec)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		files = append(files, d.Files...)
 	}

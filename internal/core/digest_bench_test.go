@@ -43,8 +43,9 @@ func BenchmarkSnapshotDigest(b *testing.B) {
 // snapshot's checkpoint body: decoding the graph and the store's chunks, then
 // re-embedding every chunk beside the line-graph build. Nearly everything it
 // allocates is the replica's state, so B/op and allocs/op are the size of one
-// engine copy. Run with -benchmem, or via
-// `make bench-micro`.
+// engine copy plus the decoder's transient tables; live-MB is the heap the
+// seeded replica retains after a collection (seededReplicaBytes), the part
+// that stays. Run with -benchmem, or via `make bench-micro`.
 func BenchmarkSeedReplica(b *testing.B) {
 	body := benchSnapshot(b).Encode()
 	cfg := durTestConfig()
@@ -59,4 +60,5 @@ func BenchmarkSeedReplica(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(body)), "body-bytes")
+	b.ReportMetric(float64(seededReplicaBytes(b, body))/1e6, "live-MB")
 }

@@ -349,8 +349,9 @@ func encodeSnapshot(e *wal.Encoder, sn *snapshot) {
 // snapshotBody returns the whole checkpoint body of sn as one slice, for the
 // callers that need it in memory (checkpoint CRC + write, replica seeding). A
 // counting pass through a discarding stream encoder sizes the buffer exactly
-// first: growing a ~50 MB body from nothing by doubling left about five times
-// its size in garbage per call.
+// first: growing the body (6.7 MB for the end-to-end benchmark's corpus)
+// from nothing by doubling left about five times its size in garbage per
+// call.
 func snapshotBody(sn *snapshot) []byte {
 	count := wal.NewStreamEncoder(io.Discard)
 	encodeSnapshot(count, sn)
@@ -493,7 +494,7 @@ func encodeFile(rec *extract.Recorder, chunks []retrieval.Chunk, dim int) (part 
 	defer putEmbedScratch(sc)
 	sc.ops.Reset()
 	var prevTyp, prevDomain string
-	var prev kg.Triple
+	var prev kg.Fact
 	rec.ForEachOp(
 		func(name, typ, domain string) {
 			sc.ops.Bool(true)
@@ -502,7 +503,7 @@ func encodeFile(rec *extract.Recorder, chunks []retrieval.Chunk, dim int) (part 
 			sc.ops.Front(prevDomain, domain)
 			prevTyp, prevDomain = typ, domain
 		},
-		func(t kg.Triple) {
+		func(t kg.Fact) {
 			sc.ops.Bool(false)
 			sc.ops.Front(prev.Subject, t.Subject)
 			sc.ops.String(t.Predicate)
@@ -576,7 +577,7 @@ func decodeGroupRecord(payload []byte, sc *embedScratch) ([][]fileWork, error) {
 		for j := 0; j < nf && d.Err() == nil; j++ {
 			rec := extract.NewRecorder()
 			var prevTyp, prevDomain string
-			var prev kg.Triple
+			var prev kg.Fact
 			nOps := d.Int()
 			for k := 0; k < nOps && d.Err() == nil; k++ {
 				if d.Bool() {
@@ -586,7 +587,7 @@ func decodeGroupRecord(payload []byte, sc *embedScratch) ([][]fileWork, error) {
 					rec.AddEntity(name, prevTyp, prevDomain)
 					continue
 				}
-				t := kg.Triple{
+				t := kg.Fact{
 					Subject:      d.Front(prev.Subject),
 					Predicate:    d.Interned(),
 					Object:       d.Interned(),

@@ -40,8 +40,8 @@ func snapBytes(s *System) []byte {
 // derivedState dumps what a checkpoint body does not hold: every row's vector
 // bit for bit, as ForEachEmbedded gathers it back out of the posting lists,
 // and the line graph — whether there is one, its statistics, every
-// homologous node in key order with its header, members, sources and member
-// triples, and the isolated points.
+// homologous node in key order with its header and each member triple's ID
+// and source, and the isolated points.
 func derivedState(sn *snapshot) []byte {
 	var e wal.Encoder
 	sn.index.ForEachEmbedded(func(c retrieval.Chunk, v retrieval.Vector) {
@@ -69,14 +69,11 @@ func derivedState(sn *snapshot) []byte {
 		e.String(n.SubjectID)
 		e.String(n.Name)
 		e.Int(n.Num)
-		for _, list := range [][]string{n.Members, n.Sources} {
-			e.Int(len(list))
-			for _, v := range list {
-				e.String(v)
-			}
-		}
-		for _, t := range sg.MemberTriples(n) {
-			e.String(t.ID)
+		members := sg.MemberTriples(n)
+		e.Int(len(members))
+		for _, t := range members {
+			e.String(t.ID())
+			e.String(t.Source)
 		}
 	}
 	for _, id := range sg.IsolatedIDs() {

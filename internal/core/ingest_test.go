@@ -264,7 +264,7 @@ func tripleMultiset(g *kg.Graph) []string {
 	out := make([]string, 0, g.NumTriples())
 	for _, id := range g.TripleIDs() {
 		tr, _ := g.Triple(id)
-		out = append(out, fmt.Sprintf("%s|%s|%s|%s|%s|%g", tr.Subject, tr.Predicate, tr.Object, tr.Source, tr.Format, tr.Weight))
+		out = append(out, fmt.Sprintf("%s|%s|%s|%s|%s|%g", g.Subject(tr), g.Predicate(tr), tr.Object, tr.Source, g.Format(tr), tr.Weight))
 	}
 	sort.Strings(out)
 	return out

@@ -435,7 +435,7 @@ func (s *System) gatherByChunks(ctx context.Context, sn *snapshot, query, entity
 			if kg.CanonicalID(s.model.Standardize(spo.Subject)) != subj || spo.Predicate != relation {
 				continue
 			}
-			_, err := tmp.AddTriple(kg.Triple{
+			_, err := tmp.AddTriple(kg.Fact{
 				Subject:   subj,
 				Predicate: relation,
 				Object:    spo.Object,

@@ -33,10 +33,10 @@ func oracleEncodeGroupRecord(e *wal.Encoder, committed []*prepared) error {
 			n := 0
 			w.rec.ForEachOp(
 				func(string, string, string) { n++ },
-				func(kg.Triple) { n++ })
+				func(kg.Fact) { n++ })
 			e.Int(n)
 			var prevEnt [2]string
-			var prev kg.Triple
+			var prev kg.Fact
 			w.rec.ForEachOp(
 				func(name, typ, domain string) {
 					e.Bool(true)
@@ -45,7 +45,7 @@ func oracleEncodeGroupRecord(e *wal.Encoder, committed []*prepared) error {
 					e.Front(prevEnt[1], domain)
 					prevEnt = [2]string{typ, domain}
 				},
-				func(t kg.Triple) {
+				func(t kg.Fact) {
 					e.Bool(false)
 					e.Front(prev.Subject, t.Subject)
 					e.String(t.Predicate)
@@ -156,7 +156,7 @@ func TestGroupRecordMatchesOracle(t *testing.T) {
 				}
 				if len(w.chunks) == 0 {
 					ops := 0
-					w.rec.ForEachOp(func(string, string, string) { ops++ }, func(kg.Triple) { ops++ })
+					w.rec.ForEachOp(func(string, string, string) { ops++ }, func(kg.Fact) { ops++ })
 					if ops == 0 {
 						seen.empty++
 					} else {

@@ -27,7 +27,7 @@ func MaskRelations(g *kg.Graph, frac float64, seed uint64, gold map[string][]str
 		if gold == nil {
 			return "", false
 		}
-		key := t.Subject + "\x00" + t.Predicate
+		key := g.Key(t)
 		vals, ok := gold[key]
 		if !ok {
 			return key, false
@@ -129,7 +129,7 @@ func AddShuffledTriples(g *kg.Graph, frac float64, seed uint64) int {
 	}
 	families := map[string][]int{}
 	for i, t := range picks {
-		families[t.Predicate] = append(families[t.Predicate], i)
+		families[g.Predicate(t)] = append(families[g.Predicate(t)], i)
 	}
 	objects := make([]string, len(picks))
 	preds := make([]string, 0, len(families))
@@ -156,13 +156,13 @@ func AddShuffledTriples(g *kg.Graph, frac float64, seed uint64) int {
 	}
 	added := 0
 	for i, t := range picks {
-		_, err := g.AddTriple(kg.Triple{
-			Subject:   t.Subject,
-			Predicate: t.Predicate,
+		_, err := g.AddTriple(kg.Fact{
+			Subject:   g.Subject(t),
+			Predicate: g.Predicate(t),
 			Object:    objects[i],
 			Source:    "perturb-" + t.Source,
-			Domain:    t.Domain,
-			Format:    t.Format,
+			Domain:    g.Domain(t),
+			Format:    g.Format(t),
 			Weight:    t.Weight,
 		})
 		if err == nil {

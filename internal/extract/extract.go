@@ -81,7 +81,7 @@ func (rep *Report) Merge(other Report) {
 // flattening) can run on worker goroutines without sharing the graph.
 type Sink interface {
 	AddEntity(name, typ, domain string) string
-	AddTriple(t kg.Triple) (string, error)
+	AddTriple(f kg.Fact) (string, error)
 	NumEntities() int
 	NumTriples() int
 }
@@ -147,7 +147,7 @@ func (e *Extractor) addTriple(g Sink, f *jsonld.Normalized, rep *Report, subjID,
 	if obj == "" || pred == "" {
 		return nil
 	}
-	_, err := g.AddTriple(kg.Triple{
+	_, err := g.AddTriple(kg.Fact{
 		Subject:   subjID,
 		Predicate: pred,
 		Object:    obj,

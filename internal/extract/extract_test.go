@@ -36,7 +36,7 @@ func TestBuildFromCSV(t *testing.T) {
 	if len(ts) != 1 || ts[0].Object != "Michael Mann" {
 		t.Fatalf("director triples = %v", ts)
 	}
-	if ts[0].Source != "imdb" || ts[0].Format != "csv" {
+	if ts[0].Source != "imdb" || g.Format(ts[0]) != "csv" {
 		t.Fatalf("provenance lost: %+v", ts[0])
 	}
 }

@@ -26,7 +26,7 @@ type op struct {
 	// entity op when name != ""
 	name, typ, domain string
 	// triple op otherwise
-	triple kg.Triple
+	triple kg.Fact
 }
 
 // NewRecorder returns an empty operation recorder.
@@ -59,14 +59,14 @@ func (r *Recorder) AddEntity(name, typ, domain string) string {
 // validation against the entities recorded so far; the definitive insertion
 // (ID assignment, object-entity linking against the full corpus) happens at
 // replay time. The returned ID is a placeholder — extraction never reads it.
-func (r *Recorder) AddTriple(t kg.Triple) (string, error) {
-	if _, ok := r.entities[t.Subject]; !ok {
-		return "", fmt.Errorf("kg: unknown subject entity %q", t.Subject)
+func (r *Recorder) AddTriple(f kg.Fact) (string, error) {
+	if _, ok := r.entities[f.Subject]; !ok {
+		return "", fmt.Errorf("kg: unknown subject entity %q", f.Subject)
 	}
-	if t.Predicate == "" {
-		return "", fmt.Errorf("kg: triple with empty predicate (subject %q)", t.Subject)
+	if f.Predicate == "" {
+		return "", fmt.Errorf("kg: triple with empty predicate (subject %q)", f.Subject)
 	}
-	r.ops = append(r.ops, op{triple: t})
+	r.ops = append(r.ops, op{triple: f})
 	r.triples++
 	return "", nil
 }
@@ -87,7 +87,7 @@ func (r *Recorder) NumTriples() int { return r.triples }
 // serializes a recorder through it and rebuilds one by feeding the visited
 // ops back into AddEntity/AddTriple on a fresh Recorder, which reproduces the
 // stream (and therefore ReplayAppend's effect) exactly.
-func (r *Recorder) ForEachOp(entity func(name, typ, domain string), triple func(t kg.Triple)) {
+func (r *Recorder) ForEachOp(entity func(name, typ, domain string), triple func(f kg.Fact)) {
 	for _, o := range r.ops {
 		if o.name != "" {
 			entity(o.name, o.typ, o.domain)

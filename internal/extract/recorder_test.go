@@ -94,17 +94,17 @@ func TestRecorderReplayMatchesDirectBuild(t *testing.T) {
 // messages, so failures surface during the parallel phase.
 func TestRecorderValidatesLikeGraph(t *testing.T) {
 	rec := NewRecorder()
-	if _, err := rec.AddTriple(kg.Triple{Subject: "ghost", Predicate: "p", Object: "o"}); err == nil {
+	if _, err := rec.AddTriple(kg.Fact{Subject: "ghost", Predicate: "p", Object: "o"}); err == nil {
 		t.Fatal("unknown subject must be rejected")
 	}
 	id := rec.AddEntity("CA981", "Flight", "flights")
 	if id != kg.CanonicalID("CA981") {
 		t.Fatalf("canonical ID = %q", id)
 	}
-	if _, err := rec.AddTriple(kg.Triple{Subject: id, Predicate: "", Object: "o"}); err == nil {
+	if _, err := rec.AddTriple(kg.Fact{Subject: id, Predicate: "", Object: "o"}); err == nil {
 		t.Fatal("empty predicate must be rejected")
 	}
-	if _, err := rec.AddTriple(kg.Triple{Subject: id, Predicate: "status", Object: "Delayed"}); err != nil {
+	if _, err := rec.AddTriple(kg.Fact{Subject: id, Predicate: "status", Object: "Delayed"}); err != nil {
 		t.Fatalf("valid triple rejected: %v", err)
 	}
 	g := kg.New()
@@ -135,7 +135,7 @@ func TestRecorderStoresExactCopies(t *testing.T) {
 	if again := r.AddEntity(file[4097:4102], "", ""); unsafe.StringData(again) != unsafe.StringData(id) {
 		t.Fatal("a repeated entity must return the recorded copy")
 	}
-	if _, err := r.AddTriple(kg.Triple{Subject: id, Predicate: "status", Object: "delayed"}); err != nil {
+	if _, err := r.AddTriple(kg.Fact{Subject: id, Predicate: "status", Object: "delayed"}); err != nil {
 		t.Fatal(err)
 	}
 	g := kg.New()
@@ -143,7 +143,7 @@ func TestRecorderStoresExactCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, _ := g.Entity("ca981")
-	for _, s := range []string{e.ID, e.Name, g.TriplesByKey("ca981", "status")[0].Subject} {
+	for _, s := range []string{e.ID, e.Name, g.Subject(g.TriplesByKey("ca981", "status")[0])} {
 		if within(s) {
 			t.Fatalf("replayed graph stores %q as a view of the input buffer", s)
 		}

@@ -16,10 +16,10 @@ import (
 // clone sharing its pages) does.
 type observation struct {
 	entities  []Entity
-	triples   []Triple
-	bySubject map[string][]Triple
-	byObject  map[string][]Triple
-	byKey     map[string][]Triple
+	triples   []refTriple
+	bySubject map[string][]refTriple
+	byObject  map[string][]refTriple
+	byKey     map[string][]refTriple
 	neighbors map[string][]string
 	degrees   map[string]int
 	maxDegree int
@@ -28,9 +28,9 @@ type observation struct {
 
 func observe(g *Graph) observation {
 	o := observation{
-		bySubject: map[string][]Triple{},
-		byObject:  map[string][]Triple{},
-		byKey:     map[string][]Triple{},
+		bySubject: map[string][]refTriple{},
+		byObject:  map[string][]refTriple{},
+		byKey:     map[string][]refTriple{},
 		neighbors: map[string][]string{},
 		degrees:   map[string]int{},
 		maxDegree: g.MaxDegree(),
@@ -39,15 +39,15 @@ func observe(g *Graph) observation {
 	for _, id := range g.EntityIDs() {
 		e, _ := g.Entity(id)
 		o.entities = append(o.entities, *e)
-		o.bySubject[id] = tripleValues(g.TriplesBySubject(id))
-		o.byObject[id] = tripleValues(g.TriplesByObjectEntity(id))
+		o.bySubject[id] = tripleValues(g, g.TriplesBySubject(id))
+		o.byObject[id] = tripleValues(g, g.TriplesByObjectEntity(id))
 		o.neighbors[id] = g.Neighbors(id)
 		o.degrees[id] = g.Degree(id)
 	}
 	for _, id := range g.TripleIDs() {
 		t, _ := g.Triple(id)
-		o.triples = append(o.triples, *t)
-		o.byKey[t.Key()] = tripleValues(g.TriplesByRawKey(t.Key()))
+		o.triples = append(o.triples, tripleView(g, t))
+		o.byKey[g.Key(t)] = tripleValues(g, g.TriplesByRawKey(g.Key(t)))
 	}
 	return o
 }
@@ -55,7 +55,7 @@ func observe(g *Graph) observation {
 func mutateHeavily(tb testing.TB, g *Graph, rng *rand.Rand, rounds int) {
 	tb.Helper()
 	var live []string
-	g.ForEachTriple(func(_ int32, t *Triple) { live = append(live, t.ID) })
+	g.ForEachTriple(func(_ int32, t *Triple) { live = append(live, t.ID()) })
 	for i := 0; i < rounds; i++ {
 		switch rng.Intn(6) {
 		case 0: // new entity
@@ -70,7 +70,7 @@ func mutateHeavily(tb testing.TB, g *Graph, rng *rand.Rand, rounds int) {
 			}
 		default: // append triples, extending shared tails and posting lists
 			subj := g.AddEntity(fmt.Sprintf("Entity %d", rng.Intn(oracleEntities)), "", "")
-			id, err := g.AddTriple(Triple{
+			id, err := g.AddTriple(Fact{
 				Subject:   subj,
 				Predicate: fmt.Sprintf("p%d", rng.Intn(4)),
 				Object:    fmt.Sprintf("Entity %d", rng.Intn(oracleEntities)),
@@ -102,7 +102,7 @@ func applyRandomOpNoRef(tb testing.TB, rng *rand.Rand, g *Graph, live *[]string)
 	if rng.Intn(3) == 0 {
 		obj = fmt.Sprintf("Entity %d", rng.Intn(oracleEntities))
 	}
-	id, err := g.AddTriple(Triple{
+	id, err := g.AddTriple(Fact{
 		Subject:   CanonicalID(subjName),
 		Predicate: fmt.Sprintf("p%d", rng.Intn(4)),
 		Object:    obj,
@@ -235,7 +235,7 @@ func lineageGraph(tb testing.TB, nEnts, perEnt, preds, hub int) *Graph {
 
 func addLiteral(tb testing.TB, g *Graph, ent int, pred, obj string) string {
 	tb.Helper()
-	id, err := g.AddTriple(Triple{Subject: CanonicalID(fmt.Sprintf("Entity %d", ent)), Predicate: pred, Object: obj, Source: "lin"})
+	id, err := g.AddTriple(Fact{Subject: CanonicalID(fmt.Sprintf("Entity %d", ent)), Predicate: pred, Object: obj, Source: "lin"})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestCloneLineagePaths(t *testing.T) {
 	// Removal replaces a list and claims nothing; the add after it still
 	// finds the slot free and appends (to the replaced list) on the lineage.
 	fourth := first.Clone()
-	victim := fourth.TriplesBySubject(CanonicalID("Entity 70"))[0].ID
+	victim := fourth.TriplesBySubject(CanonicalID("Entity 70"))[0].ID()
 	if !fourth.RemoveTriple(victim) {
 		t.Fatal("RemoveTriple failed")
 	}

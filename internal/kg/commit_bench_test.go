@@ -26,10 +26,10 @@ func benchCorpus(tb testing.TB) *Graph {
 // clone, which grows with the commits since the overlay last flattened — so
 // compare at equal -benchtime. Run via `make bench-micro`.
 func BenchmarkGraphCommitAppend(b *testing.B) {
-	delta := make([][]Triple, 256)
+	delta := make([][]Fact, 256)
 	for d := range delta {
 		for j := 0; j < 11; j++ {
-			delta[d] = append(delta[d], Triple{
+			delta[d] = append(delta[d], Fact{
 				Subject: CanonicalID(fmt.Sprintf("Entity %d", (d*37+j%3*2000)%6100)), Predicate: fmt.Sprintf("p%d", j),
 				Object: fmt.Sprintf("w%d", d), Source: fmt.Sprintf("delta-%d", d),
 			})

@@ -3,20 +3,24 @@
 // and subgraph extraction. The multi-source line graph (internal/linegraph)
 // and the confidence machinery (internal/confidence) are built on top of it.
 //
-// Internally the graph is an interned, columnar store: entity IDs and
-// predicates are interned to dense int32 handles once at insertion, triples
-// live in copy-on-write paged columns addressed by handle (a triple's handle
-// is derivable from its "tNNNNNN" ID without any map), and the four adjacency
-// indexes are []int32 posting lists. Clone is a copy-on-write snapshot that
-// shares immutable pages and copies only what a later mutation touches, so an
+// Internally the graph is an interned, columnar store: entity IDs,
+// predicates and (domain, format) pairs are interned to dense int32 handles
+// once at insertion, triples live in copy-on-write paged columns addressed by
+// handle (a triple's handle is derivable from its "tNNNNNN" ID without any
+// map, and its ID, subject, predicate and object entity are derived from the
+// handle and its columns rather than stored), and the adjacency indexes are
+// []int32 posting lists. Clone is a copy-on-write snapshot that shares
+// immutable pages and copies only what a later mutation touches, so an
 // ingest commit costs O(delta) instead of O(corpus). The string-keyed API
 // below is a thin compat layer over the handles; hot paths (linegraph,
 // confidence) use the handle-level API in handles.go directly.
 package kg
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"multirag/internal/lineage"
@@ -31,11 +35,11 @@ type Entity struct {
 	Domain string // domain of the originating data (d in Definition 1)
 }
 
-// Triple is a (subject, predicate, object) edge with provenance. Objects are
-// literal values; when an object is itself an entity, ObjectEntity carries
-// its canonical ID so traversal can continue through it.
-type Triple struct {
-	ID           string
+// Fact is a triple as a caller hands it to AddTriple: a (subject, predicate,
+// object) edge with provenance. Objects are literal values; ObjectEntity may
+// pre-set the canonical ID of the entity an object names, and left empty,
+// AddTriple links the object when its canonical form is a known entity.
+type Fact struct {
 	Subject      string // canonical entity ID
 	Predicate    string
 	Object       string // literal surface form
@@ -47,10 +51,65 @@ type Triple struct {
 	Weight       float64 // extraction confidence in [0,1]
 }
 
-// Key returns the homologous-data key of the triple: the (subject, predicate)
-// pair. Two triples with equal keys answer the same question about the same
-// entity and are candidates for the same homologous subgraph.
-func (t *Triple) Key() string { return t.Subject + "\x00" + t.Predicate }
+// Triple is a stored triple: the fields of its Fact that the graph cannot
+// derive, its handle, and the handle of its (domain, format) pair. Its ID,
+// subject, predicate and object entity are read through the graph (ID,
+// Graph.Subject, Graph.Predicate, Graph.ObjectEntity) from the handle and the
+// columns that index it, and its domain and format (Graph.Domain,
+// Graph.Format) from the pair, which every triple of a file shares: every
+// engine copy keeps each of them once instead of once per triple.
+type Triple struct {
+	Object  string  // literal surface form
+	Source  string  // originating data source (provenance)
+	ChunkID string  // retrieval chunk the triple was extracted from
+	Weight  float64 // extraction confidence in [0,1]
+	h       int32
+	prov    int32
+}
+
+// provenance is the (domain, format) pair of the triples of one source file.
+type provenance struct{ domain, format string }
+
+// Handle returns the triple's handle: its insertion index in the graph.
+func (t *Triple) Handle() int32 { return t.h }
+
+// ID returns the triple's ID. It is formatted on each call.
+func (t *Triple) ID() string { return TripleID(t.h) }
+
+// TripleID returns the ID of the triple at handle h: "t" and its 1-based
+// insertion number in at least six digits ("t%06d" without the fmt
+// machinery). ParseTripleID inverts it.
+func TripleID(h int32) string {
+	var buf [12]byte
+	return string(AppendTripleID(buf[:0], h))
+}
+
+// Subject returns the canonical ID of t's subject entity.
+func (g *Graph) Subject(t *Triple) string { return g.ents.get(g.tSubj.get(t.h)).ID }
+
+// Predicate returns t's predicate.
+func (g *Graph) Predicate(t *Triple) string { return g.preds.get(g.tPred.get(t.h)) }
+
+// ObjectEntity returns the canonical ID of the entity t's object links to, or
+// "" when the object is a literal.
+func (g *Graph) ObjectEntity(t *Triple) string {
+	if o := g.tObj.get(t.h); o >= 0 {
+		return g.ents.get(o).ID
+	}
+	return ""
+}
+
+// Domain returns the domain of the data t was extracted from.
+func (g *Graph) Domain(t *Triple) string { return g.provs.get(t.prov).domain }
+
+// Format returns the storage format t was extracted from ("csv", "json",
+// "xml", "kg", "text").
+func (g *Graph) Format(t *Triple) string { return g.provs.get(t.prov).format }
+
+// Key returns the homologous-data key of t: its subject and predicate joined
+// by a NUL byte. Two triples with equal keys answer the same question about
+// the same entity and are candidates for the same homologous subgraph.
+func (g *Graph) Key(t *Triple) string { return g.Subject(t) + "\x00" + g.Predicate(t) }
 
 // CanonicalID derives the stable entity ID for a surface form. A name already
 // in canonical form is its own ID: the result then aliases name.
@@ -66,6 +125,9 @@ type Graph struct {
 
 	preds      col[string] // predicate handle → predicate
 	predLookup cowStr      // predicate → predicate handle
+
+	provs      col[provenance] // provenance handle → (domain, format)
+	provLookup cowStr          // len(domain) ":" domain format → provenance handle
 
 	trs   col[*Triple] // triple handle → triple, nil when removed
 	tSubj col[int32]   // triple handle → subject entity handle
@@ -91,26 +153,30 @@ type Graph struct {
 // New returns an empty graph.
 func New() *Graph { return &Graph{lin: lineage.New(0)} }
 
-// tripleIDString formats the ID of the n-th inserted triple ("t%06d" without
-// the fmt machinery — this runs once per triple on the hottest write path).
-func tripleIDString(n int32) string {
-	var buf [12]byte
-	i := len(buf)
-	for n > 0 {
+// AppendTripleID appends the ID of the triple at handle h to dst: TripleID
+// without the allocation, for a caller that hashes or compares the ID.
+func AppendTripleID(dst []byte, h int32) []byte {
+	n := h + 1
+	var digits [10]byte
+	i := len(digits)
+	for n > 0 || len(digits)-i < 6 {
 		i--
-		buf[i] = byte('0' + n%10)
+		digits[i] = byte('0' + n%10)
 		n /= 10
 	}
-	for len(buf)-i < 6 {
-		i--
-		buf[i] = '0'
-	}
-	i--
-	buf[i] = 't'
-	return string(buf[i:])
+	return append(append(dst, 't'), digits[i:]...)
 }
 
-// ParseTripleID inverts tripleIDString: it returns the handle of the triple
+// CompareTripleIDs orders the triples at handles a and b as their IDs compare
+// as strings, without building either: the order of every sorted ID list the
+// graph and the line graph hand out. Above handle 999,998 it is not numeric
+// order ("t1000000" sorts before "t999999").
+func CompareTripleIDs(a, b int32) int {
+	var ba, bb [12]byte
+	return bytes.Compare(AppendTripleID(ba[:0], a), AppendTripleID(bb[:0], b))
+}
+
+// ParseTripleID inverts TripleID: it returns the handle of the triple
 // with the given ID. It accepts exactly the canonical form ("t" + ≥6 digits,
 // no excess zero padding) so non-canonical spellings of a number cannot alias
 // an existing triple.
@@ -179,6 +245,26 @@ func (g *Graph) AddEntity(name, typ, domain string) string {
 	return id
 }
 
+// internProv returns the handle of the (domain, format) pair, adding it if
+// new. The triples of one file share a pair, so the previous slot's pair is
+// tried first and the lookup key is built only when the pair changes.
+func (g *Graph) internProv(domain, format string) int32 {
+	if n := g.trs.len(); n > 0 {
+		if prev := g.trs.get(int32(n - 1)); prev != nil {
+			if p := g.provs.get(prev.prov); p.domain == domain && p.format == format {
+				return prev.prov
+			}
+		}
+	}
+	key := strconv.Itoa(len(domain)) + ":" + domain + format // unambiguous for any two strings
+	if h, ok := g.provLookup.get(key); ok {
+		return h
+	}
+	h := g.provs.append(provenance{domain, format})
+	g.provLookup.put(key, h)
+	return h
+}
+
 func (g *Graph) internPred(p string) int32 {
 	if h, ok := g.predLookup.get(p); ok {
 		return h
@@ -190,35 +276,40 @@ func (g *Graph) internPred(p string) int32 {
 
 // AddTriple inserts a triple. The subject entity must already exist; the
 // object is linked as an entity when its canonical form is a known entity (a
-// pre-set ObjectEntity is honoured only when it names a known entity).
-// It returns the assigned triple ID.
-func (g *Graph) AddTriple(t Triple) (string, error) {
-	subjH, ok := g.entLookup.get(t.Subject)
+// pre-set ObjectEntity is honoured only when it names a known entity, and
+// dropped otherwise). It returns the assigned triple ID.
+func (g *Graph) AddTriple(f Fact) (string, error) {
+	subjH, ok := g.entLookup.get(f.Subject)
 	if !ok {
-		return "", fmt.Errorf("kg: unknown subject entity %q", t.Subject)
+		return "", fmt.Errorf("kg: unknown subject entity %q", f.Subject)
 	}
-	if t.Predicate == "" {
-		return "", fmt.Errorf("kg: triple with empty predicate (subject %q)", t.Subject)
+	if f.Predicate == "" {
+		return "", fmt.Errorf("kg: triple with empty predicate (subject %q)", f.Subject)
 	}
-	if t.Weight == 0 {
-		t.Weight = 1
+	if f.Weight == 0 {
+		f.Weight = 1
 	}
 	objH := int32(-1)
-	if t.ObjectEntity != "" {
-		if h, ok := g.entLookup.get(t.ObjectEntity); ok {
+	if f.ObjectEntity != "" {
+		if h, ok := g.entLookup.get(f.ObjectEntity); ok {
 			objH = h
 		}
-	} else if oid := CanonicalID(t.Object); oid != "" {
+	} else if oid := CanonicalID(f.Object); oid != "" {
 		if h, ok := g.entLookup.get(oid); ok {
-			t.ObjectEntity = oid
 			objH = h
 		}
 	}
 	g.claimSlot()
-	t.ID = tripleIDString(int32(g.trs.len() + 1))
-	tc := t
-	h := g.trs.append(&tc)
-	predH := g.internPred(tc.Predicate)
+	h, prov := int32(g.trs.len()), g.internProv(f.Domain, f.Format)
+	g.trs.append(&Triple{Object: f.Object, Source: f.Source, ChunkID: f.ChunkID, Weight: f.Weight, h: h, prov: prov})
+	g.link(h, subjH, objH, g.internPred(f.Predicate))
+	return TripleID(h), nil
+}
+
+// link fills the handle columns and posting lists of the triple just appended
+// at h and updates the degree histogram. AddTriple and DecodeGraph insert
+// through here.
+func (g *Graph) link(h, subjH, objH, predH int32) {
 	g.tSubj.append(subjH)
 	g.tObj.append(objH)
 	g.tPred.append(predH)
@@ -236,7 +327,6 @@ func (g *Graph) AddTriple(t Triple) (string, error) {
 	} else {
 		g.bumpDegree(g.degreeH(subjH)-1, g.degreeH(subjH))
 	}
-	return tc.ID, nil
 }
 
 // claimSlot applies the claim-or-fork rule (package lineage) to the next
@@ -341,6 +431,8 @@ func (g *Graph) Clone() *Graph {
 		entLookup:  g.entLookup.clone(),
 		preds:      g.preds.clone(),
 		predLookup: g.predLookup.clone(),
+		provs:      g.provs.clone(),
+		provLookup: g.provLookup.clone(),
 		trs:        g.trs.clone(),
 		tSubj:      g.tSubj.clone(),
 		tObj:       g.tObj.clone(),
@@ -396,7 +488,7 @@ func (g *Graph) TripleIDs() []string {
 	ids := make([]string, 0, g.liveTriples)
 	g.trs.forEach(func(_ int32, t *Triple) {
 		if t != nil {
-			ids = append(ids, t.ID)
+			ids = append(ids, t.ID())
 		}
 	})
 	sort.Strings(ids)
@@ -433,7 +525,7 @@ func (g *Graph) keyPosting(subjectID, predicate string) []int32 {
 	return g.KeyPosting(subjH, predH)
 }
 
-// TriplesByRawKey is TriplesByKey for a precomputed Triple.Key() value.
+// TriplesByRawKey is TriplesByKey for a precomputed Graph.Key value.
 func (g *Graph) TriplesByRawKey(key string) []*Triple {
 	for i := 0; i < len(key); i++ {
 		if key[i] == 0 {

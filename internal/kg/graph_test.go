@@ -19,7 +19,7 @@ func buildMovieGraph(t *testing.T) *Graph {
 	g.AddEntity("Christopher Nolan", "Person", "movies")
 	add := func(subj, pred, obj, src string) {
 		t.Helper()
-		if _, err := g.AddTriple(Triple{
+		if _, err := g.AddTriple(Fact{
 			Subject: CanonicalID(subj), Predicate: pred, Object: obj,
 			Source: src, Domain: "movies", Weight: 0.9,
 		}); err != nil {
@@ -55,11 +55,11 @@ func TestAddEntityIdempotent(t *testing.T) {
 
 func TestAddTripleValidation(t *testing.T) {
 	g := New()
-	if _, err := g.AddTriple(Triple{Subject: "ghost", Predicate: "p", Object: "o"}); err == nil {
+	if _, err := g.AddTriple(Fact{Subject: "ghost", Predicate: "p", Object: "o"}); err == nil {
 		t.Fatal("unknown subject must be rejected")
 	}
 	g.AddEntity("X", "", "")
-	if _, err := g.AddTriple(Triple{Subject: "x", Predicate: "", Object: "o"}); err == nil {
+	if _, err := g.AddTriple(Fact{Subject: "x", Predicate: "", Object: "o"}); err == nil {
 		t.Fatal("empty predicate must be rejected")
 	}
 }
@@ -70,7 +70,7 @@ func TestObjectEntityLinking(t *testing.T) {
 	if len(ts) != 2 {
 		t.Fatalf("homologous key lookup = %d triples", len(ts))
 	}
-	if ts[0].ObjectEntity != CanonicalID("Michael Mann") {
+	if g.ObjectEntity(ts[0]) != CanonicalID("Michael Mann") {
 		t.Fatalf("object entity not linked: %+v", ts[0])
 	}
 	back := g.TriplesByObjectEntity(CanonicalID("Michael Mann"))
@@ -112,8 +112,8 @@ func TestRemoveTriple(t *testing.T) {
 			t.Fatalf("dangling id %s", tid)
 		}
 		found := false
-		for _, s := range g.TriplesBySubject(tr.Subject) {
-			if s.ID == tid {
+		for _, s := range g.TriplesBySubject(g.Subject(tr)) {
+			if s.ID() == tid {
 				found = true
 			}
 		}
@@ -127,7 +127,7 @@ func TestTwoHopPathSupportLiteralAgreement(t *testing.T) {
 	g := New()
 	g.AddEntity("F1", "Flight", "flights")
 	add := func(obj string) *Triple {
-		id, err := g.AddTriple(Triple{Subject: "f1", Predicate: "status", Object: obj})
+		id, err := g.AddTriple(Fact{Subject: "f1", Predicate: "status", Object: obj})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestTwoHopPathSupportLiteralAgreement(t *testing.T) {
 	add("on-time")
 	add("OnTime") // one token, "ontime": not a spelling of "on time"
 	lone := add("cancelled")
-	if !g.RemoveTriple(add("delayed").ID) {
+	if !g.RemoveTriple(add("delayed").ID()) {
 		t.Fatal("RemoveTriple failed")
 	}
 	// Seven live triples, six siblings each; the removed one is neither a
@@ -164,7 +164,7 @@ func TestTwoHopPathSupportAllocFree(t *testing.T) {
 	g.AddEntity("F1", "Flight", "flights")
 	var first *Triple
 	for i, obj := range []string{"Delayed", "delayed", "On Time", "on-time", "  DELAYED!", "Cancelled", "on time", "Boarding"} {
-		id, err := g.AddTriple(Triple{Subject: "f1", Predicate: "status", Object: obj})
+		id, err := g.AddTriple(Fact{Subject: "f1", Predicate: "status", Object: obj})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +214,7 @@ func TestIndexConsistencyProperty(t *testing.T) {
 		for _, op := range ops {
 			if op%3 != 0 || len(live) == 0 {
 				subj := fmt.Sprintf("e%d", op%5)
-				id, err := g.AddTriple(Triple{
+				id, err := g.AddTriple(Fact{
 					Subject:   subj,
 					Predicate: fmt.Sprintf("p%d", op%4),
 					Object:    fmt.Sprintf("v%d", op%7),
@@ -278,5 +278,42 @@ func TestAddEntityStoresExactCopies(t *testing.T) {
 	}
 	if again := g.AddEntity(file[4097:4102], "", ""); unsafe.StringData(again) != unsafe.StringData(e.ID) {
 		t.Fatal("re-adding an entity must return its stored ID")
+	}
+}
+
+// TestProvenancePairs: triples share one interned (domain, format) pair per
+// distinct pair, whatever bytes either string holds — pairs whose
+// concatenations are equal stay apart — and a clone's new pairs do not show in
+// its parent.
+func TestProvenancePairs(t *testing.T) {
+	g := New()
+	g.AddEntity("x", "", "")
+	pairs := [][2]string{{"ab", "c"}, {"a", "bc"}, {"1:a", "b"}, {"1:", "ab"}, {"ab", "c"}, {"", ""}, {"a\x00", "b"}, {"a", "\x00b"}}
+	add := func(g *Graph, p [2]string) *Triple {
+		id, err := g.AddTriple(Fact{Subject: "x", Predicate: "p", Object: "o", Domain: p[0], Format: p[1]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, _ := g.Triple(id)
+		return tr
+	}
+	var ts []*Triple
+	for _, p := range pairs {
+		ts = append(ts, add(g, p))
+	}
+	clone := g.Clone()
+	fresh := add(clone, [2]string{"new", "pair"})
+	for i, p := range pairs {
+		for _, gr := range []*Graph{g, clone} {
+			if d, f := gr.Domain(ts[i]), gr.Format(ts[i]); d != p[0] || f != p[1] {
+				t.Fatalf("triple %d reads (%q, %q), want (%q, %q)", i, d, f, p[0], p[1])
+			}
+		}
+	}
+	if ts[0].prov != ts[4].prov || g.provs.len() != len(pairs)-1 {
+		t.Fatalf("%d pairs interned for %d distinct", g.provs.len(), len(pairs)-1)
+	}
+	if clone.Domain(fresh) != "new" || g.provs.len() != len(pairs)-1 {
+		t.Fatal("a clone's new pair must not show in its parent")
 	}
 }

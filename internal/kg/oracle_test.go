@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -12,11 +13,31 @@ import (
 // against the string-keyed map implementation it replaced: refGraph below is
 // the seed implementation (maps of strings, deep Clone), and the property
 // tests drive both through identical operation scripts — including
-// interleaved clones and removals — comparing every public observable.
+// interleaved clones and removals — comparing every public observable. The
+// reference stores every field of a triple, its ID included; the core derives
+// the ID, subject, predicate and object entity from the handle, and
+// tripleView reads them back for the comparison.
+
+// refTriple is the reference's stored triple: the whole Fact and its ID.
+type refTriple struct {
+	ID string
+	Fact
+}
+
+func (t *refTriple) key() string { return t.Subject + "\x00" + t.Predicate }
+
+// tripleView reads a stored triple back in the reference's form, every
+// derived field through g.
+func tripleView(g *Graph, t *Triple) refTriple {
+	return refTriple{ID: t.ID(), Fact: Fact{
+		Subject: g.Subject(t), Predicate: g.Predicate(t), Object: t.Object, ObjectEntity: g.ObjectEntity(t),
+		Source: t.Source, Domain: g.Domain(t), Format: g.Format(t), ChunkID: t.ChunkID, Weight: t.Weight,
+	}}
+}
 
 type refGraph struct {
 	entities map[string]*Entity
-	triples  map[string]*Triple
+	triples  map[string]*refTriple
 
 	bySubject     map[string][]string
 	byObject      map[string][]string
@@ -27,7 +48,7 @@ type refGraph struct {
 func newRefGraph() *refGraph {
 	return &refGraph{
 		entities:  map[string]*Entity{},
-		triples:   map[string]*Triple{},
+		triples:   map[string]*refTriple{},
 		bySubject: map[string][]string{},
 		byObject:  map[string][]string{},
 		byKey:     map[string][]string{},
@@ -52,7 +73,8 @@ func (g *refGraph) addEntity(name, typ, domain string) string {
 	return id
 }
 
-func (g *refGraph) addTriple(t Triple) (string, error) {
+func (g *refGraph) addTriple(f Fact) (string, error) {
+	t := refTriple{Fact: f}
 	if _, ok := g.entities[t.Subject]; !ok {
 		return "", fmt.Errorf("ref: unknown subject entity %q", t.Subject)
 	}
@@ -74,7 +96,7 @@ func (g *refGraph) addTriple(t Triple) (string, error) {
 	tc := t
 	g.triples[tc.ID] = &tc
 	g.bySubject[tc.Subject] = append(g.bySubject[tc.Subject], tc.ID)
-	g.byKey[tc.Key()] = append(g.byKey[tc.Key()], tc.ID)
+	g.byKey[tc.key()] = append(g.byKey[tc.key()], tc.ID)
 	if tc.ObjectEntity != "" {
 		g.byObject[tc.ObjectEntity] = append(g.byObject[tc.ObjectEntity], tc.ID)
 	}
@@ -88,7 +110,7 @@ func (g *refGraph) removeTriple(id string) bool {
 	}
 	delete(g.triples, id)
 	g.bySubject[t.Subject] = removeID(g.bySubject[t.Subject], id)
-	g.byKey[t.Key()] = removeID(g.byKey[t.Key()], id)
+	g.byKey[t.key()] = removeID(g.byKey[t.key()], id)
 	if t.ObjectEntity != "" {
 		g.byObject[t.ObjectEntity] = removeID(g.byObject[t.ObjectEntity], id)
 	}
@@ -119,8 +141,8 @@ func (g *refGraph) clone() *refGraph {
 	return ng
 }
 
-func (g *refGraph) resolve(ids []string) []*Triple {
-	out := make([]*Triple, 0, len(ids))
+func (g *refGraph) resolve(ids []string) []*refTriple {
+	out := make([]*refTriple, 0, len(ids))
 	for _, id := range ids {
 		if t, ok := g.triples[id]; ok {
 			out = append(out, t)
@@ -181,9 +203,19 @@ func (g *refGraph) neighbors(entityID string) []string {
 	return out
 }
 
-// tripleValues projects a []*Triple to values for order-sensitive comparison.
-func tripleValues(ts []*Triple) []Triple {
-	out := make([]Triple, len(ts))
+// tripleValues projects a []*Triple of g to reference values for
+// order-sensitive comparison.
+func tripleValues(g *Graph, ts []*Triple) []refTriple {
+	out := make([]refTriple, len(ts))
+	for i, t := range ts {
+		out[i] = tripleView(g, t)
+	}
+	return out
+}
+
+// refValues is tripleValues for the reference's triples.
+func refValues(ts []*refTriple) []refTriple {
+	out := make([]refTriple, len(ts))
 	for i, t := range ts {
 		out[i] = *t
 	}
@@ -228,24 +260,27 @@ func requireSameObservables(t *testing.T, label string, g *Graph, r *refGraph) {
 		if got, want := g.Neighbors(id), r.neighbors(id); !reflect.DeepEqual(got, want) {
 			fail("Neighbors("+id+")", got, want)
 		}
-		if got, want := tripleValues(g.TriplesBySubject(id)), tripleValues(r.resolve(r.bySubject[id])); !reflect.DeepEqual(got, want) {
+		if got, want := tripleValues(g, g.TriplesBySubject(id)), refValues(r.resolve(r.bySubject[id])); !reflect.DeepEqual(got, want) {
 			fail("TriplesBySubject("+id+")", got, want)
 		}
-		if got, want := tripleValues(g.TriplesByObjectEntity(id)), tripleValues(r.resolve(r.byObject[id])); !reflect.DeepEqual(got, want) {
+		if got, want := tripleValues(g, g.TriplesByObjectEntity(id)), refValues(r.resolve(r.byObject[id])); !reflect.DeepEqual(got, want) {
 			fail("TriplesByObjectEntity("+id+")", got, want)
 		}
 	}
 	for _, id := range r.tripleIDs() {
 		rt := r.triples[id]
 		gt, ok := g.Triple(id)
-		if !ok || *gt != *rt {
+		if !ok || tripleView(g, gt) != *rt {
 			fail("Triple("+id+")", gt, rt)
 		}
-		if got, want := tripleValues(g.TriplesByKey(rt.Subject, rt.Predicate)), tripleValues(r.resolve(r.byKey[rt.Key()])); !reflect.DeepEqual(got, want) {
-			fail("TriplesByKey("+rt.Key()+")", got, want)
+		if got, want := g.Key(gt), rt.key(); got != want {
+			fail("Key("+id+")", got, want)
 		}
-		if got, want := tripleValues(g.TriplesByRawKey(rt.Key())), tripleValues(r.resolve(r.byKey[rt.Key()])); !reflect.DeepEqual(got, want) {
-			fail("TriplesByRawKey("+rt.Key()+")", got, want)
+		if got, want := tripleValues(g, g.TriplesByKey(rt.Subject, rt.Predicate)), refValues(r.resolve(r.byKey[rt.key()])); !reflect.DeepEqual(got, want) {
+			fail("TriplesByKey("+rt.key()+")", got, want)
+		}
+		if got, want := tripleValues(g, g.TriplesByRawKey(rt.key())), refValues(r.resolve(r.byKey[rt.key()])); !reflect.DeepEqual(got, want) {
+			fail("TriplesByRawKey("+rt.key()+")", got, want)
 		}
 		if got, want := g.TwoHopPathSupport(gt), refTwoHop(r, rt); got != want {
 			fail("TwoHopPathSupport("+id+")", got, want)
@@ -268,7 +303,7 @@ func refStats(r *refGraph) Stats {
 }
 
 // refTwoHop is the seed TwoHopPathSupport over the reference structures.
-func refTwoHop(r *refGraph, t *Triple) float64 {
+func refTwoHop(r *refGraph, t *refTriple) float64 {
 	if t.ObjectEntity != "" {
 		neigh := r.neighbors(t.Subject)
 		if len(neigh) <= 1 {
@@ -286,7 +321,7 @@ func refTwoHop(r *refGraph, t *Triple) float64 {
 		}
 		return float64(hits) / float64(len(neigh)-1)
 	}
-	siblings := r.resolve(r.byKey[t.Key()])
+	siblings := r.resolve(r.byKey[t.key()])
 	if len(siblings) <= 1 {
 		return 0
 	}
@@ -334,12 +369,13 @@ func applyRandomOp(t *testing.T, rng *rand.Rand, g *Graph, r *refGraph, live *[]
 		if rng.Intn(3) == 0 {
 			obj = fmt.Sprintf("Entity %d", rng.Intn(oracleEntities)) // may link an entity
 		}
-		tr := Triple{
+		tr := Fact{
 			Subject:   subj,
 			Predicate: fmt.Sprintf("p%d", rng.Intn(4)),
 			Object:    obj,
 			Source:    fmt.Sprintf("src%d", rng.Intn(3)),
 			Domain:    fmt.Sprintf("d%d", rng.Intn(2)),
+			Format:    []string{"csv", "", "kg"}[rng.Intn(3)],
 			Weight:    float64(rng.Intn(5)) / 4, // exercises the 0→1 default
 		}
 		ga, ea := g.AddTriple(tr)
@@ -415,10 +451,10 @@ func TestInternedCoreMatchesReference(t *testing.T) {
 // non-canonical spellings are rejected rather than aliased.
 func TestTripleIDRoundTrip(t *testing.T) {
 	for _, n := range []int32{1, 2, 9, 10, 999, 999999, 1000000, 12345678} {
-		id := tripleIDString(n)
+		id := TripleID(n - 1)
 		want := fmt.Sprintf("t%06d", n)
 		if id != want {
-			t.Fatalf("tripleIDString(%d) = %q, want %q", n, id, want)
+			t.Fatalf("TripleID(%d) = %q, want %q", n-1, id, want)
 		}
 		h, ok := ParseTripleID(id)
 		if !ok || h != n-1 {
@@ -429,5 +465,35 @@ func TestTripleIDRoundTrip(t *testing.T) {
 		if _, ok := ParseTripleID(bad); ok {
 			t.Fatalf("ParseTripleID(%q) accepted a non-canonical ID", bad)
 		}
+	}
+}
+
+// TestCompareTripleIDs holds the handle comparison to the string comparison
+// of the IDs the handles stand for — on random pairs and on handles either
+// side of the point (999,999 → "t1000000") where string order stops being
+// numeric order — and requires it to allocate nothing.
+func TestCompareTripleIDs(t *testing.T) {
+	check := func(a, b int32) {
+		t.Helper()
+		if got, want := CompareTripleIDs(a, b), strings.Compare(TripleID(a), TripleID(b)); got != want {
+			t.Fatalf("CompareTripleIDs(%d, %d) = %d, comparing %s with %s gives %d",
+				a, b, got, TripleID(a), TripleID(b), want)
+		}
+	}
+	edges := []int32{0, 1, 8, 9, 99_998, 99_999, 999_997, 999_998, 999_999, 1_000_000, 1_000_001,
+		9_999_998, 9_999_999, 10_000_000, 1<<30 - 1}
+	for _, a := range edges {
+		for _, b := range edges {
+			check(a, b)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20_000; i++ {
+		check(rng.Int31n(2_000_000), rng.Int31n(2_000_000))
+		check(rng.Int31n(1<<30), rng.Int31n(1<<30))
+	}
+	var sink int
+	if n := testing.AllocsPerRun(100, func() { sink += CompareTripleIDs(999_999, 1_000_000) }); n != 0 {
+		t.Fatalf("CompareTripleIDs allocates %.0f objects per call, want 0", n)
 	}
 }

@@ -23,13 +23,16 @@ import (
 // triples costs a byte or two per field instead of the whole value. Decoding
 // reads them, and a triple's Object, through the decoder's intern table, so a
 // decoded graph holds one copy of each distinct value where the encoded
-// bytes hold one per row.
+// bytes hold one per row; a triple's domain and format are interned again as
+// the graph's (domain, format) pair.
 //
 // Derivable fields are not stored: a triple's ID comes from its handle, its
-// Subject from the subject entity handle and its Predicate from the predicate
-// handle. Posting lists and the degree histogram are rebuilt by replaying the
-// live appends in handle order, which reproduces insertion order exactly
-// (removal preserves relative order of the survivors).
+// subject from the subject entity handle and its predicate from the predicate
+// handle. Its object entity is written for the format's sake, as the linked
+// entity's ID, and decoding checks it against the object handle. Posting
+// lists and the degree histogram are rebuilt by replaying the live appends in
+// handle order, which reproduces insertion order exactly (removal preserves
+// relative order of the survivors).
 
 // EncodeTo serializes the graph into e.
 func (g *Graph) EncodeTo(e *wal.Encoder) {
@@ -45,21 +48,20 @@ func (g *Graph) EncodeTo(e *wal.Encoder) {
 	e.Int(g.preds.len())
 	g.preds.forEach(func(_ int32, p string) { e.String(p) })
 	e.Int(g.trs.len())
-	prev := &Triple{}
+	var prev [5]string // the previous live triple's object entity, source, domain, format and chunk
 	g.trs.forEach(func(h int32, t *Triple) {
 		e.Bool(t != nil)
 		e.Int(int(g.tSubj.get(h)))
 		e.Int32(g.tObj.get(h))
 		e.Int(int(g.tPred.get(h)))
 		if t != nil {
+			row := [5]string{g.ObjectEntity(t), t.Source, g.Domain(t), g.Format(t), t.ChunkID}
 			e.String(t.Object)
-			e.Front(prev.ObjectEntity, t.ObjectEntity)
-			e.Front(prev.Source, t.Source)
-			e.Front(prev.Domain, t.Domain)
-			e.Front(prev.Format, t.Format)
-			e.Front(prev.ChunkID, t.ChunkID)
+			for i := range row {
+				e.Front(prev[i], row[i])
+			}
 			e.F64(t.Weight)
-			prev = t
+			prev = row
 		}
 	})
 }
@@ -86,7 +88,7 @@ func DecodeGraph(d *wal.Decoder) (*Graph, error) {
 		g.predLookup.put(p, h)
 	}
 	slots := d.Int()
-	prev := &Triple{}
+	var prev [5]string // as in EncodeTo
 	for i := 0; i < slots && d.Err() == nil; i++ {
 		live := d.Bool()
 		subjH := int32(d.Int())
@@ -106,37 +108,26 @@ func DecodeGraph(d *wal.Decoder) (*Graph, error) {
 			g.tPred.append(predH)
 			continue
 		}
-		t := &Triple{
-			ID:           tripleIDString(int32(i + 1)),
-			Subject:      g.ents.get(subjH).ID,
-			Predicate:    g.preds.get(predH),
-			Object:       d.Interned(),
-			ObjectEntity: d.Front(prev.ObjectEntity),
-			Source:       d.Front(prev.Source),
-			Domain:       d.Front(prev.Domain),
-			Format:       d.Front(prev.Format),
-			ChunkID:      d.Front(prev.ChunkID),
-			Weight:       d.F64(),
+		object := d.Interned()
+		var row [5]string
+		for j := range row {
+			row[j] = d.Front(prev[j])
 		}
-		prev = t
-		h := g.trs.append(t)
-		g.tSubj.append(subjH)
-		g.tObj.append(objH)
-		g.tPred.append(predH)
-		g.bySubject.appendTo(subjH, h)
-		g.byKey.appendTo(packKey(subjH, predH), h)
+		weight := d.F64()
+		if d.Err() != nil {
+			break
+		}
+		want := ""
 		if objH >= 0 {
-			g.byObject.appendTo(objH, h)
+			want = g.ents.get(objH).ID
 		}
-		g.liveTriples++
-		if objH >= 0 && objH != subjH {
-			g.bumpDegree(g.degreeH(subjH)-1, g.degreeH(subjH))
-			g.bumpDegree(g.degreeH(objH)-1, g.degreeH(objH))
-		} else if objH == subjH {
-			g.bumpDegree(g.degreeH(subjH)-2, g.degreeH(subjH))
-		} else {
-			g.bumpDegree(g.degreeH(subjH)-1, g.degreeH(subjH))
+		if row[0] != want {
+			return nil, fmt.Errorf("kg: decode: triple slot %d names object entity %q, its object handle is %d", i, row[0], objH)
 		}
+		prev = row
+		h := int32(i)
+		g.trs.append(&Triple{Object: object, Source: row[1], ChunkID: row[4], Weight: weight, h: h, prov: g.internProv(row[2], row[3])})
+		g.link(h, subjH, objH, predH)
 	}
 	if err := d.Err(); err != nil {
 		return nil, err

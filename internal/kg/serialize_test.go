@@ -32,7 +32,7 @@ func buildRandomGraph(tb testing.TB, rng *rand.Rand, n int, withRemovals bool) *
 		if rng.Intn(2) == 0 {
 			obj = fmt.Sprintf("ent%d", rng.Intn(12))
 		}
-		id, err := g.AddTriple(Triple{
+		id, err := g.AddTriple(Fact{
 			Subject:   CanonicalID(fmt.Sprintf("ent%d", rng.Intn(12))),
 			Predicate: fmt.Sprintf("p%d", rng.Intn(5)),
 			Object:    obj,
@@ -103,21 +103,22 @@ func requireGraphsEqual(t *testing.T, got, want *Graph) {
 		if g, w := got.Neighbors(id), want.Neighbors(id); !reflect.DeepEqual(g, w) {
 			fail("Neighbors("+id+")", g, w)
 		}
-		if g, w := got.TriplesBySubject(id), want.TriplesBySubject(id); !reflect.DeepEqual(g, w) {
+		if g, w := tripleValues(got, got.TriplesBySubject(id)), tripleValues(want, want.TriplesBySubject(id)); !reflect.DeepEqual(g, w) {
 			fail("TriplesBySubject("+id+")", g, w)
 		}
-		if g, w := got.TriplesByObjectEntity(id), want.TriplesByObjectEntity(id); !reflect.DeepEqual(g, w) {
+		if g, w := tripleValues(got, got.TriplesByObjectEntity(id)), tripleValues(want, want.TriplesByObjectEntity(id)); !reflect.DeepEqual(g, w) {
 			fail("TriplesByObjectEntity("+id+")", g, w)
 		}
 	}
 	for _, id := range want.TripleIDs() {
 		wt, _ := want.Triple(id)
 		gt, ok := got.Triple(id)
-		if !ok || *gt != *wt {
+		if !ok || tripleView(got, gt) != tripleView(want, wt) {
 			fail("Triple("+id+")", gt, wt)
 		}
-		if g, w := got.TriplesByRawKey(wt.Key()), want.TriplesByRawKey(wt.Key()); !reflect.DeepEqual(g, w) {
-			fail("TriplesByRawKey("+wt.Key()+")", g, w)
+		key := want.Key(wt)
+		if g, w := tripleValues(got, got.TriplesByRawKey(key)), tripleValues(want, want.TriplesByRawKey(key)); !reflect.DeepEqual(g, w) {
+			fail("TriplesByRawKey("+key+")", g, w)
 		}
 	}
 }
@@ -153,11 +154,11 @@ func TestGraphSerializeRoundTrip(t *testing.T) {
 			}
 			// Handle continuity: the next triple inserted on either side gets
 			// the same ID (tombstoned slots are preserved, never compacted).
-			idW, err := g.AddTriple(Triple{Subject: CanonicalID("ent0"), Predicate: "pnew", Object: "x"})
+			idW, err := g.AddTriple(Fact{Subject: CanonicalID("ent0"), Predicate: "pnew", Object: "x"})
 			if err != nil {
 				t.Fatal(err)
 			}
-			idG, err := got.AddTriple(Triple{Subject: CanonicalID("ent0"), Predicate: "pnew", Object: "x"})
+			idG, err := got.AddTriple(Fact{Subject: CanonicalID("ent0"), Predicate: "pnew", Object: "x"})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,15 +13,8 @@ import "multirag/internal/textutil"
 // ID), so the literal case allocates nothing: MCC calls this once per member
 // of a group, and a per-sibling allocation makes a group cost O(members²).
 func (g *Graph) TwoHopPathSupport(t *Triple) float64 {
-	if t.ObjectEntity != "" {
-		subjH, ok := g.entLookup.get(t.Subject)
-		if !ok {
-			return 0
-		}
-		objH, ok := g.entLookup.get(t.ObjectEntity)
-		if !ok {
-			return 0
-		}
+	subjH := g.tSubj.get(t.h)
+	if objH := g.tObj.get(t.h); objH >= 0 {
 		neigh := g.neighborHandles(subjH)
 		if len(neigh) <= 1 {
 			return 0
@@ -46,13 +39,13 @@ func (g *Graph) TwoHopPathSupport(t *Triple) float64 {
 		}
 		return float64(hits) / float64(len(neigh)-1)
 	}
-	siblings := g.keyPosting(t.Subject, t.Predicate)
+	siblings := g.KeyPosting(subjH, g.tPred.get(t.h))
 	if len(siblings) <= 1 {
 		return 0
 	}
 	agree := 0
 	for _, h := range siblings {
-		if s := g.trs.get(h); s.ID != t.ID && textutil.SameNormalized(s.Object, t.Object) {
+		if h != t.h && textutil.SameNormalized(g.trs.get(h).Object, t.Object) {
 			agree++
 		}
 	}
@@ -78,8 +71,8 @@ func (g *Graph) ComputeStats() Stats {
 		if t.Source != "" {
 			sources[t.Source] = true
 		}
-		if t.Domain != "" {
-			domains[t.Domain] = true
+		if d := g.Domain(t); d != "" {
+			domains[d] = true
 		}
 	})
 	return Stats{

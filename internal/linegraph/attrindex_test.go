@@ -34,7 +34,7 @@ func TestNestedCandidatesMatchScan(t *testing.T) {
 	add := func(subj, pred, obj, src string) {
 		t.Helper()
 		g.AddEntity(subj, "Entity", "t")
-		if _, err := g.AddTriple(kg.Triple{
+		if _, err := g.AddTriple(kg.Fact{
 			Subject: kg.CanonicalID(subj), Predicate: pred, Object: obj, Source: src, Weight: 1,
 		}); err != nil {
 			t.Fatal(err)
@@ -87,7 +87,7 @@ func TestNestedCandidatesAcrossDeltaGenerations(t *testing.T) {
 		for i := 0; i < n; i++ {
 			subj := subjects[rng.Intn(len(subjects))]
 			g.AddEntity(subj, "Entity", "t")
-			id, err := g.AddTriple(kg.Triple{
+			id, err := g.AddTriple(kg.Fact{
 				Subject: kg.CanonicalID(subj), Predicate: rels[rng.Intn(len(rels))],
 				Object: fmt.Sprintf("v%d", rng.Intn(3)), Source: fmt.Sprintf("s%d", rng.Intn(4)), Weight: 1,
 			})
@@ -187,10 +187,11 @@ func TestNestedCandidatesMatchIndexOracle(t *testing.T) {
 		oracle := indexNested(sg)
 		relations := map[string]bool{}
 		g.ForEachTriple(func(_ int32, tr *kg.Triple) {
-			relations[tr.Predicate] = true
-			for i, c := range tr.Predicate {
+			pred := g.Predicate(tr)
+			relations[pred] = true
+			for i, c := range pred {
 				if c == '_' {
-					relations[tr.Predicate[:i]] = true
+					relations[pred[:i]] = true
 				}
 			}
 		})

@@ -13,9 +13,8 @@ import (
 // immutable once published — so the cost of one call is O(|delta|): the two
 // key indexes are copy-on-write overlays whose clone copies only the tail of
 // keys recent deltas touched (amortised by flattening, see overlay.go), and
-// the sorted isolated-point list is no longer rebuilt and re-sorted per
-// batch — it materialises lazily on the first IsolatedIDs call (see SG).
-// Repeated ingestion therefore costs O(n) total line-graph work rather than
+// no sorted isolated-point list is kept to rebuild per batch (IsolatedIDs
+// builds one on demand). Repeated ingestion therefore costs O(n) total line-graph work rather than
 // the O(n²) of rebuilding from scratch each batch, and prev stays fully
 // usable by concurrent readers.
 //
@@ -35,7 +34,7 @@ func BuildDelta(prev *SG, g *kg.Graph, newTripleIDs []string) *SG {
 	affected := map[string]bool{}
 	for _, id := range newTripleIDs {
 		if t, ok := g.Triple(id); ok {
-			affected[t.Key()] = true
+			affected[g.Key(t)] = true
 		}
 	}
 	for key := range affected {
@@ -47,9 +46,9 @@ func BuildDelta(prev *SG, g *kg.Graph, newTripleIDs []string) *SG {
 			// Key vanished (cannot happen for a pure-addition delta; kept for
 			// robustness).
 		case len(members) == 1:
-			sg.isoIndex.put(key, members[0].ID)
+			sg.isoIndex.put(key, members[0].Handle()+1)
 		default:
-			sg.putNode(key, newHomologousNode(key, members))
+			sg.putNode(key, newHomologousNode(g, key, members))
 		}
 	}
 	return sg

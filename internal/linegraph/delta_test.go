@@ -21,7 +21,7 @@ func addRandomBatch(t *testing.T, g *kg.Graph, rng *rand.Rand, n int) []string {
 		obj := fmt.Sprintf("value-%d", rng.Intn(4))
 		src := fmt.Sprintf("src-%d", rng.Intn(3))
 		g.AddEntity(subj, "Entity", "test")
-		id, err := g.AddTriple(kg.Triple{
+		id, err := g.AddTriple(kg.Fact{
 			Subject:   kg.CanonicalID(subj),
 			Predicate: pred,
 			Object:    obj,
@@ -100,7 +100,7 @@ func TestBuildDeltaMatchesScratch(t *testing.T) {
 func TestBuildDeltaPromotesIsolated(t *testing.T) {
 	g := kg.New()
 	g.AddEntity("CA981", "Flight", "flights")
-	id1, err := g.AddTriple(kg.Triple{
+	id1, err := g.AddTriple(kg.Fact{
 		Subject: kg.CanonicalID("CA981"), Predicate: "status", Object: "Delayed",
 		Source: "airline", Weight: 0.9,
 	})
@@ -111,7 +111,7 @@ func TestBuildDeltaPromotesIsolated(t *testing.T) {
 	if _, ok := sg.LookupIsolated(kg.CanonicalID("CA981"), "status"); !ok {
 		t.Fatal("single claim must start isolated")
 	}
-	id2, err := g.AddTriple(kg.Triple{
+	id2, err := g.AddTriple(kg.Fact{
 		Subject: kg.CanonicalID("CA981"), Predicate: "status", Object: "Delayed",
 		Source: "airport", Weight: 0.8,
 	})
@@ -140,7 +140,7 @@ func TestBuildDeltaSharesUntouchedNodes(t *testing.T) {
 	g := graphWithConflicts(t)
 	prev := Build(g)
 	untouched, _ := prev.Node(kg.CanonicalID("Heat") + "\x00" + "year")
-	id, err := g.AddTriple(kg.Triple{
+	id, err := g.AddTriple(kg.Fact{
 		Subject: kg.CanonicalID("CA981"), Predicate: "status", Object: "Delayed",
 		Source: "radar", Weight: 0.7,
 	})

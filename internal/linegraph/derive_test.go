@@ -47,10 +47,10 @@ func requireSGEqual(t *testing.T, got, want *SG) {
 		if gn.Key != wn.Key || gn.SubjectID != wn.SubjectID || gn.Name != wn.Name || gn.Num != wn.Num {
 			t.Fatalf("node %q header diverges: got %+v want %+v", key, gn, wn)
 		}
-		if !reflect.DeepEqual(gn.Members, wn.Members) {
-			t.Fatalf("node %q members diverge: got %v want %v", key, gn.Members, wn.Members)
+		if g, w := memberIDs(gn), memberIDs(wn); !reflect.DeepEqual(g, w) {
+			t.Fatalf("node %q members diverge: got %v want %v", key, g, w)
 		}
-		if !reflect.DeepEqual(gn.Sources, wn.Sources) {
+		if !reflect.DeepEqual(memberSources(got, gn), memberSources(want, wn)) {
 			t.Fatalf("node %q sources diverge", key)
 		}
 		if !reflect.DeepEqual(got.MemberTriples(gn), want.MemberTriples(wn)) {
@@ -95,7 +95,7 @@ func TestSGSerializeAfterDelta(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		var ids []string
 		for j := 0; j < 3; j++ {
-			id, err := g.AddTriple(kg.Triple{Subject: []string{"a", "b"}[j%2], Predicate: "p", Object: "v", Source: "s"})
+			id, err := g.AddTriple(kg.Fact{Subject: []string{"a", "b"}[j%2], Predicate: "p", Object: "v", Source: "s"})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,7 +12,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"multirag/internal/kg"
@@ -21,9 +20,10 @@ import (
 // HomologousNode is the homologous centre node snode = {name, meta, num,
 // C(v)} of Definition 4, plus the member triples U_snode. A node keeps only
 // what it cannot derive from its members: the association-edge weights
-// E_snode = {wᵢ} are the member triples' own Weight fields (MemberTriples),
-// not a copy. One homologous node aggregates every claim the corpus makes
-// about a single (subject, predicate) key.
+// E_snode = {wᵢ} are the member triples' own Weight fields, and their IDs and
+// sources are the triples' own too (MemberTriples), not copies. One
+// homologous node aggregates every claim the corpus makes about a single
+// (subject, predicate) key.
 type HomologousNode struct {
 	// Key is the (subject, predicate) key shared by all member triples.
 	Key string
@@ -33,13 +33,9 @@ type HomologousNode struct {
 	Name      string
 	// Num is the number of homologous data instances (num in Def. 4).
 	Num int
-	// Members lists the member triple IDs, sorted.
-	Members []string
-	// Sources lists the distinct sources contributing members, sorted.
-	Sources []string
 
-	// members holds the interned triple handles parallel to Members, so
-	// member resolution is an array index instead of a map lookup.
+	// members holds the member triples' handles in the order of their IDs
+	// (kg.CompareTripleIDs), so member resolution is an array index.
 	members []int32
 }
 
@@ -55,8 +51,10 @@ type HomologousNode struct {
 // copies O(|delta|) entries per batch instead of the whole corpus's key
 // space. Access goes through Lookup/Node/ForEachNode/NumNodes.
 type SG struct {
-	nodes    overlay[*HomologousNode]
-	isoIndex overlay[string]
+	nodes overlay[*HomologousNode]
+	// isoIndex maps an isolated triple's key to its handle plus one, so the
+	// overlay's zero-value tombstone never names handle 0.
+	isoIndex overlay[int32]
 	graph    *kg.Graph
 
 	// memberTotal and maxGroup carry the aggregate member statistics
@@ -68,13 +66,6 @@ type SG struct {
 	// mutation goes through a full Build, which recomputes it from scratch.
 	memberTotal int
 	maxGroup    int
-
-	// isolated is the sorted isolated-triple ID list, materialised lazily on
-	// first IsolatedIDs call (most snapshots never need it; BuildDelta used
-	// to re-sort it on every batch). sync.Once keeps the fill race-free for
-	// concurrent readers of a published snapshot.
-	isoOnce  sync.Once
-	isolated []string
 
 	// nodeScans counts homologous nodes visited through ForEachNode — the
 	// instrumentation hook behind the "no full scan on the query hot path"
@@ -103,7 +94,7 @@ func Build(g *kg.Graph) *SG {
 			if t == nil {
 				return
 			}
-			sg.isoIndex.put(t.Key(), t.ID)
+			sg.isoIndex.put(g.Key(t), t.Handle()+1)
 		default:
 			members := make([]*kg.Triple, 0, len(posting))
 			for _, h := range posting {
@@ -114,10 +105,10 @@ func Build(g *kg.Graph) *SG {
 			switch len(members) {
 			case 0:
 			case 1:
-				sg.isoIndex.put(members[0].Key(), members[0].ID)
+				sg.isoIndex.put(g.Key(members[0]), members[0].Handle()+1)
 			default:
-				key := members[0].Key()
-				sg.putNode(key, newHomologousNode(key, members))
+				key := g.Key(members[0])
+				sg.putNode(key, newHomologousNode(g, key, members))
 			}
 		}
 	})
@@ -147,29 +138,21 @@ func (sg *SG) delNode(key string) {
 // newHomologousNode assembles the homologous centre node for one key group
 // (≥2 members). Both the full Build and the incremental BuildDelta construct
 // nodes through here, so delta-maintained and from-scratch SGs are
-// structurally identical. It makes the same four allocations whatever the
-// group's size: the node and its three slices, each sized once.
-func newHomologousNode(key string, members []*kg.Triple) *HomologousNode {
-	n := len(members)
+// structurally identical. It makes the same two allocations whatever the
+// group's size: the node and its handle slice. SubjectID and Name are the
+// graph's own stored strings.
+func newHomologousNode(g *kg.Graph, key string, members []*kg.Triple) *HomologousNode {
 	node := &HomologousNode{
 		Key:       key,
-		SubjectID: members[0].Subject,
-		Name:      members[0].Predicate,
-		Num:       n,
-		Members:   make([]string, n),
-		Sources:   make([]string, n),
-		members:   make([]int32, n),
+		SubjectID: g.Subject(members[0]),
+		Name:      g.Predicate(members[0]),
+		Num:       len(members),
+		members:   make([]int32, len(members)),
 	}
 	for i, t := range members {
-		node.Members[i] = t.ID
-		node.Sources[i] = t.Source
+		node.members[i] = t.Handle()
 	}
-	sort.Strings(node.Members)
-	for i, id := range node.Members {
-		node.members[i], _ = kg.ParseTripleID(id)
-	}
-	sort.Strings(node.Sources)
-	node.Sources = slices.Compact(node.Sources)
+	slices.SortFunc(node.members, kg.CompareTripleIDs)
 	return node
 }
 
@@ -181,7 +164,7 @@ func (sg *SG) Lookup(subjectID, predicate string) (*HomologousNode, bool) {
 	return sg.nodes.get(subjectID + "\x00" + predicate)
 }
 
-// Node returns the homologous node for a precomputed Triple.Key() value.
+// Node returns the homologous node for a precomputed Graph.Key value.
 func (sg *SG) Node(key string) (*HomologousNode, bool) { return sg.nodes.get(key) }
 
 // NumNodes returns the number of homologous nodes (keys with ≥2 members).
@@ -233,43 +216,35 @@ func (sg *SG) NestedCandidates(subjectID, relation string) []*HomologousNode {
 // LookupIsolated returns the isolated triple for (subject, predicate), if the
 // key exists but has a single member.
 func (sg *SG) LookupIsolated(subjectID, predicate string) (*kg.Triple, bool) {
-	id, ok := sg.isoIndex.get(subjectID + "\x00" + predicate)
+	h, ok := sg.isoIndex.get(subjectID + "\x00" + predicate)
 	if !ok {
 		return nil, false
 	}
-	return sg.graph.Triple(id)
+	t := sg.graph.TripleAt(h - 1)
+	return t, t != nil
 }
 
 // IsolatedIDs returns the IDs of triples whose key has a single member,
-// sorted. The list is materialised on first call and cached; the cache fill
-// is synchronised, so concurrent readers of a published SG are safe.
+// sorted. It builds the list on each call; nothing on the query or ingest
+// path needs it.
 func (sg *SG) IsolatedIDs() []string {
-	sg.isoOnce.Do(func() {
-		sg.isolated = make([]string, 0, sg.isoIndex.n)
-		sg.isoIndex.forEach(func(_, id string) {
-			sg.isolated = append(sg.isolated, id)
-		})
-		sort.Strings(sg.isolated)
-	})
-	return sg.isolated
+	hs := make([]int32, 0, sg.isoIndex.n)
+	sg.isoIndex.forEach(func(_ string, h int32) { hs = append(hs, h-1) })
+	slices.SortFunc(hs, kg.CompareTripleIDs)
+	ids := make([]string, len(hs))
+	for i, h := range hs {
+		ids[i] = kg.TripleID(h)
+	}
+	return ids
 }
 
-// MemberTriples resolves a homologous node's member IDs to triples, in
-// member order. For nodes built by this package the resolution is an
-// array-indexed handle load per member; Members strings are only parsed as a
-// fallback for hand-constructed nodes.
+// MemberTriples resolves a homologous node's members to the triples still
+// live in the graph, in the order of their IDs: an array-indexed handle load
+// per member.
 func (sg *SG) MemberTriples(n *HomologousNode) []*kg.Triple {
-	out := make([]*kg.Triple, 0, len(n.Members))
-	if len(n.members) == len(n.Members) && len(n.members) > 0 {
-		for _, h := range n.members {
-			if t := sg.graph.TripleAt(h); t != nil {
-				out = append(out, t)
-			}
-		}
-		return out
-	}
-	for _, id := range n.Members {
-		if t, ok := sg.graph.Triple(id); ok {
+	out := make([]*kg.Triple, 0, len(n.members))
+	for _, h := range n.members {
+		if t := sg.graph.TripleAt(h); t != nil {
 			out = append(out, t)
 		}
 	}

@@ -15,7 +15,7 @@ func graphWithConflicts(t *testing.T) *kg.Graph {
 	g.AddEntity("Heat", "Movie", "movies")
 	add := func(subj, pred, obj, src string, w float64) {
 		t.Helper()
-		if _, err := g.AddTriple(kg.Triple{
+		if _, err := g.AddTriple(kg.Fact{
 			Subject: kg.CanonicalID(subj), Predicate: pred, Object: obj,
 			Source: src, Weight: w,
 		}); err != nil {
@@ -45,31 +45,31 @@ func TestBuildHomologousGroups(t *testing.T) {
 	if !ok {
 		t.Fatal("CA981 status group missing")
 	}
-	if node.Num != 4 || len(node.Members) != 4 {
+	if node.Num != 4 || len(memberIDs(node)) != 4 {
 		t.Fatalf("group size = %d", node.Num)
 	}
-	if len(node.Sources) != 4 {
-		t.Fatalf("sources = %v", node.Sources)
+	if srcs := memberSources(sg, node); len(srcs) != 4 {
+		t.Fatalf("sources = %v", srcs)
 	}
 	if node.Name != "status" || node.SubjectID != kg.CanonicalID("CA981") {
 		t.Fatalf("key decomposition wrong: %+v", node)
 	}
 	for _, m := range sg.MemberTriples(node) {
 		if m.Weight <= 0 {
-			t.Fatalf("member %s has no weight", m.ID)
+			t.Fatalf("member %s has no weight", m.ID())
 		}
 	}
 }
 
 // TestNewHomologousNodeAllocs: a node costs the same number of allocations
 // whatever its group's size — no per-node map whose buckets grow with the
-// members, no set to deduplicate sources, no slice grown by append.
+// members, no per-member string, no slice grown by append.
 func TestNewHomologousNodeAllocs(t *testing.T) {
 	g := kg.New()
 	g.AddEntity("e", "T", "d")
 	var members []*kg.Triple
 	for i := 0; i < 32; i++ {
-		id, err := g.AddTriple(kg.Triple{Subject: "e", Predicate: "p", Object: fmt.Sprint(i % 3),
+		id, err := g.AddTriple(kg.Fact{Subject: "e", Predicate: "p", Object: fmt.Sprint(i % 3),
 			Source: fmt.Sprintf("s%d", i%5), Weight: 0.5})
 		if err != nil {
 			t.Fatal(err)
@@ -77,16 +77,17 @@ func TestNewHomologousNodeAllocs(t *testing.T) {
 		tr, _ := g.Triple(id)
 		members = append(members, tr)
 	}
-	key := members[0].Key()
+	key := g.Key(members[0])
 	allocs := map[int]float64{}
 	for _, n := range []int{2, 8, 32} {
-		allocs[n] = testing.AllocsPerRun(50, func() { newHomologousNode(key, members[:n]) })
+		allocs[n] = testing.AllocsPerRun(50, func() { newHomologousNode(g, key, members[:n]) })
 	}
 	if allocs[2] != allocs[8] || allocs[8] != allocs[32] {
 		t.Fatalf("allocations per node by member count %v, want the same for every size", allocs)
 	}
-	if n := newHomologousNode(key, members); len(n.Sources) != 5 || n.Num != 32 {
-		t.Fatalf("node of 32 members from 5 sources: Num %d, Sources %v", n.Num, n.Sources)
+	sg := &SG{graph: g}
+	if n := newHomologousNode(g, key, members); len(memberSources(sg, n)) != 5 || n.Num != 32 {
+		t.Fatalf("node of 32 members from 5 sources: Num %d, Sources %v", n.Num, memberSources(sg, n))
 	}
 }
 
@@ -135,7 +136,7 @@ func TestPartitionProperty(t *testing.T) {
 			g.AddEntity(fmt.Sprintf("e%d", i), "", "")
 		}
 		for i, a := range assign {
-			_, err := g.AddTriple(kg.Triple{
+			_, err := g.AddTriple(kg.Fact{
 				Subject:   fmt.Sprintf("e%d", a%4),
 				Predicate: fmt.Sprintf("p%d", (a/4)%3),
 				Object:    fmt.Sprintf("v%d", i),
@@ -155,11 +156,11 @@ func TestPartitionProperty(t *testing.T) {
 		}
 		okNodes := true
 		sg.ForEachNode(func(_ string, n *HomologousNode) {
-			if n.Num < 2 || n.Num != len(n.Members) {
+			if n.Num < 2 || n.Num != len(memberIDs(n)) {
 				okNodes = false
 			}
 			total += n.Num
-			for _, id := range n.Members {
+			for _, id := range memberIDs(n) {
 				if seen[id] {
 					okNodes = false
 				}

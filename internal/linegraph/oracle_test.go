@@ -4,36 +4,66 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"multirag/internal/kg"
 )
 
+// refNode is the seed's homologous node, which stored its members' IDs and
+// its distinct sources.
+type refNode struct {
+	Key, SubjectID, Name string
+	Num                  int
+	Members, Sources     []string
+}
+
+// memberIDs derives the seed's Members field from a node: its member
+// handles' IDs, in member order.
+func memberIDs(n *HomologousNode) []string {
+	ids := make([]string, len(n.members))
+	for i, h := range n.members {
+		ids[i] = kg.TripleID(h)
+	}
+	return ids
+}
+
+// memberSources derives the seed's Sources field from a node: the distinct
+// sources of its live member triples, sorted.
+func memberSources(sg *SG, n *HomologousNode) []string {
+	var srcs []string
+	for _, t := range sg.MemberTriples(n) {
+		srcs = append(srcs, t.Source)
+	}
+	sort.Strings(srcs)
+	return slices.Compact(srcs)
+}
+
 // refBuild is the seed homologous matching: group live triples by key with a
 // fresh hash map. It returns the expected node/isolated partition as plain
 // data for field-by-field comparison.
-func refBuild(g *kg.Graph) (nodes map[string]*HomologousNode, isolated []string) {
-	nodes = map[string]*HomologousNode{}
+func refBuild(g *kg.Graph) (nodes map[string]*refNode, isolated []string) {
+	nodes = map[string]*refNode{}
 	groups := map[string][]*kg.Triple{}
 	for _, id := range g.TripleIDs() {
 		t, _ := g.Triple(id)
-		groups[t.Key()] = append(groups[t.Key()], t)
+		groups[g.Key(t)] = append(groups[g.Key(t)], t)
 	}
 	for key, members := range groups {
 		if len(members) < 2 {
-			isolated = append(isolated, members[0].ID)
+			isolated = append(isolated, members[0].ID())
 			continue
 		}
-		n := &HomologousNode{
+		n := &refNode{
 			Key:       key,
-			SubjectID: members[0].Subject,
-			Name:      members[0].Predicate,
+			SubjectID: g.Subject(members[0]),
+			Name:      g.Predicate(members[0]),
 			Num:       len(members),
 		}
 		srcSet := map[string]bool{}
 		for _, t := range members {
-			n.Members = append(n.Members, t.ID)
+			n.Members = append(n.Members, t.ID())
 			srcSet[t.Source] = true
 		}
 		sort.Strings(n.Members)
@@ -62,7 +92,7 @@ func randomLinkedGraph(tb testing.TB, rng *rand.Rand, n int, withRemovals bool) 
 		if rng.Intn(2) == 0 {
 			obj = fmt.Sprintf("e%d", rng.Intn(10)) // entity link, maybe subj==obj
 		}
-		id, err := g.AddTriple(kg.Triple{
+		id, err := g.AddTriple(kg.Fact{
 			Subject:   subj,
 			Predicate: fmt.Sprintf("p%d", rng.Intn(4)),
 			Object:    obj,
@@ -108,18 +138,19 @@ func TestBuildMatchesReference(t *testing.T) {
 				}
 				if got.Key != want.Key || got.SubjectID != want.SubjectID ||
 					got.Name != want.Name || got.Num != want.Num ||
-					!reflect.DeepEqual(got.Members, want.Members) ||
-					!reflect.DeepEqual(got.Sources, want.Sources) {
-					t.Fatalf("node %q diverges:\n got  %+v\n want %+v", key, got, want)
+					!reflect.DeepEqual(memberIDs(got), want.Members) ||
+					!reflect.DeepEqual(memberSources(sg, got), want.Sources) {
+					t.Fatalf("node %q diverges:\n got  %+v (members %v, sources %v)\n want %+v",
+						key, got, memberIDs(got), memberSources(sg, got), want)
 				}
 				// Member handle resolution must agree with string resolution.
 				ts := sg.MemberTriples(got)
-				if len(ts) != len(got.Members) {
-					t.Fatalf("MemberTriples(%q) = %d triples, want %d", key, len(ts), len(got.Members))
+				if len(ts) != len(want.Members) {
+					t.Fatalf("MemberTriples(%q) = %d triples, want %d", key, len(ts), len(want.Members))
 				}
 				for i, tr := range ts {
-					if tr.ID != got.Members[i] {
-						t.Fatalf("member %d of %q resolves to %s, want %s", i, key, tr.ID, got.Members[i])
+					if tr.ID() != want.Members[i] {
+						t.Fatalf("member %d of %q resolves to %s, want %s", i, key, tr.ID(), want.Members[i])
 					}
 				}
 			}

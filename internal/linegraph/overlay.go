@@ -3,7 +3,7 @@ package linegraph
 import "maps"
 
 // overlay is the copy-on-write map backing SG's two key indexes (key →
-// homologous node, key → isolated triple ID). The pattern mirrors the
+// homologous node, key → isolated triple handle + 1). The pattern mirrors the
 // interner maps of the graph core (internal/kg/cowmap.go): lookups probe a
 // private tail before a frozen shared base; deleting a base key leaves a
 // tombstone (the value type's zero value) in the tail; cloning copies only
@@ -13,7 +13,7 @@ import "maps"
 // concurrent readers of published snapshots) share them safely.
 //
 // The zero value of V doubles as the tombstone, so live values must be
-// non-zero (non-nil nodes, non-empty IDs).
+// non-zero (non-nil nodes, handles stored plus one).
 type overlay[V comparable] struct {
 	base map[string]V
 	tail map[string]V

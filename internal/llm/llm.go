@@ -57,7 +57,7 @@ type Evidence struct {
 // judge a node's authority C_LLM(v): association strength between entities,
 // entity-type information and multi-step path information (§III-D.2b).
 type AuthorityContext struct {
-	NodeID        string
+	Node          int32   // handle of the judged triple; the seeded coin hashes its kg ID
 	Source        string  // originating data source name (world-knowledge prior)
 	Degree        int     // global influence: node degree in the KG
 	MaxDegree     int     // normaliser: max degree observed in the KG

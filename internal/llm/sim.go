@@ -8,6 +8,7 @@ import (
 	"unicode"
 	"unicode/utf8"
 
+	"multirag/internal/kg"
 	"multirag/internal/textutil"
 )
 
@@ -311,7 +312,8 @@ func (s *Sim) JudgeAuthority(ctx AuthorityContext) float64 {
 	}
 	score := 0.30*deg + 0.25*ctx.LocalStrength + 0.10*ctx.TypeWeight +
 		0.15*ctx.PathSupport + 0.20*sourcePrior(ctx.Source)
-	score += (s.coin("auth|", ctx.NodeID) - 0.5) * 0.1
+	var id [12]byte
+	score += (s.coin("auth|", string(kg.AppendTripleID(id[:0], ctx.Node))) - 0.5) * 0.1
 	return clamp01(score)
 }
 

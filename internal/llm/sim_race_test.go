@@ -14,7 +14,7 @@ func simWorkload(s *Sim, i int) {
 	mentions := s.ExtractEntities("The status of CA981 is Delayed.")
 	s.ExtractTriples("The status of CA981 is Delayed.", mentions)
 	s.Standardize("Air China")
-	s.JudgeAuthority(AuthorityContext{NodeID: fmt.Sprintf("t%06d", i), Source: "airline", Degree: 3, MaxDegree: 9, LocalStrength: 0.8})
+	s.JudgeAuthority(AuthorityContext{Node: int32(i), Source: "airline", Degree: 3, MaxDegree: 9, LocalStrength: 0.8})
 	s.GenerateAnswer(q, []Evidence{
 		{Value: "Delayed", Weight: 0.9, Verified: true},
 		{Value: "On time", Weight: 0.3},

@@ -128,8 +128,8 @@ func TestStandardize(t *testing.T) {
 
 func TestJudgeAuthorityMonotoneInDegree(t *testing.T) {
 	s := newTestSim()
-	low := s.JudgeAuthority(AuthorityContext{NodeID: "n", Degree: 1, MaxDegree: 100, LocalStrength: 0.5, TypeWeight: 0.5, PathSupport: 0.5})
-	high := s.JudgeAuthority(AuthorityContext{NodeID: "n", Degree: 100, MaxDegree: 100, LocalStrength: 0.5, TypeWeight: 0.5, PathSupport: 0.5})
+	low := s.JudgeAuthority(AuthorityContext{Degree: 1, MaxDegree: 100, LocalStrength: 0.5, TypeWeight: 0.5, PathSupport: 0.5})
+	high := s.JudgeAuthority(AuthorityContext{Degree: 100, MaxDegree: 100, LocalStrength: 0.5, TypeWeight: 0.5, PathSupport: 0.5})
 	if high <= low {
 		t.Fatalf("authority must grow with degree: %v vs %v", low, high)
 	}
@@ -164,7 +164,7 @@ func TestCoinMatchesFormattedKey(t *testing.T) {
 func TestJudgeAuthorityAllocFree(t *testing.T) {
 	s := newTestSim()
 	for _, source := range []string{"mov-csv-2", "ForumUser123", "AirChina Official API"} {
-		ctx := AuthorityContext{NodeID: "t000123", Source: source, Degree: 7, MaxDegree: 40,
+		ctx := AuthorityContext{Node: 122, Source: source, Degree: 7, MaxDegree: 40,
 			LocalStrength: 0.9, TypeWeight: 0.5, PathSupport: 0.25}
 		if allocs := testing.AllocsPerRun(100, func() { s.JudgeAuthority(ctx) }); allocs != 0 {
 			t.Fatalf("JudgeAuthority(source %q): %.0f allocs per call, want 0", source, allocs)
