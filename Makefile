@@ -103,8 +103,9 @@ layers:
 # decode, the re-embedding and the line-graph build; its B/op and allocs/op
 # are the size of one engine copy plus the decoder's transient intern table
 # and embedding slabs, and its live-MB the heap the seeded copy retains after
-# a collection — what TestEngineCopyBytesCeiling bounds per triple on the
-# datasets corpus), and the bulk
+# a collection, to which the line graph, a view over the graph's key postings,
+# adds next to nothing — what TestEngineCopyBytesCeiling bounds per triple on
+# the datasets corpus), and the bulk
 # load a deployment pays at set-up (the datasets presets as one Ingest into a
 # durable system: stage 1 and the commit, split as prepare-ms/op and
 # commit-ms/op, and the size of its WAL record as record-bytes) — and the query path's: one exact
@@ -129,8 +130,10 @@ layers:
 # Handler().ServeHTTP on the case-study corpus on an idle server, whose
 # allocs/op are the serve layer's objects per request plus the engine's, and
 # the same from four goroutines per GOMAXPROCS on a saturated one, where
-# requests wait for a slot. B/op is the tracked number. BENCHTIME=1x makes it
-# a smoke run.
+# requests wait for a slot — and the line graph's two build paths over a small
+# movies corpus: the full Build and a one-triple BuildDelta, each counting
+# keys in the graph's postings and allocating no index. B/op is the tracked
+# number. BENCHTIME=1x makes it a smoke run.
 bench-micro:
 	$(GO) test -run '^$$' -bench '^Benchmark(CommitAppend|Search|EncodeStore|DecodeStore|Embed|Accumulate|TopK)$$' -benchmem -benchtime $(BENCHTIME) ./internal/retrieval
 	$(GO) test -run '^$$' -bench '^Benchmark(GraphCommitAppend|COWPagePrivatize)$$' -benchmem -benchtime $(BENCHTIME) ./internal/kg
@@ -139,6 +142,7 @@ bench-micro:
 	$(GO) test -run '^$$' -bench '^Benchmark(NormalForms|NewDist)$$' -benchmem -benchtime $(BENCHTIME) ./internal/textutil
 	$(GO) test -run '^$$' -bench '^Benchmark(ParseQuery|ExtractChunk|GenerateAnswer)$$' -benchmem -benchtime $(BENCHTIME) ./internal/llm
 	$(GO) test -run '^$$' -bench '^BenchmarkServe(Query|Saturated)$$' -benchmem -benchtime $(BENCHTIME) ./internal/serve
+	$(GO) test -run '^$$' -bench '^BenchmarkLineGraph(Build|BuildDelta)$$' -benchmem -benchtime $(BENCHTIME) .
 
 # bench regenerates the paper tables/figures at a reduced scale and records
 # per-job wall-clock timings for the perf trajectory.

@@ -190,11 +190,15 @@ func benchGraph(b *testing.B) *kg.Graph {
 	return sys.Graph()
 }
 
+// sgSink keeps the line-graph benchmarks' results live, so the compiler
+// cannot keep the SG on the stack or drop the call.
+var sgSink *linegraph.SG
+
 func BenchmarkLineGraphBuild(b *testing.B) {
 	g := benchGraph(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		linegraph.Build(g)
+		sgSink = linegraph.Build(g)
 	}
 }
 
@@ -327,7 +331,7 @@ func BenchmarkLineGraphBuildDelta(b *testing.B) {
 	delta := []string{id}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		linegraph.BuildDelta(sg, g, delta)
+		sgSink = linegraph.BuildDelta(sg, g, delta)
 	}
 }
 

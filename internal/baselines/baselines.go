@@ -85,7 +85,7 @@ func denseDocs(env *Env, query string, k int) []string {
 	var out []string
 	seen := map[string]bool{}
 	for _, h := range env.Index.Search(query, k*3) {
-		d := docOfChunk(h.Chunk.DocID)
+		d := retrieval.DocOfChunk(h.Chunk.DocID)
 		if d != "" && !seen[d] {
 			seen[d] = true
 			out = append(out, d)
@@ -95,17 +95,6 @@ func denseDocs(env *Env, query string, k int) []string {
 		}
 	}
 	return out
-}
-
-// docOfChunk strips record suffixes from a jsonld document ID, recovering the
-// ingested file identity.
-func docOfChunk(chunkID string) string {
-	if i := strings.Index(chunkID, "#"); i >= 0 {
-		if j := strings.Index(chunkID[i:], "/"); j >= 0 {
-			return chunkID[:i+j]
-		}
-	}
-	return chunkID
 }
 
 // mergeDocs concatenates ranked doc lists, deduplicating, capped at k.

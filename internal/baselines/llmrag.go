@@ -5,6 +5,7 @@ import (
 
 	"multirag/internal/kg"
 	"multirag/internal/llm"
+	"multirag/internal/retrieval"
 	"multirag/internal/textutil"
 )
 
@@ -292,7 +293,7 @@ func (c *ChatKBQA) AnswerQA(question string, k int) ([]string, []string) {
 func graphDocs(env *Env, entity, attribute string) []string {
 	var out []string
 	for _, t := range env.Graph.TriplesByKey(kg.CanonicalID(entity), attribute) {
-		if d := docOfChunk(t.ChunkID); d != "" {
+		if d := retrieval.DocOfChunk(t.ChunkID); d != "" {
 			out = append(out, d)
 		}
 	}

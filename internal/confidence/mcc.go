@@ -210,8 +210,8 @@ func (m *MCC) Prepare(sg *linegraph.SG, candidates []*linegraph.HomologousNode, 
 		members := sg.MemberTriples(n)
 		sims[i] = memberSimilarity(members)
 		// C(G) is reported through the Assessment, never written back to the
-		// node: homologous nodes are shared across serving snapshots and must
-		// stay immutable under concurrent queries.
+		// node: a prepared node is shared by the concurrent queries that hit
+		// its evidence memo entry and must stay immutable under them.
 		gc := sims[i].graphConfidence()
 		if gc >= m.cfg.GraphThreshold {
 			anyAbove = true

@@ -376,15 +376,20 @@ func randomGroups(t *testing.T, rng *rand.Rand) (*linegraph.SG, []*linegraph.Hom
 			stale = append(stale, id)
 		}
 	}
+	// Look the nodes up before removing the stale members: SG′ is a view, so
+	// afterwards a one-member key is an isolated point again. A node keeps
+	// the posting it was built from, which RemoveTriple replaces rather than
+	// edits, so the node still lists the removed handle and MemberTriples
+	// drops it.
 	sg := linegraph.Build(g)
-	for _, id := range stale {
-		g.RemoveTriple(id)
-	}
 	var cands []*linegraph.HomologousNode
 	for gi := 0; gi < nGroups; gi++ {
 		if n, ok := sg.Lookup("subj", fmt.Sprintf("p%d", gi)); ok {
 			cands = append(cands, n)
 		}
+	}
+	for _, id := range stale {
+		g.RemoveTriple(id)
 	}
 	return sg, cands
 }
@@ -424,10 +429,15 @@ func TestRunMatchesPairwiseOracle(t *testing.T) {
 		{Alpha: 0, Beta: 0.5, NodeThreshold: 0.9, GraphThreshold: 0.8},    // history only
 		{Alpha: 1, Beta: 2, NodeThreshold: 1.6, GraphThreshold: 0.3},      // LLM only; θ rejects all → promotion rule
 	}
-	scored := 0
+	scored, single := 0, 0
 	for seed := int64(1); seed <= 120; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		sg, cands := randomGroups(t, rng)
+		for _, n := range cands {
+			if len(sg.MemberTriples(n)) == 1 {
+				single++
+			}
+		}
 		cfg := configs[rng.Intn(len(configs))]
 		for _, opts := range ablations {
 			name := fmt.Sprintf("seed %d cfg %+v opts %+v", seed, cfg, opts)
@@ -496,6 +506,9 @@ func TestRunMatchesPairwiseOracle(t *testing.T) {
 	}
 	if scored == 0 {
 		t.Fatal("no group reached the node-level stage; the property test compared nothing there")
+	}
+	if single == 0 {
+		t.Fatal("no candidate had exactly one live member; the stale single-member node went untested")
 	}
 }
 

@@ -36,16 +36,12 @@ func seededReplicaBytes(tb testing.TB, body []byte) int64 {
 // TestEngineCopyBytesCeiling bounds the heap one engine copy retains per
 // triple: a replica seeded from the checkpoint body of the datasets corpus
 // the end-to-end benchmark bulk-loads (bulkFiles: 59,645 triples, 5,633
-// homologous nodes), after a collection. It reads 322 B (x86-64, Go 1.24).
-// It read 463 B while a stored triple kept its ID, subject, predicate, object
-// entity, domain and format as strings (160 B and an 8 B ID per triple, now
-// 64 B) and a homologous node its members' IDs and sources beside their
-// handles.
+// homologous nodes), after a collection. It reads 304 B (x86-64, Go 1.24).
 func TestEngineCopyBytesCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race instrumentation changes heap sizes")
 	}
-	const ceiling = 350 // bytes per triple
+	const ceiling = 315 // bytes per triple
 	s := NewSystem(durTestConfig())
 	if _, err := s.Ingest(bulkFiles(t)); err != nil {
 		t.Fatal(err)

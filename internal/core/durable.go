@@ -185,12 +185,13 @@ func OpenFS(fsys wal.FS, dir string, cfg Config) (*System, *RecoveryInfo, error)
 	}
 	putEmbedScratch(sc)
 	if len(newIDs) > 0 && !s.cfg.DisableMKA {
-		// One merged delta over the whole replayed tail. Equivalent to the
-		// per-record deltas the committer ran: a homologous group is always
-		// recomputed from the current graph at its last touch, and every
-		// record that grows a group touches it with that record's own IDs —
-		// so recomputing each touched group once, against the final graph,
-		// lands on the same SG without the O(records × groups) rescans.
+		// One merged delta over the whole replayed tail. The replay grew the
+		// checkpoint's graph in place, so sg — a view over it — already
+		// answers lookups from the tail but still holds the checkpoint's
+		// counts. BuildDelta recounts each touched key once against the
+		// final graph, taking its old size as the final size minus the
+		// key's replayed triples, which lands on the counts the per-record
+		// deltas the committer ran would have reached.
 		sg = linegraph.BuildDelta(sg, g, newIDs)
 	}
 	log, err := wal.OpenLog(fsys, dir, sr)
@@ -361,10 +362,10 @@ func snapshotBody(sn *snapshot) []byte {
 	return e.Bytes()
 }
 
-// decodeSnapshot rebuilds a snapshot from a checkpoint body. The store's
-// texts are re-embedded on the worker pool while the line graph is built from
-// the decoded graph beside them; a format-3 body's stored line graph and
-// vectors are read past.
+// decodeSnapshot rebuilds a snapshot from a checkpoint body. The line graph
+// is a view over the decoded graph and the store's texts are re-embedded on
+// the worker pool; a format-3 body's stored line graph and vectors are read
+// past.
 func (s *System) decodeSnapshot(body []byte) (*snapshot, error) {
 	d := wal.NewDecoder(body)
 	v, err := readVersion(d, "checkpoint", snapshotVersion)
@@ -376,22 +377,14 @@ func (s *System) decodeSnapshot(body []byte) (*snapshot, error) {
 		return nil, err
 	}
 	var sg *linegraph.SG
-	built := make(chan struct{})
 	if !s.cfg.DisableMKA && g.NumTriples() > 0 {
-		go func() {
-			defer close(built)
-			sg = linegraph.Build(g)
-		}()
-	} else {
-		close(built)
+		sg = linegraph.Build(g)
 	}
 	if v == vectorVersion && d.Bool() {
 		skipLineGraph(d)
 	}
 	ix := retrieval.NewIndex(retrieval.DefaultDim)
-	err = retrieval.DecodeIntoStore(d, ix, s.Workers(), v == vectorVersion)
-	<-built
-	if err != nil {
+	if err := retrieval.DecodeIntoStore(d, ix, s.Workers(), v == vectorVersion); err != nil {
 		return nil, err
 	}
 	if err := d.Finish(); err != nil {

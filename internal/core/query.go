@@ -14,6 +14,7 @@ import (
 	"multirag/internal/linegraph"
 	"multirag/internal/llm"
 	"multirag/internal/par"
+	"multirag/internal/retrieval"
 	"multirag/internal/textutil"
 )
 
@@ -674,7 +675,7 @@ func (s *System) QueryWithDocs(q string, k int) (Answer, []string) {
 	copy(tns, ans.Trusted)
 	sort.SliceStable(tns, func(i, j int) bool { return tns[i].Confidence > tns[j].Confidence })
 	for _, tn := range tns {
-		doc := docOfChunk(tn.Triple.ChunkID)
+		doc := retrieval.DocOfChunk(tn.Triple.ChunkID)
 		if doc != "" && !seen[doc] {
 			seen[doc] = true
 			ranked = append(ranked, doc)
@@ -683,7 +684,7 @@ func (s *System) QueryWithDocs(q string, k int) (Answer, []string) {
 	// Fill with dense hits: the bounded top-k scan reuses the cached query
 	// embedding, so ranking costs no extra Embed beyond the answer's own.
 	for _, h := range sn.index.SearchVector(s.embeds.get(q), k*2, nil) {
-		doc := docOfChunk(h.Chunk.DocID)
+		doc := retrieval.DocOfChunk(h.Chunk.DocID)
 		if doc != "" && !seen[doc] {
 			seen[doc] = true
 			ranked = append(ranked, doc)
@@ -693,18 +694,4 @@ func (s *System) QueryWithDocs(q string, k int) (Answer, []string) {
 		ranked = ranked[:k]
 	}
 	return ans, ranked
-}
-
-// docOfChunk strips the record/paragraph suffix from a jsonld document ID,
-// recovering the ingested file identity ("domain/source/name#hash").
-func docOfChunk(chunkID string) string {
-	if chunkID == "" {
-		return ""
-	}
-	if i := strings.Index(chunkID, "#"); i >= 0 {
-		if j := strings.Index(chunkID[i:], "/"); j >= 0 {
-			return chunkID[:i+j]
-		}
-	}
-	return chunkID
 }

@@ -16,25 +16,6 @@ import (
 	"multirag/internal/retrieval"
 )
 
-// TestDocOfChunk pins the chunk-ID → document-ID recovery, including the
-// degenerate shapes the jsonld layer can produce.
-func TestDocOfChunk(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"", ""},           // empty ID
-		{"plain", "plain"}, // no '#'
-		{"domain/src/name#h3", "domain/src/name#h3"},       // '#' without '/'
-		{"domain/src/name#h3/r0", "domain/src/name#h3"},    // record suffix
-		{"domain/src/name#h3/r0/p2", "domain/src/name#h3"}, // paragraph suffix
-		{"#/x", "#"},         // leading '#'
-		{"a#b#c/d", "a#b#c"}, // cut at the first '/' after the first '#'
-	}
-	for _, c := range cases {
-		if got := docOfChunk(c.in); got != c.want {
-			t.Errorf("docOfChunk(%q) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
-
 // denseTopK is the exact scan as it was first written: Cosine against every
 // stored vector, stable full sort by (score desc, chunk ID asc), first k.
 func denseTopK(ix *retrieval.Index, qv retrieval.Vector, k int) []retrieval.Hit {

@@ -279,10 +279,10 @@ func (s *System) BuildCost() (real, llmLatency time.Duration) {
 // RebuildSG reconstructs the homologous line graph from scratch after
 // external graph mutation (perturbation experiments remove or rewrite
 // triples, which the incremental delta cannot express) and publishes the
-// result as a new snapshot. The rebuilt SG carries its aggregate homologous
-// statistics (maintained during Build's construction walk), so ComputeStats
-// on the published snapshot reports the post-mutation counts without any
-// extra refresh step.
+// result as a new snapshot. The SG is a view over the graph, so its lookups
+// see the mutation at once, but its aggregate statistics and the evidence
+// memo's generation move only here: Build recounts the key postings, so
+// ComputeStats on the published snapshot reports the post-mutation counts.
 func (s *System) RebuildSG() {
 	if s.cfg.DisableMKA {
 		return

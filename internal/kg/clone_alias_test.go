@@ -47,7 +47,7 @@ func observe(g *Graph) observation {
 	for _, id := range g.TripleIDs() {
 		t, _ := g.Triple(id)
 		o.triples = append(o.triples, tripleView(g, t))
-		o.byKey[g.Key(t)] = tripleValues(g, g.TriplesByRawKey(g.Key(t)))
+		o.byKey[g.Key(t)] = tripleValues(g, g.TriplesByKey(g.Subject(t), g.Predicate(t)))
 	}
 	return o
 }

@@ -525,16 +525,6 @@ func (g *Graph) keyPosting(subjectID, predicate string) []int32 {
 	return g.KeyPosting(subjH, predH)
 }
 
-// TriplesByRawKey is TriplesByKey for a precomputed Graph.Key value.
-func (g *Graph) TriplesByRawKey(key string) []*Triple {
-	for i := 0; i < len(key); i++ {
-		if key[i] == 0 {
-			return g.TriplesByKey(key[:i], key[i+1:])
-		}
-	}
-	return []*Triple{}
-}
-
 // TriplesByObjectEntity returns the triples whose object resolves to the
 // given entity.
 func (g *Graph) TriplesByObjectEntity(entityID string) []*Triple {

@@ -32,6 +32,12 @@ func (g *Graph) EntitySlots() int32 { return int32(g.ents.len()) }
 // EntityHandle returns the handle of the entity with the given canonical ID.
 func (g *Graph) EntityHandle(id string) (int32, bool) { return g.entLookup.get(id) }
 
+// EntityAt returns the entity at handle h.
+func (g *Graph) EntityAt(h int32) *Entity { return g.ents.get(h) }
+
+// PredicateHandle returns the handle of the predicate p.
+func (g *Graph) PredicateHandle(p string) (int32, bool) { return g.predLookup.get(p) }
+
 // PredicateAt returns the predicate at handle h.
 func (g *Graph) PredicateAt(h int32) string { return g.preds.get(h) }
 

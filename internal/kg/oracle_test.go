@@ -279,9 +279,6 @@ func requireSameObservables(t *testing.T, label string, g *Graph, r *refGraph) {
 		if got, want := tripleValues(g, g.TriplesByKey(rt.Subject, rt.Predicate)), refValues(r.resolve(r.byKey[rt.key()])); !reflect.DeepEqual(got, want) {
 			fail("TriplesByKey("+rt.key()+")", got, want)
 		}
-		if got, want := tripleValues(g, g.TriplesByRawKey(rt.key())), refValues(r.resolve(r.byKey[rt.key()])); !reflect.DeepEqual(got, want) {
-			fail("TriplesByRawKey("+rt.key()+")", got, want)
-		}
 		if got, want := g.TwoHopPathSupport(gt), refTwoHop(r, rt); got != want {
 			fail("TwoHopPathSupport("+id+")", got, want)
 		}

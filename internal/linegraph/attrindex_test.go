@@ -17,10 +17,11 @@ import (
 
 // scanNested is the reference nested-candidate lookup: the full node scan the
 // subject-posting lookup replaces. It mirrors the pre-index query-path condition
-// exactly (same subject, strictly-nested name).
+// exactly (same subject, strictly-nested name), and walks the postings without
+// charging NodeScans.
 func scanNested(sg *SG, subjectID, relation string) []*HomologousNode {
 	var out []*HomologousNode
-	sg.nodes.forEach(func(_ string, n *HomologousNode) {
+	sg.forEachNode(func(n *HomologousNode) {
 		if n.SubjectID == subjectID && n.Name != relation && strings.HasPrefix(n.Name, relation+"_") {
 			out = append(out, n)
 		}
@@ -75,8 +76,8 @@ func keysOf(ns []*HomologousNode) []string {
 
 // TestNestedCandidatesAcrossDeltaGenerations is the COW-friendliness check:
 // lookups must track the delta (new nested attributes appear, none leak
-// backwards into the previous generation's answers, even though this test's
-// generations share one mutable graph).
+// backwards into the previous generation's answers). Each generation grows a
+// clone of the previous one's graph, as the serving engine does.
 func TestNestedCandidatesAcrossDeltaGenerations(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := kg.New()
@@ -106,6 +107,7 @@ func TestNestedCandidatesAcrossDeltaGenerations(t *testing.T) {
 		for _, s := range subjects {
 			prevStatus[s] = keysOf(prev.NestedCandidates(kg.CanonicalID(s), "status"))
 		}
+		g = g.Clone()
 		ids := addBatch(10)
 		sg = BuildDelta(prev, g, ids)
 		for _, s := range subjects {
@@ -148,7 +150,7 @@ func TestNodeScansCountsForEachNode(t *testing.T) {
 // rebuilt on its first nested lookup), binary-searched for the prefix.
 func indexNested(sg *SG) func(subjectID, relation string) []*HomologousNode {
 	idx := make(map[string][]string)
-	sg.nodes.forEach(func(_ string, n *HomologousNode) {
+	sg.forEachNode(func(n *HomologousNode) {
 		idx[n.SubjectID] = append(idx[n.SubjectID], n.Name)
 	})
 	for _, names := range idx {

@@ -5,18 +5,18 @@ import (
 )
 
 // BuildDelta incrementally maintains the homologous triple line graph: given
-// prev (the SG built over g minus the delta) and the IDs of triples newly
-// added to g, it returns a fresh SG equivalent to Build(g) while touching
+// prev (the SG of g minus the delta) and the distinct IDs of the triples
+// newly added to g, it returns an SG equivalent to Build(g) while touching
 // only the (subject, predicate) keys the delta intersects.
 //
-// Untouched homologous nodes are shared by pointer with prev — they are
-// immutable once published — so the cost of one call is O(|delta|): the two
-// key indexes are copy-on-write overlays whose clone copies only the tail of
-// keys recent deltas touched (amortised by flattening, see overlay.go), and
-// no sorted isolated-point list is kept to rebuild per batch (IsolatedIDs
-// builds one on demand). Repeated ingestion therefore costs O(n) total line-graph work rather than
-// the O(n²) of rebuilding from scratch each batch, and prev stays fully
-// usable by concurrent readers.
+// Since SG is a view over g's key postings, only the aggregate counts change:
+// for each touched key, the posting's length now is its new member count, and
+// that length minus the key's triples in the delta its old one. The old
+// length is never read off prev's graph, so g may be prev's own graph grown
+// in place (recovery replay) as well as a clone of it (the committer, whose
+// prev stays fully usable by concurrent readers). One call costs O(|delta|);
+// repeated ingestion costs O(n) total line-graph work rather than the O(n²)
+// of rebuilding from scratch each batch.
 //
 // A nil prev falls back to a full Build. Triple removal is not expressible as
 // a delta; callers that mutate the graph destructively rebuild from scratch.
@@ -24,32 +24,19 @@ func BuildDelta(prev *SG, g *kg.Graph, newTripleIDs []string) *SG {
 	if prev == nil {
 		return Build(g)
 	}
-	sg := &SG{
-		nodes:       prev.nodes.clone(),
-		isoIndex:    prev.isoIndex.clone(),
-		graph:       g,
-		memberTotal: prev.memberTotal,
-		maxGroup:    prev.maxGroup,
-	}
-	affected := map[string]bool{}
+	sg := &SG{graph: g, counts: prev.counts}
+	type key struct{ subjH, predH int32 }
+	added := map[key]int{}
 	for _, id := range newTripleIDs {
 		if t, ok := g.Triple(id); ok {
-			affected[g.Key(t)] = true
+			subjH, predH := g.TripleKeyHandles(t.Handle())
+			added[key{subjH, predH}]++
 		}
 	}
-	for key := range affected {
-		members := g.TriplesByRawKey(key)
-		sg.delNode(key)
-		sg.isoIndex.del(key)
-		switch {
-		case len(members) == 0:
-			// Key vanished (cannot happen for a pure-addition delta; kept for
-			// robustness).
-		case len(members) == 1:
-			sg.isoIndex.put(key, members[0].Handle()+1)
-		default:
-			sg.putNode(key, newHomologousNode(g, key, members))
-		}
+	for k, n := range added {
+		now := len(g.KeyPosting(k.subjH, k.predH))
+		sg.counts.add(now-n, -1)
+		sg.counts.add(now, 1)
 	}
 	return sg
 }

@@ -96,7 +96,8 @@ func TestBuildDeltaMatchesScratch(t *testing.T) {
 
 // TestBuildDeltaPromotesIsolated pins the key transition: a key that starts
 // as an isolated point must be promoted to a homologous node once a second
-// claim arrives, and lookups must follow.
+// claim arrives, and lookups must follow. The second claim goes into a clone,
+// as the serving engine commits.
 func TestBuildDeltaPromotesIsolated(t *testing.T) {
 	g := kg.New()
 	g.AddEntity("CA981", "Flight", "flights")
@@ -111,6 +112,7 @@ func TestBuildDeltaPromotesIsolated(t *testing.T) {
 	if _, ok := sg.LookupIsolated(kg.CanonicalID("CA981"), "status"); !ok {
 		t.Fatal("single claim must start isolated")
 	}
+	g = g.Clone()
 	id2, err := g.AddTriple(kg.Fact{
 		Subject: kg.CanonicalID("CA981"), Predicate: "status", Object: "Delayed",
 		Source: "airport", Weight: 0.8,
@@ -133,27 +135,59 @@ func TestBuildDeltaPromotesIsolated(t *testing.T) {
 	}
 }
 
-// TestBuildDeltaSharesUntouchedNodes verifies the O(delta) property: nodes
-// whose key the delta does not intersect are shared by pointer with the
-// previous SG rather than rebuilt.
-func TestBuildDeltaSharesUntouchedNodes(t *testing.T) {
-	g := graphWithConflicts(t)
-	prev := Build(g)
-	untouched, _ := prev.Node(kg.CanonicalID("Heat") + "\x00" + "year")
-	id, err := g.AddTriple(kg.Fact{
-		Subject: kg.CanonicalID("CA981"), Predicate: "status", Object: "Delayed",
-		Source: "radar", Weight: 0.7,
+// requireSameView asserts that got answers every key of its graph as want
+// does: equal ComputeStats, and equal Lookup and LookupIsolated results.
+func requireSameView(t *testing.T, label string, got, want *SG) {
+	t.Helper()
+	if g, w := got.ComputeStats(), want.ComputeStats(); g != w {
+		t.Fatalf("%s: ComputeStats = %+v, Build %+v", label, g, w)
+	}
+	g := want.Graph()
+	g.ForEachKeyPosting(func(subjH, predH int32, _ []int32) {
+		subj, pred := g.EntityAt(subjH).ID, g.PredicateAt(predH)
+		gn, gok := got.Lookup(subj, pred)
+		wn, wok := want.Lookup(subj, pred)
+		if gok != wok || !reflect.DeepEqual(gn, wn) {
+			t.Fatalf("%s: Lookup(%q, %q) = %+v %v, Build %+v %v", label, subj, pred, gn, gok, wn, wok)
+		}
+		gt, gok := got.LookupIsolated(subj, pred)
+		wt, wok := want.LookupIsolated(subj, pred)
+		if gok != wok || gt != wt {
+			t.Fatalf("%s: LookupIsolated(%q, %q) = %v %v, Build %v %v", label, subj, pred, gt, gok, wt, wok)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestBuildDeltaInPlace covers the pattern recovery replay uses: the delta is
+// added to the very graph prev views, with no clone, so prev's graph already
+// holds it when BuildDelta runs. Random scripts over a small key space turn
+// isolated points into homologous nodes and grow existing nodes; the
+// delta-maintained SG must answer as Build over the grown graph does.
+func TestBuildDeltaInPlace(t *testing.T) {
+	promotions := 0
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := kg.New()
+		addRandomBatch(t, g, rng, 1+rng.Intn(10))
+		sg := Build(g)
+		for step := 0; step < 6; step++ {
+			before := map[string]int{}
+			g.ForEachKeyPosting(func(subjH, predH int32, p []int32) {
+				before[g.EntityAt(subjH).ID+"\x00"+g.PredicateAt(predH)] = len(p)
+			})
+			ids := addRandomBatch(t, g, rng, 1+rng.Intn(6))
+			for _, id := range ids {
+				tr, _ := g.Triple(id)
+				if before[g.Key(tr)] == 1 {
+					promotions++
+					before[g.Key(tr)] = 0
+				}
+			}
+			sg = BuildDelta(sg, g, ids)
+			requireSameView(t, fmt.Sprintf("seed %d step %d", seed, step), sg, Build(g))
+		}
 	}
-	next := BuildDelta(prev, g, []string{id})
-	if n, _ := next.Node(untouched.Key); n != untouched {
-		t.Fatal("untouched homologous node was rebuilt instead of shared")
-	}
-	nextStatus, _ := next.Node(kg.CanonicalID("CA981") + "\x00" + "status")
-	prevStatus, _ := prev.Node(kg.CanonicalID("CA981") + "\x00" + "status")
-	if nextStatus == prevStatus {
-		t.Fatal("affected homologous node must be rebuilt, not shared")
+	if promotions == 0 {
+		t.Fatal("no script promoted an isolated point to a homologous node")
 	}
 }

@@ -84,7 +84,7 @@ func TestSGSerializeRoundTrip(t *testing.T) {
 }
 
 // TestSGSerializeAfterDelta pins the case recovery and replica seeding
-// actually hit: an SG grown through BuildDelta generations (overlay tails,
+// actually hit: an SG grown through BuildDelta generations (delta-adjusted counts,
 // monotone maxGroup) rather than one fresh Build, against the SG Build
 // derives from the decoded graph.
 func TestSGSerializeAfterDelta(t *testing.T) {

@@ -1,16 +1,17 @@
 // Package linegraph implements the multi-source line graph machinery of
 // §II–§III-C: homologous data detection (Definition 3), homologous nodes and
 // subgraphs (Definition 4) and the homologous triple line graph SG′
-// (Definition 5) with its O(n log n) matching algorithm. SG′ is built
-// straight from the graph's (subject, predicate) key postings; the full
-// triple line graph G′ of Definition 2 is never materialised. SG′ is the
-// structure that makes multi-source consistency checks a hash lookup instead
-// of a corpus scan.
+// (Definition 5) with its O(n log n) matching algorithm. SG′ is a view over
+// the graph's (subject, predicate) key postings, which already group every
+// claim about one key; the full triple line graph G′ of Definition 2 is never
+// materialised, and SG′ keeps no index of its own. A view reflects its graph,
+// so a caller that mutates a graph in place must Build or BuildDelta over it
+// again before publishing the result. SG′ is the structure that makes
+// multi-source consistency checks a hash lookup instead of a corpus scan.
 package linegraph
 
 import (
 	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -23,7 +24,8 @@ import (
 // E_snode = {wᵢ} are the member triples' own Weight fields, and their IDs and
 // sources are the triples' own too (MemberTriples), not copies. One
 // homologous node aggregates every claim the corpus makes about a single
-// (subject, predicate) key.
+// (subject, predicate) key. Nodes are built from the graph's key posting on
+// each lookup; two lookups of one key return equal nodes, not the same one.
 type HomologousNode struct {
 	// Key is the (subject, predicate) key shared by all member triples.
 	Key string
@@ -44,34 +46,57 @@ type HomologousNode struct {
 // have no homologous partner. SG′ is used only for consistency checks and
 // homologous retrieval; all other queries run on the original graph G.
 //
-// Both indexes — key → homologous node and key → isolated triple — are
-// copy-on-write overlays: a frozen base shared with the previous generation
-// plus a private tail of keys the last delta touched, flattened into a fresh
-// base once the tail grows to a constant fraction of it. BuildDelta therefore
-// copies O(|delta|) entries per batch instead of the whole corpus's key
-// space. Access goes through Lookup/Node/ForEachNode/NumNodes.
+// SG is a view over its graph's (subject, predicate) key postings: a posting
+// with two or more live triples is a homologous node, one with exactly one an
+// isolated point. It stores only the graph and the
+// aggregate counts ComputeStats reads, so lookups always reflect the graph as
+// it is now. The serving engine never mutates a published graph; a caller
+// that mutates one in place (recovery replay, the perturbation harness before
+// RebuildSG) must run BuildDelta or Build over it before publishing, or the
+// counts go stale while lookups move on. Access goes through
+// Lookup/Node/ForEachNode/NumNodes.
 type SG struct {
-	nodes overlay[*HomologousNode]
-	// isoIndex maps an isolated triple's key to its handle plus one, so the
-	// overlay's zero-value tombstone never names handle 0.
-	isoIndex overlay[int32]
-	graph    *kg.Graph
-
-	// memberTotal and maxGroup carry the aggregate member statistics
-	// incrementally: Build accumulates them during its single construction
-	// walk and BuildDelta adjusts them per touched key, so ComputeStats is an
-	// O(1) read instead of the full node re-walk every ingest commit used to
-	// pay. maxGroup is maintained monotonically — exact for the pure-addition
-	// deltas BuildDelta accepts (a key's member set only grows); destructive
-	// mutation goes through a full Build, which recomputes it from scratch.
-	memberTotal int
-	maxGroup    int
+	graph *kg.Graph
+	// counts carries the aggregate statistics incrementally: Build takes them
+	// in its single walk over the postings and BuildDelta adjusts them per
+	// touched key, so ComputeStats is an O(1) read instead of a walk every
+	// ingest commit would pay.
+	counts counts
 
 	// nodeScans counts homologous nodes visited through ForEachNode — the
 	// instrumentation hook behind the "no full scan on the query hot path"
-	// tests. Stats/debug walks go through the overlay directly and are not
-	// counted.
+	// tests.
 	nodeScans atomic.Int64
+}
+
+// counts are the aggregates behind Stats. maxGroup is maintained
+// monotonically — exact for the pure-addition deltas BuildDelta accepts (a
+// key's member set only grows); destructive mutation goes through a full
+// Build, which recomputes it from scratch.
+type counts struct {
+	nodes, isolated, members, maxGroup int
+}
+
+// add folds a key with n live members into the counts (sign 1) or takes it
+// out of them (sign -1).
+func (c *counts) add(n, sign int) {
+	switch {
+	case n == 1:
+		c.isolated += sign
+	case n >= 2:
+		c.nodes += sign
+		c.members += sign * n
+		if sign > 0 && n > c.maxGroup {
+			c.maxGroup = n
+		}
+	}
+}
+
+// countKeys walks every key posting of g.
+func countKeys(g *kg.Graph) counts {
+	var c counts
+	g.ForEachKeyPosting(func(_, _ int32, posting []int32) { c.add(len(posting), 1) })
+	return c
 }
 
 // Build runs homologous subgraph matching (§III-C) over g and assembles SG′.
@@ -79,81 +104,52 @@ type SG struct {
 // The algorithm follows the paper: group nodes by their retrieval key; every
 // group with at least two members forms a homologous subgraph (its line-graph
 // form is the complete graph over the members, Fig. 4); singleton groups go
-// to the isolated point set LVs. The grouping pass is a single walk over the
-// graph's interned (subject, predicate) key postings — the grouping hash map
-// the string-keyed implementation rebuilt per call already exists inside the
-// graph — and the final per-node ordering sort is O(n log n), matching the
-// stated complexity bound.
-func Build(g *kg.Graph) *SG {
-	sg := &SG{graph: g}
-	g.ForEachKeyPosting(func(subjH, predH int32, posting []int32) {
-		switch len(posting) {
-		case 0: // fully-removed key
-		case 1:
-			t := g.TripleAt(posting[0])
-			if t == nil {
-				return
-			}
-			sg.isoIndex.put(g.Key(t), t.Handle()+1)
-		default:
-			members := make([]*kg.Triple, 0, len(posting))
-			for _, h := range posting {
-				if t := g.TripleAt(h); t != nil {
-					members = append(members, t)
-				}
-			}
-			switch len(members) {
-			case 0:
-			case 1:
-				sg.isoIndex.put(g.Key(members[0]), members[0].Handle()+1)
-			default:
-				key := g.Key(members[0])
-				sg.putNode(key, newHomologousNode(g, key, members))
-			}
-		}
-	})
-	return sg
-}
+// to the isolated point set LVs. The grouping already exists inside the
+// graph as its interned (subject, predicate) key postings, so Build is one
+// walk over them that counts the groups; each node is assembled from its
+// posting when a lookup asks for it.
+func Build(g *kg.Graph) *SG { return &SG{graph: g, counts: countKeys(g)} }
 
-// putNode installs a homologous node and folds it into the incremental
-// aggregate statistics. Both Build and BuildDelta insert through here.
-func (sg *SG) putNode(key string, n *HomologousNode) {
-	sg.nodes.put(key, n)
-	sg.memberTotal += n.Num
-	if n.Num > sg.maxGroup {
-		sg.maxGroup = n.Num
+// newHomologousNode assembles the homologous centre node for one key's
+// posting (≥2 live members). It makes the same two allocations whatever the
+// group's size: the node and its key. SubjectID and Name are the graph's own
+// stored strings, and the members are the posting itself, which lists
+// handles in insertion order — ID order below handle 999,999; a posting that
+// crosses it is copied and sorted. The graph never rewrites a posting's
+// elements (it appends past their length or installs a new list), so the
+// node's view of them stays fixed.
+func newHomologousNode(g *kg.Graph, subjH, predH int32, posting []int32) *HomologousNode {
+	subj, name := g.EntityAt(subjH).ID, g.PredicateAt(predH)
+	members := posting[:len(posting):len(posting)]
+	if !slices.IsSortedFunc(members, kg.CompareTripleIDs) {
+		members = slices.Clone(members)
+		slices.SortFunc(members, kg.CompareTripleIDs)
 	}
-}
-
-// delNode removes a homologous node (if the key holds one) and deducts it
-// from the aggregate statistics. maxGroup is left as a monotone upper bound;
-// see the field comment.
-func (sg *SG) delNode(key string) {
-	if old, ok := sg.nodes.get(key); ok {
-		sg.memberTotal -= old.Num
-	}
-	sg.nodes.del(key)
-}
-
-// newHomologousNode assembles the homologous centre node for one key group
-// (≥2 members). Both the full Build and the incremental BuildDelta construct
-// nodes through here, so delta-maintained and from-scratch SGs are
-// structurally identical. It makes the same two allocations whatever the
-// group's size: the node and its handle slice. SubjectID and Name are the
-// graph's own stored strings.
-func newHomologousNode(g *kg.Graph, key string, members []*kg.Triple) *HomologousNode {
-	node := &HomologousNode{
-		Key:       key,
-		SubjectID: g.Subject(members[0]),
-		Name:      g.Predicate(members[0]),
+	return &HomologousNode{
+		Key:       subj + "\x00" + name,
+		SubjectID: subj,
+		Name:      name,
 		Num:       len(members),
-		members:   make([]int32, len(members)),
+		members:   members,
 	}
-	for i, t := range members {
-		node.members[i] = t.Handle()
+}
+
+// node returns the homologous node of a key, if its posting has ≥2 members.
+func (sg *SG) node(subjH, predH int32) (*HomologousNode, bool) {
+	posting := sg.graph.KeyPosting(subjH, predH)
+	if len(posting) < 2 {
+		return nil, false
 	}
-	slices.SortFunc(node.members, kg.CompareTripleIDs)
-	return node
+	return newHomologousNode(sg.graph, subjH, predH, posting), true
+}
+
+// keyHandles resolves (subject, predicate) to handles; ok is false when either
+// is unknown to the graph.
+func (sg *SG) keyHandles(subjectID, predicate string) (subjH, predH int32, ok bool) {
+	if subjH, ok = sg.graph.EntityHandle(subjectID); ok {
+		predH, ok = sg.graph.PredicateHandle(predicate)
+	}
+	return subjH, predH, ok
 }
 
 // Graph returns the underlying knowledge graph.
@@ -161,22 +157,41 @@ func (sg *SG) Graph() *kg.Graph { return sg.graph }
 
 // Lookup returns the homologous node for (subject, predicate), if any.
 func (sg *SG) Lookup(subjectID, predicate string) (*HomologousNode, bool) {
-	return sg.nodes.get(subjectID + "\x00" + predicate)
+	subjH, predH, ok := sg.keyHandles(subjectID, predicate)
+	if !ok {
+		return nil, false
+	}
+	return sg.node(subjH, predH)
 }
 
 // Node returns the homologous node for a precomputed Graph.Key value.
-func (sg *SG) Node(key string) (*HomologousNode, bool) { return sg.nodes.get(key) }
+func (sg *SG) Node(key string) (*HomologousNode, bool) {
+	subj, pred, ok := strings.Cut(key, "\x00")
+	if !ok {
+		return nil, false
+	}
+	return sg.Lookup(subj, pred)
+}
 
 // NumNodes returns the number of homologous nodes (keys with ≥2 members).
-func (sg *SG) NumNodes() int { return sg.nodes.n }
+func (sg *SG) NumNodes() int { return sg.counts.nodes }
 
 // ForEachNode visits every homologous node, in unspecified order. Each visit
 // is charged to the NodeScans counter; hot paths should use Lookup or
 // NestedCandidates instead.
 func (sg *SG) ForEachNode(fn func(key string, n *HomologousNode)) {
-	sg.nodes.forEach(func(k string, n *HomologousNode) {
+	sg.forEachNode(func(n *HomologousNode) {
 		sg.nodeScans.Add(1)
-		fn(k, n)
+		fn(n.Key, n)
+	})
+}
+
+// forEachNode is ForEachNode without the NodeScans charge.
+func (sg *SG) forEachNode(fn func(n *HomologousNode)) {
+	sg.graph.ForEachKeyPosting(func(subjH, predH int32, posting []int32) {
+		if len(posting) >= 2 {
+			fn(newHomologousNode(sg.graph, subjH, predH, posting))
+		}
 	})
 }
 
@@ -196,17 +211,17 @@ func (sg *SG) NestedCandidates(subjectID, relation string) []*HomologousNode {
 		return nil
 	}
 	prefix := relation + "_"
-	var names []string
+	var preds []int32
 	for _, h := range g.SubjectPosting(subjH) {
 		_, predH := g.TripleKeyHandles(h)
-		if p := g.PredicateAt(predH); strings.HasPrefix(p, prefix) && !slices.Contains(names, p) {
-			names = append(names, p)
+		if strings.HasPrefix(g.PredicateAt(predH), prefix) && !slices.Contains(preds, predH) {
+			preds = append(preds, predH)
 		}
 	}
-	sort.Strings(names)
+	slices.SortFunc(preds, func(a, b int32) int { return strings.Compare(g.PredicateAt(a), g.PredicateAt(b)) })
 	var out []*HomologousNode
-	for _, name := range names {
-		if n, ok := sg.Lookup(subjectID, name); ok {
+	for _, predH := range preds {
+		if n, ok := sg.node(subjH, predH); ok {
 			out = append(out, n)
 		}
 	}
@@ -216,20 +231,28 @@ func (sg *SG) NestedCandidates(subjectID, relation string) []*HomologousNode {
 // LookupIsolated returns the isolated triple for (subject, predicate), if the
 // key exists but has a single member.
 func (sg *SG) LookupIsolated(subjectID, predicate string) (*kg.Triple, bool) {
-	h, ok := sg.isoIndex.get(subjectID + "\x00" + predicate)
+	subjH, predH, ok := sg.keyHandles(subjectID, predicate)
 	if !ok {
 		return nil, false
 	}
-	t := sg.graph.TripleAt(h - 1)
+	posting := sg.graph.KeyPosting(subjH, predH)
+	if len(posting) != 1 {
+		return nil, false
+	}
+	t := sg.graph.TripleAt(posting[0])
 	return t, t != nil
 }
 
 // IsolatedIDs returns the IDs of triples whose key has a single member,
-// sorted. It builds the list on each call; nothing on the query or ingest
-// path needs it.
+// sorted. It walks every posting on each call; nothing on the query or
+// ingest path needs it.
 func (sg *SG) IsolatedIDs() []string {
-	hs := make([]int32, 0, sg.isoIndex.n)
-	sg.isoIndex.forEach(func(_ string, h int32) { hs = append(hs, h-1) })
+	hs := make([]int32, 0, sg.counts.isolated)
+	sg.graph.ForEachKeyPosting(func(_, _ int32, posting []int32) {
+		if len(posting) == 1 {
+			hs = append(hs, posting[0])
+		}
+	})
 	slices.SortFunc(hs, kg.CompareTripleIDs)
 	ids := make([]string, len(hs))
 	for i, h := range hs {
@@ -261,32 +284,19 @@ type Stats struct {
 
 // ComputeStats returns aggregate statistics of the homologous structure. The
 // aggregates are maintained incrementally by Build and BuildDelta, so this is
-// an O(1) read — safe to call per ingest commit (it used to re-walk every
-// homologous node each time). RecomputeStats is the walking oracle.
-func (sg *SG) ComputeStats() Stats {
-	st := Stats{HomologousNodes: sg.nodes.n, Isolated: sg.isoIndex.n, MaxGroupSize: sg.maxGroup}
-	if sg.nodes.n > 0 {
-		st.MeanGroupSize = float64(sg.memberTotal) / float64(sg.nodes.n)
-	} else {
-		st.MaxGroupSize = 0
-	}
-	return st
-}
+// an O(1) read — safe to call per ingest commit. RecomputeStats is the
+// walking oracle.
+func (sg *SG) ComputeStats() Stats { return sg.counts.stats() }
 
-// RecomputeStats derives the statistics by walking every homologous node —
-// the pre-incremental implementation, kept as the test oracle for
-// ComputeStats.
-func (sg *SG) RecomputeStats() Stats {
-	st := Stats{HomologousNodes: sg.nodes.n, Isolated: sg.isoIndex.n}
-	total := 0
-	sg.nodes.forEach(func(_ string, n *HomologousNode) {
-		total += n.Num
-		if n.Num > st.MaxGroupSize {
-			st.MaxGroupSize = n.Num
-		}
-	})
-	if sg.nodes.n > 0 {
-		st.MeanGroupSize = float64(total) / float64(sg.nodes.n)
+// RecomputeStats derives the statistics by walking every key posting of the
+// graph — the test oracle for ComputeStats.
+func (sg *SG) RecomputeStats() Stats { return countKeys(sg.graph).stats() }
+
+func (c counts) stats() Stats {
+	st := Stats{HomologousNodes: c.nodes, Isolated: c.isolated}
+	if c.nodes > 0 {
+		st.MeanGroupSize = float64(c.members) / float64(c.nodes)
+		st.MaxGroupSize = c.maxGroup
 	}
 	return st
 }

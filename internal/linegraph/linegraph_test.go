@@ -61,32 +61,30 @@ func TestBuildHomologousGroups(t *testing.T) {
 	}
 }
 
-// TestNewHomologousNodeAllocs: a node costs the same number of allocations
-// whatever its group's size — no per-node map whose buckets grow with the
-// members, no per-member string, no slice grown by append.
+// TestNewHomologousNodeAllocs: a node built from a key posting costs the same
+// number of allocations whatever its group's size — no per-node map whose
+// buckets grow with the members, no per-member string, no slice grown by
+// append.
 func TestNewHomologousNodeAllocs(t *testing.T) {
 	g := kg.New()
 	g.AddEntity("e", "T", "d")
-	var members []*kg.Triple
 	for i := 0; i < 32; i++ {
-		id, err := g.AddTriple(kg.Fact{Subject: "e", Predicate: "p", Object: fmt.Sprint(i % 3),
-			Source: fmt.Sprintf("s%d", i%5), Weight: 0.5})
-		if err != nil {
+		if _, err := g.AddTriple(kg.Fact{Subject: "e", Predicate: "p", Object: fmt.Sprint(i % 3),
+			Source: fmt.Sprintf("s%d", i%5), Weight: 0.5}); err != nil {
 			t.Fatal(err)
 		}
-		tr, _ := g.Triple(id)
-		members = append(members, tr)
 	}
-	key := g.Key(members[0])
+	subjH, predH := g.TripleKeyHandles(0)
+	posting := g.KeyPosting(subjH, predH)
 	allocs := map[int]float64{}
 	for _, n := range []int{2, 8, 32} {
-		allocs[n] = testing.AllocsPerRun(50, func() { newHomologousNode(g, key, members[:n]) })
+		allocs[n] = testing.AllocsPerRun(50, func() { newHomologousNode(g, subjH, predH, posting[:n]) })
 	}
 	if allocs[2] != allocs[8] || allocs[8] != allocs[32] {
 		t.Fatalf("allocations per node by member count %v, want the same for every size", allocs)
 	}
 	sg := &SG{graph: g}
-	if n := newHomologousNode(g, key, members); len(memberSources(sg, n)) != 5 || n.Num != 32 {
+	if n := newHomologousNode(g, subjH, predH, posting); len(memberSources(sg, n)) != 5 || n.Num != 32 {
 		t.Fatalf("node of 32 members from 5 sources: Num %d, Sources %v", n.Num, memberSources(sg, n))
 	}
 }

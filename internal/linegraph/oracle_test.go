@@ -77,6 +77,20 @@ func refBuild(g *kg.Graph) (nodes map[string]*refNode, isolated []string) {
 	return nodes, isolated
 }
 
+// refStats derives Stats from refBuild's partition, without countKeys.
+func refStats(nodes map[string]*refNode, isolated []string) Stats {
+	st := Stats{HomologousNodes: len(nodes), Isolated: len(isolated)}
+	members := 0
+	for _, n := range nodes {
+		members += n.Num
+		st.MaxGroupSize = max(st.MaxGroupSize, n.Num)
+	}
+	if len(nodes) > 0 {
+		st.MeanGroupSize = float64(members) / float64(len(nodes))
+	}
+	return st
+}
+
 // randomLinkedGraph builds a graph with colliding keys, entity-valued
 // objects (including self-loops) and optional removals.
 func randomLinkedGraph(tb testing.TB, rng *rand.Rand, n int, withRemovals bool) *kg.Graph {
@@ -155,5 +169,22 @@ func TestBuildMatchesReference(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBuildStatsMatchReference holds Build's counts and the RecomputeStats
+// walk, which share countKeys, to statistics derived from refBuild.
+func TestBuildStatsMatchReference(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomLinkedGraph(t, rng, 40+rng.Intn(80), seed%2 == 0)
+		sg := Build(g)
+		want := refStats(refBuild(g))
+		if got := sg.ComputeStats(); got != want {
+			t.Fatalf("seed %d: ComputeStats = %+v, reference %+v", seed, got, want)
+		}
+		if got := sg.RecomputeStats(); got != want {
+			t.Fatalf("seed %d: RecomputeStats = %+v, reference %+v", seed, got, want)
+		}
 	}
 }

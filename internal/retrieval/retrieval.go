@@ -30,6 +30,19 @@ type Chunk struct {
 	Text   string
 }
 
+// DocOfChunk strips the record/paragraph suffix from a jsonld chunk ID,
+// recovering the ingested file identity ("domain/source/name#hash"): the
+// ID is cut at the first '/' after its first '#'. An ID without that shape
+// is its own document.
+func DocOfChunk(chunkID string) string {
+	if i := strings.Index(chunkID, "#"); i >= 0 {
+		if j := strings.Index(chunkID[i:], "/"); j >= 0 {
+			return chunkID[:i+j]
+		}
+	}
+	return chunkID
+}
+
 // ChunkText splits text into chunks of at most maxTokens tokens, breaking at
 // sentence boundaries where possible. maxTokens <= 0 selects the default of
 // 64.

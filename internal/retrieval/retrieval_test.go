@@ -13,6 +13,25 @@ import (
 	"multirag/internal/textutil"
 )
 
+// TestDocOfChunk pins the chunk-ID → document-ID recovery, including the
+// degenerate shapes the jsonld layer can produce.
+func TestDocOfChunk(t *testing.T) {
+	cases := []struct{ in, want string }{
+		{"", ""},           // empty ID
+		{"plain", "plain"}, // no '#'
+		{"domain/src/name#h3", "domain/src/name#h3"},       // '#' without '/'
+		{"domain/src/name#h3/r0", "domain/src/name#h3"},    // record suffix
+		{"domain/src/name#h3/r0/p2", "domain/src/name#h3"}, // paragraph suffix
+		{"#/x", "#"},         // leading '#'
+		{"a#b#c/d", "a#b#c"}, // cut at the first '/' after the first '#'
+	}
+	for _, c := range cases {
+		if got := DocOfChunk(c.in); got != c.want {
+			t.Errorf("DocOfChunk(%q) = %q, want %q", c.in, got, c.want)
+		}
+	}
+}
+
 func TestChunkTextRespectsBudget(t *testing.T) {
 	var sb strings.Builder
 	for i := 0; i < 40; i++ {
