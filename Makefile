@@ -59,8 +59,7 @@ chaos-cluster:
 # oracle that rebuilds the previous value's prefix plus the suffix — the WAL
 # group record and checkpoint body decoders behind them (and the replica
 # doors that take the same bytes from a peer; seeded with records and bodies
-# in formats 4 and 3, which decode, and formats 2 and 1, which must be
-# rejected),
+# in format 4, which decode, and formats 1–3, which must be rejected),
 # and the JSON-LD parser every adapter output
 # passes through — plus the allocation-free text primitives held to the forms
 # they replace: SameNormalized / CompareNormalized / SameLower against

@@ -43,9 +43,10 @@
 // snapshots, and reopening the same directory replays the tail — RecoveryInfo
 // reports what was found. Durable systems must be Close'd to take the final
 // checkpoint; `multirag recover` inspects and repairs a directory offline.
-// A directory in an on-disk format this release does not read fails
-// OpenDurable with ErrUnsupportedFormat and is left untouched. See DESIGN.md
-// §9.
+// A release reads only the on-disk format it writes (format 4): a directory
+// in any other fails OpenDurable with ErrUnsupportedFormat and is left
+// untouched. One format back migrates by being opened once with a release
+// that still reads it; see DESIGN.md §9.
 //
 // Read capacity scales out with NewReplicaSet over a durable System: each
 // replica is seeded from the primary's published snapshot, then reads the

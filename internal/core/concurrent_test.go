@@ -130,16 +130,13 @@ func memberFacts(sg *linegraph.SG, n *linegraph.HomologousNode) []string {
 }
 
 // requireSGMatchesBuild checks a delta-maintained SG against linegraph.Build
-// over the same graph: equal statistics (incremental and walked), equal
-// isolated points and, node by node, equal members and sources.
+// over the same graph: equal statistics, equal isolated points and, node by
+// node, equal members and sources.
 func requireSGMatchesBuild(t *testing.T, label string, sg *linegraph.SG) {
 	t.Helper()
 	want := linegraph.Build(sg.Graph())
 	if got, w := sg.ComputeStats(), want.ComputeStats(); got != w {
 		t.Fatalf("%s: stats %+v, full Build %+v", label, got, w)
-	}
-	if got, w := sg.RecomputeStats(), want.RecomputeStats(); got != w {
-		t.Fatalf("%s: walked stats %+v, full Build %+v", label, got, w)
 	}
 	if !reflect.DeepEqual(sg.IsolatedIDs(), want.IsolatedIDs()) {
 		t.Fatalf("%s: isolated points diverge from full Build", label)

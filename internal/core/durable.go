@@ -28,23 +28,18 @@ import (
 // tail through the same recorder-replay + BuildDelta path the committer runs,
 // and truncates whatever torn frame the crash left behind.
 //
-// Format 4 (snapshotVersion, recordVersion) is the format written: it stores
-// facts only — entities, triples and chunk strings, the string columns that
-// repeat from row to row front-coded against the previous row
-// (wal.Encoder.Front). What is a pure function of them is derived on load:
+// Format 4 (snapshotVersion, recordVersion) is the one format read and
+// written: it stores facts only — entities, triples and chunk strings, the
+// string columns that repeat from row to row front-coded against the previous
+// row (wal.Encoder.Front). What is a pure function of them is derived on load:
 // every chunk's vector is re-embedded from its text (retrieval.DecodeIntoStore,
 // and decodeGroupRecord for a record), and the line graph is rebuilt from the
-// graph (linegraph.Build, BuildDelta on replay). Format 3 is still read,
-// through the same decoders: it also stored every vector and the line graph,
-// and those sections are read past by their framing alone (retrieval.SkipVector,
-// skipLineGraph) and derived like format 4's. A format-3 directory migrates by
-// being opened once: new records are appended in format 4 behind the format-3
-// ones, and the next checkpoint rewrites the state in format 4. Formats 1
-// (dense vectors) and 2 (strings not front-coded) are no longer read; a
-// checkpoint says which format it is in its version field, a record by how it
-// starts — a record of format 2 or later opens with a 0 tag and its version, a
-// format-1 record with its batch count, which is never 0. Anything else is
-// rejected with ErrUnsupportedFormat before recovery writes to the directory.
+// graph (linegraph.Build, BuildDelta on replay). A checkpoint says which format
+// it is in its version field, a record by how it starts — a record of format 2
+// or later opens with a 0 tag and its version, a format-1 record with its
+// batch count, which is never 0. Any other format is rejected with
+// ErrUnsupportedFormat before recovery writes to the directory (DESIGN.md §9
+// has the migration policy).
 //
 // Not covered: destructive graph mutation outside the logged ingest path (the
 // perturbation harness mutates the served graph in place and calls RebuildSG)
@@ -59,12 +54,10 @@ const (
 )
 
 // snapshotVersion versions the checkpoint body layout; recordVersion versions
-// the WAL group record's. vectorVersion is the one earlier version of both
-// that is still read: the last that stored vectors and the line graph.
+// the WAL group record's.
 const (
 	snapshotVersion = 4
 	recordVersion   = 4
-	vectorVersion   = 3
 )
 
 // ErrUnsupportedFormat reports a checkpoint body or WAL record in an on-disk
@@ -77,26 +70,25 @@ var ErrUnsupportedFormat = errors.New("core: unsupported on-disk format")
 // a time, each by being opened once with a release that reads it: that
 // release's final checkpoint rewrites the state in the format it writes.
 func unsupportedFormat(what string, v uint64) error {
-	if v < vectorVersion {
+	if v < snapshotVersion {
 		return fmt.Errorf("%w: %s is format %d; open the directory once with a release that still reads format %d (then with later ones, a format at a time) to rewrite it in format %d",
-			ErrUnsupportedFormat, what, v, v, vectorVersion)
+			ErrUnsupportedFormat, what, v, v, snapshotVersion)
 	}
 	return fmt.Errorf("%w: %s version %d", ErrUnsupportedFormat, what, v)
 }
 
 // readVersion reads the version a checkpoint body or WAL record (what)
-// opens with, current being the one this release writes. It returns the
-// version, or an error wrapping ErrUnsupportedFormat for one this release
-// does not read.
-func readVersion(d *wal.Decoder, what string, current uint64) (uint64, error) {
+// opens with, current being the one this release writes and reads. Any other
+// version is an error wrapping ErrUnsupportedFormat.
+func readVersion(d *wal.Decoder, what string, current uint64) error {
 	v := d.Uvarint()
 	switch {
 	case d.Err() != nil:
-		return 0, d.Err()
-	case v != current && v != vectorVersion:
-		return 0, unsupportedFormat(what, v)
+		return d.Err()
+	case v != current:
+		return unsupportedFormat(what, v)
 	}
-	return v, nil
+	return nil
 }
 
 // durable is the persistence state of a System opened with Open/OpenFS; nil
@@ -364,12 +356,10 @@ func snapshotBody(sn *snapshot) []byte {
 
 // decodeSnapshot rebuilds a snapshot from a checkpoint body. The line graph
 // is a view over the decoded graph and the store's texts are re-embedded on
-// the worker pool; a format-3 body's stored line graph and vectors are read
-// past.
+// the worker pool.
 func (s *System) decodeSnapshot(body []byte) (*snapshot, error) {
 	d := wal.NewDecoder(body)
-	v, err := readVersion(d, "checkpoint", snapshotVersion)
-	if err != nil {
+	if err := readVersion(d, "checkpoint", snapshotVersion); err != nil {
 		return nil, err
 	}
 	g, err := kg.DecodeGraph(d)
@@ -380,31 +370,14 @@ func (s *System) decodeSnapshot(body []byte) (*snapshot, error) {
 	if !s.cfg.DisableMKA && g.NumTriples() > 0 {
 		sg = linegraph.Build(g)
 	}
-	if v == vectorVersion && d.Bool() {
-		skipLineGraph(d)
-	}
 	ix := retrieval.NewIndex(retrieval.DefaultDim)
-	if err := retrieval.DecodeIntoStore(d, ix, s.Workers(), v == vectorVersion); err != nil {
+	if err := retrieval.DecodeIntoStore(d, ix, s.Workers()); err != nil {
 		return nil, err
 	}
 	if err := d.Finish(); err != nil {
 		return nil, err
 	}
 	return &snapshot{graph: g, sg: sg, index: ix}, nil
-}
-
-// skipLineGraph reads past a format-3 checkpoint's line graph — each
-// homologous node as its member count and triple handles, the isolated points
-// as a count and triple handles, then the largest group's size — by its
-// framing alone; a count the bytes left cannot back fails once they run out.
-// The line graph is built from the graph instead.
-func skipLineGraph(d *wal.Decoder) {
-	nodes := d.Int()
-	for i := 0; i < nodes && d.Err() == nil; i++ {
-		d.SkipUvarints(d.Int())
-	}
-	d.SkipUvarints(d.Int())
-	d.Int()
 }
 
 // The group record: the 0 tag and recordVersion, the count of committed
@@ -416,8 +389,7 @@ func skipLineGraph(d *wal.Decoder) {
 // and chunk, a chunk's ID, document and source. Every part starts from empty
 // values, so a file's part does not depend on the rest of its group: stage 1
 // encodes it (encodeFile) on the worker that prepared the file, and the
-// commit path only concatenates. A format-3 record also carries each chunk's
-// vector behind its text, which decoding reads past.
+// commit path only concatenates.
 
 // encodeGroupRecord serializes the committed batches of one commit group, in
 // ticket order, as one WAL record payload: the header, then every batch's
@@ -542,13 +514,13 @@ func encodeFile(rec *extract.Recorder, chunks []retrieval.Chunk, dim int) (part 
 const minStoredChunk = 7
 
 // decodeGroupRecord rebuilds a commit group's batches from a WAL record
-// payload, of this release's format or format 3, and re-embeds every chunk
-// onto the end of sc's slab: each file's rows are a view of it
-// (retrieval.Sparse.Rows), valid until the slab is reset, so the records of
-// one run can be decoded into it one after another. The op streams are fed back through a fresh
-// Recorder's AddEntity/AddTriple — the same validation the original
-// extraction passed — so a record that somehow decodes but violates an
-// invariant errors instead of panicking downstream. Nothing of payload is
+// payload and re-embeds every chunk onto the end of sc's slab: each file's
+// rows are a view of it (retrieval.Sparse.Rows), valid until the slab is
+// reset, so the records of one run can be decoded into it one after another.
+// The op streams are fed back through a fresh Recorder's AddEntity/AddTriple —
+// the same validation the original extraction passed — so a record that
+// somehow decodes but violates an invariant errors instead of panicking
+// downstream. Nothing of payload is
 // kept. The string fields that repeat across rows — the front-coded ones, a
 // triple's predicate and object — are interned (wal.Decoder.Front,
 // Interned). Every count is trusted for a preallocation only as far as the
@@ -558,8 +530,7 @@ func decodeGroupRecord(payload []byte, sc *embedScratch) ([][]fileWork, error) {
 	if tag := d.Int(); d.Err() == nil && tag != 0 {
 		return nil, unsupportedFormat("WAL record", 1) // format 1 opens with its batch count
 	}
-	v, err := readVersion(d, "WAL record", recordVersion)
-	if err != nil {
+	if err := readVersion(d, "WAL record", recordVersion); err != nil {
 		return nil, err
 	}
 	nb := d.Int()
@@ -605,9 +576,6 @@ func decodeGroupRecord(payload []byte, sc *embedScratch) ([][]fileWork, error) {
 			var pc retrieval.Chunk
 			for k := 0; k < nChunks && d.Err() == nil; k++ {
 				c := retrieval.Chunk{ID: d.Front(pc.ID), DocID: d.Front(pc.DocID), Source: d.Front(pc.Source), Text: d.String()}
-				if v == vectorVersion {
-					retrieval.SkipVector(d)
-				}
 				pc = c
 				f.chunks = append(f.chunks, c)
 			}

@@ -15,7 +15,6 @@ import (
 	"unsafe"
 
 	"multirag/internal/adapter"
-	"multirag/internal/kg"
 	"multirag/internal/llm"
 	"multirag/internal/retrieval"
 	"multirag/internal/wal"
@@ -65,10 +64,15 @@ const format2Dir = "testdata/format2"
 
 // format3Dir is the same directory written by the first format-3 release,
 // from the same files by the same procedure (writeFormat), and format4Dir
-// the same written by the first format-4 release.
+// the same written by the first format-4 release. format3MigratedDir is
+// format3Dir after one `multirag recover -data-dir` by the last release that
+// read format 3: the format-3 checkpoint at LSN 2, kept as the fallback, the
+// format-4 checkpoint at LSN 3 that recovery wrote, the format-3 record in
+// wal-…2.log and an empty wal-…3.log.
 const (
-	format3Dir = "testdata/format3"
-	format4Dir = "testdata/format4"
+	format3Dir         = "testdata/format3"
+	format4Dir         = "testdata/format4"
+	format3MigratedDir = "testdata/format3-migrated"
 )
 
 // format4Digest is the snapshot digest the first format-4 release computed
@@ -227,6 +231,14 @@ func TestOpenFormat2Directory(t *testing.T) {
 	requireUnsupportedDirectory(t, format2Dir, 2, 1)
 }
 
+// TestOpenFormat3Directory: a release reads only the format it writes, so
+// format 3 is rejected too. The format-3 fixture — a format-3 checkpoint plus
+// one format-3 record — is rejected whole and left as it was
+// (requireUnsupportedDirectory).
+func TestOpenFormat3Directory(t *testing.T) {
+	requireUnsupportedDirectory(t, format3Dir, 2, 1)
+}
+
 // TestFormat4Bytes pins format 4 byte for byte: re-ingesting the files behind
 // format4Dir into a fresh directory writes exactly the checkpoint and WAL
 // segment the first format-4 release wrote, and the fixture reopens to the
@@ -289,24 +301,23 @@ func openCopy(t *testing.T, src string) (*System, *RecoveryInfo) {
 	return s, info
 }
 
-// TestOpenFormat3Directory is the migration path from format 3. The format-3
-// fixture, left byte for byte as the format-3 release wrote it, opens with its
-// one record replayed — its stored vectors and line graph read past, both
-// derived instead — to the digest and derived state of the same files
-// ingested fresh. A commit on top appends a format-4 record behind the
-// format-3 one in the same segment; a copy of that mixed directory taken
-// before Close reopens to the same digest; and Close rewrites the state as a
-// format-4 checkpoint.
-func TestOpenFormat3Directory(t *testing.T) {
+// TestOpenFormat3MigratedDirectory is the migration path a format-3 directory
+// takes: opened once by a release that read format 3, it opens here from the
+// format-4 checkpoint that release wrote, with nothing replayed, to the digest
+// and derived state of the same files ingested fresh. The format-3 fallback
+// checkpoint and segment are never read, and the next checkpoint prunes them:
+// after one commit and Close every checkpoint left is format 4, and the
+// directory reopens to the same digest.
+func TestOpenFormat3MigratedDirectory(t *testing.T) {
 	fresh := writeFormat(t, filepath.Join(t.TempDir(), "fresh"))
 	defer fresh.Close()
-	s, info := openCopy(t, format3Dir)
+	s, info := openCopy(t, format3MigratedDir)
 	defer s.Close()
-	if *info != (RecoveryInfo{CheckpointLSN: 2, RecordsReplayed: 1}) {
-		t.Fatalf("recovery info %+v, want the checkpoint at LSN 2 and 1 replayed record", *info)
+	if *info != (RecoveryInfo{CheckpointLSN: 3}) {
+		t.Fatalf("recovery info %+v, want the checkpoint at LSN 3 and nothing replayed", *info)
 	}
-	if d, want := s.SnapshotDigest(), fresh.SnapshotDigest(); d != want {
-		t.Fatalf("format-3 fixture reopened to digest %#016x, the files ingested fresh %#016x", d, want)
+	if d := s.SnapshotDigest(); d != format4Digest {
+		t.Fatalf("migrated fixture digest %#016x, want %#016x", d, uint64(format4Digest))
 	}
 	requireDerivedEqual(t, s, fresh)
 	requireAnswer(t, s, "What is the status of CA981?", "Delayed")
@@ -314,40 +325,32 @@ func TestOpenFormat3Directory(t *testing.T) {
 	if _, err := s.Ingest(format1Batches()[3]); err != nil {
 		t.Fatal(err)
 	}
-	dir := s.dur.dir
-	sr, err := wal.Scan(wal.OSFS{}, dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var versions []byte
-	for _, rec := range sr.Records {
-		versions = append(versions, rec[1]) // after the 0 tag
-	}
-	if !bytes.Equal(versions, []byte{vectorVersion, recordVersion}) {
-		t.Fatalf("segment holds records of versions %v, want a format-3 record then a format-4 one", versions)
-	}
 	want := s.SnapshotDigest()
-	mixed, info := openCopy(t, dir)
-	if info.RecordsReplayed != 2 {
-		t.Fatalf("the mixed copy replayed %d records, want 2", info.RecordsReplayed)
-	}
-	if d := mixed.SnapshotDigest(); d != want {
-		t.Fatalf("mixed copy reopened to digest %#016x, the directory it was copied from %#016x", d, want)
-	}
-	requireDerivedEqual(t, mixed, s)
-	if err := mixed.Close(); err != nil {
-		t.Fatal(err)
-	}
-
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	body, lsn, err := wal.LoadCheckpoint(wal.OSFS{}, dir)
-	if err != nil || body == nil || lsn != 4 {
-		t.Fatalf("checkpoint after Close: LSN %d, %v", lsn, err)
+	dir := s.dur.dir
+	ckpts, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.ckpt"))
+	if err != nil || len(ckpts) == 0 {
+		t.Fatalf("checkpoints after Close: %v, %v", ckpts, err)
 	}
-	if body[0] != snapshotVersion {
-		t.Fatalf("Close wrote a version-%d checkpoint, want %d", body[0], snapshotVersion)
+	for _, path := range ckpts {
+		// Loaded alone, so a newer checkpoint cannot shadow it.
+		alone := t.TempDir()
+		b, err := os.ReadFile(path)
+		if err == nil {
+			err = os.WriteFile(filepath.Join(alone, filepath.Base(path)), b, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _, err := wal.LoadCheckpoint(wal.OSFS{}, alone)
+		if err != nil || body == nil {
+			t.Fatalf("%s: %v", filepath.Base(path), err)
+		}
+		if body[0] != snapshotVersion {
+			t.Fatalf("%s is a version-%d checkpoint after Close, want %d", filepath.Base(path), body[0], snapshotVersion)
+		}
 	}
 	r, info := openCopy(t, dir)
 	defer r.Close()
@@ -395,41 +398,31 @@ func TestDecodedSnapshotSharesStrings(t *testing.T) {
 	}
 }
 
-// unbackedCounts are payloads whose counts no bytes back: a record opening
-// with 2³¹-1 batches the way format 1 did (5 bytes), records of formats 2, 3
-// and 4 claiming as many batches or files, and format-3 checkpoint bodies
-// whose skipped line graph claims 2³¹-1 nodes, or one node of 2³¹-1 members.
-// Sizing a preallocation by any of these counts asks the runtime for tens of
-// gigabytes and ends the process; looping over one spins for seconds.
+// unbackedRecords and unbackedCheckpoints are payloads whose counts no bytes
+// back: a record opening with 2³¹-1 batches the way format 1 did (5 bytes),
+// records of formats 2, 3 and 4 claiming as many batches or files, and
+// format-4 checkpoint bodies claiming as many entities, predicates, triple
+// slots or store rows. Sizing a preallocation by any of these counts asks the
+// runtime for tens of gigabytes and ends the process; looping over one spins
+// for seconds.
 var (
 	unbackedRecords = [][]byte{
 		binary.AppendUvarint(nil, 1<<31-1),
 		binary.AppendUvarint([]byte{0, 2}, 1<<31-1),
 		binary.AppendUvarint([]byte{0, 2, 1}, 1<<31-1),
-		binary.AppendUvarint([]byte{0, vectorVersion}, 1<<31-1),
-		binary.AppendUvarint([]byte{0, vectorVersion, 1}, 1<<31-1),
+		binary.AppendUvarint([]byte{0, 3}, 1<<31-1),
+		binary.AppendUvarint([]byte{0, 3, 1}, 1<<31-1),
 		binary.AppendUvarint([]byte{0, recordVersion}, 1<<31-1),
 		binary.AppendUvarint([]byte{0, recordVersion, 1}, 1<<31-1),
 	}
-	unbackedSGs = [][]byte{
-		binary.AppendUvarint(nil, 1<<31-1),
-		binary.AppendUvarint([]byte{1}, 1<<31-1),
+	unbackedCheckpoints = [][]byte{
+		binary.AppendUvarint([]byte{snapshotVersion}, 1<<31-1),       // entities
+		binary.AppendUvarint([]byte{snapshotVersion, 0}, 1<<31-1),    // predicates
+		binary.AppendUvarint([]byte{snapshotVersion, 0, 0}, 1<<31-1), // triple slots
+		// An empty graph, then the store's width and its row count.
+		binary.AppendUvarint(binary.AppendUvarint([]byte{snapshotVersion, 0, 0, 0}, retrieval.DefaultDim), 1<<31-1),
 	}
 )
-
-// unbackedCheckpoints are format-3 checkpoint bodies around unbackedSGs: an
-// empty graph, then the line graph with the unbacked count.
-func unbackedCheckpoints() [][]byte {
-	var out [][]byte
-	for _, sg := range unbackedSGs {
-		var e wal.Encoder
-		e.Uvarint(vectorVersion)
-		kg.New().EncodeTo(&e) // an empty graph encodes the same in formats 3 and 4
-		e.Bool(true)
-		out = append(out, append(e.Bytes(), sg...))
-	}
-	return out
-}
 
 // TestDecodeRejectsUnbackedCounts: a count the payload cannot back is an
 // error — from the record decoder directly, and through ReplicaApply and
@@ -444,12 +437,11 @@ func TestDecodeRejectsUnbackedCounts(t *testing.T) {
 			t.Errorf("record %d: ReplicaApply accepted %x", i, rec)
 		}
 	}
-	// The bodies are in a format this release reads, so the error comes from
-	// the skipped line graph's framing, not from the version check in front
-	// of it.
-	for i, body := range unbackedCheckpoints() {
+	// The bodies are in the format this release reads, so the error comes
+	// from the count, not from the version check in front of it.
+	for i, body := range unbackedCheckpoints {
 		if err := NewSystem(format1Config()).SeedReplica(body, 0); err == nil || errors.Is(err, ErrUnsupportedFormat) {
-			t.Errorf("SeedReplica on format-3 body %d with an unbacked line-graph count: %v", i, err)
+			t.Errorf("SeedReplica on format-4 body %d with an unbacked count: %v", i, err)
 		}
 	}
 }
@@ -457,9 +449,9 @@ func TestDecodeRejectsUnbackedCounts(t *testing.T) {
 // FuzzRecoveredPayload feeds arbitrary bytes to the two decoders recovery and
 // replication run over bytes from disk or a peer — the WAL group record and
 // the checkpoint body — and to the replica doors in front of them. The seeds
-// are a record and a checkpoint body in each of formats 4 and 3, which
-// decode, and in formats 2 and 1 (with the format1-nan-weight corpus entry),
-// which must be rejected. Any input may be rejected; none may crash, and a
+// are a record and a checkpoint body in format 4, which decode, and in
+// formats 3, 2 and 1 (with the format1-nan-weight corpus entry), which must
+// be rejected, and the unbacked counts. Any input may be rejected; none may crash, and a
 // record that decodes must hold one sparse row per chunk.
 func FuzzRecoveredPayload(f *testing.F) {
 	primary, _, err := OpenFS(wal.NewMemFS(), durDir, format1Config())
@@ -473,10 +465,9 @@ func FuzzRecoveredPayload(f *testing.F) {
 	f.Add(logRecords(f, primary, 0, 1)[0])  // format-4 record
 	f.Add(primary.ServingHandle().Encode()) // format-4 checkpoint body
 	for _, fx := range []struct {
-		dir      string
-		lsn      uint64
-		rejected bool
-	}{{format3Dir, 2, false}, {format2Dir, 2, true}, {format1Dir, 3, true}} {
+		dir string
+		lsn uint64
+	}{{format3Dir, 2}, {format2Dir, 2}, {format1Dir, 3}} {
 		sr, err := wal.Scan(wal.OSFS{}, fx.dir, fx.lsn)
 		if err != nil || len(sr.Records) == 0 {
 			f.Fatalf("%s records: %v", fx.dir, err)
@@ -487,9 +478,8 @@ func FuzzRecoveredPayload(f *testing.F) {
 		}
 		_, recErr := decodeGroupRecord(sr.Records[0], getEmbedScratch(retrieval.DefaultDim))
 		bodyErr := NewSystem(format1Config()).SeedReplica(body, fx.lsn)
-		if fx.rejected != errors.Is(recErr, ErrUnsupportedFormat) || fx.rejected != errors.Is(bodyErr, ErrUnsupportedFormat) ||
-			!fx.rejected && (recErr != nil || bodyErr != nil) {
-			f.Fatalf("%s: record %v, checkpoint %v; want rejected = %v", fx.dir, recErr, bodyErr, fx.rejected)
+		if !errors.Is(recErr, ErrUnsupportedFormat) || !errors.Is(bodyErr, ErrUnsupportedFormat) {
+			f.Fatalf("%s: record %v, checkpoint %v; want both ErrUnsupportedFormat", fx.dir, recErr, bodyErr)
 		}
 		f.Add(sr.Records[0])
 		f.Add(body)
@@ -497,7 +487,7 @@ func FuzzRecoveredPayload(f *testing.F) {
 	for _, rec := range unbackedRecords {
 		f.Add(rec)
 	}
-	for _, body := range unbackedCheckpoints() {
+	for _, body := range unbackedCheckpoints {
 		f.Add(body)
 	}
 

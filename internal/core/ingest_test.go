@@ -166,8 +166,8 @@ func TestGroupCommitMidGroupFailure(t *testing.T) {
 		}
 	}
 	requireSameGraph(t, s, want)
-	if got, wantStats := s.SG().ComputeStats(), s.SG().RecomputeStats(); got != wantStats {
-		t.Fatalf("published stats drifted from oracle: %+v vs %+v", got, wantStats)
+	if got, wantStats := s.SG().ComputeStats(), linegraph.Build(s.Graph()).ComputeStats(); got != wantStats {
+		t.Fatalf("published stats drifted from a full Build: %+v vs %+v", got, wantStats)
 	}
 }
 
@@ -377,8 +377,8 @@ func TestIngestStressNoTornSnapshot(t *testing.T) {
 						t.Error("torn snapshot: SG does not belong to the served graph")
 						return
 					}
-					if st, oracle := sg.ComputeStats(), sg.RecomputeStats(); st != oracle {
-						t.Errorf("torn stats: %+v vs oracle %+v", st, oracle)
+					if st, full := sg.ComputeStats(), linegraph.Build(g).ComputeStats(); st != full {
+						t.Errorf("torn stats: %+v vs full Build %+v", st, full)
 						return
 					}
 				}
@@ -410,8 +410,8 @@ func TestIngestStressNoTornSnapshot(t *testing.T) {
 
 // ingestSequential is the serialized reference write path: one batch at a
 // time on the caller's goroutine, prepared, replayed onto a clone, its line
-// graph rebuilt from scratch with linegraph.Build and its statistics walked
-// (RecomputeStats), then published as its own snapshot.
+// graph rebuilt from scratch with linegraph.Build, which counts its statistics
+// from every key, then published as its own snapshot.
 func ingestSequential(s *System, files []adapter.RawFile) (IngestReport, error) {
 	var rep IngestReport
 	fused, err := s.registry.FuseParallel(files, 1)
@@ -439,7 +439,7 @@ func ingestSequential(s *System, files []adapter.RawFile) (IngestReport, error) 
 	rep.Extraction.Entities = g.NumEntities() - entBefore
 	rep.Extraction.Triples = g.NumTriples() - triBefore
 	sg := linegraph.Build(g)
-	rep.Homologous = sg.RecomputeStats()
+	rep.Homologous = sg.ComputeStats()
 	s.snap.Store(&snapshot{graph: g, sg: sg, index: ix, gen: cur.gen + 1})
 	return rep, nil
 }

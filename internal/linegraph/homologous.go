@@ -284,13 +284,8 @@ type Stats struct {
 
 // ComputeStats returns aggregate statistics of the homologous structure. The
 // aggregates are maintained incrementally by Build and BuildDelta, so this is
-// an O(1) read — safe to call per ingest commit. RecomputeStats is the
-// walking oracle.
+// an O(1) read — safe to call per ingest commit.
 func (sg *SG) ComputeStats() Stats { return sg.counts.stats() }
-
-// RecomputeStats derives the statistics by walking every key posting of the
-// graph — the test oracle for ComputeStats.
-func (sg *SG) RecomputeStats() Stats { return countKeys(sg.graph).stats() }
 
 func (c counts) stats() Stats {
 	st := Stats{HomologousNodes: c.nodes, Isolated: c.isolated}

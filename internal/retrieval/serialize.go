@@ -17,11 +17,7 @@ import (
 // Vectors are not stored. Every row of a store a system serves is
 // Embed(Text, dim), a pure function of bytes the body already holds, so
 // decoding re-embeds each text (EmbedInto, bit for bit what ingest embedded)
-// and posts its weights, rebuilding the posting lists. A body written before
-// vectors were derived (format 3) carries each row's vector behind its text in
-// a sparse stored form — the count of its non-zero weights, their buckets as
-// uvarint gaps, the count again, the weights as little-endian float32s — which
-// DecodeIntoStore reads past (SkipVector) and re-embeds like any other row.
+// and posts its weights, rebuilding the posting lists.
 
 // minStoredChunk is the fewest bytes a chunk takes in a store's encoding:
 // three front-coded fields (a prefix length and a suffix length each) and its
@@ -44,27 +40,16 @@ func EncodeStore(e *wal.Encoder, ix *Index) {
 	}
 }
 
-// SkipVector reads past one vector in format 3's sparse stored form by its
-// framing alone: the bucket count and that many gap varints, then the weight
-// count and four bytes a weight. A truncated vector, or a count the bytes left
-// cannot back, latches an error on d. What the buckets and weights hold is
-// not looked at; the row is re-embedded from its text.
-func SkipVector(d *wal.Decoder) {
-	d.SkipUvarints(d.Int())
-	d.Skip(4 * d.Int())
-}
-
 // DecodeIntoStore fills the empty index ix from d (the inverse of
 // EncodeStore), re-embedding every row on up to workers goroutines (<= 0
-// selects GOMAXPROCS). The index's width must match the encoded one.
-// withVectors reads a format-3 body, whose rows carry stored vectors (see
-// above). The chunk slice is sized once from the encoded row count, trusted
-// only as far as the bytes left could back it. A chunk's DocID and Source are
+// selects GOMAXPROCS). The index's width must match the encoded one. The
+// chunk slice is sized once from the encoded row count, trusted only as far
+// as the bytes left could back it. A chunk's DocID and Source are
 // read through d's intern table (wal.Decoder.Front), so the chunks of one
 // document share them, and a DocID shares the copy of the same document a
 // triple's ChunkID decoded earlier in the same body; its ID, which never
 // repeats, is read without the table (FrontFresh). On error ix is left empty.
-func DecodeIntoStore(d *wal.Decoder, ix *Index, workers int, withVectors bool) error {
+func DecodeIntoStore(d *wal.Decoder, ix *Index, workers int) error {
 	dim := d.Int()
 	n := d.Int()
 	if err := d.Err(); err != nil {
@@ -83,9 +68,6 @@ func DecodeIntoStore(d *wal.Decoder, ix *Index, workers int, withVectors bool) e
 	var prev Chunk
 	for i := 0; i < n && d.Err() == nil; i++ {
 		c := Chunk{ID: d.FrontFresh(prev.ID), DocID: d.Front(prev.DocID), Source: d.Front(prev.Source), Text: d.String()}
-		if withVectors {
-			SkipVector(d)
-		}
 		chunks = append(chunks, c)
 		prev = c
 	}

@@ -3,7 +3,6 @@ package retrieval
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -32,28 +31,9 @@ func encodeStore(ix *Index) []byte {
 	return append([]byte(nil), e.Bytes()...)
 }
 
-// encodeStoreFormat3 is EncodeStore as format 3 wrote it: every row's vector,
-// gathered from the posting lists, behind its text in the sparse stored form.
-func encodeStoreFormat3(ix *Index) []byte {
-	var e wal.Encoder
-	e.Int(ix.Dim())
-	e.Int(ix.Len())
-	var prev Chunk
-	ix.ForEachEmbedded(func(c Chunk, v Vector) {
-		e.Front(prev.ID, c.ID)
-		e.Front(prev.DocID, c.DocID)
-		e.Front(prev.Source, c.Source)
-		e.String(c.Text)
-		e.Raw(oracleEncodeVector(v))
-		prev = c
-	})
-	return append([]byte(nil), e.Bytes()...)
-}
-
-// TestStoreSerializeRoundTrip: a store decoded from its encoding — and from
-// the format-3 encoding of the same store, vectors skipped — re-embeds to the
-// same posting lists and answers searches score for score, on one worker and
-// on several, and re-encodes to the same bytes.
+// TestStoreSerializeRoundTrip: a store decoded from its encoding re-embeds to
+// the same posting lists and answers searches score for score, on one worker
+// and on several, and re-encodes to the same bytes.
 func TestStoreSerializeRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -68,38 +48,32 @@ func TestStoreSerializeRoundTrip(t *testing.T) {
 			src := NewIndex(32)
 			fillStore(src, tc.n)
 			raw := encodeStore(src)
-			for _, body := range []struct {
-				name        string
-				raw         []byte
-				withVectors bool
-			}{{"format 4", raw, false}, {"format 3", encodeStoreFormat3(src), true}} {
-				for _, workers := range []int{1, 3} {
-					dst := NewIndex(32)
-					d := wal.NewDecoder(body.raw)
-					if err := DecodeIntoStore(d, dst, workers, body.withVectors); err != nil {
-						t.Fatal(err)
+			for _, workers := range []int{1, 3} {
+				dst := NewIndex(32)
+				d := wal.NewDecoder(raw)
+				if err := DecodeIntoStore(d, dst, workers); err != nil {
+					t.Fatal(err)
+				}
+				if err := d.Finish(); err != nil {
+					t.Fatal(err)
+				}
+				if dst.Len() != src.Len() {
+					t.Fatalf("%d workers: Len diverges: got %d want %d", workers, dst.Len(), src.Len())
+				}
+				// Identical search results, score for score.
+				for _, q := range []string{"topic 3", "chunk 11", "nothing relevant"} {
+					got, want := dst.Search(q, 10), src.Search(q, 10)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%d workers: Search(%q) diverges:\n got  %v\n want %v", workers, q, got, want)
 					}
-					if err := d.Finish(); err != nil {
-						t.Fatal(err)
-					}
-					if dst.Len() != src.Len() {
-						t.Fatalf("%s, %d workers: Len diverges: got %d want %d", body.name, workers, dst.Len(), src.Len())
-					}
-					// Identical search results, score for score.
-					for _, q := range []string{"topic 3", "chunk 11", "nothing relevant"} {
-						got, want := dst.Search(q, 10), src.Search(q, 10)
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s, %d workers: Search(%q) diverges:\n got  %v\n want %v", body.name, workers, q, got, want)
-						}
-					}
-					// The derived column view is rebuilt entry for entry.
-					if !reflect.DeepEqual(dst.post, src.post) {
-						t.Fatalf("%s, %d workers: decoded posting lists differ from the source's", body.name, workers)
-					}
-					// Deterministic bytes: the decoded store re-encodes identically.
-					if !bytes.Equal(encodeStore(dst), raw) {
-						t.Fatalf("%s, %d workers: re-encoded bytes differ from original encoding", body.name, workers)
-					}
+				}
+				// The derived column view is rebuilt entry for entry.
+				if !reflect.DeepEqual(dst.post, src.post) {
+					t.Fatalf("%d workers: decoded posting lists differ from the source's", workers)
+				}
+				// Deterministic bytes: the decoded store re-encodes identically.
+				if !bytes.Equal(encodeStore(dst), raw) {
+					t.Fatalf("%d workers: re-encoded bytes differ from original encoding", workers)
 				}
 			}
 		})
@@ -107,32 +81,29 @@ func TestStoreSerializeRoundTrip(t *testing.T) {
 }
 
 // TestDecodeIntoStoreValidates: a width mismatch, a non-empty target and a
-// body cut at any byte, in format 4 or format 3, are errors, with the target
-// left empty.
+// body cut at any byte are errors, with the target left empty.
 func TestDecodeIntoStoreValidates(t *testing.T) {
 	src := NewIndex(16)
 	fillStore(src, 5)
 	raw := encodeStore(src)
 
-	if err := DecodeIntoStore(wal.NewDecoder(raw), NewIndex(32), 1, false); err == nil {
+	if err := DecodeIntoStore(wal.NewDecoder(raw), NewIndex(32), 1); err == nil {
 		t.Fatal("decode accepted a dim mismatch")
 	}
 	full := NewIndex(16)
 	fillStore(full, 1)
-	if err := DecodeIntoStore(wal.NewDecoder(raw), full, 1, false); err == nil {
+	if err := DecodeIntoStore(wal.NewDecoder(raw), full, 1); err == nil {
 		t.Fatal("decode accepted a non-empty target store")
 	}
-	for withVectors, body := range map[bool][]byte{false: raw, true: encodeStoreFormat3(src)} {
-		for cut := 0; cut < len(body); cut++ {
-			dst := NewIndex(16)
-			d := wal.NewDecoder(body[:cut])
-			if err := DecodeIntoStore(d, dst, 1, withVectors); err == nil {
-				if err := d.Finish(); err == nil {
-					t.Fatalf("vectors %v, cut %d: decode of truncated stream succeeded", withVectors, cut)
-				}
-			} else if dst.Len() != 0 {
-				t.Fatalf("vectors %v, cut %d: a failed decode left %d rows", withVectors, cut, dst.Len())
+	for cut := 0; cut < len(raw); cut++ {
+		dst := NewIndex(16)
+		d := wal.NewDecoder(raw[:cut])
+		if err := DecodeIntoStore(d, dst, 1); err == nil {
+			if err := d.Finish(); err == nil {
+				t.Fatalf("cut %d: decode of truncated stream succeeded", cut)
 			}
+		} else if dst.Len() != 0 {
+			t.Fatalf("cut %d: a failed decode left %d rows", cut, dst.Len())
 		}
 	}
 }
@@ -149,7 +120,7 @@ func TestDecodeAllocationPerRow(t *testing.T) {
 	var before, after runtime.MemStats
 	dst := NewIndex(DefaultDim)
 	runtime.ReadMemStats(&before)
-	err := DecodeIntoStore(wal.NewDecoder(raw), dst, 1, false)
+	err := DecodeIntoStore(wal.NewDecoder(raw), dst, 1)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -169,54 +140,12 @@ func TestDecodeAllocationPerRow(t *testing.T) {
 	e.Int(1<<31 - 1)
 	empty := NewIndex(DefaultDim)
 	runtime.ReadMemStats(&before)
-	err = DecodeIntoStore(wal.NewDecoder(e.Bytes()), empty, 1, false)
+	err = DecodeIntoStore(wal.NewDecoder(e.Bytes()), empty, 1)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("decode accepted a row count with no rows behind it")
 	}
 	if b := after.TotalAlloc - before.TotalAlloc; b > 4<<10 {
 		t.Fatalf("a bare row count cost %d B", b)
-	}
-}
-
-// TestSkipVectorFraming: format 3's stored vectors are read past by their
-// framing alone — SkipVector ends exactly behind each one, whatever its
-// buckets and weights hold — and a vector cut at any byte, or a weight count
-// the bytes left cannot back, is a latched error.
-func TestSkipVectorFraming(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var e wal.Encoder
-	var ends []int
-	for i := 0; i < 50; i++ {
-		e.Raw(oracleEncodeVector(Embed(randText(rng), []int{7, 64, DefaultDim}[i%3])))
-		ends = append(ends, e.Len())
-	}
-	full := make(Vector, DefaultDim)
-	for b := range full {
-		full[b] = -float32(b + 1)
-	}
-	e.Raw(oracleEncodeVector(full))
-	ends = append(ends, e.Len())
-	body := e.Bytes()
-	d := wal.NewDecoder(body)
-	for i, end := range ends {
-		SkipVector(d)
-		if d.Err() != nil || len(body)-d.Remaining() != end {
-			t.Fatalf("vector %d: skipped to %d (%v), want %d", i, len(body)-d.Remaining(), d.Err(), end)
-		}
-	}
-	last := body[ends[len(ends)-2]:]
-	for cut := 0; cut < len(last); cut++ {
-		d := wal.NewDecoder(last[:cut])
-		if SkipVector(d); d.Err() == nil {
-			t.Fatalf("a vector cut at %d of %d bytes was skipped", cut, len(last))
-		}
-	}
-	var over wal.Encoder
-	over.Int(0)
-	over.Int(1<<31 - 1)
-	d = wal.NewDecoder(over.Bytes())
-	if SkipVector(d); d.Err() == nil {
-		t.Fatal("an unbacked weight count was skipped")
 	}
 }

@@ -45,31 +45,6 @@ func oracleEmbed(text string, dim int) Vector {
 	return v
 }
 
-// oracleEncodeVector is a vector in format 3's sparse stored form, written
-// field by field through a wal.Encoder: the count of its non-zero weights,
-// their buckets as gaps from the previous one (the first from -1), the count
-// again and the weights.
-func oracleEncodeVector(v Vector) []byte {
-	var e wal.Encoder
-	var nz []int
-	for b, x := range v {
-		if x != 0 {
-			nz = append(nz, b)
-		}
-	}
-	e.Int(len(nz))
-	prev := -1
-	for _, b := range nz {
-		e.Int(b - prev)
-		prev = b
-	}
-	e.Int(len(nz))
-	for _, b := range nz {
-		e.F32(v[b])
-	}
-	return e.Bytes()
-}
-
 // embedTexts are chunk-like texts for the embedding oracles: the benchmark
 // grammar's sentences, mixed case, stopwords (a text of nothing else keeps
 // them all), punctuation, runes that change case or width, invalid UTF-8,
@@ -175,7 +150,7 @@ func TestAppendSparseMatchesDenseAppend(t *testing.T) {
 		stores := map[string]*Index{"one batch": whole, "over clones": generations}
 		if corpus.embedded {
 			decoded := NewIndex(dim)
-			if err := DecodeIntoStore(wal.NewDecoder(encodeStore(want)), decoded, 2, false); err != nil {
+			if err := DecodeIntoStore(wal.NewDecoder(encodeStore(want)), decoded, 2); err != nil {
 				t.Fatal(err)
 			}
 			stores["decoded"] = decoded

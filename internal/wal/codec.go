@@ -374,28 +374,6 @@ func (d *Decoder) front(prev string, intern bool) string {
 	return d.intern(append(append(buf[:0], prev[:l]...), suffix...))
 }
 
-// Skip reads past n bytes without looking at them. More bytes than are left
-// is a latched error.
-func (d *Decoder) Skip(n int) {
-	if d.err != nil {
-		return
-	}
-	if n > d.Remaining() {
-		d.fail("skip of %d bytes exceeds %d remaining bytes", n, d.Remaining())
-		return
-	}
-	d.off += n
-}
-
-// SkipUvarints reads past n values written by Uvarint or Int, checking only
-// that each is a well-formed varint. Each takes at least a byte, so a count
-// the bytes left cannot back fails once they run out.
-func (d *Decoder) SkipUvarints(n int) {
-	for i := 0; i < n && d.err == nil; i++ {
-		d.Uvarint()
-	}
-}
-
 // stringBytes reads a length-prefixed string as a view of the input.
 func (d *Decoder) stringBytes() []byte {
 	n := d.Uvarint()

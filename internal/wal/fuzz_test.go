@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 	"unsafe"
 )
@@ -94,8 +95,8 @@ func FuzzDecoder(f *testing.F) {
 	f.Add(e.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0x80}) // unterminated varint
-	// The fixed fields, then nine bytes claiming 2^62 four-byte weights: a
-	// count Int must refuse, or 4*count could wrap.
+	// The fixed fields, then a count of 2^62: Int must refuse it, or a run of
+	// four-byte items sized by it would wrap.
 	var wrap Encoder
 	wrap.Uvarint(7)
 	wrap.String("subject")
@@ -131,16 +132,19 @@ func FuzzDecoder(f *testing.F) {
 		_ = d.F64()
 		_ = d.F32()
 		_ = d.Bool()
-		// A counted run of four-byte weights, framed as format 3 stores
-		// them: the skip stays inside the input whatever the count claims.
+		// A count: Int returns what Uvarint reads up to MaxInt32, and on a
+		// larger value (the wrap seed's 2^62) latches an error and returns 0.
+		raw := *d
+		v := raw.Uvarint()
 		count := d.Int()
-		left := d.Remaining()
-		d.Skip(4 * count)
-		if d.Remaining() < 0 || d.Remaining() > len(b) {
-			t.Fatalf("offset %d outside %d input bytes", d.off, len(b))
-		}
-		if d.Err() == nil && count > left/4 {
-			t.Fatalf("skipped %d weights with %d bytes left", count, left)
+		switch {
+		case count < 0 || count > math.MaxInt32:
+			t.Fatalf("Int returned %d", count)
+		case raw.err != nil:
+		case v > math.MaxInt32 && (d.err == nil || count != 0):
+			t.Fatalf("Int on %d returned %d (%v), want a latched error", v, count, d.err)
+		case v <= math.MaxInt32 && (d.err != nil || uint64(count) != v):
+			t.Fatalf("Int on %d returned %d (%v)", v, count, d.err)
 		}
 		if d.Err() != nil {
 			// Errors must latch: one more read of each kind stays zero.
@@ -199,19 +203,6 @@ func FuzzDecoder(f *testing.F) {
 					i, got, fresh.off, fresh.err, want, fronted.off, fronted.err)
 			}
 			prevGot = got
-		}
-
-		// SkipUvarints ends where reading the varints one by one ends, and
-		// fails where it fails.
-		for _, n := range []int{0, 1, 3, len(b), len(b) + 1} {
-			skipped, read := NewDecoder(b), NewDecoder(b)
-			skipped.SkipUvarints(n)
-			for i := 0; i < n && read.err == nil; i++ {
-				read.Uvarint()
-			}
-			if skipped.off != read.off || fmt.Sprint(skipped.err) != fmt.Sprint(read.err) {
-				t.Fatalf("SkipUvarints(%d) at %d (%v), read one by one at %d (%v)", n, skipped.off, skipped.err, read.off, read.err)
-			}
 		}
 	})
 }

@@ -138,10 +138,11 @@ type RecoveryInfo struct {
 }
 
 // ErrUnsupportedFormat is wrapped by the error OpenDurable returns for a
-// directory holding a checkpoint or WAL record in an on-disk format this
-// release does not read (format 1, which stored vectors dense, or format 2,
-// whose strings were not front-coded). The directory is left untouched; the
-// error says which earlier release migrates it to a format this one reads.
+// directory holding a checkpoint or WAL record in an on-disk format other than
+// format 4, the one this release writes: format 1 stored vectors dense, format
+// 2 did not front-code its strings, and format 3 stored every vector and the
+// line graph. The directory is left untouched; the error names the format
+// that an earlier release must read to migrate it, one format at a time.
 var ErrUnsupportedFormat = core.ErrUnsupportedFormat
 
 // OpenDurable opens (or initialises) a durable System backed by dir: every
