@@ -28,8 +28,9 @@ race:
 
 # ceilings runs, without the race detector, the tests that skip under -race
 # because its instrumentation changes what they count: the allocation
-# ceilings (objects per served query, per parsed query, per extracted chunk,
-# per stored-embedding read, per fallback answer, per replayed vector) and
+# ceilings (objects per served query, per memo hit, per parsed query, per
+# extracted chunk, per stored-embedding read, per fallback answer, per
+# replayed vector) and
 # the heap one seeded engine copy retains per triple.
 ceilings:
 	$(GO) test -count=1 -run 'AllocCeiling|ReplayPostsStoredVectors|EngineCopyBytes' ./internal/...
@@ -116,8 +117,9 @@ layers:
 # (2-16 members, all or a quarter of them distinct, expert model included),
 # whose B/op and allocs/op grow with the distinct values, not with member
 # pairs, and its history-dependent finish alone (/finish: six objects at any
-# size), and one gatherEvidence sub-question as a complete memo hit, a partial
-# hit on a conflicting key and a miss on it, and one chunk-fallback query
+# size), and one gatherEvidence sub-question as a complete memo hit (0 allocs:
+# the entry is shared, not copied), a partial hit on a conflicting key (8) and
+# a miss on it (31), and one chunk-fallback query
 # (AnswerFallback: 4 allocs) — and the read side's text and vector kernels:
 # NormalizeValue / StandardizeName on an already-normal value (0 allocs), a
 # short surface form and a ~1 KB chunk (1 alloc each), NewDist over a value's

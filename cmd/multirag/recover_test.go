@@ -6,6 +6,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"multirag"
@@ -83,5 +84,34 @@ func TestRecoverMigratesFormat3(t *testing.T) {
 	}
 	if err := runRecoverCmd([]string{"-data-dir", dir, "-dry-run"}); err != nil {
 		t.Fatalf("recover of the migrated directory: %v", err)
+	}
+}
+
+// TestRecoverNamesCorruptNewestCheckpoint: `multirag recover -dry-run` on a
+// copy of format3MigratedDir whose newest checkpoint (the format-4 one at LSN
+// 3) has one byte flipped fails naming that checkpoint as corrupt, rather than
+// only sending the operator after a format-3 migration, and leaves every file
+// byte for byte as it was.
+func TestRecoverNamesCorruptNewestCheckpoint(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	if err := os.CopyFS(dir, os.DirFS(format3MigratedDir)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "checkpoint-0000000000000003.ckpt")
+	b, err := os.ReadFile(path)
+	if err == nil {
+		b[len(b)/2] ^= 0xff
+		err = os.WriteFile(path, b, 0o644)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := dirFiles(t, dir)
+	err = runRecoverCmd([]string{"-data-dir", dir, "-dry-run"})
+	if err == nil || !strings.Contains(err.Error(), "checkpoint-0000000000000003.ckpt is corrupt or unreadable") {
+		t.Fatalf("recover: %v, want the corrupt checkpoint at LSN 3 named", err)
+	}
+	if !maps.Equal(dirFiles(t, dir), before) {
+		t.Fatal("a failed recover changed the directory")
 	}
 }

@@ -14,7 +14,8 @@ import (
 // history-independent evaluations — whole outcomes whose deferred history
 // credits are replayed on every hit, or the history-independent half of one
 // whose history-dependent half is recomputed on every hit — so answers and
-// confidences are the same with or without them.
+// confidences are the same with or without them. Entries of both caches are
+// shared, read-only values: a hit hands them out without a copy.
 
 // embedCacheLimit bounds the query-embedding cache. Embeddings are pure
 // functions of (text, dim), so entries never invalidate; the bound only caps
@@ -77,7 +78,7 @@ const evidenceMemoLimit = 8192
 //     the expert's graph inputs). A hit runs MCC's finish half against the
 //     history as it stands — the expert's JudgeAuthority per scored member,
 //     Auth_hist, θ, the promotion rule and the HistoryDelta — and builds
-//     the evidence and all three stages from its result, as a miss does.
+//     the evidence from its result, as a miss does.
 //
 // Answers are therefore bit-identical with or without the memo —
 // TestEvidenceMemoTransparent asserts this. Either kind of hit saves the
@@ -95,11 +96,9 @@ type evidenceMemo struct {
 // evidence set with the deferred history credits its evaluation produced; a
 // partial entry holds only group or point, the prepared half of MCC. The
 // delta and the prepared halves are immutable once stored and are shared by
-// reference. The ev/trusted/gcs slices are shared too: consumers only read
-// them or append their *elements* into answer slices, never write through
-// them (the evidence immutability contract), so hits cost no copy. Only
-// stages need cloning — answerLookup hands them wholesale to the
-// caller-mutable Answer (see cloneStages).
+// reference. The evidence's slices are shared too: consumers only read them
+// or append their *elements* into answer slices, never write through them
+// (the evidence immutability contract), so neither get nor put copies.
 type evidenceEntry struct {
 	e     evidence
 	d     *confidence.HistoryDelta
@@ -109,25 +108,10 @@ type evidenceEntry struct {
 
 func evidenceKey(entity, relation string) string { return entity + "\x00" + relation }
 
-// cloneStages deep-copies the stage snapshots, the one evidence field that
-// escapes by reference into caller-owned Answers: Query hands answers to
-// arbitrary user code, and a caller overwriting ans.Stages must not poison
-// the memoised copy (or race with other readers of it). Hop and comparison
-// arms discard stages, so their memo hits — the hot case — pay nothing here
-// beyond the header copy.
-func cloneStages(e evidence) evidence {
-	stages := append([]StageSnapshot(nil), e.stages...)
-	for i := range stages {
-		stages[i].Values = append([]string(nil), stages[i].Values...)
-	}
-	e.stages = stages
-	return e
-}
-
 // get returns the memoised entry for (entity, relation) against snapshot
-// generation gen, a complete entry's stages already cloned. A complete
-// entry's delta is the caller's to Apply (the hit-side replay that keeps the
-// memo exact); a partial entry is the caller's to finish.
+// generation gen. A complete entry's delta is the caller's to Apply (the
+// hit-side replay that keeps the memo exact); a partial entry is the
+// caller's to finish.
 func (c *evidenceMemo) get(gen uint64, entity, relation string) (evidenceEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -139,16 +123,11 @@ func (c *evidenceMemo) get(gen uint64, entity, relation string) (evidenceEntry, 
 		return evidenceEntry{}, false
 	}
 	ent, ok := c.m[evidenceKey(entity, relation)]
-	if !ok {
-		return evidenceEntry{}, false
-	}
-	ent.e = cloneStages(ent.e)
-	return ent, true
+	return ent, ok
 }
 
 // put records one evaluation: a complete entry only for a history-independent
-// outcome (evidence.memoable), else a partial one. A complete entry's stored
-// stages are a private copy.
+// outcome, else a partial one.
 func (c *evidenceMemo) put(gen uint64, entity, relation string, ent evidenceEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -164,7 +143,6 @@ func (c *evidenceMemo) put(gen uint64, entity, relation string, ent evidenceEntr
 	if len(c.m) >= evidenceMemoLimit {
 		c.m = make(map[string]evidenceEntry)
 	}
-	ent.e = cloneStages(ent.e)
 	c.m[evidenceKey(entity, relation)] = ent
 }
 

@@ -81,12 +81,6 @@ func TestCaseStudyQuery(t *testing.T) {
 			t.Fatal("forum claim leaked into trusted set")
 		}
 	}
-	if len(ans.Stages) != 3 {
-		t.Fatalf("stage snapshots = %d, want 3", len(ans.Stages))
-	}
-	if len(ans.Stages[0].Values) <= len(ans.Stages[2].Values) {
-		t.Fatal("filtering must shrink the candidate set")
-	}
 }
 
 func TestQueryDelayReason(t *testing.T) {

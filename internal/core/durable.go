@@ -135,6 +135,8 @@ type RecoveryInfo struct {
 // checkpoint is loaded, the WAL tail is replayed on top of it, torn frames
 // are repaired, and the log is reopened for appending. The caller owns the
 // returned system's lifecycle and must Close it to take the final checkpoint.
+// A checkpoint that fails its check is passed over for the next older one; if
+// recovery from that then fails, the error names the one passed over.
 func Open(dir string, cfg Config) (*System, *RecoveryInfo, error) {
 	return OpenFS(wal.OSFS{}, dir, cfg)
 }
@@ -142,11 +144,22 @@ func Open(dir string, cfg Config) (*System, *RecoveryInfo, error) {
 // OpenFS is Open over an explicit filesystem — the seam the fault-injection
 // suite drives with wal.MemFS.
 func OpenFS(fsys wal.FS, dir string, cfg Config) (*System, *RecoveryInfo, error) {
-	s := NewSystem(cfg)
-	body, ckptLSN, err := wal.LoadCheckpoint(fsys, dir)
+	body, ckptLSN, skipped, err := wal.FindCheckpoint(fsys, dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: load checkpoint: %w", err)
 	}
+	s, info, err := recoverFrom(fsys, dir, cfg, body, ckptLSN)
+	if err != nil && len(skipped) > 0 {
+		return nil, nil, fmt.Errorf("core: checkpoint %s is corrupt or unreadable; recovery fell back to LSN %d and failed: %w", skipped[0], ckptLSN, err)
+	}
+	return s, info, err
+}
+
+// recoverFrom is OpenFS after the checkpoint is chosen: body (nil for none)
+// covers every record below ckptLSN.
+func recoverFrom(fsys wal.FS, dir string, cfg Config, body []byte, ckptLSN uint64) (*System, *RecoveryInfo, error) {
+	s := NewSystem(cfg)
+	var err error
 	sn := s.snap.Load() // the fresh empty snapshot NewSystem published
 	if body != nil {
 		if sn, err = s.decodeSnapshot(body); err != nil {

@@ -5,6 +5,25 @@ import (
 	"testing"
 )
 
+// TestEvidenceMemoHitAllocCeiling pins the memo's shared, read-only entries:
+// a complete memo hit of gatherEvidence hands back the stored evidence and
+// delta with no copy, so it allocates nothing (x86-64, Go 1.24). It read 4
+// while answers carried stage snapshots and every hit deep-copied them.
+func TestEvidenceMemoHitAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under -race")
+	}
+	s := newExecutorSystem(t, Config{})
+	ctx, sn := context.Background(), s.snap.Load()
+	s.gatherEvidence(ctx, sn, "", "Team Beta", "manager")
+	if ent, ok := s.evidence.get(sn.gen, "Team Beta", "manager"); !ok || ent.group != nil || ent.point != nil {
+		t.Fatalf("want a complete memo entry, got ok=%v %+v", ok, ent)
+	}
+	if got := testing.AllocsPerRun(100, func() { s.gatherEvidence(ctx, sn, "", "Team Beta", "manager") }); got > 0 {
+		t.Fatalf("%.0f allocs per complete memo hit, ceiling 0", got)
+	}
+}
+
 // BenchmarkGatherEvidence measures one homologous sub-question through
 // gatherEvidence on the executor corpus, history frozen (no delta applied):
 //

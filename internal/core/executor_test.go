@@ -252,11 +252,12 @@ func TestEvidenceMemoTransparent(t *testing.T) {
 	}
 }
 
-// TestEvidenceMemoIsolatedFromCallerMutation pins cloneStages' contract: Query
-// hands answers to arbitrary user code, and a lookup's memo hit hands back the
-// memoised stages, so a caller overwriting the returned slices must not reach
-// the memoised copy served to later callers. (Team Beta, manager) is a
-// consistent fast-path key, so the second query is a memo hit.
+// TestEvidenceMemoIsolatedFromCallerMutation pins the memo's shared,
+// read-only evidence contract: Query hands answers to arbitrary user code, and
+// a lookup's memo hit shares the memoised slices without a copy, so every
+// Answer slice must be the caller's own and overwriting it must not reach the
+// entry served to later callers. (Team Beta, manager) is a consistent
+// fast-path key, so the second query is a memo hit.
 func TestEvidenceMemoIsolatedFromCallerMutation(t *testing.T) {
 	const q = "What is the manager of Team Beta?"
 	want := newExecutorSystem(t, Config{}).Query(q) // an unmutated first answer
@@ -268,12 +269,12 @@ func TestEvidenceMemoIsolatedFromCallerMutation(t *testing.T) {
 	if _, ok := s.evidence.get(s.snap.Load().gen, "Team Beta", "manager"); !ok {
 		t.Fatal("expected a memo entry; the isolation check would run vacuously")
 	}
-	if len(first.Values) == 0 || len(first.Stages) == 0 || len(first.Stages[0].Values) == 0 || len(first.Trusted) == 0 {
+	if len(first.Values) == 0 || len(first.Trusted) == 0 || len(first.GraphConfidences) == 0 {
 		t.Fatalf("unexpected baseline answer: %+v", first)
 	}
 	first.Values[0] = "MUTATED"
-	first.Stages[0].Values[0] = "MUTATED"
 	first.Trusted[0].Confidence = -1
+	first.GraphConfidences[0] = -1
 	if got := s.Query(q); !reflect.DeepEqual(got, want) {
 		t.Fatalf("caller mutation leaked into the evidence memo:\n got  %+v\n want %+v", got, want)
 	}
@@ -300,15 +301,10 @@ func TestEvidenceMemoPartialIsolatedFromCallerMutation(t *testing.T) {
 		if !ok || (ent.point != nil) != c.point || (ent.group != nil) == c.point {
 			t.Fatalf("%q: want a partial %s entry, got ok=%v %+v", c.q, map[bool]string{false: "group", true: "point"}[c.point], ok, ent)
 		}
-		if len(first.Values) == 0 || len(first.Stages) != 3 || len(first.Trusted) == 0 {
+		if len(first.Values) == 0 || len(first.Trusted) == 0 {
 			t.Fatalf("%q: unexpected baseline answer: %+v", c.q, first)
 		}
 		first.Values[0] = "MUTATED"
-		for i := range first.Stages {
-			for j := range first.Stages[i].Values {
-				first.Stages[i].Values[j] = "MUTATED"
-			}
-		}
 		for i := range first.Trusted {
 			first.Trusted[i].Confidence = -1
 		}
@@ -397,8 +393,19 @@ func TestEvidenceMemoNodeScoredInvalidated(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: post-publish answer diverges from the memo-off system:\n got  %+v\n want %+v", c.name, got, want)
 		}
-		if c.name == "ingest" && !slices.Contains(got.Stages[0].Values, "Bergen") {
-			t.Fatalf("post-ingest query never saw the new claim: %+v", got.Stages)
+		if c.name == "ingest" {
+			sg := s.SG()
+			n, ok := sg.Lookup(kg.CanonicalID(s.model.Standardize("Dana Fox")), "city")
+			if !ok {
+				t.Fatal("post-ingest line graph has no (Dana Fox, city) group")
+			}
+			var objects []string
+			for _, m := range sg.MemberTriples(n) {
+				objects = append(objects, m.Object)
+			}
+			if !slices.Contains(objects, "Bergen") {
+				t.Fatalf("post-ingest line graph never saw the new claim: %v", objects)
+			}
 		}
 	}
 }

@@ -359,6 +359,43 @@ func TestOpenFormat3MigratedDirectory(t *testing.T) {
 	}
 }
 
+// TestOpenNamesCorruptNewestCheckpoint: when the newest checkpoint fails its
+// check and recovery from what it falls back to fails too, the error names
+// the corrupt checkpoint, not only the fallback's fault, and the directory is
+// left byte for byte as it was. In the migrated fixture the fallback is the
+// format-3 checkpoint at LSN 2; in format4Dir, whose only checkpoint is the
+// corrupt one, it is the log from LSN 0, which starts at 2.
+func TestOpenNamesCorruptNewestCheckpoint(t *testing.T) {
+	for _, c := range []struct {
+		src, ckpt, cause string
+	}{
+		{format3MigratedDir, "checkpoint-0000000000000003.ckpt", ErrUnsupportedFormat.Error()},
+		{format4Dir, "checkpoint-0000000000000002.ckpt", "log gap"},
+	} {
+		dir := filepath.Join(t.TempDir(), "data")
+		if err := os.CopyFS(dir, os.DirFS(c.src)); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, c.ckpt)
+		b, err := os.ReadFile(path)
+		if err == nil {
+			b[len(b)/2] ^= 0xff
+			err = os.WriteFile(path, b, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := dirFiles(t, dir)
+		_, _, err = Open(dir, format1Config())
+		if err == nil || !strings.Contains(err.Error(), c.ckpt+" is corrupt or unreadable") || !strings.Contains(err.Error(), c.cause) {
+			t.Fatalf("%s: Open: %v, want %s named corrupt and %q as the fallback's fault", c.src, err, c.ckpt, c.cause)
+		}
+		if !maps.Equal(dirFiles(t, dir), before) {
+			t.Fatalf("%s: a failed Open changed the directory", c.src)
+		}
+	}
+}
+
 // TestDecodedSnapshotSharesStrings: a snapshot decoded from a checkpoint body
 // holds one copy of a repeated value, not one per row — the triples of one
 // source share their Source bytes, the chunks of one document their DocID.

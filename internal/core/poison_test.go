@@ -81,36 +81,6 @@ func TestQAEndToEndPrecisionGap(t *testing.T) {
 	}
 }
 
-// TestStageSnapshotsMonotone checks the three Recall@K measurement stages of
-// §IV-A(b): candidates can only shrink through the two filters.
-func TestStageSnapshotsMonotone(t *testing.T) {
-	spec := datasets.Movies(17)
-	spec.Entities = 30
-	spec.Queries = 15
-	d := datasets.MustGenerate(spec)
-	s := NewSystem(Config{})
-	if _, err := s.Ingest(d.Files); err != nil {
-		t.Fatal(err)
-	}
-	checked := 0
-	for _, q := range d.Queries {
-		ans := s.Query(q.Text)
-		if len(ans.Stages) != 3 {
-			continue
-		}
-		n1 := len(ans.Stages[0].Values)
-		n2 := len(ans.Stages[1].Values)
-		n3 := len(ans.Stages[2].Values)
-		if n2 > n1 || n3 > n2 {
-			t.Fatalf("stages must shrink: %d → %d → %d (query %s)", n1, n2, n3, q.ID)
-		}
-		checked++
-	}
-	if checked == 0 {
-		t.Fatal("no staged queries observed")
-	}
-}
-
 // TestRetrieveDocsRanksTrustedProvenanceFirst verifies the Recall@5 pathway
 // puts confidence-backed documents ahead of dense filler.
 func TestRetrieveDocsRanksTrustedProvenanceFirst(t *testing.T) {

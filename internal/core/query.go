@@ -18,14 +18,6 @@ import (
 	"multirag/internal/textutil"
 )
 
-// StageSnapshot records the candidate values visible at one MKLGP stage —
-// the three measurement points of §IV-A(b) (before subgraph filtering,
-// before node filtering, after node filtering).
-type StageSnapshot struct {
-	Stage  string
-	Values []string
-}
-
 // Answer is the result of one MKLGP query.
 type Answer struct {
 	Query     string
@@ -38,8 +30,6 @@ type Answer struct {
 	RejectedCount int
 	// GraphConfidences lists C(G) per candidate subgraph.
 	GraphConfidences []float64
-	// Stages holds the three-stage candidate snapshots.
-	Stages []StageSnapshot
 	// Found reports whether any evidence was located.
 	Found bool
 	// Degraded marks a partial answer: the evaluation was cut short (deadline,
@@ -58,23 +48,15 @@ type Answer struct {
 // into the Answer in input order, so the result is independent of how the
 // arms were scheduled. Immutability contract: consumers read the slices or
 // append their elements elsewhere, never write through them — memo hits
-// share ev/trusted/gcs by reference (only stages, which escape wholesale
-// into caller-owned Answers, are cloned; see cache.go).
+// share every slice by reference (see cache.go).
 type evidence struct {
 	ev       []llm.Evidence
 	trusted  []confidence.TrustedNode
 	rejected int
 	gcs      []float64
-	stages   []StageSnapshot
-	// memoable marks a history-independent outcome (no node-level scoring,
-	// no isolated authority, no chunk fallback) — the only kind the evidence
-	// memo stores whole. A homologous group with a node-scored candidate or
-	// an isolated point is memoised as a partial entry (its prepared half; see
-	// evidenceMemo) and leaves memoable false.
-	memoable bool
 	// err records a sub-question cut short (context, breaker, injected
 	// fault). Erroring evidence carries whatever was gathered before the cut
-	// and is never memoised (memoable stays false on every early return).
+	// and is never memoised.
 	err error
 }
 
@@ -125,9 +107,8 @@ func degradeReason(err error) string {
 // the view mid-query. Multi-hop bridge resolution and comparison arms fan
 // out across the worker pool (Config.Workers); sub-question results merge in
 // input order over deferred history credits, so the answer — values,
-// trusted-node order, confidences and stage snapshots — is bit-identical
-// whatever the pool size. To bound a query by a deadline or cancellation, use
-// QueryEach.
+// trusted-node order and confidences — is bit-identical whatever the pool
+// size. To bound a query by a deadline or cancellation, use QueryEach.
 func (s *System) Query(q string) Answer {
 	return s.query(context.Background(), s.snap.Load(), q)
 }
@@ -253,7 +234,6 @@ func (s *System) answerLookup(ctx context.Context, sn *snapshot, ans *Answer, en
 	e, d := s.gatherEvidence(ctx, sn, ans.Query, entity, relation)
 	s.mcc.History().Apply(d)
 	ans.absorb(e)
-	ans.Stages = e.stages
 	if e.err != nil {
 		ans.degrade(e.err)
 		return
@@ -271,8 +251,9 @@ func (s *System) answerLookup(ctx context.Context, sn *snapshot, ans *Answer, en
 }
 
 // evScratch pools the hot-loop buffer of gatherEvidence — the MCC candidate
-// list — so steady-state queries stop paying append-growth reallocations.
-// The pooled array never outlives one gatherEvidence call.
+// list — so steady-state misses stop paying append-growth reallocations.
+// The pooled array never outlives one gatherEvidence call, and a memo hit
+// never takes it.
 type evScratch struct {
 	candidates []*linegraph.HomologousNode
 }
@@ -329,8 +310,7 @@ func (s *System) gatherEvidence(ctx context.Context, sn *snapshot, query, entity
 		// group memoises only MCC's prepared half; everything else (fast
 		// path, graph elimination, ablated pass-through) is a pure function
 		// of the snapshot and is memoised whole.
-		e.memoable = res.NodesScored == 0
-		if e.memoable {
+		if res.NodesScored == 0 {
 			s.evidence.put(sn.gen, entity, relation, evidenceEntry{e: e, d: d})
 		} else {
 			s.evidence.put(sn.gen, entity, relation, evidenceEntry{group: prep})
@@ -349,61 +329,26 @@ func (s *System) gatherEvidence(ctx context.Context, sn *snapshot, query, entity
 }
 
 // groupEvidence builds the evidence of a homologous lookup from its MCC
-// result. Stage snapshots come off the members MCC resolved: stage 1 is
-// everything the candidate subgraphs contain, stage 2 what the coarse filter
-// kept, stage 3 the trusted nodes.
+// result: C(G) per candidate subgraph and the trusted nodes as weighted
+// evidence.
 func groupEvidence(res confidence.Result) evidence {
-	n1, n2 := 0, 0
-	for _, a := range res.Assessments {
-		n1 += len(a.Members)
-		if !a.EliminatedByGraph {
-			n2 += len(a.Members)
-		}
-	}
-	var stage1, stage2 []string
-	if n1 > 0 {
-		stage1 = make([]string, 0, n1)
-	}
-	if n2 > 0 {
-		stage2 = make([]string, 0, n2)
-	}
 	e := evidence{gcs: make([]float64, 0, len(res.Assessments)), trusted: res.SVs, rejected: len(res.LVs)}
 	for _, a := range res.Assessments {
 		e.gcs = append(e.gcs, a.GraphConfidence)
-		for _, t := range a.Members {
-			stage1 = append(stage1, t.Object)
-			if !a.EliminatedByGraph {
-				stage2 = append(stage2, t.Object)
-			}
-		}
 	}
-	stage3 := make([]string, 0, len(res.SVs))
 	e.ev = make([]llm.Evidence, 0, len(res.SVs))
 	for _, tn := range res.SVs {
-		stage3 = append(stage3, tn.Triple.Object)
 		e.ev = append(e.ev, llm.Evidence{Value: tn.Triple.Object, Weight: tn.Confidence, Source: tn.Triple.Source, Verified: tn.Verified})
-	}
-	e.stages = []StageSnapshot{
-		{Stage: "before-subgraph-filter", Values: stage1},
-		{Stage: "before-node-filter", Values: stage2},
-		{Stage: "after-node-filter", Values: stage3},
 	}
 	return e
 }
 
-// pointEvidence is the evidence of an isolated point: its one claim at every
-// stage.
+// pointEvidence is the evidence of an isolated point: its one claim.
 func pointEvidence(tn confidence.TrustedNode) evidence {
 	t := tn.Triple
-	vals := []string{t.Object}
 	return evidence{
 		ev:      []llm.Evidence{{Value: t.Object, Weight: tn.Confidence, Source: t.Source, Verified: tn.Verified}},
 		trusted: []confidence.TrustedNode{tn},
-		stages: []StageSnapshot{
-			{Stage: "before-subgraph-filter", Values: vals},
-			{Stage: "before-node-filter", Values: vals},
-			{Stage: "after-node-filter", Values: vals},
-		},
 	}
 }
 
@@ -426,7 +371,6 @@ func (s *System) gatherByChunks(ctx context.Context, sn *snapshot, query, entity
 	// Per-query extraction over retrieved chunks.
 	tmp := kg.New()
 	tmp.AddEntity(s.model.Standardize(entity), "Entity", "")
-	var stage1 []string
 	for _, h := range hits {
 		spos, err := s.extractChunk(ctx, h.Chunk.Text)
 		if err != nil {
@@ -436,7 +380,7 @@ func (s *System) gatherByChunks(ctx context.Context, sn *snapshot, query, entity
 			if kg.CanonicalID(s.model.Standardize(spo.Subject)) != subj || spo.Predicate != relation {
 				continue
 			}
-			_, err := tmp.AddTriple(kg.Fact{
+			tmp.AddTriple(kg.Fact{
 				Subject:   subj,
 				Predicate: relation,
 				Object:    spo.Object,
@@ -444,9 +388,6 @@ func (s *System) gatherByChunks(ctx context.Context, sn *snapshot, query, entity
 				ChunkID:   h.Chunk.DocID,
 				Weight:    spo.Confidence * (0.5 + 0.5*h.Score),
 			})
-			if err == nil {
-				stage1 = append(stage1, spo.Object)
-			}
 		}
 	}
 	if tmp.NumTriples() == 0 {
@@ -458,18 +399,11 @@ func (s *System) gatherByChunks(ctx context.Context, sn *snapshot, query, entity
 		res, d := s.mcc.RunDeferred(adhoc, []*linegraph.HomologousNode{n}, s.cfg.Ablation)
 		e.trusted = res.SVs
 		e.rejected = len(res.LVs)
-		var stage3 []string
 		for _, a := range res.Assessments {
 			e.gcs = append(e.gcs, a.GraphConfidence)
 		}
 		for _, tn := range res.SVs {
-			stage3 = append(stage3, tn.Triple.Object)
 			e.ev = append(e.ev, llm.Evidence{Value: tn.Triple.Object, Weight: tn.Confidence, Source: tn.Triple.Source, Verified: tn.Verified})
-		}
-		e.stages = []StageSnapshot{
-			{Stage: "before-subgraph-filter", Values: stage1},
-			{Stage: "before-node-filter", Values: stage1},
-			{Stage: "after-node-filter", Values: stage3},
 		}
 		return e, d
 	}
@@ -480,7 +414,6 @@ func (s *System) gatherByChunks(ctx context.Context, sn *snapshot, query, entity
 		e.trusted = append(e.trusted, tn)
 		e.ev = append(e.ev, llm.Evidence{Value: t.Object, Weight: tn.Confidence, Source: t.Source, Verified: tn.Verified})
 	}
-	e.stages = []StageSnapshot{{Stage: "before-subgraph-filter", Values: stage1}}
 	return e, nil
 }
 

@@ -67,20 +67,26 @@ func writeAll(f File, bufs ...[]byte) error {
 // fatal: the log tail still covers the gap as long as cleanup has not run,
 // and cleanup runs only after a checkpoint is durably complete.
 func LoadCheckpoint(fsys FS, dir string) (body []byte, lsn uint64, err error) {
+	body, lsn, _, err = FindCheckpoint(fsys, dir)
+	return body, lsn, err
+}
+
+// FindCheckpoint is LoadCheckpoint that also returns the file names of the
+// newer checkpoints it skipped as unreadable or invalid, newest first.
+func FindCheckpoint(fsys FS, dir string) (body []byte, lsn uint64, skipped []string, err error) {
 	names, lsns, err := listByStart(fsys, dir, ckptPrefix, ckptSuffix)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
 	for i := len(names) - 1; i >= 0; i-- {
-		b, err := fsys.ReadFile(join(dir, names[i]))
-		if err != nil {
-			continue
+		if b, err := fsys.ReadFile(join(dir, names[i])); err == nil {
+			if body, ok := parseCheckpoint(b); ok {
+				return body, lsns[i], skipped, nil
+			}
 		}
-		if body, ok := parseCheckpoint(b); ok {
-			return body, lsns[i], nil
-		}
+		skipped = append(skipped, names[i])
 	}
-	return nil, 0, nil
+	return nil, 0, skipped, nil
 }
 
 func parseCheckpoint(b []byte) ([]byte, bool) {

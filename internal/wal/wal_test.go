@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -466,6 +467,10 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 	body, lsn, err := LoadCheckpoint(m, dir)
 	if err != nil || string(body) != "old" || lsn != 3 {
 		t.Fatalf("fallback load = %q lsn %d err %v", body, lsn, err)
+	}
+	body, lsn, skipped, err := FindCheckpoint(m, dir)
+	if err != nil || string(body) != "old" || lsn != 3 || !slices.Equal(skipped, []string{filepath.Base(newName)}) {
+		t.Fatalf("FindCheckpoint = %q lsn %d skipped %q err %v", body, lsn, skipped, err)
 	}
 }
 
