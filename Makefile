@@ -49,9 +49,10 @@ chaos:
 # concurrent query + ingest load, asserting the router sheds to survivors,
 # every served answer stays bit-identical to a single-engine reference, the
 # stalled replica catches up from the primary's log across two checkpoints,
-# and the fenced replica resyncs back to byte-identical state.
+# and the fenced replica resyncs back to byte-identical state. The replica
+# set lives in the root package, the router in internal/serve.
 chaos-cluster:
-	$(GO) test -race -count=1 -run '^TestChaosCluster' ./internal/cluster ./internal/serve
+	$(GO) test -race -count=1 -run '^TestChaosCluster' . ./internal/serve
 
 # fuzz-smoke runs each committed fuzz target briefly on top of its seed
 # corpus: the WAL frame parser and field decoder — the code recovery walks

@@ -3,9 +3,14 @@ package multirag
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
 
-	"multirag/internal/cluster"
 	"multirag/internal/core"
+	"multirag/internal/fault"
+	"multirag/internal/par"
+	"multirag/internal/wal"
 )
 
 // ReplicaSetConfig sizes a ReplicaSet.
@@ -14,51 +19,96 @@ type ReplicaSetConfig struct {
 	Replicas int
 }
 
-// ReplicaSet serves reads from N in-process replicas of a durable System.
-// Each replica is seeded from the primary's published snapshot and then reads
-// the primary's committed write-ahead-log records and replays them through
-// the same path crash recovery uses, so every replica snapshot is
-// byte-identical to the primary's at the same replication position and reads
-// routed to replicas return exactly the answers the primary would. A replica
-// whose read or replay fails, or whose snapshot digest differs from the
-// primary's at one of the verification points every 16 records, fences
-// itself and resyncs automatically.
+// ReplicaSet serves reads from N in-process replicas of a durable System. A
+// replica is recovery that does not stop: it is seeded once from the
+// primary's published snapshot at a captured WAL position, then reads the
+// primary's committed records out of its WAL segments and replays each
+// through the decode/replay path crash recovery uses. So every replica
+// snapshot is byte-identical to the primary's at the same replication
+// position, and reads routed to replicas return exactly the answers the
+// primary would.
+//
+// The log is the only delivery path, so nothing is ever dropped: a slow
+// replica reads further behind, and its WAL retention lease keeps the
+// segments it still needs through checkpoint pruning. A replica fences itself
+// for one of two reasons — a read or replay error, or a snapshot digest that
+// differs from the primary's at one of its verification points (every 16
+// records) — and resyncs the way it was seeded.
 type ReplicaSet struct {
-	c *cluster.Cluster
+	primary   *core.System
+	replicas  []*Replica
+	closeOnce sync.Once
 }
 
-// NewReplicaSet seeds a replica set from s and starts its replicas reading
-// s's log. Replicas read the write-ahead log, so s must come from
+// NewReplicaSet seeds cfg.Replicas read replicas from one capture of s's
+// published snapshot and starts them reading s's log. The snapshot is
+// encoded once and the replicas decode it concurrently; if any seed fails,
+// NewReplicaSet releases every lease it took and returns the error with no
+// replica started. Replicas read the write-ahead log, so s must come from
 // OpenDurable; an in-memory System is refused. Several sets may replicate one
 // System; Close stops one.
 func NewReplicaSet(s *System, cfg ReplicaSetConfig) (*ReplicaSet, error) {
-	c, err := cluster.New(s.inner, cfg.Replicas)
+	n := cfg.Replicas
+	if n <= 0 {
+		n = 2
+	}
+	primary := s.inner
+	handle, lsn, lease, err := primary.ReplicationSeed()
 	if errors.Is(err, core.ErrNotDurable) {
-		return nil, errors.New("multirag: replicas read the primary's write-ahead log, so they need a System opened with OpenDurable (multirag serve -data-dir)")
+		return nil, fmt.Errorf("multirag: replicas need a System opened with OpenDurable (multirag serve -data-dir): %w", err)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return &ReplicaSet{c: c}, nil
+	seed := handle.Encode()
+	rs := &ReplicaSet{primary: primary, replicas: make([]*Replica, n)}
+	for i := range rs.replicas {
+		if i > 0 {
+			lease = primary.AcquireWALLease(lsn) // the first lease holds lsn already
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		rs.replicas[i] = &Replica{primary: primary, name: fmt.Sprintf("replica-%d", i), sys: core.NewSystem(primary.Config()),
+			lease: lease, ctx: ctx, cancel: cancel, done: make(chan struct{})}
+	}
+	errs := make([]error, n)
+	par.ForEach(n, n, func(i int) { errs[i] = rs.replicas[i].seed(seed, lsn) })
+	for i, err := range errs {
+		if err != nil {
+			for _, r := range rs.replicas {
+				r.cancel()
+				r.lease.Release()
+			}
+			return nil, fmt.Errorf("multirag: seed %s: %w", rs.replicas[i].name, err)
+		}
+	}
+	for _, r := range rs.replicas {
+		r.applied.Store(lsn)
+		go r.run()
+	}
+	return rs, nil
 }
 
 // Close stops every replica and releases the log segments they kept. Safe to
 // call more than once; call it before closing the System underneath.
-func (rs *ReplicaSet) Close() { rs.c.Close() }
+func (rs *ReplicaSet) Close() {
+	rs.closeOnce.Do(func() {
+		for _, r := range rs.replicas {
+			r.cancel()
+		}
+		for _, r := range rs.replicas {
+			<-r.done
+			r.sys.Close()
+			r.lease.Release()
+		}
+	})
+}
 
 // CommittedLSN is the primary's replication position — the coordinate
 // replica positions and staleness bounds are measured against.
-func (rs *ReplicaSet) CommittedLSN() uint64 { return rs.c.CommittedLSN() }
+func (rs *ReplicaSet) CommittedLSN() uint64 { return rs.primary.ReplicationLSN() }
 
 // Replicas returns the read replicas (fixed for the set's lifetime).
-func (rs *ReplicaSet) Replicas() []*Replica {
-	inner := rs.c.Replicas()
-	out := make([]*Replica, len(inner))
-	for i, r := range inner {
-		out[i] = &Replica{r: r}
-	}
-	return out
-}
+func (rs *ReplicaSet) Replicas() []*Replica { return rs.replicas }
 
 // ReplicaStatus is one replica's externally visible state, for metrics.
 type ReplicaStatus struct {
@@ -85,52 +135,252 @@ type ReplicaStatus struct {
 
 // Status snapshots every replica.
 func (rs *ReplicaSet) Status() []ReplicaStatus {
-	inner := rs.c.Status()
-	out := make([]ReplicaStatus, len(inner))
-	for i, st := range inner {
-		out[i] = ReplicaStatus{
-			Name:        st.Name,
-			State:       st.State,
-			AppliedLSN:  st.Applied,
-			Lag:         st.Lag,
-			Verified:    st.Verified,
-			Divergences: st.Divergences,
-			Resyncs:     st.Resyncs,
-			FenceReason: st.FenceReason,
-		}
+	committed := rs.CommittedLSN()
+	out := make([]ReplicaStatus, len(rs.replicas))
+	for i, r := range rs.replicas {
+		out[i] = r.status(committed)
 	}
 	return out
 }
 
-// Replica is one read replica — a routing target for the serving layer.
+// replicaState is a replica's health as its own apply loop sees it.
+type replicaState int32
+
+const (
+	// stateLive: the replica is reading the primary's log and serving reads.
+	stateLive replicaState = iota
+	// stateSyncing: the replica is reseeding from the primary's snapshot.
+	stateSyncing
+	// stateFenced: a read or replay failed, or anti-entropy found a
+	// divergence, and the replica has taken itself out of service.
+	stateFenced
+)
+
+func (s replicaState) String() string {
+	switch s {
+	case stateLive:
+		return "live"
+	case stateSyncing:
+		return "syncing"
+	case stateFenced:
+		return "fenced"
+	default:
+		return "unknown"
+	}
+}
+
+// Replica is one read replica — a routing target for the serving layer: an
+// in-memory engine built from the primary's config and advanced by a single
+// goroutine that reads the primary's log. Queries run concurrently with
+// replays (the engine's snapshots are immutable); only that goroutine mutates
+// replication state.
 type Replica struct {
-	r *cluster.Replica
+	primary *core.System
+	name    string
+	sys     *core.System
+	ctx     context.Context // canceled by ReplicaSet.Close; releases hung faults
+	cancel  context.CancelFunc
+	done    chan struct{}
+
+	// Owned by the run goroutine (and by Close once it has exited): the log
+	// cursor, opened at the position on the first read after a seed, and the
+	// retention lease that keeps the cursor's segments through pruning.
+	tail  *wal.Tail
+	lease *core.WALLease
+
+	mu          sync.Mutex
+	fenceReason string
+
+	state       atomic.Int32
+	applied     atomic.Uint64 // LSN of the next record to read and replay
+	verified    atomic.Uint64
+	divergences atomic.Uint64
+	resyncs     atomic.Uint64
 }
 
 // Name identifies the replica ("replica-0", ...).
-func (r *Replica) Name() string { return r.r.Name() }
+func (r *Replica) Name() string { return r.name }
 
 // Live reports whether the replica is reading the primary's log and fit to
 // serve (not fenced or mid-resync).
-func (r *Replica) Live() bool { return r.r.State() == cluster.StateLive }
+func (r *Replica) Live() bool { return replicaState(r.state.Load()) == stateLive }
 
-// Position is the replication position the replica has applied through.
-func (r *Replica) Position() uint64 { return r.r.Position() }
+// Position is the replication position the replica has applied through —
+// compared against the primary's CommittedLSN by the staleness guard and the
+// retention lease.
+func (r *Replica) Position() uint64 { return r.applied.Load() }
 
 // AskEach answers queries[i] under ctxs[i] against the replica's snapshot,
-// exactly as System.AskEach would against the primary's.
+// exactly as System.AskEach would against the primary's. The fault point
+// lets chaos tests hang or fail one replica's read path in isolation; an
+// injected error degrades the whole batch (the router counts that as a
+// strike).
 func (r *Replica) AskEach(ctxs []context.Context, queries []string) []Answer {
-	answers := r.r.AskEach(ctxs, queries)
-	out := make([]Answer, len(answers))
-	for i := range answers {
-		out[i] = convertAnswer(answers[i])
+	ctx := context.Background()
+	for _, qc := range ctxs {
+		if qc != nil {
+			ctx = qc
+			break
+		}
+	}
+	out := make([]Answer, len(queries))
+	if err := fault.Inject(ctx, fault.PointClusterQuery); err != nil {
+		for i, q := range queries {
+			out[i] = Answer{Query: q, Degraded: true, DegradedReason: err.Error()}
+		}
+		return out
+	}
+	for i, a := range r.sys.QueryEach(ctxs, queries) {
+		out[i] = convertAnswer(a)
 	}
 	return out
 }
 
 // Probe health-checks the replica; nil means it is live and servable. The
 // serving router probes drained replicas before re-admitting them.
-func (r *Replica) Probe(ctx context.Context) error { return r.r.Probe(ctx) }
+func (r *Replica) Probe(ctx context.Context) error {
+	if err := fault.Inject(ctx, fault.PointClusterProbe); err != nil {
+		return err
+	}
+	if st := replicaState(r.state.Load()); st != stateLive {
+		return fmt.Errorf("multirag: %s is %s", r.name, st)
+	}
+	return nil
+}
+
+// status snapshots the replica's counters against the given committed
+// position.
+func (r *Replica) status(committed uint64) ReplicaStatus {
+	applied := r.applied.Load()
+	var lag uint64
+	if committed > applied {
+		lag = committed - applied
+	}
+	r.mu.Lock()
+	reason := r.fenceReason
+	r.mu.Unlock()
+	return ReplicaStatus{
+		Name:        r.name,
+		State:       replicaState(r.state.Load()).String(),
+		AppliedLSN:  applied,
+		Lag:         lag,
+		Verified:    r.verified.Load(),
+		Divergences: r.divergences.Load(),
+		Resyncs:     r.resyncs.Load(),
+		FenceReason: reason,
+	}
+}
+
+func (r *Replica) setFenceReason(reason string) {
+	r.mu.Lock()
+	r.fenceReason = reason
+	r.mu.Unlock()
+}
+
+// run is the replica's apply loop: replay every record the primary has
+// committed, then sleep until it publishes again. It ends when the set
+// closes, or when a resync fails and the replica stays fenced.
+func (r *Replica) run() {
+	defer close(r.done)
+	for {
+		committed, wake := r.primary.Published()
+		if err := r.catchUp(committed); err != nil && !r.fenceAndResync(err) {
+			return
+		}
+		select {
+		case <-r.ctx.Done():
+			return
+		case <-wake:
+		}
+	}
+}
+
+// catchUp reads and replays records up to committed, then raises the lease
+// to the new position.
+func (r *Replica) catchUp(committed uint64) error {
+	for r.applied.Load() < committed {
+		if err := r.step(committed); err != nil {
+			return err
+		}
+	}
+	r.lease.Advance(r.applied.Load())
+	return nil
+}
+
+// step reads and replays the records from the replica's position up to
+// committed or the next verification point, as one run (ReplicaApplyTail).
+// When the position is one of the primary's verification points, it first
+// compares its own digest with the primary's digest there: anti-entropy for a
+// replica that replayed every record and diverged anyway.
+func (r *Replica) step(committed uint64) error {
+	if err := fault.Inject(r.ctx, fault.PointClusterReplay); err != nil {
+		return fmt.Errorf("replay: %w", err)
+	}
+	lsn := r.applied.Load()
+	if digest, ok := r.primary.DigestAt(lsn); ok {
+		if got, want := r.sys.SnapshotDigest(), digest(); got != want {
+			r.divergences.Add(1)
+			return fmt.Errorf("anti-entropy: digest %016x != primary %016x at %d", got, want, lsn)
+		}
+		r.verified.Add(1)
+	}
+	if r.tail == nil {
+		t, err := r.primary.TailWAL(lsn)
+		if err != nil {
+			return fmt.Errorf("read: %w", err)
+		}
+		r.tail = t
+	}
+	n, err := r.sys.ReplicaApplyTail(r.tail, committed)
+	if err != nil {
+		return fmt.Errorf("replay: %w", err)
+	}
+	r.applied.Store(lsn + uint64(n))
+	return nil
+}
+
+// seed replaces the replica's state with the snapshot body captured at lsn.
+func (r *Replica) seed(body []byte, lsn uint64) error {
+	if err := fault.Inject(r.ctx, fault.PointClusterSeed); err != nil {
+		return err
+	}
+	return r.sys.SeedReplica(body, lsn)
+}
+
+// fenceAndResync takes the replica out of service and reseeds it the way
+// NewReplicaSet seeded it: a fresh capture of the primary's snapshot,
+// position and lease. The cursor reopens at the new position on the next
+// read. It reports whether the replica is live again; a shutdown in progress
+// skips the resync.
+func (r *Replica) fenceAndResync(cause error) bool {
+	if r.ctx.Err() != nil {
+		return false // closing: hung faults release with ctx errors
+	}
+	r.state.Store(int32(stateFenced))
+	r.setFenceReason(cause.Error())
+	r.resyncs.Add(1)
+
+	r.state.Store(int32(stateSyncing))
+	handle, lsn, lease, err := r.primary.ReplicationSeed()
+	if err == nil {
+		if err = r.seed(handle.Encode(), lsn); err != nil {
+			lease.Release()
+		}
+	}
+	r.lease.Release()
+	if err != nil {
+		// A just-encoded snapshot failing to decode means memory corruption:
+		// stay fenced for good rather than serve from an unknown state.
+		r.state.Store(int32(stateFenced))
+		r.setFenceReason("resync: " + err.Error())
+		return false
+	}
+	r.lease, r.tail = lease, nil
+	r.applied.Store(lsn)
+	r.setFenceReason("")
+	r.state.Store(int32(stateLive))
+	return true
+}
 
 // SnapshotDigest returns the anti-entropy fingerprint of the currently
 // published snapshot. Two engines at the same replication position holding

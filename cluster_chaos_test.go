@@ -1,4 +1,4 @@
-package cluster
+package multirag
 
 import (
 	"bytes"
@@ -41,7 +41,7 @@ func waitClusterGoroutines(t *testing.T, base int) {
 	}
 }
 
-func chaosAnswersEqual(a, b core.Answer) bool {
+func chaosAnswersEqual(a Answer, b core.Answer) bool {
 	if a.Query != b.Query || a.Found != b.Found || a.Degraded != b.Degraded ||
 		len(a.Values) != len(b.Values) {
 		return false
@@ -66,9 +66,9 @@ func chaosAnswersEqual(a, b core.Answer) bool {
 func TestChaosClusterReplicaFaults(t *testing.T) {
 	scenarios := []struct {
 		name string
-		arm  func(c *Cluster)      // injects the fault once the cluster is caught up
-		hit  func(c *Cluster) bool // reports the fault has landed (polled under load)
-		heal func()                // releases whatever the fault left armed
+		arm  func(c *ReplicaSet)      // injects the fault once the cluster is caught up
+		hit  func(c *ReplicaSet) bool // reports the fault has landed (polled under load)
+		heal func()                   // releases whatever the fault left armed
 		// corruptIdx marks a replica deliberately serving wrong state until
 		// anti-entropy fences it; its querier is skipped (the router-level
 		// chaos suite covers shedding). -1 means every replica is compared.
@@ -77,26 +77,26 @@ func TestChaosClusterReplicaFaults(t *testing.T) {
 	}{
 		{
 			name: "kill-replay",
-			arm: func(*Cluster) {
+			arm: func(*ReplicaSet) {
 				fault.Enable(fault.PointClusterReplay, fault.Fault{Kind: fault.KindError, MaxHits: 1})
 			},
-			hit:        func(*Cluster) bool { return fault.Hits(fault.PointClusterReplay) >= 1 },
+			hit:        func(*ReplicaSet) bool { return fault.Hits(fault.PointClusterReplay) >= 1 },
 			heal:       func() {},
 			corruptIdx: -1,
 			resyncs:    true,
 		},
 		{
 			name: "hang-replay",
-			arm: func(*Cluster) {
+			arm: func(*ReplicaSet) {
 				fault.Enable(fault.PointClusterReplay, fault.Fault{Kind: fault.KindHang, MaxHits: 1})
 			},
-			hit:        func(*Cluster) bool { return fault.Hits(fault.PointClusterReplay) >= 1 },
+			hit:        func(*ReplicaSet) bool { return fault.Hits(fault.PointClusterReplay) >= 1 },
 			heal:       func() { fault.Disable(fault.PointClusterReplay) },
 			corruptIdx: -1,
 		},
 		{
 			name: "corrupt-state",
-			arm: func(c *Cluster) {
+			arm: func(c *ReplicaSet) {
 				// Swap one replica's state for a snapshot that never came from
 				// this primary — only the digest check at the next
 				// verification point can catch this.
@@ -105,12 +105,12 @@ func TestChaosClusterReplicaFaults(t *testing.T) {
 					t.Fatalf("Ingest other: %v", err)
 				}
 				r := c.Replicas()[0]
-				if err := r.System().SeedReplica(other.ServingHandle().Encode(), r.Position()); err != nil {
+				if err := r.sys.SeedReplica(other.ServingHandle().Encode(), r.Position()); err != nil {
 					t.Fatalf("corrupting seed: %v", err)
 				}
 			},
-			hit: func(c *Cluster) bool {
-				return c.Replicas()[0].Status(c.CommittedLSN()).Divergences >= 1
+			hit: func(c *ReplicaSet) bool {
+				return c.Replicas()[0].status(c.CommittedLSN()).Divergences >= 1
 			},
 			heal:       func() {},
 			corruptIdx: 0,
@@ -129,7 +129,7 @@ func TestChaosClusterReplicaFaults(t *testing.T) {
 			ingest(t, reference, corpusBatches()...)
 			want := reference.QueryEach(nil, chaosQueries)
 
-			c, err := New(primary, 3)
+			c, err := newCluster(primary, 3)
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
@@ -197,10 +197,10 @@ func TestChaosClusterReplicaFaults(t *testing.T) {
 			wantBytes := stateBytes(primary)
 			var resyncs, divergences uint64
 			for _, r := range c.Replicas() {
-				if !bytes.Equal(stateBytes(r.System()), wantBytes) {
+				if !bytes.Equal(stateBytes(r.sys), wantBytes) {
 					t.Fatalf("%s differs from primary after healing", r.Name())
 				}
-				st := r.Status(c.CommittedLSN())
+				st := r.status(c.CommittedLSN())
 				resyncs += st.Resyncs
 				divergences += st.Divergences
 			}
@@ -214,7 +214,7 @@ func TestChaosClusterReplicaFaults(t *testing.T) {
 				t.Fatal("anti-entropy never caught the corrupted replica")
 			}
 			for i, ans := range primary.QueryEach(nil, chaosQueries) {
-				if !chaosAnswersEqual(ans, want[i]) {
+				if !chaosAnswersEqual(convertAnswer(ans), want[i]) {
 					t.Fatalf("primary answer %+v differs from reference %+v after chaos", ans, want[i])
 				}
 			}

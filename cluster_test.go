@@ -1,4 +1,4 @@
-package cluster
+package multirag
 
 import (
 	"bytes"
@@ -40,6 +40,12 @@ func openPrimary(t *testing.T, fs *wal.MemFS) *core.System {
 	}
 	t.Cleanup(func() { primary.Close() })
 	return primary
+}
+
+// newCluster replicates primary n times, as NewReplicaSet does for the
+// System wrapping it.
+func newCluster(primary *core.System, n int) (*ReplicaSet, error) {
+	return NewReplicaSet(&System{inner: primary}, ReplicaSetConfig{Replicas: n})
 }
 
 // corpusBatches is the case-study corpus split into three ingest batches, so
@@ -88,12 +94,12 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // waitCaughtUp waits until every replica is live at the primary's committed
 // position.
-func waitCaughtUp(t *testing.T, c *Cluster) {
+func waitCaughtUp(t *testing.T, c *ReplicaSet) {
 	t.Helper()
 	waitFor(t, "replicas to catch up", func() bool {
 		committed := c.CommittedLSN()
 		for _, r := range c.Replicas() {
-			if r.State() != StateLive || r.Position() != committed {
+			if !r.Live() || r.Position() != committed {
 				return false
 			}
 		}
@@ -146,11 +152,11 @@ func stateBytes(s *core.System) []byte {
 }
 
 // requireIdentical fails unless every replica holds the primary's state.
-func requireIdentical(t *testing.T, c *Cluster) {
+func requireIdentical(t *testing.T, c *ReplicaSet) {
 	t.Helper()
 	want := stateBytes(c.primary)
 	for _, r := range c.Replicas() {
-		if !bytes.Equal(stateBytes(r.System()), want) {
+		if !bytes.Equal(stateBytes(r.sys), want) {
 			t.Fatalf("%s snapshot differs from primary", r.Name())
 		}
 	}
@@ -171,7 +177,7 @@ func ingestPast(t *testing.T, s *core.System, lsn uint64) {
 // queries identically.
 func TestClusterReplicasByteIdentical(t *testing.T) {
 	primary := openPrimary(t, wal.NewMemFS())
-	c, err := New(primary, 3)
+	c, err := newCluster(primary, 3)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -197,7 +203,7 @@ func TestClusterReplicasByteIdentical(t *testing.T) {
 		if got.Found != wantAns.Found || len(got.Values) != len(wantAns.Values) || got.Values[0] != wantAns.Values[0] {
 			t.Fatalf("%s answer %+v differs from primary %+v", r.Name(), got, wantAns)
 		}
-		st := r.Status(c.CommittedLSN())
+		st := r.status(c.CommittedLSN())
 		if st.Verified != 1 {
 			t.Fatalf("%s verified %d points, want 1: %+v", r.Name(), st.Verified, st)
 		}
@@ -210,7 +216,7 @@ func TestClusterReplicasByteIdentical(t *testing.T) {
 // TestClusterNeedsDurablePrimary: replicas read the log, so an in-memory
 // primary, which has none, cannot be replicated.
 func TestClusterNeedsDurablePrimary(t *testing.T) {
-	if _, err := New(core.NewSystem(testConfig()), 1); !errors.Is(err, core.ErrNotDurable) {
+	if _, err := newCluster(core.NewSystem(testConfig()), 1); !errors.Is(err, core.ErrNotDurable) {
 		t.Fatalf("New on an in-memory primary: %v, want ErrNotDurable", err)
 	}
 }
@@ -222,7 +228,7 @@ func TestClusterNeedsDurablePrimary(t *testing.T) {
 // rejoins byte-identical.
 func TestClusterAntiEntropyCatchesDivergence(t *testing.T) {
 	primary := openPrimary(t, wal.NewMemFS())
-	c, err := New(primary, 1)
+	c, err := newCluster(primary, 1)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -237,16 +243,16 @@ func TestClusterAntiEntropyCatchesDivergence(t *testing.T) {
 	// at the same position. Reading the log cannot see this.
 	other := core.NewSystem(testConfig())
 	ingest(t, other, fillerBatch(999))
-	if err := r.System().SeedReplica(other.ServingHandle().Encode(), r.Position()); err != nil {
+	if err := r.sys.SeedReplica(other.ServingHandle().Encode(), r.Position()); err != nil {
 		t.Fatalf("corrupting seed: %v", err)
 	}
 
 	ingest(t, primary, batches[1])
 	ingestPast(t, primary, 16)
-	waitFor(t, "anti-entropy divergence", func() bool { return r.Status(c.CommittedLSN()).Divergences >= 1 })
+	waitFor(t, "anti-entropy divergence", func() bool { return r.status(c.CommittedLSN()).Divergences >= 1 })
 	waitCaughtUp(t, c)
 	requireIdentical(t, c)
-	if st := r.Status(c.CommittedLSN()); st.Resyncs != 1 {
+	if st := r.status(c.CommittedLSN()); st.Resyncs != 1 {
 		t.Fatalf("replica resynced %d times, want 1: %+v", st.Resyncs, st)
 	}
 }
@@ -255,7 +261,7 @@ func TestClusterAntiEntropyCatchesDivergence(t *testing.T) {
 func TestClusterProbeReflectsState(t *testing.T) {
 	defer fault.Reset()
 	primary := openPrimary(t, wal.NewMemFS())
-	c, err := New(primary, 1)
+	c, err := newCluster(primary, 1)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -265,11 +271,11 @@ func TestClusterProbeReflectsState(t *testing.T) {
 	if err := r.Probe(context.Background()); err != nil {
 		t.Fatalf("probe on live replica: %v", err)
 	}
-	r.state.Store(int32(StateFenced))
+	r.state.Store(int32(stateFenced))
 	if err := r.Probe(context.Background()); err == nil || !strings.Contains(err.Error(), "fenced") {
 		t.Fatalf("probe on fenced replica = %v, want fenced error", err)
 	}
-	r.state.Store(int32(StateLive))
+	r.state.Store(int32(stateLive))
 	fault.Enable(fault.PointClusterProbe, fault.Fault{Kind: fault.KindError})
 	if err := r.Probe(context.Background()); err == nil {
 		t.Fatal("probe ignored the injected fault")
@@ -289,7 +295,7 @@ func TestClusterDurablePrimaryLeasesWAL(t *testing.T) {
 	defer fault.Reset()
 	fs := wal.NewMemFS()
 	primary := openPrimary(t, fs)
-	c, err := New(primary, 1)
+	c, err := newCluster(primary, 1)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -321,7 +327,7 @@ func TestClusterDurablePrimaryLeasesWAL(t *testing.T) {
 	fault.Disable(fault.PointClusterReplay)
 	waitCaughtUp(t, c)
 	requireIdentical(t, c)
-	if st := r.Status(c.CommittedLSN()); st.Resyncs != 0 {
+	if st := r.status(c.CommittedLSN()); st.Resyncs != 0 {
 		t.Fatalf("hung replica resynced instead of reading the log: %+v", st)
 	}
 	ingest(t, primary, fillerBatch(1))
@@ -367,7 +373,7 @@ func TestClusterCheckpointDuringAttach(t *testing.T) {
 	ingest(t, primary, batches[1], fillerBatch(0)) // the seed position, 3, is two records into it
 
 	fault.Enable(fault.PointClusterReplay, fault.Fault{Kind: fault.KindHang})
-	c, err := New(primary, 1) // one replica: only the seed's own lease holds the log
+	c, err := newCluster(primary, 1) // one replica: only the seed's own lease holds the log
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -408,14 +414,14 @@ func TestClusterSeedsReplicasConcurrently(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingest(t, primary, batches[2])
-	c, err := New(primary, 4)
+	c, err := newCluster(primary, 4)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	defer c.Close()
 	want := primary.SnapshotDigest()
 	for _, r := range c.Replicas() {
-		if got := r.System().SnapshotDigest(); got != want || r.Position() != primary.ReplicationLSN() {
+		if got := r.sys.SnapshotDigest(); got != want || r.Position() != primary.ReplicationLSN() {
 			t.Fatalf("%s seeded at %d with digest %016x, primary at %d with %016x",
 				r.Name(), r.Position(), got, primary.ReplicationLSN(), want)
 		}
@@ -438,7 +444,7 @@ func TestClusterFailedSeedReleasesLeases(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 
 	fault.Enable(fault.PointClusterSeed, fault.Fault{Kind: fault.KindError, MaxHits: 1})
-	if c, err := New(primary, 3); !errors.Is(err, fault.ErrInjected) {
+	if c, err := newCluster(primary, 3); !errors.Is(err, fault.ErrInjected) {
 		if err == nil {
 			c.Close()
 		}
@@ -469,7 +475,7 @@ func TestClusterCorruptFrameFences(t *testing.T) {
 	defer fault.Reset()
 	fs := wal.NewMemFS()
 	primary := openPrimary(t, fs)
-	c, err := New(primary, 1)
+	c, err := newCluster(primary, 1)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -488,11 +494,11 @@ func TestClusterCorruptFrameFences(t *testing.T) {
 		t.Fatal(err)
 	}
 	fault.Disable(fault.PointClusterReplay)
-	waitFor(t, "fence on the corrupt frame", func() bool { return r.Status(c.CommittedLSN()).Resyncs >= 1 })
+	waitFor(t, "fence on the corrupt frame", func() bool { return r.status(c.CommittedLSN()).Resyncs >= 1 })
 	ingest(t, primary, batches[2])
 	waitCaughtUp(t, c)
 	requireIdentical(t, c)
-	if st := r.Status(c.CommittedLSN()); st.Resyncs != 1 || st.Divergences != 0 {
+	if st := r.status(c.CommittedLSN()); st.Resyncs != 1 || st.Divergences != 0 {
 		t.Fatalf("want one resync for the read error and no divergence: %+v", st)
 	}
 }

@@ -266,8 +266,8 @@ func (s *System) commitGroup(group []*prepared) {
 	}
 	now := time.Now()
 	for _, p := range committed {
-		s.buildReal += now.Sub(p.start)
-		s.buildLLM += p.llm
+		s.buildReal.Add(int64(now.Sub(p.start)))
+		s.buildLLM.Add(int64(p.llm))
 	}
 }
 

@@ -99,11 +99,15 @@ type durable struct {
 
 	// log and enc are guarded by System.mu: appends happen inside the commit
 	// critical section, rotation inside Checkpoint's locked window, close
-	// under the lock in Close. lastCkpt/hasCkpt share the same guard.
-	log      *wal.Log
-	enc      wal.Encoder
-	lastCkpt uint64 // LSN covered by the newest durable checkpoint
-	hasCkpt  bool
+	// under the lock in Close. hasCkpt shares the same guard; lastCkpt (the
+	// LSN covered by the newest durable checkpoint) and appendErr (the log's
+	// latched append failure) are stored under it and read lock-free by
+	// DurabilityStatus.
+	log       *wal.Log
+	enc       wal.Encoder
+	hasCkpt   bool
+	lastCkpt  atomic.Uint64
+	appendErr atomic.Pointer[error]
 	// points are the kept verification points (DigestAt); stored under
 	// System.mu, read lock-free by replicas.
 	points [digestKeep]atomic.Pointer[digestPoint]
@@ -120,15 +124,16 @@ type durable struct {
 
 // RecoveryInfo summarises what Open found on disk.
 type RecoveryInfo struct {
-	// CheckpointLSN is the LSN covered by the checkpoint that seeded the
-	// state (0 when the system started from scratch).
-	CheckpointLSN uint64
-	// RecordsReplayed is how many WAL records were replayed on top of it.
-	RecordsReplayed int
-	// Truncated reports that a torn or corrupt frame was found at the log
-	// tail and everything from it on was discarded (a crash mid-append; the
-	// affected group was never acknowledged).
-	Truncated bool
+	// CheckpointLSN is the WAL position covered by the checkpoint that seeded
+	// the state (0 when the system started from scratch).
+	CheckpointLSN uint64 `json:"checkpoint_lsn"`
+	// RecordsReplayed is how many write-ahead-log records were replayed on
+	// top of the checkpoint.
+	RecordsReplayed int `json:"records_replayed"`
+	// Truncated reports that a torn or corrupt record was found at the log
+	// tail and everything from it on was discarded — the signature of a
+	// crash mid-commit; the affected batch was never acknowledged.
+	Truncated bool `json:"truncated"`
 }
 
 // Open opens (or initialises) a durable system in dir: the newest valid
@@ -206,15 +211,15 @@ func recoverFrom(fsys wal.FS, dir string, cfg Config, body []byte, ckptLSN uint6
 	s.snap.Store(&snapshot{graph: g, sg: sg, index: ix})
 	s.replPos.Store(log.NextLSN())
 	s.dur = &durable{
-		fs:       fsys,
-		dir:      dir,
-		log:      log,
-		lastCkpt: ckptLSN,
-		hasCkpt:  body != nil,
-		ckptReq:  make(chan struct{}, 1),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		fs:      fsys,
+		dir:     dir,
+		log:     log,
+		hasCkpt: body != nil,
+		ckptReq: make(chan struct{}, 1),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
+	s.dur.lastCkpt.Store(ckptLSN)
 	go s.checkpointLoop()
 	return s, info, nil
 }
@@ -259,7 +264,7 @@ func (s *System) Checkpoint() error {
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
 	s.mu.Lock()
-	if d.hasCkpt && d.log.NextLSN() == d.lastCkpt {
+	if d.hasCkpt && d.log.NextLSN() == d.lastCkpt.Load() {
 		s.mu.Unlock()
 		return nil // nothing committed since the last checkpoint
 	}
@@ -275,7 +280,8 @@ func (s *System) Checkpoint() error {
 		return err
 	}
 	s.mu.Lock()
-	d.lastCkpt, d.hasCkpt = lsn, true
+	d.lastCkpt.Store(lsn)
+	d.hasCkpt = true
 	// Pruning honours the lowest replica lease: segments holding records a
 	// lagging replica has not read yet survive the checkpoint.
 	floor := s.walLeaseFloorLocked(lsn)
@@ -313,7 +319,7 @@ func (d *durable) maybeRequestCheckpoint(cfg *Config) {
 	if bytes <= 0 {
 		bytes = DefaultCheckpointBytes
 	}
-	if d.log.NextLSN()-d.lastCkpt < uint64(recs) && d.log.ActiveSize() < bytes {
+	if d.log.NextLSN()-d.lastCkpt.Load() < uint64(recs) && d.log.ActiveSize() < bytes {
 		return
 	}
 	select {
@@ -340,6 +346,9 @@ func (d *durable) appendGroup(committed []*prepared) error {
 	defer d.enc.Reset()
 	encodeGroupRecord(&d.enc, committed)
 	_, err := d.log.Append(d.enc.Bytes())
+	if latched := d.log.Failed(); latched != nil {
+		d.appendErr.Store(&latched)
+	}
 	return err
 }
 

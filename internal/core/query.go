@@ -203,30 +203,28 @@ func modelCall(ctx context.Context, point string) error {
 	return fault.Inject(ctx, point)
 }
 
-// subQLimit bounds the interned sub-question prefixes: relations are parsed
-// out of free-text queries, so adversarial query diversity must not grow the
-// map without limit (flush-on-overflow, like the embedding cache).
-const subQLimit = 4096
-
 // subQuestion builds the canonical sub-question asked for (relation,
-// entity). The "What is the <relation> of " prefix is interned per relation:
-// hop and comparison fan-outs ask thousands of these, and building the
-// prefix used to cost a strings.ReplaceAll per call.
-func (s *System) subQuestion(relation, entity string) string {
-	s.subQMu.RLock()
-	p, ok := s.subQs[relation]
-	s.subQMu.RUnlock()
-	if ok {
-		return p + entity + "?"
+// entity), "What is the <relation, '_' read as ' '> of <entity>?", in one
+// exactly sized allocation: hop and comparison fan-outs ask thousands.
+func subQuestion(relation, entity string) string {
+	const prefix, of = "What is the ", " of "
+	var b strings.Builder
+	b.Grow(len(prefix) + len(relation) + len(of) + len(entity) + 1)
+	b.WriteString(prefix)
+	for {
+		i := strings.IndexByte(relation, '_')
+		if i < 0 {
+			break
+		}
+		b.WriteString(relation[:i])
+		b.WriteByte(' ')
+		relation = relation[i+1:]
 	}
-	p = "What is the " + strings.ReplaceAll(relation, "_", " ") + " of "
-	s.subQMu.Lock()
-	if len(s.subQs) >= subQLimit {
-		s.subQs = map[string]string{}
-	}
-	s.subQs[relation] = p
-	s.subQMu.Unlock()
-	return p + entity + "?"
+	b.WriteString(relation)
+	b.WriteString(of)
+	b.WriteString(entity)
+	b.WriteByte('?')
+	return b.String()
 }
 
 // answerLookup resolves a single (entity, attribute) question.
@@ -393,28 +391,15 @@ func (s *System) gatherByChunks(ctx context.Context, sn *snapshot, query, entity
 	if tmp.NumTriples() == 0 {
 		return evidence{}, nil
 	}
-	var e evidence
 	adhoc := linegraph.Build(tmp)
 	if n, ok := adhoc.Lookup(subj, relation); ok {
 		res, d := s.mcc.RunDeferred(adhoc, []*linegraph.HomologousNode{n}, s.cfg.Ablation)
-		e.trusted = res.SVs
-		e.rejected = len(res.LVs)
-		for _, a := range res.Assessments {
-			e.gcs = append(e.gcs, a.GraphConfidence)
-		}
-		for _, tn := range res.SVs {
-			e.ev = append(e.ev, llm.Evidence{Value: tn.Triple.Object, Weight: tn.Confidence, Source: tn.Triple.Source, Verified: tn.Verified})
-		}
-		return e, d
+		return groupEvidence(res), d
 	}
-	// Single extracted claim.
-	for _, id := range tmp.TripleIDs() {
-		t, _ := tmp.Triple(id)
-		tn := s.mcc.AssessIsolated(adhoc, t, s.cfg.Ablation)
-		e.trusted = append(e.trusted, tn)
-		e.ev = append(e.ev, llm.Evidence{Value: t.Object, Weight: tn.Confidence, Source: t.Source, Verified: tn.Verified})
-	}
-	return e, nil
+	// Every extracted triple shares the (subject, relation) key, so no
+	// homologous node means exactly one claim: an isolated point.
+	t, _ := tmp.Triple(tmp.TripleIDs()[0])
+	return pointEvidence(s.mcc.AssessIsolated(adhoc, t, s.cfg.Ablation)), nil
 }
 
 // answerMultiHop resolves bridge questions: entity —rel₁→ bridge —rel₂→ ans.
@@ -432,7 +417,7 @@ func (s *System) answerMultiHop(ctx context.Context, sn *snapshot, ans *Answer) 
 	}
 	entity, rel1, rel2 := lf.Entities[0], lf.Relations[0], lf.Relations[1]
 	// Hop 1: find the bridge entity.
-	hop1Q := s.subQuestion(rel1, entity)
+	hop1Q := subQuestion(rel1, entity)
 	e1, d1 := s.gatherEvidence(ctx, sn, hop1Q, entity, rel1)
 	s.mcc.History().Apply(d1)
 	ans.absorb(e1)
@@ -454,7 +439,7 @@ func (s *System) answerMultiHop(ctx context.Context, sn *snapshot, ans *Answer) 
 	// merging skips them cleanly.
 	arms := make([]arm, len(bridges))
 	fanErr := par.ForEachCtx(ctx, s.Workers(), len(bridges), func(i int) {
-		q := s.subQuestion(rel2, bridges[i])
+		q := subQuestion(rel2, bridges[i])
 		arms[i].e, arms[i].d = s.gatherEvidence(ctx, sn, q, bridges[i], rel2)
 	})
 	var ev2 []llm.Evidence
@@ -495,7 +480,7 @@ func (s *System) answerComparison(ctx context.Context, sn *snapshot, ans *Answer
 	}
 	rel := lf.Relations[0]
 	resolve := func(entity string) arm {
-		q := s.subQuestion(rel, entity)
+		q := subQuestion(rel, entity)
 		var a arm
 		a.e, a.d = s.gatherEvidence(ctx, sn, q, entity, rel)
 		if a.e.err == nil && len(a.e.ev) > 0 {

@@ -243,7 +243,7 @@ func (s *System) SeedReplica(body []byte, lsn uint64) error {
 	return nil
 }
 
-// Config returns a copy of the system's configuration, so a cluster can build
+// Config returns a copy of the system's configuration, so a replica set can build
 // replicas whose determinism knobs (model seed, thresholds, store layout)
 // match the primary's exactly — the precondition for byte-identical replay.
 func (s *System) Config() Config { return s.cfg }

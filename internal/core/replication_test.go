@@ -14,7 +14,7 @@ import (
 	"multirag/internal/wal"
 )
 
-// seededReplica builds what cluster.New builds for one replica: a replica
+// seededReplica builds what NewReplicaSet builds for one replica: a replica
 // seeded from primary's ReplicationSeed and a cursor over primary's log at
 // the seed position, with the seed's lease held for the rest of the test.
 func seededReplica(t *testing.T, primary *System) (*System, *wal.Tail) {

@@ -102,21 +102,14 @@ type System struct {
 	embeds   *embedCache
 	evidence *evidenceMemo
 
-	// subQs interns the "What is the <relation> of " sub-question prefix per
-	// relation, replacing a strings.ReplaceAll per hop/arm on the hot path.
-	// Relations come from free-text query parsing, so like the other caches
-	// it is bounded (flush-on-overflow, see subQuestion).
-	subQMu sync.RWMutex
-	subQs  map[string]string
-
 	// mu guards the commit critical section of the write path (snapshot
-	// clone/replay/publish — never the ingest fan-out, which runs before it)
-	// and the build-cost counters.
+	// clone/replay/publish — never the ingest fan-out, which runs before it).
 	mu sync.Mutex
 	// Preprocessing cost (PT in Table III): real build time plus the LLM
-	// latency spent during ingestion.
-	buildReal time.Duration
-	buildLLM  time.Duration
+	// latency spent during ingestion, in nanoseconds. Added under mu, read
+	// lock-free by BuildCost.
+	buildReal atomic.Int64
+	buildLLM  atomic.Int64
 
 	// gc is the group-commit state behind the pipelined Ingest: a ticketed,
 	// bounded queue of prepared batches drained by a single committer. See
@@ -162,7 +155,6 @@ func NewSystem(cfg Config) *System {
 		ingestModel: llm.NewSim(cfg.LLM),
 		embeds:      newEmbedCache(retrieval.DefaultDim),
 		evidence:    &evidenceMemo{},
-		subQs:       map[string]string{},
 		genBreaker:  fault.NewBreaker("llm.generate", cfg.BreakerFailures, cfg.BreakerCooldown, nil),
 		extBreaker:  fault.NewBreaker("llm.extract", cfg.BreakerFailures, cfg.BreakerCooldown, nil),
 	}
@@ -218,24 +210,30 @@ func (s *System) BreakerStats() []fault.BreakerStats {
 // failure (ingest is failing durably until restart), and the checkpoint/LSN
 // positions.
 type DurabilityStatus struct {
-	Durable           bool
-	WALAppendErr      string
-	LastCheckpointLSN uint64
-	NextLSN           uint64
+	// Durable reports whether the system was opened with Open/OpenFS.
+	Durable bool `json:"durable"`
+	// WALAppendErr is the latched write-ahead-log append failure, if any:
+	// once an append fails, the log refuses further work until restart, so
+	// ingest is failing durably while this is non-empty. Empty when healthy.
+	WALAppendErr string `json:"wal_append_err,omitempty"`
+	// LastCheckpointLSN is the log position covered by the newest checkpoint.
+	LastCheckpointLSN uint64 `json:"last_checkpoint_lsn"`
+	// NextLSN is the next log position to be written — the count of records
+	// ever committed.
+	NextLSN uint64 `json:"next_lsn"`
 }
 
 // DurabilityStatus reports the WAL append latch and checkpoint positions.
-// All-zero on in-memory systems.
+// All-zero on in-memory systems. It reads atomics only, so a health probe
+// never waits behind a commit holding the write lock.
 func (s *System) DurabilityStatus() DurabilityStatus {
 	d := s.dur
 	if d == nil {
 		return DurabilityStatus{}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := DurabilityStatus{Durable: true, LastCheckpointLSN: d.lastCkpt, NextLSN: d.log.NextLSN()}
-	if err := d.log.Failed(); err != nil {
-		st.WALAppendErr = err.Error()
+	st := DurabilityStatus{Durable: true, LastCheckpointLSN: d.lastCkpt.Load(), NextLSN: s.replPos.Load()}
+	if err := d.appendErr.Load(); err != nil {
+		st.WALAppendErr = (*err).Error()
 	}
 	return st
 }
@@ -271,9 +269,7 @@ func (s *System) Serving() (*kg.Graph, *linegraph.SG, retrieval.Searcher) {
 // BuildCost returns the preprocessing cost (PT): real build time and the LLM
 // latency charged during ingestion.
 func (s *System) BuildCost() (real, llmLatency time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.buildReal, s.buildLLM
+	return time.Duration(s.buildReal.Load()), time.Duration(s.buildLLM.Load())
 }
 
 // RebuildSG reconstructs the homologous line graph from scratch after
@@ -297,5 +293,5 @@ func (s *System) RebuildSG() {
 		index: cur.index,
 		gen:   cur.gen + 1,
 	})
-	s.buildReal += time.Since(start)
+	s.buildReal.Add(int64(time.Since(start)))
 }

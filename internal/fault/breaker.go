@@ -48,12 +48,18 @@ const (
 
 // BreakerStats is one breaker's observable state, exported on /v1/metrics.
 type BreakerStats struct {
-	Name      string `json:"name"`
-	State     string `json:"state"`
-	Failures  int64  `json:"consecutive_failures"`
-	Trips     int64  `json:"trips"`
-	FastFails int64  `json:"fast_fails"`
-	Successes int64  `json:"successes"`
+	// Name identifies the guarded stage ("llm.generate", "llm.extract").
+	Name string `json:"name"`
+	// State is "closed", "open" or "half-open".
+	State string `json:"state"`
+	// Failures counts consecutive failures while closed.
+	Failures int64 `json:"consecutive_failures"`
+	// Trips counts closed→open (and failed-probe) transitions.
+	Trips int64 `json:"trips"`
+	// FastFails counts calls rejected without running while open.
+	FastFails int64 `json:"fast_fails"`
+	// Successes counts calls that completed cleanly.
+	Successes int64 `json:"successes"`
 }
 
 // Breaker is a consecutive-failure circuit breaker. Closed, it counts

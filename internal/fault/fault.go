@@ -66,7 +66,7 @@ const (
 	// primary commits on and its lease keeps the log it has yet to read.
 	PointClusterReplay = "cluster.replay"
 	// PointClusterSeed fires before a replica decodes the primary's snapshot,
-	// when the cluster seeds it and when it resyncs. An error fails that seed
+	// when NewReplicaSet seeds it and when it resyncs. An error fails that seed
 	// as a body that does not decode would.
 	PointClusterSeed = "cluster.seed"
 	// PointClusterProbe fires inside a replica health probe — the call the

@@ -228,11 +228,7 @@ func (rt *router) metricsSnapshot() *RouterMetrics {
 		Replicas:       rt.set.Status(),
 	}
 	for _, t := range rt.targets {
-		st := t.breaker.Stats()
-		m.Breakers = append(m.Breakers, multirag.BreakerInfo{
-			Name: st.Name, State: st.State, Failures: st.Failures,
-			Trips: st.Trips, FastFails: st.FastFails, Successes: st.Successes,
-		})
+		m.Breakers = append(m.Breakers, t.breaker.Stats())
 	}
 	return m
 }

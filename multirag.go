@@ -8,6 +8,7 @@ import (
 	"multirag/internal/adapter"
 	"multirag/internal/confidence"
 	"multirag/internal/core"
+	"multirag/internal/fault"
 	"multirag/internal/llm"
 )
 
@@ -124,18 +125,7 @@ func Open(cfg Config) *System {
 }
 
 // RecoveryInfo summarises what OpenDurable found on disk.
-type RecoveryInfo struct {
-	// CheckpointLSN is the WAL position covered by the checkpoint that seeded
-	// the state (0 when the system started from scratch).
-	CheckpointLSN uint64 `json:"checkpoint_lsn"`
-	// RecordsReplayed is how many write-ahead-log records were replayed on
-	// top of the checkpoint.
-	RecordsReplayed int `json:"records_replayed"`
-	// Truncated reports that a torn or corrupt record was found at the log
-	// tail and discarded — the signature of a crash mid-commit; the affected
-	// batch was never acknowledged.
-	Truncated bool `json:"truncated"`
-}
+type RecoveryInfo = core.RecoveryInfo
 
 // ErrUnsupportedFormat is wrapped by the error OpenDurable returns for a
 // directory holding a checkpoint or WAL record in an on-disk format other than
@@ -157,11 +147,7 @@ func OpenDurable(dir string, cfg Config) (*System, RecoveryInfo, error) {
 	if err != nil {
 		return nil, RecoveryInfo{}, err
 	}
-	return &System{inner: inner}, RecoveryInfo{
-		CheckpointLSN:   info.CheckpointLSN,
-		RecordsReplayed: info.RecordsReplayed,
-		Truncated:       info.Truncated,
-	}, nil
+	return &System{inner: inner}, *info, nil
 }
 
 // Close flushes a durable System: it stops the background checkpointer,
@@ -281,60 +267,17 @@ func convertAnswer(a core.Answer) Answer {
 }
 
 // BreakerInfo is one circuit breaker's observable state.
-type BreakerInfo struct {
-	// Name identifies the guarded stage ("llm.generate", "llm.extract").
-	Name string `json:"name"`
-	// State is "closed", "open" or "half-open".
-	State string `json:"state"`
-	// Failures counts consecutive failures while closed.
-	Failures int64 `json:"consecutive_failures"`
-	// Trips counts closed→open (and failed-probe) transitions.
-	Trips int64 `json:"trips"`
-	// FastFails counts calls rejected without running while open.
-	FastFails int64 `json:"fast_fails"`
-	// Successes counts calls that completed cleanly.
-	Successes int64 `json:"successes"`
-}
+type BreakerInfo = fault.BreakerStats
 
 // Breakers snapshots the model-call circuit breakers, for metrics endpoints.
-func (s *System) Breakers() []BreakerInfo {
-	stats := s.inner.BreakerStats()
-	out := make([]BreakerInfo, len(stats))
-	for i, st := range stats {
-		out[i] = BreakerInfo{
-			Name: st.Name, State: st.State, Failures: st.Failures,
-			Trips: st.Trips, FastFails: st.FastFails, Successes: st.Successes,
-		}
-	}
-	return out
-}
+func (s *System) Breakers() []BreakerInfo { return s.inner.BreakerStats() }
 
 // DurabilityInfo is the durability layer's live health.
-type DurabilityInfo struct {
-	// Durable reports whether the system was opened with OpenDurable.
-	Durable bool `json:"durable"`
-	// WALAppendErr is the latched write-ahead-log append failure, if any:
-	// once an append fails, the log refuses further work until restart, so
-	// ingest is failing durably while this is non-empty. Empty when healthy.
-	WALAppendErr string `json:"wal_append_err,omitempty"`
-	// LastCheckpointLSN is the log position covered by the newest checkpoint.
-	LastCheckpointLSN uint64 `json:"last_checkpoint_lsn"`
-	// NextLSN is the next log position to be written — the count of records
-	// ever committed.
-	NextLSN uint64 `json:"next_lsn"`
-}
+type DurabilityInfo = core.DurabilityStatus
 
 // Durability reports the WAL append latch and checkpoint positions; the
-// zero value on in-memory systems.
-func (s *System) Durability() DurabilityInfo {
-	st := s.inner.DurabilityStatus()
-	return DurabilityInfo{
-		Durable:           st.Durable,
-		WALAppendErr:      st.WALAppendErr,
-		LastCheckpointLSN: st.LastCheckpointLSN,
-		NextLSN:           st.NextLSN,
-	}
-}
+// zero value on in-memory systems. It never waits for a commit in progress.
+func (s *System) Durability() DurabilityInfo { return s.inner.DurabilityStatus() }
 
 // IngestPressure reports the ingest pipeline's admission state: how many
 // IngestFiles calls are past admission (preparing, queued or committing) and
