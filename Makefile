@@ -31,7 +31,8 @@ race:
 # ceilings (objects per served query, per memo hit, per parsed query, per
 # extracted chunk, per stored-embedding read, per fallback answer, per
 # replayed vector) and
-# the heap one seeded engine copy retains per triple.
+# the heap one seeded engine copy retains per triple, alone and beside the
+# primary whose entities, triples and strings it shares.
 ceilings:
 	$(GO) test -count=1 -run 'AllocCeiling|ReplayPostsStoredVectors|EngineCopyBytes' ./internal/...
 
@@ -106,7 +107,11 @@ layers:
 # and embedding slabs, and its live-MB the heap the seeded copy retains after
 # a collection, to which the line graph, a view over the graph's key postings,
 # adds next to nothing — what TestEngineCopyBytesCeiling bounds per triple on
-# the datasets corpus), and the bulk
+# the datasets corpus; /standalone decodes without a reference, as recovery
+# does, /beside-primary against the snapshot the body came from, as a
+# replica set seeds, sharing its entities, triples and strings, so its live-MB
+# is about half the standalone one's —
+# TestEngineCopyBytesBesidePrimaryCeiling), and the bulk
 # load a deployment pays at set-up (the datasets presets as one Ingest into a
 # durable system: stage 1 and the commit, split as prepare-ms/op and
 # commit-ms/op, and the size of its WAL record as record-bytes) — and the query path's: one exact

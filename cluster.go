@@ -42,7 +42,9 @@ type ReplicaSet struct {
 
 // NewReplicaSet seeds cfg.Replicas read replicas from one capture of s's
 // published snapshot and starts them reading s's log. The snapshot is
-// encoded once and the replicas decode it concurrently; if any seed fails,
+// encoded once and the replicas decode it concurrently, each against the
+// captured snapshot itself, so they share its immutable entities, triples and
+// strings with the primary and build only their own indexes; if any seed fails,
 // NewReplicaSet releases every lease it took and returns the error with no
 // replica started. Replicas read the write-ahead log, so s must come from
 // OpenDurable; an in-memory System is refused. Several sets may replicate one
@@ -71,7 +73,7 @@ func NewReplicaSet(s *System, cfg ReplicaSetConfig) (*ReplicaSet, error) {
 			lease: lease, ctx: ctx, cancel: cancel, done: make(chan struct{})}
 	}
 	errs := make([]error, n)
-	par.ForEach(n, n, func(i int) { errs[i] = rs.replicas[i].seed(seed, lsn) })
+	par.ForEach(n, n, func(i int) { errs[i] = rs.replicas[i].seed(handle, seed, lsn) })
 	for i, err := range errs {
 		if err != nil {
 			for _, r := range rs.replicas {
@@ -339,12 +341,15 @@ func (r *Replica) step(committed uint64) error {
 	return nil
 }
 
-// seed replaces the replica's state with the snapshot body captured at lsn.
-func (r *Replica) seed(body []byte, lsn uint64) error {
+// seed replaces the replica's state with body, the encoding of the primary's
+// snapshot handle captured at lsn. The decode is handed handle too, so the
+// replica shares the primary's entities, triples and strings instead of
+// holding copies (core.System.SeedReplica).
+func (r *Replica) seed(handle core.SnapshotHandle, body []byte, lsn uint64) error {
 	if err := fault.Inject(r.ctx, fault.PointClusterSeed); err != nil {
 		return err
 	}
-	return r.sys.SeedReplica(body, lsn)
+	return r.sys.SeedReplica(body, lsn, handle)
 }
 
 // fenceAndResync takes the replica out of service and reseeds it the way
@@ -363,7 +368,7 @@ func (r *Replica) fenceAndResync(cause error) bool {
 	r.state.Store(int32(stateSyncing))
 	handle, lsn, lease, err := r.primary.ReplicationSeed()
 	if err == nil {
-		if err = r.seed(handle.Encode(), lsn); err != nil {
+		if err = r.seed(handle, handle.Encode(), lsn); err != nil {
 			lease.Release()
 		}
 	}

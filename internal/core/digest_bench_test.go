@@ -45,20 +45,31 @@ func BenchmarkSnapshotDigest(b *testing.B) {
 // allocates is the replica's state, so B/op and allocs/op are the size of one
 // engine copy plus the decoder's transient tables; live-MB is the heap the
 // seeded replica retains after a collection (seededReplicaBytes), the part
-// that stays. Run with -benchmem, or via `make bench-micro`.
+// that stays. standalone decodes without a reference, as recovery does;
+// beside-primary against the snapshot the body was encoded from, as a
+// ReplicaSet seeds, so it shares that snapshot's entities, triples and
+// strings and allocates and retains only the rest. Run with -benchmem, or via
+// `make bench-micro`.
 func BenchmarkSeedReplica(b *testing.B) {
-	body := benchSnapshot(b).Encode()
+	h := benchSnapshot(b)
+	body := h.Encode()
 	cfg := durTestConfig()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		r := NewSystem(cfg)
-		b.StartTimer()
-		if err := r.SeedReplica(body, 0); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name string
+		ref  []SnapshotHandle
+	}{{"standalone", nil}, {"beside-primary", []SnapshotHandle{h}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				r := NewSystem(cfg)
+				b.StartTimer()
+				if err := r.SeedReplica(body, 0, bc.ref...); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(body)), "body-bytes")
+			b.ReportMetric(float64(seededReplicaBytes(b, body, bc.ref...))/1e6, "live-MB")
+		})
 	}
-	b.ReportMetric(float64(len(body)), "body-bytes")
-	b.ReportMetric(float64(seededReplicaBytes(b, body))/1e6, "live-MB")
 }

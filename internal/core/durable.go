@@ -167,7 +167,7 @@ func recoverFrom(fsys wal.FS, dir string, cfg Config, body []byte, ckptLSN uint6
 	var err error
 	sn := s.snap.Load() // the fresh empty snapshot NewSystem published
 	if body != nil {
-		if sn, err = s.decodeSnapshot(body); err != nil {
+		if sn, err = s.decodeSnapshot(body, nil); err != nil {
 			return nil, nil, fmt.Errorf("core: checkpoint at LSN %d: %w", ckptLSN, err)
 		}
 	}
@@ -378,13 +378,22 @@ func snapshotBody(sn *snapshot) []byte {
 
 // decodeSnapshot rebuilds a snapshot from a checkpoint body. The line graph
 // is a view over the decoded graph and the store's texts are re-embedded on
-// the worker pool.
-func (s *System) decodeSnapshot(body []byte) (*snapshot, error) {
+// the worker pool. ref, which may be nil, is a snapshot in memory that body
+// may have been encoded from: an entity, triple or string that decodes equal
+// to ref's at the same position is ref's (kg.DecodeGraph,
+// retrieval.DecodeIntoStore), and everything else the snapshot holds is its
+// own.
+func (s *System) decodeSnapshot(body []byte, ref *snapshot) (*snapshot, error) {
 	d := wal.NewDecoder(body)
 	if err := readVersion(d, "checkpoint", snapshotVersion); err != nil {
 		return nil, err
 	}
-	g, err := kg.DecodeGraph(d)
+	var refGraph *kg.Graph
+	var refIndex *retrieval.Index
+	if ref != nil {
+		refGraph, refIndex = ref.graph, ref.index
+	}
+	g, err := kg.DecodeGraph(d, refGraph)
 	if err != nil {
 		return nil, err
 	}
@@ -393,7 +402,7 @@ func (s *System) decodeSnapshot(body []byte) (*snapshot, error) {
 		sg = linegraph.Build(g)
 	}
 	ix := retrieval.NewIndex(retrieval.DefaultDim)
-	if err := retrieval.DecodeIntoStore(d, ix, s.Workers()); err != nil {
+	if err := retrieval.DecodeIntoStore(d, ix, s.Workers(), refIndex); err != nil {
 		return nil, err
 	}
 	if err := d.Finish(); err != nil {

@@ -406,7 +406,7 @@ func TestDecodedSnapshotSharesStrings(t *testing.T) {
 			t.Fatalf("ingest batch %d: %v", i, err)
 		}
 	}
-	sn, err := s.decodeSnapshot(snapshotBody(s.snap.Load()))
+	sn, err := s.decodeSnapshot(snapshotBody(s.snap.Load()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +489,11 @@ func TestDecodeRejectsUnbackedCounts(t *testing.T) {
 // are a record and a checkpoint body in format 4, which decode, and in
 // formats 3, 2 and 1 (with the format1-nan-weight corpus entry), which must
 // be rejected, and the unbacked counts. Any input may be rejected; none may crash, and a
-// record that decodes must hold one sparse row per chunk.
+// record that decodes must hold one sparse row per chunk. Each input is
+// seeded twice, without a reference and against the primary's snapshot, as a
+// replica beside it is: the two must fail with the same error or encode the
+// same state. Mutations of the real body decode partly equal to the
+// reference, and reach rows past either one's end.
 func FuzzRecoveredPayload(f *testing.F) {
 	primary, _, err := OpenFS(wal.NewMemFS(), durDir, format1Config())
 	if err != nil {
@@ -529,6 +533,7 @@ func FuzzRecoveredPayload(f *testing.F) {
 	}
 
 	cfg := format1Config()
+	ref := primary.ServingHandle()
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		if batches, err := decodeGroupRecord(payload, getEmbedScratch(retrieval.DefaultDim)); err == nil {
 			for _, files := range batches {
@@ -540,6 +545,13 @@ func FuzzRecoveredPayload(f *testing.F) {
 			}
 		}
 		_ = NewSystem(cfg).ReplicaApply(payload)
-		_ = NewSystem(cfg).SeedReplica(payload, 0)
+		plain, shared := NewSystem(cfg), NewSystem(cfg)
+		plainErr, sharedErr := plain.SeedReplica(payload, 0), shared.SeedReplica(payload, 0, ref)
+		if fmt.Sprint(plainErr) != fmt.Sprint(sharedErr) {
+			t.Fatalf("seeded without a reference: %v; against the primary's snapshot: %v", plainErr, sharedErr)
+		}
+		if plainErr == nil && !bytes.Equal(plain.ServingHandle().Encode(), shared.ServingHandle().Encode()) {
+			t.Fatal("seeding against the primary's snapshot decoded a different state")
+		}
 	})
 }

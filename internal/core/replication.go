@@ -230,8 +230,21 @@ func (s *System) replicaPublish(records [][][]fileWork) error {
 // the given replication position — replica bootstrap and post-fence resync.
 // Decoding runs off-lock (the body is private); only the swap serializes with
 // replays.
-func (s *System) SeedReplica(body []byte, lsn uint64) error {
-	sn, err := s.decodeSnapshot(body)
+//
+// ref, at most one, is the snapshot body was encoded from, when that is in
+// the same process: the primary's, as ReplicationSeed captured it. Every byte
+// of body is still decoded and checked, but each entity, triple and string
+// that decodes equal to ref's at the same position is ref's, so a replica
+// seeded beside its primary shares those immutable leaves instead of holding
+// a second copy. The seeded state is the same with any ref or none; a ref
+// that body was not encoded from only shares less. ref may be read while its
+// System goes on committing.
+func (s *System) SeedReplica(body []byte, lsn uint64, ref ...SnapshotHandle) error {
+	var from *snapshot
+	if len(ref) > 0 {
+		from = ref[0].sn
+	}
+	sn, err := s.decodeSnapshot(body, from)
 	if err != nil {
 		return err
 	}

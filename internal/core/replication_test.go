@@ -25,7 +25,7 @@ func seededReplica(t *testing.T, primary *System) (*System, *wal.Tail) {
 	}
 	t.Cleanup(lease.Release)
 	replica := NewSystem(primary.Config())
-	if err := replica.SeedReplica(handle.Encode(), lsn); err != nil {
+	if err := replica.SeedReplica(handle.Encode(), lsn, handle); err != nil {
 		t.Fatalf("SeedReplica: %v", err)
 	}
 	tail, err := primary.TailWAL(lsn)

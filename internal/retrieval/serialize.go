@@ -49,7 +49,14 @@ func EncodeStore(e *wal.Encoder, ix *Index) {
 // document share them, and a DocID shares the copy of the same document a
 // triple's ChunkID decoded earlier in the same body; its ID, which never
 // repeats, is read without the table (FrontFresh). On error ix is left empty.
-func DecodeIntoStore(d *wal.Decoder, ix *Index, workers int) error {
+//
+// ref, which may be nil, is a store already in memory that the payload may
+// have been encoded from (kg.DecodeGraph has the same argument): a string
+// field that decodes equal to the same field of ref's chunk at the same row
+// is ref's string. The chunk slice and posting lists are ix's own, and ref
+// is read only below its length, so another goroutine may append to a clone
+// of ref meanwhile.
+func DecodeIntoStore(d *wal.Decoder, ix *Index, workers int, ref *Index) error {
 	dim := d.Int()
 	n := d.Int()
 	if err := d.Err(); err != nil {
@@ -61,13 +68,21 @@ func DecodeIntoStore(d *wal.Decoder, ix *Index, workers int) error {
 	if ix.Len() != 0 {
 		return fmt.Errorf("retrieval: decode: target store already holds %d chunks", ix.Len())
 	}
+	var refChunks []Chunk
+	if ref != nil {
+		refChunks = ref.chunks
+	}
 	// A quarter more room than the rows (as appendChunks leaves), so the
 	// appends a decoded store is about to take — a replica's applies, a
 	// reopened primary's commits — do not first copy every row.
 	chunks := make([]Chunk, 0, min(n+n/4, d.Remaining()/minStoredChunk))
 	var prev Chunk
 	for i := 0; i < n && d.Err() == nil; i++ {
-		c := Chunk{ID: d.FrontFresh(prev.ID), DocID: d.Front(prev.DocID), Source: d.Front(prev.Source), Text: d.String()}
+		var r Chunk
+		if i < len(refChunks) {
+			r = refChunks[i]
+		}
+		c := Chunk{ID: d.FrontFresh(prev.ID, r.ID), DocID: d.FrontAs(prev.DocID, r.DocID), Source: d.FrontAs(prev.Source, r.Source), Text: d.StringAs(r.Text)}
 		chunks = append(chunks, c)
 		prev = c
 	}

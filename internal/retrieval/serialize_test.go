@@ -51,7 +51,7 @@ func TestStoreSerializeRoundTrip(t *testing.T) {
 			for _, workers := range []int{1, 3} {
 				dst := NewIndex(32)
 				d := wal.NewDecoder(raw)
-				if err := DecodeIntoStore(d, dst, workers); err != nil {
+				if err := DecodeIntoStore(d, dst, workers, nil); err != nil {
 					t.Fatal(err)
 				}
 				if err := d.Finish(); err != nil {
@@ -87,18 +87,18 @@ func TestDecodeIntoStoreValidates(t *testing.T) {
 	fillStore(src, 5)
 	raw := encodeStore(src)
 
-	if err := DecodeIntoStore(wal.NewDecoder(raw), NewIndex(32), 1); err == nil {
+	if err := DecodeIntoStore(wal.NewDecoder(raw), NewIndex(32), 1, nil); err == nil {
 		t.Fatal("decode accepted a dim mismatch")
 	}
 	full := NewIndex(16)
 	fillStore(full, 1)
-	if err := DecodeIntoStore(wal.NewDecoder(raw), full, 1); err == nil {
+	if err := DecodeIntoStore(wal.NewDecoder(raw), full, 1, nil); err == nil {
 		t.Fatal("decode accepted a non-empty target store")
 	}
 	for cut := 0; cut < len(raw); cut++ {
 		dst := NewIndex(16)
 		d := wal.NewDecoder(raw[:cut])
-		if err := DecodeIntoStore(d, dst, 1); err == nil {
+		if err := DecodeIntoStore(d, dst, 1, nil); err == nil {
 			if err := d.Finish(); err == nil {
 				t.Fatalf("cut %d: decode of truncated stream succeeded", cut)
 			}
@@ -120,7 +120,7 @@ func TestDecodeAllocationPerRow(t *testing.T) {
 	var before, after runtime.MemStats
 	dst := NewIndex(DefaultDim)
 	runtime.ReadMemStats(&before)
-	err := DecodeIntoStore(wal.NewDecoder(raw), dst, 1)
+	err := DecodeIntoStore(wal.NewDecoder(raw), dst, 1, nil)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestDecodeAllocationPerRow(t *testing.T) {
 	e.Int(1<<31 - 1)
 	empty := NewIndex(DefaultDim)
 	runtime.ReadMemStats(&before)
-	err = DecodeIntoStore(wal.NewDecoder(e.Bytes()), empty, 1)
+	err = DecodeIntoStore(wal.NewDecoder(e.Bytes()), empty, 1, nil)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("decode accepted a row count with no rows behind it")

@@ -119,11 +119,12 @@ func TestFront(t *testing.T) {
 		d := NewDecoder(e.Bytes())
 		prev, first := "", map[string]string{}
 		for i, want := range rows {
-			read := d.Front
+			var got string
 			if fresh {
-				read = d.FrontFresh
+				got = d.FrontFresh(prev, "")
+			} else {
+				got = d.Front(prev)
 			}
-			got := read(prev)
 			if got != want {
 				t.Fatalf("fresh=%v row %d = %q, want %q", fresh, i, got, want)
 			}
