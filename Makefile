@@ -30,11 +30,14 @@ race:
 # because its instrumentation changes what they count: the allocation
 # ceilings (objects per served query, per memo hit, per parsed query, per
 # extracted chunk, per stored-embedding read, per fallback answer, per
-# replayed vector) and
+# replayed vector, and the bytes a seed beside its primary allocates per
+# byte it retains) and
 # the heap one seeded engine copy retains per triple, alone and beside the
-# primary whose entities, triples and strings it shares.
+# primary whose entities, triples and strings it shares; and, beside them,
+# the chunks such a seed embeds: none, since it copies the primary's posting
+# entries.
 ceilings:
-	$(GO) test -count=1 -run 'AllocCeiling|ReplayPostsStoredVectors|EngineCopyBytes' ./internal/...
+	$(GO) test -count=1 -run 'AllocCeiling|ReplayPostsStoredVectors|EngineCopyBytes|EmbedsNothing' ./internal/...
 
 # chaos runs the fault-injection grid under the race detector: named
 # injection points (LLM calls, evidence gathering, retrieval scans, commit,
@@ -102,16 +105,19 @@ layers:
 # 11-triple replay on a 67,100-triple graph (linear history and re-cloned
 # parent), the first write to a shared column page, one streamed snapshot
 # digest and one replica seeded from that snapshot's checkpoint body (the
-# decode, the re-embedding and the line-graph build; its B/op and allocs/op
-# are the size of one engine copy plus the decoder's transient intern table
-# and embedding slabs, and its live-MB the heap the seeded copy retains after
-# a collection, to which the line graph, a view over the graph's key postings,
-# adds next to nothing — what TestEngineCopyBytesCeiling bounds per triple on
-# the datasets corpus; /standalone decodes without a reference, as recovery
-# does, /beside-primary against the snapshot the body came from, as a
-# replica set seeds, sharing its entities, triples and strings, so its live-MB
-# is about half the standalone one's —
-# TestEngineCopyBytesBesidePrimaryCeiling), and the bulk
+# decode, the store's posting lists and the line-graph build; its B/op and
+# allocs/op are the size of one engine copy plus the decoder's transient
+# tables, its live-MB the heap the seeded copy retains after a collection, to
+# which the line graph, a view over the graph's key postings, adds next to
+# nothing — what TestEngineCopyBytesCeiling bounds per triple on the datasets
+# corpus — and its embeds/op the chunks it embedded; /standalone decodes
+# without a reference, as recovery does, re-embedding every chunk into
+# transient slabs, /beside-primary against the snapshot the body came from,
+# as a replica set seeds, sharing its entities, triples and strings and
+# copying its posting entries, so it embeds nothing, its live-MB is about
+# half the standalone one's — TestEngineCopyBytesBesidePrimaryCeiling — and
+# its B/op little more than its live-MB — TestSeedReplicaAllocCeiling), and
+# the bulk
 # load a deployment pays at set-up (the datasets presets as one Ingest into a
 # durable system: stage 1 and the commit, split as prepare-ms/op and
 # commit-ms/op, and the size of its WAL record as record-bytes) — and the query path's: one exact

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -44,7 +45,8 @@ type ReplicaSet struct {
 // published snapshot and starts them reading s's log. The snapshot is
 // encoded once and the replicas decode it concurrently, each against the
 // captured snapshot itself, so they share its immutable entities, triples and
-// strings with the primary and build only their own indexes; if any seed fails,
+// strings with the primary, copy its posting entries instead of re-embedding
+// its chunks, and build only their own indexes; if any seed fails,
 // NewReplicaSet releases every lease it took and returns the error with no
 // replica started. Replicas read the write-ahead log, so s must come from
 // OpenDurable; an in-memory System is refused. Several sets may replicate one
@@ -62,6 +64,12 @@ func NewReplicaSet(s *System, cfg ReplicaSetConfig) (*ReplicaSet, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A replica set is built right after a bulk load or a recovery decode,
+	// when the heap still holds the loader's uncollected garbage and the GC's
+	// goal was set by the loader's in-flight peak. Collecting once here lets
+	// the seeds' allocations reuse that memory instead of extending the heap,
+	// which would otherwise make set-up the process's peak resident size.
+	runtime.GC()
 	seed := handle.Encode()
 	rs := &ReplicaSet{primary: primary, replicas: make([]*Replica, n)}
 	for i := range rs.replicas {

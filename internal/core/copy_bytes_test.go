@@ -6,33 +6,34 @@ import (
 )
 
 // liveHeap returns the bytes of heap objects still reachable after two
-// collections: the second frees what sync.Pool victim caches held past the
-// first.
-func liveHeap() int64 {
+// collections (the second frees what sync.Pool victim caches held past the
+// first) and the bytes allocated since the process started.
+func liveHeap() (live, allocated int64) {
 	runtime.GC()
 	runtime.GC()
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
-	return int64(m.HeapAlloc)
+	return int64(m.HeapAlloc), int64(m.TotalAlloc)
 }
 
-// seededReplicaBytes seeds a fresh replica from a checkpoint body and returns
-// the heap it retains once collected: the size of one engine copy — graph,
-// line graph and retrieval store — without the decoder's intern table and
-// embedding slabs, which are garbage by then. ref is passed on to
-// SeedReplica; what the replica shares with it is not counted, as long as
-// the caller keeps ref's system live.
-func seededReplicaBytes(tb testing.TB, body []byte, ref ...SnapshotHandle) int64 {
+// seedBytes seeds a fresh replica from a checkpoint body and returns the bytes
+// the seed allocated and the heap the replica retains once collected: the
+// size of one engine copy — graph, line graph and retrieval store — without
+// the decoder's intern table and embedding slabs, which are garbage by then.
+// ref is passed on to SeedReplica and kept live through both counts, so what
+// the replica shares with it is not counted as retained.
+func seedBytes(tb testing.TB, body []byte, ref ...SnapshotHandle) (allocated, retained int64) {
 	tb.Helper()
-	before := liveHeap()
+	live0, alloc0 := liveHeap()
 	r := NewSystem(durTestConfig())
 	if err := r.SeedReplica(body, 0, ref...); err != nil {
 		tb.Fatal(err)
 	}
-	after := liveHeap()
+	live1, alloc1 := liveHeap()
 	runtime.KeepAlive(r)
-	runtime.KeepAlive(body) // live at before, so it must be at after
-	return after - before
+	runtime.KeepAlive(ref)
+	runtime.KeepAlive(body) // live at the first count, so it must be at the second
+	return alloc1 - alloc0, live1 - live0
 }
 
 // TestEngineCopyBytesCeiling bounds the heap one engine copy retains per
@@ -50,7 +51,8 @@ func TestEngineCopyBytesCeiling(t *testing.T) {
 	}
 	body := s.ServingHandle().Encode()
 	triples := s.Graph().NumTriples()
-	got := float64(seededReplicaBytes(t, body)) / float64(triples)
+	_, retained := seedBytes(t, body)
+	got := float64(retained) / float64(triples)
 	t.Logf("%.0f B per triple over %d triples", got, triples)
 	if got > ceiling {
 		t.Fatalf("one engine copy retains %.0f B per triple, ceiling %d", got, ceiling)
@@ -75,10 +77,31 @@ func TestEngineCopyBytesBesidePrimaryCeiling(t *testing.T) {
 	}
 	h := s.ServingHandle()
 	triples := s.Graph().NumTriples()
-	got := float64(seededReplicaBytes(t, h.Encode(), h)) / float64(triples)
+	_, retained := seedBytes(t, h.Encode(), h)
+	got := float64(retained) / float64(triples)
 	runtime.KeepAlive(s) // the primary is live throughout, as beside a replica set
 	t.Logf("%.0f B per triple over %d triples", got, triples)
 	if got > ceiling {
 		t.Fatalf("a replica beside its primary retains %.0f B per triple, ceiling %d", got, ceiling)
+	}
+}
+
+// TestSeedReplicaAllocCeiling bounds what one seed beside its primary
+// allocates against what the seeded replica retains, on the snapshot
+// BenchmarkSeedReplica seeds from. Copying the primary's posting entries
+// allocates about the lists it keeps; re-embedding every chunk allocated
+// embedding slabs and list growth on top, 2.10 times the retained heap. It
+// reads 1.16 (x86-64, Go 1.24).
+func TestSeedReplicaAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race instrumentation changes heap sizes")
+	}
+	const ceiling = 1.3 // bytes allocated per byte retained
+	h := benchSnapshot(t)
+	allocated, retained := seedBytes(t, h.Encode(), h)
+	got := float64(allocated) / float64(retained)
+	t.Logf("%d B allocated, %d B retained: %.2f", allocated, retained, got)
+	if got > ceiling {
+		t.Fatalf("a seed beside its primary allocates %.2f times what it retains, ceiling %.2f", got, ceiling)
 	}
 }

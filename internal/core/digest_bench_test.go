@@ -4,14 +4,15 @@ import (
 	"testing"
 
 	"multirag/internal/adapter"
+	"multirag/internal/retrieval"
 )
 
 var digestSink uint64
 
 // benchSnapshot is the snapshot the snapshot benchmarks share: a few thousand
 // entities and chunks, ingested as one batch.
-func benchSnapshot(b *testing.B) SnapshotHandle {
-	b.Helper()
+func benchSnapshot(tb testing.TB) SnapshotHandle {
+	tb.Helper()
 	s := NewSystem(durTestConfig())
 	var files []adapter.RawFile
 	for k := 0; k < 1500; k++ {
@@ -19,7 +20,7 @@ func benchSnapshot(b *testing.B) SnapshotHandle {
 		files = append(files, ingestBatch(k)[1]) // one text chunk each
 	}
 	if _, err := s.Ingest(files); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return s.ServingHandle()
 }
@@ -40,16 +41,18 @@ func BenchmarkSnapshotDigest(b *testing.B) {
 }
 
 // BenchmarkSeedReplica measures one replica seeded from the shared
-// snapshot's checkpoint body: decoding the graph and the store's chunks, then
-// re-embedding every chunk beside the line-graph build. Nearly everything it
+// snapshot's checkpoint body: decoding the graph and the store's chunks, the
+// store's posting lists and the line-graph build. Nearly everything it
 // allocates is the replica's state, so B/op and allocs/op are the size of one
 // engine copy plus the decoder's transient tables; live-MB is the heap the
-// seeded replica retains after a collection (seededReplicaBytes), the part
-// that stays. standalone decodes without a reference, as recovery does;
+// seeded replica retains after a collection (seedBytes), the part that stays,
+// and embeds/op the chunks it embedded (retrieval.EmbedCalls). standalone
+// decodes without a reference, as recovery does, and re-embeds every chunk;
 // beside-primary against the snapshot the body was encoded from, as a
 // ReplicaSet seeds, so it shares that snapshot's entities, triples and
-// strings and allocates and retains only the rest. Run with -benchmem, or via
-// `make bench-micro`.
+// strings, copies its posting entries, embeds nothing, and allocates little
+// more than it retains (TestSeedReplicaAllocCeiling). Run with -benchmem, or
+// via `make bench-micro`.
 func BenchmarkSeedReplica(b *testing.B) {
 	h := benchSnapshot(b)
 	body := h.Encode()
@@ -60,6 +63,7 @@ func BenchmarkSeedReplica(b *testing.B) {
 	}{{"standalone", nil}, {"beside-primary", []SnapshotHandle{h}}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
+			embeds := retrieval.EmbedCalls()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				r := NewSystem(cfg)
@@ -68,8 +72,10 @@ func BenchmarkSeedReplica(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(retrieval.EmbedCalls()-embeds)/float64(b.N), "embeds/op")
 			b.ReportMetric(float64(len(body)), "body-bytes")
-			b.ReportMetric(float64(seededReplicaBytes(b, body, bc.ref...))/1e6, "live-MB")
+			_, retained := seedBytes(b, body, bc.ref...)
+			b.ReportMetric(float64(retained)/1e6, "live-MB")
 		})
 	}
 }

@@ -188,6 +188,43 @@ func TestSeedReplicaSharesPrimaryState(t *testing.T) {
 	}
 }
 
+// TestSeedBesidePrimaryEmbedsNothing: a replica seeded against the snapshot
+// its body was encoded from copies every row's posting entries and embeds no
+// chunk; against a snapshot whose rows match a prefix of the body's it embeds
+// exactly the rows past that prefix; with none it embeds every row, as
+// recovery does. Not parallel: retrieval.EmbedCalls counts process-wide.
+func TestSeedBesidePrimaryEmbedsNothing(t *testing.T) {
+	primary := NewSystem(durTestConfig())
+	ingestAll(t, primary, 0, 1, 2, 3, 4, 5)
+	overlap := NewSystem(durTestConfig())
+	ingestAll(t, overlap, 0, 1, 9)
+	handle := primary.ServingHandle()
+	body := handle.Encode()
+	pc, oc := chunksOf(primary), chunksOf(overlap)
+	prefix := 0
+	for prefix < min(len(pc), len(oc)) && pc[prefix].Text == oc[prefix].Text {
+		prefix++
+	}
+	if prefix == 0 || prefix == len(pc) {
+		t.Fatalf("overlapping handle shares %d of %d rows, want some but not all", prefix, len(pc))
+	}
+	for _, tc := range []struct {
+		name string
+		ref  []SnapshotHandle
+		want int
+	}{
+		{"primary handle", []SnapshotHandle{handle}, 0},
+		{"overlapping handle", []SnapshotHandle{overlap.ServingHandle()}, len(pc) - prefix},
+		{"no handle", nil, len(pc)},
+	} {
+		before := retrieval.EmbedCalls()
+		seededFrom(t, body, tc.ref...)
+		if got := retrieval.EmbedCalls() - before; got != uint64(tc.want) {
+			t.Errorf("%s: seed embedded %d chunks, want %d of %d", tc.name, got, tc.want, len(pc))
+		}
+	}
+}
+
 // TestSeedReplicaDuringCommits seeds replicas against a captured snapshot
 // while another goroutine commits into its system. The first of those
 // commits claims the snapshot's lineage and appends in place behind its

@@ -2,6 +2,7 @@ package retrieval
 
 import (
 	"fmt"
+	"runtime"
 
 	"multirag/internal/lineage"
 	"multirag/internal/par"
@@ -41,21 +42,26 @@ func EncodeStore(e *wal.Encoder, ix *Index) {
 }
 
 // DecodeIntoStore fills the empty index ix from d (the inverse of
-// EncodeStore), re-embedding every row on up to workers goroutines (<= 0
-// selects GOMAXPROCS). The index's width must match the encoded one. The
-// chunk slice is sized once from the encoded row count, trusted only as far
-// as the bytes left could back it. A chunk's DocID and Source are
-// read through d's intern table (wal.Decoder.Front), so the chunks of one
-// document share them, and a DocID shares the copy of the same document a
-// triple's ChunkID decoded earlier in the same body; its ID, which never
-// repeats, is read without the table (FrontFresh). On error ix is left empty.
+// EncodeStore), re-embedding rows on up to workers goroutines (<= 0 selects
+// GOMAXPROCS). The index's width must match the encoded one. The chunk slice
+// is sized once from the encoded row count, trusted only as far as the bytes
+// left could back it. A chunk's DocID and Source are read through d's intern
+// table (wal.Decoder.Front), so the chunks of one document share them, and a
+// DocID shares the copy of the same document a triple's ChunkID decoded
+// earlier in the same body; its ID, which never repeats, is read without the
+// table (FrontFresh). On error ix is left empty.
 //
 // ref, which may be nil, is a store already in memory that the payload may
 // have been encoded from (kg.DecodeGraph has the same argument): a string
 // field that decodes equal to the same field of ref's chunk at the same row
-// is ref's string. The chunk slice and posting lists are ix's own, and ref
-// is read only below its length, so another goroutine may append to a clone
-// of ref meanwhile.
+// is ref's string. Every row's vector is Embed(Text, dim), so over the
+// longest prefix of rows whose texts decode equal to ref's (ref at ix's
+// width), the vectors are ref's: those rows' posting entries are copied out
+// of ref's lists instead of re-embedded, and only the rows past the prefix
+// are embedded. Without ref the prefix is empty and every row is embedded, as
+// recovery needs. The chunk slice and posting lists are ix's own, so no
+// backing array is shared with ref, and ref is read only below its length,
+// so another goroutine may append to a clone of ref meanwhile.
 func DecodeIntoStore(d *wal.Decoder, ix *Index, workers int, ref *Index) error {
 	dim := d.Int()
 	n := d.Int()
@@ -89,7 +95,14 @@ func DecodeIntoStore(d *wal.Decoder, ix *Index, workers int, ref *Index) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	ix.postEmbedded(chunks, workers)
+	k := 0
+	if ref != nil && ref.dim == ix.dim {
+		for k < min(len(chunks), len(refChunks)) && chunks[k].Text == refChunks[k].Text {
+			k++
+		}
+		ix.post.copyRows(&ref.post, k)
+	}
+	ix.postEmbedded(chunks, k, workers)
 	ix.chunks = chunks
 	// The rows were appended without claiming them (nothing else shares a
 	// store being decoded); the token starts at the count.
@@ -101,44 +114,44 @@ func DecodeIntoStore(d *wal.Decoder, ix *Index, workers int, ref *Index) error {
 // store is rebuilt.
 const embedBlock = 512
 
-// postEmbedded posts the embeddings of cs as the first rows of the empty
-// index ix. Blocks of embedBlock rows are embedded into sparse slabs on up to workers
-// goroutines, while the calling goroutine posts the finished blocks in row
-// order, which keeps every posting list sorted by row. A posted block's slab
-// goes back to a free list the workers take from, so a decode holds about as
-// many slabs as it runs workers.
-func (ix *Index) postEmbedded(cs []Chunk, workers int) {
+// postEmbedded embeds rows [from, len(cs)) of cs and posts them after the
+// rows [0, from) ix's posting lists already hold. Blocks of embedBlock
+// rows are embedded into sparse slabs on up to workers goroutines, while the
+// calling goroutine posts the finished blocks in row order, which keeps every
+// posting list sorted by row. A decode holds a ring of one slab more than it
+// runs workers: block i embeds into slot i mod the ring's size, once the
+// poster is done with the block before it in that slot. Blocks are handed
+// out in order and the lowest unfinished one never waits, so the ring bounds
+// how far the workers run ahead of the poster without stalling it.
+func (ix *Index) postEmbedded(cs []Chunk, from, workers int) {
+	cs = cs[from:]
 	blocks := (len(cs) + embedBlock - 1) / embedBlock
-	slabs := make([]*Sparse, blocks)
-	done := make([]chan struct{}, blocks)
-	for i := range done {
-		done[i] = make(chan struct{})
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	free := make(chan *Sparse, 4)
+	slots := make([]Sparse, min(workers+1, blocks))
+	done := make([]chan struct{}, blocks)
+	posted := make([]chan struct{}, blocks)
+	for i := range done {
+		done[i], posted[i] = make(chan struct{}), make(chan struct{})
+	}
 	go par.ForEach(workers, blocks, func(i int) {
-		var slab *Sparse
-		select {
-		case slab = <-free:
-			slab.Reset()
-		default:
-			slab = &Sparse{}
-			slab.Grow(embedBlock)
+		if i >= len(slots) {
+			<-posted[i-len(slots)]
 		}
+		slab := &slots[i%len(slots)]
+		slab.Reset()
+		slab.Grow(embedBlock)
 		scratch := make(Vector, ix.dim)
 		for _, c := range cs[i*embedBlock : min((i+1)*embedBlock, len(cs))] {
 			slab.Embed(scratch, c.Text)
 		}
-		slabs[i] = slab
 		close(done[i])
 	})
-	for i := range slabs {
+	for i := range blocks {
 		<-done[i]
-		row := i * embedBlock
-		slabs[i].each(func(j int, nz []weight) { ix.post.addSparse(row+j, nz) })
-		select {
-		case free <- slabs[i]:
-		default:
-		}
-		slabs[i] = nil
+		row := from + i*embedBlock
+		slots[i%len(slots)].each(func(j int, nz []weight) { ix.post.addSparse(row+j, nz) })
+		close(posted[i])
 	}
 }
