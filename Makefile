@@ -44,9 +44,11 @@ ceilings:
 # WAL append, batch execution) crossed with fault kinds (latency, error,
 # hang-until-cancel, panic) over concurrent query + ingest load, asserting no
 # deadlock, no goroutine leak, no torn snapshot and byte-identical WAL
-# recovery. -count=1 keeps it uncached so CI always exercises the grid.
+# recovery. -count=1 keeps it uncached so CI always exercises the grid. The
+# suites live in internal/core and internal/serve; internal/fault's own unit
+# tests (injection, breaker) have no TestChaos prefix and run under `race`.
 chaos:
-	$(GO) test -race -count=1 -run '^TestChaos' ./internal/core ./internal/serve ./internal/fault
+	$(GO) test -race -count=1 -run '^TestChaos' ./internal/core ./internal/serve
 
 # chaos-cluster runs the replication chaos suite under the race detector:
 # kill/stall/corrupt one of three read replicas of a durable primary under

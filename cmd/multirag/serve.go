@@ -42,7 +42,7 @@ Serve the ingested corpus over HTTP:
   POST /v1/ingest       {"files": [{"domain","source","name","format","content"}, ...]}
   GET  /v1/stats        corpus statistics
   GET  /v1/metrics      per-class p50/p95/p99 latency, Jain fairness, queue depths,
-                        deadline/cancel/degraded counters, breaker + durability state
+                        deadline/cancel/degraded counters, durability state
   GET  /healthz         {"status": "ok"|"degraded"|"draining", "reason": ...}
 
 SLO classes: interactive (priority 2), batch (priority 1), ingest. A query
@@ -57,9 +57,7 @@ Requests run under end-to-end deadlines (-deadline, tightened per request
 with "deadline_ms"): the budget starts at admission, so queue wait spends it
 too, and client disconnects cancel evaluation mid-flight. A request whose
 budget expires mid-evaluation returns 200 with a Degraded partial answer
-(-degrade, the default) or fails with 504 (-degrade=false). Failing model
-calls trip per-stage circuit breakers (-breaker-failures, -breaker-cooldown)
-that fast-fail into degraded answers instead of hammering a broken stage.
+(-degrade, the default) or fails with 504 (-degrade=false).
 
 With -data-dir, acknowledged ingests are write-ahead logged and checkpointed
 so a restart resumes the exact corpus. SIGINT/SIGTERM drain gracefully:
@@ -94,8 +92,6 @@ Flags:
 		admitBurst   = fs.Float64("admit-burst", 0, "token-bucket capacity for the query classes (0 = max(1, admit-qps))")
 		deadline     = fs.Duration("deadline", 0, "end-to-end deadline per query-class request, counted from admission (0 = none; requests may tighten it with deadline_ms)")
 		degrade      = fs.Bool("degrade", true, "deliver partial answers as 200 + degraded when a request's deadline expires mid-evaluation (false = fail with 504)")
-		brkFailures  = fs.Int("breaker-failures", 0, "consecutive model-call failures that trip a circuit breaker (0 = default)")
-		brkCooldown  = fs.Duration("breaker-cooldown", 0, "open-breaker cooldown before a half-open probe (0 = default)")
 		replicas     = fs.Int("replicas", 0, "read replicas that replay the primary's write-ahead log; needs -data-dir (0 = serve reads from the primary)")
 		route        = fs.String("route", serve.RouteRoundRobin, "replica read-routing policy: round-robin or primary-only")
 	)
@@ -104,10 +100,8 @@ Flags:
 	}
 
 	sysCfg := multirag.Config{
-		Seed:            *seed,
-		Workers:         *workers,
-		BreakerFailures: *brkFailures,
-		BreakerCooldown: *brkCooldown,
+		Seed:    *seed,
+		Workers: *workers,
 	}
 	var sys *multirag.System
 	var recovery *multirag.RecoveryInfo

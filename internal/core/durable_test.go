@@ -269,6 +269,55 @@ func TestWALSyncFailureFailsIngestAndLatches(t *testing.T) {
 	}
 }
 
+// TestWALAppendLatchInDurabilityStatus: a segment fsync that fails during one
+// ingest latches the log through the real append path, and DurabilityStatus
+// (what /healthz and /v1/metrics report) shows the latch from then on, while
+// every later ingest keeps failing unacknowledged.
+func TestWALAppendLatchInDurabilityStatus(t *testing.T) {
+	fs := wal.NewMemFS()
+	var fail atomic.Bool
+	injected := errors.New("injected fsync failure")
+	fs.OnOp = func(op wal.Op, name string) error {
+		if fail.Load() && op == wal.OpSync && strings.HasSuffix(name, ".log") {
+			return injected
+		}
+		return nil
+	}
+	s, _ := openDurable(t, fs, durTestConfig())
+	batches := seqBatches()
+	if _, err := s.Ingest(batches[0]); err != nil {
+		t.Fatalf("Ingest: %v", err)
+	}
+	healthy := s.DurabilityStatus()
+	if !healthy.Durable || healthy.WALAppendErr != "" {
+		t.Fatalf("status before the fault = %+v, want durable with no latch", healthy)
+	}
+
+	fail.Store(true)
+	_, err := s.Ingest(batches[1])
+	fail.Store(false)
+	if err == nil {
+		t.Fatal("ingest with failing fsync succeeded")
+	}
+	latched := func(when string) {
+		t.Helper()
+		st := s.DurabilityStatus()
+		if !strings.Contains(st.WALAppendErr, injected.Error()) {
+			t.Fatalf("%s: WALAppendErr = %q, want the latched %q", when, st.WALAppendErr, injected)
+		}
+		if st.NextLSN != healthy.NextLSN {
+			t.Fatalf("%s: NextLSN = %d, want %d: a failed ingest was acknowledged", when, st.NextLSN, healthy.NextLSN)
+		}
+	}
+	latched("after the failed ingest")
+	for i, b := range batches[1:] {
+		if _, err := s.Ingest(b); err == nil {
+			t.Fatalf("later ingest %d succeeded on a latched log", i)
+		}
+		latched(fmt.Sprintf("after later ingest %d", i))
+	}
+}
+
 func TestTornTailRecovery(t *testing.T) {
 	fs := wal.NewMemFS()
 	var fail atomic.Bool

@@ -33,12 +33,12 @@ type Answer struct {
 	// Found reports whether any evidence was located.
 	Found bool
 	// Degraded marks a partial answer: the evaluation was cut short (deadline,
-	// cancellation, tripped breaker, injected or stage failure) and Values
-	// reflects only the arms that completed. The serving layer decides per SLO
-	// class whether a degraded answer is delivered or converted to an error.
+	// cancellation, an injected fault or a panic) and Values reflects only
+	// the arms that completed. The serving layer decides per SLO class
+	// whether a degraded answer is delivered or converted to an error.
 	Degraded bool
 	// DegradedReason names the first cause: "deadline", "canceled",
-	// "breaker-open", "panic: ..." or the stage error text.
+	// "panic: ..." or the stage error text.
 	DegradedReason string
 }
 
@@ -54,9 +54,9 @@ type evidence struct {
 	trusted  []confidence.TrustedNode
 	rejected int
 	gcs      []float64
-	// err records a sub-question cut short (context, breaker, injected
-	// fault). Erroring evidence carries whatever was gathered before the cut
-	// and is never memoised.
+	// err records a sub-question cut short (context or injected fault).
+	// Erroring evidence carries whatever was gathered before the cut and is
+	// never memoised.
 	err error
 }
 
@@ -92,8 +92,6 @@ func degradeReason(err error) string {
 		return "deadline"
 	case errors.Is(err, context.Canceled):
 		return "canceled"
-	case errors.Is(err, fault.ErrOpen):
-		return "breaker-open"
 	case err == nil:
 		return ""
 	default:
@@ -152,46 +150,30 @@ func (s *System) queryOn(ctx context.Context, sn *snapshot, q string) Answer {
 	return ans
 }
 
-// generate is the breaker-and-retry-guarded answer-generation call every
-// intent funnels through. The breaker fast-fails while open; inside it,
-// transient stage errors (injected faults standing in for a flaky model API)
-// retry with deterministic capped backoff. Context errors never retry — a
-// canceled request's first duty is releasing its slot. Each attempt refuses
-// to start for a caller whose context has ended and carries the
-// fault.PointLLMGenerate injection point; the simulator itself never fails.
+// generate is the answer-generation call every intent funnels through. It
+// refuses to start for a caller whose context has ended and carries the
+// fault.PointLLMGenerate injection point; the simulator itself never fails,
+// so an error here is the caller's context or an injected fault, and the
+// answer degrades with it.
 func (s *System) generate(ctx context.Context, query string, ev []llm.Evidence) ([]string, error) {
-	var out []string
-	err := s.genBreaker.Do(func() error {
-		return fault.Retry(ctx, fault.DefaultRetry, func() error {
-			if err := modelCall(ctx, fault.PointLLMGenerate); err != nil {
-				return err
-			}
-			out = s.model.GenerateAnswer(query, ev)
-			return nil
-		})
-	})
-	return out, err
+	if err := modelCall(ctx, fault.PointLLMGenerate); err != nil {
+		return nil, err
+	}
+	return s.model.GenerateAnswer(query, ev), nil
 }
 
-// extractChunk is the breaker-guarded per-chunk extraction pair (entity
-// mentions, then triples over them) of the chunk-fallback path. Each of the
-// two model calls is guarded like generate's, at fault.PointLLMExtract.
+// extractChunk is the per-chunk extraction pair (entity mentions, then
+// triples over them) of the chunk-fallback path. Each of the two model calls
+// is guarded like generate's, at fault.PointLLMExtract.
 func (s *System) extractChunk(ctx context.Context, text string) ([]llm.SPO, error) {
-	var spos []llm.SPO
-	err := s.extBreaker.Do(func() error {
-		return fault.Retry(ctx, fault.DefaultRetry, func() error {
-			if err := modelCall(ctx, fault.PointLLMExtract); err != nil {
-				return err
-			}
-			ms := s.model.ExtractEntities(text)
-			if err := modelCall(ctx, fault.PointLLMExtract); err != nil {
-				return err
-			}
-			spos = s.model.ExtractTriples(text, ms)
-			return nil
-		})
-	})
-	return spos, err
+	if err := modelCall(ctx, fault.PointLLMExtract); err != nil {
+		return nil, err
+	}
+	ms := s.model.ExtractEntities(text)
+	if err := modelCall(ctx, fault.PointLLMExtract); err != nil {
+		return nil, err
+	}
+	return s.model.ExtractTriples(text, ms), nil
 }
 
 // modelCall is the guard in front of one simulated model call: the caller's

@@ -14,7 +14,6 @@ import (
 
 	"multirag/internal/adapter"
 	"multirag/internal/confidence"
-	"multirag/internal/fault"
 	"multirag/internal/kg"
 	"multirag/internal/linegraph"
 	"multirag/internal/llm"
@@ -46,15 +45,6 @@ type Config struct {
 	// CheckpointBytes triggers a checkpoint once the active WAL segment
 	// exceeds this many bytes (<=0 selects DefaultCheckpointBytes).
 	CheckpointBytes int
-	// BreakerFailures is how many consecutive LLM-call failures trip the
-	// generation/extraction circuit breakers open (<=0 selects
-	// fault.DefaultBreakerFailures). Breaker trips only matter when calls can
-	// fail — injected faults today, a real model API behind the Sim seam
-	// tomorrow; the deterministic simulator itself never fails.
-	BreakerFailures int
-	// BreakerCooldown is how long a tripped breaker fast-fails before
-	// admitting a half-open probe (<=0 selects fault.DefaultBreakerCooldown).
-	BreakerCooldown time.Duration
 }
 
 // snapshot is one immutable serving state: the knowledge graph, its
@@ -116,13 +106,6 @@ type System struct {
 	// committer.go.
 	gc groupCommitter
 
-	// genBreaker and extBreaker contain failures of the answer-generation and
-	// extraction LLM calls respectively: consecutive failures trip them open
-	// and later calls fast-fail into degraded answers instead of hammering a
-	// broken dependency. See internal/fault.
-	genBreaker *fault.Breaker
-	extBreaker *fault.Breaker
-
 	// dur is the durability state (WAL, checkpointer) of a system opened with
 	// Open/OpenFS; nil for purely in-memory systems. See durable.go.
 	dur *durable
@@ -155,8 +138,6 @@ func NewSystem(cfg Config) *System {
 		ingestModel: llm.NewSim(cfg.LLM),
 		embeds:      newEmbedCache(retrieval.DefaultDim),
 		evidence:    &evidenceMemo{},
-		genBreaker:  fault.NewBreaker("llm.generate", cfg.BreakerFailures, cfg.BreakerCooldown, nil),
-		extBreaker:  fault.NewBreaker("llm.extract", cfg.BreakerFailures, cfg.BreakerCooldown, nil),
 	}
 	s.gc.init()
 	s.wake.Store(make(chan struct{}))
@@ -198,11 +179,6 @@ func (s *System) QueryEach(ctxs []context.Context, queries []string) []Answer {
 		out[i] = s.query(ctx, sn, queries[i])
 	})
 	return out
-}
-
-// BreakerStats snapshots the LLM-call circuit breakers for /v1/metrics.
-func (s *System) BreakerStats() []fault.BreakerStats {
-	return []fault.BreakerStats{s.genBreaker.Stats(), s.extBreaker.Stats()}
 }
 
 // DurabilityStatus is the durability layer's health as seen by serving:

@@ -39,16 +39,9 @@ func (s BreakerState) String() string {
 // open (or while another probe already holds the half-open slot).
 var ErrOpen = errors.New("fault: circuit breaker open")
 
-// DefaultBreakerFailures and DefaultBreakerCooldown are the trip threshold
-// and open→half-open delay used when a Breaker is built with zero values.
-const (
-	DefaultBreakerFailures = 5
-	DefaultBreakerCooldown = time.Second
-)
-
 // BreakerStats is one breaker's observable state, exported on /v1/metrics.
 type BreakerStats struct {
-	// Name identifies the guarded stage ("llm.generate", "llm.extract").
+	// Name identifies the guarded target ("router.replica-0").
 	Name string `json:"name"`
 	// State is "closed", "open" or "half-open".
 	State string `json:"state"`
@@ -83,15 +76,9 @@ type Breaker struct {
 	successes int64
 }
 
-// NewBreaker builds a breaker. Zero threshold or cooldown take the defaults;
-// a nil clock uses time.Now.
+// NewBreaker builds a breaker that trips after threshold consecutive
+// failures and stays open for cooldown; a nil clock uses time.Now.
 func NewBreaker(name string, threshold int, cooldown time.Duration, now func() time.Time) *Breaker {
-	if threshold <= 0 {
-		threshold = DefaultBreakerFailures
-	}
-	if cooldown <= 0 {
-		cooldown = DefaultBreakerCooldown
-	}
 	if now == nil {
 		now = time.Now
 	}

@@ -1,6 +1,6 @@
 // Package fault is the failure-containment toolkit of the serving stack:
-// named fault-injection points, a circuit breaker, and bounded
-// retry-with-backoff.
+// named fault-injection points and the circuit breaker the replica router
+// gates each replica with.
 //
 // The injection half generalises wal.MemFS's OnOp hook from filesystem
 // operations to the whole request lifecycle. Production code marks the places
@@ -34,12 +34,12 @@ import (
 // Canonical injection-point names. Points are plain strings so packages can
 // add their own; these constants name the ones wired into the engine.
 const (
-	// PointLLMGenerate guards each answer-generation attempt (core's
-	// generate, inside its retry).
+	// PointLLMGenerate guards each answer-generation call (core's
+	// generate).
 	PointLLMGenerate = "llm.generate"
 	// PointLLMExtract guards per-query LLM extraction on the chunk-fallback
 	// path: it fires before each of the two model calls (entities, then
-	// triples) of every attempt in core's extractChunk.
+	// triples) in core's extractChunk.
 	PointLLMExtract = "llm.extract"
 	// PointEvidence fires at the head of every (entity, relation)
 	// sub-question evaluation — the unit the query DAG schedules.

@@ -182,45 +182,3 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 		t.Fatalf("state = %v, want closed", b.State())
 	}
 }
-
-func TestRetryTransientThenSuccess(t *testing.T) {
-	calls := 0
-	err := Retry(context.Background(), RetryPolicy{Attempts: 3, Backoff: time.Microsecond}, func() error {
-		calls++
-		if calls < 3 {
-			return errors.New("transient")
-		}
-		return nil
-	})
-	if err != nil || calls != 3 {
-		t.Fatalf("err=%v calls=%d, want nil/3", err, calls)
-	}
-}
-
-func TestRetryExhausted(t *testing.T) {
-	boom := errors.New("boom")
-	calls := 0
-	err := Retry(context.Background(), RetryPolicy{Attempts: 2, Backoff: time.Microsecond}, func() error {
-		calls++
-		return boom
-	})
-	if !errors.Is(err, boom) || calls != 2 {
-		t.Fatalf("err=%v calls=%d, want boom/2", err, calls)
-	}
-}
-
-func TestRetryDoesNotRetryCancelOrOpen(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	calls := 0
-	err := Retry(ctx, DefaultRetry, func() error { calls++; return nil })
-	if !errors.Is(err, context.Canceled) || calls != 0 {
-		t.Fatalf("canceled ctx: err=%v calls=%d, want Canceled/0", err, calls)
-	}
-
-	calls = 0
-	err = Retry(context.Background(), DefaultRetry, func() error { calls++; return ErrOpen })
-	if !errors.Is(err, ErrOpen) || calls != 1 {
-		t.Fatalf("ErrOpen: err=%v calls=%d, want ErrOpen/1", err, calls)
-	}
-}

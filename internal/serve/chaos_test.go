@@ -230,48 +230,3 @@ func TestChaosServeExecutorHangShedsQueue(t *testing.T) {
 	http.DefaultClient.CloseIdleConnections()
 	waitServeGoroutines(t, base)
 }
-
-// TestChaosServeBreakerHealth trips the generate breaker through the HTTP
-// path and asserts /healthz turns degraded-with-reason (still 200: the
-// server is impaired, not down) and /v1/metrics exposes the open breaker.
-func TestChaosServeBreakerHealth(t *testing.T) {
-	defer fault.Reset()
-	sys := multirag.Open(multirag.Config{Seed: 1, BreakerFailures: 2, BreakerCooldown: time.Minute})
-	if err := sys.IngestFiles(corpusFiles()...); err != nil {
-		t.Fatalf("ingest: %v", err)
-	}
-	s, ts := newTestServer(t, Config{System: sys, Classes: []Class{{Name: "q", Degrade: true}, {Name: IngestClass}}})
-	fault.Enable(fault.PointLLMGenerate, fault.Fault{Kind: fault.KindError})
-
-	for i := 0; i < 3; i++ {
-		resp, body := postJSON(t, ts.URL+"/v1/query",
-			QueryRequest{Query: "What is the status of CA981?", Class: "q"})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("request %d status %d: %s", i, resp.StatusCode, body)
-		}
-	}
-	fault.Reset()
-
-	resp, body := getJSON(t, ts.URL+"/healthz")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz status %d: %s", resp.StatusCode, body)
-	}
-	var health HealthResponse
-	if err := json.Unmarshal(body, &health); err != nil {
-		t.Fatalf("decode healthz: %v (%s)", err, body)
-	}
-	if health.Status != "degraded" || health.Reason == "" {
-		t.Fatalf("healthz = %+v, want degraded with reason", health)
-	}
-
-	snap := s.Metrics()
-	var open bool
-	for _, b := range snap.Breakers {
-		if b.Name == "llm.generate" && b.State == "open" && b.Trips >= 1 {
-			open = true
-		}
-	}
-	if !open {
-		t.Fatalf("metrics do not show the open breaker: %+v", snap.Breakers)
-	}
-}

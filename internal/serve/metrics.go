@@ -55,11 +55,9 @@ type MetricsSnapshot struct {
 	// saturation into front-door 429s.
 	IngestInflight int `json:"ingest_inflight"`
 	IngestCapacity int `json:"ingest_capacity"`
-	// Breakers reports the engine's model-call circuit breakers; Durability
-	// the WAL append latch and checkpoint horizon; Recovery what startup
-	// crash recovery found when the server was opened over an existing data
-	// directory (nil for in-memory deployments).
-	Breakers   []multirag.BreakerInfo  `json:"breakers,omitempty"`
+	// Durability reports the WAL append latch and checkpoint horizon;
+	// Recovery what startup crash recovery found when the server was opened
+	// over an existing data directory (nil for in-memory deployments).
 	Durability multirag.DurabilityInfo `json:"durability"`
 	Recovery   *multirag.RecoveryInfo  `json:"recovery,omitempty"`
 	// Router reports replica routing state — per-replica health, lag,

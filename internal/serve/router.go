@@ -213,7 +213,7 @@ type RouterMetrics struct {
 	ReplicaBatches uint64                   `json:"replica_batches"`
 	Failovers      uint64                   `json:"failovers"`
 	Replicas       []multirag.ReplicaStatus `json:"replicas"`
-	Breakers       []multirag.BreakerInfo   `json:"breakers"`
+	Breakers       []fault.BreakerStats     `json:"breakers"`
 }
 
 // metricsSnapshot assembles the router's metrics section.

@@ -24,8 +24,8 @@
 // that expires mid-evaluation stops promptly and, when the class opts into
 // Class.Degrade, is answered 200 with Answer.Degraded and whatever evidence
 // completed (otherwise 504). /healthz reports ok/degraded/draining with a
-// reason, and /v1/metrics carries deadline/cancel/degraded counters, circuit
-// breaker states and durability health.
+// reason, and /v1/metrics carries deadline/cancel/degraded counters and
+// durability health.
 //
 // Excess load is shed, never buffered without bound: a request body larger
 // than maxBodyBytes is rejected with 413, a query longer than maxQueryBytes
@@ -86,10 +86,10 @@ type Class struct {
 	// deadline; the client disconnect signal still cancels.
 	Deadline time.Duration `json:"deadline,omitempty"`
 	// Degrade selects graceful degradation: a request whose budget runs out
-	// mid-evaluation (or that hits an open circuit breaker) is answered 200
-	// with Answer.Degraded set and whatever evidence completed, instead of
-	// failing with 504. Queue-timeout and still-queued deadline expiry shed
-	// as before — there is no partial answer to deliver yet.
+	// mid-evaluation is answered 200 with Answer.Degraded set and whatever
+	// evidence completed, instead of failing with 504. Queue-timeout and
+	// still-queued deadline expiry shed as before — there is no partial
+	// answer to deliver yet.
 	Degrade bool `json:"degrade,omitempty"`
 }
 
@@ -277,7 +277,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 	snap := s.metrics.snapshot(s.policy)
 	snap.QueueDepths = s.sched.depths()
 	snap.IngestInflight, snap.IngestCapacity = s.pressure()
-	snap.Breakers = s.sys.Breakers()
 	snap.Durability = s.sys.Durability()
 	snap.Recovery = s.recovery
 	if s.router != nil {
@@ -632,8 +631,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // HealthResponse is the /healthz payload: a tri-state status with a reason,
 // instead of a bare binary probe.
 type HealthResponse struct {
-	// Status is "ok", "degraded" (alive but impaired — WAL append latched or
-	// a circuit breaker open) or "draining" (shutting down).
+	// Status is "ok", "degraded" (alive but impaired — WAL append latched) or
+	// "draining" (shutting down).
 	Status string `json:"status"`
 	Reason string `json:"reason,omitempty"`
 }
@@ -648,9 +647,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	if reason := s.degradedReason(); reason != "" {
 		// Impaired but alive: answer 200 so load balancers keep routing —
-		// queries still work (possibly degraded) even when ingest durability
-		// or a model-call breaker is down. The payload carries the reason for
-		// operators and status-aware probes.
+		// queries still work even when ingest durability is down. The payload
+		// carries the reason for operators and status-aware probes.
 		writeJSON(w, http.StatusOK, HealthResponse{Status: "degraded", Reason: reason})
 		return
 	}
@@ -658,16 +656,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // degradedReason reports why the server is degraded, or "" when healthy: a
-// latched WAL append failure (ingest no longer durable until restart) or an
-// open circuit breaker (model calls failing fast).
+// latched WAL append failure, after which ingest fails until restart.
 func (s *Server) degradedReason() string {
 	if d := s.sys.Durability(); d.Durable && d.WALAppendErr != "" {
 		return "wal append latched: " + d.WALAppendErr
-	}
-	for _, b := range s.sys.Breakers() {
-		if b.State == "open" {
-			return "circuit breaker " + b.Name + " open"
-		}
 	}
 	return ""
 }

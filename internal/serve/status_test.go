@@ -47,9 +47,9 @@ func TestStatusEndpointsAnswerDuringCommit(t *testing.T) {
 }
 
 // TestMetricsJSONKeys pins the key sets of /v1/metrics' status sections — the
-// engine's breakers, durability and recovery, and the router's replicas and
-// breakers — on a durable system with one replica, so a change to the types
-// behind them cannot rename a key operators and the benchmark read.
+// engine's durability and recovery, and the router's replicas and breakers —
+// on a durable system with one replica, so a change to the types behind them
+// cannot rename a key operators and the benchmark read.
 func TestMetricsJSONKeys(t *testing.T) {
 	sys, info, err := multirag.OpenDurable(t.TempDir(), multirag.Config{Seed: 1})
 	if err != nil {
@@ -68,9 +68,8 @@ func TestMetricsJSONKeys(t *testing.T) {
 
 	_, body := getJSON(t, ts.URL+"/v1/metrics")
 	var m struct {
-		Breakers   []map[string]any `json:"breakers"`
-		Durability map[string]any   `json:"durability"`
-		Recovery   map[string]any   `json:"recovery"`
+		Durability map[string]any `json:"durability"`
+		Recovery   map[string]any `json:"recovery"`
 		Router     struct {
 			Replicas []map[string]any `json:"replicas"`
 			Breakers []map[string]any `json:"breakers"`
@@ -85,7 +84,6 @@ func TestMetricsJSONKeys(t *testing.T) {
 		objs    []map[string]any
 		want    []string
 	}{
-		{"breakers[]", m.Breakers, breaker},
 		{"durability", []map[string]any{m.Durability}, []string{"durable", "last_checkpoint_lsn", "next_lsn"}},
 		{"recovery", []map[string]any{m.Recovery}, []string{"checkpoint_lsn", "records_replayed", "truncated"}},
 		{"router.replicas[]", m.Router.Replicas, []string{"applied_lsn", "divergences", "dropped_frames", "lag", "name", "resyncs", "state", "verified"}},

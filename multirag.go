@@ -8,7 +8,6 @@ import (
 	"multirag/internal/adapter"
 	"multirag/internal/confidence"
 	"multirag/internal/core"
-	"multirag/internal/fault"
 	"multirag/internal/llm"
 )
 
@@ -52,15 +51,6 @@ type Config struct {
 	// Workers bounds the ingestion worker pool and the AskEach fan-out
 	// (0 = GOMAXPROCS).
 	Workers int
-	// BreakerFailures is how many consecutive model-call failures trip the
-	// answer-generation/extraction circuit breakers open (0 = default 5).
-	// While open, affected queries return Degraded answers immediately
-	// instead of hammering the failing stage; after BreakerCooldown a single
-	// probe call decides whether to close again.
-	BreakerFailures int
-	// BreakerCooldown is how long a tripped breaker fast-fails before probing
-	// (0 = default 1s).
-	BreakerCooldown time.Duration
 }
 
 // Answer is the trustworthy response to a query.
@@ -81,13 +71,13 @@ type Answer struct {
 	// "comparison").
 	Intent string
 	// Degraded marks a partial answer: the evaluation was cut short by its
-	// deadline, a cancellation, a tripped circuit breaker or a contained
-	// stage failure, and Values reflects only the work that completed.
+	// deadline, a cancellation, an injected fault or a contained panic, and
+	// Values reflects only the work that completed.
 	// Ask, and AskEach with nil contexts, never set it outside fault
 	// injection.
 	Degraded bool
-	// DegradedReason names why ("deadline", "canceled", "breaker-open", or a
-	// stage error); empty when Degraded is false.
+	// DegradedReason names why ("deadline", "canceled", "panic: ...", or the
+	// injected error's text); empty when Degraded is false.
 	DegradedReason string
 }
 
@@ -176,12 +166,10 @@ func coreConfig(cfg Config) core.Config {
 		llmCfg.Seed = cfg.Seed
 	}
 	return core.Config{
-		LLM:             llmCfg,
-		MCC:             mcc,
-		DisableMKA:      cfg.DisableMKA,
-		Workers:         cfg.Workers,
-		BreakerFailures: cfg.BreakerFailures,
-		BreakerCooldown: cfg.BreakerCooldown,
+		LLM:        llmCfg,
+		MCC:        mcc,
+		DisableMKA: cfg.DisableMKA,
+		Workers:    cfg.Workers,
 		Ablation: confidence.Options{
 			DisableGraphLevel: cfg.DisableGraphLevel,
 			DisableNodeLevel:  cfg.DisableNodeLevel,
@@ -265,12 +253,6 @@ func convertAnswer(a core.Answer) Answer {
 	}
 	return out
 }
-
-// BreakerInfo is one circuit breaker's observable state.
-type BreakerInfo = fault.BreakerStats
-
-// Breakers snapshots the model-call circuit breakers, for metrics endpoints.
-func (s *System) Breakers() []BreakerInfo { return s.inner.BreakerStats() }
 
 // DurabilityInfo is the durability layer's live health.
 type DurabilityInfo = core.DurabilityStatus
