@@ -33,11 +33,11 @@ race:
 # replayed vector, and the bytes a seed beside its primary allocates per
 # byte it retains) and
 # the heap one seeded engine copy retains per triple, alone and beside the
-# primary whose entities, triples and strings it shares; and, beside them,
-# the chunks such a seed embeds: none, since it copies the primary's posting
-# entries.
+# primary whose entities, triples and strings it shares; the heap a prepared
+# bulk load retains per byte of its WAL parts; and, beside them, the chunks
+# such a seed embeds: none, since it copies the primary's posting entries.
 ceilings:
-	$(GO) test -count=1 -run 'AllocCeiling|ReplayPostsStoredVectors|EngineCopyBytes|EmbedsNothing' ./internal/...
+	$(GO) test -count=1 -run 'AllocCeiling|ReplayPostsStoredVectors|EngineCopyBytes|EmbedsNothing|PreparedBatchRetainedBytes' ./internal/...
 
 # chaos runs the fault-injection grid under the race detector: named
 # injection points (LLM calls, evidence gathering, retrieval scans, commit,

@@ -11,12 +11,13 @@ import (
 	"multirag/internal/kg"
 	"multirag/internal/linegraph"
 	"multirag/internal/retrieval"
+	"multirag/internal/wal"
 )
 
 // maxPendingBatches bounds the prepared-batch queue: at most this many Ingest
 // calls may be past admission (preparing or waiting to commit) at once.
 // Later callers block in admit until the committer drains a group, which
-// caps the memory held by recorded-but-uncommitted extraction output.
+// caps the memory held by prepared-but-uncommitted batches.
 const maxPendingBatches = 64
 
 // groupWindow caps the group-forming window: an elected leader that can see
@@ -166,7 +167,7 @@ func (s *System) commitJoin(p *prepared) (IngestReport, error) {
 
 // commitGroup applies one group of prepared batches and publishes one
 // snapshot for all of them. Under the critical section it clones the serving
-// graph and index once, replays each batch's recorders in ticket order onto
+// graph and index once, replays each batch's parts in ticket order onto
 // the shared clone (measuring the exact per-batch entity/triple/chunk
 // deltas), applies one merged line-graph delta over the group's new triple
 // IDs and swaps the snapshot pointer.
@@ -203,13 +204,16 @@ func (s *System) commitGroup(group []*prepared) {
 		}
 	}
 	newIDs := make([]string, 0, total)
+	sc := getEmbedScratch(ix.Dim())
+	defer putEmbedScratch(sc)
+	var d wal.Decoder
 	var committed []*prepared
 	for _, p := range group {
 		if p.err != nil {
 			continue
 		}
 		var err error
-		newIDs, err = replayBatch(g, ix, p, newIDs)
+		newIDs, err = replayBatch(g, ix, sc, &d, p, newIDs)
 		if err != nil {
 			p.err = err
 			// Rollback: discard the poisoned clone and re-replay the group's
@@ -221,7 +225,7 @@ func (s *System) commitGroup(group []*prepared) {
 			retained := committed[:0]
 			for _, q := range committed {
 				var qerr error
-				newIDs, qerr = replayBatch(g, ix, q, newIDs)
+				newIDs, qerr = replayBatch(g, ix, sc, &d, q, newIDs)
 				if qerr != nil {
 					q.err = qerr // unreachable for deterministic replays
 					continue
@@ -247,6 +251,11 @@ func (s *System) commitGroup(group []*prepared) {
 			committed = nil
 		}
 	}
+	// Every part is replayed and logged: let go of the group's prepared files
+	// before the line graph's delta grows the heap further.
+	for _, p := range group {
+		p.work = nil
+	}
 
 	if len(committed) > 0 {
 		next := &snapshot{graph: g, index: ix, gen: cur.gen + 1}
@@ -271,20 +280,26 @@ func (s *System) commitGroup(group []*prepared) {
 	}
 }
 
-// replayBatch replays one prepared batch onto the shared commit clone,
-// appending its new triple IDs onto ids and its pre-embedded chunks into ix,
-// and records the batch's exact deltas in its report. On error the clone is
-// left partially mutated — the caller rolls back by rebuilding it.
-func replayBatch(g *kg.Graph, ix *retrieval.Index, p *prepared, ids []string) ([]string, error) {
+// replayBatch replays one prepared batch onto the shared commit clone — each
+// file's part, decoded through d, whose intern table the group's parts share,
+// and posted with the rows stage 1 embedded — appending its new triple IDs
+// onto ids, and records the batch's exact deltas in its report. On error the
+// clone is left partially mutated — the caller rolls back by rebuilding it.
+func replayBatch(g *kg.Graph, ix *retrieval.Index, sc *embedScratch, d *wal.Decoder, p *prepared, ids []string) ([]string, error) {
 	entBefore, triBefore := g.NumEntities(), g.NumTriples()
 	mark := len(ids)
-	ids, err := replayFiles(g, ix, p.work, ids)
-	if err != nil {
-		return ids[:mark], err
-	}
 	p.rep.Chunks = 0
 	for i := range p.work {
-		p.rep.Chunks += len(p.work[i].chunks)
+		w := &p.work[i]
+		d.Reset(w.part)
+		var err error
+		if ids, err = replayPart(d, g, ix, &w.rows, sc, ids); err == nil {
+			err = d.Finish()
+		}
+		if err != nil {
+			return ids[:mark], err
+		}
+		p.rep.Chunks += w.chunks
 	}
 	p.rep.Extraction.Entities = g.NumEntities() - entBefore
 	p.rep.Extraction.Triples = g.NumTriples() - triBefore

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -25,15 +26,15 @@ import (
 // below the rotation point is fully covered by the checkpoint written against
 // the state at that same LSN, and only then prunes covered segments and stale
 // checkpoints. Recovery loads the newest valid checkpoint, replays the WAL
-// tail through the same recorder-replay + BuildDelta path the committer runs,
-// and truncates whatever torn frame the crash left behind.
+// tail through the same part replay (replayPart) + BuildDelta path the
+// committer runs, and truncates whatever torn frame the crash left behind.
 //
 // Format 4 (snapshotVersion, recordVersion) is the one format read and
 // written: it stores facts only — entities, triples and chunk strings, the
 // string columns that repeat from row to row front-coded against the previous
 // row (wal.Encoder.Front). What is a pure function of them is derived on load:
 // every chunk's vector is re-embedded from its text (retrieval.DecodeIntoStore,
-// and decodeGroupRecord for a record), and the line graph is rebuilt from the
+// and replayRecord for a record), and the line graph is rebuilt from the
 // graph (linegraph.Build, BuildDelta on replay). A checkpoint says which format
 // it is in its version field, a record by how it starts — a record of format 2
 // or later opens with a 0 tag and its version, a format-1 record with its
@@ -97,7 +98,8 @@ type durable struct {
 	fs  wal.FS
 	dir string
 
-	// log and enc are guarded by System.mu: appends happen inside the commit
+	// log, enc and parts (an append's header scratch and its list of
+	// pieces) are guarded by System.mu: appends happen inside the commit
 	// critical section, rotation inside Checkpoint's locked window, close
 	// under the lock in Close. hasCkpt shares the same guard; lastCkpt (the
 	// LSN covered by the newest durable checkpoint) and appendErr (the log's
@@ -105,6 +107,7 @@ type durable struct {
 	// DurabilityStatus.
 	log       *wal.Log
 	enc       wal.Encoder
+	parts     [][]byte
 	hasCkpt   bool
 	lastCkpt  atomic.Uint64
 	appendErr atomic.Pointer[error]
@@ -184,12 +187,7 @@ func recoverFrom(fsys wal.FS, dir string, cfg Config, body []byte, ckptLSN uint6
 	var newIDs []string
 	sc := getEmbedScratch(ix.Dim())
 	for i, payload := range sr.Records {
-		sc.rows.Reset()
-		batches, err := decodeGroupRecord(payload, sc)
-		if err == nil {
-			newIDs, err = replayRecord(g, ix, batches, newIDs)
-		}
-		if err != nil {
+		if newIDs, err = replayRecord(payload, g, ix, sc, newIDs); err != nil {
 			return nil, nil, fmt.Errorf("core: replay WAL record %d: %w", sr.From+uint64(i), err)
 		}
 	}
@@ -341,13 +339,21 @@ func (d *durable) appendGroup(committed []*prepared) error {
 	if err := fault.Inject(context.Background(), fault.PointWALAppend); err != nil {
 		return err
 	}
-	// Once appended the record lives in the log; Reset lets go of a buffer a
-	// bulk load's record outgrew.
-	defer d.enc.Reset()
-	encodeGroupRecord(&d.enc, committed)
-	_, err := d.log.Append(d.enc.Bytes())
+	// The header and the file counts are encoded into d.enc and the record
+	// is listed in d.parts; the parts themselves are handed to the log where
+	// they lie. Neither keeps a reference once the record is written.
+	d.parts = recordParts(&d.enc, d.parts, committed)
+	_, err := d.log.AppendParts(d.parts)
+	d.enc.Reset()
+	clear(d.parts)
+	if d.parts = d.parts[:0]; cap(d.parts) > scratchRows {
+		d.parts = nil // a bulk load's list of thousands of files
+	}
 	if latched := d.log.Failed(); latched != nil {
 		d.appendErr.Store(&latched)
+	}
+	if errors.Is(err, wal.ErrRecordTooLarge) {
+		return fmt.Errorf("the commit group's record is over the WAL's %d-byte record limit; ingest the files in smaller calls: %w", wal.MaxRecordSize, err)
 	}
 	return err
 }
@@ -413,54 +419,65 @@ func (s *System) decodeSnapshot(body []byte, ref *snapshot) (*snapshot, error) {
 
 // The group record: the 0 tag and recordVersion, the count of committed
 // batches, then per batch, in ticket order, its file count and each file's
-// part — its recorded operation stream, then its rendered chunks. The string
-// fields that repeat from row to row are front-coded (wal.Encoder.Front)
-// against the previous entity, triple or chunk of the same part: an entity's
-// type and domain, a triple's subject, object entity, source, domain, format
-// and chunk, a chunk's ID, document and source. Every part starts from empty
-// values, so a file's part does not depend on the rest of its group: stage 1
-// encodes it (encodeFile) on the worker that prepared the file, and the
-// commit path only concatenates.
+// part — its recorded operation stream (extract.Recorder.EncodeTo), then its
+// rendered chunks. The string fields that repeat from row to row are
+// front-coded (wal.Encoder.Front) against the previous entity, triple or chunk
+// of the same part: an entity's type and domain, a triple's subject, object
+// entity, source, domain, format and chunk, a chunk's ID, document and source.
+// Every part starts from empty values, so a file's part does not depend on
+// the rest of its group: stage 1 encodes it (encodeFile) on the worker that
+// prepared the file, and the commit path never builds the record — it hands
+// the header, the batches' file counts and the parts to the log as they lie
+// (wal.Log.AppendParts).
 
-// encodeGroupRecord serializes the committed batches of one commit group, in
-// ticket order, as one WAL record payload: the header, then every batch's
-// file count and its files' parts, into a buffer sized for the record first.
-func encodeGroupRecord(e *wal.Encoder, committed []*prepared) {
-	size := wal.UvarintSize(0) + wal.UvarintSize(recordVersion) + wal.UvarintSize(uint64(len(committed)))
-	for _, p := range committed {
-		size += wal.UvarintSize(uint64(len(p.work)))
-		for i := range p.work {
-			size += len(p.work[i].part)
-		}
-	}
-	e.Grow(size)
+// recordParts lists the pieces of the committed batches' group record in
+// order — the header, then each batch's file count and its files' parts —
+// into parts, with the header and the counts encoded into e. The result
+// aliases e and the batches' parts.
+func recordParts(e *wal.Encoder, parts [][]byte, committed []*prepared) [][]byte {
 	e.Int(0)
 	e.Uvarint(recordVersion)
 	e.Int(len(committed))
 	for _, p := range committed {
 		e.Int(len(p.work))
+	}
+	b := e.Bytes()
+	lo, hi := 0, wal.UvarintSize(0)+wal.UvarintSize(recordVersion)+wal.UvarintSize(uint64(len(committed)))
+	for _, p := range committed {
+		hi += wal.UvarintSize(uint64(len(p.work)))
+		parts = append(parts, b[lo:hi:hi])
+		lo = hi
 		for i := range p.work {
-			e.Raw(p.work[i].part)
+			parts = append(parts, p.work[i].part)
 		}
 	}
+	return parts
 }
 
-// embedScratch is what embedding reuses from one file or record to the next:
-// the dense row a chunk is embedded into, the op stream of the file
-// encodeFile is encoding, and the slab decodeGroupRecord re-embeds a record's
-// chunks into. embedScratches holds one per worker or replica between uses.
+// embedScratch is what stage 1 and replay reuse from one file or part to the
+// next: the dense row a chunk is embedded into, the recorder a file is
+// extracted into, the slab a part's chunks are re-embedded into when no
+// prepared rows come with it, and the chunk and arena buffers a part's chunks
+// are decoded through. embedScratches holds one per worker or replayer
+// between uses.
 type embedScratch struct {
-	row  retrieval.Vector
-	ops  wal.Encoder
-	rows retrieval.Sparse
+	row    retrieval.Vector
+	rec    extract.Recorder
+	rows   retrieval.Sparse
+	chunks []retrieval.Chunk
+	spans  []chunkSpans
+	arena  []byte
 }
 
 var embedScratches sync.Pool
 
-// scratchRows is the most rows a pooled scratch's slab keeps between
-// records: a steady commit's record holds tens of chunks, a bulk load's the
-// whole corpus.
-const scratchRows = 4096
+// scratchRows is the most rows, and scratchArena the most string bytes, a
+// pooled scratch's buffers keep between uses: a steady commit's file holds
+// tens of chunks, a bulk load's thousands.
+const (
+	scratchRows  = 4096
+	scratchArena = 1 << 20
+)
 
 // getEmbedScratch returns a pooled scratch for embeddings of width dim.
 func getEmbedScratch(dim int) *embedScratch {
@@ -471,11 +488,11 @@ func getEmbedScratch(dim int) *embedScratch {
 	return sc
 }
 
-// putEmbedScratch returns sc to the pool, without a slab that outgrew
+// putEmbedScratch returns sc to the pool, without buffers that outgrew
 // scratchRows. Nothing may still use its slab's rows.
 func putEmbedScratch(sc *embedScratch) {
-	if sc.rows.Len() > scratchRows {
-		sc.rows = retrieval.Sparse{}
+	if sc.rows.Len() > scratchRows || cap(sc.chunks) > scratchRows || cap(sc.arena) > scratchArena {
+		sc.rows, sc.chunks, sc.spans, sc.arena = retrieval.Sparse{}, nil, nil, nil
 	}
 	embedScratches.Put(sc)
 }
@@ -483,49 +500,24 @@ func putEmbedScratch(sc *embedScratch) {
 // encodeFile embeds a prepared file's chunks and encodes its part of the
 // group record — rec's operation stream, then the chunks — into one buffer of
 // exactly its size. rows are the chunks' embeddings in sparse form, which the
-// commit posts; they are not part of the record. The op stream is built in a
-// pooled scratch first, so part is sized before it is written.
-func encodeFile(rec *extract.Recorder, chunks []retrieval.Chunk, dim int) (part []byte, rows retrieval.Sparse) {
-	sc := getEmbedScratch(dim)
-	defer putEmbedScratch(sc)
-	sc.ops.Reset()
-	var prevTyp, prevDomain string
-	var prev kg.Fact
-	rec.ForEachOp(
-		func(name, typ, domain string) {
-			sc.ops.Bool(true)
-			sc.ops.String(name)
-			sc.ops.Front(prevTyp, typ)
-			sc.ops.Front(prevDomain, domain)
-			prevTyp, prevDomain = typ, domain
-		},
-		func(t kg.Fact) {
-			sc.ops.Bool(false)
-			sc.ops.Front(prev.Subject, t.Subject)
-			sc.ops.String(t.Predicate)
-			sc.ops.String(t.Object)
-			sc.ops.Front(prev.ObjectEntity, t.ObjectEntity)
-			sc.ops.Front(prev.Source, t.Source)
-			sc.ops.Front(prev.Domain, t.Domain)
-			sc.ops.Front(prev.Format, t.Format)
-			sc.ops.Front(prev.ChunkID, t.ChunkID)
-			sc.ops.F64(t.Weight)
-			prev = t
-		})
-	size := wal.UvarintSize(uint64(rec.NumOps())) + len(sc.ops.Bytes()) + wal.UvarintSize(uint64(len(chunks)))
-	rows.Grow(len(chunks))
+// commit posts; they are not part of the record. They are embedded into sc's
+// slab and copied out at their exact size, so a prepared file keeps no spare
+// room.
+func encodeFile(rec *extract.Recorder, chunks []retrieval.Chunk, sc *embedScratch) (part []byte, rows retrieval.Sparse) {
+	size := rec.EncodedLen() + wal.UvarintSize(uint64(len(chunks)))
+	sc.rows.Reset()
+	sc.rows.Grow(len(chunks))
 	var pc retrieval.Chunk
 	for j := range chunks {
 		c := &chunks[j]
-		rows.Embed(sc.row, c.Text)
+		sc.rows.Embed(sc.row, c.Text)
 		size += wal.FrontSize(pc.ID, c.ID) + wal.FrontSize(pc.DocID, c.DocID) + wal.FrontSize(pc.Source, c.Source) + wal.StringSize(c.Text)
 		pc = *c
 	}
 
 	var e wal.Encoder
 	e.Grow(size)
-	e.Int(rec.NumOps())
-	e.Raw(sc.ops.Bytes())
+	rec.EncodeTo(&e)
 	e.Int(len(chunks))
 	pc = retrieval.Chunk{}
 	for j := range chunks {
@@ -536,136 +528,91 @@ func encodeFile(rec *extract.Recorder, chunks []retrieval.Chunk, dim int) (part 
 		e.String(c.Text)
 		pc = *c
 	}
-	return e.Bytes(), rows
+	return e.Bytes(), sc.rows.Clone()
 }
 
-// minStoredChunk is the fewest bytes a chunk takes in a record: three
-// front-coded fields (a prefix length and a suffix length each) and the
-// text's length.
-const minStoredChunk = 7
-
-// decodeGroupRecord rebuilds a commit group's batches from a WAL record
-// payload and re-embeds every chunk onto the end of sc's slab: each file's
-// rows are a view of it (retrieval.Sparse.Rows), valid until the slab is
-// reset, so the records of one run can be decoded into it one after another.
-// The op streams are fed back through a fresh Recorder's AddEntity/AddTriple —
-// the same validation the original extraction passed — so a record that
-// somehow decodes but violates an invariant errors instead of panicking
-// downstream. Nothing of payload is
-// kept. The string fields that repeat across rows — the front-coded ones, a
-// triple's predicate and object — are interned (wal.Decoder.Front,
-// Interned). Every count is trusted for a preallocation only as far as the
-// bytes left could back it.
-func decodeGroupRecord(payload []byte, sc *embedScratch) ([][]fileWork, error) {
+// replayRecord decodes one WAL record payload straight into g and ix, part by
+// part (replayPart), re-embedding every chunk, and appends the record's new
+// triple IDs to ids. On error g and ix hold whatever was applied before it
+// and the caller discards them. The line-graph delta is left to the caller,
+// which may fold several records into one. Nothing of payload is kept.
+func replayRecord(payload []byte, g *kg.Graph, ix *retrieval.Index, sc *embedScratch, ids []string) ([]string, error) {
 	d := wal.NewDecoder(payload)
 	if tag := d.Int(); d.Err() == nil && tag != 0 {
-		return nil, unsupportedFormat("WAL record", 1) // format 1 opens with its batch count
+		return ids, unsupportedFormat("WAL record", 1) // format 1 opens with its batch count
 	}
 	if err := readVersion(d, "WAL record", recordVersion); err != nil {
-		return nil, err
+		return ids, err
 	}
-	nb := d.Int()
-	batches := make([][]fileWork, 0, min(nb, d.Remaining()))
-	for i := 0; i < nb && d.Err() == nil; i++ {
-		nf := d.Int()
-		files := make([]fileWork, 0, min(nf, d.Remaining()))
-		for j := 0; j < nf && d.Err() == nil; j++ {
-			rec := extract.NewRecorder()
-			var prevTyp, prevDomain string
-			var prev kg.Fact
-			nOps := d.Int()
-			for k := 0; k < nOps && d.Err() == nil; k++ {
-				if d.Bool() {
-					name := d.String()
-					prevTyp = d.Front(prevTyp)
-					prevDomain = d.Front(prevDomain)
-					rec.AddEntity(name, prevTyp, prevDomain)
-					continue
-				}
-				t := kg.Fact{
-					Subject:      d.Front(prev.Subject),
-					Predicate:    d.Interned(),
-					Object:       d.Interned(),
-					ObjectEntity: d.Front(prev.ObjectEntity),
-					Source:       d.Front(prev.Source),
-					Domain:       d.Front(prev.Domain),
-					Format:       d.Front(prev.Format),
-					ChunkID:      d.Front(prev.ChunkID),
-					Weight:       d.F64(),
-				}
-				if d.Err() != nil {
-					break
-				}
-				if _, err := rec.AddTriple(t); err != nil {
-					return nil, err
-				}
-				prev = t
-			}
-			f := fileWork{rec: rec}
-			nChunks := d.Int()
-			f.chunks = make([]retrieval.Chunk, 0, min(nChunks, d.Remaining()/minStoredChunk))
-			var pc retrieval.Chunk
-			for k := 0; k < nChunks && d.Err() == nil; k++ {
-				c := retrieval.Chunk{ID: d.Front(pc.ID), DocID: d.Front(pc.DocID), Source: d.Front(pc.Source), Text: d.String()}
-				pc = c
-				f.chunks = append(f.chunks, c)
-			}
-			files = append(files, f)
-		}
-		batches = append(batches, files)
-	}
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	n := 0
-	for _, files := range batches {
-		for j := range files {
-			n += len(files[j].chunks)
-		}
-	}
-	sc.rows.Grow(n)
-	for _, files := range batches {
-		for j := range files {
-			lo := sc.rows.Len()
-			for _, c := range files[j].chunks {
-				sc.rows.Embed(sc.row, c.Text)
-			}
-			files[j].rows = sc.rows.Rows(lo, sc.rows.Len())
-		}
-	}
-	return batches, nil
-}
-
-// replayRecord replays one decoded WAL record onto the recovery state — every
-// batch's recorders in ticket order, the chunks into the store — and appends
-// the record's new triple IDs to newIDs. The line-graph delta is left to the
-// caller: recovery folds the whole replayed tail in one BuildDelta, per-tail
-// instead of per-record, because groups only ever need their state as of the
-// last record that touched them.
-func replayRecord(g *kg.Graph, ix *retrieval.Index, batches [][]fileWork, newIDs []string) ([]string, error) {
 	var err error
-	for _, files := range batches {
-		if newIDs, err = replayFiles(g, ix, files, newIDs); err != nil {
-			return newIDs, err
+	for nb, i := d.Int(), 0; i < nb && d.Err() == nil; i++ {
+		for nf, j := d.Int(), 0; j < nf && d.Err() == nil; j++ {
+			if ids, err = replayPart(d, g, ix, nil, sc, ids); err != nil {
+				return ids, err
+			}
 		}
 	}
-	return newIDs, nil
+	return ids, d.Finish()
 }
 
-// replayFiles replays files in order onto g and ix — each file's recorder,
-// then its chunks with their sparse rows — appending the new triple IDs to
-// ids. It is the one replay step the committer, replica apply and recovery
-// share.
-func replayFiles(g *kg.Graph, ix *retrieval.Index, files []fileWork, ids []string) ([]string, error) {
-	for i := range files {
-		f := &files[i]
-		var err error
-		if ids, err = f.rec.ReplayAppend(g, ids); err != nil {
-			return ids, err
-		}
-		if err := ix.AppendSparse(f.chunks, &f.rows); err != nil {
-			return ids, err
-		}
+// chunkSpans locates one decoded chunk's fields in a part's string arena.
+type chunkSpans struct{ id, doc, src, text [2]int }
+
+// replayPart decodes one file's part of a group record from d straight into
+// g and ix: its operation stream (extract.Replay), then its chunks, posted
+// with rows — the sparse rows stage 1 embedded — or, when rows is nil,
+// re-embedded from the decoded texts into sc's slab. It appends the new
+// triple IDs to ids. It is the one replay step the committer, replica apply
+// and recovery share.
+//
+// The chunks' strings are decoded into one arena per part, a single
+// allocation: a chunk's fields are views of it, and a field equal to the
+// previous chunk's is that chunk's view. The arena holds only strings the
+// store keeps for as long as it keeps the chunks, so it pins nothing else.
+func replayPart(d *wal.Decoder, g *kg.Graph, ix *retrieval.Index, rows *retrieval.Sparse, sc *embedScratch, ids []string) ([]string, error) {
+	ids, err := extract.Replay(d, g, ids)
+	if err != nil {
+		return ids, err
 	}
-	return ids, nil
+	arena, spans := sc.arena[:0], sc.spans[:0]
+	front := func(prev [2]int) [2]int {
+		lo := len(arena)
+		arena = d.AppendFront(arena, arena[prev[0]:prev[1]])
+		if bytes.Equal(arena[lo:], arena[prev[0]:prev[1]]) {
+			arena = arena[:lo]
+			return prev
+		}
+		return [2]int{lo, len(arena)}
+	}
+	var prev chunkSpans
+	for n, k := d.Int(), 0; k < n && d.Err() == nil; k++ {
+		c := chunkSpans{id: front(prev.id), doc: front(prev.doc), src: front(prev.src)}
+		lo := len(arena)
+		arena = d.AppendString(arena)
+		c.text = [2]int{lo, len(arena)}
+		spans = append(spans, c)
+		prev = c
+	}
+	sc.arena, sc.spans = arena, spans
+	if err := d.Err(); err != nil {
+		return ids, err
+	}
+	str := string(arena)
+	view := func(s [2]int) string { return str[s[0]:s[1]] }
+	chunks := sc.chunks[:0]
+	for _, c := range spans {
+		chunks = append(chunks, retrieval.Chunk{ID: view(c.id), DocID: view(c.doc), Source: view(c.src), Text: view(c.text)})
+	}
+	if rows == nil {
+		sc.rows.Reset()
+		sc.rows.Grow(len(chunks))
+		for i := range chunks {
+			sc.rows.Embed(sc.row, chunks[i].Text)
+		}
+		rows = &sc.rows
+	}
+	err = ix.AppendSparse(chunks, rows)
+	clear(chunks)
+	sc.chunks = chunks
+	return ids, err
 }

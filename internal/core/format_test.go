@@ -15,6 +15,7 @@ import (
 	"unsafe"
 
 	"multirag/internal/adapter"
+	"multirag/internal/kg"
 	"multirag/internal/llm"
 	"multirag/internal/retrieval"
 	"multirag/internal/wal"
@@ -461,14 +462,24 @@ var (
 	}
 )
 
+// replayFresh replays one WAL record payload into an empty graph and store,
+// as recovery replays a record onto its checkpoint, and returns the store.
+func replayFresh(payload []byte) (*retrieval.Index, error) {
+	sc := getEmbedScratch(retrieval.DefaultDim)
+	defer putEmbedScratch(sc)
+	ix := retrieval.NewIndex(retrieval.DefaultDim)
+	_, err := replayRecord(payload, kg.New(), ix, sc, nil)
+	return ix, err
+}
+
 // TestDecodeRejectsUnbackedCounts: a count the payload cannot back is an
-// error — from the record decoder directly, and through ReplicaApply and
+// error — from the record replay directly, and through ReplicaApply and
 // SeedReplica, the two doors a peer's bytes come in by — never an allocation
 // sized by it, nor a loop that runs to it.
 func TestDecodeRejectsUnbackedCounts(t *testing.T) {
 	for i, rec := range unbackedRecords {
-		if _, err := decodeGroupRecord(rec, getEmbedScratch(retrieval.DefaultDim)); err == nil {
-			t.Errorf("record %d: decodeGroupRecord accepted %x", i, rec)
+		if _, err := replayFresh(rec); err == nil {
+			t.Errorf("record %d: replayRecord accepted %x", i, rec)
 		}
 		if err := NewSystem(format1Config()).ReplicaApply(rec); err == nil {
 			t.Errorf("record %d: ReplicaApply accepted %x", i, rec)
@@ -489,7 +500,7 @@ func TestDecodeRejectsUnbackedCounts(t *testing.T) {
 // are a record and a checkpoint body in format 4, which decode, and in
 // formats 3, 2 and 1 (with the format1-nan-weight corpus entry), which must
 // be rejected, and the unbacked counts. Any input may be rejected; none may crash, and a
-// record that decodes must hold one sparse row per chunk. Each input is
+// record that replays must leave one embedded row per chunk in the store. Each input is
 // seeded twice, without a reference and against the primary's snapshot, as a
 // replica beside it is: the two must fail with the same error or encode the
 // same state. Mutations of the real body decode partly equal to the
@@ -517,7 +528,7 @@ func FuzzRecoveredPayload(f *testing.F) {
 		if err != nil || body == nil {
 			f.Fatalf("%s checkpoint: %v", fx.dir, err)
 		}
-		_, recErr := decodeGroupRecord(sr.Records[0], getEmbedScratch(retrieval.DefaultDim))
+		_, recErr := replayFresh(sr.Records[0])
 		bodyErr := NewSystem(format1Config()).SeedReplica(body, fx.lsn)
 		if !errors.Is(recErr, ErrUnsupportedFormat) || !errors.Is(bodyErr, ErrUnsupportedFormat) {
 			f.Fatalf("%s: record %v, checkpoint %v; want both ErrUnsupportedFormat", fx.dir, recErr, bodyErr)
@@ -535,13 +546,11 @@ func FuzzRecoveredPayload(f *testing.F) {
 	cfg := format1Config()
 	ref := primary.ServingHandle()
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		if batches, err := decodeGroupRecord(payload, getEmbedScratch(retrieval.DefaultDim)); err == nil {
-			for _, files := range batches {
-				for _, rf := range files {
-					if rf.rows.Len() != len(rf.chunks) {
-						t.Fatalf("%d sparse rows for %d chunks", rf.rows.Len(), len(rf.chunks))
-					}
-				}
+		if ix, err := replayFresh(payload); err == nil {
+			rows := 0
+			ix.ForEachEmbedded(func(retrieval.Chunk, retrieval.Vector) { rows++ })
+			if rows != ix.Len() {
+				t.Fatalf("%d embedded rows for %d chunks", rows, ix.Len())
 			}
 		}
 		_ = NewSystem(cfg).ReplicaApply(payload)

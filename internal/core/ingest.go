@@ -15,7 +15,7 @@ import (
 
 // IngestReport summarises an Ingest call. Under group commit the
 // entity/triple/chunk deltas are still exact per batch — they are measured
-// while the batch's recorders replay — while Homologous reflects the snapshot
+// while the batch's parts replay — while Homologous reflects the snapshot
 // the batch's commit group published.
 type IngestReport struct {
 	Extraction extract.Report
@@ -23,19 +23,18 @@ type IngestReport struct {
 	Chunks     int
 }
 
-// fileWork is one file's replay data: the output of the parallel preparation
-// stage, or one file of a decoded WAL record. rows are the chunks'
-// embeddings in sparse form (retrieval.Sparse), beside the chunks and not in
-// the record: stage 1 embeds them off the commit lock, and decoding a record
-// re-embeds them from the chunk texts. A prepared file also carries part, its
-// part of the group record, encoded in stage 1 (encodeFile).
+// fileWork is one prepared file, the output of the parallel preparation
+// stage: its part of the group record (encodeFile), the chunks' embeddings in
+// sparse form (retrieval.Sparse), which the commit posts and the record does
+// not hold, and its counts. Nothing else of the file is kept: the commit
+// replays the part (replayPart), and the log writes it as it lies.
 type fileWork struct {
-	rec    *extract.Recorder
-	report extract.Report
-	chunks []retrieval.Chunk
-	rows   retrieval.Sparse
-	part   []byte
-	err    error
+	report  extract.Report
+	part    []byte
+	rows    retrieval.Sparse
+	triples int // recorded triple ops
+	chunks  int
+	err     error
 }
 
 // prepared is one Ingest call's batch after the fan-out stage: everything the
@@ -58,9 +57,7 @@ type prepared struct {
 func (p *prepared) recordedTriples() int {
 	n := 0
 	for i := range p.work {
-		if p.work[i].rec != nil {
-			n += p.work[i].rec.NumTriples()
-		}
+		n += p.work[i].triples
 	}
 	return n
 }
@@ -76,7 +73,7 @@ func (p *prepared) recordedTriples() int {
 // overlap their fan-outs. Stage 2 is a single group committer: each call
 // takes a ticket on arrival, enqueues its prepared batch, and the committer
 // drains every consecutive ready batch as one group — under a short critical
-// section it replays the recorders onto one COW clone in ticket order,
+// section it replays the batches' parts onto one COW clone in ticket order,
 // batch-appends the pre-embedded chunks, applies one merged line-graph delta
 // and publishes ONE snapshot for the whole group. Commit order equals arrival
 // order; per-batch reports stay exact (deltas measured during replay); a
@@ -127,20 +124,27 @@ func (s *System) prepare(p *prepared, files []adapter.RawFile) {
 }
 
 // prepareFiles runs the per-file half of stage 1 over the fused files on the
-// worker pool: extraction into a private recorder, chunk rendering, embedding
-// into sparse rows, and the file's part of the WAL group record.
+// worker pool: extraction into a pooled recorder, chunk rendering, embedding
+// into sparse rows, and the file's part of the WAL group record. Once a
+// file's part is encoded, its recorder goes back to the pool and its chunks
+// and fused[i] are dropped, so a prepared batch holds each fact once, in its
+// part.
 func (s *System) prepareFiles(ext *extract.Extractor, fused []*jsonld.Normalized) []fileWork {
 	dim := s.snap.Load().index.Dim()
 	work := make([]fileWork, len(fused))
 	par.ForEach(s.Workers(), len(fused), func(i int) {
 		w := &work[i]
-		rec := extract.NewRecorder()
+		sc := getEmbedScratch(dim)
+		defer putEmbedScratch(sc)
+		rec := &sc.rec
+		rec.Reset()
 		if w.report, w.err = ext.BuildFile(rec, fused[i]); w.err != nil {
 			return
 		}
-		w.rec = rec
-		w.chunks = RenderChunks(fused[i], chunkBudget)
-		w.part, w.rows = encodeFile(rec, w.chunks, dim)
+		chunks := RenderChunks(fused[i], chunkBudget)
+		fused[i] = nil
+		w.part, w.rows = encodeFile(rec, chunks, sc)
+		w.triples, w.chunks = rec.NumTriples(), len(chunks)
 	})
 	return work
 }

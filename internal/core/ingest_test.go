@@ -75,39 +75,44 @@ func requireSameGraph(t *testing.T, got, want *System) {
 // as a sparse row beside its file's part of the WAL record, not as a dense row
 // and not in the part. The part decodes to the file's chunks and nothing else,
 // and the rows the commit posts — prepared in stage 1, or re-embedded when the
-// record is decoded — are Embed of the chunk texts, bit for bit.
+// part is replayed without them — are Embed of the chunk texts, bit for bit.
 func TestPreparedVectorsStoredForm(t *testing.T) {
 	s := NewSystem(format1Config())
+	files := formatBatches(t)[1] // alerts.txt: one document, two chunks
 	p := &prepared{}
-	s.prepare(p, formatBatches(t)[1]) // alerts.txt: one document, two chunks
+	s.prepare(p, files)
 	if p.err != nil {
 		t.Fatal(p.err)
 	}
 	w := p.work[0]
-	if len(w.chunks) < 2 || w.rows.Len() != len(w.chunks) {
-		t.Fatalf("%d chunks, %d sparse rows; want at least two of each, paired", len(w.chunks), w.rows.Len())
+	chunks := oracleFiles(t, s, files)[0].chunks
+	if len(chunks) < 2 || w.chunks != len(chunks) || w.rows.Len() != len(chunks) {
+		t.Fatalf("%d chunks rendered, %d counted, %d sparse rows; want at least two of each, paired", len(chunks), w.chunks, w.rows.Len())
 	}
-	var e wal.Encoder
-	encodeGroupRecord(&e, []*prepared{p})
-	batches, err := decodeGroupRecord(e.Bytes(), getEmbedScratch(retrieval.DefaultDim))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batches) != 1 || len(batches[0]) != 1 || !slices.Equal(batches[0][0].chunks, w.chunks) {
-		t.Fatalf("the record decodes to %v, want the file's chunks", batches)
-	}
-	vecs := make([]retrieval.Vector, len(w.chunks))
-	for j, c := range w.chunks {
+	vecs := make([]retrieval.Vector, len(chunks))
+	for j, c := range chunks {
 		vecs[j] = retrieval.Embed(c.Text, retrieval.DefaultDim)
 	}
 	want := retrieval.NewIndex(retrieval.DefaultDim)
-	if err := want.AddEmbeddedBatch(w.chunks, vecs); err != nil {
+	if err := want.AddEmbeddedBatch(chunks, vecs); err != nil {
 		t.Fatal(err)
 	}
-	for name, rows := range map[string]*retrieval.Sparse{"prepared": &w.rows, "decoded": &batches[0][0].rows} {
+	sc := getEmbedScratch(retrieval.DefaultDim)
+	defer putEmbedScratch(sc)
+	for name, rows := range map[string]*retrieval.Sparse{"prepared": &w.rows, "decoded": nil} {
 		got := retrieval.NewIndex(retrieval.DefaultDim)
-		if err := got.AppendSparse(w.chunks, rows); err != nil {
-			t.Fatal(err)
+		d := wal.NewDecoder(w.part)
+		_, err := replayPart(d, kg.New(), got, rows, sc, nil)
+		if err == nil {
+			err = d.Finish()
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var decoded []retrieval.Chunk
+		got.ForEachEmbedded(func(c retrieval.Chunk, _ retrieval.Vector) { decoded = append(decoded, c) })
+		if !slices.Equal(decoded, chunks) {
+			t.Fatalf("%s: the part decodes to %v, want the file's chunks", name, decoded)
 		}
 		if !bytes.Equal(derivedState(&snapshot{index: got}), derivedState(&snapshot{index: want})) {
 			t.Fatalf("%s rows post other vectors than Embed of the chunk texts", name)
@@ -115,12 +120,23 @@ func TestPreparedVectorsStoredForm(t *testing.T) {
 	}
 }
 
-// poison gives a prepared file one more chunk than it has embedded rows: its
-// recorder replays fully — mutating the shared commit clone — and then
-// AppendSparse fails, exercising the committer's rollback-by-re-replay path.
-func poison(w *fileWork) {
-	extra := retrieval.Chunk{ID: "poison#c0", DocID: "poison", Source: "poison", Text: "poison"}
-	w.chunks = append(w.chunks[:len(w.chunks):len(w.chunks)], extra)
+// poison appends to a prepared batch one more file, whose part encodes a
+// triple with a subject no entity has: the batch's own files replay fully —
+// mutating the shared commit clone — and then the graph rejects the triple,
+// exercising the committer's rollback-by-re-replay path.
+func poison(p *prepared) {
+	var e wal.Encoder
+	e.Int(1) // one op
+	e.Bool(false)
+	e.Front("", "poison#unknown-subject")
+	e.String("status")
+	e.String("poisoned")
+	for range 5 { // object entity, source, domain, format, chunk
+		e.Front("", "")
+	}
+	e.F64(1)
+	e.Int(0) // no chunks
+	p.work = append(p.work[:len(p.work):len(p.work)], fileWork{part: e.Bytes(), triples: 1})
 }
 
 // TestGroupCommitMidGroupFailure is the group-atomicity contract: when one
@@ -141,8 +157,8 @@ func TestGroupCommitMidGroupFailure(t *testing.T) {
 		}
 		group = append(group, p)
 	}
-	// Poison the middle batch's first file: it fails after its recorder replayed.
-	poison(&group[1].work[0])
+	// Poison the middle batch: it fails after its own files replayed.
+	poison(group[1])
 	s.commitGroup(group)
 	s.gc.nextCommit += 3 // direct commitGroup bypassed commitJoin's bookkeeping
 	s.gc.inflight -= 3
@@ -428,13 +444,21 @@ func ingestSequential(s *System, files []adapter.RawFile) (IngestReport, error) 
 	g := cur.graph.Clone()
 	ix := cur.index.CloneForAppend()
 	entBefore, triBefore := g.NumEntities(), g.NumTriples()
-	if _, err := replayFiles(g, ix, work, nil); err != nil {
-		return rep, err
+	sc := getEmbedScratch(ix.Dim())
+	defer putEmbedScratch(sc)
+	for i := range work {
+		d := wal.NewDecoder(work[i].part)
+		if _, err = replayPart(d, g, ix, &work[i].rows, sc, nil); err == nil {
+			err = d.Finish()
+		}
+		if err != nil {
+			return rep, err
+		}
 	}
 	rep.Extraction = extract.Report{ByFormat: map[string]int{}}
 	for i := range work {
 		rep.Extraction.Merge(work[i].report)
-		rep.Chunks += len(work[i].chunks)
+		rep.Chunks += work[i].chunks
 	}
 	rep.Extraction.Entities = g.NumEntities() - entBefore
 	rep.Extraction.Triples = g.NumTriples() - triBefore

@@ -17,47 +17,115 @@ import (
 	"multirag/internal/wal"
 )
 
-// oracleEncodeGroupRecord is encodeGroupRecord as it was written before the
+// captureSink is an extract.Sink that keeps the operation stream op by op,
+// as extraction hands it over, with the same validation as extract.Recorder:
+// the record oracle's independent view of a file, which no encoder touched.
+type captureSink struct {
+	ops      []capturedOp
+	entities map[string]bool
+	triples  int
+}
+
+// capturedOp is an entity op when entity is set, a triple op otherwise.
+type capturedOp struct {
+	entity            bool
+	name, typ, domain string
+	fact              kg.Fact
+}
+
+func (c *captureSink) AddEntity(name, typ, domain string) string {
+	id := kg.CanonicalID(name)
+	if id == "" {
+		return ""
+	}
+	c.ops = append(c.ops, capturedOp{entity: true, name: name, typ: typ, domain: domain})
+	if c.entities == nil {
+		c.entities = map[string]bool{}
+	}
+	c.entities[id] = true
+	return id
+}
+
+func (c *captureSink) AddTriple(f kg.Fact) (string, error) {
+	if !c.entities[f.Subject] {
+		return "", fmt.Errorf("kg: unknown subject entity %q", f.Subject)
+	}
+	if f.Predicate == "" {
+		return "", fmt.Errorf("kg: triple with empty predicate (subject %q)", f.Subject)
+	}
+	c.ops = append(c.ops, capturedOp{fact: f})
+	c.triples++
+	return "", nil
+}
+
+func (c *captureSink) NumEntities() int { return len(c.entities) }
+func (c *captureSink) NumTriples() int  { return c.triples }
+
+// oracleFile is one file as the record oracle sees it: the op stream its
+// extraction hands a capturing sink, and its rendered chunks.
+type oracleFile struct {
+	ops    []capturedOp
+	chunks []retrieval.Chunk
+}
+
+// oracleFiles re-runs stage 1's fusion, extraction and chunk rendering over
+// files on the test's goroutine, capturing each file instead of encoding it.
+// The simulated model is deterministic, so it sees what s.prepare saw.
+func oracleFiles(t *testing.T, s *System, files []adapter.RawFile) []oracleFile {
+	t.Helper()
+	fused, err := s.registry.FuseParallel(files, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext := extract.New(s.ingestModel.Fork())
+	out := make([]oracleFile, len(fused))
+	for i, f := range fused {
+		var c captureSink
+		if _, err := ext.BuildFile(&c, f); err != nil {
+			t.Fatal(err)
+		}
+		out[i] = oracleFile{ops: c.ops, chunks: RenderChunks(f, chunkBudget)}
+	}
+	return out
+}
+
+// oracleEncodeGroupRecord is the group record as it was written before the
 // record's file parts moved into stage 1: the whole record encoded field by
-// field under the commit lock, every recorder walked twice through its op
-// stream. It writes format 4: the repeating columns front-coded against the
-// previous row of the same file, and no vectors.
-func oracleEncodeGroupRecord(e *wal.Encoder, committed []*prepared) error {
+// field under the commit lock from each file's captured op stream and chunks.
+// It writes format 4: the repeating columns front-coded against the previous
+// row of the same file, and no vectors.
+func oracleEncodeGroupRecord(e *wal.Encoder, committed [][]oracleFile) {
 	e.Int(0)
 	e.Uvarint(recordVersion)
 	e.Int(len(committed))
-	for _, p := range committed {
-		e.Int(len(p.work))
-		for i := range p.work {
-			w := &p.work[i]
-			n := 0
-			w.rec.ForEachOp(
-				func(string, string, string) { n++ },
-				func(kg.Fact) { n++ })
-			e.Int(n)
+	for _, files := range committed {
+		e.Int(len(files))
+		for _, w := range files {
+			e.Int(len(w.ops))
 			var prevEnt [2]string
 			var prev kg.Fact
-			w.rec.ForEachOp(
-				func(name, typ, domain string) {
+			for _, o := range w.ops {
+				if o.entity {
 					e.Bool(true)
-					e.String(name)
-					e.Front(prevEnt[0], typ)
-					e.Front(prevEnt[1], domain)
-					prevEnt = [2]string{typ, domain}
-				},
-				func(t kg.Fact) {
-					e.Bool(false)
-					e.Front(prev.Subject, t.Subject)
-					e.String(t.Predicate)
-					e.String(t.Object)
-					e.Front(prev.ObjectEntity, t.ObjectEntity)
-					e.Front(prev.Source, t.Source)
-					e.Front(prev.Domain, t.Domain)
-					e.Front(prev.Format, t.Format)
-					e.Front(prev.ChunkID, t.ChunkID)
-					e.F64(t.Weight)
-					prev = t
-				})
+					e.String(o.name)
+					e.Front(prevEnt[0], o.typ)
+					e.Front(prevEnt[1], o.domain)
+					prevEnt = [2]string{o.typ, o.domain}
+					continue
+				}
+				t := o.fact
+				e.Bool(false)
+				e.Front(prev.Subject, t.Subject)
+				e.String(t.Predicate)
+				e.String(t.Object)
+				e.Front(prev.ObjectEntity, t.ObjectEntity)
+				e.Front(prev.Source, t.Source)
+				e.Front(prev.Domain, t.Domain)
+				e.Front(prev.Format, t.Format)
+				e.Front(prev.ChunkID, t.ChunkID)
+				e.F64(t.Weight)
+				prev = t
+			}
 			e.Int(len(w.chunks))
 			var pc retrieval.Chunk
 			for j := range w.chunks {
@@ -70,7 +138,6 @@ func oracleEncodeGroupRecord(e *wal.Encoder, committed []*prepared) error {
 			}
 		}
 	}
-	return nil
 }
 
 // randomRecordFile draws one input file for the record oracle: kg facts,
@@ -122,8 +189,8 @@ func randomRecordFile(rng *rand.Rand, k int, bad bool) adapter.RawFile {
 }
 
 // TestGroupRecordMatchesOracle holds the WAL group record to the encoder it
-// replaced, byte for byte, over random commit groups driven through the real
-// committer and read back from the log: one to four batches of zero to five
+// replaced, fed by a capturing sink, byte for byte, over random commit groups
+// driven through the real committer and read back from the log: one to four batches of zero to five
 // files, empty files, files with entities but no chunks, batches that fail to
 // prepare and batches that fail mid-replay. The record holds the committed
 // batches only.
@@ -133,6 +200,7 @@ func TestGroupRecordMatchesOracle(t *testing.T) {
 	var seen struct{ empty, chunkless, failed, poisoned, multi int }
 	for round := 0; round < 60; round++ {
 		var group []*prepared
+		oracle := map[*prepared][]oracleFile{}
 		for nb := 1 + rng.Intn(4); nb > 0; nb-- {
 			bad := rng.Intn(6) == 0
 			var files []adapter.RawFile
@@ -147,6 +215,8 @@ func TestGroupRecordMatchesOracle(t *testing.T) {
 				seen.failed++
 				continue
 			}
+			of := oracleFiles(t, s, files)
+			oracle[p] = of
 			for i := range p.work {
 				w := &p.work[i]
 				// Sized exactly up front: a buffer of len(part) bytes, not one
@@ -154,10 +224,12 @@ func TestGroupRecordMatchesOracle(t *testing.T) {
 				if want := cap(slices.Grow([]byte(nil), len(w.part))); cap(w.part) != want {
 					t.Fatalf("round %d: a %d-byte part in a %d-byte buffer, want %d", round, len(w.part), cap(w.part), want)
 				}
-				if len(w.chunks) == 0 {
-					ops := 0
-					w.rec.ForEachOp(func(string, string, string) { ops++ }, func(kg.Fact) { ops++ })
-					if ops == 0 {
+				if w.chunks != len(of[i].chunks) || w.rows.Len() != w.chunks || w.triples != countTriples(of[i].ops) {
+					t.Fatalf("round %d: file %d counts %d chunks, %d rows and %d triples; the oracle %d chunks and %d triples",
+						round, i, w.chunks, w.rows.Len(), w.triples, len(of[i].chunks), countTriples(of[i].ops))
+				}
+				if w.chunks == 0 {
+					if len(of[i].ops) == 0 {
 						seen.empty++
 					} else {
 						seen.chunkless++
@@ -165,7 +237,7 @@ func TestGroupRecordMatchesOracle(t *testing.T) {
 				}
 			}
 			if len(p.work) > 0 && rng.Intn(6) == 0 {
-				poison(&p.work[0])
+				poison(p)
 				seen.poisoned++
 			}
 		}
@@ -174,10 +246,10 @@ func TestGroupRecordMatchesOracle(t *testing.T) {
 		s.gc.nextCommit += uint64(len(group)) // direct commitGroup bypassed commitJoin's bookkeeping
 		s.gc.inflight -= len(group)
 
-		var committed []*prepared
+		var committed [][]oracleFile
 		for _, p := range group {
 			if p.err == nil {
-				committed = append(committed, p)
+				committed = append(committed, oracle[p])
 			}
 		}
 		if len(committed) == 0 {
@@ -190,9 +262,7 @@ func TestGroupRecordMatchesOracle(t *testing.T) {
 			seen.multi++
 		}
 		var want wal.Encoder
-		if err := oracleEncodeGroupRecord(&want, committed); err != nil {
-			t.Fatal(err)
-		}
+		oracleEncodeGroupRecord(&want, committed)
 		got := logRecords(t, s, lsn, lsn+1)
 		if len(got) != 1 || !bytes.Equal(got[0], want.Bytes()) {
 			t.Fatalf("round %d: record of %d committed batches differs from the oracle's (%d records read)",
@@ -206,9 +276,10 @@ func TestGroupRecordMatchesOracle(t *testing.T) {
 
 // TestReplayPostsStoredVectors: replaying prepared files posts their
 // vectors from the sparse rows stage 1 kept. It allocates no vector per chunk
-// — no dense row, no re-embedding — only the store's own growth: under a
-// dense row's bytes per chunk, which the dense row alone used to cost on top
-// of that growth, and far under one object per chunk.
+// — no dense row, no re-embedding — only the store's own growth and the
+// chunks' strings, decoded into one arena per part: under a dense row's bytes
+// per chunk, which the dense row alone used to cost on top of that growth,
+// and far under one object per chunk.
 func TestReplayPostsStoredVectors(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race instrumentation changes allocation counts")
@@ -221,16 +292,23 @@ func TestReplayPostsStoredVectors(t *testing.T) {
 			Text: fmt.Sprintf("The gate of Item %d is G%d, and its zone is Z%d.", i%977, i%13, i%7)}
 	}
 	var files []fileWork
+	sc := getEmbedScratch(dim)
+	defer putEmbedScratch(sc)
 	for lo := 0; lo < n; lo += 500 {
-		rec := extract.NewRecorder()
-		f := fileWork{rec: rec, chunks: chunks[lo : lo+500]}
-		f.part, f.rows = encodeFile(rec, f.chunks, dim)
+		var f fileWork
+		f.part, f.rows = encodeFile(extract.NewRecorder(), chunks[lo:lo+500], sc)
 		files = append(files, f)
 	}
 	g, ix := kg.New(), retrieval.NewIndex(dim)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := replayFiles(g, ix, files, nil)
+	var err error
+	for i := 0; i < len(files) && err == nil; i++ {
+		d := wal.NewDecoder(files[i].part)
+		if _, err = replayPart(d, g, ix, &files[i].rows, sc, nil); err == nil {
+			err = d.Finish()
+		}
+	}
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -244,4 +322,15 @@ func TestReplayPostsStoredVectors(t *testing.T) {
 	if bytesPer >= float64(dim*4) || objsPer >= 0.5 {
 		t.Fatalf("replay allocates %.0f B in %.3f objects per chunk: a vector per chunk", bytesPer, objsPer)
 	}
+}
+
+// countTriples counts the triple ops of a captured stream.
+func countTriples(ops []capturedOp) int {
+	n := 0
+	for _, o := range ops {
+		if !o.entity {
+			n++
+		}
+	}
+	return n
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"multirag/internal/linegraph"
-	"multirag/internal/retrieval"
 	"multirag/internal/wal"
 )
 
@@ -151,79 +150,76 @@ func (s *System) DigestAt(lsn uint64) (digest func() uint64, ok bool) {
 
 // ReplicaApply replays one committed record onto the serving snapshot and
 // publishes the result. It mirrors the committer's replay exactly (clone,
-// recorder replay in ticket order, chunk append, one line-graph delta,
-// snapshot swap), so a replica that applies the primary's records in order
-// stays byte-identical to it at every position. The record is decoded, and
-// its chunks re-embedded, before the replica's commit lock is taken. Nothing
-// of payload is kept: a caller may reuse its buffer once ReplicaApply
-// returns. Safe to call concurrently with queries; replays serialize on the
-// replica's own commit lock.
+// every part replayed in ticket order, one line-graph delta, snapshot swap),
+// so a replica that applies the primary's records in order stays
+// byte-identical to it at every position. The record is decoded straight
+// into the clone, its chunks re-embedded as they are decoded (replayRecord);
+// a record that fails to decode or replay publishes nothing. Nothing of
+// payload is kept: a caller may reuse its buffer once ReplicaApply returns.
+// Safe to call concurrently with queries; replays serialize on the replica's
+// own commit lock.
 func (s *System) ReplicaApply(payload []byte) error {
-	sc := getEmbedScratch(retrieval.DefaultDim)
-	defer putEmbedScratch(sc)
-	sc.rows.Reset()
-	batches, err := decodeGroupRecord(payload, sc)
-	if err != nil {
-		return err
-	}
-	return s.replicaPublish([][][]fileWork{batches})
+	_, err := s.replicaPublish(func(replay func([]byte) error) (int, error) {
+		return 1, replay(payload)
+	})
+	return err
 }
 
 // ReplicaApplyTail reads the committed records from t's position up to to, or
 // up to the next verification point (digestEvery) if that comes first, and
-// replays them as one run: every record decoded off the commit lock, then one
-// clone, the records replayed in order, one line-graph delta over all of them
-// and one publish at the position past the last — recovery's merge of a
-// replayed tail, which lands on the state record-by-record replay publishes at
-// that position. A replica that has fallen behind catches up without paying a
-// clone, a delta and a publish per record. It returns how many records it
-// applied; on error it applied none, and t may have read past some.
+// replays them as one run: one clone, each record decoded into it as it is
+// read, one line-graph delta over all of them and one publish at the position
+// past the last — recovery's merge of a replayed tail, which lands on the
+// state record-by-record replay publishes at that position. A replica that
+// has fallen behind catches up without paying a clone, a delta and a publish
+// per record. It returns how many records it applied; on error it applied
+// none, and t may have read past some.
 func (s *System) ReplicaApplyTail(t *wal.Tail, to uint64) (int, error) {
 	to = min(to, (t.LSN()/digestEvery+1)*digestEvery)
-	sc := getEmbedScratch(retrieval.DefaultDim)
-	defer putEmbedScratch(sc)
-	sc.rows.Reset()
-	var records [][][]fileWork
-	for t.LSN() < to {
-		lsn := t.LSN()
-		payload, _, err := t.Next(to)
-		if err != nil {
-			return 0, fmt.Errorf("core: read WAL record %d: %w", lsn, err)
+	return s.replicaPublish(func(replay func([]byte) error) (int, error) {
+		n := 0
+		for t.LSN() < to {
+			lsn := t.LSN()
+			payload, _, err := t.Next(to)
+			if err != nil {
+				return 0, fmt.Errorf("core: read WAL record %d: %w", lsn, err)
+			}
+			if err := replay(payload); err != nil {
+				return 0, fmt.Errorf("core: WAL record %d: %w", lsn, err)
+			}
+			n++
 		}
-		batches, err := decodeGroupRecord(payload, sc)
-		if err != nil {
-			return 0, fmt.Errorf("core: WAL record %d: %w", lsn, err)
-		}
-		records = append(records, batches)
-	}
-	return len(records), s.replicaPublish(records)
+		return n, nil
+	})
 }
 
-// replicaPublish replays decoded records, in order, onto one clone of the
-// serving snapshot and publishes it at the position past the last of them.
-func (s *System) replicaPublish(records [][][]fileWork) error {
-	if len(records) == 0 {
-		return nil
-	}
+// replicaPublish clones the serving snapshot and hands records a replay
+// function that decodes one record into the clone; records replays its run
+// of records, in order, and returns how many. Unless it fails or replays none,
+// the clone is published at the position past the last of them.
+func (s *System) replicaPublish(records func(replay func(payload []byte) error) (int, error)) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.snap.Load()
 	g := cur.graph.Clone()
 	ix := cur.index.CloneForAppend()
+	sc := getEmbedScratch(ix.Dim())
+	defer putEmbedScratch(sc)
 	var newIDs []string
-	for _, batches := range records {
-		var err error
-		if newIDs, err = replayRecord(g, ix, batches, newIDs); err != nil {
-			return err
-		}
+	n, err := records(func(payload []byte) (err error) {
+		newIDs, err = replayRecord(payload, g, ix, sc, newIDs)
+		return err
+	})
+	if err != nil || n == 0 {
+		return 0, err
 	}
 	next := &snapshot{graph: g, index: ix, sg: cur.sg, gen: cur.gen + 1}
 	if !s.cfg.DisableMKA {
 		next.sg = linegraph.BuildDelta(cur.sg, g, newIDs)
 	}
 	s.snap.Store(next)
-	s.setReplicationLSN(s.replPos.Load() + uint64(len(records)))
-	return nil
+	s.setReplicationLSN(s.replPos.Load() + uint64(n))
+	return n, nil
 }
 
 // SeedReplica replaces the serving snapshot with a decoded one captured at

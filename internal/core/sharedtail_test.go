@@ -104,7 +104,7 @@ func TestCommitAfterMidGroupReplayFailureMatchesReference(t *testing.T) {
 		}
 		group = append(group, p)
 	}
-	poison(&group[1].work[0])
+	poison(group[1])
 	primary.commitGroup(group)
 	primary.gc.nextCommit += 3 // direct commitGroup bypassed commitJoin's bookkeeping
 	primary.gc.inflight -= 3

@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,7 +10,25 @@ import (
 	"multirag/internal/adapter"
 	"multirag/internal/kg"
 	"multirag/internal/llm"
+	"multirag/internal/wal"
 )
+
+// replayEncoded replays r's stream in its record form (EncodeTo), as the
+// committer, replica apply and recovery read it, into g.
+func replayEncoded(r *Recorder, g *kg.Graph) ([]string, []byte, error) {
+	var e wal.Encoder
+	e.Grow(r.EncodedLen())
+	r.EncodeTo(&e)
+	if len(e.Bytes()) != r.EncodedLen() {
+		return nil, nil, fmt.Errorf("EncodeTo wrote %d bytes, EncodedLen says %d", len(e.Bytes()), r.EncodedLen())
+	}
+	d := wal.NewDecoder(e.Bytes())
+	ids, err := Replay(d, g, nil)
+	if err == nil {
+		err = d.Finish()
+	}
+	return ids, e.Bytes(), err
+}
 
 // mixedFormatFiles covers every adapter format, including text routed through
 // the LLM extractor (the expensive path the recorder exists to parallelise).
@@ -27,9 +46,11 @@ func mixedFormatFiles() []adapter.RawFile {
 }
 
 // TestRecorderReplayMatchesDirectBuild is the correctness contract of the
-// parallel ingestion engine: extracting into a Recorder and replaying into a
-// graph must produce a graph bit-identical to extracting into the graph
-// directly — same entities, same triples, same IDs, same object-entity links.
+// parallel ingestion engine: extracting into a Recorder, encoding its stream
+// and replaying the encoded bytes into a graph must produce a graph
+// bit-identical to extracting into the graph directly — same entities, same
+// triples, same IDs, same object-entity links. ReplayAppend, which replays a
+// recorder in place, lands on the same graph.
 func TestRecorderReplayMatchesDirectBuild(t *testing.T) {
 	fused, err := adapter.NewRegistry().Fuse(mixedFormatFiles())
 	if err != nil {
@@ -43,7 +64,7 @@ func TestRecorderReplayMatchesDirectBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	replayed := kg.New()
+	replayed, inPlace := kg.New(), kg.New()
 	agg := Report{ByFormat: map[string]int{}}
 	var allIDs []string
 	for _, f := range fused {
@@ -53,11 +74,17 @@ func TestRecorderReplayMatchesDirectBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		agg.Merge(fileRep)
-		ids, err := rec.ReplayAppend(replayed, nil)
+		ids, _, err := replayEncoded(rec, replayed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		allIDs = append(allIDs, ids...)
+		if _, err := rec.ReplayAppend(inPlace, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(inPlace.TripleIDs(), direct.TripleIDs()) || !reflect.DeepEqual(inPlace.EntityIDs(), direct.EntityIDs()) {
+		t.Fatal("ReplayAppend diverges from the direct build")
 	}
 
 	if replayed.NumEntities() != direct.NumEntities() || replayed.NumTriples() != direct.NumTriples() {
@@ -108,7 +135,7 @@ func TestRecorderValidatesLikeGraph(t *testing.T) {
 		t.Fatalf("valid triple rejected: %v", err)
 	}
 	g := kg.New()
-	ids, err := rec.ReplayAppend(g, nil)
+	ids, _, err := replayEncoded(rec, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,35 +144,38 @@ func TestRecorderValidatesLikeGraph(t *testing.T) {
 	}
 }
 
-// TestRecorderStoresExactCopies: the ID a Recorder returns becomes the
-// Subject of the triples the graph stores, so a new one must not be a view of
-// the caller's name (CanonicalID returns an already-canonical name as is); a
-// repeated entity returns the same copy, and replay stores copies too.
+// TestRecorderStoresExactCopies: the graph a recorded stream replays to
+// stores exact copies, not views of the caller's text (CanonicalID returns an
+// already-canonical name as is, so the ID AddEntity returns may be one) nor
+// of the encoded stream, which the committer drops and a replica's log
+// cursor reuses.
 func TestRecorderStoresExactCopies(t *testing.T) {
 	file := strings.Repeat("x", 4096) + " ca981 | status | delayed"
-	within := func(s string) bool {
-		p, base := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.StringData(file)))
-		return s != "" && p >= base && p < base+uintptr(len(file))
+	within := func(s string, base *byte, n int) bool {
+		p, lo := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(base))
+		return s != "" && p >= lo && p < lo+uintptr(n)
 	}
 	r := NewRecorder()
 	id := r.AddEntity(file[4097:4102], "Flight", "flights")
-	if id != "ca981" || within(id) {
-		t.Fatalf("Recorder.AddEntity = %q, aliases the input buffer: %v", id, within(id))
+	if id != "ca981" {
+		t.Fatalf("Recorder.AddEntity = %q", id)
 	}
-	if again := r.AddEntity(file[4097:4102], "", ""); unsafe.StringData(again) != unsafe.StringData(id) {
-		t.Fatal("a repeated entity must return the recorded copy")
-	}
-	if _, err := r.AddTriple(kg.Fact{Subject: id, Predicate: "status", Object: "delayed"}); err != nil {
+	if _, err := r.AddTriple(kg.Fact{Subject: id, Predicate: "status", Object: file[len(file)-7:]}); err != nil {
 		t.Fatal(err)
 	}
 	g := kg.New()
-	if _, err := r.ReplayAppend(g, nil); err != nil {
+	_, stream, err := replayEncoded(r, g)
+	if err != nil {
 		t.Fatal(err)
 	}
 	e, _ := g.Entity("ca981")
-	for _, s := range []string{e.ID, e.Name, g.Subject(g.TriplesByKey("ca981", "status")[0])} {
-		if within(s) {
-			t.Fatalf("replayed graph stores %q as a view of the input buffer", s)
+	tr := g.TriplesByKey("ca981", "status")[0]
+	for _, s := range []string{e.ID, e.Name, e.Type, g.Subject(tr), g.Predicate(tr), tr.Object} {
+		if within(s, unsafe.StringData(file), len(file)) || within(s, unsafe.SliceData(stream), len(stream)) {
+			t.Fatalf("replayed graph stores %q as a view of the input or of the stream", s)
 		}
+	}
+	if tr.Object != "delayed" {
+		t.Fatalf("replayed object %q", tr.Object)
 	}
 }

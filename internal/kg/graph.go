@@ -274,10 +274,15 @@ func (g *Graph) internPred(p string) int32 {
 	return h
 }
 
+// maxTripleSlots is the most triple slots a graph holds: handles are int32,
+// and the ID of the last one, TripleID(h) = "t" and h+1, must not wrap.
+const maxTripleSlots = 1<<31 - 1
+
 // AddTriple inserts a triple. The subject entity must already exist; the
 // object is linked as an entity when its canonical form is a known entity (a
 // pre-set ObjectEntity is honoured only when it names a known entity, and
-// dropped otherwise). It returns the assigned triple ID.
+// dropped otherwise). It returns the assigned triple ID, or an error once the
+// graph holds maxTripleSlots slots.
 func (g *Graph) AddTriple(f Fact) (string, error) {
 	subjH, ok := g.entLookup.get(f.Subject)
 	if !ok {
@@ -298,6 +303,9 @@ func (g *Graph) AddTriple(f Fact) (string, error) {
 		if h, ok := g.entLookup.get(oid); ok {
 			objH = h
 		}
+	}
+	if g.trs.len() >= maxTripleSlots {
+		return "", fmt.Errorf("kg: the graph holds %d triple slots, the most a handle can address", g.trs.len())
 	}
 	g.claimSlot()
 	h, prov := int32(g.trs.len()), g.internProv(f.Domain, f.Format)

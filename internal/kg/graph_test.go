@@ -64,6 +64,27 @@ func TestAddTripleValidation(t *testing.T) {
 	}
 }
 
+// TestAddTripleRefusesPastLastHandle: once the graph holds the most triple
+// slots an int32 handle addresses, AddTriple is an error that leaves the
+// graph as it was, instead of a handle past the last one (whose ID, h+1,
+// wraps negative). The column's length is set directly: 2^31-1 real triples
+// would not fit in a test.
+func TestAddTripleRefusesPastLastHandle(t *testing.T) {
+	g := New()
+	g.AddEntity("CA981", "Flight", "flights")
+	if _, err := g.AddTriple(Fact{Subject: "ca981", Predicate: "status", Object: "Delayed"}); err != nil {
+		t.Fatal(err)
+	}
+	g.trs.n = maxTripleSlots
+	before := g.NumTriples()
+	if id, err := g.AddTriple(Fact{Subject: "ca981", Predicate: "gate", Object: "G1"}); err == nil {
+		t.Fatalf("AddTriple past the last handle returned %q", id)
+	}
+	if g.trs.len() != maxTripleSlots || g.NumTriples() != before {
+		t.Fatalf("a refused AddTriple changed the graph: %d slots, %d triples", g.trs.len(), g.NumTriples())
+	}
+}
+
 func TestObjectEntityLinking(t *testing.T) {
 	g := buildMovieGraph(t)
 	ts := g.TriplesByKey(CanonicalID("Heat"), "director")

@@ -184,10 +184,9 @@ type weight struct {
 // embeddings until its commit posts them (AppendSparse), at about a tenth of
 // the size of the dense rows. The zero value is empty.
 type Sparse struct {
-	dim   int // the width the rows were embedded at
-	w     []weight
-	ends  []int // where each row's weights end in w
-	start int   // where the first row's weights start in w (Rows)
+	dim  int // the width the rows were embedded at
+	w    []weight
+	ends []int // where each row's weights end in w
 }
 
 // rowWeights is the room Grow reserves per row: about what a chunk's
@@ -202,20 +201,7 @@ func (s *Sparse) Grow(n int) {
 }
 
 // Reset empties s, keeping its memory for the next rows.
-func (s *Sparse) Reset() { s.w, s.ends, s.start = s.w[:0], s.ends[:0], 0 }
-
-// Rows returns rows [lo, hi) of s as a slab that shares s's memory, valid
-// until s is next changed. Nothing may be embedded into it.
-func (s *Sparse) Rows(lo, hi int) Sparse {
-	if lo == hi {
-		return Sparse{dim: s.dim}
-	}
-	v := Sparse{dim: s.dim, w: s.w[:s.ends[hi-1]:s.ends[hi-1]], ends: s.ends[lo:hi:hi]}
-	if lo > 0 {
-		v.start = s.ends[lo-1]
-	}
-	return v
-}
+func (s *Sparse) Reset() { s.w, s.ends = s.w[:0], s.ends[:0] }
 
 // Embed appends Embed(text, len(scratch)) as the next row, with scratch as
 // the dense row it adds the features into (its contents are overwritten).
@@ -243,12 +229,18 @@ func (s *Sparse) Embed(scratch Vector, text string) {
 	s.ends = append(s.ends, len(s.w))
 }
 
+// Clone returns a copy of s's rows in memory of exactly their size: what a
+// slab embedded into a reused scratch keeps once the scratch moves on.
+func (s *Sparse) Clone() Sparse {
+	return Sparse{dim: s.dim, w: slices.Clone(s.w), ends: slices.Clone(s.ends)}
+}
+
 // Len returns the number of rows.
 func (s *Sparse) Len() int { return len(s.ends) }
 
 // each calls fn with every row's index and weights, in order.
 func (s *Sparse) each(fn func(i int, nz []weight)) {
-	start := s.start
+	start := 0
 	for i, end := range s.ends {
 		fn(i, s.w[start:end])
 		start = end

@@ -207,6 +207,12 @@ type Decoder struct {
 // not mutate it while decoding.
 func NewDecoder(b []byte) *Decoder { return &Decoder{b: b} }
 
+// Reset points d at a new input b and clears its error, keeping the table
+// Interned and Front share: a caller decoding several payloads that belong
+// together (the parts of one commit group) keeps one copy of every value they
+// repeat, as it would decoding them as one payload.
+func (d *Decoder) Reset(b []byte) { d.b, d.off, d.err = b, 0, nil }
+
 // Err returns the first decode error, if any.
 func (d *Decoder) Err() error { return d.err }
 
@@ -404,6 +410,30 @@ func (d *Decoder) front(prev, ref string, intern bool) string {
 	}
 	var buf [128]byte // the value, to look it up; a longer one spills
 	return d.intern(append(append(buf[:0], prev[:l]...), suffix...))
+}
+
+// AppendString reads a length-prefixed string exactly as String does and
+// appends its bytes to dst instead of allocating a string: for a caller that
+// gathers many decoded values into one allocation of its own.
+func (d *Decoder) AppendString(dst []byte) []byte { return append(dst, d.stringBytes()...) }
+
+// AppendFront reads a field written by Encoder.Front against prev exactly as
+// Front does, and appends the value to dst instead of allocating or interning
+// it. prev may be a view of dst itself.
+func (d *Decoder) AppendFront(dst, prev []byte) []byte {
+	l := d.Uvarint()
+	if d.err != nil {
+		return dst
+	}
+	if l > uint64(len(prev)) {
+		d.fail("prefix length %d exceeds the %d-byte previous value", l, len(prev))
+		return dst
+	}
+	suffix := d.stringBytes()
+	if d.err != nil {
+		return dst
+	}
+	return append(append(dst, prev[:l]...), suffix...)
 }
 
 // stringBytes reads a length-prefixed string as a view of the input.

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"fmt"
+	"hash/crc32"
 	"sort"
 	"strconv"
 	"strings"
@@ -141,12 +142,17 @@ type Log struct {
 	fs     FS
 	dir    string
 	f      File
-	active string            // active segment name
-	next   uint64            // next LSN to assign
-	size   int               // bytes in the active segment
-	err    error             // latched append failure; the log refuses further work
-	hdr    [frameHeader]byte // the frame header Append writes before a payload
+	active string // active segment name
+	next   uint64 // next LSN to assign
+	size   int    // bytes in the active segment
+	err    error  // latched append failure; the log refuses further work
+	buf    []byte // the write buffer every frame streams through, made on first use
 }
+
+// appendBuffer is the size of the one buffer a Log streams its frames
+// through: a record of any size reaches the segment in writes of this size
+// (the last one shorter), and the log never holds more of it than this.
+const appendBuffer = 64 << 10
 
 // OpenLog repairs the log per sr (truncating the torn segment, dropping
 // unreachable ones) and opens it for appending after sr's last valid record.
@@ -191,24 +197,64 @@ func OpenLog(fsys FS, dir string, sr *ScanResult) (*Log, error) {
 }
 
 // Append durably writes one record and returns its LSN: the frame is written
-// and fsync'd before Append returns nil. The frame's header and the payload
-// go to the segment as two writes, as a checkpoint's do, so the payload is
-// never copied; a crash between them leaves a torn frame, which recovery
-// truncates like any other. On error the record must be treated
-// as not written — and the log latches failed: after a failed write or fsync
-// the segment's on-disk state is unknowable (the kernel may have dropped the
-// dirty pages and cleared the error, or a complete frame may have landed
-// without being acknowledged), so appending past it could duplicate or
-// misnumber records. Every later Append and Rotate returns the latched error;
-// only a restart's Scan/OpenLog repair makes the directory appendable again.
+// and fsync'd before Append returns nil. It is AppendParts with a single
+// part.
 func (l *Log) Append(payload []byte) (uint64, error) {
+	return l.AppendParts([][]byte{payload})
+}
+
+// AppendParts durably writes one record whose payload is the concatenation of
+// parts, and returns its LSN: the frame is written and fsync'd before
+// AppendParts returns nil. The payload is never assembled: the CRC is folded
+// over the parts, and the header and the parts are streamed into the segment
+// through the log's one bounded buffer (appendBuffer), so the bytes on disk
+// are those of one frame however the payload is split. A crash between two of
+// its writes leaves a torn frame, which recovery truncates like any other.
+//
+// A payload over MaxRecordSize is refused with ErrRecordTooLarge before
+// anything is written; the log stays appendable. Any other error means the
+// record must be treated as not written — and the log latches failed: after
+// a failed write or fsync the segment's on-disk state is unknowable (the
+// kernel may have dropped the dirty pages and cleared the error, or a
+// complete frame may have landed without being acknowledged), so appending
+// past it could duplicate or misnumber records. Every later append and Rotate
+// returns the latched error; only a restart's Scan/OpenLog repair makes the
+// directory appendable again.
+func (l *Log) AppendParts(parts [][]byte) (uint64, error) {
 	if l.err != nil {
 		return 0, l.err
 	}
-	putFrameHeader(&l.hdr, payload)
-	if err := writeAll(l.f, l.hdr[:], payload); err != nil {
-		l.err = fmt.Errorf("wal: append: %w", err)
-		return 0, l.err
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if n > MaxRecordSize {
+		return 0, fmt.Errorf("%w: a %d-byte payload, over the %d-byte limit", ErrRecordTooLarge, n, MaxRecordSize)
+	}
+	var crc uint32
+	for _, p := range parts {
+		crc = crc32.Update(crc, castagnoli, p)
+	}
+	if l.buf == nil {
+		l.buf = make([]byte, 0, appendBuffer)
+	}
+	buf := appendFrameHeader(l.buf[:0], n, crc)
+	for _, p := range parts {
+		for len(p) > 0 {
+			k := copy(buf[len(buf):cap(buf)], p)
+			buf, p = buf[:len(buf)+k], p[k:]
+			if len(buf) == cap(buf) {
+				if err := l.write(buf); err != nil {
+					return 0, err
+				}
+				buf = buf[:0]
+			}
+		}
+	}
+	if len(buf) > 0 {
+		if err := l.write(buf); err != nil {
+			return 0, err
+		}
 	}
 	if err := l.f.Sync(); err != nil {
 		l.err = fmt.Errorf("wal: fsync: %w", err)
@@ -216,8 +262,18 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	}
 	lsn := l.next
 	l.next++
-	l.size += frameHeader + len(payload)
+	l.size += frameHeader + n
 	return lsn, nil
+}
+
+// write hands one buffer of a frame to the active segment, latching the log
+// on failure.
+func (l *Log) write(b []byte) error {
+	if _, err := l.f.Write(b); err != nil {
+		l.err = fmt.Errorf("wal: append: %w", err)
+		return l.err
+	}
+	return nil
 }
 
 // NextLSN returns the LSN the next Append will be assigned — equivalently,

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 )
 
@@ -12,18 +13,25 @@ import (
 
 const (
 	frameHeader = 8
-	// maxRecordSize rejects absurd length prefixes before any allocation —
-	// a torn or flipped length byte must not provoke a multi-GB make().
-	maxRecordSize = 1 << 30
+	// MaxRecordSize is the largest payload a record may carry. The frame
+	// parser rejects a length prefix above it before any allocation — a torn
+	// or flipped length byte must not provoke a multi-GB make() — so Append
+	// refuses a larger payload rather than acknowledge a record no scan could
+	// read back.
+	MaxRecordSize = 1 << 30
 )
+
+// ErrRecordTooLarge is what an append of a payload over MaxRecordSize
+// returns. Nothing is written and the log stays appendable.
+var ErrRecordTooLarge = errors.New("wal: record too large")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// putFrameHeader writes the frame header of payload into hdr: its length and
-// its CRC, little-endian.
-func putFrameHeader(hdr *[frameHeader]byte, payload []byte) {
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
+// appendFrameHeader appends the frame header of a payload of n bytes whose
+// CRC is crc: its length and its CRC, little-endian.
+func appendFrameHeader(dst []byte, n int, crc uint32) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
+	return binary.LittleEndian.AppendUint32(dst, crc)
 }
 
 // parseFrame parses the frame at the start of b: its payload, which aliases
@@ -35,7 +43,7 @@ func parseFrame(b []byte) (payload []byte, size int, ok bool) {
 		return nil, 0, false
 	}
 	n := binary.LittleEndian.Uint32(b)
-	if n > maxRecordSize || int(n) > len(b)-frameHeader {
+	if n > MaxRecordSize || int(n) > len(b)-frameHeader {
 		return nil, 0, false
 	}
 	payload = b[frameHeader : frameHeader+int(n)]

@@ -69,7 +69,7 @@ func (t *Tail) Next(committed uint64) (payload []byte, ok bool, err error) {
 	}
 	size := frameHeader + int(n)
 	if size > cap(t.buf) {
-		// A corrupt header can claim up to maxRecordSize: see that the segment
+		// A corrupt header can claim up to MaxRecordSize: see that the segment
 		// holds the frame's last byte before allocating for it.
 		if _, err := t.fs.ReadAt(join(t.dir, t.seg), t.probe[:], t.off+int64(size)-1); err != nil {
 			return nil, false, t.errorf("short frame: %v", err)
@@ -107,7 +107,7 @@ func (t *Tail) header() (uint32, error) {
 		return 0, t.errorf("short frame header: %v", err)
 	}
 	n := binary.LittleEndian.Uint32(t.buf)
-	if n > maxRecordSize {
+	if n > MaxRecordSize {
 		return 0, t.errorf("frame length %d", n)
 	}
 	return n, nil

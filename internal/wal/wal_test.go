@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"path/filepath"
 	"slices"
@@ -652,16 +653,15 @@ func TestMemFSInjectedSyncFailure(t *testing.T) {
 
 // appendFrame appends one framed record to dst: what Log.Append writes.
 func appendFrame(dst, payload []byte) []byte {
-	var hdr [frameHeader]byte
-	putFrameHeader(&hdr, payload)
-	return append(append(dst, hdr[:]...), payload...)
+	dst = appendFrameHeader(dst, len(payload), crc32.Checksum(payload, castagnoli))
+	return append(dst, payload...)
 }
 
 // TestScratchBuffersLetGoOfALargeRecord: the Encoder a committer reuses
 // serves one 10 MB record — a bulk load's — and is back under scratchKeep
 // afterwards instead of pinning it for good; small records keep reusing one
-// buffer; the Log writes the payload where it lies and keeps no copy; the big
-// record itself reads back intact.
+// buffer; the Log streams the payload through its bounded write buffer and
+// keeps no copy; the big record itself reads back intact.
 func TestScratchBuffersLetGoOfALargeRecord(t *testing.T) {
 	m := NewMemFS()
 	dir := "wal"
