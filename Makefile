@@ -30,12 +30,13 @@ race:
 # because its instrumentation changes what they count: the allocation
 # ceilings (objects per served query, per memo hit, per parsed query, per
 # extracted chunk, per stored-embedding read, per fallback answer, per
-# replayed vector, and the bytes a seed beside its primary allocates per
-# byte it retains) and
-# the heap one seeded engine copy retains per triple, alone and beside the
-# primary whose entities, triples and strings it shares; the heap a prepared
-# bulk load retains per byte of its WAL parts; and, beside them, the chunks
-# such a seed embeds: none, since it copies the primary's posting entries.
+# replayed vector, and the bytes a replica seeded beside its primary
+# allocates per triple) and the heap one engine copy retains per triple,
+# decoded from a checkpoint body, and a replica seeded beside its primary —
+# a copy-on-write clone of the primary's snapshot — retains per triple; the
+# heap a prepared bulk load retains per byte of its WAL parts; and, beside
+# them, the chunks such a clone embeds: none, seeded or forking on its first
+# apply.
 ceilings:
 	$(GO) test -count=1 -run 'AllocCeiling|ReplayPostsStoredVectors|EngineCopyBytes|EmbedsNothing|PreparedBatchRetainedBytes' ./internal/...
 
@@ -106,19 +107,19 @@ layers:
 # re-embedding every chunk on GOMAXPROCS workers), one commit's clone +
 # 11-triple replay on a 67,100-triple graph (linear history and re-cloned
 # parent), the first write to a shared column page, one streamed snapshot
-# digest and one replica seeded from that snapshot's checkpoint body (the
-# decode, the store's posting lists and the line-graph build; its B/op and
-# allocs/op are the size of one engine copy plus the decoder's transient
-# tables, its live-MB the heap the seeded copy retains after a collection, to
-# which the line graph, a view over the graph's key postings, adds next to
-# nothing — what TestEngineCopyBytesCeiling bounds per triple on the datasets
-# corpus — and its embeds/op the chunks it embedded; /standalone decodes
-# without a reference, as recovery does, re-embedding every chunk into
-# transient slabs, /beside-primary against the snapshot the body came from,
-# as a replica set seeds, sharing its entities, triples and strings and
-# copying its posting entries, so it embeds nothing, its live-MB is about
-# half the standalone one's — TestEngineCopyBytesBesidePrimaryCeiling — and
-# its B/op little more than its live-MB — TestSeedReplicaAllocCeiling), and
+# digest and one replica seeded from that snapshot, both ways
+# (/standalone decodes its checkpoint body, as recovery does: the graph, the
+# store's posting lists with every chunk re-embedded into transient slabs and
+# the line-graph build, so its B/op and allocs/op are the size of one engine
+# copy plus the decoder's transient tables and its live-MB, the heap the
+# seeded copy retains after a collection, what TestEngineCopyBytesCeiling
+# bounds per triple on the datasets corpus; /beside-primary clones the
+# primary's published snapshot, as a replica set seeds: page tables, lookup
+# overlays and a line-graph view, embedding nothing, its live-MB and B/op what
+# TestEngineCopyBytesBesidePrimaryCeiling and TestSeedReplicaAllocCeiling
+# bound; /first-apply is such a clone's first applied record, where it loses
+# the lineage claim to the primary and forks, copying the chunk slice and
+# each posting list, page and lookup entry the record writes), and
 # the bulk
 # load a deployment pays at set-up (the datasets presets as one Ingest into a
 # durable system: stage 1 and the commit, split as prepare-ms/op and

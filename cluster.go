@@ -4,13 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"multirag/internal/core"
 	"multirag/internal/fault"
-	"multirag/internal/par"
 	"multirag/internal/wal"
 )
 
@@ -21,13 +19,13 @@ type ReplicaSetConfig struct {
 }
 
 // ReplicaSet serves reads from N in-process replicas of a durable System. A
-// replica is recovery that does not stop: it is seeded once from the
-// primary's published snapshot at a captured WAL position, then reads the
-// primary's committed records out of its WAL segments and replays each
-// through the decode/replay path crash recovery uses. So every replica
-// snapshot is byte-identical to the primary's at the same replication
-// position, and reads routed to replicas return exactly the answers the
-// primary would.
+// replica is recovery that does not stop: it is seeded once as a
+// copy-on-write clone of the primary's published snapshot at a captured WAL
+// position, then reads the primary's committed records out of its WAL
+// segments and replays each through the decode/replay path crash recovery
+// uses. So every replica snapshot is byte-identical to the primary's at the
+// same replication position, and reads routed to replicas return exactly the
+// answers the primary would.
 //
 // The log is the only delivery path, so nothing is ever dropped: a slow
 // replica reads further behind, and its WAL retention lease keeps the
@@ -41,58 +39,42 @@ type ReplicaSet struct {
 	closeOnce sync.Once
 }
 
-// NewReplicaSet seeds cfg.Replicas read replicas from one capture of s's
-// published snapshot and starts them reading s's log. The snapshot is
-// encoded once and the replicas decode it concurrently, each against the
-// captured snapshot itself, so they share its immutable entities, triples and
-// strings with the primary, copy its posting entries instead of re-embedding
-// its chunks, and build only their own indexes; if any seed fails,
-// NewReplicaSet releases every lease it took and returns the error with no
-// replica started. Replicas read the write-ahead log, so s must come from
-// OpenDurable; an in-memory System is refused. Several sets may replicate one
-// System; Close stops one.
+// NewReplicaSet seeds cfg.Replicas read replicas from s's published snapshot
+// and starts them reading s's log. Each replica is a copy-on-write clone of
+// the snapshot, taken with its position and lease (core.System.ReplicationSeed),
+// so it shares the primary's whole state — nothing is encoded, decoded or
+// re-embedded — and copies a page or a list only when its own applies first
+// write one. If any seed fails, NewReplicaSet releases every lease it took and
+// returns the error with no replica started. Replicas read the write-ahead
+// log, so s must come from OpenDurable; an in-memory System is refused.
+// Several sets may replicate one System; Close stops one.
 func NewReplicaSet(s *System, cfg ReplicaSetConfig) (*ReplicaSet, error) {
 	n := cfg.Replicas
 	if n <= 0 {
 		n = 2
 	}
 	primary := s.inner
-	handle, lsn, lease, err := primary.ReplicationSeed()
-	if errors.Is(err, core.ErrNotDurable) {
-		return nil, fmt.Errorf("multirag: replicas need a System opened with OpenDurable (multirag serve -data-dir): %w", err)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// A replica set is built right after a bulk load or a recovery decode,
-	// when the heap still holds the loader's uncollected garbage and the GC's
-	// goal was set by the loader's in-flight peak. Collecting once here lets
-	// the seeds' allocations reuse that memory instead of extending the heap,
-	// which would otherwise make set-up the process's peak resident size.
-	runtime.GC()
-	seed := handle.Encode()
-	rs := &ReplicaSet{primary: primary, replicas: make([]*Replica, n)}
-	for i := range rs.replicas {
-		if i > 0 {
-			lease = primary.AcquireWALLease(lsn) // the first lease holds lsn already
-		}
+	rs := &ReplicaSet{primary: primary, replicas: make([]*Replica, 0, n)}
+	for i := 0; i < n; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		rs.replicas[i] = &Replica{primary: primary, name: fmt.Sprintf("replica-%d", i), sys: core.NewSystem(primary.Config()),
-			lease: lease, ctx: ctx, cancel: cancel, done: make(chan struct{})}
-	}
-	errs := make([]error, n)
-	par.ForEach(n, n, func(i int) { errs[i] = rs.replicas[i].seed(handle, seed, lsn) })
-	for i, err := range errs {
+		r := &Replica{primary: primary, name: fmt.Sprintf("replica-%d", i), sys: core.NewSystem(primary.Config()),
+			ctx: ctx, cancel: cancel, done: make(chan struct{})}
+		lease, err := r.seed()
 		if err != nil {
+			cancel()
 			for _, r := range rs.replicas {
 				r.cancel()
 				r.lease.Release()
 			}
-			return nil, fmt.Errorf("multirag: seed %s: %w", rs.replicas[i].name, err)
+			if errors.Is(err, core.ErrNotDurable) {
+				return nil, fmt.Errorf("multirag: replicas need a System opened with OpenDurable (multirag serve -data-dir): %w", err)
+			}
+			return nil, fmt.Errorf("multirag: seed %s: %w", r.name, err)
 		}
+		r.lease = lease
+		rs.replicas = append(rs.replicas, r)
 	}
 	for _, r := range rs.replicas {
-		r.applied.Store(lsn)
 		go r.run()
 	}
 	return rs, nil
@@ -349,22 +331,28 @@ func (r *Replica) step(committed uint64) error {
 	return nil
 }
 
-// seed replaces the replica's state with body, the encoding of the primary's
-// snapshot handle captured at lsn. The decode is handed handle too, so the
-// replica shares the primary's entities, triples and strings instead of
-// holding copies (core.System.SeedReplica).
-func (r *Replica) seed(handle core.SnapshotHandle, body []byte, lsn uint64) error {
-	if err := fault.Inject(r.ctx, fault.PointClusterSeed); err != nil {
-		return err
+// seed makes the replica a clone of the primary's published snapshot
+// (core.System.SeedReplicaClone) at the position captured with it, and returns
+// the retention lease held at that position. The cursor opens there on the
+// next read.
+func (r *Replica) seed() (*core.WALLease, error) {
+	handle, lsn, lease, err := r.primary.ReplicationSeed()
+	if err != nil {
+		return nil, err
 	}
-	return r.sys.SeedReplica(body, lsn, handle)
+	if err := fault.Inject(r.ctx, fault.PointClusterSeed); err != nil {
+		lease.Release()
+		return nil, err
+	}
+	r.sys.SeedReplicaClone(handle, lsn)
+	r.applied.Store(lsn)
+	return lease, nil
 }
 
 // fenceAndResync takes the replica out of service and reseeds it the way
-// NewReplicaSet seeded it: a fresh capture of the primary's snapshot,
-// position and lease. The cursor reopens at the new position on the next
-// read. It reports whether the replica is live again; a shutdown in progress
-// skips the resync.
+// NewReplicaSet seeded it: a fresh clone of the primary's snapshot with its
+// position and lease. It reports whether the replica is live again; a
+// shutdown in progress skips the resync.
 func (r *Replica) fenceAndResync(cause error) bool {
 	if r.ctx.Err() != nil {
 		return false // closing: hung faults release with ctx errors
@@ -374,22 +362,16 @@ func (r *Replica) fenceAndResync(cause error) bool {
 	r.resyncs.Add(1)
 
 	r.state.Store(int32(stateSyncing))
-	handle, lsn, lease, err := r.primary.ReplicationSeed()
-	if err == nil {
-		if err = r.seed(handle, handle.Encode(), lsn); err != nil {
-			lease.Release()
-		}
-	}
+	lease, err := r.seed()
 	r.lease.Release()
 	if err != nil {
-		// A just-encoded snapshot failing to decode means memory corruption:
-		// stay fenced for good rather than serve from an unknown state.
+		// Cloning the primary cannot fail; a seed that does failed on an
+		// injected fault or a closing set. Stay fenced for good.
 		r.state.Store(int32(stateFenced))
 		r.setFenceReason("resync: " + err.Error())
 		return false
 	}
 	r.lease, r.tail = lease, nil
-	r.applied.Store(lsn)
 	r.setFenceReason("")
 	r.state.Store(int32(stateLive))
 	return true

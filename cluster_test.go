@@ -403,9 +403,10 @@ func TestClusterCheckpointDuringAttach(t *testing.T) {
 	}
 }
 
-// TestClusterSeedsReplicasConcurrently: New decodes every replica's seed at
-// once from the one encoded body; each replica starts at the primary's
-// position with the primary's digest, and goes on reading the log from there.
+// TestClusterSeedsReplicasConcurrently: New seeds every replica as a clone of
+// its own of the primary's published snapshot, and the replicas then apply the
+// log concurrently; each starts at the primary's position with the primary's
+// digest, and goes on reading the log from there.
 func TestClusterSeedsReplicasConcurrently(t *testing.T) {
 	primary := openPrimary(t, wal.NewMemFS())
 	batches := corpusBatches()

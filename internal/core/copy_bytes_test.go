@@ -3,6 +3,8 @@ package core
 import (
 	"runtime"
 	"testing"
+
+	"multirag/internal/wal"
 )
 
 // liveHeap returns the bytes of heap objects still reachable after two
@@ -16,39 +18,66 @@ func liveHeap() (live, allocated int64) {
 	return int64(m.HeapAlloc), int64(m.TotalAlloc)
 }
 
-// seedBytes seeds a fresh replica from a checkpoint body and returns the bytes
-// the seed allocated and the heap the replica retains once collected: the
-// size of one engine copy — graph, line graph and retrieval store — without
-// the decoder's intern table and embedding slabs, which are garbage by then.
-// ref is passed on to SeedReplica and kept live through both counts, so what
-// the replica shares with it is not counted as retained.
-func seedBytes(tb testing.TB, body []byte, ref ...SnapshotHandle) (allocated, retained int64) {
+// seedBytes seeds a fresh replica from a checkpoint body, as recovery
+// decodes one, and returns the bytes the seed allocated and the heap the
+// replica retains once collected: the size of one engine copy — graph, line
+// graph and retrieval store — without the decoder's intern table and
+// embedding slabs, which are garbage by then.
+func seedBytes(tb testing.TB, body []byte) (allocated, retained int64) {
 	tb.Helper()
 	live0, alloc0 := liveHeap()
 	r := NewSystem(durTestConfig())
-	if err := r.SeedReplica(body, 0, ref...); err != nil {
+	if err := r.SeedReplica(body, 0); err != nil {
 		tb.Fatal(err)
 	}
 	live1, alloc1 := liveHeap()
 	runtime.KeepAlive(r)
-	runtime.KeepAlive(ref)
 	runtime.KeepAlive(body) // live at the first count, so it must be at the second
 	return alloc1 - alloc0, live1 - live0
 }
 
+// cloneSeedBytes seeds a fresh replica beside primary as a ReplicaSet does, a
+// clone of its published snapshot, and returns the bytes the seed allocated
+// and the heap the replica retains once collected, the primary live
+// throughout: what a replica costs while it shares everything with its
+// primary.
+func cloneSeedBytes(tb testing.TB, primary *System) (allocated, retained int64) {
+	tb.Helper()
+	live0, alloc0 := liveHeap()
+	h, lsn, lease, err := primary.ReplicationSeed()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r := NewSystem(primary.Config())
+	r.SeedReplicaClone(h, lsn)
+	live1, alloc1 := liveHeap()
+	runtime.KeepAlive(r)
+	runtime.KeepAlive(primary)
+	lease.Release()
+	return alloc1 - alloc0, live1 - live0
+}
+
+// bulkPrimary is a durable system holding the datasets corpus the end-to-end
+// benchmark bulk-loads (bulkFiles: 59,645 triples, 5,633 homologous nodes).
+func bulkPrimary(t *testing.T) *System {
+	t.Helper()
+	s, _ := openDurable(t, wal.NewMemFS(), durTestConfig())
+	if _, err := s.Ingest(bulkFiles(t)); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // TestEngineCopyBytesCeiling bounds the heap one engine copy retains per
-// triple: a replica seeded from the checkpoint body of the datasets corpus
-// the end-to-end benchmark bulk-loads (bulkFiles: 59,645 triples, 5,633
-// homologous nodes), after a collection. It reads 304 B (x86-64, Go 1.24).
+// triple: a replica seeded from the checkpoint body of bulkPrimary's corpus,
+// after a collection — what recovery holds, and a replica seeded away from
+// its primary. It reads 304 B (x86-64, Go 1.24).
 func TestEngineCopyBytesCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race instrumentation changes heap sizes")
 	}
 	const ceiling = 315 // bytes per triple
-	s := NewSystem(durTestConfig())
-	if _, err := s.Ingest(bulkFiles(t)); err != nil {
-		t.Fatal(err)
-	}
+	s := bulkPrimary(t)
 	body := s.ServingHandle().Encode()
 	triples := s.Graph().NumTriples()
 	_, retained := seedBytes(t, body)
@@ -60,48 +89,43 @@ func TestEngineCopyBytesCeiling(t *testing.T) {
 }
 
 // TestEngineCopyBytesBesidePrimaryCeiling bounds the heap a replica seeded
-// beside its live primary retains per triple: TestEngineCopyBytesCeiling's
-// corpus and body, decoded against the primary's handle as a ReplicaSet
-// seeds it, so the replica shares the primary's entities, triples and
-// strings and holds only its own columns, posting lists, lookups and chunk
-// slice. It reads 138 B (x86-64, Go 1.24); recovery, which has no primary,
-// still pays TestEngineCopyBytesCeiling's figure.
+// beside its live primary retains per triple: a clone of the primary's
+// snapshot on TestEngineCopyBytesCeiling's corpus, as a ReplicaSet seeds it.
+// The replica shares every column page, posting list, chunk and string with
+// the primary and holds page tables, lookup overlays and its own line-graph
+// view. It reads 6.8 B (x86-64, Go 1.24); ~144 means the seed decodes the
+// primary's checkpoint body again, ~304 that it shares nothing.
 func TestEngineCopyBytesBesidePrimaryCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race instrumentation changes heap sizes")
 	}
-	const ceiling = 150 // bytes per triple
-	s := NewSystem(durTestConfig())
-	if _, err := s.Ingest(bulkFiles(t)); err != nil {
-		t.Fatal(err)
-	}
-	h := s.ServingHandle()
+	const ceiling = 16 // bytes per triple
+	s := bulkPrimary(t)
 	triples := s.Graph().NumTriples()
-	_, retained := seedBytes(t, h.Encode(), h)
+	_, retained := cloneSeedBytes(t, s)
 	got := float64(retained) / float64(triples)
-	runtime.KeepAlive(s) // the primary is live throughout, as beside a replica set
-	t.Logf("%.0f B per triple over %d triples", got, triples)
+	t.Logf("%.1f B per triple over %d triples", got, triples)
 	if got > ceiling {
-		t.Fatalf("a replica beside its primary retains %.0f B per triple, ceiling %d", got, ceiling)
+		t.Fatalf("a replica beside its primary retains %.1f B per triple, ceiling %d", got, ceiling)
 	}
 }
 
-// TestSeedReplicaAllocCeiling bounds what one seed beside its primary
-// allocates against what the seeded replica retains, on the snapshot
-// BenchmarkSeedReplica seeds from. Copying the primary's posting entries
-// allocates about the lists it keeps; re-embedding every chunk allocated
-// embedding slabs and list growth on top, 2.10 times the retained heap. It
-// reads 1.16 (x86-64, Go 1.24).
+// TestSeedReplicaAllocCeiling bounds the bytes one seed beside its primary
+// allocates per triple, on TestEngineCopyBytesCeiling's corpus. A clone
+// allocates page tables and its line-graph view, little more than it
+// retains; decoding the primary's checkpoint body allocated about 1.2 times
+// the 144 B per triple it retained. It reads 7.0 B (x86-64, Go 1.24).
 func TestSeedReplicaAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race instrumentation changes heap sizes")
 	}
-	const ceiling = 1.3 // bytes allocated per byte retained
-	h := benchSnapshot(t)
-	allocated, retained := seedBytes(t, h.Encode(), h)
-	got := float64(allocated) / float64(retained)
-	t.Logf("%d B allocated, %d B retained: %.2f", allocated, retained, got)
+	const ceiling = 16 // bytes per triple
+	s := bulkPrimary(t)
+	triples := s.Graph().NumTriples()
+	allocated, _ := cloneSeedBytes(t, s)
+	got := float64(allocated) / float64(triples)
+	t.Logf("%.1f B per triple over %d triples", got, triples)
 	if got > ceiling {
-		t.Fatalf("a seed beside its primary allocates %.2f times what it retains, ceiling %.2f", got, ceiling)
+		t.Fatalf("a seed beside its primary allocates %.1f B per triple, ceiling %d", got, ceiling)
 	}
 }

@@ -170,7 +170,7 @@ func recoverFrom(fsys wal.FS, dir string, cfg Config, body []byte, ckptLSN uint6
 	var err error
 	sn := s.snap.Load() // the fresh empty snapshot NewSystem published
 	if body != nil {
-		if sn, err = s.decodeSnapshot(body, nil); err != nil {
+		if sn, err = s.decodeSnapshot(body); err != nil {
 			return nil, nil, fmt.Errorf("core: checkpoint at LSN %d: %w", ckptLSN, err)
 		}
 	}
@@ -384,22 +384,13 @@ func snapshotBody(sn *snapshot) []byte {
 
 // decodeSnapshot rebuilds a snapshot from a checkpoint body. The line graph
 // is a view over the decoded graph and the store's texts are re-embedded on
-// the worker pool. ref, which may be nil, is a snapshot in memory that body
-// may have been encoded from: an entity, triple or string that decodes equal
-// to ref's at the same position is ref's (kg.DecodeGraph,
-// retrieval.DecodeIntoStore), and everything else the snapshot holds is its
-// own.
-func (s *System) decodeSnapshot(body []byte, ref *snapshot) (*snapshot, error) {
+// the worker pool.
+func (s *System) decodeSnapshot(body []byte) (*snapshot, error) {
 	d := wal.NewDecoder(body)
 	if err := readVersion(d, "checkpoint", snapshotVersion); err != nil {
 		return nil, err
 	}
-	var refGraph *kg.Graph
-	var refIndex *retrieval.Index
-	if ref != nil {
-		refGraph, refIndex = ref.graph, ref.index
-	}
-	g, err := kg.DecodeGraph(d, refGraph)
+	g, err := kg.DecodeGraph(d)
 	if err != nil {
 		return nil, err
 	}
@@ -408,7 +399,7 @@ func (s *System) decodeSnapshot(body []byte, ref *snapshot) (*snapshot, error) {
 		sg = linegraph.Build(g)
 	}
 	ix := retrieval.NewIndex(retrieval.DefaultDim)
-	if err := retrieval.DecodeIntoStore(d, ix, s.Workers(), refIndex); err != nil {
+	if err := retrieval.DecodeIntoStore(d, ix, s.Workers()); err != nil {
 		return nil, err
 	}
 	if err := d.Finish(); err != nil {

@@ -10,23 +10,24 @@ import (
 	"multirag/internal/wal"
 )
 
-// Replication: a replica is recovery that does not stop. It is seeded once
-// from the primary's published snapshot at a captured replication position
-// (ReplicationSeed, SeedReplica), then reads the primary's committed WAL
-// records through a wal.Tail (TailWAL) and replays each with ReplicaApply —
-// the decode/replay sequence crash recovery runs — so its snapshot is
-// byte-identical to the primary's at every position it reaches. Each publish
-// advances the position and wakes readers (Published); a retention lease
-// keeps the segments a reader still needs through checkpoint pruning. Only a
-// durable system has a log to read.
+// Replication: a replica is recovery that does not stop. It is seeded once at
+// a captured replication position (ReplicationSeed) — beside its primary as a
+// copy-on-write clone of the primary's published snapshot (SeedReplicaClone),
+// elsewhere by decoding a checkpoint body (SeedReplica) — then reads the
+// primary's committed WAL records through a wal.Tail (TailWAL) and replays
+// each with ReplicaApply — the decode/replay sequence crash recovery runs — so
+// its snapshot is byte-identical to the primary's at every position it
+// reaches. Each publish advances the position and wakes readers (Published); a
+// retention lease keeps the segments a reader still needs through checkpoint
+// pruning. Only a durable system has a log to read.
 
 // ErrNotDurable is what the replication calls of a system without a
 // write-ahead log return.
 var ErrNotDurable = errors.New("core: replicas read the write-ahead log, and this system has none")
 
-// SnapshotHandle is an opaque reference to one immutable published snapshot,
-// captured at a known replication position. The cluster layer uses it to seed
-// replicas (Encode) and to verify them (Digest) without reaching into the
+// SnapshotHandle is an opaque reference to one immutable snapshot, captured at
+// a known replication position. The cluster layer uses it to seed replicas
+// (SeedReplicaClone) and to verify them (Digest) without reaching into the
 // engine's internals.
 type SnapshotHandle struct {
 	sn *snapshot
@@ -81,11 +82,16 @@ func (s *System) ServingHandle() SnapshotHandle { return SnapshotHandle{sn: s.sn
 // compares with the primary's DigestAt.
 func (s *System) SnapshotDigest() uint64 { return s.ServingHandle().Digest() }
 
-// ReplicationSeed captures what a new or resyncing replica starts from: the
-// published snapshot, its replication position and a WAL retention lease at
-// that position, in one critical section, so no checkpoint can prune the
-// segment holding the position between the capture and the lease. An
-// in-memory system has no log to read and returns ErrNotDurable.
+// ReplicationSeed captures what a new or resyncing replica starts from: a
+// copy-on-write clone of the published snapshot, its replication position and
+// a WAL retention lease at that position, in one critical section, so no
+// checkpoint can prune the segment holding the position between the capture
+// and the lease. The clone is taken under the lock every commit clones under,
+// because cloning a graph resets ownership flags of the snapshot it clones
+// (kg.Graph.Clone). The clone is the caller's alone and seeds exactly one
+// replica (SeedReplicaClone): that replica's first apply resets the clone's
+// own flags in turn, which no other engine may write. An in-memory system has
+// no log to read and returns ErrNotDurable.
 func (s *System) ReplicationSeed() (SnapshotHandle, uint64, *WALLease, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -93,7 +99,9 @@ func (s *System) ReplicationSeed() (SnapshotHandle, uint64, *WALLease, error) {
 		return SnapshotHandle{}, 0, nil, ErrNotDurable
 	}
 	lsn := s.replPos.Load()
-	return SnapshotHandle{sn: s.snap.Load()}, lsn, s.acquireLeaseLocked(lsn), nil
+	cur := s.snap.Load()
+	sn := &snapshot{graph: cur.graph.Clone(), index: cur.index.CloneForAppend()}
+	return SnapshotHandle{sn: sn}, lsn, s.acquireLeaseLocked(lsn), nil
 }
 
 // TailWAL opens a cursor over the log at from, a position the caller holds a
@@ -222,34 +230,44 @@ func (s *System) replicaPublish(records func(replay func(payload []byte) error) 
 	return n, nil
 }
 
-// SeedReplica replaces the serving snapshot with a decoded one captured at
-// the given replication position — replica bootstrap and post-fence resync.
-// Decoding runs off-lock (the body is private); only the swap serializes with
-// replays.
-//
-// ref, at most one, is the snapshot body was encoded from, when that is in
-// the same process: the primary's, as ReplicationSeed captured it. Every byte
-// of body is still decoded and checked, but each entity, triple and string
-// that decodes equal to ref's at the same position is ref's, so a replica
-// seeded beside its primary shares those immutable leaves instead of holding
-// a second copy. The seeded state is the same with any ref or none; a ref
-// that body was not encoded from only shares less. ref may be read while its
-// System goes on committing.
-func (s *System) SeedReplica(body []byte, lsn uint64, ref ...SnapshotHandle) error {
-	var from *snapshot
-	if len(ref) > 0 {
-		from = ref[0].sn
+// SeedReplicaClone replaces the serving snapshot with h, a clone
+// ReplicationSeed took of the primary's published snapshot at replication
+// position lsn — replica bootstrap and post-fence resync beside a live
+// primary. Nothing is decoded or copied: the replica shares every column page,
+// posting list, chunk and string with the primary and builds only its own
+// line-graph view. The clone shares the primary's lineage too (package
+// lineage), and the primary has always claimed the rows of a record before a
+// replica can read it, so the replica's first apply loses the claim and forks:
+// it copies the pages and lists it writes, never writing storage the primary
+// reads. h must come from ReplicationSeed and seed no other replica.
+func (s *System) SeedReplicaClone(h SnapshotHandle, lsn uint64) {
+	sn := &snapshot{graph: h.sn.graph, index: h.sn.index}
+	if !s.cfg.DisableMKA && sn.graph.NumTriples() > 0 {
+		sn.sg = linegraph.Build(sn.graph)
 	}
-	sn, err := s.decodeSnapshot(body, from)
+	s.install(sn, lsn)
+}
+
+// SeedReplica replaces the serving snapshot with one decoded from body, a
+// checkpoint body captured at the given replication position — a replica
+// seeded away from its primary's memory. Decoding runs off-lock (the body is
+// private); only the swap serializes with replays.
+func (s *System) SeedReplica(body []byte, lsn uint64) error {
+	sn, err := s.decodeSnapshot(body)
 	if err != nil {
 		return err
 	}
+	s.install(sn, lsn)
+	return nil
+}
+
+// install publishes sn, a seeded snapshot, at replication position lsn.
+func (s *System) install(sn *snapshot, lsn uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sn.gen = s.snap.Load().gen + 1
 	s.snap.Store(sn)
 	s.setReplicationLSN(lsn)
-	return nil
 }
 
 // Config returns a copy of the system's configuration, so a replica set can build

@@ -19,15 +19,7 @@ import (
 // the seed position, with the seed's lease held for the rest of the test.
 func seededReplica(t *testing.T, primary *System) (*System, *wal.Tail) {
 	t.Helper()
-	handle, lsn, lease, err := primary.ReplicationSeed()
-	if err != nil {
-		t.Fatalf("ReplicationSeed: %v", err)
-	}
-	t.Cleanup(lease.Release)
-	replica := NewSystem(primary.Config())
-	if err := replica.SeedReplica(handle.Encode(), lsn, handle); err != nil {
-		t.Fatalf("SeedReplica: %v", err)
-	}
+	replica, lsn, _ := cloneSeeded(t, primary)
 	tail, err := primary.TailWAL(lsn)
 	if err != nil {
 		t.Fatalf("TailWAL: %v", err)
@@ -392,10 +384,11 @@ func TestStreamedDigestEqualsDigestOfEncode(t *testing.T) {
 // vector re-embedded from its chunk's text, the line graph built from the
 // decoded graph — is the state the primary serves after a history of
 // BuildDelta commits that grow the same homologous groups commit after
-// commit. A replica seeded from the primary's snapshot, a replica that
-// applied every record from the start, and a crash-recovered system (a
-// checkpoint mid-history, the rest of the log replayed) each hold the
-// primary's posting lists and line graph, and its checkpoint body.
+// commit. A replica seeded as a clone of the primary's snapshot, one seeded
+// from its checkpoint body, a replica that applied every record from the
+// start, and a crash-recovered system (a checkpoint mid-history, the rest of
+// the log replayed) each hold the primary's posting lists and line graph, and
+// its checkpoint body.
 func TestDerivedStateMatchesLive(t *testing.T) {
 	fsys := wal.NewMemFS()
 	primary, _ := openDurable(t, fsys, durTestConfig())
@@ -424,12 +417,16 @@ func TestDerivedStateMatchesLive(t *testing.T) {
 	}
 	catchUp(t, primary, follower, tail)
 	seeded, _ := seededReplica(t, primary)
+	decoded := NewSystem(primary.Config())
+	if err := decoded.SeedReplica(primary.ServingHandle().Encode(), primary.ReplicationLSN()); err != nil {
+		t.Fatal(err)
+	}
 	recovered, info := openDurable(t, fsys.Crash(nil), durTestConfig())
 	if info.CheckpointLSN != 3 || info.RecordsReplayed != 10 {
 		t.Fatalf("recovery %+v, want the checkpoint at LSN 3 and 10 replayed records", *info)
 	}
 	want := snapBytes(primary)
-	for name, s := range map[string]*System{"seeded replica": seeded, "log-applying replica": follower, "crash-recovered": recovered} {
+	for name, s := range map[string]*System{"seeded replica": seeded, "body-seeded replica": decoded, "log-applying replica": follower, "crash-recovered": recovered} {
 		t.Run(name, func(t *testing.T) {
 			requireDerivedEqual(t, s, primary)
 			if !bytes.Equal(snapBytes(s), want) {

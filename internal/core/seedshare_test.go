@@ -2,11 +2,12 @@ package core
 
 import (
 	"bytes"
+	"slices"
+	"sync"
 	"testing"
 	"unsafe"
 
 	"multirag/internal/adapter"
-	"multirag/internal/kg"
 	"multirag/internal/retrieval"
 	"multirag/internal/wal"
 )
@@ -21,14 +22,21 @@ func ingestAll(t *testing.T, s *System, ks ...int) {
 	}
 }
 
-// seededFrom seeds a fresh replica from body, decoded against ref if given.
-func seededFrom(t *testing.T, body []byte, ref ...SnapshotHandle) *System {
+// cloneSeeded seeds a fresh replica the way a ReplicaSet does: the clone of
+// primary's published snapshot ReplicationSeed takes, installed at the
+// position captured with it, the seed's lease held for the rest of the test.
+// It returns the replica, that position and the clone's handle — the
+// replica's first snapshot.
+func cloneSeeded(t *testing.T, primary *System) (*System, uint64, SnapshotHandle) {
 	t.Helper()
-	r := NewSystem(durTestConfig())
-	if err := r.SeedReplica(body, 0, ref...); err != nil {
-		t.Fatalf("SeedReplica: %v", err)
+	h, lsn, lease, err := primary.ReplicationSeed()
+	if err != nil {
+		t.Fatalf("ReplicationSeed: %v", err)
 	}
-	return r
+	t.Cleanup(lease.Release)
+	r := NewSystem(primary.Config())
+	r.SeedReplicaClone(h, lsn)
+	return r, lsn, h
 }
 
 // chunksOf returns the chunks s serves, in row order, as the index holds them.
@@ -43,82 +51,36 @@ func sameString(a, b string) bool {
 	return len(a) == len(b) && unsafe.StringData(a) == unsafe.StringData(b)
 }
 
-// sharedRows counts the live triples at which r holds g's *Triple itself.
-func sharedRows(r, g *kg.Graph) (shared, live int) {
-	for h := int32(0); h < r.TripleSlots(); h++ {
-		if t := r.TripleAt(h); t != nil {
-			live++
-			if h < g.TripleSlots() && g.TripleAt(h) == t {
-				shared++
-			}
-		}
-	}
-	return shared, live
-}
+// sameBacking reports whether a and b are views of one backing array.
+func sameBacking(a, b []int32) bool { return unsafe.SliceData(a) == unsafe.SliceData(b) }
 
-// TestSeedReplicaSharesPrimaryState pins what seeding against a reference
-// snapshot shares and what it must not change. One body decodes to the same
-// state — Encode bytes, digest and derived vectors and line graph — with the
-// primary's handle, with a foreign system's, with one that shares a prefix of
-// its history and with none; and a foreign body decoded against the
-// primary's handle (a corrupting reseed) is the foreign state. With the
-// primary's handle every entity, live triple and chunk string is the
-// primary's own object at the same position. A commit on the primary,
-// applied to the replica, then leaves both engines' earlier rows as they were
-// and their digests equal.
+// TestSeedReplicaSharesPrimaryState pins what a clone seed shares and when it
+// stops. Seeded, the replica holds the primary's state — Encode bytes, digest,
+// derived vectors and line graph — in the primary's own memory: every
+// entity, live triple and chunk string is the primary's object, and every
+// subject posting list the primary's backing array. The primary's next commit
+// claims the lineage and leaves the replica as seeded. The replica's first
+// apply of that record loses the claim and forks: each list the record
+// appends to becomes the replica's own, the others stay shared, and neither
+// the primary's digest nor any list of the primary's moves.
 func TestSeedReplicaSharesPrimaryState(t *testing.T) {
 	primary, _ := openDurable(t, wal.NewMemFS(), durTestConfig())
 	ingestAll(t, primary, 0, 1, 2, 3, 4, 5)
-	foreign := NewSystem(durTestConfig())
-	for k := 0; k < 4; k++ {
-		if _, err := foreign.Ingest(disjointBatch(k)); err != nil {
-			t.Fatal(err)
-		}
+	replica, lsn, _ := cloneSeeded(t, primary)
+	seeded := snapBytes(replica)
+	if replica.SnapshotDigest() != primary.SnapshotDigest() || !bytes.Equal(seeded, snapBytes(primary)) {
+		t.Fatal("a clone seed differs from the primary it was cloned from")
 	}
-	overlap := NewSystem(durTestConfig())
-	ingestAll(t, overlap, 0, 1, 9)
-
-	handle := primary.ServingHandle()
-	body, foreignBody := handle.Encode(), foreign.ServingHandle().Encode()
-	for _, tc := range []struct {
-		name string
-		body []byte
-		src  *System
-		ref  []SnapshotHandle
-	}{
-		{"primary handle", body, primary, []SnapshotHandle{handle}},
-		{"foreign handle", body, primary, []SnapshotHandle{foreign.ServingHandle()}},
-		{"overlapping handle", body, primary, []SnapshotHandle{overlap.ServingHandle()}},
-		{"no handle", body, primary, nil},
-		{"foreign body, primary handle", foreignBody, foreign, []SnapshotHandle{handle}},
-	} {
-		r := seededFrom(t, tc.body, tc.ref...)
-		if !bytes.Equal(r.ServingHandle().Encode(), tc.body) {
-			t.Fatalf("%s: re-encoded state differs from the body it was seeded from", tc.name)
-		}
-		if r.SnapshotDigest() != tc.src.SnapshotDigest() {
-			t.Fatalf("%s: digest %016x, source %016x", tc.name, r.SnapshotDigest(), tc.src.SnapshotDigest())
-		}
-		if !bytes.Equal(snapBytes(r), snapBytes(seededFrom(t, tc.body))) {
-			t.Fatalf("%s: derived state differs from the decode without a reference", tc.name)
-		}
-	}
-	// A reference that shares a prefix of the history shares some rows, not
-	// all.
-	shared, live := sharedRows(seededFrom(t, body, overlap.ServingHandle()).Graph(), overlap.Graph())
-	if shared == 0 || shared == live {
-		t.Fatalf("overlapping handle: %d of %d live triples shared, want some but not all", shared, live)
-	}
-
-	replica := seededFrom(t, body, handle)
 	pg, rg := primary.Graph(), replica.Graph()
 	for h := int32(0); h < pg.EntitySlots(); h++ {
-		if rg.EntityAt(h) != pg.EntityAt(h) {
-			t.Fatalf("entity %d is a copy of the primary's", h)
+		if rg.EntityAt(h) != pg.EntityAt(h) || !sameBacking(rg.SubjectPosting(h), pg.SubjectPosting(h)) {
+			t.Fatalf("entity %d or its subject posting is a copy of the primary's", h)
 		}
 	}
-	if shared, live := sharedRows(rg, pg); shared != live || live != pg.NumTriples() {
-		t.Fatalf("%d of %d live triples are the primary's, want all %d", shared, live, pg.NumTriples())
+	for h := int32(0); h < pg.TripleSlots(); h++ {
+		if rg.TripleAt(h) != pg.TripleAt(h) {
+			t.Fatalf("triple %d is a copy of the primary's", h)
+		}
 	}
 	pc, rc := chunksOf(primary), chunksOf(replica)
 	if len(pc) == 0 || len(rc) != len(pc) {
@@ -130,109 +92,87 @@ func TestSeedReplicaSharesPrimaryState(t *testing.T) {
 		}
 	}
 
-	// Earlier rows, by value, before the primary commits again.
-	type rows struct {
-		ents   []kg.Entity
-		trs    []kg.Triple
-		chunks []retrieval.Chunk
-	}
-	capture := func(s *System) rows {
-		var out rows
-		g := s.Graph()
-		for h := int32(0); h < g.EntitySlots(); h++ {
-			out.ents = append(out.ents, *g.EntityAt(h))
-		}
-		for h := int32(0); h < g.TripleSlots(); h++ {
-			var tr kg.Triple // a removed slot reads as the zero triple
-			if p := g.TripleAt(h); p != nil {
-				tr = *p
-			}
-			out.trs = append(out.trs, tr)
-		}
-		out.chunks = chunksOf(s)
-		return out
-	}
-	before := capture(primary)
-	oldEnts := make([]*kg.Entity, pg.EntitySlots())
-	for h := range oldEnts {
-		oldEnts[h] = pg.EntityAt(int32(h))
-	}
-	lsn := primary.ReplicationLSN()
 	ingestAll(t, primary, 6)
+	if !bytes.Equal(snapBytes(replica), seeded) {
+		t.Fatal("the primary's commit changed the replica's state")
+	}
+	want := primary.SnapshotDigest()
+	pg = primary.Graph()
+	lists := make([][]int32, pg.EntitySlots())
+	for h := range lists {
+		lists[h] = pg.SubjectPosting(int32(h))
+	}
 	if err := replica.ReplicaApply(logRecords(t, primary, lsn, lsn+1)[0]); err != nil {
 		t.Fatalf("ReplicaApply: %v", err)
 	}
-	for _, s := range []*System{primary, replica} {
-		after := capture(s)
-		for h, e := range before.ents {
-			if *oldEnts[h] != e {
-				t.Fatalf("entity %d changed in place: %+v, was %+v", h, *oldEnts[h], e)
-			}
-			if got := after.ents[h]; got.ID != e.ID || got.Name != e.Name {
-				t.Fatalf("entity %d is %+v, was %+v", h, got, e)
-			}
+	if primary.SnapshotDigest() != want || replica.SnapshotDigest() != want || !bytes.Equal(snapBytes(replica), snapBytes(primary)) {
+		t.Fatal("after one applied record the replica differs from the primary, or the primary moved")
+	}
+	rg = replica.Graph()
+	forked, shared := 0, 0
+	for h, l := range lists {
+		if p := pg.SubjectPosting(int32(h)); !sameBacking(p, l) || !slices.Equal(p, l) {
+			t.Fatalf("the replica's apply moved the primary's subject posting %d", h)
 		}
-		for h, tr := range before.trs {
-			if after.trs[h] != tr {
-				t.Fatalf("triple %d is %+v, was %+v", h, after.trs[h], tr)
-			}
-		}
-		for i, c := range before.chunks {
-			if after.chunks[i] != c {
-				t.Fatalf("chunk %d is %+v, was %+v", i, after.chunks[i], c)
-			}
+		switch r := rg.SubjectPosting(int32(h)); {
+		case len(r) == 0:
+		case sameBacking(r, l):
+			shared++
+		default:
+			forked++
 		}
 	}
-	if replica.SnapshotDigest() != primary.SnapshotDigest() || !bytes.Equal(snapBytes(replica), snapBytes(primary)) {
-		t.Fatal("replica and primary differ after one applied record")
+	if forked == 0 || shared == 0 {
+		t.Fatalf("after its first apply the replica owns %d subject postings and shares %d; want some of each", forked, shared)
 	}
 }
 
-// TestSeedBesidePrimaryEmbedsNothing: a replica seeded against the snapshot
-// its body was encoded from copies every row's posting entries and embeds no
-// chunk; against a snapshot whose rows match a prefix of the body's it embeds
-// exactly the rows past that prefix; with none it embeds every row, as
-// recovery does. Not parallel: retrieval.EmbedCalls counts process-wide.
+// TestSeedBesidePrimaryEmbedsNothing: a replica seeded beside its primary, a
+// clone of the primary's snapshot, embeds no chunk, and its first apply —
+// the fork — embeds only the record's own chunks; a replica seeded from a
+// checkpoint body embeds every row, as recovery does. Not parallel:
+// retrieval.EmbedCalls counts process-wide.
 func TestSeedBesidePrimaryEmbedsNothing(t *testing.T) {
-	primary := NewSystem(durTestConfig())
+	primary, _ := openDurable(t, wal.NewMemFS(), durTestConfig())
 	ingestAll(t, primary, 0, 1, 2, 3, 4, 5)
-	overlap := NewSystem(durTestConfig())
-	ingestAll(t, overlap, 0, 1, 9)
-	handle := primary.ServingHandle()
-	body := handle.Encode()
-	pc, oc := chunksOf(primary), chunksOf(overlap)
-	prefix := 0
-	for prefix < min(len(pc), len(oc)) && pc[prefix].Text == oc[prefix].Text {
-		prefix++
+	rows := primary.Index().Len()
+	body := primary.ServingHandle().Encode()
+
+	before := retrieval.EmbedCalls()
+	replica, lsn, _ := cloneSeeded(t, primary)
+	if got := retrieval.EmbedCalls() - before; got != 0 {
+		t.Errorf("a clone seed embedded %d chunks, want 0", got)
 	}
-	if prefix == 0 || prefix == len(pc) {
-		t.Fatalf("overlapping handle shares %d of %d rows, want some but not all", prefix, len(pc))
+	ingestAll(t, primary, 6)
+	rec := logRecords(t, primary, lsn, lsn+1)[0]
+	before = retrieval.EmbedCalls()
+	if err := replica.ReplicaApply(rec); err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name string
-		ref  []SnapshotHandle
-		want int
-	}{
-		{"primary handle", []SnapshotHandle{handle}, 0},
-		{"overlapping handle", []SnapshotHandle{overlap.ServingHandle()}, len(pc) - prefix},
-		{"no handle", nil, len(pc)},
-	} {
-		before := retrieval.EmbedCalls()
-		seededFrom(t, body, tc.ref...)
-		if got := retrieval.EmbedCalls() - before; got != uint64(tc.want) {
-			t.Errorf("%s: seed embedded %d chunks, want %d of %d", tc.name, got, tc.want, len(pc))
-		}
+	if got, want := retrieval.EmbedCalls()-before, primary.Index().Len()-rows; got != uint64(want) {
+		t.Errorf("the first apply after a clone seed embedded %d chunks, want the record's %d", got, want)
+	}
+
+	before = retrieval.EmbedCalls()
+	if err := NewSystem(durTestConfig()).SeedReplica(body, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := retrieval.EmbedCalls() - before; got != uint64(rows) {
+		t.Errorf("a checkpoint-body seed embedded %d chunks, want all %d", got, rows)
 	}
 }
 
-// TestSeedReplicaDuringCommits seeds replicas against a captured snapshot
-// while another goroutine commits into its system. The first of those
-// commits claims the snapshot's lineage and appends in place behind its
-// length, in the chunk slice and posting lists the decode reads below it;
-// the seeded state must still be the captured one. Under -race it also
-// checks that the decode reads nothing the commits write.
+// TestSeedReplicaDuringCommits puts two writers on one lineage: replicas are
+// clone-seeded while a goroutine commits into their primary, then apply the
+// primary's records while it goes on committing. The primary claims each
+// record's rows first and appends in place behind the length its clones read
+// to; each replica loses the claim on its first apply and forks. Every
+// replica's digest must equal the primary's at every position it reaches, and
+// the snapshot each replica was seeded with must still encode to the bytes it
+// had, so neither engine wrote storage the other reads. Under -race it also
+// checks that no read of one engine races a write of the other.
 func TestSeedReplicaDuringCommits(t *testing.T) {
-	primary := NewSystem(durTestConfig())
+	primary, _ := openDurable(t, wal.NewMemFS(), durTestConfig())
 	var files []adapter.RawFile
 	for k := 0; k < 200; k++ {
 		files = append(files, disjointBatch(k)...)
@@ -241,34 +181,88 @@ func TestSeedReplicaDuringCommits(t *testing.T) {
 	if _, err := primary.Ingest(files); err != nil {
 		t.Fatal(err)
 	}
-	handle := primary.ServingHandle()
-	body := handle.Encode()
-	want := snapBytes(seededFrom(t, body))
 
+	const commits, seeds = 16, 3
+	var mu sync.Mutex
+	digests := map[uint64]uint64{primary.ReplicationLSN(): primary.SnapshotDigest()}
+	committed := make(chan struct{}, commits)
 	done := make(chan error, 1)
 	go func() {
-		for k := 0; k < 8; k++ {
+		for k := 0; k < commits; k++ {
 			if _, err := primary.Ingest(ingestBatch(k)); err != nil {
 				done <- err
 				return
 			}
+			lsn, digest := primary.ReplicationLSN(), primary.SnapshotDigest() // the only writer
+			mu.Lock()
+			digests[lsn] = digest
+			mu.Unlock()
+			committed <- struct{}{}
 		}
 		done <- nil
 	}()
-	var err error
-	seeds := 0
-	for finished := false; !finished || seeds == 0; seeds++ {
-		select {
-		case err = <-done:
-			finished = true
-		default:
+
+	type seeded struct {
+		sys     *System
+		from    uint64
+		tail    *wal.Tail
+		handle  SnapshotHandle
+		body    []byte            // handle's encoding when it was seeded
+		reached map[uint64]uint64 // position → the replica's digest there
+	}
+	var replicas []*seeded
+	for i := 0; i < seeds; i++ {
+		r, lsn, h := cloneSeeded(t, primary)
+		tail, err := primary.TailWAL(lsn)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := snapBytes(seededFrom(t, body, handle)); !bytes.Equal(got, want) {
-			t.Fatalf("seed %d beside the commits differs from the captured state", seeds)
+		replicas = append(replicas, &seeded{r, lsn, tail, h, h.Encode(), map[uint64]uint64{lsn: r.SnapshotDigest()}})
+		<-committed // the next seed a commit later
+	}
+	applyAll := func() {
+		to := primary.ReplicationLSN()
+		for _, s := range replicas {
+			for {
+				payload, ok, err := s.tail.Next(to)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				if err := s.sys.ReplicaApply(payload); err != nil {
+					t.Fatal(err)
+				}
+				s.reached[s.tail.LSN()] = s.sys.SnapshotDigest()
+			}
 		}
 	}
-	t.Logf("%d seeds beside 8 commits", seeds)
-	if err != nil {
+	for k := seeds; k < commits; k++ {
+		applyAll()
+		<-committed
+	}
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
+	applyAll()
+
+	mu.Lock()
+	defer mu.Unlock()
+	from := make([]uint64, len(replicas))
+	for i, s := range replicas {
+		from[i] = s.from
+		for lsn, got := range s.reached {
+			if want, ok := digests[lsn]; !ok || got != want {
+				t.Fatalf("replica %d at position %d: digest %016x, primary %016x", i, lsn, got, want)
+			}
+		}
+		if got, want := s.sys.ReplicationLSN(), primary.ReplicationLSN(); got != want {
+			t.Fatalf("replica %d at position %d, primary at %d", i, got, want)
+		}
+		if !bytes.Equal(s.handle.Encode(), s.body) {
+			t.Fatalf("replica %d's seed snapshot changed once both engines wrote", i)
+		}
+	}
+	t.Logf("replicas seeded at positions %v beside commits up to %d", from, primary.ReplicationLSN())
 }

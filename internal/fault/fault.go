@@ -65,9 +65,9 @@ const (
 	// resync from the primary; hang faults stall it until released, while the
 	// primary commits on and its lease keeps the log it has yet to read.
 	PointClusterReplay = "cluster.replay"
-	// PointClusterSeed fires before a replica decodes the primary's snapshot,
-	// when NewReplicaSet seeds it and when it resyncs. An error fails that seed
-	// as a body that does not decode would.
+	// PointClusterSeed fires after a replica captures its clone of the
+	// primary's snapshot and before it installs it, when NewReplicaSet seeds
+	// it and when it resyncs. An error fails that seed, releasing its lease.
 	PointClusterSeed = "cluster.seed"
 	// PointClusterProbe fires inside a replica health probe — the call the
 	// router uses to re-admit a drained replica.

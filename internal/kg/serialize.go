@@ -2,7 +2,6 @@ package kg
 
 import (
 	"fmt"
-	"math"
 
 	"multirag/internal/lineage"
 	"multirag/internal/wal"
@@ -70,33 +69,17 @@ func (g *Graph) EncodeTo(e *wal.Encoder) {
 // DecodeGraph rebuilds a graph from d (the inverse of EncodeTo). Handles are
 // validated against the decoded column sizes, so a corrupt payload fails with
 // an error instead of an out-of-bounds panic.
-//
-// ref, which may be nil, is a graph already in memory that the payload may
-// have been encoded from — a replica is seeded beside its primary. Every byte
-// is still read and validated, but an entity or a live triple that decodes
-// equal to ref's at the same handle is ref's *Entity or *Triple, and a string
-// field that decodes equal to the same field of ref's row is ref's string
-// (wal.Decoder.StringAs). Entities are replaced, never mutated, triples are
-// immutable and so are strings, so sharing them is invisible; the columns,
-// posting lists and lookups are the decoded graph's own. ref may be read
-// while another goroutine commits a clone of it.
-func DecodeGraph(d *wal.Decoder, ref *Graph) (*Graph, error) {
+func DecodeGraph(d *wal.Decoder) (*Graph, error) {
 	g := New()
 	nEnts := d.Int()
 	prevEnt := &Entity{}
 	for i := 0; i < nEnts && d.Err() == nil; i++ {
-		r := ref.entityAt(i)
-		ent := Entity{ID: d.StringAs(r.ID), Name: d.StringAs(r.Name)}
-		ent.Type = d.FrontAs(prevEnt.Type, r.Type)
-		ent.Domain = d.FrontAs(prevEnt.Domain, r.Domain)
-		p := r
-		if r == noEntity || ent != *r {
-			p = new(Entity)
-			*p = ent
-		}
-		prevEnt = p
-		h := g.ents.append(p)
-		g.entLookup.put(p.ID, h)
+		ent := &Entity{ID: d.String(), Name: d.String()}
+		ent.Type = d.Front(prevEnt.Type)
+		ent.Domain = d.Front(prevEnt.Domain)
+		prevEnt = ent
+		h := g.ents.append(ent)
+		g.entLookup.put(ent.ID, h)
 	}
 	nPreds := d.Int()
 	for i := 0; i < nPreds && d.Err() == nil; i++ {
@@ -125,12 +108,10 @@ func DecodeGraph(d *wal.Decoder, ref *Graph) (*Graph, error) {
 			g.tPred.append(predH)
 			continue
 		}
-		r := ref.tripleAt(i)
-		object := d.InternedAs(r.Object)
+		object := d.Interned()
 		var row [5]string
-		refRow := [5]string{1: r.Source, 4: r.ChunkID} // the fields a Triple stores
 		for j := range row {
-			row[j] = d.FrontAs(prev[j], refRow[j])
+			row[j] = d.Front(prev[j])
 		}
 		weight := d.F64()
 		if d.Err() != nil {
@@ -145,14 +126,7 @@ func DecodeGraph(d *wal.Decoder, ref *Graph) (*Graph, error) {
 		}
 		prev = row
 		h := int32(i)
-		t := Triple{Object: object, Source: row[1], ChunkID: row[4], Weight: weight, h: h, prov: g.internProv(row[2], row[3])}
-		p := r
-		// Float64bits as well: == holds for 0 and -0, which encode apart.
-		if r == noTriple || t != *r || math.Float64bits(t.Weight) != math.Float64bits(r.Weight) {
-			p = new(Triple)
-			*p = t
-		}
-		g.trs.append(p)
+		g.trs.append(&Triple{Object: object, Source: row[1], ChunkID: row[4], Weight: weight, h: h, prov: g.internProv(row[2], row[3])})
 		g.link(h, subjH, objH, predH)
 	}
 	if err := d.Err(); err != nil {
@@ -160,33 +134,4 @@ func DecodeGraph(d *wal.Decoder, ref *Graph) (*Graph, error) {
 	}
 	g.lin = lineage.New(g.trs.len()) // the slots were filled without claiming
 	return g, nil
-}
-
-// noEntity and noTriple stand for a row ref does not have: their string
-// fields share nothing but the empty string, and a decoded row is never
-// replaced by them.
-var (
-	noEntity = &Entity{}
-	noTriple = &Triple{}
-)
-
-// entityAt returns the entity at handle i of g, or noEntity if g is nil or
-// has no such handle.
-func (g *Graph) entityAt(i int) *Entity {
-	if g == nil || i >= g.ents.len() {
-		return noEntity
-	}
-	return g.ents.get(int32(i))
-}
-
-// tripleAt returns the live triple at handle i of g, or noTriple if g is nil,
-// has no such handle or removed that triple.
-func (g *Graph) tripleAt(i int) *Triple {
-	if g == nil || i >= g.trs.len() {
-		return noTriple
-	}
-	if t := g.trs.get(int32(i)); t != nil {
-		return t
-	}
-	return noTriple
 }

@@ -2,9 +2,7 @@ package kg
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -141,7 +139,7 @@ func TestGraphSerializeRoundTrip(t *testing.T) {
 			g := buildRandomGraph(t, rng, tc.n, tc.withRemovals)
 			raw := encodeGraph(g)
 			d := wal.NewDecoder(raw)
-			got, err := DecodeGraph(d, nil)
+			got, err := DecodeGraph(d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -171,58 +169,6 @@ func TestGraphSerializeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeGraphAgainstReference: a graph decoded against the graph it was
-// encoded from holds that graph's entities and live triples themselves; one
-// decoded against an unrelated graph, or against one whose triple differs only
-// in the sign of a zero weight, shares only what decodes equal. Either way it
-// is the encoded graph and re-encodes to the same bytes.
-func TestDecodeGraphAgainstReference(t *testing.T) {
-	decode := func(raw []byte, ref *Graph) *Graph {
-		t.Helper()
-		d := wal.NewDecoder(raw)
-		got, err := DecodeGraph(d, ref)
-		if err == nil {
-			err = d.Finish()
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(encodeGraph(got), raw) {
-			t.Fatal("re-encoded bytes differ from the decoded ones")
-		}
-		return got
-	}
-	g := buildRandomGraph(t, rand.New(rand.NewSource(7)), 1500, true)
-	raw := encodeGraph(g)
-	got := decode(raw, g)
-	requireGraphsEqual(t, got, g)
-	for h := int32(0); h < g.EntitySlots(); h++ {
-		if got.EntityAt(h) != g.EntityAt(h) {
-			t.Fatalf("entity %d is a copy of the reference's", h)
-		}
-	}
-	for h := int32(0); h < g.TripleSlots(); h++ {
-		if got.TripleAt(h) != g.TripleAt(h) {
-			t.Fatalf("triple %d is a copy of the reference's", h)
-		}
-	}
-	requireGraphsEqual(t, decode(raw, buildRandomGraph(t, rand.New(rand.NewSource(8)), 700, true)), g)
-
-	// == holds for 0 and -0, but they encode apart: the last 8 bytes of a
-	// graph whose last slot is live are its weight.
-	z := New()
-	if _, err := z.AddTriple(Fact{Subject: z.AddEntity("a", "", ""), Predicate: "p", Object: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	pos, neg := encodeGraph(z), encodeGraph(z)
-	binary.LittleEndian.PutUint64(pos[len(pos)-8:], math.Float64bits(0))
-	binary.LittleEndian.PutUint64(neg[len(neg)-8:], math.Float64bits(math.Copysign(0, -1)))
-	ref := decode(pos, nil)
-	if decode(neg, ref).TripleAt(0) == ref.TripleAt(0) {
-		t.Fatal("a triple weighing -0 decoded as the reference's weighing +0")
-	}
-}
-
 func TestDecodeGraphRejectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := buildRandomGraph(t, rng, 40, true)
@@ -233,7 +179,7 @@ func TestDecodeGraphRejectsCorruption(t *testing.T) {
 	// decode cleanly cannot happen here because counts are written up front).
 	for cut := 0; cut < len(raw); cut++ {
 		d := wal.NewDecoder(raw[:cut])
-		if dec, err := DecodeGraph(d, nil); err == nil {
+		if dec, err := DecodeGraph(d); err == nil {
 			if err := d.Finish(); err == nil {
 				t.Fatalf("cut %d: decode of truncated stream succeeded (%d entities)", cut, dec.NumEntities())
 			}

@@ -15,11 +15,15 @@
 //   - true — the count moved from have to have+n by compare-and-swap, so this
 //     store owns rows [have, have+n) and appends them in place, in O(n).
 //   - false — the count was already elsewhere: a second clone of one parent
-//     after the first was rolled back or discarded, or a parent appended to
-//     after it was cloned. The store forks: it stops writing into capacity it
-//     shares (how is the store's business — clipping slices, copying a partly
-//     filled block) and continues on the fresh token Claim left it with. A
-//     fork costs what every commit cost before the rule, once.
+//     after the first was rolled back or discarded, a parent appended to
+//     after it was cloned, or a replica seeded as a clone of its primary's
+//     published snapshot, which applies each record only after the primary's
+//     commit of it claimed the rows. The store forks: it stops writing into
+//     capacity it shares (how is the store's business — clipping slices,
+//     copying a partly filled block) and continues on the fresh token Claim
+//     left it with. A fork costs what every commit cost before the rule,
+//     once; for a replica that is a copy of each list it appends to, paid over
+//     its first applies.
 //
 // A store, like any snapshot under construction, has one writer at a time:
 // the token orders successive writers, it does not make concurrent appends to

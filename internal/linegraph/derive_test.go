@@ -19,7 +19,7 @@ func roundTrip(t *testing.T, g *kg.Graph) *kg.Graph {
 	var e wal.Encoder
 	g.EncodeTo(&e)
 	d := wal.NewDecoder(e.Bytes())
-	got, err := kg.DecodeGraph(d, nil)
+	got, err := kg.DecodeGraph(d)
 	if err == nil {
 		err = d.Finish()
 	}

@@ -3,7 +3,6 @@ package retrieval
 import (
 	"context"
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -44,20 +43,6 @@ func (p *postings) add(row int, v Vector) {
 func (p *postings) addSparse(row int, nz []weight) {
 	for _, x := range nz {
 		p.lists[x.b] = append(p.lists[x.b], posting{int32(row), x.w})
-	}
-}
-
-// copyRows sets every list of the empty p to a copy of ref's entries for the
-// rows below n, found by binary search since each list is sorted by row, with
-// a quarter more room (as appendChunks leaves) for the rows appended next.
-// No backing array is shared with ref, and ref is read only below each
-// list's length.
-func (p *postings) copyRows(ref *postings, n int) {
-	for d, l := range ref.lists {
-		m := sort.Search(len(l), func(i int) bool { return int(l[i].row) >= n })
-		if m > 0 {
-			p.lists[d] = append(make([]posting, 0, m+m/4), l[:m]...)
-		}
 	}
 }
 

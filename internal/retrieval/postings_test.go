@@ -307,7 +307,7 @@ func TestTermAtATimeMatchesDenseReference(t *testing.T) {
 		}
 		if corpus.embedded {
 			decoded := NewIndex(dim)
-			if err := DecodeIntoStore(wal.NewDecoder(encodeStore(shuffled)), decoded, 2, nil); err != nil {
+			if err := DecodeIntoStore(wal.NewDecoder(encodeStore(shuffled)), decoded, 2); err != nil {
 				t.Fatal(err)
 			}
 			stores["decoded"] = decoded

@@ -50,19 +50,7 @@ func EncodeStore(e *wal.Encoder, ix *Index) {
 // DocID shares the copy of the same document a triple's ChunkID decoded
 // earlier in the same body; its ID, which never repeats, is read without the
 // table (FrontFresh). On error ix is left empty.
-//
-// ref, which may be nil, is a store already in memory that the payload may
-// have been encoded from (kg.DecodeGraph has the same argument): a string
-// field that decodes equal to the same field of ref's chunk at the same row
-// is ref's string. Every row's vector is Embed(Text, dim), so over the
-// longest prefix of rows whose texts decode equal to ref's (ref at ix's
-// width), the vectors are ref's: those rows' posting entries are copied out
-// of ref's lists instead of re-embedded, and only the rows past the prefix
-// are embedded. Without ref the prefix is empty and every row is embedded, as
-// recovery needs. The chunk slice and posting lists are ix's own, so no
-// backing array is shared with ref, and ref is read only below its length,
-// so another goroutine may append to a clone of ref meanwhile.
-func DecodeIntoStore(d *wal.Decoder, ix *Index, workers int, ref *Index) error {
+func DecodeIntoStore(d *wal.Decoder, ix *Index, workers int) error {
 	dim := d.Int()
 	n := d.Int()
 	if err := d.Err(); err != nil {
@@ -74,35 +62,20 @@ func DecodeIntoStore(d *wal.Decoder, ix *Index, workers int, ref *Index) error {
 	if ix.Len() != 0 {
 		return fmt.Errorf("retrieval: decode: target store already holds %d chunks", ix.Len())
 	}
-	var refChunks []Chunk
-	if ref != nil {
-		refChunks = ref.chunks
-	}
 	// A quarter more room than the rows (as appendChunks leaves), so the
 	// appends a decoded store is about to take — a replica's applies, a
 	// reopened primary's commits — do not first copy every row.
 	chunks := make([]Chunk, 0, min(n+n/4, d.Remaining()/minStoredChunk))
 	var prev Chunk
 	for i := 0; i < n && d.Err() == nil; i++ {
-		var r Chunk
-		if i < len(refChunks) {
-			r = refChunks[i]
-		}
-		c := Chunk{ID: d.FrontFresh(prev.ID, r.ID), DocID: d.FrontAs(prev.DocID, r.DocID), Source: d.FrontAs(prev.Source, r.Source), Text: d.StringAs(r.Text)}
+		c := Chunk{ID: d.FrontFresh(prev.ID), DocID: d.Front(prev.DocID), Source: d.Front(prev.Source), Text: d.String()}
 		chunks = append(chunks, c)
 		prev = c
 	}
 	if err := d.Err(); err != nil {
 		return err
 	}
-	k := 0
-	if ref != nil && ref.dim == ix.dim {
-		for k < min(len(chunks), len(refChunks)) && chunks[k].Text == refChunks[k].Text {
-			k++
-		}
-		ix.post.copyRows(&ref.post, k)
-	}
-	ix.postEmbedded(chunks, k, workers)
+	ix.postEmbedded(chunks, workers)
 	ix.chunks = chunks
 	// The rows were appended without claiming them (nothing else shares a
 	// store being decoded); the token starts at the count.
@@ -114,17 +87,15 @@ func DecodeIntoStore(d *wal.Decoder, ix *Index, workers int, ref *Index) error {
 // store is rebuilt.
 const embedBlock = 512
 
-// postEmbedded embeds rows [from, len(cs)) of cs and posts them after the
-// rows [0, from) ix's posting lists already hold. Blocks of embedBlock
-// rows are embedded into sparse slabs on up to workers goroutines, while the
-// calling goroutine posts the finished blocks in row order, which keeps every
-// posting list sorted by row. A decode holds a ring of one slab more than it
+// postEmbedded posts the embeddings of cs as the first rows of the empty
+// index ix. Blocks of embedBlock rows are embedded into sparse slabs on up to
+// workers goroutines, while the calling goroutine posts the finished blocks in
+// row order, which keeps every posting list sorted by row. A decode holds a ring of one slab more than it
 // runs workers: block i embeds into slot i mod the ring's size, once the
 // poster is done with the block before it in that slot. Blocks are handed
 // out in order and the lowest unfinished one never waits, so the ring bounds
 // how far the workers run ahead of the poster without stalling it.
-func (ix *Index) postEmbedded(cs []Chunk, from, workers int) {
-	cs = cs[from:]
+func (ix *Index) postEmbedded(cs []Chunk, workers int) {
 	blocks := (len(cs) + embedBlock - 1) / embedBlock
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -150,7 +121,7 @@ func (ix *Index) postEmbedded(cs []Chunk, from, workers int) {
 	})
 	for i := range blocks {
 		<-done[i]
-		row := from + i*embedBlock
+		row := i * embedBlock
 		slots[i%len(slots)].each(func(j int, nz []weight) { ix.post.addSparse(row+j, nz) })
 		close(posted[i])
 	}

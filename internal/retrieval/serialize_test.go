@@ -51,7 +51,7 @@ func TestStoreSerializeRoundTrip(t *testing.T) {
 			for _, workers := range []int{1, 3} {
 				dst := NewIndex(32)
 				d := wal.NewDecoder(raw)
-				if err := DecodeIntoStore(d, dst, workers, nil); err != nil {
+				if err := DecodeIntoStore(d, dst, workers); err != nil {
 					t.Fatal(err)
 				}
 				if err := d.Finish(); err != nil {
@@ -80,59 +80,6 @@ func TestStoreSerializeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeAgainstReference: a store decoded against a reference decodes to
-// the posting lists the decode without one rebuilds, whether the reference
-// holds every row, a prefix of them, rows that differ after a prefix or is of
-// another width; and none of its lists shares a backing array with the
-// reference's, so appends to the decoded store leave the reference as it was.
-func TestDecodeAgainstReference(t *testing.T) {
-	src := NewIndex(32)
-	fillStore(src, 1100)
-	raw := encodeStore(src)
-	want := NewIndex(32)
-	if err := DecodeIntoStore(wal.NewDecoder(raw), want, 2, nil); err != nil {
-		t.Fatal(err)
-	}
-	prefix := NewIndex(32)
-	fillStore(prefix, 600)
-	diverged := NewIndex(32)
-	fillStore(diverged, 700)
-	diverged.Add(Chunk{ID: "other", Text: "a row the body does not hold"})
-	fillStore(diverged, 100)
-	wide := NewIndex(64)
-	fillStore(wide, 1100)
-	for _, tc := range []struct {
-		name string
-		ref  *Index
-	}{{"same", src}, {"prefix", prefix}, {"diverged", diverged}, {"other width", wide}} {
-		dst := NewIndex(32)
-		if err := DecodeIntoStore(wal.NewDecoder(raw), dst, 3, tc.ref); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if !reflect.DeepEqual(dst.post, want.post) {
-			t.Fatalf("%s: posting lists differ from the decode without a reference", tc.name)
-		}
-		refLists := map[*posting]bool{}
-		for _, l := range tc.ref.post.lists {
-			if cap(l) > 0 {
-				refLists[&l[:cap(l)][cap(l)-1]] = true
-			}
-		}
-		for d, l := range dst.post.lists {
-			if cap(l) > 0 && refLists[&l[:cap(l)][cap(l)-1]] {
-				t.Fatalf("%s: list %d shares the reference's backing array", tc.name, d)
-			}
-		}
-		chunks := encodeStore(tc.ref)
-		lists := NewIndex(tc.ref.dim)
-		lists.post.copyRows(&tc.ref.post, tc.ref.Len())
-		fillStore(dst, 50)
-		if !bytes.Equal(encodeStore(tc.ref), chunks) || !reflect.DeepEqual(lists.post, tc.ref.post) {
-			t.Fatalf("%s: appending to the decoded store changed the reference", tc.name)
-		}
-	}
-}
-
 // TestDecodeIntoStoreValidates: a width mismatch, a non-empty target and a
 // body cut at any byte are errors, with the target left empty.
 func TestDecodeIntoStoreValidates(t *testing.T) {
@@ -140,18 +87,18 @@ func TestDecodeIntoStoreValidates(t *testing.T) {
 	fillStore(src, 5)
 	raw := encodeStore(src)
 
-	if err := DecodeIntoStore(wal.NewDecoder(raw), NewIndex(32), 1, nil); err == nil {
+	if err := DecodeIntoStore(wal.NewDecoder(raw), NewIndex(32), 1); err == nil {
 		t.Fatal("decode accepted a dim mismatch")
 	}
 	full := NewIndex(16)
 	fillStore(full, 1)
-	if err := DecodeIntoStore(wal.NewDecoder(raw), full, 1, nil); err == nil {
+	if err := DecodeIntoStore(wal.NewDecoder(raw), full, 1); err == nil {
 		t.Fatal("decode accepted a non-empty target store")
 	}
 	for cut := 0; cut < len(raw); cut++ {
 		dst := NewIndex(16)
 		d := wal.NewDecoder(raw[:cut])
-		if err := DecodeIntoStore(d, dst, 1, nil); err == nil {
+		if err := DecodeIntoStore(d, dst, 1); err == nil {
 			if err := d.Finish(); err == nil {
 				t.Fatalf("cut %d: decode of truncated stream succeeded", cut)
 			}
@@ -173,7 +120,7 @@ func TestDecodeAllocationPerRow(t *testing.T) {
 	var before, after runtime.MemStats
 	dst := NewIndex(DefaultDim)
 	runtime.ReadMemStats(&before)
-	err := DecodeIntoStore(wal.NewDecoder(raw), dst, 1, nil)
+	err := DecodeIntoStore(wal.NewDecoder(raw), dst, 1)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +140,7 @@ func TestDecodeAllocationPerRow(t *testing.T) {
 	e.Int(1<<31 - 1)
 	empty := NewIndex(DefaultDim)
 	runtime.ReadMemStats(&before)
-	err = DecodeIntoStore(wal.NewDecoder(e.Bytes()), empty, 1, nil)
+	err = DecodeIntoStore(wal.NewDecoder(e.Bytes()), empty, 1)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("decode accepted a row count with no rows behind it")

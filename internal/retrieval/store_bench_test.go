@@ -77,7 +77,7 @@ func BenchmarkDecodeStore(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := retrieval.DecodeIntoStore(wal.NewDecoder(body), retrieval.NewIndex(retrieval.DefaultDim), 0, nil); err != nil {
+		if err := retrieval.DecodeIntoStore(wal.NewDecoder(body), retrieval.NewIndex(retrieval.DefaultDim), 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -150,7 +150,7 @@ func TestAppendSparseMatchesDenseAppend(t *testing.T) {
 		stores := map[string]*Index{"one batch": whole, "over clones": generations}
 		if corpus.embedded {
 			decoded := NewIndex(dim)
-			if err := DecodeIntoStore(wal.NewDecoder(encodeStore(want)), decoded, 2, nil); err != nil {
+			if err := DecodeIntoStore(wal.NewDecoder(encodeStore(want)), decoded, 2); err != nil {
 				t.Fatal(err)
 			}
 			stores["decoded"] = decoded

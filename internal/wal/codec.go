@@ -321,37 +321,12 @@ func (d *Decoder) F32() float32 {
 // String reads a length-prefixed string.
 func (d *Decoder) String() string { return string(d.stringBytes()) }
 
-// StringAs reads a length-prefixed string exactly as String does — same
-// value, same error, same offset — but returns ref itself, allocating
-// nothing, when the bytes read equal it. The As readers are for decoding
-// state beside a copy already in memory (a replica seeded beside its
-// primary): the caller passes the copy's value at the same position, and a
-// field that decodes equal to it shares the copy's bytes. Strings are
-// immutable, so the two holders can never tell.
-func (d *Decoder) StringAs(ref string) string {
-	b := d.stringBytes()
-	if string(b) == ref {
-		return ref
-	}
-	return string(b)
-}
-
 // Interned reads a length-prefixed string exactly as String does — same
 // value, same error, same offset — but returns one shared copy of every value
 // this decoder has read through Interned before. Decoders read the fields
 // that repeat across rows (a triple's source, a chunk's document) through it,
 // so decoded state holds each such value once instead of once per row.
 func (d *Decoder) Interned() string { return d.intern(d.stringBytes()) }
-
-// InternedAs reads a field exactly as Interned does, but returns ref itself
-// when the bytes read equal it (see StringAs).
-func (d *Decoder) InternedAs(ref string) string {
-	b := d.stringBytes()
-	if string(b) == ref {
-		return ref
-	}
-	return d.intern(b)
-}
 
 // intern returns the table's copy of b, adding one if b is new.
 func (d *Decoder) intern(b []byte) string {
@@ -371,21 +346,16 @@ func (d *Decoder) intern(b []byte) string {
 // longer than prev is a latched error. An exact repeat returns prev itself;
 // any other value is interned through the table Interned uses, so decoded
 // state holds one copy of each distinct value however it was coded.
-func (d *Decoder) Front(prev string) string { return d.front(prev, "", true) }
+func (d *Decoder) Front(prev string) string { return d.front(prev, true) }
 
-// FrontAs reads a field exactly as Front does, but returns ref itself when
-// the value read equals it (see StringAs), before looking at prev or the
-// table.
-func (d *Decoder) FrontAs(prev, ref string) string { return d.front(prev, ref, true) }
+// FrontFresh reads a field written by Encoder.Front exactly as Front does —
+// same value, same error, same offset — but returns a value that is not an
+// exact repeat of prev as a copy of its own instead of the table's. It is for
+// a column whose values never repeat, such as a chunk's ID, where the table
+// would pay a map insertion per row and share nothing.
+func (d *Decoder) FrontFresh(prev string) string { return d.front(prev, false) }
 
-// FrontFresh reads a field exactly as FrontAs does — same value, same error,
-// same offset — but returns a value that is neither ref nor an exact repeat
-// of prev as a copy of its own instead of the table's. It is for a column
-// whose values never repeat, such as a chunk's ID, where the table would pay
-// a map insertion per row and share nothing.
-func (d *Decoder) FrontFresh(prev, ref string) string { return d.front(prev, ref, false) }
-
-func (d *Decoder) front(prev, ref string, intern bool) string {
+func (d *Decoder) front(prev string, intern bool) string {
 	l := d.Uvarint()
 	if d.err != nil {
 		return ""
@@ -399,8 +369,6 @@ func (d *Decoder) front(prev, ref string, intern bool) string {
 		return ""
 	}
 	switch {
-	case len(ref) == int(l)+len(suffix) && ref[:l] == prev[:l] && ref[l:] == string(suffix):
-		return ref
 	case len(suffix) == 0 && int(l) == len(prev):
 		return prev
 	case !intern:

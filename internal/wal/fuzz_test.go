@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 	"unsafe"
 )
@@ -194,53 +193,18 @@ func FuzzDecoder(f *testing.F) {
 			}
 			prevWant, prevGot = want, got
 		}
-		// The As readers read what the plain ones read, value, error and
-		// offset, whatever reference they are given, and return the
-		// reference itself whenever the value equals it. The reference is a
-		// private copy of the value on even rows and a fixed value on odd
-		// ones, so every row of a seed takes one branch or the other.
-		plain, strAs := NewDecoder(b), NewDecoder(b)
-		interned, internedAs := NewDecoder(b), NewDecoder(b)
-		fronted, frontAs, fresh := NewDecoder(b), NewDecoder(b), NewDecoder(b)
-		prevGot, prevAs, prevFresh := "", "", ""
+		// FrontFresh reads what Front reads, value, error and offset.
+		fresh, fronted := NewDecoder(b), NewDecoder(b)
+		prevGot = ""
 		for i := 0; i < 8; i++ {
-			probe := *plain
-			ref := "feed"
-			if i%2 == 0 {
-				ref = strings.Clone(probe.String())
+			want, got := fronted.Front(prevGot), fresh.FrontFresh(prevGot)
+			if got != want || fresh.off != fronted.off || fmt.Sprint(fresh.err) != fmt.Sprint(fronted.err) {
+				t.Fatalf("row %d: FrontFresh = %q at %d (%v), Front = %q at %d (%v)",
+					i, got, fresh.off, fresh.err, want, fronted.off, fronted.err)
 			}
-			want, got := plain.String(), strAs.StringAs(ref)
-			checkAs(t, "StringAs", i, want, got, ref, plain, strAs)
-			want, got = interned.Interned(), internedAs.InternedAs(ref)
-			checkAs(t, "InternedAs", i, want, got, ref, interned, internedAs)
-
-			probe = *fronted
-			ref = "doc-1#c1"
-			if i%2 == 0 {
-				ref = strings.Clone(probe.Front(prevGot))
-			}
-			want = fronted.Front(prevGot)
-			got = frontAs.FrontAs(prevAs, ref)
-			checkAs(t, "FrontAs", i, want, got, ref, fronted, frontAs)
-			gotFresh := fresh.FrontFresh(prevFresh, ref)
-			checkAs(t, "FrontFresh", i, want, gotFresh, ref, fronted, fresh)
-			prevGot, prevAs, prevFresh = want, got, gotFresh
+			prevGot = got
 		}
 	})
-}
-
-// checkAs fails t unless a reference-taking reader (got, read by as) read
-// what the plain reader did (want, read by plain) — the same value, offset and
-// error — and returned ref itself if the value equals it.
-func checkAs(t *testing.T, name string, row int, want, got, ref string, plain, as *Decoder) {
-	t.Helper()
-	if got != want || as.off != plain.off || fmt.Sprint(as.err) != fmt.Sprint(plain.err) {
-		t.Fatalf("row %d: %s = %q at %d (%v), plain = %q at %d (%v)",
-			row, name, got, as.off, as.err, want, plain.off, plain.err)
-	}
-	if got == ref && ref != "" && unsafe.StringData(got) != unsafe.StringData(ref) {
-		t.Fatalf("row %d: %s read %q, equal to its reference, as a copy", row, name, got)
-	}
 }
 
 // oracleFront reads a front-coded field the plain way: the prefix length, a

@@ -120,12 +120,11 @@ func TestFront(t *testing.T) {
 		d := NewDecoder(e.Bytes())
 		prev, first := "", map[string]string{}
 		for i, want := range rows {
-			var got string
+			read := d.Front
 			if fresh {
-				got = d.FrontFresh(prev, "")
-			} else {
-				got = d.Front(prev)
+				read = d.FrontFresh
 			}
+			got := read(prev)
 			if got != want {
 				t.Fatalf("fresh=%v row %d = %q, want %q", fresh, i, got, want)
 			}
