@@ -47,7 +47,7 @@ ceilings:
 # deadlock, no goroutine leak, no torn snapshot and byte-identical WAL
 # recovery. -count=1 keeps it uncached so CI always exercises the grid. The
 # suites live in internal/core and internal/serve; internal/fault's own unit
-# tests (injection, breaker) have no TestChaos prefix and run under `race`.
+# tests (injection) have no TestChaos prefix and run under `race`.
 chaos:
 	$(GO) test -race -count=1 -run '^TestChaos' ./internal/core ./internal/serve
 

@@ -203,41 +203,9 @@ func (r *Replica) Live() bool { return replicaState(r.state.Load()) == stateLive
 func (r *Replica) Position() uint64 { return r.applied.Load() }
 
 // AskEach answers queries[i] under ctxs[i] against the replica's snapshot,
-// exactly as System.AskEach would against the primary's. The fault point
-// lets chaos tests hang or fail one replica's read path in isolation; an
-// injected error degrades the whole batch (the router counts that as a
-// strike).
+// exactly as System.AskEach would against the primary's.
 func (r *Replica) AskEach(ctxs []context.Context, queries []string) []Answer {
-	ctx := context.Background()
-	for _, qc := range ctxs {
-		if qc != nil {
-			ctx = qc
-			break
-		}
-	}
-	out := make([]Answer, len(queries))
-	if err := fault.Inject(ctx, fault.PointClusterQuery); err != nil {
-		for i, q := range queries {
-			out[i] = Answer{Query: q, Degraded: true, DegradedReason: err.Error()}
-		}
-		return out
-	}
-	for i, a := range r.sys.QueryEach(ctxs, queries) {
-		out[i] = convertAnswer(a)
-	}
-	return out
-}
-
-// Probe health-checks the replica; nil means it is live and servable. The
-// serving router probes drained replicas before re-admitting them.
-func (r *Replica) Probe(ctx context.Context) error {
-	if err := fault.Inject(ctx, fault.PointClusterProbe); err != nil {
-		return err
-	}
-	if st := replicaState(r.state.Load()); st != stateLive {
-		return fmt.Errorf("multirag: %s is %s", r.name, st)
-	}
-	return nil
+	return askEach(r.sys, ctxs, queries)
 }
 
 // status snapshots the replica's counters against the given committed

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -254,35 +253,6 @@ func TestClusterAntiEntropyCatchesDivergence(t *testing.T) {
 	requireIdentical(t, c)
 	if st := r.status(c.CommittedLSN()); st.Resyncs != 1 {
 		t.Fatalf("replica resynced %d times, want 1: %+v", st.Resyncs, st)
-	}
-}
-
-// TestClusterProbeReflectsState pins the router's re-admission contract.
-func TestClusterProbeReflectsState(t *testing.T) {
-	defer fault.Reset()
-	primary := openPrimary(t, wal.NewMemFS())
-	c, err := newCluster(primary, 1)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer c.Close()
-	r := c.Replicas()[0]
-
-	if err := r.Probe(context.Background()); err != nil {
-		t.Fatalf("probe on live replica: %v", err)
-	}
-	r.state.Store(int32(stateFenced))
-	if err := r.Probe(context.Background()); err == nil || !strings.Contains(err.Error(), "fenced") {
-		t.Fatalf("probe on fenced replica = %v, want fenced error", err)
-	}
-	r.state.Store(int32(stateLive))
-	fault.Enable(fault.PointClusterProbe, fault.Fault{Kind: fault.KindError})
-	if err := r.Probe(context.Background()); err == nil {
-		t.Fatal("probe ignored the injected fault")
-	}
-	fault.Disable(fault.PointClusterProbe)
-	if err := r.Probe(context.Background()); err != nil {
-		t.Fatalf("probe after fault cleared: %v", err)
 	}
 }
 

@@ -67,10 +67,11 @@ the process exits. Inspect or repair a directory with "multirag recover".
 With -replicas N (needs -data-dir), reads are served from N in-process
 replicas that read and replay the primary's write-ahead log, byte-identical
 to it at every position and checked by snapshot digest every 16 records.
--route picks the policy (round-robin or primary-only). A replica more than
-256 commit groups behind the primary is skipped until it catches up, and
-reads fail over to the primary. Replica health, lag and resync counters
-appear under "router" in /v1/metrics.
+-route picks the policy (round-robin or primary-only). A replica that is
+fenced, resyncing or more than 256 commit groups behind the primary is
+skipped until it is live and caught up; with none eligible, reads go to the
+primary. Replica state, lag and resync counters appear under "router" in
+/v1/metrics.
 
 Flags:
 `)

@@ -56,11 +56,10 @@
 // records. A slow replica just reads further behind, its retention lease
 // keeping the log it still needs; one whose read or replay fails, or whose
 // digest differs, fences itself and reseeds from the primary. The serving
-// layer routes reads across the set (CLI: `multirag serve -data-dir D
-// -replicas N -route round-robin|primary-only`), bounds staleness
-// (laggards fail over to the primary) and health-checks replicas behind
-// per-replica circuit breakers. `multirag recover -verify` prints the
-// replication position and snapshot digest for offline cross-node
+// layer routes reads to the replicas that are live and within a staleness
+// bound, and to the primary when none is (CLI: `multirag serve -data-dir D
+// -replicas N -route round-robin|primary-only`). `multirag recover -verify`
+// prints the replication position and snapshot digest for offline cross-node
 // comparison. `go run ./benchmark` measures a primary and two replicas behind
 // the HTTP front door end to end. See DESIGN.md section 11.
 //

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -19,6 +20,12 @@ import (
 // Later callers block in admit until the committer drains a group, which
 // caps the memory held by prepared-but-uncommitted batches.
 const maxPendingBatches = 64
+
+// ErrCommit wraps every error the commit itself raises — an injected commit
+// fault, a failed replay of stage 1's own output, a failed WAL append — as
+// opposed to one the ingested files cause: the server failed, not the
+// request.
+var ErrCommit = errors.New("core: commit")
 
 // groupWindow caps the group-forming window: an elected leader that can see
 // other admitted batches still preparing blocks on the committer condvar —
@@ -189,7 +196,7 @@ func (s *System) commitGroup(group []*prepared) {
 	if err := fault.Inject(context.Background(), fault.PointCommit); err != nil {
 		for _, p := range group {
 			if p.err == nil {
-				p.err = fmt.Errorf("core: commit: %w", err)
+				p.err = fmt.Errorf("%w: %w", ErrCommit, err)
 			}
 		}
 		return
@@ -215,7 +222,7 @@ func (s *System) commitGroup(group []*prepared) {
 		var err error
 		newIDs, err = replayBatch(g, ix, sc, &d, p, newIDs)
 		if err != nil {
-			p.err = err
+			p.err = fmt.Errorf("%w: replay: %w", ErrCommit, err)
 			// Rollback: discard the poisoned clone and re-replay the group's
 			// earlier successes from scratch. Replay is deterministic, so a
 			// batch that succeeded once succeeds again with identical deltas.
@@ -227,7 +234,7 @@ func (s *System) commitGroup(group []*prepared) {
 				var qerr error
 				newIDs, qerr = replayBatch(g, ix, sc, &d, q, newIDs)
 				if qerr != nil {
-					q.err = qerr // unreachable for deterministic replays
+					q.err = fmt.Errorf("%w: replay: %w", ErrCommit, qerr) // unreachable for deterministic replays
 					continue
 				}
 				retained = append(retained, q)
@@ -246,7 +253,7 @@ func (s *System) commitGroup(group []*prepared) {
 		// acknowledged one may never be.
 		if err := s.dur.appendGroup(committed); err != nil {
 			for _, p := range committed {
-				p.err = fmt.Errorf("core: wal append: %w", err)
+				p.err = fmt.Errorf("%w: wal append: %w", ErrCommit, err)
 			}
 			committed = nil
 		}

@@ -1,11 +1,9 @@
-// Package fault is the failure-containment toolkit of the serving stack:
-// named fault-injection points and the circuit breaker the replica router
-// gates each replica with.
+// Package fault holds the serving stack's named fault-injection points.
 //
-// The injection half generalises wal.MemFS's OnOp hook from filesystem
-// operations to the whole request lifecycle. Production code marks the places
-// where the outside world could fail — an LLM call, a retrieval scan, a WAL
-// append, a commit — with a named point:
+// It generalises wal.MemFS's OnOp hook from filesystem operations to the
+// whole request lifecycle. Production code marks the places where the outside
+// world could fail — an LLM call, a retrieval scan, a WAL append, a commit —
+// with a named point:
 //
 //	if err := fault.Inject(ctx, fault.PointLLMGenerate); err != nil { ... }
 //
@@ -69,13 +67,6 @@ const (
 	// primary's snapshot and before it installs it, when NewReplicaSet seeds
 	// it and when it resyncs. An error fails that seed, releasing its lease.
 	PointClusterSeed = "cluster.seed"
-	// PointClusterProbe fires inside a replica health probe — the call the
-	// router uses to re-admit a drained replica.
-	PointClusterProbe = "cluster.probe"
-	// PointClusterQuery fires at the head of a replica's batch query entry
-	// point, so chaos tests can hang or fail a single replica's read path
-	// without touching the primary or its siblings.
-	PointClusterQuery = "cluster.query"
 )
 
 // Kind selects a fault's behaviour.

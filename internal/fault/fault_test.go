@@ -3,7 +3,6 @@ package fault
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 )
@@ -104,81 +103,5 @@ func TestArmedList(t *testing.T) {
 	Reset()
 	if len(Armed()) != 0 {
 		t.Fatal("Reset left faults armed")
-	}
-}
-
-func TestBreakerTripHalfOpenRecover(t *testing.T) {
-	clock := time.Unix(0, 0)
-	now := func() time.Time { return clock }
-	b := NewBreaker("test", 3, time.Second, now)
-
-	boom := errors.New("boom")
-	fail := func() error { return boom }
-	ok := func() error { return nil }
-
-	for i := 0; i < 3; i++ {
-		if err := b.Do(fail); !errors.Is(err, boom) {
-			t.Fatalf("call %d = %v, want boom", i, err)
-		}
-	}
-	if b.State() != BreakerOpen {
-		t.Fatalf("state = %v, want open", b.State())
-	}
-	if err := b.Do(ok); !errors.Is(err, ErrOpen) {
-		t.Fatalf("open breaker = %v, want ErrOpen", err)
-	}
-
-	// Cooldown elapses; a failing probe re-opens.
-	clock = clock.Add(time.Second)
-	if err := b.Do(fail); !errors.Is(err, boom) {
-		t.Fatalf("probe = %v, want boom (probe admitted)", err)
-	}
-	if b.State() != BreakerOpen {
-		t.Fatalf("state after failed probe = %v, want open", b.State())
-	}
-
-	// Another cooldown; a succeeding probe closes it again.
-	clock = clock.Add(time.Second)
-	if err := b.Do(ok); err != nil {
-		t.Fatalf("probe = %v, want nil", err)
-	}
-	if b.State() != BreakerClosed {
-		t.Fatalf("state after good probe = %v, want closed", b.State())
-	}
-
-	st := b.Stats()
-	if st.Trips != 2 || st.FastFails != 1 || st.Successes != 1 {
-		t.Fatalf("stats = %+v, want trips=2 fastFails=1 successes=1", st)
-	}
-}
-
-func TestBreakerHalfOpenSingleProbe(t *testing.T) {
-	clock := time.Unix(0, 0)
-	b := NewBreaker("test", 1, time.Second, func() time.Time { return clock })
-	_ = b.Do(func() error { return errors.New("x") })
-	clock = clock.Add(2 * time.Second)
-
-	// First caller takes the probe slot and blocks; a concurrent caller must
-	// fast-fail rather than stack a second probe.
-	probeStarted := make(chan struct{})
-	probeRelease := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = b.Do(func() error {
-			close(probeStarted)
-			<-probeRelease
-			return nil
-		})
-	}()
-	<-probeStarted
-	if err := b.Do(func() error { return nil }); !errors.Is(err, ErrOpen) {
-		t.Fatalf("second half-open call = %v, want ErrOpen", err)
-	}
-	close(probeRelease)
-	wg.Wait()
-	if b.State() != BreakerClosed {
-		t.Fatalf("state = %v, want closed", b.State())
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -229,4 +230,59 @@ func TestChaosServeExecutorHangShedsQueue(t *testing.T) {
 	}()
 	http.DefaultClient.CloseIdleConnections()
 	waitServeGoroutines(t, base)
+}
+
+// TestChaosServeIngestFailureStatus: /v1/ingest answers 500 when the files
+// were accepted but the commit failed — an injected commit fault, or a failed
+// WAL append on a durable server — and the same request then succeeds; it
+// answers 400 only when the request is at fault, here a 1 MiB file with no
+// name, and that body names the file without echoing its content.
+func TestChaosServeIngestFailureStatus(t *testing.T) {
+	defer fault.Reset()
+	file := IngestFile{Domain: "flights", Source: "airport-api", Name: "late",
+		Format: "kg", Content: "ZZ100|status|Scheduled\n"}
+	noName := file
+	noName.Name, noName.Content = "", strings.Repeat("payload!", 1<<17)
+	cases := []struct {
+		name    string
+		point   string // armed with one injected error; "" arms nothing
+		durable bool
+		file    IngestFile
+		want    int
+	}{
+		{"commit", fault.PointCommit, false, file, http.StatusInternalServerError},
+		{"wal-append", fault.PointWALAppend, true, file, http.StatusInternalServerError},
+		{"missing-field", "", false, noName, http.StatusBadRequest},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer fault.Reset()
+			var cfg Config
+			if c.durable {
+				cfg.System = newDurableCorpusSystem(t)
+			}
+			_, ts := newTestServer(t, cfg)
+			if c.point != "" {
+				fault.Enable(c.point, fault.Fault{Kind: fault.KindError, MaxHits: 1})
+			}
+			req := IngestRequest{Files: []IngestFile{c.file}}
+			resp, body := postJSON(t, ts.URL+"/v1/ingest", req)
+			var er ErrorResponse
+			if err := json.Unmarshal(body, &er); err != nil || resp.StatusCode != c.want || er.Error == "" {
+				t.Fatalf("status %d, want %d: %.200s", resp.StatusCode, c.want, body)
+			}
+			if len(body) > 512 || strings.Contains(er.Error, "payload") {
+				t.Fatalf("%d-byte error body echoes the request: %.200s", len(body), body)
+			}
+			if c.point == "" {
+				return
+			}
+			if !strings.Contains(er.Error, fault.ErrInjected.Error()) {
+				t.Fatalf("500 body %q does not carry the commit's error", er.Error)
+			}
+			if resp, body := postJSON(t, ts.URL+"/v1/ingest", req); resp.StatusCode != http.StatusOK {
+				t.Fatalf("retry after the failed commit: status %d: %s", resp.StatusCode, body)
+			}
+		})
+	}
 }

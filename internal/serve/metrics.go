@@ -60,9 +60,9 @@ type MetricsSnapshot struct {
 	// over an existing data directory (nil for in-memory deployments).
 	Durability multirag.DurabilityInfo `json:"durability"`
 	Recovery   *multirag.RecoveryInfo  `json:"recovery,omitempty"`
-	// Router reports replica routing state — per-replica health, lag,
-	// anti-entropy counters, routing/hedging counters and breaker states —
-	// when the server was configured with a ReplicaSet; nil otherwise.
+	// Router reports replica routing state — per-replica state, lag and
+	// anti-entropy counters, and where engine calls were routed — when the
+	// server was configured with a ReplicaSet; nil otherwise.
 	Router *RouterMetrics `json:"router,omitempty"`
 }
 

@@ -168,37 +168,65 @@ func TestChaosClusterRouterShedsLaggingReplica(t *testing.T) {
 	waitServeGoroutines(t, base)
 }
 
-// TestChaosClusterRouterFailsOverOnQueryErrors injects hard failures into the
-// replica query path: each failed dispatch strikes that replica's breaker and
-// the batch fails over, so the client sees a correct 200 every time. Once the
-// fault budget is spent, reads land on replicas again with no breaker left
-// open.
-func TestChaosClusterRouterFailsOverOnQueryErrors(t *testing.T) {
+// TestChaosClusterRouterSkipsResyncingReplica pins the router's health gate:
+// a replica that fences itself — here on an injected replay error — is not
+// live while it resyncs, so no read is routed to it and every HTTP answer is
+// still the primary's. Once its resync completes it is live again and back
+// in the rotation.
+func TestChaosClusterRouterSkipsResyncingReplica(t *testing.T) {
 	defer fault.Reset()
 	base := runtime.NumGoroutine()
 
-	sys, _, s, ts, closeAll := newChaosClusterServer(t, 3,
-		Config{Route: RouteRoundRobin})
+	sys, set, s, ts, closeAll := newChaosClusterServer(t, 3, Config{Route: RouteRoundRobin})
 	want := sys.AskEach(make([]context.Context, 1),
-		[]string{"What is the delay reason of CA981?"})[0]
+		[]string{"What is the status of CA981?"})[0]
 
-	fault.Enable(fault.PointClusterQuery, fault.Fault{Kind: fault.KindError, MaxHits: 3})
-	for i := 0; i < 6; i++ {
+	// Fence exactly one replica on its next read and hold its resync.
+	fault.Enable(fault.PointClusterSeed, fault.Fault{Kind: fault.KindHang})
+	fault.Enable(fault.PointClusterReplay, fault.Fault{Kind: fault.KindError, MaxHits: 1})
+	ingestFiller(t, sys, 0)
+	waitUntil(t, "a replica to fence and start its resync", func() bool {
+		return fault.Hits(fault.PointClusterSeed) > 0
+	})
+	var syncing *multirag.Replica
+	for _, r := range set.Replicas() {
+		if !r.Live() {
+			syncing = r
+		}
+	}
+	if syncing == nil {
+		t.Fatalf("no replica is out of service during its resync: %+v", set.Status())
+	}
+
+	for i := 0; i < 9; i++ {
+		switch s.router.pick() {
+		case nil:
+			t.Fatalf("pick %d went to the primary with two replicas live", i)
+		case syncing:
+			t.Fatalf("pick %d chose %s while it resyncs", i, syncing.Name())
+		}
 		askServer(t, ts.URL, want)
 	}
-	if hits := fault.Hits(fault.PointClusterQuery); hits != 3 {
-		t.Fatalf("fault hits = %d, want 3", hits)
+
+	// Release the resync; the replica is live again and is picked within
+	// one round of the rotation.
+	fault.Disable(fault.PointClusterSeed)
+	waitReplicasCaughtUp(t, set)
+	picked := false
+	for i := 0; i < len(set.Replicas()) && !picked; i++ {
+		picked = s.router.pick() == syncing
 	}
-	snap := s.Metrics()
-	if snap.Router.Failovers < 3 {
-		t.Fatalf("failovers = %d, want >= 3", snap.Router.Failovers)
+	if !picked {
+		t.Fatalf("%s not picked again after its resync: %+v", syncing.Name(), set.Status())
 	}
-	if snap.Router.ReplicaBatches == 0 {
-		t.Fatal("reads never resumed on replicas after the fault budget drained")
-	}
-	for _, b := range snap.Router.Breakers {
-		if b.State == "open" {
-			t.Fatalf("breaker %s left open after spread-out strikes", b.Name)
+	askServer(t, ts.URL, want)
+	for _, st := range set.Status() {
+		resyncs := uint64(0)
+		if st.Name == syncing.Name() {
+			resyncs = 1
+		}
+		if st.Resyncs != resyncs {
+			t.Fatalf("replica %s resynced %d times, want %d", st.Name, st.Resyncs, resyncs)
 		}
 	}
 

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"testing"
-	"time"
 
 	"multirag"
 	"multirag/internal/fault"
@@ -100,7 +99,7 @@ func TestRouterPrimaryOnlyNeverTouchesReplicas(t *testing.T) {
 
 // TestRouterStalenessGuardFailsOverToPrimary pins bounded staleness: a live
 // replica that has fallen more than maxLag commits behind is not routed to,
-// and reads fail over to the primary until it catches up.
+// and reads go to the primary until it catches up.
 func TestRouterStalenessGuardFailsOverToPrimary(t *testing.T) {
 	defer fault.Reset()
 	sys, set := newReplicatedSystem(t, 1)
@@ -125,7 +124,7 @@ func TestRouterStalenessGuardFailsOverToPrimary(t *testing.T) {
 	}
 
 	// Release the replica and wait for it to read the log; it becomes
-	// eligible again without any probe (its breaker never tripped).
+	// eligible again as soon as it is back within the lag bound.
 	fault.Disable(fault.PointClusterReplay)
 	waitUntil(t, "the replica catches up", func() bool {
 		return rep.Position() == set.CommittedLSN() && rep.Live()
@@ -136,58 +135,8 @@ func TestRouterStalenessGuardFailsOverToPrimary(t *testing.T) {
 	}
 }
 
-// TestRouterFailoverDrainsErroringReplicaAndReadmits pins the breaker cycle:
-// a replica whose query path fails is served around (answers stay correct),
-// trips its breaker after consecutive strikes, is drained, and — once the
-// fault clears and the cooldown elapses — is re-admitted by a background
-// probe.
-func TestRouterFailoverDrainsErroringReplicaAndReadmits(t *testing.T) {
-	defer fault.Reset()
-	sys, set := newReplicatedSystem(t, 1)
-	rt := newTestRouter(t, sys, set, RouteRoundRobin)
-	// Shrink the breaker cooldown so re-admission is testable.
-	rt.targets[0].breaker = fault.NewBreaker("router.replica-0", 3, 50*time.Millisecond, nil)
-
-	want := sys.AskEach(make([]context.Context, 1), routerQueries[:1])
-	fault.Enable(fault.PointClusterQuery, fault.Fault{Kind: fault.KindError})
-	for i := 0; i < 3; i++ {
-		got := rt.run(make([]context.Context, 1), routerQueries[:1])
-		if !valuesEqual(got[0], want[0]) {
-			t.Fatalf("round %d: failover answer %+v != primary %+v", i, got[0], want[0])
-		}
-	}
-	if rt.failovers.Load() != 3 {
-		t.Fatalf("failovers = %d, want 3", rt.failovers.Load())
-	}
-	if st := rt.targets[0].breaker.State(); st != fault.BreakerOpen {
-		t.Fatalf("breaker state after 3 strikes = %v, want open", st)
-	}
-	// Drained: the next batch goes straight to the primary without touching
-	// the replica (no new failover — the replica was never picked).
-	rt.run(make([]context.Context, 1), routerQueries[:1])
-	if rt.failovers.Load() != 3 {
-		t.Fatalf("drained replica still being tried (failovers = %d)", rt.failovers.Load())
-	}
-
-	fault.Disable(fault.PointClusterQuery)
-	// After the cooldown, picking kicks a background probe which re-closes
-	// the breaker; subsequent batches land on the replica again.
-	deadline := time.Now().Add(10 * time.Second)
-	before := rt.replicaBatches.Load()
-	for rt.replicaBatches.Load() == before {
-		if time.Now().After(deadline) {
-			t.Fatalf("replica never re-admitted: breaker %v", rt.targets[0].breaker.State())
-		}
-		got := rt.run(make([]context.Context, 1), routerQueries[:1])
-		if !valuesEqual(got[0], want[0]) {
-			t.Fatalf("answer during re-admission %+v != %+v", got[0], want[0])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestRouterPickAllocFree: every batch picks a target, so the pick builds no
-// slice of eligible targets; round-robin still alternates over them.
+// TestRouterPickAllocFree: every batch picks a replica, so the pick builds no
+// slice of eligible replicas; round-robin still alternates over them.
 func TestRouterPickAllocFree(t *testing.T) {
 	sys, set := newReplicatedSystem(t, 2)
 	rt := newTestRouter(t, sys, set, RouteRoundRobin)
@@ -215,7 +164,7 @@ func TestServeMetricsExposeRouter(t *testing.T) {
 	if snap.Router == nil {
 		t.Fatal("metrics missing router section")
 	}
-	if snap.Router.Route != RouteRoundRobin || len(snap.Router.Replicas) != 2 || len(snap.Router.Breakers) != 2 {
+	if snap.Router.Route != RouteRoundRobin || len(snap.Router.Replicas) != 2 {
 		t.Fatalf("router metrics = %+v", snap.Router)
 	}
 	for _, r := range snap.Router.Replicas {

@@ -135,8 +135,8 @@ type Config struct {
 	// Replicas, when set, routes engine calls across the replica set instead
 	// of always serving from the primary. Replication keeps replicas
 	// byte-identical to the primary, so answers are unchanged; routing buys
-	// read scale-out and failover. The server does not own the set — the
-	// caller closes it (after Close, before System.Close).
+	// read scale-out. The server does not own the set — the caller closes it
+	// (after Close, before System.Close).
 	Replicas *multirag.ReplicaSet
 	// Route picks the replica-selection policy: RouteRoundRobin (default) or
 	// RoutePrimaryOnly. Ignored without Replicas.
@@ -159,7 +159,7 @@ type Server struct {
 	pressure func() (inflight, capacity int)
 	recovery *multirag.RecoveryInfo
 	// router, when non-nil, spreads engine calls across the configured
-	// replica set with health gating and bounded staleness (DefaultMaxLag).
+	// replica set, to replicas that are live and within DefaultMaxLag commits.
 	router *router
 	mux    *http.ServeMux
 
@@ -605,7 +605,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if err := s.sys.IngestFiles(files...); err != nil {
 		s.metrics.fail(cs.cfg.Name)
-		writeError(w, http.StatusBadRequest, err.Error())
+		status := http.StatusBadRequest // the files were rejected
+		if errors.Is(err, multirag.ErrCommit) {
+			status = http.StatusInternalServerError // accepted, but the commit failed
+		}
+		writeError(w, status, err.Error())
 		return
 	}
 	s.metrics.record(cs.cfg.Name, time.Since(start))

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"slices"
 	"testing"
@@ -47,7 +48,7 @@ func TestStatusEndpointsAnswerDuringCommit(t *testing.T) {
 }
 
 // TestMetricsJSONKeys pins the key sets of /v1/metrics' status sections — the
-// engine's durability and recovery, and the router's replicas and breakers —
+// engine's durability and recovery, the router's own and its replicas' —
 // on a durable system with one replica, so a change to the types behind them
 // cannot rename a key operators and the benchmark read.
 func TestMetricsJSONKeys(t *testing.T) {
@@ -70,15 +71,16 @@ func TestMetricsJSONKeys(t *testing.T) {
 	var m struct {
 		Durability map[string]any `json:"durability"`
 		Recovery   map[string]any `json:"recovery"`
-		Router     struct {
+		Router     map[string]any `json:"router"`
+	}
+	var r struct {
+		Router struct {
 			Replicas []map[string]any `json:"replicas"`
-			Breakers []map[string]any `json:"breakers"`
 		} `json:"router"`
 	}
-	if err := json.Unmarshal(body, &m); err != nil {
+	if err := errors.Join(json.Unmarshal(body, &m), json.Unmarshal(body, &r)); err != nil {
 		t.Fatalf("decode /v1/metrics: %v\n%s", err, body)
 	}
-	breaker := []string{"consecutive_failures", "fast_fails", "name", "state", "successes", "trips"}
 	checks := []struct {
 		section string
 		objs    []map[string]any
@@ -86,8 +88,8 @@ func TestMetricsJSONKeys(t *testing.T) {
 	}{
 		{"durability", []map[string]any{m.Durability}, []string{"durable", "last_checkpoint_lsn", "next_lsn"}},
 		{"recovery", []map[string]any{m.Recovery}, []string{"checkpoint_lsn", "records_replayed", "truncated"}},
-		{"router.replicas[]", m.Router.Replicas, []string{"applied_lsn", "divergences", "dropped_frames", "lag", "name", "resyncs", "state", "verified"}},
-		{"router.breakers[]", m.Router.Breakers, breaker},
+		{"router", []map[string]any{m.Router}, []string{"committed_lsn", "max_lag", "primary_batches", "replica_batches", "replicas", "route"}},
+		{"router.replicas[]", r.Router.Replicas, []string{"applied_lsn", "divergences", "dropped_frames", "lag", "name", "resyncs", "state", "verified"}},
 	}
 	for _, c := range checks {
 		if len(c.objs) == 0 {

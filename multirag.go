@@ -3,6 +3,7 @@ package multirag
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"multirag/internal/adapter"
@@ -125,6 +126,12 @@ type RecoveryInfo = core.RecoveryInfo
 // that an earlier release must read to migrate it, one format at a time.
 var ErrUnsupportedFormat = core.ErrUnsupportedFormat
 
+// ErrCommit is wrapped by the error IngestFiles returns when the files were
+// accepted but their commit failed — its replay, or on a durable System its
+// write-ahead log append. Nothing of the batch became visible; the failure is
+// the System's, not the files', and the same call may be retried.
+var ErrCommit = core.ErrCommit
+
 // OpenDurable opens (or initialises) a durable System backed by dir: every
 // acknowledged IngestFiles batch is written to a write-ahead log and fsync'd
 // before the call returns, and a background checkpointer periodically folds
@@ -184,12 +191,13 @@ func coreConfig(cfg Config) core.Config {
 // overlap that expensive work; prepared batches are then group-committed in
 // arrival order. Each batch commits atomically — concurrent Ask calls see
 // either the whole batch or none of it — and a failing batch never blocks or
-// poisons batches committed alongside it.
+// poisons batches committed alongside it. The error of a batch whose files
+// were accepted but whose commit failed wraps ErrCommit.
 func (s *System) IngestFiles(files ...File) error {
 	raw := make([]adapter.RawFile, 0, len(files))
 	for _, f := range files {
 		if f.Domain == "" || f.Source == "" || f.Name == "" || f.Format == "" {
-			return fmt.Errorf("multirag: file needs Domain, Source, Name and Format (got %+v)", f)
+			return missingFields(f)
 		}
 		raw = append(raw, adapter.RawFile{
 			Domain: f.Domain, Source: f.Source, Name: f.Name,
@@ -198,6 +206,23 @@ func (s *System) IngestFiles(files ...File) error {
 	}
 	_, err := s.inner.Ingest(raw)
 	return err
+}
+
+// missingFields is the error for a file missing a required field. It names
+// the missing fields and the file's first 64 runes of domain, source and
+// name, never its content: the error is a front door's 400 body, so it stays
+// short whatever the request held.
+func missingFields(f File) error {
+	var missing []string
+	for _, fld := range [...]struct{ name, v string }{
+		{"Domain", f.Domain}, {"Source", f.Source}, {"Name", f.Name}, {"Format", f.Format},
+	} {
+		if fld.v == "" {
+			missing = append(missing, fld.name)
+		}
+	}
+	return fmt.Errorf("multirag: file (domain %.64q, source %.64q, name %.64q) is missing %s",
+		f.Domain, f.Source, f.Name, strings.Join(missing, ", "))
 }
 
 // Ask answers a natural-language question over the ingested corpus.
@@ -221,7 +246,12 @@ func (s *System) Ask(query string) Answer {
 // client disconnect signal: a query whose context ends mid-evaluation yields
 // a Degraded answer, and the others are unaffected.
 func (s *System) AskEach(ctxs []context.Context, queries []string) []Answer {
-	answers := s.inner.QueryEach(ctxs, queries)
+	return askEach(s.inner, ctxs, queries)
+}
+
+// askEach is AskEach on any engine: the primary's or a replica's.
+func askEach(sys *core.System, ctxs []context.Context, queries []string) []Answer {
+	answers := sys.QueryEach(ctxs, queries)
 	out := make([]Answer, len(answers))
 	for i := range answers {
 		out[i] = convertAnswer(answers[i])

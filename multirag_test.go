@@ -51,6 +51,21 @@ func TestIngestValidation(t *testing.T) {
 	if err := sys.IngestFiles(File{Domain: "d"}); err == nil {
 		t.Fatal("incomplete file must be rejected")
 	}
+	// The rejection names the missing fields and the file, never its
+	// content: it is a front door's 400 body, short whatever the file's size.
+	content := []byte(strings.Repeat("payload!", 1<<17))
+	err := sys.IngestFiles(File{Domain: "flights", Source: "airport-api", Format: "text", Content: content})
+	if err == nil {
+		t.Fatal("file with no Name was accepted")
+	}
+	if msg := err.Error(); len(msg) > 256 || strings.Contains(msg, "payload") {
+		t.Fatalf("1 MiB file with no Name: the %d-byte error echoes its content: %.200s", len(msg), msg)
+	}
+	for _, part := range []string{"Name", `"flights"`, `"airport-api"`} {
+		if !strings.Contains(err.Error(), part) {
+			t.Fatalf("error %q does not name %s", err, part)
+		}
+	}
 	if err := sys.IngestFiles(File{Domain: "d", Source: "s", Name: "n", Format: "json", Content: []byte("{bad")}); err == nil {
 		t.Fatal("parse errors must propagate")
 	}
