@@ -79,7 +79,8 @@ chaos-cluster:
 # the regexps they replace (ParseQuery's logic forms, ExtractEntities'
 # mentions and ExtractTriples' triples on arbitrary text), and the front
 # door's JSON request decoders, whose arbitrary bodies must get a 200 or a
-# typed rejection, never a panic or a 500.
+# typed rejection, never a panic or a 500, and whose rejections' bodies must
+# stay within 512 bytes, quoting only bounded excerpts of the request.
 fuzz-smoke:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzFrameParse -fuzztime 5s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecoder -fuzztime 5s

@@ -16,13 +16,11 @@ import (
 )
 
 // runServeCmd is the `multirag serve` subcommand: the production front door.
-// It ingests a corpus, then serves HTTP/JSON with token-bucket admission per
-// SLO class, bounded per-class queues of requests waiting for an execution
-// slot in arrival or priority order, and per-class latency + fairness
-// metrics. Ingest traffic
-// is additionally shed with 429 while the group committer's admission window
-// is saturated, so overload backs up to clients instead of queueing without
-// bound inside the server.
+// It ingests a corpus, then serves HTTP/JSON with one line of requests
+// waiting for an execution slot, served in arrival order with a bounded share
+// per SLO class, and per-class latency metrics. Ingest traffic is shed with
+// 429 while the group committer's admission window is saturated, so overload
+// backs up to clients instead of queueing without bound inside the server.
 //
 // With -data-dir the corpus is durable: acknowledged ingests are write-ahead
 // logged and checkpointed under the directory, and a restart resumes exactly
@@ -41,17 +39,17 @@ Serve the ingested corpus over HTTP:
   POST /v1/query/batch  {"queries": [...], "class": "batch"}
   POST /v1/ingest       {"files": [{"domain","source","name","format","content"}, ...]}
   GET  /v1/stats        corpus statistics
-  GET  /v1/metrics      per-class p50/p95/p99 latency, Jain fairness, queue depths,
+  GET  /v1/metrics      per-class p50/p95/p99 latency, queue depths,
                         deadline/cancel/degraded counters, durability state
   GET  /healthz         {"status": "ok"|"degraded"|"draining", "reason": ...}
 
-SLO classes: interactive (priority 2), batch (priority 1), ingest. A query
-that finds a free execution slot runs at once; one that does not waits in
-its class queue until a finishing request hands it a slot (-policy picks
-the order), and a /v1/query/batch runs whole under one slot. There are
-GOMAXPROCS slots. Excess load is rejected with 429 (admission or full
-queue) or 503 (queue timeout); every shed response carries a Retry-After
-hint.
+SLO classes: interactive, batch, ingest. A query that finds a free
+execution slot runs at once; one that does not waits in one line shared by
+the classes until a finishing request hands it a slot, in arrival order
+whatever its class, and a /v1/query/batch runs whole under one slot. There
+are GOMAXPROCS slots. Excess load is rejected with 429 (a class with
+-queue-cap queries already waiting, or the ingest pipeline at capacity) or
+503 (queue timeout); every shed response carries a Retry-After hint.
 
 Requests run under end-to-end deadlines (-deadline, tightened per request
 with "deadline_ms"): the budget starts at admission, so queue wait spends it
@@ -86,11 +84,8 @@ Flags:
 		domain       = fs.String("domain", "data", "domain label for ingested files")
 		seed         = fs.Uint64("seed", 1, "simulated model seed")
 		workers      = fs.Int("workers", 0, "engine worker pool size (0 = GOMAXPROCS)")
-		policy       = fs.String("policy", serve.PolicyFCFS, "order in which queued requests get a free slot: fcfs or priority")
-		queueCap     = fs.Int("queue-cap", 256, "pending-request queue bound per SLO class")
+		queueCap     = fs.Int("queue-cap", 256, "bound on each SLO class's queries waiting for a slot")
 		queueTimeout = fs.Duration("queue-timeout", 5*time.Second, "maximum queue wait before a request fails with 503")
-		admitQPS     = fs.Float64("admit-qps", 0, "token-bucket refill rate for the query classes, requests/s (0 = unlimited)")
-		admitBurst   = fs.Float64("admit-burst", 0, "token-bucket capacity for the query classes (0 = max(1, admit-qps))")
 		deadline     = fs.Duration("deadline", 0, "end-to-end deadline per query-class request, counted from admission (0 = none; requests may tighten it with deadline_ms)")
 		degrade      = fs.Bool("degrade", true, "deliver partial answers as 200 + degraded when a request's deadline expires mid-evaluation (false = fail with 504)")
 		replicas     = fs.Int("replicas", 0, "read replicas that replay the primary's write-ahead log; needs -data-dir (0 = serve reads from the primary)")
@@ -155,8 +150,7 @@ Flags:
 
 	srv, err := serve.New(serve.Config{
 		System:       sys,
-		Policy:       *policy,
-		Classes:      serveClasses(*admitQPS, *admitBurst, *queueCap, *deadline, *degrade),
+		Classes:      serveClasses(*queueCap, *deadline, *degrade),
 		QueueTimeout: *queueTimeout,
 		Recovery:     recovery,
 		Replicas:     set,
@@ -168,8 +162,8 @@ Flags:
 	}
 
 	st := sys.Stats()
-	fmt.Printf("multirag serve: listening on %s (policy %s, %d triples, %d chunks indexed)\n",
-		*addr, *policy, st.Triples, st.Chunks)
+	fmt.Printf("multirag serve: listening on %s (%d triples, %d chunks indexed)\n",
+		*addr, st.Triples, st.Chunks)
 
 	// Graceful shutdown: SIGINT/SIGTERM → reject new work (503 + Retry-After),
 	// let in-flight handlers finish within the deadline, wait for the slots,
@@ -220,17 +214,15 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
 }
 
-// serveClasses is the stock SLO layout with the CLI admission, deadline and
-// degradation knobs applied to the query classes. The ingest class stays
-// admission-unlimited: its load shedding comes from the group committer's own
+// serveClasses is the stock SLO layout with the CLI queue cap applied to
+// every class and the deadline and degradation knobs to the query classes.
+// The ingest class's load shedding comes from the group committer's own
 // bounded admission window, surfaced as 429 by the ingest handler.
-func serveClasses(admitQPS, admitBurst float64, queueCap int, deadline time.Duration, degrade bool) []serve.Class {
+func serveClasses(queueCap int, deadline time.Duration, degrade bool) []serve.Class {
 	classes := serve.DefaultClasses()
 	for i := range classes {
 		classes[i].QueueCap = queueCap
 		if classes[i].Name != serve.IngestClass {
-			classes[i].Rate = admitQPS
-			classes[i].Burst = admitBurst
 			classes[i].Deadline = deadline
 			classes[i].Degrade = degrade
 		}

@@ -29,12 +29,11 @@
 // snapshot/delta architecture.
 //
 // For deployment as a service, internal/serve (exposed as the `multirag
-// serve` subcommand) wraps a System in an HTTP/JSON front door with
-// token-bucket admission control per SLO class, a fixed count of execution
-// slots that queued requests get in arrival or class-priority order (fcfs /
-// priority), bounded request queues, ingest backpressure coupled to the group
+// serve` subcommand) wraps a System in an HTTP/JSON front door with a fixed
+// count of execution slots, one FIFO line of requests waiting for one with a
+// bounded share per SLO class, ingest backpressure coupled to the group
 // committer via IngestPressure, and a metrics endpoint reporting per-class
-// latency percentiles and Jain fairness. See DESIGN.md §8.
+// latency percentiles and queue depths. See DESIGN.md §8.
 //
 // Systems opened with multirag.Open are in-memory; OpenDurable(dir, cfg)
 // adds write-ahead logging and checkpointing under dir (CLI: `multirag serve

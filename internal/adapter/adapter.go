@@ -82,17 +82,17 @@ func (r *Registry) FuseParallel(files []RawFile, workers int) ([]*jsonld.Normali
 		f := files[i]
 		a, ok := r.adapters[f.Format]
 		if !ok {
-			errs[i] = fmt.Errorf("adapter: no adapter registered for format %q (file %s/%s/%s)",
+			errs[i] = fmt.Errorf("adapter: no adapter registered for format %.64q (file %.64q/%.64q/%.64q)",
 				f.Format, f.Domain, f.Source, f.Name)
 			return
 		}
 		n, err := a.Parse(f)
 		if err != nil {
-			errs[i] = fmt.Errorf("adapter: %s file %s/%s/%s: %w", f.Format, f.Domain, f.Source, f.Name, err)
+			errs[i] = fmt.Errorf("adapter: %s file %.64q/%.64q/%.64q: %w", f.Format, f.Domain, f.Source, f.Name, err)
 			return
 		}
 		if err := n.Validate(); err != nil {
-			errs[i] = fmt.Errorf("adapter: %s file %s/%s/%s produced invalid output: %w",
+			errs[i] = fmt.Errorf("adapter: %s file %.64q/%.64q/%.64q produced invalid output: %w",
 				f.Format, f.Domain, f.Source, f.Name, err)
 			return
 		}

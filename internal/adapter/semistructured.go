@@ -95,7 +95,9 @@ type xmlNode struct {
 func (SemiXML) Parse(f RawFile) (*jsonld.Normalized, error) {
 	var root xmlNode
 	if err := xml.Unmarshal(f.Content, &root); err != nil {
-		return nil, fmt.Errorf("xml parse: %w", err)
+		// Wide enough for a whole syntax error, short of the element names
+		// some of them echo.
+		return nil, fmt.Errorf("xml parse: %.96q", err)
 	}
 	n := newNormalized(f)
 	if len(root.Children) == 0 {

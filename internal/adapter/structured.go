@@ -37,7 +37,7 @@ func (Structured) Parse(f RawFile) (*jsonld.Normalized, error) {
 	for i, c := range header {
 		for _, prev := range header[:i] {
 			if c == prev {
-				return nil, fmt.Errorf("csv parse: duplicate column %q in table %q", c, f.Name)
+				return nil, fmt.Errorf("csv parse: duplicate column %.64q in table %.64q", c, f.Name)
 			}
 		}
 	}

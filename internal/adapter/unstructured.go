@@ -57,7 +57,7 @@ func (KGFormat) Parse(f RawFile) (*jsonld.Normalized, error) {
 		}
 		parts := strings.SplitN(line, "|", 3)
 		if len(parts) != 3 {
-			return nil, fmt.Errorf("kg parse: line %d: want subject|predicate|object, got %q", i+1, line)
+			return nil, fmt.Errorf("kg parse: line %d: want subject|predicate|object, got %.64q", i+1, line)
 		}
 		doc := jsonld.New(fmt.Sprintf("%s/spo/%d", n.ID, i), "Triple")
 		doc.Set("subject", strings.TrimSpace(parts[0]))

@@ -236,13 +236,16 @@ func TestChaosServeExecutorHangShedsQueue(t *testing.T) {
 // were accepted but the commit failed — an injected commit fault, or a failed
 // WAL append on a durable server — and the same request then succeeds; it
 // answers 400 only when the request is at fault, here a 1 MiB file with no
-// name, and that body names the file without echoing its content.
+// name or a file with a 1 MiB name, and that body names the file without
+// echoing its content or the whole name.
 func TestChaosServeIngestFailureStatus(t *testing.T) {
 	defer fault.Reset()
 	file := IngestFile{Domain: "flights", Source: "airport-api", Name: "late",
 		Format: "kg", Content: "ZZ100|status|Scheduled\n"}
 	noName := file
 	noName.Name, noName.Content = "", strings.Repeat("payload!", 1<<17)
+	longName := file
+	longName.Name = strings.Repeat("n", 1<<20)
 	cases := []struct {
 		name    string
 		point   string // armed with one injected error; "" arms nothing
@@ -253,6 +256,7 @@ func TestChaosServeIngestFailureStatus(t *testing.T) {
 		{"commit", fault.PointCommit, false, file, http.StatusInternalServerError},
 		{"wal-append", fault.PointWALAppend, true, file, http.StatusInternalServerError},
 		{"missing-field", "", false, noName, http.StatusBadRequest},
+		{"overlong-name", "", false, longName, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

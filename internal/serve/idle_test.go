@@ -184,15 +184,15 @@ func BenchmarkServeSaturated(b *testing.B) {
 	})
 }
 
-// TestClaimNeverJumpsQueue: under PolicyPriority a low-priority request that
-// arrives while a high-priority one is queued goes through the queue, even
-// with a slot free, and the queued request runs first.
+// TestClaimNeverJumpsQueue: a request that arrives while one of another
+// class is queued goes through the line, even with a slot free, and the
+// queued request runs first.
 func TestClaimNeverJumpsQueue(t *testing.T) {
 	defer fault.Reset()
-	s, ts := newTestServer(t, Config{Policy: PolicyPriority, Executors: 1})
+	s, ts := newTestServer(t, Config{Executors: 1})
 	holdSlots(t, s) // the only slot; freed by hand below
-	high := postAsync(t, ts.URL+"/v1/query", QueryRequest{Query: "What is the status of CA981?", Class: "interactive"})
-	waitUntil(t, "the high-priority request is queued", func() bool { return queuedRequests(s) == 1 })
+	first := postAsync(t, ts.URL+"/v1/query", QueryRequest{Query: "What is the status of CA981?", Class: "interactive"})
+	waitUntil(t, "the first request is queued", func() bool { return queuedRequests(s) == 1 })
 
 	// Hold the next evaluation where it starts, then free the slot without
 	// handing it to the waiter: a slot is free and a request is queued, the
@@ -201,10 +201,10 @@ func TestClaimNeverJumpsQueue(t *testing.T) {
 	s.sched.mu.Lock()
 	s.sched.running--
 	s.sched.mu.Unlock()
-	low := postAsync(t, ts.URL+"/v1/query", QueryRequest{Query: "What is the delay reason of CA981?", Class: "batch"})
-	waitUntil(t, "the low-priority request queues behind the high one", func() bool { return queuedRequests(s) == 2 })
+	second := postAsync(t, ts.URL+"/v1/query", QueryRequest{Query: "What is the delay reason of CA981?", Class: "batch"})
+	waitUntil(t, "the second request queues behind the first", func() bool { return queuedRequests(s) == 2 })
 	// Take the free slot back and release it the normal way: it goes to the
-	// queued high-priority request.
+	// first queued request.
 	s.sched.mu.Lock()
 	s.sched.running++
 	s.sched.mu.Unlock()
@@ -213,10 +213,10 @@ func TestClaimNeverJumpsQueue(t *testing.T) {
 		return fault.Hits(fault.PointServeExecute) == 1 && queuedRequests(s) == 1
 	})
 	if d := s.sched.depths(); d["interactive"] != 0 || d["batch"] != 1 {
-		t.Fatalf("queue depths %v while the first evaluation runs: want the low-priority request queued", d)
+		t.Fatalf("queue depths %v while the first evaluation runs: want the second request queued", d)
 	}
 	fault.Reset()
-	for _, r := range []reply{<-high, <-low} {
+	for _, r := range []reply{<-first, <-second} {
 		if r.code != http.StatusOK {
 			t.Fatalf("status %d: %s", r.code, r.body)
 		}

@@ -64,17 +64,31 @@ func TestDrainRejectsWithRetryAfter(t *testing.T) {
 	}
 }
 
+// TestShedResponsesCarryRetryAfter: both sheds left before a request runs —
+// a class whose share of the line is full, and /v1/ingest while the group
+// committer's admission window is full — answer 429 with Retry-After.
 func TestShedResponsesCarryRetryAfter(t *testing.T) {
-	// Zero-burst interactive class: the very first query is shed with 429.
-	_, ts := newTestServer(t, Config{Classes: []Class{
-		{Name: "interactive", Rate: 0.0001, Burst: 0.0001},
-	}})
-	resp, _ := postJSON(t, ts.URL+"/v1/query", QueryRequest{Query: "What is the status of CA981?"})
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-rate query status = %d, want 429", resp.StatusCode)
+	s, ts := newTestServer(t, Config{Executors: 1, Classes: []Class{{Name: "interactive", QueueCap: 1}}})
+	release := holdSlots(t, s)
+	queued := postAsync(t, ts.URL+"/v1/query", QueryRequest{Query: "What is the status of CA981?"})
+	waitUntil(t, "the first request is queued", func() bool { return queuedRequests(s) == 1 })
+	resp, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Query: "What is the status of CA981?"})
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("query over the queue cap: status %d Retry-After %q (%s), want 429 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"), body)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After header")
+	release()
+	if r := <-queued; r.code != http.StatusOK {
+		t.Fatalf("queued query: status %d (%s), want 200", r.code, r.body)
+	}
+
+	s.pressure = func() (int, int) { return 64, 64 }
+	resp, body = postJSON(t, ts.URL+"/v1/ingest", IngestRequest{Files: []IngestFile{{
+		Domain: "flights", Source: "late-feed", Name: "x", Format: "kg", Content: "CA981|gate|G9\n",
+	}}})
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("saturated ingest: status %d Retry-After %q (%s), want 429 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"), body)
 	}
 }
 

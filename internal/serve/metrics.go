@@ -15,12 +15,16 @@ import (
 // percentiles are nearest-rank to within one bucket of the class's latency
 // histogram (see latencyHist).
 type ClassMetrics struct {
-	Name              string `json:"name"`
-	Completed         int64  `json:"completed"`
-	RejectedAdmission int64  `json:"rejected_admission"`
-	RejectedQueue     int64  `json:"rejected_queue"`
-	TimedOut          int64  `json:"timed_out"`
-	Failed            int64  `json:"failed"`
+	Name      string `json:"name"`
+	Completed int64  `json:"completed"`
+	// RejectedAdmission counts requests shed before any queue: /v1/ingest
+	// refused while the group committer's admission window is full.
+	// RejectedQueue counts requests refused because their class's QueueCap
+	// was reached in the line.
+	RejectedAdmission int64 `json:"rejected_admission"`
+	RejectedQueue     int64 `json:"rejected_queue"`
+	TimedOut          int64 `json:"timed_out"`
+	Failed            int64 `json:"failed"`
 	// DeadlineExceeded counts requests that exhausted their end-to-end budget
 	// and were not delivered — while still queued, or mid-evaluation with
 	// degradation disabled for the class. Canceled counts requests whose
@@ -40,15 +44,10 @@ type ClassMetrics struct {
 
 // MetricsSnapshot is the /v1/metrics payload.
 type MetricsSnapshot struct {
-	Policy        string         `json:"policy"`
 	UptimeSeconds float64        `json:"uptime_seconds"`
 	Classes       []ClassMetrics `json:"classes"`
-	// JainFairness is Jain's index (Σx)²/(n·Σx²) over the per-class completed
-	// counts of classes that saw any traffic: 1.0 = perfectly even service
-	// across classes, 1/n = one class monopolised the server.
-	JainFairness float64 `json:"jain_fairness"`
-	// QueueDepths reports the scheduler's pending-request queue length per
-	// class at snapshot time.
+	// QueueDepths reports each class's queries waiting in the scheduler's
+	// line at snapshot time.
 	QueueDepths map[string]int `json:"queue_depths"`
 	// IngestInflight/IngestCapacity mirror the group committer's admission
 	// state (core.IngestPressure) — the coupling that turns committer
@@ -229,16 +228,11 @@ func (m *metrics) degraded(name string) {
 }
 
 // snapshot digests the counters into the wire shape.
-func (m *metrics) snapshot(policy string) MetricsSnapshot {
+func (m *metrics) snapshot() MetricsSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	uptime := time.Since(m.start)
-	snap := MetricsSnapshot{
-		Policy:        policy,
-		UptimeSeconds: uptime.Seconds(),
-		JainFairness:  1,
-	}
-	var completed []float64
+	snap := MetricsSnapshot{UptimeSeconds: uptime.Seconds()}
 	for _, name := range m.order {
 		c := m.classes[name]
 		cm := ClassMetrics{
@@ -262,33 +256,9 @@ func (m *metrics) snapshot(policy string) MetricsSnapshot {
 		if uptime > 0 {
 			cm.ThroughputRPS = float64(c.completed) / uptime.Seconds()
 		}
-		if c.completed+c.rejectedAdmission+c.rejectedQueue+c.timedOut+c.failed+
-			c.deadlineExceeded+c.canceled > 0 {
-			completed = append(completed, float64(c.completed))
-		}
 		snap.Classes = append(snap.Classes, cm)
 	}
-	snap.JainFairness = JainIndex(completed)
 	return snap
-}
-
-// JainIndex is Jain's fairness index (Σx)²/(n·Σx²) over the per-class
-// allocation x (completed requests here): 1 when every class got the same
-// share, 1/n when one class got everything. An empty or all-zero allocation
-// is vacuously fair.
-func JainIndex(x []float64) float64 {
-	if len(x) == 0 {
-		return 1
-	}
-	var sum, sumSq float64
-	for _, v := range x {
-		sum += v
-		sumSq += v * v
-	}
-	if sumSq == 0 {
-		return 1
-	}
-	return sum * sum / (float64(len(x)) * sumSq)
 }
 
 func micros(d time.Duration) float64 {

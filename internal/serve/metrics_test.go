@@ -8,26 +8,6 @@ import (
 	"time"
 )
 
-func TestJainIndex(t *testing.T) {
-	cases := []struct {
-		x    []float64
-		want float64
-	}{
-		{nil, 1},
-		{[]float64{0, 0}, 1},
-		{[]float64{5}, 1},
-		{[]float64{10, 10, 10}, 1},
-		{[]float64{1, 0}, 0.5},
-		{[]float64{4, 0, 0, 0}, 0.25},
-		{[]float64{2, 1}, 0.9},
-	}
-	for _, c := range cases {
-		if got := JainIndex(c.x); math.Abs(got-c.want) > 1e-12 {
-			t.Fatalf("JainIndex(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-}
-
 // histQuantile is what the latency histogram must report for a sample whose
 // exact nearest-rank quantile is want: the upper bound of want's bucket,
 // capped at the sample's maximum.
@@ -45,7 +25,7 @@ func TestMetricsSnapshotUsesNearestRank(t *testing.T) {
 	for i := 1; i <= 50; i++ {
 		m.record("c", time.Duration(i)*time.Millisecond)
 	}
-	snap := m.snapshot(PolicyFCFS)
+	snap := m.snapshot()
 	if len(snap.Classes) != 1 {
 		t.Fatalf("classes: %d", len(snap.Classes))
 	}

@@ -8,22 +8,13 @@ import (
 	"time"
 )
 
-// Policies for the order in which queued requests get a free slot.
-const (
-	// PolicyFCFS serves requests strictly in arrival order across classes.
-	PolicyFCFS = "fcfs"
-	// PolicyPriority serves the highest-priority class first (Class.Priority,
-	// higher wins), arrival order within a class.
-	PolicyPriority = "priority"
-)
-
 // waiter is one request waiting for an execution slot: a /v1/query or a whole
-// /v1/query/batch of n queries. ready is buffered (capacity 1) and receives at
-// most one send, under the scheduler mutex: nil when release hands the waiter
-// its slot, errClosed when close fails it. Whoever takes a waiter out of its
-// class queue owns that send, so no sender ever blocks.
+// /v1/query/batch of n queries of class cs. ready is buffered (capacity 1) and
+// receives at most one send, under the scheduler mutex: nil when release
+// hands the waiter its slot, errClosed when close fails it. Whoever takes a
+// waiter out of the line owns that send, so no sender ever blocks.
 type waiter struct {
-	seq   uint64
+	cs    *classState
 	n     int
 	ready chan error
 	timer *time.Timer
@@ -39,13 +30,11 @@ var waiters = sync.Pool{New: func() any {
 	return &waiter{ready: make(chan error, 1), timer: timer}
 }}
 
-// classState is one configured SLO class at runtime: its admission bucket
-// and its bounded FIFO of waiters (guarded by the scheduler mutex).
+// classState is one configured SLO class at runtime.
 type classState struct {
-	cfg    Class
-	bucket *tokenBucket
-	fifo   []*waiter
-	// queued is the number of queries in fifo, bounded by cfg.QueueCap.
+	cfg Class
+	// queued is the number of the class's queries waiting in the scheduler's
+	// line (guarded by its mutex), bounded by cfg.QueueCap.
 	queued int
 }
 
@@ -56,55 +45,51 @@ var (
 	errClosed       = errors.New("serve: server closed")
 )
 
-// scheduler owns the execution slots and the per-class queues of requests
-// waiting for one. A request takes a free slot with claim, or queues and
-// waits on its own handler goroutine; release hands a freed slot straight to
-// the next waiter in policy order, so a slot never sits free while anyone
-// waits.
+// scheduler owns the execution slots and the one line of requests waiting
+// for one. A request takes a free slot with claim, or queues and waits on its
+// own handler goroutine; release hands a freed slot straight to the head of
+// the line, so a slot never sits free while anyone waits and requests of
+// every class are served in arrival order.
 type scheduler struct {
 	mu      sync.Mutex
 	idle    sync.Cond // broadcast when the last slot is freed after close
 	classes []*classState
-	policy  string
+	// line is the FIFO of waiters, oldest first.
+	line []*waiter
 	// running counts held slots; limit (Config.Executors) bounds it.
 	running int
 	limit   int
-	// waiting counts queued waiters across classes.
-	waiting int
-	seq     uint64
 	closed  bool
 }
 
-func newScheduler(policy string, classes []*classState, limit int) *scheduler {
-	s := &scheduler{classes: classes, policy: policy, limit: limit}
+func newScheduler(classes []*classState, limit int) *scheduler {
+	s := &scheduler{classes: classes, limit: limit}
 	s.idle.L = &s.mu
 	return s
 }
 
 // claim takes a slot for n queries of class cs. It takes a free slot only
-// while no waiter is queued, so a request never overtakes a queued one under
-// either policy, and returns a nil waiter: the caller holds the slot until it
-// calls release. Otherwise it queues a waiter for wait, unless the class
-// queue has no room for n more queries (errQueueFull). A closed scheduler
-// answers errClosed.
+// while the line is empty, so a request never overtakes a queued one, and
+// returns a nil waiter: the caller holds the slot until it calls release.
+// Otherwise it queues a waiter for wait, unless the class has no room in the
+// line for n more queries (errQueueFull). A closed scheduler answers
+// errClosed.
 func (s *scheduler) claim(cs *classState, n int) (*waiter, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {
 	case s.closed:
 		return nil, errClosed
-	case s.waiting == 0 && s.running < s.limit:
+	case len(s.line) == 0 && s.running < s.limit:
 		s.running++
 		return nil, nil
 	case cs.queued+n > cs.cfg.QueueCap:
 		return nil, errQueueFull
 	}
 	w := waiters.Get().(*waiter)
-	w.seq, w.n = s.seq, n
-	s.seq++
-	cs.fifo = append(cs.fifo, w)
+	w.cs, w.n = cs, n
+	s.line = append(s.line, w)
 	cs.queued += n
-	s.waiting++
 	return w, nil
 }
 
@@ -136,21 +121,16 @@ func (s *scheduler) wait(ctx context.Context, w *waiter, timeout time.Duration) 
 	return why
 }
 
-// abandon takes a waiter that gave up out of its class queue. One that is no
-// longer queued already has its send: a granted slot, which it passes on
-// with release, or errClosed, which it returns.
+// abandon takes a waiter that gave up out of the line. One that is no longer
+// queued already has its send: a granted slot, which it passes on with
+// release, or errClosed, which it returns.
 func (s *scheduler) abandon(w *waiter) error {
 	s.mu.Lock()
-	for _, cs := range s.classes {
-		for i, x := range cs.fifo {
-			if x == w {
-				cs.fifo = slices.Delete(cs.fifo, i, i+1)
-				cs.queued -= w.n
-				s.waiting--
-				s.mu.Unlock()
-				return nil
-			}
-		}
+	if i := slices.Index(s.line, w); i >= 0 {
+		s.line = slices.Delete(s.line, i, i+1)
+		w.cs.queued -= w.n
+		s.mu.Unlock()
+		return nil
 	}
 	s.mu.Unlock()
 	if err := <-w.ready; err != nil {
@@ -161,17 +141,16 @@ func (s *scheduler) abandon(w *waiter) error {
 }
 
 // release gives back a held slot. With a waiter queued the slot passes
-// straight to the next one in policy order and running does not change;
-// otherwise it frees, waking close once the last one is free.
+// straight to the head of the line and running does not change; otherwise it
+// frees, waking close once the last one is free.
 func (s *scheduler) release() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cs := s.nextLocked(); cs != nil {
-		w := cs.fifo[0]
-		// Shift rather than reslice, so the queue reuses its array.
-		cs.fifo = slices.Delete(cs.fifo, 0, 1)
-		cs.queued -= w.n
-		s.waiting--
+	if len(s.line) > 0 {
+		w := s.line[0]
+		// Shift rather than reslice, so the line reuses its array.
+		s.line = slices.Delete(s.line, 0, 1)
+		w.cs.queued -= w.n
 		w.ready <- nil
 		return
 	}
@@ -179,27 +158,6 @@ func (s *scheduler) release() {
 	if s.closed && s.running == 0 {
 		s.idle.Broadcast()
 	}
-}
-
-// nextLocked picks the class whose head waiter gets the next slot, or nil
-// when nobody waits. Per-class FIFOs are seq-ordered, so under fcfs the
-// globally oldest waiter is at one of the heads; under priority the
-// highest-priority class wins, priority ties by arrival order.
-func (s *scheduler) nextLocked() *classState {
-	var best *classState
-	for _, cs := range s.classes {
-		if len(cs.fifo) == 0 {
-			continue
-		}
-		wins := best == nil || cs.fifo[0].seq < best.fifo[0].seq
-		if s.policy == PolicyPriority && best != nil && cs.cfg.Priority != best.cfg.Priority {
-			wins = cs.cfg.Priority > best.cfg.Priority
-		}
-		if wins {
-			best = cs
-		}
-	}
-	return best
 }
 
 // depths reports per-class queued queries (metrics endpoint).
@@ -220,13 +178,11 @@ func (s *scheduler) close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closed = true
-	for _, cs := range s.classes {
-		for _, w := range cs.fifo {
-			w.ready <- errClosed
-		}
-		cs.fifo, cs.queued = nil, 0
+	for _, w := range s.line {
+		w.cs.queued -= w.n
+		w.ready <- errClosed
 	}
-	s.waiting = 0
+	s.line = nil
 	for s.running > 0 {
 		s.idle.Wait()
 	}

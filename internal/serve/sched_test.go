@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,13 +11,12 @@ import (
 )
 
 func testClasses(caps ...Class) []*classState {
-	now := time.Now()
 	out := make([]*classState, len(caps))
 	for i, c := range caps {
 		if c.QueueCap <= 0 {
 			c.QueueCap = 256
 		}
-		out[i] = &classState{cfg: c, bucket: newTokenBucket(c.Rate, c.Burst, now)}
+		out[i] = &classState{cfg: c}
 	}
 	return out
 }
@@ -69,46 +69,36 @@ func grantOrder(t *testing.T, s *scheduler, names map[*waiter]string) []string {
 	return got
 }
 
-func assertOrder(t *testing.T, policy string, got, want []string) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s order: got %v, want %v", policy, got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s order: got %v, want %v", policy, got, want)
-		}
-	}
-}
-
+// TestFCFSOrdersByArrivalAcrossClasses: with one slot, queued requests of
+// different classes, single queries and batches alike, are granted the slot
+// strictly in arrival order, and each class's depth counts only its own
+// queries.
 func TestFCFSOrdersByArrivalAcrossClasses(t *testing.T) {
-	classes := testClasses(Class{Name: "a", Priority: 2}, Class{Name: "b", Priority: 1})
-	s := newScheduler(PolicyFCFS, classes, 1)
+	classes := testClasses(Class{Name: "a"}, Class{Name: "b"}, Class{Name: "c"})
+	s := newScheduler(classes, 1)
 	mustHoldSlot(t, s, classes[0])
 	names := map[*waiter]string{
 		mustQueue(t, s, classes[1], 1): "q1",
-		mustQueue(t, s, classes[0], 1): "q2",
-		mustQueue(t, s, classes[1], 1): "q3",
+		mustQueue(t, s, classes[0], 3): "q2",
+		mustQueue(t, s, classes[2], 1): "q3",
+		mustQueue(t, s, classes[1], 2): "q4",
+		mustQueue(t, s, classes[0], 1): "q5",
 	}
-	assertOrder(t, "fcfs", grantOrder(t, s, names), []string{"q1", "q2", "q3"})
-}
-
-func TestPriorityOrdersByClassThenArrival(t *testing.T) {
-	classes := testClasses(Class{Name: "low", Priority: 1}, Class{Name: "high", Priority: 9})
-	s := newScheduler(PolicyPriority, classes, 1)
-	mustHoldSlot(t, s, classes[0])
-	names := map[*waiter]string{
-		mustQueue(t, s, classes[0], 1): "low1",
-		mustQueue(t, s, classes[1], 1): "high1",
-		mustQueue(t, s, classes[0], 1): "low2",
-		mustQueue(t, s, classes[1], 1): "high2",
+	if d := s.depths(); d["a"] != 4 || d["b"] != 3 || d["c"] != 1 {
+		t.Fatalf("queue depths %v, want a=4 b=3 c=1", d)
 	}
-	assertOrder(t, "priority", grantOrder(t, s, names), []string{"high1", "high2", "low1", "low2"})
+	got, want := grantOrder(t, s, names), []string{"q1", "q2", "q3", "q4", "q5"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("grant order %v, want %v", got, want)
+	}
+	if d := s.depths(); d["a"] != 0 || d["b"] != 0 || d["c"] != 0 {
+		t.Fatalf("queue depths %v once every waiter was granted, want 0", d)
+	}
 }
 
 func TestBoundedQueueRejectsWhenFull(t *testing.T) {
 	classes := testClasses(Class{Name: "tiny", QueueCap: 2})
-	s := newScheduler(PolicyFCFS, classes, 1)
+	s := newScheduler(classes, 1)
 	mustHoldSlot(t, s, classes[0])
 	mustQueue(t, s, classes[0], 1)
 	// A batch waiter counts each of its queries: two do not fit in one.
@@ -129,7 +119,7 @@ func TestBoundedQueueRejectsWhenFull(t *testing.T) {
 // slot to the waiter behind it.
 func TestTimedOutRequestsAreDroppedFromBatches(t *testing.T) {
 	classes := testClasses(Class{Name: "c", QueueCap: 10})
-	s := newScheduler(PolicyFCFS, classes, 1)
+	s := newScheduler(classes, 1)
 	mustHoldSlot(t, s, classes[0])
 	doomed := mustQueue(t, s, classes[0], 1)
 	kept := mustQueue(t, s, classes[0], 1)
@@ -154,7 +144,7 @@ func TestTimedOutRequestsAreDroppedFromBatches(t *testing.T) {
 // and close does not hang.
 func TestQueueTimeoutLeavesNoBlockedSender(t *testing.T) {
 	classes := testClasses(Class{Name: "c", QueueCap: 10})
-	s := newScheduler(PolicyFCFS, classes, 1)
+	s := newScheduler(classes, 1)
 	mustHoldSlot(t, s, classes[0])
 	raced := mustQueue(t, s, classes[0], 1)
 	s.release() // hands the slot to raced
@@ -179,44 +169,43 @@ func TestQueueTimeoutLeavesNoBlockedSender(t *testing.T) {
 	}
 }
 
-// TestWaitersUnderContention: goroutines claim, wait with queue timeouts
-// short enough to race their grants, hold and release, under both policies.
-// Never more than limit hold a slot at once, and once all are done no slot is
-// held and nobody is queued.
+// TestWaitersUnderContention: goroutines of two classes claim, wait with
+// queue timeouts short enough to race their grants, hold and release. Never
+// more than limit hold a slot at once, and once all are done no slot is held
+// and nobody is queued.
 func TestWaitersUnderContention(t *testing.T) {
-	for _, policy := range []string{PolicyFCFS, PolicyPriority} {
-		classes := testClasses(Class{Name: "a", Priority: 1}, Class{Name: "b", Priority: 2})
-		s := newScheduler(policy, classes, 2)
-		var holding atomic.Int32
-		var wg sync.WaitGroup
-		for g := 0; g < 16; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < 200; i++ {
-					w, err := s.claim(classes[g%2], 1)
-					if w != nil {
-						err = s.wait(context.Background(), w, time.Duration(i%3)*50*time.Microsecond)
-					}
-					if err != nil {
-						continue // timed out (or the queue was full)
-					}
-					if n := holding.Add(1); n > int32(s.limit) {
-						t.Errorf("%s: %d slots held, limit %d", policy, n, s.limit)
-					}
-					runtime.Gosched()
-					holding.Add(-1)
-					s.release()
+	classes := testClasses(Class{Name: "a"}, Class{Name: "b"})
+	s := newScheduler(classes, 2)
+	var holding atomic.Int32
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				w, err := s.claim(classes[g%2], 1)
+				if w != nil {
+					err = s.wait(context.Background(), w, time.Duration(i%3)*50*time.Microsecond)
 				}
-			}()
-		}
-		wg.Wait()
-		s.mu.Lock()
-		running, waiting := s.running, s.waiting
-		s.mu.Unlock()
-		if running != 0 || waiting != 0 {
-			t.Fatalf("%s: running=%d waiting=%d after every goroutine finished, want 0/0", policy, running, waiting)
-		}
-		s.close()
+				if err != nil {
+					continue // timed out (or the queue was full)
+				}
+				if n := holding.Add(1); n > int32(s.limit) {
+					t.Errorf("%d slots held, limit %d", n, s.limit)
+				}
+				runtime.Gosched()
+				holding.Add(-1)
+				s.release()
+			}
+		}()
 	}
+	wg.Wait()
+	s.mu.Lock()
+	running, queued := s.running, len(s.line)
+	depths := classes[0].queued + classes[1].queued
+	s.mu.Unlock()
+	if running != 0 || queued != 0 || depths != 0 {
+		t.Fatalf("running=%d queued=%d depths=%d after every goroutine finished, want 0/0/0", running, queued, depths)
+	}
+	s.close()
 }

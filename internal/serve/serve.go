@@ -1,12 +1,11 @@
 // Package serve is the production front door of a MultiRAG deployment: an
-// HTTP/JSON API over System.AskEach / System.IngestFiles with
-// token-bucket admission control per SLO class, a fixed count of execution
-// slots (Config.Executors), bounded per-class queues of requests waiting for
-// a slot, served in arrival (FCFS) or class-priority order, and per-class
-// latency / fairness reporting on a metrics endpoint. Every request runs on
-// its own handler goroutine: one that finds every queue empty and a slot
-// free runs at once, and one that does not waits there until a finishing
-// request hands it a slot.
+// HTTP/JSON API over System.AskEach / System.IngestFiles with a fixed count
+// of execution slots (Config.Executors), one FIFO line of requests waiting
+// for a slot, in which each SLO class may hold a bounded number of queries,
+// and per-class latency reporting on a metrics endpoint. Every request runs
+// on its own handler goroutine: one that finds the line empty and a slot
+// free runs at once, and one that does not waits in the line until a
+// finishing request hands it a slot, in arrival order whatever its class.
 //
 // Endpoints:
 //
@@ -14,7 +13,7 @@
 //	POST /v1/query/batch  {"queries": [...], "class": "..."}         → {"answers": [...]}
 //	POST /v1/ingest       {"files": [{domain,source,name,format,content}, ...]}
 //	GET  /v1/stats        corpus statistics
-//	GET  /v1/metrics      per-class p50/p95/p99, Jain fairness, queue depths
+//	GET  /v1/metrics      per-class p50/p95/p99, queue depths
 //	GET  /healthz
 //
 // Requests run under end-to-end deadlines: each SLO class may declare a
@@ -29,13 +28,12 @@
 //
 // Excess load is shed, never buffered without bound: a request body larger
 // than maxBodyBytes is rejected with 413, a query longer than maxQueryBytes
-// with 400, a request that finds its class
-// token bucket empty or its bounded queue full is rejected with 429, one
-// that waits in queue past the configured timeout gets 503, and ingest
-// requests are additionally rejected with 429 while the group
-// committer's admission window (core.IngestPressure) is saturated — the
-// serving layer's backpressure is wired into the ingest pipeline's rather
-// than layered blindly on top of it. Every shed response carries a
+// with 400, a request whose class already has QueueCap queries in the line
+// is rejected with 429, one that waits in the line past the configured
+// timeout gets 503, and ingest requests are rejected with 429 while the
+// group committer's admission window (core.IngestPressure) is saturated —
+// the serving layer's backpressure is wired into the ingest pipeline's
+// rather than layered blindly on top of it. Every shed response carries a
 // Retry-After hint so well-behaved clients back off instead of hammering.
 //
 // Shutdown is two-phase: Drain flips the server into draining — new work is
@@ -59,6 +57,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"multirag"
 	"multirag/internal/fault"
@@ -69,16 +68,9 @@ import (
 type Class struct {
 	// Name identifies the class ("interactive", "batch", "ingest", ...).
 	Name string `json:"name"`
-	// Rate is the admission token-bucket refill rate in requests per second;
-	// <= 0 disables admission limiting for the class.
-	Rate float64 `json:"rate"`
-	// Burst is the token-bucket capacity (default max(1, Rate)).
-	Burst float64 `json:"burst"`
-	// Priority orders classes under PolicyPriority (higher serves first).
-	Priority int `json:"priority"`
-	// QueueCap bounds the queries waiting for a slot in the class's queue (a
-	// /v1/query/batch counts each of its queries); arrivals that find it full
-	// are rejected with 429 (default 256).
+	// QueueCap bounds the class's queries waiting in the line for a slot (a
+	// /v1/query/batch counts each of its queries); arrivals that find it
+	// reached are rejected with 429 (default 256).
 	QueueCap int `json:"queue_cap"`
 	// Deadline is the class's end-to-end budget per request, counted from
 	// admission — queue wait spends the same budget as evaluation. A request
@@ -93,31 +85,22 @@ type Class struct {
 	Degrade bool `json:"degrade,omitempty"`
 }
 
-// DefaultClasses is the stock three-class SLO layout: latency-sensitive
-// interactive traffic over throughput-oriented batch traffic, plus the
-// ingest class gating /v1/ingest. All admission-unlimited; production
-// deployments set Rate/Burst per class.
+// DefaultClasses is the stock three-class SLO layout: interactive and batch
+// query traffic, counted apart, plus the class /v1/ingest is counted under.
 func DefaultClasses() []Class {
-	return []Class{
-		{Name: "interactive", Priority: 2},
-		{Name: "batch", Priority: 1},
-		{Name: IngestClass, Priority: 0},
-	}
+	return []Class{{Name: "interactive"}, {Name: "batch"}, {Name: IngestClass}}
 }
 
-// IngestClass names the class whose token bucket gates /v1/ingest.
+// IngestClass names the class /v1/ingest's outcomes are counted under.
 const IngestClass = "ingest"
 
 // Config assembles a Server.
 type Config struct {
 	// System is the deployment to serve. Required.
 	System *multirag.System
-	// Policy selects the order in which queued requests get a free slot:
-	// PolicyFCFS (default) or PolicyPriority.
-	Policy string
 	// Classes declares the SLO classes (default DefaultClasses). The first
 	// entry is the default class; the entry named IngestClass (added
-	// automatically if absent) admission-controls /v1/ingest.
+	// automatically if absent) counts /v1/ingest.
 	Classes []Class
 	// QueueTimeout bounds how long a request may wait for a slot before
 	// failing with 503 (default 5s; < 0 disables). It bounds only the wait:
@@ -147,7 +130,6 @@ type Config struct {
 // http.Server, Close to reject queued work and wait for running requests.
 type Server struct {
 	sys          *multirag.System
-	policy       string
 	sched        *scheduler
 	metrics      *metrics
 	byName       map[string]*classState
@@ -173,14 +155,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.System == nil {
 		return nil, fmt.Errorf("serve: Config.System is required")
 	}
-	switch cfg.Policy {
-	case "":
-		cfg.Policy = PolicyFCFS
-	case PolicyFCFS, PolicyPriority:
-	default:
-		return nil, fmt.Errorf("serve: unknown policy %q (want %s or %s)",
-			cfg.Policy, PolicyFCFS, PolicyPriority)
-	}
 	classes := cfg.Classes
 	if len(classes) == 0 {
 		classes = DefaultClasses()
@@ -192,10 +166,8 @@ func New(cfg Config) (*Server, error) {
 		cfg.Executors = runtime.GOMAXPROCS(0)
 	}
 
-	now := time.Now()
 	s := &Server{
 		sys:          cfg.System,
-		policy:       cfg.Policy,
 		byName:       map[string]*classState{},
 		queueTimeout: cfg.QueueTimeout,
 		pressure:     cfg.System.IngestPressure,
@@ -217,16 +189,13 @@ func New(cfg Config) (*Server, error) {
 		if c.QueueCap <= 0 {
 			c.QueueCap = 256
 		}
-		cs := &classState{cfg: c, bucket: newTokenBucket(c.Rate, c.Burst, now)}
+		cs := &classState{cfg: c}
 		s.byName[c.Name] = cs
 		states = append(states, cs)
 	}
 	s.defaultClass = states[0]
 	if s.ingestClass = s.byName[IngestClass]; s.ingestClass == nil {
-		cs := &classState{
-			cfg:    Class{Name: IngestClass, QueueCap: 256},
-			bucket: newTokenBucket(0, 0, now),
-		}
+		cs := &classState{cfg: Class{Name: IngestClass, QueueCap: 256}}
 		s.byName[IngestClass] = cs
 		states = append(states, cs)
 		s.ingestClass = cs
@@ -237,7 +206,7 @@ func New(cfg Config) (*Server, error) {
 		order[i] = cs.cfg.Name
 	}
 	s.metrics = newMetrics(order)
-	s.sched = newScheduler(cfg.Policy, states, cfg.Executors)
+	s.sched = newScheduler(states, cfg.Executors)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/query", s.handleQuery)
@@ -274,7 +243,7 @@ func (s *Server) Close() {
 
 // Metrics returns the current metrics snapshot (the /v1/metrics payload).
 func (s *Server) Metrics() MetricsSnapshot {
-	snap := s.metrics.snapshot(s.policy)
+	snap := s.metrics.snapshot()
 	snap.QueueDepths = s.sched.depths()
 	snap.IngestInflight, snap.IngestCapacity = s.pressure()
 	snap.Durability = s.sys.Durability()
@@ -325,8 +294,8 @@ type QueryRequest struct {
 	DeadlineMillis int64 `json:"deadline_ms,omitempty"`
 }
 
-// BatchRequest is the /v1/query/batch payload. Admission charges one token
-// per query.
+// BatchRequest is the /v1/query/batch payload. Each of its queries counts
+// against its class's QueueCap while it waits.
 type BatchRequest struct {
 	Queries []string `json:"queries"`
 	Class   string   `json:"class,omitempty"`
@@ -350,8 +319,7 @@ type IngestFile struct {
 	Content string            `json:"content"`
 }
 
-// IngestRequest is the /v1/ingest payload. Admission charges one ingest-class
-// token per file.
+// IngestRequest is the /v1/ingest payload.
 type IngestRequest struct {
 	Files []IngestFile `json:"files"`
 }
@@ -386,12 +354,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if !cs.bucket.take(1, time.Now()) {
-		s.metrics.rejectAdmission(cs.cfg.Name)
-		writeShed(w, http.StatusTooManyRequests,
-			fmt.Sprintf("admission: class %q over rate", cs.cfg.Name))
-		return
-	}
 	answers, out := s.evaluate(r.Context(), cs, req.DeadlineMillis, []string{req.Query})
 	if out.status != http.StatusOK {
 		out.write(w)
@@ -424,15 +386,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if n := len(req.Queries); n > cs.cfg.QueueCap {
 		writeError(w, http.StatusBadRequest,
 			fmt.Sprintf("batch of %d queries exceeds class %q queue cap of %d", n, cs.cfg.Name, cs.cfg.QueueCap))
-		return
-	}
-	if !admissible(w, cs, len(req.Queries), "queries") {
-		return
-	}
-	if !cs.bucket.take(float64(len(req.Queries)), time.Now()) {
-		s.metrics.rejectAdmission(cs.cfg.Name)
-		writeShed(w, http.StatusTooManyRequests,
-			fmt.Sprintf("admission: class %q over rate", cs.cfg.Name))
 		return
 	}
 	answers, out := s.evaluate(r.Context(), cs, req.DeadlineMillis, req.Queries)
@@ -578,19 +531,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cs := s.ingestClass
-	if !admissible(w, cs, len(req.Files), "files") {
-		return
-	}
-	if !cs.bucket.take(float64(len(req.Files)), time.Now()) {
-		s.metrics.rejectAdmission(cs.cfg.Name)
-		writeShed(w, http.StatusTooManyRequests, `admission: class "ingest" over rate`)
-		return
-	}
 	// Backpressure coupling: when the group committer's bounded admission
 	// window is full, IngestFiles would block this handler on the committer
 	// condvar — shed at the front door instead and let the client retry.
 	if inflight, capacity := s.pressure(); inflight >= capacity {
-		s.metrics.rejectQueue(cs.cfg.Name)
+		s.metrics.rejectAdmission(cs.cfg.Name)
 		writeShed(w, http.StatusTooManyRequests,
 			fmt.Sprintf("ingest pipeline at capacity (%d/%d batches in flight)", inflight, capacity))
 		return
@@ -676,23 +621,10 @@ func (s *Server) resolveClass(w http.ResponseWriter, name string) (*classState, 
 	}
 	cs := s.byName[name]
 	if cs == nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown class %q", name))
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown class %.64q", name))
 		return nil, false
 	}
 	return cs, true
-}
-
-// admissible writes a 400 naming the limit, and returns false, when a
-// request of n units is larger than class cs's admission burst. Such a request
-// can never be admitted, so the 429 + Retry-After an over-rate request gets
-// would have a client that honours it retry forever.
-func admissible(w http.ResponseWriter, cs *classState, n int, unit string) bool {
-	if cs.bucket.admits(float64(n)) {
-		return true
-	}
-	writeError(w, http.StatusBadRequest,
-		fmt.Sprintf("request of %d %s exceeds class %q admission burst of %g", n, unit, cs.cfg.Name, cs.bucket.burst))
-	return false
 }
 
 // maxBodyBytes bounds one request body. It sits far above any legitimate
@@ -801,11 +733,41 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, ErrorResponse{Error: msg})
+	writeJSON(w, code, ErrorResponse{Error: fitError(msg)})
+}
+
+// maxErrorBody bounds the body of an error response. An error quotes at most
+// 64 runes of any request field, but one quoted rune can take eleven bytes
+// once JSON-encoded, and a message may quote four fields.
+const maxErrorBody = 512
+
+// fitError returns msg, cut at a rune boundary when its ErrorResponse would
+// encode to more than maxErrorBody bytes: the head, which names the failure,
+// is kept.
+func fitError(msg string) string {
+	// A byte of msg encodes to at most six ("\u00XX"), beside 13 bytes of
+	// framing and newline, so a message this short always fits.
+	if len(msg) <= (maxErrorBody-13)/6 {
+		return msg
+	}
+	b := getJSONBuf()
+	defer putJSONBuf(b)
+	for {
+		b.Reset()
+		_ = b.enc.Encode(ErrorResponse{Error: msg}) // an ErrorResponse always encodes
+		if b.Len() <= maxErrorBody {
+			return msg
+		}
+		cut := len(msg) * maxErrorBody / b.Len()
+		for cut > 0 && !utf8.RuneStart(msg[cut]) {
+			cut--
+		}
+		msg = msg[:cut]
+	}
 }
 
 // retryAfterSeconds is the backoff hint attached to every shed response
-// (admission, full queue, queue timeout, pipeline saturation, draining).
+// (full queue, queue timeout, pipeline saturation, draining).
 // Overload here is transient — a committed group or a drained queue frees
 // capacity within, at worst, the queue timeout — so the hint is short and
 // clients honouring it converge instead of thundering.
@@ -816,7 +778,7 @@ const retryAfterSeconds = 1
 // 400/405 which is not.
 func writeShed(w http.ResponseWriter, code int, msg string) {
 	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-	writeJSON(w, code, ErrorResponse{Error: msg})
+	writeError(w, code, msg)
 }
 
 // shedDraining answers true and writes the 503 when the server is draining.

@@ -193,7 +193,7 @@ func TestServeQueryEquivalence(t *testing.T) {
 
 func testQueryEquivalence(t *testing.T, queued bool) {
 	ref := newCorpusSystem(t)
-	s, ts := newTestServer(t, Config{Policy: PolicyPriority})
+	s, ts := newTestServer(t, Config{})
 
 	queries := []string{
 		"What is the status of CA981?",
@@ -239,32 +239,6 @@ func testQueryEquivalence(t *testing.T, queued bool) {
 	}
 }
 
-// TestServeAdmissionRejects429 drives a class past its token bucket and
-// checks both the status code and the rejection accounting.
-func TestServeAdmissionRejects429(t *testing.T) {
-	s, ts := newTestServer(t, Config{Classes: []Class{
-		{Name: "limited", Rate: 1e-9, Burst: 2, Priority: 1},
-	}})
-	codes := map[int]int{}
-	for i := 0; i < 5; i++ {
-		resp, _ := postJSON(t, ts.URL+"/v1/query", QueryRequest{Query: "What is the status of CA981?"})
-		codes[resp.StatusCode]++
-	}
-	if codes[http.StatusOK] != 2 || codes[http.StatusTooManyRequests] != 3 {
-		t.Fatalf("status codes: got %v, want 2x200 + 3x429", codes)
-	}
-	snap := s.Metrics()
-	for _, c := range snap.Classes {
-		if c.Name == "limited" {
-			if c.Completed != 2 || c.RejectedAdmission != 3 {
-				t.Fatalf("limited class accounting: %+v", c)
-			}
-			return
-		}
-	}
-	t.Fatal("limited class missing from metrics")
-}
-
 // TestServeIngestBackpressure429 saturates the (stubbed) committer admission
 // window and checks the ingest endpoint sheds with 429 instead of blocking.
 func TestServeIngestBackpressure429(t *testing.T) {
@@ -278,7 +252,7 @@ func TestServeIngestBackpressure429(t *testing.T) {
 	}
 	snap := s.Metrics()
 	for _, c := range snap.Classes {
-		if c.Name == IngestClass && c.RejectedQueue != 1 {
+		if c.Name == IngestClass && (c.RejectedAdmission != 1 || c.RejectedQueue != 0) {
 			t.Fatalf("ingest rejection accounting: %+v", c)
 		}
 	}
@@ -293,52 +267,46 @@ func TestServeIngestBackpressure429(t *testing.T) {
 }
 
 // TestServeConcurrentMixedLoad hammers the server from concurrent clients
-// across classes and policies — the -race exercise for the scheduler,
-// metrics and admission paths.
+// across classes — the -race exercise for the scheduler and metrics paths.
+// The subtest is named for the queue's one policy, first-come first-served.
 func TestServeConcurrentMixedLoad(t *testing.T) {
-	for _, policy := range []string{PolicyFCFS, PolicyPriority} {
-		t.Run(policy, func(t *testing.T) {
-			s, ts := newTestServer(t, Config{Policy: policy})
-			const clients, perClient = 8, 10
-			errs := make(chan error, clients)
-			for c := 0; c < clients; c++ {
-				go func(c int) {
-					class := "interactive"
-					if c%2 == 1 {
-						class = "batch"
-					}
-					for i := 0; i < perClient; i++ {
-						q := "What is the status of CA981?"
-						if i%3 == 1 {
-							q = "Do CA981 and MU588 have the same status?"
-						}
-						resp, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Query: q, Class: class})
-						if resp.StatusCode != http.StatusOK {
-							errs <- fmt.Errorf("client %d: status %d: %s", c, resp.StatusCode, body)
-							return
-						}
-					}
-					errs <- nil
-				}(c)
-			}
-			for c := 0; c < clients; c++ {
-				if err := <-errs; err != nil {
-					t.Fatal(err)
+	t.Run("fcfs", func(t *testing.T) {
+		s, ts := newTestServer(t, Config{})
+		const clients, perClient = 8, 10
+		errs := make(chan error, clients)
+		for c := 0; c < clients; c++ {
+			go func(c int) {
+				class := "interactive"
+				if c%2 == 1 {
+					class = "batch"
 				}
+				for i := 0; i < perClient; i++ {
+					q := "What is the status of CA981?"
+					if i%3 == 1 {
+						q = "Do CA981 and MU588 have the same status?"
+					}
+					resp, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Query: q, Class: class})
+					if resp.StatusCode != http.StatusOK {
+						errs <- fmt.Errorf("client %d: status %d: %s", c, resp.StatusCode, body)
+						return
+					}
+				}
+				errs <- nil
+			}(c)
+		}
+		for c := 0; c < clients; c++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
 			}
-			snap := s.Metrics()
-			var completed int64
-			for _, cm := range snap.Classes {
-				completed += cm.Completed
-			}
-			if completed != clients*perClient {
-				t.Fatalf("completed = %d, want %d", completed, clients*perClient)
-			}
-			if snap.JainFairness <= 0 || snap.JainFairness > 1 {
-				t.Fatalf("jain = %v out of range", snap.JainFairness)
-			}
-		})
-	}
+		}
+		var completed int64
+		for _, cm := range s.Metrics().Classes {
+			completed += cm.Completed
+		}
+		if completed != clients*perClient {
+			t.Fatalf("completed = %d, want %d", completed, clients*perClient)
+		}
+	})
 }
 
 // TestServeQueueTimeout503: a request that finds every slot held queues, and
@@ -460,18 +428,12 @@ func TestOverlongQueryRejected400(t *testing.T) {
 	}
 }
 
-// TestUnadmittableBatchRejected400: a batch that can never be admitted — more
-// queries than its class's queue cap, more than a rate-limited class's burst,
-// or more ingest files than the ingest bucket's burst — is answered 400 naming
-// the limit, with no Retry-After: a 429 would have a client that honours the
-// header retry it forever. The rejections take no tokens, so requests within
-// the limits are served afterwards.
+// TestUnadmittableBatchRejected400: a batch that can never be admitted —
+// more queries than its class's queue cap — is answered 400 naming the
+// limit, with no Retry-After: a 429 would have a client that honours the
+// header retry it forever. A batch at the cap is served afterwards.
 func TestUnadmittableBatchRejected400(t *testing.T) {
-	_, ts := newTestServer(t, Config{Classes: []Class{
-		{Name: "interactive", Priority: 2},
-		{Name: "limited", Rate: 1e-9, Burst: 2, Priority: 1},
-		{Name: IngestClass, Rate: 1e-9, Burst: 2},
-	}})
+	_, ts := newTestServer(t, Config{})
 	queries := func(n int) []string {
 		out := make([]string, n)
 		for i := range out {
@@ -479,45 +441,18 @@ func TestUnadmittableBatchRejected400(t *testing.T) {
 		}
 		return out
 	}
-	files := func(n int) []IngestFile {
-		out := make([]IngestFile, n)
-		for i := range out {
-			out[i] = IngestFile{Domain: "flights", Source: "gate-feed", Name: fmt.Sprintf("g%d", i), Format: "kg", Content: "CA981|gate|G12\n"}
-		}
-		return out
+	resp, body := postJSON(t, ts.URL+"/v1/query/batch", BatchRequest{Queries: queries(257)})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("over queue cap: status %d (%s), want 400", resp.StatusCode, body)
 	}
-	for _, c := range []struct {
-		name, path, limit string
-		body              any
-	}{
-		{"over queue cap", "/v1/query/batch", "queue cap of 256", BatchRequest{Queries: queries(257)}},
-		{"over class burst", "/v1/query/batch", "admission burst of 2", BatchRequest{Queries: queries(3), Class: "limited"}},
-		{"over ingest burst", "/v1/ingest", "admission burst of 2", IngestRequest{Files: files(3)}},
-	} {
-		resp, body := postJSON(t, ts.URL+c.path, c.body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status %d (%s), want 400", c.name, resp.StatusCode, body)
-		}
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			t.Fatalf("%s: 400 carries Retry-After %q", c.name, ra)
-		}
-		var er ErrorResponse
-		if err := json.Unmarshal(body, &er); err != nil || !strings.Contains(er.Error, c.limit) {
-			t.Fatalf("%s: error %q does not name the limit %q (%v)", c.name, body, c.limit, err)
-		}
+	if ra := resp.Header.Get("Retry-After"); ra != "" {
+		t.Fatalf("over queue cap: 400 carries Retry-After %q", ra)
 	}
-
-	for _, c := range []struct {
-		path string
-		body any
-	}{
-		{"/v1/query", QueryRequest{Query: "What is the status of CA981?"}},
-		{"/v1/query/batch", BatchRequest{Queries: queries(256)}},
-		{"/v1/query/batch", BatchRequest{Queries: queries(2), Class: "limited"}},
-		{"/v1/ingest", IngestRequest{Files: files(2)}},
-	} {
-		if resp, body := postJSON(t, ts.URL+c.path, c.body); resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s after the 400s: status %d (%s), want 200", c.path, resp.StatusCode, body)
-		}
+	var er ErrorResponse
+	if err := json.Unmarshal(body, &er); err != nil || !strings.Contains(er.Error, "queue cap of 256") {
+		t.Fatalf("over queue cap: error %q does not name the limit (%v)", body, err)
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/query/batch", BatchRequest{Queries: queries(256)}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch at the queue cap after the 400: status %d (%s), want 200", resp.StatusCode, body)
 	}
 }

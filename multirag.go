@@ -196,8 +196,8 @@ func coreConfig(cfg Config) core.Config {
 func (s *System) IngestFiles(files ...File) error {
 	raw := make([]adapter.RawFile, 0, len(files))
 	for _, f := range files {
-		if f.Domain == "" || f.Source == "" || f.Name == "" || f.Format == "" {
-			return missingFields(f)
+		if err := checkFile(f); err != nil {
+			return err
 		}
 		raw = append(raw, adapter.RawFile{
 			Domain: f.Domain, Source: f.Source, Name: f.Name,
@@ -208,21 +208,52 @@ func (s *System) IngestFiles(files ...File) error {
 	return err
 }
 
-// missingFields is the error for a file missing a required field. It names
-// the missing fields and the file's first 64 runes of domain, source and
-// name, never its content: the error is a front door's 400 body, so it stays
-// short whatever the request held.
-func missingFields(f File) error {
-	var missing []string
-	for _, fld := range [...]struct{ name, v string }{
+// maxIdentifierBytes bounds each of a file's identifiers: Domain, Source,
+// Name, Format and every Meta key and value. Adapters format the identity
+// into every row's ID, so a long one is stored once per row: without the
+// bound a 13 KB file with a 1 MiB name retains hundreds of megabytes. Real
+// identifiers are far shorter: the longest in the datasets presets and the
+// benchmark corpus and its delta stream is 34 bytes.
+const maxIdentifierBytes = 1 << 10
+
+// checkFile rejects a file missing a required field or with an identifier
+// over maxIdentifierBytes. The error names the problem and the file's first
+// 64 runes of domain, source and name, never its content: it is a front
+// door's 400 body, so it stays short whatever the request held.
+func checkFile(f File) error {
+	bad := func(problem string) error {
+		return fmt.Errorf("multirag: file (domain %.64q, source %.64q, name %.64q) %s",
+			f.Domain, f.Source, f.Name, problem)
+	}
+	overlong := func(field string, n int) error {
+		return bad(fmt.Sprintf("has a %s of %d bytes, over the %d-byte identifier limit", field, n, maxIdentifierBytes))
+	}
+	fields := [...]struct{ name, v string }{
 		{"Domain", f.Domain}, {"Source", f.Source}, {"Name", f.Name}, {"Format", f.Format},
-	} {
+	}
+	var missing []string
+	for _, fld := range fields {
 		if fld.v == "" {
 			missing = append(missing, fld.name)
 		}
 	}
-	return fmt.Errorf("multirag: file (domain %.64q, source %.64q, name %.64q) is missing %s",
-		f.Domain, f.Source, f.Name, strings.Join(missing, ", "))
+	if len(missing) > 0 {
+		return bad("is missing " + strings.Join(missing, ", "))
+	}
+	for _, fld := range fields {
+		if len(fld.v) > maxIdentifierBytes {
+			return overlong(fld.name, len(fld.v))
+		}
+	}
+	for k, v := range f.Meta {
+		if len(k) > maxIdentifierBytes {
+			return overlong("Meta key", len(k))
+		}
+		if len(v) > maxIdentifierBytes {
+			return overlong("Meta value", len(v))
+		}
+	}
+	return nil
 }
 
 // Ask answers a natural-language question over the ingested corpus.

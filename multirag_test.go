@@ -71,6 +71,74 @@ func TestIngestValidation(t *testing.T) {
 	}
 }
 
+// TestIngestErrorsAreBounded: a rejection that quotes the file — its
+// identity, a malformed kg line, a repeated CSV column, an XML syntax error —
+// quotes a bounded excerpt, so a 1 MiB input yields a short error: it is a
+// front door's 400 body. The identity case uses the longest identifiers the
+// facade accepts, so the adapter's own excerpt is what bounds it.
+func TestIngestErrorsAreBounded(t *testing.T) {
+	const size = 1 << 20
+	ident := strings.Repeat("i", maxIdentifierBytes)
+	col := strings.Repeat("c", size/2)
+	cases := []struct {
+		name string
+		f    File
+	}{
+		{"identity of an unknown format", File{Domain: ident, Source: ident, Name: ident, Format: "zip", Content: []byte("x")}},
+		{"kg line", File{Domain: "d", Source: "s", Name: "n", Format: "kg", Content: []byte(strings.Repeat("k", size))}},
+		{"csv column", File{Domain: "d", Source: "s", Name: "n", Format: "csv", Content: []byte("key," + col + "," + col + "\nk,1,2\n")}},
+		{"xml element", File{Domain: "d", Source: "s", Name: "n", Format: "xml", Content: []byte("<" + strings.Repeat("e", size) + "></b>")}},
+	}
+	sys := Open(Config{})
+	for _, c := range cases {
+		err := sys.IngestFiles(c.f)
+		if err == nil {
+			t.Fatalf("%s: the file was accepted", c.name)
+		}
+		if n := len(err.Error()); n > 512 {
+			t.Fatalf("%s: %d-byte error: %.200s", c.name, n, err)
+		}
+	}
+}
+
+// TestIngestRejectsOverlongIdentifiers: a file whose Domain, Source, Name,
+// Format or a Meta key or value is over maxIdentifierBytes is rejected with a
+// short error naming the field, before any adapter formats it into row IDs;
+// one at the limit is accepted.
+func TestIngestRejectsOverlongIdentifiers(t *testing.T) {
+	huge := strings.Repeat("n", 1<<20)
+	base := File{Domain: "flights", Source: "gate-feed", Name: "gates", Format: "kg", Content: []byte("CA981|gate|G12\n")}
+	cases := []struct {
+		field string
+		edit  func(f *File)
+	}{
+		{"Domain", func(f *File) { f.Domain = huge }},
+		{"Source", func(f *File) { f.Source = huge }},
+		{"Name", func(f *File) { f.Name = huge }},
+		{"Format", func(f *File) { f.Format = huge }},
+		{"Meta key", func(f *File) { f.Meta = map[string]string{huge: "v"} }},
+		{"Meta value", func(f *File) { f.Meta = map[string]string{"k": huge} }},
+	}
+	sys := Open(Config{})
+	for _, c := range cases {
+		f := base
+		c.edit(&f)
+		err := sys.IngestFiles(f)
+		if err == nil {
+			t.Fatalf("file with a 1 MiB %s was accepted", c.field)
+		}
+		if msg := err.Error(); len(msg) > 512 || !strings.Contains(msg, c.field) {
+			t.Fatalf("1 MiB %s: %d-byte error does not name the field: %.200s", c.field, len(msg), msg)
+		}
+	}
+	atLimit := base
+	atLimit.Name = strings.Repeat("n", maxIdentifierBytes)
+	atLimit.Meta = map[string]string{"k": strings.Repeat("v", maxIdentifierBytes)}
+	if err := sys.IngestFiles(atLimit); err != nil {
+		t.Fatalf("identifiers of exactly %d bytes: %v", maxIdentifierBytes, err)
+	}
+}
+
 // TestReplicaSetNeedsOpenDurable: replicas read the primary's write-ahead
 // log, so a replica set over an in-memory System is refused by name, and one
 // over a durable System serves the primary's answer.
