@@ -68,9 +68,8 @@ chaos-cluster:
 # oracle that rebuilds the previous value's prefix plus the suffix — the WAL
 # group record and checkpoint body decoders behind them (and the replica
 # doors that take the same bytes from a peer; seeded with records and bodies
-# in format 4, which decode, and formats 1–3, which must be rejected),
-# and the JSON-LD parser every adapter output
-# passes through — plus the allocation-free text primitives held to the forms
+# in format 4, which decode, and formats 1–3, which must be rejected) —
+# plus the allocation-free text primitives held to the forms
 # they replace: SameNormalized / CompareNormalized / SameLower against
 # comparisons of the built strings, Tokenize / NormalizeValue /
 # StandardizeName / NormalizeRelation / HashAddNormalized against the
@@ -86,7 +85,6 @@ fuzz-smoke:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecoder -fuzztime 5s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzRecoveredPayload -fuzztime 5s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzServeRequest -fuzztime 5s
-	$(GO) test ./internal/jsonld -run '^$$' -fuzz FuzzDocumentUnmarshal -fuzztime 5s
 	$(GO) test ./internal/textutil -run '^$$' -fuzz FuzzSameNormalized -fuzztime 5s
 	$(GO) test ./internal/textutil -run '^$$' -fuzz FuzzNormalForms -fuzztime 5s
 	$(GO) test ./internal/textutil -run '^$$' -fuzz FuzzHash64 -fuzztime 5s

@@ -18,7 +18,7 @@ import (
 // runServeCmd is the `multirag serve` subcommand: the production front door.
 // It ingests a corpus, then serves HTTP/JSON with one line of requests
 // waiting for an execution slot, served in arrival order with a bounded share
-// per SLO class, and per-class latency metrics. Ingest traffic is shed with
+// per query class, and per-class latency metrics. Ingest traffic is shed with
 // 429 while the group committer's admission window is saturated, so overload
 // backs up to clients instead of queueing without bound inside the server.
 //
@@ -43,15 +43,16 @@ Serve the ingested corpus over HTTP:
                         deadline/cancel/degraded counters, durability state
   GET  /healthz         {"status": "ok"|"degraded"|"draining", "reason": ...}
 
-SLO classes: interactive, batch, ingest. A query that finds a free
-execution slot runs at once; one that does not waits in one line shared by
-the classes until a finishing request hands it a slot, in arrival order
-whatever its class, and a /v1/query/batch runs whole under one slot. There
-are GOMAXPROCS slots. Excess load is rejected with 429 (a class with
--queue-cap queries already waiting, or the ingest pipeline at capacity) or
-503 (queue timeout); every shed response carries a Retry-After hint.
+SLO classes: a query names interactive (the default) or batch; ingest
+counts /v1/ingest. A query that finds a free execution slot runs at once;
+one that does not waits in one line shared by the two query classes until a
+finishing request hands it a slot, in arrival order whatever its class, and
+a /v1/query/batch runs whole under one slot. There are GOMAXPROCS slots.
+Excess load is rejected with 429 (a query class with -queue-cap queries
+already waiting, or the ingest pipeline at capacity) or 503 (queue
+timeout); every shed response carries a Retry-After hint.
 
-Requests run under end-to-end deadlines (-deadline, tightened per request
+Queries run under one end-to-end deadline (-deadline, tightened per request
 with "deadline_ms"): the budget starts at admission, so queue wait spends it
 too, and client disconnects cancel evaluation mid-flight. A request whose
 budget expires mid-evaluation returns 200 with a Degraded partial answer
@@ -84,9 +85,9 @@ Flags:
 		domain       = fs.String("domain", "data", "domain label for ingested files")
 		seed         = fs.Uint64("seed", 1, "simulated model seed")
 		workers      = fs.Int("workers", 0, "engine worker pool size (0 = GOMAXPROCS)")
-		queueCap     = fs.Int("queue-cap", 256, "bound on each SLO class's queries waiting for a slot")
+		queueCap     = fs.Int("queue-cap", 256, "bound on each query class's queries waiting for a slot")
 		queueTimeout = fs.Duration("queue-timeout", 5*time.Second, "maximum queue wait before a request fails with 503")
-		deadline     = fs.Duration("deadline", 0, "end-to-end deadline per query-class request, counted from admission (0 = none; requests may tighten it with deadline_ms)")
+		deadline     = fs.Duration("deadline", 0, "end-to-end deadline per query request, counted from admission (0 = none; requests may tighten it with deadline_ms)")
 		degrade      = fs.Bool("degrade", true, "deliver partial answers as 200 + degraded when a request's deadline expires mid-evaluation (false = fail with 504)")
 		replicas     = fs.Int("replicas", 0, "read replicas that replay the primary's write-ahead log; needs -data-dir (0 = serve reads from the primary)")
 		route        = fs.String("route", serve.RouteRoundRobin, "replica read-routing policy: round-robin or primary-only")
@@ -150,8 +151,10 @@ Flags:
 
 	srv, err := serve.New(serve.Config{
 		System:       sys,
-		Classes:      serveClasses(*queueCap, *deadline, *degrade),
+		QueueCap:     *queueCap,
 		QueueTimeout: *queueTimeout,
+		Deadline:     *deadline,
+		Degrade:      *degrade,
 		Recovery:     recovery,
 		Replicas:     set,
 		Route:        *route,
@@ -212,20 +215,4 @@ const (
 // bounds set.
 func newHTTPServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
-}
-
-// serveClasses is the stock SLO layout with the CLI queue cap applied to
-// every class and the deadline and degradation knobs to the query classes.
-// The ingest class's load shedding comes from the group committer's own
-// bounded admission window, surfaced as 429 by the ingest handler.
-func serveClasses(queueCap int, deadline time.Duration, degrade bool) []serve.Class {
-	classes := serve.DefaultClasses()
-	for i := range classes {
-		classes[i].QueueCap = queueCap
-		if classes[i].Name != serve.IngestClass {
-			classes[i].Deadline = deadline
-			classes[i].Degrade = degrade
-		}
-	}
-	return classes
 }

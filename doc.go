@@ -31,9 +31,9 @@
 // For deployment as a service, internal/serve (exposed as the `multirag
 // serve` subcommand) wraps a System in an HTTP/JSON front door with a fixed
 // count of execution slots, one FIFO line of requests waiting for one with a
-// bounded share per SLO class, ingest backpressure coupled to the group
-// committer via IngestPressure, and a metrics endpoint reporting per-class
-// latency percentiles and queue depths. See DESIGN.md §8.
+// bounded share per query class (interactive or batch), ingest backpressure
+// coupled to the group committer via IngestPressure, and a metrics endpoint
+// reporting per-class latency percentiles and queue depths. See DESIGN.md §8.
 //
 // Systems opened with multirag.Open are in-memory; OpenDurable(dir, cfg)
 // adds write-ahead logging and checkpointing under dir (CLI: `multirag serve

@@ -24,9 +24,9 @@ func TestStructuredCSV(t *testing.T) {
 	if v, _ := n.JSC[0].Get("director"); v.Str != "Michael Mann" {
 		t.Fatalf("director = %q", v.Str)
 	}
-	// Missing year in row 1 must not appear in the column index.
-	if got := n.ColsIndex["year"]; len(got) != 1 || got[0] != 0 {
-		t.Fatalf("cols_index[year] = %v", got)
+	// The empty year in row 1 sets no property.
+	if _, ok := n.JSC[1].Get("year"); ok {
+		t.Fatal("empty cell became a year property")
 	}
 	if n.Meta["year"] != "2024" {
 		t.Fatal("meta lost")
@@ -73,9 +73,6 @@ func TestSemiJSONNested(t *testing.T) {
 	}
 	if codes, _ := doc.Get("codes"); len(codes.List) != 2 {
 		t.Fatalf("codes = %v", codes)
-	}
-	if n.ColsIndex != nil {
-		t.Fatal("semi-structured data must not carry a column index")
 	}
 }
 

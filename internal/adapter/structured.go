@@ -9,8 +9,8 @@ import (
 )
 
 // Structured adapts tabular CSV data. Per §III-B, tabular information is
-// stored in JSON(-LD) with a column index (cols_index, Definition 1) so that
-// all attribute information can be extracted for consistency checks.
+// stored in JSON(-LD), one document per row, so that all attribute
+// information can be extracted for consistency checks.
 //
 // Convention: the first CSV column names the entity each row describes;
 // remaining columns are its attributes.
@@ -59,6 +59,5 @@ func (Structured) Parse(f RawFile) (*jsonld.Normalized, error) {
 		}
 		n.JSC = append(n.JSC, doc)
 	}
-	n.ColsIndex = jsonld.BuildColsIndex(n.JSC)
 	return n, nil
 }

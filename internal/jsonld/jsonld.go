@@ -5,21 +5,17 @@
 // representation before knowledge extraction.
 package jsonld
 
-import (
-	"encoding/json"
-	"fmt"
-	"sort"
-)
+import "sort"
 
-// Document is a JSON-LD node object: an @id, an @type, an optional @context
-// mapping of term → IRI, and a set of properties. Property values are either
-// scalars (string), value lists ([]string) or nested Documents, mirroring the
-// subset of JSON-LD the paper's Fig. 2 uses.
+// Document is a JSON-LD node object: an @id, an @type and a set of
+// properties. Property values are either scalars (string), value lists
+// ([]string) or nested Documents, mirroring the subset of JSON-LD the
+// paper's Fig. 2 uses. Documents live only in memory, between an adapter's
+// parse and knowledge extraction: nothing encodes or decodes them.
 type Document struct {
-	Context map[string]string
-	ID      string
-	Type    string
-	Props   map[string]Value
+	ID    string
+	Type  string
+	Props map[string]Value
 }
 
 // Value is one JSON-LD property value.
@@ -28,23 +24,6 @@ type Value struct {
 	Str  string
 	List []string
 	Node *Document
-}
-
-// String returns a human-readable rendering of the value.
-func (v Value) String() string {
-	switch {
-	case v.Node != nil:
-		return "{" + v.Node.ID + "}"
-	case v.List != nil:
-		return fmt.Sprint(v.List)
-	default:
-		return v.Str
-	}
-}
-
-// IsZero reports whether the value carries no content.
-func (v Value) IsZero() bool {
-	return v.Str == "" && v.List == nil && v.Node == nil
 }
 
 // Strings flattens the value into a string slice: a scalar becomes a
@@ -95,85 +74,4 @@ func (d *Document) Keys() []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// MarshalJSON renders the document with JSON-LD keywords (@context, @id,
-// @type) ahead of ordinary properties.
-func (d *Document) MarshalJSON() ([]byte, error) {
-	m := map[string]any{}
-	if len(d.Context) > 0 {
-		m["@context"] = d.Context
-	}
-	if d.ID != "" {
-		m["@id"] = d.ID
-	}
-	if d.Type != "" {
-		m["@type"] = d.Type
-	}
-	for k, v := range d.Props {
-		switch {
-		case v.Node != nil:
-			m[k] = v.Node
-		case v.List != nil:
-			m[k] = v.List
-		default:
-			m[k] = v.Str
-		}
-	}
-	return json.Marshal(m)
-}
-
-// UnmarshalJSON parses a JSON-LD node object produced by MarshalJSON (or any
-// object using the same subset: scalar strings, string arrays, nested
-// objects). Non-string scalars are stringified.
-func (d *Document) UnmarshalJSON(data []byte) error {
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return fmt.Errorf("jsonld: %w", err)
-	}
-	d.Props = map[string]Value{}
-	for k, rv := range raw {
-		switch k {
-		case "@context":
-			if err := json.Unmarshal(rv, &d.Context); err != nil {
-				return fmt.Errorf("jsonld: @context: %w", err)
-			}
-		case "@id":
-			if err := json.Unmarshal(rv, &d.ID); err != nil {
-				return fmt.Errorf("jsonld: @id: %w", err)
-			}
-		case "@type":
-			if err := json.Unmarshal(rv, &d.Type); err != nil {
-				return fmt.Errorf("jsonld: @type: %w", err)
-			}
-		default:
-			v, err := parseValue(rv)
-			if err != nil {
-				return fmt.Errorf("jsonld: property %q: %w", k, err)
-			}
-			d.Props[k] = v
-		}
-	}
-	return nil
-}
-
-func parseValue(raw json.RawMessage) (Value, error) {
-	var s string
-	if err := json.Unmarshal(raw, &s); err == nil {
-		return Value{Str: s}, nil
-	}
-	var list []string
-	if err := json.Unmarshal(raw, &list); err == nil {
-		return Value{List: list}, nil
-	}
-	var node Document
-	if err := json.Unmarshal(raw, &node); err == nil {
-		return Value{Node: &node}, nil
-	}
-	// Fall back to stringifying numbers / booleans / mixed arrays.
-	var any any
-	if err := json.Unmarshal(raw, &any); err != nil {
-		return Value{}, err
-	}
-	return Value{Str: fmt.Sprint(any)}, nil
 }

@@ -9,6 +9,8 @@ import (
 // Normalized is the unified record D̂ = {id, d, name, jsc, meta, cols_index}
 // of Definition 1: the output of multi-source data fusion. One Normalized
 // value describes one ingested data file after its adapter has parsed it.
+// The column index (cols_index) is not built: extraction walks every record
+// of a file in order, so nothing would read it.
 type Normalized struct {
 	// ID is the unique normalisation identifier, derived deterministically
 	// from (domain, source, name).
@@ -27,11 +29,6 @@ type Normalized struct {
 	// JSC holds the file content as JSON-LD linked-data documents
 	// (one per record).
 	JSC []*Document
-	// ColsIndex is the column index of all attributes, present only when the
-	// source is structured (columnar) data; it maps attribute name → the
-	// ordered list of record offsets that populate the attribute. It enables
-	// the rapid consistency scans described in §III-B.
-	ColsIndex map[string][]int
 }
 
 // NormalizedID derives the stable identifier for a (domain, source, name)
@@ -41,39 +38,15 @@ func NormalizedID(domain, source, name string) string {
 		textutil.Hash64(domain+"\x00"+source+"\x00"+name))
 }
 
-// BuildColsIndex computes the column index over the given documents: for each
-// property name, the offsets of the documents that define it, in order.
-func BuildColsIndex(docs []*Document) map[string][]int {
-	idx := map[string][]int{}
-	for i, d := range docs {
-		for k := range d.Props {
-			idx[k] = append(idx[k], i)
-		}
-	}
-	return idx
-}
-
 // Records returns the number of linked-data records in the normalised file.
 func (n *Normalized) Records() int { return len(n.JSC) }
 
-// Validate checks the structural invariants of a Normalized value: non-empty
-// identity fields and a column index (when present) that references only
-// valid record offsets.
+// Validate checks the structural invariant of a Normalized value: non-empty
+// identity fields.
 func (n *Normalized) Validate() error {
 	if n.ID == "" || n.Domain == "" || n.Name == "" {
 		return fmt.Errorf("jsonld: normalized record missing identity (id=%q domain=%q name=%q)",
 			n.ID, n.Domain, n.Name)
-	}
-	for col, offs := range n.ColsIndex {
-		for _, off := range offs {
-			if off < 0 || off >= len(n.JSC) {
-				return fmt.Errorf("jsonld: cols_index[%q] offset %d out of range (records=%d)",
-					col, off, len(n.JSC))
-			}
-			if _, ok := n.JSC[off].Props[col]; !ok {
-				return fmt.Errorf("jsonld: cols_index[%q] offset %d does not define the column", col, off)
-			}
-		}
 	}
 	return nil
 }

@@ -26,73 +26,109 @@ func waitServeGoroutines(t *testing.T, base int) {
 	})
 }
 
-// TestChaosServeDeadlineDegraded pins the per-class degradation policy: a
-// request whose deadline expires mid-evaluation (hang at the model call,
-// released by the request context) comes back 200 + Degraded when the class
-// opted in, and 504 when it did not — with the deadline/degraded counters
+// TestChaosServeDeadlineDegraded pins the degradation policy: a request
+// whose deadline expires mid-evaluation (hang at the model call, released by
+// the request context) comes back 200 + Degraded from a server with Degrade
+// on, and 504 from one with it off — with the deadline/degraded counters
 // recording each disposition.
 func TestChaosServeDeadlineDegraded(t *testing.T) {
 	defer fault.Reset()
-	classes := []Class{
-		{Name: "soft", Deadline: 30 * time.Millisecond, Degrade: true},
-		{Name: "hard", Deadline: 30 * time.Millisecond, Degrade: false},
-		{Name: IngestClass},
-	}
-	s, ts := newTestServer(t, Config{Classes: classes})
+	soft, softTS := newTestServer(t, Config{Deadline: 30 * time.Millisecond, Degrade: true})
+	hard, hardTS := newTestServer(t, Config{Deadline: 30 * time.Millisecond, Degrade: false})
 	fault.Enable(fault.PointLLMGenerate, fault.Fault{Kind: fault.KindHang})
 
-	resp, body := postJSON(t, ts.URL+"/v1/query",
-		QueryRequest{Query: "What is the status of CA981?", Class: "soft"})
+	resp, body := postJSON(t, softTS.URL+"/v1/query", QueryRequest{Query: "What is the status of CA981?"})
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("soft class status %d: %s", resp.StatusCode, body)
+		t.Fatalf("Degrade on: status %d: %s", resp.StatusCode, body)
 	}
 	var ans multirag.Answer
 	if err := json.Unmarshal(body, &ans); err != nil {
 		t.Fatalf("decode: %v (%s)", err, body)
 	}
 	if !ans.Degraded || ans.DegradedReason != "deadline" {
-		t.Fatalf("soft class answer degraded=%v reason=%q, want deadline degrade",
+		t.Fatalf("Degrade on: answer degraded=%v reason=%q, want deadline degrade",
 			ans.Degraded, ans.DegradedReason)
 	}
 
-	resp, body = postJSON(t, ts.URL+"/v1/query",
-		QueryRequest{Query: "What is the status of CA981?", Class: "hard"})
+	resp, body = postJSON(t, hardTS.URL+"/v1/query", QueryRequest{Query: "What is the status of CA981?"})
 	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("hard class status %d, want 504: %s", resp.StatusCode, body)
+		t.Fatalf("Degrade off: status %d, want 504: %s", resp.StatusCode, body)
 	}
 
-	snap := s.Metrics()
-	var soft, hard ClassMetrics
-	for _, c := range snap.Classes {
-		switch c.Name {
-		case "soft":
-			soft = c
-		case "hard":
-			hard = c
-		}
+	if c := soft.Metrics().Classes[interactive]; c.Degraded != 1 || c.Completed != 1 {
+		t.Fatalf("Degrade on: metrics degraded=%d completed=%d, want 1/1", c.Degraded, c.Completed)
 	}
-	if soft.Degraded != 1 || soft.Completed != 1 {
-		t.Fatalf("soft metrics degraded=%d completed=%d, want 1/1", soft.Degraded, soft.Completed)
-	}
-	if hard.DeadlineExceeded != 1 || hard.Completed != 0 {
-		t.Fatalf("hard metrics deadline=%d completed=%d, want 1/0", hard.DeadlineExceeded, hard.Completed)
+	if c := hard.Metrics().Classes[interactive]; c.DeadlineExceeded != 1 || c.Completed != 0 {
+		t.Fatalf("Degrade off: metrics deadline=%d completed=%d, want 1/0", c.DeadlineExceeded, c.Completed)
 	}
 }
 
 // TestChaosServeRequestDeadlineMillis: a request's own deadline_ms tightens
-// the class budget, and the handler sheds still-queued expiries as 504.
+// the server's budget, and the handler sheds still-queued expiries as 504.
 func TestChaosServeRequestDeadlineMillis(t *testing.T) {
 	defer fault.Reset()
-	_, ts := newTestServer(t, Config{Classes: []Class{{Name: "q", Degrade: true}, {Name: IngestClass}}})
+	_, ts := newTestServer(t, Config{Degrade: true})
 	fault.Enable(fault.PointLLMGenerate, fault.Fault{Kind: fault.KindHang})
 	resp, body := postJSON(t, ts.URL+"/v1/query",
-		QueryRequest{Query: "What is the status of CA981?", Class: "q", DeadlineMillis: 25})
+		QueryRequest{Query: "What is the status of CA981?", DeadlineMillis: 25})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
 	var ans multirag.Answer
 	if err := json.Unmarshal(body, &ans); err != nil || !ans.Degraded {
 		t.Fatalf("want degraded answer under deadline_ms, got %s (err %v)", body, err)
+	}
+}
+
+// TestChaosServeHugeDeadlineMillisKeepsServerDeadline: a deadline_ms so large
+// that its product with a millisecond overflows time.Duration — to a negative
+// budget, or to 0 — still cannot extend the server's deadline. With the model
+// call hung, the request ends at the server's 30 ms as a 504, well inside the
+// test's own bound, instead of running without a timeout.
+func TestChaosServeHugeDeadlineMillisKeepsServerDeadline(t *testing.T) {
+	defer fault.Reset()
+	s, ts := newTestServer(t, Config{Deadline: 30 * time.Millisecond})
+	fault.Enable(fault.PointLLMGenerate, fault.Fault{Kind: fault.KindHang})
+	for i, ms := range []int64{9223372036855, 1 << 62} {
+		pending := postAsync(t, ts.URL+"/v1/query",
+			QueryRequest{Query: "What is the status of CA981?", DeadlineMillis: ms})
+		select {
+		case r := <-pending:
+			if r.code != http.StatusGatewayTimeout {
+				t.Fatalf("deadline_ms %d: status %d, want 504: %s", ms, r.code, r.body)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("deadline_ms %d: no answer after 5 s under a 30 ms server deadline", ms)
+		}
+		if got := s.Metrics().Classes[interactive].DeadlineExceeded; got != int64(i+1) {
+			t.Fatalf("deadline_ms %d: deadline_exceeded = %d, want %d", ms, got, i+1)
+		}
+	}
+}
+
+// TestChaosServeFailedBatchCountsNoCompletion: a /v1/query/batch that is
+// answered with an error delivers none of its answers, so none of its
+// queries counts as completed. The first query falls back to chunk retrieval
+// and succeeds; the second's evidence lookup fails. With one worker the
+// queries run in order, and with Degrade off the batch is a 500 that counts
+// one failure and no completion.
+func TestChaosServeFailedBatchCountsNoCompletion(t *testing.T) {
+	defer fault.Reset()
+	sys := multirag.Open(multirag.Config{Seed: 1, Workers: 1})
+	if err := sys.IngestFiles(corpusFiles()...); err != nil {
+		t.Fatalf("ingest corpus: %v", err)
+	}
+	s, ts := newTestServer(t, Config{System: sys})
+	fault.Enable(fault.PointEvidence, fault.Fault{Kind: fault.KindError})
+	resp, body := postJSON(t, ts.URL+"/v1/query/batch", BatchRequest{Queries: []string{
+		"Anything new about CA981 today",
+		"What is the status of CA981?",
+	}})
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500: %s", resp.StatusCode, body)
+	}
+	if c := s.Metrics().Classes[interactive]; c.Completed != 0 || c.Failed != 1 {
+		t.Fatalf("completed=%d failed=%d, want 0/1", c.Completed, c.Failed)
 	}
 }
 
@@ -149,14 +185,13 @@ func TestChaosServeClientDisconnect(t *testing.T) {
 // MaxHits so the follow-up request proves the batch loop is still alive.
 func TestChaosServeExecutorFaults(t *testing.T) {
 	defer fault.Reset()
-	classes := []Class{{Name: "q", Degrade: true}, {Name: IngestClass}}
 	for _, kind := range []fault.Kind{fault.KindError, fault.KindPanic} {
 		t.Run(kind.String(), func(t *testing.T) {
 			defer fault.Reset()
-			_, ts := newTestServer(t, Config{Classes: classes})
+			_, ts := newTestServer(t, Config{Degrade: true})
 			fault.Enable(fault.PointServeExecute, fault.Fault{Kind: kind, MaxHits: 1})
 			resp, body := postJSON(t, ts.URL+"/v1/query",
-				QueryRequest{Query: "What is the status of CA981?", Class: "q"})
+				QueryRequest{Query: "What is the status of CA981?"})
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("status %d under %s: %s", resp.StatusCode, kind, body)
 			}
@@ -166,7 +201,7 @@ func TestChaosServeExecutorFaults(t *testing.T) {
 			}
 			// Budget spent: the executor must still be alive and serve cleanly.
 			resp, body = postJSON(t, ts.URL+"/v1/query",
-				QueryRequest{Query: "What is the status of CA981?", Class: "q"})
+				QueryRequest{Query: "What is the status of CA981?"})
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("follow-up status %d: %s", resp.StatusCode, body)
 			}

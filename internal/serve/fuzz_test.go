@@ -14,7 +14,7 @@ import (
 // the body, the answer is a success or a typed rejection — 200, 400, 413,
 // 429 or 503 — never a panic or a 500, and a rejection's body is at most
 // 512 bytes: an error quotes a bounded excerpt of the request, never
-// the whole of a field. The classes degrade, so a tiny deadline_ms yields a
+// the whole of a field. The server degrades, so a tiny deadline_ms yields a
 // 200 with a degraded answer rather than a 504.
 func FuzzServeRequest(f *testing.F) {
 	paths := []string{"/v1/query", "/v1/query/batch", "/v1/ingest"}
@@ -47,11 +47,7 @@ func FuzzServeRequest(f *testing.F) {
 	} {
 		f.Add(seed.path, []byte(seed.body))
 	}
-	classes := DefaultClasses()
-	for i := range classes {
-		classes[i].Degrade = true
-	}
-	s, err := New(Config{System: newCorpusSystem(f), Classes: classes})
+	s, err := New(Config{System: newCorpusSystem(f), Degrade: true})
 	if err != nil {
 		f.Fatalf("serve.New: %v", err)
 	}

@@ -54,7 +54,7 @@ func postAsync(t *testing.T, url string, body any) <-chan reply {
 func holdSlots(t *testing.T, s *Server) (release func()) {
 	t.Helper()
 	for i := 0; i < s.sched.limit; i++ {
-		if w, err := s.sched.claim(s.defaultClass, 1); w != nil || err != nil {
+		if w, err := s.sched.claim(interactive, 1); w != nil || err != nil {
 			t.Fatalf("claim slot %d of %d: waiter=%v err=%v", i+1, s.sched.limit, w, err)
 		}
 	}
@@ -77,7 +77,7 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// queuedRequests is the number of queries waiting in the class queues.
+// queuedRequests is the number of queries waiting in the line.
 func queuedRequests(s *Server) int {
 	n := 0
 	for _, d := range s.sched.depths() {

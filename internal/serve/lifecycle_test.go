@@ -68,7 +68,7 @@ func TestDrainRejectsWithRetryAfter(t *testing.T) {
 // a class whose share of the line is full, and /v1/ingest while the group
 // committer's admission window is full — answer 429 with Retry-After.
 func TestShedResponsesCarryRetryAfter(t *testing.T) {
-	s, ts := newTestServer(t, Config{Executors: 1, Classes: []Class{{Name: "interactive", QueueCap: 1}}})
+	s, ts := newTestServer(t, Config{Executors: 1, QueueCap: 1})
 	release := holdSlots(t, s)
 	queued := postAsync(t, ts.URL+"/v1/query", QueryRequest{Query: "What is the status of CA981?"})
 	waitUntil(t, "the first request is queued", func() bool { return queuedRequests(s) == 1 })

@@ -9,7 +9,8 @@ import (
 	"multirag"
 )
 
-// ClassMetrics is one SLO class's serving report: outcome counters plus the
+// ClassMetrics is one SLO class's serving report — interactive, batch or
+// ingest, in that order in MetricsSnapshot.Classes: outcome counters plus the
 // completed-request latency distribution (queue wait + execution, measured
 // from admission to answer delivery). Max and mean are exact; the
 // percentiles are nearest-rank to within one bucket of the class's latency
@@ -19,18 +20,18 @@ type ClassMetrics struct {
 	Completed int64  `json:"completed"`
 	// RejectedAdmission counts requests shed before any queue: /v1/ingest
 	// refused while the group committer's admission window is full.
-	// RejectedQueue counts requests refused because their class's QueueCap
-	// was reached in the line.
+	// RejectedQueue counts requests refused because their class's share of
+	// the line already held Config.QueueCap queries.
 	RejectedAdmission int64 `json:"rejected_admission"`
 	RejectedQueue     int64 `json:"rejected_queue"`
 	TimedOut          int64 `json:"timed_out"`
 	Failed            int64 `json:"failed"`
 	// DeadlineExceeded counts requests that exhausted their end-to-end budget
 	// and were not delivered — while still queued, or mid-evaluation with
-	// degradation disabled for the class. Canceled counts requests whose
-	// client went away before an answer could be delivered. Degraded counts
-	// partial answers delivered with 200 + Degraded under the class's
-	// Degrade policy; those are also included in Completed.
+	// Config.Degrade off. Canceled counts requests whose client went away
+	// before an answer could be delivered. Degraded counts partial answers
+	// delivered with 200 + Degraded under Config.Degrade; those are also
+	// included in Completed.
 	DeadlineExceeded int64   `json:"deadline_exceeded"`
 	Canceled         int64   `json:"canceled"`
 	Degraded         int64   `json:"degraded"`
@@ -46,8 +47,8 @@ type ClassMetrics struct {
 type MetricsSnapshot struct {
 	UptimeSeconds float64        `json:"uptime_seconds"`
 	Classes       []ClassMetrics `json:"classes"`
-	// QueueDepths reports each class's queries waiting in the scheduler's
-	// line at snapshot time.
+	// QueueDepths reports the queries of each query class, interactive and
+	// batch, waiting in the scheduler's line at snapshot time.
 	QueueDepths map[string]int `json:"queue_depths"`
 	// IngestInflight/IngestCapacity mirror the group committer's admission
 	// state (core.IngestPressure) — the coupling that turns committer
@@ -149,81 +150,64 @@ func (h *latencyHist) quantile(p float64) time.Duration {
 	return h.max
 }
 
-// metrics collects per-class serving outcomes under one mutex. Latencies go
-// into a fixed-size histogram per class, so neither recording nor a snapshot
-// grows with the number of requests served.
+// metrics collects per-class serving outcomes under one mutex, one set of
+// counters per class label. Latencies go into a fixed-size histogram per
+// class, so neither recording nor a snapshot grows with the number of
+// requests served.
 type metrics struct {
 	mu      sync.Mutex
-	classes map[string]*classCounters
-	order   []string
+	classes [numClasses]classCounters
 	start   time.Time
 }
 
-func newMetrics(order []string) *metrics {
-	m := &metrics{classes: map[string]*classCounters{}, order: order, start: time.Now()}
-	for _, name := range order {
-		m.classes[name] = &classCounters{}
-	}
-	return m
-}
+func newMetrics() *metrics { return &metrics{start: time.Now()} }
 
-func (m *metrics) class(name string) *classCounters {
-	c := m.classes[name]
-	if c == nil {
-		c = &classCounters{}
-		m.classes[name] = c
-		m.order = append(m.order, name)
-	}
-	return c
-}
-
-func (m *metrics) record(name string, d time.Duration) {
+func (m *metrics) record(c class, d time.Duration) {
 	m.mu.Lock()
-	c := m.class(name)
-	c.completed++
-	c.lat.record(d)
+	m.classes[c].completed++
+	m.classes[c].lat.record(d)
 	m.mu.Unlock()
 }
 
-func (m *metrics) rejectAdmission(name string) {
+func (m *metrics) rejectAdmission(c class) {
 	m.mu.Lock()
-	m.class(name).rejectedAdmission++
+	m.classes[c].rejectedAdmission++
 	m.mu.Unlock()
 }
 
-func (m *metrics) rejectQueue(name string) {
+func (m *metrics) rejectQueue(c class) {
 	m.mu.Lock()
-	m.class(name).rejectedQueue++
+	m.classes[c].rejectedQueue++
 	m.mu.Unlock()
 }
 
-func (m *metrics) timeout(name string) {
+func (m *metrics) timeout(c class) {
 	m.mu.Lock()
-	m.class(name).timedOut++
+	m.classes[c].timedOut++
 	m.mu.Unlock()
 }
 
-func (m *metrics) fail(name string) {
+func (m *metrics) fail(c class) {
 	m.mu.Lock()
-	m.class(name).failed++
+	m.classes[c].failed++
 	m.mu.Unlock()
 }
 
-func (m *metrics) deadline(name string) {
+func (m *metrics) deadline(c class) {
 	m.mu.Lock()
-	m.class(name).deadlineExceeded++
+	m.classes[c].deadlineExceeded++
 	m.mu.Unlock()
 }
 
-func (m *metrics) canceled(name string) {
+func (m *metrics) canceled(c class) {
 	m.mu.Lock()
-	m.class(name).canceled++
+	m.classes[c].canceled++
 	m.mu.Unlock()
 }
 
-func (m *metrics) degraded(name string) {
+func (m *metrics) degraded(c class) {
 	m.mu.Lock()
-	m.class(name).degraded++
+	m.classes[c].degraded++
 	m.mu.Unlock()
 }
 
@@ -233,10 +217,10 @@ func (m *metrics) snapshot() MetricsSnapshot {
 	defer m.mu.Unlock()
 	uptime := time.Since(m.start)
 	snap := MetricsSnapshot{UptimeSeconds: uptime.Seconds()}
-	for _, name := range m.order {
-		c := m.classes[name]
+	for i := range m.classes {
+		c := &m.classes[i]
 		cm := ClassMetrics{
-			Name:              name,
+			Name:              class(i).String(),
 			Completed:         c.completed,
 			RejectedAdmission: c.rejectedAdmission,
 			RejectedQueue:     c.rejectedQueue,

@@ -21,15 +21,18 @@ func histQuantile(want, maxLat time.Duration) time.Duration {
 // 1..50ms must report, for p50/p95/p99, the bucket of the 25th, 48th and
 // 50th order statistics (rank ceil(p*50)), and an exact count, max and mean.
 func TestMetricsSnapshotUsesNearestRank(t *testing.T) {
-	m := newMetrics([]string{"c"})
+	m := newMetrics()
 	for i := 1; i <= 50; i++ {
-		m.record("c", time.Duration(i)*time.Millisecond)
+		m.record(batch, time.Duration(i)*time.Millisecond)
 	}
 	snap := m.snapshot()
-	if len(snap.Classes) != 1 {
+	if len(snap.Classes) != int(numClasses) {
 		t.Fatalf("classes: %d", len(snap.Classes))
 	}
-	c := snap.Classes[0]
+	c := snap.Classes[batch]
+	if c.Name != "batch" || snap.Classes[interactive].Completed != 0 || snap.Classes[ingest].Completed != 0 {
+		t.Fatalf("latencies recorded under batch reported elsewhere: %+v", snap.Classes)
+	}
 	const maxLat = 50 * time.Millisecond
 	if c.P50Micros != micros(histQuantile(25*time.Millisecond, maxLat)) ||
 		c.P95Micros != micros(histQuantile(48*time.Millisecond, maxLat)) ||
@@ -123,11 +126,11 @@ func TestLatencyHistMatchesOracle(t *testing.T) {
 // TestMetricsRecordBounded is the unbounded-latency-slice bugfix: recording a
 // latency allocates nothing, however many the server has already recorded.
 func TestMetricsRecordBounded(t *testing.T) {
-	m := newMetrics([]string{"c"})
+	m := newMetrics()
 	for i := 0; i < 100_000; i++ {
-		m.record("c", time.Duration(i)*time.Microsecond)
+		m.record(interactive, time.Duration(i)*time.Microsecond)
 	}
-	if allocs := testing.AllocsPerRun(1000, func() { m.record("c", time.Millisecond) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(1000, func() { m.record(interactive, time.Millisecond) }); allocs != 0 {
 		t.Fatalf("record allocates %.0f objects per call", allocs)
 	}
 }

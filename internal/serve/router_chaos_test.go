@@ -29,9 +29,6 @@ func newChaosClusterServer(t *testing.T, n int, cfg Config) (
 	waitReplicasCaughtUp(t, set)
 	cfg.System = sys
 	cfg.Replicas = set
-	if cfg.Classes == nil {
-		cfg.Classes = []Class{{Name: "q"}, {Name: IngestClass}}
-	}
 	s, err := New(cfg)
 	if err != nil {
 		set.Close()
@@ -63,7 +60,7 @@ func waitReplicasCaughtUp(t *testing.T, set *multirag.ReplicaSet) {
 func askServer(t *testing.T, url string, want multirag.Answer) {
 	t.Helper()
 	resp, body := postJSON(t, url+"/v1/query",
-		QueryRequest{Query: want.Query, Class: "q"})
+		QueryRequest{Query: want.Query})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query %q: status %d: %s", want.Query, resp.StatusCode, body)
 	}

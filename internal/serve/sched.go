@@ -9,12 +9,12 @@ import (
 )
 
 // waiter is one request waiting for an execution slot: a /v1/query or a whole
-// /v1/query/batch of n queries of class cs. ready is buffered (capacity 1) and
+// /v1/query/batch of n queries of class c. ready is buffered (capacity 1) and
 // receives at most one send, under the scheduler mutex: nil when release
 // hands the waiter its slot, errClosed when close fails it. Whoever takes a
 // waiter out of the line owns that send, so no sender ever blocks.
 type waiter struct {
-	cs    *classState
+	c     class
 	n     int
 	ready chan error
 	timer *time.Timer
@@ -30,14 +30,6 @@ var waiters = sync.Pool{New: func() any {
 	return &waiter{ready: make(chan error, 1), timer: timer}
 }}
 
-// classState is one configured SLO class at runtime.
-type classState struct {
-	cfg Class
-	// queued is the number of the class's queries waiting in the scheduler's
-	// line (guarded by its mutex), bounded by cfg.QueueCap.
-	queued int
-}
-
 // The reasons a request gets no slot.
 var (
 	errQueueFull    = errors.New("serve: class queue full")
@@ -51,30 +43,33 @@ var (
 // the line, so a slot never sits free while anyone waits and requests of
 // every class are served in arrival order.
 type scheduler struct {
-	mu      sync.Mutex
-	idle    sync.Cond // broadcast when the last slot is freed after close
-	classes []*classState
+	mu   sync.Mutex
+	idle sync.Cond // broadcast when the last slot is freed after close
 	// line is the FIFO of waiters, oldest first.
 	line []*waiter
+	// queued counts each query class's queries in the line, each bounded by
+	// queueCap (Config.QueueCap).
+	queued   [queryClasses]int
+	queueCap int
 	// running counts held slots; limit (Config.Executors) bounds it.
 	running int
 	limit   int
 	closed  bool
 }
 
-func newScheduler(classes []*classState, limit int) *scheduler {
-	s := &scheduler{classes: classes, limit: limit}
+func newScheduler(limit, queueCap int) *scheduler {
+	s := &scheduler{limit: limit, queueCap: queueCap}
 	s.idle.L = &s.mu
 	return s
 }
 
-// claim takes a slot for n queries of class cs. It takes a free slot only
+// claim takes a slot for n queries of query class c. It takes a free slot only
 // while the line is empty, so a request never overtakes a queued one, and
 // returns a nil waiter: the caller holds the slot until it calls release.
 // Otherwise it queues a waiter for wait, unless the class has no room in the
 // line for n more queries (errQueueFull). A closed scheduler answers
 // errClosed.
-func (s *scheduler) claim(cs *classState, n int) (*waiter, error) {
+func (s *scheduler) claim(c class, n int) (*waiter, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {
@@ -83,13 +78,13 @@ func (s *scheduler) claim(cs *classState, n int) (*waiter, error) {
 	case len(s.line) == 0 && s.running < s.limit:
 		s.running++
 		return nil, nil
-	case cs.queued+n > cs.cfg.QueueCap:
+	case s.queued[c]+n > s.queueCap:
 		return nil, errQueueFull
 	}
 	w := waiters.Get().(*waiter)
-	w.cs, w.n = cs, n
+	w.c, w.n = c, n
 	s.line = append(s.line, w)
-	cs.queued += n
+	s.queued[c] += n
 	return w, nil
 }
 
@@ -128,7 +123,7 @@ func (s *scheduler) abandon(w *waiter) error {
 	s.mu.Lock()
 	if i := slices.Index(s.line, w); i >= 0 {
 		s.line = slices.Delete(s.line, i, i+1)
-		w.cs.queued -= w.n
+		s.queued[w.c] -= w.n
 		s.mu.Unlock()
 		return nil
 	}
@@ -150,7 +145,7 @@ func (s *scheduler) release() {
 		w := s.line[0]
 		// Shift rather than reslice, so the line reuses its array.
 		s.line = slices.Delete(s.line, 0, 1)
-		w.cs.queued -= w.n
+		s.queued[w.c] -= w.n
 		w.ready <- nil
 		return
 	}
@@ -160,13 +155,13 @@ func (s *scheduler) release() {
 	}
 }
 
-// depths reports per-class queued queries (metrics endpoint).
+// depths reports each query class's queued queries (metrics endpoint).
 func (s *scheduler) depths() map[string]int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[string]int, len(s.classes))
-	for _, cs := range s.classes {
-		out[cs.cfg.Name] = cs.queued
+	out := make(map[string]int, queryClasses)
+	for c, n := range s.queued {
+		out[class(c).String()] = n
 	}
 	return out
 }
@@ -179,7 +174,7 @@ func (s *scheduler) close() {
 	defer s.mu.Unlock()
 	s.closed = true
 	for _, w := range s.line {
-		w.cs.queued -= w.n
+		s.queued[w.c] -= w.n
 		w.ready <- errClosed
 	}
 	s.line = nil

@@ -1,11 +1,15 @@
 // Package serve is the production front door of a MultiRAG deployment: an
 // HTTP/JSON API over System.AskEach / System.IngestFiles with a fixed count
 // of execution slots (Config.Executors), one FIFO line of requests waiting
-// for a slot, in which each SLO class may hold a bounded number of queries,
+// for a slot, in which each query class may hold Config.QueueCap queries,
 // and per-class latency reporting on a metrics endpoint. Every request runs
 // on its own handler goroutine: one that finds the line empty and a slot
 // free runs at once, and one that does not waits in the line until a
 // finishing request hands it a slot, in arrival order whatever its class.
+//
+// The SLO classes are three fixed labels. A query names "interactive" (the
+// default) or "batch"; both queue for slots and are counted apart. "ingest"
+// only counts /v1/ingest outcomes: ingest never queues for a slot.
 //
 // Endpoints:
 //
@@ -16,20 +20,20 @@
 //	GET  /v1/metrics      per-class p50/p95/p99, queue depths
 //	GET  /healthz
 //
-// Requests run under end-to-end deadlines: each SLO class may declare a
-// budget (Class.Deadline) that starts at admission — queue wait counts — and
-// a request may tighten it with "deadline_ms". The context also cancels on
+// Requests run under end-to-end deadlines: the server may declare a budget
+// (Config.Deadline) that starts at admission — queue wait counts — and a
+// request may tighten it with "deadline_ms". The context also cancels on
 // client disconnect. A request whose budget expires while queued is shed; one
-// that expires mid-evaluation stops promptly and, when the class opts into
-// Class.Degrade, is answered 200 with Answer.Degraded and whatever evidence
-// completed (otherwise 504). /healthz reports ok/degraded/draining with a
+// that expires mid-evaluation stops promptly and, with Config.Degrade, is
+// answered 200 with Answer.Degraded and whatever evidence completed
+// (otherwise 504). /healthz reports ok/degraded/draining with a
 // reason, and /v1/metrics carries deadline/cancel/degraded counters and
 // durability health.
 //
 // Excess load is shed, never buffered without bound: a request body larger
 // than maxBodyBytes is rejected with 413, a query longer than maxQueryBytes
-// with 400, a request whose class already has QueueCap queries in the line
-// is rejected with 429, one that waits in the line past the configured
+// with 400, a query whose class already has QueueCap queries in the line is
+// rejected with 429, one that waits in the line past the configured
 // timeout gets 503, and ingest requests are rejected with 429 while the
 // group committer's admission window (core.IngestPressure) is saturated —
 // the serving layer's backpressure is wired into the ingest pipeline's
@@ -51,6 +55,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -63,45 +68,44 @@ import (
 	"multirag/internal/fault"
 )
 
-// Class declares one SLO class of the front door. Requests select a class by
-// name; unnamed requests fall into the first configured class.
-type Class struct {
-	// Name identifies the class ("interactive", "batch", "ingest", ...).
-	Name string `json:"name"`
-	// QueueCap bounds the class's queries waiting in the line for a slot (a
-	// /v1/query/batch counts each of its queries); arrivals that find it
-	// reached are rejected with 429 (default 256).
-	QueueCap int `json:"queue_cap"`
-	// Deadline is the class's end-to-end budget per request, counted from
-	// admission — queue wait spends the same budget as evaluation. A request
-	// may tighten (never extend) it with its own deadline_ms. <= 0 means no
-	// deadline; the client disconnect signal still cancels.
-	Deadline time.Duration `json:"deadline,omitempty"`
-	// Degrade selects graceful degradation: a request whose budget runs out
-	// mid-evaluation is answered 200 with Answer.Degraded set and whatever
-	// evidence completed, instead of failing with 504. Queue-timeout and
-	// still-queued deadline expiry shed as before — there is no partial
-	// answer to deliver yet.
-	Degrade bool `json:"degrade,omitempty"`
-}
+// class is one of the fixed SLO labels a request is counted under.
+type class uint8
 
-// DefaultClasses is the stock three-class SLO layout: interactive and batch
-// query traffic, counted apart, plus the class /v1/ingest is counted under.
-func DefaultClasses() []Class {
-	return []Class{{Name: "interactive"}, {Name: "batch"}, {Name: IngestClass}}
-}
+const (
+	interactive class = iota // also a query that names no class
+	batch
+	ingest // /v1/ingest outcomes; never queues for a slot
+	numClasses
+)
 
-// IngestClass names the class /v1/ingest's outcomes are counted under.
-const IngestClass = "ingest"
+// queryClasses is the number of labels whose requests queue for a slot: the
+// ones before ingest.
+const queryClasses = int(ingest)
+
+var classNames = [numClasses]string{"interactive", "batch", "ingest"}
+
+func (c class) String() string { return classNames[c] }
 
 // Config assembles a Server.
 type Config struct {
 	// System is the deployment to serve. Required.
 	System *multirag.System
-	// Classes declares the SLO classes (default DefaultClasses). The first
-	// entry is the default class; the entry named IngestClass (added
-	// automatically if absent) counts /v1/ingest.
-	Classes []Class
+	// QueueCap bounds each query class's queries waiting in the line for a
+	// slot (a /v1/query/batch counts each of its queries), so a full batch
+	// share does not turn interactive queries away; arrivals that find their
+	// class's share full are rejected with 429 (default 256).
+	QueueCap int
+	// Deadline is the end-to-end budget per query request, counted from
+	// admission — queue wait spends the same budget as evaluation. A request
+	// may tighten (never extend) it with its own deadline_ms. <= 0 means no
+	// deadline; the client disconnect signal still cancels.
+	Deadline time.Duration
+	// Degrade selects graceful degradation: a request whose budget runs out
+	// mid-evaluation is answered 200 with Answer.Degraded set and whatever
+	// evidence completed, instead of failing with 504. Queue-timeout and
+	// still-queued deadline expiry shed as before — there is no partial
+	// answer to deliver yet.
+	Degrade bool
 	// QueueTimeout bounds how long a request may wait for a slot before
 	// failing with 503 (default 5s; < 0 disables). It bounds only the wait:
 	// a request that gets its slot runs under its deadline alone.
@@ -132,10 +136,9 @@ type Server struct {
 	sys          *multirag.System
 	sched        *scheduler
 	metrics      *metrics
-	byName       map[string]*classState
-	defaultClass *classState
-	ingestClass  *classState
 	queueTimeout time.Duration
+	deadline     time.Duration
+	degrade      bool
 	// pressure reports the ingest pipeline's admission state; defaults to
 	// System.IngestPressure (overridable by tests to force saturation).
 	pressure func() (inflight, capacity int)
@@ -155,9 +158,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.System == nil {
 		return nil, fmt.Errorf("serve: Config.System is required")
 	}
-	classes := cfg.Classes
-	if len(classes) == 0 {
-		classes = DefaultClasses()
+	if cfg.QueueCap <= 0 {
+		cfg.QueueCap = 256
 	}
 	if cfg.QueueTimeout == 0 {
 		cfg.QueueTimeout = 5 * time.Second
@@ -168,8 +170,11 @@ func New(cfg Config) (*Server, error) {
 
 	s := &Server{
 		sys:          cfg.System,
-		byName:       map[string]*classState{},
+		sched:        newScheduler(cfg.Executors, cfg.QueueCap),
+		metrics:      newMetrics(),
 		queueTimeout: cfg.QueueTimeout,
+		deadline:     cfg.Deadline,
+		degrade:      cfg.Degrade,
 		pressure:     cfg.System.IngestPressure,
 		recovery:     cfg.Recovery,
 	}
@@ -178,35 +183,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.router = rt
-	var states []*classState
-	for _, c := range classes {
-		if c.Name == "" {
-			return nil, fmt.Errorf("serve: class with empty name")
-		}
-		if _, dup := s.byName[c.Name]; dup {
-			return nil, fmt.Errorf("serve: duplicate class %q", c.Name)
-		}
-		if c.QueueCap <= 0 {
-			c.QueueCap = 256
-		}
-		cs := &classState{cfg: c}
-		s.byName[c.Name] = cs
-		states = append(states, cs)
-	}
-	s.defaultClass = states[0]
-	if s.ingestClass = s.byName[IngestClass]; s.ingestClass == nil {
-		cs := &classState{cfg: Class{Name: IngestClass, QueueCap: 256}}
-		s.byName[IngestClass] = cs
-		states = append(states, cs)
-		s.ingestClass = cs
-	}
-
-	order := make([]string, len(states))
-	for i, cs := range states {
-		order[i] = cs.cfg.Name
-	}
-	s.metrics = newMetrics(order)
-	s.sched = newScheduler(states, cfg.Executors)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/query", s.handleQuery)
@@ -289,13 +265,13 @@ func (s *Server) runBatch(ctxs []context.Context, queries []string) (answers []m
 type QueryRequest struct {
 	Query string `json:"query"`
 	Class string `json:"class,omitempty"`
-	// DeadlineMillis optionally tightens the class deadline for this request
-	// (it can never extend it). The budget is counted from admission.
+	// DeadlineMillis optionally tightens Config.Deadline for this request (it
+	// can never extend it). The budget is counted from admission.
 	DeadlineMillis int64 `json:"deadline_ms,omitempty"`
 }
 
 // BatchRequest is the /v1/query/batch payload. Each of its queries counts
-// against its class's QueueCap while it waits.
+// against Config.QueueCap while it waits.
 type BatchRequest struct {
 	Queries []string `json:"queries"`
 	Class   string   `json:"class,omitempty"`
@@ -350,11 +326,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !queryLenOK(w, req.Query) {
 		return
 	}
-	cs, ok := s.resolveClass(w, req.Class)
+	c, ok := resolveClass(w, req.Class)
 	if !ok {
 		return
 	}
-	answers, out := s.evaluate(r.Context(), cs, req.DeadlineMillis, []string{req.Query})
+	answers, out := s.evaluate(r.Context(), c, req.DeadlineMillis, []string{req.Query})
 	if out.status != http.StatusOK {
 		out.write(w)
 		return
@@ -379,16 +355,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	cs, ok := s.resolveClass(w, req.Class)
+	c, ok := resolveClass(w, req.Class)
 	if !ok {
 		return
 	}
-	if n := len(req.Queries); n > cs.cfg.QueueCap {
+	if n := len(req.Queries); n > s.sched.queueCap {
 		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d queries exceeds class %q queue cap of %d", n, cs.cfg.Name, cs.cfg.QueueCap))
+			fmt.Sprintf("batch of %d queries exceeds class %q queue cap of %d", n, c, s.sched.queueCap))
 		return
 	}
-	answers, out := s.evaluate(r.Context(), cs, req.DeadlineMillis, req.Queries)
+	answers, out := s.evaluate(r.Context(), c, req.DeadlineMillis, req.Queries)
 	if out.status != http.StatusOK {
 		out.write(w)
 		return
@@ -403,21 +379,22 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // slot draws down the same budget as evaluation; with no deadline the
 // connection's context is used as it is. A request that finds no free slot
 // waits for one (scheduler.wait). The outcome is 200 when every answer is
-// delivered, else the first answer's (or the wait's) failure.
-func (s *Server) evaluate(base context.Context, cs *classState, deadlineMillis int64, queries []string) ([]multirag.Answer, reqOutcome) {
+// delivered, else the first undeliverable answer's (or the wait's) failure;
+// the answers are the caller's to send only with a 200.
+func (s *Server) evaluate(base context.Context, c class, deadlineMillis int64, queries []string) ([]multirag.Answer, reqOutcome) {
 	enq := time.Now()
 	ctx := base
-	if d := effectiveDeadline(cs, deadlineMillis); d > 0 {
+	if d := effectiveDeadline(s.deadline, deadlineMillis); d > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(base, d)
 		defer cancel()
 	}
-	wt, err := s.sched.claim(cs, len(queries))
+	wt, err := s.sched.claim(c, len(queries))
 	if err == nil && wt != nil {
 		err = s.sched.wait(ctx, wt, s.queueTimeout)
 	}
 	if err != nil {
-		return nil, s.unserved(cs, err)
+		return nil, s.unserved(c, err)
 	}
 	ctxs := make([]context.Context, len(queries))
 	for i := range ctxs {
@@ -427,21 +404,20 @@ func (s *Server) evaluate(base context.Context, cs *classState, deadlineMillis i
 	// next waiter, if any, before the answers go out.
 	answers := s.runBatch(ctxs, queries)
 	s.sched.release()
-	for i := range answers {
-		if out := s.conclude(cs, enq, answers[i]); out.status != http.StatusOK {
-			return nil, out
-		}
-	}
-	return answers, reqOutcome{status: http.StatusOK}
+	return answers, s.conclude(c, enq, answers)
 }
 
+// maxDeadlineMillis is the largest deadline_ms that converts to a
+// time.Duration without overflowing; a larger one is clamped to it, so it
+// can never wrap round to a negative or zero budget and escape d.
+const maxDeadlineMillis = math.MaxInt64 / int64(time.Millisecond)
+
 // effectiveDeadline is a request's end-to-end budget: the smaller of the
-// class deadline and the request's own deadline_ms, whichever are set, or 0
-// for none.
-func effectiveDeadline(cs *classState, deadlineMillis int64) time.Duration {
-	d := cs.cfg.Deadline
+// server deadline d and the request's own deadline_ms, whichever are set, or
+// 0 for none.
+func effectiveDeadline(d time.Duration, deadlineMillis int64) time.Duration {
 	if deadlineMillis > 0 {
-		rd := time.Duration(deadlineMillis) * time.Millisecond
+		rd := time.Duration(min(deadlineMillis, maxDeadlineMillis)) * time.Millisecond
 		if d <= 0 || rd < d {
 			d = rd
 		}
@@ -467,55 +443,59 @@ func (o reqOutcome) write(w http.ResponseWriter) {
 // unserved classifies why a request got no slot into its HTTP disposition
 // and counter: a full class queue (429), a queue timeout (503), its deadline
 // or disconnect while it waited (504 / 503), or the server closing (503).
-func (s *Server) unserved(cs *classState, err error) reqOutcome {
-	name := cs.cfg.Name
+func (s *Server) unserved(c class, err error) reqOutcome {
 	switch err {
 	case errQueueFull:
-		s.metrics.rejectQueue(name)
+		s.metrics.rejectQueue(c)
 		return reqOutcome{status: http.StatusTooManyRequests, shed: true, msg: err.Error()}
 	case errQueueTimeout:
-		s.metrics.timeout(name)
+		s.metrics.timeout(c)
 		return reqOutcome{status: http.StatusServiceUnavailable, shed: true,
-			msg: fmt.Sprintf("queue timeout: class %q waited over %v", name, s.queueTimeout)}
+			msg: fmt.Sprintf("queue timeout: class %q waited over %v", c, s.queueTimeout)}
 	case context.DeadlineExceeded:
-		s.metrics.deadline(name)
+		s.metrics.deadline(c)
 		return reqOutcome{status: http.StatusGatewayTimeout,
-			msg: fmt.Sprintf("deadline exceeded: class %q budget spent while queued", name)}
+			msg: fmt.Sprintf("deadline exceeded: class %q budget spent while queued", c)}
 	case context.Canceled:
-		s.metrics.canceled(name)
+		s.metrics.canceled(c)
 		return reqOutcome{status: http.StatusServiceUnavailable, msg: "request canceled"}
 	default: // errClosed
 		return reqOutcome{status: http.StatusServiceUnavailable, shed: true, msg: drainingMsg}
 	}
 }
 
-// conclude classifies one answer into its HTTP disposition and records the
-// outcome counters: completed (latency recorded) or a degraded partial
-// answer — delivered as 200 + Degraded when the class opted in, converted to
-// the matching error otherwise.
-func (s *Server) conclude(cs *classState, enq time.Time, ans multirag.Answer) reqOutcome {
-	name := cs.cfg.Name
-	if !ans.Degraded {
-		s.metrics.record(name, time.Since(enq))
-		return reqOutcome{status: http.StatusOK}
+// conclude classifies a request's answers into its HTTP disposition and
+// records the outcome counters. With Degrade off, the first degraded answer
+// makes the request undeliverable: it counts that answer's failure alone and
+// converts it to the matching error. Otherwise every answer is delivered and
+// counted completed (latency recorded), a degraded partial one as degraded
+// too.
+func (s *Server) conclude(c class, enq time.Time, answers []multirag.Answer) reqOutcome {
+	for i := range answers {
+		if !answers[i].Degraded || s.degrade {
+			continue
+		}
+		switch answers[i].DegradedReason {
+		case "deadline":
+			s.metrics.deadline(c)
+			return reqOutcome{status: http.StatusGatewayTimeout,
+				msg: fmt.Sprintf("deadline exceeded: class %q", c)}
+		case "canceled":
+			s.metrics.canceled(c)
+			return reqOutcome{status: http.StatusServiceUnavailable, msg: "request canceled"}
+		default:
+			s.metrics.fail(c)
+			return reqOutcome{status: http.StatusInternalServerError, msg: "degraded: " + answers[i].DegradedReason}
+		}
 	}
-	if cs.cfg.Degrade {
-		s.metrics.degraded(name)
-		s.metrics.record(name, time.Since(enq))
-		return reqOutcome{status: http.StatusOK}
+	lat := time.Since(enq)
+	for i := range answers {
+		if answers[i].Degraded {
+			s.metrics.degraded(c)
+		}
+		s.metrics.record(c, lat)
 	}
-	switch ans.DegradedReason {
-	case "deadline":
-		s.metrics.deadline(name)
-		return reqOutcome{status: http.StatusGatewayTimeout,
-			msg: fmt.Sprintf("deadline exceeded: class %q", name)}
-	case "canceled":
-		s.metrics.canceled(name)
-		return reqOutcome{status: http.StatusServiceUnavailable, msg: "request canceled"}
-	default:
-		s.metrics.fail(name)
-		return reqOutcome{status: http.StatusInternalServerError, msg: "degraded: " + ans.DegradedReason}
-	}
+	return reqOutcome{status: http.StatusOK}
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -530,12 +510,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing files")
 		return
 	}
-	cs := s.ingestClass
 	// Backpressure coupling: when the group committer's bounded admission
 	// window is full, IngestFiles would block this handler on the committer
 	// condvar — shed at the front door instead and let the client retry.
 	if inflight, capacity := s.pressure(); inflight >= capacity {
-		s.metrics.rejectAdmission(cs.cfg.Name)
+		s.metrics.rejectAdmission(ingest)
 		writeShed(w, http.StatusTooManyRequests,
 			fmt.Sprintf("ingest pipeline at capacity (%d/%d batches in flight)", inflight, capacity))
 		return
@@ -549,7 +528,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	if err := s.sys.IngestFiles(files...); err != nil {
-		s.metrics.fail(cs.cfg.Name)
+		s.metrics.fail(ingest)
 		status := http.StatusBadRequest // the files were rejected
 		if errors.Is(err, multirag.ErrCommit) {
 			status = http.StatusInternalServerError // accepted, but the commit failed
@@ -557,7 +536,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err.Error())
 		return
 	}
-	s.metrics.record(cs.cfg.Name, time.Since(start))
+	s.metrics.record(ingest, time.Since(start))
 	writeJSON(w, http.StatusOK, IngestResponse{OK: true, Files: len(files)})
 }
 
@@ -613,18 +592,17 @@ func (s *Server) degradedReason() string {
 	return ""
 }
 
-// resolveClass maps a request's class name onto its state, writing the 400
-// itself when the name is unknown.
-func (s *Server) resolveClass(w http.ResponseWriter, name string) (*classState, bool) {
-	if name == "" {
-		return s.defaultClass, true
+// resolveClass maps a query's class name onto its label, interactive when it
+// names none, writing the 400 itself when the name is not a query class.
+func resolveClass(w http.ResponseWriter, name string) (class, bool) {
+	switch name {
+	case "", "interactive":
+		return interactive, true
+	case "batch":
+		return batch, true
 	}
-	cs := s.byName[name]
-	if cs == nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown class %.64q", name))
-		return nil, false
-	}
-	return cs, true
+	writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown class %.64q", name))
+	return 0, false
 }
 
 // maxBodyBytes bounds one request body. It sits far above any legitimate

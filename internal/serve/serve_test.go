@@ -252,7 +252,7 @@ func TestServeIngestBackpressure429(t *testing.T) {
 	}
 	snap := s.Metrics()
 	for _, c := range snap.Classes {
-		if c.Name == IngestClass && (c.RejectedAdmission != 1 || c.RejectedQueue != 0) {
+		if c.Name == "ingest" && (c.RejectedAdmission != 1 || c.RejectedQueue != 0) {
 			t.Fatalf("ingest rejection accounting: %+v", c)
 		}
 	}
@@ -454,5 +454,54 @@ func TestUnadmittableBatchRejected400(t *testing.T) {
 	}
 	if resp, body := postJSON(t, ts.URL+"/v1/query/batch", BatchRequest{Queries: queries(256)}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch at the queue cap after the 400: status %d (%s), want 200", resp.StatusCode, body)
+	}
+}
+
+// TestQueryNamingIngestRejected400: "ingest" labels /v1/ingest's outcomes and
+// is no query class, so a /v1/query or /v1/query/batch that names it gets the
+// unknown-class 400, with a body of at most 512 bytes, and queues nothing.
+func TestQueryNamingIngestRejected400(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	for _, c := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/query", QueryRequest{Query: "What is the status of CA981?", Class: "ingest"}},
+		{"/v1/query/batch", BatchRequest{Queries: []string{"What is the status of CA981?"}, Class: "ingest"}},
+	} {
+		resp, body := postJSON(t, ts.URL+c.path, c.body)
+		var er ErrorResponse
+		if err := json.Unmarshal(body, &er); err != nil || resp.StatusCode != http.StatusBadRequest ||
+			!strings.Contains(er.Error, "unknown class") || len(body) > 512 {
+			t.Fatalf("%s naming ingest: status %d (%.200s), want a 400 of at most 512 bytes naming the unknown class",
+				c.path, resp.StatusCode, body)
+		}
+	}
+	if c := s.Metrics().Classes[ingest]; c.Completed != 0 || c.Failed != 0 {
+		t.Fatalf("ingest class counted a query: %+v", c)
+	}
+}
+
+// TestQueueCapBoundsEachClassShare: Config.QueueCap bounds each query class's
+// share of the line separately, so with one slot held and an interactive
+// query filling its share of one, a batch query still queues instead of
+// getting a 429, and both are served once the slot frees.
+func TestQueueCapBoundsEachClassShare(t *testing.T) {
+	s, ts := newTestServer(t, Config{Executors: 1, QueueCap: 1})
+	release := holdSlots(t, s)
+	first := postAsync(t, ts.URL+"/v1/query", QueryRequest{Query: "What is the status of CA981?", Class: "interactive"})
+	waitUntil(t, "the interactive query is queued", func() bool { return queuedRequests(s) == 1 })
+	second := postAsync(t, ts.URL+"/v1/query", QueryRequest{Query: "What is the status of CA981?", Class: "batch"})
+	waitUntil(t, "the batch query is queued beside it", func() bool { return queuedRequests(s) == 2 })
+	release()
+	for _, r := range []reply{<-first, <-second} {
+		if r.code != http.StatusOK {
+			t.Fatalf("status %d, want 200: %s", r.code, r.body)
+		}
+	}
+	for _, c := range s.Metrics().Classes {
+		if c.RejectedQueue != 0 {
+			t.Fatalf("class %s: rejected_queue = %d, want 0", c.Name, c.RejectedQueue)
+		}
 	}
 }

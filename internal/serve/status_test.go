@@ -48,7 +48,8 @@ func TestStatusEndpointsAnswerDuringCommit(t *testing.T) {
 }
 
 // TestMetricsJSONKeys pins the key sets of /v1/metrics' status sections — the
-// engine's durability and recovery, the router's own and its replicas' —
+// engine's durability and recovery, the router's own and its replicas', and
+// the queue depths of the two query classes —
 // on a durable system with one replica, so a change to the types behind them
 // cannot rename a key operators and the benchmark read.
 func TestMetricsJSONKeys(t *testing.T) {
@@ -69,9 +70,10 @@ func TestMetricsJSONKeys(t *testing.T) {
 
 	_, body := getJSON(t, ts.URL+"/v1/metrics")
 	var m struct {
-		Durability map[string]any `json:"durability"`
-		Recovery   map[string]any `json:"recovery"`
-		Router     map[string]any `json:"router"`
+		Durability  map[string]any `json:"durability"`
+		Recovery    map[string]any `json:"recovery"`
+		Router      map[string]any `json:"router"`
+		QueueDepths map[string]any `json:"queue_depths"`
 	}
 	var r struct {
 		Router struct {
@@ -90,6 +92,7 @@ func TestMetricsJSONKeys(t *testing.T) {
 		{"recovery", []map[string]any{m.Recovery}, []string{"checkpoint_lsn", "records_replayed", "truncated"}},
 		{"router", []map[string]any{m.Router}, []string{"committed_lsn", "max_lag", "primary_batches", "replica_batches", "replicas", "route"}},
 		{"router.replicas[]", r.Router.Replicas, []string{"applied_lsn", "divergences", "dropped_frames", "lag", "name", "resyncs", "state", "verified"}},
+		{"queue_depths", []map[string]any{m.QueueDepths}, []string{"batch", "interactive"}},
 	}
 	for _, c := range checks {
 		if len(c.objs) == 0 {
