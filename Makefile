@@ -160,7 +160,9 @@ bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkLineGraph(Build|BuildDelta)$$' -benchmem -benchtime $(BENCHTIME) .
 
 # bench regenerates the paper tables/figures at a reduced scale and records
-# per-job wall-clock timings for the perf trajectory.
+# per-job wall-clock timings for the perf trajectory. That per-job wall time
+# is the only real-time number: every time cell inside the tables is the
+# cost model's priced sum, the same on any machine.
 bench:
 	$(GO) run ./cmd/benchtables -scale $(BENCH_SCALE) -json BENCH_core.json
 

@@ -84,7 +84,7 @@ func main() {
 		fmt.Printf("homologous nodes:  %d\n", st.HomologousNodes)
 		fmt.Printf("isolated claims:   %d\n", st.IsolatedClaims)
 		fmt.Printf("chunks indexed:    %d\n", st.Chunks)
-		fmt.Printf("build time:        %v\n", st.BuildTime)
+		fmt.Printf("extraction cost:   %v (modelled)\n", st.BuildTime)
 	}
 
 	if *retr != "" {

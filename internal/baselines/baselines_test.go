@@ -1,6 +1,8 @@
 package baselines
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"multirag/internal/adapter"
@@ -182,29 +184,86 @@ func TestFusionQueryLearnsTrust(t *testing.T) {
 	}
 }
 
-func TestFusionQueryFasterThanTruthFinder(t *testing.T) {
+// TestTruthFinderChargesWholeCorpusPerQuery pins the on-demand protocol on
+// the priced side: TF's Setup fetches nothing, each question fetches every
+// claim of the corpus, and FusionQuery's candidate sets fetch far fewer.
+func TestTruthFinderChargesWholeCorpusPerQuery(t *testing.T) {
 	d := smallDataset(t)
 	env := newEnv(t, d)
 	tf := NewTruthFinder()
 	tf.Setup(env)
 	fq := NewFusionQuery()
 	fq.Setup(env)
-	q := d.Queries[0]
-
-	var tfClock, fqClock eval.Clock
-	tfClock.Start()
-	for i := 0; i < 3; i++ {
+	if env.Fetches != 0 {
+		t.Fatalf("Setup charged %d fetches, want 0", env.Fetches)
+	}
+	corpus := len(env.Graph.TripleIDs())
+	for _, q := range d.Queries[:3] {
 		tf.AnswerFusion(q.Text, q.Entity, q.Attribute)
 	}
-	tfClock.Stop()
-	fqClock.Start()
-	for i := 0; i < 3; i++ {
+	if env.Fetches != 3*corpus {
+		t.Fatalf("TF fetched %d records over 3 questions, want 3 x %d", env.Fetches, corpus)
+	}
+	tfFetches := env.Fetches
+	for _, q := range d.Queries[:3] {
 		fq.AnswerFusion(q.Text, q.Entity, q.Attribute)
 	}
-	fqClock.Stop()
-	if tfClock.Real() <= fqClock.Real() {
-		t.Fatalf("on-demand TF (%v) must be slower than FusionQuery (%v)",
-			tfClock.Real(), fqClock.Real())
+	if fqFetches := env.Fetches - tfFetches; fqFetches == 0 || 10*fqFetches > tfFetches {
+		t.Fatalf("FusionQuery fetched %d records, want some but under a tenth of TF's %d", fqFetches, tfFetches)
+	}
+}
+
+// TestTruthFinderSetupFixpointMatchesPerQueryRun is the oracle for running
+// the fixpoint once per Setup: on every query, the answer equals the one a
+// fresh full-corpus run would give.
+func TestTruthFinderSetupFixpointMatchesPerQueryRun(t *testing.T) {
+	d := smallDataset(t)
+	env := newEnv(t, d)
+	tf := NewTruthFinder()
+	tf.Setup(env)
+	for _, q := range d.Queries {
+		got := tf.AnswerFusion(q.Text, q.Entity, q.Attribute)
+		want := tf.answer(tf.run(claimsOf(env.Graph)), q.Entity, q.Attribute)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%q: Setup's fixpoint answers %v, a fresh run %v", q.Text, got, want)
+		}
+	}
+}
+
+// TestTruthFinderFixpointIsDeterministic runs the fixpoint repeatedly on a
+// key whose values are mutually similar, so each value's adjusted score sums
+// several implication terms: the confidences must agree bit for bit, whatever
+// order the maps iterate in.
+func TestTruthFinderFixpointIsDeterministic(t *testing.T) {
+	g := kg.New()
+	g.AddEntity("Metropolis", "City", "cities")
+	for i, obj := range []string{"new york city", "new york", "york city", "new city", "new york city",
+		"old york city", "new york", "new york city state", "york", "new"} {
+		src := string(rune('a' + i))
+		if _, err := g.AddTriple(kg.Fact{Subject: "metropolis", Predicate: "name", Object: obj, Source: src, Weight: 1}); err != nil {
+			t.Fatal(err)
+		}
+		// A second key per source spreads the sources' trust apart.
+		other := "yes"
+		if i%3 == 0 {
+			other = "no"
+		}
+		if _, err := g.AddTriple(kg.Fact{Subject: "metropolis", Predicate: "capital", Object: other, Source: src, Weight: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tf := NewTruthFinder()
+	claims := claimsOf(g)
+	want := tf.run(claims)
+	for i := 0; i < 200; i++ {
+		got := tf.run(claims)
+		for key, values := range want {
+			for v, c := range values {
+				if math.Float64bits(got[key][v]) != math.Float64bits(c) {
+					t.Fatalf("run %d: conf[%q][%q] = %v, want %v", i, key, v, got[key][v], c)
+				}
+			}
+		}
 	}
 }
 

@@ -89,7 +89,8 @@ func buildEnv(files []adapter.RawFile, model *llm.Sim) (*baselines.Env, error) {
 }
 
 // fusionCell measures one baseline on one filtered corpus: mean F1 (%) over
-// the workload and total time (seconds, real + virtual LLM latency).
+// the workload and its priced time in seconds (LLM latency plus record
+// fetches).
 func fusionCell(m baselines.Method, files []adapter.RawFile, queries []datasets.Query, seed uint64) (f1pct, seconds float64, err error) {
 	model := llm.NewSim(llmConfig(seed))
 	env, err := buildEnv(files, model)
@@ -97,8 +98,6 @@ func fusionCell(m baselines.Method, files []adapter.RawFile, queries []datasets.
 		return 0, 0, err
 	}
 	model.ResetUsage() // setup/extraction cost is preprocessing, not QT
-	var clock eval.Clock
-	clock.Start()
 	m.Setup(env)
 	var f1 eval.Mean
 	for _, q := range queries {
@@ -106,7 +105,7 @@ func fusionCell(m baselines.Method, files []adapter.RawFile, queries []datasets.
 		_, _, f := eval.PRF1(got, q.Gold)
 		f1.Add(f)
 	}
-	clock.Stop()
+	var clock eval.Clock
 	clock.AddVirtual(model.VirtualLatency())
 	clock.ChargeClaimFetches(env.Fetches)
 	return f1.Value() * 100, clock.Seconds(), nil
@@ -123,13 +122,10 @@ func multiragCell(cfg core.Config, files []adapter.RawFile, queries []datasets.Q
 	if _, err := s.Ingest(files); err != nil {
 		return 0, 0, 0, err
 	}
-	buildReal, buildLLM := s.BuildCost()
-	pt = (buildReal + buildLLM).Seconds()
+	pt = s.BuildCost().Seconds()
 
 	s.Model().ResetUsage()
 	s.MCC().History().ResetScans()
-	var clock eval.Clock
-	clock.Start()
 	var f1 eval.Mean
 	fetches := 0
 	for _, q := range queries {
@@ -138,7 +134,7 @@ func multiragCell(cfg core.Config, files []adapter.RawFile, queries []datasets.Q
 		_, _, f := eval.PRF1(ans.Values, q.Gold)
 		f1.Add(f)
 	}
-	clock.Stop()
+	var clock eval.Clock
 	clock.AddVirtual(s.Model().VirtualLatency())
 	clock.ChargeHistoryScans(s.MCC().History().Scans())
 	clock.ChargeClaimFetches(fetches)

@@ -92,14 +92,14 @@ func BenchmarkBulkIngest(b *testing.B) {
 		b.StartTimer()
 		p := &prepared{}
 		s.admit(p)
-		p.start = time.Now()
+		start := time.Now()
 		s.prepare(p, files)
 		mid := time.Now()
 		rep, err := s.commitJoin(p)
 		if err != nil {
 			b.Fatal(err)
 		}
-		prepare += mid.Sub(p.start)
+		prepare += mid.Sub(start)
 		commit += time.Since(mid)
 		chunks = rep.Chunks
 		b.StopTimer()

@@ -280,9 +280,7 @@ func (s *System) commitGroup(group []*prepared) {
 			s.dur.maybeRequestCheckpoint(&s.cfg)
 		}
 	}
-	now := time.Now()
 	for _, p := range committed {
-		s.buildReal.Add(int64(now.Sub(p.start)))
 		s.buildLLM.Add(int64(p.llm))
 	}
 }

@@ -56,9 +56,8 @@ func TestIngestBuildsEverything(t *testing.T) {
 	if s.Index().Len() == 0 {
 		t.Fatal("chunk index empty")
 	}
-	real, llmLat := s.BuildCost()
-	if real <= 0 || llmLat <= 0 {
-		t.Fatalf("build cost not recorded: %v %v", real, llmLat)
+	if pt := s.BuildCost(); pt <= 0 || pt != s.ingestModel.VirtualLatency() {
+		t.Fatalf("build cost = %v, want the ingest model's priced extraction latency %v", pt, s.ingestModel.VirtualLatency())
 	}
 }
 

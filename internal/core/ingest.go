@@ -43,7 +43,6 @@ type fileWork struct {
 // waiting caller under the committer lock).
 type prepared struct {
 	ticket uint64
-	start  time.Time
 	work   []fileWork
 	llm    time.Duration // per-caller virtual LLM latency of the fan-out
 
@@ -86,10 +85,6 @@ func (p *prepared) recordedTriples() int {
 func (s *System) Ingest(files []adapter.RawFile) (IngestReport, error) {
 	p := &prepared{}
 	s.admit(p)
-	// Stamp after admission: buildReal attributes each committed call's wall
-	// time from admission to group publish — queue-blocking time spent
-	// waiting for a pipeline slot is not build work.
-	p.start = time.Now()
 	s.prepare(p, files)
 	return s.commitJoin(p)
 }

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"multirag/internal/adapter"
 	"multirag/internal/extract"
@@ -149,7 +148,7 @@ func TestGroupCommitMidGroupFailure(t *testing.T) {
 
 	var group []*prepared
 	for k := 0; k < 3; k++ {
-		p := &prepared{start: time.Now()}
+		p := &prepared{}
 		s.admit(p)
 		s.prepare(p, ingestBatch(k))
 		if p.err != nil {
@@ -195,7 +194,7 @@ func TestGroupCommitPerBatchReportsExact(t *testing.T) {
 	s := NewSystem(Config{LLM: llm.Config{Seed: 1}})
 	var group []*prepared
 	for k := 0; k < 3; k++ {
-		p := &prepared{start: time.Now()}
+		p := &prepared{}
 		s.admit(p)
 		s.prepare(p, disjointBatch(k))
 		if p.err != nil {

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"multirag/internal/adapter"
 	"multirag/internal/extract"
@@ -207,7 +206,7 @@ func TestGroupRecordMatchesOracle(t *testing.T) {
 			for nf := rng.Intn(6); nf > 0; nf-- {
 				files = append(files, randomRecordFile(rng, len(files), bad && nf == 1))
 			}
-			p := &prepared{start: time.Now()}
+			p := &prepared{}
 			s.admit(p)
 			s.prepare(p, files)
 			group = append(group, p)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"multirag/internal/fault"
 	"multirag/internal/wal"
@@ -96,7 +95,7 @@ func TestCommitAfterMidGroupReplayFailureMatchesReference(t *testing.T) {
 	// and re-replays 2, then 4, onto a second clone of the same snapshot.
 	var group []*prepared
 	for k := 2; k < 5; k++ {
-		p := &prepared{start: time.Now()}
+		p := &prepared{}
 		primary.admit(p)
 		primary.prepare(p, ingestBatch(k))
 		if p.err != nil {

@@ -95,11 +95,10 @@ type System struct {
 	// mu guards the commit critical section of the write path (snapshot
 	// clone/replay/publish — never the ingest fan-out, which runs before it).
 	mu sync.Mutex
-	// Preprocessing cost (PT in Table III): real build time plus the LLM
-	// latency spent during ingestion, in nanoseconds. Added under mu, read
+	// Preprocessing cost (PT in Table III): the modelled LLM latency of
+	// ingestion's extraction, in nanoseconds. Added under mu, read
 	// lock-free by BuildCost.
-	buildReal atomic.Int64
-	buildLLM  atomic.Int64
+	buildLLM atomic.Int64
 
 	// gc is the group-commit state behind the pipelined Ingest: a ticketed,
 	// bounded queue of prepared batches drained by a single committer. See
@@ -242,10 +241,11 @@ func (s *System) Serving() (*kg.Graph, *linegraph.SG, retrieval.Searcher) {
 	return sn.graph, sn.sg, sn.index
 }
 
-// BuildCost returns the preprocessing cost (PT): real build time and the LLM
-// latency charged during ingestion.
-func (s *System) BuildCost() (real, llmLatency time.Duration) {
-	return time.Duration(s.buildReal.Load()), time.Duration(s.buildLLM.Load())
+// BuildCost returns the preprocessing cost (PT): the modelled LLM latency of
+// the extraction every committed Ingest call ran. The process's own build
+// time is not part of it.
+func (s *System) BuildCost() time.Duration {
+	return time.Duration(s.buildLLM.Load())
 }
 
 // RebuildSG reconstructs the homologous line graph from scratch after
@@ -261,7 +261,6 @@ func (s *System) RebuildSG() {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	start := time.Now()
 	cur := s.snap.Load()
 	s.snap.Store(&snapshot{
 		graph: cur.graph,
@@ -269,5 +268,4 @@ func (s *System) RebuildSG() {
 		index: cur.index,
 		gen:   cur.gen + 1,
 	})
-	s.buildReal.Add(int64(time.Since(start)))
 }

@@ -5,14 +5,13 @@ import (
 )
 
 // Clock is the virtual-time accounting used throughout the benchmarks.
-// Reported "query time" is real compute time plus the priced cost of
-// simulated externals: LLM traffic (priced by llm.CostModel inside the
-// model) and historical-data validation scans (priced here). See DESIGN.md
-// §1, virtual-time model.
+// Reported "query time" is the priced cost of simulated externals alone: LLM
+// traffic (priced by llm.CostModel inside the model), source-record fetches
+// and historical-data validation scans (priced here). The process's own
+// compute is not part of it, so a time cell is a pure function of the
+// workload and the seed. See DESIGN.md §1, virtual-time model.
 type Clock struct {
-	start    time.Time
-	realTime time.Duration
-	virtual  time.Duration
+	virtual time.Duration
 }
 
 // PerHistoryScan prices one historical-entity validation scan (Fig. 7's
@@ -30,17 +29,6 @@ func (c *Clock) ChargeClaimFetches(n int) {
 	c.virtual += time.Duration(n) * PerClaimFetch
 }
 
-// Start begins (or restarts) real-time measurement.
-func (c *Clock) Start() { c.start = time.Now() }
-
-// Stop accumulates the elapsed real time since Start.
-func (c *Clock) Stop() {
-	if !c.start.IsZero() {
-		c.realTime += time.Since(c.start)
-		c.start = time.Time{}
-	}
-}
-
 // AddVirtual charges simulated latency.
 func (c *Clock) AddVirtual(d time.Duration) { c.virtual += d }
 
@@ -49,14 +37,8 @@ func (c *Clock) ChargeHistoryScans(n int) {
 	c.virtual += time.Duration(n) * PerHistoryScan
 }
 
-// Real returns the accumulated real compute time.
-func (c *Clock) Real() time.Duration { return c.realTime }
-
-// Virtual returns the accumulated simulated latency.
-func (c *Clock) Virtual() time.Duration { return c.virtual }
-
-// Total returns real + virtual time.
-func (c *Clock) Total() time.Duration { return c.realTime + c.virtual }
+// Total returns the priced cost charged so far.
+func (c *Clock) Total() time.Duration { return c.virtual }
 
 // Seconds returns the total in floating-point seconds — the unit of the
 // paper's time columns.

@@ -95,29 +95,18 @@ func TestMean(t *testing.T) {
 
 func TestClock(t *testing.T) {
 	var c Clock
-	c.Start()
-	time.Sleep(time.Millisecond)
-	c.Stop()
-	if c.Real() <= 0 {
-		t.Fatal("real time must accumulate")
+	if c.Total() != 0 {
+		t.Fatal("a zero Clock must read 0")
 	}
 	c.AddVirtual(2 * time.Second)
 	c.ChargeHistoryScans(100)
-	wantVirtual := 2*time.Second + 100*PerHistoryScan
-	if c.Virtual() != wantVirtual {
-		t.Fatalf("virtual = %v, want %v", c.Virtual(), wantVirtual)
+	c.ChargeClaimFetches(10)
+	want := 2*time.Second + 100*PerHistoryScan + 10*PerClaimFetch
+	if c.Total() != want {
+		t.Fatalf("total = %v, want the priced sum %v", c.Total(), want)
 	}
-	if c.Total() != c.Real()+c.Virtual() {
-		t.Fatal("total must be real+virtual")
-	}
-	if c.Seconds() <= 2 {
-		t.Fatalf("seconds = %v", c.Seconds())
-	}
-	// Stop without Start must be a no-op.
-	var c2 Clock
-	c2.Stop()
-	if c2.Real() != 0 {
-		t.Fatal("Stop without Start must not charge time")
+	if c.Seconds() != want.Seconds() {
+		t.Fatalf("seconds = %v, want %v", c.Seconds(), want.Seconds())
 	}
 }
 

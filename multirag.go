@@ -96,7 +96,9 @@ type Stats struct {
 	HomologousNodes int
 	IsolatedClaims  int
 	Chunks          int
-	BuildTime       time.Duration
+	// BuildTime is the modelled cost of extraction: the priced latency of
+	// the simulated LLM calls every ingest made, not wall time.
+	BuildTime time.Duration
 }
 
 // System is a MultiRAG deployment over one corpus. All methods are safe for
@@ -353,7 +355,6 @@ func (s *System) Stats() Stats {
 		st.HomologousNodes = hs.HomologousNodes
 		st.IsolatedClaims = hs.Isolated
 	}
-	real, llmLat := s.inner.BuildCost()
-	st.BuildTime = real + llmLat
+	st.BuildTime = s.inner.BuildCost()
 	return st
 }

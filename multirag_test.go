@@ -183,6 +183,15 @@ func TestStats(t *testing.T) {
 	if st.BuildTime <= 0 {
 		t.Fatal("build time not recorded")
 	}
+	// BuildTime is the modelled extraction cost, not a stopwatch: a second
+	// system that ingests the same files reports it to the nanosecond.
+	again := Open(Config{})
+	if err := again.IngestFiles(flightFiles()...); err != nil {
+		t.Fatal(err)
+	}
+	if got := again.Stats().BuildTime; got != st.BuildTime {
+		t.Fatalf("build time = %v on a second system, want %v", got, st.BuildTime)
+	}
 }
 
 func TestRetrieve(t *testing.T) {
