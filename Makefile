@@ -34,11 +34,12 @@ race:
 # allocates per triple) and the heap one engine copy retains per triple,
 # decoded from a checkpoint body, and a replica seeded beside its primary —
 # a copy-on-write clone of the primary's snapshot — retains per triple; the
-# heap a prepared bulk load retains per byte of its WAL parts; and, beside
-# them, the chunks such a clone embeds: none, seeded or forking on its first
-# apply.
+# heap a prepared bulk load retains per byte of its WAL parts; the heap a
+# system retains per byte of a hostile ingest request (root package); and,
+# beside them, the chunks such a clone embeds: none, seeded or forking on its
+# first apply.
 ceilings:
-	$(GO) test -count=1 -run 'AllocCeiling|ReplayPostsStoredVectors|EngineCopyBytes|EmbedsNothing|PreparedBatchRetainedBytes' ./internal/...
+	$(GO) test -count=1 -run 'AllocCeiling|ReplayPostsStoredVectors|EngineCopyBytes|EmbedsNothing|RetainedBytes' . ./internal/...
 
 # chaos runs the fault-injection grid under the race detector: named
 # injection points (LLM calls, evidence gathering, retrieval scans, commit,
@@ -145,10 +146,8 @@ layers:
 # Handler().ServeHTTP on the case-study corpus on an idle server, whose
 # allocs/op are the serve layer's objects per request plus the engine's, and
 # the same from four goroutines per GOMAXPROCS on a saturated one, where
-# requests wait for a slot — and the line graph's two build paths over a small
-# movies corpus: the full Build and a one-triple BuildDelta, each counting
-# keys in the graph's postings and allocating no index. B/op is the tracked
-# number. BENCHTIME=1x makes it a smoke run.
+# requests wait for a slot. B/op is the tracked number. BENCHTIME=1x makes it
+# a smoke run.
 bench-micro:
 	$(GO) test -run '^$$' -bench '^Benchmark(CommitAppend|Search|EncodeStore|DecodeStore|Embed|Accumulate|TopK)$$' -benchmem -benchtime $(BENCHTIME) ./internal/retrieval
 	$(GO) test -run '^$$' -bench '^Benchmark(GraphCommitAppend|COWPagePrivatize)$$' -benchmem -benchtime $(BENCHTIME) ./internal/kg
@@ -157,7 +156,6 @@ bench-micro:
 	$(GO) test -run '^$$' -bench '^Benchmark(NormalForms|NewDist)$$' -benchmem -benchtime $(BENCHTIME) ./internal/textutil
 	$(GO) test -run '^$$' -bench '^Benchmark(ParseQuery|ExtractChunk|GenerateAnswer)$$' -benchmem -benchtime $(BENCHTIME) ./internal/llm
 	$(GO) test -run '^$$' -bench '^BenchmarkServe(Query|Saturated)$$' -benchmem -benchtime $(BENCHTIME) ./internal/serve
-	$(GO) test -run '^$$' -bench '^BenchmarkLineGraph(Build|BuildDelta)$$' -benchmem -benchtime $(BENCHTIME) .
 
 # bench regenerates the paper tables/figures at a reduced scale and records
 # per-job wall-clock timings for the perf trajectory. That per-job wall time

@@ -190,18 +190,6 @@ func benchGraph(b *testing.B) *kg.Graph {
 	return sys.Graph()
 }
 
-// sgSink keeps the line-graph benchmarks' results live, so the compiler
-// cannot keep the SG on the stack or drop the call.
-var sgSink *linegraph.SG
-
-func BenchmarkLineGraphBuild(b *testing.B) {
-	g := benchGraph(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sgSink = linegraph.Build(g)
-	}
-}
-
 func BenchmarkMCCRun(b *testing.B) {
 	g := benchGraph(b)
 	sg := linegraph.Build(g)
@@ -299,10 +287,9 @@ func repeatedIngestBatches(n int) [][]adapter.RawFile {
 	return batches
 }
 
-// BenchmarkRepeatedIngest times the write path under incremental line-graph
-// maintenance (BuildDelta over each batch's new triples). One op = ingesting
-// 64 successive batches into a fresh system. BenchmarkLineGraphBuild times
-// the full Build a from-scratch rebuild would pay per batch.
+// BenchmarkRepeatedIngest times the write path over many small commits, each
+// of which publishes the line graph as a view over its graph in O(1). One op
+// = ingesting 64 successive batches into a fresh system.
 func BenchmarkRepeatedIngest(b *testing.B) {
 	batches := repeatedIngestBatches(64)
 	for i := 0; i < b.N; i++ {
@@ -312,26 +299,6 @@ func BenchmarkRepeatedIngest(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	}
-}
-
-// BenchmarkLineGraphBuildDelta isolates the data-structure cost: applying a
-// one-triple delta versus rebuilding the whole SG.
-func BenchmarkLineGraphBuildDelta(b *testing.B) {
-	g := benchGraph(b)
-	sg := linegraph.Build(g)
-	g.AddEntity("CA981", "Flight", "flights")
-	id, err := g.AddTriple(kg.Fact{
-		Subject: kg.CanonicalID("CA981"), Predicate: "status", Object: "Delayed",
-		Source: "bench", Weight: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	delta := []string{id}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sgSink = linegraph.BuildDelta(sg, g, delta)
 	}
 }
 

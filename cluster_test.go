@@ -128,8 +128,6 @@ func stateBytes(s *core.System) []byte {
 	st := sg.ComputeStats()
 	e.Int(st.HomologousNodes)
 	e.Int(st.Isolated)
-	e.F64(st.MeanGroupSize)
-	e.Int(st.MaxGroupSize)
 	var keys []string
 	sg.ForEachNode(func(key string, _ *linegraph.HomologousNode) { keys = append(keys, key) })
 	slices.Sort(keys)

@@ -99,7 +99,10 @@ func main() {
 		elapsed := time.Since(start)
 		report.Jobs = append(report.Jobs, timing{Name: j.name, Seconds: elapsed.Seconds()})
 		report.Seconds += elapsed.Seconds()
-		fmt.Fprintf(os.Stdout, "\n[%s regenerated in %v]\n\n", j.name, elapsed.Round(time.Millisecond))
+		// The wall time goes to stderr, so stdout is the same bytes on every
+		// run of one seed and scale.
+		fmt.Fprintln(os.Stdout)
+		fmt.Fprintf(os.Stderr, "[%s regenerated in %v]\n", j.name, elapsed.Round(time.Millisecond))
 	}
 	if *jsonOut != "" {
 		data, err := json.MarshalIndent(report, "", "  ")

@@ -24,8 +24,8 @@
 //
 // A System serves concurrently: queries evaluate against immutable,
 // atomically swapped snapshots while ingestion batches commit on a parallel
-// write path with incremental line-graph maintenance, so Ask scales across
-// goroutines and IngestFiles never blocks readers. See DESIGN.md for the
+// write path, so Ask scales across goroutines and IngestFiles never blocks
+// readers. See DESIGN.md for the
 // snapshot/delta architecture.
 //
 // For deployment as a service, internal/serve (exposed as the `multirag

@@ -176,3 +176,30 @@ func TestFusePropagatesParseErrors(t *testing.T) {
 		t.Fatal("parse failure must propagate")
 	}
 }
+
+// TestNestingLimit: JSON objects and XML elements nested maxNesting levels
+// deep parse; one level more is an error that names the depth, not the
+// content.
+func TestNestingLimit(t *testing.T) {
+	nestJSON := func(levels int) string {
+		return strings.Repeat(`{"a":`, levels-1) + `{"a":"x"}` + strings.Repeat("}", levels-1)
+	}
+	nestXML := func(levels int) string { // the root element is a level
+		return strings.Repeat("<a>", levels-1) + "<a>x</a>" + strings.Repeat("</a>", levels-1)
+	}
+	for _, tc := range []struct {
+		a    Adapter
+		nest func(int) string
+	}{{SemiJSON{}, nestJSON}, {SemiXML{}, nestXML}} {
+		f := RawFile{Domain: "d", Source: "s", Name: "n", Format: tc.a.Format()}
+		f.Content = []byte(tc.nest(maxNesting))
+		if _, err := tc.a.Parse(f); err != nil {
+			t.Fatalf("%s nested %d levels: %v", f.Format, maxNesting, err)
+		}
+		f.Content = []byte(tc.nest(maxNesting + 1))
+		_, err := tc.a.Parse(f)
+		if err == nil || !strings.Contains(err.Error(), "33 levels deep") {
+			t.Fatalf("%s nested %d levels: err = %v", f.Format, maxNesting+1, err)
+		}
+	}
+}

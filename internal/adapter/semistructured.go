@@ -25,6 +25,9 @@ func (SemiJSON) Parse(f RawFile) (*jsonld.Normalized, error) {
 	if err := json.Unmarshal(f.Content, &any); err != nil {
 		return nil, fmt.Errorf("json parse: %w", err)
 	}
+	if d := jsonDepth(any); d > maxNesting {
+		return nil, fmt.Errorf("json parse: objects nest %d levels deep, over the %d-level limit", d, maxNesting)
+	}
 	n := newNormalized(f)
 	switch v := any.(type) {
 	case []interface{}:
@@ -41,6 +44,29 @@ func (SemiJSON) Parse(f RawFile) (*jsonld.Normalized, error) {
 		return nil, fmt.Errorf("json parse: top level must be object or array of objects")
 	}
 	return n, nil
+}
+
+// maxNesting bounds how deep JSON objects or XML elements nest. Each level's
+// attribute path is its parent's plus one name and every path is stored, so
+// what a file retains grows with the square of its depth. Real records nest a
+// few levels.
+const maxNesting = 32
+
+// jsonDepth is how deep objects nest in a decoded JSON value.
+func jsonDepth(v interface{}) int {
+	d := 0
+	switch v := v.(type) {
+	case map[string]interface{}:
+		for _, c := range v {
+			d = max(d, jsonDepth(c))
+		}
+		return d + 1
+	case []interface{}:
+		for _, c := range v {
+			d = max(d, jsonDepth(c))
+		}
+	}
+	return d
 }
 
 func jsonToDoc(id string, obj map[string]interface{}) *jsonld.Document {
@@ -99,6 +125,9 @@ func (SemiXML) Parse(f RawFile) (*jsonld.Normalized, error) {
 		// some of them echo.
 		return nil, fmt.Errorf("xml parse: %.96q", err)
 	}
+	if d := xmlDepth(root); d > maxNesting {
+		return nil, fmt.Errorf("xml parse: elements nest %d levels deep, over the %d-level limit", d, maxNesting)
+	}
 	n := newNormalized(f)
 	if len(root.Children) == 0 {
 		n.JSC = append(n.JSC, xmlToDoc(n.ID+"/rec/0", root))
@@ -108,6 +137,15 @@ func (SemiXML) Parse(f RawFile) (*jsonld.Normalized, error) {
 		n.JSC = append(n.JSC, xmlToDoc(fmt.Sprintf("%s/rec/%d", n.ID, i), child))
 	}
 	return n, nil
+}
+
+// xmlDepth is how deep elements nest under and including node.
+func xmlDepth(node xmlNode) int {
+	d := 0
+	for _, c := range node.Children {
+		d = max(d, xmlDepth(c))
+	}
+	return d + 1
 }
 
 func xmlToDoc(id string, node xmlNode) *jsonld.Document {

@@ -15,10 +15,9 @@ import (
 // TestMCCEquivalentAcrossGraphRepresentations is the top-of-stack
 // observation-equivalence property for the interned graph core: the same
 // corpus reaches MCC through three different representations — the original
-// graph with a from-scratch SG, a delta-maintained SG over a chain of
-// copy-on-write clones, and the final clone itself — and Algorithm 1 must
-// produce bit-identical Results (assessments, SVs, LVs, node scores) on all
-// of them. MCC consumes every hot observable the core rewired (member
+// graph with its SG, the SG of the last of a chain of copy-on-write clones,
+// and the final clone itself — and Algorithm 1 must produce bit-identical
+// Results (assessments, SVs, LVs, node scores) on all of them. MCC consumes every hot observable the core rewired (member
 // resolution by handle, key postings, degrees, MaxDegree, two-hop path
 // support), so equality here pins the whole consistency-check pipeline.
 func TestMCCEquivalentAcrossGraphRepresentations(t *testing.T) {
@@ -26,15 +25,14 @@ func TestMCCEquivalentAcrossGraphRepresentations(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 
-			// Ingest the same batches into: flat (one graph, scratch build)
-			// and chain (clone per batch + BuildDelta), the serving engine's
-			// commit pattern.
+			// Ingest the same batches into: flat (one graph) and chain (clone
+			// per batch, each published as its own view), the serving
+			// engine's commit pattern.
 			flat := kg.New()
 			chain := kg.New()
 			var chainSG *linegraph.SG
 			for batch := 0; batch < 5; batch++ {
 				next := chain.Clone()
-				var newIDs []string
 				for i := 0; i < 3+rng.Intn(10); i++ {
 					subj := fmt.Sprintf("e%d", rng.Intn(6))
 					pred := fmt.Sprintf("p%d", rng.Intn(3))
@@ -51,15 +49,13 @@ func TestMCCEquivalentAcrossGraphRepresentations(t *testing.T) {
 					}); err != nil {
 						t.Fatal(err)
 					}
-					id, err := next.AddTriple(kg.Fact{
+					if _, err := next.AddTriple(kg.Fact{
 						Subject: subj, Predicate: pred, Object: obj, Source: src, Weight: w,
-					})
-					if err != nil {
+					}); err != nil {
 						t.Fatal(err)
 					}
-					newIDs = append(newIDs, id)
 				}
-				chainSG = linegraph.BuildDelta(chainSG, next, newIDs)
+				chainSG = linegraph.Build(next)
 				chain = next
 			}
 			scratchSG := linegraph.Build(flat)
@@ -93,7 +89,7 @@ func TestMCCEquivalentAcrossGraphRepresentations(t *testing.T) {
 			want := run(scratchSG)
 			got := run(chainSG)
 			if !reflect.DeepEqual(stripPointers(got), stripPointers(want)) {
-				t.Fatalf("MCC diverges between scratch and delta-chained SG:\n got  %+v\n want %+v", got, want)
+				t.Fatalf("MCC diverges between the flat graph's SG and the clone chain's:\n got  %+v\n want %+v", got, want)
 			}
 			// And over the final clone directly (same graph content reached
 			// through shared COW pages rather than a single-owner build).

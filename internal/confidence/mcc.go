@@ -307,9 +307,9 @@ func (m *MCC) Finish(p *Prepared) (Result, *HistoryDelta) {
 			res.LVs = append(res.LVs, c.members...)
 		case nodeScored:
 			// A candidate node can resolve to zero live members when the
-			// graph was mutated destructively after the SG was built
-			// (perturbation harness before RebuildSG); there is nothing to
-			// score.
+			// graph was mutated destructively after the node was looked up
+			// (the perturbation harness mutates a served graph in place);
+			// there is nothing to score.
 			if n := len(c.members); n > 0 {
 				a.NodeConfidence, nc = nc[:n:n], nc[n:]
 				res.SVs, res.LVs = m.scoreMembers(c, a.NodeConfidence, res.SVs, res.LVs)

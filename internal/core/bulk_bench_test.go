@@ -67,8 +67,8 @@ func TestPreparedBatchRetainedBytesCeiling(t *testing.T) {
 // BenchmarkBulkIngest measures the bulk load a deployment pays at set-up:
 // the datasets corpus as one Ingest call into a fresh durable system on a
 // MemFS — stage 1 (fusion, extraction, chunking, embedding, each file's part
-// of the WAL record) on the worker pool, then the commit (replay, the line
-// graph's delta, the group record and its append). prepare-ms/op and
+// of the WAL record) on the worker pool, then the commit (replay, the group
+// record and its append). prepare-ms/op and
 // commit-ms/op split ns/op between the two; record-bytes is the size of the
 // one WAL record the load writes, and prepared-MB the heap the prepared batch
 // retains between the two stages, counted once outside the timed loop. The background checkpoint is held off, and

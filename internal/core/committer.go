@@ -176,8 +176,7 @@ func (s *System) commitJoin(p *prepared) (IngestReport, error) {
 // snapshot for all of them. Under the critical section it clones the serving
 // graph and index once, replays each batch's parts in ticket order onto
 // the shared clone (measuring the exact per-batch entity/triple/chunk
-// deltas), applies one merged line-graph delta over the group's new triple
-// IDs and swaps the snapshot pointer.
+// deltas) and swaps the snapshot pointer.
 //
 // Failure isolation: a batch whose stage 1 already failed is skipped without
 // touching the clone. A batch that fails mid-replay is rolled back by
@@ -204,13 +203,6 @@ func (s *System) commitGroup(group []*prepared) {
 	cur := s.snap.Load()
 	g := cur.graph.Clone()
 	ix := cur.index.CloneForAppend()
-	total := 0
-	for _, p := range group {
-		if p.err == nil {
-			total += p.recordedTriples()
-		}
-	}
-	newIDs := make([]string, 0, total)
 	sc := getEmbedScratch(ix.Dim())
 	defer putEmbedScratch(sc)
 	var d wal.Decoder
@@ -219,21 +211,16 @@ func (s *System) commitGroup(group []*prepared) {
 		if p.err != nil {
 			continue
 		}
-		var err error
-		newIDs, err = replayBatch(g, ix, sc, &d, p, newIDs)
-		if err != nil {
+		if err := replayBatch(g, ix, sc, &d, p); err != nil {
 			p.err = fmt.Errorf("%w: replay: %w", ErrCommit, err)
 			// Rollback: discard the poisoned clone and re-replay the group's
 			// earlier successes from scratch. Replay is deterministic, so a
 			// batch that succeeded once succeeds again with identical deltas.
 			g = cur.graph.Clone()
 			ix = cur.index.CloneForAppend()
-			newIDs = newIDs[:0]
 			retained := committed[:0]
 			for _, q := range committed {
-				var qerr error
-				newIDs, qerr = replayBatch(g, ix, sc, &d, q, newIDs)
-				if qerr != nil {
+				if qerr := replayBatch(g, ix, sc, &d, q); qerr != nil {
 					q.err = fmt.Errorf("%w: replay: %w", ErrCommit, qerr) // unreachable for deterministic replays
 					continue
 				}
@@ -258,21 +245,13 @@ func (s *System) commitGroup(group []*prepared) {
 			committed = nil
 		}
 	}
-	// Every part is replayed and logged: let go of the group's prepared files
-	// before the line graph's delta grows the heap further.
+	// Every part is replayed and logged: let go of the group's prepared files.
 	for _, p := range group {
 		p.work = nil
 	}
 
 	if len(committed) > 0 {
-		next := &snapshot{graph: g, index: ix, gen: cur.gen + 1}
-		if !s.cfg.DisableMKA {
-			next.sg = linegraph.BuildDelta(cur.sg, g, newIDs)
-			st := next.sg.ComputeStats()
-			for _, p := range committed {
-				p.rep.Homologous = st
-			}
-		}
+		next := &snapshot{graph: g, sg: linegraph.Build(g), index: ix, gen: cur.gen + 1}
 		s.snap.Store(next)
 		s.setReplicationLSN(s.replPos.Load() + 1)
 		if s.dur != nil {
@@ -287,26 +266,25 @@ func (s *System) commitGroup(group []*prepared) {
 
 // replayBatch replays one prepared batch onto the shared commit clone — each
 // file's part, decoded through d, whose intern table the group's parts share,
-// and posted with the rows stage 1 embedded — appending its new triple IDs
-// onto ids, and records the batch's exact deltas in its report. On error the
-// clone is left partially mutated — the caller rolls back by rebuilding it.
-func replayBatch(g *kg.Graph, ix *retrieval.Index, sc *embedScratch, d *wal.Decoder, p *prepared, ids []string) ([]string, error) {
+// and posted with the rows stage 1 embedded — and records the batch's exact
+// deltas in its report. On error the clone is left partially mutated — the
+// caller rolls back by rebuilding it.
+func replayBatch(g *kg.Graph, ix *retrieval.Index, sc *embedScratch, d *wal.Decoder, p *prepared) error {
 	entBefore, triBefore := g.NumEntities(), g.NumTriples()
-	mark := len(ids)
 	p.rep.Chunks = 0
 	for i := range p.work {
 		w := &p.work[i]
 		d.Reset(w.part)
-		var err error
-		if ids, err = replayPart(d, g, ix, &w.rows, sc, ids); err == nil {
+		err := replayPart(d, g, ix, &w.rows, sc)
+		if err == nil {
 			err = d.Finish()
 		}
 		if err != nil {
-			return ids[:mark], err
+			return err
 		}
 		p.rep.Chunks += w.chunks
 	}
 	p.rep.Extraction.Entities = g.NumEntities() - entBefore
 	p.rep.Extraction.Triples = g.NumTriples() - triBefore
-	return ids, nil
+	return nil
 }

@@ -26,19 +26,19 @@ import (
 // below the rotation point is fully covered by the checkpoint written against
 // the state at that same LSN, and only then prunes covered segments and stale
 // checkpoints. Recovery loads the newest valid checkpoint, replays the WAL
-// tail through the same part replay (replayPart) + BuildDelta path the
-// committer runs, and truncates whatever torn frame the crash left behind.
+// tail through the same part replay (replayPart) the committer runs, and
+// truncates whatever torn frame the crash left behind.
 //
 // Format 4 (snapshotVersion, recordVersion) is the one format read and
 // written: it stores facts only — entities, triples and chunk strings, the
 // string columns that repeat from row to row front-coded against the previous
 // row (wal.Encoder.Front). What is a pure function of them is derived on load:
 // every chunk's vector is re-embedded from its text (retrieval.DecodeIntoStore,
-// and replayRecord for a record), and the line graph is rebuilt from the
-// graph (linegraph.Build, BuildDelta on replay). A checkpoint says which format
-// it is in its version field, a record by how it starts — a record of format 2
-// or later opens with a 0 tag and its version, a format-1 record with its
-// batch count, which is never 0. Any other format is rejected with
+// and replayRecord for a record), and the line graph is a view over the
+// graph (linegraph.Build), whose key counts the graph keeps as it decodes and
+// replays. A checkpoint says which format it is in its version field, a
+// record by how it starts — a record of format 2 or later opens with a 0 tag
+// and its version, a format-1 record with its batch count, which is never 0. Any other format is rejected with
 // ErrUnsupportedFormat before recovery writes to the directory (DESIGN.md §9
 // has the migration policy).
 //
@@ -183,30 +183,19 @@ func recoverFrom(fsys wal.FS, dir string, cfg Config, body []byte, ckptLSN uint6
 		RecordsReplayed: len(sr.Records),
 		Truncated:       sr.Truncated,
 	}
-	g, sg, ix := sn.graph, sn.sg, sn.index
-	var newIDs []string
+	g, ix := sn.graph, sn.index
 	sc := getEmbedScratch(ix.Dim())
 	for i, payload := range sr.Records {
-		if newIDs, err = replayRecord(payload, g, ix, sc, newIDs); err != nil {
+		if err = replayRecord(payload, g, ix, sc); err != nil {
 			return nil, nil, fmt.Errorf("core: replay WAL record %d: %w", sr.From+uint64(i), err)
 		}
 	}
 	putEmbedScratch(sc)
-	if len(newIDs) > 0 && !s.cfg.DisableMKA {
-		// One merged delta over the whole replayed tail. The replay grew the
-		// checkpoint's graph in place, so sg — a view over it — already
-		// answers lookups from the tail but still holds the checkpoint's
-		// counts. BuildDelta recounts each touched key once against the
-		// final graph, taking its old size as the final size minus the
-		// key's replayed triples, which lands on the counts the per-record
-		// deltas the committer ran would have reached.
-		sg = linegraph.BuildDelta(sg, g, newIDs)
-	}
 	log, err := wal.OpenLog(fsys, dir, sr)
 	if err != nil {
 		return nil, nil, err
 	}
-	s.snap.Store(&snapshot{graph: g, sg: sg, index: ix})
+	s.snap.Store(&snapshot{graph: g, sg: linegraph.Build(g), index: ix})
 	s.replPos.Store(log.NextLSN())
 	s.dur = &durable{
 		fs:      fsys,
@@ -394,10 +383,6 @@ func (s *System) decodeSnapshot(body []byte) (*snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	var sg *linegraph.SG
-	if !s.cfg.DisableMKA && g.NumTriples() > 0 {
-		sg = linegraph.Build(g)
-	}
 	ix := retrieval.NewIndex(retrieval.DefaultDim)
 	if err := retrieval.DecodeIntoStore(d, ix, s.Workers()); err != nil {
 		return nil, err
@@ -405,7 +390,7 @@ func (s *System) decodeSnapshot(body []byte) (*snapshot, error) {
 	if err := d.Finish(); err != nil {
 		return nil, err
 	}
-	return &snapshot{graph: g, sg: sg, index: ix}, nil
+	return &snapshot{graph: g, sg: linegraph.Build(g), index: ix}, nil
 }
 
 // The group record: the 0 tag and recordVersion, the count of committed
@@ -523,27 +508,25 @@ func encodeFile(rec *extract.Recorder, chunks []retrieval.Chunk, sc *embedScratc
 }
 
 // replayRecord decodes one WAL record payload straight into g and ix, part by
-// part (replayPart), re-embedding every chunk, and appends the record's new
-// triple IDs to ids. On error g and ix hold whatever was applied before it
-// and the caller discards them. The line-graph delta is left to the caller,
-// which may fold several records into one. Nothing of payload is kept.
-func replayRecord(payload []byte, g *kg.Graph, ix *retrieval.Index, sc *embedScratch, ids []string) ([]string, error) {
+// part (replayPart), re-embedding every chunk. On error g and ix hold
+// whatever was applied before it and the caller discards them. Nothing of
+// payload is kept.
+func replayRecord(payload []byte, g *kg.Graph, ix *retrieval.Index, sc *embedScratch) error {
 	d := wal.NewDecoder(payload)
 	if tag := d.Int(); d.Err() == nil && tag != 0 {
-		return ids, unsupportedFormat("WAL record", 1) // format 1 opens with its batch count
+		return unsupportedFormat("WAL record", 1) // format 1 opens with its batch count
 	}
 	if err := readVersion(d, "WAL record", recordVersion); err != nil {
-		return ids, err
+		return err
 	}
-	var err error
 	for nb, i := d.Int(), 0; i < nb && d.Err() == nil; i++ {
 		for nf, j := d.Int(), 0; j < nf && d.Err() == nil; j++ {
-			if ids, err = replayPart(d, g, ix, nil, sc, ids); err != nil {
-				return ids, err
+			if err := replayPart(d, g, ix, nil, sc); err != nil {
+				return err
 			}
 		}
 	}
-	return ids, d.Finish()
+	return d.Finish()
 }
 
 // chunkSpans locates one decoded chunk's fields in a part's string arena.
@@ -552,18 +535,16 @@ type chunkSpans struct{ id, doc, src, text [2]int }
 // replayPart decodes one file's part of a group record from d straight into
 // g and ix: its operation stream (extract.Replay), then its chunks, posted
 // with rows — the sparse rows stage 1 embedded — or, when rows is nil,
-// re-embedded from the decoded texts into sc's slab. It appends the new
-// triple IDs to ids. It is the one replay step the committer, replica apply
-// and recovery share.
+// re-embedded from the decoded texts into sc's slab. It is the one replay
+// step the committer, replica apply and recovery share.
 //
 // The chunks' strings are decoded into one arena per part, a single
 // allocation: a chunk's fields are views of it, and a field equal to the
 // previous chunk's is that chunk's view. The arena holds only strings the
 // store keeps for as long as it keeps the chunks, so it pins nothing else.
-func replayPart(d *wal.Decoder, g *kg.Graph, ix *retrieval.Index, rows *retrieval.Sparse, sc *embedScratch, ids []string) ([]string, error) {
-	ids, err := extract.Replay(d, g, ids)
-	if err != nil {
-		return ids, err
+func replayPart(d *wal.Decoder, g *kg.Graph, ix *retrieval.Index, rows *retrieval.Sparse, sc *embedScratch) error {
+	if err := extract.Replay(d, g); err != nil {
+		return err
 	}
 	arena, spans := sc.arena[:0], sc.spans[:0]
 	front := func(prev [2]int) [2]int {
@@ -586,7 +567,7 @@ func replayPart(d *wal.Decoder, g *kg.Graph, ix *retrieval.Index, rows *retrieva
 	}
 	sc.arena, sc.spans = arena, spans
 	if err := d.Err(); err != nil {
-		return ids, err
+		return err
 	}
 	str := string(arena)
 	view := func(s [2]int) string { return str[s[0]:s[1]] }
@@ -602,8 +583,8 @@ func replayPart(d *wal.Decoder, g *kg.Graph, ix *retrieval.Index, rows *retrieva
 		}
 		rows = &sc.rows
 	}
-	err = ix.AppendSparse(chunks, rows)
+	err := ix.AppendSparse(chunks, rows)
 	clear(chunks)
 	sc.chunks = chunks
-	return ids, err
+	return err
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -58,8 +59,6 @@ func derivedState(sn *snapshot) []byte {
 	st := sg.ComputeStats()
 	e.Int(st.HomologousNodes)
 	e.Int(st.Isolated)
-	e.F64(st.MeanGroupSize)
-	e.Int(st.MaxGroupSize)
 	var keys []string
 	sg.ForEachNode(func(key string, _ *linegraph.HomologousNode) { keys = append(keys, key) })
 	sort.Strings(keys)
@@ -685,5 +684,50 @@ func TestTornBulkRecordRecovery(t *testing.T) {
 			t.Fatalf("tear at %d of %d: digest %016x, the reference %016x", off, tail, got, want)
 		}
 		s2.Close()
+	}
+}
+
+// TestEmptyGraphMetersAlike: a system whose graph holds no triple answers
+// from chunks, whichever way its state was published. A durable primary
+// ingests one text file that yields a chunk and no triple; the primary, a
+// system reopened from its directory, a replica seeded beside it and a
+// replica that applied its record each answer one question with the same
+// values and the same model usage.
+func TestEmptyGraphMetersAlike(t *testing.T) {
+	cfg := durTestConfig()
+	fsys := wal.NewMemFS()
+	primary, _ := openDurable(t, fsys, cfg)
+	follower := NewSystem(cfg)
+	lease := primary.AcquireWALLease(0)
+	defer lease.Release()
+	tail, err := primary.TailWAL(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := primary.Ingest([]adapter.RawFile{{Domain: "flights", Source: "notes", Name: "memo", Format: "text",
+		Content: []byte("Nothing was reported today.")}}); err != nil {
+		t.Fatal(err)
+	}
+	if n, c := primary.Graph().NumTriples(), primary.Index().Len(); n != 0 || c == 0 {
+		t.Fatalf("the file must yield chunks and no triple: %d triples, %d chunks", n, c)
+	}
+	catchUp(t, primary, follower, tail)
+	seeded, _ := seededReplica(t, primary)
+	reopened, _ := openDurable(t, fsys.Crash(nil), cfg)
+
+	const q = "What is the status of CA981?"
+	ask := func(s *System) (Answer, llm.Usage) {
+		before := s.Model().Usage()
+		ans := s.Query(q)
+		after := s.Model().Usage()
+		return ans, llm.Usage{Calls: after.Calls - before.Calls, PromptTokens: after.PromptTokens - before.PromptTokens,
+			CompletionTokens: after.CompletionTokens - before.CompletionTokens}
+	}
+	want, wantUsage := ask(primary)
+	for name, s := range map[string]*System{"reopened": reopened, "seeded replica": seeded, "applying replica": follower} {
+		got, usage := ask(s)
+		if !slices.Equal(got.Values, want.Values) || usage != wantUsage {
+			t.Fatalf("%s: values %v, usage %+v; the primary %v, %+v", name, got.Values, usage, want.Values, wantUsage)
+		}
 	}
 }

@@ -468,7 +468,7 @@ func replayFresh(payload []byte) (*retrieval.Index, error) {
 	sc := getEmbedScratch(retrieval.DefaultDim)
 	defer putEmbedScratch(sc)
 	ix := retrieval.NewIndex(retrieval.DefaultDim)
-	_, err := replayRecord(payload, kg.New(), ix, sc, nil)
+	err := replayRecord(payload, kg.New(), ix, sc)
 	return ix, err
 }
 

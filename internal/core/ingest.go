@@ -8,18 +8,15 @@ import (
 	"multirag/internal/adapter"
 	"multirag/internal/extract"
 	"multirag/internal/jsonld"
-	"multirag/internal/linegraph"
 	"multirag/internal/par"
 	"multirag/internal/retrieval"
 )
 
 // IngestReport summarises an Ingest call. Under group commit the
 // entity/triple/chunk deltas are still exact per batch — they are measured
-// while the batch's parts replay — while Homologous reflects the snapshot
-// the batch's commit group published.
+// while the batch's parts replay.
 type IngestReport struct {
 	Extraction extract.Report
-	Homologous linegraph.Stats
 	Chunks     int
 }
 
@@ -29,12 +26,11 @@ type IngestReport struct {
 // not hold, and its counts. Nothing else of the file is kept: the commit
 // replays the part (replayPart), and the log writes it as it lies.
 type fileWork struct {
-	report  extract.Report
-	part    []byte
-	rows    retrieval.Sparse
-	triples int // recorded triple ops
-	chunks  int
-	err     error
+	report extract.Report
+	part   []byte
+	rows   retrieval.Sparse
+	chunks int
+	err    error
 }
 
 // prepared is one Ingest call's batch after the fan-out stage: everything the
@@ -51,18 +47,7 @@ type prepared struct {
 	done bool
 }
 
-// recordedTriples sums the batch's recorded triple count (newIDs
-// preallocation for the whole commit group).
-func (p *prepared) recordedTriples() int {
-	n := 0
-	for i := range p.work {
-		n += p.work[i].triples
-	}
-	return n
-}
-
-// Ingest fuses, extracts and indexes the given files, then (unless MKA is
-// disabled) brings the homologous line graph up to date. It can be called
+// Ingest fuses, extracts and indexes the given files. It can be called
 // repeatedly and concurrently with queries.
 //
 // Ingest is a two-stage pipeline. Stage 1 — format adaptation, knowledge
@@ -73,8 +58,8 @@ func (p *prepared) recordedTriples() int {
 // takes a ticket on arrival, enqueues its prepared batch, and the committer
 // drains every consecutive ready batch as one group — under a short critical
 // section it replays the batches' parts onto one COW clone in ticket order,
-// batch-appends the pre-embedded chunks, applies one merged line-graph delta
-// and publishes ONE snapshot for the whole group. Commit order equals arrival
+// batch-appends the pre-embedded chunks and publishes ONE snapshot for the
+// whole group. Commit order equals arrival
 // order; per-batch reports stay exact (deltas measured during replay); a
 // batch that fails to prepare or replay is skipped — its caller gets the
 // error, its group-mates commit, and nothing of the failed batch becomes
@@ -139,7 +124,7 @@ func (s *System) prepareFiles(ext *extract.Extractor, fused []*jsonld.Normalized
 		chunks := RenderChunks(fused[i], chunkBudget)
 		fused[i] = nil
 		w.part, w.rows = encodeFile(rec, chunks, sc)
-		w.triples, w.chunks = rec.NumTriples(), len(chunks)
+		w.chunks = len(chunks)
 	})
 	return work
 }

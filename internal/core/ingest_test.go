@@ -101,7 +101,7 @@ func TestPreparedVectorsStoredForm(t *testing.T) {
 	for name, rows := range map[string]*retrieval.Sparse{"prepared": &w.rows, "decoded": nil} {
 		got := retrieval.NewIndex(retrieval.DefaultDim)
 		d := wal.NewDecoder(w.part)
-		_, err := replayPart(d, kg.New(), got, rows, sc, nil)
+		err := replayPart(d, kg.New(), got, rows, sc)
 		if err == nil {
 			err = d.Finish()
 		}
@@ -135,7 +135,7 @@ func poison(p *prepared) {
 	}
 	e.F64(1)
 	e.Int(0) // no chunks
-	p.work = append(p.work[:len(p.work):len(p.work)], fileWork{part: e.Bytes(), triples: 1})
+	p.work = append(p.work[:len(p.work):len(p.work)], fileWork{part: e.Bytes()})
 }
 
 // TestGroupCommitMidGroupFailure is the group-atomicity contract: when one
@@ -181,15 +181,12 @@ func TestGroupCommitMidGroupFailure(t *testing.T) {
 		}
 	}
 	requireSameGraph(t, s, want)
-	if got, wantStats := s.SG().ComputeStats(), linegraph.Build(s.Graph()).ComputeStats(); got != wantStats {
-		t.Fatalf("published stats drifted from a full Build: %+v vs %+v", got, wantStats)
-	}
+	requireSGMatchesWalk(t, "published", s.SG())
 }
 
 // TestGroupCommitPerBatchReportsExact pins the per-batch report contract
 // under group commit: each batch's entity/triple/chunk deltas equal what the
-// batch reports when ingested alone, and Homologous reflects the group's
-// published snapshot.
+// batch reports when ingested alone.
 func TestGroupCommitPerBatchReportsExact(t *testing.T) {
 	s := NewSystem(Config{LLM: llm.Config{Seed: 1}})
 	var group []*prepared
@@ -206,7 +203,6 @@ func TestGroupCommitPerBatchReportsExact(t *testing.T) {
 	s.gc.nextCommit += 3
 	s.gc.inflight -= 3
 
-	groupStats := s.SG().ComputeStats()
 	for k, p := range group {
 		solo := NewSystem(Config{LLM: llm.Config{Seed: 1}})
 		rep, err := solo.Ingest(disjointBatch(k))
@@ -221,9 +217,6 @@ func TestGroupCommitPerBatchReportsExact(t *testing.T) {
 		}
 		if !reflect.DeepEqual(p.rep.Extraction.ByFormat, rep.Extraction.ByFormat) {
 			t.Fatalf("batch %d ByFormat diverges: %v vs %v", k, p.rep.Extraction.ByFormat, rep.Extraction.ByFormat)
-		}
-		if p.rep.Homologous != groupStats {
-			t.Fatalf("batch %d Homologous must reflect the group snapshot: %+v vs %+v", k, p.rep.Homologous, groupStats)
 		}
 	}
 }
@@ -387,15 +380,13 @@ func TestIngestStressNoTornSnapshot(t *testing.T) {
 				default:
 				}
 				g, sg, ix := s.Serving()
-				if sg != nil {
-					if sg.Graph() != g {
-						t.Error("torn snapshot: SG does not belong to the served graph")
-						return
-					}
-					if st, full := sg.ComputeStats(), linegraph.Build(g).ComputeStats(); st != full {
-						t.Errorf("torn stats: %+v vs full Build %+v", st, full)
-						return
-					}
+				if sg.Graph() != g {
+					t.Error("torn snapshot: SG does not belong to the served graph")
+					return
+				}
+				if st, walk := sg.ComputeStats(), walkKeys(g).stats; st != walk {
+					t.Errorf("torn stats: %+v vs key walk %+v", st, walk)
+					return
 				}
 				_ = ix.Len()
 				if hw := committed.Load(); hw > 0 {
@@ -424,9 +415,8 @@ func TestIngestStressNoTornSnapshot(t *testing.T) {
 }
 
 // ingestSequential is the serialized reference write path: one batch at a
-// time on the caller's goroutine, prepared, replayed onto a clone, its line
-// graph rebuilt from scratch with linegraph.Build, which counts its statistics
-// from every key, then published as its own snapshot.
+// time on the caller's goroutine, prepared, replayed onto a clone and
+// published as its own snapshot.
 func ingestSequential(s *System, files []adapter.RawFile) (IngestReport, error) {
 	var rep IngestReport
 	fused, err := s.registry.FuseParallel(files, 1)
@@ -447,7 +437,7 @@ func ingestSequential(s *System, files []adapter.RawFile) (IngestReport, error) 
 	defer putEmbedScratch(sc)
 	for i := range work {
 		d := wal.NewDecoder(work[i].part)
-		if _, err = replayPart(d, g, ix, &work[i].rows, sc, nil); err == nil {
+		if err = replayPart(d, g, ix, &work[i].rows, sc); err == nil {
 			err = d.Finish()
 		}
 		if err != nil {
@@ -461,9 +451,7 @@ func ingestSequential(s *System, files []adapter.RawFile) (IngestReport, error) 
 	}
 	rep.Extraction.Entities = g.NumEntities() - entBefore
 	rep.Extraction.Triples = g.NumTriples() - triBefore
-	sg := linegraph.Build(g)
-	rep.Homologous = sg.ComputeStats()
-	s.snap.Store(&snapshot{graph: g, sg: sg, index: ix, gen: cur.gen + 1})
+	s.snap.Store(&snapshot{graph: g, sg: linegraph.Build(g), index: ix, gen: cur.gen + 1})
 	return rep, nil
 }
 

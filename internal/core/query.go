@@ -251,7 +251,9 @@ func (s *System) gatherEvidence(ctx context.Context, sn *snapshot, query, entity
 	if err := fault.Inject(ctx, fault.PointEvidence); err != nil {
 		return evidence{err: err}, nil
 	}
-	if s.cfg.DisableMKA || sn.sg == nil {
+	// A graph with no triple has nothing for the line graph to find, so its
+	// questions go straight to the chunks, however its snapshot was published.
+	if s.cfg.DisableMKA || sn.graph.NumTriples() == 0 {
 		return s.gatherByChunks(ctx, sn, query, entity, relation)
 	}
 	if ent, ok := s.evidence.get(sn.gen, entity, relation); ok {

@@ -223,9 +223,9 @@ func TestGroupRecordMatchesOracle(t *testing.T) {
 				if want := cap(slices.Grow([]byte(nil), len(w.part))); cap(w.part) != want {
 					t.Fatalf("round %d: a %d-byte part in a %d-byte buffer, want %d", round, len(w.part), cap(w.part), want)
 				}
-				if w.chunks != len(of[i].chunks) || w.rows.Len() != w.chunks || w.triples != countTriples(of[i].ops) {
-					t.Fatalf("round %d: file %d counts %d chunks, %d rows and %d triples; the oracle %d chunks and %d triples",
-						round, i, w.chunks, w.rows.Len(), w.triples, len(of[i].chunks), countTriples(of[i].ops))
+				if w.chunks != len(of[i].chunks) || w.rows.Len() != w.chunks {
+					t.Fatalf("round %d: file %d counts %d chunks and %d rows; the oracle %d chunks",
+						round, i, w.chunks, w.rows.Len(), len(of[i].chunks))
 				}
 				if w.chunks == 0 {
 					if len(of[i].ops) == 0 {
@@ -304,7 +304,7 @@ func TestReplayPostsStoredVectors(t *testing.T) {
 	var err error
 	for i := 0; i < len(files) && err == nil; i++ {
 		d := wal.NewDecoder(files[i].part)
-		if _, err = replayPart(d, g, ix, &files[i].rows, sc, nil); err == nil {
+		if err = replayPart(d, g, ix, &files[i].rows, sc); err == nil {
 			err = d.Finish()
 		}
 	}
@@ -321,15 +321,4 @@ func TestReplayPostsStoredVectors(t *testing.T) {
 	if bytesPer >= float64(dim*4) || objsPer >= 0.5 {
 		t.Fatalf("replay allocates %.0f B in %.3f objects per chunk: a vector per chunk", bytesPer, objsPer)
 	}
-}
-
-// countTriples counts the triple ops of a captured stream.
-func countTriples(ops []capturedOp) int {
-	n := 0
-	for _, o := range ops {
-		if !o.entity {
-			n++
-		}
-	}
-	return n
 }

@@ -158,14 +158,13 @@ func (s *System) DigestAt(lsn uint64) (digest func() uint64, ok bool) {
 
 // ReplicaApply replays one committed record onto the serving snapshot and
 // publishes the result. It mirrors the committer's replay exactly (clone,
-// every part replayed in ticket order, one line-graph delta, snapshot swap),
-// so a replica that applies the primary's records in order stays
-// byte-identical to it at every position. The record is decoded straight
-// into the clone, its chunks re-embedded as they are decoded (replayRecord);
-// a record that fails to decode or replay publishes nothing. Nothing of
-// payload is kept: a caller may reuse its buffer once ReplicaApply returns.
-// Safe to call concurrently with queries; replays serialize on the replica's
-// own commit lock.
+// every part replayed in ticket order, snapshot swap), so a replica that
+// applies the primary's records in order stays byte-identical to it at every
+// position. The record is decoded straight into the clone, its chunks
+// re-embedded as they are decoded (replayRecord); a record that fails to
+// decode or replay publishes nothing. Nothing of payload is kept: a caller
+// may reuse its buffer once ReplicaApply returns. Safe to call concurrently
+// with queries; replays serialize on the replica's own commit lock.
 func (s *System) ReplicaApply(payload []byte) error {
 	_, err := s.replicaPublish(func(replay func([]byte) error) (int, error) {
 		return 1, replay(payload)
@@ -176,12 +175,11 @@ func (s *System) ReplicaApply(payload []byte) error {
 // ReplicaApplyTail reads the committed records from t's position up to to, or
 // up to the next verification point (digestEvery) if that comes first, and
 // replays them as one run: one clone, each record decoded into it as it is
-// read, one line-graph delta over all of them and one publish at the position
-// past the last — recovery's merge of a replayed tail, which lands on the
-// state record-by-record replay publishes at that position. A replica that
-// has fallen behind catches up without paying a clone, a delta and a publish
-// per record. It returns how many records it applied; on error it applied
-// none, and t may have read past some.
+// read, and one publish at the position past the last — recovery's merge of
+// a replayed tail, which lands on the state record-by-record replay publishes
+// at that position. A replica that has fallen behind catches up without
+// paying a clone and a publish per record. It returns how many records it
+// applied; on error it applied none, and t may have read past some.
 func (s *System) ReplicaApplyTail(t *wal.Tail, to uint64) (int, error) {
 	to = min(to, (t.LSN()/digestEvery+1)*digestEvery)
 	return s.replicaPublish(func(replay func([]byte) error) (int, error) {
@@ -213,19 +211,11 @@ func (s *System) replicaPublish(records func(replay func(payload []byte) error) 
 	ix := cur.index.CloneForAppend()
 	sc := getEmbedScratch(ix.Dim())
 	defer putEmbedScratch(sc)
-	var newIDs []string
-	n, err := records(func(payload []byte) (err error) {
-		newIDs, err = replayRecord(payload, g, ix, sc, newIDs)
-		return err
-	})
+	n, err := records(func(payload []byte) error { return replayRecord(payload, g, ix, sc) })
 	if err != nil || n == 0 {
 		return 0, err
 	}
-	next := &snapshot{graph: g, index: ix, sg: cur.sg, gen: cur.gen + 1}
-	if !s.cfg.DisableMKA {
-		next.sg = linegraph.BuildDelta(cur.sg, g, newIDs)
-	}
-	s.snap.Store(next)
+	s.snap.Store(&snapshot{graph: g, sg: linegraph.Build(g), index: ix, gen: cur.gen + 1})
 	s.setReplicationLSN(s.replPos.Load() + uint64(n))
 	return n, nil
 }
@@ -241,11 +231,7 @@ func (s *System) replicaPublish(records func(replay func(payload []byte) error) 
 // it copies the pages and lists it writes, never writing storage the primary
 // reads. h must come from ReplicationSeed and seed no other replica.
 func (s *System) SeedReplicaClone(h SnapshotHandle, lsn uint64) {
-	sn := &snapshot{graph: h.sn.graph, index: h.sn.index}
-	if !s.cfg.DisableMKA && sn.graph.NumTriples() > 0 {
-		sn.sg = linegraph.Build(sn.graph)
-	}
-	s.install(sn, lsn)
+	s.install(&snapshot{graph: h.sn.graph, sg: linegraph.Build(h.sn.graph), index: h.sn.index}, lsn)
 }
 
 // SeedReplica replaces the serving snapshot with one decoded from body, a

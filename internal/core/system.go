@@ -31,8 +31,9 @@ type Config struct {
 	// Level", "w/o Node Level", both = "w/o MCC").
 	Ablation confidence.Options
 	// DisableMKA removes multi-source knowledge aggregation (Table III's
-	// "w/o MKA"): no line graph is built and every query falls back to
-	// chunk retrieval plus per-query LLM extraction.
+	// "w/o MKA"): queries never consult the line graph, and every query
+	// falls back to chunk retrieval plus per-query LLM extraction. Ingest
+	// is unchanged; the line graph is a view over the graph either way.
 	DisableMKA bool
 	// Workers bounds the ingestion worker pool (adapter parsing, per-file
 	// extraction, chunk embedding) and the query-DAG fan-out. 0 selects
@@ -50,7 +51,8 @@ type Config struct {
 // snapshot is one immutable serving state: the knowledge graph, its
 // homologous line graph and the chunk index, frozen at an ingest boundary.
 // The write path builds the next snapshot aside (cloned graph, cloned index
-// appended to behind this snapshot's rows, delta-maintained SG) and publishes it with a single atomic pointer swap, so
+// appended to behind this snapshot's rows, the line-graph view over the
+// clone) and publishes it with a single atomic pointer swap, so
 // any number of query goroutines read a consistent view while ingestion
 // proceeds — the read-path/write-path split of production retrieval stores.
 type snapshot struct {
@@ -140,8 +142,10 @@ func NewSystem(cfg Config) *System {
 	}
 	s.gc.init()
 	s.wake.Store(make(chan struct{}))
+	g := kg.New()
 	s.snap.Store(&snapshot{
-		graph: kg.New(),
+		graph: g,
+		sg:    linegraph.Build(g),
 		index: retrieval.NewIndex(retrieval.DefaultDim),
 	})
 	return s
@@ -224,7 +228,7 @@ func (s *System) Model() *llm.Sim { return s.model }
 // single-threaded). Concurrent readers should treat the result as frozen.
 func (s *System) Graph() *kg.Graph { return s.snap.Load().graph }
 
-// SG exposes the current homologous line graph (nil when MKA is disabled).
+// SG exposes the current homologous line graph, a view over Graph().
 func (s *System) SG() *linegraph.SG { return s.snap.Load().sg }
 
 // MCC exposes the confidence engine.
@@ -248,17 +252,13 @@ func (s *System) BuildCost() time.Duration {
 	return time.Duration(s.buildLLM.Load())
 }
 
-// RebuildSG reconstructs the homologous line graph from scratch after
+// RebuildSG publishes the current graph again, at the next generation, after
 // external graph mutation (perturbation experiments remove or rewrite
-// triples, which the incremental delta cannot express) and publishes the
-// result as a new snapshot. The SG is a view over the graph, so its lookups
-// see the mutation at once, but its aggregate statistics and the evidence
-// memo's generation move only here: Build recounts the key postings, so
-// ComputeStats on the published snapshot reports the post-mutation counts.
+// triples in place). The line graph is a view over the graph and the graph
+// keeps its counts through removals, so lookups and ComputeStats see the
+// mutation at once; what moves only here is the generation, which turns the
+// evidence memo over, so no evaluation of the unmutated graph is served.
 func (s *System) RebuildSG() {
-	if s.cfg.DisableMKA {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.snap.Load()

@@ -113,26 +113,30 @@ func (r *Recorder) EncodeTo(e *wal.Encoder) {
 
 // ReplayAppend applies the recorded stream to g in recording order and
 // appends the IDs of the triples inserted onto ids, decoding it as Replay
-// does. On a mid-stream error the returned slice carries whatever was
-// inserted before the failure.
+// does. The inserted triples are the slots g grew by, since every AddTriple
+// claims the next one. On a mid-stream error the returned slice carries
+// whatever was inserted before the failure.
 func (r *Recorder) ReplayAppend(g *kg.Graph, ids []string) ([]string, error) {
+	from := g.TripleSlots()
 	d := wal.NewDecoder(r.ops.Bytes())
-	ids, err := replayOps(d, r.n, g, ids)
+	err := replayOps(d, r.n, g)
 	if err == nil {
 		err = d.Finish()
+	}
+	for h := from; h < g.TripleSlots(); h++ {
+		ids = append(ids, kg.TripleID(h))
 	}
 	return ids, err
 }
 
 // Replay decodes one recorded stream in its record form (EncodeTo) from d
 // and applies it to g in recording order — AddEntity and AddTriple, the
-// graph's own validation deciding what is accepted — appending the IDs of
-// the triples inserted onto ids. It stops at the first malformed field
-// (latched in d) or rejected triple and returns its error; g keeps what was
-// applied before it. Nothing of d's input is kept: every string g stores is
-// decoded into memory of its own.
-func Replay(d *wal.Decoder, g *kg.Graph, ids []string) ([]string, error) {
-	return replayOps(d, d.Int(), g, ids)
+// graph's own validation deciding what is accepted. It stops at the first
+// malformed field (latched in d) or rejected triple and returns its error; g
+// keeps what was applied before it. Nothing of d's input is kept: every
+// string g stores is decoded into memory of its own.
+func Replay(d *wal.Decoder, g *kg.Graph) error {
+	return replayOps(d, d.Int(), g)
 }
 
 // replayOps decodes n ops from d into g. The fields that repeat from op to op
@@ -140,7 +144,7 @@ func Replay(d *wal.Decoder, g *kg.Graph, ids []string) ([]string, error) {
 // columns — are interned (wal.Decoder.Interned, Front), so g holds one copy
 // of each value the stream repeats, and a value decoded again costs no
 // allocation.
-func replayOps(d *wal.Decoder, n int, g *kg.Graph, ids []string) ([]string, error) {
+func replayOps(d *wal.Decoder, n int, g *kg.Graph) error {
 	var prevTyp, prevDomain string
 	var prev kg.Fact
 	for k := 0; k < n && d.Err() == nil; k++ {
@@ -167,12 +171,10 @@ func replayOps(d *wal.Decoder, n int, g *kg.Graph, ids []string) ([]string, erro
 		if d.Err() != nil {
 			break
 		}
-		id, err := g.AddTriple(f)
-		if err != nil {
-			return ids, err
+		if _, err := g.AddTriple(f); err != nil {
+			return err
 		}
-		ids = append(ids, id)
 		prev = f
 	}
-	return ids, d.Err()
+	return d.Err()
 }

@@ -15,19 +15,19 @@ import (
 
 // replayEncoded replays r's stream in its record form (EncodeTo), as the
 // committer, replica apply and recovery read it, into g.
-func replayEncoded(r *Recorder, g *kg.Graph) ([]string, []byte, error) {
+func replayEncoded(r *Recorder, g *kg.Graph) ([]byte, error) {
 	var e wal.Encoder
 	e.Grow(r.EncodedLen())
 	r.EncodeTo(&e)
 	if len(e.Bytes()) != r.EncodedLen() {
-		return nil, nil, fmt.Errorf("EncodeTo wrote %d bytes, EncodedLen says %d", len(e.Bytes()), r.EncodedLen())
+		return nil, fmt.Errorf("EncodeTo wrote %d bytes, EncodedLen says %d", len(e.Bytes()), r.EncodedLen())
 	}
 	d := wal.NewDecoder(e.Bytes())
-	ids, err := Replay(d, g, nil)
+	err := Replay(d, g)
 	if err == nil {
 		err = d.Finish()
 	}
-	return ids, e.Bytes(), err
+	return e.Bytes(), err
 }
 
 // mixedFormatFiles covers every adapter format, including text routed through
@@ -74,12 +74,10 @@ func TestRecorderReplayMatchesDirectBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		agg.Merge(fileRep)
-		ids, _, err := replayEncoded(rec, replayed)
-		if err != nil {
+		if _, err := replayEncoded(rec, replayed); err != nil {
 			t.Fatal(err)
 		}
-		allIDs = append(allIDs, ids...)
-		if _, err := rec.ReplayAppend(inPlace, nil); err != nil {
+		if allIDs, err = rec.ReplayAppend(inPlace, allIDs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -91,8 +89,8 @@ func TestRecorderReplayMatchesDirectBuild(t *testing.T) {
 		t.Fatalf("counts diverge: replay %d/%d direct %d/%d",
 			replayed.NumEntities(), replayed.NumTriples(), direct.NumEntities(), direct.NumTriples())
 	}
-	if len(allIDs) != direct.NumTriples() {
-		t.Fatalf("ReplayAppend returned %d IDs, want %d", len(allIDs), direct.NumTriples())
+	if !reflect.DeepEqual(allIDs, direct.TripleIDs()) {
+		t.Fatalf("ReplayAppend returned IDs %v, want %v", allIDs, direct.TripleIDs())
 	}
 	if !reflect.DeepEqual(replayed.TripleIDs(), direct.TripleIDs()) {
 		t.Fatalf("triple ID sequences diverge")
@@ -135,12 +133,11 @@ func TestRecorderValidatesLikeGraph(t *testing.T) {
 		t.Fatalf("valid triple rejected: %v", err)
 	}
 	g := kg.New()
-	ids, _, err := replayEncoded(rec, g)
-	if err != nil {
+	if _, err := replayEncoded(rec, g); err != nil {
 		t.Fatal(err)
 	}
-	if len(ids) != 1 || g.NumTriples() != 1 {
-		t.Fatalf("replay produced %v (%d triples)", ids, g.NumTriples())
+	if g.NumTriples() != 1 {
+		t.Fatalf("replay produced %d triples", g.NumTriples())
 	}
 }
 
@@ -164,7 +161,7 @@ func TestRecorderStoresExactCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := kg.New()
-	_, stream, err := replayEncoded(r, g)
+	stream, err := replayEncoded(r, g)
 	if err != nil {
 		t.Fatal(err)
 	}

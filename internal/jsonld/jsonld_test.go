@@ -2,7 +2,9 @@ package jsonld
 
 import (
 	"reflect"
+	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 func TestValueStrings(t *testing.T) {
@@ -38,6 +40,26 @@ func TestNormalizedIDDeterministicAndDistinct(t *testing.T) {
 	}
 	if a == NormalizedID("movies", "tmdb", "top") {
 		t.Fatal("different sources must yield different IDs")
+	}
+}
+
+// TestNormalizedIDClipsLongIdentifiers: an identifier over idPartBytes is
+// spelled out to its first idPartBytes bytes, cut at a rune boundary, and
+// files whose identifiers share those bytes still get distinct IDs.
+func TestNormalizedIDClipsLongIdentifiers(t *testing.T) {
+	long := strings.Repeat("é", idPartBytes) // two bytes a rune
+	id := NormalizedID(long, "imdb", long+"x")
+	if want := long[:idPartBytes] + "/imdb/" + long[:idPartBytes] + "#"; !strings.HasPrefix(id, want) || len(id) != len(want)+16 {
+		t.Fatalf("NormalizedID = %q, want %q and 16 hex digits", id, want)
+	}
+	if !utf8.ValidString(id) {
+		t.Fatalf("NormalizedID cut a rune: %q", id)
+	}
+	if odd := NormalizedID("x"+long, "s", "n"); !utf8.ValidString(odd) || !strings.HasPrefix(odd, "x"+long[:idPartBytes-2]+"/") {
+		t.Fatalf("NormalizedID = %q, want the rune that crosses the limit dropped", odd)
+	}
+	if id == NormalizedID(long, "imdb", long+"y") {
+		t.Fatal("identifiers that differ past the clip must yield different IDs")
 	}
 }
 

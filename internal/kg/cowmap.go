@@ -66,19 +66,19 @@ func (m *cowKeyPostings) get(k uint64) ([]int32, bool) {
 // appendTo appends a triple handle to the posting list for key k. Lists found
 // in the base are copied into the tail first; lists already in the tail were
 // clipped when they were copied there, so in-place growth never writes into
-// storage a clone shares.
-func (m *cowKeyPostings) appendTo(k uint64, v int32) {
+// storage a clone shares. It returns the list's new length.
+func (m *cowKeyPostings) appendTo(k uint64, v int32) int {
 	if m.tail == nil {
 		m.tail = make(map[uint64][]int32)
 	}
-	if lst, ok := m.tail[k]; ok {
-		m.tail[k] = append(lst, v)
-		return
+	lst, ok := m.tail[k]
+	if !ok {
+		base := m.base[k]
+		lst = make([]int32, len(base), len(base)+1)
+		copy(lst, base)
 	}
-	base := m.base[k]
-	lst := make([]int32, len(base), len(base)+1)
-	copy(lst, base)
 	m.tail[k] = append(lst, v)
+	return len(lst) + 1
 }
 
 // put replaces the posting list for key k with a list the caller owns.

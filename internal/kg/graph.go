@@ -148,6 +148,11 @@ type Graph struct {
 	// Add/RemoveTriple so MaxDegree is a plain read for concurrent queries.
 	degCount []int
 	maxDeg   int
+	// isolatedKeys and groupedKeys count the (subject, predicate) keys with
+	// exactly one live triple and with two or more — SG′'s isolated points
+	// and homologous nodes. Like the degree histogram they move in O(1) as a
+	// triple is linked or removed, so KeyCounts is a plain read.
+	isolatedKeys, groupedKeys int
 }
 
 // New returns an empty graph.
@@ -315,14 +320,16 @@ func (g *Graph) AddTriple(f Fact) (string, error) {
 }
 
 // link fills the handle columns and posting lists of the triple just appended
-// at h and updates the degree histogram. AddTriple and DecodeGraph insert
-// through here.
+// at h and updates the degree histogram and the key counts. AddTriple and
+// DecodeGraph insert through here.
 func (g *Graph) link(h, subjH, objH, predH int32) {
 	g.tSubj.append(subjH)
 	g.tObj.append(objH)
 	g.tPred.append(predH)
 	g.bySubject.appendTo(subjH, h)
-	g.byKey.appendTo(packKey(subjH, predH), h)
+	n := g.byKey.appendTo(packKey(subjH, predH), h)
+	g.countKey(n-1, -1)
+	g.countKey(n, 1)
 	if objH >= 0 {
 		g.byObject.appendTo(objH, h)
 	}
@@ -394,9 +401,10 @@ func (g *Graph) RemoveTriple(id string) bool {
 		g.byObject.set(objH, removeHandle(g.byObject.get(objH), h))
 	}
 	kh := packKey(subjH, predH)
-	if lst, ok := g.byKey.get(kh); ok {
-		g.byKey.put(kh, removeHandle(lst, h))
-	}
+	lst, _ := g.byKey.get(kh)
+	g.byKey.put(kh, removeHandle(lst, h))
+	g.countKey(len(lst), -1)
+	g.countKey(len(lst)-1, 1)
 	if objH >= 0 && objH != subjH {
 		g.bumpDegree(g.degreeH(subjH)+1, g.degreeH(subjH))
 		g.bumpDegree(g.degreeH(objH)+1, g.degreeH(objH))
@@ -406,6 +414,17 @@ func (g *Graph) RemoveTriple(id string) bool {
 		g.bumpDegree(g.degreeH(subjH)+1, g.degreeH(subjH))
 	}
 	return true
+}
+
+// countKey folds a key with n live triples into the key counts (sign 1) or
+// takes it out of them (sign -1).
+func (g *Graph) countKey(n, sign int) {
+	switch {
+	case n == 1:
+		g.isolatedKeys += sign
+	case n >= 2:
+		g.groupedKeys += sign
+	}
 }
 
 // removeHandle returns lst without the first occurrence of h, never mutating
@@ -429,8 +448,7 @@ func removeHandle(lst []int32, h int32) []int32 {
 // pointer copies plus the interner tails — effectively O(delta accumulated
 // since the previous clone) — instead of the deep O(corpus) copy it replaces.
 // Triple handles (and therefore IDs) stay unique and monotone across clone
-// generations — the property the incremental line-graph maintenance relies
-// on. The write path of the serving engine clones the current graph before
+// generations. The write path of the serving engine clones the current graph before
 // applying a batch, leaving published snapshots immutable; mutating either
 // side never changes any observable of the other.
 func (g *Graph) Clone() *Graph {
@@ -453,6 +471,9 @@ func (g *Graph) Clone() *Graph {
 		liveTriples: g.liveTriples,
 		degCount:    append([]int(nil), g.degCount...),
 		maxDeg:      g.maxDeg,
+
+		isolatedKeys: g.isolatedKeys,
+		groupedKeys:  g.groupedKeys,
 	}
 }
 
@@ -566,6 +587,12 @@ func (g *Graph) Degree(entityID string) int {
 	}
 	return g.degreeH(h)
 }
+
+// KeyCounts returns how many (subject, predicate) keys have exactly one live
+// triple (isolated) and how many have two or more (grouped): the isolated
+// points and homologous nodes of the line graph over this graph. Both are
+// maintained as triples are linked and removed, so reading them is O(1).
+func (g *Graph) KeyCounts() (isolated, grouped int) { return g.isolatedKeys, g.groupedKeys }
 
 // MaxDegree returns the maximum entity degree in the graph (0 when empty).
 // It is maintained through the degree histogram in O(1) per mutation, so

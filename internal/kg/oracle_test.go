@@ -169,6 +169,19 @@ func (g *refGraph) tripleIDs() []string {
 	return ids
 }
 
+// keyCounts counts the keys with one live triple and with two or more.
+func (g *refGraph) keyCounts() (c [2]int) {
+	for _, ids := range g.byKey {
+		switch {
+		case len(ids) == 1:
+			c[0]++
+		case len(ids) >= 2:
+			c[1]++
+		}
+	}
+	return c
+}
+
 func (g *refGraph) degree(entityID string) int {
 	return len(g.bySubject[entityID]) + len(g.byObject[entityID])
 }
@@ -247,6 +260,9 @@ func requireSameObservables(t *testing.T, label string, g *Graph, r *refGraph) {
 	}
 	if got, want := g.ComputeStats(), refStats(r); got != want {
 		fail("ComputeStats", got, want)
+	}
+	if iso, grp := g.KeyCounts(); [2]int{iso, grp} != r.keyCounts() {
+		fail("KeyCounts", [2]int{iso, grp}, r.keyCounts())
 	}
 	for _, id := range r.entityIDs() {
 		re := r.entities[id]

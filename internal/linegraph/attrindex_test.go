@@ -83,21 +83,18 @@ func TestNestedCandidatesAcrossDeltaGenerations(t *testing.T) {
 	g := kg.New()
 	subjects := []string{"e0", "e1", "e2", "e3"}
 	rels := []string{"status", "status_state", "status_reason", "price", "price_open"}
-	addBatch := func(n int) []string {
-		ids := make([]string, 0, n)
+	addBatch := func(n int) {
 		for i := 0; i < n; i++ {
 			subj := subjects[rng.Intn(len(subjects))]
 			g.AddEntity(subj, "Entity", "t")
-			id, err := g.AddTriple(kg.Fact{
+			_, err := g.AddTriple(kg.Fact{
 				Subject: kg.CanonicalID(subj), Predicate: rels[rng.Intn(len(rels))],
 				Object: fmt.Sprintf("v%d", rng.Intn(3)), Source: fmt.Sprintf("s%d", rng.Intn(4)), Weight: 1,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ids = append(ids, id)
 		}
-		return ids
 	}
 	addBatch(20)
 	sg := Build(g)
@@ -108,8 +105,8 @@ func TestNestedCandidatesAcrossDeltaGenerations(t *testing.T) {
 			prevStatus[s] = keysOf(prev.NestedCandidates(kg.CanonicalID(s), "status"))
 		}
 		g = g.Clone()
-		ids := addBatch(10)
-		sg = BuildDelta(prev, g, ids)
+		addBatch(10)
+		sg = Build(g)
 		for _, s := range subjects {
 			subj := kg.CanonicalID(s)
 			for _, rel := range []string{"status", "price"} {

@@ -3,7 +3,6 @@ package linegraph
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"multirag/internal/kg"
@@ -36,40 +35,12 @@ func addRandomBatch(t *testing.T, g *kg.Graph, rng *rand.Rand, n int) []string {
 	return ids
 }
 
-// requireEqualSG asserts that a delta-chained SG and Build over the same
-// graph are structurally identical: same homologous nodes (keys, members,
-// weights, sources), same isolated point set, same aggregate stats.
-func requireEqualSG(t *testing.T, got, want *SG) {
-	t.Helper()
-	if !reflect.DeepEqual(got.ComputeStats(), want.ComputeStats()) {
-		t.Fatalf("stats diverge: delta=%+v scratch=%+v", got.ComputeStats(), want.ComputeStats())
-	}
-	if !reflect.DeepEqual(got.IsolatedIDs(), want.IsolatedIDs()) {
-		t.Fatalf("isolated sets diverge:\n delta   %v\n scratch %v", got.IsolatedIDs(), want.IsolatedIDs())
-	}
-	if got.NumNodes() != want.NumNodes() {
-		t.Fatalf("node counts diverge: %d vs %d", got.NumNodes(), want.NumNodes())
-	}
-	want.ForEachNode(func(key string, wn *HomologousNode) {
-		gn, ok := got.Node(key)
-		if !ok {
-			t.Fatalf("delta SG missing homologous node %q", key)
-		}
-		if !reflect.DeepEqual(gn, wn) {
-			t.Fatalf("node %q diverges:\n delta   %+v\n scratch %+v", key, gn, wn)
-		}
-	})
-	got.ForEachNode(func(key string, _ *HomologousNode) {
-		if _, ok := want.Node(key); !ok {
-			t.Fatalf("delta SG has spurious homologous node %q", key)
-		}
-	})
-}
+// The three BuildDelta tests pin the alias the benchmark's per-layer pass
+// calls: whatever prev and IDs it is handed, it answers as the graph is now.
 
-// TestBuildDeltaMatchesScratch is the incremental-maintenance property test:
-// for a sequence of random ingest batches, the SG maintained by chained
-// BuildDelta calls must be structurally identical to a from-scratch Build
-// over the union corpus after every batch.
+// TestBuildDeltaMatchesScratch: for a sequence of random ingest batches, the
+// SG BuildDelta returns after every batch matches the oracles over the union
+// corpus.
 func TestBuildDeltaMatchesScratch(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -80,7 +51,7 @@ func TestBuildDeltaMatchesScratch(t *testing.T) {
 				n := 1 + rng.Intn(12)
 				ids := addRandomBatch(t, g, rng, n)
 				sg = BuildDelta(sg, g, ids)
-				requireEqualSG(t, sg, Build(g))
+				requireMatchesReference(t, fmt.Sprintf("batch %d", batch), sg)
 			}
 		})
 	}
@@ -125,36 +96,15 @@ func TestBuildDeltaPromotesIsolated(t *testing.T) {
 	if _, ok := prev.LookupIsolated(kg.CanonicalID("CA981"), "status"); !ok {
 		t.Fatal("previous SG snapshot was mutated by BuildDelta")
 	}
-}
-
-// requireSameView asserts that got answers every key of its graph as want
-// does: equal ComputeStats, and equal Lookup and LookupIsolated results.
-func requireSameView(t *testing.T, label string, got, want *SG) {
-	t.Helper()
-	if g, w := got.ComputeStats(), want.ComputeStats(); g != w {
-		t.Fatalf("%s: ComputeStats = %+v, Build %+v", label, g, w)
+	if st := prev.ComputeStats(); st != (Stats{Isolated: 1}) {
+		t.Fatalf("previous SG snapshot's stats moved: %+v", st)
 	}
-	g := want.Graph()
-	g.ForEachKeyPosting(func(subjH, predH int32, _ []int32) {
-		subj, pred := g.EntityAt(subjH).ID, g.PredicateAt(predH)
-		gn, gok := got.Lookup(subj, pred)
-		wn, wok := want.Lookup(subj, pred)
-		if gok != wok || !reflect.DeepEqual(gn, wn) {
-			t.Fatalf("%s: Lookup(%q, %q) = %+v %v, Build %+v %v", label, subj, pred, gn, gok, wn, wok)
-		}
-		gt, gok := got.LookupIsolated(subj, pred)
-		wt, wok := want.LookupIsolated(subj, pred)
-		if gok != wok || gt != wt {
-			t.Fatalf("%s: LookupIsolated(%q, %q) = %v %v, Build %v %v", label, subj, pred, gt, gok, wt, wok)
-		}
-	})
 }
 
 // TestBuildDeltaInPlace covers the pattern recovery replay uses: the delta is
-// added to the very graph prev views, with no clone, so prev's graph already
-// holds it when BuildDelta runs. Random scripts over a small key space turn
-// isolated points into homologous nodes and grow existing nodes; the
-// delta-maintained SG must answer as Build over the grown graph does.
+// added to the very graph prev views, with no clone. Random scripts over a
+// small key space turn isolated points into homologous nodes and grow
+// existing nodes; the SG must answer as the oracles over the grown graph do.
 func TestBuildDeltaInPlace(t *testing.T) {
 	promotions := 0
 	for seed := int64(1); seed <= 12; seed++ {
@@ -176,10 +126,65 @@ func TestBuildDeltaInPlace(t *testing.T) {
 				}
 			}
 			sg = BuildDelta(sg, g, ids)
-			requireSameView(t, fmt.Sprintf("seed %d step %d", seed, step), sg, Build(g))
+			requireMatchesReference(t, fmt.Sprintf("seed %d step %d", seed, step), sg)
 		}
 	}
 	if promotions == 0 {
 		t.Fatal("no script promoted an isolated point to a homologous node")
+	}
+}
+
+// TestViewTracksEveryMutation runs random scripts of in-place adds and
+// RemoveTriples, clones and checkpoint round trips over a small key space,
+// and holds the SG of the current graph to the oracles after every step. An
+// SG is built only when a step makes a new graph (a clone or a decode), never
+// after an in-place mutation: its counts must follow removals as they follow
+// additions. Every clone's parent must keep the stats it had when the clone
+// was taken, whatever the clone does next.
+func TestViewTracksEveryMutation(t *testing.T) {
+	removals, demotions := 0, 0
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := kg.New()
+		sg := Build(g)
+		var live []string
+		type frozen struct {
+			sg *SG
+			st Stats
+		}
+		var parents []frozen
+		for step := 0; step < 120; step++ {
+			switch op := rng.Intn(10); {
+			case op < 5:
+				live = append(live, addRandomBatch(t, g, rng, 1)...)
+			case op < 8 && len(live) > 0:
+				j := rng.Intn(len(live))
+				tr, _ := g.Triple(live[j])
+				if len(g.TriplesByKey(g.Subject(tr), g.Predicate(tr))) == 2 {
+					demotions++
+				}
+				if !g.RemoveTriple(live[j]) {
+					t.Fatalf("seed %d step %d: RemoveTriple(%s) found nothing", seed, step, live[j])
+				}
+				live = append(live[:j], live[j+1:]...)
+				removals++
+			case op == 8:
+				parents = append(parents, frozen{sg, sg.ComputeStats()})
+				g = g.Clone()
+				sg = Build(g)
+			default:
+				g = roundTrip(t, g)
+				sg = Build(g)
+			}
+			requireMatchesReference(t, fmt.Sprintf("seed %d step %d", seed, step), sg)
+			for i, p := range parents {
+				if st := p.sg.ComputeStats(); st != p.st {
+					t.Fatalf("seed %d step %d: clone parent %d's stats moved from %+v to %+v", seed, step, i, p.st, st)
+				}
+			}
+		}
+	}
+	if removals == 0 || demotions == 0 {
+		t.Fatalf("scripts removed %d triples and demoted %d homologous nodes; want both", removals, demotions)
 	}
 }

@@ -3,11 +3,13 @@
 // subgraphs (Definition 4) and the homologous triple line graph SG′
 // (Definition 5) with its O(n log n) matching algorithm. SG′ is a view over
 // the graph's (subject, predicate) key postings, which already group every
-// claim about one key; the full triple line graph G′ of Definition 2 is never
-// materialised, and SG′ keeps no index of its own. A view reflects its graph,
-// so a caller that mutates a graph in place must Build or BuildDelta over it
-// again before publishing the result. SG′ is the structure that makes
-// multi-source consistency checks a hash lookup instead of a corpus scan.
+// claim about one key, and over the key counts the graph keeps as triples
+// are added and removed (kg.Graph.KeyCounts); the full triple line graph G′
+// of Definition 2 is never materialised, and SG′ keeps no index or count of
+// its own. A view reflects its graph as it is now, removals included, so
+// there is nothing to maintain: every publish wraps its graph in O(1).
+// SG′ is the structure that makes multi-source consistency checks a hash
+// lookup instead of a corpus scan.
 package linegraph
 
 import (
@@ -48,55 +50,16 @@ type HomologousNode struct {
 //
 // SG is a view over its graph's (subject, predicate) key postings: a posting
 // with two or more live triples is a homologous node, one with exactly one an
-// isolated point. It stores only the graph and the
-// aggregate counts ComputeStats reads, so lookups always reflect the graph as
-// it is now. The serving engine never mutates a published graph; a caller
-// that mutates one in place (recovery replay, the perturbation harness before
-// RebuildSG) must run BuildDelta or Build over it before publishing, or the
-// counts go stale while lookups move on. Access goes through
-// Lookup/Node/ForEachNode/NumNodes.
+// isolated point. It stores only the graph, so lookups and ComputeStats
+// always reflect the graph as it is now, after an in-place mutation too.
+// Access goes through Lookup/Node/ForEachNode/NumNodes.
 type SG struct {
 	graph *kg.Graph
-	// counts carries the aggregate statistics incrementally: Build takes them
-	// in its single walk over the postings and BuildDelta adjusts them per
-	// touched key, so ComputeStats is an O(1) read instead of a walk every
-	// ingest commit would pay.
-	counts counts
 
 	// nodeScans counts homologous nodes visited through ForEachNode — the
 	// instrumentation hook behind the "no full scan on the query hot path"
 	// tests.
 	nodeScans atomic.Int64
-}
-
-// counts are the aggregates behind Stats. maxGroup is maintained
-// monotonically — exact for the pure-addition deltas BuildDelta accepts (a
-// key's member set only grows); destructive mutation goes through a full
-// Build, which recomputes it from scratch.
-type counts struct {
-	nodes, isolated, members, maxGroup int
-}
-
-// add folds a key with n live members into the counts (sign 1) or takes it
-// out of them (sign -1).
-func (c *counts) add(n, sign int) {
-	switch {
-	case n == 1:
-		c.isolated += sign
-	case n >= 2:
-		c.nodes += sign
-		c.members += sign * n
-		if sign > 0 && n > c.maxGroup {
-			c.maxGroup = n
-		}
-	}
-}
-
-// countKeys walks every key posting of g.
-func countKeys(g *kg.Graph) counts {
-	var c counts
-	g.ForEachKeyPosting(func(_, _ int32, posting []int32) { c.add(len(posting), 1) })
-	return c
 }
 
 // Build runs homologous subgraph matching (§III-C) over g and assembles SG′.
@@ -105,10 +68,10 @@ func countKeys(g *kg.Graph) counts {
 // group with at least two members forms a homologous subgraph (its line-graph
 // form is the complete graph over the members, Fig. 4); singleton groups go
 // to the isolated point set LVs. The grouping already exists inside the
-// graph as its interned (subject, predicate) key postings, so Build is one
-// walk over them that counts the groups; each node is assembled from its
-// posting when a lookup asks for it.
-func Build(g *kg.Graph) *SG { return &SG{graph: g, counts: countKeys(g)} }
+// graph as its interned (subject, predicate) key postings, and the graph
+// counts the groups of each size as it links and removes triples, so Build
+// is O(1): each node is assembled from its posting when a lookup asks for it.
+func Build(g *kg.Graph) *SG { return &SG{graph: g} }
 
 // newHomologousNode assembles the homologous centre node for one key's
 // posting (≥2 live members). It makes the same two allocations whatever the
@@ -174,7 +137,10 @@ func (sg *SG) Node(key string) (*HomologousNode, bool) {
 }
 
 // NumNodes returns the number of homologous nodes (keys with ≥2 members).
-func (sg *SG) NumNodes() int { return sg.counts.nodes }
+func (sg *SG) NumNodes() int {
+	_, grouped := sg.graph.KeyCounts()
+	return grouped
+}
 
 // ForEachNode visits every homologous node, in unspecified order. Each visit
 // is charged to the NodeScans counter; hot paths should use Lookup or
@@ -247,7 +213,8 @@ func (sg *SG) LookupIsolated(subjectID, predicate string) (*kg.Triple, bool) {
 // sorted. It walks every posting on each call; nothing on the query or
 // ingest path needs it.
 func (sg *SG) IsolatedIDs() []string {
-	hs := make([]int32, 0, sg.counts.isolated)
+	isolated, _ := sg.graph.KeyCounts()
+	hs := make([]int32, 0, isolated)
 	sg.graph.ForEachKeyPosting(func(_, _ int32, posting []int32) {
 		if len(posting) == 1 {
 			hs = append(hs, posting[0])
@@ -278,20 +245,11 @@ func (sg *SG) MemberTriples(n *HomologousNode) []*kg.Triple {
 type Stats struct {
 	HomologousNodes int
 	Isolated        int
-	MeanGroupSize   float64
-	MaxGroupSize    int
 }
 
-// ComputeStats returns aggregate statistics of the homologous structure. The
-// aggregates are maintained incrementally by Build and BuildDelta, so this is
-// an O(1) read — safe to call per ingest commit.
-func (sg *SG) ComputeStats() Stats { return sg.counts.stats() }
-
-func (c counts) stats() Stats {
-	st := Stats{HomologousNodes: c.nodes, Isolated: c.isolated}
-	if c.nodes > 0 {
-		st.MeanGroupSize = float64(c.members) / float64(c.nodes)
-		st.MaxGroupSize = c.maxGroup
-	}
-	return st
+// ComputeStats returns aggregate statistics of the homologous structure: the
+// graph's key counts, an O(1) read.
+func (sg *SG) ComputeStats() Stats {
+	isolated, grouped := sg.graph.KeyCounts()
+	return Stats{HomologousNodes: grouped, Isolated: isolated}
 }

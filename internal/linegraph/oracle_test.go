@@ -77,18 +77,60 @@ func refBuild(g *kg.Graph) (nodes map[string]*refNode, isolated []string) {
 	return nodes, isolated
 }
 
-// refStats derives Stats from refBuild's partition, without countKeys.
+// refStats derives Stats from refBuild's partition, without the graph's key
+// counts.
 func refStats(nodes map[string]*refNode, isolated []string) Stats {
-	st := Stats{HomologousNodes: len(nodes), Isolated: len(isolated)}
-	members := 0
-	for _, n := range nodes {
-		members += n.Num
-		st.MaxGroupSize = max(st.MaxGroupSize, n.Num)
-	}
-	if len(nodes) > 0 {
-		st.MeanGroupSize = float64(members) / float64(len(nodes))
-	}
+	return Stats{HomologousNodes: len(nodes), Isolated: len(isolated)}
+}
+
+// walkStats is the line graph's count oracle: one walk over every key
+// posting of g, counting the postings of one live triple and of two or more.
+// ComputeStats reads counts the graph keeps instead, so a count that goes
+// stale under some mutation shows here.
+func walkStats(g *kg.Graph) Stats {
+	var st Stats
+	g.ForEachKeyPosting(func(_, _ int32, posting []int32) {
+		switch {
+		case len(posting) == 1:
+			st.Isolated++
+		case len(posting) >= 2:
+			st.HomologousNodes++
+		}
+	})
 	return st
+}
+
+// requireMatchesReference holds sg to the oracles over its graph as it is
+// now: ComputeStats and NumNodes to the walk of the key postings, and the
+// isolated points and every homologous node's header and members to
+// refBuild's group-by-scan.
+func requireMatchesReference(t *testing.T, label string, sg *SG) {
+	t.Helper()
+	g := sg.Graph()
+	want := walkStats(g)
+	if got := sg.ComputeStats(); got != want {
+		t.Fatalf("%s: ComputeStats = %+v, walk %+v", label, got, want)
+	}
+	nodes, isolated := refBuild(g)
+	if ref := refStats(nodes, isolated); ref != want {
+		t.Fatalf("%s: walk %+v, group-by-scan %+v", label, want, ref)
+	}
+	if sg.NumNodes() != len(nodes) {
+		t.Fatalf("%s: NumNodes = %d, want %d", label, sg.NumNodes(), len(nodes))
+	}
+	if got := sg.IsolatedIDs(); !slices.Equal(got, isolated) {
+		t.Fatalf("%s: isolated points %v, want %v", label, got, isolated)
+	}
+	for key, wn := range nodes {
+		gn, ok := sg.Node(key)
+		if !ok {
+			t.Fatalf("%s: node %q missing", label, key)
+		}
+		if gn.Key != wn.Key || gn.SubjectID != wn.SubjectID || gn.Name != wn.Name || gn.Num != wn.Num ||
+			!reflect.DeepEqual(memberIDs(gn), wn.Members) || !reflect.DeepEqual(memberSources(sg, gn), wn.Sources) {
+			t.Fatalf("%s: node %q = %+v (members %v), want %+v", label, key, gn, memberIDs(gn), wn)
+		}
+	}
 }
 
 // randomLinkedGraph builds a graph with colliding keys, entity-valued
@@ -173,7 +215,7 @@ func TestBuildMatchesReference(t *testing.T) {
 }
 
 // TestBuildStatsMatchReference holds Build's counts to statistics derived
-// from refBuild, which does not share countKeys.
+// from refBuild, which does not read the graph's key counts.
 func TestBuildStatsMatchReference(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))

@@ -43,7 +43,8 @@ type Config struct {
 	NodeThreshold float64
 	// GraphThreshold is the subgraph-confidence cut-off (default 0.5).
 	GraphThreshold float64
-	// DisableMKA turns off multi-source knowledge aggregation (ablation).
+	// DisableMKA turns off multi-source knowledge aggregation (ablation):
+	// queries never consult the line graph and answer from retrieved chunks.
 	DisableMKA bool
 	// DisableGraphLevel / DisableNodeLevel turn off the two confidence
 	// stages (ablations).
@@ -350,11 +351,9 @@ func (s *System) Stats() Stats {
 		Triples:  g.NumTriples(),
 		Chunks:   ix.Len(),
 	}
-	if sg != nil {
-		hs := sg.ComputeStats()
-		st.HomologousNodes = hs.HomologousNodes
-		st.IsolatedClaims = hs.Isolated
-	}
+	hs := sg.ComputeStats()
+	st.HomologousNodes = hs.HomologousNodes
+	st.IsolatedClaims = hs.Isolated
 	st.BuildTime = s.inner.BuildCost()
 	return st
 }
