@@ -30,7 +30,7 @@ race:
 # because its instrumentation changes what they count: the allocation
 # ceilings (objects per served query, per memo hit, per parsed query, per
 # extracted chunk, per stored-embedding read, per fallback answer, per
-# replayed vector, and the bytes a replica seeded beside its primary
+# replayed vector, per prepared file, and the bytes a replica seeded beside its primary
 # allocates per triple) and the heap one engine copy retains per triple,
 # decoded from a checkpoint body, and a replica seeded beside its primary —
 # a copy-on-write clone of the primary's snapshot — retains per triple; the
@@ -70,11 +70,12 @@ chaos-cluster:
 # group record and checkpoint body decoders behind them (and the replica
 # doors that take the same bytes from a peer; seeded with records and bodies
 # in format 4, which decode, and formats 1–3, which must be rejected) —
-# plus the allocation-free text primitives held to the forms
-# they replace: SameNormalized / CompareNormalized / SameLower against
-# comparisons of the built strings, Tokenize / NormalizeValue /
-# StandardizeName / NormalizeRelation / HashAddNormalized against the
-# tokenise-filter-join oracles, and Hash64 / SeededHash01 against hash/fnv and
+# plus the allocation-free text primitives held to the forms they replace:
+# stage 1's chunk renderer against the string-building one it replaced, on
+# records of fuzzed keys and values; SameNormalized / CompareNormalized /
+# SameLower against comparisons of the built strings, Tokenize /
+# NormalizeValue / AppendNormalizeValue / StandardizeName / NormalizeRelation
+# / HashAddNormalized against the tokenise-filter-join oracles, and Hash64 / SeededHash01 against hash/fnv and
 # the fmt-built seeded key — the simulated LLM's hand-written grammars against
 # the regexps they replace (ParseQuery's logic forms, ExtractEntities'
 # mentions and ExtractTriples' triples on arbitrary text), and the front
@@ -85,6 +86,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzFrameParse -fuzztime 5s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecoder -fuzztime 5s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzRecoveredPayload -fuzztime 5s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzRenderChunks -fuzztime 5s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzServeRequest -fuzztime 5s
 	$(GO) test ./internal/textutil -run '^$$' -fuzz FuzzSameNormalized -fuzztime 5s
 	$(GO) test ./internal/textutil -run '^$$' -fuzz FuzzNormalForms -fuzztime 5s
@@ -119,11 +121,13 @@ layers:
 # TestEngineCopyBytesBesidePrimaryCeiling and TestSeedReplicaAllocCeiling
 # bound; /first-apply is such a clone's first applied record, where it loses
 # the lineage claim to the primary and forks, copying the chunk slice and
-# each posting list, page and lookup entry the record writes), and
-# the bulk
+# each posting list, page and lookup entry the record writes), and the bulk
 # load a deployment pays at set-up (the datasets presets as one Ingest into a
 # durable system: stage 1 and the commit, split as prepare-ms/op and
-# commit-ms/op, and the size of its WAL record as record-bytes) — and the query path's: one exact
+# commit-ms/op, and the size of its WAL record as record-bytes; ~0.57 M
+# allocs/op since stage 1 renders each file's chunks into its pooled scratch,
+# 1.23 M while every sentence, chunk and ID was a string of its own) — and
+# the query path's: one exact
 # top-5 search at up to 34,549 rows (dense full-sort reference vs the
 # term-at-a-time scan) and its two passes alone on the datasets store (one
 # query's accumulation over the posting lists, 0 allocs, and the top-k

@@ -11,6 +11,7 @@ import (
 
 	"multirag/internal/extract"
 	"multirag/internal/fault"
+	"multirag/internal/jsonld"
 	"multirag/internal/kg"
 	"multirag/internal/linegraph"
 	"multirag/internal/retrieval"
@@ -433,16 +434,16 @@ func recordParts(e *wal.Encoder, parts [][]byte, committed []*prepared) [][]byte
 // embedScratch is what stage 1 and replay reuse from one file or part to the
 // next: the dense row a chunk is embedded into, the recorder a file is
 // extracted into, the slab a part's chunks are re-embedded into when no
-// prepared rows come with it, and the chunk and arena buffers a part's chunks
-// are decoded through. embedScratches holds one per worker or replayer
-// between uses.
+// prepared rows come with it, the arena a file's chunks are rendered into and
+// a part's chunks decoded into, the renderer's buffers, and the chunk views
+// of the arena. embedScratches holds one per worker or replayer between uses.
 type embedScratch struct {
 	row    retrieval.Vector
 	rec    extract.Recorder
 	rows   retrieval.Sparse
+	arena  retrieval.ChunkArena
+	render chunkRenderer
 	chunks []retrieval.Chunk
-	spans  []chunkSpans
-	arena  []byte
 }
 
 var embedScratches sync.Pool
@@ -465,12 +466,28 @@ func getEmbedScratch(dim int) *embedScratch {
 }
 
 // putEmbedScratch returns sc to the pool, without buffers that outgrew
-// scratchRows. Nothing may still use its slab's rows.
+// scratchRows or scratchArena. Nothing may still use its slab's rows.
 func putEmbedScratch(sc *embedScratch) {
-	if sc.rows.Len() > scratchRows || cap(sc.chunks) > scratchRows || cap(sc.arena) > scratchArena {
-		sc.rows, sc.chunks, sc.spans, sc.arena = retrieval.Sparse{}, nil, nil, nil
+	if sc.rows.Len() > scratchRows || cap(sc.chunks) > scratchRows || cap(sc.arena.Bytes) > scratchArena || cap(sc.render.text) > scratchArena {
+		sc.rows, sc.arena, sc.render, sc.chunks = retrieval.Sparse{}, retrieval.ChunkArena{}, chunkRenderer{}, nil
 	}
 	embedScratches.Put(sc)
+}
+
+// renderChunks renders n's chunks into sc's arena and returns views of them,
+// which hold one string: until dropChunks, sc.chunks is that view.
+func (sc *embedScratch) renderChunks(n *jsonld.Normalized) []retrieval.Chunk {
+	sc.arena.Reset()
+	sc.render.render(&sc.arena, n, chunkBudget)
+	sc.chunks = sc.arena.Chunks(sc.chunks[:0])
+	return sc.chunks
+}
+
+// dropChunks clears sc's chunk views, so that the pooled scratch pins none of
+// their strings.
+func (sc *embedScratch) dropChunks() {
+	clear(sc.chunks)
+	sc.chunks = sc.chunks[:0]
 }
 
 // encodeFile embeds a prepared file's chunks and encodes its part of the
@@ -529,52 +546,50 @@ func replayRecord(payload []byte, g *kg.Graph, ix *retrieval.Index, sc *embedScr
 	return d.Finish()
 }
 
-// chunkSpans locates one decoded chunk's fields in a part's string arena.
-type chunkSpans struct{ id, doc, src, text [2]int }
-
 // replayPart decodes one file's part of a group record from d straight into
 // g and ix: its operation stream (extract.Replay), then its chunks, posted
 // with rows — the sparse rows stage 1 embedded — or, when rows is nil,
 // re-embedded from the decoded texts into sc's slab. It is the one replay
 // step the committer, replica apply and recovery share.
 //
-// The chunks' strings are decoded into one arena per part, a single
-// allocation: a chunk's fields are views of it, and a field equal to the
-// previous chunk's is that chunk's view. The arena holds only strings the
-// store keeps for as long as it keeps the chunks, so it pins nothing else.
+// The chunks' strings are decoded into sc's arena and become one string per
+// part, a single allocation: a chunk's fields are views of it, a field equal
+// to the previous chunk's is that chunk's view, and a document ID that begins
+// its chunk's ID is that ID's prefix. The string holds only what the store
+// keeps for as long as it keeps the chunks, so it pins nothing else.
 func replayPart(d *wal.Decoder, g *kg.Graph, ix *retrieval.Index, rows *retrieval.Sparse, sc *embedScratch) error {
 	if err := extract.Replay(d, g); err != nil {
 		return err
 	}
-	arena, spans := sc.arena[:0], sc.spans[:0]
+	a := &sc.arena
+	a.Reset()
 	front := func(prev [2]int) [2]int {
-		lo := len(arena)
-		arena = d.AppendFront(arena, arena[prev[0]:prev[1]])
-		if bytes.Equal(arena[lo:], arena[prev[0]:prev[1]]) {
-			arena = arena[:lo]
+		lo := len(a.Bytes)
+		a.Bytes = d.AppendFront(a.Bytes, a.Bytes[prev[0]:prev[1]])
+		if bytes.Equal(a.Bytes[lo:], a.Bytes[prev[0]:prev[1]]) {
+			a.Bytes = a.Bytes[:lo]
 			return prev
 		}
-		return [2]int{lo, len(arena)}
+		return [2]int{lo, len(a.Bytes)}
 	}
-	var prev chunkSpans
+	var prev retrieval.ChunkSpans
 	for n, k := d.Int(), 0; k < n && d.Err() == nil; k++ {
-		c := chunkSpans{id: front(prev.id), doc: front(prev.doc), src: front(prev.src)}
-		lo := len(arena)
-		arena = d.AppendString(arena)
-		c.text = [2]int{lo, len(arena)}
-		spans = append(spans, c)
+		c := retrieval.ChunkSpans{ID: front(prev.ID)}
+		if c.Doc = front(prev.Doc); c.Doc != prev.Doc && bytes.HasPrefix(a.Bytes[c.ID[0]:c.ID[1]], a.Bytes[c.Doc[0]:c.Doc[1]]) {
+			a.Bytes = a.Bytes[:c.Doc[0]]
+			c.Doc = [2]int{c.ID[0], c.ID[0] + c.Doc[1] - c.Doc[0]}
+		}
+		c.Src = front(prev.Src)
+		lo := len(a.Bytes)
+		a.Bytes = d.AppendString(a.Bytes)
+		c.Text = [2]int{lo, len(a.Bytes)}
+		a.Spans = append(a.Spans, c)
 		prev = c
 	}
-	sc.arena, sc.spans = arena, spans
 	if err := d.Err(); err != nil {
 		return err
 	}
-	str := string(arena)
-	view := func(s [2]int) string { return str[s[0]:s[1]] }
-	chunks := sc.chunks[:0]
-	for _, c := range spans {
-		chunks = append(chunks, retrieval.Chunk{ID: view(c.id), DocID: view(c.doc), Source: view(c.src), Text: view(c.text)})
-	}
+	chunks := a.Chunks(sc.chunks[:0])
 	if rows == nil {
 		sc.rows.Reset()
 		sc.rows.Grow(len(chunks))
@@ -583,8 +598,8 @@ func replayPart(d *wal.Decoder, g *kg.Graph, ix *retrieval.Index, rows *retrieva
 		}
 		rows = &sc.rows
 	}
-	err := ix.AppendSparse(chunks, rows)
-	clear(chunks)
 	sc.chunks = chunks
+	err := ix.AppendSparse(chunks, rows)
+	sc.dropChunks()
 	return err
 }

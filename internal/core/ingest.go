@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"multirag/internal/adapter"
@@ -104,11 +102,11 @@ func (s *System) prepare(p *prepared, files []adapter.RawFile) {
 }
 
 // prepareFiles runs the per-file half of stage 1 over the fused files on the
-// worker pool: extraction into a pooled recorder, chunk rendering, embedding
-// into sparse rows, and the file's part of the WAL group record. Once a
-// file's part is encoded, its recorder goes back to the pool and its chunks
-// and fused[i] are dropped, so a prepared batch holds each fact once, in its
-// part.
+// worker pool: extraction into a pooled recorder, chunk rendering into the
+// same scratch's arena, embedding into sparse rows, and the file's part of
+// the WAL group record. Once a file's part is encoded, its recorder and arena
+// go back to the pool and fused[i] is dropped, so a prepared batch holds each
+// fact once, in its part.
 func (s *System) prepareFiles(ext *extract.Extractor, fused []*jsonld.Normalized) []fileWork {
 	dim := s.snap.Load().index.Dim()
 	work := make([]fileWork, len(fused))
@@ -121,10 +119,11 @@ func (s *System) prepareFiles(ext *extract.Extractor, fused []*jsonld.Normalized
 		if w.report, w.err = ext.BuildFile(rec, fused[i]); w.err != nil {
 			return
 		}
-		chunks := RenderChunks(fused[i], chunkBudget)
+		chunks := sc.renderChunks(fused[i])
 		fused[i] = nil
 		w.part, w.rows = encodeFile(rec, chunks, sc)
 		w.chunks = len(chunks)
+		sc.dropChunks()
 	})
 	return work
 }
@@ -147,75 +146,4 @@ func mergedBatchReport(work []fileWork) extract.Report {
 		rep.Merge(work[i].report)
 	}
 	return rep
-}
-
-// chunkBudget is the token budget of one chunk in the retrieval index.
-const chunkBudget = 64
-
-// RenderChunks converts a normalised file into retrievable chunks. Text
-// records chunk their raw paragraphs; structured records are verbalised as
-// benchmark-grammar sentences so that chunk retrieval and per-query LLM
-// extraction can reach the same facts the KG holds. It is exported for the
-// benchmark harness, which builds identical baseline environments.
-func RenderChunks(n *jsonld.Normalized, chunkTokens int) []retrieval.Chunk {
-	var out []retrieval.Chunk
-	for _, doc := range n.JSC {
-		if v, ok := doc.Get("text"); ok && v.Str != "" {
-			out = append(out, retrieval.ChunkText(doc.ID, n.Source, v.Str, chunkTokens)...)
-			continue
-		}
-		text := verbalise(doc)
-		if text != "" {
-			out = append(out, retrieval.ChunkText(doc.ID, n.Source, text, chunkTokens)...)
-		}
-	}
-	return out
-}
-
-// verbalise renders a structured record as sentences.
-func verbalise(doc *jsonld.Document) string {
-	subject := ""
-	for _, key := range []string{"@key", "name", "title", "id", "flight", "symbol", "subject"} {
-		if v, ok := doc.Get(key); ok && v.Str != "" {
-			subject = v.Str
-			break
-		}
-	}
-	if subject == "" {
-		return ""
-	}
-	// Native-KG triples verbalise directly.
-	if p, ok := doc.Get("predicate"); ok {
-		if o, oko := doc.Get("object"); oko {
-			return fmt.Sprintf("The %s of %s is %s.",
-				strings.ReplaceAll(p.Str, "_", " "), subject, o.Str)
-		}
-	}
-	var sents []string
-	var walk func(d *jsonld.Document, prefix string)
-	walk = func(d *jsonld.Document, prefix string) {
-		for _, k := range d.Keys() {
-			v, _ := d.Get(k)
-			name := strings.TrimPrefix(k, "@")
-			if i := strings.IndexByte(name, '/'); i >= 0 {
-				name = name[:i]
-			}
-			if prefix != "" {
-				name = prefix + " " + name
-			}
-			if v.Node != nil {
-				walk(v.Node, name)
-				continue
-			}
-			if k == "@key" || (prefix == "" && v.Str == subject) {
-				continue
-			}
-			for _, val := range v.Strings() {
-				sents = append(sents, fmt.Sprintf("The %s of %s is %s.",
-					strings.ReplaceAll(name, "_", " "), subject, val))
-			}
-		}
-	}
-	walk(doc, "")
-	return strings.Join(sents, " ")
 }

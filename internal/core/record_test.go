@@ -83,7 +83,7 @@ func oracleFiles(t *testing.T, s *System, files []adapter.RawFile) []oracleFile 
 		if _, err := ext.BuildFile(&c, f); err != nil {
 			t.Fatal(err)
 		}
-		out[i] = oracleFile{ops: c.ops, chunks: RenderChunks(f, chunkBudget)}
+		out[i] = oracleFile{ops: c.ops, chunks: refRenderChunks(f, chunkBudget)}
 	}
 	return out
 }

@@ -113,7 +113,7 @@ func (r *Recorder) EncodeTo(e *wal.Encoder) {
 
 // ReplayAppend applies the recorded stream to g in recording order and
 // appends the IDs of the triples inserted onto ids, decoding it as Replay
-// does. The inserted triples are the slots g grew by, since every AddTriple
+// does. The inserted triples are the slots g grew by, since every InsertTriple
 // claims the next one. On a mid-stream error the returned slice carries
 // whatever was inserted before the failure.
 func (r *Recorder) ReplayAppend(g *kg.Graph, ids []string) ([]string, error) {
@@ -130,7 +130,7 @@ func (r *Recorder) ReplayAppend(g *kg.Graph, ids []string) ([]string, error) {
 }
 
 // Replay decodes one recorded stream in its record form (EncodeTo) from d
-// and applies it to g in recording order — AddEntity and AddTriple, the
+// and applies it to g in recording order — AddEntity and InsertTriple, the
 // graph's own validation deciding what is accepted. It stops at the first
 // malformed field (latched in d) or rejected triple and returns its error; g
 // keeps what was applied before it. Nothing of d's input is kept: every
@@ -171,7 +171,7 @@ func replayOps(d *wal.Decoder, n int, g *kg.Graph) error {
 		if d.Err() != nil {
 			break
 		}
-		if _, err := g.AddTriple(f); err != nil {
+		if _, err := g.InsertTriple(f); err != nil {
 			return err
 		}
 		prev = f

@@ -31,6 +31,15 @@ func (m *cowStr) get(k string) (int32, bool) {
 	return v, ok
 }
 
+// getBytes is get(string(k)); the map index conversions build no string.
+func (m *cowStr) getBytes(k []byte) (int32, bool) {
+	if v, ok := m.tail[string(k)]; ok {
+		return v, true
+	}
+	v, ok := m.base[string(k)]
+	return v, ok
+}
+
 func (m *cowStr) put(k string, v int32) {
 	if m.tail == nil {
 		m.tail = make(map[string]int32)

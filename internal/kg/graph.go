@@ -283,18 +283,29 @@ func (g *Graph) internPred(p string) int32 {
 // and the ID of the last one, TripleID(h) = "t" and h+1, must not wrap.
 const maxTripleSlots = 1<<31 - 1
 
-// AddTriple inserts a triple. The subject entity must already exist; the
+// AddTriple inserts a triple (InsertTriple) and returns its ID.
+func (g *Graph) AddTriple(f Fact) (string, error) {
+	h, err := g.InsertTriple(f)
+	if err != nil {
+		return "", err
+	}
+	return TripleID(h), nil
+}
+
+// InsertTriple inserts a triple. The subject entity must already exist; the
 // object is linked as an entity when its canonical form is a known entity (a
 // pre-set ObjectEntity is honoured only when it names a known entity, and
-// dropped otherwise). It returns the assigned triple ID, or an error once the
-// graph holds maxTripleSlots slots.
-func (g *Graph) AddTriple(f Fact) (string, error) {
+// dropped otherwise). It returns the triple's handle, or an error once the
+// graph holds maxTripleSlots slots. A literal object's canonical form is
+// built in a stack buffer and looked up as bytes, so the probe allocates only
+// for a form over 64 bytes.
+func (g *Graph) InsertTriple(f Fact) (int32, error) {
 	subjH, ok := g.entLookup.get(f.Subject)
 	if !ok {
-		return "", fmt.Errorf("kg: unknown subject entity %q", f.Subject)
+		return 0, fmt.Errorf("kg: unknown subject entity %q", f.Subject)
 	}
 	if f.Predicate == "" {
-		return "", fmt.Errorf("kg: triple with empty predicate (subject %q)", f.Subject)
+		return 0, fmt.Errorf("kg: triple with empty predicate (subject %q)", f.Subject)
 	}
 	if f.Weight == 0 {
 		f.Weight = 1
@@ -304,19 +315,22 @@ func (g *Graph) AddTriple(f Fact) (string, error) {
 		if h, ok := g.entLookup.get(f.ObjectEntity); ok {
 			objH = h
 		}
-	} else if oid := CanonicalID(f.Object); oid != "" {
-		if h, ok := g.entLookup.get(oid); ok {
-			objH = h
+	} else {
+		var buf [64]byte
+		if oid := textutil.AppendNormalizeValue(buf[:0], f.Object); len(oid) > 0 {
+			if h, ok := g.entLookup.getBytes(oid); ok {
+				objH = h
+			}
 		}
 	}
 	if g.trs.len() >= maxTripleSlots {
-		return "", fmt.Errorf("kg: the graph holds %d triple slots, the most a handle can address", g.trs.len())
+		return 0, fmt.Errorf("kg: the graph holds %d triple slots, the most a handle can address", g.trs.len())
 	}
 	g.claimSlot()
 	h, prov := int32(g.trs.len()), g.internProv(f.Domain, f.Format)
 	g.trs.append(&Triple{Object: f.Object, Source: f.Source, ChunkID: f.ChunkID, Weight: f.Weight, h: h, prov: prov})
 	g.link(h, subjH, objH, g.internPred(f.Predicate))
-	return TripleID(h), nil
+	return h, nil
 }
 
 // link fills the handle columns and posting lists of the triple just appended

@@ -45,53 +45,103 @@ func DocOfChunk(chunkID string) string {
 
 // ChunkText splits text into chunks of at most maxTokens tokens, breaking at
 // sentence boundaries where possible. maxTokens <= 0 selects the default of
-// 64.
+// 64. It collects what ChunkArena.AppendText renders.
 func ChunkText(docID, source, text string, maxTokens int) []Chunk {
+	var a ChunkArena
+	a.AppendText(docID, a.AppendString(source), text, maxTokens)
+	return a.Chunks(nil)
+}
+
+// ChunkSpans locates one chunk's fields in a ChunkArena's bytes, each as its
+// [start, end) offsets.
+type ChunkSpans struct{ ID, Doc, Src, Text [2]int }
+
+// ChunkArena holds chunks as spans of one byte buffer: what stage 1 renders a
+// file's chunks into and replay decodes a part's chunks into, reused from one
+// file to the next so that neither builds a string per field.
+type ChunkArena struct {
+	Bytes []byte
+	Spans []ChunkSpans
+}
+
+// Reset empties a, keeping its memory.
+func (a *ChunkArena) Reset() { a.Bytes, a.Spans = a.Bytes[:0], a.Spans[:0] }
+
+// AppendString appends s to a's bytes and returns its span.
+func (a *ChunkArena) AppendString(s string) [2]int {
+	lo := len(a.Bytes)
+	a.Bytes = append(a.Bytes, s...)
+	return [2]int{lo, len(a.Bytes)}
+}
+
+// AppendText splits text into sentences — on '.' and '\n', each trimmed of
+// surrounding space, the empty ones dropped — and packs them, in order, into
+// chunks of at most maxTokens tokens (maxTokens <= 0 selects 64); a sentence
+// over the budget is a chunk of its own. Each chunk is appended to a: its ID,
+// docID "#c" and its ordinal within text, then its sentences joined by ". "
+// and ended by "."; its Doc span is the ID's docID prefix and its Src span
+// src.
+func (a *ChunkArena) AppendText(docID string, src [2]int, text string, maxTokens int) {
 	if maxTokens <= 0 {
 		maxTokens = 64
 	}
-	sentences := splitSentences(text)
-	var chunks []Chunk
-	var buf []string
-	used := 0
-	flush := func() {
-		if len(buf) == 0 {
-			return
+	var c ChunkSpans
+	n, used, open := 0, 0, false
+	for text != "" {
+		s := text
+		if i := strings.IndexAny(text, ".\n"); i >= 0 {
+			s, text = text[:i], text[i+1:]
+		} else {
+			text = ""
 		}
-		chunks = append(chunks, Chunk{
-			ID:     chunkID(docID, len(chunks)),
-			DocID:  docID,
-			Source: source,
-			Text:   strings.Join(buf, ". ") + ".",
-		})
-		buf = nil
-		used = 0
-	}
-	for _, s := range sentences {
-		n := textutil.CountTokens(s)
-		if used+n > maxTokens && used > 0 {
-			flush()
+		if s = strings.TrimSpace(s); s == "" {
+			continue
 		}
-		buf = append(buf, s)
-		used += n
+		k := textutil.CountTokens(s)
+		if used+k > maxTokens && used > 0 {
+			a.endChunk(c)
+			n, used, open = n+1, 0, false
+		}
+		if open {
+			a.Bytes = append(a.Bytes, ". "...)
+		} else {
+			c = ChunkSpans{Src: src}
+			c.ID[0] = len(a.Bytes)
+			a.Bytes = append(a.Bytes, docID...)
+			c.Doc = [2]int{c.ID[0], len(a.Bytes)}
+			a.Bytes = strconv.AppendInt(append(a.Bytes, "#c"...), int64(n), 10)
+			c.ID[1] = len(a.Bytes)
+			c.Text[0] = len(a.Bytes)
+			open = true
+		}
+		a.Bytes = append(a.Bytes, s...)
+		used += k
 	}
-	flush()
-	return chunks
+	if open {
+		a.endChunk(c)
+	}
 }
 
-func chunkID(docID string, n int) string {
-	return docID + "#c" + strconv.Itoa(n)
+// endChunk closes the chunk c whose text ends the arena.
+func (a *ChunkArena) endChunk(c ChunkSpans) {
+	a.Bytes = append(a.Bytes, '.')
+	c.Text[1] = len(a.Bytes)
+	a.Spans = append(a.Spans, c)
 }
 
-func splitSentences(text string) []string {
-	var out []string
-	for _, part := range strings.FieldsFunc(text, func(r rune) bool { return r == '.' || r == '\n' }) {
-		part = strings.TrimSpace(part)
-		if part != "" {
-			out = append(out, part)
-		}
+// Chunks appends every chunk of a to dst. Their fields are views of one copy
+// of a's bytes, the one allocation Chunks makes beyond dst's growth, and none
+// when a holds no chunk.
+func (a *ChunkArena) Chunks(dst []Chunk) []Chunk {
+	if len(a.Spans) == 0 {
+		return dst
 	}
-	return out
+	str := string(a.Bytes)
+	view := func(s [2]int) string { return str[s[0]:s[1]] }
+	for _, c := range a.Spans {
+		dst = append(dst, Chunk{ID: view(c.ID), DocID: view(c.Doc), Source: view(c.Src), Text: view(c.Text)})
+	}
+	return dst
 }
 
 // Vector is a dense embedding.

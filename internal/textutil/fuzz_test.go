@@ -48,7 +48,7 @@ func FuzzSameNormalized(f *testing.F) {
 // FuzzNormalForms holds Tokenize, NormalizeValue, StandardizeName and
 // NormalizeRelation to the tokenise-filter-join oracles they replaced, pins
 // that a normal form is its own fixed point and is returned without a copy,
-// and holds the streamed forms — HashAddNormalized to HashAdd of the normal
+// holds AppendNormalizeValue to NormalizeValue, and holds the streamed forms — HashAddNormalized to HashAdd of the normal
 // form, HashAddLower to HashAdd of strings.ToLower, EachContentToken to
 // TokenizeContent, CompareNormalized to strings.Compare of two — to the
 // strings they stand for (checkNormalForms). The

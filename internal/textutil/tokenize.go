@@ -151,6 +151,30 @@ func NGrams(toks []string, n int) []string {
 // result may alias s); any other costs one allocation of exactly its size.
 func NormalizeValue(s string) string { return normalForm(s, false, ' ') }
 
+// AppendNormalizeValue appends NormalizeValue(s) to dst and returns the
+// extended buffer; with room in dst it allocates nothing.
+func AppendNormalizeValue(dst []byte, s string) []byte {
+	for i, first := 0, true; ; first = false {
+		start, end, _, lower := nextToken(s, i)
+		if start == len(s) {
+			return dst
+		}
+		if !first {
+			dst = append(dst, ' ')
+		}
+		if tok := s[start:end]; lower {
+			dst = append(dst, tok...)
+		} else {
+			for j := 0; j < len(tok); {
+				r, w := lowerRuneAt(tok, j)
+				dst = utf8.AppendRune(dst, r)
+				j += w
+			}
+		}
+		i = end
+	}
+}
+
 // NormalizeRelation is NormalizeValue with the tokens joined by '_' instead
 // of a space — strings.Join(Tokenize(s), "_"), the relation names the logic
 // form carries ("Departure Time" → "departure_time"). Like NormalizeValue it

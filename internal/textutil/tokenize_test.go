@@ -190,6 +190,9 @@ func checkNormalForms(t *testing.T, s string) {
 		}
 	}
 	norm := oracleNormalizeValue(s)
+	if got := AppendNormalizeValue([]byte("x"), s); string(got) != "x"+norm {
+		t.Fatalf("AppendNormalizeValue(%q, %q) = %q, oracle %q", "x", s, got, "x"+norm)
+	}
 	if got, want := HashAddNormalized(fnvOffset64, s), Hash64(norm); got != want {
 		t.Fatalf("HashAddNormalized(%q) = %#x, Hash64 of %q %#x", s, got, norm, want)
 	}
