@@ -30,7 +30,8 @@ race:
 # because its instrumentation changes what they count: the allocation
 # ceilings (objects per served query, per memo hit, per parsed query, per
 # extracted chunk, per stored-embedding read, per fallback answer, per
-# replayed vector, per prepared file, and the bytes a replica seeded beside its primary
+# replayed vector, per prepared file, per triple a commit and a replica's
+# apply replay, and the bytes a replica seeded beside its primary
 # allocates per triple) and the heap one engine copy retains per triple,
 # decoded from a checkpoint body, and a replica seeded beside its primary —
 # a copy-on-write clone of the primary's snapshot — retains per triple; the
@@ -107,8 +108,13 @@ layers:
 # append on a 34,549 x 256 store, one encode and one decode of that store's
 # checkpoint form (datasets text; chunk strings only, so the decode includes
 # re-embedding every chunk on GOMAXPROCS workers), one commit's clone +
-# 11-triple replay on a 67,100-triple graph (linear history and re-cloned
-# parent), the first write to a shared column page, one streamed snapshot
+# 11-triple replay on a 67,100-triple graph (linear history, whose claimant
+# appends into the shared tail pages and lists in place: 54-60 allocs/op and
+# 64, 156 and 192 KB/op at -benchtime 100x, 500x and 4000x, growing with
+# byKey's unflattened tail; and a re-cloned parent, which forks: 64 allocs
+# and 64 KB/op at any -benchtime, the 32 KiB page of triples copied once;
+# 69-75 allocs, 75/167/203 KB and 75 allocs/37 KB while each triple was a
+# heap object of its own), the first write to a shared column page, one streamed snapshot
 # digest and one replica seeded from that snapshot, both ways
 # (/standalone decodes its checkpoint body, as recovery does: the graph, the
 # store's posting lists with every chunk re-embedded into transient slabs and

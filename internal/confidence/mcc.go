@@ -122,15 +122,20 @@ func (m *MCC) Config() Config { return m.cfg }
 //
 // Stage 1 (coarse, graph level): C(G) is computed per candidate (Eq. 7).
 // When at least one candidate clears the graph threshold, candidates below
-// it are eliminated outright — the case-study behaviour where the
-// forum-sourced subgraph is dropped. If no candidate clears the bar, all are
+// it are eliminated outright. If no candidate clears the bar, all are
 // retained and handed to the fine stage ("for subgraphs with low confidence,
-// more nodes need to be extracted").
+// more nodes need to be extracted"). Elimination needs two candidates, and
+// no paper workload passes more than one: the query path hands each call the
+// one homologous subgraph of its (subject, relation) key, so on Tables II–V,
+// Figures 5–6 and the case study nothing is eliminated, and the graph level
+// acts only through the fast path below.
 //
 // Stage 2 (fine, node level): members of surviving high-confidence subgraphs
 // take the fast path (top-FastPathNodes by weight, no scoring); members of
 // low-confidence subgraphs are scored with C(v) = Sₙ(v) + A(v) and filtered
-// by θ.
+// by θ. The case study's forum-sourced claim is rejected on the fast path:
+// its subgraph's C(G) is 0.50, exactly the threshold, and the claim is not
+// among the top members of the majority value cluster.
 //
 // After the query, per-source history is updated with the acceptance outcome
 // (the incremental estimation of Eq. 11). RunDeferred only reads history —

@@ -130,8 +130,9 @@ func (r *Recorder) ReplayAppend(g *kg.Graph, ids []string) ([]string, error) {
 }
 
 // Replay decodes one recorded stream in its record form (EncodeTo) from d
-// and applies it to g in recording order — AddEntity and InsertTriple, the
-// graph's own validation deciding what is accepted. It stops at the first
+// and applies it to g in recording order — AddEntityView and InsertView,
+// which validate as AddEntity and InsertTriple do, the graph deciding what is
+// accepted. It stops at the first
 // malformed field (latched in d) or rejected triple and returns its error; g
 // keeps what was applied before it. Nothing of d's input is kept: every
 // string g stores is decoded into memory of its own.
@@ -139,42 +140,45 @@ func Replay(d *wal.Decoder, g *kg.Graph) error {
 	return replayOps(d, d.Int(), g)
 }
 
-// replayOps decodes n ops from d into g. The fields that repeat from op to op
-// — an entity's name, a triple's predicate and object, and the front-coded
-// columns — are interned (wal.Decoder.Interned, Front), so g holds one copy
-// of each value the stream repeats, and a value decoded again costs no
-// allocation.
+// replayOps decodes n ops from d into g. The fields g only resolves against
+// what it holds — an entity's name, type and domain, a triple's subject,
+// predicate, object entity, domain and format — are read as views of the
+// input (wal.Decoder.View) or, front-coded, into stack buffers
+// (AppendFront), and handed to g as bytes (AddEntityView, InsertView), which
+// makes a string only of a value it keeps and does not hold yet. The fields
+// every triple stores — its object, source and chunk — are interned
+// (wal.Decoder.Interned, Front), so g holds one copy of each value the stream
+// repeats, and a value decoded again costs no allocation.
 func replayOps(d *wal.Decoder, n int, g *kg.Graph) error {
-	var prevTyp, prevDomain string
-	var prev kg.Fact
+	var typBuf, domBuf, subjBuf, objBuf, tdomBuf, fmtBuf [64]byte
+	typ, domain := typBuf[:0], domBuf[:0]
+	f := kg.FactView{Subject: subjBuf[:0], ObjectEntity: objBuf[:0], Domain: tdomBuf[:0], Format: fmtBuf[:0]}
+	var t kg.Triple // the stored fields; Source and ChunkID front-code against the previous triple's
 	for k := 0; k < n && d.Err() == nil; k++ {
 		if d.Bool() {
-			name := d.Interned()
-			prevTyp = d.Front(prevTyp)
-			prevDomain = d.Front(prevDomain)
+			name := d.View()
+			typ = d.AppendFront(typ[:0], typ)
+			domain = d.AppendFront(domain[:0], domain)
 			if d.Err() == nil {
-				g.AddEntity(name, prevTyp, prevDomain)
+				g.AddEntityView(name, typ, domain)
 			}
 			continue
 		}
-		f := kg.Fact{
-			Subject:      d.Front(prev.Subject),
-			Predicate:    d.Interned(),
-			Object:       d.Interned(),
-			ObjectEntity: d.Front(prev.ObjectEntity),
-			Source:       d.Front(prev.Source),
-			Domain:       d.Front(prev.Domain),
-			Format:       d.Front(prev.Format),
-			ChunkID:      d.Front(prev.ChunkID),
-			Weight:       d.F64(),
-		}
+		f.Subject = d.AppendFront(f.Subject[:0], f.Subject)
+		f.Predicate = d.View()
+		t.Object = d.Interned()
+		f.ObjectEntity = d.AppendFront(f.ObjectEntity[:0], f.ObjectEntity)
+		t.Source = d.Front(t.Source)
+		f.Domain = d.AppendFront(f.Domain[:0], f.Domain)
+		f.Format = d.AppendFront(f.Format[:0], f.Format)
+		t.ChunkID = d.Front(t.ChunkID)
+		t.Weight = d.F64()
 		if d.Err() != nil {
 			break
 		}
-		if _, err := g.InsertTriple(f); err != nil {
+		if _, err := g.InsertView(&f, t); err != nil {
 			return err
 		}
-		prev = f
 	}
 	return d.Err()
 }

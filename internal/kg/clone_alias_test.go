@@ -242,25 +242,38 @@ func addLiteral(tb testing.TB, g *Graph, ent int, pred, obj string) string {
 	return id
 }
 
+// tailPages returns the first row of the page holding the last triple slot in
+// each triple-indexed column: the page a claimant appends into in place,
+// unless the slots fill it exactly.
+func tailPages(g *Graph) [4]any {
+	p := (g.trs.len() - 1) >> pageBits
+	return [4]any{&g.trs.pages[p][0], &g.tSubj.pages[p][0], &g.tObj.pages[p][0], &g.tPred.pages[p][0]}
+}
+
 // TestCloneLineagePaths pins which side of the claim-or-fork rule each case
 // takes, and that none of them leaks: the first clone of the newest graph to
-// add a triple appends to the shared posting lists in place (same backing
-// array, same token); a second clone of one parent — which is also what the
-// next commit is after a clone that appended was discarded — and a parent
-// written to after it was cloned fork; a fork stays in force for pages the
-// forked graph has not rewritten yet, across its own clones; removal needs no
-// claim.
+// add a triple appends to the shared posting lists and the triple columns'
+// shared tail pages in place (same backing array, same page, same token); a
+// second clone of one parent — which is also what the next commit is after a
+// clone that appended was discarded — and a parent written to after it was
+// cloned fork, copying the lists and the tail pages; a fork stays in force for
+// pages the forked graph has not rewritten yet, across its own clones;
+// removal needs no claim, and on a shared page it marks a copy.
 func TestCloneLineagePaths(t *testing.T) {
 	parent := lineageGraph(t, 80, 3, 1, 64) // two posting pages of subjects, one long hub list in page 0
 	hubBase := func(g *Graph) *int32 { return &g.bySubject.get(0)[0] }
 	if lst := parent.bySubject.get(0); cap(lst) == len(lst) {
 		t.Fatal("test needs spare capacity behind the parent's hub list")
 	}
+	parentTail := tailPages(parent)
 	first := parent.Clone()
 	addLiteral(t, first, 0, "hub", "first")
 	addLiteral(t, first, 70, "p0", "first")
 	if first.lin != parent.lin || hubBase(first) != hubBase(parent) {
 		t.Fatal("first clone of the newest graph must append in place on the shared lineage")
+	}
+	if tailPages(first) != parentTail {
+		t.Fatal("first clone of the newest graph must append its triples into the shared tail pages")
 	}
 	firstObs := observe(first)
 
@@ -268,6 +281,14 @@ func TestCloneLineagePaths(t *testing.T) {
 	addLiteral(t, second, 0, "hub", "second")
 	if second.lin == parent.lin || hubBase(second) == hubBase(parent) {
 		t.Fatal("second clone of one parent must fork: fresh token, reallocated list")
+	}
+	for i, p := range tailPages(second) {
+		if p == parentTail[i] {
+			t.Fatalf("second clone of one parent must copy triple column %d's tail page", i)
+		}
+	}
+	if got := second.TripleAt(int32(parent.trs.len())).Object; got != "second" {
+		t.Fatalf("second clone's slot %d reads %q, want its own triple", parent.trs.len(), got)
 	}
 	secondObs := observe(second)
 
@@ -292,10 +313,28 @@ func TestCloneLineagePaths(t *testing.T) {
 
 	// Removal replaces a list and claims nothing; the add after it still
 	// finds the slot free and appends (to the replaced list) on the lineage.
+	// The removed triple's page is shared with first and parent: the mark
+	// goes into fourth's copy, and the triple stays live and unchanged, at
+	// the same address, in both.
 	fourth := first.Clone()
 	victim := fourth.TriplesBySubject(CanonicalID("Entity 70"))[0].ID()
+	held, _ := first.Triple(victim)
+	heldParent, _ := parent.Triple(victim)
+	want := *held
 	if !fourth.RemoveTriple(victim) {
 		t.Fatal("RemoveTriple failed")
+	}
+	if _, ok := fourth.Triple(victim); ok {
+		t.Fatal("removed triple still live on the graph that removed it")
+	}
+	for name, g := range map[string]*Graph{"first": first, "parent": parent} {
+		got, ok := g.Triple(victim)
+		if !ok || *got != want {
+			t.Fatalf("removal on a descendant changed %s's triple: %+v, live %v, want %+v", name, got, ok, want)
+		}
+	}
+	if *held != want || *heldParent != want {
+		t.Fatal("removal on a descendant wrote the page its ancestors read")
 	}
 	kept := addLiteral(t, fourth, 70, "p0", "fourth")
 	if fourth.lin != first.lin {
@@ -310,9 +349,6 @@ func TestCloneLineagePaths(t *testing.T) {
 	}
 	requireObservation(t, "first after remove+add on its clone", first, firstObs)
 	requireObservation(t, "second", second, secondObs)
-	if _, ok := parent.Triple(victim); !ok {
-		t.Fatal("removal on a descendant removed the parent's triple")
-	}
 }
 
 // TestCloneChainAppendsInPlace is the cost half of the rule: along a linear
@@ -368,10 +404,12 @@ func TestCloneChainAppendsInPlace(t *testing.T) {
 }
 
 // postingDump is a deep copy of what the handle-level readers of one
-// generation see.
+// generation see: the posting lists and every triple slot, its row and its
+// handle columns.
 type postingDump struct {
 	subject [][]int32
 	key     map[[2]int32][]int32
+	triples []refTriple
 }
 
 func dumpPostings(g *Graph) postingDump {
@@ -382,17 +420,30 @@ func dumpPostings(g *Graph) postingDump {
 	g.ForEachKeyPosting(func(s, p int32, lst []int32) {
 		d.key[[2]int32{s, p}] = append([]int32(nil), lst...)
 	})
+	for h := int32(0); h < g.TripleSlots(); h++ {
+		if t := g.TripleAt(h); t != nil {
+			d.triples = append(d.triples, tripleView(g, t))
+		} else {
+			d.triples = append(d.triples, refTriple{})
+		}
+	}
 	return d
 }
 
 // TestInPlaceAppendsUnderConcurrentReads is the race-detector half: readers
-// keep walking SubjectPosting and KeyPosting of generations captured along
-// the way, the hub subject's long list among them, while the committer
-// clones the newest graph and appends behind it in place, a few hundred
-// commits in a row, each one to the hub. Every
-// reader must keep seeing exactly what its generation held when it was
-// captured, and `go test -race` must see no conflicting access: readers stop
-// at their own len, the committer writes past it.
+// keep walking SubjectPosting, KeyPosting and every triple slot of
+// generations captured along the way, the hub subject's long list among them,
+// while the committer clones the newest graph and appends behind it in place,
+// into the posting lists and the triple columns' shared tail pages, a few
+// hundred commits in a row, each one to the hub. Every reader must keep
+// seeing exactly what its generation held when it was captured, and
+// `go test -race` must see no conflicting access: readers stop at their own
+// len, the committer writes past it. Between the readers, replicas are seeded
+// as clones of the newest graph and take their first writes only after the
+// committer has claimed past them, so each forks and copies the tail pages
+// while the committer keeps appending into them: a copy must read only the
+// rows below its own len, hold exactly its generation's triples and its own,
+// and leave its generation unchanged.
 func TestInPlaceAppendsUnderConcurrentReads(t *testing.T) {
 	const (
 		commits = 240
@@ -419,7 +470,18 @@ func TestInPlaceAppendsUnderConcurrentReads(t *testing.T) {
 				}
 			}(c)
 		}
+		var replica *Graph
+		if c%(commits/readers) == commits/readers/2 {
+			replica = cur.Clone() // a replica seeded beside the committer
+		}
 		next := cur.Clone()
+		// A commit that starts inside a tail page and fills no more than it
+		// must leave that page where it was.
+		var tail [4]any
+		room := cur.trs.len()&pageMask != 0 && cur.trs.len()&pageMask <= pageSize-4
+		if room {
+			tail = tailPages(cur)
+		}
 		for i := 0; i < 4; i++ {
 			ent := (c*7 + i*31) % 150
 			if i == 0 {
@@ -429,6 +491,13 @@ func TestInPlaceAppendsUnderConcurrentReads(t *testing.T) {
 		}
 		if next.lin != cur.lin {
 			t.Fatalf("commit %d left the lineage", c)
+		}
+		if room && tailPages(next) != tail {
+			t.Fatalf("commit %d copied a tail page it had the claim to append into", c)
+		}
+		if replica != nil {
+			wg.Add(1)
+			go replicaApplies(t, &wg, replica, cur, dumpPostings(cur), c)
 		}
 		cur = next
 		// One CPU is common here: wait until some reader finished a walk since
@@ -441,5 +510,36 @@ func TestInPlaceAppendsUnderConcurrentReads(t *testing.T) {
 	wg.Wait()
 	if got, want := cur.NumTriples(), 150*4+100+4*commits; got != want {
 		t.Fatalf("committer lost triples: %d, want %d", got, want)
+	}
+}
+
+// replicaApplies adds a few triples to replica, a clone of base taken before
+// the committer claimed the slots behind base, and checks what it reads then:
+// base's triples below base's len, its own above, and base unchanged.
+func replicaApplies(t *testing.T, wg *sync.WaitGroup, replica, base *Graph, want postingDump, gen int) {
+	defer wg.Done()
+	n := base.trs.len()
+	obj := fmt.Sprintf("replica%d", gen)
+	for i := 0; i < 8; i++ {
+		if _, err := replica.AddTriple(Fact{Subject: CanonicalID(fmt.Sprintf("Entity %d", i*17%150)), Predicate: "p0", Object: obj, Source: "rep"}); err != nil {
+			t.Error(err)
+			return
+		}
+		runtime.Gosched()
+	}
+	if replica.lin == base.lin {
+		t.Errorf("replica of generation %d appended on the committer's lineage", gen)
+	}
+	got := dumpPostings(replica)
+	if !reflect.DeepEqual(got.triples[:n], want.triples) {
+		t.Errorf("replica of generation %d reads other triples below its base's len", gen)
+	}
+	for _, tr := range got.triples[n:] {
+		if tr.Object != obj {
+			t.Errorf("replica of generation %d reads %q above its base's len, want its own %q", gen, tr.Object, obj)
+		}
+	}
+	if !reflect.DeepEqual(dumpPostings(base), want) {
+		t.Errorf("generation %d changed under its replica", gen)
 	}
 }

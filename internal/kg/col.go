@@ -8,12 +8,15 @@ import "slices"
 // and marks every page shared on both sides; the first write a graph makes to
 // a shared page copies that one page. An ingest commit therefore pays for the
 // pages its delta touches — the tail of each column plus any rows it
-// overwrites — never for the whole corpus.
+// overwrites — never for the whole corpus. The triple-indexed columns pay
+// less: the graph holding the lineage claim on a triple slot appends its row
+// into the shared tail page in place (push).
 //
 // Columns are not safe for concurrent mutation (the Graph contract); clones
 // may be read concurrently with each other and with a Clone call, because a
-// graph's writes only ever land in pages it privately owns and Clone touches
-// nothing a reader loads.
+// graph writes a row below its own length only in a page it privately owns,
+// writes past it only where the claim makes the row its own, and copies only
+// the rows below its length; Clone touches nothing a reader loads.
 
 const (
 	pageBits = 9 // 512 rows per page
@@ -21,7 +24,7 @@ const (
 	pageMask = pageSize - 1
 )
 
-// col is a COW paged column of scalar values (pointers, handles, strings).
+// col is a COW paged column of values (pointers, handles, strings, triples).
 type col[T any] struct {
 	pages [][]T
 	owned []bool // owned[p]: page p was allocated/copied after the last clone
@@ -33,13 +36,21 @@ func (c *col[T]) len() int { return c.n }
 // get returns the value at handle i. The caller guarantees 0 <= i < len.
 func (c *col[T]) get(i int32) T { return c.pages[i>>pageBits][i&pageMask] }
 
-// append adds a value at the next handle and returns that handle.
-func (c *col[T]) append(v T) int32 {
+// append adds a value at the next handle and returns that handle, copying
+// the tail page first if it is shared with another clone.
+func (c *col[T]) append(v T) int32 { return c.push(v, false) }
+
+// push is append for the triple-indexed columns, whose rows are claimed
+// (Graph.claimSlot). With claimed set the caller holds the lineage claim on
+// the row: no graph sharing the tail page reads or writes it, so the value is
+// written into that page in place instead of into a copy. Every other graph
+// sharing the page copies it before its own first write (privatize).
+func (c *col[T]) push(v T, claimed bool) int32 {
 	p := c.n >> pageBits
 	if p == len(c.pages) {
 		c.pages = append(c.pages, make([]T, pageSize))
 		c.owned = append(c.owned, true)
-	} else if !c.owned[p] {
+	} else if !c.owned[p] && !claimed {
 		c.privatize(p)
 	}
 	c.pages[p][c.n&pageMask] = v
@@ -57,9 +68,16 @@ func (c *col[T]) set(i int32, v T) {
 	c.pages[p][i&pageMask] = v
 }
 
+// ref returns the address of the row at handle i, for a column of structs
+// read in place. The caller guarantees 0 <= i < len.
+func (c *col[T]) ref(i int32) *T { return &c.pages[i>>pageBits][i&pageMask] }
+
+// privatize copies page p before this graph writes to it. It copies only the
+// rows below the graph's own length: the graph holding the lineage claim may
+// be writing the rows past it into the same page (push).
 func (c *col[T]) privatize(p int) {
 	np := make([]T, pageSize)
-	copy(np, c.pages[p])
+	copy(np, c.pages[p][:min(pageSize, c.n-p<<pageBits)])
 	c.pages[p] = np
 	c.owned[p] = true
 }

@@ -19,9 +19,10 @@ func benchCorpus(tb testing.TB) *Graph {
 // triples restating three existing entities from a new source — at the
 // end-to-end benchmark's corpus size. "linear" makes each clone the next
 // parent, the engine's history, so every add wins its claim and appends to
-// the shared posting lists in place; "fork" re-clones one parent, so every
-// commit after the first loses the claim and reallocates each list it appends
-// to. B/op is the tracked number; on "linear" it no longer holds a term in
+// the shared posting lists and the triple columns' shared tail pages in
+// place; "fork" re-clones one parent, so every commit after the first loses
+// the claim, reallocates each list it appends to and copies the tail pages,
+// the 32 KiB page of triples most of its B/op. B/op is the tracked number; on "linear" it no longer holds a term in
 // the lists' length, and what is left is mostly the byKey overlay's tail
 // clone, which grows with the commits since the overlay last flattened — so
 // compare at equal -benchtime. Run via `make bench-micro`.

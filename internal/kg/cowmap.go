@@ -23,16 +23,15 @@ type cowStr struct {
 	tail map[string]int32
 }
 
-func (m *cowStr) get(k string) (int32, bool) {
-	if v, ok := m.tail[k]; ok {
-		return v, true
-	}
-	v, ok := m.base[k]
-	return v, ok
-}
+// text is the two forms a key reaches the graph in: a caller's string, or a
+// byte view a replay decodes (extract.Replay). Indexing a map with string(k)
+// builds no string in either form.
+type text interface{ string | []byte }
 
-// getBytes is get(string(k)); the map index conversions build no string.
-func (m *cowStr) getBytes(k []byte) (int32, bool) {
+func (m *cowStr) get(k string) (int32, bool) { return lookup(m, k) }
+
+// lookup is get over either form of the key.
+func lookup[S text](m *cowStr, k S) (int32, bool) {
 	if v, ok := m.tail[string(k)]; ok {
 		return v, true
 	}

@@ -11,7 +11,8 @@
 // handle and its columns rather than stored), and the adjacency indexes are
 // []int32 posting lists. Clone is a copy-on-write snapshot that shares
 // immutable pages and copies only what a later mutation touches, so an
-// ingest commit costs O(delta) instead of O(corpus). The string-keyed API
+// ingest commit's columns and posting lists cost O(delta) instead of
+// O(corpus). The string-keyed API
 // below is a thin compat layer over the handles; hot paths (linegraph,
 // confidence) use the handle-level API in handles.go directly.
 package kg
@@ -21,7 +22,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 
 	"multirag/internal/lineage"
 	"multirag/internal/textutil"
@@ -51,6 +51,12 @@ type Fact struct {
 	Weight       float64 // extraction confidence in [0,1]
 }
 
+// FactView is the part of a Fact the graph only resolves against what it
+// holds, as byte views: the form a replay decodes them in (InsertView).
+type FactView struct {
+	Subject, Predicate, ObjectEntity, Domain, Format []byte
+}
+
 // Triple is a stored triple: the fields of its Fact that the graph cannot
 // derive, its handle, and the handle of its (domain, format) pair. Its ID,
 // subject, predicate and object entity are read through the graph (ID,
@@ -58,6 +64,13 @@ type Fact struct {
 // columns that index it, and its domain and format (Graph.Domain,
 // Graph.Format) from the pair, which every triple of a file shares: every
 // engine copy keeps each of them once instead of once per triple.
+//
+// Triples are stored by value in their column's pages, and a *Triple the
+// graph hands out is the address of its row. A triple's identity is its
+// handle, not that address: a clone that copies the page hands out another
+// address for the same triple. The row stays as it is for as long as the
+// triple is live in that graph; RemoveTriple on the same graph marks it
+// removed (live), and a clone's removal copies the page first.
 type Triple struct {
 	Object  string  // literal surface form
 	Source  string  // originating data source (provenance)
@@ -69,6 +82,13 @@ type Triple struct {
 
 // provenance is the (domain, format) pair of the triples of one source file.
 type provenance struct{ domain, format string }
+
+// removed is the prov of a removed triple's slot: the mark every reader of the
+// triple column checks, where a column of pointers held nil.
+const removed = -1
+
+// live reports whether the slot holds a triple that was not removed.
+func (t *Triple) live() bool { return t.prov != removed }
 
 // Handle returns the triple's handle: its insertion index in the graph.
 func (t *Triple) Handle() int32 { return t.h }
@@ -129,17 +149,18 @@ type Graph struct {
 	provs      col[provenance] // provenance handle → (domain, format)
 	provLookup cowStr          // len(domain) ":" domain format → provenance handle
 
-	trs   col[*Triple] // triple handle → triple, nil when removed
-	tSubj col[int32]   // triple handle → subject entity handle
-	tObj  col[int32]   // triple handle → object entity handle, -1 for literals
-	tPred col[int32]   // triple handle → predicate handle
+	trs   col[Triple] // triple handle → triple, marked when removed (live)
+	tSubj col[int32]  // triple handle → subject entity handle
+	tObj  col[int32]  // triple handle → object entity handle, -1 for literals
+	tPred col[int32]  // triple handle → predicate handle
 
 	bySubject postingCol     // entity handle → handles of triples with that subject
 	byObject  postingCol     // entity handle → handles of triples linking it as object
 	byKey     cowKeyPostings // packed (subject, predicate) handles → triple handles
 
-	// lin counts the triple slots claimed on the posting-list storage this
-	// graph shares with its clones (see claimSlot).
+	// lin counts the triple slots claimed on the storage this graph shares
+	// with its clones: the posting lists' spare capacity and the tail pages
+	// of the four triple-indexed columns (see claimSlot).
 	lin lineage.Token
 
 	liveTriples int
@@ -217,65 +238,99 @@ func packKey(subjH, predH int32) uint64 {
 // stored string. Re-adding an entity keeps the first non-empty Type/Domain
 // seen. An upgrade installs a fresh *Entity rather than mutating the stored
 // one, so entities reachable from published snapshots never change under a
-// reader.
-func (g *Graph) AddEntity(name, typ, domain string) string {
-	id := CanonicalID(name)
-	if id == "" {
+// reader. The name's canonical form is built in a stack buffer and looked up
+// as bytes, so re-adding a known entity allocates nothing.
+func (g *Graph) AddEntity(name, typ, domain string) string { return addEntity(g, name, typ, domain) }
+
+// AddEntityView is AddEntity over byte views of its fields, as a replay
+// decodes them: a known entity costs no string, and a new one copies only what
+// it stores. It is kept out of line so that its callers' buffers stay on their
+// stacks: inlined into another package, the call to the generic body it wraps
+// is taken to leak them.
+//
+//go:noinline
+func (g *Graph) AddEntityView(name, typ, domain []byte) string {
+	return addEntity(g, name, typ, domain)
+}
+
+func addEntity[S text](g *Graph, name, typ, domain S) string {
+	var buf [64]byte
+	idb := textutil.AppendNormalizeValue(buf[:0], string(name))
+	if len(idb) == 0 {
 		return ""
 	}
-	if h, ok := g.entLookup.get(id); ok {
+	if h, ok := lookup(&g.entLookup, idb); ok {
 		e := g.ents.get(h)
-		if (e.Type == "" && typ != "") || (e.Domain == "" && domain != "") {
+		if (e.Type == "" && len(typ) > 0) || (e.Domain == "" && len(domain) > 0) {
 			ne := *e
 			if ne.Type == "" {
-				ne.Type = typ
+				ne.Type = string(typ)
 			}
 			if ne.Domain == "" {
-				ne.Domain = domain
+				ne.Domain = string(domain)
 			}
 			g.ents.set(h, &ne)
 		}
 		return e.ID
 	}
-	// A new entity stores exact-size strings. When name was already
-	// canonical, id aliases it, and name may be a view into a whole file's
-	// text that storing would pin; otherwise id is a fresh exact-size string
-	// and name is stored as the caller passed it.
-	if id == name {
-		id = strings.Clone(id)
-		name = id
+	// A new entity stores an exact-size ID, and its name is that ID when the
+	// name was already canonical: a name that is a view into a whole file's
+	// text is not stored to pin it. Any other name is stored as the caller
+	// passed it, a view copied. A type or domain equal to the previous
+	// entity's is that entity's string.
+	id := string(idb)
+	e := &Entity{ID: id, Name: id}
+	if id != string(name) {
+		e.Name = string(name)
 	}
-	h := g.ents.append(&Entity{ID: id, Name: name, Type: typ, Domain: domain})
-	g.entLookup.put(id, h)
+	if n := g.ents.len(); n > 0 {
+		prev := g.ents.get(int32(n - 1))
+		e.Type, e.Domain = storedText(prev.Type, typ), storedText(prev.Domain, domain)
+	} else {
+		e.Type, e.Domain = string(typ), string(domain)
+	}
+	g.entLookup.put(id, g.ents.append(e))
 	return id
+}
+
+// storedText returns s as a string the graph keeps: held, a string the graph
+// already holds, when the two are equal, and s otherwise (a copy of a view).
+func storedText[S text](held string, s S) string {
+	if held == string(s) {
+		return held
+	}
+	return string(s)
 }
 
 // internProv returns the handle of the (domain, format) pair, adding it if
 // new. The triples of one file share a pair, so the previous slot's pair is
-// tried first and the lookup key is built only when the pair changes.
-func (g *Graph) internProv(domain, format string) int32 {
+// tried first, and the lookup key is built in a stack buffer.
+func internProv[S text](g *Graph, domain, format S) int32 {
 	if n := g.trs.len(); n > 0 {
-		if prev := g.trs.get(int32(n - 1)); prev != nil {
-			if p := g.provs.get(prev.prov); p.domain == domain && p.format == format {
+		if prev := g.trs.ref(int32(n - 1)); prev.live() {
+			if p := g.provs.get(prev.prov); p.domain == string(domain) && p.format == string(format) {
 				return prev.prov
 			}
 		}
 	}
-	key := strconv.Itoa(len(domain)) + ":" + domain + format // unambiguous for any two strings
-	if h, ok := g.provLookup.get(key); ok {
+	var buf [64]byte
+	key := strconv.AppendInt(buf[:0], int64(len(domain)), 10) // len(domain) ":" domain format: unambiguous for any two strings
+	key = append(append(append(key, ':'), domain...), format...)
+	if h, ok := lookup(&g.provLookup, key); ok {
 		return h
 	}
-	h := g.provs.append(provenance{domain, format})
-	g.provLookup.put(key, h)
+	h := g.provs.append(provenance{string(domain), string(format)})
+	g.provLookup.put(string(key), h)
 	return h
 }
 
-func (g *Graph) internPred(p string) int32 {
-	if h, ok := g.predLookup.get(p); ok {
+func internPred[S text](g *Graph, p S) int32 {
+	if h, ok := lookup(&g.predLookup, p); ok {
 		return h
 	}
-	h := g.preds.append(p)
-	g.predLookup.put(p, h)
+	ps := string(p)
+	h := g.preds.append(ps)
+	g.predLookup.put(ps, h)
 	return h
 }
 
@@ -300,25 +355,39 @@ func (g *Graph) AddTriple(f Fact) (string, error) {
 // built in a stack buffer and looked up as bytes, so the probe allocates only
 // for a form over 64 bytes.
 func (g *Graph) InsertTriple(f Fact) (int32, error) {
-	subjH, ok := g.entLookup.get(f.Subject)
+	return insertTriple(g, f.Subject, f.Predicate, f.ObjectEntity, f.Domain, f.Format,
+		Triple{Object: f.Object, Source: f.Source, ChunkID: f.ChunkID, Weight: f.Weight})
+}
+
+// InsertView is InsertTriple for the fact whose looked-up fields are f and
+// whose stored ones are t's Object, Source, ChunkID and Weight, with the same
+// validation. The subject, object entity, predicate and (domain, format) pair
+// are resolved from their bytes, and a string is made only for a predicate or
+// pair the graph does not hold yet. Nothing of f is kept.
+func (g *Graph) InsertView(f *FactView, t Triple) (int32, error) {
+	return insertTriple(g, f.Subject, f.Predicate, f.ObjectEntity, f.Domain, f.Format, t)
+}
+
+func insertTriple[S text](g *Graph, subject, predicate, objectEntity, domain, format S, t Triple) (int32, error) {
+	subjH, ok := lookup(&g.entLookup, subject)
 	if !ok {
-		return 0, fmt.Errorf("kg: unknown subject entity %q", f.Subject)
+		return 0, fmt.Errorf("kg: unknown subject entity %q", string(subject))
 	}
-	if f.Predicate == "" {
-		return 0, fmt.Errorf("kg: triple with empty predicate (subject %q)", f.Subject)
+	if len(predicate) == 0 {
+		return 0, fmt.Errorf("kg: triple with empty predicate (subject %q)", string(subject))
 	}
-	if f.Weight == 0 {
-		f.Weight = 1
+	if t.Weight == 0 {
+		t.Weight = 1
 	}
 	objH := int32(-1)
-	if f.ObjectEntity != "" {
-		if h, ok := g.entLookup.get(f.ObjectEntity); ok {
+	if len(objectEntity) > 0 {
+		if h, ok := lookup(&g.entLookup, objectEntity); ok {
 			objH = h
 		}
 	} else {
 		var buf [64]byte
-		if oid := textutil.AppendNormalizeValue(buf[:0], f.Object); len(oid) > 0 {
-			if h, ok := g.entLookup.getBytes(oid); ok {
+		if oid := textutil.AppendNormalizeValue(buf[:0], t.Object); len(oid) > 0 {
+			if h, ok := lookup(&g.entLookup, oid); ok {
 				objH = h
 			}
 		}
@@ -326,20 +395,21 @@ func (g *Graph) InsertTriple(f Fact) (int32, error) {
 	if g.trs.len() >= maxTripleSlots {
 		return 0, fmt.Errorf("kg: the graph holds %d triple slots, the most a handle can address", g.trs.len())
 	}
-	g.claimSlot()
-	h, prov := int32(g.trs.len()), g.internProv(f.Domain, f.Format)
-	g.trs.append(&Triple{Object: f.Object, Source: f.Source, ChunkID: f.ChunkID, Weight: f.Weight, h: h, prov: prov})
-	g.link(h, subjH, objH, g.internPred(f.Predicate))
-	return h, nil
+	claimed := g.claimSlot()
+	t.h, t.prov = int32(g.trs.len()), internProv(g, domain, format)
+	g.trs.push(t, claimed)
+	g.link(t.h, subjH, objH, internPred(g, predicate), claimed)
+	return t.h, nil
 }
 
 // link fills the handle columns and posting lists of the triple just appended
-// at h and updates the degree histogram and the key counts. AddTriple and
-// DecodeGraph insert through here.
-func (g *Graph) link(h, subjH, objH, predH int32) {
-	g.tSubj.append(subjH)
-	g.tObj.append(objH)
-	g.tPred.append(predH)
+// at h and updates the degree histogram and the key counts; claimed is
+// claimSlot's verdict on the slot. AddTriple and DecodeGraph insert through
+// here.
+func (g *Graph) link(h, subjH, objH, predH int32, claimed bool) {
+	g.tSubj.push(subjH, claimed)
+	g.tObj.push(objH, claimed)
+	g.tPred.push(predH, claimed)
 	g.bySubject.appendTo(subjH, h)
 	n := g.byKey.appendTo(packKey(subjH, predH), h)
 	g.countKey(n-1, -1)
@@ -359,19 +429,23 @@ func (g *Graph) link(h, subjH, objH, predH int32) {
 }
 
 // claimSlot applies the claim-or-fork rule (package lineage) to the next
-// triple slot, before AddTriple fills it. Clones share the bySubject and
-// byObject lists with their spare capacity. A successful claim lets this
-// graph append the slot's handle to them in place, behind the len every older
-// snapshot reads to. A fork makes every posting page clip its lists when it
-// is next privatized (postingCol.fork), which is what every commit paid
-// before the rule: one reallocation per list appended to. Removal needs no
-// claim — it replaces a list with a fresh copy and never writes in place.
-func (g *Graph) claimSlot() {
+// triple slot, before AddTriple fills it, and reports whether the claim
+// held. Clones share the bySubject and byObject lists with their spare
+// capacity, and the tail pages of the four triple-indexed columns (trs,
+// tSubj, tObj, tPred). A successful claim lets this graph append the slot's
+// handle to the lists, and its row to the columns' tail pages (col.push), in
+// place, behind the len every older snapshot reads to. A fork makes every
+// posting page clip its lists when it is next privatized (postingCol.fork),
+// and the columns copy their shared tail page once, as every commit did before
+// the rule. Removal needs no claim: it replaces a list with a fresh copy and
+// marks a row only in a page it owns.
+func (g *Graph) claimSlot() bool {
 	if g.lin.Claim(g.trs.len(), 1) {
-		return
+		return true
 	}
 	g.bySubject.fork()
 	g.byObject.fork()
+	return false
 }
 
 // bumpDegree moves one entity from degree old to degree new in the degree
@@ -403,12 +477,11 @@ func (g *Graph) RemoveTriple(id string) bool {
 	if !ok || int(h) >= g.trs.len() {
 		return false
 	}
-	t := g.trs.get(h)
-	if t == nil {
+	if !g.trs.ref(h).live() {
 		return false
 	}
 	subjH, objH, predH := g.tSubj.get(h), g.tObj.get(h), g.tPred.get(h)
-	g.trs.set(h, nil)
+	g.trs.set(h, Triple{h: h, prov: removed})
 	g.liveTriples--
 	g.bySubject.set(subjH, removeHandle(g.bySubject.get(subjH), h))
 	if objH >= 0 {
@@ -457,8 +530,9 @@ func removeHandle(lst []int32, h int32) []int32 {
 // Clone returns a copy-on-write snapshot of the graph: both sides share every
 // column page, posting list and interner base, and the lineage token.
 // Whichever side mutates first copies only the pages it touches; its posting
-// lists it extends in place if it wins the claim for the next triple slot and
-// reallocates otherwise (claimSlot). Cloning costs O(corpus / pageSize)
+// lists and the triple columns' tail pages it extends in place if it wins the
+// claim for the next triple slot, and reallocates or copies otherwise
+// (claimSlot). Cloning costs O(corpus / pageSize)
 // pointer copies plus the interner tails — effectively O(delta accumulated
 // since the previous clone) — instead of the deep O(corpus) copy it replaces.
 // Triple handles (and therefore IDs) stay unique and monotone across clone
@@ -503,10 +577,10 @@ func (g *Graph) Entity(id string) (*Entity, bool) {
 // Triple returns the triple with the given ID.
 func (g *Graph) Triple(id string) (*Triple, bool) {
 	h, ok := ParseTripleID(id)
-	if !ok || int(h) >= g.trs.len() {
+	if !ok {
 		return nil, false
 	}
-	t := g.trs.get(h)
+	t := g.TripleAt(h)
 	return t, t != nil
 }
 
@@ -529,23 +603,9 @@ func (g *Graph) EntityIDs() []string {
 // TripleIDs returns all triple IDs, sorted.
 func (g *Graph) TripleIDs() []string {
 	ids := make([]string, 0, g.liveTriples)
-	g.trs.forEach(func(_ int32, t *Triple) {
-		if t != nil {
-			ids = append(ids, t.ID())
-		}
-	})
+	g.ForEachTriple(func(h int32, _ *Triple) { ids = append(ids, TripleID(h)) })
 	sort.Strings(ids)
 	return ids
-}
-
-// TriplesBySubject returns the triples whose subject is the given entity, in
-// insertion order.
-func (g *Graph) TriplesBySubject(entityID string) []*Triple {
-	h, ok := g.entLookup.get(entityID)
-	if !ok {
-		return []*Triple{}
-	}
-	return g.resolve(g.bySubject.get(h))
 }
 
 // TriplesByKey returns the triples sharing a (subject, predicate) key — the
@@ -568,20 +628,10 @@ func (g *Graph) keyPosting(subjectID, predicate string) []int32 {
 	return g.KeyPosting(subjH, predH)
 }
 
-// TriplesByObjectEntity returns the triples whose object resolves to the
-// given entity.
-func (g *Graph) TriplesByObjectEntity(entityID string) []*Triple {
-	h, ok := g.entLookup.get(entityID)
-	if !ok {
-		return []*Triple{}
-	}
-	return g.resolve(g.byObject.get(h))
-}
-
 func (g *Graph) resolve(handles []int32) []*Triple {
 	out := make([]*Triple, 0, len(handles))
 	for _, h := range handles {
-		if t := g.trs.get(h); t != nil {
+		if t := g.TripleAt(h); t != nil {
 			out = append(out, t)
 		}
 	}
@@ -645,20 +695,4 @@ func sortCompactHandles(hs *[]int32) {
 		}
 	}
 	*hs = out
-}
-
-// Neighbors returns the canonical IDs of entities one hop from entityID
-// (through triples in either direction), sorted and deduplicated.
-func (g *Graph) Neighbors(entityID string) []string {
-	h, ok := g.entLookup.get(entityID)
-	if !ok {
-		return []string{}
-	}
-	hs := g.neighborHandles(h)
-	out := make([]string, 0, len(hs))
-	for _, nh := range hs {
-		out = append(out, g.ents.get(nh).ID)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -16,7 +16,10 @@ func (g *Graph) TripleAt(h int32) *Triple {
 	if h < 0 || int(h) >= g.trs.len() {
 		return nil
 	}
-	return g.trs.get(h)
+	if t := g.trs.ref(h); t.live() {
+		return t
+	}
+	return nil
 }
 
 // TripleKeyHandles returns the (subject, predicate) handle pair of the triple
@@ -62,9 +65,9 @@ func (g *Graph) ForEachKeyPosting(fn func(subjH, predH int32, posting []int32)) 
 
 // ForEachTriple visits every live triple with its handle, in handle order.
 func (g *Graph) ForEachTriple(fn func(h int32, t *Triple)) {
-	g.trs.forEach(func(h int32, t *Triple) {
-		if t != nil {
+	for h := int32(0); int(h) < g.trs.len(); h++ {
+		if t := g.trs.ref(h); t.live() {
 			fn(h, t)
 		}
-	})
+	}
 }

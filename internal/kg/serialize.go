@@ -49,12 +49,13 @@ func (g *Graph) EncodeTo(e *wal.Encoder) {
 	g.preds.forEach(func(_ int32, p string) { e.String(p) })
 	e.Int(g.trs.len())
 	var prev [5]string // the previous live triple's object entity, source, domain, format and chunk
-	g.trs.forEach(func(h int32, t *Triple) {
-		e.Bool(t != nil)
+	for h := int32(0); int(h) < g.trs.len(); h++ {
+		t := g.trs.ref(h)
+		e.Bool(t.live())
 		e.Int(int(g.tSubj.get(h)))
 		e.Int32(g.tObj.get(h))
 		e.Int(int(g.tPred.get(h)))
-		if t != nil {
+		if t.live() {
 			row := [5]string{g.ObjectEntity(t), t.Source, g.Domain(t), g.Format(t), t.ChunkID}
 			e.String(t.Object)
 			for i := range row {
@@ -63,7 +64,7 @@ func (g *Graph) EncodeTo(e *wal.Encoder) {
 			e.F64(t.Weight)
 			prev = row
 		}
-	})
+	}
 }
 
 // DecodeGraph rebuilds a graph from d (the inverse of EncodeTo). Handles are
@@ -102,7 +103,7 @@ func DecodeGraph(d *wal.Decoder) (*Graph, error) {
 				i, subjH, objH, predH)
 		}
 		if !live {
-			g.trs.append(nil)
+			g.trs.append(Triple{h: int32(i), prov: removed})
 			g.tSubj.append(subjH)
 			g.tObj.append(objH)
 			g.tPred.append(predH)
@@ -126,8 +127,8 @@ func DecodeGraph(d *wal.Decoder) (*Graph, error) {
 		}
 		prev = row
 		h := int32(i)
-		g.trs.append(&Triple{Object: object, Source: row[1], ChunkID: row[4], Weight: weight, h: h, prov: g.internProv(row[2], row[3])})
-		g.link(h, subjH, objH, predH)
+		g.trs.append(Triple{Object: object, Source: row[1], ChunkID: row[4], Weight: weight, h: h, prov: internProv(g, row[2], row[3])})
+		g.link(h, subjH, objH, predH, false)
 	}
 	if err := d.Err(); err != nil {
 		return nil, err

@@ -45,7 +45,7 @@ func (g *Graph) TwoHopPathSupport(t *Triple) float64 {
 	}
 	agree := 0
 	for _, h := range siblings {
-		if h != t.h && textutil.SameNormalized(g.trs.get(h).Object, t.Object) {
+		if h != t.h && textutil.SameNormalized(g.trs.ref(h).Object, t.Object) {
 			agree++
 		}
 	}
@@ -64,10 +64,7 @@ type Stats struct {
 func (g *Graph) ComputeStats() Stats {
 	sources := map[string]bool{}
 	domains := map[string]bool{}
-	g.trs.forEach(func(_ int32, t *Triple) {
-		if t == nil {
-			return
-		}
+	g.ForEachTriple(func(_ int32, t *Triple) {
 		if t.Source != "" {
 			sources[t.Source] = true
 		}

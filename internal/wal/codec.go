@@ -380,6 +380,11 @@ func (d *Decoder) front(prev string, intern bool) string {
 	return d.intern(append(append(buf[:0], prev[:l]...), suffix...))
 }
 
+// View reads a length-prefixed string exactly as String does and returns it
+// as a view of the input instead of a copy: for a value the caller only looks
+// up or compares. The view aliases the input; the caller must not keep it.
+func (d *Decoder) View() []byte { return d.stringBytes() }
+
 // AppendString reads a length-prefixed string exactly as String does and
 // appends its bytes to dst instead of allocating a string: for a caller that
 // gathers many decoded values into one allocation of its own.
