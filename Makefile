@@ -36,11 +36,14 @@ race:
 # decoded from a checkpoint body, and a replica seeded beside its primary —
 # a copy-on-write clone of the primary's snapshot — retains per triple; the
 # heap a prepared bulk load retains per byte of its WAL parts; the heap a
-# system retains per byte of a hostile ingest request (root package); and,
-# beside them, the chunks such a clone embeds: none, seeded or forking on its
-# first apply.
+# system retains per byte of a hostile ingest request (root package); the
+# bytes one commit allocates, on the primary and on a replica's apply, over a
+# 1x and a 4x corpus (factor 1.25), and along a 600-commit linear history of
+# the graph alone, its last commits against its first (1.25; `CommitBytes`
+# matches both); and, beside them, the chunks such a clone embeds: none,
+# seeded or forking on its first apply.
 ceilings:
-	$(GO) test -count=1 -run 'AllocCeiling|ReplayPostsStoredVectors|EngineCopyBytes|EmbedsNothing|RetainedBytes' . ./internal/...
+	$(GO) test -count=1 -run 'AllocCeiling|ReplayPostsStoredVectors|EngineCopyBytes|EmbedsNothing|RetainedBytes|CommitBytes' . ./internal/...
 
 # chaos runs the fault-injection grid under the race detector: named
 # injection points (LLM calls, evidence gathering, retrieval scans, commit,
@@ -109,12 +112,14 @@ layers:
 # checkpoint form (datasets text; chunk strings only, so the decode includes
 # re-embedding every chunk on GOMAXPROCS workers), one commit's clone +
 # 11-triple replay on a 67,100-triple graph (linear history, whose claimant
-# appends into the shared tail pages and lists in place: 54-60 allocs/op and
-# 64, 156 and 192 KB/op at -benchtime 100x, 500x and 4000x, growing with
-# byKey's unflattened tail; and a re-cloned parent, which forks: 64 allocs
-# and 64 KB/op at any -benchtime, the 32 KiB page of triples copied once;
-# 69-75 allocs, 75/167/203 KB and 75 allocs/37 KB while each triple was a
-# heap object of its own), the first write to a shared column page, one streamed snapshot
+# appends into the shared tail pages, page tables and lists in place: a flat
+# ~21 KB/op and 36-46 allocs/op at -benchtime 100x, 500x and 4000x, where it
+# read 64, 156 and 192 KB while the key index was an overlay map whose
+# unflattened tail every clone copied; and a re-cloned parent, which forks:
+# 65 allocs and 74 KB/op at any -benchtime, the 32 KiB page of triples and
+# the page tables it writes copied once, 64 KB while every clone copied the
+# tables; 69-75 allocs, 75/167/203 KB and 75 allocs/37 KB while each triple
+# was a heap object of its own), the first write to a shared column page, one streamed snapshot
 # digest and one replica seeded from that snapshot, both ways
 # (/standalone decodes its checkpoint body, as recovery does: the graph, the
 # store's posting lists with every chunk re-embedded into transient slabs and
@@ -122,8 +127,8 @@ layers:
 # copy plus the decoder's transient tables and its live-MB, the heap the
 # seeded copy retains after a collection, what TestEngineCopyBytesCeiling
 # bounds per triple on the datasets corpus; /beside-primary clones the
-# primary's published snapshot, as a replica set seeds: page tables, lookup
-# overlays and a line-graph view, embedding nothing, its live-MB and B/op what
+# primary's published snapshot, as a replica set seeds: the posting columns'
+# page tables, lookup overlays and a line-graph view, embedding nothing, its live-MB and B/op what
 # TestEngineCopyBytesBesidePrimaryCeiling and TestSeedReplicaAllocCeiling
 # bound; /first-apply is such a clone's first applied record, where it loses
 # the lineage claim to the primary and forks, copying the chunk slice and

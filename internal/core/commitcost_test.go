@@ -84,10 +84,15 @@ func medianAlloc(steps int, step func(k int)) uint64 {
 	return bytes[steps/2]
 }
 
+// TestCommitBytesDoNotDependOnCorpusSize reads about 0.97x on the primary's
+// ingest and 1.08x on a replica's apply (x86-64, Go 1.24), with or without
+// -race; the apply read 1.44x while every clone copied each column's page
+// table and the key index's overlay tail.
 func TestCommitBytesDoNotDependOnCorpusSize(t *testing.T) {
 	const (
 		entities = 500
 		commits  = 9
+		factor   = 1.25 // 4x corpus over 1x, per commit
 	)
 	type cost struct{ ingest, apply uint64 }
 	measure := func(entities int) cost {
@@ -132,10 +137,10 @@ func TestCommitBytesDoNotDependOnCorpusSize(t *testing.T) {
 		return c
 	}
 	small, large := measure(entities), measure(4*entities)
-	if float64(large.ingest) > 1.5*float64(small.ingest) {
+	if float64(large.ingest) > factor*float64(small.ingest) {
 		t.Errorf("Ingest of one delta allocates %d B on the 4x corpus, %d B on the 1x corpus", large.ingest, small.ingest)
 	}
-	if float64(large.apply) > 1.5*float64(small.apply) {
+	if float64(large.apply) > factor*float64(small.apply) {
 		t.Errorf("ReplicaApply of one record allocates %d B on the 4x corpus, %d B on the 1x corpus", large.apply, small.apply)
 	}
 }

@@ -93,14 +93,16 @@ func TestEngineCopyBytesCeiling(t *testing.T) {
 // beside its live primary retains per triple: a clone of the primary's
 // snapshot on TestEngineCopyBytesCeiling's corpus, as a ReplicaSet seeds it.
 // The replica shares every column page, posting list, chunk and string with
-// the primary and holds page tables, lookup overlays and its own line-graph
-// view. It reads 6.8 B (x86-64, Go 1.24); ~144 means the seed decodes the
-// primary's checkpoint body again, ~304 that it shares nothing.
+// the primary and holds the posting columns' page tables, lookup overlays
+// and its own line-graph view. It reads 1.1 B (x86-64, Go 1.24); 6.8 while
+// the key index was an overlay map the seed's first clone flattened, ~144
+// means the seed decodes the primary's checkpoint body again, ~304 that it
+// shares nothing.
 func TestEngineCopyBytesBesidePrimaryCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race instrumentation changes heap sizes")
 	}
-	const ceiling = 16 // bytes per triple
+	const ceiling = 4 // bytes per triple
 	s := bulkPrimary(t)
 	triples := s.Graph().NumTriples()
 	_, retained := cloneSeedBytes(t, s)
@@ -115,12 +117,13 @@ func TestEngineCopyBytesBesidePrimaryCeiling(t *testing.T) {
 // allocates per triple, on TestEngineCopyBytesCeiling's corpus. A clone
 // allocates page tables and its line-graph view, little more than it
 // retains; decoding the primary's checkpoint body allocated about 1.2 times
-// the 144 B per triple it retained. It reads 7.0 B (x86-64, Go 1.24).
+// the 144 B per triple it retained. It reads 1.2 B (x86-64, Go 1.24); 7.0
+// while the seed's first clone flattened the key index's overlay map.
 func TestSeedReplicaAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race instrumentation changes heap sizes")
 	}
-	const ceiling = 16 // bytes per triple
+	const ceiling = 4 // bytes per triple
 	s := bulkPrimary(t)
 	triples := s.Graph().NumTriples()
 	allocated, _ := cloneSeedBytes(t, s)

@@ -253,15 +253,22 @@ func tailPages(g *Graph) [4]any {
 // TestCloneLineagePaths pins which side of the claim-or-fork rule each case
 // takes, and that none of them leaks: the first clone of the newest graph to
 // add a triple appends to the shared posting lists and the triple columns'
-// shared tail pages in place (same backing array, same page, same token); a
-// second clone of one parent — which is also what the next commit is after a
-// clone that appended was discarded — and a parent written to after it was
-// cloned fork, copying the lists and the tail pages; a fork stays in force for
-// pages the forked graph has not rewritten yet, across its own clones;
+// shared tail pages in place, through their shared page tables (same backing
+// array, same page, same table, same token); a second clone of one parent —
+// which is also what the next commit is after a clone that appended was
+// discarded — and a parent written to after it was cloned fork, copying the
+// lists, the tables and the tail pages; a fork stays in force for pages and
+// key rows the forked graph has not rewritten yet, across its own clones;
 // removal needs no claim, and on a shared page it marks a copy.
 func TestCloneLineagePaths(t *testing.T) {
 	parent := lineageGraph(t, 80, 3, 1, 64) // two posting pages of subjects, one long hub list in page 0
 	hubBase := func(g *Graph) *int32 { return &g.bySubject.get(0)[0] }
+	e70, p0 := int32(70), int32(0)
+	keyBase := func(g *Graph) *int32 { return &g.KeyPosting(e70, p0)[0] }
+	table := func(g *Graph) *[]Triple { return &g.trs.pages[0] }
+	if lst := parent.KeyPosting(e70, p0); cap(lst) == len(lst) {
+		t.Fatal("test needs spare capacity behind Entity 70's key list")
+	}
 	if lst := parent.bySubject.get(0); cap(lst) == len(lst) {
 		t.Fatal("test needs spare capacity behind the parent's hub list")
 	}
@@ -275,6 +282,9 @@ func TestCloneLineagePaths(t *testing.T) {
 	if tailPages(first) != parentTail {
 		t.Fatal("first clone of the newest graph must append its triples into the shared tail pages")
 	}
+	if keyBase(first) != keyBase(parent) || table(first) != table(parent) {
+		t.Fatal("first clone of the newest graph must append to the shared key list through the shared page table")
+	}
 	firstObs := observe(first)
 
 	second := parent.Clone()
@@ -286,6 +296,9 @@ func TestCloneLineagePaths(t *testing.T) {
 		if p == parentTail[i] {
 			t.Fatalf("second clone of one parent must copy triple column %d's tail page", i)
 		}
+	}
+	if table(second) == table(parent) {
+		t.Fatal("second clone of one parent must copy the page table it writes")
 	}
 	if got := second.TripleAt(int32(parent.trs.len())).Object; got != "second" {
 		t.Fatalf("second clone's slot %d reads %q, want its own triple", parent.trs.len(), got)
@@ -300,6 +313,9 @@ func TestCloneLineagePaths(t *testing.T) {
 	addLiteral(t, third, 70, "p0", "third")
 	if third.lin != second.lin || hubBase(third) != hubBase(second) {
 		t.Fatal("a fork's clone must continue in place on the fork's lineage")
+	}
+	if keyBase(third) == keyBase(first) {
+		t.Fatal("a fork's clone must clip the key lists of a row the fork has not rewritten")
 	}
 	requireObservation(t, "first after the fork's clone wrote the same subject", first, firstObs)
 	requireObservation(t, "second after its clone", second, secondObs)
@@ -349,6 +365,40 @@ func TestCloneLineagePaths(t *testing.T) {
 	}
 	requireObservation(t, "first after remove+add on its clone", first, firstObs)
 	requireObservation(t, "second", second, secondObs)
+}
+
+// TestClonePageTableAtPageBoundary: a claimant that fills its parent's last
+// page appends the next page's pointer into the page table it shares with
+// the parent, in place; a second clone of the parent forks and must copy the
+// table before appending its own page, so that each reads its own triple in
+// the slot they both fill.
+func TestClonePageTableAtPageBoundary(t *testing.T) {
+	parent := lineageGraph(t, 2, 0, 1, 0)
+	for parent.trs.len() < 3*pageSize {
+		addLiteral(t, parent, 1, "p0", "fill")
+	}
+	if tbl := parent.trs.pages; cap(tbl) == len(tbl) {
+		t.Fatal("test needs spare capacity in the parent's page table")
+	}
+	slot := int32(parent.trs.len())
+	first := parent.Clone()
+	addLiteral(t, first, 1, "p0", "first")
+	if &first.trs.pages[0] != &parent.trs.pages[0] {
+		t.Fatal("the claimant must append its page into the shared page table")
+	}
+	second := parent.Clone()
+	addLiteral(t, second, 1, "p0", "second")
+	if &second.trs.pages[0] == &parent.trs.pages[0] {
+		t.Fatal("a forked clone must copy the page table before appending to it")
+	}
+	for want, g := range map[string]*Graph{"first": first, "second": second} {
+		if got := g.TripleAt(slot).Object; got != want {
+			t.Fatalf("%s reads %q in slot %d, want its own triple", want, got, slot)
+		}
+	}
+	if parent.TripleAt(slot) != nil || len(parent.trs.pages) != 3 {
+		t.Fatal("the parent sees a page its clones appended")
+	}
 }
 
 // TestCloneChainAppendsInPlace is the cost half of the rule: along a linear

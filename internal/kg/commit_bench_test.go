@@ -2,6 +2,8 @@ package kg
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -14,19 +16,10 @@ func benchCorpus(tb testing.TB) *Graph {
 	return lineageGraph(tb, 6100, 11, 12, 0).Clone()
 }
 
-// BenchmarkGraphCommitAppend measures what one ingest commit costs the graph:
-// clone the newest graph and replay one small delta file's operations — 11
-// triples restating three existing entities from a new source — at the
-// end-to-end benchmark's corpus size. "linear" makes each clone the next
-// parent, the engine's history, so every add wins its claim and appends to
-// the shared posting lists and the triple columns' shared tail pages in
-// place; "fork" re-clones one parent, so every commit after the first loses
-// the claim, reallocates each list it appends to and copies the tail pages,
-// the 32 KiB page of triples most of its B/op. B/op is the tracked number; on "linear" it no longer holds a term in
-// the lists' length, and what is left is mostly the byKey overlay's tail
-// clone, which grows with the commits since the overlay last flattened — so
-// compare at equal -benchtime. Run via `make bench-micro`.
-func BenchmarkGraphCommitAppend(b *testing.B) {
+// commitDeltas returns the small delta files BenchmarkGraphCommitAppend and
+// TestCommitBytesDoNotGrowWithHistory replay, 256 in turn: 11 triples each,
+// restating three existing entities of benchCorpus from a new source.
+func commitDeltas() [][]Fact {
 	delta := make([][]Fact, 256)
 	for d := range delta {
 		for j := 0; j < 11; j++ {
@@ -36,6 +29,27 @@ func BenchmarkGraphCommitAppend(b *testing.B) {
 			})
 		}
 	}
+	return delta
+}
+
+// BenchmarkGraphCommitAppend measures what one ingest commit costs the graph:
+// clone the newest graph and replay one small delta file's operations — 11
+// triples restating three existing entities from a new source — at the
+// end-to-end benchmark's corpus size. "linear" makes each clone the next
+// parent, the engine's history, so every add wins its claim and appends to
+// the shared posting lists, the triple columns' shared tail pages and their
+// shared page tables in place; "fork" re-clones one parent, so every commit
+// after the first loses the claim, reallocates each list it appends to and
+// copies the page tables and tail pages it writes, the 32 KiB page of
+// triples most of its B/op. B/op is the tracked number. On "linear" it holds
+// no term in the lists' length or the history: what is left is the pages of
+// posting headers and the keys arrays of the three subjects the commit
+// touches, and the posting and key columns' page tables, a term in the entity
+// count alone, so it is the same at any -benchtime
+// (TestCommitBytesDoNotGrowWithHistory holds it to that). Run via `make
+// bench-micro`.
+func BenchmarkGraphCommitAppend(b *testing.B) {
+	delta := commitDeltas()
 	for _, linear := range []bool{true, false} {
 		name := "fork"
 		if linear {
@@ -61,6 +75,50 @@ func BenchmarkGraphCommitAppend(b *testing.B) {
 				commit(i + 1)
 			}
 		})
+	}
+}
+
+// TestCommitBytesDoNotGrowWithHistory: along a linear history, what a commit
+// allocates does not grow with the commits before it. 600 commits of
+// BenchmarkGraphCommitAppend's deltas over benchCorpus, each cloning the one
+// before; the median bytes of the last 50 must stay within 1.25 times the
+// median of the first 50. It read 192 KB against 42 KB while the key index
+// was an overlay map whose unflattened tail every clone copied and each
+// clone copied every column's page table; about 20 KB at both ends since
+// (x86-64, Go 1.24).
+func TestCommitBytesDoNotGrowWithHistory(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race instrumentation changes allocation sizes")
+	}
+	const (
+		commits = 600
+		window  = 50
+	)
+	delta := commitDeltas()
+	cur := benchCorpus(t)
+	bytes := make([]uint64, commits)
+	var before, after runtime.MemStats
+	for i := range bytes {
+		runtime.ReadMemStats(&before)
+		next := cur.Clone()
+		for _, f := range delta[i%len(delta)] {
+			if _, err := next.AddTriple(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		bytes[i] = after.TotalAlloc - before.TotalAlloc
+		cur = next
+	}
+	median := func(s []uint64) uint64 {
+		s = slices.Clone(s)
+		slices.Sort(s)
+		return s[len(s)/2]
+	}
+	first, last := median(bytes[:window]), median(bytes[commits-window:])
+	t.Logf("median commit: %d B over commits 0-%d, %d B over commits %d-%d", first, window-1, last, commits-window, commits-1)
+	if float64(last) > 1.25*float64(first) {
+		t.Fatalf("a commit allocates %d B after %d commits, %d B at the start of the history", last, commits-window, first)
 	}
 }
 

@@ -9,7 +9,8 @@
 // handle (a triple's handle is derivable from its "tNNNNNN" ID without any
 // map, and its ID, subject, predicate and object entity are derived from the
 // handle and its columns rather than stored), and the adjacency indexes are
-// []int32 posting lists. Clone is a copy-on-write snapshot that shares
+// []int32 posting lists, the (subject, predicate) key index among them,
+// filed under its subject. Clone is a copy-on-write snapshot that shares
 // immutable pages and copies only what a later mutation touches, so an
 // ingest commit's columns and posting lists cost O(delta) instead of
 // O(corpus). The string-keyed API
@@ -154,13 +155,13 @@ type Graph struct {
 	tObj  col[int32]  // triple handle → object entity handle, -1 for literals
 	tPred col[int32]  // triple handle → predicate handle
 
-	bySubject postingCol     // entity handle → handles of triples with that subject
-	byObject  postingCol     // entity handle → handles of triples linking it as object
-	byKey     cowKeyPostings // packed (subject, predicate) handles → triple handles
+	bySubject postingCol // entity handle → handles of triples with that subject
+	byObject  postingCol // entity handle → handles of triples linking it as object
+	byKey     keyCol     // subject entity handle → (predicate handle, triple handles) keys
 
 	// lin counts the triple slots claimed on the storage this graph shares
 	// with its clones: the posting lists' spare capacity and the tail pages
-	// of the four triple-indexed columns (see claimSlot).
+	// and page tables of the four triple-indexed columns (see claimSlot).
 	lin lineage.Token
 
 	liveTriples int
@@ -228,10 +229,6 @@ func ParseTripleID(id string) (int32, bool) {
 		return 0, false
 	}
 	return int32(n - 1), true
-}
-
-func packKey(subjH, predH int32) uint64 {
-	return uint64(uint32(subjH))<<32 | uint64(uint32(predH))
 }
 
 // AddEntity inserts (or upgrades) an entity and returns its canonical ID, the
@@ -411,7 +408,7 @@ func (g *Graph) link(h, subjH, objH, predH int32, claimed bool) {
 	g.tObj.push(objH, claimed)
 	g.tPred.push(predH, claimed)
 	g.bySubject.appendTo(subjH, h)
-	n := g.byKey.appendTo(packKey(subjH, predH), h)
+	n := g.byKey.appendTo(subjH, predH, h)
 	g.countKey(n-1, -1)
 	g.countKey(n, 1)
 	if objH >= 0 {
@@ -430,21 +427,24 @@ func (g *Graph) link(h, subjH, objH, predH int32, claimed bool) {
 
 // claimSlot applies the claim-or-fork rule (package lineage) to the next
 // triple slot, before AddTriple fills it, and reports whether the claim
-// held. Clones share the bySubject and byObject lists with their spare
-// capacity, and the tail pages of the four triple-indexed columns (trs,
-// tSubj, tObj, tPred). A successful claim lets this graph append the slot's
-// handle to the lists, and its row to the columns' tail pages (col.push), in
-// place, behind the len every older snapshot reads to. A fork makes every
-// posting page clip its lists when it is next privatized (postingCol.fork),
-// and the columns copy their shared tail page once, as every commit did before
-// the rule. Removal needs no claim: it replaces a list with a fresh copy and
-// marks a row only in a page it owns.
+// held. Clones share the bySubject, byObject and byKey lists with their spare
+// capacity, and the tail pages and page tables of the four triple-indexed
+// columns (trs, tSubj, tObj, tPred). A successful claim lets this graph append
+// the slot's handle to the lists, and its row to the columns' tail pages and
+// a fresh page to their tables (col.push), in place, behind the len every
+// older snapshot reads to. A fork makes every posting page clip its lists when
+// it is next privatized (postingCol.fork), and every key row clip its lists
+// when it is next copied (keyCol.fork); the columns copy their shared table
+// and tail page once, as every commit did before the rule. Removal needs no
+// claim: it replaces a list with a fresh copy and marks a row only in a page
+// it owns.
 func (g *Graph) claimSlot() bool {
 	if g.lin.Claim(g.trs.len(), 1) {
 		return true
 	}
 	g.bySubject.fork()
 	g.byObject.fork()
+	g.byKey.fork()
 	return false
 }
 
@@ -487,11 +487,9 @@ func (g *Graph) RemoveTriple(id string) bool {
 	if objH >= 0 {
 		g.byObject.set(objH, removeHandle(g.byObject.get(objH), h))
 	}
-	kh := packKey(subjH, predH)
-	lst, _ := g.byKey.get(kh)
-	g.byKey.put(kh, removeHandle(lst, h))
-	g.countKey(len(lst), -1)
-	g.countKey(len(lst)-1, 1)
+	n := g.byKey.remove(subjH, predH, h)
+	g.countKey(n, -1)
+	g.countKey(n-1, 1)
 	if objH >= 0 && objH != subjH {
 		g.bumpDegree(g.degreeH(subjH)+1, g.degreeH(subjH))
 		g.bumpDegree(g.degreeH(objH)+1, g.degreeH(objH))
@@ -528,17 +526,20 @@ func removeHandle(lst []int32, h int32) []int32 {
 }
 
 // Clone returns a copy-on-write snapshot of the graph: both sides share every
-// column page, posting list and interner base, and the lineage token.
-// Whichever side mutates first copies only the pages it touches; its posting
-// lists and the triple columns' tail pages it extends in place if it wins the
-// claim for the next triple slot, and reallocates or copies otherwise
-// (claimSlot). Cloning costs O(corpus / pageSize)
-// pointer copies plus the interner tails — effectively O(delta accumulated
-// since the previous clone) — instead of the deep O(corpus) copy it replaces.
-// Triple handles (and therefore IDs) stay unique and monotone across clone
-// generations. The write path of the serving engine clones the current graph before
-// applying a batch, leaving published snapshots immutable; mutating either
-// side never changes any observable of the other.
+// column page, the value columns' page tables, every posting list, keys array
+// and interner base, and the lineage token. Whichever side mutates first
+// copies only the pages, tables and keys arrays it touches; its posting lists
+// and the triple columns' tail pages and page tables it extends in place if
+// it wins the claim for the next triple slot, and reallocates or copies
+// otherwise (claimSlot). Cloning costs O(1) for the value columns, a copy of
+// the three posting columns' page tables (O(entities / 64) pointers), and a
+// copy of each interner's tail, the entries written since it last flattened
+// (amortised over the inserts that wrote them), instead of the deep O(corpus)
+// copy it replaces. Triple handles (and therefore IDs) stay unique and
+// monotone across clone generations. The write path of the serving engine
+// clones the current graph before applying a batch, leaving published
+// snapshots immutable; mutating either side never changes any observable of
+// the other.
 func (g *Graph) Clone() *Graph {
 	return &Graph{
 		ents:       g.ents.clone(),

@@ -50,17 +50,13 @@ func (g *Graph) SubjectPosting(h int32) []int32 { return g.bySubject.get(h) }
 
 // KeyPosting returns the handles of live triples sharing the (subject,
 // predicate) key, in insertion order. Read-only.
-func (g *Graph) KeyPosting(subjH, predH int32) []int32 {
-	lst, _ := g.byKey.get(packKey(subjH, predH))
-	return lst
-}
+func (g *Graph) KeyPosting(subjH, predH int32) []int32 { return g.byKey.get(subjH, predH) }
 
 // ForEachKeyPosting visits every (subject, predicate) key with its posting
-// list, in unspecified order. Postings of fully-removed keys may be empty.
+// list, in subject handle order and, for one subject, in the order its keys
+// were first stated. Postings of fully-removed keys are empty.
 func (g *Graph) ForEachKeyPosting(fn func(subjH, predH int32, posting []int32)) {
-	g.byKey.forEach(func(k uint64, lst []int32) {
-		fn(int32(k>>32), int32(uint32(k)), lst)
-	})
+	g.byKey.forEach(fn)
 }
 
 // ForEachTriple visits every live triple with its handle, in handle order.

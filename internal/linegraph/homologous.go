@@ -142,7 +142,8 @@ func (sg *SG) NumNodes() int {
 	return grouped
 }
 
-// ForEachNode visits every homologous node, in unspecified order. Each visit
+// ForEachNode visits every homologous node, in the graph's key order
+// (kg.Graph.ForEachKeyPosting: subject handle, then first statement). Each visit
 // is charged to the NodeScans counter; hot paths should use Lookup or
 // NestedCandidates instead.
 func (sg *SG) ForEachNode(fn func(key string, n *HomologousNode)) {
