@@ -190,9 +190,6 @@ type Replica struct {
 	resyncs     atomic.Uint64
 }
 
-// Name identifies the replica ("replica-0", ...).
-func (r *Replica) Name() string { return r.name }
-
 // Live reports whether the replica is reading the primary's log and fit to
 // serve (not fenced or mid-resync).
 func (r *Replica) Live() bool { return replicaState(r.state.Load()) == stateLive }

@@ -172,7 +172,7 @@ func TestChaosClusterReplicaFaults(t *testing.T) {
 						got := r.AskEach(make([]context.Context, len(chaosQueries)), chaosQueries)
 						for i, ans := range got {
 							if !chaosAnswersEqual(ans, want[i]) {
-								t.Errorf("%s: answer %+v differs from reference %+v", r.Name(), ans, want[i])
+								t.Errorf("%s: answer %+v differs from reference %+v", r.name, ans, want[i])
 								return
 							}
 						}
@@ -198,7 +198,7 @@ func TestChaosClusterReplicaFaults(t *testing.T) {
 			var resyncs, divergences uint64
 			for _, r := range c.Replicas() {
 				if !bytes.Equal(stateBytes(r.sys), wantBytes) {
-					t.Fatalf("%s differs from primary after healing", r.Name())
+					t.Fatalf("%s differs from primary after healing", r.name)
 				}
 				st := r.status(c.CommittedLSN())
 				resyncs += st.Resyncs

@@ -5,9 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +17,7 @@ import (
 	"multirag/internal/adapter"
 	"multirag/internal/core"
 	"multirag/internal/fault"
+	"multirag/internal/kg"
 	"multirag/internal/linegraph"
 	"multirag/internal/llm"
 	"multirag/internal/retrieval"
@@ -117,7 +120,7 @@ func stateBytes(s *core.System) []byte {
 	s.Index().ForEachEmbedded(func(c retrieval.Chunk, v retrieval.Vector) {
 		e.String(c.ID)
 		for _, x := range v {
-			e.F32(x)
+			e.Uvarint(uint64(math.Float32bits(x)))
 		}
 	})
 	sg := s.SG()
@@ -128,24 +131,44 @@ func stateBytes(s *core.System) []byte {
 	st := sg.ComputeStats()
 	e.Int(st.HomologousNodes)
 	e.Int(st.Isolated)
-	var keys []string
-	sg.ForEachNode(func(key string, _ *linegraph.HomologousNode) { keys = append(keys, key) })
-	slices.Sort(keys)
-	for _, key := range keys {
-		n, _ := sg.Node(key)
+	nodes, isolated := walkLineGraph(sg)
+	slices.SortFunc(nodes, func(a, b *linegraph.HomologousNode) int { return strings.Compare(a.Key, b.Key) })
+	for _, n := range nodes {
 		e.String(n.Key)
 		e.Int(n.Num)
 		members := sg.MemberTriples(n)
 		e.Int(len(members))
 		for _, t := range members {
-			e.String(t.ID())
+			e.String(kg.TripleID(t.Handle()))
 			e.String(t.Source)
 		}
 	}
-	for _, id := range sg.IsolatedIDs() {
+	for _, id := range isolated {
 		e.String(id)
 	}
 	return e.Bytes()
+}
+
+// walkLineGraph lists sg's homologous nodes in the graph's key order, each
+// found by its key, and its isolated points' IDs, sorted: one walk over the
+// graph's key postings, which the product never makes.
+func walkLineGraph(sg *linegraph.SG) (nodes []*linegraph.HomologousNode, isolated []string) {
+	g := sg.Graph()
+	var singles []int32
+	g.ForEachKeyPosting(func(subjH, predH int32, posting []int32) {
+		switch {
+		case len(posting) == 1:
+			singles = append(singles, posting[0])
+		case len(posting) >= 2:
+			n, _ := sg.Lookup(g.EntityAt(subjH).ID, g.PredicateAt(predH))
+			nodes = append(nodes, n)
+		}
+	})
+	slices.SortFunc(singles, kg.CompareTripleIDs)
+	for _, h := range singles {
+		isolated = append(isolated, kg.TripleID(h))
+	}
+	return nodes, isolated
 }
 
 // requireIdentical fails unless every replica holds the primary's state.
@@ -154,7 +177,7 @@ func requireIdentical(t *testing.T, c *ReplicaSet) {
 	want := stateBytes(c.primary)
 	for _, r := range c.Replicas() {
 		if !bytes.Equal(stateBytes(r.sys), want) {
-			t.Fatalf("%s snapshot differs from primary", r.Name())
+			t.Fatalf("%s snapshot differs from primary", r.name)
 		}
 	}
 }
@@ -198,14 +221,14 @@ func TestClusterReplicasByteIdentical(t *testing.T) {
 	for _, r := range c.Replicas() {
 		got := r.AskEach([]context.Context{nil}, []string{"What is the status of CA981?"})[0]
 		if got.Found != wantAns.Found || len(got.Values) != len(wantAns.Values) || got.Values[0] != wantAns.Values[0] {
-			t.Fatalf("%s answer %+v differs from primary %+v", r.Name(), got, wantAns)
+			t.Fatalf("%s answer %+v differs from primary %+v", r.name, got, wantAns)
 		}
 		st := r.status(c.CommittedLSN())
 		if st.Verified != 1 {
-			t.Fatalf("%s verified %d points, want 1: %+v", r.Name(), st.Verified, st)
+			t.Fatalf("%s verified %d points, want 1: %+v", r.name, st.Verified, st)
 		}
 		if st.Divergences != 0 || st.Resyncs != 0 {
-			t.Fatalf("%s fenced on a healthy log: %+v", r.Name(), st)
+			t.Fatalf("%s fenced on a healthy log: %+v", r.name, st)
 		}
 	}
 }
@@ -392,7 +415,7 @@ func TestClusterSeedsReplicasConcurrently(t *testing.T) {
 	for _, r := range c.Replicas() {
 		if got := r.sys.SnapshotDigest(); got != want || r.Position() != primary.ReplicationLSN() {
 			t.Fatalf("%s seeded at %d with digest %016x, primary at %d with %016x",
-				r.Name(), r.Position(), got, primary.ReplicationLSN(), want)
+				r.name, r.Position(), got, primary.ReplicationLSN(), want)
 		}
 	}
 	ingest(t, primary, fillerBatch(0))

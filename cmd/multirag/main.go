@@ -58,19 +58,8 @@ func main() {
 
 	sys := multirag.Open(multirag.Config{Seed: *seed, Workers: *workers})
 
-	if *demo {
-		if err := sys.IngestFiles(demoFiles()...); err != nil {
-			fatal("demo ingest: %v", err)
-		}
-	}
-	if *ingest != "" {
-		files, err := readFiles(*ingest, *domain)
-		if err != nil {
-			fatal("%v", err)
-		}
-		if err := sys.IngestFiles(files...); err != nil {
-			fatal("ingest: %v", err)
-		}
+	if err := load(sys, *demo, *ingest, *domain); err != nil {
+		fatal("%v", err)
 	}
 	if !*demo && *ingest == "" {
 		fmt.Fprintln(os.Stderr, "multirag: nothing ingested; use -demo or -ingest (see -h)")
@@ -114,12 +103,36 @@ func main() {
 	}
 }
 
+// load ingests what -demo and -ingest name into sys: the case-study corpus,
+// then the listed files.
+func load(sys *multirag.System, demo bool, ingest, domain string) error {
+	if demo {
+		if err := sys.IngestFiles(demoFiles()...); err != nil {
+			return fmt.Errorf("demo ingest: %v", err)
+		}
+	}
+	if ingest == "" {
+		return nil
+	}
+	files, err := readFiles(ingest, domain)
+	if err != nil {
+		return err
+	}
+	if err := sys.IngestFiles(files...); err != nil {
+		return fmt.Errorf("ingest: %v", err)
+	}
+	return nil
+}
+
 // readFiles loads a comma-separated path list as ingest files, inferring
-// formats from extensions.
+// formats from extensions. An empty element is an error, not a read of "".
 func readFiles(paths, domain string) ([]multirag.File, error) {
 	var files []multirag.File
 	for _, path := range strings.Split(paths, ",") {
 		path = strings.TrimSpace(path)
+		if path == "" {
+			return nil, fmt.Errorf("-ingest %q: empty file name in the list", paths)
+		}
 		content, err := os.ReadFile(path)
 		if err != nil {
 			return nil, fmt.Errorf("read %s: %v", path, err)

@@ -116,19 +116,8 @@ Flags:
 	} else {
 		sys = multirag.Open(sysCfg)
 	}
-	if *demo {
-		if err := sys.IngestFiles(demoFiles()...); err != nil {
-			fatal("serve: demo ingest: %v", err)
-		}
-	}
-	if *ingest != "" {
-		files, err := readFiles(*ingest, *domain)
-		if err != nil {
-			fatal("serve: %v", err)
-		}
-		if err := sys.IngestFiles(files...); err != nil {
-			fatal("serve: ingest: %v", err)
-		}
+	if err := load(sys, *demo, *ingest, *domain); err != nil {
+		fatal("serve: %v", err)
 	}
 
 	// The replica set (if any) outlives the server but not the system: it is

@@ -56,12 +56,6 @@ func NewRegistry() *Registry {
 // format.
 func (r *Registry) Register(a Adapter) { r.adapters[a.Format()] = a }
 
-// Lookup returns the adapter for a format.
-func (r *Registry) Lookup(format string) (Adapter, bool) {
-	a, ok := r.adapters[format]
-	return a, ok
-}
-
 // Fuse implements Eq. (2): it routes every file through its format adapter
 // and returns the union of the normalised outputs, ordered deterministically
 // by (domain, source, name). An unknown format is an error — silent data loss

@@ -15,8 +15,8 @@ func TestStructuredCSV(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if n.Records() != 2 {
-		t.Fatalf("records = %d", n.Records())
+	if len(n.JSC) != 2 {
+		t.Fatalf("records = %d", len(n.JSC))
 	}
 	if v, _ := n.JSC[0].Get("@key"); v.Str != "Heat" {
 		t.Fatalf("key = %q", v.Str)
@@ -57,8 +57,8 @@ func TestSemiJSONNested(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if n.Records() != 1 {
-		t.Fatalf("records = %d", n.Records())
+	if len(n.JSC) != 1 {
+		t.Fatalf("records = %d", len(n.JSC))
 	}
 	doc := n.JSC[0]
 	if v, _ := doc.Get("name"); v.Str != "CA981" {
@@ -78,8 +78,8 @@ func TestSemiJSONNested(t *testing.T) {
 
 func TestSemiJSONSingleObjectAndErrors(t *testing.T) {
 	n, err := SemiJSON{}.Parse(RawFile{Domain: "d", Source: "s", Name: "n", Format: "json", Content: []byte(`{"a":1}`)})
-	if err != nil || n.Records() != 1 {
-		t.Fatalf("single object: %v / %d", err, n.Records())
+	if err != nil || len(n.JSC) != 1 {
+		t.Fatalf("single object: %v / %d", err, len(n.JSC))
 	}
 	if _, err := (SemiJSON{}).Parse(RawFile{Format: "json", Content: []byte(`"scalar"`)}); err == nil {
 		t.Fatal("scalar top level must error")
@@ -98,8 +98,8 @@ func TestSemiXML(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if n.Records() != 2 {
-		t.Fatalf("records = %d", n.Records())
+	if len(n.JSC) != 2 {
+		t.Fatalf("records = %d", len(n.JSC))
 	}
 	if v, _ := n.JSC[0].Get("title"); v.Str != "Dune" {
 		t.Fatalf("title = %q", v.Str)
@@ -118,8 +118,8 @@ func TestUnstructuredParagraphs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if n.Records() != 2 {
-		t.Fatalf("records = %d", n.Records())
+	if len(n.JSC) != 2 {
+		t.Fatalf("records = %d", len(n.JSC))
 	}
 	if _, err := (Unstructured{}).Parse(RawFile{Format: "text", Content: []byte("  ")}); err == nil {
 		t.Fatal("empty text must error")
@@ -132,8 +132,8 @@ func TestKGFormat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if n.Records() != 2 {
-		t.Fatalf("records = %d", n.Records())
+	if len(n.JSC) != 2 {
+		t.Fatalf("records = %d", len(n.JSC))
 	}
 	if v, _ := n.JSC[0].Get("predicate"); v.Str != "director" {
 		t.Fatalf("predicate = %q", v.Str)

@@ -165,30 +165,3 @@ func comparisonAnswer(v1, v2 []string) []string {
 	}
 	return []string{"no"}
 }
-
-// All returns one instance of every baseline, in the paper's table order.
-func All() []Method {
-	return []Method{
-		NewMajorityVote(),
-		NewTruthFinder(),
-		NewLTM(),
-		NewStandardRAG(),
-		NewCoT(),
-		NewIRCoT(),
-		NewChatKBQA(),
-		NewMDQA(),
-		NewFusionQuery(),
-		NewRQRAG(),
-		NewMetaRAG(),
-	}
-}
-
-// ByName returns the named baseline.
-func ByName(name string) (Method, bool) {
-	for _, m := range All() {
-		if strings.EqualFold(m.Name(), name) {
-			return m, true
-		}
-	}
-	return nil, false
-}

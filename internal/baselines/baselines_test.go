@@ -3,6 +3,7 @@ package baselines
 import (
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"multirag/internal/adapter"
@@ -33,7 +34,7 @@ func newEnv(t *testing.T, d *datasets.Dataset) *Env {
 		for _, doc := range n.JSC {
 			text := chunkTextOf(doc)
 			if text != "" {
-				for _, c := range retrieval.ChunkText(doc.ID, n.Source, text, 64) {
+				for _, c := range chunkText(doc.ID, n.Source, text) {
 					ix.Add(c)
 				}
 			}
@@ -82,6 +83,36 @@ func smallDataset(t *testing.T) *datasets.Dataset {
 	spec.Entities = 30
 	spec.Queries = 25
 	return datasets.MustGenerate(spec)
+}
+
+// NewMajorityVote constructs the baseline.
+func NewMajorityVote() *MajorityVote { return &MajorityVote{} }
+
+// All returns one instance of every baseline, in the paper's table order.
+func All() []Method {
+	return []Method{
+		NewMajorityVote(),
+		NewTruthFinder(),
+		NewLTM(),
+		NewStandardRAG(),
+		NewCoT(),
+		NewIRCoT(),
+		NewChatKBQA(),
+		NewMDQA(),
+		NewFusionQuery(),
+		NewRQRAG(),
+		NewMetaRAG(),
+	}
+}
+
+// ByName returns the named baseline, matched case-insensitively.
+func ByName(name string) (Method, bool) {
+	for _, m := range All() {
+		if strings.EqualFold(m.Name(), name) {
+			return m, true
+		}
+	}
+	return nil, false
 }
 
 func TestAllMethodsAnswerFusionQueries(t *testing.T) {
@@ -309,7 +340,7 @@ func TestQAContractOnMultiHop(t *testing.T) {
 	for _, n := range fused {
 		for _, doc := range n.JSC {
 			if v, ok := doc.Get("text"); ok {
-				for _, c := range retrieval.ChunkText(doc.ID, n.Source, v.Str, 64) {
+				for _, c := range chunkText(doc.ID, n.Source, v.Str) {
 					ix.Add(c)
 				}
 			}
@@ -354,4 +385,12 @@ func TestByName(t *testing.T) {
 	if _, ok := ByName("nonexistent"); ok {
 		t.Fatal("unknown name must not resolve")
 	}
+}
+
+// chunkText splits text into chunks of at most 64 tokens, as stage 1 renders
+// a text record.
+func chunkText(docID, source, text string) []retrieval.Chunk {
+	var a retrieval.ChunkArena
+	a.AppendText(docID, a.AppendString(source), text, 64)
+	return a.Chunks(nil)
 }

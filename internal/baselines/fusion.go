@@ -40,9 +40,6 @@ func claimsOf(g *kg.Graph) []claim {
 // answer", failing multi-truth queries.
 type MajorityVote struct{ env *Env }
 
-// NewMajorityVote constructs the baseline.
-func NewMajorityVote() *MajorityVote { return &MajorityVote{} }
-
 // Name implements Method.
 func (*MajorityVote) Name() string { return "MV" }
 

@@ -50,3 +50,12 @@ func BenchmarkMCCRunConflict(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkMISimilarity(b *testing.B) {
+	a := []string{"2024-10-01 14:30 departure"}
+	c := []string{"2024-10-01 16:45 departure"}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Similarity(a, c)
+	}
+}

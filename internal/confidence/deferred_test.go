@@ -8,6 +8,16 @@ import (
 	"multirag/internal/linegraph"
 )
 
+// Prh returns the historical credibility Prh(D) of a source.
+func (hs *HistoryStore) Prh(source string) float64 {
+	hs.mu.Lock()
+	defer hs.mu.Unlock()
+	return hs.Prh0(hs.get(source))
+}
+
+// Empty reports whether the delta carries no credits.
+func (d *HistoryDelta) Empty() bool { return d == nil || len(d.entries) == 0 }
+
 // TestRunDeferredFreezesHistoryAcrossCandidates pins the deferred contract:
 // every candidate in one RunDeferred call is scored against the call-time
 // history, so splitting the candidates across separate deferred calls (the

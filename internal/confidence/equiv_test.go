@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -65,22 +66,11 @@ func TestMCCEquivalentAcrossGraphRepresentations(t *testing.T) {
 				// mutates source history, so shared state would leak
 				// across runs.
 				m := New(DefaultConfig(), llm.NewSim(llm.DefaultConfig()), NewHistoryStore())
-				keys := make([]string, 0, sg.NumNodes())
-				sg.ForEachNode(func(k string, _ *linegraph.HomologousNode) {
-					keys = append(keys, k)
-				})
-				sort.Strings(keys)
-				cands := make([]*linegraph.HomologousNode, len(keys))
-				for i, k := range keys {
-					cands[i], _ = sg.Node(k)
-				}
+				cands, isolated := walkLineGraph(sg)
+				sort.Slice(cands, func(i, j int) bool { return cands[i].Key < cands[j].Key })
 				res := runApply(m, sg, cands, Options{})
 				// Isolated points go through the authority-only path.
-				for _, id := range sg.IsolatedIDs() {
-					tr, ok := sg.Graph().Triple(id)
-					if !ok {
-						t.Fatalf("isolated id %s unresolvable", id)
-					}
+				for _, tr := range isolated {
 					res.SVs = append(res.SVs, m.AssessIsolated(sg, tr, Options{}))
 				}
 				return res
@@ -156,4 +146,26 @@ func stripPointers(r Result) comparableResult {
 	out.SVs = conv(r.SVs)
 	out.LVs = deref(r.LVs)
 	return out
+}
+
+// walkLineGraph lists sg's homologous nodes in the graph's key order, each
+// found by its key, and its isolated triples in ID order: one walk over the
+// graph's key postings, which the product never makes.
+func walkLineGraph(sg *linegraph.SG) (nodes []*linegraph.HomologousNode, isolated []*kg.Triple) {
+	g := sg.Graph()
+	var singles []int32
+	g.ForEachKeyPosting(func(subjH, predH int32, posting []int32) {
+		switch {
+		case len(posting) == 1:
+			singles = append(singles, posting[0])
+		case len(posting) >= 2:
+			n, _ := sg.Lookup(g.EntityAt(subjH).ID, g.PredicateAt(predH))
+			nodes = append(nodes, n)
+		}
+	})
+	slices.SortFunc(singles, kg.CompareTripleIDs)
+	for _, h := range singles {
+		isolated = append(isolated, g.TripleAt(h))
+	}
+	return nodes, isolated
 }

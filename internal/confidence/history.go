@@ -42,17 +42,6 @@ func (hs *HistoryStore) get(source string) *sourceHistory {
 	return sh
 }
 
-// Prh returns the historical credibility Prh(D) of a source.
-func (hs *HistoryStore) Prh(source string) float64 {
-	hs.mu.Lock()
-	defer hs.mu.Unlock()
-	sh := hs.get(source)
-	if sh.h == 0 {
-		return hs.initPr
-	}
-	return sh.correct / float64(sh.h)
-}
-
 // Historical computes Auth_hist(v) (Eq. 11) for a node served by source,
 // given the probability masses Pr(υp) of the source's current query-related
 // answers and the total count of query-related data |Data(q, subSG′ᵢ)|:
@@ -110,9 +99,6 @@ type histCredit struct {
 	source             string
 	provided, accepted int
 }
-
-// Empty reports whether the delta carries no credits.
-func (d *HistoryDelta) Empty() bool { return d == nil || len(d.entries) == 0 }
 
 // Apply replays the recorded credits onto hs. A nil delta is a no-op.
 func (hs *HistoryStore) Apply(d *HistoryDelta) {

@@ -317,8 +317,8 @@ func TestRunStaleNodeNoMembers(t *testing.T) {
 	g, sg := caseStudyGraph(t)
 	node, _ := sg.Lookup(kg.CanonicalID("CA981"), "status")
 	for _, tr := range sg.MemberTriples(node) {
-		if !g.RemoveTriple(tr.ID()) {
-			t.Fatalf("could not remove member %s", tr.ID())
+		if !g.RemoveTriple(kg.TripleID(tr.Handle())) {
+			t.Fatalf("could not remove member %s", kg.TripleID(tr.Handle()))
 		}
 	}
 	for _, opts := range []Options{

@@ -12,8 +12,9 @@ import (
 	"multirag/internal/textutil"
 )
 
-// Similarity computes S(vi, vj) — the normalised mutual-information-entropy
-// similarity between two attribute-value sets (Eq. 4 and Eq. 5).
+// similarity computes S(vi, vj) — the normalised mutual-information-entropy
+// similarity between two attribute-value sets (Eq. 4 and Eq. 5), given as
+// their token profiles; the per-candidate matrix of MCC goes through it.
 //
 // Construction of the joint distribution p(x, y): the paper defines I(vi,vj)
 // over the joint distribution of the two nodes' attribute-value tokens but
@@ -33,12 +34,6 @@ import (
 // which caps at 1/2 for identical distributions. We use the standard NMI
 // S = 2I/(H_i+H_j) so the stated codomain is exact (DESIGN.md §6, "MCC
 // similarity structure").
-func Similarity(valuesI, valuesJ []string) float64 {
-	return similarity(valueDist(valuesI), valueDist(valuesJ))
-}
-
-// similarity is S over two token profiles; every exported entry point and
-// the per-candidate matrix of MCC go through it.
 func similarity(pi, pj textutil.Dist) float64 {
 	if len(pi.Tokens) == 0 || len(pj.Tokens) == 0 {
 		return 0
@@ -61,7 +56,7 @@ func similarity(pi, pj textutil.Dist) float64 {
 }
 
 // MutualInformation computes I(vi, vj) (Eq. 4) under the maximal-overlap
-// coupling described at Similarity. Terms are summed in token order —
+// coupling described at similarity. Terms are summed in token order —
 // diagonal first, then the residual product with pi's tokens outermost — so
 // the result is bit-stable.
 func MutualInformation(pi, pj textutil.Dist) float64 {
@@ -114,21 +109,6 @@ func MutualInformation(pi, pj textutil.Dist) float64 {
 		}
 	}
 	return info
-}
-
-// Entropy exposes H(V) (Eq. 6) for a value set.
-func Entropy(values []string) float64 {
-	return valueDist(values).H
-}
-
-// valueDist builds the token profile of an attribute-value set: the pooled
-// tokens of every value.
-func valueDist(values []string) textutil.Dist {
-	var toks []string
-	for _, v := range values {
-		toks = append(toks, textutil.Tokenize(v)...)
-	}
-	return textutil.NewDist(toks)
 }
 
 func sameSupport(a, b textutil.Dist) bool {
@@ -214,36 +194,4 @@ func (m simMatrix) nodeConsistency(i int) float64 {
 		}
 	}
 	return total / float64(n-1)
-}
-
-// GraphConfidence computes C(G) (Eq. 7): the mean pairwise similarity over
-// all ordered pairs of distinct nodes in a homologous line graph, given each
-// node's attribute-value set. A graph with fewer than two nodes has, by
-// convention, confidence 1 (nothing disagrees with anything).
-func GraphConfidence(nodeValues [][]string) float64 {
-	if len(nodeValues) < 2 {
-		return 1
-	}
-	row := make([]int, len(nodeValues))
-	vals := make([]distinctValue, len(nodeValues))
-	for i, v := range nodeValues {
-		row[i] = i
-		vals[i].dist = valueDist(v)
-	}
-	return newSimMatrix(row, vals).graphConfidence()
-}
-
-// NodeConsistency computes Sₙ(v) (Eq. 8): the mean similarity of v's value
-// set to those of the other nodes carrying the same attribute. With no
-// peers the score is 0 (no corroboration).
-func NodeConsistency(values []string, peers [][]string) float64 {
-	if len(peers) == 0 {
-		return 0
-	}
-	v := valueDist(values)
-	var total float64
-	for _, p := range peers {
-		total += similarity(v, valueDist(p))
-	}
-	return total / float64(len(peers))
 }

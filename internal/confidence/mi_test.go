@@ -8,6 +8,59 @@ import (
 	"multirag/internal/textutil"
 )
 
+// Similarity computes S(vi, vj) over two attribute-value sets: similarity
+// over their pooled token profiles.
+func Similarity(valuesI, valuesJ []string) float64 {
+	return similarity(valueDist(valuesI), valueDist(valuesJ))
+}
+
+// Entropy exposes H(V) (Eq. 6) for a value set.
+func Entropy(values []string) float64 {
+	return valueDist(values).H
+}
+
+// valueDist builds the token profile of an attribute-value set: the pooled
+// tokens of every value.
+func valueDist(values []string) textutil.Dist {
+	var toks []string
+	for _, v := range values {
+		toks = append(toks, textutil.Tokenize(v)...)
+	}
+	return textutil.NewDist(toks)
+}
+
+// GraphConfidence computes C(G) (Eq. 7): the mean pairwise similarity over
+// all ordered pairs of distinct nodes in a homologous line graph, given each
+// node's attribute-value set. A graph with fewer than two nodes has, by
+// convention, confidence 1 (nothing disagrees with anything).
+func GraphConfidence(nodeValues [][]string) float64 {
+	if len(nodeValues) < 2 {
+		return 1
+	}
+	row := make([]int, len(nodeValues))
+	vals := make([]distinctValue, len(nodeValues))
+	for i, v := range nodeValues {
+		row[i] = i
+		vals[i].dist = valueDist(v)
+	}
+	return newSimMatrix(row, vals).graphConfidence()
+}
+
+// NodeConsistency computes Sₙ(v) (Eq. 8): the mean similarity of v's value
+// set to those of the other nodes carrying the same attribute. With no
+// peers the score is 0 (no corroboration).
+func NodeConsistency(values []string, peers [][]string) float64 {
+	if len(peers) == 0 {
+		return 0
+	}
+	v := valueDist(values)
+	var total float64
+	for _, p := range peers {
+		total += similarity(v, valueDist(p))
+	}
+	return total / float64(len(peers))
+}
+
 func TestSimilarityIdentical(t *testing.T) {
 	s := Similarity([]string{"Michael Mann"}, []string{"michael mann"})
 	if math.Abs(s-1) > 1e-9 {

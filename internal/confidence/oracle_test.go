@@ -193,7 +193,7 @@ type oracleResult struct {
 
 func removeTriple(ts []*kg.Triple, t *kg.Triple) []*kg.Triple {
 	for i, x := range ts {
-		if x.ID() == t.ID() {
+		if x.Handle() == t.Handle() {
 			return append(ts[:i], ts[i+1:]...)
 		}
 	}
@@ -300,7 +300,7 @@ func oracleScoreMembers(m *MCC, sg *linegraph.SG, members []*kg.Triple, vals [][
 		}
 		av := m.cfg.Alpha*authLLM + (1-m.cfg.Alpha)*authHist
 		cv := sn + av
-		a.NodeConfidence[t.ID()] = cv
+		a.NodeConfidence[kg.TripleID(t.Handle())] = cv
 		if cv > m.cfg.NodeThreshold {
 			a.Trusted = append(a.Trusted, TrustedNode{Triple: t, Confidence: cv, Verified: true})
 		} else {
@@ -309,7 +309,7 @@ func oracleScoreMembers(m *MCC, sg *linegraph.SG, members []*kg.Triple, vals [][
 	}
 	const promoteGap = 0.02
 	if len(a.Trusted) == 0 && len(members) > 0 {
-		score := func(t *kg.Triple) float64 { return a.NodeConfidence[t.ID()] * t.Weight }
+		score := func(t *kg.Triple) float64 { return a.NodeConfidence[kg.TripleID(t.Handle())] * t.Weight }
 		best := 0.0
 		for _, t := range members {
 			if sc := score(t); sc > best {
@@ -318,7 +318,7 @@ func oracleScoreMembers(m *MCC, sg *linegraph.SG, members []*kg.Triple, vals [][
 		}
 		for _, t := range members {
 			if score(t) >= best-promoteGap {
-				a.Trusted = append(a.Trusted, TrustedNode{Triple: t, Confidence: a.NodeConfidence[t.ID()], Verified: true})
+				a.Trusted = append(a.Trusted, TrustedNode{Triple: t, Confidence: a.NodeConfidence[kg.TripleID(t.Handle())], Verified: true})
 				a.Rejected = removeTriple(a.Rejected, t)
 			}
 		}
@@ -406,14 +406,14 @@ func TestRunMatchesPairwiseOracle(t *testing.T) {
 	ids := func(ts []*kg.Triple) []string {
 		out := make([]string, len(ts))
 		for i, tr := range ts {
-			out[i] = tr.ID()
+			out[i] = kg.TripleID(tr.Handle())
 		}
 		return out
 	}
 	trustedIDs := func(tns []TrustedNode) []string {
 		out := make([]string, len(tns))
 		for i, tn := range tns {
-			out[i] = tn.Triple.ID()
+			out[i] = kg.TripleID(tn.Triple.Handle())
 		}
 		return out
 	}
@@ -481,7 +481,7 @@ func TestRunMatchesPairwiseOracle(t *testing.T) {
 						t.Fatalf("%s round %d cand %d: NodeConfidence allocated outside the fine stage", name, round, i)
 					}
 					for j, cv := range ga.NodeConfidence {
-						id := ga.Members[j].ID()
+						id := kg.TripleID(ga.Members[j].Handle())
 						if w, ok := wa.NodeConfidence[id]; !ok || math.Abs(cv-w) > tol {
 							t.Fatalf("%s round %d cand %d: C(%s) = %v, oracle %v", name, round, i, id, cv, w)
 						}

@@ -145,10 +145,3 @@ func (c *evidenceMemo) put(gen uint64, entity, relation string, ent evidenceEntr
 	}
 	c.m[evidenceKey(entity, relation)] = ent
 }
-
-// size reports the current entry count (test hook).
-func (c *evidenceMemo) size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -126,28 +127,32 @@ func TestIngestFailurePublishesNothing(t *testing.T) {
 func memberFacts(sg *linegraph.SG, n *linegraph.HomologousNode) []string {
 	var out []string
 	for _, t := range sg.MemberTriples(n) {
-		out = append(out, t.ID()+" "+t.Source)
+		out = append(out, kg.TripleID(t.Handle())+" "+t.Source)
 	}
 	return out
 }
 
 // keyWalk is the line graph's test oracle, taken without the line graph or
 // the graph's key counts: one walk over every key posting, counting the keys
-// with one live triple and with two or more, and listing the isolated points'
-// IDs, sorted, and each homologous key's members as "ID source", in ID order.
+// with one live triple and with two or more, and listing the isolated points
+// by key with their IDs, sorted, and each homologous key's members as "ID
+// source", in ID order.
 type keyWalk struct {
 	stats    linegraph.Stats
-	isolated []string
+	isolated []string // sorted
+	singles  map[string]string
 	nodes    map[string][]string
 }
 
 func walkKeys(g *kg.Graph) keyWalk {
-	w := keyWalk{nodes: map[string][]string{}}
+	w := keyWalk{singles: map[string]string{}, nodes: map[string][]string{}}
 	g.ForEachKeyPosting(func(subjH, predH int32, posting []int32) {
+		key := g.EntityAt(subjH).ID + "\x00" + g.PredicateAt(predH)
 		switch {
 		case len(posting) == 1:
 			w.stats.Isolated++
 			w.isolated = append(w.isolated, kg.TripleID(posting[0]))
+			w.singles[key] = kg.TripleID(posting[0])
 		case len(posting) >= 2:
 			w.stats.HomologousNodes++
 			var members []string
@@ -155,30 +160,43 @@ func walkKeys(g *kg.Graph) keyWalk {
 				members = append(members, kg.TripleID(h)+" "+g.TripleAt(h).Source)
 			}
 			slices.Sort(members)
-			w.nodes[g.EntityAt(subjH).ID+"\x00"+g.PredicateAt(predH)] = members
+			w.nodes[key] = members
 		}
 	})
 	slices.Sort(w.isolated)
 	return w
 }
 
+// forEachNode visits sg's homologous nodes in the graph's key order, each
+// found by its key: the whole-view walk the product never makes.
+func forEachNode(sg *linegraph.SG, fn func(n *linegraph.HomologousNode)) {
+	g := sg.Graph()
+	g.ForEachKeyPosting(func(subjH, predH int32, posting []int32) {
+		if len(posting) >= 2 {
+			n, _ := sg.Lookup(g.EntityAt(subjH).ID, g.PredicateAt(predH))
+			fn(n)
+		}
+	})
+}
+
 // requireSGMatchesWalk checks a published SG against the key walk of its
-// graph: equal statistics, equal isolated points and, node by node, equal
-// members and sources.
+// graph: equal statistics, every isolated point found by its key and, node
+// by node, equal members and sources.
 func requireSGMatchesWalk(t *testing.T, label string, sg *linegraph.SG) {
 	t.Helper()
 	want := walkKeys(sg.Graph())
 	if got := sg.ComputeStats(); got != want.stats {
 		t.Fatalf("%s: stats %+v, key walk %+v", label, got, want.stats)
 	}
-	if got := sg.IsolatedIDs(); !slices.Equal(got, want.isolated) {
-		t.Fatalf("%s: isolated points %v, key walk %v", label, got, want.isolated)
-	}
-	if sg.NumNodes() != len(want.nodes) {
-		t.Fatalf("%s: %d nodes, key walk %d", label, sg.NumNodes(), len(want.nodes))
+	for key, id := range want.singles {
+		subj, pred, _ := strings.Cut(key, "\x00")
+		if tr, ok := sg.LookupIsolated(subj, pred); !ok || kg.TripleID(tr.Handle()) != id {
+			t.Fatalf("%s: isolated point %q = %v, key walk %s", label, key, tr, id)
+		}
 	}
 	for key, members := range want.nodes {
-		gn, ok := sg.Node(key)
+		subj, pred, _ := strings.Cut(key, "\x00")
+		gn, ok := sg.Lookup(subj, pred)
 		if !ok {
 			t.Fatalf("%s: node %q missing", label, key)
 		}

@@ -4,9 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
+	"math"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,7 +15,7 @@ import (
 	"time"
 
 	"multirag/internal/adapter"
-	"multirag/internal/linegraph"
+	"multirag/internal/kg"
 	"multirag/internal/llm"
 	"multirag/internal/retrieval"
 	"multirag/internal/wal"
@@ -48,7 +49,7 @@ func derivedState(sn *snapshot) []byte {
 	sn.index.ForEachEmbedded(func(c retrieval.Chunk, v retrieval.Vector) {
 		e.String(c.ID)
 		for _, x := range v {
-			e.F32(x)
+			e.Uvarint(uint64(math.Float32bits(x)))
 		}
 	})
 	sg := sn.sg
@@ -59,11 +60,11 @@ func derivedState(sn *snapshot) []byte {
 	st := sg.ComputeStats()
 	e.Int(st.HomologousNodes)
 	e.Int(st.Isolated)
-	var keys []string
-	sg.ForEachNode(func(key string, _ *linegraph.HomologousNode) { keys = append(keys, key) })
-	sort.Strings(keys)
+	walk := walkKeys(sg.Graph())
+	keys := slices.Sorted(maps.Keys(walk.nodes))
 	for _, key := range keys {
-		n, _ := sg.Node(key)
+		subj, pred, _ := strings.Cut(key, "\x00")
+		n, _ := sg.Lookup(subj, pred)
 		e.String(n.Key)
 		e.String(n.SubjectID)
 		e.String(n.Name)
@@ -71,11 +72,11 @@ func derivedState(sn *snapshot) []byte {
 		members := sg.MemberTriples(n)
 		e.Int(len(members))
 		for _, t := range members {
-			e.String(t.ID())
+			e.String(kg.TripleID(t.Handle()))
 			e.String(t.Source)
 		}
 	}
-	for _, id := range sg.IsolatedIDs() {
+	for _, id := range walk.isolated {
 		e.String(id)
 	}
 	return e.Bytes()

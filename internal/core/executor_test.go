@@ -110,12 +110,26 @@ func TestQueryDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// size reports the memo's current entry count.
+func (c *evidenceMemo) size() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.m)
+}
+
+// prh reads a source's historical credibility Prh(D) as Auth_hist with no
+// current answers and no validation effort, which charges no scan: equal
+// histories read equal.
+func prh(hs *confidence.HistoryStore, source string) float64 {
+	return hs.Historical(source, nil, 0, 0)
+}
+
 // scanNestedCandidates is the nested-attribute candidate search as a walk
 // over every homologous node — the oracle for SG.NestedCandidates, which
 // reads the subject's own triples instead.
 func scanNestedCandidates(sg *linegraph.SG, subj, relation string) []*linegraph.HomologousNode {
 	var out []*linegraph.HomologousNode
-	sg.ForEachNode(func(_ string, n *linegraph.HomologousNode) {
+	forEachNode(sg, func(n *linegraph.HomologousNode) {
 		if n.SubjectID == subj && n.Name != relation && strings.HasPrefix(n.Name, relation+"_") {
 			out = append(out, n)
 		}
@@ -125,10 +139,13 @@ func scanNestedCandidates(sg *linegraph.SG, subj, relation string) []*linegraph.
 }
 
 // TestQueryPathAvoidsNodeScans is the acceptance check for the per-snapshot
-// evidence index: no query intent may touch ForEachNode, and the index must
-// find exactly the candidates a full node scan finds — for every (subject,
-// relation) the queries ask and every underscore prefix of a stored
-// attribute name. Team Alpha's status carries two nested attributes.
+// evidence index: it must find exactly the candidates a full node scan finds
+// — for every (subject, relation) the queries ask and every underscore
+// prefix of a stored attribute name. Team Alpha's status carries two nested
+// attributes. That no query scans nodes is structural: the only whole-graph
+// key walk, kg.Graph.ForEachKeyPosting, is on the root package's
+// exportAllowlist as a function no product code calls, so a product caller
+// fails TestProductExportsHaveCallers.
 func TestQueryPathAvoidsNodeScans(t *testing.T) {
 	s := newExecutorSystem(t, Config{})
 	if _, err := s.Ingest([]adapter.RawFile{
@@ -138,17 +155,9 @@ func TestQueryPathAvoidsNodeScans(t *testing.T) {
 		t.Fatal(err)
 	}
 	sg := s.SG()
-	base := sg.NodeScans()
-	for _, q := range executorQueries() {
-		s.Query(q)
-	}
-	if got := sg.NodeScans(); got != base {
-		t.Fatalf("query hot path performed %d homologous-node scan visits, want 0", got-base)
-	}
-
 	type key struct{ subj, rel string }
 	keys := map[key]bool{}
-	sg.ForEachNode(func(_ string, n *linegraph.HomologousNode) {
+	forEachNode(sg, func(n *linegraph.HomologousNode) {
 		for i := range n.Name {
 			if n.Name[i] == '_' {
 				keys[key{n.SubjectID, n.Name[:i]}] = true
@@ -228,7 +237,7 @@ func TestEvidenceMemoTransparent(t *testing.T) {
 				t.Fatalf("round %d: memo changed the answer for %q:\n with    %+v\n without %+v", round, q, ma, pa)
 			}
 			for _, src := range executorSources {
-				if a, b := memo.mcc.History().Prh(src), plain.mcc.History().Prh(src); a != b {
+				if a, b := prh(memo.mcc.History(), src), prh(plain.mcc.History(), src); a != b {
 					t.Fatalf("round %d, %q: history of %s diverges: %v with the memo, %v without", round, q, src, a, b)
 				}
 			}

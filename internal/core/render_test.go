@@ -122,8 +122,8 @@ func refChunkText(docID, source, text string, maxTokens int) []retrieval.Chunk {
 	return chunks
 }
 
-// checkRender fails t unless RenderChunks, and ChunkText on every text
-// record, match the reference renderer byte for byte.
+// checkRender fails t unless RenderChunks, and ChunkArena.AppendText on
+// every text record, match the reference renderer byte for byte.
 func checkRender(t *testing.T, n *jsonld.Normalized, chunkTokens int) {
 	t.Helper()
 	got, want := RenderChunks(n, chunkTokens), refRenderChunks(n, chunkTokens)
@@ -143,8 +143,10 @@ func checkRender(t *testing.T, n *jsonld.Normalized, chunkTokens int) {
 	}
 	for _, doc := range n.JSC {
 		if v, ok := doc.Get("text"); ok {
-			if got, want := retrieval.ChunkText(doc.ID, n.Source, v.Str, chunkTokens), refChunkText(doc.ID, n.Source, v.Str, chunkTokens); !slices.Equal(got, want) {
-				t.Fatalf("ChunkText(%q) = %+v, reference %+v", v.Str, got, want)
+			var a retrieval.ChunkArena
+			a.AppendText(doc.ID, a.AppendString(n.Source), v.Str, chunkTokens)
+			if got, want := a.Chunks(nil), refChunkText(doc.ID, n.Source, v.Str, chunkTokens); !slices.Equal(got, want) {
+				t.Fatalf("AppendText(%q) = %+v, reference %+v", v.Str, got, want)
 			}
 		}
 	}

@@ -270,13 +270,6 @@ type WALLease struct {
 	lsn uint64
 }
 
-// AcquireWALLease registers a retention floor at lsn.
-func (s *System) AcquireWALLease(lsn uint64) *WALLease {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.acquireLeaseLocked(lsn)
-}
-
 func (s *System) acquireLeaseLocked(lsn uint64) *WALLease {
 	l := &WALLease{s: s, lsn: lsn}
 	if s.walLeases == nil {

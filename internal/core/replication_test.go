@@ -14,6 +14,14 @@ import (
 	"multirag/internal/wal"
 )
 
+// AcquireWALLease registers a retention floor at lsn, the lease
+// ReplicationSeed takes with its seed, for tests that hold a log position.
+func (s *System) AcquireWALLease(lsn uint64) *WALLease {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.acquireLeaseLocked(lsn)
+}
+
 // seededReplica builds what NewReplicaSet builds for one replica: a replica
 // seeded from primary's ReplicationSeed and a cursor over primary's log at
 // the seed position, with the seed's lease held for the rest of the test.

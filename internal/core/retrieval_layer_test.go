@@ -16,12 +16,22 @@ import (
 	"multirag/internal/retrieval"
 )
 
-// denseTopK is the exact scan as it was first written: Cosine against every
+// cosine is the dot product of two equally sized vectors, in float64: the
+// cosine similarity of normalised ones.
+func cosine(a, b retrieval.Vector) float64 {
+	var dot float64
+	for i := range a {
+		dot += float64(a[i]) * float64(b[i])
+	}
+	return dot
+}
+
+// denseTopK is the exact scan as it was first written: cosine against every
 // stored vector, stable full sort by (score desc, chunk ID asc), first k.
 func denseTopK(ix *retrieval.Index, qv retrieval.Vector, k int) []retrieval.Hit {
 	var hits []retrieval.Hit
 	ix.ForEachEmbedded(func(c retrieval.Chunk, v retrieval.Vector) {
-		hits = append(hits, retrieval.Hit{Chunk: c, Score: retrieval.Cosine(qv, v)})
+		hits = append(hits, retrieval.Hit{Chunk: c, Score: cosine(qv, v)})
 	})
 	sort.SliceStable(hits, func(i, j int) bool {
 		if hits[i].Score != hits[j].Score {

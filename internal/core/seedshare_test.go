@@ -72,7 +72,7 @@ func TestSeedReplicaSharesPrimaryState(t *testing.T) {
 		t.Fatal("a clone seed differs from the primary it was cloned from")
 	}
 	pg, rg := primary.Graph(), replica.Graph()
-	for h := int32(0); h < pg.EntitySlots(); h++ {
+	for h := int32(0); int(h) < pg.NumEntities(); h++ {
 		if rg.EntityAt(h) != pg.EntityAt(h) || !sameBacking(rg.SubjectPosting(h), pg.SubjectPosting(h)) {
 			t.Fatalf("entity %d or its subject posting is a copy of the primary's", h)
 		}
@@ -98,7 +98,7 @@ func TestSeedReplicaSharesPrimaryState(t *testing.T) {
 	}
 	want := primary.SnapshotDigest()
 	pg = primary.Graph()
-	lists := make([][]int32, pg.EntitySlots())
+	lists := make([][]int32, pg.NumEntities())
 	for h := range lists {
 		lists[h] = pg.SubjectPosting(int32(h))
 	}

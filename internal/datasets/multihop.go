@@ -3,7 +3,6 @@ package datasets
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 )
 
 // The multi-hop generators stand in for HotpotQA and 2WikiMultiHopQA: both
@@ -217,14 +216,4 @@ func (d *QADataset) genComparison(rng *rand.Rand, spec QASpec, q int, attr strin
 		Support:  []string{doc1, doc2},
 		HopChain: []string{e1, e2},
 	})
-}
-
-// Corpus renders all documents as (id, text) pairs for indexing.
-func (d *QADataset) Corpus() []Doc { return d.Docs }
-
-// String summarises the dataset.
-func (d *QADataset) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s: %d docs, %d questions", d.Name, len(d.Docs), len(d.Questions))
-	return b.String()
 }

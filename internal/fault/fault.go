@@ -23,7 +23,6 @@ package fault
 import (
 	"context"
 	"errors"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -186,18 +185,6 @@ func Hits(point string) int64 {
 		return e.hits.Load()
 	}
 	return 0
-}
-
-// Armed lists the armed point names, sorted (diagnostics / test assertions).
-func Armed() []string {
-	mu.Lock()
-	defer mu.Unlock()
-	out := make([]string, 0, len(table))
-	for p := range table {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Inject fires the fault armed at point, if any. With nothing armed anywhere

@@ -3,9 +3,22 @@ package fault
 import (
 	"context"
 	"errors"
+	"sort"
 	"testing"
 	"time"
 )
+
+// Armed lists the armed point names, sorted.
+func Armed() []string {
+	mu.Lock()
+	defer mu.Unlock()
+	out := make([]string, 0, len(table))
+	for p := range table {
+		out = append(out, p)
+	}
+	sort.Strings(out)
+	return out
+}
 
 func TestInjectUnarmedIsNoop(t *testing.T) {
 	t.Cleanup(Reset)

@@ -58,9 +58,6 @@ func clipID(s string) string {
 	return s[:i]
 }
 
-// Records returns the number of linked-data records in the normalised file.
-func (n *Normalized) Records() int { return len(n.JSC) }
-
 // Validate checks the structural invariant of a Normalized value: non-empty
 // identity fields.
 func (n *Normalized) Validate() error {

@@ -464,7 +464,7 @@ type postingDump struct {
 
 func dumpPostings(g *Graph) postingDump {
 	d := postingDump{key: map[[2]int32][]int32{}}
-	for h := int32(0); h < g.EntitySlots(); h++ {
+	for h := int32(0); int(h) < g.NumEntities(); h++ {
 		d.subject = append(d.subject, append([]int32(nil), g.SubjectPosting(h)...))
 	}
 	g.ForEachKeyPosting(func(s, p int32, lst []int32) {

@@ -94,9 +94,6 @@ func (t *Triple) live() bool { return t.prov != removed }
 // Handle returns the triple's handle: its insertion index in the graph.
 func (t *Triple) Handle() int32 { return t.h }
 
-// ID returns the triple's ID. It is formatted on each call.
-func (t *Triple) ID() string { return TripleID(t.h) }
-
 // TripleID returns the ID of the triple at handle h: "t" and its 1-based
 // insertion number in at least six digits ("t%06d" without the fmt
 // machinery). ParseTripleID inverts it.
@@ -590,16 +587,6 @@ func (g *Graph) NumEntities() int { return g.ents.len() }
 
 // NumTriples returns the triple (relation instance) count.
 func (g *Graph) NumTriples() int { return g.liveTriples }
-
-// EntityIDs returns all canonical entity IDs, sorted.
-func (g *Graph) EntityIDs() []string {
-	ids := make([]string, 0, g.ents.len())
-	g.ents.forEach(func(_ int32, e *Entity) {
-		ids = append(ids, e.ID)
-	})
-	sort.Strings(ids)
-	return ids
-}
 
 // TripleIDs returns all triple IDs, sorted.
 func (g *Graph) TripleIDs() []string {

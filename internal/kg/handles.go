@@ -28,10 +28,6 @@ func (g *Graph) TripleKeyHandles(h int32) (subjH, predH int32) {
 	return g.tSubj.get(h), g.tPred.get(h)
 }
 
-// EntitySlots returns the number of entity handles. Valid entity handles are
-// [0, EntitySlots()).
-func (g *Graph) EntitySlots() int32 { return int32(g.ents.len()) }
-
 // EntityHandle returns the handle of the entity with the given canonical ID.
 func (g *Graph) EntityHandle(id string) (int32, bool) { return g.entLookup.get(id) }
 
@@ -54,7 +50,9 @@ func (g *Graph) KeyPosting(subjH, predH int32) []int32 { return g.byKey.get(subj
 
 // ForEachKeyPosting visits every (subject, predicate) key with its posting
 // list, in subject handle order and, for one subject, in the order its keys
-// were first stated. Postings of fully-removed keys are empty.
+// were first stated. Postings of fully-removed keys are empty. It is the
+// tests' whole-graph walk: no product path may scan every key, and the root
+// package's export guard fails if one calls it.
 func (g *Graph) ForEachKeyPosting(fn func(subjH, predH int32, posting []int32)) {
 	g.byKey.forEach(fn)
 }

@@ -51,31 +51,3 @@ func (g *Graph) TwoHopPathSupport(t *Triple) float64 {
 	}
 	return float64(agree) / float64(len(siblings)-1)
 }
-
-// Stats summarises a graph for dataset reporting (Table I).
-type Stats struct {
-	Entities int
-	Triples  int
-	Sources  int
-	Domains  int
-}
-
-// ComputeStats gathers the Table-I-style statistics of the graph.
-func (g *Graph) ComputeStats() Stats {
-	sources := map[string]bool{}
-	domains := map[string]bool{}
-	g.ForEachTriple(func(_ int32, t *Triple) {
-		if t.Source != "" {
-			sources[t.Source] = true
-		}
-		if d := g.Domain(t); d != "" {
-			domains[d] = true
-		}
-	})
-	return Stats{
-		Entities: g.NumEntities(),
-		Triples:  g.NumTriples(),
-		Sources:  len(sources),
-		Domains:  len(domains),
-	}
-}

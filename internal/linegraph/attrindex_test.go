@@ -17,11 +17,10 @@ import (
 
 // scanNested is the reference nested-candidate lookup: the full node scan the
 // subject-posting lookup replaces. It mirrors the pre-index query-path condition
-// exactly (same subject, strictly-nested name), and walks the postings without
-// charging NodeScans.
+// exactly (same subject, strictly-nested name).
 func scanNested(sg *SG, subjectID, relation string) []*HomologousNode {
 	var out []*HomologousNode
-	sg.forEachNode(func(n *HomologousNode) {
+	sg.ForEachNode(func(_ string, n *HomologousNode) {
 		if n.SubjectID == subjectID && n.Name != relation && strings.HasPrefix(n.Name, relation+"_") {
 			out = append(out, n)
 		}
@@ -125,29 +124,12 @@ func TestNestedCandidatesAcrossDeltaGenerations(t *testing.T) {
 	}
 }
 
-// TestNodeScansCountsForEachNode pins the instrumentation hook: index-backed
-// lookups leave the counter untouched, a ForEachNode walk charges one count
-// per visited node.
-func TestNodeScansCountsForEachNode(t *testing.T) {
-	g := graphWithConflicts(t)
-	sg := Build(g)
-	sg.Lookup("ca981", "status")
-	sg.NestedCandidates("ca981", "status")
-	if got := sg.NodeScans(); got != 0 {
-		t.Fatalf("index lookups charged %d node scans, want 0", got)
-	}
-	sg.ForEachNode(func(string, *HomologousNode) {})
-	if got := sg.NodeScans(); got != int64(sg.NumNodes()) {
-		t.Fatalf("full walk charged %d scans, want %d", got, sg.NumNodes())
-	}
-}
-
 // indexNested is the lookup NestedCandidates replaced, kept as an oracle: a
 // whole-corpus subject → sorted attribute names index (which every generation
 // rebuilt on its first nested lookup), binary-searched for the prefix.
 func indexNested(sg *SG) func(subjectID, relation string) []*HomologousNode {
 	idx := make(map[string][]string)
-	sg.forEachNode(func(n *HomologousNode) {
+	sg.ForEachNode(func(_ string, n *HomologousNode) {
 		idx[n.SubjectID] = append(idx[n.SubjectID], n.Name)
 	})
 	for _, names := range idx {
@@ -169,7 +151,11 @@ func indexNested(sg *SG) func(subjectID, relation string) []*HomologousNode {
 // against the index it replaced over generated corpora: for every entity and
 // every relation a nested name could hang under (each "_"-delimited proper
 // prefix of each predicate, and each predicate itself), the same nodes in the
-// same name order, with no node scan.
+// same name order. That no lookup scans nodes is structural: ForEachNode
+// exists only in this package's tests, and the graph walk under it,
+// kg.Graph.ForEachKeyPosting, is on the root package's exportAllowlist as a
+// function no product code calls, so a product caller fails
+// TestProductExportsHaveCallers.
 func TestNestedCandidatesMatchIndexOracle(t *testing.T) {
 	nested := 0
 	for _, spec := range datasets.AllPresets(3) {
@@ -194,7 +180,8 @@ func TestNestedCandidatesMatchIndexOracle(t *testing.T) {
 				}
 			}
 		})
-		for _, subj := range g.EntityIDs() {
+		for h := range int32(g.NumEntities()) {
+			subj := g.EntityAt(h).ID
 			for rel := range relations {
 				got, want := sg.NestedCandidates(subj, rel), oracle(subj, rel)
 				if !reflect.DeepEqual(got, want) {
@@ -202,9 +189,6 @@ func TestNestedCandidatesMatchIndexOracle(t *testing.T) {
 				}
 				nested += len(got)
 			}
-		}
-		if sg.NodeScans() != 0 {
-			t.Fatalf("%s: nested lookups charged %d node scans", spec.Name, sg.NodeScans())
 		}
 	}
 	if nested == 0 {

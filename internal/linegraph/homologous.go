@@ -15,7 +15,6 @@ package linegraph
 import (
 	"slices"
 	"strings"
-	"sync/atomic"
 
 	"multirag/internal/kg"
 )
@@ -52,14 +51,10 @@ type HomologousNode struct {
 // with two or more live triples is a homologous node, one with exactly one an
 // isolated point. It stores only the graph, so lookups and ComputeStats
 // always reflect the graph as it is now, after an in-place mutation too.
-// Access goes through Lookup/Node/ForEachNode/NumNodes.
+// Access goes through Lookup, NestedCandidates and LookupIsolated, each a
+// lookup by key: nothing in the product walks every node.
 type SG struct {
 	graph *kg.Graph
-
-	// nodeScans counts homologous nodes visited through ForEachNode — the
-	// instrumentation hook behind the "no full scan on the query hot path"
-	// tests.
-	nodeScans atomic.Int64
 }
 
 // Build runs homologous subgraph matching (§III-C) over g and assembles SG′.
@@ -127,45 +122,6 @@ func (sg *SG) Lookup(subjectID, predicate string) (*HomologousNode, bool) {
 	return sg.node(subjH, predH)
 }
 
-// Node returns the homologous node for a precomputed Graph.Key value.
-func (sg *SG) Node(key string) (*HomologousNode, bool) {
-	subj, pred, ok := strings.Cut(key, "\x00")
-	if !ok {
-		return nil, false
-	}
-	return sg.Lookup(subj, pred)
-}
-
-// NumNodes returns the number of homologous nodes (keys with ≥2 members).
-func (sg *SG) NumNodes() int {
-	_, grouped := sg.graph.KeyCounts()
-	return grouped
-}
-
-// ForEachNode visits every homologous node, in the graph's key order
-// (kg.Graph.ForEachKeyPosting: subject handle, then first statement). Each visit
-// is charged to the NodeScans counter; hot paths should use Lookup or
-// NestedCandidates instead.
-func (sg *SG) ForEachNode(fn func(key string, n *HomologousNode)) {
-	sg.forEachNode(func(n *HomologousNode) {
-		sg.nodeScans.Add(1)
-		fn(n.Key, n)
-	})
-}
-
-// forEachNode is ForEachNode without the NodeScans charge.
-func (sg *SG) forEachNode(fn func(n *HomologousNode)) {
-	sg.graph.ForEachKeyPosting(func(subjH, predH int32, posting []int32) {
-		if len(posting) >= 2 {
-			fn(newHomologousNode(sg.graph, subjH, predH, posting))
-		}
-	})
-}
-
-// NodeScans reports how many homologous nodes ForEachNode has visited over
-// this SG's lifetime. Tests use it to assert the query path stays scan-free.
-func (sg *SG) NodeScans() int64 { return sg.nodeScans.Load() }
-
 // NestedCandidates returns the homologous nodes holding subjectID's nested
 // attributes under relation — names of the form relation+"_..." (status →
 // status_state) — in name order. The names come from the subject's own
@@ -208,25 +164,6 @@ func (sg *SG) LookupIsolated(subjectID, predicate string) (*kg.Triple, bool) {
 	}
 	t := sg.graph.TripleAt(posting[0])
 	return t, t != nil
-}
-
-// IsolatedIDs returns the IDs of triples whose key has a single member,
-// sorted. It walks every posting on each call; nothing on the query or
-// ingest path needs it.
-func (sg *SG) IsolatedIDs() []string {
-	isolated, _ := sg.graph.KeyCounts()
-	hs := make([]int32, 0, isolated)
-	sg.graph.ForEachKeyPosting(func(_, _ int32, posting []int32) {
-		if len(posting) == 1 {
-			hs = append(hs, posting[0])
-		}
-	})
-	slices.SortFunc(hs, kg.CompareTripleIDs)
-	ids := make([]string, len(hs))
-	for i, h := range hs {
-		ids[i] = kg.TripleID(h)
-	}
-	return ids
 }
 
 // MemberTriples resolves a homologous node's members to the triples still

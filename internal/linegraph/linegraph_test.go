@@ -56,7 +56,7 @@ func TestBuildHomologousGroups(t *testing.T) {
 	}
 	for _, m := range sg.MemberTriples(node) {
 		if m.Weight <= 0 {
-			t.Fatalf("member %s has no weight", m.ID())
+			t.Fatalf("member %s has no weight", kg.TripleID(m.Handle()))
 		}
 	}
 }

@@ -52,7 +52,7 @@ func refBuild(g *kg.Graph) (nodes map[string]*refNode, isolated []string) {
 	}
 	for key, members := range groups {
 		if len(members) < 2 {
-			isolated = append(isolated, members[0].ID())
+			isolated = append(isolated, kg.TripleID(members[0].Handle()))
 			continue
 		}
 		n := &refNode{
@@ -63,7 +63,7 @@ func refBuild(g *kg.Graph) (nodes map[string]*refNode, isolated []string) {
 		}
 		srcSet := map[string]bool{}
 		for _, t := range members {
-			n.Members = append(n.Members, t.ID())
+			n.Members = append(n.Members, kg.TripleID(t.Handle()))
 			srcSet[t.Source] = true
 		}
 		sort.Strings(n.Members)
@@ -205,8 +205,8 @@ func TestBuildMatchesReference(t *testing.T) {
 					t.Fatalf("MemberTriples(%q) = %d triples, want %d", key, len(ts), len(want.Members))
 				}
 				for i, tr := range ts {
-					if tr.ID() != want.Members[i] {
-						t.Fatalf("member %d of %q resolves to %s, want %s", i, key, tr.ID(), want.Members[i])
+					if kg.TripleID(tr.Handle()) != want.Members[i] {
+						t.Fatalf("member %d of %q resolves to %s, want %s", i, key, kg.TripleID(tr.Handle()), want.Members[i])
 					}
 				}
 			}

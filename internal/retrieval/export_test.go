@@ -17,3 +17,28 @@ func (ix *Index) SelectTopK(acc []float64, k int) []Hit {
 	}
 	return t.sorted()
 }
+
+// ChunkText splits text into chunks of at most maxTokens tokens, breaking at
+// sentence boundaries where possible. maxTokens <= 0 selects the default of
+// 64. It collects what ChunkArena.AppendText renders; stage 1 renders into
+// its pooled arena instead.
+func ChunkText(docID, source, text string, maxTokens int) []Chunk {
+	var a ChunkArena
+	a.AppendText(docID, a.AppendString(source), text, maxTokens)
+	return a.Chunks(nil)
+}
+
+// Cosine returns the cosine similarity of two equally sized vectors
+// (already-normalised vectors make this the dot product): the dense oracle
+// the posting-list scan is held to.
+func Cosine(a, b Vector) float64 {
+	n := len(a)
+	if len(b) < n {
+		n = len(b)
+	}
+	var dot float64
+	for i := 0; i < n; i++ {
+		dot += float64(a[i]) * float64(b[i])
+	}
+	return dot
+}

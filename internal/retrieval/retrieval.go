@@ -43,15 +43,6 @@ func DocOfChunk(chunkID string) string {
 	return chunkID
 }
 
-// ChunkText splits text into chunks of at most maxTokens tokens, breaking at
-// sentence boundaries where possible. maxTokens <= 0 selects the default of
-// 64. It collects what ChunkArena.AppendText renders.
-func ChunkText(docID, source, text string, maxTokens int) []Chunk {
-	var a ChunkArena
-	a.AppendText(docID, a.AppendString(source), text, maxTokens)
-	return a.Chunks(nil)
-}
-
 // ChunkSpans locates one chunk's fields in a ChunkArena's bytes, each as its
 // [start, end) offsets.
 type ChunkSpans struct{ ID, Doc, Src, Text [2]int }
@@ -297,20 +288,6 @@ func (s *Sparse) each(fn func(i int, nz []weight)) {
 	}
 }
 
-// Cosine returns the cosine similarity of two equally sized vectors
-// (already-normalised vectors make this the dot product).
-func Cosine(a, b Vector) float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	var dot float64
-	for i := 0; i < n; i++ {
-		dot += float64(a[i]) * float64(b[i])
-	}
-	return dot
-}
-
 // Hit is one retrieval result.
 type Hit struct {
 	Chunk Chunk
@@ -485,8 +462,8 @@ func (ix *Index) Search(query string, k int) []Hit {
 }
 
 // SearchVector runs the scan against a caller-supplied query vector, letting
-// one embedding serve several sub-searches. Like Cosine it scores over the
-// first min(len(qv), Dim) buckets.
+// one embedding serve several sub-searches. Like the tests' dense Cosine it
+// scores over the first min(len(qv), Dim) buckets.
 func (ix *Index) SearchVector(qv Vector, k int, keep func(source string) bool) []Hit {
 	hits, _ := ix.search(context.Background(), qv, k, keep)
 	return hits
@@ -518,14 +495,15 @@ const ctxCheckRows = 4096
 // lists of the query's non-zero buckets, then one selection pass over every
 // row's score.
 //
-// Scores are bit-identical to Cosine(qv, row). Cosine adds dim products in
-// ascending bucket order to a sum that starts at +0; a product with a zero
-// factor is exactly ±0 (stored weights are finite), and adding ±0 never
-// changes a sum that started at +0 — such a sum is never -0. What is left
-// are the products where both factors are non-zero, which is what the lists
-// hold, and accumulate adds them in the same ascending bucket order. A row on
-// none of the query's lists keeps its exact score of +0, so the selection
-// pass ranks the whole corpus and no case is left to fall back from.
+// Scores are bit-identical to the dense dot product of qv and the row (the
+// tests' Cosine), which adds dim products in ascending bucket order to a sum
+// that starts at +0; a product with a zero factor is exactly ±0 (stored
+// weights are finite), and adding ±0 never changes a sum that started at +0
+// — such a sum is never -0. What is left are the products where both
+// factors are non-zero, which is what the lists hold, and accumulate adds
+// them in the same ascending bucket order. A row on none of the query's
+// lists keeps its exact score of +0, so the selection pass ranks the whole
+// corpus and no case is left to fall back from.
 //
 // The accumulator comes from a pool, so a scan allocates O(k). ctx is checked
 // between buckets and every ctxCheckRows rows of the selection pass.

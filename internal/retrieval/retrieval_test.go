@@ -87,8 +87,11 @@ func TestEmbedNormalised(t *testing.T) {
 // a saved FNV state: one string per feature, each through textutil.Hash64.
 func embedReference(text string, dim int) Vector {
 	v := make(Vector, dim)
-	toks := textutil.TokenizeContent(text)
-	feats := append(append([]string(nil), toks...), textutil.NGrams(toks, 2)...)
+	toks := contentTokens(text)
+	feats := append([]string(nil), toks...)
+	for i := 0; i+1 < len(toks); i++ {
+		feats = append(feats, toks[i]+" "+toks[i+1])
+	}
 	for _, f := range feats {
 		h := textutil.Hash64("emb|" + f)
 		sign := float32(1)

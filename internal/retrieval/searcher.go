@@ -4,7 +4,7 @@ package retrieval
 // more: the engine holds *Index, the one implementation, and
 // core.System.Serving returns it as a Searcher for the per-layer pass
 // (benchmark/layers) to time a scan. Hits come in (score desc, chunk ID asc)
-// order with scores bit-identical to Cosine.
+// order with scores bit-identical to a dense dot product.
 type Searcher interface {
 	// Len returns the number of indexed chunks.
 	Len() int

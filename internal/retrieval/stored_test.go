@@ -12,9 +12,27 @@ import (
 	"multirag/internal/wal"
 )
 
+// contentTokens is the content-token oracle: textutil.Tokenize with the
+// stopwords dropped, or every token when all of them are stopwords. It does
+// not go through textutil.EachContentToken, which Embed uses.
+func contentTokens(text string) []string {
+	stop := strings.Fields("a an the of and or in on at to is are was were be by for with from as that this it its")
+	toks := textutil.Tokenize(text)
+	var kept []string
+	for _, t := range toks {
+		if !slices.Contains(stop, t) {
+			kept = append(kept, t)
+		}
+	}
+	if len(kept) == 0 {
+		return toks
+	}
+	return kept
+}
+
 // oracleEmbed is Embed as it was written before EmbedInto: the content tokens
-// collected by textutil.TokenizeContent, every feature hashed from the built
-// token strings.
+// collected by contentTokens, every feature hashed from the built token
+// strings.
 func oracleEmbed(text string, dim int) Vector {
 	v := make(Vector, dim)
 	add := func(h uint64) {
@@ -24,7 +42,7 @@ func oracleEmbed(text string, dim int) Vector {
 		}
 		v[h%uint64(dim)] += sign
 	}
-	toks := textutil.TokenizeContent(text)
+	toks := contentTokens(text)
 	for i, t := range toks {
 		h := textutil.HashAdd(embPrefix, t)
 		add(h)

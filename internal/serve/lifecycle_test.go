@@ -35,8 +35,8 @@ func TestDrainRejectsWithRetryAfter(t *testing.T) {
 	}
 
 	s.Drain()
-	if !s.Draining() {
-		t.Fatal("Draining() false after Drain")
+	if !s.draining.Load() {
+		t.Fatal("not draining after Drain")
 	}
 	for _, tc := range []struct {
 		path string

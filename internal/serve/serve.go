@@ -205,9 +205,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // System.Close (final checkpoint).
 func (s *Server) Drain() { s.draining.Store(true) }
 
-// Draining reports whether Drain or Close has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Close drains the server, rejects all queued requests with 503 and waits
 // for every slot to be free. Running requests complete and deliver their
 // answers before Close returns, so afterwards nothing touches the engine —

@@ -12,8 +12,8 @@ import (
 	"unicode/utf8"
 )
 
-// stopwords is the small English closed-class vocabulary dropped by
-// TokenizeContent. The list is intentionally short: the simulated corpora are
+// stopwords is the small English closed-class vocabulary EachContentToken
+// drops. The list is intentionally short: the simulated corpora are
 // attribute-value shaped, and over-aggressive stopword removal hurts the
 // mutual-information statistics computed in internal/confidence.
 var stopwords = map[string]bool{
@@ -26,7 +26,7 @@ var stopwords = map[string]bool{
 
 // Tokenize splits s into lower-cased alphanumeric tokens. Runs of letters and
 // digits form tokens; everything else is a separator. Tokenize keeps
-// stopwords; use TokenizeContent when they should be dropped.
+// stopwords; EachContentToken drops them.
 func Tokenize(s string) []string {
 	n := CountTokens(s)
 	if n == 0 {
@@ -83,11 +83,11 @@ func CountTokens(s string) int {
 // maxStopwordLen is the byte length of the longest stopword.
 const maxStopwordLen = 4
 
-// EachContentToken calls fn with every token of TokenizeContent(s), in order,
-// and allocates nothing: each token is passed as its span of s, which
-// lower-cases (rune by rune, as strings.ToLower maps it) to the token. A
-// caller hashes a span with HashAddLower. When every token is a stopword,
-// every token is passed, as TokenizeContent returns them all.
+// EachContentToken calls fn with every token of Tokenize(s) that is not a
+// stopword, in order, and allocates nothing: each token is passed as its span
+// of s, which lower-cases (rune by rune, as strings.ToLower maps it) to the
+// token. A caller hashes a span with HashAddLower. When every token is a
+// stopword, every token is passed, so non-empty text always yields one.
 func EachContentToken(s string, fn func(tok string)) {
 	content := false
 	for i := 0; ; {
@@ -112,36 +112,6 @@ func EachContentToken(s string, fn func(tok string)) {
 		i = end
 		fn(s[start:end])
 	}
-}
-
-// TokenizeContent is Tokenize followed by stopword removal. If removal would
-// leave nothing (e.g. the value is "The A"), the unfiltered tokens are
-// returned so that callers never receive an empty slice for non-empty input.
-func TokenizeContent(s string) []string {
-	toks := Tokenize(s)
-	kept := toks[:0:0]
-	for _, t := range toks {
-		if !stopwords[t] {
-			kept = append(kept, t)
-		}
-	}
-	if len(kept) == 0 {
-		return toks
-	}
-	return kept
-}
-
-// NGrams returns the contiguous n-grams of toks joined by a single space.
-// n <= 0 or n > len(toks) yields nil.
-func NGrams(toks []string, n int) []string {
-	if n <= 0 || n > len(toks) {
-		return nil
-	}
-	grams := make([]string, 0, len(toks)-n+1)
-	for i := 0; i+n <= len(toks); i++ {
-		grams = append(grams, strings.Join(toks[i:i+n], " "))
-	}
-	return grams
 }
 
 // NormalizeValue canonicalises an attribute value for comparison: tokens are

@@ -81,6 +81,24 @@ func TestCountTokensMatchesTokenize(t *testing.T) {
 	}
 }
 
+// TokenizeContent is EachContentToken's oracle: Tokenize followed by
+// stopword removal. If removal would leave nothing (e.g. the value is "The
+// A"), the unfiltered tokens are returned so that callers never receive an
+// empty slice for non-empty input.
+func TokenizeContent(s string) []string {
+	toks := Tokenize(s)
+	kept := toks[:0:0]
+	for _, t := range toks {
+		if !stopwords[t] {
+			kept = append(kept, t)
+		}
+	}
+	if len(kept) == 0 {
+		return toks
+	}
+	return kept
+}
+
 func TestTokenizeContentDropsStopwords(t *testing.T) {
 	got := TokenizeContent("The Lord of the Rings")
 	want := []string{"lord", "rings"}
@@ -94,19 +112,6 @@ func TestTokenizeContentFallsBackWhenAllStopwords(t *testing.T) {
 	want := []string{"the", "of", "and"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("TokenizeContent all-stopword = %v, want %v", got, want)
-	}
-}
-
-func TestNGrams(t *testing.T) {
-	toks := []string{"a", "b", "c", "d"}
-	if got := NGrams(toks, 2); !reflect.DeepEqual(got, []string{"a b", "b c", "c d"}) {
-		t.Errorf("bigrams = %v", got)
-	}
-	if got := NGrams(toks, 4); !reflect.DeepEqual(got, []string{"a b c d"}) {
-		t.Errorf("4-gram = %v", got)
-	}
-	if NGrams(toks, 5) != nil || NGrams(toks, 0) != nil {
-		t.Errorf("out-of-range n must give nil")
 	}
 }
 

@@ -177,19 +177,6 @@ func (e *Encoder) Raw(b []byte) {
 	e.spill()
 }
 
-// Append appends what fn appends to the bytes it is given: a field encoded
-// by the caller's own append-style encoder, written in place.
-func (e *Encoder) Append(fn func(b []byte) []byte) {
-	e.buf = fn(e.buf)
-	e.spill()
-}
-
-// F32 appends a float32 as its IEEE-754 bits, little-endian.
-func (e *Encoder) F32(v float32) {
-	e.buf = binary.LittleEndian.AppendUint32(e.buf, math.Float32bits(v))
-	e.spill()
-}
-
 // Decoder reads back an Encoder payload. Errors latch: the first malformed
 // field poisons the decoder, every later read returns the zero value, and the
 // caller checks Err once at the end — the discipline that keeps the decode
@@ -301,20 +288,6 @@ func (d *Decoder) F64() float64 {
 	}
 	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
 	d.off += 8
-	return v
-}
-
-// F32 reads a little-endian float32.
-func (d *Decoder) F32() float32 {
-	if d.err != nil {
-		return 0
-	}
-	if d.Remaining() < 4 {
-		d.fail("truncated float32")
-		return 0
-	}
-	v := math.Float32frombits(binary.LittleEndian.Uint32(d.b[d.off:]))
-	d.off += 4
 	return v
 }
 

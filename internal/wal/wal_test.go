@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -12,6 +13,29 @@ import (
 	"testing"
 	"unsafe"
 )
+
+// The float32 field pair is a test-only codec extension: no record or
+// checkpoint body stores one.
+
+// F32 appends a float32 as its IEEE-754 bits, little-endian.
+func (e *Encoder) F32(v float32) {
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, math.Float32bits(v))
+	e.spill()
+}
+
+// F32 reads a little-endian float32.
+func (d *Decoder) F32() float32 {
+	if d.err != nil {
+		return 0
+	}
+	if d.Remaining() < 4 {
+		d.fail("truncated float32")
+		return 0
+	}
+	v := math.Float32frombits(binary.LittleEndian.Uint32(d.b[d.off:]))
+	d.off += 4
+	return v
+}
 
 func TestCodecRoundTrip(t *testing.T) {
 	var e Encoder
