@@ -1,8 +1,10 @@
 GO ?= go
 BENCH_SCALE ?= 0.12
 BENCHTIME ?= 1s
+SCALE ?= 1
+SEED ?= 1
 
-.PHONY: check fmt vet build test race ceilings chaos chaos-cluster fuzz-smoke layers bench bench-micro size clean
+.PHONY: check fmt vet build test race ceilings chaos chaos-cluster fuzz-smoke layers bench bench-micro paper-diff size clean
 
 # check is the CI entry point: formatting, static analysis, full build,
 # race-enabled tests, the allocation and heap ceilings the race build skips, a
@@ -178,6 +180,25 @@ bench-micro:
 # cost model's priced sum, the same on any machine.
 bench:
 	$(GO) run ./cmd/benchtables -scale $(BENCH_SCALE) -json BENCH_core.json
+
+# paper-diff checks that the paper tables and figures are unchanged against
+# the git revision BASE: it builds cmd/benchtables from a copy of BASE
+# (git archive, so no worktree is left registered if the run is cut) and from
+# the working tree, runs both at SCALE and SEED, prints the sha256 of each
+# stdout and fails, showing the first differing lines, if they differ. Stdout
+# carries no wall-clock time (the per-job timings go to stderr), so equal
+# tables print equal bytes. The copy is removed on exit.
+paper-diff:
+	@test -n "$(BASE)" || { echo 'usage: make paper-diff BASE=<rev> [SCALE=1] [SEED=1]'; exit 2; }
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && mkdir "$$tmp/base" && \
+	git archive "$(BASE)" | tar -x -C "$$tmp/base" && \
+	(cd "$$tmp/base" && $(GO) build -o "$$tmp/benchtables-base" ./cmd/benchtables) && \
+	$(GO) build -o "$$tmp/benchtables-tree" ./cmd/benchtables && \
+	"$$tmp/benchtables-base" -scale $(SCALE) -seed $(SEED) > "$$tmp/base.txt" && \
+	"$$tmp/benchtables-tree" -scale $(SCALE) -seed $(SEED) > "$$tmp/tree.txt" && \
+	echo "$(BASE) stdout sha256:      $$(sha256sum < "$$tmp/base.txt" | cut -d' ' -f1)" && \
+	echo "working tree stdout sha256: $$(sha256sum < "$$tmp/tree.txt" | cut -d' ' -f1)" && \
+	{ cmp -s "$$tmp/base.txt" "$$tmp/tree.txt" || { diff "$$tmp/base.txt" "$$tmp/tree.txt" | head -40; exit 1; }; }
 
 # size prints the two code-size counts the shrink passes track: non-test Go
 # lines and flag definitions under cmd/. It reports and gates nothing.

@@ -2,16 +2,17 @@
 // same corpus substrate MultiRAG uses (knowledge graph + chunk index +
 // simulated LLM):
 //
-//   - data-fusion baselines: MajorityVote, TruthFinder [37], LTM [42]
+//   - data-fusion baselines: TruthFinder [37], LTM [42]
 //   - SOTA retrieval baselines: IR-CoT [44], MDQA [46], ChatKBQA [45],
 //     FusionQuery [34], Standard RAG [2], GPT-3.5+CoT [43], RQ-RAG [47],
 //     MetaRAG [9]
 //
-// Each method implements both the fusion-query contract (Table II) and the
-// multi-hop QA contract (Table IV). None of them performs multi-level
-// confidence filtering — that is MultiRAG's contribution — so conflicting
-// evidence reaches their LLM context unfiltered and the simulated model's
-// conflict-sensitive hallucination applies.
+// A method implements the contract of each table that runs it: FusionMethod
+// (Table II, Figures 5 and 6), QAMethod (Table IV), or both for the methods
+// both tables compare (IR-CoT, MDQA, ChatKBQA). None of them performs
+// multi-level confidence filtering — that is MultiRAG's contribution — so
+// conflicting evidence reaches their LLM context unfiltered and the simulated
+// model's conflict-sensitive hallucination applies.
 package baselines
 
 import (
@@ -37,17 +38,25 @@ type Env struct {
 // CountFetch charges n source-record accesses.
 func (e *Env) CountFetch(n int) { e.Fetches += n }
 
-// Method is the uniform baseline contract.
-type Method interface {
+// FusionMethod is the fusion-query contract of Table II and Figures 5 and 6.
+type FusionMethod interface {
 	// Name returns the method's display name, matching the paper's tables.
 	Name() string
 	// Setup binds the environment and performs any batch precomputation.
 	Setup(env *Env)
-	// AnswerFusion resolves a fusion query (Table II): the value(s) of
-	// attribute for entity.
+	// AnswerFusion resolves a fusion query: the value(s) of attribute for
+	// entity.
 	AnswerFusion(queryText, entity, attribute string) []string
-	// AnswerQA resolves a multi-hop question (Table IV), returning the
-	// answer values and the top-k retrieved document IDs for Recall@K.
+}
+
+// QAMethod is the multi-hop QA contract of Table IV.
+type QAMethod interface {
+	// Name returns the method's display name, matching the paper's tables.
+	Name() string
+	// Setup binds the environment and performs any batch precomputation.
+	Setup(env *Env)
+	// AnswerQA resolves a multi-hop question, returning the answer values
+	// and the top-k retrieved document IDs for Recall@K.
 	AnswerQA(question string, k int) (answer []string, docs []string)
 }
 

@@ -25,10 +25,7 @@ func newEnv(t *testing.T, d *datasets.Dataset) *Env {
 	}
 	model := llm.NewSim(llm.Config{Seed: 1, ExtractionNoise: 0.03,
 		BaseHallucination: 0.03, ConflictSensitivity: 0.55})
-	g := kg.New()
-	if _, err := extract.NewRaw(model).Build(g, fused); err != nil {
-		t.Fatalf("Build: %v", err)
-	}
+	g := buildGraph(t, model, fused)
 	ix := retrieval.NewIndex(retrieval.DefaultDim)
 	for _, n := range fused {
 		for _, doc := range n.JSC {
@@ -85,40 +82,63 @@ func smallDataset(t *testing.T) *datasets.Dataset {
 	return datasets.MustGenerate(spec)
 }
 
-// NewMajorityVote constructs the baseline.
-func NewMajorityVote() *MajorityVote { return &MajorityVote{} }
-
-// All returns one instance of every baseline, in the paper's table order.
-func All() []Method {
-	return []Method{
-		NewMajorityVote(),
+// allFusion returns one instance of every FusionMethod baseline, in Table
+// II's column order.
+func allFusion() []FusionMethod {
+	return []FusionMethod{
 		NewTruthFinder(),
 		NewLTM(),
+		NewIRCoT(),
+		NewMDQA(),
+		NewChatKBQA(),
+		NewFusionQuery(),
+	}
+}
+
+// allQA returns one instance of every QAMethod baseline, in Table IV's row
+// order.
+func allQA() []QAMethod {
+	return []QAMethod{
 		NewStandardRAG(),
 		NewCoT(),
 		NewIRCoT(),
 		NewChatKBQA(),
 		NewMDQA(),
-		NewFusionQuery(),
 		NewRQRAG(),
 		NewMetaRAG(),
 	}
 }
 
-// ByName returns the named baseline, matched case-insensitively.
-func ByName(name string) (Method, bool) {
-	for _, m := range All() {
+// byName returns the method of ms with the given name, matched
+// case-insensitively.
+func byName[M interface{ Name() string }](ms []M, name string) (M, bool) {
+	for _, m := range ms {
 		if strings.EqualFold(m.Name(), name) {
 			return m, true
 		}
 	}
-	return nil, false
+	var none M
+	return none, false
+}
+
+// buildGraph extracts fused into a new graph file by file, as a baseline
+// environment is built.
+func buildGraph(t *testing.T, model *llm.Sim, fused []*jsonld.Normalized) *kg.Graph {
+	t.Helper()
+	g := kg.New()
+	ext := extract.NewRaw(model)
+	for _, f := range fused {
+		if _, err := ext.BuildFile(g, f); err != nil {
+			t.Fatalf("BuildFile %s: %v", f.ID, err)
+		}
+	}
+	return g
 }
 
 func TestAllMethodsAnswerFusionQueries(t *testing.T) {
 	d := smallDataset(t)
 	env := newEnv(t, d)
-	for _, m := range All() {
+	for _, m := range allFusion() {
 		m.Setup(env)
 		answered := 0
 		var f1 eval.Mean
@@ -137,18 +157,6 @@ func TestAllMethodsAnswerFusionQueries(t *testing.T) {
 			t.Errorf("%s fusion F1 = %.3f — implausibly broken", m.Name(), f1.Value())
 		}
 		t.Logf("%-18s answered %d/%d F1=%.3f", m.Name(), answered, len(d.Queries), f1.Value())
-	}
-}
-
-func TestMajorityVoteSingleAnswer(t *testing.T) {
-	d := smallDataset(t)
-	env := newEnv(t, d)
-	mv := NewMajorityVote()
-	mv.Setup(env)
-	for _, q := range d.Queries {
-		if got := mv.AnswerFusion(q.Text, q.Entity, q.Attribute); len(got) > 1 {
-			t.Fatalf("MV must return a single value, got %v", got)
-		}
 	}
 }
 
@@ -332,10 +340,7 @@ func TestQAContractOnMultiHop(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := llm.NewSim(llm.Config{Seed: 2, ExtractionNoise: 0.02})
-	g := kg.New()
-	if _, err := extract.NewRaw(model).Build(g, fused); err != nil {
-		t.Fatal(err)
-	}
+	g := buildGraph(t, model, fused)
 	ix := retrieval.NewIndex(retrieval.DefaultDim)
 	for _, n := range fused {
 		for _, doc := range n.JSC {
@@ -351,7 +356,7 @@ func TestQAContractOnMultiHop(t *testing.T) {
 	for _, doc := range qa.Docs {
 		docIDFor[jsonld.NormalizedID("wiki", doc.Source, doc.ID)] = doc.ID
 	}
-	for _, m := range All() {
+	for _, m := range allQA() {
 		m.Setup(env)
 		answeredAny := false
 		recall := eval.Mean{}
@@ -379,10 +384,16 @@ func TestQAContractOnMultiHop(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	if m, ok := ByName("fusionquery"); !ok || m.Name() != "FusionQuery" {
-		t.Fatalf("ByName fusionquery = %v %v", m, ok)
+	if m, ok := byName(allFusion(), "fusionquery"); !ok || m.Name() != "FusionQuery" {
+		t.Fatalf("byName fusionquery = %v %v", m, ok)
 	}
-	if _, ok := ByName("nonexistent"); ok {
+	if m, ok := byName(allQA(), "metarag"); !ok || m.Name() != "MetaRAG" {
+		t.Fatalf("byName metarag = %v %v", m, ok)
+	}
+	if _, ok := byName(allQA(), "fusionquery"); ok {
+		t.Fatal("a fusion-only method must not resolve among the QA methods")
+	}
+	if _, ok := byName(allFusion(), "nonexistent"); ok {
 		t.Fatal("unknown name must not resolve")
 	}
 }

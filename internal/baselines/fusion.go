@@ -33,51 +33,6 @@ func claimsOf(g *kg.Graph) []claim {
 	return out
 }
 
-// --- MajorityVote ---
-
-// MajorityVote returns the single most-voted value per fact. The paper notes
-// it "performs poorly on all datasets because it can only return a single
-// answer", failing multi-truth queries.
-type MajorityVote struct{ env *Env }
-
-// Name implements Method.
-func (*MajorityVote) Name() string { return "MV" }
-
-// Setup implements Method.
-func (m *MajorityVote) Setup(env *Env) { m.env = env }
-
-// AnswerFusion implements Method.
-func (m *MajorityVote) AnswerFusion(queryText, entity, attribute string) []string {
-	ev := graphEvidence(m.env, entity, attribute)
-	if top := majorityValue(ev); top != "" {
-		return []string{top}
-	}
-	return nil
-}
-
-// AnswerQA implements Method.
-func (m *MajorityVote) AnswerQA(question string, k int) ([]string, []string) {
-	lf := m.env.Model.ParseQuery(question)
-	docs := denseDocs(m.env, question, k)
-	if lf.Intent == "multi_hop" && len(lf.Relations) >= 2 {
-		bridge := majorityValue(graphEvidence(m.env, lf.Entities[0], lf.Relations[0]))
-		if bridge == "" {
-			return nil, docs
-		}
-		ans := majorityValue(graphEvidence(m.env, bridge, lf.Relations[1]))
-		if ans == "" {
-			return nil, docs
-		}
-		return []string{ans}, docs
-	}
-	if len(lf.Entities) > 0 && len(lf.Relations) > 0 {
-		if top := majorityValue(graphEvidence(m.env, lf.Entities[0], lf.Relations[0])); top != "" {
-			return []string{top}, docs
-		}
-	}
-	return nil, docs
-}
-
 // --- TruthFinder ---
 
 // TruthFinder implements Yin et al.'s iterative trust/confidence fixpoint
@@ -103,10 +58,10 @@ func NewTruthFinder() *TruthFinder {
 	return &TruthFinder{Gamma: 0.3, Rho: 0.5, Iterations: 5}
 }
 
-// Name implements Method.
+// Name implements FusionMethod.
 func (*TruthFinder) Name() string { return "TF" }
 
-// Setup implements Method: the full-corpus fixpoint, run once.
+// Setup implements FusionMethod: the full-corpus fixpoint, run once.
 func (t *TruthFinder) Setup(env *Env) {
 	t.env = env
 	claims := claimsOf(env.Graph)
@@ -220,9 +175,9 @@ func splitWords(s string) []string {
 	return out
 }
 
-// AnswerFusion implements Method: charged a fetch of every claim (on-demand
-// protocol), it answers from the fixpoint with the values within 10% of the
-// top confidence.
+// AnswerFusion implements FusionMethod: charged a fetch of every claim
+// (on-demand protocol), it answers from the fixpoint with the values within
+// 10% of the top confidence.
 func (t *TruthFinder) AnswerFusion(queryText, entity, attribute string) []string {
 	t.env.CountFetch(t.claims)
 	return t.answer(t.conf, entity, attribute)
@@ -256,23 +211,6 @@ func (t *TruthFinder) answer(conf map[string]map[string]float64, entity, attribu
 	return out
 }
 
-// AnswerQA implements Method: TruthFinder has no QA mode; it fuses per hop.
-func (t *TruthFinder) AnswerQA(question string, k int) ([]string, []string) {
-	lf := t.env.Model.ParseQuery(question)
-	docs := denseDocs(t.env, question, k)
-	if lf.Intent == "multi_hop" && len(lf.Relations) >= 2 && len(lf.Entities) > 0 {
-		bridges := t.AnswerFusion(question, lf.Entities[0], lf.Relations[0])
-		if len(bridges) == 0 {
-			return nil, docs
-		}
-		return t.AnswerFusion(question, bridges[0], lf.Relations[1]), docs
-	}
-	if len(lf.Entities) > 0 && len(lf.Relations) > 0 {
-		return t.AnswerFusion(question, lf.Entities[0], lf.Relations[0]), docs
-	}
-	return nil, docs
-}
-
 func sortedValueKeys(m map[string]float64) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
@@ -303,10 +241,10 @@ type LTM struct {
 // NewLTM constructs the baseline.
 func NewLTM() *LTM { return &LTM{Iterations: 8} }
 
-// Name implements Method.
+// Name implements FusionMethod.
 func (*LTM) Name() string { return "LTM" }
 
-// Setup implements Method: batch EM over the full corpus.
+// Setup implements FusionMethod: batch EM over the full corpus.
 func (l *LTM) Setup(env *Env) {
 	l.env = env
 	claims := claimsOf(env.Graph)
@@ -402,7 +340,7 @@ func clampP(p float64) float64 {
 	return p
 }
 
-// AnswerFusion implements Method: values with posterior above 0.5.
+// AnswerFusion implements FusionMethod: values with posterior above 0.5.
 func (l *LTM) AnswerFusion(queryText, entity, attribute string) []string {
 	key := kg.CanonicalID(entity) + "\x00" + attribute
 	values := l.posterior[key]
@@ -424,23 +362,6 @@ func (l *LTM) AnswerFusion(queryText, entity, attribute string) []string {
 	return out
 }
 
-// AnswerQA implements Method.
-func (l *LTM) AnswerQA(question string, k int) ([]string, []string) {
-	lf := l.env.Model.ParseQuery(question)
-	docs := denseDocs(l.env, question, k)
-	if lf.Intent == "multi_hop" && len(lf.Relations) >= 2 && len(lf.Entities) > 0 {
-		bridges := l.AnswerFusion(question, lf.Entities[0], lf.Relations[0])
-		if len(bridges) == 0 {
-			return nil, docs
-		}
-		return l.AnswerFusion(question, bridges[0], lf.Relations[1]), docs
-	}
-	if len(lf.Entities) > 0 && len(lf.Relations) > 0 {
-		return l.AnswerFusion(question, lf.Entities[0], lf.Relations[0]), docs
-	}
-	return nil, docs
-}
-
 // --- FusionQuery ---
 
 // FusionQuery implements the on-demand fusion protocol of Zhu et al. [34]:
@@ -454,10 +375,10 @@ type FusionQuery struct {
 // NewFusionQuery constructs the baseline.
 func NewFusionQuery() *FusionQuery { return &FusionQuery{trust: map[string]float64{}} }
 
-// Name implements Method.
+// Name implements FusionMethod.
 func (*FusionQuery) Name() string { return "FusionQuery" }
 
-// Setup implements Method.
+// Setup implements FusionMethod.
 func (f *FusionQuery) Setup(env *Env) {
 	f.env = env
 	f.trust = map[string]float64{}
@@ -470,7 +391,8 @@ func (f *FusionQuery) sourceTrust(src string) float64 {
 	return 0.6
 }
 
-// AnswerFusion implements Method: candidate-set EM with online trust update.
+// AnswerFusion implements FusionMethod: candidate-set EM with online trust
+// update.
 func (f *FusionQuery) AnswerFusion(queryText, entity, attribute string) []string {
 	ts := f.env.Graph.TriplesByKey(kg.CanonicalID(entity), attribute)
 	f.env.CountFetch(len(ts))
@@ -523,21 +445,4 @@ func (f *FusionQuery) AnswerFusion(queryText, entity, attribute string) []string
 	return out
 }
 
-// AnswerQA implements Method.
-func (f *FusionQuery) AnswerQA(question string, k int) ([]string, []string) {
-	lf := f.env.Model.ParseQuery(question)
-	docs := denseDocs(f.env, question, k)
-	if lf.Intent == "multi_hop" && len(lf.Relations) >= 2 && len(lf.Entities) > 0 {
-		bridges := f.AnswerFusion(question, lf.Entities[0], lf.Relations[0])
-		if len(bridges) == 0 {
-			return nil, docs
-		}
-		return f.AnswerFusion(question, bridges[0], lf.Relations[1]), docs
-	}
-	if len(lf.Entities) > 0 && len(lf.Relations) > 0 {
-		return f.AnswerFusion(question, lf.Entities[0], lf.Relations[0]), docs
-	}
-	return nil, docs
-}
-
-var _ = []Method{(*MajorityVote)(nil), (*TruthFinder)(nil), (*LTM)(nil), (*FusionQuery)(nil)}
+var _ = []FusionMethod{(*TruthFinder)(nil), (*LTM)(nil), (*FusionQuery)(nil)}

@@ -26,16 +26,10 @@ type StandardRAG struct{ ragBase }
 // NewStandardRAG constructs the baseline.
 func NewStandardRAG() *StandardRAG { return &StandardRAG{} }
 
-// Name implements Method.
+// Name implements QAMethod.
 func (*StandardRAG) Name() string { return "Standard RAG" }
 
-// AnswerFusion implements Method.
-func (s *StandardRAG) AnswerFusion(queryText, entity, attribute string) []string {
-	ev := chunkEvidence(s.env, queryText, entity, attribute, 5)
-	return s.env.Model.GenerateAnswer(queryText, ev)
-}
-
-// AnswerQA implements Method: one retrieval round with the whole question,
+// AnswerQA implements QAMethod: one retrieval round with the whole question,
 // then in-context chaining over whatever the top chunks contain. When the
 // second-hop document was not retrieved — the common multi-hop failure — the
 // model answers from unrelated attribute mentions and hallucinates.
@@ -122,17 +116,10 @@ func (c *CoT) recallMiss(question string) bool {
 // NewCoT constructs the baseline.
 func NewCoT() *CoT { return &CoT{} }
 
-// Name implements Method.
+// Name implements QAMethod.
 func (*CoT) Name() string { return "GPT-3.5-Turbo+CoT" }
 
-// AnswerFusion implements Method.
-func (c *CoT) AnswerFusion(queryText, entity, attribute string) []string {
-	// Closed-book: only two chunks of "remembered" context.
-	ev := chunkEvidence(c.env, queryText, entity, attribute, 2)
-	return c.env.Model.GenerateAnswer("cot|"+queryText, ev)
-}
-
-// AnswerQA implements Method: step-by-step decomposition over parametric
+// AnswerQA implements QAMethod: step-by-step decomposition over parametric
 // memory; no retrieval loop, so the document ranking stays dense-only.
 func (c *CoT) AnswerQA(question string, k int) ([]string, []string) {
 	lf := c.env.Model.ParseQuery(question)
@@ -188,10 +175,10 @@ type IRCoT struct{ ragBase }
 // NewIRCoT constructs the baseline.
 func NewIRCoT() *IRCoT { return &IRCoT{} }
 
-// Name implements Method.
+// Name implements FusionMethod and QAMethod.
 func (*IRCoT) Name() string { return "IRCoT" }
 
-// AnswerFusion implements Method.
+// AnswerFusion implements FusionMethod.
 func (i *IRCoT) AnswerFusion(queryText, entity, attribute string) []string {
 	// Two retrieval rounds: the question itself, then a refinement with the
 	// attribute spelled out.
@@ -200,7 +187,7 @@ func (i *IRCoT) AnswerFusion(queryText, entity, attribute string) []string {
 	return i.env.Model.GenerateAnswer(queryText, ev)
 }
 
-// AnswerQA implements Method.
+// AnswerQA implements QAMethod.
 func (i *IRCoT) AnswerQA(question string, k int) ([]string, []string) {
 	lf := i.env.Model.ParseQuery(question)
 	docs := denseDocs(i.env, question, k)
@@ -249,10 +236,10 @@ type ChatKBQA struct{ ragBase }
 // NewChatKBQA constructs the baseline.
 func NewChatKBQA() *ChatKBQA { return &ChatKBQA{} }
 
-// Name implements Method.
+// Name implements FusionMethod and QAMethod.
 func (*ChatKBQA) Name() string { return "ChatKBQA" }
 
-// AnswerFusion implements Method.
+// AnswerFusion implements FusionMethod.
 func (c *ChatKBQA) AnswerFusion(queryText, entity, attribute string) []string {
 	ev := graphEvidence(c.env, entity, attribute)
 	if len(ev) == 0 {
@@ -261,7 +248,7 @@ func (c *ChatKBQA) AnswerFusion(queryText, entity, attribute string) []string {
 	return c.env.Model.GenerateAnswer(queryText, ev)
 }
 
-// AnswerQA implements Method.
+// AnswerQA implements QAMethod.
 func (c *ChatKBQA) AnswerQA(question string, k int) ([]string, []string) {
 	lf := c.env.Model.ParseQuery(question)
 	docs := denseDocs(c.env, question, k)
@@ -310,10 +297,10 @@ type MDQA struct{ ragBase }
 // NewMDQA constructs the baseline.
 func NewMDQA() *MDQA { return &MDQA{} }
 
-// Name implements Method.
+// Name implements FusionMethod and QAMethod.
 func (*MDQA) Name() string { return "MDQA" }
 
-// AnswerFusion implements Method.
+// AnswerFusion implements FusionMethod.
 func (m *MDQA) AnswerFusion(queryText, entity, attribute string) []string {
 	ev := chunkEvidence(m.env, queryText, entity, attribute, 8)
 	if len(ev) == 0 {
@@ -325,7 +312,7 @@ func (m *MDQA) AnswerFusion(queryText, entity, attribute string) []string {
 	return m.env.Model.GenerateAnswer(queryText, ev)
 }
 
-// AnswerQA implements Method.
+// AnswerQA implements QAMethod.
 func (m *MDQA) AnswerQA(question string, k int) ([]string, []string) {
 	lf := m.env.Model.ParseQuery(question)
 	docs := denseDocs(m.env, question, k)
@@ -362,11 +349,11 @@ type RQRAG struct{ ragBase }
 // NewRQRAG constructs the baseline.
 func NewRQRAG() *RQRAG { return &RQRAG{} }
 
-// Name implements Method.
+// Name implements QAMethod.
 func (*RQRAG) Name() string { return "RQ-RAG" }
 
-// AnswerFusion implements Method.
-func (r *RQRAG) AnswerFusion(queryText, entity, attribute string) []string {
+// answerFusion resolves one (entity, attribute) hop of a question.
+func (r *RQRAG) answerFusion(queryText, entity, attribute string) []string {
 	ev := chunkEvidence(r.env, queryText, entity, attribute, 4)
 	ev = append(ev, chunkEvidence(r.env, entity+" "+attribute, entity, attribute, 4)...)
 	ev = append(ev, chunkEvidence(r.env, hopQuery(attribute, entity), entity, attribute, 4)...)
@@ -376,7 +363,7 @@ func (r *RQRAG) AnswerFusion(queryText, entity, attribute string) []string {
 	return r.env.Model.GenerateAnswer(queryText, ev)
 }
 
-// AnswerQA implements Method.
+// AnswerQA implements QAMethod.
 func (r *RQRAG) AnswerQA(question string, k int) ([]string, []string) {
 	lf := r.env.Model.ParseQuery(question)
 	docs := denseDocs(r.env, question, k)
@@ -397,15 +384,15 @@ func (r *RQRAG) AnswerQA(question string, k int) ([]string, []string) {
 	}
 	if lf.Intent == "comparison" && len(lf.Entities) >= 2 && len(lf.Relations) > 0 {
 		rel := lf.Relations[0]
-		v1 := r.AnswerFusion(question+" [1]", lf.Entities[0], rel)
-		v2 := r.AnswerFusion(question+" [2]", lf.Entities[1], rel)
+		v1 := r.answerFusion(question+" [1]", lf.Entities[0], rel)
+		v2 := r.answerFusion(question+" [2]", lf.Entities[1], rel)
 		if v1 == nil || v2 == nil {
 			return nil, docs
 		}
 		return comparisonAnswer(v1, v2), docs
 	}
 	if len(lf.Entities) > 0 && len(lf.Relations) > 0 {
-		return r.AnswerFusion(question, lf.Entities[0], lf.Relations[0]), docs
+		return r.answerFusion(question, lf.Entities[0], lf.Relations[0]), docs
 	}
 	return nil, docs
 }
@@ -421,7 +408,7 @@ type MetaRAG struct{ ragBase }
 // NewMetaRAG constructs the baseline.
 func NewMetaRAG() *MetaRAG { return &MetaRAG{} }
 
-// Name implements Method.
+// Name implements QAMethod.
 func (*MetaRAG) Name() string { return "MetaRAG" }
 
 func (m *MetaRAG) generateChecked(question string, ev []llm.Evidence) []string {
@@ -447,8 +434,8 @@ func (m *MetaRAG) generateChecked(question string, ev []llm.Evidence) []string {
 	return m.env.Model.GenerateAnswer("retry|"+question, agree)
 }
 
-// AnswerFusion implements Method.
-func (m *MetaRAG) AnswerFusion(queryText, entity, attribute string) []string {
+// answerFusion resolves one (entity, attribute) hop of a question.
+func (m *MetaRAG) answerFusion(queryText, entity, attribute string) []string {
 	ev := chunkEvidence(m.env, queryText, entity, attribute, 6)
 	if len(ev) == 0 {
 		ev = graphEvidence(m.env, entity, attribute)
@@ -456,7 +443,7 @@ func (m *MetaRAG) AnswerFusion(queryText, entity, attribute string) []string {
 	return m.generateChecked(queryText, ev)
 }
 
-// AnswerQA implements Method.
+// AnswerQA implements QAMethod.
 func (m *MetaRAG) AnswerQA(question string, k int) ([]string, []string) {
 	lf := m.env.Model.ParseQuery(question)
 	docs := denseDocs(m.env, question, k)
@@ -480,12 +467,15 @@ func (m *MetaRAG) AnswerQA(question string, k int) ([]string, []string) {
 		return comparisonAnswer(v1, v2), docs
 	}
 	if len(lf.Entities) > 0 && len(lf.Relations) > 0 {
-		return m.AnswerFusion(question, lf.Entities[0], lf.Relations[0]), docs
+		return m.answerFusion(question, lf.Entities[0], lf.Relations[0]), docs
 	}
 	return nil, docs
 }
 
-var _ = []Method{
-	(*StandardRAG)(nil), (*CoT)(nil), (*IRCoT)(nil), (*ChatKBQA)(nil),
-	(*MDQA)(nil), (*RQRAG)(nil), (*MetaRAG)(nil),
-}
+var (
+	_ = []QAMethod{
+		(*StandardRAG)(nil), (*CoT)(nil), (*IRCoT)(nil), (*ChatKBQA)(nil),
+		(*MDQA)(nil), (*RQRAG)(nil), (*MetaRAG)(nil),
+	}
+	_ = []FusionMethod{(*IRCoT)(nil), (*ChatKBQA)(nil), (*MDQA)(nil)}
+)

@@ -53,11 +53,12 @@ func (o Options) scaleQA(spec datasets.QASpec) datasets.QASpec {
 	return spec
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
+// seed is the run's seed: Seed, or 1 when it is unset.
+func (o Options) seed() uint64 {
+	if o.Seed == 0 {
+		return 1
 	}
-	return b
+	return o.Seed
 }
 
 // llmConfig is the shared simulated-model configuration for benchmark runs.
@@ -76,8 +77,11 @@ func buildEnv(files []adapter.RawFile, model *llm.Sim) (*baselines.Env, error) {
 		return nil, err
 	}
 	g := kg.New()
-	if _, err := extract.NewRaw(model).Build(g, fused); err != nil {
-		return nil, err
+	ext := extract.NewRaw(model)
+	for _, f := range fused {
+		if _, err := ext.BuildFile(g, f); err != nil {
+			return nil, err
+		}
 	}
 	ix := retrieval.NewIndex(retrieval.DefaultDim)
 	for _, n := range fused {
@@ -91,7 +95,7 @@ func buildEnv(files []adapter.RawFile, model *llm.Sim) (*baselines.Env, error) {
 // fusionCell measures one baseline on one filtered corpus: mean F1 (%) over
 // the workload and its priced time in seconds (LLM latency plus record
 // fetches).
-func fusionCell(m baselines.Method, files []adapter.RawFile, queries []datasets.Query, seed uint64) (f1pct, seconds float64, err error) {
+func fusionCell(m baselines.FusionMethod, files []adapter.RawFile, queries []datasets.Query, seed uint64) (f1pct, seconds float64, err error) {
 	model := llm.NewSim(llmConfig(seed))
 	env, err := buildEnv(files, model)
 	if err != nil {
@@ -169,11 +173,7 @@ func (c datasetCache) get(name string, o Options) (*datasets.Dataset, error) {
 	if d, ok := c[name]; ok {
 		return d, nil
 	}
-	seed := o.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	spec, err := datasets.ByName(name, seed)
+	spec, err := datasets.ByName(name, o.seed())
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"multirag/internal/baselines"
 	"multirag/internal/datasets"
 )
 
@@ -148,6 +149,31 @@ func TestQueriesForFiltersByFormat(t *testing.T) {
 		}
 		if !ok {
 			t.Fatalf("query %s not answerable from J/K sources", q.ID)
+		}
+	}
+}
+
+// TestBaselineContractsMatchTables pins each comparison method's contracts to
+// the tables that run it: a Table II column that implements QAMethod must be
+// a Table IV row, and a Table IV row that implements FusionMethod a Table II
+// column. An answer path that no table runs then fails here instead of
+// passing the export guard as an interface method.
+func TestBaselineContractsMatchTables(t *testing.T) {
+	fusion, qa := map[string]bool{}, map[string]bool{}
+	for _, m := range tableIIMethods() {
+		fusion[m.Name()] = true
+	}
+	for _, m := range tableIVMethods() {
+		qa[m.Name()] = true
+	}
+	for _, m := range tableIIMethods() {
+		if _, ok := m.(baselines.QAMethod); ok && !qa[m.Name()] {
+			t.Errorf("%s implements QAMethod but is not a Table IV row", m.Name())
+		}
+	}
+	for _, m := range tableIVMethods() {
+		if _, ok := m.(baselines.FusionMethod); ok && !fusion[m.Name()] {
+			t.Errorf("%s implements FusionMethod but is not a Table II column", m.Name())
 		}
 	}
 }

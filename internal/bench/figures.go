@@ -39,7 +39,7 @@ func perturbedMultiRAGF1(d *datasets.Dataset, kind perturbKind, frac float64, se
 }
 
 // perturbedBaselineF1 does the same for a baseline method.
-func perturbedBaselineF1(m baselines.Method, d *datasets.Dataset, kind perturbKind, frac float64, seed uint64) (float64, error) {
+func perturbedBaselineF1(m baselines.FusionMethod, d *datasets.Dataset, kind perturbKind, frac float64, seed uint64) (float64, error) {
 	model := llm.NewSim(llmConfig(seed))
 	env, err := buildEnv(d.Files, model)
 	if err != nil {
@@ -69,10 +69,7 @@ func applyPerturbation(g *kg.Graph, d *datasets.Dataset, kind perturbKind, frac 
 // Books and Stocks datasets, consistency (shuffled triple increments) on the
 // Movies and Flights datasets, for MultiRAG vs ChatKBQA at 0/30/50/70%.
 func Figure5(o Options) error {
-	seed := o.Seed
-	if seed == 0 {
-		seed = 1
-	}
+	seed := o.seed()
 	levels := []float64{0, 0.3, 0.5, 0.7}
 	ticks := []string{"0%", "30%", "50%", "70%"}
 	cache := datasetCache{}
@@ -124,10 +121,7 @@ func Figure5(o Options) error {
 // Figure6 runs the efficiency–accuracy tradeoff: F1 and query time at source
 // corruption levels 0/10/30/50/70% on Movies and Books.
 func Figure6(o Options) error {
-	seed := o.Seed
-	if seed == 0 {
-		seed = 1
-	}
+	seed := o.seed()
 	levels := []float64{0, 0.1, 0.3, 0.5, 0.7}
 	ticks := []string{"0%", "10%", "30%", "50%", "70%"}
 	cache := datasetCache{}
@@ -185,10 +179,6 @@ func Figure6(o Options) error {
 // Figure7 sweeps the authority mixing weight α on the Books J/C/X corpus,
 // reporting F1 and query time per α.
 func Figure7(o Options) error {
-	seed := o.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	cache := datasetCache{}
 	d, err := cache.get("books", o)
 	if err != nil {
@@ -208,7 +198,7 @@ func Figure7(o Options) error {
 	for _, a := range alphas {
 		mcc := confidence.DefaultConfig()
 		mcc.Alpha = a
-		f1, qt, _, err := multiragCell(core.Config{MCC: mcc}, files, queries, seed)
+		f1, qt, _, err := multiragCell(core.Config{MCC: mcc}, files, queries, o.seed())
 		if err != nil {
 			return fmt.Errorf("fig7 alpha=%.2f: %w", a, err)
 		}

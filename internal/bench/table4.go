@@ -39,7 +39,7 @@ func mapDocs(ids []string, mapping map[string]string) []string {
 
 // qaMethodCell measures one baseline on one QA dataset: answer precision (%)
 // and Recall@5 (%).
-func qaMethodCell(m baselines.Method, qa *datasets.QADataset, seed uint64) (precision, recall5 float64, err error) {
+func qaMethodCell(m baselines.QAMethod, qa *datasets.QADataset, seed uint64) (precision, recall5 float64, err error) {
 	model := llm.NewSim(llmConfig(seed))
 	files, mapping := qaFiles(qa)
 	env, err := buildEnv(files, model)
@@ -75,8 +75,8 @@ func qaMultiRAGCell(qa *datasets.QADataset, seed uint64) (precision, recall5 flo
 }
 
 // tableIVMethods lists the Table IV comparison rows in paper order.
-func tableIVMethods() []baselines.Method {
-	return []baselines.Method{
+func tableIVMethods() []baselines.QAMethod {
+	return []baselines.QAMethod{
 		baselines.NewStandardRAG(),
 		baselines.NewCoT(),
 		baselines.NewIRCoT(),
@@ -90,10 +90,7 @@ func tableIVMethods() []baselines.Method {
 // TableIV runs the multi-hop QA comparison on the HotpotQA-like and
 // 2WikiMultiHopQA-like datasets: Precision and Recall@5 per method.
 func TableIV(o Options) error {
-	seed := o.Seed
-	if seed == 0 {
-		seed = 1
-	}
+	seed := o.seed()
 	hotpot := datasets.GenerateQA(o.scaleQA(datasets.Hotpot(seed)))
 	twowiki := datasets.GenerateQA(o.scaleQA(datasets.TwoWiki(seed)))
 	t := eval.Table{

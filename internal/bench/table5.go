@@ -30,10 +30,6 @@ func caseStudyFiles() []adapter.RawFile {
 // MCC verdicts with and without graph-level confidence computing, and the
 // final answers — the analogue of the paper's Table V.
 func TableV(o Options) error {
-	seed := o.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	w := o.Out
 	fmt.Fprintln(w, "Table V: Case study — real-time status of Air China flight CA981 (PEK → JFK)")
 	fmt.Fprintln(w)
@@ -42,7 +38,7 @@ func TableV(o Options) error {
 
 	run := func(label string, ablation confidence.Options) (*core.System, core.Answer) {
 		s := core.NewSystem(core.Config{
-			LLM:      llm.Config{Seed: seed, ExtractionNoise: 0},
+			LLM:      llm.Config{Seed: o.seed(), ExtractionNoise: 0},
 			Ablation: ablation,
 		})
 		if _, err := s.Ingest(caseStudyFiles()); err != nil {

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"multirag/internal/adapter"
 	"multirag/internal/baselines"
 	"multirag/internal/confidence"
 	"multirag/internal/core"
@@ -66,8 +67,8 @@ func formatLetter(format string) string {
 }
 
 // tableIIMethods lists the Table II comparison columns in paper order.
-func tableIIMethods() []baselines.Method {
-	return []baselines.Method{
+func tableIIMethods() []baselines.FusionMethod {
+	return []baselines.FusionMethod{
 		baselines.NewTruthFinder(),
 		baselines.NewLTM(),
 		baselines.NewIRCoT(),
@@ -90,41 +91,21 @@ func TableII(o Options) error {
 		Title:   "Table II: Comparison with baseline and SOTA methods for multi-source knowledge fusion",
 		Headers: headers,
 	}
-	cache := datasetCache{}
-	seed := o.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	for _, c := range tableCombos {
-		d, err := cache.get(c.dataset, o)
-		if err != nil {
-			return err
-		}
-		files, err := d.FilterFormats(c.letters)
-		if err != nil {
-			return fmt.Errorf("table2 %s: %w", c.dataset, err)
-		}
-		queries, err := d.QueriesFor(c.letters, len(d.Queries))
-		if err != nil {
-			return fmt.Errorf("table2 %s: %w", c.dataset, err)
-		}
-		row := []string{c.dataset, c.letters}
+	return comboRows(o, t, "table2", func(files []adapter.RawFile, queries []datasets.Query) ([]string, error) {
+		var row []string
 		for _, m := range methods {
-			f1, secs, err := fusionCell(m, files, queries, seed)
+			f1, secs, err := fusionCell(m, files, queries, o.seed())
 			if err != nil {
-				return fmt.Errorf("table2 %s/%s/%s: %w", c.dataset, c.letters, m.Name(), err)
+				return nil, fmt.Errorf("%s: %w", m.Name(), err)
 			}
 			row = append(row, fmt.Sprintf("%.1f", f1), fmtSeconds(secs))
 		}
-		f1, qt, _, err := multiragCell(core.Config{}, files, queries, seed)
+		f1, qt, _, err := multiragCell(core.Config{}, files, queries, o.seed())
 		if err != nil {
-			return fmt.Errorf("table2 %s/%s/MCC: %w", c.dataset, c.letters, err)
+			return nil, fmt.Errorf("MCC: %w", err)
 		}
-		row = append(row, fmt.Sprintf("%.1f", f1), fmtSeconds(qt))
-		t.AddRow(row...)
-	}
-	t.Fprint(o.Out)
-	return nil
+		return append(row, fmt.Sprintf("%.1f", f1), fmtSeconds(qt)), nil
+	})
 }
 
 // ablationConfigs returns the Table III columns: the full framework and its
@@ -157,11 +138,24 @@ func TableIII(o Options) error {
 		Title:   "Table III: Ablation of multi-source knowledge aggregation (MKA) and multi-level confidence computing (MCC)",
 		Headers: headers,
 	}
+	return comboRows(o, t, "table3", func(files []adapter.RawFile, queries []datasets.Query) ([]string, error) {
+		var row []string
+		for _, ac := range configs {
+			f1, qt, pt, err := multiragCell(ac.Cfg, files, queries, o.seed())
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", ac.Name, err)
+			}
+			row = append(row, fmt.Sprintf("%.1f", f1), fmtSeconds(qt), fmtSeconds(pt))
+		}
+		return row, nil
+	})
+}
+
+// comboRows adds one row to t per tableCombos entry, the dataset and source
+// columns followed by what cells measures on that combo's files and queries,
+// and prints t.
+func comboRows(o Options, t eval.Table, table string, cells func([]adapter.RawFile, []datasets.Query) ([]string, error)) error {
 	cache := datasetCache{}
-	seed := o.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	for _, c := range tableCombos {
 		d, err := cache.get(c.dataset, o)
 		if err != nil {
@@ -169,21 +163,17 @@ func TableIII(o Options) error {
 		}
 		files, err := d.FilterFormats(c.letters)
 		if err != nil {
-			return fmt.Errorf("table3 %s: %w", c.dataset, err)
+			return fmt.Errorf("%s %s: %w", table, c.dataset, err)
 		}
 		queries, err := d.QueriesFor(c.letters, len(d.Queries))
 		if err != nil {
-			return fmt.Errorf("table3 %s: %w", c.dataset, err)
+			return fmt.Errorf("%s %s: %w", table, c.dataset, err)
 		}
-		row := []string{c.dataset, c.letters}
-		for _, ac := range configs {
-			f1, qt, pt, err := multiragCell(ac.Cfg, files, queries, seed)
-			if err != nil {
-				return fmt.Errorf("table3 %s/%s/%s: %w", c.dataset, c.letters, ac.Name, err)
-			}
-			row = append(row, fmt.Sprintf("%.1f", f1), fmtSeconds(qt), fmtSeconds(pt))
+		row, err := cells(files, queries)
+		if err != nil {
+			return fmt.Errorf("%s %s/%s/%w", table, c.dataset, c.letters, err)
 		}
-		t.AddRow(row...)
+		t.AddRow(append([]string{c.dataset, c.letters}, row...)...)
 	}
 	t.Fprint(o.Out)
 	return nil

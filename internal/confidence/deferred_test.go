@@ -12,7 +12,7 @@ import (
 func (hs *HistoryStore) Prh(source string) float64 {
 	hs.mu.Lock()
 	defer hs.mu.Unlock()
-	return hs.Prh0(hs.get(source))
+	return hs.prh0(hs.get(source))
 }
 
 // Empty reports whether the delta carries no credits.

@@ -72,11 +72,13 @@ func (hs *HistoryStore) Historical(source string, currentPr []float64, queryData
 	if denom == 0 {
 		return hs.initPr
 	}
-	v := (float64(sh.h)*hs.Prh0(sh) + sum) / denom
+	v := (float64(sh.h)*hs.prh0(sh) + sum) / denom
 	return clamp01(v)
 }
 
-func (hs *HistoryStore) Prh0(sh *sourceHistory) float64 {
+// prh0 is sh's stored credibility: its credibility mass per unit of history
+// size, or initPr when it has no history.
+func (hs *HistoryStore) prh0(sh *sourceHistory) float64 {
 	if sh.h == 0 {
 		return hs.initPr
 	}

@@ -44,9 +44,6 @@ type Options struct {
 	DisableNodeLevel bool
 }
 
-// Disabled reports whether both levels are off ("w/o MCC").
-func (o Options) Disabled() bool { return o.DisableGraphLevel && o.DisableNodeLevel }
-
 // TrustedNode is one retrieval node that survived confidence filtering,
 // with the weight it should carry in the LLM context.
 type TrustedNode struct {
@@ -368,7 +365,7 @@ func (m *MCC) AssessIsolated(sg *linegraph.SG, t *kg.Triple, opts Options) Trust
 
 // PreparePoint computes the history-independent half of AssessIsolated.
 func (m *MCC) PreparePoint(sg *linegraph.SG, t *kg.Triple, opts Options) PreparedPoint {
-	p := PreparedPoint{Triple: t, scored: !opts.Disabled() && !opts.DisableNodeLevel}
+	p := PreparedPoint{Triple: t, scored: !opts.DisableNodeLevel}
 	if p.scored && m.cfg.Alpha > 0 {
 		g := sg.Graph()
 		p.auth = authorityContext(g, g.MaxDegree(), t)

@@ -167,8 +167,11 @@ func buildGraph(t *testing.T, files []adapter.RawFile) *kg.Graph {
 		t.Fatalf("Fuse: %v", err)
 	}
 	g := kg.New()
-	if _, err := extract.New(llm.NewSim(llm.Config{Seed: 1, ExtractionNoise: 0})).Build(g, fused); err != nil {
-		t.Fatalf("Build: %v", err)
+	ext := extract.New(llm.NewSim(llm.Config{Seed: 1, ExtractionNoise: 0}))
+	for _, f := range fused {
+		if _, err := ext.BuildFile(g, f); err != nil {
+			t.Fatalf("BuildFile: %v", err)
+		}
 	}
 	return g
 }

@@ -82,26 +82,6 @@ func (rep *Report) Merge(other Report) {
 type Sink interface {
 	AddEntity(name, typ, domain string) string
 	AddTriple(f kg.Fact) (string, error)
-	NumEntities() int
-	NumTriples() int
-}
-
-// Build extracts all files into g and returns a report. Files are processed
-// in the deterministic order produced by adapter.Fuse.
-func (e *Extractor) Build(g Sink, files []*jsonld.Normalized) (Report, error) {
-	rep := Report{ByFormat: map[string]int{}}
-	before := g.NumTriples()
-	entBefore := g.NumEntities()
-	for _, f := range files {
-		fileRep, err := e.BuildFile(g, f)
-		if err != nil {
-			return rep, err
-		}
-		rep.Merge(fileRep)
-	}
-	rep.Triples = g.NumTriples() - before
-	rep.Entities = g.NumEntities() - entBefore
-	return rep, nil
 }
 
 // BuildFile extracts a single file into g. It is the per-file unit of work

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"multirag/internal/adapter"
+	"multirag/internal/jsonld"
 	"multirag/internal/kg"
 	"multirag/internal/llm"
 )
@@ -17,20 +18,31 @@ func fuseAndBuild(t *testing.T, files []adapter.RawFile) (*kg.Graph, Report) {
 	}
 	g := kg.New()
 	model := llm.NewSim(llm.Config{Seed: 1, ExtractionNoise: 0})
-	rep, err := New(model).Build(g, fused)
-	if err != nil {
-		t.Fatalf("Build: %v", err)
+	return g, buildFiles(t, New(model), g, fused)
+}
+
+// buildFiles extracts files into g one by one and returns their merged
+// report.
+func buildFiles(t *testing.T, e *Extractor, g Sink, files []*jsonld.Normalized) Report {
+	t.Helper()
+	rep := Report{ByFormat: map[string]int{}}
+	for _, f := range files {
+		fileRep, err := e.BuildFile(g, f)
+		if err != nil {
+			t.Fatalf("BuildFile: %v", err)
+		}
+		rep.Merge(fileRep)
 	}
-	return g, rep
+	return rep
 }
 
 func TestBuildFromCSV(t *testing.T) {
-	g, rep := fuseAndBuild(t, []adapter.RawFile{{
+	g, _ := fuseAndBuild(t, []adapter.RawFile{{
 		Domain: "movies", Source: "imdb", Name: "top", Format: "csv",
 		Content: []byte("title,director,year\nHeat,Michael Mann,1995\n"),
 	}})
-	if rep.Triples != 2 {
-		t.Fatalf("triples = %d, want 2", rep.Triples)
+	if g.NumTriples() != 2 {
+		t.Fatalf("triples = %d, want 2", g.NumTriples())
 	}
 	ts := g.TriplesByKey(kg.CanonicalID("Heat"), "director")
 	if len(ts) != 1 || ts[0].Object != "Michael Mann" {
@@ -64,12 +76,12 @@ func TestBuildFromXMLRepeatedElements(t *testing.T) {
 }
 
 func TestBuildFromKGFormat(t *testing.T) {
-	g, rep := fuseAndBuild(t, []adapter.RawFile{{
+	g, _ := fuseAndBuild(t, []adapter.RawFile{{
 		Domain: "movies", Source: "kgsrc", Name: "facts", Format: "kg",
 		Content: []byte("Heat|year|1995\nHeat|director|Michael Mann"),
 	}})
-	if rep.Triples != 2 {
-		t.Fatalf("triples = %d", rep.Triples)
+	if g.NumTriples() != 2 {
+		t.Fatalf("triples = %d", g.NumTriples())
 	}
 	if len(g.TriplesByKey(kg.CanonicalID("Heat"), "year")) != 1 {
 		t.Fatal("kg triple missing")

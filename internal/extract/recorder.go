@@ -27,7 +27,6 @@ import (
 type Recorder struct {
 	ops      wal.Encoder
 	n        int                 // ops recorded
-	triples  int                 // triple ops recorded
 	entities map[string]struct{} // canonical IDs recorded so far (the subject check)
 	// The previous entity op's type and domain and the previous triple op,
 	// which the next op of the same kind is front-coded against.
@@ -41,7 +40,7 @@ func NewRecorder() *Recorder { return &Recorder{} }
 // Reset empties the recorder for another file, keeping its buffers.
 func (r *Recorder) Reset() {
 	r.ops.Reset()
-	r.n, r.triples = 0, 0
+	r.n = 0
 	clear(r.entities)
 	r.prevTyp, r.prevDomain, r.prev = "", "", kg.Fact{}
 }
@@ -90,16 +89,8 @@ func (r *Recorder) AddTriple(f kg.Fact) (string, error) {
 	e.F64(f.Weight)
 	r.prev = f
 	r.n++
-	r.triples++
 	return "", nil
 }
-
-// NumEntities reports the recorded entity count (Sink conformance; batch
-// reports recompute real deltas against the master graph).
-func (r *Recorder) NumEntities() int { return len(r.entities) }
-
-// NumTriples reports the recorded triple count.
-func (r *Recorder) NumTriples() int { return r.triples }
 
 // EncodedLen is how many bytes EncodeTo appends.
 func (r *Recorder) EncodedLen() int { return wal.UvarintSize(uint64(r.n)) + len(r.ops.Bytes()) }

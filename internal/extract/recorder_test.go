@@ -60,10 +60,7 @@ func TestRecorderReplayMatchesDirectBuild(t *testing.T) {
 	model := llm.NewSim(llm.Config{Seed: 1, ExtractionNoise: 0})
 
 	direct := kg.New()
-	directRep, err := New(model).Build(direct, fused)
-	if err != nil {
-		t.Fatal(err)
-	}
+	directRep := buildFiles(t, New(model), direct, fused)
 
 	replayed, inPlace := kg.New(), kg.New()
 	agg := Report{ByFormat: map[string]int{}}

@@ -165,8 +165,11 @@ func TestNestedCandidatesMatchIndexOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := kg.New()
-		if _, err := extract.New(llm.NewSim(llm.Config{Seed: 1})).Build(g, fused); err != nil {
-			t.Fatal(err)
+		ext := extract.New(llm.NewSim(llm.Config{Seed: 1}))
+		for _, f := range fused {
+			if _, err := ext.BuildFile(g, f); err != nil {
+				t.Fatal(err)
+			}
 		}
 		sg := Build(g)
 		oracle := indexNested(sg)
