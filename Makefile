@@ -32,7 +32,8 @@ race:
 # because its instrumentation changes what they count: the allocation
 # ceilings (objects per served query, per memo hit, per parsed query, per
 # extracted chunk, per stored-embedding read, per fallback answer, per
-# replayed vector, per prepared file, per triple a commit and a replica's
+# replayed vector, per prepared file, per record a fused file holds in each
+# format, per triple a commit and a replica's
 # apply replay, and the bytes a replica seeded beside its primary
 # allocates per triple) and the heap one engine copy retains per triple,
 # decoded from a checkpoint body, and a replica seeded beside its primary —
@@ -87,7 +88,12 @@ chaos-cluster:
 # mentions and ExtractTriples' triples on arbitrary text), and the front
 # door's JSON request decoders, whose arbitrary bodies must get a 200 or a
 # typed rejection, never a panic or a 500, and whose rejections' bodies must
-# stay within 512 bytes, quoting only bounded excerpts of the request.
+# stay within 512 bytes, quoting only bounded excerpts of the request — and
+# stage 1's format adapters against the tree-building parsers they replaced
+# (encoding/json into interface{} printed with fmt.Sprint, xml.Unmarshal into
+# a reflective node tree, csv.ReadAll, strings.Split, documents set one
+# property at a time): each content parsed as every format must fail on both
+# sides or give the same records, properties in order.
 fuzz-smoke:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzFrameParse -fuzztime 5s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecoder -fuzztime 5s
@@ -99,6 +105,7 @@ fuzz-smoke:
 	$(GO) test ./internal/textutil -run '^$$' -fuzz FuzzHash64 -fuzztime 5s
 	$(GO) test ./internal/llm -run '^$$' -fuzz FuzzParseQuery -fuzztime 5s
 	$(GO) test ./internal/llm -run '^$$' -fuzz FuzzExtract -fuzztime 5s
+	$(GO) test ./internal/adapter -run '^$$' -fuzz FuzzAdaptersMatchOracle -fuzztime 5s
 
 # layers builds and tests the benchmark's per-layer pass, which lives behind
 # the `layers` build tag and calls internal packages directly: an internal
@@ -163,8 +170,11 @@ layers:
 # Handler().ServeHTTP on the case-study corpus on an idle server, whose
 # allocs/op are the serve layer's objects per request plus the engine's, and
 # the same from four goroutines per GOMAXPROCS on a saturated one, where
-# requests wait for a slot. B/op is the tracked number. BENCHTIME=1x makes it
-# a smoke run.
+# requests wait for a slot — and stage 1's format adapters: every datasets
+# file of one format (all presets, seed 1) fused per op, one sub-benchmark a
+# format (csv, json, xml, kg, text), whose allocs/op are a few per file
+# beyond encoding/csv's string per row and encoding/xml's objects per token.
+# B/op is the tracked number. BENCHTIME=1x makes it a smoke run.
 bench-micro:
 	$(GO) test -run '^$$' -bench '^Benchmark(CommitAppend|Search|EncodeStore|DecodeStore|Embed|Accumulate|TopK)$$' -benchmem -benchtime $(BENCHTIME) ./internal/retrieval
 	$(GO) test -run '^$$' -bench '^Benchmark(GraphCommitAppend|COWPagePrivatize)$$' -benchmem -benchtime $(BENCHTIME) ./internal/kg
@@ -173,6 +183,7 @@ bench-micro:
 	$(GO) test -run '^$$' -bench '^Benchmark(NormalForms|NewDist)$$' -benchmem -benchtime $(BENCHTIME) ./internal/textutil
 	$(GO) test -run '^$$' -bench '^Benchmark(ParseQuery|ExtractChunk|GenerateAnswer)$$' -benchmem -benchtime $(BENCHTIME) ./internal/llm
 	$(GO) test -run '^$$' -bench '^BenchmarkServe(Query|Saturated)$$' -benchmem -benchtime $(BENCHTIME) ./internal/serve
+	$(GO) test -run '^$$' -bench '^BenchmarkFuse$$' -benchmem -benchtime $(BENCHTIME) ./internal/adapter
 
 # bench regenerates the paper tables/figures at a reduced scale and records
 # per-job wall-clock timings for the perf trajectory. That per-job wall time

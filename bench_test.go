@@ -226,17 +226,6 @@ func BenchmarkRetrievalSearch(b *testing.B) {
 	}
 }
 
-func BenchmarkAdapterFuse(b *testing.B) {
-	d := benchCorpus(b)
-	reg := adapter.NewRegistry()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := reg.Fuse(d.Files); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkEndToEndQuery(b *testing.B) {
 	d := benchCorpus(b)
 	s := newBenchSystem(b, core.Config{}, d.Files)

@@ -12,6 +12,7 @@ package adapter
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"multirag/internal/jsonld"
@@ -110,18 +111,18 @@ func (r *Registry) FuseParallel(files []RawFile, workers int) ([]*jsonld.Normali
 	return out, nil
 }
 
-// newNormalized fills the identity fields shared by all adapters.
+// newNormalized fills the identity fields shared by all adapters. The file's
+// metadata is copied, so that a caller may reuse its map.
 func newNormalized(f RawFile) *jsonld.Normalized {
-	meta := map[string]string{}
-	for k, v := range f.Meta {
-		meta[k] = v
-	}
-	return &jsonld.Normalized{
+	n := &jsonld.Normalized{
 		ID:     jsonld.NormalizedID(f.Domain, f.Source, f.Name),
 		Domain: f.Domain,
 		Source: f.Source,
 		Name:   f.Name,
 		Format: f.Format,
-		Meta:   meta,
 	}
+	if len(f.Meta) > 0 {
+		n.Meta = maps.Clone(f.Meta)
+	}
+	return n
 }

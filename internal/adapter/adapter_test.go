@@ -1,8 +1,10 @@
 package adapter
 
 import (
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestStructuredCSV(t *testing.T) {
@@ -51,6 +53,49 @@ func TestStructuredCSVErrors(t *testing.T) {
 	}
 }
 
+// TestStructuredCSVWideHeader: a header is checked for repeated columns in
+// O(n log n) time, and a row costs its own length, not the header's. A
+// 1,000,000-column header is accepted, with 200,000 rows of one or two fields
+// under it, and with one column repeated at its end rejected naming that
+// column, all within a bound the pairwise check this replaced exceeded by
+// orders of magnitude: it took 85 ms for 5,000 columns, 0.84 s for 20,000 and
+// 4.3 s for 40,000. Walking the whole header for each short row would take
+// 2e11 steps.
+func TestStructuredCSVWideHeader(t *testing.T) {
+	const columns, rows, bound = 1_000_000, 200_000, time.Minute
+	var b strings.Builder
+	for i := range columns {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(strconv.Itoa(i))
+	}
+	header := b.String()
+	start := time.Now()
+	n, err := Structured{}.Parse(RawFile{Domain: "d", Source: "s", Name: "wide", Format: "csv", Content: []byte(header + "\n" + strings.Repeat("k,v\nk\n", rows/2))})
+	if err != nil {
+		t.Fatalf("wide header: %v", err)
+	}
+	if len(n.JSC) != rows {
+		t.Fatalf("wide header: %d records, want %d", len(n.JSC), rows)
+	}
+	if p := n.JSC[0].Props; len(p) != 2 || p[0].Key != "1" || p[0].Str != "v" || p[1].Key != "@key" || p[1].Str != "k" {
+		t.Fatalf("two-field row: %v", p)
+	}
+	if p := n.JSC[1].Props; len(p) != 1 || p[0].Key != "@key" || p[0].Str != "k" {
+		t.Fatalf("one-field row: %v", p)
+	}
+	_, err = Structured{}.Parse(RawFile{Domain: "d", Source: "s", Name: "wide", Format: "csv", Content: []byte(header + ",123456\nk,v\n")})
+	if err == nil || !strings.Contains(err.Error(), `duplicate column "123456"`) {
+		t.Fatalf("repeated column: err = %v", err)
+	}
+	if d := time.Since(start); d > bound {
+		t.Fatalf("two %d-column headers and %d rows took %v, over %v", columns, rows, d, bound)
+	} else {
+		t.Logf("two %d-column headers and %d rows: %v", columns, rows, d)
+	}
+}
+
 func TestSemiJSONNested(t *testing.T) {
 	content := `[{"name":"CA981","status":{"state":"Delayed","reason":"Weather"},"codes":["PEK","JFK"]}]`
 	n, err := SemiJSON{}.Parse(RawFile{Domain: "flights", Source: "app", Name: "live", Format: "json", Content: []byte(content)})
@@ -86,6 +131,28 @@ func TestSemiJSONSingleObjectAndErrors(t *testing.T) {
 	}
 	if _, err := (SemiJSON{}).Parse(RawFile{Format: "json", Content: []byte(`{bad`)}); err == nil {
 		t.Fatal("malformed json must error")
+	}
+}
+
+// TestSemiJSONLongEscapedString: a string is read in time linear in its
+// length, however many escapes it holds. 1,500,000 escapes (3 MB) take well
+// under the bound; searching again for the closing quote after each escape
+// would scan about 2e12 bytes.
+func TestSemiJSONLongEscapedString(t *testing.T) {
+	const escapes, bound = 1_500_000, time.Minute
+	body := strings.Repeat(`\n\\`, escapes/2) // no quote until the closing one
+	start := time.Now()
+	n, err := SemiJSON{}.Parse(RawFile{Domain: "d", Source: "s", Name: "esc", Format: "json", Content: []byte(`{"name":"k","note":"` + body + `"}`)})
+	if d := time.Since(start); d > bound {
+		t.Fatalf("%d escapes took %v, over %v", escapes, d, bound)
+	} else {
+		t.Logf("%d escapes: %v", escapes, d)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := n.JSC[0].Get("note"); v.Str != strings.Repeat("\n\\", escapes/2) {
+		t.Fatalf("note holds %d bytes, want %d", len(v.Str), escapes)
 	}
 }
 

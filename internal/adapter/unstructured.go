@@ -1,6 +1,7 @@
 package adapter
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -16,25 +17,31 @@ type Unstructured struct{}
 // Format implements Adapter.
 func (Unstructured) Format() string { return "text" }
 
-// Parse implements Adapter.
+// Parse implements Adapter. Paragraphs are substrings of one copy of the
+// content.
 func (Unstructured) Parse(f RawFile) (*jsonld.Normalized, error) {
 	text := strings.TrimSpace(string(f.Content))
 	if text == "" {
-		return nil, fmt.Errorf("text parse: empty file")
+		return nil, errors.New("text parse: empty file")
 	}
+	r := getFlat()
+	defer putFlat(r)
 	n := newNormalized(f)
-	for i, para := range strings.Split(text, "\n\n") {
-		para = strings.TrimSpace(para)
-		if para == "" {
+	for i, more := 0, true; more; i++ {
+		var para string
+		para, text, more = strings.Cut(text, "\n\n")
+		if para = strings.TrimSpace(para); para == "" {
 			continue
 		}
-		doc := jsonld.New(fmt.Sprintf("%s/para/%d", n.ID, i), "Text")
-		doc.Set("text", para)
-		n.JSC = append(n.JSC, doc)
+		from := len(r.open)
+		r.open = append(r.open, rprop{key: "text", str: para})
+		lo, hi := r.newID(n.ID, "para", i)
+		r.top = append(r.top, r.closeDoc("Text", lo, hi, from))
 	}
-	if len(n.JSC) == 0 {
-		return nil, fmt.Errorf("text parse: no paragraphs")
+	if len(r.top) == 0 {
+		return nil, errors.New("text parse: no paragraphs")
 	}
+	r.finish(n)
 	return n, nil
 }
 
@@ -46,27 +53,35 @@ type KGFormat struct{}
 // Format implements Adapter.
 func (KGFormat) Format() string { return "kg" }
 
-// Parse implements Adapter.
+// Parse implements Adapter. Lines and their fields are substrings of one copy
+// of the content.
 func (KGFormat) Parse(f RawFile) (*jsonld.Normalized, error) {
+	r := getFlat()
+	defer putFlat(r)
 	n := newNormalized(f)
-	lines := strings.Split(strings.TrimSpace(string(f.Content)), "\n")
-	for i, line := range lines {
-		line = strings.TrimSpace(line)
-		if line == "" {
+	text := strings.TrimSpace(string(f.Content))
+	for i, more := 0, true; more; i++ {
+		var line string
+		line, text, more = strings.Cut(text, "\n")
+		if line = strings.TrimSpace(line); line == "" {
 			continue
 		}
-		parts := strings.SplitN(line, "|", 3)
-		if len(parts) != 3 {
+		subject, rest, ok := strings.Cut(line, "|")
+		predicate, object, ok2 := strings.Cut(rest, "|")
+		if !ok || !ok2 {
 			return nil, fmt.Errorf("kg parse: line %d: want subject|predicate|object, got %.64q", i+1, line)
 		}
-		doc := jsonld.New(fmt.Sprintf("%s/spo/%d", n.ID, i), "Triple")
-		doc.Set("subject", strings.TrimSpace(parts[0]))
-		doc.Set("predicate", strings.TrimSpace(parts[1]))
-		doc.Set("object", strings.TrimSpace(parts[2]))
-		n.JSC = append(n.JSC, doc)
+		from := len(r.open)
+		r.open = append(r.open,
+			rprop{key: "object", str: strings.TrimSpace(object)},
+			rprop{key: "predicate", str: strings.TrimSpace(predicate)},
+			rprop{key: "subject", str: strings.TrimSpace(subject)})
+		lo, hi := r.newID(n.ID, "spo", i)
+		r.top = append(r.top, r.closeDoc("Triple", lo, hi, from))
 	}
-	if len(n.JSC) == 0 {
-		return nil, fmt.Errorf("kg parse: no triples")
+	if len(r.top) == 0 {
+		return nil, errors.New("kg parse: no triples")
 	}
+	r.finish(n)
 	return n, nil
 }

@@ -62,13 +62,12 @@ func chunkTextOf(doc *jsonld.Document) string {
 		}
 	}
 	out := ""
-	for _, k := range doc.Keys() {
-		if k == "@key" || k == "name" {
+	for _, p := range doc.Props {
+		if p.Key == "@key" || p.Key == "name" {
 			continue
 		}
-		v, _ := doc.Get(k)
-		for _, val := range v.Strings() {
-			out += "The " + k + " of " + subject + " is " + val + ". "
+		for _, val := range p.Strings() {
+			out += "The " + p.Key + " of " + subject + " is " + val + ". "
 		}
 	}
 	return out

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"strings"
 
 	"multirag/internal/jsonld"
@@ -26,11 +25,10 @@ func RenderChunks(n *jsonld.Normalized, chunkTokens int) []retrieval.Chunk {
 
 // chunkRenderer renders a file's chunks into a retrieval.ChunkArena over
 // buffers it keeps from one file to the next: the file's verbalised records,
-// where each ends, and the key and name stacks of the record walk.
+// where each ends, and the name stack of the record walk.
 type chunkRenderer struct {
 	text []byte
 	ends []int
-	keys []string
 	name []byte
 }
 
@@ -98,19 +96,13 @@ func (r *chunkRenderer) verbalise(dst []byte, doc *jsonld.Document) []byte {
 	return r.walk(dst, doc, subject)
 }
 
-// walk appends the sentences of d's properties to dst, r.name holding the
-// names of the properties that lead to d.
+// walk appends the sentences of d's properties, in key order, to dst, r.name
+// holding the names of the properties that lead to d.
 func (r *chunkRenderer) walk(dst []byte, d *jsonld.Document, subject string) []byte {
-	lo := len(r.keys)
-	for k := range d.Props {
-		r.keys = append(r.keys, k)
-	}
-	hi := len(r.keys)
-	slices.Sort(r.keys[lo:hi])
 	prefix := len(r.name)
-	for i := lo; i < hi; i++ {
-		k := r.keys[i]
-		v := d.Props[k]
+	for i := range d.Props {
+		v := &d.Props[i]
+		k := v.Key
 		name := strings.TrimPrefix(k, "@")
 		if j := strings.IndexByte(name, '/'); j >= 0 {
 			name = name[:j]
@@ -136,8 +128,6 @@ func (r *chunkRenderer) walk(dst []byte, d *jsonld.Document, subject string) []b
 		}
 	}
 	r.name = r.name[:prefix]
-	clear(r.keys[lo:hi]) // the pooled stack must not pin the record's keys
-	r.keys = r.keys[:lo]
 	return dst
 }
 

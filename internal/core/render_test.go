@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -56,8 +57,8 @@ func refVerbalise(doc *jsonld.Document) string {
 	var sents []string
 	var walk func(d *jsonld.Document, prefix string)
 	walk = func(d *jsonld.Document, prefix string) {
-		for _, k := range d.Keys() {
-			v, _ := d.Get(k)
+		for _, p := range d.Props {
+			k, v := p.Key, p.Value
 			name := strings.TrimPrefix(k, "@")
 			if i := strings.IndexByte(name, '/'); i >= 0 {
 				name = name[:i]
@@ -152,13 +153,33 @@ func checkRender(t *testing.T, n *jsonld.Normalized, chunkTokens int) {
 	}
 }
 
+// record builds a document one property at a time into the form the
+// adapters' records take: properties in key order, each key holding the
+// value set last.
+type record struct{ *jsonld.Document }
+
+func newRecord(id, typ string) record { return record{&jsonld.Document{ID: id, Type: typ}} }
+
+func (r record) put(key string, v jsonld.Value) {
+	i := sort.Search(len(r.Props), func(i int) bool { return r.Props[i].Key >= key })
+	if i < len(r.Props) && r.Props[i].Key == key {
+		r.Props[i].Value = v
+		return
+	}
+	r.Props = slices.Insert(r.Props, i, jsonld.Prop{Key: key, Value: v})
+}
+
+func (r record) Set(key, val string)               { r.put(key, jsonld.Value{Str: val}) }
+func (r record) SetList(key string, vals []string) { r.put(key, jsonld.Value{List: vals}) }
+func (r record) SetNode(key string, node record)   { r.put(key, jsonld.Value{Node: node.Document}) }
+
 // handBuiltRecords are the record shapes the generated corpora do not reach:
 // separators and Unicode spaces inside values, empty values and lists, nested
 // nodes, '/' in keys and '_' in names, native-KG and text records, and a
 // sentence over the chunk budget.
 func handBuiltRecords() *jsonld.Normalized {
 	long := strings.TrimSpace(strings.Repeat("word ", 70))
-	a := jsonld.New("f#r0", "Flight")
+	a := newRecord("f#r0", "Flight")
 	a.Set("@key", "CA981")
 	a.Set("status", "Delayed. Really\nlate")
 	a.Set("gate", " G3\u0085")
@@ -167,45 +188,45 @@ func handBuiltRecords() *jsonld.Normalized {
 	a.SetList("stops", []string{"PEK", "", "CA981", "a.b.c"})
 	a.Set("departure_time", "10:05 . \n .")
 	a.Set("flight", "CA981")
-	home := jsonld.New("f#r0/home", "Place")
+	home := newRecord("f#r0/home", "Place")
 	home.Set("street_name", "Main St.")
 	home.Set("city", "CA981")
-	inner := jsonld.New("f#r0/home/in", "Place")
+	inner := newRecord("f#r0/home/in", "Place")
 	inner.Set("zip_code", "10001")
 	home.SetNode("@inner/x", inner)
 	a.SetNode("home/addr", home)
-	anon := jsonld.New("f#r0/anon", "")
+	anon := newRecord("f#r0/anon", "")
 	anon.Set("x", "CA981")
 	a.SetNode("@", anon)
-	a.Props["both"] = jsonld.Value{Str: "s", List: []string{"l1", "l2"}}
+	a.put("both", jsonld.Value{Str: "s", List: []string{"l1", "l2"}})
 	a.Set("summary", long)
 
-	b := jsonld.New("f#r1", "")
+	b := newRecord("f#r1", "")
 	b.Set("subject", "Item_9")
 	b.Set("predicate", "has_part/x")
 	b.Set("object", "Gear. Box")
 	b.Set("extra", "ignored")
 
-	c := jsonld.New("f#r2", "Paragraph")
+	c := newRecord("f#r2", "Paragraph")
 	c.Set("text", "First line.\nSecond line . . Third line\u0085. "+long+". Tail")
 
-	d := jsonld.New("f#r3", "")
+	d := newRecord("f#r3", "")
 	d.Set("status", "no subject")
 
-	e := jsonld.New("f#r4", "")
+	e := newRecord("f#r4", "")
 	e.Set("name", "Empty text")
 	e.Set("text", "")
 	e.SetList("tags", nil)
 
-	f := jsonld.New("f#r5", "")
+	f := newRecord("f#r5", "")
 	f.Set("@key", "K")
 	f.Set("name", "N")
 	f.Set("predicate", "p")
-	g := jsonld.New("f#r6", "")
+	g := newRecord("f#r6", "")
 	g.Set("title", "T")
 	g.Set("predicate", "p")
-	g.SetNode("object", jsonld.New("o", ""))
-	return &jsonld.Normalized{ID: "hand", Source: "src/1", JSC: []*jsonld.Document{a, b, c, d, e, f, g}}
+	g.SetNode("object", newRecord("o", ""))
+	return &jsonld.Normalized{ID: "hand", Source: "src/1", JSC: []*jsonld.Document{a.Document, b.Document, c.Document, d.Document, e.Document, f.Document, g.Document}}
 }
 
 // TestRenderChunksMatchesReference holds the arena renderer to the reference
@@ -246,20 +267,20 @@ func FuzzRenderChunks(f *testing.F) {
 	f.Add("Item_9", "predicate", "has_part", "object", "Gear. Box", uint8(0))
 	f.Add("x\xffy", "a\xe4", "\xb8.", "_", strings.Repeat("w ", 80), uint8(7))
 	f.Fuzz(func(t *testing.T, subject, k1, v1, k2, v2 string, budget uint8) {
-		doc := jsonld.New("f#r0", "")
+		doc := newRecord("f#r0", "")
 		doc.Set("name", subject)
 		doc.Set(k1, v1)
-		node := jsonld.New("f#r0/n", "")
+		node := newRecord("f#r0/n", "")
 		node.Set(k1, subject)
 		node.SetList(k2, strings.Split(v2, "|"))
 		doc.SetNode(k2, node)
-		flat := jsonld.New("f#r1", "")
+		flat := newRecord("f#r1", "")
 		flat.Set("@key", subject)
 		flat.Set(k1, v1)
 		flat.Set(k2, v2)
-		text := jsonld.New("f#r2", "")
+		text := newRecord("f#r2", "")
 		text.Set("text", v1+v2)
-		checkRender(t, &jsonld.Normalized{ID: "fuzz", Source: k2, JSC: []*jsonld.Document{doc, flat, text}}, int(budget))
+		checkRender(t, &jsonld.Normalized{ID: "fuzz", Source: k2, JSC: []*jsonld.Document{doc.Document, flat.Document, text.Document}}, int(budget))
 	})
 }
 

@@ -155,13 +155,13 @@ func (e *Extractor) buildStructured(g Sink, f *jsonld.Normalized, rep *Report) e
 			continue
 		}
 		subj := g.AddEntity(e.std(keyVal.Str), typ, f.Domain)
-		for _, prop := range doc.Keys() {
-			if prop == "@key" {
+		for i := range doc.Props {
+			p := &doc.Props[i]
+			if p.Key == "@key" {
 				continue
 			}
-			v, _ := doc.Get(prop)
-			for _, obj := range v.Strings() {
-				if err := e.addTriple(g, f, rep, subj, prop, obj, doc.ID, 1); err != nil {
+			for _, obj := range p.Strings() {
+				if err := e.addTriple(g, f, rep, subj, p.Key, obj, doc.ID, 1); err != nil {
 					return err
 				}
 			}
@@ -206,9 +206,9 @@ func findKey(doc *jsonld.Document, designated string) string {
 }
 
 func (e *Extractor) flatten(g Sink, f *jsonld.Normalized, rep *Report, subj string, doc *jsonld.Document, prefix, keyVal string) error {
-	for _, prop := range doc.Keys() {
-		v, _ := doc.Get(prop)
-		name := cleanProp(prop)
+	for i := range doc.Props {
+		v := &doc.Props[i]
+		name := cleanProp(v.Key)
 		if prefix != "" {
 			name = prefix + "_" + name
 		}

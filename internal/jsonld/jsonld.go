@@ -5,17 +5,23 @@
 // representation before knowledge extraction.
 package jsonld
 
-import "sort"
-
-// Document is a JSON-LD node object: an @id, an @type and a set of
-// properties. Property values are either scalars (string), value lists
-// ([]string) or nested Documents, mirroring the subset of JSON-LD the
-// paper's Fig. 2 uses. Documents live only in memory, between an adapter's
-// parse and knowledge extraction: nothing encodes or decodes them.
+// Document is a JSON-LD node object: an @id, an @type and its properties.
+// Property values are either scalars (string), value lists ([]string) or
+// nested Documents, mirroring the subset of JSON-LD the paper's Fig. 2 uses.
+// Documents live only in memory, between an adapter's parse and knowledge
+// extraction: nothing encodes or decodes them.
 type Document struct {
-	ID    string
-	Type  string
-	Props map[string]Value
+	ID   string
+	Type string
+	// Props holds the properties in key order, each key once: where a
+	// source sets one key twice, the value set last is the one held.
+	Props []Prop
+}
+
+// Prop is one property of a Document.
+type Prop struct {
+	Key string
+	Value
 }
 
 // Value is one JSON-LD property value.
@@ -28,6 +34,8 @@ type Value struct {
 
 // Strings flattens the value into a string slice: a scalar becomes a
 // singleton, a list is returned as-is, and a nested node contributes its @id.
+// The call inlines, so a caller that only ranges over the result keeps the
+// singleton on its stack.
 func (v Value) Strings() []string {
 	switch {
 	case v.Node != nil:
@@ -40,38 +48,19 @@ func (v Value) Strings() []string {
 	return nil
 }
 
-// New returns an empty document with the given @id and @type.
-func New(id, typ string) *Document {
-	return &Document{ID: id, Type: typ, Props: map[string]Value{}}
-}
-
-// Set assigns a scalar property.
-func (d *Document) Set(key, val string) {
-	d.Props[key] = Value{Str: val}
-}
-
-// SetList assigns a multi-valued property.
-func (d *Document) SetList(key string, vals []string) {
-	d.Props[key] = Value{List: vals}
-}
-
-// SetNode assigns a nested node property.
-func (d *Document) SetNode(key string, node *Document) {
-	d.Props[key] = Value{Node: node}
-}
-
-// Get returns the property value and whether it exists.
+// Get returns the property value of key and whether d has it.
 func (d *Document) Get(key string) (Value, bool) {
-	v, ok := d.Props[key]
-	return v, ok
-}
-
-// Keys returns the property names in sorted order.
-func (d *Document) Keys() []string {
-	keys := make([]string, 0, len(d.Props))
-	for k := range d.Props {
-		keys = append(keys, k)
+	lo, hi := 0, len(d.Props)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if d.Props[m].Key < key {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	sort.Strings(keys)
-	return keys
+	if lo < len(d.Props) && d.Props[lo].Key == key {
+		return d.Props[lo].Value, true
+	}
+	return Value{}, false
 }

@@ -8,27 +8,50 @@ import (
 )
 
 func TestValueStrings(t *testing.T) {
-	if got := (Value{Str: "a"}).Strings(); !reflect.DeepEqual(got, []string{"a"}) {
+	scalar, list, node, zero := Value{Str: "a"}, Value{List: []string{"a", "b"}}, Value{Node: &Document{ID: "n"}}, Value{}
+	if got := scalar.Strings(); !reflect.DeepEqual(got, []string{"a"}) {
 		t.Errorf("scalar Strings = %v", got)
 	}
-	if got := (Value{List: []string{"a", "b"}}).Strings(); !reflect.DeepEqual(got, []string{"a", "b"}) {
+	if got := list.Strings(); !reflect.DeepEqual(got, []string{"a", "b"}) {
 		t.Errorf("list Strings = %v", got)
 	}
-	if got := (Value{Node: New("n", "")}).Strings(); !reflect.DeepEqual(got, []string{"n"}) {
+	if got := node.Strings(); !reflect.DeepEqual(got, []string{"n"}) {
 		t.Errorf("node Strings = %v", got)
 	}
-	if (Value{}).Strings() != nil {
+	if zero.Strings() != nil {
 		t.Errorf("zero value Strings must be nil")
+	}
+	// Ranged over as extraction does, the call inlines and its singleton
+	// stays on the caller's stack.
+	total := 0
+	if n := testing.AllocsPerRun(100, func() {
+		for _, s := range scalar.Strings() {
+			total += len(s)
+		}
+		for _, s := range node.Strings() {
+			total += len(s)
+		}
+	}); n != 0 {
+		t.Errorf("ranging over Strings of a scalar and a node allocates %.0f objects", n)
 	}
 }
 
+// TestKeysSorted: Get finds each property of a document that holds them in
+// key order, and no other key.
 func TestKeysSorted(t *testing.T) {
-	d := New("x", "T")
-	d.Set("zeta", "1")
-	d.Set("alpha", "2")
-	d.Set("mid", "3")
-	if got := d.Keys(); !reflect.DeepEqual(got, []string{"alpha", "mid", "zeta"}) {
-		t.Fatalf("Keys = %v", got)
+	d := &Document{ID: "x", Type: "T"}
+	for _, k := range []string{"", "@key", "alpha", "alpha/0", "mid", "zeta"} {
+		d.Props = append(d.Props, Prop{Key: k, Value: Value{Str: "v" + k}})
+	}
+	for _, p := range d.Props {
+		if v, ok := d.Get(p.Key); !ok || v.Str != "v"+p.Key {
+			t.Fatalf("Get(%q) = %+v, %v", p.Key, v, ok)
+		}
+	}
+	for _, k := range []string{"@", "alph", "beta", "zz"} {
+		if _, ok := d.Get(k); ok {
+			t.Fatalf("Get(%q) found a property", k)
+		}
 	}
 }
 
@@ -64,7 +87,7 @@ func TestNormalizedIDClipsLongIdentifiers(t *testing.T) {
 }
 
 func TestValidateRequiresIdentity(t *testing.T) {
-	n := &Normalized{ID: "i", Domain: "d", Name: "n", JSC: []*Document{New("r1", "Row")}}
+	n := &Normalized{ID: "i", Domain: "d", Name: "n", JSC: []*Document{{ID: "r1", Type: "Row"}}}
 	if err := n.Validate(); err != nil {
 		t.Fatalf("valid record rejected: %v", err)
 	}

@@ -36,8 +36,19 @@ type Normalized struct {
 // triple. It spells out at most idPartBytes of each; the hash of all three
 // whole keeps the IDs of files whose identifiers share those prefixes apart.
 func NormalizedID(domain, source, name string) string {
-	return fmt.Sprintf("%s/%s/%s#%016x", clipID(domain), clipID(source), clipID(name),
-		textutil.Hash64(domain+"\x00"+source+"\x00"+name))
+	h := textutil.Hash64(domain)
+	for _, part := range [...]string{"\x00", source, "\x00", name} {
+		h = textutil.HashAdd(h, part)
+	}
+	var buf [3*idPartBytes + 2 + 1 + 16]byte
+	id := append(buf[:0], clipID(domain)...)
+	id = append(append(id, '/'), clipID(source)...)
+	id = append(append(id, '/'), clipID(name)...)
+	id = append(id, '#')
+	for shift := 60; shift >= 0; shift -= 4 {
+		id = append(id, "0123456789abcdef"[h>>shift&0xf])
+	}
+	return string(id)
 }
 
 // idPartBytes bounds what NormalizedID spells out of each identifier: every
