@@ -3,8 +3,10 @@ BENCH_SCALE ?= 0.12
 BENCHTIME ?= 1s
 SCALE ?= 1
 SEED ?= 1
+PAIRS ?= 5
+WORKLOADS ?= query-graph query-fallback ingest-stream mixed-rw
 
-.PHONY: check fmt vet build test race ceilings chaos chaos-cluster fuzz-smoke layers bench bench-micro paper-diff size clean
+.PHONY: check fmt vet build test race ceilings chaos chaos-cluster fuzz-smoke layers bench bench-micro paper-diff ab size clean
 
 # check is the CI entry point: formatting, static analysis, full build,
 # race-enabled tests, the allocation and heap ceilings the race build skips, a
@@ -210,6 +212,43 @@ paper-diff:
 	echo "$(BASE) stdout sha256:      $$(sha256sum < "$$tmp/base.txt" | cut -d' ' -f1)" && \
 	echo "working tree stdout sha256: $$(sha256sum < "$$tmp/tree.txt" | cut -d' ' -f1)" && \
 	{ cmp -s "$$tmp/base.txt" "$$tmp/tree.txt" || { diff "$$tmp/base.txt" "$$tmp/tree.txt" | head -40; exit 1; }; }
+
+# ab compares the end-to-end benchmark at the git revision BASE with the
+# working tree: it builds ./benchmark from a copy of BASE (git archive, as
+# paper-diff does) and from the working tree, then runs PAIRS pairs of each
+# workload in WORKLOADS at SEED, for the benchmark's own run length,
+# alternating which build runs first from pair to pair, from a scratch
+# directory so no run writes to the tree. A run whose last line is not a
+# result stops the comparison at once, naming the pair, workload and build and
+# showing the end of that run's stderr. cmd/benchab then prints, per workload,
+# each gated metric's base and change median [IQR], the change of the
+# medians, wins out of PAIRS and the bound, read from BASE's BENCHMARK.json so
+# a change cannot move its own bounds, and fails if a run failed its
+# correctness gate or a median is outside its bound. A run takes ~15-30 s:
+# the default, 5 pairs of 4 workloads, ~20 min. The copy, builds and runs are
+# removed on exit.
+ab:
+	@test -n "$(BASE)" || { echo 'usage: make ab BASE=<rev> [PAIRS=5] [WORKLOADS="ingest-stream mixed-rw"] [SEED=1]'; exit 2; }
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && mkdir "$$tmp/base" "$$tmp/run" && \
+	git archive "$(BASE)" | tar -x -C "$$tmp/base" && \
+	(cd "$$tmp/base" && $(GO) build -o "$$tmp/bench-base" ./benchmark) && \
+	$(GO) build -o "$$tmp/bench-change" ./benchmark && \
+	$(GO) build -o "$$tmp/benchab" ./cmd/benchab && \
+	for i in $$(seq $(PAIRS)); do \
+		for w in $(WORKLOADS); do \
+			if [ $$((i % 2)) -eq 1 ]; then order="base change"; else order="change base"; fi; \
+			for b in $$order; do \
+				echo "# pair $$i/$(PAIRS) $$w: $$b" >&2; \
+				err="$$tmp/$$b.$$w.$$i.err"; \
+				line=$$(cd "$$tmp/run" && "$$tmp/bench-$$b" -workload $$w -seed $(SEED) 2>"$$err" | tail -n 1); \
+				case "$$line" in \
+				"{"*) echo "$$w $$line" >> "$$tmp/$$b.runs" ;; \
+				*) echo "make ab: pair $$i, workload $$w, build $$b printed no result; its stderr ends:" >&2; tail -n 20 "$$err" >&2; exit 1 ;; \
+				esac; \
+			done; \
+		done; \
+	done && \
+	"$$tmp/benchab" "$$tmp/base/BENCHMARK.json" "$$tmp/base.runs" "$$tmp/change.runs"
 
 # size prints the two code-size counts the shrink passes track: non-test Go
 # lines and flag definitions under cmd/. It reports and gates nothing.

@@ -60,8 +60,9 @@ func honestFiles() []File {
 
 // hostileShapes are valid requests shaped to make the engine keep much more
 // than they carry: identifiers at the facade's limit over one-word rows, a
-// header of hundreds of columns, and records nested to the adapters' limit
-// under 1 KiB names.
+// header of hundreds of columns, records nested to the adapters' limit under
+// 1 KiB names, and a thousand records under one 100,000-byte name, which
+// every record's ID (and a JSON list member's key) spelled whole.
 func hostileShapes() map[string][]File {
 	long := func(c byte) string { return strings.Repeat(string(c), maxIdentifierBytes) }
 	var words strings.Builder
@@ -94,6 +95,9 @@ func hostileShapes() map[string][]File {
 		fmt.Fprintf(&xs, "</%s>", long('k'))
 	}
 	xs.WriteString("</rec></root>")
+	huge := strings.Repeat("k", 100_000)
+	longJSON := `{"name":"x","` + huge + `":[` + strings.Repeat(`{"v":"1"},`, 999) + `{"v":"1"}]}`
+	longXML := "<root><rec><name>x</name><" + huge + ">" + strings.Repeat("<c><v>1</v></c>", 1000) + "</" + huge + "></rec></root>"
 	ids := func(format, content string) []File {
 		return []File{{Domain: long('d'), Source: long('s'), Name: long('n'), Format: format,
 			Meta: map[string]string{"type": long('t'), long('k'): long('v')}, Content: []byte(content)}}
@@ -104,8 +108,10 @@ func hostileShapes() map[string][]File {
 		"identifiers at the limit, one-word kg lines":   ids("kg", strings.ReplaceAll(words.String(), "\n", "|p|o\n")),
 		"600-column CSV header": {{Domain: "wide", Source: "s", Name: "n", Format: "csv",
 			Content: []byte(header.String() + "\n" + strings.Repeat(row.String()+"\n", 8))}},
-		"JSON nested to the limit": {{Domain: "deep", Source: "s", Name: "n", Format: "json", Content: []byte(js.String())}},
-		"XML nested to the limit":  {{Domain: "deep", Source: "s", Name: "n", Format: "xml", Content: []byte(xs.String())}},
+		"JSON nested to the limit":                            {{Domain: "deep", Source: "s", Name: "n", Format: "json", Content: []byte(js.String())}},
+		"XML nested to the limit":                             {{Domain: "deep", Source: "s", Name: "n", Format: "xml", Content: []byte(xs.String())}},
+		"JSON list of 1,000 objects under a 100,000-byte key": {{Domain: "long", Source: "s", Name: "n", Format: "json", Content: []byte(longJSON)}},
+		"XML 1,000 children under a 100,000-byte name":        {{Domain: "long", Source: "s", Name: "n", Format: "xml", Content: []byte(longXML)}},
 	}
 }
 
@@ -121,7 +127,10 @@ func hostileShapes() map[string][]File {
 // out up to 64 bytes of each identifier — about 960 B for an 8-byte row. k
 // is set above that. What it catches is a cost that grows faster than the
 // request: each row keeping a copy of its file's whole identifiers retained
-// about 1,200 bytes per request byte, and records nested 2,000 deep over 300.
+// about 1,200 bytes per request byte, records nested 2,000 deep over 300, and
+// a thousand records each spelling a 100,000-byte name whole in their IDs,
+// keys and property paths about 1,900 (a JSON list under a long key) and 960
+// (XML children under a long element name), where they now retain under 4.
 func TestIngestRetainedBytesCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race instrumentation changes heap sizes")

@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"encoding/xml"
 	"fmt"
+	"hash/fnv"
 	"maps"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"multirag/internal/adapter"
 	"multirag/internal/datasets"
@@ -22,6 +24,9 @@ import (
 // printed with fmt.Sprint, xml.Unmarshal into a reflective node tree,
 // csv.ReadAll, strings.Split, and documents that set their properties one at
 // a time. FuzzAdaptersMatchOracle holds the adapters to it record for record.
+// A key over 64 bytes is the one place the adapters no longer spell what the
+// oracle printed: inside a record ID and as a nested record's key it is
+// clipped and hashed (oracleKey).
 
 // oracleMaxNesting is the adapters' nesting limit.
 const oracleMaxNesting = 32
@@ -29,6 +34,23 @@ const oracleMaxNesting = 32
 // oracleParsers are the oracle's Parse functions by format.
 var oracleParsers = map[string]func(adapter.RawFile) (*jsonld.Normalized, error){
 	"csv": oracleCSV, "json": oracleJSON, "xml": oracleXML, "kg": oracleKG, "text": oracleText,
+}
+
+// oracleKey spells a key inside a record ID or as a nested record's key: whole
+// up to 64 bytes, as the oracle always did; a longer one as its first 64
+// bytes, cut back to a rune boundary, then '#' and the FNV-1a hash of the
+// whole key in hex.
+func oracleKey(k string) string {
+	if len(k) <= 64 {
+		return k
+	}
+	i := 64
+	for i > 0 && !utf8.RuneStart(k[i]) {
+		i--
+	}
+	h := fnv.New64a()
+	h.Write([]byte(k))
+	return fmt.Sprintf("%s#%016x", k[:i], h.Sum64())
 }
 
 // tree is a document that sets its properties one at a time, keeping them in
@@ -97,6 +119,14 @@ func oracleSeeds() [][]byte {
 		seeds = append(seeds,
 			[]byte(nest(`{"a":`, `{"a":"x"}`, "}", levels)),
 			[]byte(nest("<a>", "<a>x</a>", "</a>", levels)))
+	}
+	// Keys at and past the 64 bytes an ID spells whole, nested and over
+	// lists of records; the longer ones end in a rune cut by the clip.
+	for _, n := range []int{64, 65, 200} {
+		k := strings.Repeat("k", n-2) + "é"
+		seeds = append(seeds,
+			[]byte(`{"name":"x","`+k+`":[{"v":"1"},{"v":"2"}],"`+k+`x":{"`+k+`":{"v":"3"}}}`),
+			[]byte("<r><a><"+k+"><v>1</v></"+k+"><"+k+"><v>2</v></"+k+"><b><"+k+" v=\"3\"/></b></a></r>"))
 	}
 	for _, s := range []string{
 		// JSON: duplicate keys, the later winning, also over a subtree too
@@ -266,14 +296,14 @@ func jsonToDoc(id string, obj map[string]interface{}) *jsonld.Document {
 	for _, k := range keys {
 		switch v := obj[k].(type) {
 		case map[string]interface{}:
-			doc.SetNode(k, jsonToDoc(id+"/"+k, v))
+			doc.SetNode(oracleKey(k), jsonToDoc(id+"/"+oracleKey(k), v))
 		case []interface{}:
 			var list []string
 			nested := false
 			for i, item := range v {
 				if m, ok := item.(map[string]interface{}); ok {
 					// A list of objects becomes numbered sub-nodes.
-					doc.SetNode(fmt.Sprintf("%s/%d", k, i), jsonToDoc(fmt.Sprintf("%s/%s/%d", id, k, i), m))
+					doc.SetNode(fmt.Sprintf("%s/%d", oracleKey(k), i), jsonToDoc(fmt.Sprintf("%s/%s/%d", id, oracleKey(k), i), m))
 					nested = true
 				} else {
 					list = append(list, fmt.Sprint(item))
@@ -347,7 +377,7 @@ func xmlToDoc(id string, node xmlNode) *jsonld.Document {
 			if len(c.Children) == 0 && len(c.Attrs) == 0 {
 				doc.Set(name, strings.TrimSpace(c.Text))
 			} else {
-				doc.SetNode(name, xmlToDoc(id+"/"+name, c))
+				doc.SetNode(oracleKey(name), xmlToDoc(id+"/"+oracleKey(name), c))
 			}
 			continue
 		}
@@ -366,7 +396,7 @@ func xmlToDoc(id string, node xmlNode) *jsonld.Document {
 			doc.SetList(name, list)
 		} else {
 			for i, c := range group {
-				doc.SetNode(fmt.Sprintf("%s/%d", name, i), xmlToDoc(fmt.Sprintf("%s/%s/%d", id, name, i), c))
+				doc.SetNode(fmt.Sprintf("%s/%d", oracleKey(name), i), xmlToDoc(fmt.Sprintf("%s/%s/%d", id, oracleKey(name), i), c))
 			}
 		}
 	}

@@ -94,7 +94,8 @@ func (r *records) newID(fileID, part string, i int) (lo, hi int) {
 }
 
 // childID appends the ID of a nested record under key, "<parent ID>/<key>",
-// and returns where it lies.
+// and returns where it lies. The caller spells key (jsonld.SpellKey), so an
+// ID grows by a bounded amount per level whatever the names.
 func (r *records) childID(parentLo, parentHi int, key string) (lo, hi int) {
 	lo = len(r.ids)
 	r.ids = append(r.ids, r.ids[parentLo:parentHi]...)

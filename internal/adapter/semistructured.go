@@ -159,13 +159,15 @@ func (w *jsonWalk) object(idLo, idHi, level int) (doc, depth int, err error) {
 }
 
 // value walks the value of member key of the object at nesting level level
-// into properties, and returns how deep objects nest in it.
+// into properties, and returns how deep objects nest in it. A nested
+// object's ID and its key spell key as jsonld.SpellKey does.
 func (w *jsonWalk) value(key string, idLo, idHi, level int) (int, error) {
 	switch w.s[w.i] {
 	case '{':
-		lo, hi := w.childID(idLo, idHi, key)
+		spelled := jsonld.SpellKey(key)
+		lo, hi := w.childID(idLo, idHi, spelled)
 		d, depth, err := w.object(lo, hi, level+1)
-		w.openNode(key, d)
+		w.openNode(spelled, d)
 		return depth, err
 	case '[':
 		return w.list(key, idLo, idHi, level)
@@ -185,11 +187,13 @@ func (w *jsonWalk) openNode(key string, d int) {
 }
 
 // list walks the array at w.i, the value of member key. Its objects become
-// records keyed "<key>/<index>"; its other elements, if it has no object, a
-// list (none at all reads as the empty value), else nothing.
+// records keyed "<key>/<index>", key spelled as jsonld.SpellKey spells it;
+// its other elements, if it has no object, a list (none at all reads as the
+// empty value), else nothing.
 func (w *jsonWalk) list(key string, idLo, idHi, level int) (depth int, err error) {
 	from := len(w.strs)
 	nested := false
+	stem := jsonld.SpellKey(key)
 	w.i++ // '['
 	for k := 0; w.more(']'); k++ {
 		var v string
@@ -197,7 +201,7 @@ func (w *jsonWalk) list(key string, idLo, idHi, level int) (depth int, err error
 		switch w.s[w.i] {
 		case '{':
 			nested = true
-			item := key + "/" + strconv.Itoa(k)
+			item := stem + "/" + strconv.Itoa(k)
 			lo, hi := w.childID(idLo, idHi, item)
 			var doc int
 			doc, d, err = w.object(lo, hi, level+1)
@@ -559,7 +563,8 @@ func (w *xmlWalk) scalar(e int) bool {
 // attributes, then its children grouped by name. A name one child has is a
 // scalar property of its text, or a nested record; a name several children
 // share is a list of their texts when none has children or attributes, else
-// numbered nested records "<name>/<index>".
+// numbered nested records "<name>/<index>". A name in a record's ID or a
+// nested record's key is spelled as jsonld.SpellKey spells it.
 func (w *xmlWalk) doc(text string, e, idLo, idHi int) int {
 	from := len(w.open)
 	el := w.elems[e]
@@ -583,9 +588,10 @@ func (w *xmlWalk) doc(text string, e, idLo, idHi int) int {
 			c := w.elems[w.kids[g]]
 			w.open = append(w.open, rprop{key: name, str: strings.TrimSpace(text[c.textLo:c.textHi])})
 		case h-g == 1:
-			lo, hi := w.childID(idLo, idHi, name)
+			spelled := jsonld.SpellKey(name)
+			lo, hi := w.childID(idLo, idHi, spelled)
 			d := w.doc(text, w.kids[g], lo, hi)
-			w.open = append(w.open, rprop{key: name, lo: d, node: true})
+			w.open = append(w.open, rprop{key: spelled, lo: d, node: true})
 		case scalar:
 			lo := len(w.vals)
 			for _, c := range w.kids[g:h] {
@@ -593,8 +599,9 @@ func (w *xmlWalk) doc(text string, e, idLo, idHi int) int {
 			}
 			w.open = append(w.open, rprop{key: name, lo: lo, hi: len(w.vals), list: true})
 		default:
+			stem := jsonld.SpellKey(name)
 			for j := g; j < h; j++ {
-				key := name + "/" + strconv.Itoa(j-g)
+				key := stem + "/" + strconv.Itoa(j-g)
 				lo, hi := w.childID(idLo, idHi, key)
 				d := w.doc(text, w.kids[j], lo, hi)
 				w.open = append(w.open, rprop{key: key, lo: d, node: true})

@@ -1,6 +1,7 @@
 package adapter
 
 import (
+	"bufio"
 	"bytes"
 	"cmp"
 	"encoding/csv"
@@ -9,6 +10,7 @@ import (
 	"io"
 	"slices"
 	"strings"
+	"sync"
 
 	"multirag/internal/jsonld"
 )
@@ -24,11 +26,32 @@ type Structured struct{}
 // Format implements Adapter.
 func (Structured) Format() string { return "csv" }
 
+// csvInput is a pooled buffered reader over a file's content. csv.NewReader
+// reads a *bufio.Reader as it is, so a file parsed through one allocates no
+// read buffer of its own.
+type csvInput struct {
+	content bytes.Reader
+	buf     *bufio.Reader
+}
+
+var csvInputs = sync.Pool{New: func() any {
+	in := new(csvInput)
+	in.buf = bufio.NewReader(&in.content)
+	return in
+}}
+
 // Parse implements Adapter. Rows are read one at a time into one reused
 // field slice, and a full row's properties set in the order columnOrder sorts
 // the header into once.
 func (Structured) Parse(f RawFile) (*jsonld.Normalized, error) {
-	cr := csv.NewReader(bytes.NewReader(f.Content))
+	in := csvInputs.Get().(*csvInput)
+	in.content.Reset(f.Content)
+	in.buf.Reset(&in.content)
+	defer func() {
+		in.content.Reset(nil) // the pooled reader pins no file
+		csvInputs.Put(in)
+	}()
+	cr := csv.NewReader(in.buf)
 	cr.FieldsPerRecord = -1
 	cr.ReuseRecord = true
 	rec, err := cr.Read()

@@ -206,6 +206,7 @@ func (s *System) commitGroup(group []*prepared) {
 	sc := getEmbedScratch(ix.Dim())
 	defer putEmbedScratch(sc)
 	var d wal.Decoder
+	d.SetArena(&s.strs)
 	var committed []*prepared
 	for _, p := range group {
 		if p.err != nil {
@@ -265,10 +266,10 @@ func (s *System) commitGroup(group []*prepared) {
 }
 
 // replayBatch replays one prepared batch onto the shared commit clone — each
-// file's part, decoded through d, whose intern table the group's parts share,
-// and posted with the rows stage 1 embedded — and records the batch's exact
-// deltas in its report. On error the clone is left partially mutated — the
-// caller rolls back by rebuilding it.
+// file's part, decoded through d, whose intern table the group's parts share
+// and whose arena is the system's, and posted with the rows stage 1 embedded
+// — and records the batch's exact deltas in its report. On error the clone is
+// left partially mutated — the caller rolls back by rebuilding it.
 func replayBatch(g *kg.Graph, ix *retrieval.Index, sc *embedScratch, d *wal.Decoder, p *prepared) error {
 	entBefore, triBefore := g.NumEntities(), g.NumTriples()
 	p.rep.Chunks = 0

@@ -133,3 +133,37 @@ func TestSeedReplicaAllocCeiling(t *testing.T) {
 		t.Fatalf("a seed beside its primary allocates %.1f B per triple, ceiling %d", got, ceiling)
 	}
 }
+
+// TestCheckpointDecodeAllocCeiling bounds the heap objects decoding a
+// checkpoint body allocates per decoded row — entity, triple slot and chunk —
+// through SeedReplica, as recovery and a seed away from the primary decode
+// one, on TestEngineCopyBytesCeiling's corpus. The count takes in the whole
+// seed: graph, store, re-embedding and the line-graph view. A kept string
+// that is a heap object of its own again (an entity's ID or name, a triple's
+// object, source or chunk, a chunk's ID or text) instead of a substring of
+// the decode's arena (wal.Arena) fails it: it reads 0.46 objects per row
+// (x86-64, Go 1.24), 1.44 while each kept string was a heap object.
+func TestCheckpointDecodeAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race instrumentation changes allocation counts")
+	}
+	const ceiling = 0.55 // objects per decoded entity, triple slot and chunk
+	s := bulkPrimary(t)
+	body := s.ServingHandle().Encode()
+	g := s.Graph()
+	rows := g.NumEntities() + int(g.TripleSlots()) + s.Index().Len()
+	r := NewSystem(durTestConfig())
+	objects := mallocs(func() {
+		if err := r.SeedReplica(body, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if r.SnapshotDigest() != s.SnapshotDigest() {
+		t.Fatal("the seeded replica differs from the primary")
+	}
+	got := float64(objects) / float64(rows)
+	t.Logf("%.2f objects per decoded row over %d rows (%d objects)", got, rows, objects)
+	if got > ceiling {
+		t.Fatalf("decoding a checkpoint allocates %.2f objects per entity, triple slot and chunk, ceiling %.2f", got, ceiling)
+	}
+}

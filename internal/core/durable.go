@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -187,7 +186,8 @@ func recoverFrom(fsys wal.FS, dir string, cfg Config, body []byte, ckptLSN uint6
 	g, ix := sn.graph, sn.index
 	sc := getEmbedScratch(ix.Dim())
 	for i, payload := range sr.Records {
-		if err = replayRecord(payload, g, ix, sc); err != nil {
+		// The system is not shared yet: recovery is the arena's one writer.
+		if err = replayRecord(payload, g, ix, sc, &s.strs); err != nil {
 			return nil, nil, fmt.Errorf("core: replay WAL record %d: %w", sr.From+uint64(i), err)
 		}
 	}
@@ -374,9 +374,12 @@ func snapshotBody(sn *snapshot) []byte {
 
 // decodeSnapshot rebuilds a snapshot from a checkpoint body. The line graph
 // is a view over the decoded graph and the store's texts are re-embedded on
-// the worker pool.
+// the worker pool. It may run off the commit lock (SeedReplica), so the
+// strings it decodes are kept in an arena of its own, not the system's.
 func (s *System) decodeSnapshot(body []byte) (*snapshot, error) {
+	var strs wal.Arena
 	d := wal.NewDecoder(body)
+	d.SetArena(&strs)
 	if err := readVersion(d, "checkpoint", snapshotVersion); err != nil {
 		return nil, err
 	}
@@ -434,9 +437,9 @@ func recordParts(e *wal.Encoder, parts [][]byte, committed []*prepared) [][]byte
 // embedScratch is what stage 1 and replay reuse from one file or part to the
 // next: the dense row a chunk is embedded into, the recorder a file is
 // extracted into, the slab a part's chunks are re-embedded into when no
-// prepared rows come with it, the arena a file's chunks are rendered into and
-// a part's chunks decoded into, the renderer's buffers, and the chunk views
-// of the arena. embedScratches holds one per worker or replayer between uses.
+// prepared rows come with it, the arena a file's chunks are rendered into,
+// the renderer's buffers, and the chunk views of the arena or of a part's
+// decoded chunks. embedScratches holds one per worker or replayer between uses.
 type embedScratch struct {
 	row    retrieval.Vector
 	rec    extract.Recorder
@@ -525,11 +528,13 @@ func encodeFile(rec *extract.Recorder, chunks []retrieval.Chunk, sc *embedScratc
 }
 
 // replayRecord decodes one WAL record payload straight into g and ix, part by
-// part (replayPart), re-embedding every chunk. On error g and ix hold
+// part (replayPart), re-embedding every chunk. The strings the graph keeps
+// are kept in strs, whose writer the caller must be. On error g and ix hold
 // whatever was applied before it and the caller discards them. Nothing of
 // payload is kept.
-func replayRecord(payload []byte, g *kg.Graph, ix *retrieval.Index, sc *embedScratch) error {
+func replayRecord(payload []byte, g *kg.Graph, ix *retrieval.Index, sc *embedScratch, strs *wal.Arena) error {
 	d := wal.NewDecoder(payload)
+	d.SetArena(strs)
 	if tag := d.Int(); d.Err() == nil && tag != 0 {
 		return unsupportedFormat("WAL record", 1) // format 1 opens with its batch count
 	}
@@ -552,44 +557,28 @@ func replayRecord(payload []byte, g *kg.Graph, ix *retrieval.Index, sc *embedScr
 // re-embedded from the decoded texts into sc's slab. It is the one replay
 // step the committer, replica apply and recovery share.
 //
-// The chunks' strings are decoded into sc's arena and become one string per
-// part, a single allocation: a chunk's fields are views of it, a field equal
-// to the previous chunk's is that chunk's view, and a document ID that begins
-// its chunk's ID is that ID's prefix. The string holds only what the store
-// keeps for as long as it keeps the chunks, so it pins nothing else.
+// The chunks are read as a checkpoint's are (retrieval.DecodeChunk): a
+// field equal to the previous chunk's is that chunk's value, a DocID that
+// begins its chunk's ID is that prefix of the ID, a Source the copy d's table
+// holds from the part's triples, and a new ID or Text is kept in d's arena
+// like the graph's strings, so a part's chunks allocate no string of their
+// own.
 func replayPart(d *wal.Decoder, g *kg.Graph, ix *retrieval.Index, rows *retrieval.Sparse, sc *embedScratch) error {
 	if err := extract.Replay(d, g); err != nil {
 		return err
 	}
-	a := &sc.arena
-	a.Reset()
-	front := func(prev [2]int) [2]int {
-		lo := len(a.Bytes)
-		a.Bytes = d.AppendFront(a.Bytes, a.Bytes[prev[0]:prev[1]])
-		if bytes.Equal(a.Bytes[lo:], a.Bytes[prev[0]:prev[1]]) {
-			a.Bytes = a.Bytes[:lo]
-			return prev
-		}
-		return [2]int{lo, len(a.Bytes)}
-	}
-	var prev retrieval.ChunkSpans
+	chunks := sc.chunks[:0]
+	var prev retrieval.Chunk
 	for n, k := d.Int(), 0; k < n && d.Err() == nil; k++ {
-		c := retrieval.ChunkSpans{ID: front(prev.ID)}
-		if c.Doc = front(prev.Doc); c.Doc != prev.Doc && bytes.HasPrefix(a.Bytes[c.ID[0]:c.ID[1]], a.Bytes[c.Doc[0]:c.Doc[1]]) {
-			a.Bytes = a.Bytes[:c.Doc[0]]
-			c.Doc = [2]int{c.ID[0], c.ID[0] + c.Doc[1] - c.Doc[0]}
-		}
-		c.Src = front(prev.Src)
-		lo := len(a.Bytes)
-		a.Bytes = d.AppendString(a.Bytes)
-		c.Text = [2]int{lo, len(a.Bytes)}
-		a.Spans = append(a.Spans, c)
+		c := retrieval.DecodeChunk(d, &prev)
+		chunks = append(chunks, c)
 		prev = c
 	}
+	sc.chunks = chunks
 	if err := d.Err(); err != nil {
+		sc.dropChunks()
 		return err
 	}
-	chunks := a.Chunks(sc.chunks[:0])
 	if rows == nil {
 		sc.rows.Reset()
 		sc.rows.Grow(len(chunks))
@@ -598,7 +587,6 @@ func replayPart(d *wal.Decoder, g *kg.Graph, ix *retrieval.Index, rows *retrieva
 		}
 		rows = &sc.rows
 	}
-	sc.chunks = chunks
 	err := ix.AppendSparse(chunks, rows)
 	sc.dropChunks()
 	return err

@@ -468,7 +468,7 @@ func replayFresh(payload []byte) (*retrieval.Index, error) {
 	sc := getEmbedScratch(retrieval.DefaultDim)
 	defer putEmbedScratch(sc)
 	ix := retrieval.NewIndex(retrieval.DefaultDim)
-	err := replayRecord(payload, kg.New(), ix, sc)
+	err := replayRecord(payload, kg.New(), ix, sc, nil)
 	return ix, err
 }
 

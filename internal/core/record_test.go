@@ -276,9 +276,9 @@ func TestGroupRecordMatchesOracle(t *testing.T) {
 // TestReplayPostsStoredVectors: replaying prepared files posts their
 // vectors from the sparse rows stage 1 kept. It allocates no vector per chunk
 // — no dense row, no re-embedding — only the store's own growth and the
-// chunks' strings, decoded into one arena per part: under a dense row's bytes
-// per chunk, which the dense row alone used to cost on top of that growth,
-// and far under one object per chunk.
+// chunks' strings, kept in the arena the decoders share, as an engine's do:
+// under a dense row's bytes per chunk, which the dense row alone used to cost
+// on top of that growth, and far under one object per chunk.
 func TestReplayPostsStoredVectors(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race instrumentation changes allocation counts")
@@ -301,9 +301,11 @@ func TestReplayPostsStoredVectors(t *testing.T) {
 	g, ix := kg.New(), retrieval.NewIndex(dim)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
+	var strs wal.Arena
 	var err error
 	for i := 0; i < len(files) && err == nil; i++ {
 		d := wal.NewDecoder(files[i].part)
+		d.SetArena(&strs)
 		if err = replayPart(d, g, ix, &files[i].rows, sc); err == nil {
 			err = d.Finish()
 		}

@@ -211,7 +211,7 @@ func (s *System) replicaPublish(records func(replay func(payload []byte) error) 
 	ix := cur.index.CloneForAppend()
 	sc := getEmbedScratch(ix.Dim())
 	defer putEmbedScratch(sc)
-	n, err := records(func(payload []byte) error { return replayRecord(payload, g, ix, sc) })
+	n, err := records(func(payload []byte) error { return replayRecord(payload, g, ix, sc, &s.strs) })
 	if err != nil || n == 0 {
 		return 0, err
 	}

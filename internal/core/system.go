@@ -19,6 +19,7 @@ import (
 	"multirag/internal/llm"
 	"multirag/internal/par"
 	"multirag/internal/retrieval"
+	"multirag/internal/wal"
 )
 
 // Config assembles a MultiRAG system.
@@ -97,6 +98,11 @@ type System struct {
 	// mu guards the commit critical section of the write path (snapshot
 	// clone/replay/publish — never the ingest fan-out, which runs before it).
 	mu sync.Mutex
+	// strs keeps the strings replay decodes into the serving state, packed
+	// into shared blocks instead of a heap object each (wal.Arena). Its one
+	// writer is whoever holds mu — the committer, a replica's apply — and
+	// recovery, before the system is shared.
+	strs wal.Arena
 	// Preprocessing cost (PT in Table III): the modelled LLM latency of
 	// ingestion's extraction, in nanoseconds. Added under mu, read
 	// lock-free by BuildCost.

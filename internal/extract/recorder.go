@@ -126,7 +126,8 @@ func (r *Recorder) ReplayAppend(g *kg.Graph, ids []string) ([]string, error) {
 // accepted. It stops at the first
 // malformed field (latched in d) or rejected triple and returns its error; g
 // keeps what was applied before it. Nothing of d's input is kept: every
-// string g stores is decoded into memory of its own.
+// string g stores is decoded into memory of its own — d's arena, if it has
+// one.
 func Replay(d *wal.Decoder, g *kg.Graph) error {
 	return replayOps(d, d.Int(), g)
 }
@@ -139,7 +140,10 @@ func Replay(d *wal.Decoder, g *kg.Graph) error {
 // makes a string only of a value it keeps and does not hold yet. The fields
 // every triple stores — its object, source and chunk — are interned
 // (wal.Decoder.Interned, Front), so g holds one copy of each value the stream
-// repeats, and a value decoded again costs no allocation.
+// repeats, and a value decoded again costs no allocation. A new value is kept
+// in d's arena when the caller gave it one (wal.Decoder.SetArena: the
+// engine's, under its commit lock), a substring of a shared block rather than
+// a heap object of its own.
 func replayOps(d *wal.Decoder, n int, g *kg.Graph) error {
 	var typBuf, domBuf, subjBuf, objBuf, tdomBuf, fmtBuf [64]byte
 	typ, domain := typBuf[:0], domBuf[:0]

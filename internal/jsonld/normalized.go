@@ -44,11 +44,31 @@ func NormalizedID(domain, source, name string) string {
 	id := append(buf[:0], clipID(domain)...)
 	id = append(append(id, '/'), clipID(source)...)
 	id = append(append(id, '/'), clipID(name)...)
-	id = append(id, '#')
-	for shift := 60; shift >= 0; shift -= 4 {
-		id = append(id, "0123456789abcdef"[h>>shift&0xf])
+	return string(appendHash(id, h))
+}
+
+// SpellKey returns key as a record ID or a nested record's key spells it:
+// key itself if it is at most idPartBytes long, else its first idPartBytes
+// (cut at a rune boundary), then the hash of the whole key, as NormalizedID
+// spells an identifier. A list of records under a long key then costs a
+// short key per record, not a copy of the long one, a nested record's ID
+// grows by a bounded amount per level, and so does every property path
+// extraction and chunk rendering build through it.
+func SpellKey(key string) string {
+	if len(key) <= idPartBytes {
+		return key
 	}
-	return string(id)
+	var buf [idPartBytes + 1 + 16]byte
+	return string(appendHash(append(buf[:0], clipID(key)...), textutil.Hash64(key)))
+}
+
+// appendHash appends '#' and h as 16 lower-case hex digits.
+func appendHash(dst []byte, h uint64) []byte {
+	dst = append(dst, '#')
+	for shift := 60; shift >= 0; shift -= 4 {
+		dst = append(dst, "0123456789abcdef"[h>>shift&0xf])
+	}
+	return dst
 }
 
 // idPartBytes bounds what NormalizedID spells out of each identifier: every

@@ -24,7 +24,10 @@ import (
 // reads them, and a triple's Object, through the decoder's intern table, so a
 // decoded graph holds one copy of each distinct value where the encoded
 // bytes hold one per row; a triple's domain and format are interned again as
-// the graph's (domain, format) pair.
+// the graph's (domain, format) pair. Every string the decoded graph keeps —
+// those values, an entity's ID and Name, a predicate — lives in the
+// decoder's arena when it has one (wal.Decoder.SetArena): packed into shared
+// blocks, not a heap object per value.
 //
 // Derivable fields are not stored: a triple's ID comes from its handle, its
 // subject from the subject entity handle and its predicate from the predicate

@@ -48,8 +48,8 @@ func DocOfChunk(chunkID string) string {
 type ChunkSpans struct{ ID, Doc, Src, Text [2]int }
 
 // ChunkArena holds chunks as spans of one byte buffer: what stage 1 renders a
-// file's chunks into and replay decodes a part's chunks into, reused from one
-// file to the next so that neither builds a string per field.
+// file's chunks into, reused from one file to the next so that rendering
+// builds no string per field.
 type ChunkArena struct {
 	Bytes []byte
 	Spans []ChunkSpans

@@ -41,15 +41,25 @@ func EncodeStore(e *wal.Encoder, ix *Index) {
 	}
 }
 
+// DecodeChunk reads one chunk written as EncodeStore writes each, front-coded
+// against prev, the chunk read before it (zero for the first). Its ID, which
+// never repeats, is read without d's intern table (FrontFresh); its DocID,
+// when the ID begins with it, is that prefix of the ID (FrontPrefix), and
+// otherwise, like its Source, the table's copy (Front), which a triple's
+// ChunkID or Source decoded earlier through d may already hold. What is new
+// is kept in d's arena when it has one (wal.Decoder.SetArena), so a decoded
+// chunk is not four strings of its own.
+func DecodeChunk(d *wal.Decoder, prev *Chunk) Chunk {
+	id := d.FrontFresh(prev.ID)
+	return Chunk{ID: id, DocID: d.FrontPrefix(prev.DocID, id), Source: d.Front(prev.Source), Text: d.String()}
+}
+
 // DecodeIntoStore fills the empty index ix from d (the inverse of
 // EncodeStore), re-embedding rows on up to workers goroutines (<= 0 selects
 // GOMAXPROCS). The index's width must match the encoded one. The chunk slice
 // is sized once from the encoded row count, trusted only as far as the bytes
-// left could back it. A chunk's DocID and Source are read through d's intern
-// table (wal.Decoder.Front), so the chunks of one document share them, and a
-// DocID shares the copy of the same document a triple's ChunkID decoded
-// earlier in the same body; its ID, which never repeats, is read without the
-// table (FrontFresh). On error ix is left empty.
+// left could back it, and each chunk is read by DecodeChunk. On error ix is
+// left empty.
 func DecodeIntoStore(d *wal.Decoder, ix *Index, workers int) error {
 	dim := d.Int()
 	n := d.Int()
@@ -68,7 +78,7 @@ func DecodeIntoStore(d *wal.Decoder, ix *Index, workers int) error {
 	chunks := make([]Chunk, 0, min(n+n/4, d.Remaining()/minStoredChunk))
 	var prev Chunk
 	for i := 0; i < n && d.Err() == nil; i++ {
-		c := Chunk{ID: d.FrontFresh(prev.ID), DocID: d.Front(prev.DocID), Source: d.Front(prev.Source), Text: d.String()}
+		c := DecodeChunk(d, &prev)
 		chunks = append(chunks, c)
 		prev = c
 	}

@@ -184,10 +184,11 @@ func (e *Encoder) Raw(b []byte) {
 // before any allocation, so a corrupt (or fuzzed) payload can never provoke a
 // huge make() or an out-of-bounds read.
 type Decoder struct {
-	b    []byte
-	off  int
-	err  error
-	strs map[string]string // Interned's and Front's table, made on first use
+	b     []byte
+	off   int
+	err   error
+	strs  map[string]string // Interned's and Front's table, made on first use
+	arena *Arena            // where the strings d returns are kept; nil: one string each
 }
 
 // NewDecoder returns a decoder over b. The decoder aliases b; callers must
@@ -195,10 +196,16 @@ type Decoder struct {
 func NewDecoder(b []byte) *Decoder { return &Decoder{b: b} }
 
 // Reset points d at a new input b and clears its error, keeping the table
-// Interned and Front share: a caller decoding several payloads that belong
-// together (the parts of one commit group) keeps one copy of every value they
-// repeat, as it would decoding them as one payload.
+// Interned and Front share and the arena: a caller decoding several payloads
+// that belong together (the parts of one commit group) keeps one copy of
+// every value they repeat, as it would decoding them as one payload.
 func (d *Decoder) Reset(b []byte) { d.b, d.off, d.err = b, 0, nil }
+
+// SetArena makes d keep every string it returns from then on — String,
+// Interned, Front and FrontFresh — in a's blocks instead of one heap object
+// each. d becomes a's writer while it decodes: the caller must hold whatever
+// serializes a's writers (an engine's commit lock) or own a outright.
+func (d *Decoder) SetArena(a *Arena) { d.arena = a }
 
 // Err returns the first decode error, if any.
 func (d *Decoder) Err() error { return d.err }
@@ -291,14 +298,16 @@ func (d *Decoder) F64() float64 {
 	return v
 }
 
-// String reads a length-prefixed string.
-func (d *Decoder) String() string { return string(d.stringBytes()) }
+// String reads a length-prefixed string, kept in d's arena if it has one.
+func (d *Decoder) String() string { return d.arena.keep("", d.stringBytes()) }
 
 // Interned reads a length-prefixed string exactly as String does — same
 // value, same error, same offset — but returns one shared copy of every value
 // this decoder has read through Interned before. Decoders read the fields
 // that repeat across rows (a triple's source, a chunk's document) through it,
-// so decoded state holds each such value once instead of once per row.
+// so decoded state holds each such value once instead of once per row. The
+// copy is kept in d's arena if it has one, so a new value costs no heap
+// object of its own; a value read again costs nothing.
 func (d *Decoder) Interned() string { return d.intern(d.stringBytes()) }
 
 // intern returns the table's copy of b, adding one if b is new.
@@ -306,7 +315,7 @@ func (d *Decoder) intern(b []byte) string {
 	if s, ok := d.strs[string(b)]; ok || len(b) == 0 {
 		return s
 	}
-	s := string(b)
+	s := d.arena.keep("", b)
 	if d.strs == nil {
 		d.strs = map[string]string{}
 	}
@@ -318,17 +327,26 @@ func (d *Decoder) intern(b []byte) string {
 // the value the same column decoded in the previous row. A prefix length
 // longer than prev is a latched error. An exact repeat returns prev itself;
 // any other value is interned through the table Interned uses, so decoded
-// state holds one copy of each distinct value however it was coded.
-func (d *Decoder) Front(prev string) string { return d.front(prev, true) }
+// state holds one copy of each distinct value however it was coded, kept in
+// d's arena if it has one.
+func (d *Decoder) Front(prev string) string { return d.front(prev, "", true) }
+
+// FrontPrefix reads a field exactly as Front does — same value, same error,
+// same offset — but a new value that of begins with is returned as that
+// prefix of of, a string the caller already keeps, instead of the table's
+// copy. It is for a column whose value most rows spell at the start of
+// another, such as a chunk's document at the start of the chunk's ID.
+func (d *Decoder) FrontPrefix(prev, of string) string { return d.front(prev, of, true) }
 
 // FrontFresh reads a field written by Encoder.Front exactly as Front does —
 // same value, same error, same offset — but returns a value that is not an
-// exact repeat of prev as a copy of its own instead of the table's. It is for
-// a column whose values never repeat, such as a chunk's ID, where the table
-// would pay a map insertion per row and share nothing.
-func (d *Decoder) FrontFresh(prev string) string { return d.front(prev, false) }
+// exact repeat of prev as a copy of its own (in d's arena if it has one)
+// instead of the table's. It is for a column whose values never repeat, such
+// as a chunk's ID, where the table would pay a map insertion per row and
+// share nothing.
+func (d *Decoder) FrontFresh(prev string) string { return d.front(prev, "", false) }
 
-func (d *Decoder) front(prev string, intern bool) string {
+func (d *Decoder) front(prev, of string, intern bool) string {
 	l := d.Uvarint()
 	if d.err != nil {
 		return ""
@@ -345,8 +363,12 @@ func (d *Decoder) front(prev string, intern bool) string {
 	case len(suffix) == 0 && int(l) == len(prev):
 		return prev
 	case !intern:
-		return prev[:l] + string(suffix)
-	case l == 0:
+		return d.arena.keep(prev[:l], suffix)
+	}
+	if n := int(l) + len(suffix); n <= len(of) && of[:l] == prev[:l] && of[l:n] == string(suffix) {
+		return of[:n]
+	}
+	if l == 0 {
 		return d.intern(suffix)
 	}
 	var buf [128]byte // the value, to look it up; a longer one spills
@@ -357,11 +379,6 @@ func (d *Decoder) front(prev string, intern bool) string {
 // as a view of the input instead of a copy: for a value the caller only looks
 // up or compares. The view aliases the input; the caller must not keep it.
 func (d *Decoder) View() []byte { return d.stringBytes() }
-
-// AppendString reads a length-prefixed string exactly as String does and
-// appends its bytes to dst instead of allocating a string: for a caller that
-// gathers many decoded values into one allocation of its own.
-func (d *Decoder) AppendString(dst []byte) []byte { return append(dst, d.stringBytes()...) }
 
 // AppendFront reads a field written by Encoder.Front against prev exactly as
 // Front does, and appends the value to dst instead of allocating or interning

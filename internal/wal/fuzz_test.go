@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"unsafe"
 )
@@ -155,14 +156,22 @@ func FuzzDecoder(f *testing.F) {
 
 		// Interned reads what String reads — value, error, offset — whether
 		// the value is new or served from the table, and equal values it
-		// returns share their bytes.
-		plain, interned := NewDecoder(b), NewDecoder(b)
+		// returns share their bytes. So does String kept in an arena, and
+		// neither aliases the input. The reads below that keep strings share
+		// one arena, as an engine's decoders do.
+		var strs Arena
+		plain, kept, interned := NewDecoder(b), NewDecoder(b), NewDecoder(b)
+		kept.SetArena(&strs)
+		interned.SetArena(&strs)
 		first := map[string]string{}
 		for i := 0; i < 8; i++ {
 			want, got := plain.String(), interned.Interned()
 			if got != want || interned.off != plain.off || fmt.Sprint(interned.err) != fmt.Sprint(plain.err) {
 				t.Fatalf("read %d: Interned = %q at %d (%v), String = %q at %d (%v)",
 					i, got, interned.off, interned.err, want, plain.off, plain.err)
+			}
+			if k := kept.String(); k != want || kept.off != plain.off || aliases(k, b) || aliases(got, b) {
+				t.Fatalf("read %d: String kept in an arena = %q at %d, want %q at %d, not a view of the input", i, k, kept.off, want, plain.off)
 			}
 			if f, ok := first[got]; ok && unsafe.StringData(f) != unsafe.StringData(got) {
 				t.Fatalf("read %d: repeated value %q is a second copy", i, got)
@@ -175,6 +184,7 @@ func FuzzDecoder(f *testing.F) {
 		// suffix — value, error, offset — row after row; an exact repeat is
 		// the previous value itself, and equal values share their bytes.
 		oracle, fronted := NewDecoder(b), NewDecoder(b)
+		fronted.SetArena(&strs)
 		prevWant, prevGot := "", ""
 		first = map[string]string{}
 		for i := 0; i < 8; i++ {
@@ -182,6 +192,9 @@ func FuzzDecoder(f *testing.F) {
 			if got != want || fronted.off != oracle.off || fmt.Sprint(fronted.err) != fmt.Sprint(oracle.err) {
 				t.Fatalf("row %d: Front = %q at %d (%v), oracle = %q at %d (%v)",
 					i, got, fronted.off, fronted.err, want, oracle.off, oracle.err)
+			}
+			if aliases(got, b) {
+				t.Fatalf("row %d: Front = %q is a view of the input", i, got)
 			}
 			if got == prevGot && got != "" && unsafe.StringData(got) != unsafe.StringData(prevGot) {
 				t.Fatalf("row %d: exact repeat %q is not the previous value", i, got)
@@ -195,16 +208,48 @@ func FuzzDecoder(f *testing.F) {
 		}
 		// FrontFresh reads what Front reads, value, error and offset.
 		fresh, fronted := NewDecoder(b), NewDecoder(b)
+		fresh.SetArena(&strs)
 		prevGot = ""
 		for i := 0; i < 8; i++ {
 			want, got := fronted.Front(prevGot), fresh.FrontFresh(prevGot)
-			if got != want || fresh.off != fronted.off || fmt.Sprint(fresh.err) != fmt.Sprint(fronted.err) {
+			if got != want || fresh.off != fronted.off || fmt.Sprint(fresh.err) != fmt.Sprint(fronted.err) || aliases(got, b) {
 				t.Fatalf("row %d: FrontFresh = %q at %d (%v), Front = %q at %d (%v)",
 					i, got, fresh.off, fresh.err, want, fronted.off, fronted.err)
 			}
 			prevGot = got
 		}
+		// FrontPrefix reads what Front reads, value, error and offset, and a
+		// new value that begins of is that prefix of of. Every other row's of
+		// extends the value, so it begins of; the rest miss.
+		prefixed, fronted := NewDecoder(b), NewDecoder(b)
+		prefixed.SetArena(&strs)
+		prevGot = ""
+		for i := 0; i < 8; i++ {
+			peek := *fronted
+			of := "\xff"
+			if i%2 == 0 {
+				of = peek.Front(prevGot) + "#c0"
+			}
+			want, got := fronted.Front(prevGot), prefixed.FrontPrefix(prevGot, of)
+			if got != want || prefixed.off != fronted.off || fmt.Sprint(prefixed.err) != fmt.Sprint(fronted.err) || aliases(got, b) {
+				t.Fatalf("row %d: FrontPrefix = %q at %d (%v), Front = %q at %d (%v)",
+					i, got, prefixed.off, prefixed.err, want, fronted.off, fronted.err)
+			}
+			if got != "" && got != prevGot && strings.HasPrefix(of, got) && unsafe.StringData(got) != unsafe.StringData(of) {
+				t.Fatalf("row %d: FrontPrefix = %q is not the prefix of %q", i, got, of)
+			}
+			prevGot = got
+		}
 	})
+}
+
+// aliases reports whether s lies in b's memory.
+func aliases(s string, b []byte) bool {
+	if s == "" || len(b) == 0 {
+		return false
+	}
+	p, lo := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return p >= lo && p < lo+uintptr(len(b))
 }
 
 // oracleFront reads a front-coded field the plain way: the prefix length, a

@@ -179,6 +179,40 @@ func TestFront(t *testing.T) {
 	}
 }
 
+// TestFrontPrefix: a document column read against each row's chunk ID is
+// that ID's prefix wherever the ID begins with it, the previous value itself
+// on an exact repeat, and otherwise the value Front reads.
+func TestFrontPrefix(t *testing.T) {
+	rows := [][2]string{{"doc-1", "doc-1#c0"}, {"doc-1", "doc-1#c1"}, {"doc-2", "doc-2#c0"}, {"feed", "doc-3#c0"}, {"doc-3", "doc-3#c1"}}
+	var e Encoder
+	prev := ""
+	for _, r := range rows {
+		e.Front(prev, r[0])
+		prev = r[0]
+	}
+	d := NewDecoder(e.Bytes())
+	prev = ""
+	for i, r := range rows {
+		id := strings.Clone(r[1])
+		got := d.FrontPrefix(prev, id)
+		if got != r[0] {
+			t.Fatalf("row %d = %q, want %q", i, got, r[0])
+		}
+		switch p := unsafe.StringData(got); {
+		case got == prev && p != unsafe.StringData(prev):
+			t.Fatalf("row %d: an exact repeat is a second copy", i)
+		case got != prev && strings.HasPrefix(id, got) && p != unsafe.StringData(id):
+			t.Fatalf("row %d: %q is not the prefix of %q", i, got, id)
+		case !strings.HasPrefix(id, got) && p == unsafe.StringData(id):
+			t.Fatalf("row %d: %q aliases %q", i, got, id)
+		}
+		prev = got
+	}
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDecoderLatchesOnTruncation(t *testing.T) {
 	var e Encoder
 	e.String("abcdef")
