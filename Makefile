@@ -95,7 +95,10 @@ chaos-cluster:
 # (encoding/json into interface{} printed with fmt.Sprint, xml.Unmarshal into
 # a reflective node tree, csv.ReadAll, strings.Split, documents set one
 # property at a time): each content parsed as every format must fail on both
-# sides or give the same records, properties in order.
+# sides or give the same records, properties in order — and the retained-heap
+# ceiling over file shapes (format, identifier, long-name, list, nesting, row
+# and value sizes, at most 256 KiB): a request must be refused or retain at
+# most TestIngestRetainedBytesCeiling's bound.
 fuzz-smoke:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzFrameParse -fuzztime 5s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecoder -fuzztime 5s
@@ -108,6 +111,7 @@ fuzz-smoke:
 	$(GO) test ./internal/llm -run '^$$' -fuzz FuzzParseQuery -fuzztime 5s
 	$(GO) test ./internal/llm -run '^$$' -fuzz FuzzExtract -fuzztime 5s
 	$(GO) test ./internal/adapter -run '^$$' -fuzz FuzzAdaptersMatchOracle -fuzztime 5s
+	$(GO) test . -run '^$$' -fuzz FuzzIngestRetainedBytes -fuzztime 5s
 
 # layers builds and tests the benchmark's per-layer pass, which lives behind
 # the `layers` build tag and calls internal packages directly: an internal
@@ -119,7 +123,10 @@ layers:
 
 # bench-micro runs the testing.B micro-benchmarks with -benchmem: the write
 # path's kernels at the end-to-end corpus size — one commit's clone + 4-row
-# append on a 34,549 x 256 store, one encode and one decode of that store's
+# append on a 34,549 x 256 store, a replica's first nine such applies on a
+# clone of that store after its primary committed them (the fork: each
+# column it appends to copies its spine and partly filled tail block, not
+# the list), one encode and one decode of that store's
 # checkpoint form (datasets text; chunk strings only, so the decode includes
 # re-embedding every chunk on GOMAXPROCS workers), one commit's clone +
 # 11-triple replay on a 67,100-triple graph (linear history, whose claimant
@@ -142,8 +149,9 @@ layers:
 # page tables, lookup overlays and a line-graph view, embedding nothing, its live-MB and B/op what
 # TestEngineCopyBytesBesidePrimaryCeiling and TestSeedReplicaAllocCeiling
 # bound; /first-apply is such a clone's first applied record, where it loses
-# the lineage claim to the primary and forks, copying the chunk slice and
-# each posting list, page and lookup entry the record writes), and the bulk
+# the lineage claim to the primary and forks, copying the tail block of the
+# chunk column and of each posting list, and each page and lookup entry, the
+# record writes), and the bulk
 # load a deployment pays at set-up (the datasets presets as one Ingest into a
 # durable system: stage 1 and the commit, split as prepare-ms/op and
 # commit-ms/op, and the size of its WAL record as record-bytes; ~0.57 M
@@ -178,7 +186,7 @@ layers:
 # beyond encoding/csv's string per row and encoding/xml's objects per token.
 # B/op is the tracked number. BENCHTIME=1x makes it a smoke run.
 bench-micro:
-	$(GO) test -run '^$$' -bench '^Benchmark(CommitAppend|Search|EncodeStore|DecodeStore|Embed|Accumulate|TopK)$$' -benchmem -benchtime $(BENCHTIME) ./internal/retrieval
+	$(GO) test -run '^$$' -bench '^Benchmark(CommitAppend|ReplicaFirstApplies|Search|EncodeStore|DecodeStore|Embed|Accumulate|TopK)$$' -benchmem -benchtime $(BENCHTIME) ./internal/retrieval
 	$(GO) test -run '^$$' -bench '^Benchmark(GraphCommitAppend|COWPagePrivatize)$$' -benchmem -benchtime $(BENCHTIME) ./internal/kg
 	$(GO) test -run '^$$' -bench '^Benchmark(SnapshotDigest|SeedReplica|BulkIngest|GatherEvidence|AnswerFallback)$$' -benchmem -benchtime $(BENCHTIME) ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkMCCRunConflict$$' -benchmem -benchtime $(BENCHTIME) ./internal/confidence

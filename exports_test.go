@@ -22,18 +22,19 @@ import (
 // shrinks: an entry whose function gains a product caller or is deleted fails
 // TestProductExportsHaveCallers until it is removed.
 var exportAllowlist = map[string]string{
-	"multirag/internal/core.SnapshotHandle.Encode":      "the root package's replica tests compare a replica's serving snapshot with the primary's by checkpoint body",
-	"multirag/internal/core.System.Index":               "the root package's replica tests read each engine's stored vectors through it",
-	"multirag/internal/fault.Disable":                   "fault-injection seam: the chaos and fault tests of core, serve and the root package disarm a point",
-	"multirag/internal/fault.Enable":                    "fault-injection seam: the chaos and fault tests of core, serve and the root package arm a point",
-	"multirag/internal/fault.Hits":                      "fault-injection seam: the chaos tests count how often an armed point fired",
-	"multirag/internal/fault.Reset":                     "fault-injection seam: every fault test disarms all points on cleanup",
-	"multirag/internal/kg.Graph.ForEachKeyPosting":      "the whole-graph key walk behind the line-graph oracles of linegraph, confidence, core and the root package; no lookup may scan, so a product caller must fail here",
-	"multirag/internal/retrieval.Index.ForEachEmbedded": "core's and the root package's tests gather stored vectors back out of the posting lists to hold recovery and replicas to them bit for bit",
-	"multirag/internal/wal.MemFS.Crash":                 "crash model of the in-memory filesystem, driven by the durability tests of wal and core",
-	"multirag/internal/wal.MemFS.FileSize":              "crash model of the in-memory filesystem: tests size a segment before tearing it",
-	"multirag/internal/wal.MemFS.FlipBit":               "crash model of the in-memory filesystem: corruption tests of wal, core and the root package",
-	"multirag/internal/wal.MemFS.UnsyncedTail":          "crash model of the in-memory filesystem: core's tests assert what a crash would lose",
+	"multirag/internal/core.SnapshotHandle.Encode":       "the root package's replica tests compare a replica's serving snapshot with the primary's by checkpoint body",
+	"multirag/internal/core.System.Index":                "the root package's replica tests read each engine's stored vectors through it",
+	"multirag/internal/fault.Disable":                    "fault-injection seam: the chaos and fault tests of core, serve and the root package disarm a point",
+	"multirag/internal/fault.Enable":                     "fault-injection seam: the chaos and fault tests of core, serve and the root package arm a point",
+	"multirag/internal/fault.Hits":                       "fault-injection seam: the chaos tests count how often an armed point fired",
+	"multirag/internal/fault.Reset":                      "fault-injection seam: every fault test disarms all points on cleanup",
+	"multirag/internal/kg.Graph.ForEachKeyPosting":       "the whole-graph key walk behind the line-graph oracles of linegraph, confidence, core and the root package; no lookup may scan, so a product caller must fail here",
+	"multirag/internal/retrieval.Index.ForEachEmbedded":  "core's and the root package's tests gather stored vectors back out of the posting lists to hold recovery and replicas to them bit for bit",
+	"multirag/internal/retrieval.Index.ForEachFullBlock": "core's replica tests check by address that a replica's fork left every full posting block and chunk block the primary's",
+	"multirag/internal/wal.MemFS.Crash":                  "crash model of the in-memory filesystem, driven by the durability tests of wal and core",
+	"multirag/internal/wal.MemFS.FileSize":               "crash model of the in-memory filesystem: tests size a segment before tearing it",
+	"multirag/internal/wal.MemFS.FlipBit":                "crash model of the in-memory filesystem: corruption tests of wal, core and the root package",
+	"multirag/internal/wal.MemFS.UnsyncedTail":           "crash model of the in-memory filesystem: core's tests assert what a crash would lose",
 }
 
 // TestProductExportsHaveCallers type-checks every package's non-test files,

@@ -63,9 +63,9 @@ func BenchmarkSnapshotDigest(b *testing.B) {
 // (seedBytes, cloneSeedBytes), embeds/op the chunks it embedded
 // (retrieval.EmbedCalls). first-apply is the clone's first ReplicaApply, of
 // one record the primary committed after the seed: the replica loses the
-// lineage claim there and forks, copying the chunk slice and every posting
-// list, page and lookup entry the record writes — the cost the clone moves
-// out of the seed. Run with -benchmem, or via `make bench-micro`.
+// lineage claim there and forks, copying the tail block of the chunk column
+// and of each posting list, and each page and lookup entry, the record
+// writes — the cost the clone moves out of the seed. Run with -benchmem, or via `make bench-micro`.
 func BenchmarkSeedReplica(b *testing.B) {
 	primary := benchPrimary(b)
 	body := primary.ServingHandle().Encode()

@@ -227,9 +227,12 @@ func (s *System) replicaPublish(records func(replay func(payload []byte) error) 
 // posting list, chunk and string with the primary and builds only its own
 // line-graph view. The clone shares the primary's lineage too (package
 // lineage), and the primary has always claimed the rows of a record before a
-// replica can read it, so the replica's first apply loses the claim and forks:
-// it copies the pages and lists it writes, never writing storage the primary
-// reads. h must come from ReplicationSeed and seed no other replica.
+// replica can read it, so the replica's first apply loses the claim and forks,
+// never writing storage the primary reads: the graph copies the pages and
+// posting lists it writes, and the retrieval index, of each column it appends
+// to, the spine of block pointers and the partly filled tail block, so every
+// full block stays the primary's. h must come from ReplicationSeed and seed
+// no other replica.
 func (s *System) SeedReplicaClone(h SnapshotHandle, lsn uint64) {
 	s.install(&snapshot{graph: h.sn.graph, sg: linegraph.Build(h.sn.graph), index: h.sn.index}, lsn)
 }

@@ -54,20 +54,43 @@ func sameString(a, b string) bool {
 // sameBacking reports whether a and b are views of one backing array.
 func sameBacking(a, b []int32) bool { return unsafe.SliceData(a) == unsafe.SliceData(b) }
 
+// fullBlocks returns the address of each full block of s's retrieval index —
+// chunk rows and posting lists — by its column and place.
+func fullBlocks(s *System) map[[2]int]any {
+	out := map[[2]int]any{}
+	s.Index().ForEachFullBlock(func(list, k int, first any) { out[[2]int{list, k}] = first })
+	return out
+}
+
 // TestSeedReplicaSharesPrimaryState pins what a clone seed shares and when it
 // stops. Seeded, the replica holds the primary's state — Encode bytes, digest,
 // derived vectors and line graph — in the primary's own memory: every
 // entity, live triple and chunk string is the primary's object, and every
 // subject posting list the primary's backing array. The primary's next commit
 // claims the lineage and leaves the replica as seeded. The replica's first
-// apply of that record loses the claim and forks: each list the record
-// appends to becomes the replica's own, the others stay shared, and neither
-// the primary's digest nor any list of the primary's moves.
+// apply of that record loses the claim and forks: each subject list the
+// record appends to becomes the replica's own, the others stay shared, and
+// neither the primary's digest nor any list of the primary's moves. In the
+// retrieval index the fork copies only partly filled tail blocks: after its
+// first applies, every block that was full when the replica was seeded is
+// still the primary's, by address.
 func TestSeedReplicaSharesPrimaryState(t *testing.T) {
 	primary, _ := openDurable(t, wal.NewMemFS(), durTestConfig())
+	var bulk []adapter.RawFile // enough chunks and postings to fill blocks
+	for k := 0; k < 200; k++ {
+		bulk = append(bulk, disjointBatch(k)...)
+		bulk = append(bulk, ingestBatch(k)[1])
+	}
+	if _, err := primary.Ingest(bulk); err != nil {
+		t.Fatal(err)
+	}
 	ingestAll(t, primary, 0, 1, 2, 3, 4, 5)
 	replica, lsn, _ := cloneSeeded(t, primary)
 	seeded := snapBytes(replica)
+	seedBlocks := fullBlocks(replica)
+	if len(seedBlocks) == 0 {
+		t.Fatal("the seeded index has no full block to share")
+	}
 	if replica.SnapshotDigest() != primary.SnapshotDigest() || !bytes.Equal(seeded, snapBytes(primary)) {
 		t.Fatal("a clone seed differs from the primary it was cloned from")
 	}
@@ -125,6 +148,32 @@ func TestSeedReplicaSharesPrimaryState(t *testing.T) {
 	if forked == 0 || shared == 0 {
 		t.Fatalf("after its first apply the replica owns %d subject postings and shares %d; want some of each", forked, shared)
 	}
+
+	ingestAll(t, primary, 7, 8, 9)
+	for _, rec := range logRecords(t, primary, lsn+1, primary.ReplicationLSN()) {
+		if err := replica.ReplicaApply(rec); err != nil {
+			t.Fatalf("ReplicaApply: %v", err)
+		}
+	}
+	if replica.SnapshotDigest() != primary.SnapshotDigest() {
+		t.Fatal("after its first applies the replica differs from the primary")
+	}
+	rb, pb := fullBlocks(replica), fullBlocks(primary)
+	for at, first := range seedBlocks {
+		if rb[at] != first || pb[at] != first {
+			t.Fatalf("full block %d of column %d at the seed is no longer the primary's in both engines", at[1], at[0])
+		}
+	}
+	copied := 0
+	for at, first := range rb {
+		if pb[at] != first {
+			copied++
+		}
+	}
+	if copied == 0 {
+		t.Fatal("the replica's applies filled no block of its own: the test shows no fork")
+	}
+	t.Logf("%d full blocks shared since the seed; %d filled by the replica in copies of its own", len(seedBlocks), copied)
 }
 
 // TestSeedBesidePrimaryEmbedsNothing: a replica seeded beside its primary, a

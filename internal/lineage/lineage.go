@@ -3,7 +3,7 @@
 // retrieval.Index both carry a Token and apply it to their own storage.
 //
 // A store and its clones share append-only backing storage together with its
-// spare capacity, and a Token. History is linear — one committer per engine,
+// spare room, and a Token. History is linear — one committer per engine,
 // every snapshot cloned from the newest — so the clone a commit makes is
 // normally the only store that will ever append behind its parent's length,
 // and readers of older snapshots never index past their own length: the
@@ -21,9 +21,12 @@
 //     commit of it claimed the rows. The store forks: it stops writing into
 //     capacity it shares (how is the store's business — clipping slices,
 //     copying a partly filled block) and continues on the fresh token Claim
-//     left it with. A fork costs what every commit cost before the rule,
-//     once; for a replica that is a copy of each list it appends to, paid over
-//     its first applies.
+//     left it with. What a fork costs depends on the storage: a
+//     retrieval.Index copies, of each column it appends to, the spine of
+//     block pointers (24 bytes a block) and the one partly filled tail
+//     block, never a full block; a kg.Graph copies each page and posting
+//     list it writes, as every commit did before the rule. A replica pays
+//     its fork once, over its first applies.
 //
 // A store, like any snapshot under construction, has one writer at a time:
 // the token orders successive writers, it does not make concurrent appends to

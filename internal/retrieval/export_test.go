@@ -12,10 +12,31 @@ func (ix *Index) Accumulate(qv Vector, acc []float64) {
 // the k best rows by their scores in acc, which it leaves as it found them.
 func (ix *Index) SelectTopK(acc []float64, k int) []Hit {
 	t := newTopK(k)
-	for i, score := range acc {
-		t.consider(&ix.chunks[i], score)
+	for i, run := range ix.chunks.runs(0, len(acc)) {
+		for j := range run {
+			t.consider(&run[j], acc[i+j])
+		}
 	}
 	return t.sorted()
+}
+
+// rows returns every row of l in order, copied out of its blocks.
+func (l *blocks[T]) rows() []T {
+	out := make([]T, 0, l.len())
+	for _, run := range l.runs(0, l.len()) {
+		out = append(out, run...)
+	}
+	return out
+}
+
+// flat returns every posting list of p flattened, for comparing the lists
+// of two indexes.
+func (p *postings) flat() [][]posting {
+	out := make([][]posting, len(p.lists))
+	for d := range p.lists {
+		out[d] = p.lists[d].rows()
+	}
+	return out
 }
 
 // ChunkText splits text into chunks of at most maxTokens tokens, breaking at

@@ -19,13 +19,13 @@ type posting struct {
 // appears on about as many lists as it has distinct features — a few per cent
 // of dim — and the lists together are both the exact scorer, not a filter in
 // front of one (see Index.search), and the only copy of the vectors (see
-// Index.ForEachEmbedded).
+// Index.ForEachEmbedded). Each list is a block column (blocks.go).
 type postings struct {
-	lists [][]posting
+	lists []blocks[posting]
 }
 
 func newPostings(dim int) postings {
-	return postings{lists: make([][]posting, dim)}
+	return postings{lists: make([]blocks[posting], dim)}
 }
 
 // add posts row's non-zero weights. Rows must be added in increasing order
@@ -33,7 +33,7 @@ func newPostings(dim int) postings {
 func (p *postings) add(row int, v Vector) {
 	for d, x := range v {
 		if x != 0 {
-			p.lists[d] = append(p.lists[d], posting{int32(row), x})
+			p.lists[d].push(posting{int32(row), x})
 		}
 	}
 }
@@ -42,27 +42,27 @@ func (p *postings) add(row int, v Vector) {
 // ascending bucket order; like add, rows must come in increasing order.
 func (p *postings) addSparse(row int, nz []weight) {
 	for _, x := range nz {
-		p.lists[x.b] = append(p.lists[x.b], posting{int32(row), x.w})
+		p.lists[x.b].push(posting{int32(row), x.w})
 	}
 }
 
-// clone returns the postings of a cloned Index: the outer slice is copied
-// (O(dim) headers) because the two indexes' lists diverge in length, but
-// every list keeps its backing array and spare capacity. Whether the clone
-// may append into that capacity is the Index lineage token's call
-// (Index.claim), not this type's. A list header's length is what keeps a
+// clone returns the postings of a cloned Index: the list headers are copied
+// (O(dim) headers of 16 bytes) because the two indexes' lists diverge in
+// length, but every list keeps its spine and blocks, spare room included.
+// Whether the clone may append into that room is the Index lineage token's
+// call (Index.claim), not this type's. A list's row count is what keeps a
 // snapshot from seeing rows posted after it was cloned from.
 func (p *postings) clone() postings {
 	return postings{lists: slices.Clone(p.lists)}
 }
 
-// clip drops every list's spare capacity, so a posting append reallocates
-// that list instead of writing into a backing array another index may be
-// appending to — the fork step of Index.claim. O(dim) headers now, one list
-// copy per bucket touched later.
-func (p *postings) clip() {
-	for d, l := range p.lists {
-		p.lists[d] = slices.Clip(l)
+// fork marks every list alien, the fork step of Index.claim: a list copies
+// its spine and its partly filled tail block before its next append, instead
+// of writing into storage another index may be appending to. Nothing is
+// copied now, and a list the index never appends to again is never copied.
+func (p *postings) fork() {
+	for d := range p.lists {
+		p.lists[d].fork()
 	}
 }
 
@@ -84,10 +84,11 @@ func getAcc(n int) *[]float64 {
 }
 
 // accumulate adds the query's contribution to every row's score, one query
-// bucket at a time in ascending bucket order: acc[row] ends as the sum over
-// the buckets d where both q[d] and the row's weight are non-zero, added in
-// ascending d. Rows on none of the query's lists keep +0. It stops between
-// buckets once ctx is done.
+// bucket at a time in ascending bucket order and a list's postings in row
+// order, block by block: acc[row] ends as the sum over the buckets d where
+// both q[d] and the row's weight are non-zero, added in ascending d. Rows on
+// none of the query's lists keep +0. It stops between buckets once ctx is
+// done.
 func (p *postings) accumulate(ctx context.Context, qv Vector, acc []float64) error {
 	for d, q := range qv[:min(len(qv), len(p.lists))] {
 		if q == 0 {
@@ -97,8 +98,11 @@ func (p *postings) accumulate(ctx context.Context, qv Vector, acc []float64) err
 			return err
 		}
 		qd := float64(q)
-		for _, e := range p.lists[d] {
-			acc[e.row] += qd * float64(e.w)
+		l := &p.lists[d]
+		for _, run := range l.runs(0, l.len()) {
+			for _, e := range run {
+				acc[e.row] += qd * float64(e.w)
+			}
 		}
 	}
 	return nil

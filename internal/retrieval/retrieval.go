@@ -297,11 +297,13 @@ type Hit struct {
 // Index is the exact cosine top-k index over chunks, the one store in the
 // repository. A stored vector has one in-memory form: its non-zero weights on
 // the weighted posting lists, column-major, which is what a search scores
-// from and what ForEachEmbedded gathers rows back out of. The embedding width
-// is fixed at construction — dim-mismatched appends are rejected up front.
+// from and what ForEachEmbedded gathers rows back out of. The chunk rows and
+// every posting list are block columns (blocks.go), so no row is copied once
+// written. The embedding width is fixed at construction — dim-mismatched
+// appends are rejected up front.
 type Index struct {
 	dim    int
-	chunks []Chunk
+	chunks blocks[Chunk]
 	post   postings
 	// lin counts the rows claimed on the backing storage this index shares
 	// with its clones (see claim).
@@ -318,23 +320,25 @@ func NewIndex(dim int) *Index {
 }
 
 // claim applies the claim-or-fork rule (package lineage) to rows [len, len+n)
-// before the index appends them. Clones share the chunk slice and the posting
-// lists, spare capacity included. A successful claim appends in place in
-// both, in O(n). A fork clips the chunk slice and every posting list to
-// cap == len, so their appends reallocate.
+// before the index appends them. Clones share the chunk column's and the
+// posting lists' spines and blocks, spare room included. A successful claim
+// appends in place in all of them, in O(n). A fork marks every column alien,
+// so that each copies its spine and its partly filled tail block before its
+// next append — at most one block per column the index appends to, however
+// long the column.
 func (ix *Index) claim(n int) {
-	if ix.lin.Claim(len(ix.chunks), n) {
+	if ix.lin.Claim(ix.chunks.len(), n) {
 		return
 	}
-	ix.chunks = slices.Clip(ix.chunks)
-	ix.post.clip()
+	ix.chunks.fork()
+	ix.post.fork()
 }
 
 // Add inserts a chunk, embedding it inline.
 func (ix *Index) Add(c Chunk) {
 	ix.claim(1)
-	ix.post.add(len(ix.chunks), Embed(c.Text, ix.dim))
-	ix.chunks = append(ix.chunks, c)
+	ix.post.add(ix.chunks.len(), Embed(c.Text, ix.dim))
+	ix.chunks.push(c)
 }
 
 // AddEmbeddedBatch appends a parallel run of chunks and embeddings under one
@@ -358,9 +362,9 @@ func (ix *Index) AddEmbeddedBatch(cs []Chunk, vs []Vector) error {
 	}
 	ix.claim(len(cs))
 	for i := range cs {
-		ix.post.add(len(ix.chunks)+i, vs[i])
+		ix.post.add(ix.chunks.len(), vs[i])
+		ix.chunks.push(cs[i])
 	}
-	ix.chunks = appendChunks(ix.chunks, cs)
 	return nil
 }
 
@@ -381,29 +385,19 @@ func (ix *Index) AppendSparse(cs []Chunk, rows *Sparse) error {
 		return fmt.Errorf("retrieval: sparse rows of width %d, the index %d", rows.dim, ix.dim)
 	}
 	ix.claim(len(cs))
-	base := len(ix.chunks)
-	rows.each(func(i int, nz []weight) { ix.post.addSparse(base+i, nz) })
-	ix.chunks = appendChunks(ix.chunks, cs)
+	rows.each(func(i int, nz []weight) {
+		ix.post.addSparse(ix.chunks.len(), nz)
+		ix.chunks.push(cs[i])
+	})
 	return nil
 }
 
-// appendChunks appends cs to chunks. When it has to grow the slice it leaves
-// a quarter of the result spare, as append's own growth would for a few rows,
-// so the next commits after a bulk append — a bulk load's — do not copy every
-// row.
-func appendChunks(chunks, cs []Chunk) []Chunk {
-	if n := len(chunks) + len(cs); n > cap(chunks) {
-		chunks = slices.Grow(chunks, len(cs)+n/4)
-	}
-	return append(chunks, cs...)
-}
-
-// CloneForAppend returns an index that shares the receiver's backing arrays,
-// spare capacity included, and its lineage token. The clone costs O(dim)
-// slice headers whatever the corpus size; the receiver (a published,
-// read-only snapshot) is never mutated by writes to the clone, because every
-// append goes through claim: the first clone to append continues in place
-// behind the receiver's len, any other forks to private memory first.
+// CloneForAppend returns an index that shares the receiver's spines and
+// blocks, spare room included, and its lineage token. The clone costs O(dim)
+// list headers whatever the corpus size; the receiver (a published, read-only
+// snapshot) is never mutated by writes to the clone, because every append
+// goes through claim: the first clone to append continues in place behind
+// the receiver's len, any other forks to private memory first.
 func (ix *Index) CloneForAppend() *Index {
 	clone := *ix
 	clone.post = ix.post.clone()
@@ -415,14 +409,14 @@ func (ix *Index) CloneForAppend() *Index {
 const gatherRows = 256
 
 // ForEachEmbedded visits every chunk with its vector, in insertion order. The
-// vectors are gathered back out of the posting lists a block of gatherRows
-// rows at a time: for each block, every bucket's cursor advances while its
-// list's rows are below the block's end, scattering weights into a zeroed
-// block-sized scratch — O(nnz + dim·rows/gatherRows) list steps for the whole
-// enumeration instead of a walk of every list per row. v is a view of that
-// per-call scratch, valid only during fn.
+// vectors are gathered back out of the posting lists gatherRows rows at a
+// time: for each such stretch, every bucket's cursor advances while its
+// list's rows are below the stretch's end, scattering weights into a zeroed
+// stretch-sized scratch — O(nnz + dim·rows/gatherRows) list steps for the
+// whole enumeration instead of a walk of every list per row. v is a view of
+// that per-call scratch, valid only during fn.
 func (ix *Index) ForEachEmbedded(fn func(c Chunk, v Vector)) {
-	n, dim := len(ix.chunks), ix.dim
+	n, dim := ix.chunks.len(), ix.dim
 	if n == 0 {
 		return
 	}
@@ -430,23 +424,43 @@ func (ix *Index) ForEachEmbedded(fn func(c Chunk, v Vector)) {
 	next := make([]int, dim) // per bucket: the first posting not yet gathered
 	for lo := 0; lo < n; lo += gatherRows {
 		hi := min(lo+gatherRows, n)
-		for b, l := range ix.post.lists {
-			i := next[b]
-			for ; i < len(l) && int(l[i].row) < hi; i++ {
-				rows[(int(l[i].row)-lo)*dim+b] = l[i].w
+		for b := range ix.post.lists {
+			l := &ix.post.lists[b]
+			for i, run := range l.runs(next[b], l.len()) {
+				j := 0
+				for ; j < len(run) && int(run[j].row) < hi; j++ {
+					rows[(int(run[j].row)-lo)*dim+b] = run[j].w
+				}
+				next[b] = i + j
+				if j < len(run) {
+					break
+				}
 			}
-			next[b] = i
 		}
-		for r := lo; r < hi; r++ {
-			off := (r - lo) * dim
-			fn(ix.chunks[r], rows[off:off+dim:off+dim])
+		for r, run := range ix.chunks.runs(lo, hi) {
+			for i := range run {
+				off := (r + i - lo) * dim
+				fn(run[i], rows[off:off+dim:off+dim])
+			}
 		}
 		clear(rows)
 	}
 }
 
+// ForEachFullBlock calls fn with every full block of ix's storage: list is
+// the block's posting list (its bucket), or -1 for the chunk rows, k its place
+// in that column, and first a pointer to its first row, which tells blocks
+// apart by address. Blocks are never copied once full, so tests use it to see
+// what a clone shares with the index it was cloned from.
+func (ix *Index) ForEachFullBlock(fn func(list, k int, first any)) {
+	ix.chunks.eachFull(func(k int, first *Chunk) { fn(-1, k, first) })
+	for d := range ix.post.lists {
+		ix.post.lists[d].eachFull(func(k int, first *posting) { fn(d, k, first) })
+	}
+}
+
 // Len returns the number of indexed chunks.
-func (ix *Index) Len() int { return len(ix.chunks) }
+func (ix *Index) Len() int { return ix.chunks.len() }
 
 // Dim returns the embedding width, so callers can precompute vectors for
 // AddEmbeddedBatch off-thread.
@@ -455,7 +469,7 @@ func (ix *Index) Dim() int { return ix.dim }
 // Search returns the top-k chunks by cosine similarity to the query, ties
 // broken by chunk ID for determinism.
 func (ix *Index) Search(query string, k int) []Hit {
-	if k <= 0 || len(ix.chunks) == 0 {
+	if k <= 0 || ix.chunks.len() == 0 {
 		return nil
 	}
 	return ix.SearchVector(Embed(query, ix.dim), k, nil)
@@ -508,7 +522,7 @@ const ctxCheckRows = 4096
 // The accumulator comes from a pool, so a scan allocates O(k). ctx is checked
 // between buckets and every ctxCheckRows rows of the selection pass.
 func (ix *Index) search(ctx context.Context, qv Vector, k int, keep func(string) bool) ([]Hit, error) {
-	n := len(ix.chunks)
+	n := ix.chunks.len()
 	if k <= 0 || n == 0 {
 		return nil, ctx.Err()
 	}
@@ -518,18 +532,22 @@ func (ix *Index) search(ctx context.Context, qv Vector, k int, keep func(string)
 		return nil, err
 	}
 	t := newTopK(k)
-	for i := range acc {
-		if i%ctxCheckRows == 0 && i > 0 {
+	check := ctxCheckRows
+	for i, run := range ix.chunks.runs(0, n) {
+		if i >= check {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
+			check += ctxCheckRows
 		}
-		score := acc[i]
-		acc[i] = 0
-		if keep != nil && !keep(ix.chunks[i].Source) {
-			continue
+		for j := range run {
+			score := acc[i+j]
+			acc[i+j] = 0
+			if keep != nil && !keep(run[j].Source) {
+				continue
+			}
+			t.consider(&run[j], score)
 		}
-		t.consider(&ix.chunks[i], score)
 	}
 	accPool.Put(accp)
 	if err := ctx.Err(); err != nil {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -333,7 +332,7 @@ func TestAddEmbeddedBatchValidation(t *testing.T) {
 		return &s
 	}
 	two := []Chunk{{ID: "c#c0", Text: "x"}, {ID: "d#c0", Text: "y"}}
-	before := slices.Clone(st.post.lists)
+	before := st.post.flat()
 	for name, add := range map[string]func() error{
 		"length mismatch":       func() error { return st.AddEmbeddedBatch(two, good[:1]) },
 		"dim mismatch":          func() error { return st.AddEmbeddedBatch(two, []Vector{make(Vector, 32), make(Vector, 16)}) },
@@ -344,7 +343,7 @@ func TestAddEmbeddedBatchValidation(t *testing.T) {
 		if err := add(); err == nil {
 			t.Fatalf("%s: accepted", name)
 		}
-		if st.Len() != 2 || !reflect.DeepEqual(st.post.lists, before) {
+		if st.Len() != 2 || !reflect.DeepEqual(st.post.flat(), before) {
 			t.Fatalf("%s: rejected batch mutated the store: len=%d", name, st.Len())
 		}
 	}

@@ -20,24 +20,22 @@ import (
 // decoding re-embeds each text (EmbedInto, bit for bit what ingest embedded)
 // and posts its weights, rebuilding the posting lists.
 
-// minStoredChunk is the fewest bytes a chunk takes in a store's encoding:
-// three front-coded fields (a prefix length and a suffix length each) and its
-// text's length.
-const minStoredChunk = 7
-
 // EncodeStore serializes ix into e: its chunks, straight from the chunk
-// slice, with no vector gathered back out of the posting lists.
+// column, with no vector gathered back out of the posting lists.
 func EncodeStore(e *wal.Encoder, ix *Index) {
+	n := ix.chunks.len()
 	e.Int(ix.dim)
-	e.Int(len(ix.chunks))
+	e.Int(n)
 	var prev Chunk
-	for i := range ix.chunks {
-		c := &ix.chunks[i]
-		e.Front(prev.ID, c.ID)
-		e.Front(prev.DocID, c.DocID)
-		e.Front(prev.Source, c.Source)
-		e.String(c.Text)
-		prev = *c
+	for _, run := range ix.chunks.runs(0, n) {
+		for j := range run {
+			c := &run[j]
+			e.Front(prev.ID, c.ID)
+			e.Front(prev.DocID, c.DocID)
+			e.Front(prev.Source, c.Source)
+			e.String(c.Text)
+			prev = *c
+		}
 	}
 }
 
@@ -56,10 +54,9 @@ func DecodeChunk(d *wal.Decoder, prev *Chunk) Chunk {
 
 // DecodeIntoStore fills the empty index ix from d (the inverse of
 // EncodeStore), re-embedding rows on up to workers goroutines (<= 0 selects
-// GOMAXPROCS). The index's width must match the encoded one. The chunk slice
-// is sized once from the encoded row count, trusted only as far as the bytes
-// left could back it, and each chunk is read by DecodeChunk. On error ix is
-// left empty.
+// GOMAXPROCS). The index's width must match the encoded one. Each chunk is
+// read by DecodeChunk into the chunk column, which grows a block at a time,
+// so the encoded row count sizes nothing. On error ix is left empty.
 func DecodeIntoStore(d *wal.Decoder, ix *Index, workers int) error {
 	dim := d.Int()
 	n := d.Int()
@@ -72,24 +69,20 @@ func DecodeIntoStore(d *wal.Decoder, ix *Index, workers int) error {
 	if ix.Len() != 0 {
 		return fmt.Errorf("retrieval: decode: target store already holds %d chunks", ix.Len())
 	}
-	// A quarter more room than the rows (as appendChunks leaves), so the
-	// appends a decoded store is about to take — a replica's applies, a
-	// reopened primary's commits — do not first copy every row.
-	chunks := make([]Chunk, 0, min(n+n/4, d.Remaining()/minStoredChunk))
 	var prev Chunk
 	for i := 0; i < n && d.Err() == nil; i++ {
 		c := DecodeChunk(d, &prev)
-		chunks = append(chunks, c)
+		ix.chunks.push(c)
 		prev = c
 	}
 	if err := d.Err(); err != nil {
+		ix.chunks = blocks[Chunk]{}
 		return err
 	}
-	ix.postEmbedded(chunks, workers)
-	ix.chunks = chunks
+	ix.postEmbedded(workers)
 	// The rows were appended without claiming them (nothing else shares a
 	// store being decoded); the token starts at the count.
-	ix.lin = lineage.New(len(ix.chunks))
+	ix.lin = lineage.New(ix.chunks.len())
 	return nil
 }
 
@@ -97,16 +90,17 @@ func DecodeIntoStore(d *wal.Decoder, ix *Index, workers int) error {
 // store is rebuilt.
 const embedBlock = 512
 
-// postEmbedded posts the embeddings of cs as the first rows of the empty
-// index ix. Blocks of embedBlock rows are embedded into sparse slabs on up to
+// postEmbedded posts the embeddings of ix's chunks, whose posting lists are
+// empty. Blocks of embedBlock rows are embedded into sparse slabs on up to
 // workers goroutines, while the calling goroutine posts the finished blocks in
 // row order, which keeps every posting list sorted by row. A decode holds a ring of one slab more than it
 // runs workers: block i embeds into slot i mod the ring's size, once the
 // poster is done with the block before it in that slot. Blocks are handed
 // out in order and the lowest unfinished one never waits, so the ring bounds
 // how far the workers run ahead of the poster without stalling it.
-func (ix *Index) postEmbedded(cs []Chunk, workers int) {
-	blocks := (len(cs) + embedBlock - 1) / embedBlock
+func (ix *Index) postEmbedded(workers int) {
+	n := ix.chunks.len()
+	blocks := (n + embedBlock - 1) / embedBlock
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -124,8 +118,10 @@ func (ix *Index) postEmbedded(cs []Chunk, workers int) {
 		slab.Reset()
 		slab.Grow(embedBlock)
 		scratch := make(Vector, ix.dim)
-		for _, c := range cs[i*embedBlock : min((i+1)*embedBlock, len(cs))] {
-			slab.Embed(scratch, c.Text)
+		for _, run := range ix.chunks.runs(i*embedBlock, min((i+1)*embedBlock, n)) {
+			for j := range run {
+				slab.Embed(scratch, run[j].Text)
+			}
 		}
 		close(done[i])
 	})

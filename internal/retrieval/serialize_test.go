@@ -68,7 +68,7 @@ func TestStoreSerializeRoundTrip(t *testing.T) {
 					}
 				}
 				// The derived column view is rebuilt entry for entry.
-				if !reflect.DeepEqual(dst.post, src.post) {
+				if !reflect.DeepEqual(dst.post.flat(), src.post.flat()) {
 					t.Fatalf("%d workers: decoded posting lists differ from the source's", workers)
 				}
 				// Deterministic bytes: the decoded store re-encodes identically.

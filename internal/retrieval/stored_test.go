@@ -174,13 +174,12 @@ func TestAppendSparseMatchesDenseAppend(t *testing.T) {
 			stores["decoded"] = decoded
 		}
 		for name, got := range stores {
-			if !slices.Equal(got.chunks, want.chunks) {
+			if !slices.Equal(got.chunks.rows(), want.chunks.rows()) {
 				t.Fatalf("%s, %s: chunks differ", corpus.name, name)
 			}
-			for b := range want.post.lists {
-				if !reflect.DeepEqual(slices.Clip(got.post.lists[b]), slices.Clip(want.post.lists[b])) {
-					t.Fatalf("%s, %s: posting list %d differs:\n got  %v\n want %v",
-						corpus.name, name, b, got.post.lists[b], want.post.lists[b])
+			for b, w := range want.post.flat() {
+				if g := got.post.lists[b].rows(); !reflect.DeepEqual(g, w) {
+					t.Fatalf("%s, %s: posting list %d differs:\n got  %v\n want %v", corpus.name, name, b, g, w)
 				}
 			}
 		}
