@@ -89,6 +89,7 @@ func (rs *ReplicaSet) Close() {
 		}
 		for _, r := range rs.replicas {
 			<-r.done
+			r.closeTail()
 			r.sys.Close()
 			r.lease.Release()
 		}
@@ -336,10 +337,20 @@ func (r *Replica) fenceAndResync(cause error) bool {
 		r.setFenceReason("resync: " + err.Error())
 		return false
 	}
-	r.lease, r.tail = lease, nil
+	r.closeTail()
+	r.lease = lease
 	r.setFenceReason("")
 	r.state.Store(int32(stateLive))
 	return true
+}
+
+// closeTail drops the replica's log cursor, releasing the segment it holds
+// open; the next read opens a fresh one at the replica's position.
+func (r *Replica) closeTail() {
+	if r.tail != nil {
+		r.tail.Close()
+		r.tail = nil
+	}
 }
 
 // SnapshotDigest returns the anti-entropy fingerprint of the currently

@@ -66,11 +66,12 @@ func fullBlocks(s *System) map[[2]int]any {
 // stops. Seeded, the replica holds the primary's state — Encode bytes, digest,
 // derived vectors and line graph — in the primary's own memory: every
 // entity, live triple and chunk string is the primary's object, and every
-// subject posting list the primary's backing array. The primary's next commit
-// claims the lineage and leaves the replica as seeded. The replica's first
-// apply of that record loses the claim and forks: each subject list the
-// record appends to becomes the replica's own, the others stay shared, and
-// neither the primary's digest nor any list of the primary's moves. In the
+// (subject, predicate) key posting list the primary's backing array. The
+// primary's next commit claims the lineage and leaves the replica as seeded.
+// The replica's first apply of that record loses the claim and forks: each
+// key list the record appends to becomes the replica's own, the others stay
+// shared, and neither the primary's digest nor any list of the primary's
+// moves. In the
 // retrieval index the fork copies only partly filled tail blocks: after its
 // first applies, every block that was full when the replica was seeded is
 // still the primary's, by address.
@@ -96,10 +97,15 @@ func TestSeedReplicaSharesPrimaryState(t *testing.T) {
 	}
 	pg, rg := primary.Graph(), replica.Graph()
 	for h := int32(0); int(h) < pg.NumEntities(); h++ {
-		if rg.EntityAt(h) != pg.EntityAt(h) || !sameBacking(rg.SubjectPosting(h), pg.SubjectPosting(h)) {
-			t.Fatalf("entity %d or its subject posting is a copy of the primary's", h)
+		if rg.EntityAt(h) != pg.EntityAt(h) {
+			t.Fatalf("entity %d is a copy of the primary's", h)
 		}
 	}
+	pg.ForEachKeyPosting(func(s, p int32, lst []int32) {
+		if !sameBacking(rg.KeyPosting(s, p), lst) {
+			t.Fatalf("key posting (%d, %d) is a copy of the primary's", s, p)
+		}
+	})
 	for h := int32(0); h < pg.TripleSlots(); h++ {
 		if rg.TripleAt(h) != pg.TripleAt(h) {
 			t.Fatalf("triple %d is a copy of the primary's", h)
@@ -121,10 +127,8 @@ func TestSeedReplicaSharesPrimaryState(t *testing.T) {
 	}
 	want := primary.SnapshotDigest()
 	pg = primary.Graph()
-	lists := make([][]int32, pg.NumEntities())
-	for h := range lists {
-		lists[h] = pg.SubjectPosting(int32(h))
-	}
+	lists := map[[2]int32][]int32{}
+	pg.ForEachKeyPosting(func(s, p int32, lst []int32) { lists[[2]int32{s, p}] = lst })
 	if err := replica.ReplicaApply(logRecords(t, primary, lsn, lsn+1)[0]); err != nil {
 		t.Fatalf("ReplicaApply: %v", err)
 	}
@@ -133,11 +137,11 @@ func TestSeedReplicaSharesPrimaryState(t *testing.T) {
 	}
 	rg = replica.Graph()
 	forked, shared := 0, 0
-	for h, l := range lists {
-		if p := pg.SubjectPosting(int32(h)); !sameBacking(p, l) || !slices.Equal(p, l) {
-			t.Fatalf("the replica's apply moved the primary's subject posting %d", h)
+	for k, l := range lists {
+		if p := pg.KeyPosting(k[0], k[1]); !sameBacking(p, l) || !slices.Equal(p, l) {
+			t.Fatalf("the replica's apply moved the primary's key posting %v", k)
 		}
-		switch r := rg.SubjectPosting(int32(h)); {
+		switch r := rg.KeyPosting(k[0], k[1]); {
 		case len(r) == 0:
 		case sameBacking(r, l):
 			shared++
@@ -146,7 +150,7 @@ func TestSeedReplicaSharesPrimaryState(t *testing.T) {
 		}
 	}
 	if forked == 0 || shared == 0 {
-		t.Fatalf("after its first apply the replica owns %d subject postings and shares %d; want some of each", forked, shared)
+		t.Fatalf("after its first apply the replica owns %d key postings and shares %d; want some of each", forked, shared)
 	}
 
 	ingestAll(t, primary, 7, 8, 9)

@@ -214,8 +214,8 @@ func TestCloneIsolationUnderConcurrentReads(t *testing.T) {
 
 // lineageGraph returns a graph of nEnts entities ("Entity i") carrying
 // perEnt literal triples each, predicate i%preds of "p0".."p<preds-1>", and
-// then hub more on Entity 0, the hub subject, whose bySubject list is the
-// long one.
+// then hub more on Entity 0, the hub subject, under predicate "hub": the hub
+// key, whose posting list is the long one.
 func lineageGraph(tb testing.TB, nEnts, perEnt, preds, hub int) *Graph {
 	tb.Helper()
 	g := New()
@@ -252,25 +252,29 @@ func tailPages(g *Graph) [4]any {
 
 // TestCloneLineagePaths pins which side of the claim-or-fork rule each case
 // takes, and that none of them leaks: the first clone of the newest graph to
-// add a triple appends to the shared posting lists and the triple columns'
-// shared tail pages in place, through their shared page tables (same backing
-// array, same page, same table, same token); a second clone of one parent —
-// which is also what the next commit is after a clone that appended was
-// discarded — and a parent written to after it was cloned fork, copying the
-// lists, the tables and the tail pages; a fork stays in force for pages and
-// key rows the forked graph has not rewritten yet, across its own clones;
-// removal needs no claim, and on a shared page it marks a copy.
+// add a triple appends to the shared key lists and the triple columns' shared
+// tail pages in place, through their shared page tables (same backing array,
+// same page, same table, same token); a second clone of one parent — which is
+// also what the next commit is after a clone that appended was discarded —
+// and a parent written to after it was cloned fork, copying the lists, the
+// tables and the tail pages; a fork stays in force for key rows the forked
+// graph has not rewritten yet, across its own clones; removal needs no claim,
+// and on a shared page it marks a copy.
 func TestCloneLineagePaths(t *testing.T) {
-	parent := lineageGraph(t, 80, 3, 1, 64) // two posting pages of subjects, one long hub list in page 0
-	hubBase := func(g *Graph) *int32 { return &g.bySubject.get(0)[0] }
+	parent := lineageGraph(t, 80, 3, 1, 66) // Entity 0 and Entity 70 in different row pages, a long hub key on Entity 0
+	hub, _ := parent.PredicateHandle("hub")
+	hubBase := func(g *Graph) *int32 { return &g.KeyPosting(0, hub)[0] }
 	e70, p0 := int32(70), int32(0)
 	keyBase := func(g *Graph) *int32 { return &g.KeyPosting(e70, p0)[0] }
 	table := func(g *Graph) *[]Triple { return &g.trs.pages[0] }
+	if e70>>rowPageBits == 0 {
+		t.Fatal("test needs Entity 70 outside Entity 0's row page")
+	}
 	if lst := parent.KeyPosting(e70, p0); cap(lst) == len(lst) {
 		t.Fatal("test needs spare capacity behind Entity 70's key list")
 	}
-	if lst := parent.bySubject.get(0); cap(lst) == len(lst) {
-		t.Fatal("test needs spare capacity behind the parent's hub list")
+	if lst := parent.KeyPosting(0, hub); cap(lst) == len(lst) {
+		t.Fatal("test needs spare capacity behind the parent's hub key list")
 	}
 	parentTail := tailPages(parent)
 	first := parent.Clone()
@@ -305,9 +309,9 @@ func TestCloneLineagePaths(t *testing.T) {
 	}
 	secondObs := observe(second)
 
-	// second rewrote subject page 0 only. Its clone appends in place on the
-	// fork's own token, yet Entity 70's list, in page 1, still has first's
-	// triple sitting in its spare capacity.
+	// second rewrote Entity 0's row only. Its clone appends in place on the
+	// fork's own token, yet Entity 70's key list, in another row page, still
+	// has first's triple sitting in its spare capacity.
 	third := second.Clone()
 	addLiteral(t, third, 0, "hub", "third")
 	addLiteral(t, third, 70, "p0", "third")
@@ -402,27 +406,28 @@ func TestClonePageTableAtPageBoundary(t *testing.T) {
 }
 
 // TestCloneChainAppendsInPlace is the cost half of the rule: along a linear
-// chain of clone → add → publish steps the hub subject's list keeps its
+// chain of clone → add → publish steps the hub subject's key list keeps its
 // backing array while capacity lasts, so what a step allocates does not
 // depend on how long the lists it appends to are. Two graphs of equal size,
-// one with every triple on the hub subject and one with 16 triples on it,
-// must allocate the same per step.
+// one with every triple under Entity 0's one key and one with 16 triples
+// under it, must allocate the same per step.
 func TestCloneChainAppendsInPlace(t *testing.T) {
 	const steps = 64
-	perStep := func(g *Graph) uint64 {
+	perStep := func(g *Graph, pred string) uint64 {
+		predH, _ := g.PredicateHandle(pred)
 		cur, inPlace, hadRoom := g, 0, 0
 		bytes := make([]uint64, 0, steps)
 		var before, after runtime.MemStats
 		for i := 0; i < steps; i++ {
-			lst := cur.bySubject.get(0)
+			lst := cur.KeyPosting(0, predH)
 			runtime.ReadMemStats(&before)
 			next := cur.Clone()
-			addLiteral(t, next, 0, "chain", "chain")
+			addLiteral(t, next, 0, pred, "chain")
 			runtime.ReadMemStats(&after)
 			bytes = append(bytes, after.TotalAlloc-before.TotalAlloc)
 			if cap(lst) > len(lst) {
 				hadRoom++
-				if &next.bySubject.get(0)[0] == &lst[0] {
+				if &next.KeyPosting(0, predH)[0] == &lst[0] {
 					inPlace++
 				}
 			}
@@ -432,22 +437,15 @@ func TestCloneChainAppendsInPlace(t *testing.T) {
 			cur = next
 		}
 		if hadRoom < steps-8 || inPlace != hadRoom {
-			t.Fatalf("%d of %d steps had capacity behind the hub list, %d appended in place", hadRoom, steps, inPlace)
+			t.Fatalf("%d of %d steps had capacity behind the %s key list, %d appended in place", hadRoom, steps, pred, inPlace)
 		}
 		sort.Slice(bytes, func(i, j int) bool { return bytes[i] < bytes[j] })
 		return bytes[steps/2]
 	}
-	// Entity 1 carries 4,200 more triples in both graphs, so the degree
-	// histogram every clone copies is as long in both and the hub never
-	// reaches its top.
-	heavy := func(g *Graph) *Graph {
-		for k := 0; k < 4200; k++ {
-			addLiteral(t, g, 1, "heavy", fmt.Sprintf("x%d", k))
-		}
-		return g
-	}
-	long := perStep(heavy(lineageGraph(t, 256, 0, 1, 4096)))
-	short := perStep(heavy(lineageGraph(t, 256, 16, 64, 0)))
+	// Both graphs hold 4,096 triples, and Entity 0 one key: "hub" in the
+	// first, "p0" in the second (256 is a multiple of 64).
+	long := perStep(lineageGraph(t, 256, 0, 1, 4096), "hub")
+	short := perStep(lineageGraph(t, 256, 16, 64, 0), "p0")
 	if float64(long) > 1.25*float64(short) {
 		t.Fatalf("a step allocates %d B behind a 4096-handle list, %d B behind a 16-handle one", long, short)
 	}

@@ -1,17 +1,29 @@
 package kg
 
-import "slices"
+import (
+	"slices"
+	"sync/atomic"
+)
 
-// Copy-on-write paged columns: the storage primitive of the interned graph
-// core. A column is a dense array indexed by an int32 handle, split into
-// fixed-size pages. Clone shares the page-pointer table itself (O(1)) and
-// owns nothing afterwards; the first write a graph makes to a shared page
-// copies that one page, after copying the table if the graph does not own it
-// yet. An ingest commit therefore pays for the pages its delta touches — the
-// tail of each column plus any rows it overwrites — never for the whole
-// corpus. The triple-indexed columns pay less: the graph holding the lineage
-// claim on a triple slot appends its row into the shared tail page in place,
-// and a fresh page's pointer into the shared table behind its length (push).
+// Copy-on-write columns: the storage primitive of the interned graph core.
+// Two kinds share one rule, that Clone copies nothing and a later write
+// copies only the unit it lands in.
+//
+// A col is a dense array indexed by an int32 handle — entity, predicate,
+// provenance or triple — split into 512-row pages. Clone shares the
+// page-pointer table itself (O(1)) and owns nothing afterwards; the first
+// write a graph makes to a shared page copies that one page, after copying
+// the table if the graph does not own it yet. The triple-indexed columns pay
+// less: the graph holding the lineage claim on a triple slot appends its row
+// into the shared tail page in place, and a fresh page's pointer into the
+// shared table behind its length (push).
+//
+// A rowCol (below) holds the adjacency indexes, one row of posting lists per
+// entity. Its pages are 16 rows under 32-page leaves, so a commit that
+// writes a few dozen scattered entities copies a leaf and a page each, a few
+// hundred bytes, and its root, one pointer per 512 entities, once. An ingest
+// commit therefore pays for the units its delta touches — the tail of each
+// column plus any rows it writes — never for the whole corpus.
 //
 // Columns are not safe for concurrent mutation (the Graph contract); clones
 // may be read concurrently with each other and with a Clone call, because a
@@ -128,156 +140,168 @@ func (c *col[T]) forEach(fn func(i int32, v T)) {
 	}
 }
 
-// Posting pages are sized to a commit's delta, not to the scalar columns: a
-// commit touches a few dozen scattered entities, and privatizing a page
-// copies its slice headers, 24 bytes a row.
+// Entity-indexed rows are sized to a commit's delta, not to the triple
+// columns: a commit writes the rows of a few dozen scattered entities, so a
+// row column is a two-level table — a root of leaf pointers, a leaf of 32
+// page pointers, a page of 16 rows — and a first write copies the leaf and
+// the page it lands in (264 B and 520 B), never a unit that grows with the
+// entity count. The root is one pointer per 512 entities, copied at a
+// graph's first write after a clone.
 const (
-	postingPageBits = 6 // 64 rows, 1.5 KB of headers per page
-	postingPageSize = 1 << postingPageBits
-	postingPageMask = postingPageSize - 1
+	rowPageBits = 4
+	rowPageSize = 1 << rowPageBits
+	rowLeafBits = 5
+	rowLeafSize = 1 << rowLeafBits
 )
 
-// postingCol is a COW paged column of posting lists ([]int32 per row), used
-// for the bySubject/byObject adjacency indexes. It differs from
-// col[[]int32] in two ways: rows materialise lazily (an entity with no
-// triples costs nothing), and the lists themselves are shared with their
-// spare capacity. Privatizing a page copies its headers only; a reader of an
-// older snapshot holds its own page of headers and never indexes past its
-// own len, so the graph that holds the lineage claim (Graph.AddTriple)
-// appends behind that len in place. A graph that lost the claim calls fork,
-// after which a page is clipped as it is privatized — every list in it to
-// cap == len, so an append reallocates instead of writing into a backing
-// array another lineage still appends to.
-type postingCol struct {
-	pages [][][]int32
-	owned []bool
-	// alien[p]: lists in page p may have spare capacity that belongs to
-	// another lineage. Set for every page by fork, cleared by the clipping
-	// privatize, inherited by clones; an owned page is never alien.
-	alien []bool
-	n     int
+// epochs hands out the stamps of row columns' nodes and rows, in increasing
+// order across the process: one per graph per stretch between clones in
+// which it writes, and one per fork.
+var epochs atomic.Uint64
+
+// rowCol is a copy-on-write column of rows indexed by entity handle, used for
+// the byKey and byObject adjacency indexes. A row's lists are shared with
+// their spare capacity, under the claim-or-fork rule (Graph.claimSlot): the
+// graph holding the lineage claim appends behind every older snapshot's len
+// in place, and a graph that lost it clips a list the first time it writes
+// it. Ownership is by stamp, not by flags: a graph draws a fresh epoch at
+// its first write after a clone or a fork, and owns exactly the leaves and
+// pages stamped with it, those it allocated since. Clone and fork therefore
+// touch nothing but the column header. Each row carries the epoch of the
+// last graph that wrote it, which answers the rule's two questions: a row
+// stamped with the writer's own epoch holds storage the writer allocated
+// (mine), and a row stamped below fork was last written before the
+// lineage's last lost claim, so its lists may have spare capacity another
+// lineage appends into (alien).
+//
+// Readers load only the root, the leaf and page pointers and the rows. A
+// graph writes a leaf or a page only when it is stamped with the graph's
+// epoch, and the root only after copying it, so nothing a reader of another
+// snapshot loads is ever written.
+type rowCol[R any] struct {
+	root []*rowLeaf[R]
+	// epoch stamps what the graph allocated and wrote since it was last
+	// cloned or forked; 0 until its first write, and the root is the graph's
+	// own exactly when it is not.
+	epoch uint64
+	fork  uint64 // rows stamped below it are alien
 }
 
-// get returns the posting list at handle i (nil when the row was never
-// touched). The result is shared storage: callers must not mutate it.
-func (pc *postingCol) get(i int32) []int32 {
-	if int(i) >= pc.n {
-		return nil
-	}
-	return pc.pages[i>>postingPageBits][i&postingPageMask]
+type rowLeaf[R any] struct {
+	epoch uint64
+	pages [rowLeafSize]*rowPage[R]
 }
 
-// appendTo appends v to the posting list at handle i, extending the column
-// as needed.
-func (pc *postingCol) appendTo(i, v int32) {
-	p := pc.ensure(i)
-	pc.pages[p][i&postingPageMask] = append(pc.pages[p][i&postingPageMask], v)
+type rowPage[R any] struct {
+	epoch uint64
+	stamp [rowPageSize]uint64 // the epoch of the graph that last wrote each row
+	rows  [rowPageSize]R
 }
 
-// set replaces the posting list at handle i. The caller passes a list it
-// owns (freshly built); used by triple removal.
-func (pc *postingCol) set(i int32, lst []int32) {
-	p := pc.ensure(i)
-	pc.pages[p][i&postingPageMask] = lst
-}
-
-func (pc *postingCol) ensure(i int32) int {
-	p := int(i) >> postingPageBits
-	for p >= len(pc.pages) {
-		pc.pages = append(pc.pages, make([][]int32, postingPageSize))
-		pc.owned = append(pc.owned, true)
-		pc.alien = append(pc.alien, false)
-	}
-	if !pc.owned[p] {
-		pc.privatize(p)
-	}
-	if int(i) >= pc.n {
-		pc.n = int(i) + 1
-	}
-	return p
-}
-
-func (pc *postingCol) privatize(p int) {
-	np := make([][]int32, postingPageSize)
-	if pc.alien[p] {
-		for j, s := range pc.pages[p] {
-			np[j] = s[:len(s):len(s)] // clip: appends must reallocate
+// get returns the row at handle i, the zero row when it was never written.
+// The result is shared storage: callers must not mutate it.
+func (c *rowCol[R]) get(i int32) (r R) {
+	if l := int(i) >> (rowPageBits + rowLeafBits); l < len(c.root) && c.root[l] != nil {
+		if p := c.root[l].pages[i>>rowPageBits&(rowLeafSize-1)]; p != nil {
+			return p.rows[i&(rowPageSize-1)]
 		}
-		pc.alien[p] = false
-	} else {
-		copy(np, pc.pages[p])
 	}
-	pc.pages[p] = np
-	pc.owned[p] = true
+	return r
 }
 
-// fork is the column's half of a lost lineage claim: no list reachable from
-// here may be appended to in place any more. Nothing is copied now — every
-// page is marked alien and disowned, so the next write to it goes through the
-// clipping privatize, whatever it owned before.
-func (pc *postingCol) fork() {
-	for p := range pc.owned {
-		pc.owned[p], pc.alien[p] = false, true
+// edit returns the row at handle i for writing, in a page the graph owns,
+// extending the column as needed, and stamps it with the graph's epoch. mine
+// reports that the graph already wrote the row since it was last cloned or
+// forked, alien that the row was last written before the lineage's last
+// fork.
+func (c *rowCol[R]) edit(i int32) (row *R, mine, alien bool) {
+	if c.epoch == 0 {
+		c.epoch = epochs.Add(1)
+		c.root = slices.Clone(c.root)
+	}
+	li := int(i) >> (rowPageBits + rowLeafBits)
+	for li >= len(c.root) {
+		c.root = append(c.root, nil)
+	}
+	l := c.root[li]
+	if l == nil || l.epoch != c.epoch {
+		nl := &rowLeaf[R]{epoch: c.epoch}
+		if l != nil {
+			nl.pages = l.pages
+		}
+		c.root[li], l = nl, nl
+	}
+	pi := i >> rowPageBits & (rowLeafSize - 1)
+	p := l.pages[pi]
+	if p == nil || p.epoch != c.epoch {
+		np := &rowPage[R]{epoch: c.epoch}
+		if p != nil {
+			np.stamp, np.rows = p.stamp, p.rows
+		}
+		l.pages[pi], p = np, np
+	}
+	j := i & (rowPageSize - 1)
+	was := p.stamp[j]
+	p.stamp[j] = c.epoch
+	return &p.rows[j], was == c.epoch, was < c.fork
+}
+
+// clone returns a column sharing c's root and every node, in O(1). Neither
+// side owns anything afterwards: each draws a fresh epoch, and copies the
+// root, at its next write. Clearing c's epoch is safe under concurrent
+// readers, which never load it.
+func (c *rowCol[R]) clone() rowCol[R] {
+	if c.epoch != 0 {
+		c.epoch = 0
+	}
+	return rowCol[R]{root: c.root, fork: c.fork}
+}
+
+// forked is the column's half of a lost lineage claim. Nothing is copied
+// now: every row is stamped below the new fork mark, so its lists are
+// clipped the first time it is written again, and the graph owns no node
+// any more, so the page holding that row is copied first.
+func (c *rowCol[R]) forked() { c.epoch, c.fork = 0, epochs.Add(1) }
+
+// forEach visits every row ever written, in handle order.
+func (c *rowCol[R]) forEach(fn func(i int32, r R)) {
+	for li, l := range c.root {
+		if l == nil {
+			continue
+		}
+		for pi, p := range &l.pages {
+			if p == nil {
+				continue
+			}
+			for j := range p.rows {
+				fn(int32(li<<(rowPageBits+rowLeafBits)|pi<<rowPageBits|j), p.rows[j])
+			}
+		}
 	}
 }
 
-func (pc *postingCol) clone() postingCol {
-	pages := make([][][]int32, len(pc.pages))
-	copy(pages, pc.pages)
-	for i := range pc.owned {
-		pc.owned[i] = false
+// clip returns lst with no spare capacity, so an append reallocates instead
+// of writing into a backing array another lineage may still append to.
+func clip(lst []int32) []int32 { return lst[:len(lst):len(lst)] }
+
+// appendPosting appends triple handle h to the posting list at row i of a
+// byObject-style column.
+func appendPosting(c *rowCol[[]int32], i, h int32) {
+	lst, _, alien := c.edit(i)
+	if alien {
+		*lst = clip(*lst)
 	}
-	return postingCol{pages: pages, owned: make([]bool, len(pages)), alien: slices.Clone(pc.alien), n: pc.n}
+	*lst = append(*lst, h)
 }
 
-// keyEntry is one (subject, predicate) key of a subject's row in keyCol: the
-// predicate handle and the handles of the key's live triples.
+// keyEntry is one (subject, predicate) key of a subject's row in byKey: the
+// predicate handle and the handles of the key's live triples. A subject's
+// row is its keys, one entry per predicate it has been stated with, in the
+// order they were first stated; a subject carries about a dozen, so finding
+// a key is a scan of its row.
 type keyEntry struct {
 	pred int32
 	lst  []int32
-}
-
-// keyCol is the byKey index, a COW paged column of keys indexed by subject
-// handle: a subject's row is its keys, one entry per predicate it has been
-// stated with, in the order they were first stated. A subject carries about
-// a dozen, so finding a key is a scan of its row. Pages are 64 rows of row
-// headers, privatized header for header as postingCol's are. A row's keys
-// array is copied the first time this graph writes the row after owning its
-// page (mine), so no array another snapshot reads is ever written. The
-// posting lists inside the entries keep their spare capacity and follow the
-// claim-or-fork rule as postingCol's lists do: the claimant appends behind
-// every older snapshot's len in place, and after a fork each row's lists are
-// clipped as the row is copied (alien).
-type keyCol struct {
-	pages [][][]keyEntry
-	// mine[p] bit j: row j of page p has a keys array this graph allocated
-	// after it owned the page. A page is owned exactly when some bit is set:
-	// it is privatized only to write a row, which then becomes mine, and a
-	// fresh page's rows are all nil, so all mine. mine is nil when the graph
-	// owns nothing since the last clone.
-	mine []uint64
-	// alien[p] bit j: row j's lists may have spare capacity that belongs to
-	// another lineage. Set for every row by fork, cleared as the row is
-	// copied clipped, inherited by clones; nil until the first fork.
-	alien []uint64
-	n     int
-}
-
-// row returns subject i's keys (nil when the subject has none). The result is
-// shared storage: callers must not mutate it.
-func (kc *keyCol) row(i int32) []keyEntry {
-	if int(i) >= kc.n {
-		return nil
-	}
-	return kc.pages[i>>postingPageBits][i&postingPageMask]
-}
-
-// get returns the posting list of key (subj, pred), nil when there is none.
-func (kc *keyCol) get(subj, pred int32) []int32 {
-	if e := findKey(kc.row(subj), pred); e != nil {
-		return e.lst
-	}
-	return nil
 }
 
 // findKey returns the entry of predicate pred in a subject's row, nil when
@@ -291,11 +315,31 @@ func findKey(row []keyEntry, pred int32) *keyEntry {
 	return nil
 }
 
-// appendTo appends triple handle h to the posting list of key (subj, pred),
+// editKeys returns subject subj's keys for writing. The row holds its lists
+// by value, so its keys array is copied unless the graph allocated it since
+// it was last cloned — one array of about a dozen 32-byte entries per
+// touched subject per commit, and no array another snapshot reads is ever
+// written — with its lists clipped if the row is alien.
+func editKeys(c *rowCol[[]keyEntry], subj int32) *[]keyEntry {
+	row, mine, alien := c.edit(subj)
+	if !mine {
+		keys := make([]keyEntry, len(*row), max(4, len(*row)+1))
+		for k, e := range *row {
+			if alien {
+				e.lst = clip(e.lst)
+			}
+			keys[k] = e
+		}
+		*row = keys
+	}
+	return row
+}
+
+// appendKey appends triple handle h to the posting list of key (subj, pred),
 // adding the key to the subject's row if it is new, and returns the list's
 // new length.
-func (kc *keyCol) appendTo(subj, pred, h int32) int {
-	row := kc.edit(subj)
+func appendKey(c *rowCol[[]keyEntry], subj, pred, h int32) int {
+	row := editKeys(c, subj)
 	if e := findKey(*row, pred); e != nil {
 		e.lst = append(e.lst, h)
 		return len(e.lst)
@@ -309,83 +353,14 @@ func (kc *keyCol) appendTo(subj, pred, h int32) int {
 	return 1
 }
 
-// remove replaces the posting list of key (subj, pred) with a fresh copy
+// removeKey replaces the posting list of key (subj, pred) with a fresh copy
 // without h and returns the list's old length. The key stays in the row.
-func (kc *keyCol) remove(subj, pred, h int32) int {
-	e := findKey(*kc.edit(subj), pred)
+func removeKey(c *rowCol[[]keyEntry], subj, pred, h int32) int {
+	e := findKey(*editKeys(c, subj), pred)
 	if e == nil {
 		return 0
 	}
 	n := len(e.lst)
 	e.lst = removeHandle(e.lst, h)
 	return n
-}
-
-// edit returns subject i's row for writing, extending the column as needed:
-// the page is privatized unless this graph owns it, and the row's keys array
-// copied unless it is mine — clipped list by list if the row is alien.
-func (kc *keyCol) edit(i int32) *[]keyEntry {
-	if kc.mine == nil {
-		kc.mine = make([]uint64, len(kc.pages))
-	}
-	p, bit := int(i)>>postingPageBits, uint64(1)<<(i&postingPageMask)
-	for p >= len(kc.pages) {
-		kc.pages = append(kc.pages, make([][]keyEntry, postingPageSize))
-		kc.mine = append(kc.mine, ^uint64(0))
-		if kc.alien != nil {
-			kc.alien = append(kc.alien, 0)
-		}
-	}
-	if int(i) >= kc.n {
-		kc.n = int(i) + 1
-	}
-	if kc.mine[p] == 0 {
-		kc.pages[p] = slices.Clone(kc.pages[p])
-	}
-	row := &kc.pages[p][i&postingPageMask]
-	alien := kc.alien != nil && kc.alien[p]&bit != 0
-	if kc.mine[p]&bit == 0 || alien {
-		keys := make([]keyEntry, len(*row), max(4, len(*row)+1))
-		for k, e := range *row {
-			if alien {
-				e.lst = e.lst[:len(e.lst):len(e.lst)] // clip: appends must reallocate
-			}
-			keys[k] = e
-		}
-		*row = keys
-		kc.mine[p] |= bit
-		if alien {
-			kc.alien[p] &^= bit
-		}
-	}
-	return row
-}
-
-// fork is the column's half of a lost lineage claim, as postingCol.fork:
-// nothing is copied now, every row is marked alien, and its lists are
-// clipped when the row is next written.
-func (kc *keyCol) fork() {
-	if kc.alien == nil {
-		kc.alien = make([]uint64, len(kc.pages))
-	}
-	for p := range kc.alien {
-		kc.alien[p] = ^uint64(0)
-	}
-}
-
-// forEach visits every key in subject handle order, and a subject's keys in
-// the order they were first stated.
-func (kc *keyCol) forEach(fn func(subj, pred int32, lst []int32)) {
-	for i := int32(0); int(i) < kc.n; i++ {
-		for _, e := range kc.row(i) {
-			fn(i, e.pred, e.lst)
-		}
-	}
-}
-
-func (kc *keyCol) clone() keyCol {
-	if kc.mine != nil {
-		kc.mine = nil
-	}
-	return keyCol{pages: slices.Clone(kc.pages), alien: slices.Clone(kc.alien), n: kc.n}
 }

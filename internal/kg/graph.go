@@ -152,9 +152,12 @@ type Graph struct {
 	tObj  col[int32]  // triple handle → object entity handle, -1 for literals
 	tPred col[int32]  // triple handle → predicate handle
 
-	bySubject postingCol // entity handle → handles of triples with that subject
-	byObject  postingCol // entity handle → handles of triples linking it as object
-	byKey     keyCol     // subject entity handle → (predicate handle, triple handles) keys
+	// byKey is the (subject, predicate) key index, filed under the subject:
+	// subject entity handle → (predicate handle, triple handles) keys. It is
+	// also the index by subject: a subject's row holds every triple it is the
+	// subject of, grouped by predicate.
+	byKey    rowCol[[]keyEntry]
+	byObject rowCol[[]int32] // entity handle → handles of triples linking it as object
 
 	// lin counts the triple slots claimed on the storage this graph shares
 	// with its clones: the posting lists' spare capacity and the tail pages
@@ -162,14 +165,14 @@ type Graph struct {
 	lin lineage.Token
 
 	liveTriples int
-	// degCount[d] counts entities of degree d (d ≥ 1) and maxDeg is the
-	// largest degree with a nonzero count; both are maintained in O(1) per
-	// Add/RemoveTriple so MaxDegree is a plain read for concurrent queries.
-	degCount []int
-	maxDeg   int
+	// maxDeg is the largest entity degree and atMax the number of entities
+	// with it. Linking a triple only raises degrees, so it moves them in
+	// O(1); a removal that lowers the last entity at maxDeg recomputes them
+	// (rescanDegrees). MaxDegree is a plain read for concurrent queries.
+	maxDeg, atMax int
 	// isolatedKeys and groupedKeys count the (subject, predicate) keys with
 	// exactly one live triple and with two or more — SG′'s isolated points
-	// and homologous nodes. Like the degree histogram they move in O(1) as a
+	// and homologous nodes. Like the largest degree they move in O(1) as a
 	// triple is linked or removed, so KeyCounts is a plain read.
 	isolatedKeys, groupedKeys int
 }
@@ -397,71 +400,73 @@ func insertTriple[S text](g *Graph, subject, predicate, objectEntity, domain, fo
 }
 
 // link fills the handle columns and posting lists of the triple just appended
-// at h and updates the degree histogram and the key counts; claimed is
+// at h and updates the largest degree and the key counts; claimed is
 // claimSlot's verdict on the slot. AddTriple and DecodeGraph insert through
 // here.
 func (g *Graph) link(h, subjH, objH, predH int32, claimed bool) {
 	g.tSubj.push(subjH, claimed)
 	g.tObj.push(objH, claimed)
 	g.tPred.push(predH, claimed)
-	g.bySubject.appendTo(subjH, h)
-	n := g.byKey.appendTo(subjH, predH, h)
+	n := appendKey(&g.byKey, subjH, predH, h)
 	g.countKey(n-1, -1)
 	g.countKey(n, 1)
 	if objH >= 0 {
-		g.byObject.appendTo(objH, h)
+		appendPosting(&g.byObject, objH, h)
 	}
 	g.liveTriples++
+	g.raiseDegree(g.degreeH(subjH)) // a self-loop raised it by 2
 	if objH >= 0 && objH != subjH {
-		g.bumpDegree(g.degreeH(subjH)-1, g.degreeH(subjH))
-		g.bumpDegree(g.degreeH(objH)-1, g.degreeH(objH))
-	} else if objH == subjH {
-		g.bumpDegree(g.degreeH(subjH)-2, g.degreeH(subjH)) // self-loop: +2 on one entity
-	} else {
-		g.bumpDegree(g.degreeH(subjH)-1, g.degreeH(subjH))
+		g.raiseDegree(g.degreeH(objH))
 	}
 }
 
 // claimSlot applies the claim-or-fork rule (package lineage) to the next
 // triple slot, before AddTriple fills it, and reports whether the claim
-// held. Clones share the bySubject, byObject and byKey lists with their spare
-// capacity, and the tail pages and page tables of the four triple-indexed
-// columns (trs, tSubj, tObj, tPred). A successful claim lets this graph append
-// the slot's handle to the lists, and its row to the columns' tail pages and
-// a fresh page to their tables (col.push), in place, behind the len every
-// older snapshot reads to. A fork makes every posting page clip its lists when
-// it is next privatized (postingCol.fork), and every key row clip its lists
-// when it is next copied (keyCol.fork); the columns copy their shared table
-// and tail page once, as every commit did before the rule. Removal needs no
-// claim: it replaces a list with a fresh copy and marks a row only in a page
-// it owns.
+// held. Clones share the byKey and byObject lists with their spare capacity,
+// and the tail pages and page tables of the four triple-indexed columns (trs,
+// tSubj, tObj, tPred). A successful claim lets this graph append the slot's
+// handle to the lists, and its row to the columns' tail pages and a fresh
+// page to their tables (col.push), in place, behind the len every older
+// snapshot reads to. A fork makes every row of both row columns clip its
+// lists when it is next written (rowCol.forked); the columns copy their
+// shared table and tail page once, as every commit did before the rule.
+// Removal needs no claim: it replaces a list with a fresh copy and marks a
+// row only in a page it owns.
 func (g *Graph) claimSlot() bool {
 	if g.lin.Claim(g.trs.len(), 1) {
 		return true
 	}
-	g.bySubject.fork()
-	g.byObject.fork()
-	g.byKey.fork()
+	g.byKey.forked()
+	g.byObject.forked()
 	return false
 }
 
-// bumpDegree moves one entity from degree old to degree new in the degree
-// histogram and keeps maxDeg in sync. O(1) amortised.
-func (g *Graph) bumpDegree(old, new int) {
-	if old > 0 {
-		g.degCount[old]--
+// raiseDegree folds an entity's raised degree d into the largest degree.
+func (g *Graph) raiseDegree(d int) {
+	if d > g.maxDeg {
+		g.maxDeg, g.atMax = d, 1
+	} else if d == g.maxDeg {
+		g.atMax++
 	}
-	if new > 0 {
-		for len(g.degCount) <= new {
-			g.degCount = append(g.degCount, 0)
-		}
-		g.degCount[new]++
-		if new > g.maxDeg {
-			g.maxDeg = new
-		}
+}
+
+// lowerDegree takes an entity whose degree a removal lowered by `by` to d out
+// of the count at the largest degree, if it was there.
+func (g *Graph) lowerDegree(d, by int) {
+	if d+by == g.maxDeg {
+		g.atMax--
 	}
-	for g.maxDeg > 0 && g.degCount[g.maxDeg] == 0 {
-		g.maxDeg--
+}
+
+// rescanDegrees recomputes the largest degree and the count at it from every
+// entity's row. Only RemoveTriple calls it, when the last entity at the
+// largest degree lost a triple.
+func (g *Graph) rescanDegrees() {
+	g.maxDeg, g.atMax = 0, 0
+	for h := int32(0); int(h) < g.ents.len(); h++ {
+		if d := g.degreeH(h); d > 0 {
+			g.raiseDegree(d)
+		}
 	}
 }
 
@@ -480,20 +485,23 @@ func (g *Graph) RemoveTriple(id string) bool {
 	subjH, objH, predH := g.tSubj.get(h), g.tObj.get(h), g.tPred.get(h)
 	g.trs.set(h, Triple{h: h, prov: removed})
 	g.liveTriples--
-	g.bySubject.set(subjH, removeHandle(g.bySubject.get(subjH), h))
 	if objH >= 0 {
-		g.byObject.set(objH, removeHandle(g.byObject.get(objH), h))
+		lst, _, _ := g.byObject.edit(objH)
+		*lst = removeHandle(*lst, h)
 	}
-	n := g.byKey.remove(subjH, predH, h)
+	n := removeKey(&g.byKey, subjH, predH, h)
 	g.countKey(n, -1)
 	g.countKey(n-1, 1)
-	if objH >= 0 && objH != subjH {
-		g.bumpDegree(g.degreeH(subjH)+1, g.degreeH(subjH))
-		g.bumpDegree(g.degreeH(objH)+1, g.degreeH(objH))
-	} else if objH == subjH {
-		g.bumpDegree(g.degreeH(subjH)+2, g.degreeH(subjH))
+	if objH == subjH {
+		g.lowerDegree(g.degreeH(subjH), 2)
 	} else {
-		g.bumpDegree(g.degreeH(subjH)+1, g.degreeH(subjH))
+		g.lowerDegree(g.degreeH(subjH), 1)
+		if objH >= 0 {
+			g.lowerDegree(g.degreeH(objH), 1)
+		}
+	}
+	if g.atMax == 0 {
+		g.rescanDegrees()
 	}
 	return true
 }
@@ -523,13 +531,12 @@ func removeHandle(lst []int32, h int32) []int32 {
 }
 
 // Clone returns a copy-on-write snapshot of the graph: both sides share every
-// column page, the value columns' page tables, every posting list, keys array
+// column page, page table and row column root, every posting list, keys array
 // and interner base, and the lineage token. Whichever side mutates first
-// copies only the pages, tables and keys arrays it touches; its posting lists
-// and the triple columns' tail pages and page tables it extends in place if
-// it wins the claim for the next triple slot, and reallocates or copies
-// otherwise (claimSlot). Cloning costs O(1) for the value columns, a copy of
-// the three posting columns' page tables (O(entities / 64) pointers), and a
+// copies only the pages, leaves, tables and keys arrays it touches; its
+// posting lists and the triple columns' tail pages and page tables it extends
+// in place if it wins the claim for the next triple slot, and reallocates or
+// copies otherwise (claimSlot). Cloning costs O(1) for every column, and a
 // copy of each interner's tail, the entries written since it last flattened
 // (amortised over the inserts that wrote them), instead of the deep O(corpus)
 // copy it replaces. Triple handles (and therefore IDs) stay unique and
@@ -549,14 +556,13 @@ func (g *Graph) Clone() *Graph {
 		tSubj:      g.tSubj.clone(),
 		tObj:       g.tObj.clone(),
 		tPred:      g.tPred.clone(),
-		bySubject:  g.bySubject.clone(),
-		byObject:   g.byObject.clone(),
 		byKey:      g.byKey.clone(),
+		byObject:   g.byObject.clone(),
 		lin:        g.lin,
 
 		liveTriples: g.liveTriples,
-		degCount:    append([]int(nil), g.degCount...),
 		maxDeg:      g.maxDeg,
+		atMax:       g.atMax,
 
 		isolatedKeys: g.isolatedKeys,
 		groupedKeys:  g.groupedKeys,
@@ -627,7 +633,11 @@ func (g *Graph) resolve(handles []int32) []*Triple {
 }
 
 func (g *Graph) degreeH(entH int32) int {
-	return len(g.bySubject.get(entH)) + len(g.byObject.get(entH))
+	d := len(g.byObject.get(entH))
+	for _, e := range g.byKey.get(entH) {
+		d += len(e.lst)
+	}
+	return d
 }
 
 // Degree returns the number of triples incident on an entity (as subject or
@@ -647,17 +657,19 @@ func (g *Graph) Degree(entityID string) int {
 func (g *Graph) KeyCounts() (isolated, grouped int) { return g.isolatedKeys, g.groupedKeys }
 
 // MaxDegree returns the maximum entity degree in the graph (0 when empty).
-// It is maintained through the degree histogram in O(1) per mutation, so
-// reading it is a plain load and safe under concurrent readers.
+// It is maintained as triples are linked and removed, so reading it is a
+// plain load and safe under concurrent readers.
 func (g *Graph) MaxDegree() int { return g.maxDeg }
 
 // neighborHandles returns the handles of entities one hop from entH, sorted
 // by handle and deduplicated.
 func (g *Graph) neighborHandles(entH int32) []int32 {
 	var hs []int32
-	for _, th := range g.bySubject.get(entH) {
-		if o := g.tObj.get(th); o >= 0 && o != entH {
-			hs = append(hs, o)
+	for _, e := range g.byKey.get(entH) {
+		for _, th := range e.lst {
+			if o := g.tObj.get(th); o >= 0 && o != entH {
+				hs = append(hs, o)
+			}
 		}
 	}
 	for _, th := range g.byObject.get(entH) {

@@ -22,12 +22,6 @@ func (g *Graph) TripleAt(h int32) *Triple {
 	return nil
 }
 
-// TripleKeyHandles returns the (subject, predicate) handle pair of the triple
-// at h — its homologous-data key in interned form.
-func (g *Graph) TripleKeyHandles(h int32) (subjH, predH int32) {
-	return g.tSubj.get(h), g.tPred.get(h)
-}
-
 // EntityHandle returns the handle of the entity with the given canonical ID.
 func (g *Graph) EntityHandle(id string) (int32, bool) { return g.entLookup.get(id) }
 
@@ -40,13 +34,24 @@ func (g *Graph) PredicateHandle(p string) (int32, bool) { return g.predLookup.ge
 // PredicateAt returns the predicate at handle h.
 func (g *Graph) PredicateAt(h int32) string { return g.preds.get(h) }
 
-// SubjectPosting returns the handles of live triples whose subject is the
-// entity at h, in insertion order. Read-only.
-func (g *Graph) SubjectPosting(h int32) []int32 { return g.bySubject.get(h) }
-
 // KeyPosting returns the handles of live triples sharing the (subject,
 // predicate) key, in insertion order. Read-only.
-func (g *Graph) KeyPosting(subjH, predH int32) []int32 { return g.byKey.get(subjH, predH) }
+func (g *Graph) KeyPosting(subjH, predH int32) []int32 {
+	if e := findKey(g.byKey.get(subjH), predH); e != nil {
+		return e.lst
+	}
+	return nil
+}
+
+// ForEachSubjectKey visits the (subject, predicate) keys of the entity at
+// subjH with their posting lists, in the order the subject was first stated
+// with each predicate: one row of the key index, about a dozen keys. A key
+// whose triples were all removed has an empty posting. Read-only.
+func (g *Graph) ForEachSubjectKey(subjH int32, fn func(predH int32, posting []int32)) {
+	for _, e := range g.byKey.get(subjH) {
+		fn(e.pred, e.lst)
+	}
+}
 
 // ForEachKeyPosting visits every (subject, predicate) key with its posting
 // list, in subject handle order and, for one subject, in the order its keys
@@ -54,7 +59,11 @@ func (g *Graph) KeyPosting(subjH, predH int32) []int32 { return g.byKey.get(subj
 // tests' whole-graph walk: no product path may scan every key, and the root
 // package's export guard fails if one calls it.
 func (g *Graph) ForEachKeyPosting(fn func(subjH, predH int32, posting []int32)) {
-	g.byKey.forEach(fn)
+	g.byKey.forEach(func(subjH int32, row []keyEntry) {
+		for _, e := range row {
+			fn(subjH, e.pred, e.lst)
+		}
+	})
 }
 
 // ForEachTriple visits every live triple with its handle, in handle order.

@@ -1,10 +1,25 @@
 package kg
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Entity-centred readers only this package's tests use, to dump and compare
 // graph observables: the triples by subject or by linked object entity, and an
 // entity's neighbours.
+
+// SubjectPosting returns the handles of live triples whose subject is the
+// entity at h, in insertion order: its keys' postings, merged into a fresh
+// slice.
+func (g *Graph) SubjectPosting(h int32) []int32 {
+	var out []int32
+	for _, e := range g.byKey.get(h) {
+		out = append(out, e.lst...)
+	}
+	slices.Sort(out)
+	return out
+}
 
 // TriplesBySubject returns the triples whose subject is the given entity, in
 // insertion order.
@@ -13,7 +28,7 @@ func (g *Graph) TriplesBySubject(entityID string) []*Triple {
 	if !ok {
 		return []*Triple{}
 	}
-	return g.resolve(g.bySubject.get(h))
+	return g.resolve(g.SubjectPosting(h))
 }
 
 // TriplesByObjectEntity returns the triples whose object resolves to the

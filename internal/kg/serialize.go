@@ -12,7 +12,7 @@ import (
 // every triple slot (live or tombstoned) with its interned handles. Decoding
 // replays the column appends one handle at a time, so the rebuilt graph is
 // observably identical to the source — same handles, same posting-list
-// orders, same degree histogram — and re-encoding it reproduces the exact
+// orders, same largest degree — and re-encoding it reproduces the exact
 // same bytes. Removed triples keep their slots (handles are never reused), so
 // triple IDs assigned after recovery continue the original sequence.
 //
@@ -33,7 +33,7 @@ import (
 // subject from the subject entity handle and its predicate from the predicate
 // handle. Its object entity is written for the format's sake, as the linked
 // entity's ID, and decoding checks it against the object handle. Posting
-// lists and the degree histogram are rebuilt by replaying the live appends in
+// lists and the largest degree are rebuilt by replaying the live appends in
 // handle order, which reproduces insertion order exactly (removal preserves
 // relative order of the survivors).
 

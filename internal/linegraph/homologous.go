@@ -124,9 +124,10 @@ func (sg *SG) Lookup(subjectID, predicate string) (*HomologousNode, bool) {
 
 // NestedCandidates returns the homologous nodes holding subjectID's nested
 // attributes under relation — names of the form relation+"_..." (status →
-// status_state) — in name order. The names come from the subject's own
-// triples (a posting of about a dozen handles), so the lookup costs the same
-// on the first query after a publish as on any other and never scans nodes.
+// status_state) — in name order. The names come from the subject's own keys
+// (one row of the graph's key index, about a dozen), so the lookup costs the
+// same on the first query after a publish as on any other and never scans
+// nodes.
 func (sg *SG) NestedCandidates(subjectID, relation string) []*HomologousNode {
 	g := sg.graph
 	subjH, ok := g.EntityHandle(subjectID)
@@ -135,12 +136,11 @@ func (sg *SG) NestedCandidates(subjectID, relation string) []*HomologousNode {
 	}
 	prefix := relation + "_"
 	var preds []int32
-	for _, h := range g.SubjectPosting(subjH) {
-		_, predH := g.TripleKeyHandles(h)
-		if strings.HasPrefix(g.PredicateAt(predH), prefix) && !slices.Contains(preds, predH) {
+	g.ForEachSubjectKey(subjH, func(predH int32, _ []int32) {
+		if strings.HasPrefix(g.PredicateAt(predH), prefix) {
 			preds = append(preds, predH)
 		}
-	}
+	})
 	slices.SortFunc(preds, func(a, b int32) int { return strings.Compare(g.PredicateAt(a), g.PredicateAt(b)) })
 	var out []*HomologousNode
 	for _, predH := range preds {

@@ -74,7 +74,8 @@ func TestNewHomologousNodeAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	subjH, predH := g.TripleKeyHandles(0)
+	subjH, _ := g.EntityHandle("e")
+	predH, _ := g.PredicateHandle("p")
 	posting := g.KeyPosting(subjH, predH)
 	allocs := map[int]float64{}
 	for _, n := range []int{2, 8, 32} {

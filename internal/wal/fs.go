@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -32,11 +33,11 @@ type FS interface {
 	Create(name string) (File, error)
 	// ReadFile returns the full content of name.
 	ReadFile(name string) ([]byte, error)
-	// ReadAt reads len(p) bytes of name from offset off, with io.ReaderAt's
-	// contract: fewer bytes come back only with an error, io.EOF at the end
-	// of the file. It is how a Tail follows a segment another writer is
-	// still appending to.
-	ReadAt(name string, p []byte, off int64) (int, error)
+	// OpenReader opens name for reads at offsets. The reader sees what is
+	// appended to the file after it was opened, and keeps reading the file
+	// after it is renamed or removed, as an open descriptor does. It is how
+	// a Tail follows a segment another writer is still appending to.
+	OpenReader(name string) (Reader, error)
 	// Rename atomically replaces newname with oldname. Durable only after a
 	// SyncDir on the parent directory.
 	Rename(oldname, newname string) error
@@ -49,6 +50,13 @@ type FS interface {
 	// SyncDir fsyncs the directory itself, making entry creations, renames
 	// and removals durable.
 	SyncDir(dir string) error
+}
+
+// Reader reads an open file at offsets, with io.ReaderAt's contract: fewer
+// bytes come back only with an error, io.EOF at the end of the file.
+type Reader interface {
+	io.ReaderAt
+	io.Closer
 }
 
 // OSFS is the production FS over the real filesystem.
@@ -73,13 +81,12 @@ func (OSFS) Create(name string) (File, error) { return os.Create(name) }
 
 func (OSFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
 
-func (OSFS) ReadAt(name string, p []byte, off int64) (int, error) {
+func (OSFS) OpenReader(name string) (Reader, error) {
 	f, err := os.Open(name)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	defer f.Close()
-	return f.ReadAt(p, off)
+	return f, nil
 }
 
 func (OSFS) Rename(oldname, newname string) error { return os.Rename(oldname, newname) }

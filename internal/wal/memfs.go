@@ -178,23 +178,39 @@ func (m *MemFS) ReadFile(name string) ([]byte, error) {
 	return append([]byte(nil), ino.data...), nil
 }
 
-// ReadAt copies name's current (volatile) content at off into p.
-func (m *MemFS) ReadAt(name string, p []byte, off int64) (int, error) {
+// OpenReader opens name's inode for reads: like a descriptor, the reader
+// keeps it across a rename or removal of the name.
+func (m *MemFS) OpenReader(name string) (Reader, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ino := m.files[name]
 	if ino == nil {
-		return 0, notExist(name)
+		return nil, notExist(name)
 	}
-	if off > int64(len(ino.data)) {
+	return &memReader{fs: m, ino: ino}, nil
+}
+
+type memReader struct {
+	fs  *MemFS
+	ino *memInode
+}
+
+// ReadAt copies the file's current (volatile) content at off into p.
+func (r *memReader) ReadAt(p []byte, off int64) (int, error) {
+	r.fs.mu.Lock()
+	defer r.fs.mu.Unlock()
+	data := r.ino.data
+	if off > int64(len(data)) {
 		return 0, io.EOF
 	}
-	n := copy(p, ino.data[off:])
+	n := copy(p, data[off:])
 	if n < len(p) {
 		return n, io.EOF
 	}
 	return n, nil
 }
+
+func (r *memReader) Close() error { return nil }
 
 // Rename atomically moves oldname onto newname in the volatile namespace.
 // The durable namespace keeps both previous bindings until SyncDir.

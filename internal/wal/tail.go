@@ -18,10 +18,13 @@ import (
 //
 // Segments the cursor still needs must outlive checkpoint pruning; a reader
 // holds a retention floor at its position for that (RemoveBelow's floor).
+// The cursor keeps the segment it reads open, from its first read of it until
+// it moves on to the next one or Close.
 type Tail struct {
 	fs    FS
 	dir   string
 	seg   string // segment being read
+	r     Reader // seg, open; nil before its first read
 	off   int64  // offset of the next frame in seg
 	lsn   uint64 // LSN of that frame
 	buf   []byte // the one read buffer; the last payload Next returned aliases it
@@ -71,12 +74,12 @@ func (t *Tail) Next(committed uint64) (payload []byte, ok bool, err error) {
 	if size > cap(t.buf) {
 		// A corrupt header can claim up to MaxRecordSize: see that the segment
 		// holds the frame's last byte before allocating for it.
-		if _, err := t.fs.ReadAt(join(t.dir, t.seg), t.probe[:], t.off+int64(size)-1); err != nil {
+		if _, err := t.readAt(t.probe[:], t.off+int64(size)-1); err != nil {
 			return nil, false, t.errorf("short frame: %v", err)
 		}
 	}
 	t.buf = slices.Grow(t.buf, size)[:size] // the header stays in buf[:frameHeader]
-	if _, err := t.fs.ReadAt(join(t.dir, t.seg), t.buf[frameHeader:], t.off+frameHeader); err != nil {
+	if _, err := t.readAt(t.buf[frameHeader:], t.off+frameHeader); err != nil {
 		return nil, false, t.errorf("short frame: %v", err)
 	}
 	payload, _, ok = parseFrame(t.buf)
@@ -98,10 +101,11 @@ func (t *Tail) header() (uint32, error) {
 		t.buf = nil
 	}
 	t.buf = slices.Grow(t.buf[:0], frameHeader)[:frameHeader]
-	k, err := t.fs.ReadAt(join(t.dir, t.seg), t.buf, t.off)
+	k, err := t.readAt(t.buf, t.off)
 	if k == 0 && t.off > 0 && (errors.Is(err, io.EOF) || IsNotExist(err)) {
+		t.Close()
 		t.seg, t.off = segName(t.lsn), 0
-		k, err = t.fs.ReadAt(join(t.dir, t.seg), t.buf, 0)
+		k, err = t.readAt(t.buf, 0)
 	}
 	if k < frameHeader {
 		return 0, t.errorf("short frame header: %v", err)
@@ -111,6 +115,30 @@ func (t *Tail) header() (uint32, error) {
 		return 0, t.errorf("frame length %d", n)
 	}
 	return n, nil
+}
+
+// readAt reads the segment at off, opening it first if the cursor does not
+// hold it open yet.
+func (t *Tail) readAt(p []byte, off int64) (int, error) {
+	if t.r == nil {
+		r, err := t.fs.OpenReader(join(t.dir, t.seg))
+		if err != nil {
+			return 0, err
+		}
+		t.r = r
+	}
+	return t.r.ReadAt(p, off)
+}
+
+// Close releases the segment the cursor holds open. The cursor stays usable:
+// its next read opens the segment again.
+func (t *Tail) Close() error {
+	if t.r == nil {
+		return nil
+	}
+	err := t.r.Close()
+	t.r = nil
+	return err
 }
 
 func (t *Tail) errorf(format string, args ...any) error {

@@ -217,3 +217,52 @@ func TestTailReusesOneBuffer(t *testing.T) {
 		t.Fatalf("after the bulk record: %q, %v, buffer cap %d", p, err, cap(tail.buf))
 	}
 }
+
+// openCounter is an FS that counts the readers it opens.
+type openCounter struct {
+	FS
+	opens int
+}
+
+func (c *openCounter) OpenReader(name string) (Reader, error) {
+	c.opens++
+	return c.FS.OpenReader(name)
+}
+
+// TestTailOpensEachSegmentOnce: the cursor holds the segment it reads open,
+// so reading a log of three segments record by record opens each segment
+// once, however many reads a record costs, and sees records appended to it
+// after it was opened. After Close the next read opens the segment again.
+func TestTailOpensEachSegmentOnce(t *testing.T) {
+	logFSes(t, func(t *testing.T, fsys FS, dir string) {
+		l := openEmptyLog(t, fsys, dir)
+		for i := 0; i < 3; i++ {
+			if i > 0 {
+				if err := l.Rotate(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			appendN(t, l, 4*i, 4)
+		}
+		counter := &openCounter{FS: fsys}
+		tail, err := OpenTail(counter, dir, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		readTo(t, tail, l.NextLSN())
+		appendN(t, l, 12, 2)
+		readTo(t, tail, l.NextLSN())
+		if counter.opens != 3 {
+			t.Fatalf("reading three segments opened %d readers", counter.opens)
+		}
+		if err := tail.Close(); err != nil {
+			t.Fatal(err)
+		}
+		appendN(t, l, 14, 1)
+		readTo(t, tail, l.NextLSN())
+		if counter.opens != 4 {
+			t.Fatalf("a read after Close opened %d readers in all, want 4", counter.opens)
+		}
+		tail.Close()
+	})
+}
